@@ -37,6 +37,9 @@ pub struct LintConfig {
     /// Modules that must contain a request-budget check
     /// (`budget-checkpoint`).
     pub budget_files: Vec<String>,
+    /// Modules whose `on_alloc`/`on_dealloc` are global-allocator hooks
+    /// (`alloc-hook-local`).
+    pub alloc_hook_files: Vec<String>,
     /// Path prefixes where literal metric names are extracted for the
     /// doc cross-check.
     pub metric_paths: Vec<String>,
@@ -82,6 +85,7 @@ impl LintConfig {
                 // The per-graph materialize loop.
                 "crates/core/src/pipeline.rs",
             ]),
+            alloc_hook_files: s(&["crates/obs/src/alloc.rs"]),
             metric_paths: s(&["crates/service/src", "crates/obs/src"]),
             error_code_files: s(&[
                 "crates/service/src/error.rs",

@@ -19,6 +19,7 @@
 //! | `no-panic-request-path` | the serve request path degrades, never panics |
 //! | `doc-catalog-drift` | metric/failpoint/error-code/alloc-scope doc tables match the code |
 //! | `budget-checkpoint` | pattern/graph loops stay deadline-interruptible |
+//! | `alloc-hook-local` | the allocator hooks touch thread-local state only |
 //!
 //! Run it over the workspace:
 //!

@@ -18,6 +18,7 @@ pub const SAFETY_COMMENT: &str = "safety-comment";
 pub const NO_PANIC_REQUEST_PATH: &str = "no-panic-request-path";
 pub const DOC_CATALOG_DRIFT: &str = "doc-catalog-drift";
 pub const BUDGET_CHECKPOINT: &str = "budget-checkpoint";
+pub const ALLOC_HOOK_LOCAL: &str = "alloc-hook-local";
 
 /// Every rule with a one-line description (for `--list-rules`).
 pub const RULES: &[(&str, &str)] = &[
@@ -40,6 +41,10 @@ pub const RULES: &[(&str, &str)] = &[
     (
         BUDGET_CHECKPOINT,
         "modules that loop over patterns/graphs must contain a request-budget check",
+    ),
+    (
+        ALLOC_HOOK_LOCAL,
+        "no .fetch_*/.lock(/Box::new/Vec:: in the allocator hooks or what they call short of a #[cold] fn",
     ),
 ];
 
@@ -93,6 +98,9 @@ pub fn scan_file(rel: &str, file: &LexedFile, cfg: &LintConfig) -> FileScan {
     safety_comment(rel, file, &mut scan);
     if cfg.request_path_files.iter().any(|f| f == rel) {
         no_panic_request_path(rel, file, &mut scan);
+    }
+    if cfg.alloc_hook_files.iter().any(|f| f == rel) {
+        alloc_hook_local(rel, file, &mut scan);
     }
     scan.has_budget_ident = file.tokens.iter().any(|t| {
         !t.in_test && t.kind == TokKind::Ident && t.text.to_ascii_lowercase().contains("budget")
@@ -307,6 +315,133 @@ fn no_panic_request_path(rel: &str, file: &LexedFile, scan: &mut FileScan) {
 }
 
 // ---------------------------------------------------------------------------
+// alloc-hook-local
+// ---------------------------------------------------------------------------
+
+/// The tracking allocator's per-event entry points.
+const ALLOC_HOOK_ROOTS: &[&str] = &["on_alloc", "on_dealloc"];
+
+/// One `fn` item: its name, whether it is `#[cold]`, and the token
+/// range of its body (empty for a bodiless declaration).
+struct FnItem<'a> {
+    name: &'a str,
+    line: u32,
+    cold: bool,
+    body: std::ops::Range<usize>,
+}
+
+/// Every allocation and free runs the hooks, so they and whatever they
+/// call must touch thread-local state only: no atomic read-modify-write,
+/// no lock, no allocation. A `#[cold]` fn is where the hot path ends —
+/// the amortised fold into the shared ledgers lives behind one — so the
+/// walk does not enter it. Calls resolve by name within the file: every
+/// fn (or method) of a called name is taken to be on the path.
+fn alloc_hook_local(rel: &str, file: &LexedFile, scan: &mut FileScan) {
+    let toks = &file.tokens;
+    let fns = fn_items(file);
+    let mut hot: Vec<usize> = (0..fns.len())
+        .filter(|&i| ALLOC_HOOK_ROOTS.contains(&fns[i].name))
+        .collect();
+    if hot.is_empty() {
+        scan.findings.push(Finding {
+            rule: ALLOC_HOOK_LOCAL,
+            file: rel.to_string(),
+            line: 1,
+            message: "configured allocator-hook module defines neither `on_alloc` nor \
+                      `on_dealloc` — update the lint config if the hooks moved"
+                .to_string(),
+        });
+    }
+    let mut next = 0;
+    while next < hot.len() {
+        let f = &fns[hot[next]];
+        next += 1;
+        for i in f.body.clone() {
+            let t = &toks[i];
+            if t.kind != TokKind::Ident {
+                continue;
+            }
+            let after_dot = i > 0 && toks[i - 1].is_punct('.');
+            let called = toks.get(i + 1).is_some_and(|n| n.is_punct('('));
+            let path_follows = toks.get(i + 1).is_some_and(|n| n.is_punct(':'))
+                && toks.get(i + 2).is_some_and(|n| n.is_punct(':'));
+            let shape = if after_dot && t.text.starts_with("fetch_") {
+                Some(format!(".{}(", t.text))
+            } else if after_dot && called && t.text == "lock" {
+                Some(".lock(".to_string())
+            } else if t.text == "Box"
+                && path_follows
+                && toks.get(i + 3).is_some_and(|n| n.is_ident("new"))
+            {
+                Some("Box::new".to_string())
+            } else if t.text == "Vec" && path_follows {
+                Some("Vec::".to_string())
+            } else {
+                None
+            };
+            if let Some(shape) = shape {
+                scan.findings.push(Finding {
+                    rule: ALLOC_HOOK_LOCAL,
+                    file: rel.to_string(),
+                    line: t.line,
+                    message: format!(
+                        "`{shape}` in `{}` (line {}), which runs on every allocation: \
+                         the hooks touch thread-local state only — fold into shared \
+                         state behind a `#[cold]` fn (see docs/OBSERVABILITY.md)",
+                        f.name, f.line
+                    ),
+                });
+            }
+            if called {
+                for (callee, g) in fns.iter().enumerate() {
+                    if g.name == t.text && !g.cold && !hot.contains(&callee) {
+                        hot.push(callee);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The non-test `fn` items of `file`, nested ones included.
+fn fn_items(file: &LexedFile) -> Vec<FnItem<'_>> {
+    let toks = &file.tokens;
+    let mut out = Vec::new();
+    for i in 0..toks.len() {
+        let Some(name) = toks.get(i + 1).filter(|n| n.kind == TokKind::Ident) else {
+            continue;
+        };
+        if !toks[i].is_ident("fn") || toks[i].in_test {
+            continue;
+        }
+        out.push(FnItem {
+            name: &name.text,
+            line: toks[i].line,
+            cold: has_cold_attr(file, toks[i].line),
+            body: brace_group(toks, i + 2),
+        });
+    }
+    out
+}
+
+/// Is there a `#[cold]` among the attribute and comment lines directly
+/// above `line`?
+fn has_cold_attr(file: &LexedFile, line: u32) -> bool {
+    let mut l = line.saturating_sub(1);
+    while l >= 1 {
+        let text = file.line_text(l);
+        if text == "#[cold]" {
+            return true;
+        }
+        if !(text.starts_with("#[") || text.starts_with("//")) {
+            return false;
+        }
+        l -= 1;
+    }
+    false
+}
+
+// ---------------------------------------------------------------------------
 // doc-catalog-drift: code-side extraction
 // ---------------------------------------------------------------------------
 
@@ -403,24 +538,33 @@ fn extract_catalog_uses(rel: &str, file: &LexedFile, cfg: &LintConfig, scan: &mu
 
 /// String literals inside the first `{ … }` block at or after `from`.
 fn body_strings(toks: &[Token], from: usize) -> Vec<&Token> {
-    let mut j = from;
-    while j < toks.len() && !toks[j].is_punct('{') {
-        j += 1;
+    toks[brace_group(toks, from)]
+        .iter()
+        .filter(|t| t.kind == TokKind::Str && !t.in_test)
+        .collect()
+}
+
+/// Token range of the first `{ … }` group at or after `from`, both
+/// braces included; empty when a `;` comes first (a declaration without
+/// a body) or there is none.
+fn brace_group(toks: &[Token], from: usize) -> std::ops::Range<usize> {
+    let mut open = from;
+    while open < toks.len() && !toks[open].is_punct('{') {
+        if toks[open].is_punct(';') {
+            return open..open;
+        }
+        open += 1;
     }
     let mut depth = 0i32;
-    let mut out = Vec::new();
-    while j < toks.len() {
-        if toks[j].is_punct('{') {
+    for (close, t) in toks.iter().enumerate().skip(open) {
+        if t.is_punct('{') {
             depth += 1;
-        } else if toks[j].is_punct('}') {
+        } else if t.is_punct('}') {
             depth -= 1;
             if depth == 0 {
-                break;
+                return open..close + 1;
             }
-        } else if toks[j].kind == TokKind::Str && !toks[j].in_test {
-            out.push(&toks[j]);
         }
-        j += 1;
     }
-    out
+    open..toks.len()
 }

@@ -8,7 +8,8 @@ use std::path::{Path, PathBuf};
 use cajade_lint::config::{DocPaths, LintConfig};
 use cajade_lint::engine::{lint_workspace, render_human, render_json, LintReport};
 use cajade_lint::rules::{
-    BUDGET_CHECKPOINT, DOC_CATALOG_DRIFT, FLOAT_TOTAL_ORDER, NO_PANIC_REQUEST_PATH, SAFETY_COMMENT,
+    ALLOC_HOOK_LOCAL, BUDGET_CHECKPOINT, DOC_CATALOG_DRIFT, FLOAT_TOTAL_ORDER,
+    NO_PANIC_REQUEST_PATH, SAFETY_COMMENT,
 };
 
 fn fixture_root(name: &str) -> PathBuf {
@@ -26,6 +27,7 @@ fn fixture_cfg(name: &str) -> LintConfig {
         test_dir_components: vec!["tests".into(), "benches".into()],
         request_path_files: Vec::new(),
         budget_files: Vec::new(),
+        alloc_hook_files: Vec::new(),
         metric_paths: Vec::new(),
         error_code_files: Vec::new(),
         docs: DocPaths::default(),
@@ -113,6 +115,28 @@ fn budget_checkpoint_requires_a_real_budget_ident() {
 }
 
 #[test]
+fn alloc_hook_local_follows_calls_up_to_cold_fns() {
+    let mut cfg = fixture_cfg("alloc_hook");
+    cfg.alloc_hook_files = vec!["src/alloc.rs".into(), "src/moved.rs".into()];
+    let report = lint_workspace(&cfg).unwrap();
+    // The hooks themselves, the helper and the method they reach; not
+    // the #[cold] fold, not the reader nobody on the path calls, not
+    // strings, comments or test code.
+    assert_eq!(
+        lines_of(&report, ALLOC_HOOK_LOCAL, "src/alloc.rs"),
+        vec![13, 21, 28, 34],
+        "{}",
+        render_human(&report)
+    );
+    assert_eq!(report.suppressed, 1);
+    // A configured module whose hooks are gone is itself a finding.
+    assert_eq!(lines_of(&report, ALLOC_HOOK_LOCAL, "src/moved.rs"), vec![1]);
+    // src/free.rs has the same shapes but is not a configured module.
+    assert!(lines_of(&report, ALLOC_HOOK_LOCAL, "src/free.rs").is_empty());
+    assert_eq!(report.findings.len(), 5);
+}
+
+#[test]
 fn doc_catalog_drift_fires_both_directions() {
     let root = fixture_root("drift");
     let cfg = LintConfig {
@@ -126,6 +150,7 @@ fn doc_catalog_drift_fires_both_directions() {
         test_dir_components: vec!["tests".into()],
         request_path_files: Vec::new(),
         budget_files: Vec::new(),
+        alloc_hook_files: Vec::new(),
         metric_paths: vec!["src".into()],
         error_code_files: vec!["src/error.rs".into()],
     };

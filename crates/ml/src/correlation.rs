@@ -7,7 +7,7 @@
 //! * categorical–categorical: Cramér's V,
 //! * categorical–numeric: correlation ratio η.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use crate::dataset::{FeatureColumn, MISSING_CAT};
 
@@ -55,109 +55,52 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
 /// Zero-observation cells of the contingency table still contribute to χ²
 /// (they are exactly what makes identical columns score 1), but they are
 /// never enumerated: with `e = rx·cy/n`, the full-table sum telescopes to
-/// `χ² = Σ_observed o²/e − n`, so the cost is `O(n + observed·log)`
-/// instead of `O(distinct_x × distinct_y)` — the latter is quadratic for
-/// high-cardinality pairs (dates, ids) and used to dominate feature
-/// selection. Observed cells are summed in sorted key order, keeping the
-/// float accumulation deterministic (HashMap iteration order would make
-/// near-tie clustering decisions flap between runs).
+/// `χ² = Σ_observed o²/e − n`. Observed cells and both marginals are
+/// counted as runs of the sorted `(x, y)` keys, so time and memory are
+/// `O(n log n)` and `O(n)` in the rows given, whatever the codes'
+/// range — feature selection hands in a few hundred rows of columns
+/// whose codes run to tens of thousands (dates, ids). Cells are summed
+/// in key order, which keeps the float accumulation deterministic.
 pub fn cramers_v(xs: &[u32], ys: &[u32]) -> f64 {
     assert_eq!(xs.len(), ys.len());
-    // Feature codes are dense by construction, so marginals live in flat
-    // arrays; the joint table goes dense too while `kx·ky` stays small,
-    // falling back to a hash map (with a determinism sort) beyond that.
-    const DENSE_CODE_LIMIT: u32 = 1 << 16;
-    const DENSE_JOINT_LIMIT: u64 = 1 << 22;
-    let max_code = xs
-        .iter()
-        .chain(ys)
-        .filter(|&&c| c != MISSING_CAT)
-        .max()
-        .copied()
-        .unwrap_or(0);
-    if max_code < DENSE_CODE_LIMIT {
-        let kx = max_code as usize + 1;
-        let mut row = vec![0.0f64; kx];
-        let mut col = vec![0.0f64; kx];
-        let mut n = 0.0;
-        let dense_joint = (kx as u64 * kx as u64) <= DENSE_JOINT_LIMIT;
-        let mut joint_dense = if dense_joint {
-            vec![0.0f64; kx * kx]
-        } else {
-            Vec::new()
-        };
-        let mut joint_map: HashMap<u64, f64> = HashMap::new();
-        for (&x, &y) in xs.iter().zip(ys) {
-            if x == MISSING_CAT || y == MISSING_CAT {
-                continue;
-            }
-            row[x as usize] += 1.0;
-            col[y as usize] += 1.0;
-            n += 1.0;
-            if dense_joint {
-                joint_dense[x as usize * kx + y as usize] += 1.0;
-            } else {
-                *joint_map.entry(((x as u64) << 32) | y as u64).or_default() += 1.0;
-            }
-        }
-        let rows_used = row.iter().filter(|&&c| c > 0.0).count();
-        let cols_used = col.iter().filter(|&&c| c > 0.0).count();
-        if n == 0.0 || rows_used < 2 || cols_used < 2 {
-            return if rows_used == 1 && cols_used == 1 {
-                1.0
-            } else {
-                0.0
-            };
-        }
-        let mut chi2 = 0.0;
-        if dense_joint {
-            for (cell, &obs) in joint_dense.iter().enumerate() {
-                if obs > 0.0 {
-                    let exp = row[cell / kx] * col[cell % kx] / n;
-                    chi2 += obs * obs / exp;
-                }
-            }
-        } else {
-            let mut cells: Vec<(u64, f64)> = joint_map.into_iter().collect();
-            cells.sort_unstable_by_key(|&(key, _)| key);
-            for (key, obs) in cells {
-                let exp = row[(key >> 32) as usize] * col[key as u32 as usize] / n;
-                chi2 += obs * obs / exp;
-            }
-        }
-        return finish_chi2(chi2, n, rows_used, cols_used);
-    }
-
-    let mut joint: HashMap<u64, f64> = HashMap::new();
-    let mut row: HashMap<u32, f64> = HashMap::new();
-    let mut col: HashMap<u32, f64> = HashMap::new();
-    let mut n = 0.0;
+    // Two allocations, sized up front: this runs once per categorical
+    // pair of every APT's clustering step.
+    let mut cells: Vec<u64> = Vec::with_capacity(xs.len());
     for (&x, &y) in xs.iter().zip(ys) {
-        if x == MISSING_CAT || y == MISSING_CAT {
-            continue;
+        if x != MISSING_CAT && y != MISSING_CAT {
+            cells.push(((x as u64) << 32) | y as u64);
         }
-        *joint.entry(((x as u64) << 32) | y as u64).or_default() += 1.0;
-        *row.entry(x).or_default() += 1.0;
-        *col.entry(y).or_default() += 1.0;
-        n += 1.0;
     }
-    if n == 0.0 || row.len() < 2 || col.len() < 2 {
+    cells.sort_unstable();
+    let mut col_keys: Vec<u32> = Vec::with_capacity(cells.len());
+    col_keys.extend(cells.iter().map(|&key| key as u32));
+    col_keys.sort_unstable();
+    let same_row = |a: &u64, b: &u64| a >> 32 == b >> 32;
+    let rows_used = cells.chunk_by(same_row).count();
+    let cols_used = col_keys.chunk_by(|a, b| a == b).count();
+    let n = cells.len() as f64;
+    if n == 0.0 || rows_used < 2 || cols_used < 2 {
         // Constant column: by convention fully determined ⇒ treat as
         // unassociated for clustering purposes (no information).
-        return if row.len() == 1 && col.len() == 1 {
+        return if rows_used == 1 && cols_used == 1 {
             1.0
         } else {
             0.0
         };
     }
-    let mut cells: Vec<(u64, f64)> = joint.into_iter().collect();
-    cells.sort_unstable_by_key(|&(key, _)| key);
     let mut chi2 = 0.0;
-    for (key, obs) in cells {
-        let exp = row[&((key >> 32) as u32)] * col[&(key as u32)] / n;
-        chi2 += obs * obs / exp;
+    for row in cells.chunk_by(same_row) {
+        let row_n = row.len() as f64;
+        for cell in row.chunk_by(|a, b| a == b) {
+            let y = cell[0] as u32;
+            let col_n =
+                col_keys.partition_point(|&k| k <= y) - col_keys.partition_point(|&k| k < y);
+            let obs = cell.len() as f64;
+            let exp = row_n * col_n as f64 / n;
+            chi2 += obs * obs / exp;
+        }
     }
-    finish_chi2(chi2, n, row.len(), col.len())
+    finish_chi2(chi2, n, rows_used, cols_used)
 }
 
 /// `Σ_all (o−e)²/e = Σ_obs o²/e − n`; clamp the tiny negative residue
@@ -297,6 +240,37 @@ mod tests {
         assert!(cramers_v(&xs, &ys) < 0.05);
     }
 
+    /// χ² straight off the full contingency table, scanned row-major —
+    /// what `cramers_v` must equal bit for bit, since near-tie clustering
+    /// decisions hang on the last bits.
+    fn cramers_v_dense_table(xs: &[u32], ys: &[u32]) -> f64 {
+        let k = xs.iter().chain(ys).filter(|&&c| c != MISSING_CAT).max();
+        let k = k.map_or(0, |&c| c as usize + 1);
+        let (mut row, mut col) = (vec![0.0f64; k], vec![0.0f64; k]);
+        let mut joint = vec![0.0f64; k * k];
+        let mut n = 0.0;
+        for (&x, &y) in xs.iter().zip(ys) {
+            if x != MISSING_CAT && y != MISSING_CAT {
+                row[x as usize] += 1.0;
+                col[y as usize] += 1.0;
+                joint[x as usize * k + y as usize] += 1.0;
+                n += 1.0;
+            }
+        }
+        let rows_used = row.iter().filter(|&&c| c > 0.0).count();
+        let cols_used = col.iter().filter(|&&c| c > 0.0).count();
+        if n == 0.0 || rows_used < 2 || cols_used < 2 {
+            return f64::from(u8::from(rows_used == 1 && cols_used == 1));
+        }
+        let mut chi2 = 0.0;
+        for (cell, &obs) in joint.iter().enumerate() {
+            if obs > 0.0 {
+                chi2 += obs * obs / (row[cell / k] * col[cell % k] / n);
+            }
+        }
+        finish_chi2(chi2, n, rows_used, cols_used)
+    }
+
     #[test]
     fn correlation_ratio_determined() {
         // Numeric fully determined by category: age vs. birth-cohort style.
@@ -332,6 +306,22 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn prop_cramers_v_matches_the_dense_table(
+            pairs in proptest::collection::vec((0u32..12, 0u32..40), 0..200),
+            missing in proptest::collection::vec(0usize..200, 0..8),
+        ) {
+            let (mut xs, mut ys): (Vec<u32>, Vec<u32>) = pairs.into_iter().unzip();
+            for (i, at) in missing.into_iter().enumerate() {
+                if let Some(slot) = [&mut xs, &mut ys][i % 2].get_mut(at) {
+                    *slot = MISSING_CAT;
+                }
+            }
+            let v = cramers_v(&xs, &ys);
+            prop_assert_eq!(v.to_bits(), cramers_v_dense_table(&xs, &ys).to_bits());
+            prop_assert!((0.0..=1.0).contains(&v));
+        }
+
         /// |r| ≤ 1 always.
         #[test]
         fn prop_pearson_bounded(

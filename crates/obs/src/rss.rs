@@ -25,13 +25,13 @@ pub const CURRENT_RSS_GAUGE: &str = "process_current_rss_bytes";
 /// when the platform does not expose it (non-Linux, or an unreadable
 /// `/proc`). Monotone between [`reset_peak_rss`] calls.
 pub fn peak_rss_bytes() -> Option<u64> {
-    status_kb_at(status_path(), "VmHWM:").map(|kb| kb * 1024)
+    watermarks_at(status_path()).0
 }
 
 /// Current resident-set size of this process in bytes (`VmRSS`), or
 /// `None` when the platform does not expose it.
 pub fn current_rss_bytes() -> Option<u64> {
-    status_kb_at(status_path(), "VmRSS:").map(|kb| kb * 1024)
+    watermarks_at(status_path()).1
 }
 
 /// Resets the kernel's peak-RSS watermark to the current RSS by writing
@@ -73,21 +73,26 @@ fn reset_peak_rss_at(path: &str) -> bool {
 /// bytes when available. Platforms without `/proc` leave the gauges
 /// untouched (they stay absent rather than reporting zero).
 pub fn record_rss(registry: &Registry) -> Option<u64> {
-    if let Some(cur) = current_rss_bytes() {
+    let (peak, cur) = watermarks_at(status_path());
+    if let Some(cur) = cur {
         registry.gauge(CURRENT_RSS_GAUGE).set(cur);
     }
-    let peak = peak_rss_bytes()?;
+    let peak = peak?;
     registry.gauge(PEAK_RSS_GAUGE).set(peak);
     Some(peak)
 }
 
-/// Reads a status file at `path` and parses `<key>   <n> kB` out of it.
-/// Any failure — missing file, permission denial, malformed content —
-/// degrades to `None`; this is what keeps the RSS gauges best-effort on
-/// non-Linux hosts and locked-down `/proc` mounts.
-fn status_kb_at(path: &str, key: &str) -> Option<u64> {
-    let status = std::fs::read_to_string(path).ok()?;
-    parse_status_kb(&status, key)
+/// `(VmHWM, VmRSS)` in bytes out of one read of the status file at
+/// `path`: the kernel renders both from the same counters, so within a
+/// read peak ≥ current holds, which it need not across two reads while
+/// other threads allocate. Any failure — missing file, permission
+/// denial, malformed content — degrades to `None`; this is what keeps
+/// the RSS gauges best-effort on non-Linux hosts and locked-down `/proc`
+/// mounts.
+fn watermarks_at(path: &str) -> (Option<u64>, Option<u64>) {
+    let status = std::fs::read_to_string(path).unwrap_or_default();
+    let bytes = |key| parse_status_kb(&status, key).map(|kb| kb * 1024);
+    (bytes("VmHWM:"), bytes("VmRSS:"))
 }
 
 /// Parses one `<key>   <n> kB` line out of `/proc/self/status`-shaped
@@ -110,10 +115,7 @@ mod guard_tests {
     /// gauges, not an error — and must leave the registry untouched.
     #[test]
     fn unreadable_proc_degrades_to_none() {
-        assert_eq!(
-            status_kb_at("/nonexistent/proc/self/status", "VmHWM:"),
-            None
-        );
+        assert_eq!(watermarks_at("/nonexistent/proc/self/status"), (None, None));
         assert!(!reset_peak_rss_at("/nonexistent/proc/self/clear_refs"));
     }
 
@@ -145,8 +147,9 @@ mod tests {
 
     #[test]
     fn peak_is_nonzero_and_at_least_current() {
-        let peak = peak_rss_bytes().expect("VmHWM readable on Linux");
-        let cur = current_rss_bytes().expect("VmRSS readable on Linux");
+        let (peak, cur) = watermarks_at(status_path());
+        let peak = peak.expect("VmHWM readable on Linux");
+        let cur = cur.expect("VmRSS readable on Linux");
         assert!(peak > 0 && cur > 0);
         assert!(peak >= cur, "peak {peak} < current {cur}");
     }

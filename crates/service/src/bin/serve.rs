@@ -26,7 +26,7 @@ use cajade_service::{protocol, ExplanationService, ServiceConfig};
 
 // Heap attribution: every allocation flows through the tracking wrapper,
 // so the `metrics` op's `memory` block and traced asks' per-span
-// `alloc_bytes` report real bytes. A few relaxed atomics per alloc; see
+// `alloc_bytes` report real bytes. A few thread-local adds per alloc; see
 // docs/OBSERVABILITY.md § Memory attribution.
 #[global_allocator]
 static ALLOC: cajade_obs::TrackingAlloc = cajade_obs::TrackingAlloc;
