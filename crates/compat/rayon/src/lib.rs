@@ -10,7 +10,9 @@ use std::sync::Mutex;
 
 /// One-stop imports mirroring `rayon::prelude`.
 pub mod prelude {
-    pub use crate::{IntoParallelIterator, IntoParallelRefIterator, ParallelIterator};
+    pub use crate::{
+        FromParallelIterator, IntoParallelIterator, IntoParallelRefIterator, ParallelIterator,
+    };
 }
 
 /// Maximum worker threads (mirrors `rayon`'s default pool sizing).

@@ -14,13 +14,14 @@
 //! can hand the same materialization to many concurrent sessions.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use cajade_graph::{enumerate_join_graphs, Apt, EnumConfig, EnumeratedGraph, SchemaGraph};
 use cajade_mining::{
-    mine_apt, mine_prepared, prepare_apt_with, MiningTimings, PreparedApt, Question,
+    mine_apt, mine_prepared, prepare_apt_with, MiningOutcome, MiningTimings, PreparedApt, Question,
 };
 pub use cajade_mining::{ColumnStatsProvider, NoSharedStats};
+use cajade_obs::{Ctx, Stage};
 use cajade_query::{execute, ProvenanceTable, Query, QueryResult};
 use cajade_storage::Database;
 use rayon::prelude::*;
@@ -71,27 +72,19 @@ pub fn prepare(
 ) -> Result<PreparedQuery> {
     let result = execute(db, query)?;
 
-    let t0 = Instant::now();
-    let pt = {
-        let _span = cajade_obs::span("provenance");
-        let _mem = cajade_obs::AllocScope::enter("provenance");
-        ProvenanceTable::compute(db, query)?
-    };
-    let provenance_time = t0.elapsed();
+    let stage = Stage::open("provenance");
+    let pt = ProvenanceTable::compute(db, query)?;
+    let provenance_time = stage.finish();
 
-    let t0 = Instant::now();
+    let stage = Stage::open("jg_enum");
     let enum_cfg = EnumConfig {
         max_edges: params.max_edges,
         max_cost: params.max_cost,
         check_pk_coverage: params.check_pk_coverage,
         include_pt_only: params.include_pt_only,
     };
-    let graphs = {
-        let _span = cajade_obs::span("jg_enum");
-        let _mem = cajade_obs::AllocScope::enter("jg_enum");
-        enumerate_join_graphs(schema_graph, db, query, pt.num_rows, &enum_cfg)?
-    };
-    let jg_enum_time = t0.elapsed();
+    let graphs = enumerate_join_graphs(schema_graph, db, query, pt.num_rows, &enum_cfg)?;
+    let jg_enum_time = stage.finish();
 
     Ok(PreparedQuery {
         result,
@@ -142,11 +135,16 @@ pub fn group_label(db: &Database, query: &Query, pt: &ProvenanceTable, group: us
         .join(", ")
 }
 
-/// Stage 3: materializes `APT(Q, D, Ω)` for one join graph (Definition 4).
-pub fn materialize(db: &Database, pt: &ProvenanceTable, graph: &EnumeratedGraph) -> Result<Apt> {
-    let _span = cajade_obs::span("materialize_apt");
-    let _mem = cajade_obs::AllocScope::enter("materialize");
-    Ok(Apt::materialize(db, pt, &graph.graph)?)
+/// Stage 3: materializes `APT(Q, D, Ω)` for one join graph (Definition 4)
+/// and reports the wall time it took.
+pub fn materialize(
+    db: &Database,
+    pt: &ProvenanceTable,
+    graph: &EnumeratedGraph,
+) -> Result<(Apt, Duration)> {
+    let stage = Stage::open_as("materialize_apt", "materialize");
+    let apt = Apt::materialize(db, pt, &graph.graph)?;
+    Ok((apt, stage.finish()))
 }
 
 /// Stage 3.5: the question-independent mining preparation of one APT
@@ -163,8 +161,7 @@ pub fn prepare_mining(
     params: &Params,
     stats: &dyn ColumnStatsProvider,
 ) -> PreparedApt {
-    let _span = cajade_obs::span("prepare_apt");
-    let _mem = cajade_obs::AllocScope::enter("prepare");
+    let _stage = Stage::open_as("prepare_apt", "prepare");
     prepare_apt_with(apt, pt, &params.mining, stats)
 }
 
@@ -184,54 +181,17 @@ pub struct GraphOutcome {
     pub patterns: usize,
 }
 
-/// Stage 4: mines one materialized APT (Algorithm 1) and renders its
-/// explanations. `graph_index` is the graph's index within the session's
-/// enumeration; `materialize_time` is attributed to this outcome for the
-/// Fig. 10 style breakdown.
-// The argument list mirrors the stage's actual data dependencies; a
-// context struct would only relocate the same seven names.
-#[allow(clippy::too_many_arguments)]
-pub fn mine_one(
-    db: &Database,
-    query: &Query,
-    pt: &ProvenanceTable,
-    apt: &Apt,
-    question: &Question,
-    params: &Params,
-    graph_index: usize,
-    materialize_time: Duration,
-) -> GraphOutcome {
-    let _span = cajade_obs::span("mine_apt");
-    let _mem = cajade_obs::AllocScope::enter("mine");
-    let outcome = mine_apt(apt, pt, question, &params.mining);
-    let explanations = outcome
-        .explanations
-        .iter()
-        .map(|m| {
-            Explanation::from_mined(
-                m,
-                apt,
-                db.pool(),
-                group_label(db, query, pt, m.primary_group),
-                graph_index,
-            )
-        })
-        .collect();
-    GraphOutcome {
-        explanations,
-        apt_stat: (apt.graph.structure_string(), apt.num_rows, apt.fields.len()),
-        materialize: materialize_time,
-        mining: outcome.timings,
-        patterns: outcome.patterns_evaluated,
-    }
-}
-
 /// Stage 4, interactive variant: mines one APT through its cached
-/// question-independent preparation ([`cajade_mining::prepare_apt`]).
-/// When `prep_computed` is set, the preparation ran as part of this ask
-/// and its phase timings are attributed to the outcome; on a warm
-/// [`PreparedApt`] the feature-selection / candidate-generation /
-/// sampling / prepare phases report zero — the ask skipped them.
+/// question-independent preparation ([`cajade_mining::prepare_apt`]) and
+/// renders its explanations. `graph_index` is the graph's index within
+/// the session's enumeration; `materialize_time` is attributed to this
+/// outcome for the Fig. 10 style breakdown. When `prep_computed` is set,
+/// the preparation ran as part of this ask and its phase timings are
+/// attributed to the outcome; on a warm [`PreparedApt`] the
+/// feature-selection / candidate-generation / sampling / prepare phases
+/// report zero — the ask skipped them.
+// The argument list mirrors the stage's actual data dependencies; a
+// context struct would only relocate the same names.
 #[allow(clippy::too_many_arguments)]
 pub fn mine_one_prepared(
     db: &Database,
@@ -245,12 +205,28 @@ pub fn mine_one_prepared(
     materialize_time: Duration,
     prep_computed: bool,
 ) -> GraphOutcome {
-    let _span = cajade_obs::span("mine_apt");
-    let _mem = cajade_obs::AllocScope::enter("mine");
-    let mut outcome = mine_prepared(prep, apt, pt, question, &params.mining);
-    if prep_computed {
-        outcome.timings.accumulate(&prep.prep_timings);
-    }
+    mine_graph(db, query, pt, apt, graph_index, materialize_time, || {
+        let mut outcome = mine_prepared(prep, apt, pt, question, &params.mining);
+        if prep_computed {
+            outcome.timings.accumulate(&prep.prep_timings);
+        }
+        outcome
+    })
+}
+
+/// Stage 4 for either miner: runs `mine` over `apt` and renders what it
+/// found, all inside the graph's `mine_apt` stage.
+fn mine_graph(
+    db: &Database,
+    query: &Query,
+    pt: &ProvenanceTable,
+    apt: &Apt,
+    graph_index: usize,
+    materialize_time: Duration,
+    mine: impl FnOnce() -> MiningOutcome,
+) -> GraphOutcome {
+    let _stage = Stage::open_as("mine_apt", "mine");
+    let outcome = mine();
     let explanations = outcome
         .explanations
         .iter()
@@ -273,6 +249,27 @@ pub fn mine_one_prepared(
     }
 }
 
+/// The pipeline's one fan-out: maps `f` over `items`, results in input
+/// order — on the calling thread, or, with `params.parallel` and more
+/// than one item, on worker threads that each run under the caller's
+/// [`Ctx`] (trace position, budget, alloc-scope chain).
+pub fn fan_out<'a, T, R, C>(
+    params: &Params,
+    items: &'a [T],
+    f: impl Fn(&'a T) -> R + Sync + Send,
+) -> C
+where
+    T: Sync,
+    R: Send,
+    C: FromIterator<R> + FromParallelIterator<R>,
+{
+    if !params.parallel || items.len() <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let ctx = Ctx::capture();
+    items.par_iter().map(|item| ctx.enter(|| f(item))).collect()
+}
+
 /// Stage 3+4 over all valid graphs: materialize then mine each one, on
 /// worker threads when `params.parallel` is set. Outcomes come back in
 /// graph order, so parallel and sequential runs produce identical results.
@@ -284,55 +281,33 @@ pub fn materialize_and_mine(
     params: &Params,
 ) -> Result<Vec<GraphOutcome>> {
     let valid = prepared.valid_graph_indices();
+    let pt = &prepared.pt;
     // A single APT's materialization is not truncatable, so the budget
     // boundary sits between graphs: once the deadline passes, remaining
     // whole graphs are skipped and the ask answers from the graphs mined
     // so far. `Ok(None)` marks a skipped graph.
-    let run_one = |graph_index: usize| -> Result<Option<GraphOutcome>> {
+    let run_one = |&graph_index: &usize| -> Result<Option<GraphOutcome>> {
         if cajade_obs::budget::stop("materialize") {
             return Ok(None);
         }
-        let eg = &prepared.graphs[graph_index];
-        let t0 = Instant::now();
-        let apt = materialize(db, &prepared.pt, eg)?;
-        let materialize_time = t0.elapsed();
-        Ok(Some(mine_one(
+        let (apt, materialize_time) = materialize(db, pt, &prepared.graphs[graph_index])?;
+        Ok(Some(mine_graph(
             db,
             query,
-            &prepared.pt,
+            pt,
             &apt,
-            question,
-            params,
             graph_index,
             materialize_time,
+            || mine_apt(&apt, pt, question, &params.mining),
         )))
     };
-    let outcomes: Vec<Option<GraphOutcome>> = if params.parallel && valid.len() > 1 {
-        // The rayon pool's worker threads don't inherit the caller's
-        // thread-local budget or alloc-scope chain; re-install both
-        // inside each closure (the same hop trace collectors make in
-        // the service layer).
-        let budget = cajade_obs::budget::current();
-        let mem_scope = cajade_obs::alloc::current_scope();
-        valid
-            .par_iter()
-            .map(|&i| {
-                mem_scope.install(|| match &budget {
-                    Some(b) => b.install(|| run_one(i)),
-                    None => run_one(i),
-                })
-            })
-            .collect::<Result<_>>()?
-    } else {
-        valid.into_iter().map(run_one).collect::<Result<_>>()?
-    };
+    let outcomes: Vec<Option<GraphOutcome>> = fan_out::<_, _, Result<_>>(params, &valid, run_one)?;
     Ok(outcomes.into_iter().flatten().collect())
 }
 
 /// Stage 5: global F-score ranking + near-duplicate collapse (§6).
 pub fn rank(all: Vec<Explanation>, params: &Params) -> Vec<Explanation> {
-    let _span = cajade_obs::span("rank");
-    let _mem = cajade_obs::AllocScope::enter("rank");
+    let _stage = Stage::open("rank");
     rank_and_collapse(all, params.top_k_global, params.collapse_near_duplicates)
 }
 

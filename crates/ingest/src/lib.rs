@@ -42,10 +42,10 @@ use std::fmt;
 use std::fs::File;
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 use cajade_graph::{extend_schema_graph, DiscoveryConfig, SchemaGraph};
 use cajade_graph::{GraphError, JoinCond};
+use cajade_obs::Stage;
 use cajade_storage::{
     parse_typed_cell, rowkey, CsvReader, DataType, Database, Schema, StorageError, Table,
 };
@@ -184,9 +184,7 @@ pub fn ingest_dir(dir: impl AsRef<Path>, options: &IngestOptions) -> Result<Inge
     let mut timings = IngestTimings::default();
 
     // ---- Stage 1: scan -------------------------------------------------
-    let t0 = Instant::now();
-    let scan_span = cajade_obs::span_detail("ingest_scan");
-    let scan_mem = cajade_obs::AllocScope::enter("ingest_scan");
+    let stage = Stage::detail("ingest_scan");
     let (csv_files, manifest) = scan_dir(dir, &mut warnings)?;
     if csv_files.is_empty() {
         return Err(IngestError::EmptyDirectory(dir.to_path_buf()));
@@ -197,14 +195,10 @@ pub fn ingest_dir(dir: impl AsRef<Path>, options: &IngestOptions) -> Result<Inge
         .or_else(|| manifest.name.clone())
         .or_else(|| dir.file_stem().map(|s| s.to_string_lossy().into_owned()))
         .unwrap_or_else(|| "dataset".to_string());
-    timings.scan = t0.elapsed();
-    drop(scan_span);
-    drop(scan_mem);
+    timings.scan = stage.finish();
 
     // ---- Stage 2: infer ------------------------------------------------
-    let t0 = Instant::now();
-    let infer_span = cajade_obs::span_detail("ingest_infer");
-    let infer_mem = cajade_obs::AllocScope::enter("ingest_infer");
+    let stage = Stage::detail("ingest_infer");
     let mut profiles: Vec<(PathBuf, TableProfile)> = Vec::with_capacity(csv_files.len());
     for path in &csv_files {
         let table = file_stem(path);
@@ -227,14 +221,10 @@ pub fn ingest_dir(dir: impl AsRef<Path>, options: &IngestOptions) -> Result<Inge
         return Err(IngestError::EmptyDirectory(dir.to_path_buf()));
     }
     validate_manifest_pins(&manifest, &profiles, &mut warnings)?;
-    timings.infer = t0.elapsed();
-    drop(infer_span);
-    drop(infer_mem);
+    timings.infer = stage.finish();
 
     // ---- Stage 3: load -------------------------------------------------
-    let t0 = Instant::now();
-    let load_span = cajade_obs::span_detail("ingest_load");
-    let load_mem = cajade_obs::AllocScope::enter("ingest_load");
+    let stage = Stage::detail("ingest_load");
     let mut db = Database::new(dataset_name.clone());
     let mut tables = Vec::with_capacity(profiles.len());
     for (path, profile) in &profiles {
@@ -285,18 +275,12 @@ pub fn ingest_dir(dir: impl AsRef<Path>, options: &IngestOptions) -> Result<Inge
         // so surface that the directory yielded nothing loadable.
         return Err(IngestError::EmptyDirectory(dir.to_path_buf()));
     }
-    timings.load = t0.elapsed();
-    drop(load_span);
-    drop(load_mem);
+    timings.load = stage.finish();
 
     // ---- Stage 4: discover ---------------------------------------------
-    let t0 = Instant::now();
-    let discover_span = cajade_obs::span_detail("ingest_discover");
-    let discover_mem = cajade_obs::AllocScope::enter("ingest_discover");
+    let stage = Stage::detail("ingest_discover");
     let (schema_graph, joins) = assemble_graph(&db, &manifest, options, &mut warnings)?;
-    timings.discover = t0.elapsed();
-    drop(discover_span);
-    drop(discover_mem);
+    timings.discover = stage.finish();
 
     Ok(IngestedDataset {
         db,

@@ -40,6 +40,12 @@ pub struct LintConfig {
     /// Modules whose `on_alloc`/`on_dealloc` are global-allocator hooks
     /// (`alloc-hook-local`).
     pub alloc_hook_files: Vec<String>,
+    /// Source directories of the pipeline crates: no `Instant::now()`
+    /// (`single-clock`) and no thread fan-out (`fanout-ctx`) in them.
+    pub pipeline_paths: Vec<String>,
+    /// The one module under `pipeline_paths` allowed to fan out: it
+    /// holds the helper that runs workers under the caller's `Ctx`.
+    pub fanout_file: String,
     /// Path prefixes where literal metric names are extracted for the
     /// doc cross-check.
     pub metric_paths: Vec<String>,
@@ -86,6 +92,13 @@ impl LintConfig {
                 "crates/core/src/pipeline.rs",
             ]),
             alloc_hook_files: s(&["crates/obs/src/alloc.rs"]),
+            pipeline_paths: s(&[
+                "crates/core/src/",
+                "crates/mining/src/",
+                "crates/ingest/src/",
+                "crates/service/src/",
+            ]),
+            fanout_file: "crates/core/src/pipeline.rs".to_string(),
             metric_paths: s(&["crates/service/src", "crates/obs/src"]),
             error_code_files: s(&[
                 "crates/service/src/error.rs",

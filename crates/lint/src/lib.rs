@@ -20,6 +20,8 @@
 //! | `doc-catalog-drift` | metric/failpoint/error-code/alloc-scope doc tables match the code |
 //! | `budget-checkpoint` | pattern/graph loops stay deadline-interruptible |
 //! | `alloc-hook-local` | the allocator hooks touch thread-local state only |
+//! | `single-clock` | stage timings come from the `Stage` guard, not a stopwatch beside it |
+//! | `fanout-ctx` | work leaves the request thread only through the `Ctx`-carrying helper |
 //!
 //! Run it over the workspace:
 //!

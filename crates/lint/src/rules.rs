@@ -19,6 +19,8 @@ pub const NO_PANIC_REQUEST_PATH: &str = "no-panic-request-path";
 pub const DOC_CATALOG_DRIFT: &str = "doc-catalog-drift";
 pub const BUDGET_CHECKPOINT: &str = "budget-checkpoint";
 pub const ALLOC_HOOK_LOCAL: &str = "alloc-hook-local";
+pub const SINGLE_CLOCK: &str = "single-clock";
+pub const FANOUT_CTX: &str = "fanout-ctx";
 
 /// Every rule with a one-line description (for `--list-rules`).
 pub const RULES: &[(&str, &str)] = &[
@@ -45,6 +47,14 @@ pub const RULES: &[(&str, &str)] = &[
     (
         ALLOC_HOOK_LOCAL,
         "no .fetch_*/.lock(/Box::new/Vec:: in the allocator hooks or what they call short of a #[cold] fn",
+    ),
+    (
+        SINGLE_CLOCK,
+        "no Instant::now() in the pipeline crates: a stage's wall time comes from its cajade_obs::Stage guard",
+    ),
+    (
+        FANOUT_CTX,
+        "no par_iter/into_par_iter/thread::spawn/thread::scope in the pipeline crates outside the one Ctx-carrying fan-out helper",
     ),
 ];
 
@@ -101,6 +111,16 @@ pub fn scan_file(rel: &str, file: &LexedFile, cfg: &LintConfig) -> FileScan {
     }
     if cfg.alloc_hook_files.iter().any(|f| f == rel) {
         alloc_hook_local(rel, file, &mut scan);
+    }
+    if cfg
+        .pipeline_paths
+        .iter()
+        .any(|p| rel.starts_with(p.as_str()))
+    {
+        single_clock(rel, file, &mut scan);
+        if cfg.fanout_file != rel {
+            fanout_ctx(rel, file, cfg, &mut scan);
+        }
     }
     scan.has_budget_ident = file.tokens.iter().any(|t| {
         !t.in_test && t.kind == TokKind::Ident && t.text.to_ascii_lowercase().contains("budget")
@@ -442,6 +462,72 @@ fn has_cold_attr(file: &LexedFile, line: u32) -> bool {
 }
 
 // ---------------------------------------------------------------------------
+// single-clock, fanout-ctx
+// ---------------------------------------------------------------------------
+
+/// Is `toks[i]` the head of the path `head::tail`?
+fn is_path(toks: &[Token], i: usize, head: &str, tail: &[&str]) -> bool {
+    toks[i].is_ident(head)
+        && toks.get(i + 1).is_some_and(|n| n.is_punct(':'))
+        && toks.get(i + 2).is_some_and(|n| n.is_punct(':'))
+        && toks
+            .get(i + 3)
+            .is_some_and(|n| tail.iter().any(|t| n.is_ident(t)))
+}
+
+/// A stage's wall time is what its `cajade_obs::Stage` guard returns —
+/// the clock its span is recorded with. A stopwatch beside the guard is
+/// the second copy of the timing this rule keeps from coming back.
+fn single_clock(rel: &str, file: &LexedFile, scan: &mut FileScan) {
+    let toks = &file.tokens;
+    for (i, t) in toks.iter().enumerate() {
+        if t.in_test || !is_path(toks, i, "Instant", &["now"]) {
+            continue;
+        }
+        scan.findings.push(Finding {
+            rule: SINGLE_CLOCK,
+            file: rel.to_string(),
+            line: t.line,
+            message: "`Instant::now()` in a pipeline crate: open a `cajade_obs::Stage` and \
+                      take the wall time from `finish()`, so the timing structs and the \
+                      span agree (see docs/OBSERVABILITY.md)"
+                .to_string(),
+        });
+    }
+}
+
+/// Work that leaves the request thread must run under the request's
+/// `Ctx`, or its spans, budget checks and heap bytes detach from the
+/// request. One helper does that hop; a second fan-out site is a second
+/// place to forget it.
+fn fanout_ctx(rel: &str, file: &LexedFile, cfg: &LintConfig, scan: &mut FileScan) {
+    let toks = &file.tokens;
+    for (i, t) in toks.iter().enumerate() {
+        if t.in_test || t.kind != TokKind::Ident {
+            continue;
+        }
+        let called = toks.get(i + 1).is_some_and(|n| n.is_punct('('));
+        let shape = if called && (t.text == "par_iter" || t.text == "into_par_iter") {
+            format!("{}()", t.text)
+        } else if is_path(toks, i, "thread", &["spawn", "scope"]) {
+            format!("thread::{}", toks[i + 3].text)
+        } else {
+            continue;
+        };
+        scan.findings.push(Finding {
+            rule: FANOUT_CTX,
+            file: rel.to_string(),
+            line: t.line,
+            message: format!(
+                "`{shape}` in a pipeline crate outside {}: fan out through its helper, \
+                 which runs every worker under the caller's `cajade_obs::Ctx`",
+                cfg.fanout_file
+            ),
+        });
+    }
+}
+
+// ---------------------------------------------------------------------------
 // doc-catalog-drift: code-side extraction
 // ---------------------------------------------------------------------------
 
@@ -475,16 +561,23 @@ fn extract_catalog_uses(rel: &str, file: &LexedFile, cfg: &LintConfig, scan: &mu
                 push(CatalogKind::Failpoint, &s.text, s.line, scan);
             }
         }
-        // AllocScope::enter("scope")
-        if t.text == "AllocScope"
-            && toks.get(i + 1).is_some_and(|n| n.is_punct(':'))
-            && toks.get(i + 2).is_some_and(|n| n.is_punct(':'))
-            && toks.get(i + 3).is_some_and(|n| n.is_ident("enter"))
-            && toks.get(i + 4).is_some_and(|n| n.is_punct('('))
+        // AllocScope::enter("scope"), and the stage guard's forms:
+        // Stage::open("scope") / Stage::detail("scope") /
+        // Stage::open_as("span", "scope"). Stage::span_only opens none.
+        let scope_arg = if is_path(toks, i, "AllocScope", &["enter"])
+            || is_path(toks, i, "Stage", &["open", "detail"])
         {
-            if let Some(s) = toks.get(i + 5).filter(|n| n.kind == TokKind::Str) {
-                push(CatalogKind::AllocScope, &s.text, s.line, scan);
-            }
+            Some(5)
+        } else if is_path(toks, i, "Stage", &["open_as"]) {
+            Some(7)
+        } else {
+            None
+        };
+        if let Some(s) = scope_arg
+            .and_then(|arg| toks.get(i + arg))
+            .filter(|n| n.kind == TokKind::Str)
+        {
+            push(CatalogKind::AllocScope, &s.text, s.line, scan);
         }
         if in_metric_paths {
             // .counter("name") / .gauge("name") / .histogram("name")

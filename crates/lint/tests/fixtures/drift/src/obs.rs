@@ -9,5 +9,11 @@ pub fn register(reg: &Registry) -> Result<(), Fault> {
     failpoint_infallible("site.undocumented"); // fires: site not in doc
     let _a = AllocScope::enter("scope.documented");
     let _b = AllocScope::enter("scope.undocumented"); // fires: scope not in doc
+    // The stage guard's forms declare scopes too — all documented here,
+    // so an extractor that missed one would report it doc-only.
+    let _c = Stage::open("scope.stage");
+    let _d = Stage::detail("scope.stage_detail");
+    let _e = Stage::open_as("span_not_a_scope", "scope.stage_as");
+    let _f = Stage::span_only("span_only_not_a_scope"); // opens no scope
     Ok(())
 }

@@ -8,8 +8,8 @@ use std::path::{Path, PathBuf};
 use cajade_lint::config::{DocPaths, LintConfig};
 use cajade_lint::engine::{lint_workspace, render_human, render_json, LintReport};
 use cajade_lint::rules::{
-    ALLOC_HOOK_LOCAL, BUDGET_CHECKPOINT, DOC_CATALOG_DRIFT, FLOAT_TOTAL_ORDER,
-    NO_PANIC_REQUEST_PATH, SAFETY_COMMENT,
+    ALLOC_HOOK_LOCAL, BUDGET_CHECKPOINT, DOC_CATALOG_DRIFT, FANOUT_CTX, FLOAT_TOTAL_ORDER,
+    NO_PANIC_REQUEST_PATH, SAFETY_COMMENT, SINGLE_CLOCK,
 };
 
 fn fixture_root(name: &str) -> PathBuf {
@@ -28,6 +28,8 @@ fn fixture_cfg(name: &str) -> LintConfig {
         request_path_files: Vec::new(),
         budget_files: Vec::new(),
         alloc_hook_files: Vec::new(),
+        pipeline_paths: Vec::new(),
+        fanout_file: String::new(),
         metric_paths: Vec::new(),
         error_code_files: Vec::new(),
         docs: DocPaths::default(),
@@ -137,6 +139,41 @@ fn alloc_hook_local_follows_calls_up_to_cold_fns() {
 }
 
 #[test]
+fn single_clock_fires_only_in_pipeline_dirs() {
+    let mut cfg = fixture_cfg("clock");
+    cfg.pipeline_paths = vec!["src/".into()];
+    let report = lint_workspace(&cfg).unwrap();
+    assert_eq!(
+        lines_of(&report, SINGLE_CLOCK, "src/stage.rs"),
+        vec![6, 7],
+        "{}",
+        render_human(&report)
+    );
+    assert_eq!(report.suppressed, 1);
+    // free/clock.rs starts a stopwatch too, outside the pipeline dirs;
+    // strings, comments, `.elapsed()` and test code are invisible.
+    assert_eq!(report.findings.len(), 2);
+}
+
+#[test]
+fn fanout_ctx_fires_outside_the_helper_file() {
+    let mut cfg = fixture_cfg("fanout");
+    cfg.pipeline_paths = vec!["src/".into()];
+    cfg.fanout_file = "src/helper.rs".into();
+    let report = lint_workspace(&cfg).unwrap();
+    assert_eq!(
+        lines_of(&report, FANOUT_CTX, "src/stage.rs"),
+        vec![5, 6, 7, 8],
+        "{}",
+        render_human(&report)
+    );
+    assert_eq!(report.suppressed, 1);
+    // Not the helper file, not free/pool.rs, not the string, the
+    // binding named `par_iter`, or the test module.
+    assert_eq!(report.findings.len(), 4);
+}
+
+#[test]
 fn doc_catalog_drift_fires_both_directions() {
     let root = fixture_root("drift");
     let cfg = LintConfig {
@@ -151,6 +188,8 @@ fn doc_catalog_drift_fires_both_directions() {
         request_path_files: Vec::new(),
         budget_files: Vec::new(),
         alloc_hook_files: Vec::new(),
+        pipeline_paths: Vec::new(),
+        fanout_file: String::new(),
         metric_paths: vec!["src".into()],
         error_code_files: vec!["src/error.rs".into()],
     };
@@ -189,6 +228,10 @@ fn doc_catalog_drift_fires_both_directions() {
         "`documented_total`",
         "`site.documented`",
         "`scope.documented`",
+        // Scopes entered through the stage guard's three forms.
+        "`scope.stage`",
+        "`scope.stage_detail`",
+        "`scope.stage_as`",
         "`documented_code`",
         "`code`",
     ] {
@@ -207,13 +250,15 @@ fn doc_catalog_drift_fires_both_directions() {
 }
 
 /// The gate itself: linting this workspace with the shipped config
-/// finds nothing. Violations are fixed at the source, not suppressed —
-/// a suppression-count creep here warrants a close look in review.
+/// finds nothing. Violations are fixed at the source; the three
+/// `single-clock` suppressions `docs/LINTS.md` accounts for are the
+/// whole allowance, so a fourth fails here.
 #[test]
 fn workspace_is_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let cfg = LintConfig::workspace(root);
     let report = lint_workspace(&cfg).unwrap();
     assert!(report.ok(), "{}", render_human(&report));
+    assert_eq!(report.suppressed, 3, "see docs/LINTS.md § Suppression");
     assert!(report.files_scanned > 100, "walk lost the tree");
 }

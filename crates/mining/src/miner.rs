@@ -21,6 +21,7 @@ use std::time::{Duration, Instant};
 
 use cajade_graph::Apt;
 use cajade_ml::sampling::{bernoulli_sample, sample_with_cap};
+use cajade_obs::Stage;
 use cajade_query::ProvenanceTable;
 
 use crate::diversity::select_top_k_diverse;
@@ -228,44 +229,13 @@ pub fn mine_apt(
     // ---- Phase 3 (done early; the scorer is needed for ranking and the
     // histogram feature selection reuses the index's encoding): F1 sample
     // + engine-specific scoring state.
-    let t0 = Instant::now();
-    let sample: Option<Vec<u32>> = {
-        let _span = cajade_obs::span_detail("sampling_for_f1");
-        let _mem = cajade_obs::AllocScope::enter("sampling_for_f1");
-        if params.lambda_f1_samp >= 1.0 {
-            None
-        } else {
-            Some(
-                bernoulli_sample(apt.num_rows, params.lambda_f1_samp, params.seed)
-                    .into_iter()
-                    .map(|i| i as u32)
-                    .collect(),
-            )
-        }
-    };
-    timings.sampling_for_f1 = t0.elapsed();
-
-    let t0 = Instant::now();
-    let index = {
-        let _span = cajade_obs::span_detail("score_index");
-        let _mem = cajade_obs::AllocScope::enter("score_index");
-        match params.engine {
-            ScoreEngine::Scalar => None,
-            ScoreEngine::Vectorized => Some(match &sample {
-                Some(rows) => ScoreIndex::sampled(apt, pt, rows),
-                None => ScoreIndex::exact(apt, pt),
-            }),
-        }
-    };
-    timings.prepare += t0.elapsed();
+    let (sample, index) = sample_and_index(apt, pt, params, &mut timings);
 
     // ---- Phase 1: feature selection (filterAttrs). ---------------------
     // The one-shot path never shares statistics across graphs: it mines
     // one APT per call, so the pass-through provider keeps its output
     // bit-identical to the historical per-APT computation.
-    let t0 = Instant::now();
-    let featsel_span = cajade_obs::span_detail("feature_selection");
-    let featsel_mem = cajade_obs::AllocScope::enter("feature_selection");
+    let stage = Stage::detail("feature_selection");
     let mut fs = run_featsel(
         apt,
         pt,
@@ -280,14 +250,10 @@ pub fn mine_apt(
         fs.num_fields.retain(|f| !fd.contains(f));
         fs.cat_fields.retain(|f| !fd.contains(f));
     }
-    timings.feature_selection = t0.elapsed();
-    drop(featsel_span);
-    drop(featsel_mem);
+    timings.feature_selection = stage.finish();
 
     // ---- Phase 2: LCA candidates over the λ_pat-samp sample. -----------
-    let t0 = Instant::now();
-    let lca_span = cajade_obs::span_detail("gen_pat_cand");
-    let lca_mem = cajade_obs::AllocScope::enter("gen_pat_cand");
+    let stage = Stage::detail("gen_pat_cand");
     let scope_rows = question_scope_rows(apt, pt, question);
     let lca_rows: Vec<u32> = sample_with_cap(
         scope_rows.len(),
@@ -300,27 +266,21 @@ pub fn mine_apt(
     .collect();
     let mut cat_pats = lca_candidates(apt, &lca_rows, &fs.cat_fields);
     cat_pats.retain(|p| p.len() <= params.max_cat_attrs);
-    timings.gen_pat_cand = t0.elapsed();
-    drop(lca_span);
-    drop(lca_mem);
+    timings.gen_pat_cand = stage.finish();
 
     // ---- Fragment boundaries per selected numeric field (once). --------
-    let frag_span = cajade_obs::span_detail("fragments");
-    let frag_mem = cajade_obs::AllocScope::enter("fragments");
-    let t0 = Instant::now();
+    let stage = Stage::detail("fragments");
     let frag: Vec<(usize, Vec<f64>)> = fs
         .num_fields
         .iter()
         .map(|&f| (f, fragment_boundaries(apt, f, None, params.num_frags)))
         .collect();
-    timings.refine_patterns += t0.elapsed();
+    let boundaries_time = stage.elapsed();
+    timings.refine_patterns += boundaries_time;
 
     // Predicate bitmaps for every (field, boundary, ≤/≥) refinement.
-    let t0 = Instant::now();
     let bank = index.as_ref().map(|ix| PredBank::build(ix, &frag));
-    timings.prepare += t0.elapsed();
-    drop(frag_span);
-    drop(frag_mem);
+    timings.prepare += stage.finish() - boundaries_time;
 
     let eval = match (&index, &bank) {
         (Some(ix), Some(bk)) => SampleEval::Vector {
@@ -352,6 +312,34 @@ pub fn mine_apt(
         feature_selection: fs,
         patterns_evaluated,
     }
+}
+
+/// Phase 3, shared by [`mine_apt`] and
+/// [`prepare_apt_with`](crate::prepared::prepare_apt_with): the λ_F1 row
+/// sample (`None` ⇒ all rows) and, for the vectorized engine only — the
+/// scalar one never reads it — the columnar index over it.
+pub(crate) fn sample_and_index(
+    apt: &Apt,
+    pt: &ProvenanceTable,
+    params: &MiningParams,
+    timings: &mut MiningTimings,
+) -> (Option<Vec<u32>>, Option<ScoreIndex>) {
+    let stage = Stage::detail("sampling_for_f1");
+    let sample: Option<Vec<u32>> = (params.lambda_f1_samp < 1.0).then(|| {
+        bernoulli_sample(apt.num_rows, params.lambda_f1_samp, params.seed)
+            .into_iter()
+            .map(|i| i as u32)
+            .collect()
+    });
+    timings.sampling_for_f1 = stage.finish();
+
+    let stage = Stage::detail("score_index");
+    let index = (params.engine == ScoreEngine::Vectorized).then(|| match &sample {
+        Some(rows) => ScoreIndex::sampled(apt, pt, rows),
+        None => ScoreIndex::exact(apt, pt),
+    });
+    timings.prepare += stage.finish();
+    (sample, index)
 }
 
 /// The feature-selection dispatch shared by [`mine_apt`] (question-
@@ -458,9 +446,7 @@ pub(crate) fn mine_core(
     let mut patterns_evaluated = 0usize;
 
     // ---- Rank categorical candidates by recall, keep top k_cat. --------
-    let t0 = Instant::now();
-    let rank_span = cajade_obs::span_detail("rank_candidates");
-    let rank_mem = cajade_obs::AllocScope::enter("rank_candidates");
+    let stage = Stage::detail("rank_candidates");
     let mut eq_memo: HashMap<(usize, Pred), Mask> = HashMap::new();
     let mut ranked: Vec<(Pattern, Option<Mask>, f64)> = candidates
         .into_iter()
@@ -501,13 +487,10 @@ pub(crate) fn mine_core(
     // incoming candidate order — a silent nondeterminism.
     ranked.sort_by(|a, b| b.2.total_cmp(&a.2));
     ranked.truncate(params.k_cat_patterns);
-    timings.fscore_calc += t0.elapsed();
-    drop(rank_span);
-    drop(rank_mem);
+    timings.fscore_calc += stage.finish();
     // Scoring and refinement interleave below, so the BFS gets one span;
     // the fscore_calc / refine_patterns split stays in `MiningTimings`.
-    let bfs_span = cajade_obs::span_detail("refine_bfs");
-    let bfs_mem = cajade_obs::AllocScope::enter("refine_bfs");
+    let bfs_stage = Stage::detail("refine_bfs");
 
     // ---- Refinement BFS with recall pruning. ---------------------------
     let full_mask = match eval {
@@ -631,6 +614,8 @@ pub(crate) fn mine_core(
         } = item;
 
         // Score in both directions (Algorithm 1 line 11).
+        // The per-pattern fscore_calc / refine_patterns split runs inside
+        // the one `refine_bfs` stage: lint:allow(single-clock)
         let t_score = Instant::now();
         let mut best_recall = 0.0f64;
         let mut item_tps = [0usize; 2];
@@ -649,6 +634,7 @@ pub(crate) fn mine_core(
                 kept.push((pat.clone(), primary, secondary, m));
             }
         }
+        // Second reading of the same split: lint:allow(single-clock)
         let t_mid = Instant::now();
         timings.fscore_calc += t_mid - t_score;
 
@@ -725,12 +711,10 @@ pub(crate) fn mine_core(
         }
         timings.refine_patterns += t_mid.elapsed();
     }
-    drop(bfs_span);
-    drop(bfs_mem);
+    drop(bfs_stage);
 
     // ---- Top-k with diversity, then exact re-scoring. -------------------
-    let _select_span = cajade_obs::span_detail("select_top_k");
-    let _select_mem = cajade_obs::AllocScope::enter("select_top_k");
+    let _stage = Stage::detail("select_top_k");
     let items: Vec<(Pattern, f64)> = kept
         .iter()
         .map(|(p, _, _, m)| (p.clone(), m.f_score))

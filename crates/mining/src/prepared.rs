@@ -34,7 +34,8 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use cajade_graph::Apt;
-use cajade_ml::sampling::{bernoulli_sample, sample_with_cap};
+use cajade_ml::sampling::sample_with_cap;
+use cajade_obs::Stage;
 use cajade_query::ProvenanceTable;
 
 use crate::engine::{Mask, PredBank, ScoreEngine, ScoreIndex};
@@ -42,7 +43,8 @@ use crate::featsel::FeatureSelection;
 use crate::fragments::fragment_boundaries;
 use crate::lca::lca_candidates;
 use crate::miner::{
-    mine_core, run_featsel, MiningOutcome, MiningParams, MiningTimings, SampleEval,
+    mine_core, run_featsel, sample_and_index, MiningOutcome, MiningParams, MiningTimings,
+    SampleEval,
 };
 use crate::pattern::Pattern;
 use crate::score::{Question, Scorer};
@@ -146,45 +148,16 @@ pub fn prepare_apt_with(
     };
 
     // ---- λ_F1 sample + columnar index. ---------------------------------
-    let t0 = Instant::now();
-    let sampling_span = cajade_obs::span_detail("sampling_for_f1");
-    let sampling_mem = cajade_obs::AllocScope::enter("sampling_for_f1");
-    let sample: Option<Vec<u32>> = if params.lambda_f1_samp >= 1.0 {
-        None
-    } else {
-        Some(
-            bernoulli_sample(apt.num_rows, params.lambda_f1_samp, params.seed)
-                .into_iter()
-                .map(|i| i as u32)
-                .collect(),
-        )
-    };
-    timings.sampling_for_f1 = t0.elapsed();
-    drop(sampling_span);
-    drop(sampling_mem);
-
     // The bitmap state (index, per-candidate masks, predicate bank) is
     // only built for the vectorized engine; a scalar-engine preparation
     // would cache memory the miner never reads. It is built *before*
     // feature selection so the histogram trainer can reuse the index's
     // `(group, PT row)` scan order (its gathers read the same
     // typed-array/dictionary representation the index encodes).
-    let vectorized = params.engine == ScoreEngine::Vectorized;
-    let t0 = Instant::now();
-    let index = {
-        let _span = cajade_obs::span_detail("score_index");
-        let _mem = cajade_obs::AllocScope::enter("score_index");
-        vectorized.then(|| match &sample {
-            Some(rows) => ScoreIndex::sampled(apt, pt, rows),
-            None => ScoreIndex::exact(apt, pt),
-        })
-    };
-    timings.prepare += t0.elapsed();
+    let (sample, index) = sample_and_index(apt, pt, params, &mut timings);
 
     // ---- Feature selection (group-global, cacheable). ------------------
-    let t0 = Instant::now();
-    let featsel_span = cajade_obs::span_detail("feature_selection");
-    let featsel_mem = cajade_obs::AllocScope::enter("feature_selection");
+    let stage = Stage::detail("feature_selection");
     let fs = if stop_before_phase(&mut timings, &mut truncated) {
         FeatureSelection {
             num_fields: Vec::new(),
@@ -203,14 +176,10 @@ pub fn prepare_apt_with(
             stats,
         )
     };
-    timings.feature_selection = t0.elapsed();
-    drop(featsel_span);
-    drop(featsel_mem);
+    timings.feature_selection = stage.finish();
 
     // ---- LCA pool over an all-rows λ_pat sample, with match bitmaps. ----
-    let t0 = Instant::now();
-    let lca_span = cajade_obs::span_detail("gen_pat_cand");
-    let lca_mem = cajade_obs::AllocScope::enter("gen_pat_cand");
+    let stage = Stage::detail("gen_pat_cand");
     let pool: Vec<(Pattern, Option<Mask>)> = if stop_before_phase(&mut timings, &mut truncated) {
         Vec::new()
     } else {
@@ -243,17 +212,13 @@ pub fn prepare_apt_with(
             })
             .collect()
     };
-    timings.gen_pat_cand = t0.elapsed();
-    drop(lca_span);
-    drop(lca_mem);
+    timings.gen_pat_cand = stage.finish();
 
     // ---- Fragment boundaries + refinement predicate bitmaps. ------------
     // Shared boundaries (when the provider has the field's base column)
     // come from one base-table quantile pass per database epoch; the
     // fallback re-derives them from this APT's rows.
-    let t0 = Instant::now();
-    let frag_span = cajade_obs::span_detail("fragments");
-    let frag_mem = cajade_obs::AllocScope::enter("fragments");
+    let stage = Stage::detail("fragments");
     let frag: Vec<(usize, Vec<f64>)> = if stop_before_phase(&mut timings, &mut truncated) {
         Vec::new()
     } else {
@@ -270,9 +235,7 @@ pub fn prepare_apt_with(
             .collect()
     };
     let bank = index.as_ref().map(|index| PredBank::build(index, &frag));
-    timings.prepare += t0.elapsed();
-    drop(frag_span);
-    drop(frag_mem);
+    timings.prepare += stage.finish();
 
     // Conservative cache guard: if the budget expired at *any* point
     // during preparation (including inside feature-selection's
@@ -317,6 +280,8 @@ pub fn mine_prepared(
     let mut fs = prepared.fs.clone();
     let mut frag_override: Option<FragOverride> = None;
     if params.exclude_fd_attrs {
+        // Question-specific, off by default, and no stage of its own (a
+        // warm ask's trace has no preparation spans): lint:allow(single-clock)
         let t0 = Instant::now();
         let fd = crate::fd::group_determining_fields(apt, pt, question);
         fs.num_fields.retain(|f| !fd.contains(f));

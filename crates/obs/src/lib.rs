@@ -42,6 +42,10 @@
 //!   to pipeline stages, mining phases, ingest stages, and caches;
 //!   traced spans carry per-span `alloc_bytes`/`peak_bytes` deltas.
 //!   Compiled to a pass-through without the `alloc-track` feature.
+//! * [`ctx`] — what a pipeline stage uses of all of the above: [`Ctx`]
+//!   carries a request's tracing position, budget and alloc-scope chain
+//!   onto worker threads in one hop; [`Stage`] opens a stage's span and
+//!   alloc scope off one clock reading and returns its wall time.
 //!
 //! The span taxonomy and metric names used across the workspace are
 //! documented in `docs/OBSERVABILITY.md`; budget/degradation semantics
@@ -51,6 +55,7 @@
 
 pub mod alloc;
 pub mod budget;
+pub mod ctx;
 pub mod faults;
 pub mod hist;
 pub mod registry;
@@ -59,6 +64,7 @@ pub mod trace;
 
 pub use alloc::{AllocScope, ScopeHandle, TrackingAlloc};
 pub use budget::Budget;
+pub use ctx::{Ctx, Stage};
 pub use hist::{HistSnapshot, Histogram};
 pub use registry::{Counter, Gauge, Registry, RegistrySnapshot};
 pub use rss::{current_rss_bytes, peak_rss_bytes, record_rss, reset_peak_rss};

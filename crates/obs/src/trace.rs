@@ -17,8 +17,8 @@
 //!
 //! * a per-request [`Collector`], installed for a scope with
 //!   [`Collector::with`] — this is how `ask { trace: true }` assembles
-//!   its span tree, including across worker threads (the parallel stages
-//!   re-install the collector under an explicit parent id);
+//!   its span tree, including across worker threads (a parallel stage's
+//!   [`Ctx`](crate::Ctx) carries the collector and the open span over);
 //! * a process-global [`TraceSink`] (e.g. [`JsonLinesSink`]), installed
 //!   by [`set_sink`] and gated by a [`Level`] filter — the
 //!   `CAJADE_TRACE` env var wires this up via
@@ -155,7 +155,7 @@ pub fn clear_sink() {
     *SINK.write().unwrap_or_else(|e| e.into_inner()) = None;
 }
 
-#[derive(Default)]
+#[derive(Default, Clone)]
 struct TlsState {
     collector: Option<Arc<Collector>>,
     /// Open span ids, innermost last. A collector scope seeds the bottom
@@ -181,26 +181,27 @@ fn enabled(level: Level) -> bool {
 /// read) unless a sink at [`Level::Spans`]+ or a collector is active.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
-    if !enabled(Level::Spans) {
-        return SpanGuard {
-            active: None,
-            _not_send: std::marker::PhantomData,
-        };
-    }
-    begin(name, Level::Spans)
+    open(name, Level::Spans, Instant::now)
 }
 
 /// Opens a per-phase span, emitted to the sink only at [`Level::Detail`]
 /// (collectors always capture it).
 #[inline]
 pub fn span_detail(name: &'static str) -> SpanGuard {
-    if !enabled(Level::Detail) {
+    open(name, Level::Detail, Instant::now)
+}
+
+/// [`span`] / [`span_detail`] by level. `start` is only called — the
+/// clock only read — when something is listening.
+#[inline]
+pub(crate) fn open(name: &'static str, level: Level, start: impl FnOnce() -> Instant) -> SpanGuard {
+    if !enabled(level) {
         return SpanGuard {
             active: None,
             _not_send: std::marker::PhantomData,
         };
     }
-    begin(name, Level::Detail)
+    begin(name, level, start())
 }
 
 /// Records an instantaneous (zero-duration) event at the current stack
@@ -209,11 +210,10 @@ pub fn event(name: &'static str) {
     if !enabled(Level::Detail) {
         return;
     }
-    let g = begin(name, Level::Detail);
-    drop(g);
+    drop(begin(name, Level::Detail, Instant::now()));
 }
 
-fn begin(name: &'static str, level: Level) -> SpanGuard {
+fn begin(name: &'static str, level: Level, start: Instant) -> SpanGuard {
     let (trace, parent) = TLS.with(|tls| {
         let mut tls = tls.borrow_mut();
         let trace = match &tls.collector {
@@ -236,7 +236,7 @@ fn begin(name: &'static str, level: Level) -> SpanGuard {
             parent,
             name,
             level,
-            start: Instant::now(),
+            start,
             mem: crate::alloc::span_mem_enter(),
         }),
         _not_send: std::marker::PhantomData,
@@ -261,9 +261,8 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    /// The span id, for parenting work that hops threads (the parallel
-    /// pipeline stages pass this to [`Collector::with`]). `None` when
-    /// tracing is disabled.
+    /// The span id (what a record opened under this span carries as its
+    /// `parent`). `None` when tracing is disabled.
     pub fn id(&self) -> Option<u64> {
         self.active.as_ref().map(|a| a.id)
     }
@@ -353,18 +352,48 @@ impl Collector {
     /// `parent` seeding the span stack. Restores the thread's previous
     /// tracing state on exit; safe to nest and to call on worker threads.
     pub fn with<R>(self: &Arc<Self>, parent: Option<u64>, f: impl FnOnce() -> R) -> R {
-        let prev = TLS.with(|tls| {
-            let mut tls = tls.borrow_mut();
-            std::mem::replace(
-                &mut *tls,
-                TlsState {
-                    collector: Some(Arc::clone(self)),
-                    stack: parent.into_iter().collect(),
-                    trace_id: self.trace_id,
-                },
-            )
-        });
-        let prev_flag = COLLECTING.with(|c| c.replace(true));
+        TraceCtx(TlsState {
+            collector: Some(Arc::clone(self)),
+            stack: parent.into_iter().collect(),
+            trace_id: self.trace_id,
+        })
+        .enter(f)
+    }
+
+    /// Drains the collected spans, ordered by start offset (ties broken
+    /// by span id, i.e. creation order).
+    pub fn finish(&self) -> Vec<SpanRecord> {
+        let mut spans = std::mem::take(&mut *self.spans.lock().unwrap_or_else(|e| e.into_inner()));
+        spans.sort_by_key(|r| (r.start_us, r.id));
+        spans
+    }
+}
+
+/// A thread's place in a trace — collector, trace id, innermost open
+/// span — for [`Ctx`](crate::Ctx) to carry onto worker threads.
+pub(crate) struct TraceCtx(TlsState);
+
+impl TraceCtx {
+    /// The calling thread's place; `None` when nothing is listening, so
+    /// an untraced fan-out pays nothing for the hop.
+    pub(crate) fn capture() -> Option<TraceCtx> {
+        if !enabled(Level::Spans) {
+            return None;
+        }
+        Some(TLS.with(|tls| {
+            let tls = tls.borrow();
+            TraceCtx(TlsState {
+                collector: tls.collector.clone(),
+                stack: tls.stack.last().copied().into_iter().collect(),
+                trace_id: tls.trace_id,
+            })
+        }))
+    }
+
+    /// Runs `f` at this place, restoring the thread's own on exit.
+    pub(crate) fn enter<R>(&self, f: impl FnOnce() -> R) -> R {
+        let prev = TLS.with(|tls| tls.replace(self.0.clone()));
+        let prev_flag = COLLECTING.with(|c| c.replace(self.0.collector.is_some()));
         // Restore on unwind too: a panicking ask must not leave a dangling
         // collector on a pooled worker thread.
         struct Restore {
@@ -383,14 +412,6 @@ impl Collector {
             prev_flag,
         };
         f()
-    }
-
-    /// Drains the collected spans, ordered by start offset (ties broken
-    /// by span id, i.e. creation order).
-    pub fn finish(&self) -> Vec<SpanRecord> {
-        let mut spans = std::mem::take(&mut *self.spans.lock().unwrap_or_else(|e| e.into_inner()));
-        spans.sort_by_key(|r| (r.start_us, r.id));
-        spans
     }
 }
 

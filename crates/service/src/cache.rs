@@ -12,16 +12,18 @@
 
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use cajade_obs::{Counter, Registry};
 use parking_lot::Mutex;
 
-/// Registry-backed counter handles mirroring one cache's lifetime
-/// counters, minted as `cache_<prefix>_<counter>_total` (e.g.
-/// `cache_provenance_hits_total`). Resident entries/bytes are gauges the
-/// service refreshes at snapshot time — they are instantaneous values,
-/// not counters.
+/// One cache's lifetime counters — the only copy: [`LruCache::stats`]
+/// and the `metrics` op both read these. [`Default`] makes free-standing
+/// counters; [`CacheObs::new`] mints them in a registry as
+/// `cache_<prefix>_<counter>_total` (e.g. `cache_provenance_hits_total`),
+/// so caches given the same registry and prefix count together. Resident
+/// entries/bytes are gauges the service refreshes at snapshot time —
+/// they are instantaneous values, not counters.
+#[derive(Default)]
 pub struct CacheObs {
     hits: std::sync::Arc<Counter>,
     misses: std::sync::Arc<Counter>,
@@ -91,14 +93,7 @@ pub struct LruCache<K, V> {
     /// the winner's value instead of recomputing.
     inflight: Mutex<HashMap<K, std::sync::Arc<Mutex<()>>>>,
     budget_bytes: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    inserts: AtomicU64,
-    rejected: AtomicU64,
-    coalesced: AtomicU64,
-    /// Optional registry mirror of the counters above.
-    obs: Option<CacheObs>,
+    counters: CacheObs,
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
@@ -113,22 +108,17 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
             }),
             inflight: Mutex::new(HashMap::new()),
             budget_bytes,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            obs: None,
+            counters: CacheObs::default(),
         }
     }
 
-    /// Like [`new`](LruCache::new), additionally mirroring every counter
-    /// into `registry` under `cache_<prefix>_…_total` names.
+    /// Like [`new`](LruCache::new), with the counters minted in
+    /// `registry` under `cache_<prefix>_…_total` names.
     pub fn with_obs(budget_bytes: usize, registry: &Registry, prefix: &str) -> Self {
-        let mut cache = Self::new(budget_bytes);
-        cache.obs = Some(CacheObs::new(registry, prefix));
-        cache
+        LruCache {
+            counters: CacheObs::new(registry, prefix),
+            ..Self::new(budget_bytes)
+        }
     }
 
     /// Uncounted lookup (refreshes recency, touches no hit/miss counter).
@@ -171,10 +161,7 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
         );
         let guard = latch.lock();
         if let Some(v) = self.peek(key) {
-            self.coalesced.fetch_add(1, Ordering::Relaxed);
-            if let Some(o) = &self.obs {
-                o.coalesced.inc();
-            }
+            self.counters.coalesced.inc();
             return Ok((v, true));
         }
         // Compute and insert while still holding the latch, so a waiter
@@ -204,26 +191,12 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
 
     /// Looks up `key`, refreshing its recency on a hit.
     pub fn get(&self, key: &K) -> Option<V> {
-        let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.map.get_mut(key) {
-            Some(e) => {
-                e.last_used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                if let Some(o) = &self.obs {
-                    o.hits.inc();
-                }
-                Some(e.value.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                if let Some(o) = &self.obs {
-                    o.misses.inc();
-                }
-                None
-            }
+        let value = self.peek(key);
+        match value {
+            Some(_) => self.counters.hits.inc(),
+            None => self.counters.misses.inc(),
         }
+        value
     }
 
     /// Inserts `value` accounted as `bytes`, evicting least-recently-used
@@ -232,10 +205,7 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
     /// retained). Returns whether the value was retained.
     pub fn insert(&self, key: K, value: V, bytes: usize) -> bool {
         if bytes > self.budget_bytes {
-            self.rejected.fetch_add(1, Ordering::Relaxed);
-            if let Some(o) = &self.obs {
-                o.rejected.inc();
-            }
+            self.counters.rejected.inc();
             return false;
         }
         let mut inner = self.inner.lock();
@@ -254,10 +224,7 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
                 Some(k) => {
                     let e = inner.map.remove(&k).expect("lru key present");
                     inner.bytes -= e.bytes;
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                    if let Some(o) = &self.obs {
-                        o.evictions.inc();
-                    }
+                    self.counters.evictions.inc();
                 }
                 None => break,
             }
@@ -271,10 +238,7 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
                 last_used: tick,
             },
         );
-        self.inserts.fetch_add(1, Ordering::Relaxed);
-        if let Some(o) = &self.obs {
-            o.inserts.inc();
-        }
+        self.counters.inserts.inc();
         true
     }
 
@@ -310,12 +274,12 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
             entries: inner.map.len(),
             bytes: inner.bytes,
             budget_bytes: self.budget_bytes,
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
+            hits: self.counters.hits.get(),
+            misses: self.counters.misses.get(),
+            evictions: self.counters.evictions.get(),
+            inserts: self.counters.inserts.get(),
+            rejected: self.counters.rejected.get(),
+            coalesced: self.counters.coalesced.get(),
         }
     }
 }

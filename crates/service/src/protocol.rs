@@ -386,7 +386,8 @@ fn handle_ask(service: &ExplanationService, req: &Json) -> Json {
     let timeout = match req.get("timeout_ms") {
         None => None,
         Some(v) => match v.as_f64().filter(|ms| *ms > 0.0 && ms.is_finite()) {
-            Some(ms) => Some(std::time::Duration::from_secs_f64(ms / 1e3)),
+            // Too far away to represent is no deadline at all.
+            Some(ms) => std::time::Duration::try_from_secs_f64(ms / 1e3).ok(),
             None => {
                 return err(
                     "bad_request",
@@ -798,26 +799,53 @@ mod tests {
         }
     }
 
+    /// `timeout_ms` is outside input: not a positive number is a
+    /// `bad_request`; too large for `Duration` (`1e300`) or for the clock
+    /// (`1e22`) is no deadline — the unbudgeted answer, not a panic.
     #[test]
-    fn invalid_timeout_is_a_bad_request() {
-        let service = service_with_tiny_nba();
-        let q = handle_line(
-            &service,
-            &Json::obj([
-                ("op", Json::str("query")),
-                ("db", Json::str("nba")),
-                ("sql", Json::str(GSW_SQL)),
-            ])
-            .render(),
-        );
-        let session = q.get("session").and_then(Json::as_u64).unwrap();
-        for timeout in ["0", "-5", "\"fast\"", "null"] {
+    fn timeout_ms_is_validated_never_trusted() {
+        // One fresh service per ask, so no answer comes from a cache.
+        let ask = |timeout_field: &str| {
+            let service = service_with_tiny_nba();
+            let q = handle_line(
+                &service,
+                &Json::obj([
+                    ("op", Json::str("query")),
+                    ("db", Json::str("nba")),
+                    ("sql", Json::str(GSW_SQL)),
+                ])
+                .render(),
+            );
+            let session = q.get("session").and_then(Json::as_u64).unwrap();
             let resp = handle_line(
                 &service,
                 &format!(
-                    r#"{{"op":"ask","session":{session},"t1":{{"season_name":"2015-16"}},"t2":{{"season_name":"2012-13"}},"timeout_ms":{timeout}}}"#
+                    r#"{{"op":"ask","session":{session},"t1":{{"season_name":"2015-16"}},"t2":{{"season_name":"2012-13"}}{timeout_field}}}"#
                 ),
             );
+            assert_eq!(service.obs().requests_panicked_total.get(), 0, "{resp:?}");
+            resp
+        };
+        // Everything of an ask's response but the wall-clock `timings`.
+        let answer = |resp: &Json| {
+            ["ok", "explanations", "cache", "degraded", "truncated"]
+                .map(|field| resp.get(field).map(Json::render))
+        };
+        let unbudgeted = ask("");
+        assert!(unbudgeted.get("explanations").is_some(), "{unbudgeted:?}");
+        for (timeout, accepted) in [
+            ("0", false),
+            ("-5", false),
+            ("\"fast\"", false),
+            ("null", false),
+            ("1e300", true),
+            ("1e22", true),
+        ] {
+            let resp = ask(&format!(r#","timeout_ms":{timeout}"#));
+            if accepted {
+                assert_eq!(answer(&resp), answer(&unbudgeted), "timeout_ms={timeout}");
+                continue;
+            }
             assert_eq!(
                 resp.get("error")
                     .and_then(|e| e.get("code"))

@@ -216,10 +216,6 @@ pub(crate) struct ServiceInner {
     pub(crate) apt_cache: LruCache<AptKey, Arc<AptEntry>>,
     pub(crate) answer_cache: LruCache<AnswerKey, Arc<cajade_core::SessionResult>>,
     pub(crate) column_stats: LruCache<ColStatsKey, Arc<cajade_mining::ColumnStats>>,
-    pub(crate) sessions_opened: AtomicU64,
-    pub(crate) questions_answered: AtomicU64,
-    pub(crate) prepared_apt_hits: AtomicU64,
-    pub(crate) prepared_apt_misses: AtomicU64,
     pub(crate) ingest_stats: Mutex<IngestStats>,
     pub(crate) params: Params,
     /// Pre-resolved registry instrument handles.
@@ -313,10 +309,6 @@ impl ExplanationService {
                     registry,
                     "column_stats",
                 ),
-                sessions_opened: AtomicU64::new(0),
-                questions_answered: AtomicU64::new(0),
-                prepared_apt_hits: AtomicU64::new(0),
-                prepared_apt_misses: AtomicU64::new(0),
                 ingest_stats: Mutex::new(IngestStats::default()),
                 params: config.params,
                 obs: ServiceObs::new(Arc::clone(&config.registry)),
@@ -500,7 +492,6 @@ impl ExplanationService {
                 }
             }
         }
-        self.inner.sessions_opened.fetch_add(1, Ordering::Relaxed);
         self.inner.obs.sessions_opened_total.inc();
         Ok(handle)
     }
@@ -522,13 +513,14 @@ impl ExplanationService {
 
     /// Counter + cache snapshot.
     pub fn stats(&self) -> ServiceStats {
+        let obs = &self.inner.obs;
         ServiceStats {
             databases: self.inner.dbs.read().len(),
             open_sessions: self.inner.sessions.read().len(),
-            sessions_opened: self.inner.sessions_opened.load(Ordering::Relaxed),
-            questions_answered: self.inner.questions_answered.load(Ordering::Relaxed),
-            prepared_apt_hits: self.inner.prepared_apt_hits.load(Ordering::Relaxed),
-            prepared_apt_misses: self.inner.prepared_apt_misses.load(Ordering::Relaxed),
+            sessions_opened: obs.sessions_opened_total.get(),
+            questions_answered: obs.asks_total.get(),
+            prepared_apt_hits: obs.prepared_apt_hits_total.get(),
+            prepared_apt_misses: obs.prepared_apt_misses_total.get(),
             ingest: *self.inner.ingest_stats.lock(),
             provenance_cache: self.inner.prov_cache.stats(),
             apt_cache: self.inner.apt_cache.stats(),

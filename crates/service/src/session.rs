@@ -9,14 +9,13 @@
 //! interactive usage pattern).
 
 use std::sync::{Arc, Weak};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use cajade_core::pipeline::{self, GraphOutcome, PreparedQuery};
 use cajade_core::{Params, SessionResult, UserQuestion};
 use cajade_mining::PreparedApt;
-use cajade_obs::{span, Collector, SpanRecord};
+use cajade_obs::{span, Collector, SpanRecord, Stage};
 use cajade_query::Query;
-use rayon::prelude::*;
 
 use crate::colstats::DbColumnStats;
 use crate::keys::{AnswerKey, AptKey, ProvKey};
@@ -178,10 +177,10 @@ impl SessionHandle {
     pub fn ask_with(&self, question: &UserQuestion, opts: &AskOptions) -> Result<AskResult> {
         let run = || {
             if !opts.trace {
-                return self.ask_inner(question, None);
+                return self.ask_inner(question);
             }
             let collector = Collector::new();
-            let mut result = collector.with(None, || self.ask_inner(question, Some(&collector)))?;
+            let mut result = collector.with(None, || self.ask_inner(question))?;
             result.trace = Some(collector.finish());
             Ok(result)
         };
@@ -191,19 +190,9 @@ impl SessionHandle {
         }
     }
 
-    fn ask_inner(
-        &self,
-        question: &UserQuestion,
-        collector: Option<&Arc<Collector>>,
-    ) -> Result<AskResult> {
+    fn ask_inner(&self, question: &UserQuestion) -> Result<AskResult> {
         let inner = self.service.upgrade().ok_or(ServiceError::ServiceDropped)?;
-        let t_start = Instant::now();
-        let ask_span = span("ask");
-        // The request budget (if any) and the caller's alloc-scope chain
-        // live in thread-local state; rayon worker closures re-install
-        // both via `in_scope` below, exactly like the span collector.
-        let budget = cajade_obs::budget::current();
-        let mem_scope = cajade_obs::alloc::current_scope();
+        let ask = Stage::span_only("ask");
         let reg: Arc<RegisteredDb> = inner.registered(&self.db_name)?;
 
         // ---- Stage 0: the fully-ranked answer may already be cached. ----
@@ -215,14 +204,11 @@ impl SessionHandle {
             question: AnswerKey::canonical_question(question),
         };
         if let Some(cached) = inner.answer_cache.get(&answer_key) {
-            inner
-                .questions_answered
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             let mut result = (*cached).clone();
             // No pipeline stage ran; the cold run's stage timings would
             // misreport this request's work.
             result.timings = cajade_core::SessionTimings::default();
-            let wall = t_start.elapsed();
+            let wall = ask.finish();
             inner.obs.record_ask(wall, &result.timings);
             return Ok(AskResult {
                 result,
@@ -249,70 +235,55 @@ impl SessionHandle {
         // per graph: one thread materializes, the other coalesces — and
         // because the entry object is shared, the (more expensive) mining
         // preparation below is deduplicated by the entry's own lock too.
+        //
+        // The three stages from here on go through `pipeline::fan_out`, so
+        // their workers run under this thread's `Ctx`: stage span as
+        // parent, the request's budget, its alloc scopes.
         let valid = prepared.valid_graph_indices();
         let mat_span = span("materialize");
-        let mat_parent = mat_span.id();
         type ReadyRow = (usize, AptKey, Arc<AptEntry>, bool, Duration);
-        // Worker threads have their own (empty) span stacks, so the
-        // parallel closures re-enter the request's collector scope with
-        // this stage's span as the explicit parent (`in_scope`).
-        let resolve_one = |gi: usize| -> Result<Option<ReadyRow>> {
-            in_scope(collector, budget.as_ref(), &mem_scope, mat_parent, || {
-                // Budget check at the per-graph boundary: an expired
-                // deadline skips the remaining graphs entirely — the ones
-                // already materialized still get mined, so the answer
-                // covers fewer join graphs rather than failing.
-                if cajade_obs::budget::stop("materialize") {
-                    return Ok(None);
-                }
-                let key = AptKey {
-                    db: self.db_name.clone(),
-                    epoch: reg.epoch,
-                    sql: self.sql.clone(),
-                    graph: prepared.graphs[gi].graph.key(),
-                };
-                let t0 = Instant::now();
-                let (entry, hit) = inner.apt_cache.get_or_try_compute(
-                    &key,
-                    || -> Result<(Arc<AptEntry>, Option<usize>)> {
-                        cajade_obs::faults::failpoint_infallible("cache.apt_compute");
-                        // Attribute the retained APT to the cache that
-                        // will hold it (inclusive with "materialize").
-                        let _mem = cajade_obs::AllocScope::enter("cache.apt");
-                        let apt =
-                            pipeline::materialize(&reg.db, &prepared.pt, &prepared.graphs[gi])?;
-                        let entry = AptEntry::new(Arc::new(apt));
-                        // Skip caching if the database was re-registered
-                        // mid-ask: keys of a stale epoch would be unreachable
-                        // yet hold cache budget.
-                        let bytes = inner
-                            .epoch_is_current(&self.db_name, reg.epoch)
-                            .then(|| entry.approx_bytes());
-                        Ok((entry, bytes))
-                    },
-                )?;
-                let mat = if hit { Duration::ZERO } else { t0.elapsed() };
-                Ok(Some((gi, key, entry, hit, mat)))
-            })
+        let resolve_one = |&gi: &usize| -> Result<Option<ReadyRow>> {
+            // Budget check at the per-graph boundary: an expired
+            // deadline skips the remaining graphs entirely — the ones
+            // already materialized still get mined, so the answer
+            // covers fewer join graphs rather than failing.
+            if cajade_obs::budget::stop("materialize") {
+                return Ok(None);
+            }
+            let key = AptKey {
+                db: self.db_name.clone(),
+                epoch: reg.epoch,
+                sql: self.sql.clone(),
+                graph: prepared.graphs[gi].graph.key(),
+            };
+            let mut mat = Duration::ZERO;
+            let (entry, hit) = inner.apt_cache.get_or_try_compute(
+                &key,
+                || -> Result<(Arc<AptEntry>, Option<usize>)> {
+                    cajade_obs::faults::failpoint_infallible("cache.apt_compute");
+                    // Attribute the retained APT to the cache that
+                    // will hold it (inclusive with "materialize").
+                    let _mem = cajade_obs::AllocScope::enter("cache.apt");
+                    let (apt, wall) =
+                        pipeline::materialize(&reg.db, &prepared.pt, &prepared.graphs[gi])?;
+                    mat = wall;
+                    let entry = AptEntry::new(Arc::new(apt));
+                    // Skip caching if the database was re-registered
+                    // mid-ask: keys of a stale epoch would be unreachable
+                    // yet hold cache budget.
+                    let bytes = inner
+                        .epoch_is_current(&self.db_name, reg.epoch)
+                        .then(|| entry.approx_bytes());
+                    Ok((entry, bytes))
+                },
+            )?;
+            Ok(Some((gi, key, entry, hit, mat)))
         };
-        let mut ready: Vec<ReadyRow> = if self.params.parallel && valid.len() > 1 {
-            valid
-                .par_iter()
-                .map(|&gi| resolve_one(gi))
-                .collect::<Result<Vec<_>>>()?
+        let ready: Vec<ReadyRow> =
+            pipeline::fan_out::<_, _, Result<Vec<_>>>(&self.params, &valid, resolve_one)?
                 .into_iter()
                 .flatten()
-                .collect()
-        } else {
-            valid
-                .into_iter()
-                .map(resolve_one)
-                .collect::<Result<Vec<_>>>()?
-                .into_iter()
-                .flatten()
-                .collect()
-        };
-        ready.sort_by_key(|(gi, _, _, _, _)| *gi);
+                .collect();
         drop(mat_span);
         let apt_cache_hits = ready.iter().filter(|(_, _, _, hit, _)| *hit).count();
         let apt_cache_misses = ready.len() - apt_cache_hits;
@@ -329,44 +300,30 @@ impl SessionHandle {
         let mining_fp = fnv1a(format!("{:?}", self.params.mining).as_bytes());
         let col_stats = DbColumnStats::new(&inner, &reg, &self.params);
         let prep_span = span("prepare");
-        let prep_parent = prep_span.id();
-        let prepare_one = |(gi, key, entry, _, mat): &ReadyRow| {
-            in_scope(collector, budget.as_ref(), &mem_scope, prep_parent, || {
-                let (prep, hit) = entry.prepared_for(mining_fp, || {
-                    // The prepared state is retained by the APT cache
-                    // entry; account it under "cache.apt" alongside the
-                    // gather it decorates.
-                    let _mem = cajade_obs::AllocScope::enter("cache.apt");
-                    pipeline::prepare_mining(&entry.apt, &prepared.pt, &self.params, &col_stats)
-                });
-                (*gi, key.clone(), Arc::clone(entry), prep, hit, *mat)
+        let prepare_one = |(_, _, entry, _, _): &ReadyRow| {
+            entry.prepared_for(mining_fp, || {
+                // The prepared state is retained by the APT cache
+                // entry; account it under "cache.apt" alongside the
+                // gather it decorates.
+                let _mem = cajade_obs::AllocScope::enter("cache.apt");
+                pipeline::prepare_mining(&entry.apt, &prepared.pt, &self.params, &col_stats)
             })
         };
-        type PreppedRow = (
-            usize,
-            AptKey,
-            Arc<AptEntry>,
-            Arc<PreparedApt>,
-            bool,
-            Duration,
-        );
-        let prepped: Vec<PreppedRow> = if self.params.parallel && ready.len() > 1 {
-            ready.par_iter().map(prepare_one).collect()
-        } else {
-            ready.iter().map(prepare_one).collect()
-        };
-        let mut prep_hits = 0u64;
-        let mut prep_misses = 0u64;
+        // `(preparation, prepared-cache hit)` per ready row.
+        let preps: Vec<(Arc<PreparedApt>, bool)> =
+            pipeline::fan_out(&self.params, &ready, prepare_one);
+        type PreppedRow<'a> = (&'a ReadyRow, &'a (Arc<PreparedApt>, bool));
+        let prepped: Vec<PreppedRow> = ready.iter().zip(&preps).collect();
         // (Re-)insert entries so the cache accounts the APT *and* its
         // prepared state; skip if the database was re-registered mid-ask —
         // keys of a stale epoch would be unreachable yet hold budget.
         let epoch_current = inner.epoch_is_current(&self.db_name, reg.epoch);
-        for (_, key, entry, _, hit, _) in &prepped {
+        for ((_, key, entry, _, _), (_, hit)) in &prepped {
             if *hit {
-                prep_hits += 1;
+                inner.obs.prepared_apt_hits_total.inc();
                 continue;
             }
-            prep_misses += 1;
+            inner.obs.prepared_apt_misses_total.inc();
             if epoch_current
                 && !inner
                     .apt_cache
@@ -378,40 +335,25 @@ impl SessionHandle {
                 entry.clear_prepared();
             }
         }
-        inner
-            .prepared_apt_hits
-            .fetch_add(prep_hits, std::sync::atomic::Ordering::Relaxed);
-        inner
-            .prepared_apt_misses
-            .fetch_add(prep_misses, std::sync::atomic::Ordering::Relaxed);
-        inner.obs.prepared_apt_hits_total.add(prep_hits);
-        inner.obs.prepared_apt_misses_total.add(prep_misses);
         drop(prep_span);
 
         // ---- Stage 4: mining (only the question-specific half). ---------
         let mine_span = span("mine");
-        let mine_parent = mine_span.id();
-        let mine_one = |(gi, _, entry, prep, hit, mat): &PreppedRow| -> GraphOutcome {
-            in_scope(collector, budget.as_ref(), &mem_scope, mine_parent, || {
-                pipeline::mine_one_prepared(
-                    &reg.db,
-                    &self.query,
-                    &prepared.pt,
-                    &entry.apt,
-                    prep,
-                    &mining_question,
-                    &self.params,
-                    *gi,
-                    *mat,
-                    !*hit,
-                )
-            })
+        let mine_one = |((gi, _, entry, _, mat), (prep, hit)): &PreppedRow| -> GraphOutcome {
+            pipeline::mine_one_prepared(
+                &reg.db,
+                &self.query,
+                &prepared.pt,
+                &entry.apt,
+                prep,
+                &mining_question,
+                &self.params,
+                *gi,
+                *mat,
+                !*hit,
+            )
         };
-        let outcomes: Vec<GraphOutcome> = if self.params.parallel && prepped.len() > 1 {
-            prepped.par_iter().map(mine_one).collect()
-        } else {
-            prepped.iter().map(mine_one).collect()
-        };
+        let outcomes: Vec<GraphOutcome> = pipeline::fan_out(&self.params, &prepped, mine_one);
         drop(mine_span);
 
         // ---- Stage 5: assemble + rank. ----------------------------------
@@ -436,11 +378,7 @@ impl SessionHandle {
         if cajade_obs::budget::expired() {
             inner.obs.ask_deadline_exceeded_total.inc();
         }
-        inner
-            .questions_answered
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        drop(ask_span);
-        let wall = t_start.elapsed();
+        let wall = ask.finish();
         inner.obs.record_ask(wall, &result.timings);
         Ok(AskResult {
             result,
@@ -505,33 +443,6 @@ impl SessionHandle {
                 .then(|| prepared_bytes(&p));
             Ok((p, bytes))
         })
-    }
-}
-
-/// Runs `f` inside the request's collector scope with `parent` as the
-/// enclosing span, under the request's budget, and inside the request
-/// thread's alloc-scope chain. The parallel stages' closures execute on
-/// rayon worker threads whose thread-local span, budget, and alloc-scope
-/// state is empty; without this explicit re-entry their spans would
-/// neither reach the collector nor parent correctly, their budget checks
-/// would silently see "no budget", and their heap bytes would escape the
-/// caller's memory attribution. A no-op passthrough when the ask is
-/// untraced, unbudgeted, and unscoped.
-fn in_scope<R>(
-    collector: Option<&Arc<Collector>>,
-    budget: Option<&cajade_obs::Budget>,
-    mem: &cajade_obs::ScopeHandle,
-    parent: Option<u64>,
-    f: impl FnOnce() -> R,
-) -> R {
-    let scoped = || mem.install(f);
-    let traced = || match collector {
-        Some(c) => c.with(parent, scoped),
-        None => scoped(),
-    };
-    match budget {
-        Some(b) => b.install(traced),
-        None => traced(),
     }
 }
 
