@@ -16,7 +16,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use cajade_graph::{enumerate_join_graphs, Apt, EnumConfig, EnumeratedGraph, SchemaGraph};
+use cajade_graph::{
+    enumerate_join_graphs, Apt, AptBuilder, EnumConfig, EnumeratedGraph, SchemaGraph,
+};
 use cajade_mining::{
     mine_apt, mine_prepared, prepare_apt_with, MiningOutcome, MiningTimings, PreparedApt, Question,
 };
@@ -135,16 +137,40 @@ pub fn group_label(db: &Database, query: &Query, pt: &ProvenanceTable, group: us
         .join(", ")
 }
 
-/// Stage 3: materializes `APT(Q, D, Ω)` for one join graph (Definition 4)
-/// and reports the wall time it took.
-pub fn materialize(
-    db: &Database,
-    pt: &ProvenanceTable,
-    graph: &EnumeratedGraph,
-) -> Result<(Apt, Duration)> {
+/// Stage 3: materializes `APT(Q, D, Ω)` for enumerated graph
+/// `graph_index` (Definition 4) and reports the wall time it took.
+///
+/// `builder` is the ask's [`AptBuilder`]: it shares join work along the
+/// enumeration tree, so the time reported here includes any ancestor's
+/// join that this call was the first to need and excludes the ones
+/// another graph already paid for.
+pub fn materialize(builder: &AptBuilder<'_>, graph_index: usize) -> Result<(Apt, Duration)> {
     let stage = Stage::open_as("materialize_apt", "materialize");
-    let apt = Apt::materialize(db, pt, &graph.graph)?;
+    let apt = builder.materialize(graph_index)?;
     Ok((apt, stage.finish()))
+}
+
+/// Begins an ask's stage 3: the [`AptBuilder`] its misses are
+/// [`materialize`]d through, made — like everything it will hold — under
+/// the `materialize` alloc scope.
+pub fn begin_materialize<'a>(
+    db: &'a Database,
+    pt: &'a ProvenanceTable,
+    graphs: &'a [EnumeratedGraph],
+) -> AptBuilder<'a> {
+    let _mem = cajade_obs::AllocScope::enter("materialize");
+    AptBuilder::new(db, pt, graphs)
+}
+
+/// Ends an ask's stage 3: drops the builder under the `materialize` scope
+/// it and its shared joins were allocated under — a scope's net is what
+/// was allocated minus what was freed *under it* — and returns its
+/// `(join steps, index builds)`.
+pub fn finish_materialize(builder: AptBuilder<'_>) -> (u64, u64) {
+    let _mem = cajade_obs::AllocScope::enter("materialize");
+    let work = (builder.join_steps(), builder.index_builds());
+    drop(builder);
+    work
 }
 
 /// Stage 3.5: the question-independent mining preparation of one APT
@@ -282,6 +308,8 @@ pub fn materialize_and_mine(
 ) -> Result<Vec<GraphOutcome>> {
     let valid = prepared.valid_graph_indices();
     let pt = &prepared.pt;
+    // One builder for the ask; its memoized parent joins go when it does.
+    let builder = begin_materialize(db, pt, &prepared.graphs);
     // A single APT's materialization is not truncatable, so the budget
     // boundary sits between graphs: once the deadline passes, remaining
     // whole graphs are skipped and the ask answers from the graphs mined
@@ -290,7 +318,7 @@ pub fn materialize_and_mine(
         if cajade_obs::budget::stop("materialize") {
             return Ok(None);
         }
-        let (apt, materialize_time) = materialize(db, pt, &prepared.graphs[graph_index])?;
+        let (apt, materialize_time) = materialize(&builder, graph_index)?;
         Ok(Some(mine_graph(
             db,
             query,
@@ -301,8 +329,9 @@ pub fn materialize_and_mine(
             || mine_apt(&apt, pt, question, &params.mining),
         )))
     };
-    let outcomes: Vec<Option<GraphOutcome>> = fan_out::<_, _, Result<_>>(params, &valid, run_one)?;
-    Ok(outcomes.into_iter().flatten().collect())
+    let outcomes: Result<Vec<Option<GraphOutcome>>> = fan_out(params, &valid, run_one);
+    finish_materialize(builder);
+    Ok(outcomes?.into_iter().flatten().collect())
 }
 
 /// Stage 5: global F-score ranking + near-duplicate collapse (§6).

@@ -11,15 +11,46 @@
 //! Per Definition 4's closing remark, duplicate (renamed) join columns are
 //! removed: a context node's attributes that the joining edge equates to
 //! an already-present attribute are dropped.
+//!
+//! # Plan → extend → gather
+//!
+//! There is one join kernel, in three parts:
+//!
+//! * **plan** (`edge_order`): the order the graph's edges are applied
+//!   in — breadth-first out of the PT node, each edge as soon as one of
+//!   its endpoints is joined. For a graph the enumerator grew (a parent
+//!   plus one pushed edge, all the way down to Ω₀) that order is index
+//!   order.
+//! * **extend** (`Kernel::extend`): applies one edge to a row-id matrix
+//!   (`Combos`). An edge reaching a fresh node is a hash join through an
+//!   index over the node's `(relation, key columns)`, built at most once
+//!   per kernel; an edge between two joined nodes (closing or parallel) is
+//!   a filter. The columns a step reads are resolved once per step.
+//! * **gather** (`gather`): turns the final row-id matrix into the wide
+//!   columns of an [`Apt`].
+//!
+//! [`Apt::materialize`] folds `extend` over one graph's plan.
+//! [`AptBuilder`] serves a whole enumeration: it memoizes the row-id matrix
+//! of every graph that has children, so a graph costs its parent's matrix
+//! plus one `extend`, and it shares the key indexes across graphs.
+//!
+//! Row order does not depend on which of the two ran: a join emits, for
+//! each input combination in order, its matches in base-table order, and
+//! a filter only drops combinations — so applying a closing edge's filter
+//! at its position instead of after all joins yields the same rows in the
+//! same order.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use bytes::BytesMut;
 use cajade_query::ProvenanceTable;
-use cajade_storage::rowkey::encode_key_into;
+use cajade_storage::rowkey::encode_value;
 use cajade_storage::{AttrKind, Column, DataType, Database, Value};
 
-use crate::join_graph::{JoinGraph, NodeLabel};
+use crate::enumerate::EnumeratedGraph;
+use crate::join_graph::{JgEdge, JoinGraph, NodeLabel};
 use crate::{GraphError, Result};
 
 /// One attribute of an APT.
@@ -65,226 +96,8 @@ impl Apt {
     /// Materializes `APT(Q, D, Ω)` for the given provenance table and join
     /// graph.
     pub fn materialize(db: &Database, pt: &ProvenanceTable, graph: &JoinGraph) -> Result<Apt> {
-        // ---- 1. Order edges: joins (BFS out of PT) then filters. -------
-        let n_nodes = graph.nodes.len();
-        let mut joined = vec![false; n_nodes];
-        joined[0] = true;
-        let mut slot_of = vec![usize::MAX; n_nodes];
-        slot_of[0] = 0;
-        let mut node_order = vec![0usize]; // slot → node
-
-        let mut edge_used = vec![false; graph.edges.len()];
-        let mut join_edges: Vec<(usize, usize, usize)> = Vec::new(); // (edge, joined endpoint, new endpoint)
-        let mut filter_edges: Vec<usize> = Vec::new();
-
-        loop {
-            let mut progressed = false;
-            for (ei, e) in graph.edges.iter().enumerate() {
-                if edge_used[ei] {
-                    continue;
-                }
-                match (joined[e.from], joined[e.to]) {
-                    (true, true) => {
-                        edge_used[ei] = true;
-                        filter_edges.push(ei);
-                        progressed = true;
-                    }
-                    (true, false) => {
-                        edge_used[ei] = true;
-                        joined[e.to] = true;
-                        slot_of[e.to] = node_order.len();
-                        node_order.push(e.to);
-                        join_edges.push((ei, e.from, e.to));
-                        progressed = true;
-                    }
-                    (false, true) => {
-                        edge_used[ei] = true;
-                        joined[e.from] = true;
-                        slot_of[e.from] = node_order.len();
-                        node_order.push(e.from);
-                        join_edges.push((ei, e.to, e.from));
-                        progressed = true;
-                    }
-                    (false, false) => {}
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
-        if edge_used.iter().any(|u| !u) {
-            return Err(GraphError::Malformed(
-                "join graph is not connected to PT".into(),
-            ));
-        }
-
-        // ---- 2. Iterative hash joins. ----------------------------------
-        // combos: flattened row-id matrix, stride = #nodes joined so far.
-        let mut stride = 1usize;
-        let mut combos: Vec<u32> = (0..pt.num_rows as u32).collect();
-        let mut scratch = BytesMut::new();
-
-        // Value accessor for a node-side attribute of a combo row.
-        let side_value =
-            |node: usize, attr: &str, pt_from_idx: Option<usize>, combo: &[u32]| -> Result<Value> {
-                match &graph.nodes[node].label {
-                    NodeLabel::Pt => {
-                        let fi = pt_field_for(pt, pt_from_idx, attr)?;
-                        Ok(pt.columns[fi].value(combo[0] as usize))
-                    }
-                    NodeLabel::Rel(rel) => {
-                        let t = db.table(rel)?;
-                        let ci = t.schema().field_index(attr).ok_or_else(|| {
-                            GraphError::BadCondition(format!("`{rel}` has no attribute `{attr}`"))
-                        })?;
-                        let slot = slot_of[node];
-                        Ok(t.column(ci).value(combo[slot] as usize))
-                    }
-                }
-            };
-
-        for &(ei, anchor, new_node) in &join_edges {
-            let e = &graph.edges[ei];
-            // Orient the condition: anchor-side attrs vs new-side attrs.
-            let (anchor_attrs, new_attrs): (Vec<&str>, Vec<&str>) = if e.from == anchor {
-                (e.cond.left_attrs(), e.cond.right_attrs())
-            } else {
-                (e.cond.right_attrs(), e.cond.left_attrs())
-            };
-            let rel = graph.rel_of(new_node).ok_or_else(|| {
-                GraphError::Malformed("PT cannot be a join target of itself".into())
-            })?;
-            let table = db.table(rel)?;
-            let new_cols: Vec<usize> = new_attrs
-                .iter()
-                .map(|a| {
-                    table.schema().field_index(a).ok_or_else(|| {
-                        GraphError::BadCondition(format!("`{rel}` has no attribute `{a}`"))
-                    })
-                })
-                .collect::<Result<_>>()?;
-
-            // Build hash table on the new relation.
-            let mut build: HashMap<Vec<u8>, Vec<u32>> = HashMap::new();
-            let mut key_vals = Vec::with_capacity(new_cols.len());
-            for r in 0..table.num_rows() {
-                key_vals.clear();
-                for &c in &new_cols {
-                    key_vals.push(table.column(c).value(r));
-                }
-                if let Some(key) = encode_key_into(&mut scratch, &key_vals) {
-                    build.entry(key.to_vec()).or_default().push(r as u32);
-                }
-            }
-
-            // Probe with existing combos.
-            let mut next: Vec<u32> = Vec::new();
-            let num_combos = combos.len() / stride;
-            for i in 0..num_combos {
-                let combo = &combos[i * stride..(i + 1) * stride];
-                key_vals.clear();
-                for a in &anchor_attrs {
-                    key_vals.push(side_value(anchor, a, e.pt_from_idx, combo)?);
-                }
-                let Some(key) = encode_key_into(&mut scratch, &key_vals) else {
-                    continue;
-                };
-                if let Some(matches) = build.get(key) {
-                    for &r in matches {
-                        next.extend_from_slice(combo);
-                        next.push(r);
-                    }
-                }
-            }
-            combos = next;
-            stride += 1;
-        }
-
-        // ---- 3. Filter edges (cycles / parallel edges). -----------------
-        for &ei in &filter_edges {
-            let e = &graph.edges[ei];
-            let mut next = Vec::with_capacity(combos.len());
-            let num_combos = combos.len() / stride;
-            'combo: for i in 0..num_combos {
-                let combo = &combos[i * stride..(i + 1) * stride];
-                for p in &e.cond.pairs {
-                    let va = side_value(e.from, &p.left, e.pt_from_idx, combo)?;
-                    let vb = side_value(e.to, &p.right, e.pt_from_idx, combo)?;
-                    if !va.sql_eq(&vb) {
-                        continue 'combo;
-                    }
-                }
-                next.extend_from_slice(combo);
-            }
-            combos = next;
-        }
-
-        // ---- 4. Materialize wide columns. -------------------------------
-        let num_rows = combos.len() / stride.max(1);
-        let aliases = graph.display_aliases();
-
-        // PT slot rows.
-        let pt_rows: Vec<usize> = (0..num_rows).map(|i| combos[i * stride] as usize).collect();
-
-        let mut fields = Vec::new();
-        let mut columns = Vec::new();
-        for (fi, f) in pt.fields.iter().enumerate() {
-            fields.push(AptField {
-                name: f.name.clone(),
-                dtype: f.dtype,
-                kind: f.kind,
-                is_group_by: f.is_group_by,
-                from_pt: true,
-                node: 0,
-                base_column: f.attr.clone(),
-            });
-            columns.push(pt.columns[fi].gather(&pt_rows));
-        }
-
-        for (slot, &node) in node_order.iter().enumerate().skip(1) {
-            let rel = graph.rel_of(node).expect("non-PT node");
-            let table = db.table(rel)?;
-            // Attributes equated away by the edge that joined this node
-            // (duplicate-column removal, Definition 4).
-            let joining = join_edges
-                .iter()
-                .find(|(_, _, w)| *w == node)
-                .map(|&(ei, _, _)| ei)
-                .expect("every non-PT node has a joining edge");
-            let e = &graph.edges[joining];
-            let dup_attrs: Vec<&str> = if e.to == node {
-                e.cond.right_attrs()
-            } else {
-                e.cond.left_attrs()
-            };
-
-            let rows: Vec<usize> = (0..num_rows)
-                .map(|i| combos[i * stride + slot] as usize)
-                .collect();
-            for (ci, f) in table.schema().fields.iter().enumerate() {
-                if dup_attrs.contains(&f.name.as_str()) {
-                    continue;
-                }
-                fields.push(AptField {
-                    name: format!("{}.{}", aliases[node], f.name),
-                    dtype: f.dtype,
-                    kind: f.kind,
-                    is_group_by: false,
-                    from_pt: false,
-                    node,
-                    base_column: f.name.clone(),
-                });
-                columns.push(table.column(ci).gather(&rows));
-            }
-        }
-
-        Ok(Apt {
-            fields,
-            columns,
-            num_rows,
-            pt_row: pt_rows.iter().map(|&r| r as u32).collect(),
-            graph: graph.clone(),
-        })
+        let combos = Kernel::new(db, pt).fold(graph)?;
+        gather(db, pt, graph, &combos)
     }
 
     /// Cell accessor.
@@ -316,6 +129,448 @@ impl Apt {
                 .iter()
                 .map(|f| f.name.len() + std::mem::size_of::<AptField>())
                 .sum::<usize>()
+    }
+}
+
+/// One joined node of a partial join.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Join-graph node index.
+    node: usize,
+    /// The edge that joined it (`None` for the PT node).
+    via: Option<usize>,
+}
+
+/// The row-id matrix of a partial join: one row per surviving
+/// combination, one base-table (or PT) row id per joined node.
+#[derive(Debug)]
+struct Combos {
+    /// Joined nodes in join order; slot 0 is the PT node. The stride of
+    /// `rows`.
+    slots: Vec<Slot>,
+    /// Flattened row ids, `slots.len()` per combination.
+    rows: Vec<u32>,
+}
+
+impl Combos {
+    /// The provenance table itself: every PT row, no context joined.
+    fn pt(pt_rows: usize) -> Combos {
+        Combos {
+            slots: vec![Slot { node: 0, via: None }],
+            rows: (0..pt_rows as u32).collect(),
+        }
+    }
+
+    fn slot_of(&self, node: usize) -> Option<usize> {
+        self.slots.iter().position(|s| s.node == node)
+    }
+
+    fn iter(&self) -> std::slice::ChunksExact<'_, u32> {
+        self.rows.chunks_exact(self.slots.len())
+    }
+}
+
+/// A resolved `(node, attribute)` of a step: the column to read and the
+/// combination slot holding the row id to read it at.
+struct Side<'a> {
+    col: &'a Column,
+    slot: usize,
+}
+
+impl Side<'_> {
+    #[inline]
+    fn value(&self, combo: &[u32]) -> Value {
+        self.col.value(combo[self.slot] as usize)
+    }
+}
+
+/// Base-table row ids by encoded key (`rowkey` encoding: a NULL key
+/// component keeps the row out, `Int(2)` and `Float(2.0)` share a key).
+type KeyIndex = HashMap<Vec<u8>, Vec<u32>>;
+
+/// `(relation, key column indices)` → the cell its index is built in.
+type IndexCells = HashMap<(String, Vec<usize>), Arc<OnceLock<KeyIndex>>>;
+
+/// The join kernel over one `(database, provenance table)` pair, with the
+/// key indexes built so far.
+struct Kernel<'a> {
+    db: &'a Database,
+    pt: &'a ProvenanceTable,
+    /// The map lock is held only to find the cell; the build runs in the
+    /// cell, so distinct indexes build concurrently and one index is built
+    /// once.
+    indexes: Mutex<IndexCells>,
+    join_steps: AtomicU64,
+    index_builds: AtomicU64,
+}
+
+impl<'a> Kernel<'a> {
+    fn new(db: &'a Database, pt: &'a ProvenanceTable) -> Self {
+        Kernel {
+            db,
+            pt,
+            indexes: Mutex::new(HashMap::new()),
+            join_steps: AtomicU64::new(0),
+            index_builds: AtomicU64::new(0),
+        }
+    }
+
+    /// The graph's full join: `extend` folded over its plan, from the PT.
+    fn fold(&self, graph: &JoinGraph) -> Result<Combos> {
+        let mut combos = Combos::pt(self.pt.num_rows);
+        for ei in edge_order(graph)? {
+            combos = self.extend(graph, &combos, ei)?;
+        }
+        Ok(combos)
+    }
+
+    /// Applies edge `ei` of `graph` to `combos`: a hash join when the edge
+    /// reaches a node not joined yet, a filter when both endpoints are.
+    fn extend(&self, graph: &JoinGraph, combos: &Combos, ei: usize) -> Result<Combos> {
+        let e = &graph.edges[ei];
+        self.join_steps.fetch_add(1, Ordering::Relaxed);
+        match (combos.slot_of(e.from), combos.slot_of(e.to)) {
+            (Some(_), Some(_)) => self.filter(graph, combos, e),
+            (Some(_), None) => self.join(graph, combos, ei, e.from, e.to),
+            (None, Some(_)) => self.join(graph, combos, ei, e.to, e.from),
+            (None, None) => Err(GraphError::Malformed(
+                "join graph is not connected to PT".into(),
+            )),
+        }
+    }
+
+    /// Hash join of `combos` with the relation of `new_node` along edge
+    /// `ei`, whose `anchor` endpoint is already joined.
+    fn join(
+        &self,
+        graph: &JoinGraph,
+        combos: &Combos,
+        ei: usize,
+        anchor: usize,
+        new_node: usize,
+    ) -> Result<Combos> {
+        let e = &graph.edges[ei];
+        let rel = graph
+            .rel_of(new_node)
+            .ok_or_else(|| GraphError::Malformed("PT cannot be a join target of itself".into()))?;
+        let table = self.db.table(rel)?;
+        // Orient the condition: anchor-side attrs vs new-side attrs.
+        let anchor_is_from = e.from == anchor;
+        let mut new_cols = Vec::with_capacity(e.cond.pairs.len());
+        let mut anchor_sides = Vec::with_capacity(e.cond.pairs.len());
+        for p in &e.cond.pairs {
+            let (anchor_attr, new_attr) = if anchor_is_from {
+                (&p.left, &p.right)
+            } else {
+                (&p.right, &p.left)
+            };
+            new_cols.push(table.schema().field_index(new_attr).ok_or_else(|| {
+                GraphError::BadCondition(format!("`{rel}` has no attribute `{new_attr}`"))
+            })?);
+            anchor_sides.push(self.side(graph, combos, anchor, anchor_attr, e.pt_from_idx)?);
+        }
+
+        let cell = Arc::clone(
+            self.indexes
+                .lock()
+                // The map is only ever inserted into: valid at every step.
+                .unwrap_or_else(PoisonError::into_inner)
+                .entry((rel.to_string(), new_cols.clone()))
+                .or_default(),
+        );
+        let index = cell.get_or_init(|| {
+            self.index_builds.fetch_add(1, Ordering::Relaxed);
+            let cols: Vec<&Column> = new_cols.iter().map(|&c| table.column(c)).collect();
+            let mut index = KeyIndex::new();
+            let mut scratch = BytesMut::new();
+            for r in 0..table.num_rows() {
+                if let Some(key) = encode_key(&mut scratch, cols.iter().map(|c| c.value(r))) {
+                    index.entry(key.to_vec()).or_default().push(r as u32);
+                }
+            }
+            index
+        });
+
+        let mut rows =
+            Vec::with_capacity(combos.rows.len() + combos.rows.len() / combos.slots.len());
+        let mut scratch = BytesMut::new();
+        for combo in combos.iter() {
+            let key = encode_key(&mut scratch, anchor_sides.iter().map(|s| s.value(combo)));
+            if let Some(matches) = key.and_then(|k| index.get(k)) {
+                for &r in matches {
+                    rows.extend_from_slice(combo);
+                    rows.push(r);
+                }
+            }
+        }
+        let mut slots = combos.slots.clone();
+        slots.push(Slot {
+            node: new_node,
+            via: Some(ei),
+        });
+        Ok(Combos { slots, rows })
+    }
+
+    /// Keeps the combinations satisfying the condition of `e`, an edge
+    /// between two joined nodes (a cycle-closing or parallel edge).
+    fn filter(&self, graph: &JoinGraph, combos: &Combos, e: &JgEdge) -> Result<Combos> {
+        let mut sides = Vec::with_capacity(e.cond.pairs.len());
+        for p in &e.cond.pairs {
+            sides.push((
+                self.side(graph, combos, e.from, &p.left, e.pt_from_idx)?,
+                self.side(graph, combos, e.to, &p.right, e.pt_from_idx)?,
+            ));
+        }
+        let mut rows = Vec::with_capacity(combos.rows.len());
+        for combo in combos.iter() {
+            if sides
+                .iter()
+                .all(|(a, b)| a.value(combo).sql_eq(&b.value(combo)))
+            {
+                rows.extend_from_slice(combo);
+            }
+        }
+        Ok(Combos {
+            slots: combos.slots.clone(),
+            rows,
+        })
+    }
+
+    /// Resolves attribute `attr` of joined node `node` to its column.
+    fn side(
+        &self,
+        graph: &JoinGraph,
+        combos: &Combos,
+        node: usize,
+        attr: &str,
+        pt_from_idx: Option<usize>,
+    ) -> Result<Side<'a>> {
+        let slot = combos
+            .slot_of(node)
+            .ok_or_else(|| GraphError::Malformed(format!("node {node} is not joined yet")))?;
+        let col = match &graph.nodes[node].label {
+            NodeLabel::Pt => &self.pt.columns[pt_field_for(self.pt, pt_from_idx, attr)?],
+            NodeLabel::Rel(rel) => {
+                let t = self.db.table(rel)?;
+                let ci = t.schema().field_index(attr).ok_or_else(|| {
+                    GraphError::BadCondition(format!("`{rel}` has no attribute `{attr}`"))
+                })?;
+                t.column(ci)
+            }
+        };
+        Ok(Side { col, slot })
+    }
+}
+
+/// Encodes a composite join key into `scratch`; `None` if a component is
+/// NULL (the row joins nothing).
+fn encode_key(scratch: &mut BytesMut, mut values: impl Iterator<Item = Value>) -> Option<&[u8]> {
+    scratch.clear();
+    values
+        .all(|v| encode_value(scratch, &v))
+        .then_some(&scratch[..])
+}
+
+/// The plan: the order in which the graph's edges are applied —
+/// breadth-first out of the PT node, an edge as soon as one of its
+/// endpoints is joined (a join) or both are (a filter).
+fn edge_order(graph: &JoinGraph) -> Result<Vec<usize>> {
+    let mut joined = vec![false; graph.nodes.len()];
+    if let Some(pt) = joined.first_mut() {
+        *pt = true;
+    }
+    let mut used = vec![false; graph.edges.len()];
+    let mut order = Vec::with_capacity(graph.edges.len());
+    loop {
+        let before = order.len();
+        for (ei, e) in graph.edges.iter().enumerate() {
+            let (Some(&from), Some(&to)) = (joined.get(e.from), joined.get(e.to)) else {
+                return Err(GraphError::Malformed(format!(
+                    "edge {ei} names a node the graph does not have"
+                )));
+            };
+            if used[ei] || !(from || to) {
+                continue;
+            }
+            used[ei] = true;
+            joined[e.from] = true;
+            joined[e.to] = true;
+            order.push(ei);
+        }
+        if order.len() == before {
+            break;
+        }
+    }
+    if order.len() < graph.edges.len() {
+        return Err(GraphError::Malformed(
+            "join graph is not connected to PT".into(),
+        ));
+    }
+    Ok(order)
+}
+
+/// Gathers the wide columns of `graph`'s APT from its full row-id matrix.
+fn gather(db: &Database, pt: &ProvenanceTable, graph: &JoinGraph, combos: &Combos) -> Result<Apt> {
+    let stride = combos.slots.len();
+    let num_rows = combos.rows.len() / stride;
+    let slot_rows =
+        |slot: usize| -> Vec<usize> { combos.iter().map(|combo| combo[slot] as usize).collect() };
+    let aliases = graph.display_aliases();
+
+    let pt_rows = slot_rows(0);
+    let mut fields = Vec::new();
+    let mut columns = Vec::new();
+    for (fi, f) in pt.fields.iter().enumerate() {
+        fields.push(AptField {
+            name: f.name.clone(),
+            dtype: f.dtype,
+            kind: f.kind,
+            is_group_by: f.is_group_by,
+            from_pt: true,
+            node: 0,
+            base_column: f.attr.clone(),
+        });
+        columns.push(pt.columns[fi].gather(&pt_rows));
+    }
+
+    for (slot, s) in combos.slots.iter().enumerate().skip(1) {
+        let node = s.node;
+        let (Some(rel), Some(via)) = (graph.rel_of(node), s.via) else {
+            return Err(GraphError::Malformed(format!(
+                "node {node} was joined without a relation or an edge"
+            )));
+        };
+        let table = db.table(rel)?;
+        // Attributes equated away by the edge that joined this node
+        // (duplicate-column removal, Definition 4).
+        let e = &graph.edges[via];
+        let dup_attrs: Vec<&str> = if e.to == node {
+            e.cond.right_attrs()
+        } else {
+            e.cond.left_attrs()
+        };
+
+        let rows = slot_rows(slot);
+        for (ci, f) in table.schema().fields.iter().enumerate() {
+            if dup_attrs.contains(&f.name.as_str()) {
+                continue;
+            }
+            fields.push(AptField {
+                name: format!("{}.{}", aliases[node], f.name),
+                dtype: f.dtype,
+                kind: f.kind,
+                is_group_by: false,
+                from_pt: false,
+                node,
+                base_column: f.name.clone(),
+            });
+            columns.push(table.column(ci).gather(&rows));
+        }
+    }
+
+    Ok(Apt {
+        fields,
+        columns,
+        num_rows,
+        pt_row: pt_rows.iter().map(|&r| r as u32).collect(),
+        graph: graph.clone(),
+    })
+}
+
+/// Materializes the APTs of one enumeration, sharing work along the
+/// enumeration tree.
+///
+/// An enumerated graph is its parent plus one edge, so its row-id matrix
+/// is its parent's matrix put through one `extend`. The builder keeps
+/// the matrix of every graph that has children, each computed at most
+/// once (whichever caller needs it first computes it; concurrent callers
+/// wait for that one), and one key index per `(relation, key columns)`.
+/// [`materialize`](AptBuilder::materialize) returns exactly what
+/// [`Apt::materialize`] returns for the same graph.
+///
+/// A builder is meant to live for one ask: the retained matrices are
+/// `4 × joined nodes` bytes per intermediate row and are freed when it
+/// drops.
+pub struct AptBuilder<'a> {
+    kernel: Kernel<'a>,
+    graphs: &'a [EnumeratedGraph],
+    /// One cell per graph that some other graph names as its parent. An
+    /// error is retained like a matrix, so every dependent graph reports
+    /// the error its ancestor hit.
+    memo: Vec<Option<OnceLock<Result<Arc<Combos>>>>>,
+}
+
+impl<'a> AptBuilder<'a> {
+    /// A builder over `graphs`, the output of
+    /// [`enumerate_join_graphs`](crate::enumerate_join_graphs) for the
+    /// query `pt` is the provenance of.
+    pub fn new(db: &'a Database, pt: &'a ProvenanceTable, graphs: &'a [EnumeratedGraph]) -> Self {
+        let mut memo: Vec<Option<OnceLock<_>>> = Vec::new();
+        memo.resize_with(graphs.len(), || None);
+        for g in graphs {
+            if let Some(cell) = g.parent.and_then(|p| memo.get_mut(p)) {
+                cell.get_or_insert_with(OnceLock::new);
+            }
+        }
+        AptBuilder {
+            kernel: Kernel::new(db, pt),
+            graphs,
+            memo,
+        }
+    }
+
+    /// Materializes the APT of `graphs[gi]`.
+    pub fn materialize(&self, gi: usize) -> Result<Apt> {
+        let g = self
+            .graphs
+            .get(gi)
+            .ok_or_else(|| GraphError::Malformed(format!("no enumerated graph with index {gi}")))?;
+        gather(self.kernel.db, self.kernel.pt, &g.graph, &*self.combos(gi)?)
+    }
+
+    /// `extend` steps run so far (hash joins and closing-edge filters).
+    pub fn join_steps(&self) -> u64 {
+        self.kernel.join_steps.load(Ordering::Relaxed)
+    }
+
+    /// Key indexes built so far.
+    pub fn index_builds(&self) -> u64 {
+        self.kernel.index_builds.load(Ordering::Relaxed)
+    }
+
+    /// The full row-id matrix of `graphs[gi]`, from the memo when the
+    /// graph has children.
+    fn combos(&self, gi: usize) -> Result<Arc<Combos>> {
+        let compute = || -> Result<Arc<Combos>> {
+            let graph = &self.graphs[gi].graph;
+            let combos = match self.tree_parent(gi) {
+                Some(p) => self
+                    .kernel
+                    .extend(graph, &*self.combos(p)?, graph.edges.len() - 1)?,
+                None => self.kernel.fold(graph)?,
+            };
+            Ok(Arc::new(combos))
+        };
+        match &self.memo[gi] {
+            Some(cell) => cell.get_or_init(compute).clone(),
+            None => compute(),
+        }
+    }
+
+    /// The parent of `graphs[gi]`, if extending the parent's matrix by the
+    /// graph's last edge is the graph's own fold: the parent precedes it
+    /// (so look-ups terminate), it is the parent plus one pushed edge, and
+    /// its plan is index order. True of everything the enumerator emits;
+    /// anything else is folded from the PT.
+    fn tree_parent(&self, gi: usize) -> Option<usize> {
+        let child = &self.graphs[gi].graph;
+        let p = self.graphs[gi].parent.filter(|&p| p < gi)?;
+        let parent = &self.graphs[p].graph;
+        let (_, prefix) = child.edges.split_last()?;
+        let grown = prefix == parent.edges
+            && child.nodes.starts_with(&parent.nodes)
+            && edge_order(child).is_ok_and(|order| order.iter().copied().eq(0..child.edges.len()));
+        grown.then_some(p)
     }
 }
 

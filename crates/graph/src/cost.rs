@@ -23,7 +23,9 @@ use crate::Result;
 #[derive(Debug, Clone)]
 pub struct CostEstimator {
     table_rows: HashMap<String, f64>,
-    ndv: HashMap<(String, String), f64>,
+    /// relation → attribute → distinct count; nested so a look-up borrows
+    /// both names.
+    ndv: HashMap<String, HashMap<String, f64>>,
 }
 
 impl CostEstimator {
@@ -34,18 +36,17 @@ impl CostEstimator {
         for t in db.tables() {
             table_rows.insert(t.name().to_string(), t.num_rows() as f64);
         }
-        let mut ndv = HashMap::new();
+        let mut ndv: HashMap<String, HashMap<String, f64>> = HashMap::new();
         for e in schema.edges() {
             for c in &e.conds {
                 for p in &c.pairs {
                     for (rel, attr) in [(&e.a, &p.left), (&e.b, &p.right)] {
-                        let key = (rel.clone(), attr.clone());
-                        if ndv.contains_key(&key) {
+                        let of_rel = ndv.entry(rel.clone()).or_default();
+                        if of_rel.contains_key(attr) {
                             continue;
                         }
-                        let t = db.table(rel)?;
-                        let col = t.column_by_name(attr)?;
-                        ndv.insert(key, col.distinct_count().max(1) as f64);
+                        let col = db.table(rel)?.column_by_name(attr)?;
+                        of_rel.insert(attr.clone(), col.distinct_count().max(1) as f64);
                     }
                 }
             }
@@ -58,7 +59,8 @@ impl CostEstimator {
     /// toward skipping expensive graphs).
     pub fn ndv(&self, rel: &str, attr: &str) -> f64 {
         self.ndv
-            .get(&(rel.to_string(), attr.to_string()))
+            .get(rel)
+            .and_then(|of_rel| of_rel.get(attr))
             .copied()
             .unwrap_or(1.0)
     }

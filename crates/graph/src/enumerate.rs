@@ -11,16 +11,21 @@
 //! evaluation: the PT-only graph Ω₀ is also reported (the case-study
 //! tables contain provenance-only patterns such as the `A_1` rows of the
 //! appendix), and structurally identical graphs reached along different
-//! extension paths are deduplicated via [`JoinGraph::canonical_key`].
+//! extension paths are deduplicated via [`JoinGraph::key`]. Every
+//! reported graph carries that key and the index of the graph it was grown
+//! from, so later stages reuse both instead of deriving them again: the
+//! key is the service's APT cache key, and the parent link lets
+//! [`AptBuilder`](crate::AptBuilder) materialize a graph as its parent's
+//! join result plus one edge.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use cajade_query::Query;
 use cajade_storage::Database;
 
 use crate::cost::CostEstimator;
-use crate::join_graph::{JgEdge, JgNode, JoinGraph, NodeLabel};
-use crate::schema_graph::SchemaGraph;
+use crate::join_graph::{JgEdge, JgEdgeIds, JgNode, JoinGraph, JoinGraphKey, NodeLabel};
+use crate::schema_graph::{JoinCond, SchemaGraph};
 use crate::Result;
 
 /// Enumeration parameters (the λ's of paper §4).
@@ -56,6 +61,13 @@ pub struct EnumeratedGraph {
     pub valid: bool,
     /// Estimated APT cardinality.
     pub est_rows: f64,
+    /// The graph's canonical key ([`JoinGraph::key`]), computed once here.
+    pub key: JoinGraphKey,
+    /// Index (into the enumeration output) of the graph this one extends
+    /// by its last edge: `graph` is that graph's nodes and edges plus one
+    /// pushed edge (and, for a fresh-node extension, one pushed node).
+    /// `None` for Ω₀ and, when Ω₀ is not reported, for its extensions.
+    pub parent: Option<usize>,
 }
 
 /// Algorithm 2's main entry point.
@@ -67,39 +79,61 @@ pub fn enumerate_join_graphs(
     cfg: &EnumConfig,
 ) -> Result<Vec<EnumeratedGraph>> {
     let estimator = CostEstimator::new(db, schema)?;
-    let mut seen: HashSet<String> = HashSet::new();
+    // `SchemaGraph::adjacent` clones every condition it returns, and the
+    // loop below asks about the same few relations once per node of every
+    // graph it extends: answer each relation once.
+    let adjacency: Adjacency<'_> = schema
+        .edges()
+        .iter()
+        .flat_map(|e| [e.a.as_str(), e.b.as_str()])
+        .map(|rel| (rel, schema.adjacent(rel)))
+        .collect();
+    let mut seen: HashSet<JoinGraphKey> = HashSet::new();
     let mut out: Vec<EnumeratedGraph> = Vec::new();
 
     let omega0 = JoinGraph::pt_only();
-    seen.insert(omega0.canonical_key());
+    let key0 = omega0.key();
+    seen.insert(key0.clone());
     if cfg.include_pt_only {
         out.push(EnumeratedGraph {
             graph: omega0.clone(),
             valid: true,
             est_rows: pt_rows as f64,
+            key: key0,
+            parent: None,
         });
     }
 
-    let mut prev: Vec<JoinGraph> = vec![omega0];
+    // The graphs of the previous size, as indices into `out`; `None` is
+    // Ω₀ when it is not reported.
+    let mut prev: Vec<Option<usize>> = vec![cfg.include_pt_only.then_some(0)];
     for _size in 1..=cfg.max_edges {
-        let mut new_graphs: Vec<JoinGraph> = Vec::new();
-        for omega in &prev {
-            for ext in extend_jg(schema, query, omega) {
-                if seen.insert(ext.canonical_key()) {
-                    new_graphs.push(ext);
+        let mut new_graphs: Vec<(JoinGraph, JoinGraphKey, Option<usize>)> = Vec::new();
+        for &parent in &prev {
+            let omega = parent.map_or(&omega0, |i| &out[i].graph);
+            extend_jg(&adjacency, query, omega, &mut |ext| {
+                // Most extensions were reached along another path already:
+                // key first, build only what is new.
+                let key = ext.key();
+                if !seen.contains(&key) {
+                    seen.insert(key.clone());
+                    new_graphs.push((ext.build(), key, parent));
                 }
-            }
-        }
-        for g in &new_graphs {
-            let est_rows = estimator.estimate_apt_rows(pt_rows, g, query);
-            let valid = is_valid(db, g, est_rows, cfg)?;
-            out.push(EnumeratedGraph {
-                graph: g.clone(),
-                valid,
-                est_rows,
             });
         }
-        prev = new_graphs;
+        prev.clear();
+        for (graph, key, parent) in new_graphs {
+            let est_rows = estimator.estimate_apt_rows(pt_rows, &graph, query);
+            let valid = is_valid(db, &graph, est_rows, cfg)?;
+            prev.push(Some(out.len()));
+            out.push(EnumeratedGraph {
+                graph,
+                valid,
+                est_rows,
+                key,
+                parent,
+            });
+        }
         if prev.is_empty() {
             break;
         }
@@ -107,13 +141,59 @@ pub fn enumerate_join_graphs(
     Ok(out)
 }
 
-/// Algorithm 2's `ExtendJG`: all one-edge extensions of `omega`.
-pub(crate) fn extend_jg(schema: &SchemaGraph, query: &Query, omega: &JoinGraph) -> Vec<JoinGraph> {
-    let mut out = Vec::new();
+/// A one-edge extension of `omega`, described but not built.
+struct Extension<'a> {
+    omega: &'a JoinGraph,
+    /// The new edge's endpoints and labels; `ids.to == omega.nodes.len()`
+    /// attaches a fresh node.
+    ids: JgEdgeIds,
+    /// Relation at the `to` end.
+    end_rel: &'a str,
+    /// Condition oriented `from` → `to`.
+    cond: &'a JoinCond,
+}
+
+impl Extension<'_> {
+    /// The extended graph's canonical key.
+    fn key(&self) -> JoinGraphKey {
+        self.omega.key_with(Some((&self.ids, self.end_rel)))
+    }
+
+    /// The extended graph: `omega` plus one pushed edge, after one pushed
+    /// node when the edge reaches a fresh one.
+    fn build(&self) -> JoinGraph {
+        let mut g = self.omega.clone();
+        if self.ids.to == g.nodes.len() {
+            g.nodes.push(JgNode {
+                label: NodeLabel::Rel(self.end_rel.to_string()),
+            });
+        }
+        g.edges.push(JgEdge {
+            from: self.ids.from,
+            to: self.ids.to,
+            cond: self.cond.clone(),
+            schema_edge: self.ids.schema_edge,
+            cond_idx: self.ids.cond_idx,
+            pt_from_idx: self.ids.pt_from_idx,
+        });
+        g
+    }
+}
+
+/// [`SchemaGraph::adjacent`] of every relation the schema graph mentions.
+type Adjacency<'s> = HashMap<&'s str, Vec<(usize, usize, &'s str, JoinCond)>>;
+
+/// Algorithm 2's `ExtendJG`: visits all one-edge extensions of `omega`.
+fn extend_jg<'a>(
+    adjacency: &'a Adjacency<'_>,
+    query: &'a Query,
+    omega: &'a JoinGraph,
+    visit: &mut impl FnMut(Extension<'a>),
+) {
     for v in 0..omega.nodes.len() {
         // Relations represented by v: all accessed relations for PT,
         // otherwise the node's own relation.
-        let rels: Vec<(String, Option<usize>)> = match &omega.nodes[v].label {
+        let rels: Vec<(&str, Option<usize>)> = match &omega.nodes[v].label {
             NodeLabel::Pt => {
                 // One entry per FROM-list position (a relation aliased
                 // twice yields parallel-edge candidates, paper §2.2's
@@ -122,92 +202,64 @@ pub(crate) fn extend_jg(schema: &SchemaGraph, query: &Query, omega: &JoinGraph) 
                     .from
                     .iter()
                     .enumerate()
-                    .map(|(i, t)| (t.table.clone(), Some(i)))
+                    .map(|(i, t)| (t.table.as_str(), Some(i)))
                     .collect()
             }
-            NodeLabel::Rel(r) => vec![(r.clone(), None)],
+            NodeLabel::Rel(r) => vec![(r.as_str(), None)],
         };
         for (rel, pt_from_idx) in rels {
-            for (schema_edge, cond_idx, other_rel, cond) in schema.adjacent(&rel) {
-                add_edge(
+            for &(schema_edge, cond_idx, end_rel, ref cond) in
+                adjacency.get(rel).into_iter().flatten()
+            {
+                let edge_to = |to: usize| Extension {
                     omega,
-                    v,
-                    other_rel,
-                    schema_edge,
-                    cond_idx,
-                    &cond,
-                    pt_from_idx,
-                    &mut out,
-                );
+                    ids: JgEdgeIds {
+                        from: v,
+                        to,
+                        schema_edge,
+                        cond_idx,
+                        pt_from_idx,
+                    },
+                    end_rel,
+                    cond,
+                };
+                add_edge(omega, edge_to, visit);
             }
         }
     }
-    out
 }
 
 /// Algorithm 2's `AddEdge`: connect `v` to a *new* node labelled
 /// `end_rel`, and to every *existing* node labelled `end_rel` not already
-/// connected by the same condition.
-#[allow(clippy::too_many_arguments)]
-fn add_edge(
+/// connected by the same condition. `edge_to(node)` is the candidate edge
+/// ending at `node`.
+fn add_edge<'a>(
     omega: &JoinGraph,
-    v: usize,
-    end_rel: &str,
-    schema_edge: usize,
-    cond_idx: usize,
-    cond: &crate::schema_graph::JoinCond,
-    pt_from_idx: Option<usize>,
-    out: &mut Vec<JoinGraph>,
+    edge_to: impl Fn(usize) -> Extension<'a>,
+    visit: &mut impl FnMut(Extension<'a>),
 ) {
     // (i) Fresh node.
-    {
-        let mut g = omega.clone();
-        let new_node = g.nodes.len();
-        g.nodes.push(JgNode {
-            label: NodeLabel::Rel(end_rel.to_string()),
-        });
-        g.edges.push(JgEdge {
-            from: v,
-            to: new_node,
-            cond: cond.clone(),
-            schema_edge,
-            cond_idx,
-            pt_from_idx,
-        });
-        out.push(g);
-    }
+    visit(edge_to(omega.nodes.len()));
 
     // (ii) Existing nodes with the right label (never PT, never v itself —
     // Definition 3 forbids PT self-edges, and a genuine self-edge on a
     // context node adds a tautology).
     for v2 in 0..omega.nodes.len() {
-        if v2 == v {
-            continue;
-        }
-        let matches = matches!(&omega.nodes[v2].label, NodeLabel::Rel(r) if r == end_rel);
-        if !matches {
+        let ext = edge_to(v2);
+        let v = ext.ids.from;
+        if v2 == v || omega.rel_of(v2) != Some(ext.end_rel) {
             continue;
         }
         let duplicate = omega.edges.iter().any(|e| {
             let same_pair = (e.from == v && e.to == v2) || (e.from == v2 && e.to == v);
             same_pair
-                && e.schema_edge == schema_edge
-                && e.cond_idx == cond_idx
-                && e.pt_from_idx == pt_from_idx
+                && e.schema_edge == ext.ids.schema_edge
+                && e.cond_idx == ext.ids.cond_idx
+                && e.pt_from_idx == ext.ids.pt_from_idx
         });
-        if duplicate {
-            continue;
+        if !duplicate {
+            visit(ext);
         }
-        let mut g = omega.clone();
-        g.edges.push(JgEdge {
-            from: v,
-            to: v2,
-            cond: cond.clone(),
-            schema_edge,
-            cond_idx,
-            pt_from_idx,
-        });
-        out.push(g);
     }
 }
 
@@ -226,8 +278,9 @@ fn is_valid(db: &Database, g: &JoinGraph, est_rows: f64, cfg: &EnumConfig) -> Re
             let table = db.table(rel)?;
             for pk_attr in table.schema().primary_key() {
                 let covered = g.edges.iter().any(|e| {
-                    (e.from == idx && e.cond.left_attrs().contains(&pk_attr))
-                        || (e.to == idx && e.cond.right_attrs().contains(&pk_attr))
+                    e.cond.pairs.iter().any(|p| {
+                        (e.from == idx && p.left == pk_attr) || (e.to == idx && p.right == pk_attr)
+                    })
                 });
                 if !covered {
                     return Ok(false);
@@ -366,7 +419,7 @@ mod tests {
             ..Default::default()
         };
         let graphs = enumerate_join_graphs(&schema, &db, &query, 20, &cfg).unwrap();
-        let mut keys: Vec<String> = graphs.iter().map(|g| g.graph.canonical_key()).collect();
+        let mut keys: Vec<&JoinGraphKey> = graphs.iter().map(|g| &g.key).collect();
         let n = keys.len();
         keys.sort();
         keys.dedup();

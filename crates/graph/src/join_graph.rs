@@ -42,6 +42,30 @@ pub struct JgEdge {
     pub pt_from_idx: Option<usize>,
 }
 
+/// What identifies a [`JgEdge`] within one schema graph: everything but
+/// the condition text, which `(schema_edge, cond_idx)` and the
+/// orientation determine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct JgEdgeIds {
+    pub from: usize,
+    pub to: usize,
+    pub schema_edge: usize,
+    pub cond_idx: usize,
+    pub pt_from_idx: Option<usize>,
+}
+
+impl JgEdge {
+    pub(crate) fn ids(&self) -> JgEdgeIds {
+        JgEdgeIds {
+            from: self.from,
+            to: self.to,
+            schema_edge: self.schema_edge,
+            cond_idx: self.cond_idx,
+            pt_from_idx: self.pt_from_idx,
+        }
+    }
+}
+
 /// An undirected node/edge-labelled multigraph with one PT node
 /// (Definition 3). Node 0 is always the PT node.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -146,63 +170,89 @@ impl JoinGraph {
             .collect()
     }
 
-    /// A canonical string key: two graphs get the same key iff they are
+    /// The graph's canonical key: two graphs get equal keys iff they are
     /// isomorphic under a node permutation that fixes the PT node and
     /// preserves labels. Used for deduplication during enumeration —
-    /// `ExtendJG` generates the same graph along many paths. Graph sizes
-    /// are bounded by λ#edges (≤ 4 non-PT nodes in practice), so
-    /// brute-force permutation is cheap.
-    pub fn canonical_key(&self) -> String {
-        let n = self.nodes.len();
-        let non_pt: Vec<usize> = (1..n).collect();
-        let mut best: Option<String> = None;
+    /// `ExtendJG` generates the same graph along many paths — and as the
+    /// service's APT cache key.
+    ///
+    /// The key is the minimum, over all such permutations, of (non-PT
+    /// labels in permuted order, sorted edge tuples). Labels compare
+    /// first, so only permutations that sort the labels can win: the
+    /// labels are sorted once and the search runs over the orderings of
+    /// equal-label nodes. Graph sizes are bounded by λ#edges (≤ 3 non-PT
+    /// nodes at the default), so brute force is cheap.
+    pub fn key(&self) -> JoinGraphKey {
+        self.key_with(None)
+    }
 
-        permute(&non_pt, &mut |perm| {
-            // mapping[old] = new position; PT stays 0.
-            let mut mapping = vec![0usize; n];
+    /// The key of this graph plus one more edge — to an existing node, or,
+    /// with `to == self.nodes.len()`, to a fresh node labelled `rel` —
+    /// without building that graph. Enumeration tests an extension against
+    /// the graphs seen so far before paying for its clone.
+    pub(crate) fn key_with(&self, extra: Option<(&JgEdgeIds, &str)>) -> JoinGraphKey {
+        let fresh = extra.filter(|(e, _)| e.from.max(e.to) == self.nodes.len());
+        let n = self.nodes.len() + usize::from(fresh.is_some());
+        let label = |node: usize| match fresh {
+            Some((_, rel)) if node + 1 == n => rel,
+            _ => self.rel_of(node).unwrap_or(""),
+        };
+        let ids = self
+            .edges
+            .iter()
+            .map(JgEdge::ids)
+            .chain(extra.map(|(e, _)| *e));
+        let mut order: Vec<usize> = (1..n).collect();
+        order.sort_by(|&a, &b| label(a).cmp(label(b)));
+        let mut labels = String::new();
+        for &v in &order {
+            labels.push_str(label(v));
+            labels.push(LABEL_END);
+        }
+
+        let mut mapping = vec![0usize; n];
+        let mut scratch: Vec<EdgeTuple> = Vec::with_capacity(self.edges.len() + 1);
+        let mut best: Option<Vec<EdgeTuple>> = None;
+        permute(&order, &mut |perm| {
+            // `perm[i]` takes position `i + 1`; PT stays 0. A permutation
+            // that moves a node across a label boundary cannot be minimal.
+            if perm.iter().zip(&order).any(|(&v, &o)| label(v) != label(o)) {
+                return;
+            }
             for (new_pos, &old) in perm.iter().enumerate() {
                 mapping[old] = new_pos + 1;
             }
-            // Node labels in new order.
-            let mut labels = vec![String::new(); n];
-            labels[0] = "PT".into();
-            for &old in perm {
-                labels[mapping[old]] = match &self.nodes[old].label {
-                    NodeLabel::Pt => unreachable!("only node 0 is PT"),
-                    NodeLabel::Rel(r) => r.clone(),
-                };
-            }
-            let mut edge_keys: Vec<String> = self
-                .edges
-                .iter()
-                .map(|e| {
-                    let f = mapping[e.from];
-                    let t = mapping[e.to];
-                    let fwd = format!(
-                        "{f}>{t}:{}:{}:{:?}",
-                        e.schema_edge, e.cond_idx, e.pt_from_idx
-                    );
-                    let rev = format!(
-                        "{t}<{f}:{}:{}:{:?}",
-                        e.schema_edge, e.cond_idx, e.pt_from_idx
-                    );
-                    // Undirected comparison: a consistent representative of
-                    // the two orientations.
-                    if f <= t {
-                        fwd
-                    } else {
-                        rev
-                    }
-                })
-                .collect();
-            edge_keys.sort();
-            let key = format!("{}|{}", labels.join(","), edge_keys.join(";"));
-            if best.as_ref().is_none_or(|b| key < *b) {
-                best = Some(key);
+            scratch.clear();
+            scratch.extend(ids.clone().map(|e| {
+                let (f, t) = (mapping[e.from], mapping[e.to]);
+                // Undirected comparison: the smaller endpoint first, with
+                // the condition's orientation kept as a flag.
+                [
+                    f.min(t),
+                    f.max(t),
+                    usize::from(f > t),
+                    e.schema_edge,
+                    e.cond_idx,
+                    e.pt_from_idx.map_or(0, |i| i + 1),
+                ]
+            }));
+            scratch.sort_unstable();
+            match &mut best {
+                Some(b) if *b <= scratch => {}
+                Some(b) => b.clone_from(&scratch),
+                None => best = Some(scratch.clone()),
             }
         });
+        JoinGraphKey {
+            labels,
+            edges: best.unwrap_or_default(),
+        }
+    }
 
-        best.unwrap_or_else(|| "PT|".to_string())
+    /// The canonical key rendered as a string (`PT,a,b|0>1:…;1>2:…`),
+    /// for logs and messages; equal strings iff equal [`key`](Self::key)s.
+    pub fn canonical_key(&self) -> String {
+        self.key().to_string()
     }
 
     /// Like [`canonical_key`](Self::canonical_key), but edges are
@@ -272,36 +322,59 @@ impl JoinGraph {
     }
 }
 
+/// Terminates each label of a [`JoinGraphKey`]. Relation names cannot
+/// contain it: neither a file name nor an SQL identifier can.
+const LABEL_END: char = '\0';
+
+/// One edge of a [`JoinGraphKey`]: `[min endpoint, max endpoint, 1 iff the
+/// condition is oriented max → min, schema edge, condition index,
+/// 1 + PT FROM-entry binding (0 for none)]`, endpoints in canonical node
+/// positions.
+type EdgeTuple = [usize; 6];
+
 /// A hashable canonical join-graph key: two graphs get equal keys iff
 /// they are isomorphic under a PT-fixing, label-preserving node
-/// permutation (see [`JoinGraph::canonical_key`]). This is the cache key
-/// the service layer uses to share one materialized APT between all
-/// sessions asking about the same join-graph structure.
+/// permutation (see [`JoinGraph::key`]). Enumeration computes it once per
+/// graph ([`EnumeratedGraph::key`](crate::EnumeratedGraph::key)); it is the
+/// cache key the service layer uses to share one materialized APT between
+/// all sessions asking about the same join-graph structure.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct JoinGraphKey(String);
+pub struct JoinGraphKey {
+    /// Non-PT node labels in canonical position order, each followed by
+    /// [`LABEL_END`] — one allocation per key, not one per node: a query's
+    /// enumeration holds thousands of keys, and they are all freed while a
+    /// re-registration waits.
+    labels: String,
+    /// Edges over canonical positions, sorted.
+    edges: Vec<EdgeTuple>,
+}
 
 impl JoinGraphKey {
-    /// The canonical string form.
-    pub fn as_str(&self) -> &str {
-        &self.0
-    }
-
     /// Approximate heap footprint (for cache accounting).
     pub fn approx_bytes(&self) -> usize {
-        self.0.len()
+        self.labels.len() + self.edges.len() * std::mem::size_of::<EdgeTuple>()
     }
 }
 
 impl std::fmt::Display for JoinGraphKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl JoinGraph {
-    /// The graph's hashable canonical key.
-    pub fn key(&self) -> JoinGraphKey {
-        JoinGraphKey(self.canonical_key())
+        f.write_str("PT")?;
+        for l in self.labels.split_terminator(LABEL_END) {
+            write!(f, ",{l}")?;
+        }
+        f.write_str("|")?;
+        for (i, &[lo, hi, flipped, schema_edge, cond_idx, pt]) in self.edges.iter().enumerate() {
+            if i > 0 {
+                f.write_str(";")?;
+            }
+            let dir = if flipped == 0 { '>' } else { '<' };
+            write!(
+                f,
+                "{lo}{dir}{hi}:{schema_edge}:{cond_idx}:{:?}",
+                pt.checked_sub(1)
+            )?;
+        }
+        Ok(())
     }
 }
 

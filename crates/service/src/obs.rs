@@ -24,6 +24,11 @@ pub(crate) struct ServiceObs {
     pub sessions_opened_total: Arc<Counter>,
     pub prepared_apt_hits_total: Arc<Counter>,
     pub prepared_apt_misses_total: Arc<Counter>,
+    /// Work the asks' `AptBuilder`s did for APT cache misses: `extend`
+    /// steps (hash joins and closing-edge filters) and key-index builds.
+    /// Deterministic for a given corpus, query and cache state.
+    pub apt_join_steps_total: Arc<Counter>,
+    pub apt_index_builds_total: Arc<Counter>,
 
     // ---- Robustness counters. ------------------------------------------
     /// Asks whose request budget (deadline or cancellation) expired
@@ -70,6 +75,8 @@ impl ServiceObs {
             sessions_opened_total: r.counter("sessions_opened_total"),
             prepared_apt_hits_total: r.counter("prepared_apt_hits_total"),
             prepared_apt_misses_total: r.counter("prepared_apt_misses_total"),
+            apt_join_steps_total: r.counter("apt_join_steps_total"),
+            apt_index_builds_total: r.counter("apt_index_builds_total"),
             ask_deadline_exceeded_total: r.counter("ask_deadline_exceeded_total"),
             ask_degraded_total: r.counter("ask_degraded_total"),
             requests_panicked_total: r.counter("requests_panicked_total"),

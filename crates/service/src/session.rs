@@ -8,11 +8,12 @@
 //! other session on the same query — skip straight to mining (§2.4's
 //! interactive usage pattern).
 
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
 use cajade_core::pipeline::{self, GraphOutcome, PreparedQuery};
 use cajade_core::{Params, SessionResult, UserQuestion};
+use cajade_graph::AptBuilder;
 use cajade_mining::PreparedApt;
 use cajade_obs::{span, Collector, SpanRecord, Stage};
 use cajade_query::Query;
@@ -73,6 +74,9 @@ pub struct SessionHandle {
     params: Params,
     params_fingerprint: u64,
     prep_fingerprint: u64,
+    /// Fingerprint of the mining parameters: which prepared variant of a
+    /// cached APT entry this session's asks use.
+    mining_fingerprint: u64,
     service: Weak<ServiceInner>,
 }
 
@@ -99,6 +103,7 @@ impl SessionHandle {
             )
             .as_bytes(),
         );
+        let mining_fingerprint = fnv1a(format!("{:?}", params.mining).as_bytes());
         SessionHandle {
             id,
             db_name,
@@ -107,6 +112,7 @@ impl SessionHandle {
             params,
             params_fingerprint,
             prep_fingerprint,
+            mining_fingerprint,
             service,
         }
     }
@@ -239,8 +245,13 @@ impl SessionHandle {
         // The three stages from here on go through `pipeline::fan_out`, so
         // their workers run under this thread's `Ctx`: stage span as
         // parent, the request's budget, its alloc scopes.
+        //
+        // Misses are materialized through one `AptBuilder`, made by the
+        // first miss and dropped with this stage: graphs share their
+        // ancestors' joins, and an ask served from the cache builds none.
         let valid = prepared.valid_graph_indices();
         let mat_span = span("materialize");
+        let builder: OnceLock<AptBuilder<'_>> = OnceLock::new();
         type ReadyRow = (usize, AptKey, Arc<AptEntry>, bool, Duration);
         let resolve_one = |&gi: &usize| -> Result<Option<ReadyRow>> {
             // Budget check at the per-graph boundary: an expired
@@ -254,7 +265,7 @@ impl SessionHandle {
                 db: self.db_name.clone(),
                 epoch: reg.epoch,
                 sql: self.sql.clone(),
-                graph: prepared.graphs[gi].graph.key(),
+                graph: prepared.graphs[gi].key.clone(),
             };
             let mut mat = Duration::ZERO;
             let (entry, hit) = inner.apt_cache.get_or_try_compute(
@@ -264,8 +275,10 @@ impl SessionHandle {
                     // Attribute the retained APT to the cache that
                     // will hold it (inclusive with "materialize").
                     let _mem = cajade_obs::AllocScope::enter("cache.apt");
-                    let (apt, wall) =
-                        pipeline::materialize(&reg.db, &prepared.pt, &prepared.graphs[gi])?;
+                    let builder = builder.get_or_init(|| {
+                        pipeline::begin_materialize(&reg.db, &prepared.pt, &prepared.graphs)
+                    });
+                    let (apt, wall) = pipeline::materialize(builder, gi)?;
                     mat = wall;
                     let entry = AptEntry::new(Arc::new(apt));
                     // Skip caching if the database was re-registered
@@ -279,11 +292,16 @@ impl SessionHandle {
             )?;
             Ok(Some((gi, key, entry, hit, mat)))
         };
-        let ready: Vec<ReadyRow> =
-            pipeline::fan_out::<_, _, Result<Vec<_>>>(&self.params, &valid, resolve_one)?
-                .into_iter()
-                .flatten()
-                .collect();
+        let ready: Result<Vec<Option<ReadyRow>>> =
+            pipeline::fan_out(&self.params, &valid, resolve_one);
+        if let Some(builder) = builder.into_inner() {
+            // Freed where the misses allocated it: under `cache.apt`.
+            let _mem = cajade_obs::AllocScope::enter("cache.apt");
+            let (join_steps, index_builds) = pipeline::finish_materialize(builder);
+            inner.obs.apt_join_steps_total.add(join_steps);
+            inner.obs.apt_index_builds_total.add(index_builds);
+        }
+        let ready: Vec<ReadyRow> = ready?.into_iter().flatten().collect();
         drop(mat_span);
         let apt_cache_hits = ready.iter().filter(|(_, _, _, hit, _)| *hit).count();
         let apt_cache_misses = ready.len() - apt_cache_hits;
@@ -297,11 +315,10 @@ impl SessionHandle {
         // column-stats cache hands every graph after the first — and
         // every later preparation touching the same context column — the
         // entry computed once per database epoch.
-        let mining_fp = fnv1a(format!("{:?}", self.params.mining).as_bytes());
         let col_stats = DbColumnStats::new(&inner, &reg, &self.params);
         let prep_span = span("prepare");
         let prepare_one = |(_, _, entry, _, _): &ReadyRow| {
-            entry.prepared_for(mining_fp, || {
+            entry.prepared_for(self.mining_fingerprint, || {
                 // The prepared state is retained by the APT cache
                 // entry; account it under "cache.apt" alongside the
                 // gather it decorates.
@@ -488,7 +505,7 @@ fn prepared_bytes(p: &PreparedQuery) -> usize {
     let graphs = p
         .graphs
         .iter()
-        .map(|g| 64 + g.graph.nodes.len() * 32 + g.graph.edges.len() * 96)
+        .map(|g| 64 + g.graph.nodes.len() * 32 + g.graph.edges.len() * 96 + g.key.approx_bytes())
         .sum::<usize>();
     p.pt.approx_bytes() + graphs + 256
 }

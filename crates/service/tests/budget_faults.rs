@@ -53,6 +53,8 @@ fn counter(service: &ExplanationService, name: &str) -> u64 {
 
 #[test]
 fn tight_budget_degrades_instead_of_failing() {
+    // The fault plan is process-global: stay out of the armed tests' way.
+    let _guard = cajade_obs::faults::test_guard();
     let service = tiny_service();
     let session = service.open_session("nba", GSW_SQL).unwrap();
 
@@ -108,6 +110,8 @@ fn tight_budget_degrades_instead_of_failing() {
 
 #[test]
 fn generous_budget_is_identical_to_no_budget() {
+    // The fault plan is process-global: stay out of the armed tests' way.
+    let _guard = cajade_obs::faults::test_guard();
     let unbudgeted = tiny_service();
     let s1 = unbudgeted.open_session("nba", GSW_SQL).unwrap();
     let a1 = s1.ask(&q("2015-16", "2012-13")).unwrap();
@@ -142,6 +146,8 @@ fn generous_budget_is_identical_to_no_budget() {
 
 #[test]
 fn budgeted_ask_over_the_protocol_reports_degraded() {
+    // The fault plan is process-global: stay out of the armed tests' way.
+    let _guard = cajade_obs::faults::test_guard();
     let service = tiny_service();
     let query = Json::obj([
         ("op", Json::str("query")),
@@ -265,5 +271,90 @@ fn provenance_compute_panic_leaves_service_answering_and_waiters_unblocked() {
             .counter("fault_cache_provenance_compute_fired_total")
             .get()
             >= 1
+    );
+}
+
+#[test]
+fn apt_compute_panic_mid_fanout_leaves_no_waiter_hung_and_the_next_answer_unchanged() {
+    let _guard = cajade_obs::faults::test_guard();
+    // Parallel, so the panicking materialization has sibling workers that
+    // are inside the same ask's `AptBuilder` — computing, or waiting on,
+    // the parent joins the panicking graph shares with them.
+    let parallel = || {
+        let service = ExplanationService::new(ServiceConfig {
+            params: Params {
+                parallel: true,
+                ..Params::fast()
+            },
+            ..ServiceConfig::default()
+        });
+        let gen = nba::generate(NbaConfig::tiny());
+        service.register_database("nba", gen.db, gen.schema_graph);
+        service
+    };
+    let service = parallel();
+    let session = service.open_session("nba", GSW_SQL).unwrap();
+    let sid = session.id();
+    let ask = format!(
+        r#"{{"op":"ask","session":{sid},"t1":{{"season_name":"2015-16"}},"t2":{{"season_name":"2012-13"}}}}"#
+    );
+
+    // One panic armed inside the single-flighted APT computation, two
+    // concurrent cold asks: the request whose worker hits it fails alone;
+    // its sibling workers run to the end of the fan-out, and the other
+    // request — waiting on the same per-graph latches — completes.
+    cajade_obs::faults::set_plan("cache.apt_compute=panic@1").unwrap();
+    let (r1, r2) = std::thread::scope(|s| {
+        let t1 = s.spawn(|| protocol::handle_line(&service, &ask));
+        let t2 = s.spawn(|| protocol::handle_line(&service, &ask));
+        (t1.join().unwrap(), t2.join().unwrap())
+    });
+    cajade_obs::faults::clear();
+
+    let ok = |r: &Json| r.get("ok").and_then(Json::as_bool).unwrap();
+    let (failed, passed) = if ok(&r1) { (&r2, &r1) } else { (&r1, &r2) };
+    assert!(
+        ok(passed) && !ok(failed),
+        "exactly one request fails: {r1:?} {r2:?}"
+    );
+    assert_eq!(
+        failed
+            .get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(Json::as_str),
+        Some("internal_panic"),
+        "{failed:?}"
+    );
+    assert_eq!(counter(&service, "requests_panicked_total"), 1);
+
+    // The next ask — served partly from what the two requests cached,
+    // partly through a fresh builder — answers exactly as a service that
+    // never saw the fault. (`answer_cache_hit` may be true: the surviving
+    // request's answer is a legitimate one.)
+    let after = session.ask(&q("2015-16", "2012-13")).unwrap();
+    let control = parallel();
+    let cold = control
+        .open_session("nba", GSW_SQL)
+        .unwrap()
+        .ask(&q("2015-16", "2012-13"))
+        .unwrap();
+    assert_eq!(
+        rendered(&after.result.explanations),
+        rendered(&cold.result.explanations),
+        "post-panic ask must match a never-faulted cold run"
+    );
+    assert_eq!(after.result.num_graphs_mined, cold.result.num_graphs_mined);
+    // And a new question, which no answer cache can serve, still mines
+    // every graph.
+    let other = session.ask(&q("2014-15", "2012-13")).unwrap();
+    let other_cold = control
+        .open_session("nba", GSW_SQL)
+        .unwrap()
+        .ask(&q("2014-15", "2012-13"))
+        .unwrap();
+    assert!(!other.answer_cache_hit);
+    assert_eq!(
+        rendered(&other.result.explanations),
+        rendered(&other_cold.result.explanations)
     );
 }

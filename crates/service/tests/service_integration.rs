@@ -196,6 +196,16 @@ fn concurrent_cold_asks_single_flight_provenance() {
         stats.prepared_apt_hits, stats.prepared_apt_misses,
         "each APT prepared once across both asks: {stats:?}"
     );
+    // Each ask materializes its misses through its own `AptBuilder`, but
+    // the cache's per-graph latch still decides who computes: a lookup
+    // that missed either computed or coalesced, so across both asks every
+    // graph was materialized exactly once, by whichever ask got there first.
+    let apt = stats.apt_cache;
+    assert_eq!(
+        apt.misses - apt.coalesced,
+        stats.prepared_apt_misses,
+        "one materialization per graph across both asks: {apt:?}"
+    );
 }
 
 #[test]
@@ -411,4 +421,48 @@ fn concurrent_sessions_on_different_databases_from_threads() {
     assert_eq!(stats.databases, 2);
     assert_eq!(stats.questions_answered, 4);
     assert_eq!(stats.sessions_opened, 2);
+}
+
+#[test]
+fn cold_ask_join_work_is_exact_and_a_warm_ask_does_none() {
+    // The deterministic work counters behind the shared-join
+    // materialization, at shipped defaults on the benchmark's NBA corpus:
+    // a cold ask materializes all 202 valid graphs through one
+    // `AptBuilder`, which runs 283 `extend` steps over 20 key indexes
+    // (folding each graph from the PT would be 502 and 502). Values
+    // recorded when the builder landed; `crates/graph/tests/
+    // enumeration_tree.rs` pins the same pair below the service.
+    let service = ExplanationService::new(ServiceConfig::default());
+    let gen = nba::generate(NbaConfig {
+        rich_stats: true,
+        seed: 42,
+        ..NbaConfig::scaled(0.05)
+    });
+    service.register_database("nba", gen.db, gen.schema_graph);
+    let session = service.open_session("nba", GSW_SQL).unwrap();
+    let counter = |name: &str| -> u64 {
+        service
+            .metrics_snapshot()
+            .counters
+            .iter()
+            .find(|(k, _)| k == name)
+            .map_or(0, |(_, v)| *v)
+    };
+    let work = || {
+        (
+            counter("apt_join_steps_total"),
+            counter("apt_index_builds_total"),
+        )
+    };
+
+    let cold = session.ask(&q("2015-16", "2012-13")).unwrap();
+    assert_eq!((cold.apt_cache_hits, cold.apt_cache_misses), (0, 202));
+    assert_eq!(work(), (283, 20), "cold ask (join steps, index builds)");
+
+    // A new question on the same query: every APT is a cache hit, so no
+    // builder is made and no join runs.
+    let warm = session.ask(&q("2014-15", "2012-13")).unwrap();
+    assert!(!warm.answer_cache_hit);
+    assert_eq!((warm.apt_cache_hits, warm.apt_cache_misses), (202, 0));
+    assert_eq!(work(), (283, 20), "warm ask adds (0, 0)");
 }
