@@ -14,106 +14,10 @@ use std::cell::Cell;
 
 use proptest::prelude::*;
 
-use cajade_graph::{Apt, JoinGraph};
 use cajade_mining::{mine_apt, MiningParams, Question};
-use cajade_query::{parse_sql, ProvenanceTable};
-use cajade_storage::{AttrKind, DataType, Database, SchemaBuilder, Value};
 
-/// Randomized database: `grp` (up to 4 groups), a categorical, two
-/// numeric columns with optional nulls, optionally joined to a fan-out
-/// context table.
-#[allow(clippy::type_complexity)]
-fn build_apt(
-    rows: &[(u8, u8, Option<i64>, Option<i64>)],
-    fanout: &[u8],
-) -> (Database, Apt, ProvenanceTable, usize) {
-    let mut db = Database::new("p");
-    db.create_table(
-        SchemaBuilder::new("t")
-            .column_pk("id", DataType::Int, AttrKind::Categorical)
-            .column("grp", DataType::Str, AttrKind::Categorical)
-            .column("cat", DataType::Str, AttrKind::Categorical)
-            .column("x", DataType::Int, AttrKind::Numeric)
-            .column("y", DataType::Float, AttrKind::Numeric)
-            .build(),
-    )
-    .unwrap();
-    let grp_ids: Vec<_> = (0..4).map(|g| db.intern(&format!("g{g}"))).collect();
-    let cat_ids: Vec<_> = (0..3).map(|c| db.intern(&format!("c{c}"))).collect();
-    for (i, &(g, c, x, y)) in rows.iter().enumerate() {
-        db.table_mut("t")
-            .unwrap()
-            .push_row(vec![
-                Value::Int(i as i64),
-                Value::Str(grp_ids[g as usize % 4]),
-                Value::Str(cat_ids[c as usize % 3]),
-                x.map(Value::Int).unwrap_or(Value::Null),
-                y.map(|v| Value::Float(v as f64 / 2.0))
-                    .unwrap_or(Value::Null),
-            ])
-            .unwrap();
-    }
-    let q = parse_sql("SELECT count(*) AS c, grp FROM t GROUP BY grp").unwrap();
-    let pt = ProvenanceTable::compute(&db, &q).unwrap();
-
-    let graph = if fanout.is_empty() {
-        JoinGraph::pt_only()
-    } else {
-        db.create_table(
-            SchemaBuilder::new("ctx")
-                .column_pk("id", DataType::Int, AttrKind::Categorical)
-                .column_pk("copy", DataType::Int, AttrKind::Categorical)
-                .column("z", DataType::Int, AttrKind::Numeric)
-                .build(),
-        )
-        .unwrap();
-        for i in 0..rows.len() {
-            let copies = fanout[i % fanout.len()] % 4;
-            for copy in 0..copies {
-                db.table_mut("ctx")
-                    .unwrap()
-                    .push_row(vec![
-                        Value::Int(i as i64),
-                        Value::Int(copy as i64),
-                        Value::Int((i as i64 * 7 + copy as i64) % 13),
-                    ])
-                    .unwrap();
-            }
-        }
-        let mut g = JoinGraph::pt_only();
-        g.nodes.push(cajade_graph::JgNode {
-            label: cajade_graph::NodeLabel::Rel("ctx".into()),
-        });
-        g.edges.push(cajade_graph::JgEdge {
-            from: 0,
-            to: 1,
-            cond: cajade_graph::JoinCond::on(&[("id", "id")]),
-            schema_edge: 0,
-            cond_idx: 0,
-            pt_from_idx: Some(0),
-        });
-        g
-    };
-    let apt = Apt::materialize(&db, &pt, &graph).unwrap();
-    let groups = pt.rows_of_group.len();
-    (db, apt, pt, groups)
-}
-
-fn rendered(out: &cajade_mining::MiningOutcome, apt: &Apt, db: &Database) -> Vec<String> {
-    out.explanations
-        .iter()
-        .map(|e| {
-            format!(
-                "{}|{}|{:?}|{:?}|{:.12}",
-                e.pattern.render(apt, db.pool()),
-                e.primary_group,
-                e.secondary_group,
-                (e.metrics.tp, e.metrics.a1, e.metrics.fp, e.metrics.a2),
-                e.metrics.f_score
-            )
-        })
-        .collect()
-}
+mod common;
+use common::{build_apt, rendered};
 
 #[test]
 fn prop_ub_pruning_never_changes_mine_apt_output() {
