@@ -1,7 +1,7 @@
-//! Mining hot-loop throughput: scalar `Scorer` vs the columnar bitmap
-//! `ScoreIndex` on the NBA scale-0.05 workload — patterns scored per
-//! second on the largest APT, plus cold-ask end-to-end latency through
-//! the service with each engine.
+//! Mining hot-loop throughput: the row-at-a-time `Scorer` (the miner's
+//! exact re-score) vs the columnar bitmap `ScoreIndex` on the NBA
+//! scale-0.05 workload — patterns scored per second on the largest APT,
+//! plus cold-ask end-to-end latency through the service.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -9,7 +9,7 @@ use cajade_bench::workloads::nba_db;
 use cajade_core::{Params, UserQuestion};
 use cajade_datagen::GeneratedDb;
 use cajade_graph::Apt;
-use cajade_mining::{lca_candidates, Pattern, Question, ScoreEngine, ScoreIndex, Scorer};
+use cajade_mining::{lca_candidates, Pattern, Question, ScoreIndex, Scorer};
 use cajade_query::ProvenanceTable;
 use cajade_service::{ExplanationService, ServiceConfig};
 
@@ -131,29 +131,21 @@ fn bench_mining_throughput(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("cold_ask_end_to_end");
     group.sample_size(10);
-    for engine in [ScoreEngine::Scalar, ScoreEngine::Vectorized] {
-        let name = match engine {
-            ScoreEngine::Scalar => "scalar",
-            ScoreEngine::Vectorized => "vectorized",
-        };
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let mut params = Params::fast();
-                params.mining.engine = engine;
-                let service = ExplanationService::new(ServiceConfig {
-                    params,
-                    ..ServiceConfig::default()
-                });
-                service.register_database("nba", gen.db.clone(), gen.schema_graph.clone());
-                let session = service.open_session("nba", GSW_SQL).unwrap();
-                let q = UserQuestion::two_point(
-                    &[("season_name", "2015-16")],
-                    &[("season_name", "2012-13")],
-                );
-                black_box(session.ask(&q).unwrap())
-            })
-        });
-    }
+    group.bench_function("cold_ask", |b| {
+        b.iter(|| {
+            let service = ExplanationService::new(ServiceConfig {
+                params: Params::fast(),
+                ..ServiceConfig::default()
+            });
+            service.register_database("nba", gen.db.clone(), gen.schema_graph.clone());
+            let session = service.open_session("nba", GSW_SQL).unwrap();
+            let q = UserQuestion::two_point(
+                &[("season_name", "2015-16")],
+                &[("season_name", "2012-13")],
+            );
+            black_box(session.ask(&q).unwrap())
+        })
+    });
     group.finish();
 }
 

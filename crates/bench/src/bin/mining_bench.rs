@@ -3,10 +3,7 @@
 //! Measures, on the NBA scale-0.05 service workload (the ROADMAP's cold
 //! baseline):
 //!
-//! * cold first ask, scalar vs vectorized engine,
-//! * the feature-selection phase of a cold ask under both trainers
-//!   (float-matrix reference vs histogram forests on encoded columns),
-//!   asserting the mined top-k stays bit-identical across trainers,
+//! * cold first ask and its feature-selection phase,
 //! * warm new-question ask (cached `PreparedApt`, mining only),
 //! * warm repeat ask (answer cache),
 //! * refinement-BFS upper-bound pruning counters,
@@ -14,7 +11,8 @@
 //!   multi-graph ask (asserted ≥ graphs − 1 hits; `column_stats_hits`
 //!   in the JSON is schema-checked in CI) and a controlled
 //!   shared-vs-per-APT timing of the cross-graph preparation,
-//! * raw pattern-scoring throughput (patterns/sec, both engines),
+//! * raw pattern-scoring throughput (patterns/sec: one mask build +
+//!   score per pattern, and the BFS's incremental-mask shape),
 //! * the ingestion subsystem's per-stage wall clock (scan / infer /
 //!   load / discover) on the CSV-exported corpus (best-of-5 minima per
 //!   stage, like every other number here).
@@ -35,10 +33,10 @@ use std::time::{Duration, Instant};
 
 use cajade_bench::ingest_workload::TempDir;
 use cajade_bench::workloads::nba_db;
-use cajade_core::{FeatSelEngine, Params, ScoreEngine, UserQuestion};
+use cajade_core::{Params, UserQuestion};
 use cajade_datagen::GeneratedDb;
 use cajade_graph::Apt;
-use cajade_mining::{lca_candidates, Pattern, Question, ScoreIndex, Scorer};
+use cajade_mining::{lca_candidates, Pattern, Question, ScoreIndex};
 use cajade_obs::{HistSnapshot, Histogram};
 use cajade_query::ProvenanceTable;
 use cajade_service::{ExplanationService, ServiceConfig};
@@ -62,18 +60,10 @@ fn question_2() -> UserQuestion {
     UserQuestion::two_point(&[("season_name", "2016-17")], &[("season_name", "2012-13")])
 }
 
-fn service_with(
-    gen: &GeneratedDb,
-    engine: ScoreEngine,
-    featsel: FeatSelEngine,
-    answer_cache: usize,
-) -> ExplanationService {
-    let mut params = Params::fast();
-    params.mining.engine = engine;
-    params.mining.featsel_engine = featsel;
+fn service_with(gen: &GeneratedDb, answer_cache: usize) -> ExplanationService {
     let service = ExplanationService::new(ServiceConfig {
         answer_cache_bytes: answer_cache,
-        params,
+        params: Params::fast(),
         ..ServiceConfig::default()
     });
     service.register_database("nba", gen.db.clone(), gen.schema_graph.clone());
@@ -120,26 +110,16 @@ struct ColdAsk {
     column_stats_misses: u64,
     /// Join graphs mined by the ask.
     graphs_mined: usize,
-    explanations: Vec<String>,
-    /// Sorted top-k F-scores (the answer-quality fingerprint).
-    f_scores: Vec<String>,
 }
 
-fn one_cold_ask(gen: &GeneratedDb, engine: ScoreEngine, featsel: FeatSelEngine) -> ColdAsk {
-    let service = service_with(gen, engine, featsel, 64 * 1024 * 1024);
+fn one_cold_ask(gen: &GeneratedDb) -> ColdAsk {
+    let service = service_with(gen, 64 * 1024 * 1024);
     let session = service.open_session("nba", GSW_SQL).unwrap();
     let t0 = Instant::now();
     let a = session.ask(&question_1()).unwrap();
     let wall = t0.elapsed();
     let cs = service.stats().column_stats_cache;
     let m = &a.result.timings.mining;
-    let mut f_scores: Vec<String> = a
-        .result
-        .explanations
-        .iter()
-        .map(|e| format!("{:.12}", e.metrics.f_score))
-        .collect();
-    f_scores.sort();
     ColdAsk {
         wall,
         featsel: m.feature_selection,
@@ -149,36 +129,17 @@ fn one_cold_ask(gen: &GeneratedDb, engine: ScoreEngine, featsel: FeatSelEngine) 
         column_stats_hits: cs.hits + cs.coalesced,
         column_stats_misses: cs.misses,
         graphs_mined: a.result.num_graphs_mined,
-        explanations: a
-            .result
-            .explanations
-            .iter()
-            .map(|e| {
-                format!(
-                    "{}|{}|{}|{:?}",
-                    e.pattern_desc,
-                    e.graph_structure,
-                    e.primary,
-                    (e.metrics.tp, e.metrics.a1, e.metrics.fp, e.metrics.a2)
-                )
-            })
-            .collect(),
-        f_scores,
     }
 }
 
 /// Best-of-5 cold ask (wall, featsel, and prepare minima taken
 /// independently, per the bench-box methodology in the README), plus the
 /// wall-clock distribution of all five runs for p50/p99 reporting.
-fn cold_ask(
-    gen: &GeneratedDb,
-    engine: ScoreEngine,
-    featsel: FeatSelEngine,
-) -> (ColdAsk, HistSnapshot) {
+fn cold_ask(gen: &GeneratedDb) -> (ColdAsk, HistSnapshot) {
     let hist = Histogram::new();
     let mut best: Option<ColdAsk> = None;
     for _ in 0..5 {
-        let run = one_cold_ask(gen, engine, featsel);
+        let run = one_cold_ask(gen);
         hist.record_duration(run.wall);
         best = Some(match best {
             None => run,
@@ -197,7 +158,7 @@ fn cold_ask(
 
 fn warm_asks(gen: &GeneratedDb) -> ((Duration, HistSnapshot), (Duration, HistSnapshot)) {
     // Answer cache off, so the "new question" path re-mines each time.
-    let service = service_with(gen, ScoreEngine::Vectorized, FeatSelEngine::Histogram, 0);
+    let service = service_with(gen, 0);
     let session = service.open_session("nba", GSW_SQL).unwrap();
     session.ask(&question_1()).unwrap();
     let warm_new = dist_of(5, || {
@@ -207,12 +168,7 @@ fn warm_asks(gen: &GeneratedDb) -> ((Duration, HistSnapshot), (Duration, HistSna
         t0.elapsed()
     });
 
-    let service = service_with(
-        gen,
-        ScoreEngine::Vectorized,
-        FeatSelEngine::Histogram,
-        64 * 1024 * 1024,
-    );
+    let service = service_with(gen, 64 * 1024 * 1024);
     let session = service.open_session("nba", GSW_SQL).unwrap();
     session.ask(&question_1()).unwrap();
     let warm_repeat = dist_of(5, || {
@@ -226,7 +182,7 @@ fn warm_asks(gen: &GeneratedDb) -> ((Duration, HistSnapshot), (Duration, HistSna
 
 /// Raw scoring throughput on the largest APT: patterns scored per second
 /// (each score = both question directions).
-fn scoring_throughput(gen: &GeneratedDb) -> (f64, f64, f64, usize, usize) {
+fn scoring_throughput(gen: &GeneratedDb) -> (f64, f64, usize, usize) {
     let q = cajade_query::parse_sql(GSW_SQL).unwrap();
     let pt = ProvenanceTable::compute(&gen.db, &q).unwrap();
     let params = Params::fast();
@@ -286,18 +242,7 @@ fn scoring_throughput(gen: &GeneratedDb) -> (f64, f64, f64, usize, usize) {
     let directions = question.directions();
 
     let reps = 20;
-    let scorer = Scorer::exact(&apt, &pt);
-    let t0 = Instant::now();
     let mut acc = 0usize;
-    for _ in 0..reps {
-        for p in &patterns {
-            for &(t, s) in &directions {
-                acc += scorer.score(p, t, s).tp;
-            }
-        }
-    }
-    let scalar_rate = (reps * patterns.len()) as f64 / t0.elapsed().as_secs_f64();
-
     let index = ScoreIndex::exact(&apt, &pt);
     let t0 = Instant::now();
     for _ in 0..reps {
@@ -322,13 +267,7 @@ fn scoring_throughput(gen: &GeneratedDb) -> (f64, f64, f64, usize, usize) {
     }
     let mask_rate = (reps * patterns.len()) as f64 / t0.elapsed().as_secs_f64();
     std::hint::black_box(acc);
-    (
-        scalar_rate,
-        vector_rate,
-        mask_rate,
-        apt.num_rows,
-        patterns.len(),
-    )
+    (vector_rate, mask_rate, apt.num_rows, patterns.len())
 }
 
 fn ms(d: Duration) -> f64 {
@@ -456,36 +395,18 @@ fn main() {
     let gen = nba_db(scale);
     println!("# mining-bench — NBA scale {scale}, GSW wins query\n");
 
-    let (cold_scalar, cold_scalar_dist) =
-        cold_ask(&gen, ScoreEngine::Scalar, FeatSelEngine::Histogram);
-    let (cold_vector, cold_vector_dist) =
-        cold_ask(&gen, ScoreEngine::Vectorized, FeatSelEngine::Histogram);
-    let (cold_float_featsel, _) =
-        cold_ask(&gen, ScoreEngine::Vectorized, FeatSelEngine::FloatMatrix);
-    // The trainer swap must not change answer *quality*: same number of
-    // explanations with the same multiset of (primary, support) — on this
-    // workload the top-k is saturated with tied F=1.0 patterns, and two
-    // different forest algorithms legitimately break those ties toward
-    // different (equally perfect) representatives of correlated stats.
-    // `featsel_topk_identical` records whether even the tie-breaks agreed.
-    // Bit-level identity is property-tested where it is guaranteed:
-    // scalar vs vectorized engines, and ub-pruning on vs off.
-    let featsel_topk_identical = cold_vector.explanations == cold_float_featsel.explanations;
-    assert_eq!(
-        cold_vector.f_scores, cold_float_featsel.f_scores,
-        "histogram feature selection changed the top-k F-score distribution"
-    );
+    let (cold, cold_dist) = cold_ask(&gen);
     // The multi-graph cold ask must actually share column statistics:
     // every graph after the first (and the fragment stage after feature
     // selection) reuses the per-column entries, so hits must at least
     // reach graphs − 1. CI schema-checks the emitted field, so a silent
     // regression of the cache fails loudly.
     assert!(
-        cold_vector.column_stats_hits >= cold_vector.graphs_mined.saturating_sub(1) as u64,
+        cold.column_stats_hits >= cold.graphs_mined.saturating_sub(1) as u64,
         "cold multi-graph ask shared too few column statistics: hits {} misses {} graphs {}",
-        cold_vector.column_stats_hits,
-        cold_vector.column_stats_misses,
-        cold_vector.graphs_mined
+        cold.column_stats_hits,
+        cold.column_stats_misses,
+        cold.graphs_mined
     );
     let ((warm_new, warm_new_dist), (warm_repeat, warm_repeat_dist)) = warm_asks(&gen);
     let (prepare_shared, prepare_unshared, num_graphs, distinct_columns) =
@@ -495,41 +416,30 @@ fn main() {
     // blow way past this (and could still satisfy the hits floor below
     // through intra-graph featsel→fragment reuse alone).
     assert!(
-        cold_vector.column_stats_misses <= distinct_columns as u64,
+        cold.column_stats_misses <= distinct_columns as u64,
         "column-stats misses {} exceed the {} distinct context columns — cache key regressed?",
-        cold_vector.column_stats_misses,
+        cold.column_stats_misses,
         distinct_columns
     );
-    let (scalar_rate, vector_rate, mask_rate, apt_rows, num_patterns) = scoring_throughput(&gen);
+    let (vector_rate, mask_rate, apt_rows, num_patterns) = scoring_throughput(&gen);
     let ingest = ingest_phases(&gen);
 
     println!(
-        "cold ask, scalar engine      {:>10.2} ms (p50 {:.2} / p99 {:.2})",
-        ms(cold_scalar.wall),
-        qms(&cold_scalar_dist, 0.5),
-        qms(&cold_scalar_dist, 0.99)
+        "cold ask                     {:>10.2} ms (p50 {:.2} / p99 {:.2})",
+        ms(cold.wall),
+        qms(&cold_dist, 0.5),
+        qms(&cold_dist, 0.99)
     );
-    println!(
-        "cold ask, vectorized engine  {:>10.2} ms (p50 {:.2} / p99 {:.2})",
-        ms(cold_vector.wall),
-        qms(&cold_vector_dist, 0.5),
-        qms(&cold_vector_dist, 0.99)
-    );
-    println!(
-        "feature selection (cold)      histogram {:>8.2} ms | float-matrix {:>8.2} ms ({:.2}×, top-k identical: {featsel_topk_identical})",
-        ms(cold_vector.featsel),
-        ms(cold_float_featsel.featsel),
-        ms(cold_float_featsel.featsel) / ms(cold_vector.featsel).max(1e-9)
-    );
+    println!("feature selection (cold)     {:>10.2} ms", ms(cold.featsel));
     println!(
         "refinement pruning            ub-pruned children {} | recall-pruned subtrees {}",
-        cold_vector.ub_pruned, cold_vector.recall_pruned
+        cold.ub_pruned, cold.recall_pruned
     );
     println!(
         "cross-graph prepare (cold)   {:>10.2} ms | column-stats hits {} misses {}",
-        ms(cold_vector.prepare),
-        cold_vector.column_stats_hits,
-        cold_vector.column_stats_misses
+        ms(cold.prepare),
+        cold.column_stats_hits,
+        cold.column_stats_misses
     );
     println!(
         "prepare, {num_graphs} graphs            shared {:>8.2} ms | per-APT {:>8.2} ms ({:.2}×)",
@@ -550,8 +460,7 @@ fn main() {
         qms(&warm_repeat_dist, 0.99)
     );
     println!(
-        "scoring throughput            scalar {scalar_rate:>12.0} pat/s | vectorized {vector_rate:>12.0} pat/s | incremental masks {mask_rate:>12.0} pat/s ({:.0}×, {num_patterns} patterns × 2 directions, {apt_rows}-row APT)",
-        mask_rate / scalar_rate.max(1e-9)
+        "scoring throughput            mask build + score {vector_rate:>12.0} pat/s | incremental masks {mask_rate:>12.0} pat/s ({num_patterns} patterns × 2 directions, {apt_rows}-row APT)"
     );
     println!(
         "csv ingest (export→ingest)    scan {:>7.2} ms | infer {:>7.2} ms | load {:>7.2} ms | discover {:>7.2} ms | total {:>7.2} ms",
@@ -572,21 +481,16 @@ fn main() {
 
     if let Some(path) = json_path {
         let json = format!(
-            "{{\n  \"scale\": {scale},\n  \"cold_ask_scalar_ms\": {:.3},\n  \"cold_ask_scalar_p50_ms\": {:.3},\n  \"cold_ask_scalar_p99_ms\": {:.3},\n  \"cold_ask_vectorized_ms\": {:.3},\n  \"cold_ask_vectorized_p50_ms\": {:.3},\n  \"cold_ask_vectorized_p99_ms\": {:.3},\n  \"cold_featsel_hist_ms\": {:.3},\n  \"cold_featsel_float_ms\": {:.3},\n  \"featsel_speedup\": {:.2},\n  \"featsel_topk_identical\": {featsel_topk_identical},\n  \"ub_pruned_children\": {},\n  \"recall_pruned_subtrees\": {},\n  \"cold_prepare_ms\": {:.3},\n  \"column_stats_hits\": {},\n  \"column_stats_misses\": {},\n  \"prepare_shared_ms\": {:.3},\n  \"prepare_unshared_ms\": {:.3},\n  \"prepare_graphs\": {num_graphs},\n  \"warm_new_question_ms\": {:.3},\n  \"warm_new_question_p50_ms\": {:.3},\n  \"warm_new_question_p99_ms\": {:.3},\n  \"warm_repeat_ms\": {:.4},\n  \"warm_repeat_p50_ms\": {:.4},\n  \"warm_repeat_p99_ms\": {:.4},\n  \"scoring_patterns_per_sec_scalar\": {:.0},\n  \"scoring_patterns_per_sec_vectorized\": {:.0},\n  \"scoring_patterns_per_sec_incremental_masks\": {:.0},\n  \"scoring_speedup\": {:.2},\n  \"throughput_apt_rows\": {apt_rows},\n  \"throughput_patterns\": {num_patterns},\n  \"ingest_scan_ms\": {:.3},\n  \"ingest_infer_ms\": {:.3},\n  \"ingest_load_ms\": {:.3},\n  \"ingest_discover_ms\": {:.3},\n  \"ingest_total_ms\": {:.3},\n  \"heap_peak_live_bytes\": {heap_peak}\n}}\n",
-            ms(cold_scalar.wall),
-            qms(&cold_scalar_dist, 0.5),
-            qms(&cold_scalar_dist, 0.99),
-            ms(cold_vector.wall),
-            qms(&cold_vector_dist, 0.5),
-            qms(&cold_vector_dist, 0.99),
-            ms(cold_vector.featsel),
-            ms(cold_float_featsel.featsel),
-            ms(cold_float_featsel.featsel) / ms(cold_vector.featsel).max(1e-9),
-            cold_vector.ub_pruned,
-            cold_vector.recall_pruned,
-            ms(cold_vector.prepare),
-            cold_vector.column_stats_hits,
-            cold_vector.column_stats_misses,
+            "{{\n  \"scale\": {scale},\n  \"cold_ask_vectorized_ms\": {:.3},\n  \"cold_ask_vectorized_p50_ms\": {:.3},\n  \"cold_ask_vectorized_p99_ms\": {:.3},\n  \"cold_featsel_hist_ms\": {:.3},\n  \"ub_pruned_children\": {},\n  \"recall_pruned_subtrees\": {},\n  \"cold_prepare_ms\": {:.3},\n  \"column_stats_hits\": {},\n  \"column_stats_misses\": {},\n  \"prepare_shared_ms\": {:.3},\n  \"prepare_unshared_ms\": {:.3},\n  \"prepare_graphs\": {num_graphs},\n  \"warm_new_question_ms\": {:.3},\n  \"warm_new_question_p50_ms\": {:.3},\n  \"warm_new_question_p99_ms\": {:.3},\n  \"warm_repeat_ms\": {:.4},\n  \"warm_repeat_p50_ms\": {:.4},\n  \"warm_repeat_p99_ms\": {:.4},\n  \"scoring_patterns_per_sec_vectorized\": {:.0},\n  \"scoring_patterns_per_sec_incremental_masks\": {:.0},\n  \"throughput_apt_rows\": {apt_rows},\n  \"throughput_patterns\": {num_patterns},\n  \"ingest_scan_ms\": {:.3},\n  \"ingest_infer_ms\": {:.3},\n  \"ingest_load_ms\": {:.3},\n  \"ingest_discover_ms\": {:.3},\n  \"ingest_total_ms\": {:.3},\n  \"heap_peak_live_bytes\": {heap_peak}\n}}\n",
+            ms(cold.wall),
+            qms(&cold_dist, 0.5),
+            qms(&cold_dist, 0.99),
+            ms(cold.featsel),
+            cold.ub_pruned,
+            cold.recall_pruned,
+            ms(cold.prepare),
+            cold.column_stats_hits,
+            cold.column_stats_misses,
             ms(prepare_shared),
             ms(prepare_unshared),
             ms(warm_new),
@@ -595,10 +499,8 @@ fn main() {
             ms(warm_repeat),
             qms(&warm_repeat_dist, 0.5),
             qms(&warm_repeat_dist, 0.99),
-            scalar_rate,
             vector_rate,
             mask_rate,
-            mask_rate / scalar_rate.max(1e-9),
             ms(ingest.scan),
             ms(ingest.infer),
             ms(ingest.load),

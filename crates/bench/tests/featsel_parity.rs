@@ -1,37 +1,13 @@
-//! Feature-selection trainer parity (ISSUE 8 satellite): the scale
-//! sweep's `featsel_topk_identical: false` finding, investigated and
-//! pinned at its true contract.
-//!
-//! The two forest trainers ([`FeatSelEngine::Histogram`] and
-//! [`FeatSelEngine::FloatMatrix`]) answer the same question — "which
-//! attributes best separate the user question's groups" — but through
-//! different arithmetic: binned gain estimates vs exact split points.
-//! On correlated attribute families (NBA's points/possessions/percentage
-//! columns move together) the trainers legitimately rank different
-//! members of a family on top, so the *selected attribute sets* and
-//! hence the mined top-k pattern lists cannot be pinned bit-identical
-//! across trainers — the attributes named in the patterns differ even
-//! when every score agrees. That is why this is a distribution test and
-//! not a rendering test.
-//!
-//! What must hold — and is asserted here:
-//!
-//! 1. the sorted top-k **F-score distribution** (12 decimals) is
-//!    identical across trainers: substituting one correlated attribute
-//!    for another must not change how well the top-k explains the
-//!    question;
-//! 2. each trainer is **deterministic**: two cold asks render
-//!    byte-identical ranked lists, so any cross-trainer difference is a
-//!    trainer property, not run-to-run noise (the global ranking's
-//!    deterministic total order — F-score desc, then fewer predicates,
-//!    then lexicographic pattern — is what makes this reproducible);
-//! 3. with feature selection **disabled** the trainer knob is inert:
-//!    rendered explanations are byte-identical whatever engine is
-//!    configured.
+//! Feature selection is deterministic end to end: two cold asks on fresh
+//! services render byte-identical ranked lists. The forest trainer is
+//! seeded and the global ranking is a total order (F-score desc, then
+//! fewer predicates, then lexicographic pattern), so nothing about a
+//! ranked answer may depend on the run — on NBA's correlated attribute
+//! families (points/possessions/percentage columns move together) a
+//! trainer that broke ties by hash order would show up here first.
 
-use cajade_core::{FeatSelEngine, Params, UserQuestion};
+use cajade_core::{Params, UserQuestion};
 use cajade_datagen::nba::{self, NbaConfig};
-use cajade_datagen::synth::{self, SynthConfig};
 use cajade_datagen::GeneratedDb;
 use cajade_service::{ExplanationService, ServiceConfig};
 
@@ -40,92 +16,26 @@ const GSW_SQL: &str = "SELECT COUNT(*) AS win, s.season_name \
      WHERE t.team_id = g.winner_id AND g.season_id = s.season_id \
        AND t.team = 'GSW' GROUP BY s.season_name";
 
-/// One cold ask: (sorted F-scores at 12 decimals, fully rendered ranked
-/// list).
-fn cold_ask(
-    gen: &GeneratedDb,
-    sql: &str,
-    question: &UserQuestion,
-    featsel: FeatSelEngine,
-    selection_on: bool,
-) -> (Vec<String>, Vec<String>) {
-    let mut params = Params::fast();
-    params.mining.featsel_engine = featsel;
-    params.mining.feature_selection = selection_on;
+/// One cold ask on a fresh service: the fully rendered ranked list.
+fn cold_ask(gen: &GeneratedDb, question: &UserQuestion) -> Vec<String> {
     let service = ExplanationService::new(ServiceConfig {
-        params,
+        params: Params::fast(),
         ..ServiceConfig::default()
     });
     service.register_database("db", gen.db.clone(), gen.schema_graph.clone());
-    let session = service.open_session("db", sql).unwrap();
+    let session = service.open_session("db", GSW_SQL).unwrap();
     let a = session.ask(question).unwrap();
     assert!(!a.result.explanations.is_empty());
-    let mut f_scores: Vec<String> = a
-        .result
-        .explanations
-        .iter()
-        .map(|e| format!("{:.12}", e.metrics.f_score))
-        .collect();
-    f_scores.sort();
-    let rendered = a
-        .result
+    a.result
         .explanations
         .iter()
         .map(|e| e.render_line())
-        .collect();
-    (f_scores, rendered)
+        .collect()
 }
 
 #[test]
-fn trainers_agree_on_the_top_k_f_score_distribution() {
+fn cold_asks_with_feature_selection_render_byte_identically() {
     let gen = nba::generate(NbaConfig::tiny());
     let q = UserQuestion::two_point(&[("season_name", "2015-16")], &[("season_name", "2012-13")]);
-    let (hist_f, hist_rendered) = cold_ask(&gen, GSW_SQL, &q, FeatSelEngine::Histogram, true);
-    let (float_f, float_rendered) = cold_ask(&gen, GSW_SQL, &q, FeatSelEngine::FloatMatrix, true);
-
-    // (2) Determinism per trainer: a second cold ask reproduces the
-    // ranked list byte-for-byte.
-    let (_, hist_again) = cold_ask(&gen, GSW_SQL, &q, FeatSelEngine::Histogram, true);
-    assert_eq!(
-        hist_rendered, hist_again,
-        "Histogram trainer nondeterministic"
-    );
-    let (_, float_again) = cold_ask(&gen, GSW_SQL, &q, FeatSelEngine::FloatMatrix, true);
-    assert_eq!(
-        float_rendered, float_again,
-        "FloatMatrix trainer nondeterministic"
-    );
-
-    // (1) The top-k F-score distribution is trainer-invariant.
-    assert_eq!(
-        hist_f,
-        float_f,
-        "trainers disagree on the top-k F-score distribution:\n\
-         histogram list:\n  {}\nfloat-matrix list:\n  {}",
-        hist_rendered.join("\n  "),
-        float_rendered.join("\n  ")
-    );
-}
-
-#[test]
-fn trainer_knob_is_inert_without_feature_selection() {
-    // The small synthetic corpus keeps the no-selection ask cheap (every
-    // attribute becomes a mining candidate when selection is off).
-    let gen = synth::generate(&SynthConfig {
-        rows: 240,
-        fanout: 2,
-        ..SynthConfig::small()
-    });
-    let q = UserQuestion::two_point(&[("grp", "g0")], &[("grp", "g1")]);
-    // (3) `feature_selection: false` must make the engine choice
-    // unobservable end to end.
-    let (_, hist_off) = cold_ask(&gen, synth::SYNTH_SQL, &q, FeatSelEngine::Histogram, false);
-    let (_, float_off) = cold_ask(
-        &gen,
-        synth::SYNTH_SQL,
-        &q,
-        FeatSelEngine::FloatMatrix,
-        false,
-    );
-    assert_eq!(hist_off, float_off);
+    assert_eq!(cold_ask(&gen, &q), cold_ask(&gen, &q));
 }

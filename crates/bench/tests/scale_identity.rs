@@ -14,9 +14,8 @@
 //!   even after duplication: column statistics and fragment boundaries
 //!   then read the duplicated value multiset exhaustively — exactly the
 //!   base multiset repeated — so thresholds cannot drift.
-//! * **NBA tiny, each scale separately** — scalar and vectorized scoring
-//!   engines agree byte-for-byte, and the warm path (provenance cache
-//!   hit, APTs reused) returns the cold answer verbatim.
+//! * **NBA tiny, each scale separately** — the warm path (provenance
+//!   cache hit, APTs reused) returns the cold answer verbatim.
 //!
 //! Three structural reasons full cross-scale identity cannot be pinned
 //! on arbitrary corpora (each observed empirically while building this
@@ -41,7 +40,7 @@
 //!    join-pipeline case below uses one dimension with one numeric
 //!    column so every candidate feature is well separated.
 
-use cajade_core::{Params, ScoreEngine, UserQuestion};
+use cajade_core::{Params, UserQuestion};
 use cajade_datagen::nba::{self, NbaConfig};
 use cajade_datagen::scale::duplicate_scale;
 use cajade_datagen::synth::{self, SynthConfig};
@@ -75,21 +74,18 @@ fn ask(
     gen: &GeneratedDb,
     sql: &str,
     question: &UserQuestion,
-    engine: ScoreEngine,
     warm_with: Option<&UserQuestion>,
 ) -> Answer {
-    ask_with(gen, sql, question, engine, warm_with, Params::fast())
+    ask_with(gen, sql, question, warm_with, Params::fast())
 }
 
 fn ask_with(
     gen: &GeneratedDb,
     sql: &str,
     question: &UserQuestion,
-    engine: ScoreEngine,
     warm_with: Option<&UserQuestion>,
-    mut params: Params,
+    params: Params,
 ) -> Answer {
-    params.mining.engine = engine;
     let service = ExplanationService::new(ServiceConfig {
         params,
         ..ServiceConfig::default()
@@ -167,22 +163,8 @@ fn synth_question() -> UserQuestion {
 fn assert_scale_invariant(base: &GeneratedDb, factor: usize, params: Params) {
     let duplicated = duplicate_scale(base, factor);
     let q = synth_question();
-    let cold_1 = ask_with(
-        base,
-        synth::SYNTH_SQL,
-        &q,
-        ScoreEngine::Vectorized,
-        None,
-        params.clone(),
-    );
-    let cold_n = ask_with(
-        &duplicated,
-        synth::SYNTH_SQL,
-        &q,
-        ScoreEngine::Vectorized,
-        None,
-        params,
-    );
+    let cold_1 = ask_with(base, synth::SYNTH_SQL, &q, None, params.clone());
+    let cold_n = ask_with(&duplicated, synth::SYNTH_SQL, &q, None, params);
 
     // Ranked shapes identical across scales: same patterns, same graphs,
     // same roles, same F-scores, same order.
@@ -235,37 +217,14 @@ fn duplication_preserves_the_ranked_top_k_with_joins() {
 }
 
 #[test]
-fn scalar_and_vectorized_engines_agree_at_every_scale() {
-    let nba_base = nba::generate(NbaConfig::tiny());
-    let nba_q =
-        UserQuestion::two_point(&[("season_name", "2015-16")], &[("season_name", "2012-13")]);
-    let synth_base = capped_synth();
-    let synth_doubled = duplicate_scale(&synth_base, 2);
-    let synth_q = synth_question();
-    let cases: [(&GeneratedDb, &str, &UserQuestion); 3] = [
-        (&nba_base, GSW_SQL, &nba_q),
-        (&synth_base, synth::SYNTH_SQL, &synth_q),
-        (&synth_doubled, synth::SYNTH_SQL, &synth_q),
-    ];
-    for (gen, sql, q) in cases {
-        let scalar = ask(gen, sql, q, ScoreEngine::Scalar, None);
-        let vector = ask(gen, sql, q, ScoreEngine::Vectorized, None);
-        assert_eq!(
-            scalar.rendered, vector.rendered,
-            "scalar vs vectorized diverged"
-        );
-    }
-}
-
-#[test]
 fn warm_asks_match_cold_asks_across_scales() {
     let base = nba::generate(NbaConfig::tiny());
     let q = UserQuestion::two_point(&[("season_name", "2015-16")], &[("season_name", "2012-13")]);
     let other =
         UserQuestion::two_point(&[("season_name", "2014-15")], &[("season_name", "2012-13")]);
     for gen in [&base, &duplicate_scale(&base, 2)] {
-        let cold = ask(gen, GSW_SQL, &q, ScoreEngine::Vectorized, None);
-        let warm = ask(gen, GSW_SQL, &q, ScoreEngine::Vectorized, Some(&other));
+        let cold = ask(gen, GSW_SQL, &q, None);
+        let warm = ask(gen, GSW_SQL, &q, Some(&other));
         assert_eq!(cold.rendered, warm.rendered, "warm path changed the answer");
     }
 }

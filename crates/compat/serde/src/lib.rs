@@ -1,7 +1,7 @@
 //! Offline stand-in for `serde`.
 //!
-//! The workspace serializes by hand (see `cajade_core::export::to_json`
-//! and the service crate's JSON module), but seed types carry
+//! The workspace serializes by hand (see the service crate's JSON
+//! module, `cajade_service::json`), but seed types carry
 //! `#[derive(Serialize)]` attributes. This stand-in keeps those compiling
 //! without network access: [`Serialize`] and [`Deserialize`] are marker
 //! traits blanket-implemented for every type, and the re-exported derive

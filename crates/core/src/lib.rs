@@ -24,16 +24,14 @@
 
 mod error;
 mod explanation;
-pub mod export;
 mod params;
 pub mod pipeline;
 mod session;
 mod timing;
 
-pub use cajade_mining::{FeatSelEngine, PreparedApt, Question, ScoreEngine, SelAttr};
+pub use cajade_mining::{PreparedApt, Question, SelAttr};
 pub use error::CoreError;
 pub use explanation::Explanation;
-pub use export::{ExplanationExport, SessionExport};
 pub use params::Params;
 pub use session::{ExplanationSession, SessionResult, UserQuestion};
 pub use timing::SessionTimings;

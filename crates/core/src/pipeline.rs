@@ -24,7 +24,7 @@ use cajade_mining::{
 };
 pub use cajade_mining::{ColumnStatsProvider, NoSharedStats};
 use cajade_obs::{Ctx, Stage};
-use cajade_query::{execute, ProvenanceTable, Query, QueryResult};
+use cajade_query::{execute_with_provenance, ProvenanceTable, Query, QueryResult};
 use cajade_storage::Database;
 use rayon::prelude::*;
 
@@ -72,10 +72,8 @@ pub fn prepare(
     query: &Query,
     params: &Params,
 ) -> Result<PreparedQuery> {
-    let result = execute(db, query)?;
-
     let stage = Stage::open("provenance");
-    let pt = ProvenanceTable::compute(db, query)?;
+    let (result, pt) = execute_with_provenance(db, query)?;
     let provenance_time = stage.finish();
 
     let stage = Stage::open("jg_enum");

@@ -26,7 +26,7 @@ impl SessionTimings {
     }
 
     /// `(step name, duration)` rows in the paper's table order, plus the
-    /// vectorized engine's index/bitmap preparation step.
+    /// scoring index's encoding/bitmap preparation step.
     pub fn breakdown_rows(&self) -> Vec<(&'static str, Duration)> {
         vec![
             ("Feature Selection", self.mining.feature_selection),

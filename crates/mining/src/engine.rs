@@ -23,9 +23,9 @@
 //! `parent_mask AND predicate_mask` + popcount, with the
 //! `|num_fields| × λ#frag × 2` threshold predicate masks precomputed in a
 //! [`PredBank`]. The engine returns metrics **bit-identical** to the
-//! scalar [`Scorer`](crate::score::Scorer) (a property test enforces
-//! this), so the scalar path remains a verified-equivalent fallback
-//! selectable via [`ScoreEngine`].
+//! scalar [`Scorer`](crate::score::Scorer) — its pattern-level reference
+//! (`prop_vectorized_metrics_bit_identical_to_scalar`) and the miner's
+//! exact re-score of the selected top-k.
 
 use cajade_graph::Apt;
 use cajade_query::ProvenanceTable;
@@ -33,17 +33,6 @@ use cajade_storage::Column;
 
 use crate::pattern::{PatValue, Pattern, Pred, PredOp};
 use crate::score::PatternMetrics;
-
-/// Which scoring kernel the miner uses. Both produce bit-identical
-/// [`PatternMetrics`]; the scalar path is kept as a verified fallback and
-/// for environments where the index's memory is unwelcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScoreEngine {
-    /// Row-at-a-time interpreted matching ([`crate::score::Scorer`]).
-    Scalar,
-    /// Columnar bitmap evaluation ([`ScoreIndex`]).
-    Vectorized,
-}
 
 /// A fixed-width bitmap over the scan positions of a [`ScoreIndex`].
 ///
@@ -309,10 +298,8 @@ impl ScoreIndex {
         self.order.len()
     }
 
-    /// Scan positions → APT row, sorted by `(output group, PT row)`. This
-    /// is the canonical training order the histogram feature selection
-    /// reuses, so index-backed and index-free callers see identical row
-    /// sequences (see [`crate::featsel::hist_scan_order`]).
+    /// Scan positions → APT row, sorted by `(output group, PT row)` — the
+    /// training order of feature selection ([`crate::featsel`]).
     pub fn order(&self) -> &[u32] {
         &self.order
     }

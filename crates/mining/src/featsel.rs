@@ -9,40 +9,30 @@
 //!    the member with the highest relevance.
 //! 3. Keep the λ#sel-attr most relevant representatives.
 //!
-//! Two trainers implement step 1, selected by [`FeatSelEngine`]:
+//! Step 1 gathers the candidate columns straight from the typed arrays /
+//! interned string ids (no `Value` boxing) in the scoring index's
+//! `(group, PT row)` scan order ([`ScoreIndex::order`]), quantile-bins
+//! each numeric column **once**, and trains [`HistForest`]s whose
+//! per-node split search reads class histograms instead of re-scanning
+//! rows. It therefore trains on the λ_F1 sample (the rows the index
+//! covers) — the `max_train_rows` reservoir cap usually dominates either
+//! way. `cajade_ml`'s row-rescanning float `RandomForest` remains that
+//! crate's reference for the histogram trainer (its
+//! `…_on_lossless_binning` tests); no mining run goes through it.
 //!
-//! * [`FeatSelEngine::FloatMatrix`] — the original path: decode APT cells
-//!   into per-sample `f64` rows / hash-interned codes and train the
-//!   row-rescanning [`RandomForest`];
-//! * [`FeatSelEngine::Histogram`] (default) — gather the candidate
-//!   columns straight from the typed arrays / interned string ids (no
-//!   `Value` boxing) in the scoring engine's `(group, PT row)` scan
-//!   order, quantile-bin each numeric column **once**, and train
-//!   [`HistForest`]s whose per-node split search reads class histograms
-//!   instead of re-scanning rows. When a
-//!   [`ScoreIndex`](crate::engine::ScoreIndex) exists (vectorized
-//!   engine), its scan order is reused (the gather reads the same
-//!   encoded representation the index holds); the scalar engine
-//!   reconstructs the identical order with [`hist_scan_order`], so both
-//!   engines select identical features.
-//!
-//! The histogram path trains on the λ_F1 sample (the rows the index
-//! covers) rather than all APT rows — a deliberate, documented deviation
-//! from the float path that keeps preparation single-pass; the
-//! `max_train_rows` reservoir cap usually dominates either way.
+//! [`ScoreIndex::order`]: crate::engine::ScoreIndex::order
 
 use std::collections::HashMap;
 
 use cajade_graph::Apt;
 use cajade_ml::cluster::{cluster_attributes, cluster_representatives};
 use cajade_ml::correlation::assoc_matrix;
-use cajade_ml::forest::{HistForest, RandomForest, RandomForestConfig};
+use cajade_ml::forest::{HistForest, RandomForestConfig};
 use cajade_ml::sampling::reservoir_sample;
 use cajade_ml::{BinSpec, BinnedColumn, FeatureColumn};
 use cajade_query::ProvenanceTable;
-use cajade_storage::{AttrKind, Column, Value};
+use cajade_storage::{AttrKind, Column};
 
-use crate::pattern::PatValue;
 use crate::score::Question;
 use crate::stats::{source_column, ColumnStatsProvider};
 
@@ -65,18 +55,6 @@ impl SelAttr {
             SelAttr::All => available,
         }
     }
-}
-
-/// Which forest trainer implements `filterAttrs`' relevance ranking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FeatSelEngine {
-    /// Decode APT cells into float matrices / hash-interned codes and
-    /// train the row-rescanning reference forest. Kept as the verified
-    /// baseline (see the `hist_featsel_equivalence` integration tests).
-    FloatMatrix,
-    /// Gather encoded columns in scan order, bin once, train histogram
-    /// forests ([`HistForest`]).
-    Histogram,
 }
 
 /// Result of `filterAttrs`.
@@ -103,17 +81,16 @@ pub struct FeatSelConfig {
     pub forest_trees: usize,
     /// Cap on training rows (runtime guard; sampled uniformly above it).
     pub max_train_rows: usize,
-    /// Bin budget per column for the histogram trainer (numeric quantile
-    /// bins / retained categorical values). Twice the float trainer's
-    /// per-node threshold cap, since global bins must serve every node.
+    /// Bin budget per column (numeric quantile bins / retained
+    /// categorical values). Twice the float reference trainer's per-node
+    /// threshold cap, since global bins must serve every node.
     pub hist_bins: usize,
-    /// Row cap for the association-matrix estimate on the histogram path
-    /// (strided subsample over the group-sorted training rows). The
-    /// matrix only feeds a thresholded clustering decision, so a few
-    /// hundred rows estimate it as well as thousands — and the `p²/2`
-    /// pairwise measures are the dominant cost of the phase once forest
-    /// training is histogram-based. The float path keeps the uncapped
-    /// computation as the frozen reference.
+    /// Row cap for the association-matrix estimate (strided subsample
+    /// over the group-sorted training rows). The matrix only feeds a
+    /// thresholded clustering decision, so a few hundred rows estimate it
+    /// as well as thousands — and the `p²/2` pairwise measures are the
+    /// dominant cost of the phase now that forest training is
+    /// histogram-based.
     pub max_assoc_rows: usize,
     /// Seed for forest + sampling.
     pub seed: u64,
@@ -133,147 +110,12 @@ impl Default for FeatSelConfig {
     }
 }
 
-/// Runs `filterAttrs` over an APT for a user question.
-pub fn select_features(
-    apt: &Apt,
-    pt: &ProvenanceTable,
-    question: &Question,
-    cfg: &FeatSelConfig,
-) -> FeatureSelection {
-    let candidates = apt.pattern_fields();
-    let relevance = vec![0.0; apt.fields.len()];
-
-    if candidates.is_empty() {
-        return FeatureSelection {
-            num_fields: Vec::new(),
-            cat_fields: Vec::new(),
-            clusters: Vec::new(),
-            relevance,
-        };
-    }
-
-    // Training rows: APT rows in the question's scope, with binary labels.
-    let (rows, labels) = training_rows(apt, pt, question, cfg);
-
-    // Feature matrix over candidate fields.
-    let features: Vec<FeatureColumn> = candidates
-        .iter()
-        .map(|&f| feature_column(apt, f, &rows))
-        .collect();
-
-    // Forest relevance (uniform fallback when a class is missing, or
-    // when the request budget expired before training could start).
-    let has_both = labels.iter().any(|&l| l) && labels.iter().any(|&l| !l);
-    let importances: Vec<f64> =
-        if has_both && !rows.is_empty() && !cajade_obs::budget::stop("featsel.forest") {
-            let forest = RandomForest::fit(
-                &features,
-                &labels,
-                &RandomForestConfig {
-                    num_trees: cfg.forest_trees,
-                    seed: cfg.seed,
-                    ..Default::default()
-                },
-            );
-            forest.importances
-        } else {
-            vec![1.0 / candidates.len() as f64; candidates.len()]
-        };
-    finish_selection(
-        apt,
-        &candidates,
-        importances,
-        assoc_matrix(&features),
-        cfg,
-        relevance,
-    )
-}
-
-/// Question-independent `filterAttrs`: ranks attributes by their ability
-/// to tell the query's output groups apart in general, rather than for
-/// one specific `(t1, t2)` pair.
-///
-/// A one-vs-rest forest is trained for each of the up to
-/// `MAX_ONE_VS_REST` (currently 4) largest output groups with the
-/// overall tree budget split across them, and the
-/// importances are averaged weighted by `|PT(t)|`. Clustering and
-/// representative selection are shared with [`select_features`]. This is
-/// what makes feature selection cacheable in a
-/// [`PreparedApt`](crate::prepared::PreparedApt): the result depends only
-/// on the APT and the parameters, so a *new* question on a warm APT skips
-/// the phase entirely.
-pub fn select_features_global(
-    apt: &Apt,
-    pt: &ProvenanceTable,
-    cfg: &FeatSelConfig,
-) -> FeatureSelection {
-    let candidates = apt.pattern_fields();
-    let relevance = vec![0.0; apt.fields.len()];
-    if candidates.is_empty() {
-        return FeatureSelection {
-            num_fields: Vec::new(),
-            cat_fields: Vec::new(),
-            clusters: Vec::new(),
-            relevance,
-        };
-    }
-
-    // Training rows: all APT rows, reservoir-capped; the feature matrix is
-    // extracted once and shared by every one-vs-rest task.
-    let mut rows: Vec<u32> = (0..apt.num_rows as u32).collect();
-    if rows.len() > cfg.max_train_rows {
-        let keep = reservoir_sample(rows.len(), cfg.max_train_rows, cfg.seed);
-        rows = keep.into_iter().map(|i| rows[i]).collect();
-    }
-    let features: Vec<FeatureColumn> = candidates
-        .iter()
-        .map(|&f| feature_column(apt, f, &rows))
-        .collect();
-    let row_groups: Vec<u32> = rows
-        .iter()
-        .map(|&r| pt.group_of[apt.pt_row[r as usize] as usize])
-        .collect();
-
-    let mut importances = vec![0.0; candidates.len()];
-    let mut any_task = false;
-    for (g, weight, forest_cfg) in one_vs_rest_plan(pt, cfg) {
-        // One forest fit per task; an expired budget stops between
-        // tasks, keeping whatever importances accumulated so far.
-        if cajade_obs::budget::stop("featsel.forest") {
-            break;
-        }
-        let labels: Vec<bool> = row_groups.iter().map(|&rg| rg as usize == g).collect();
-        let has_both = labels.iter().any(|&l| l) && labels.iter().any(|&l| !l);
-        if !has_both || rows.is_empty() {
-            continue;
-        }
-        any_task = true;
-        let forest = RandomForest::fit(&features, &labels, &forest_cfg);
-        for (imp, fi) in importances.iter_mut().zip(&forest.importances) {
-            *imp += weight * fi;
-        }
-    }
-    if !any_task {
-        importances = vec![1.0 / candidates.len() as f64; candidates.len()];
-    }
-
-    finish_selection(
-        apt,
-        &candidates,
-        importances,
-        assoc_matrix(&features),
-        cfg,
-        relevance,
-    )
-}
-
-/// The group-global one-vs-rest task plan, shared verbatim by both
-/// trainers (the same reason `cajade_ml::forest` factors its bagging
-/// loop into one copy): up to `MAX_ONE_VS_REST` largest output groups by
-/// full `|PT(t)|` (ties by index), the tree budget and per-tree row
-/// budget split across tasks — so the ensemble costs about as much as
-/// one question-specific forest rather than `tasks ×` that — with
-/// `|PT(t)|`-proportional importance weights and per-group seed offsets.
+/// The group-global one-vs-rest task plan: up to `MAX_ONE_VS_REST`
+/// (currently 4) largest output groups by full `|PT(t)|` (ties by index),
+/// the tree budget and per-tree row budget split across tasks — so the
+/// ensemble costs about as much as one question-specific forest rather
+/// than `tasks ×` that — with `|PT(t)|`-proportional importance weights
+/// and per-group seed offsets.
 fn one_vs_rest_plan(
     pt: &ProvenanceTable,
     cfg: &FeatSelConfig,
@@ -318,24 +160,6 @@ fn one_vs_rest_plan(
 // Histogram-forest `filterAttrs` on encoded columns.
 // ---------------------------------------------------------------------
 
-/// The canonical training order of the histogram trainer: the λ_F1
-/// sample rows (all rows when sampling is off) sorted by
-/// `(output group, PT row)` — exactly the scan order
-/// [`ScoreIndex`](crate::engine::ScoreIndex) builds. Callers holding an
-/// index should pass [`ScoreIndex::order`](crate::engine::ScoreIndex::order)
-/// instead of recomputing this.
-pub fn hist_scan_order(apt: &Apt, pt: &ProvenanceTable, sample: Option<&[u32]>) -> Vec<u32> {
-    let mut rows: Vec<u32> = match sample {
-        Some(s) => s.to_vec(),
-        None => (0..apt.num_rows as u32).collect(),
-    };
-    rows.sort_by_key(|&r| {
-        let p = apt.pt_row[r as usize];
-        (pt.group_of[p as usize], p)
-    });
-    rows
-}
-
 /// The dictionary key of one categorical cell: interned string id, raw
 /// integer, or float bits — whatever the typed column already stores, so
 /// no value decoding or hash-interning of rendered values is needed.
@@ -349,9 +173,7 @@ fn cat_key(col: &Column, r: usize) -> Option<u64> {
 
 /// Gathers one APT field over `rows` straight from the typed column
 /// arrays (no `Value` boxing): numeric values as-is, categorical cells as
-/// first-appearance dense codes — the identical code assignment (and
-/// therefore identical association matrix) the float path's decode
-/// produces, at a fraction of its cost.
+/// first-appearance dense codes.
 ///
 /// For categorical fields the second return value maps each dense code
 /// back to the raw dictionary key it stands for (empty for numeric
@@ -389,11 +211,10 @@ fn fast_feature_column(apt: &Apt, field: usize, rows: &[u32]) -> (FeatureColumn,
     }
 }
 
-/// Shared tail of both histogram paths: gather each candidate column
-/// once, bin it for the forest, run the per-task forests, average
-/// importances, and cluster on the same gathered view (the association
-/// matrix is computed over full values/codes, not bins, so clustering
-/// decisions match the float path on identical training rows).
+/// Shared tail of both selections: gather each candidate column once,
+/// bin it for the forest, run the per-task forests, average importances,
+/// and cluster on the same gathered view (the association matrix is
+/// computed over full values/codes, not bins).
 ///
 /// Binning consults the injected [`ColumnStatsProvider`] first: a context
 /// column with shared statistics encodes its gather through the provider's
@@ -446,9 +267,9 @@ fn hist_selection(
     let mut importances = vec![0.0; candidates.len()];
     let mut any_task = false;
     for (labels, weight, forest_cfg) in tasks {
-        // Same between-task stop as the float trainer: histogram-forest
-        // training is the one unbounded ML loop, and each task is a
-        // whole forest fit.
+        // One forest fit per task — the one unbounded ML loop; an
+        // expired budget stops between tasks, keeping whatever
+        // importances accumulated so far.
         if cajade_obs::budget::stop("featsel.forest") {
             break;
         }
@@ -543,9 +364,8 @@ fn hist_selection(
     }
 }
 
-/// Histogram-forest `filterAttrs` for one question (the [`select_features`]
-/// counterpart): trains on the scan-order rows belonging to the
-/// question's output group(s).
+/// `filterAttrs` for one question: trains on the scan-order rows
+/// belonging to the question's output group(s).
 pub fn select_features_hist(
     apt: &Apt,
     pt: &ProvenanceTable,
@@ -606,11 +426,13 @@ pub fn select_features_hist(
     )
 }
 
-/// Histogram-forest group-global `filterAttrs` (the
-/// [`select_features_global`] counterpart): one-vs-rest tasks over the
-/// largest output groups, importances averaged weighted by `|PT(t)|`.
-/// Question-independent, so the result is cacheable in a
-/// [`PreparedApt`](crate::prepared::PreparedApt).
+/// Question-independent `filterAttrs`: ranks attributes by their ability
+/// to tell the query's output groups apart in general, rather than for
+/// one specific `(t1, t2)` pair — one-vs-rest tasks over the largest
+/// output groups (`one_vs_rest_plan`), importances averaged weighted by
+/// `|PT(t)|`. The result depends only on the APT and the parameters, so
+/// it is cacheable in a [`PreparedApt`](crate::prepared::PreparedApt) and
+/// a *new* question on a warm APT skips the phase entirely.
 pub fn select_features_hist_global(
     apt: &Apt,
     pt: &ProvenanceTable,
@@ -639,7 +461,6 @@ pub fn select_features_hist_global(
         .map(|&r| pt.group_of[apt.pt_row[r as usize] as usize])
         .collect();
 
-    // Same task plan as the float trainer — one shared copy.
     let tasks: Vec<(Vec<bool>, f64, RandomForestConfig)> = one_vs_rest_plan(pt, cfg)
         .into_iter()
         .map(|(g, weight, forest_cfg)| {
@@ -653,9 +474,9 @@ pub fn select_features_hist_global(
 
 /// Shared tail of `filterAttrs`: correlation clustering, representative
 /// picking, and λ#sel-attr ranking over forest importances. `assoc` is
-/// the candidate-pairwise association matrix — both paths compute it
-/// over full decoded values/codes (never over bins), the histogram path
-/// merely restricting which pairs and rows it measures.
+/// the candidate-pairwise association matrix, computed over full
+/// values/codes (never over bins); the caller chooses which pairs and
+/// rows it measures.
 fn finish_selection(
     apt: &Apt,
     candidates: &[usize],
@@ -712,73 +533,15 @@ pub fn all_features(apt: &Apt) -> FeatureSelection {
     }
 }
 
-fn training_rows(
-    apt: &Apt,
-    pt: &ProvenanceTable,
-    question: &Question,
-    cfg: &FeatSelConfig,
-) -> (Vec<u32>, Vec<bool>) {
-    let mut rows = Vec::new();
-    let mut labels = Vec::new();
-    for r in 0..apt.num_rows {
-        let g = pt.group_of[apt.pt_row[r] as usize] as usize;
-        let label = match question {
-            Question::TwoPoint { t1, t2 } => {
-                if g == *t1 {
-                    true
-                } else if g == *t2 {
-                    false
-                } else {
-                    continue;
-                }
-            }
-            Question::SinglePoint { t } => g == *t,
-        };
-        rows.push(r as u32);
-        labels.push(label);
-    }
-    if rows.len() > cfg.max_train_rows {
-        let keep = reservoir_sample(rows.len(), cfg.max_train_rows, cfg.seed);
-        let rows2: Vec<u32> = keep.iter().map(|&i| rows[i]).collect();
-        let labels2: Vec<bool> = keep.iter().map(|&i| labels[i]).collect();
-        return (rows2, labels2);
-    }
-    (rows, labels)
-}
-
-/// Converts one APT field (restricted to `rows`) into an ML feature.
-fn feature_column(apt: &Apt, field: usize, rows: &[u32]) -> FeatureColumn {
-    match apt.fields[field].kind {
-        AttrKind::Numeric => FeatureColumn::Numeric(
-            rows.iter()
-                .map(|&r| apt.columns[field].f64_at(r as usize).unwrap_or(f64::NAN))
-                .collect(),
-        ),
-        AttrKind::Categorical => {
-            // Dense codes over the observed values.
-            let mut codes: HashMap<PatValue, u32> = HashMap::new();
-            let data = rows
-                .iter()
-                .map(|&r| match apt.value(r as usize, field) {
-                    Value::Null => u32::MAX,
-                    v => {
-                        let pv = PatValue::from_value(&v).expect("non-null");
-                        let next = codes.len() as u32;
-                        *codes.entry(pv).or_insert(next)
-                    }
-                })
-                .collect();
-            FeatureColumn::Categorical(data)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cajade_graph::JoinGraph;
     use cajade_query::{parse_sql, ProvenanceTable};
-    use cajade_storage::{DataType, Database, SchemaBuilder};
+    use cajade_storage::{DataType, Database, SchemaBuilder, Value};
+
+    use crate::engine::ScoreIndex;
+    use crate::stats::NoSharedStats;
 
     /// `signal` separates the two groups; `noise` does not; `dup` is a
     /// copy of `signal` (should cluster with it).
@@ -824,14 +587,16 @@ mod tests {
         let pt = ProvenanceTable::compute(&db, &q).unwrap();
         let apt = Apt::materialize(&db, &pt, &JoinGraph::pt_only()).unwrap();
         let question = Question::TwoPoint { t1: 0, t2: 1 };
-        let fs = select_features(
+        let fs = select_features_hist(
             &apt,
             &pt,
+            ScoreIndex::exact(&apt, &pt).order(),
             &question,
             &FeatSelConfig {
                 sel_attr: sel,
                 ..Default::default()
             },
+            &NoSharedStats,
         );
         (fs, apt, db)
     }

@@ -8,10 +8,8 @@
 //! 1. **Feature selection** ([`featsel`]) — random-forest relevance
 //!    ranking + correlation clustering keep the λ#sel-attr attributes most
 //!    useful for telling the two user-question outputs apart (§3.1). The
-//!    default trainer is a histogram forest over pre-binned encoded
-//!    columns sharing the scoring engine's scan order
-//!    ([`FeatSelEngine::Histogram`]); the float-matrix reference stays
-//!    selectable and equivalence-tested.
+//!    trainer is a histogram forest over pre-binned encoded columns
+//!    sharing the scoring index's scan order.
 //! 2. **Categorical candidates** ([`lca`]) — the LCA method of
 //!    Gebaly et al. \[19\]: pairwise meets over a sample generate patterns
 //!    reflecting frequent constant combinations (§3.2), ranked by recall,
@@ -20,9 +18,9 @@
 //!    fragments extend patterns one predicate at a time; refinements of
 //!    patterns whose recall already fell below λ_recall are pruned, which
 //!    is sound because recall is anti-monotone under refinement
-//!    (Proposition 3.1, re-proved here as a property test). On the
-//!    vectorized engine an F-score upper bound additionally discards
-//!    children before their bitmap is ever built
+//!    (Proposition 3.1, re-proved here as a property test). An F-score
+//!    upper bound additionally discards children before their bitmap is
+//!    ever built
 //!    ([`MiningParams::refine_ub_prune`]), bit-identically (also
 //!    property-tested).
 //! 4. **Scoring & top-k** ([`score`], [`diversity`]) — Definition 7
@@ -44,9 +42,9 @@ pub mod score;
 pub mod stats;
 
 pub use diversity::{diversity_score, match_score, select_top_k_diverse};
-pub use engine::{Mask, PredBank, ScoreEngine, ScoreIndex};
+pub use engine::{Mask, PredBank, ScoreIndex};
 pub use fd::group_determining_fields;
-pub use featsel::{FeatSelEngine, FeatureSelection, SelAttr};
+pub use featsel::{FeatureSelection, SelAttr};
 pub use lca::lca_candidates;
 pub use miner::{mine_apt, MinedExplanation, MiningOutcome, MiningParams, MiningTimings};
 pub use pattern::{PatValue, Pattern, Pred, PredOp};

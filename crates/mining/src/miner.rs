@@ -25,10 +25,10 @@ use cajade_obs::Stage;
 use cajade_query::ProvenanceTable;
 
 use crate::diversity::select_top_k_diverse;
-use crate::engine::{Mask, PredBank, ScoreEngine, ScoreIndex};
+use crate::engine::{Mask, PredBank, ScoreIndex};
 use crate::featsel::{
-    all_features, hist_scan_order, select_features, select_features_global, select_features_hist,
-    select_features_hist_global, FeatSelConfig, FeatSelEngine, FeatureSelection, SelAttr,
+    all_features, select_features_hist, select_features_hist_global, FeatSelConfig,
+    FeatureSelection, SelAttr,
 };
 use crate::fragments::fragment_boundaries;
 use crate::lca::lca_candidates;
@@ -86,16 +86,8 @@ pub struct MiningParams {
     pub banned_attrs: Vec<String>,
     /// RNG seed (sampling, forest).
     pub seed: u64,
-    /// Which scoring kernel evaluates patterns. Both engines return
-    /// bit-identical metrics (property-tested); `Scalar` keeps the
-    /// row-at-a-time [`Scorer`] as a verified fallback.
-    pub engine: ScoreEngine,
-    /// Which forest trainer runs feature selection. Both engines use the
-    /// same trainer (the choice is orthogonal to `engine`), so scalar and
-    /// vectorized runs stay bit-identical.
-    pub featsel_engine: FeatSelEngine,
-    /// F-score upper-bound pruning in the refinement BFS (vectorized
-    /// engine only): a lattice child is skipped — mask never built,
+    /// F-score upper-bound pruning in the refinement BFS: a lattice child
+    /// is skipped — mask never built,
     /// never scored — when `min(tp_parent, tp_pred)` caps its recall at
     /// ≤ λ_recall in every direction (it could neither be kept nor seed a
     /// keepable refinement, by Proposition 3.1's anti-monotonicity), or,
@@ -126,8 +118,6 @@ impl Default for MiningParams {
             exclude_fd_attrs: false,
             banned_attrs: Vec::new(),
             seed: 0xCA7ADE,
-            engine: ScoreEngine::Vectorized,
-            featsel_engine: FeatSelEngine::Histogram,
             refine_ub_prune: true,
         }
     }
@@ -147,9 +137,8 @@ pub struct MiningTimings {
     pub fscore_calc: Duration,
     /// `Refine Patterns` row.
     pub refine_patterns: Duration,
-    /// Column encoding + predicate-bitmap precomputation (the vectorized
-    /// engine's `ScoreIndex`/`PredBank` build; zero on the scalar path and
-    /// on warm `PreparedApt` asks).
+    /// Column encoding + predicate-bitmap precomputation (the
+    /// `ScoreIndex`/`PredBank` build; zero on warm `PreparedApt` asks).
     pub prepare: Duration,
     /// Lattice children skipped by the F-score upper bound before their
     /// mask was built or scored ([`MiningParams::refine_ub_prune`]).
@@ -226,25 +215,16 @@ pub fn mine_apt(
 ) -> MiningOutcome {
     let mut timings = MiningTimings::default();
 
-    // ---- Phase 3 (done early; the scorer is needed for ranking and the
-    // histogram feature selection reuses the index's encoding): F1 sample
-    // + engine-specific scoring state.
-    let (sample, index) = sample_and_index(apt, pt, params, &mut timings);
+    // ---- Phase 3 (done early: the index is needed for ranking and
+    // feature selection reuses its scan order): F1 sample + index.
+    let index = sample_and_index(apt, pt, params, &mut timings);
 
     // ---- Phase 1: feature selection (filterAttrs). ---------------------
     // The one-shot path never shares statistics across graphs: it mines
     // one APT per call, so the pass-through provider keeps its output
     // bit-identical to the historical per-APT computation.
     let stage = Stage::detail("feature_selection");
-    let mut fs = run_featsel(
-        apt,
-        pt,
-        params,
-        index.as_ref(),
-        sample.as_deref(),
-        Some(question),
-        &NoSharedStats,
-    );
+    let mut fs = run_featsel(apt, pt, params, &index, Some(question), &NoSharedStats);
     if params.exclude_fd_attrs {
         let fd = crate::fd::group_determining_fields(apt, pt, question);
         fs.num_fields.retain(|f| !fd.contains(f));
@@ -264,8 +244,7 @@ pub fn mine_apt(
     .into_iter()
     .map(|i| scope_rows[i])
     .collect();
-    let mut cat_pats = lca_candidates(apt, &lca_rows, &fs.cat_fields);
-    cat_pats.retain(|p| p.len() <= params.max_cat_attrs);
+    let candidates = lca_pool(apt, &index, &lca_rows, &fs.cat_fields, params);
     timings.gen_pat_cand = stage.finish();
 
     // ---- Fragment boundaries per selected numeric field (once). --------
@@ -279,21 +258,8 @@ pub fn mine_apt(
     timings.refine_patterns += boundaries_time;
 
     // Predicate bitmaps for every (field, boundary, ≤/≥) refinement.
-    let bank = index.as_ref().map(|ix| PredBank::build(ix, &frag));
+    let bank = PredBank::build(&index, &frag);
     timings.prepare += stage.finish() - boundaries_time;
-
-    let eval = match (&index, &bank) {
-        (Some(ix), Some(bk)) => SampleEval::Vector {
-            index: ix,
-            bank: bk,
-        },
-        _ => SampleEval::Scalar(match sample {
-            Some(rows) => Scorer::sampled(apt, pt, rows),
-            None => Scorer::exact(apt, pt),
-        }),
-    };
-    let candidates: Vec<(Pattern, Option<Mask>)> =
-        cat_pats.into_iter().map(|p| (p, None)).collect();
 
     let (explanations, patterns_evaluated) = mine_core(
         apt,
@@ -302,7 +268,8 @@ pub fn mine_apt(
         params,
         candidates,
         &frag,
-        &eval,
+        &index,
+        &bank,
         &mut timings,
     );
 
@@ -315,15 +282,15 @@ pub fn mine_apt(
 }
 
 /// Phase 3, shared by [`mine_apt`] and
-/// [`prepare_apt_with`](crate::prepared::prepare_apt_with): the λ_F1 row
-/// sample (`None` ⇒ all rows) and, for the vectorized engine only — the
-/// scalar one never reads it — the columnar index over it.
+/// [`prepare_apt_with`](crate::prepared::prepare_apt_with): draws the
+/// λ_F1 row sample (all rows at rate ≥ 1.0) and builds the columnar index
+/// over it.
 pub(crate) fn sample_and_index(
     apt: &Apt,
     pt: &ProvenanceTable,
     params: &MiningParams,
     timings: &mut MiningTimings,
-) -> (Option<Vec<u32>>, Option<ScoreIndex>) {
+) -> ScoreIndex {
     let stage = Stage::detail("sampling_for_f1");
     let sample: Option<Vec<u32>> = (params.lambda_f1_samp < 1.0).then(|| {
         bernoulli_sample(apt.num_rows, params.lambda_f1_samp, params.seed)
@@ -334,29 +301,27 @@ pub(crate) fn sample_and_index(
     timings.sampling_for_f1 = stage.finish();
 
     let stage = Stage::detail("score_index");
-    let index = (params.engine == ScoreEngine::Vectorized).then(|| match &sample {
+    let index = match &sample {
         Some(rows) => ScoreIndex::sampled(apt, pt, rows),
         None => ScoreIndex::exact(apt, pt),
-    });
+    };
     timings.prepare += stage.finish();
-    (sample, index)
+    index
 }
 
-/// The feature-selection dispatch shared by [`mine_apt`] (question-
+/// The feature-selection wiring shared by [`mine_apt`] (question-
 /// specific, `question = Some`) and
 /// [`prepare_apt`](crate::prepared::prepare_apt) (group-global,
 /// `question = None`): maps [`MiningParams`] onto a [`FeatSelConfig`],
-/// picks the trainer per [`MiningParams::featsel_engine`] — the
-/// histogram trainer reuses the index's `(group, PT row)` scan order
-/// when one exists and reconstructs the identical order otherwise — and
-/// applies the `banned_attrs` filter. One copy, so cold asks and warm
+/// trains on the index's `(group, PT row)` scan order — the gathers read
+/// the same typed-array / dictionary representation the index encodes —
+/// and applies the `banned_attrs` filter. One copy, so cold asks and warm
 /// `PreparedApt` asks can never diverge in how selection is wired up.
 pub(crate) fn run_featsel(
     apt: &Apt,
     pt: &ProvenanceTable,
     params: &MiningParams,
-    index: Option<&ScoreIndex>,
-    sample: Option<&[u32]>,
+    index: &ScoreIndex,
     question: Option<&Question>,
     stats: &dyn ColumnStatsProvider,
 ) -> FeatureSelection {
@@ -370,26 +335,9 @@ pub(crate) fn run_featsel(
     let mut fs = if !params.feature_selection {
         all_features(apt)
     } else {
-        match (params.featsel_engine, question) {
-            (FeatSelEngine::FloatMatrix, Some(q)) => select_features(apt, pt, q, &featsel_cfg),
-            (FeatSelEngine::FloatMatrix, None) => select_features_global(apt, pt, &featsel_cfg),
-            (FeatSelEngine::Histogram, q) => {
-                // The histogram trainer consumes rows in the index's
-                // (group, PT row) scan order over the same typed-array /
-                // dictionary representation the index encodes.
-                let order_owned;
-                let order: &[u32] = match index {
-                    Some(ix) => ix.order(),
-                    None => {
-                        order_owned = hist_scan_order(apt, pt, sample);
-                        &order_owned
-                    }
-                };
-                match q {
-                    Some(q) => select_features_hist(apt, pt, order, q, &featsel_cfg, stats),
-                    None => select_features_hist_global(apt, pt, order, &featsel_cfg, stats),
-                }
-            }
+        match question {
+            Some(q) => select_features_hist(apt, pt, index.order(), q, &featsel_cfg, stats),
+            None => select_features_hist_global(apt, pt, index.order(), &featsel_cfg, stats),
         }
     };
     if !params.banned_attrs.is_empty() {
@@ -405,20 +353,32 @@ pub(crate) fn run_featsel(
     fs
 }
 
-/// The scoring backend of one mining run: the scalar row-at-a-time
-/// [`Scorer`] or the columnar [`ScoreIndex`] + precomputed refinement
-/// masks. Both yield bit-identical metrics.
-pub(crate) enum SampleEval<'a> {
-    /// Interpreted row-scan scoring.
-    Scalar(Scorer<'a>),
-    /// Bitmap kernel.
-    Vector {
-        /// Sample index (mask evaluation + segmented popcounts).
-        index: &'a ScoreIndex,
-        /// Precomputed `(field, boundary, op)` refinement masks, aligned
-        /// with the `frag` list passed to [`mine_core`].
-        bank: &'a PredBank,
-    },
+/// The LCA candidates over `lca_rows` with at most `max_cat_attrs`
+/// predicates, each with its match bitmap (one `eval_pred` per distinct
+/// equality predicate). Unranked: ranking is per question.
+pub(crate) fn lca_pool(
+    apt: &Apt,
+    index: &ScoreIndex,
+    lca_rows: &[u32],
+    cat_fields: &[usize],
+    params: &MiningParams,
+) -> Vec<(Pattern, Mask)> {
+    let mut cat_pats = lca_candidates(apt, lca_rows, cat_fields);
+    cat_pats.retain(|p| p.len() <= params.max_cat_attrs);
+    let mut eq_memo: HashMap<(usize, Pred), Mask> = HashMap::new();
+    cat_pats
+        .into_iter()
+        .map(|p| {
+            let mut m = index.full_mask();
+            for (field, pred) in p.preds() {
+                let pm = eq_memo
+                    .entry((*field, *pred))
+                    .or_insert_with(|| index.eval_pred(*field, pred));
+                m.and_assign(pm);
+            }
+            (p, m)
+        })
+        .collect()
 }
 
 /// Candidate ranking + refinement BFS + diversity top-k + exact
@@ -427,18 +387,19 @@ pub(crate) enum SampleEval<'a> {
 /// [`mine_prepared`](crate::prepared::mine_prepared) (cached
 /// question-independent preparation).
 ///
-/// `candidates` are the unranked categorical seeds; a `Some` mask is the
-/// pattern's precomputed match bitmap (pooled candidates), `None` masks
-/// are evaluated here (memoized per distinct equality predicate).
+/// `candidates` are the unranked categorical seeds with their match
+/// bitmaps over `index`; `bank` holds the refinement masks, aligned with
+/// `frag`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn mine_core(
     apt: &Apt,
     pt: &ProvenanceTable,
     question: &Question,
     params: &MiningParams,
-    candidates: Vec<(Pattern, Option<Mask>)>,
+    candidates: Vec<(Pattern, Mask)>,
     frag: &[(usize, Vec<f64>)],
-    eval: &SampleEval<'_>,
+    index: &ScoreIndex,
+    bank: &PredBank,
     timings: &mut MiningTimings,
 ) -> (Vec<MinedExplanation>, usize) {
     cajade_obs::faults::failpoint_infallible("mine.refine");
@@ -447,41 +408,17 @@ pub(crate) fn mine_core(
 
     // ---- Rank categorical candidates by recall, keep top k_cat. --------
     let stage = Stage::detail("rank_candidates");
-    let mut eq_memo: HashMap<(usize, Pred), Mask> = HashMap::new();
-    let mut ranked: Vec<(Pattern, Option<Mask>, f64)> = candidates
+    let mut ranked: Vec<(Pattern, Mask, f64)> = candidates
         .into_iter()
         .map(|(p, mask)| {
             patterns_evaluated += 1;
-            let (mask, best_recall) = match eval {
-                SampleEval::Scalar(scorer) => {
-                    let r = directions
-                        .iter()
-                        .map(|&(t, s)| scorer.score(&p, t, s).recall)
-                        .fold(0.0, f64::max);
-                    (None, r)
-                }
-                SampleEval::Vector { index, .. } => {
-                    let mask = mask.unwrap_or_else(|| {
-                        let mut m = index.full_mask();
-                        for (field, pred) in p.preds() {
-                            let pm = eq_memo
-                                .entry((*field, *pred))
-                                .or_insert_with(|| index.eval_pred(*field, pred));
-                            m.and_assign(pm);
-                        }
-                        m
-                    });
-                    let r = directions
-                        .iter()
-                        .map(|&(t, s)| index.score_mask(&mask, t, s).recall)
-                        .fold(0.0, f64::max);
-                    (Some(mask), r)
-                }
-            };
+            let best_recall = directions
+                .iter()
+                .map(|&(t, s)| index.score_mask(&mask, t, s).recall)
+                .fold(0.0, f64::max);
             (p, mask, best_recall)
         })
         .collect();
-    drop(eq_memo);
     // `total_cmp`: under a NaN recall (degenerate metrics) `partial_cmp`
     // fell back to Equal, which made the top-k_cat cut depend on the
     // incoming candidate order — a silent nondeterminism.
@@ -493,12 +430,7 @@ pub(crate) fn mine_core(
     let bfs_stage = Stage::detail("refine_bfs");
 
     // ---- Refinement BFS with recall pruning. ---------------------------
-    let full_mask = match eval {
-        SampleEval::Vector { index, .. } => Some(index.full_mask()),
-        SampleEval::Scalar(_) => None,
-    };
-
-    // F-score upper-bound pruning state (vectorized engine only): the
+    // F-score upper-bound pruning state: the
     // per-direction TP count of every refinement predicate mask, computed
     // once from the PredBank. A child's TP is bounded by
     // `min(tp_parent, tp_pred)` (its mask is the AND of both), so many
@@ -516,39 +448,30 @@ pub(crate) fn mine_core(
     // `pred_tp[fi][bi][op slot][direction]` — aligned with `frag`.
     /// Per-direction `a1` denominators + per-predicate TP counts.
     type UbState = (Vec<usize>, Vec<Vec<[Vec<usize>; 2]>>);
-    let ub_state: Option<UbState> = match (&eval, params) {
-        (
-            SampleEval::Vector { index, bank },
-            MiningParams {
-                refine_ub_prune: true,
-                ..
-            },
-        ) => {
-            let a1s: Vec<usize> = directions
-                .iter()
-                .map(|&(primary, _)| index.group_size(primary))
-                .collect();
-            let pred_tp: Vec<Vec<[Vec<usize>; 2]>> = frag
-                .iter()
-                .enumerate()
-                .map(|(fi, (_, boundaries))| {
-                    (0..boundaries.len())
-                        .map(|bi| {
-                            [PredOp::Le, PredOp::Ge].map(|op| {
-                                let mask = bank.mask(fi, bi, op);
-                                directions
-                                    .iter()
-                                    .map(|&(primary, _)| index.tp_of(mask, primary))
-                                    .collect()
-                            })
+    let ub_state: Option<UbState> = params.refine_ub_prune.then(|| {
+        let a1s: Vec<usize> = directions
+            .iter()
+            .map(|&(primary, _)| index.group_size(primary))
+            .collect();
+        let pred_tp: Vec<Vec<[Vec<usize>; 2]>> = frag
+            .iter()
+            .enumerate()
+            .map(|(fi, (_, boundaries))| {
+                (0..boundaries.len())
+                    .map(|bi| {
+                        [PredOp::Le, PredOp::Ge].map(|op| {
+                            let mask = bank.mask(fi, bi, op);
+                            directions
+                                .iter()
+                                .map(|&(primary, _)| index.tp_of(mask, primary))
+                                .collect()
                         })
-                        .collect()
-                })
-                .collect();
-            Some((a1s, pred_tp))
-        }
-        _ => None,
-    };
+                    })
+                    .collect()
+            })
+            .collect();
+        (a1s, pred_tp)
+    });
     // The `top_k = 1` F-score floor: highest kept (sampled) F so far.
     let mut kept_f_floor = f64::NEG_INFINITY;
     // The lattice is enumerated **canonically**: a child only refines
@@ -565,7 +488,7 @@ pub(crate) fn mine_core(
     // differs from the dedup-based order.)
     struct TodoItem {
         pat: Pattern,
-        mask: Option<Mask>,
+        mask: Mask,
         /// First fragment-field index this pattern may refine.
         next_fi: usize,
         /// Numeric predicates already on the pattern (λ_attrNum budget).
@@ -576,7 +499,7 @@ pub(crate) fn mine_core(
     // explanations like `salary < 15330435`, Table 4).
     todo.push_back(TodoItem {
         pat: Pattern::empty(),
-        mask: full_mask,
+        mask: index.full_mask(),
         next_fi: 0,
         numeric_preds: 0,
     });
@@ -620,13 +543,7 @@ pub(crate) fn mine_core(
         let mut best_recall = 0.0f64;
         let mut item_tps = [0usize; 2];
         for (d, &(primary, secondary)) in directions.iter().enumerate() {
-            let m = match (eval, &mask) {
-                (SampleEval::Vector { index, .. }, Some(mask)) => {
-                    index.score_mask(mask, primary, secondary)
-                }
-                (SampleEval::Scalar(scorer), _) => scorer.score(&pat, primary, secondary),
-                _ => unreachable!("vector queue entries always carry a mask"),
-            };
+            let m = index.score_mask(&mask, primary, secondary);
             best_recall = best_recall.max(m.recall);
             item_tps[d] = m.tp;
             if !pat.is_empty() && m.recall > params.lambda_recall {
@@ -694,15 +611,9 @@ pub(crate) fn mine_core(
                     );
                     // Incremental refinement: the child's matches are the
                     // parent's AND the threshold's bitmap.
-                    let child_mask = match (eval, &mask) {
-                        (SampleEval::Vector { bank, .. }, Some(m)) => {
-                            Some(m.and(bank.mask(fi, bi, op)))
-                        }
-                        _ => None,
-                    };
                     todo.push_back(TodoItem {
                         pat: refined,
-                        mask: child_mask,
+                        mask: mask.and(bank.mask(fi, bi, op)),
                         next_fi: fi + 1,
                         numeric_preds: numeric_preds + 1,
                     });
@@ -724,10 +635,7 @@ pub(crate) fn mine_core(
     // When the scan already covered every APT row (λ_F1 ≥ 1.0), the
     // "sampled" metrics *are* the exact metrics — re-scoring would
     // recompute bit-identical numbers row by row.
-    let scan_was_exact = match eval {
-        SampleEval::Scalar(scorer) => scorer.scan_size() == apt.num_rows,
-        SampleEval::Vector { index, .. } => index.scan_size() == apt.num_rows,
-    };
+    let scan_was_exact = index.scan_size() == apt.num_rows;
     let exact = (!scan_was_exact).then(|| Scorer::exact(apt, pt));
     let explanations: Vec<MinedExplanation> = selected
         .into_iter()

@@ -9,7 +9,7 @@
 //! * the `|num_fields| × λ#frag × 2` refinement predicate bitmaps,
 //! * the LCA candidate pool and each candidate's match bitmap,
 //! * feature selection — once it is formulated group-globally
-//!   ([`select_features_global`](crate::featsel::select_features_global))
+//!   ([`select_features_hist_global`](crate::featsel::select_features_hist_global))
 //!   instead of per `(t1, t2)` pair.
 //!
 //! [`prepare_apt`] hoists all of that into a [`PreparedApt`] that the
@@ -23,14 +23,11 @@
 //! [`mine_apt`](crate::miner::mine_apt) flow make
 //! this possible (all deterministic, all documented here because they
 //! can change which explanations are mined relative to the one-shot
-//! path): feature selection is group-global, the LCA pool is sampled
+//! path): feature selection is group-global, and the LCA pool is sampled
 //! from **all** APT rows rather than the two-point question's scope —
 //! out-of-scope candidates simply rank last on recall and fall out of the
-//! top-k_cat cut — and the default histogram feature selection trains on
-//! the λ_F1 sample (the rows the index encodes) rather than on an
-//! independent all-rows sample.
+//! top-k_cat cut.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use cajade_graph::Apt;
@@ -38,16 +35,14 @@ use cajade_ml::sampling::sample_with_cap;
 use cajade_obs::Stage;
 use cajade_query::ProvenanceTable;
 
-use crate::engine::{Mask, PredBank, ScoreEngine, ScoreIndex};
+use crate::engine::{Mask, PredBank, ScoreIndex};
 use crate::featsel::FeatureSelection;
 use crate::fragments::fragment_boundaries;
-use crate::lca::lca_candidates;
 use crate::miner::{
-    mine_core, run_featsel, sample_and_index, MiningOutcome, MiningParams, MiningTimings,
-    SampleEval,
+    lca_pool, mine_core, run_featsel, sample_and_index, MiningOutcome, MiningParams, MiningTimings,
 };
 use crate::pattern::Pattern;
-use crate::score::{Question, Scorer};
+use crate::score::Question;
 use crate::stats::{source_column, ColumnStatsProvider, NoSharedStats};
 
 /// Everything about one `(APT, MiningParams)` pair that is independent of
@@ -58,19 +53,14 @@ pub struct PreparedApt {
     /// Group-global feature selection (ban list already applied).
     pub fs: FeatureSelection,
     /// Columnar index over the λ_F1 sample (exact when sampling is off).
-    /// `None` when prepared for the scalar engine, which never reads it.
-    pub index: Option<ScoreIndex>,
-    /// The λ_F1 sample rows (`None` ⇒ all rows) — kept so the scalar
-    /// fallback engine can score the identical sample.
-    pub sample: Option<Vec<u32>>,
+    pub index: ScoreIndex,
     /// LCA candidate pool with each candidate's precomputed match bitmap
-    /// (unranked; ranking is per-question; masks absent on the scalar
-    /// engine).
-    pub pool: Vec<(Pattern, Option<Mask>)>,
+    /// (unranked; ranking is per-question).
+    pub pool: Vec<(Pattern, Mask)>,
     /// Fragment boundaries per selected numeric field.
     pub frag: Vec<(usize, Vec<f64>)>,
-    /// Refinement predicate bitmaps aligned with `frag` (scalar: `None`).
-    pub bank: Option<PredBank>,
+    /// Refinement predicate bitmaps aligned with `frag`.
+    pub bank: PredBank,
     /// Wall-clock of the preparation phases (attributed to the ask that
     /// computed them; cache hits report zero).
     pub prep_timings: MiningTimings,
@@ -84,19 +74,18 @@ pub struct PreparedApt {
 impl PreparedApt {
     /// Approximate heap footprint for cache byte budgeting.
     pub fn approx_bytes(&self) -> usize {
-        self.index.as_ref().map_or(0, ScoreIndex::approx_bytes)
-            + self.bank.as_ref().map_or(0, PredBank::approx_bytes)
+        self.index.approx_bytes()
+            + self.bank.approx_bytes()
             + self
                 .pool
                 .iter()
-                .map(|(p, m)| p.len() * 24 + m.as_ref().map_or(0, Mask::approx_bytes))
+                .map(|(p, m)| p.len() * 24 + m.approx_bytes())
                 .sum::<usize>()
             + self
                 .frag
                 .iter()
                 .map(|(_, b)| 16 + b.len() * 8)
                 .sum::<usize>()
-            + self.sample.as_ref().map_or(0, |s| s.len() * 4)
             + self.fs.relevance.len() * 8
             + 256
     }
@@ -148,13 +137,9 @@ pub fn prepare_apt_with(
     };
 
     // ---- λ_F1 sample + columnar index. ---------------------------------
-    // The bitmap state (index, per-candidate masks, predicate bank) is
-    // only built for the vectorized engine; a scalar-engine preparation
-    // would cache memory the miner never reads. It is built *before*
-    // feature selection so the histogram trainer can reuse the index's
-    // `(group, PT row)` scan order (its gathers read the same
-    // typed-array/dictionary representation the index encodes).
-    let (sample, index) = sample_and_index(apt, pt, params, &mut timings);
+    // Built *before* feature selection, which trains on the index's
+    // `(group, PT row)` scan order.
+    let index = sample_and_index(apt, pt, params, &mut timings);
 
     // ---- Feature selection (group-global, cacheable). ------------------
     let stage = Stage::detail("feature_selection");
@@ -166,21 +151,13 @@ pub fn prepare_apt_with(
             relevance: vec![0.0; apt.fields.len()],
         }
     } else {
-        run_featsel(
-            apt,
-            pt,
-            params,
-            index.as_ref(),
-            sample.as_deref(),
-            None,
-            stats,
-        )
+        run_featsel(apt, pt, params, &index, None, stats)
     };
     timings.feature_selection = stage.finish();
 
     // ---- LCA pool over an all-rows λ_pat sample, with match bitmaps. ----
     let stage = Stage::detail("gen_pat_cand");
-    let pool: Vec<(Pattern, Option<Mask>)> = if stop_before_phase(&mut timings, &mut truncated) {
+    let pool: Vec<(Pattern, Mask)> = if stop_before_phase(&mut timings, &mut truncated) {
         Vec::new()
     } else {
         let lca_rows: Vec<u32> = sample_with_cap(
@@ -192,25 +169,7 @@ pub fn prepare_apt_with(
         .into_iter()
         .map(|i| i as u32)
         .collect();
-        let mut cat_pats = lca_candidates(apt, &lca_rows, &fs.cat_fields);
-        cat_pats.retain(|p| p.len() <= params.max_cat_attrs);
-        let mut eq_memo: HashMap<(usize, crate::pattern::Pred), Mask> = HashMap::new();
-        cat_pats
-            .into_iter()
-            .map(|p| {
-                let mask = index.as_ref().map(|index| {
-                    let mut m = index.full_mask();
-                    for (field, pred) in p.preds() {
-                        let pm = eq_memo
-                            .entry((*field, *pred))
-                            .or_insert_with(|| index.eval_pred(*field, pred));
-                        m.and_assign(pm);
-                    }
-                    m
-                });
-                (p, mask)
-            })
-            .collect()
+        lca_pool(apt, &index, &lca_rows, &fs.cat_fields, params)
     };
     timings.gen_pat_cand = stage.finish();
 
@@ -234,7 +193,7 @@ pub fn prepare_apt_with(
             })
             .collect()
     };
-    let bank = index.as_ref().map(|index| PredBank::build(index, &frag));
+    let bank = PredBank::build(&index, &frag);
     timings.prepare += stage.finish();
 
     // Conservative cache guard: if the budget expired at *any* point
@@ -247,7 +206,6 @@ pub fn prepare_apt_with(
     PreparedApt {
         fs,
         index,
-        sample,
         pool,
         frag,
         bank,
@@ -276,7 +234,7 @@ pub fn mine_prepared(
     // restate *these* groups); when enabled it runs per ask against the
     // prepared selection.
     /// Fragment list + bitmap bank rebuilt without FD-excluded fields.
-    type FragOverride = (Vec<(usize, Vec<f64>)>, Option<PredBank>);
+    type FragOverride = (Vec<(usize, Vec<f64>)>, PredBank);
     let mut fs = prepared.fs.clone();
     let mut frag_override: Option<FragOverride> = None;
     if params.exclude_fd_attrs {
@@ -295,10 +253,7 @@ pub fn mine_prepared(
                 .filter(|(f, _)| fs.num_fields.contains(f))
                 .cloned()
                 .collect();
-            let bank = prepared
-                .index
-                .as_ref()
-                .map(|index| PredBank::build(index, &frag));
+            let bank = PredBank::build(&prepared.index, &frag);
             frag_override = Some((frag, bank));
         }
         timings.feature_selection += t0.elapsed();
@@ -306,7 +261,7 @@ pub fn mine_prepared(
 
     // Candidate seeds: the pooled patterns, minus any touching an
     // FD-excluded categorical field.
-    let candidates: Vec<(Pattern, Option<Mask>)> = prepared
+    let candidates: Vec<(Pattern, Mask)> = prepared
         .pool
         .iter()
         .filter(|(p, _)| {
@@ -318,25 +273,9 @@ pub fn mine_prepared(
         .cloned()
         .collect();
 
-    let (frag, bank): (&[(usize, Vec<f64>)], Option<&PredBank>) = match &frag_override {
-        Some((f, b)) => (f, b.as_ref()),
-        None => (&prepared.frag, prepared.bank.as_ref()),
-    };
-
-    let scalar_scorer;
-    let eval = match (params.engine, &prepared.index, bank) {
-        (ScoreEngine::Vectorized, Some(index), Some(bank)) => SampleEval::Vector { index, bank },
-        // Scalar engine, or a preparation built for the scalar engine
-        // (the service keys prepared state by the full mining-params
-        // fingerprint, so an engine mismatch cannot happen there; direct
-        // API callers fall back to the scalar scorer).
-        _ => {
-            scalar_scorer = match &prepared.sample {
-                Some(rows) => Scorer::sampled(apt, pt, rows.clone()),
-                None => Scorer::exact(apt, pt),
-            };
-            SampleEval::Scalar(scalar_scorer)
-        }
+    let (frag, bank): (&[(usize, Vec<f64>)], &PredBank) = match &frag_override {
+        Some((f, b)) => (f, b),
+        None => (&prepared.frag, &prepared.bank),
     };
 
     let (explanations, patterns_evaluated) = mine_core(
@@ -346,7 +285,8 @@ pub fn mine_prepared(
         params,
         candidates,
         frag,
-        &eval,
+        &prepared.index,
+        bank,
         &mut timings,
     );
 

@@ -67,9 +67,9 @@ pub struct PatternMetrics {
 }
 
 impl PatternMetrics {
-    /// Builds the derived precision/recall/F-score from raw counts. Both
-    /// scoring engines (scalar and vectorized) funnel through this one
-    /// function, so equal counts guarantee bit-identical metrics.
+    /// Builds the derived precision/recall/F-score from raw counts. The
+    /// bitmap kernel and the row-at-a-time [`Scorer`] both funnel through
+    /// this one function, so equal counts guarantee bit-identical metrics.
     pub(crate) fn from_counts(tp: usize, a1: usize, fp: usize, a2: usize) -> Self {
         let precision = if tp + fp == 0 {
             0.0

@@ -1,20 +1,24 @@
-//! The vectorized scoring engine is a *verified-equivalent* replacement
-//! for the scalar `Scorer`:
+//! The bitmap scoring kernel against its row-at-a-time reference, and
+//! the warm path against the cold one:
 //!
 //! 1. a property test asserts bit-identical [`PatternMetrics`] between
 //!    [`ScoreIndex`] and [`Scorer`] on randomized APTs (nulls, join
 //!    fan-out, mixed types), random patterns (Eq/Le/Ge), random row
 //!    samples, and both question kinds;
-//! 2. determinism tests assert that `mine_apt` and the prepared path
-//!    produce identical explanations (same patterns, same order, same
-//!    metrics) with the engine on vs off.
+//! 2. a fresh question on an existing `PreparedApt` gives the answer a
+//!    fresh preparation gives.
+//!
+//! Whole mining runs are checked against the paper-derived reference in
+//! `oracle.rs`.
+//!
+//! [`PatternMetrics`]: cajade_mining::PatternMetrics
 
 use proptest::prelude::*;
 
 use cajade_graph::{Apt, JoinGraph};
 use cajade_mining::{
-    mine_apt, mine_prepared, prepare_apt, MiningParams, PatValue, Pattern, Pred, PredOp, Question,
-    ScoreEngine, ScoreIndex, Scorer,
+    mine_prepared, prepare_apt, MiningParams, PatValue, Pattern, Pred, PredOp, Question,
+    ScoreIndex, Scorer,
 };
 use cajade_query::{parse_sql, ProvenanceTable};
 use cajade_storage::{AttrKind, DataType, Database, SchemaBuilder, Value};
@@ -163,78 +167,6 @@ fn star_fixture() -> (Database, cajade_query::Query) {
     }
     let q = parse_sql("SELECT count(*) AS c, season FROM t GROUP BY season").unwrap();
     (db, q)
-}
-
-/// `mine_apt` output (same explanations, same order) is unchanged with
-/// the engine on vs off — across sampling configurations and both
-/// question kinds.
-#[test]
-fn mine_apt_identical_with_engine_on_and_off() {
-    let (db, q) = star_fixture();
-    let pt = ProvenanceTable::compute(&db, &q).unwrap();
-    let apt = Apt::materialize(&db, &pt, &JoinGraph::pt_only()).unwrap();
-    for (pat_samp, f1_samp) in [(1.0, 1.0), (1.0, 0.5), (0.6, 0.3)] {
-        for question in [
-            Question::TwoPoint { t1: 1, t2: 0 },
-            Question::SinglePoint { t: 0 },
-        ] {
-            let mut params = MiningParams {
-                lambda_pat_samp: pat_samp,
-                lambda_f1_samp: f1_samp,
-                ..Default::default()
-            };
-            params.engine = ScoreEngine::Vectorized;
-            let vectorized = mine_apt(&apt, &pt, &question, &params);
-            params.engine = ScoreEngine::Scalar;
-            let scalar = mine_apt(&apt, &pt, &question, &params);
-            assert_eq!(
-                rendered(&vectorized, &apt, &db),
-                rendered(&scalar, &apt, &db),
-                "engine changed mine_apt output (λ_pat={pat_samp}, λ_F1={f1_samp}, {question:?})"
-            );
-            assert!(!vectorized.explanations.is_empty());
-            // Upper-bound pruning runs on the vectorized engine only, so
-            // evaluation *counts* only line up with it disabled (outputs
-            // above are identical either way).
-            params.refine_ub_prune = false;
-            let scalar_noub = mine_apt(&apt, &pt, &question, &params);
-            params.engine = ScoreEngine::Vectorized;
-            let vectorized_noub = mine_apt(&apt, &pt, &question, &params);
-            assert_eq!(
-                vectorized_noub.patterns_evaluated,
-                scalar_noub.patterns_evaluated
-            );
-            assert_eq!(vectorized_noub.timings.ub_pruned_children, 0);
-        }
-    }
-}
-
-/// The prepared (question-independent) path is likewise engine-invariant.
-#[test]
-fn mine_prepared_identical_with_engine_on_and_off() {
-    let (db, q) = star_fixture();
-    let pt = ProvenanceTable::compute(&db, &q).unwrap();
-    let apt = Apt::materialize(&db, &pt, &JoinGraph::pt_only()).unwrap();
-    for f1_samp in [1.0, 0.4] {
-        let mut params = MiningParams {
-            lambda_f1_samp: f1_samp,
-            lambda_pat_samp: 1.0,
-            ..Default::default()
-        };
-        let question = Question::TwoPoint { t1: 1, t2: 0 };
-        params.engine = ScoreEngine::Vectorized;
-        let prep_v = prepare_apt(&apt, &pt, &params);
-        let vectorized = mine_prepared(&prep_v, &apt, &pt, &question, &params);
-        params.engine = ScoreEngine::Scalar;
-        let prep_s = prepare_apt(&apt, &pt, &params);
-        let scalar = mine_prepared(&prep_s, &apt, &pt, &question, &params);
-        assert_eq!(
-            rendered(&vectorized, &apt, &db),
-            rendered(&scalar, &apt, &db),
-            "engine changed mine_prepared output (λ_F1={f1_samp})"
-        );
-        assert!(!vectorized.explanations.is_empty());
-    }
 }
 
 /// A fresh question on an existing `PreparedApt` gives the same answer as

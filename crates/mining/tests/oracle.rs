@@ -1,14 +1,12 @@
 //! Production mining against a reference miner written from the paper.
 //!
-//! [`oracle`] is Algorithm 1 with Definitions 5–8 spelled out as nested
-//! loops over APT rows: a pattern is matched row by row, a provenance
-//! tuple is covered iff some APT row extending it matches, the refinement
-//! lattice is generate-and-dedup over a `done` set, and the only pruning
-//! is the λ_recall rule of Proposition 3.1. It shares no scoring or
-//! enumeration code with the miner — no index, bitmap, predicate bank,
-//! canonical enumeration order or upper bound. It reuses the three steps
-//! the paper leaves to a library: LCA candidate generation, fragment
-//! boundaries and diversity-aware top-k.
+//! [`oracle`] is Algorithm 1 with Definitions 5–8 as nested loops over APT
+//! rows: patterns are matched row by row, a provenance tuple is covered
+//! iff some APT row extending it matches, the refinement lattice is
+//! generate-and-dedup over a `done` set, and the only pruning is the
+//! λ_recall rule of Proposition 3.1. It shares no scoring or enumeration
+//! code with the miner; it reuses the steps the engines never forked on:
+//! LCA candidates, fragment boundaries and diversity-aware top-k.
 //!
 //! With feature selection off and both sample rates at 1.0, `mine_apt`
 //! and `prepare_apt` + `mine_prepared` must return the oracle's
@@ -48,17 +46,20 @@ fn matches(apt: &Apt, row: usize, pattern: &Pattern) -> bool {
     })
 }
 
+/// One direction's Definition-7 score: `(TP, a1, FP, a2)` over provenance
+/// tuples, recall and F.
+type Score = ((usize, usize, usize, usize), f64, f64);
+
 /// Definition 7 for `primary` against `secondary` (`None`: every other
-/// output): `(TP, a1, FP, a2)` count provenance tuples, and the
-/// denominators are the full `|PT(Q, D, t)|` — an uncovered tuple is a
-/// false negative whether the pattern or the join lost it.
-fn counts(
-    apt: &Apt,
-    pt: &ProvenanceTable,
+/// output). The denominators are the full `|PT(Q, D, t)|` — an uncovered
+/// tuple is a false negative whether the pattern or the join lost it.
+/// Precision is `TP / (TP + FP)`, recall `TP / a1`, F their harmonic
+/// mean; a 0/0 is 0.
+fn score(
+    (apt, pt): (&Apt, &ProvenanceTable),
     pattern: &Pattern,
-    primary: usize,
-    secondary: Option<usize>,
-) -> (usize, usize, usize, usize) {
+    (primary, secondary): (usize, Option<usize>),
+) -> Score {
     let mut covered = vec![false; pt.num_rows];
     for row in 0..apt.num_rows {
         if matches(apt, row, pattern) {
@@ -71,44 +72,31 @@ fn counts(
     };
     let (tp, a1) = support(&|g| g == primary);
     let (fp, a2) = support(&|g| secondary.map_or(g != primary, |s| g == s));
-    (tp, a1, fp, a2)
-}
-
-/// `(recall, F-score)`: precision `TP / (TP + FP)`, recall `TP / a1`,
-/// their harmonic mean; a 0/0 is 0.
-fn recall_and_f(tp: usize, a1: usize, fp: usize) -> (f64, f64) {
     let ratio = |n: usize, d: usize| if d == 0 { 0.0 } else { n as f64 / d as f64 };
     let (precision, recall) = (ratio(tp, tp + fp), ratio(tp, a1));
-    if precision + recall == 0.0 {
-        return (recall, 0.0);
-    }
-    (recall, 2.0 * precision * recall / (precision + recall))
+    let f = if precision + recall == 0.0 {
+        0.0
+    } else {
+        2.0 * precision * recall / (precision + recall)
+    };
+    ((tp, a1, fp, a2), recall, f)
 }
 
-/// Algorithm 1 over one APT. `lca_rows` is the λ_pat-samp sample at rate
-/// 1.0: the question's rows for `mine_apt`, every row for `prepare_apt`.
-/// Returns the explanations in `common::rendered`'s format.
+/// Algorithm 1 over one APT, rendered like `common::rendered`. `lca_rows`
+/// is the λ_pat-samp sample at rate 1.0: the question's rows for
+/// `mine_apt`, every row for `prepare_apt`.
 fn oracle(
-    db: &Database,
-    apt: &Apt,
-    pt: &ProvenanceTable,
+    (db, apt, pt): (&Database, &Apt, &ProvenanceTable),
     question: &Question,
     params: &MiningParams,
     lca_rows: &[u32],
 ) -> Vec<String> {
     let directions = question.directions();
-    let score = |pattern: &Pattern| -> Vec<_> {
-        directions
-            .iter()
-            .map(|&(t, s)| {
-                let (tp, a1, fp, a2) = counts(apt, pt, pattern, t, s);
-                let (recall, f) = recall_and_f(tp, a1, fp);
-                (t, s, (tp, a1, fp, a2), recall, f)
-            })
-            .collect()
+    let scores = |pattern: &Pattern| -> Vec<Score> {
+        let each = directions.iter().map(|&d| score((apt, pt), pattern, d));
+        each.collect()
     };
-    let best_recall = |pattern: &Pattern| score(pattern).iter().map(|d| d.3).fold(0.0, f64::max);
-
+    let best_recall = |scores: &[Score]| scores.iter().map(|s| s.1).fold(0.0, f64::max);
     // filterAttrs is off: every non-group-by attribute, split by kind.
     let (numeric, categorical): (Vec<usize>, Vec<usize>) = apt
         .pattern_fields()
@@ -118,7 +106,10 @@ fn oracle(
     // LCA candidates, the k_cat with the highest recall first.
     let mut seeds = lca_candidates(apt, lca_rows, &categorical);
     seeds.retain(|p| p.len() <= params.max_cat_attrs);
-    let mut seeds: Vec<(f64, Pattern)> = seeds.into_iter().map(|p| (best_recall(&p), p)).collect();
+    let mut seeds: Vec<(f64, Pattern)> = seeds
+        .into_iter()
+        .map(|p| (best_recall(&scores(&p)), p))
+        .collect();
     seeds.sort_by(|a, b| b.0.total_cmp(&a.0));
     seeds.truncate(params.k_cat_patterns);
 
@@ -128,24 +119,20 @@ fn oracle(
         .iter()
         .map(|&f| (f, fragment_boundaries(apt, f, None, params.num_frags)))
         .collect();
-    let mut todo: VecDeque<Pattern> = std::iter::once(Pattern::empty())
-        .chain(seeds.into_iter().map(|(_, p)| p))
-        .collect();
+    let seeds = seeds.into_iter().map(|(_, p)| p);
+    let mut todo: VecDeque<Pattern> = [Pattern::empty()].into_iter().chain(seeds).collect();
     let mut done: HashSet<Pattern> = todo.iter().cloned().collect();
     let mut kept = Vec::new();
     while let Some(pattern) = todo.pop_front() {
-        let mut best = 0.0f64;
-        for (t, s, support, recall, f) in score(&pattern) {
-            best = best.max(recall);
+        let scores = scores(&pattern);
+        for (&(t, s), &(support, recall, f)) in directions.iter().zip(&scores) {
             if !pattern.is_empty() && recall > params.lambda_recall {
                 kept.push((pattern.clone(), t, s, support, f));
             }
         }
         // Proposition 3.1: refining cannot raise recall.
-        if !pattern.is_empty() && best <= params.lambda_recall {
-            continue;
-        }
-        if pattern.num_numeric_preds(apt) >= params.lambda_attr_num {
+        let hopeless = !pattern.is_empty() && best_recall(&scores) <= params.lambda_recall;
+        if hopeless || pattern.num_numeric_preds(apt) >= params.lambda_attr_num {
             continue;
         }
         for (field, boundaries) in thresholds.iter().filter(|(f, _)| pattern.is_free(*f)) {
@@ -162,8 +149,8 @@ fn oracle(
     }
 
     let scored: Vec<(Pattern, f64)> = kept.iter().map(|k| (k.0.clone(), k.4)).collect();
-    select_top_k_diverse(&scored, params.top_k)
-        .into_iter()
+    let top_k = select_top_k_diverse(&scored, params.top_k).into_iter();
+    top_k
         .map(|i| {
             let (pattern, t, s, support, f) = &kept[i];
             let pattern = pattern.render(apt, db.pool());
@@ -175,12 +162,11 @@ fn oracle(
 /// Both production miners against the oracle; returns how many
 /// explanations were compared.
 fn check(
-    db: &Database,
-    apt: &Apt,
-    pt: &ProvenanceTable,
+    data: (&Database, &Apt, &ProvenanceTable),
     question: &Question,
     top_k: usize,
 ) -> Result<usize, TestCaseError> {
+    let (db, apt, pt) = data;
     let params = MiningParams {
         feature_selection: false,
         lambda_pat_samp: 1.0,
@@ -189,24 +175,22 @@ fn check(
         ..Default::default()
     };
     let all_rows: Vec<u32> = (0..apt.num_rows as u32).collect();
-    let in_question = |row: &u32| match question {
+    let group_of = |row: &u32| pt.group_of[apt.pt_row[*row as usize] as usize] as usize;
+    let question_rows: Vec<u32> = match *question {
         Question::TwoPoint { t1, t2 } => {
-            let group = pt.group_of[apt.pt_row[*row as usize] as usize] as usize;
-            group == *t1 || group == *t2
+            let asked = all_rows.iter().filter(|r| [t1, t2].contains(&group_of(r)));
+            asked.copied().collect()
         }
-        Question::SinglePoint { .. } => true,
+        Question::SinglePoint { .. } => all_rows.clone(),
     };
-    let question_rows: Vec<u32> = all_rows.iter().copied().filter(in_question).collect();
 
     let one_shot = mine_apt(apt, pt, question, &params);
-    prop_assert!(one_shot.patterns_evaluated < params.max_patterns);
-    let expected = oracle(db, apt, pt, question, &params, &question_rows);
+    let warm = mine_prepared(&prepare_apt(apt, pt, &params), apt, pt, question, &params);
+    // The oracle has no cap, so the cap must not have bound.
+    prop_assert!(one_shot.patterns_evaluated.max(warm.patterns_evaluated) < params.max_patterns);
+    let expected = oracle(data, question, &params, &question_rows);
     prop_assert_eq!(rendered(&one_shot, apt, db), expected);
-
-    let prepared = prepare_apt(apt, pt, &params);
-    let warm = mine_prepared(&prepared, apt, pt, question, &params);
-    prop_assert!(warm.patterns_evaluated < params.max_patterns);
-    let expected = oracle(db, apt, pt, question, &params, &all_rows);
+    let expected = oracle(data, question, &params, &all_rows);
     prop_assert_eq!(rendered(&warm, apt, db), expected);
     Ok(one_shot.explanations.len() + warm.explanations.len())
 }
@@ -214,41 +198,35 @@ fn check(
 #[test]
 fn prop_miners_match_the_oracle_on_random_small_apts() {
     let compared = std::cell::Cell::new(0usize);
-    let value = || (proptest::bool::ANY, -5i64..15);
+    let cell = || (proptest::bool::ANY, -5i64..15);
     let strategy = (
-        proptest::collection::vec((0u8..4, 0u8..3, value(), value()), 4..28),
-        proptest::collection::vec(0u8..4, 0..6),
-        0u8..6,              // question selector
-        proptest::bool::ANY, // single point?
-        0usize..3,           // top_k selector
+        proptest::collection::vec((0u8..4, 0u8..3, cell(), cell()), 4..28),
+        proptest::collection::vec(0u8..4, 0..6), // join fan-out
+        0usize..6,                               // question selector
+        proptest::bool::ANY,                     // single point?
+        0usize..3,                               // top_k selector
     );
     proptest::test_runner::TestRunner::deterministic()
         .run(&strategy, |(rows, fanout, qsel, single_point, k)| {
-            let rows: Vec<Row> = rows
+            let some = |(present, v): (bool, i64)| present.then_some(v);
+            let rows = rows
                 .into_iter()
-                .map(|(g, c, (has_x, x), (has_y, y))| {
-                    (g, c, has_x.then_some(x), has_y.then_some(y))
-                })
-                .collect();
-            let (db, apt, pt, groups) = build_apt(&rows, &fanout);
-            let t = qsel as usize % groups;
-            let question = if single_point {
-                Question::SinglePoint { t }
-            } else {
-                Question::TwoPoint {
-                    t1: t,
-                    t2: (t + 1) % groups,
-                }
+                .map(|(g, c, x, y)| (g, c, some(x), some(y)));
+            let (db, apt, pt, groups) = build_apt(&rows.collect::<Vec<Row>>(), &fanout);
+            let (t1, t2) = (qsel % groups, (qsel + 1) % groups);
+            let question = match single_point {
+                true => Question::SinglePoint { t: t1 },
+                false => Question::TwoPoint { t1, t2 },
             };
-            compared.set(compared.get() + check(&db, &apt, &pt, &question, [1, 3, 10][k])?);
+            compared.set(compared.get() + check((&db, &apt, &pt), &question, [1, 3, 10][k])?);
             Ok(())
         })
         .unwrap();
     assert!(compared.get() > 1000, "compared {}", compared.get());
 }
 
-/// `NaN` and `±inf` cells: no boundary, no match for `NaN`, and the
-/// planted points gap is still found.
+/// `NaN` and `±inf` cells (what CSV ingestion can deliver): no boundary
+/// comes from them and `NaN` matches nothing, in the miner as in the paper.
 #[test]
 fn miners_match_the_oracle_on_nan_and_infinite_cells() {
     let (db, apt, pt) = nan_apt();
@@ -257,19 +235,7 @@ fn miners_match_the_oracle_on_nan_and_infinite_cells() {
         Question::SinglePoint { t: 0 },
     ] {
         for top_k in [1, 3, 10] {
-            assert!(check(&db, &apt, &pt, &question, top_k).unwrap() > 0);
+            assert!(check((&db, &apt, &pt), &question, top_k).unwrap() > 0);
         }
     }
-    let params = MiningParams {
-        feature_selection: false,
-        lambda_pat_samp: 1.0,
-        lambda_f1_samp: 1.0,
-        ..Default::default()
-    };
-    let out = mine_apt(&apt, &pt, &Question::TwoPoint { t1: 1, t2: 0 }, &params);
-    let found = rendered(&out, &apt, &db);
-    assert!(
-        found.iter().any(|e| e.starts_with("prov_games_points≥")),
-        "{found:#?}"
-    );
 }

@@ -457,7 +457,11 @@ fn agg_output_type(binder: &Binder<'_>, func: &AggFunc) -> Result<DataType> {
     })
 }
 
-fn aggregate(binder: &Binder<'_>, joined: &Joined, grouping: &Grouping) -> Result<QueryResult> {
+pub(crate) fn aggregate(
+    binder: &Binder<'_>,
+    joined: &Joined,
+    grouping: &Grouping,
+) -> Result<QueryResult> {
     let num_groups = grouping.keys.len();
 
     // Output schema: group-by columns then aggregates.
@@ -603,13 +607,13 @@ fn aggregate(binder: &Binder<'_>, joined: &Joined, grouping: &Grouping) -> Resul
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::parse_sql;
     use cajade_storage::{AttrKind, DataType, SchemaBuilder};
 
     /// Tiny two-season NBA-flavoured database.
-    fn mini_db() -> Database {
+    pub(crate) fn mini_db() -> Database {
         let mut db = Database::new("mini");
         db.create_table(
             SchemaBuilder::new("team")

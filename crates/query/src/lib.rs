@@ -16,7 +16,8 @@
 //!   [`QueryResult`],
 //! * [`ProvenanceTable`] — Definition 1: the subset of
 //!   `R_{j1} × … × R_{jp}` contributing to the answer, with full-width rows
-//!   renamed `prov_<rel>_<attr>` and a row → output-tuple mapping.
+//!   renamed `prov_<rel>_<attr>` and a row → output-tuple mapping,
+//! * [`execute_with_provenance`] — both of the above from one join.
 
 #![warn(missing_docs)]
 
@@ -30,7 +31,7 @@ pub use ast::{AggFunc, Aggregate, CmpOp, ColRef, Literal, Predicate, Query, Tabl
 pub use error::QueryError;
 pub use exec::{execute, QueryResult};
 pub use parser::parse_sql;
-pub use provenance::{prov_attr_name, ProvenanceTable, PtField};
+pub use provenance::{execute_with_provenance, prov_attr_name, ProvenanceTable, PtField};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, QueryError>;

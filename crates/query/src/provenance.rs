@@ -14,7 +14,7 @@
 use cajade_storage::{AttrKind, Column, DataType, Database, Value};
 
 use crate::ast::Query;
-use crate::exec::{group, join_rows, Binder, Joined};
+use crate::exec::{aggregate, group, join_rows, Binder, Joined, QueryResult};
 use crate::Result;
 
 /// Renames `rel.attr` into the paper's provenance-attribute style:
@@ -37,6 +37,28 @@ pub fn prov_attr_name(rel: &str, attr: &str) -> String {
         rel.replace('_', "__"),
         attr.replace('_', "__")
     )
+}
+
+/// [`execute`](crate::execute) and [`ProvenanceTable::compute`] over one
+/// join and one grouping of `query` — what a caller needing both (every
+/// `query` op of the service) would otherwise compute twice.
+pub fn execute_with_provenance(
+    db: &Database,
+    query: &Query,
+) -> Result<(QueryResult, ProvenanceTable)> {
+    let binder = Binder::new(db, query)?;
+    let joined = join_rows(&binder)?;
+    let grouping = group(&binder, &joined)?;
+    let result = aggregate(&binder, &joined, &grouping)?;
+    let pt = ProvenanceTable::from_parts(
+        db,
+        query,
+        &binder,
+        &joined,
+        grouping.group_of,
+        grouping.keys,
+    )?;
+    Ok((result, pt))
 }
 
 /// One attribute of the provenance table.
@@ -370,6 +392,34 @@ mod tests {
         assert!(pt.field_index("prov_l1_player").is_some());
         assert!(pt.field_index("prov_l2_player").is_some());
         assert_eq!(pt.num_rows, 4); // 2x2 pairs sharing lineup 1
+    }
+
+    /// The combined entry point returns what the two separate calls do, on
+    /// this module's fixtures and on `exec`'s.
+    #[test]
+    fn execute_with_provenance_equals_the_separate_calls() {
+        let self_join = parse_sql(
+            "SELECT count(*) AS c, l1.home FROM game l1, game l2 \
+             WHERE l1.season = l2.season GROUP BY l1.home",
+        )
+        .unwrap();
+        let mini = [
+            "SELECT count(*) AS win, g.season FROM team t, game g \
+             WHERE t.team_id = g.winner_id AND t.team = 'GSW' GROUP BY g.season",
+            "SELECT avg(home_points) AS ap, min(home_points) AS mn, season \
+             FROM game GROUP BY season",
+        ];
+        let mut cases = vec![(example1_db(), q1()), (example1_db(), self_join)];
+        cases.extend(mini.map(|sql| (crate::exec::tests::mini_db(), parse_sql(sql).unwrap())));
+        for (db, q) in cases {
+            let (result, pt) = execute_with_provenance(&db, &q).unwrap();
+            let separate = (
+                crate::execute(&db, &q).unwrap(),
+                ProvenanceTable::compute(&db, &q).unwrap(),
+            );
+            assert_eq!(format!("{result:?}"), format!("{:?}", separate.0));
+            assert_eq!(format!("{pt:?}"), format!("{:?}", separate.1));
+        }
     }
 
     #[test]

@@ -450,9 +450,7 @@ impl ExplanationService {
             .read()
             .values()
             .find(|h| {
-                h.db_name() == db
-                    && h.sql() == canonical
-                    && SessionHandle::params_fingerprint_of(h.params()) == default_fp
+                h.db_name() == db && h.sql() == canonical && h.params_fingerprint() == default_fp
             })
             .cloned();
         match existing {
@@ -599,6 +597,24 @@ mod tests {
             assert!(c.apt_cache_bytes >= last, "not monotone at {rows}");
             last = c.apt_cache_bytes;
         }
+    }
+
+    #[test]
+    fn open_or_reuse_matches_on_db_sql_and_default_params() {
+        let gen = cajade_datagen::nba::generate(cajade_datagen::nba::NbaConfig::tiny());
+        let service = ExplanationService::new(ServiceConfig::default());
+        service.register_database("nba", gen.db, gen.schema_graph);
+        let sql = "SELECT count(*) AS games, season_name FROM season GROUP BY season_name";
+        // A session opened with other parameters is not the `query` op's
+        // to reuse; one at the defaults is, whatever the SQL's spelling.
+        let other = Params::default().with_feature_selection(false);
+        let custom = service.open_session_with_params("nba", sql, other).unwrap();
+        let first = service.open_or_reuse_session("nba", sql).unwrap();
+        assert_ne!(first.id(), custom.id());
+        let again = service
+            .open_or_reuse_session("nba", &sql.to_lowercase())
+            .unwrap();
+        assert_eq!(again.id(), first.id());
     }
 
     #[test]

@@ -124,6 +124,12 @@ impl SessionHandle {
         fnv1a(format!("{params:?}").as_bytes())
     }
 
+    /// [`params_fingerprint_of`](Self::params_fingerprint_of) this
+    /// session's parameters, computed once at construction.
+    pub(crate) fn params_fingerprint(&self) -> u64 {
+        self.params_fingerprint
+    }
+
     /// Session id (stable for the lifetime of the service).
     pub fn id(&self) -> u64 {
         self.id
