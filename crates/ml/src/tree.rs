@@ -878,4 +878,48 @@ mod tests {
         assert_eq!(float_tree.importances, hist_tree.importances);
         assert_eq!(float_tree.num_nodes(), hist_tree.num_nodes());
     }
+
+    /// Where the float tree cannot referee — 500 distinct values squeezed
+    /// into 16 quantile bins, a capped dictionary with an "other" bin,
+    /// missing cells — the importances are pinned as bit patterns
+    /// recorded before the per-node histograms were narrowed to the
+    /// sampled features (`features_per_node: None` = all of them).
+    #[test]
+    fn hist_tree_all_features_on_lossy_bins_matches_recorded_bits() {
+        let n = 500usize;
+        let mix = |i: usize, k: usize| (i * 2_654_435_761 + k * 40_503) % 1_000_003;
+        let a: Vec<f64> = (0..n).map(|i| mix(i, 1) as f64 / 7.0).collect();
+        let b: Vec<f64> = (0..n)
+            .map(|i| match i % 17 {
+                0 => f64::NAN,
+                _ => (mix(i, 2) % 5_000) as f64,
+            })
+            .collect();
+        let c: Vec<Option<u64>> = (0..n)
+            .map(|i| (i % 23 != 0).then(|| (mix(i, 3) % 90) as u64))
+            .collect();
+        let labels: Vec<bool> = (0..n)
+            .map(|i| (a[i] > 70_000.0) ^ (mix(i, 4) % 5 == 0) ^ (c[i].is_some_and(|k| k % 3 == 0)))
+            .collect();
+        let cols = vec![
+            BinnedColumn::from_f64(&a, 16),
+            BinnedColumn::from_f64(&b, 16),
+            BinnedColumn::from_keys(c, 16),
+        ];
+        // Bootstrap-like: rows repeat and some never appear.
+        let rows: Vec<u32> = (0..n).map(|i| (mix(i, 5) % n) as u32).collect();
+        let tree = HistTree::fit(
+            &cols,
+            &labels,
+            &rows,
+            &TreeConfig::default(),
+            &mut test_rng(1),
+        );
+        let bits: Vec<u64> = tree.importances.iter().map(|x| x.to_bits()).collect();
+        assert_eq!(
+            bits,
+            [0x3fa04df0ea71f833, 0x3f87404cd80addb8, 0x3fb420a0c97eee34]
+        );
+        assert_eq!(tree.num_nodes(), 35);
+    }
 }
