@@ -1,13 +1,16 @@
 //! Criterion micro-benchmarks for the substrate kernels: hash join,
-//! group-by aggregation, pattern matching, LCA candidate generation, and
-//! random-forest training.
+//! group-by aggregation, pattern matching, LCA candidate generation,
+//! random-forest training (the float reference and the histogram trainer
+//! feature selection runs), and Cramér's V.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use cajade_datagen::nba::{self, NbaConfig};
 use cajade_graph::{Apt, JoinGraph};
 use cajade_mining::{lca_candidates, PatValue, Pattern, Pred, PredOp, Scorer};
-use cajade_ml::{FeatureColumn, RandomForest, RandomForestConfig};
+use cajade_ml::{
+    cramers_v, BinnedColumn, FeatureColumn, HistForest, RandomForest, RandomForestConfig,
+};
 use cajade_query::{execute, parse_sql, ProvenanceTable};
 
 fn bench_join_and_aggregate(c: &mut Criterion) {
@@ -126,6 +129,60 @@ fn bench_forest(c: &mut Criterion) {
     });
 }
 
+/// A deterministic stand-in for a hash: spreads `i` over `0..m`.
+fn mix(i: usize, salt: usize, m: usize) -> usize {
+    (i.wrapping_mul(2_654_435_761) ^ salt.wrapping_mul(40_503)).wrapping_mul(2_246_822_519) % m
+}
+
+/// One feature-selection task at the shapes the `e2e_bench` workloads
+/// train on — bootstrap rows × candidate columns of a one-vs-rest task
+/// on `nba_cold`, `mimic_churn` and `synth_wide`: 5 trees of depth 8,
+/// ⌈√p⌉ features per node, two columns in three quantile-binned.
+fn bench_hist_tree_fit(c: &mut Criterion) {
+    let mut group = c.benchmark_group("hist_tree_fit");
+    for (rows, features) in [(58usize, 35usize), (160, 24), (1250, 23)] {
+        let cols: Vec<BinnedColumn> = (0..features)
+            .map(|f| {
+                if f % 3 == 2 {
+                    let keys = (0..rows).map(|i| Some(mix(i, f, 5 + 9 * f) as u64));
+                    BinnedColumn::from_keys(keys.collect::<Vec<_>>(), 32)
+                } else {
+                    let vals: Vec<f64> = (0..rows).map(|i| mix(i, f, 10_000) as f64).collect();
+                    BinnedColumn::from_f64(&vals, 32)
+                }
+            })
+            .collect();
+        // One group against the rest, carried weakly by two columns.
+        let labels: Vec<bool> = (0..rows)
+            .map(|i| mix(i, 0, 10_000) + mix(i, 1, 10_000) / 2 + mix(i, 999, 6_000) > 11_000)
+            .collect();
+        let cfg = RandomForestConfig {
+            num_trees: 5,
+            ..Default::default()
+        };
+        let id = BenchmarkId::from_parameter(format!("{rows}x{features}"));
+        group.bench_with_input(id, &cols, |b, cols| {
+            b.iter(|| HistForest::fit(black_box(cols), black_box(&labels), &cfg))
+        });
+    }
+    group.finish();
+}
+
+/// One categorical pair of the association matrix: `max_assoc_rows`
+/// rows, a low-cardinality column against another one and against an
+/// id-like one (dense first-appearance codes of a 5 000-row gather).
+fn bench_cramers_v(c: &mut Criterion) {
+    let xs: Vec<u32> = (0..512).map(|i| mix(i, 1, 30) as u32).collect();
+    let mut group = c.benchmark_group("cramers_v_512_rows");
+    for distinct in [30usize, 3000] {
+        let ys: Vec<u32> = (0..512).map(|i| mix(i, 2, distinct) as u32).collect();
+        group.bench_with_input(BenchmarkId::from_parameter(distinct), &ys, |b, ys| {
+            b.iter(|| cramers_v(black_box(&xs), black_box(ys)))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
@@ -133,6 +190,8 @@ criterion_group!(
         bench_provenance,
         bench_pattern_scoring,
         bench_lca,
-        bench_forest
+        bench_forest,
+        bench_hist_tree_fit,
+        bench_cramers_v
 );
 criterion_main!(benches);

@@ -120,12 +120,19 @@ fn uniform_u128<R: RngCore + ?Sized>(rng: &mut R, span: u128) -> u128 {
     if span == 1 {
         return 0;
     }
-    // Zone-based rejection keeps the distribution exact.
-    let zone = u128::MAX - (u128::MAX % span);
+    // Zone-based rejection keeps the distribution exact: a draw counts
+    // iff it is below `zone = MAX − MAX % span`. Everything up to
+    // `MAX − span` is, so the zone's own 128-bit division only runs for
+    // the top `span` values — one draw in 2^64 for the spans callers use.
     loop {
         let wide = ((rng.next_u64() as u128) << 64) | rng.next_u64() as u128;
-        if wide < zone {
-            return wide % span;
+        if wide <= u128::MAX - span || wide < u128::MAX - (u128::MAX % span) {
+            return match u64::try_from(span) {
+                // `hi·2^64 + lo ≡ (hi mod span)·2^64 + lo`: two 64-bit
+                // divisions, where the generic 128-bit one is a loop.
+                Ok(s) => ((((wide >> 64) as u64 % s) as u128) << 64 | wide as u64 as u128) % span,
+                Err(_) => wide % span,
+            };
         }
     }
 }
@@ -243,7 +250,7 @@ pub mod seq {
 mod tests {
     use super::rngs::StdRng;
     use super::seq::SliceRandom;
-    use super::{Rng, SeedableRng};
+    use super::{Rng, RngCore, SeedableRng};
 
     #[test]
     fn deterministic_per_seed() {
@@ -281,6 +288,31 @@ mod tests {
         }
         for &c in &counts {
             assert!((8_000..12_000).contains(&c), "{counts:?}");
+        }
+    }
+
+    /// The sampler's shortcuts (zone check, split division) are exact:
+    /// same draws consumed, same values out as the plain
+    /// `wide < MAX − MAX % span` then `wide % span`.
+    #[test]
+    fn uniform_matches_the_plain_rejection_sampler() {
+        let spans = [2, 3, 7, 35, 1_250, 5_000, 1 << 32, u64::MAX as u128];
+        for span in spans.into_iter().chain([(1u128 << 64) + 5, u128::MAX]) {
+            let mut fast = StdRng::seed_from_u64(span as u64);
+            let mut plain = fast.clone();
+            for _ in 0..200 {
+                let expected = loop {
+                    let wide = ((plain.next_u64() as u128) << 64) | plain.next_u64() as u128;
+                    if wide < u128::MAX - (u128::MAX % span) {
+                        break wide % span;
+                    }
+                };
+                assert_eq!(
+                    super::uniform_u128(&mut fast, span),
+                    expected,
+                    "span {span}"
+                );
+            }
         }
     }
 

@@ -3,8 +3,20 @@
 
 use std::path::{Path, PathBuf};
 
-use cajade_ingest::{ingest_dir, IngestError, IngestOptions};
+use cajade_ingest::{IngestError, IngestOptions, IngestedDataset};
 use cajade_storage::{AttrKind, DataType, StorageError, Value};
+
+/// [`cajade_ingest::ingest_dir`] under the fault plan's test guard. The
+/// plan is process-global and tests run on parallel threads: an unguarded
+/// call can consume the `ingest.load` fire that
+/// `lenient_mode_skips_files_that_fail_mid_load` armed for its own.
+fn ingest_dir(
+    dir: impl AsRef<Path>,
+    options: &IngestOptions,
+) -> Result<IngestedDataset, IngestError> {
+    let _guard = cajade_obs::faults::test_guard();
+    cajade_ingest::ingest_dir(dir, options)
+}
 
 /// Self-cleaning fixture directory.
 struct Fixture(PathBuf);
@@ -350,8 +362,11 @@ fn lenient_mode_skips_corrupt_file_and_keeps_the_rest() {
 fn lenient_mode_skips_files_that_fail_mid_load() {
     // A mid-file I/O failure (simulated via the fault-injection harness)
     // hits `a.csv` during the typed load; lenient mode skips the table and
-    // leaves no partial load behind, strict mode aborts.
+    // leaves no partial load behind, strict mode aborts. The guard is
+    // held across arm → ingest → clear, so the calls go to the crate's
+    // function, not the guarded wrapper.
     let _guard = cajade_obs::faults::test_guard();
+    use cajade_ingest::ingest_dir;
     let files = [
         ("a.csv", "id,v\n1,10\n2,20\n"),
         ("b.csv", "id,v\n1,10\n2,20\n"),

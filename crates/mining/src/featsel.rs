@@ -22,19 +22,18 @@
 //!
 //! [`ScoreIndex::order`]: crate::engine::ScoreIndex::order
 
-use std::collections::HashMap;
-
 use cajade_graph::Apt;
 use cajade_ml::cluster::{cluster_attributes, cluster_representatives};
 use cajade_ml::correlation::assoc_matrix;
 use cajade_ml::forest::{HistForest, RandomForestConfig};
 use cajade_ml::sampling::reservoir_sample;
-use cajade_ml::{BinSpec, BinnedColumn, FeatureColumn};
+use cajade_ml::{dense_codes, BinnedColumn, FeatureColumn};
+use cajade_obs::Stage;
 use cajade_query::ProvenanceTable;
-use cajade_storage::{AttrKind, Column};
+use cajade_storage::AttrKind;
 
 use crate::score::Question;
-use crate::stats::{source_column, ColumnStatsProvider};
+use crate::stats::{column_cat_key, source_column, ColumnStatsProvider};
 
 /// λ#sel-attr: how many attributes feature selection keeps.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -88,9 +87,10 @@ pub struct FeatSelConfig {
     /// Row cap for the association-matrix estimate (strided subsample
     /// over the group-sorted training rows). The matrix only feeds a
     /// thresholded clustering decision, so a few hundred rows estimate it
-    /// as well as thousands — and the `p²/2` pairwise measures are the
-    /// dominant cost of the phase now that forest training is
-    /// histogram-based.
+    /// as well as thousands. At this cap the pairwise measures are a
+    /// third of the phase on NBA's few-hundred-row APTs and 6 % on
+    /// 20 000-row ones (the `featsel_assoc` span; ROADMAP item 4 has the
+    /// measured split).
     pub max_assoc_rows: usize,
     /// Seed for forest + sampling.
     pub seed: u64,
@@ -160,17 +160,6 @@ fn one_vs_rest_plan(
 // Histogram-forest `filterAttrs` on encoded columns.
 // ---------------------------------------------------------------------
 
-/// The dictionary key of one categorical cell: interned string id, raw
-/// integer, or float bits — whatever the typed column already stores, so
-/// no value decoding or hash-interning of rendered values is needed.
-fn cat_key(col: &Column, r: usize) -> Option<u64> {
-    match col {
-        Column::Int { data, nulls } => (!nulls.is_null(r)).then(|| data[r] as u64),
-        Column::Float { data, nulls } => (!nulls.is_null(r)).then(|| data[r].to_bits()),
-        Column::Str { data, nulls } => (!nulls.is_null(r)).then(|| data[r].0 as u64),
-    }
-}
-
 /// Gathers one APT field over `rows` straight from the typed column
 /// arrays (no `Value` boxing): numeric values as-is, categorical cells as
 /// first-appearance dense codes.
@@ -191,22 +180,9 @@ fn fast_feature_column(apt: &Apt, field: usize, rows: &[u32]) -> (FeatureColumn,
         ),
         AttrKind::Categorical => {
             let col = &apt.columns[field];
-            let mut codes: HashMap<u64, u32> = HashMap::new();
-            let mut key_of_code: Vec<u64> = Vec::new();
-            let data = rows
-                .iter()
-                .map(|&r| match cat_key(col, r as usize) {
-                    None => u32::MAX,
-                    Some(k) => {
-                        let next = codes.len() as u32;
-                        *codes.entry(k).or_insert_with(|| {
-                            key_of_code.push(k);
-                            next
-                        })
-                    }
-                })
-                .collect();
-            (FeatureColumn::Categorical(data), key_of_code)
+            let (codes, key_of_code) =
+                dense_codes(rows.iter().map(|&r| column_cat_key(col, r as usize)));
+            (FeatureColumn::Categorical(codes), key_of_code)
         }
     }
 }
@@ -230,10 +206,14 @@ fn hist_selection(
     stats: &dyn ColumnStatsProvider,
     relevance: Vec<f64>,
 ) -> FeatureSelection {
+    let stage = Stage::detail("featsel_gather");
     let (features, key_maps): (Vec<FeatureColumn>, Vec<Vec<u64>>) = candidates
         .iter()
         .map(|&f| fast_feature_column(apt, f, rows))
         .unzip();
+    drop(stage);
+
+    let stage = Stage::detail("featsel_encode");
     let cols: Vec<BinnedColumn> = candidates
         .iter()
         .zip(features.iter().zip(&key_maps))
@@ -248,22 +228,16 @@ fn hist_selection(
                 (FeatureColumn::Categorical(codes), Some(st)) => {
                     st.bins.encode_dense_keys(codes, key_of_code)
                 }
-                // Per-APT fit: the codes are dense first-appearance
-                // already, so fit on them directly and encode through
-                // the identity dictionary — one hash pass total, like
-                // the pre-BinSpec `from_keys`.
+                // Per-APT fit: the gather is its own dictionary.
                 (FeatureColumn::Categorical(codes), None) => {
-                    let spec = BinSpec::fit_keys(
-                        codes.iter().map(|&c| (c != u32::MAX).then_some(c as u64)),
-                        cfg.hist_bins,
-                    );
-                    let identity: Vec<u64> = (0..key_of_code.len() as u64).collect();
-                    spec.encode_dense_keys(codes, &identity)
+                    BinnedColumn::from_dense_codes(codes, key_of_code.len(), cfg.hist_bins)
                 }
             }
         })
         .collect();
+    drop(stage);
 
+    let stage = Stage::detail("featsel_forest");
     let mut importances = vec![0.0; candidates.len()];
     let mut any_task = false;
     for (labels, weight, forest_cfg) in tasks {
@@ -286,7 +260,11 @@ fn hist_selection(
     if !any_task {
         importances = vec![1.0 / candidates.len() as f64; candidates.len()];
     }
+    drop(stage);
 
+    // Clustering and the final pick run under the association stage:
+    // they are microseconds next to the pairwise measures.
+    let _stage = Stage::detail("featsel_assoc");
     // Association estimate, twice restricted:
     //
     // * columns — only the `max(16, 4·λ#sel-attr)` most important

@@ -134,7 +134,7 @@ fn box_scores() -> (Database, ProvenanceTable, JoinGraph) {
             // Players rotate with the season, so `player` carries signal.
             let player = (season as i64 * 9 + next(24)) as usize % 60;
             let pts = next(12)
-                + if player % 9 == 0 {
+                + if player.is_multiple_of(9) {
                     14 + 2 * season as i64
                 } else {
                     2
@@ -158,7 +158,7 @@ fn box_scores() -> (Database, ProvenanceTable, JoinGraph) {
                     } else {
                         Value::Int(next(15))
                     },
-                    Value::Int(next(11) + (player % 3 == 0) as i64 * 4),
+                    Value::Int(next(11) + player.is_multiple_of(3) as i64 * 4),
                     minutes,
                     Value::Int(next(41) - 20 + season as i64),
                 ])

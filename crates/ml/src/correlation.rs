@@ -49,22 +49,89 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     (cov / (vx.sqrt() * vy.sqrt())).clamp(-1.0, 1.0)
 }
 
+/// Codes below this index dense count arrays directly; feature codes are
+/// dense first-appearance codes, so in practice all of them are.
+const DENSE_CODE_LIMIT: u32 = 1 << 16;
+
+fn max_code(codes: &[u32]) -> u32 {
+    let present = codes.iter().filter(|&&c| c != MISSING_CAT);
+    present.max().copied().unwrap_or(0)
+}
+
 /// Cramér's V between two categorical columns (bias-uncorrected), in
 /// `[0, 1]`. Missing codes are skipped.
 ///
 /// Zero-observation cells of the contingency table still contribute to χ²
 /// (they are exactly what makes identical columns score 1), but they are
 /// never enumerated: with `e = rx·cy/n`, the full-table sum telescopes to
-/// `χ² = Σ_observed o²/e − n`. Observed cells and both marginals are
-/// counted as runs of the sorted `(x, y)` keys, so time and memory are
-/// `O(n log n)` and `O(n)` in the rows given, whatever the codes'
-/// range — feature selection hands in a few hundred rows of columns
-/// whose codes run to tens of thousands (dates, ids). Cells are summed
-/// in key order, which keeps the float accumulation deterministic.
+/// `χ² = Σ_observed o²/e − n`. Observed cells are visited in ascending
+/// `(x, y)` order, which keeps the float accumulation deterministic.
+///
+/// Dense codes (the case feature selection produces: a few hundred rows
+/// of first-appearance codes) are counted, not sorted: rows are bucketed
+/// by `x` with a counting sort, each bucket's `y`s are sorted, and both
+/// marginals are read from count arrays — `O(n + codes)` plus the small
+/// per-bucket sorts. Codes of 2¹⁶ and above (raw ids, dates) fall back
+/// to runs of the sorted `(x, y)` keys, `O(n log n)` whatever the codes'
+/// range. Both visit the same cells in the same order, so they agree to
+/// the bit.
 pub fn cramers_v(xs: &[u32], ys: &[u32]) -> f64 {
     assert_eq!(xs.len(), ys.len());
-    // Two allocations, sized up front: this runs once per categorical
-    // pair of every APT's clustering step.
+    let (max_x, max_y) = (max_code(xs), max_code(ys));
+    if max_x < DENSE_CODE_LIMIT && max_y < DENSE_CODE_LIMIT {
+        cramers_v_counted(xs, ys, max_x as usize + 1, max_y as usize + 1)
+    } else {
+        cramers_v_sorted(xs, ys)
+    }
+}
+
+/// Three allocations, sized up front: this runs once per categorical
+/// pair of every APT's clustering step.
+fn cramers_v_counted(xs: &[u32], ys: &[u32], x_codes: usize, y_codes: usize) -> f64 {
+    let present = |&(&x, &y): &(&u32, &u32)| x != MISSING_CAT && y != MISSING_CAT;
+    // `row_end[x]` counts row `x`, then (prefix-summed) is where its
+    // bucket ends, then — the scatter fills buckets back to front —
+    // where it starts.
+    let mut row_end = vec![0u32; x_codes];
+    let mut col_n = vec![0u32; y_codes];
+    for (&x, &y) in xs.iter().zip(ys).filter(present) {
+        row_end[x as usize] += 1;
+        col_n[y as usize] += 1;
+    }
+    let rows_used = row_end.iter().filter(|&&c| c > 0).count();
+    let cols_used = col_n.iter().filter(|&&c| c > 0).count();
+    let mut total = 0u32;
+    for end in &mut row_end {
+        total += *end;
+        *end = total;
+    }
+    let n = total as f64;
+    if let Some(v) = degenerate_table(n, rows_used, cols_used) {
+        return v;
+    }
+    let mut bucketed = vec![0u32; total as usize];
+    for (&x, &y) in xs.iter().zip(ys).filter(present) {
+        row_end[x as usize] -= 1;
+        bucketed[row_end[x as usize] as usize] = y;
+    }
+    let mut chi2 = 0.0;
+    let bucket_ends = row_end[1..].iter().copied().chain([total]);
+    for (&start, end) in row_end.iter().zip(bucket_ends) {
+        let row = &mut bucketed[start as usize..end as usize];
+        row.sort_unstable();
+        let row_n = row.len() as f64;
+        for cell in row.chunk_by(|a, b| a == b) {
+            let obs = cell.len() as f64;
+            let exp = row_n * col_n[cell[0] as usize] as f64 / n;
+            chi2 += obs * obs / exp;
+        }
+    }
+    finish_chi2(chi2, n, rows_used, cols_used)
+}
+
+/// Observed cells and both marginals as runs of the sorted `(x, y)` keys
+/// and the sorted `y`s: two allocations, no array indexed by a code.
+fn cramers_v_sorted(xs: &[u32], ys: &[u32]) -> f64 {
     let mut cells: Vec<u64> = Vec::with_capacity(xs.len());
     for (&x, &y) in xs.iter().zip(ys) {
         if x != MISSING_CAT && y != MISSING_CAT {
@@ -79,14 +146,8 @@ pub fn cramers_v(xs: &[u32], ys: &[u32]) -> f64 {
     let rows_used = cells.chunk_by(same_row).count();
     let cols_used = col_keys.chunk_by(|a, b| a == b).count();
     let n = cells.len() as f64;
-    if n == 0.0 || rows_used < 2 || cols_used < 2 {
-        // Constant column: by convention fully determined ⇒ treat as
-        // unassociated for clustering purposes (no information).
-        return if rows_used == 1 && cols_used == 1 {
-            1.0
-        } else {
-            0.0
-        };
+    if let Some(v) = degenerate_table(n, rows_used, cols_used) {
+        return v;
     }
     let mut chi2 = 0.0;
     for row in cells.chunk_by(same_row) {
@@ -101,6 +162,15 @@ pub fn cramers_v(xs: &[u32], ys: &[u32]) -> f64 {
         }
     }
     finish_chi2(chi2, n, rows_used, cols_used)
+}
+
+/// A table with fewer than two used rows or columns has no χ². Constant
+/// column: by convention fully determined ⇒ treat as unassociated for
+/// clustering purposes (no information) — except the single observed
+/// cell, which both columns determine.
+fn degenerate_table(n: f64, rows_used: usize, cols_used: usize) -> Option<f64> {
+    (n == 0.0 || rows_used < 2 || cols_used < 2)
+        .then(|| f64::from(u8::from(rows_used == 1 && cols_used == 1)))
 }
 
 /// `Σ_all (o−e)²/e = Σ_obs o²/e − n`; clamp the tiny negative residue
@@ -119,13 +189,7 @@ pub fn correlation_ratio(cats: &[u32], nums: &[f64]) -> f64 {
     // Dense per-group accumulators when codes are small (the common case
     // — feature codes are dense); iteration in index order matches the
     // previous sorted-map order, so the float sums are unchanged.
-    const DENSE_CODE_LIMIT: u32 = 1 << 16;
-    let max_code = cats
-        .iter()
-        .filter(|&&c| c != MISSING_CAT)
-        .max()
-        .copied()
-        .unwrap_or(0);
+    let max_code = max_code(cats);
     let mut dense: Vec<(f64, f64)> = Vec::new(); // (sum, count)
     let mut sparse: BTreeMap<u32, (f64, f64)> = BTreeMap::new();
     let use_dense = max_code < DENSE_CODE_LIMIT;
@@ -320,6 +384,38 @@ mod tests {
             let v = cramers_v(&xs, &ys);
             prop_assert_eq!(v.to_bits(), cramers_v_dense_table(&xs, &ys).to_bits());
             prop_assert!((0.0..=1.0).contains(&v));
+        }
+
+        /// The counting path and the sorted-key fallback are one
+        /// function: same bits on dense codes, and on the same table
+        /// re-coded sparsely (order kept) so that `cramers_v` itself
+        /// takes the fallback. `x_codes`/`y_codes` of 1 give constant
+        /// columns and the single observed cell.
+        #[test]
+        fn prop_cramers_v_counted_and_sorted_agree_to_the_bit(
+            (x_codes, y_codes) in (1u32..30, 1u32..400),
+            raw in proptest::collection::vec((0u32..30, 0u32..400), 0..300),
+            missing in proptest::collection::vec(0usize..300, 0..8),
+        ) {
+            let mut xs: Vec<u32> = raw.iter().map(|&(x, _)| x % x_codes).collect();
+            let mut ys: Vec<u32> = raw.iter().map(|&(_, y)| y % y_codes).collect();
+            for (i, at) in missing.into_iter().enumerate() {
+                if let Some(slot) = [&mut xs, &mut ys][i % 2].get_mut(at) {
+                    *slot = MISSING_CAT;
+                }
+            }
+            let counted = cramers_v_counted(&xs, &ys, x_codes as usize, y_codes as usize);
+            prop_assert_eq!(counted.to_bits(), cramers_v(&xs, &ys).to_bits());
+            prop_assert_eq!(counted.to_bits(), cramers_v_sorted(&xs, &ys).to_bits());
+            let spread = |c: &u32| match *c {
+                MISSING_CAT => MISSING_CAT,
+                c => c * 70_001 + DENSE_CODE_LIMIT,
+            };
+            let sx: Vec<u32> = xs.iter().map(spread).collect();
+            let sy: Vec<u32> = ys.iter().map(spread).collect();
+            prop_assert_eq!(counted.to_bits(), cramers_v(&sx, &ys).to_bits());
+            prop_assert_eq!(counted.to_bits(), cramers_v(&xs, &sy).to_bits());
+            prop_assert_eq!(counted.to_bits(), cramers_v(&sx, &sy).to_bits());
         }
 
         /// |r| ≤ 1 always.

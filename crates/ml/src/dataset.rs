@@ -25,6 +25,77 @@ pub enum FeatureColumn {
 /// Sentinel for a missing categorical value.
 pub const MISSING_CAT: u32 = u32::MAX;
 
+/// Hasher for `u64` dictionary keys (interned ids, integers, float
+/// bits): a multiply and a fold where SipHash was most of the cost of a
+/// categorical gather. What a dictionary holds never depends on hash
+/// order (codes go by first appearance), and its callers cap the rows
+/// they hand in (training rows, strided base-column samples), which
+/// bounds what colliding keys could cost.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl std::hash::Hasher for KeyHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("dictionary keys are u64");
+    }
+    fn write_u64(&mut self, key: u64) {
+        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Dictionary-codes a key gather (`None` = missing): `codes[i]` is the
+/// first-appearance rank of row `i`'s key ([`MISSING_CAT`] = missing),
+/// `key_of_code[c]` the key dense code `c` stands for.
+pub fn dense_codes<I: IntoIterator<Item = Option<u64>>>(keys: I) -> (Vec<u32>, Vec<u64>) {
+    use std::collections::HashMap;
+    use std::hash::BuildHasherDefault;
+    let mut dict: HashMap<u64, u32, BuildHasherDefault<KeyHasher>> = HashMap::default();
+    let mut key_of_code: Vec<u64> = Vec::new();
+    let codes = keys
+        .into_iter()
+        .map(|key| match key {
+            None => MISSING_CAT,
+            Some(k) => *dict.entry(k).or_insert_with(|| {
+                key_of_code.push(k);
+                key_of_code.len() as u32 - 1
+            }),
+        })
+        .collect();
+    (codes, key_of_code)
+}
+
+/// Bins first-appearance dense codes `0..distinct` under a budget of
+/// `max_bins` value bins: `(bin_of_code, split_values, has_other)`. Every
+/// code keeps its own bin when they fit; otherwise the `max_bins` most
+/// frequent ones (ties: earliest appearance) do, renumbered by first
+/// appearance so the assignment stays independent of the frequency
+/// ordering details, and the rest collapse into a non-splittable "other"
+/// bin.
+fn bin_dense_codes(codes: &[u32], distinct: usize, max_bins: usize) -> (Vec<u16>, u16, bool) {
+    let max_bins = max_bins.clamp(1, u16::MAX as usize - 2);
+    if distinct <= max_bins {
+        return ((0..distinct as u16).collect(), distinct as u16, false);
+    }
+    let mut counts = vec![0u32; distinct];
+    for &c in codes.iter().filter(|&&c| c != MISSING_CAT) {
+        counts[c as usize] += 1;
+    }
+    let mut order: Vec<u32> = (0..distinct as u32).collect();
+    order.sort_by_key(|&c| (std::cmp::Reverse(counts[c as usize]), c));
+    let split_values = max_bins as u16;
+    let mut kept: Vec<u32> = order[..max_bins].to_vec();
+    kept.sort_unstable();
+    let mut bin_of_code = vec![split_values; distinct]; // the "other" bin
+    for (bin, code) in kept.into_iter().enumerate() {
+        bin_of_code[code as usize] = bin as u16;
+    }
+    (bin_of_code, split_values, true)
+}
+
 /// What a [`BinnedColumn`]'s bins mean.
 #[derive(Debug, Clone)]
 pub enum BinKind {
@@ -121,48 +192,13 @@ impl BinSpec {
     /// frequent categories (ties: earliest appearance) keep their own
     /// bins and the rest collapse into a non-splittable "other" bin.
     pub fn fit_keys<I: IntoIterator<Item = Option<u64>>>(keys: I, max_bins: usize) -> BinSpec {
-        use std::collections::HashMap;
-        let max_bins = max_bins.clamp(1, u16::MAX as usize - 2);
-        let mut dense: HashMap<u64, u32> = HashMap::new();
-        let mut counts: Vec<u32> = Vec::new();
-        for key in keys.into_iter().flatten() {
-            let next = dense.len() as u32;
-            let c = *dense.entry(key).or_insert_with(|| {
-                counts.push(0);
-                next
-            });
-            counts[c as usize] += 1;
-        }
-        let distinct = dense.len();
-        if distinct <= max_bins {
-            let remap = dense.into_iter().map(|(k, c)| (k, c as u16)).collect();
-            return BinSpec::Categorical {
-                remap,
-                split_values: distinct as u16,
-                has_other: false,
-            };
-        }
-        // Cap: keep the most frequent categories, collapse the tail.
-        let mut order: Vec<u32> = (0..distinct as u32).collect();
-        order.sort_by_key(|&c| (std::cmp::Reverse(counts[c as usize]), c));
-        let split_values = max_bins as u16;
-        let other = split_values; // the aggregated-rare bin
-        let mut code_remap = vec![other; distinct];
-        // Kept categories are renumbered by first appearance so the code
-        // assignment stays independent of the frequency ordering details.
-        let mut kept: Vec<u32> = order[..max_bins].to_vec();
-        kept.sort_unstable();
-        for (new, old) in kept.into_iter().enumerate() {
-            code_remap[old as usize] = new as u16;
-        }
-        let remap = dense
-            .into_iter()
-            .map(|(k, c)| (k, code_remap[c as usize]))
-            .collect();
+        let (codes, key_of_code) = dense_codes(keys);
+        let (bin_of_code, split_values, has_other) =
+            bin_dense_codes(&codes, key_of_code.len(), max_bins);
         BinSpec::Categorical {
-            remap,
+            remap: key_of_code.into_iter().zip(bin_of_code).collect(),
             split_values,
-            has_other: true,
+            has_other,
         }
     }
 
@@ -272,21 +308,7 @@ impl BinSpec {
             .iter()
             .map(|k| remap.get(k).copied().unwrap_or(unknown))
             .collect();
-        let out = codes
-            .iter()
-            .map(|&c| {
-                if c == MISSING_CAT {
-                    num_bins
-                } else {
-                    lut[c as usize]
-                }
-            })
-            .collect();
-        BinnedColumn {
-            codes: out,
-            num_bins,
-            kind: BinKind::Categorical { split_values },
-        }
+        BinnedColumn::from_bin_of_code(codes, &lut, num_bins, split_values)
     }
 
     /// Approximate heap footprint (cache byte budgeting).
@@ -327,6 +349,34 @@ impl BinnedColumn {
         max_bins: usize,
     ) -> BinnedColumn {
         BinSpec::fit_keys(keys.clone(), max_bins).encode_keys(keys)
+    }
+
+    /// [`from_keys`](Self::from_keys) for a gather [`dense_codes`] has
+    /// already dictionary-coded into `distinct` codes: the same column,
+    /// with no dictionary built or consulted.
+    pub fn from_dense_codes(codes: &[u32], distinct: usize, max_bins: usize) -> BinnedColumn {
+        let (bin_of_code, split_values, has_other) = bin_dense_codes(codes, distinct, max_bins);
+        let num_bins = split_values + u16::from(has_other);
+        BinnedColumn::from_bin_of_code(codes, &bin_of_code, num_bins, split_values)
+    }
+
+    /// A categorical column from dense codes ([`MISSING_CAT`] = missing)
+    /// and the bin each code maps to: an array index per row.
+    fn from_bin_of_code(
+        codes: &[u32],
+        bin_of_code: &[u16],
+        num_bins: u16,
+        split_values: u16,
+    ) -> BinnedColumn {
+        let bin = |&c: &u32| match c {
+            MISSING_CAT => num_bins,
+            c => bin_of_code[c as usize],
+        };
+        BinnedColumn {
+            codes: codes.iter().map(bin).collect(),
+            num_bins,
+            kind: BinKind::Categorical { split_values },
+        }
     }
 
     /// Number of rows.
@@ -530,6 +580,29 @@ mod tests {
             _ => panic!("categorical spec"),
         }
         assert!(col.is_missing(1));
+    }
+
+    #[test]
+    fn dense_codes_bin_like_the_keys_they_stand_for() {
+        // Eleven raw keys, some cells missing; a budget that fits them and one
+        // that caps them into an "other" bin.
+        let keys: Vec<Option<u64>> = (0..300u64)
+            .map(|i| (i % 11 != 0).then_some((i * i) % 25 * 1_000_003))
+            .collect();
+        let (codes, key_of_code) = dense_codes(keys.iter().copied());
+        assert_eq!(key_of_code[..3], [1_000_003, 4_000_012, 9_000_027]);
+        assert_eq!(codes[0], MISSING_CAT);
+        for max_bins in [32, 6] {
+            let direct = BinnedColumn::from_dense_codes(&codes, key_of_code.len(), max_bins);
+            let via_keys = BinnedColumn::from_keys(keys.iter().copied(), max_bins);
+            assert_eq!(direct.codes(), via_keys.codes());
+            assert_eq!(direct.num_bins(), via_keys.num_bins());
+            let spec = BinSpec::fit_keys(keys.iter().copied(), max_bins);
+            assert_eq!(
+                direct.codes(),
+                spec.encode_dense_keys(&codes, &key_of_code).codes()
+            );
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   outputs, keeping only the top λ#sel-attr attributes. Two trainers
 //!   exist: the float-matrix reference and a histogram trainer
 //!   ([`HistForest`]) over pre-binned [`BinnedColumn`]s whose per-node
-//!   split search reads class histograms (with parent − left = right
-//!   subtraction) instead of re-scanning rows.
+//!   split search reads a class histogram of each feature the node
+//!   sampled instead of re-scanning rows.
 //! * [`cluster`] — attribute clustering by mutual association. The paper
 //!   uses VARCLUS; per its own remark ("any technique that can cluster
 //!   correlated attributes would be applicable") we use agglomerative
@@ -34,7 +34,7 @@ pub mod tree;
 
 pub use cluster::cluster_attributes;
 pub use correlation::{assoc_matrix, correlation_ratio, cramers_v, pearson};
-pub use dataset::{BinKind, BinSpec, BinnedColumn, FeatureColumn};
+pub use dataset::{dense_codes, BinKind, BinSpec, BinnedColumn, FeatureColumn};
 pub use forest::{HistForest, RandomForest, RandomForestConfig};
 pub use sampling::{bernoulli_sample, reservoir_sample, sample_with_cap};
 pub use tree::{DecisionTree, HistTree, TreeConfig};

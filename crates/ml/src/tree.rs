@@ -8,9 +8,9 @@
 //! * [`DecisionTree`] — the float-matrix reference: per node it re-scans
 //!   and re-sorts the node's rows for every candidate threshold;
 //! * [`HistTree`] — the histogram trainer on pre-binned
-//!   [`BinnedColumn`]s: per node it accumulates one class histogram per
-//!   feature and reads every candidate split off the histogram, deriving
-//!   the larger child's histograms by parent − left = right subtraction.
+//!   [`BinnedColumn`]s: per node it counts one class histogram for each
+//!   feature the node sampled (⌈√p⌉ of them in a forest) and reads every
+//!   candidate split of that feature off the histogram.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -366,38 +366,6 @@ fn best_split_for_feature(
 // Histogram-based CART on pre-binned columns.
 // ---------------------------------------------------------------------
 
-/// Per-feature class histograms of one node: `hists[f][bin] = [neg, pos]`
-/// counts, `num_bins + 1` wide (the trailing slot is the missing bin).
-type NodeHists = Vec<Vec<[u32; 2]>>;
-
-fn build_hists(cols: &[BinnedColumn], labels: &[bool], rows: &[u32]) -> NodeHists {
-    cols.iter()
-        .map(|col| {
-            let mut h = vec![[0u32; 2]; col.num_bins() as usize + 1];
-            for &r in rows {
-                h[col.code(r as usize) as usize][labels[r as usize] as usize] += 1;
-            }
-            h
-        })
-        .collect()
-}
-
-/// `parent − small = large`: the classic histogram-subtraction trick —
-/// only the smaller child's histograms are rebuilt from its rows, the
-/// larger child's are derived in `O(features × bins)`.
-fn subtract_hists(parent: &NodeHists, small: &NodeHists) -> NodeHists {
-    parent
-        .iter()
-        .zip(small)
-        .map(|(p, s)| {
-            p.iter()
-                .zip(s)
-                .map(|(pc, sc)| [pc[0] - sc[0], pc[1] - sc[1]])
-                .collect()
-        })
-        .collect()
-}
-
 #[derive(Debug, Clone)]
 enum HNode {
     Leaf {
@@ -424,16 +392,37 @@ enum HNode {
 ///
 /// Split search walks each candidate feature's bin histogram once
 /// (`O(bins)` per feature) rather than re-scanning and re-sorting the
-/// node's rows per candidate threshold; child histograms are derived by
-/// the parent − left = right subtraction, so only the smaller child pays
-/// a build pass. On bins that losslessly cover the value domain the
-/// chosen splits — and therefore the mean-decrease-impurity importances —
-/// are identical to [`DecisionTree`]'s (see the equivalence tests).
+/// node's rows per candidate threshold. A node counts a histogram only
+/// for the features it sampled — one pass over its rows each, into one
+/// buffer the fit owns — and its rows are a range of one index buffer,
+/// partitioned in place, so a fit allocates a fixed handful of blocks
+/// whatever the number of features or nodes. On bins that losslessly
+/// cover the value domain the chosen splits — and therefore the
+/// mean-decrease-impurity importances — are identical to
+/// [`DecisionTree`]'s (see the equivalence tests).
 #[derive(Debug, Clone)]
 pub struct HistTree {
     nodes: Vec<HNode>,
     /// Per-feature accumulated (weighted) impurity decrease.
     pub importances: Vec<f64>,
+}
+
+/// What one [`HistTree::fit`] reads and reuses at every node.
+struct HistFit<'a> {
+    cols: &'a [BinnedColumn],
+    labels: &'a [bool],
+    config: &'a TreeConfig,
+    n_total: f64,
+    /// The bootstrap rows; a node owns a contiguous range of them and
+    /// splits it in place into its children's ranges.
+    rows: Vec<u32>,
+    /// Candidate features, refilled `0..p` before every shuffle so each
+    /// node draws from the RNG exactly as a fresh `(0..p).collect()` did.
+    feat_idx: Vec<usize>,
+    /// `[neg, pos]` counts of the feature under consideration, as wide as
+    /// the widest column (`num_bins + 1`: the trailing slot is the
+    /// missing bin).
+    hist: Vec<[u32; 2]>,
 }
 
 impl HistTree {
@@ -449,53 +438,65 @@ impl HistTree {
             nodes: Vec::new(),
             importances: vec![0.0; cols.len()],
         };
-        let n_total = rows.len().max(1) as f64;
-        let hists = build_hists(cols, labels, rows);
-        tree.build(cols, labels, rows.to_vec(), hists, config, rng, 0, n_total);
+        let widest = cols.iter().map(|c| c.num_bins() as usize + 1).max();
+        let mut fit = HistFit {
+            cols,
+            labels,
+            config,
+            n_total: rows.len().max(1) as f64,
+            rows: rows.to_vec(),
+            feat_idx: Vec::with_capacity(cols.len()),
+            hist: vec![[0; 2]; widest.unwrap_or(0)],
+        };
+        tree.build(&mut fit, rng, 0, rows.len(), 0);
         tree
     }
 
-    fn leaf(&mut self, labels: &[bool], rows: &[u32]) -> usize {
-        let pos = rows.iter().filter(|&&r| labels[r as usize]).count() as f64;
-        let prob = if rows.is_empty() {
-            0.5
-        } else {
-            pos / rows.len() as f64
-        };
+    fn leaf(&mut self, pos: f64, total: f64) -> usize {
+        let prob = if total == 0.0 { 0.5 } else { pos / total };
         self.nodes.push(HNode::Leaf { prob });
         self.nodes.len() - 1
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Grows the subtree over `fit.rows[lo..hi]`; returns its root.
     fn build(
         &mut self,
-        cols: &[BinnedColumn],
-        labels: &[bool],
-        rows: Vec<u32>,
-        hists: NodeHists,
-        config: &TreeConfig,
+        fit: &mut HistFit,
         rng: &mut StdRng,
+        lo: usize,
+        hi: usize,
         depth: usize,
-        n_total: f64,
     ) -> usize {
-        let pos = rows.iter().filter(|&&r| labels[r as usize]).count() as f64;
-        let total = rows.len() as f64;
+        let (cols, labels, config) = (fit.cols, fit.labels, fit.config);
+        let node_rows = &fit.rows[lo..hi];
+        let pos = node_rows.iter().filter(|&&r| labels[r as usize]).count() as f64;
+        let total = node_rows.len() as f64;
         let node_gini = gini(pos, total);
 
-        if depth >= config.max_depth || rows.len() < config.min_samples_split || node_gini == 0.0 {
-            return self.leaf(labels, &rows);
+        if depth >= config.max_depth
+            || node_rows.len() < config.min_samples_split
+            || node_gini == 0.0
+        {
+            return self.leaf(pos, total);
         }
 
         // Candidate feature subset (same policy as the float trainer).
-        let mut feat_idx: Vec<usize> = (0..cols.len()).collect();
+        fit.feat_idx.clear();
+        fit.feat_idx.extend(0..cols.len());
         if let Some(k) = config.features_per_node {
-            feat_idx.shuffle(rng);
-            feat_idx.truncate(k.max(1));
+            fit.feat_idx.shuffle(rng);
+            fit.feat_idx.truncate(k.max(1));
         }
 
         let mut best: Option<(f64, HSplit)> = None;
-        for &f in &feat_idx {
-            if let Some((gain, split)) = best_hist_split(&cols[f], &hists[f], f, node_gini, total) {
+        for &f in &fit.feat_idx {
+            let col = &cols[f];
+            let hist = &mut fit.hist[..col.num_bins() as usize + 1];
+            hist.fill([0; 2]);
+            for &r in node_rows {
+                hist[col.code(r as usize) as usize][labels[r as usize] as usize] += 1;
+            }
+            if let Some((gain, split)) = best_hist_split(col, hist, f, node_gini, pos, total) {
                 if best.as_ref().is_none_or(|(bg, _)| gain > *bg) {
                     best = Some((gain, split));
                 }
@@ -503,66 +504,33 @@ impl HistTree {
         }
 
         let Some((gain, split)) = best else {
-            return self.leaf(labels, &rows);
+            return self.leaf(pos, total);
         };
         if gain <= 1e-12 {
-            return self.leaf(labels, &rows);
+            return self.leaf(pos, total);
         }
 
-        let (left_rows, right_rows): (Vec<u32>, Vec<u32>) = match split {
-            HSplit::Num { feature, bin } => rows
-                .iter()
-                .partition(|&&r| cols[feature].code(r as usize) <= bin),
-            HSplit::Cat { feature, code } => rows
-                .iter()
-                .partition(|&&r| cols[feature].code(r as usize) == code),
+        let node_rows = &mut fit.rows[lo..hi];
+        let (feature, left_len) = match split {
+            HSplit::Num { feature, bin } => (
+                feature,
+                partition_in_place(node_rows, |r| cols[feature].code(r as usize) <= bin),
+            ),
+            HSplit::Cat { feature, code } => (
+                feature,
+                partition_in_place(node_rows, |r| cols[feature].code(r as usize) == code),
+            ),
         };
-        if left_rows.is_empty() || right_rows.is_empty() {
-            return self.leaf(labels, &rows);
+        if left_len == 0 || left_len == node_rows.len() {
+            return self.leaf(pos, total);
         }
-
-        let f = match split {
-            HSplit::Num { feature, .. } | HSplit::Cat { feature, .. } => feature,
-        };
-        self.importances[f] += gain * (total / n_total);
-
-        // Histogram subtraction: rebuild only the smaller child.
-        let (small_rows, small_is_left) = if left_rows.len() <= right_rows.len() {
-            (&left_rows, true)
-        } else {
-            (&right_rows, false)
-        };
-        let small = build_hists(cols, labels, small_rows);
-        let large = subtract_hists(&hists, &small);
-        drop(hists);
-        let (left_h, right_h) = if small_is_left {
-            (small, large)
-        } else {
-            (large, small)
-        };
+        self.importances[feature] += gain * (total / fit.n_total);
 
         let placeholder = self.nodes.len();
         self.nodes.push(HNode::Leaf { prob: 0.5 }); // replaced below
-        let left = self.build(
-            cols,
-            labels,
-            left_rows,
-            left_h,
-            config,
-            rng,
-            depth + 1,
-            n_total,
-        );
-        let right = self.build(
-            cols,
-            labels,
-            right_rows,
-            right_h,
-            config,
-            rng,
-            depth + 1,
-            n_total,
-        );
+        let mid = lo + left_len;
+        let left = self.build(fit, rng, lo, mid, depth + 1);
+        let right = self.build(fit, rng, mid, hi, depth + 1);
         self.nodes[placeholder] = match split {
             HSplit::Num { feature, bin } => HNode::SplitNum {
                 feature,
@@ -626,6 +594,20 @@ enum HSplit {
     Cat { feature: usize, code: u16 },
 }
 
+/// Moves the rows `goes_left` accepts to the front of `rows` and returns
+/// how many there are. Order within a side is not kept: every reader of
+/// a node's rows only counts them.
+fn partition_in_place(rows: &mut [u32], goes_left: impl Fn(u32) -> bool) -> usize {
+    let mut left = 0;
+    for i in 0..rows.len() {
+        if goes_left(rows[i]) {
+            rows.swap(left, i);
+            left += 1;
+        }
+    }
+    left
+}
+
 /// Best split of one feature, read off its node histogram: numeric bins
 /// are scanned as a prefix sum (split candidates are the bin upper
 /// edges), categorical bins as one-vs-rest equality splits. Missing rows
@@ -636,9 +618,9 @@ fn best_hist_split(
     hist: &[[u32; 2]],
     feature: usize,
     parent_gini: f64,
+    pos_total: f64,
     total: f64,
 ) -> Option<(f64, HSplit)> {
-    let pos_total: f64 = hist.iter().map(|c| c[1] as f64).sum();
     let mut best: Option<(f64, HSplit)> = None;
     let mut consider = |gain: f64, split: HSplit| {
         if best.as_ref().is_none_or(|(bg, _)| gain > *bg) {
