@@ -63,7 +63,7 @@ fn scoring_fixture(gen: &GeneratedDb) -> (Apt, ProvenanceTable, Vec<Pattern>) {
         .collect();
     let mut patterns = cat_pats.clone();
     for &f in &num_fields {
-        for c in cajade_mining::fragments::fragment_boundaries(&apt, f, None, 6) {
+        for c in cajade_mining::fragments::fragment_boundaries(&apt, f, 6) {
             for op in [cajade_mining::PredOp::Le, cajade_mining::PredOp::Ge] {
                 let pred = cajade_mining::Pred {
                     op,

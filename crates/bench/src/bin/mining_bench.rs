@@ -223,7 +223,7 @@ fn scoring_throughput(gen: &GeneratedDb) -> (f64, f64, usize, usize) {
         .collect();
     let mut patterns = cat_pats.clone();
     for &f in &num_fields {
-        for c in cajade_mining::fragments::fragment_boundaries(&apt, f, None, 6) {
+        for c in cajade_mining::fragments::fragment_boundaries(&apt, f, 6) {
             for op in [cajade_mining::PredOp::Le, cajade_mining::PredOp::Ge] {
                 let pred = cajade_mining::Pred {
                     op,

@@ -21,6 +21,8 @@
 //!   table9   ranking quality vs ratings (Table 9; SIMULATED ratings)
 //!   ablation design-choice ablations (§3/§4 optimizations)
 //!   all      everything above
+//!   scope    question-scoped vs group-global preparation, side by side
+//!            (docs/ARCHITECTURE.md "Two scopes, one body"; not in `all`)
 //!
 //! flags:
 //!   --scale <f>   harness scale relative to the paper's scale-1.0
@@ -46,12 +48,17 @@ use cajade_bench::workloads::{
     mimic_case_questions, mimic_db, mimic_queries, nba_case_questions, nba_db, nba_queries,
     CaseQuestion, Workload,
 };
-use cajade_core::{ExplanationSession, Params, SessionResult, SessionTimings, UserQuestion};
+use cajade_core::{
+    pipeline, Explanation, ExplanationSession, Params, SessionResult, SessionTimings, UserQuestion,
+};
+use cajade_datagen::synth::{self, SynthConfig, SYNTH_SQL};
 use cajade_datagen::{scale::duplicate_scale, GeneratedDb};
 use cajade_graph::Apt;
-use cajade_metrics::{ndcg, top_k_overlap};
-use cajade_mining::{lca_candidates, mine_apt, Question, Scorer, SelAttr};
-use cajade_query::ProvenanceTable;
+use cajade_metrics::{mean, ndcg, top_k_overlap};
+use cajade_mining::{
+    lca_candidates, mine_apt, mine_prepared, prepare_apt, Question, Scorer, SelAttr,
+};
+use cajade_query::{parse_sql, ProvenanceTable};
 
 #[derive(Debug, Clone)]
 struct Args {
@@ -121,6 +128,7 @@ fn main() {
         "table8" => table8_cmd(&args),
         "table9" => table9_cmd(&args),
         "ablation" => ablation(&args),
+        "scope" => scope(&args),
         "all" => {
             table1(&args);
             fig7(&args);
@@ -792,7 +800,7 @@ fn arm_mean(rows: &[(f64, f64, f64, f64)], expl: &[StudyExplanation], cajade_arm
         .filter(|(_, e)| e.cajade_arm == cajade_arm)
         .map(|(r, _)| r.0)
         .collect();
-    cajade_metrics::mean(&v)
+    mean(&v)
 }
 
 /// Table 9: Kendall-tau / NDCG of metric-based rankings vs ratings.
@@ -891,6 +899,87 @@ fn ablation(args: &Args) {
             secs(r.timings.total()),
             top_k_overlap(&truth, &predicted, 10).to_string(),
         ]);
+    }
+    println!("{}", t.render());
+}
+
+/// Algorithm 1's two preparation scopes on the same questions: per join
+/// graph, `mine_apt` (feature selection and LCA sample on the question's
+/// rows — the library) against `prepare_apt` + `mine_prepared` (on every
+/// output group — the service), each globally ranked. `Params::paper()`
+/// at `--edges`, the case questions with their ban lists plus the
+/// synthetic corpus's planted `g0` story.
+fn scope(args: &Args) {
+    println!("## Scope — question-scoped (q) vs group-global (g) preparation\n");
+    let mut t = Table::new(&[
+        "question",
+        "shared top-1/5/20",
+        "mean F@1/5/20 (q)",
+        "mean F@1/5/20 (g)",
+        "returned q/g",
+        "patterns evaluated q/g",
+    ]);
+    let mut compare = |name: String, gen: &GeneratedDb, sql: &str, asked, banned: &[&str]| {
+        let mut params = Params::paper().with_max_edges(args.edges);
+        params.mining.banned_attrs = banned.iter().map(|s| s.to_string()).collect();
+        let (db, mining) = (&gen.db, &params.mining);
+        let query = parse_sql(sql).unwrap();
+        let prepared = pipeline::prepare(db, &gen.schema_graph, &query, &params).unwrap();
+        let pt = &prepared.pt;
+        let question = pipeline::resolve_question(db, &query, pt, &asked).unwrap();
+        let mut found: [Vec<Explanation>; 2] = Default::default();
+        let mut evaluated = [0usize; 2];
+        for gi in prepared.valid_graph_indices() {
+            let apt = Apt::materialize(db, pt, &prepared.graphs[gi].graph).unwrap();
+            let global = prepare_apt(&apt, pt, mining);
+            let outcomes = [
+                mine_apt(&apt, pt, &question, mining),
+                mine_prepared(&global, &apt, pt, &question, mining),
+            ];
+            for (side, outcome) in outcomes.iter().enumerate() {
+                evaluated[side] += outcome.patterns_evaluated;
+                found[side].extend(outcome.explanations.iter().map(|m| {
+                    let primary = pipeline::group_label(db, &query, pt, m.primary_group);
+                    Explanation::from_mined(m, &apt, db.pool(), primary, gi)
+                }));
+            }
+        }
+        let [q, g] = found.map(|all| pipeline::rank(all, &params));
+        let keys = |ranked: &[Explanation]| -> Vec<String> {
+            let parts = ranked
+                .iter()
+                .map(|e| [&e.pattern_desc, &e.graph_structure, &e.primary]);
+            parts.map(|p| format!("{p:?}")).collect()
+        };
+        let at = |f: &dyn Fn(usize) -> String| [1, 5, 20].map(f).join(" / ");
+        let mean_f = |ranked: &[Explanation], k: usize| {
+            let top: Vec<f64> = ranked.iter().take(k).map(|e| e.metrics.f_score).collect();
+            format!("{:.3}", mean(&top))
+        };
+        t.row(vec![
+            name,
+            at(&|k| top_k_overlap(&keys(&q), &keys(&g), k).to_string()),
+            at(&|k| mean_f(&q, k)),
+            at(&|k| mean_f(&g, k)),
+            format!("{} / {}", q.len(), g.len()),
+            format!("{} / {}", evaluated[0], evaluated[1]),
+        ]);
+    };
+
+    let (nba, mimic) = (nba_db(args.scale), mimic_db(args.scale));
+    let paper_cases = nba_case_questions().into_iter().map(|cq| (&nba, cq));
+    for (gen, cq) in paper_cases.chain(mimic_case_questions().into_iter().map(|cq| (&mimic, cq))) {
+        let asked = UserQuestion::two_point(&[cq.t1], &[cq.t2]);
+        let sql = find_workload(cq.query_id).sql;
+        compare(cq.query_id.to_string(), gen, sql, asked, cq.banned);
+    }
+    for (tables, columns) in [(3, 4), (4, 6)] {
+        let gen = synth::generate(&SynthConfig::small().with_width(tables, columns));
+        let (g0, g1) = ([("grp", "g0")], [("grp", "g1")]);
+        let name = format!("synth {tables}x{columns} g0");
+        let two_point = UserQuestion::two_point(&g0, &g1);
+        compare(format!("{name}/g1"), &gen, SYNTH_SQL, two_point, &[]);
+        compare(name, &gen, SYNTH_SQL, UserQuestion::single_point(&g0), &[]);
     }
     println!("{}", t.render());
 }

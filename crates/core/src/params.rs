@@ -110,8 +110,10 @@ impl Params {
 
     /// Enables automatic FD-based attribute exclusion (the paper's
     /// §6.2/§8 future-work item implemented here): attributes whose values
-    /// functionally determine the question's groups on the APT are dropped
-    /// instead of relying on a manual ban list.
+    /// functionally determine the output group on the APT are dropped
+    /// instead of relying on a manual ban list — among the question's
+    /// groups in a one-shot `explain`, among all groups in a service
+    /// session, whose preparation serves every question.
     pub fn with_fd_exclusion(mut self, on: bool) -> Self {
         self.mining.exclude_fd_attrs = on;
         self

@@ -19,9 +19,7 @@ use std::time::Duration;
 use cajade_graph::{
     enumerate_join_graphs, Apt, AptBuilder, EnumConfig, EnumeratedGraph, SchemaGraph,
 };
-use cajade_mining::{
-    mine_apt, mine_prepared, prepare_apt_with, MiningOutcome, MiningTimings, PreparedApt, Question,
-};
+use cajade_mining::{mine_prepared, MiningTimings, PreparedApt, Question};
 pub use cajade_mining::{ColumnStatsProvider, NoSharedStats};
 use cajade_obs::{Ctx, Stage};
 use cajade_query::{execute_with_provenance, ProvenanceTable, Query, QueryResult};
@@ -171,22 +169,24 @@ pub fn finish_materialize(builder: AptBuilder<'_>) -> (u64, u64) {
     work
 }
 
-/// Stage 3.5: the question-independent mining preparation of one APT
-/// (feature selection, LCA candidate pool, fragment boundaries, scoring
-/// index and predicate bitmaps — see [`cajade_mining::prepare_apt_with`]).
+/// Stage 3.5: the mining preparation of one APT (feature selection, LCA
+/// candidate pool, fragment boundaries, scoring index and predicate
+/// bitmaps — see [`cajade_mining::prepared::prepare`]).
 ///
-/// `stats` supplies shareable per-column statistics: the service passes
-/// its database-scoped column-stats cache so a question over many join
-/// graphs analyzes each context column once; one-shot callers pass
-/// [`NoSharedStats`] and compute everything per APT.
+/// The service passes `question = None` — the preparation then serves
+/// every question and is worth caching — and its database-scoped
+/// column-stats cache as `stats`, so a question over many join graphs
+/// analyzes each context column once. The one-shot path prepares in the
+/// scope of its one question, with [`NoSharedStats`], and keeps nothing.
 pub fn prepare_mining(
     apt: &Apt,
     pt: &ProvenanceTable,
     params: &Params,
     stats: &dyn ColumnStatsProvider,
+    question: Option<&Question>,
 ) -> PreparedApt {
     let _stage = Stage::open_as("prepare_apt", "prepare");
-    prepare_apt_with(apt, pt, &params.mining, stats)
+    cajade_mining::prepared::prepare(apt, pt, &params.mining, stats, question)
 }
 
 /// Everything one mined join graph contributes to the session result.
@@ -205,9 +205,9 @@ pub struct GraphOutcome {
     pub patterns: usize,
 }
 
-/// Stage 4, interactive variant: mines one APT through its cached
-/// question-independent preparation ([`cajade_mining::prepare_apt`]) and
-/// renders its explanations. `graph_index` is the graph's index within
+/// Stage 4: mines one APT through its preparation
+/// ([`prepare_mining`]) and renders its explanations, all inside the
+/// graph's `mine_apt` stage. `graph_index` is the graph's index within
 /// the session's enumeration; `materialize_time` is attributed to this
 /// outcome for the Fig. 10 style breakdown. When `prep_computed` is set,
 /// the preparation ran as part of this ask and its phase timings are
@@ -229,28 +229,11 @@ pub fn mine_one_prepared(
     materialize_time: Duration,
     prep_computed: bool,
 ) -> GraphOutcome {
-    mine_graph(db, query, pt, apt, graph_index, materialize_time, || {
-        let mut outcome = mine_prepared(prep, apt, pt, question, &params.mining);
-        if prep_computed {
-            outcome.timings.accumulate(&prep.prep_timings);
-        }
-        outcome
-    })
-}
-
-/// Stage 4 for either miner: runs `mine` over `apt` and renders what it
-/// found, all inside the graph's `mine_apt` stage.
-fn mine_graph(
-    db: &Database,
-    query: &Query,
-    pt: &ProvenanceTable,
-    apt: &Apt,
-    graph_index: usize,
-    materialize_time: Duration,
-    mine: impl FnOnce() -> MiningOutcome,
-) -> GraphOutcome {
     let _stage = Stage::open_as("mine_apt", "mine");
-    let outcome = mine();
+    let mut outcome = mine_prepared(prep, apt, pt, question, &params.mining);
+    if prep_computed {
+        outcome.timings.accumulate(&prep.prep_timings);
+    }
     let explanations = outcome
         .explanations
         .iter()
@@ -294,9 +277,12 @@ where
     items.par_iter().map(|item| ctx.enter(|| f(item))).collect()
 }
 
-/// Stage 3+4 over all valid graphs: materialize then mine each one, on
-/// worker threads when `params.parallel` is set. Outcomes come back in
-/// graph order, so parallel and sequential runs produce identical results.
+/// Stages 3–4 over all valid graphs, one graph at a time through the
+/// stage functions the service chains around its caches — [`materialize`]
+/// → [`prepare_mining`] in the question's scope → [`mine_one_prepared`] —
+/// keeping neither APT nor preparation; on worker threads when
+/// `params.parallel` is set. Outcomes come back in graph order, so
+/// parallel and sequential runs produce identical results.
 pub fn materialize_and_mine(
     db: &Database,
     query: &Query,
@@ -317,14 +303,18 @@ pub fn materialize_and_mine(
             return Ok(None);
         }
         let (apt, materialize_time) = materialize(&builder, graph_index)?;
-        Ok(Some(mine_graph(
+        let prep = prepare_mining(&apt, pt, params, &NoSharedStats, Some(question));
+        Ok(Some(mine_one_prepared(
             db,
             query,
             pt,
             &apt,
+            &prep,
+            question,
+            params,
             graph_index,
             materialize_time,
-            || mine_apt(&apt, pt, question, &params.mining),
+            true,
         )))
     };
     let outcomes: Result<Vec<Option<GraphOutcome>>> = fan_out(params, &valid, run_one);

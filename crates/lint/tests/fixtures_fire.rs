@@ -250,15 +250,15 @@ fn doc_catalog_drift_fires_both_directions() {
 }
 
 /// The gate itself: linting this workspace with the shipped config
-/// finds nothing. Violations are fixed at the source; the three
+/// finds nothing. Violations are fixed at the source; the two
 /// `single-clock` suppressions `docs/LINTS.md` accounts for are the
-/// whole allowance, so a fourth fails here.
+/// whole allowance, so a third fails here.
 #[test]
 fn workspace_is_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let cfg = LintConfig::workspace(root);
     let report = lint_workspace(&cfg).unwrap();
     assert!(report.ok(), "{}", render_human(&report));
-    assert_eq!(report.suppressed, 3, "see docs/LINTS.md § Suppression");
+    assert_eq!(report.suppressed, 2, "see docs/LINTS.md § Suppression");
     assert!(report.files_scanned > 100, "walk lost the tree");
 }

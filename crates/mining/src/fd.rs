@@ -12,9 +12,9 @@
 //! can be excluded from mining automatically instead of via a manual ban
 //! list.
 //!
-//! The check is sound for the question at hand (it uses the actual APT
-//! instance, the only scope where patterns are evaluated) and runs in one
-//! scan per attribute.
+//! The check runs on the actual APT instance (the only scope where
+//! patterns are evaluated), over the groups of the preparation it serves
+//! (see [`group_determining_fields`]), in one scan per attribute.
 
 use std::collections::HashMap;
 
@@ -25,9 +25,12 @@ use crate::pattern::PatValue;
 use crate::score::Question;
 
 /// Returns the APT field indices whose values functionally determine the
-/// question's group within the question scope (both groups for two-point
-/// questions). Constant attributes are *not* reported (they determine
-/// nothing; feature selection already down-ranks them).
+/// output group within the scope of `question` — both groups of a
+/// two-point question; every group for a single-point one and for `None`
+/// (a question-independent preparation), where a reported field is a true
+/// `A → group-by` dependency on this APT. Constant attributes are *not*
+/// reported (they determine nothing; feature selection already down-ranks
+/// them).
 ///
 /// `min_distinct` guards against trivially-keyed columns being kept: an
 /// attribute must have at least 2 distinct values to be a meaningful FD
@@ -35,14 +38,9 @@ use crate::score::Question;
 pub fn group_determining_fields(
     apt: &Apt,
     pt: &ProvenanceTable,
-    question: &Question,
+    question: Option<&Question>,
 ) -> Vec<usize> {
-    let in_scope = |g: u32| -> bool {
-        match question {
-            Question::TwoPoint { t1, t2 } => g as usize == *t1 || g as usize == *t2,
-            Question::SinglePoint { .. } => true,
-        }
-    };
+    let in_scope = |g: u32| question.is_none_or(|q| q.in_scope(g as usize));
 
     let mut out = Vec::new();
     for field in apt.pattern_fields() {
@@ -126,7 +124,7 @@ mod tests {
         let pt = ProvenanceTable::compute(&db, &q).unwrap();
         let apt = Apt::materialize(&db, &pt, &JoinGraph::pt_only()).unwrap();
         let question = Question::TwoPoint { t1: 0, t2: 1 };
-        let fd = group_determining_fields(&apt, &pt, &question);
+        let fd = group_determining_fields(&apt, &pt, Some(&question));
         let season_id = apt.field_index("prov_t_season__id").unwrap();
         assert!(fd.contains(&season_id), "season_id → group detected");
     }
@@ -137,7 +135,7 @@ mod tests {
         let pt = ProvenanceTable::compute(&db, &q).unwrap();
         let apt = Apt::materialize(&db, &pt, &JoinGraph::pt_only()).unwrap();
         let question = Question::TwoPoint { t1: 0, t2: 1 };
-        let fd = group_determining_fields(&apt, &pt, &question);
+        let fd = group_determining_fields(&apt, &pt, Some(&question));
         let pts = apt.field_index("prov_t_pts").unwrap();
         let constant = apt.field_index("prov_t_constant").unwrap();
         assert!(!fd.contains(&pts), "pts has mixed groups per value");
@@ -152,9 +150,27 @@ mod tests {
         let pt = ProvenanceTable::compute(&db, &q).unwrap();
         let apt = Apt::materialize(&db, &pt, &JoinGraph::pt_only()).unwrap();
         let question = Question::TwoPoint { t1: 0, t2: 1 };
-        let fd = group_determining_fields(&apt, &pt, &question);
+        let fd = group_determining_fields(&apt, &pt, Some(&question));
         let id = apt.field_index("prov_t_id").unwrap();
         assert!(fd.contains(&id));
+    }
+
+    /// A question-independent preparation sees what a single-point
+    /// question sees: every group.
+    #[test]
+    fn no_question_is_the_single_point_scope() {
+        let (db, q) = fixture();
+        let pt = ProvenanceTable::compute(&db, &q).unwrap();
+        let apt = Apt::materialize(&db, &pt, &JoinGraph::pt_only()).unwrap();
+        let all_groups = group_determining_fields(&apt, &pt, None);
+        assert!(all_groups.contains(&apt.field_index("prov_t_season__id").unwrap()));
+        for t in 0..pt.rows_of_group.len() {
+            let single = Question::SinglePoint { t };
+            assert_eq!(
+                all_groups,
+                group_determining_fields(&apt, &pt, Some(&single))
+            );
+        }
     }
 
     #[test]
@@ -195,10 +211,12 @@ mod tests {
         let tb = pt.find_group(&db, &q, &[("grp", "b")]).unwrap();
         let x = apt.field_index("prov_t_x").unwrap();
 
-        let two_point = group_determining_fields(&apt, &pt, &Question::TwoPoint { t1: ta, t2: tb });
+        let two_point =
+            group_determining_fields(&apt, &pt, Some(&Question::TwoPoint { t1: ta, t2: tb }));
         assert!(two_point.contains(&x), "within {{a,b}} x determines grp");
 
-        let single = group_determining_fields(&apt, &pt, &Question::SinglePoint { t: ta });
+        let single = group_determining_fields(&apt, &pt, Some(&Question::SinglePoint { t: ta }));
         assert!(!single.contains(&x), "globally x does not determine grp");
+        assert_eq!(group_determining_fields(&apt, &pt, None), single);
     }
 }

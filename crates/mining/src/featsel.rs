@@ -69,6 +69,19 @@ pub struct FeatureSelection {
     pub relevance: Vec<f64>,
 }
 
+impl FeatureSelection {
+    /// No field selected, zero relevance everywhere: what `filterAttrs`
+    /// yields for an APT without candidates, or when it is skipped.
+    pub fn empty(apt: &Apt) -> Self {
+        FeatureSelection {
+            num_fields: Vec::new(),
+            cat_fields: Vec::new(),
+            clusters: Vec::new(),
+            relevance: vec![0.0; apt.fields.len()],
+        }
+    }
+}
+
 /// Configuration for feature selection.
 #[derive(Debug, Clone)]
 pub struct FeatSelConfig {
@@ -187,10 +200,10 @@ fn fast_feature_column(apt: &Apt, field: usize, rows: &[u32]) -> (FeatureColumn,
     }
 }
 
-/// Shared tail of both selections: gather each candidate column once,
-/// bin it for the forest, run the per-task forests, average importances,
-/// and cluster on the same gathered view (the association matrix is
-/// computed over full values/codes, not bins).
+/// The scope-independent body of the selection: gather each candidate
+/// column once, bin it for the forest, run the per-task forests, average
+/// importances, and cluster on the same gathered view (the association
+/// matrix is computed over full values/codes, not bins).
 ///
 /// Binning consults the injected [`ColumnStatsProvider`] first: a context
 /// column with shared statistics encodes its gather through the provider's
@@ -204,7 +217,6 @@ fn hist_selection(
     tasks: &[(Vec<bool>, f64, RandomForestConfig)],
     cfg: &FeatSelConfig,
     stats: &dyn ColumnStatsProvider,
-    relevance: Vec<f64>,
 ) -> FeatureSelection {
     let stage = Stage::detail("featsel_gather");
     let (features, key_maps): (Vec<FeatureColumn>, Vec<Vec<u64>>) = candidates
@@ -318,14 +330,7 @@ fn hist_selection(
             }
             full
         };
-        let fs = finish_selection(
-            apt,
-            candidates,
-            importances.clone(),
-            assoc,
-            cfg,
-            relevance.clone(),
-        );
+        let fs = finish_selection(apt, candidates, importances.clone(), assoc, cfg);
         let all_selected_measured = m == candidates.len() || {
             let measured_fields: Vec<usize> = measured.iter().map(|&i| candidates[i]).collect();
             fs.num_fields
@@ -342,112 +347,62 @@ fn hist_selection(
     }
 }
 
-/// `filterAttrs` for one question: trains on the scan-order rows
-/// belonging to the question's output group(s).
+/// `filterAttrs` over the index's scan-order rows, in one of two scopes.
+///
+/// `Some(question)` is the paper's §3.1: one forest separating the
+/// primary tuple's provenance from the rest of the question's rows (a
+/// two-point question trains on its two groups only). `None` ranks
+/// attributes by their ability to tell the query's output groups apart in
+/// general — one-vs-rest tasks over the largest groups
+/// (`one_vs_rest_plan`), importances averaged weighted by `|PT(t)|` — so
+/// the result depends only on the APT and the parameters and a
+/// [`PreparedApt`](crate::prepared::PreparedApt) holding it serves every
+/// later question. The scope decides which rows are trained on and what
+/// they are labelled; everything after that is shared.
 pub fn select_features_hist(
     apt: &Apt,
     pt: &ProvenanceTable,
     scan_order: &[u32],
-    question: &Question,
+    question: Option<&Question>,
     cfg: &FeatSelConfig,
     stats: &dyn ColumnStatsProvider,
 ) -> FeatureSelection {
     let candidates = apt.pattern_fields();
-    let relevance = vec![0.0; apt.fields.len()];
     if candidates.is_empty() {
-        return FeatureSelection {
-            num_fields: Vec::new(),
-            cat_fields: Vec::new(),
-            clusters: Vec::new(),
-            relevance,
-        };
+        return FeatureSelection::empty(apt);
     }
 
-    let mut rows = Vec::new();
-    let mut labels = Vec::new();
-    for &r in scan_order {
-        let g = pt.group_of[apt.pt_row[r as usize] as usize] as usize;
-        let label = match question {
-            Question::TwoPoint { t1, t2 } => {
-                if g == *t1 {
-                    true
-                } else if g == *t2 {
-                    false
-                } else {
-                    continue;
-                }
-            }
-            Question::SinglePoint { t } => g == *t,
-        };
-        rows.push(r);
-        labels.push(label);
-    }
-    if rows.len() > cfg.max_train_rows {
-        let keep = reservoir_sample(rows.len(), cfg.max_train_rows, cfg.seed);
-        rows = keep.iter().map(|&i| rows[i]).collect();
-        labels = keep.iter().map(|&i| labels[i]).collect();
-    }
-
-    let forest_cfg = RandomForestConfig {
-        num_trees: cfg.forest_trees,
-        seed: cfg.seed,
-        ..Default::default()
+    let group_of = |r: u32| pt.group_of[apt.pt_row[r as usize] as usize] as usize;
+    let mut rows: Vec<u32> = match question {
+        Some(q) => {
+            let asked = scan_order.iter().filter(|&&r| q.in_scope(group_of(r)));
+            asked.copied().collect()
+        }
+        None => scan_order.to_vec(),
     };
-    hist_selection(
-        apt,
-        &candidates,
-        &rows,
-        &[(labels, 1.0, forest_cfg)],
-        cfg,
-        stats,
-        relevance,
-    )
-}
-
-/// Question-independent `filterAttrs`: ranks attributes by their ability
-/// to tell the query's output groups apart in general, rather than for
-/// one specific `(t1, t2)` pair — one-vs-rest tasks over the largest
-/// output groups (`one_vs_rest_plan`), importances averaged weighted by
-/// `|PT(t)|`. The result depends only on the APT and the parameters, so
-/// it is cacheable in a [`PreparedApt`](crate::prepared::PreparedApt) and
-/// a *new* question on a warm APT skips the phase entirely.
-pub fn select_features_hist_global(
-    apt: &Apt,
-    pt: &ProvenanceTable,
-    scan_order: &[u32],
-    cfg: &FeatSelConfig,
-    stats: &dyn ColumnStatsProvider,
-) -> FeatureSelection {
-    let candidates = apt.pattern_fields();
-    let relevance = vec![0.0; apt.fields.len()];
-    if candidates.is_empty() {
-        return FeatureSelection {
-            num_fields: Vec::new(),
-            cat_fields: Vec::new(),
-            clusters: Vec::new(),
-            relevance,
-        };
-    }
-
-    let mut rows: Vec<u32> = scan_order.to_vec();
     if rows.len() > cfg.max_train_rows {
         let keep = reservoir_sample(rows.len(), cfg.max_train_rows, cfg.seed);
         rows = keep.into_iter().map(|i| rows[i]).collect();
     }
-    let row_groups: Vec<u32> = rows
-        .iter()
-        .map(|&r| pt.group_of[apt.pt_row[r as usize] as usize])
-        .collect();
+    let row_groups: Vec<usize> = rows.iter().map(|&r| group_of(r)).collect();
+    let one_vs_rest = |g: usize| -> Vec<bool> { row_groups.iter().map(|&rg| rg == g).collect() };
+    let tasks: Vec<(Vec<bool>, f64, RandomForestConfig)> = match question {
+        // One forest: the primary tuple against the rest of the scope.
+        Some(q) => {
+            let forest_cfg = RandomForestConfig {
+                num_trees: cfg.forest_trees,
+                seed: cfg.seed,
+                ..Default::default()
+            };
+            vec![(one_vs_rest(q.directions()[0].0), 1.0, forest_cfg)]
+        }
+        None => one_vs_rest_plan(pt, cfg)
+            .into_iter()
+            .map(|(g, weight, forest_cfg)| (one_vs_rest(g), weight, forest_cfg))
+            .collect(),
+    };
 
-    let tasks: Vec<(Vec<bool>, f64, RandomForestConfig)> = one_vs_rest_plan(pt, cfg)
-        .into_iter()
-        .map(|(g, weight, forest_cfg)| {
-            let labels: Vec<bool> = row_groups.iter().map(|&rg| rg as usize == g).collect();
-            (labels, weight, forest_cfg)
-        })
-        .collect();
-
-    hist_selection(apt, &candidates, &rows, &tasks, cfg, stats, relevance)
+    hist_selection(apt, &candidates, &rows, &tasks, cfg, stats)
 }
 
 /// Shared tail of `filterAttrs`: correlation clustering, representative
@@ -461,8 +416,8 @@ fn finish_selection(
     importances: Vec<f64>,
     assoc: Vec<Vec<f64>>,
     cfg: &FeatSelConfig,
-    mut relevance: Vec<f64>,
 ) -> FeatureSelection {
+    let mut relevance = vec![0.0; apt.fields.len()];
     for (&f, &imp) in candidates.iter().zip(&importances) {
         relevance[f] = imp;
     }
@@ -506,8 +461,7 @@ pub fn all_features(apt: &Apt) -> FeatureSelection {
     FeatureSelection {
         num_fields,
         cat_fields,
-        clusters: Vec::new(),
-        relevance: vec![0.0; apt.fields.len()],
+        ..FeatureSelection::empty(apt)
     }
 }
 
@@ -569,7 +523,7 @@ mod tests {
             &apt,
             &pt,
             ScoreIndex::exact(&apt, &pt).order(),
-            &question,
+            Some(&question),
             &FeatSelConfig {
                 sel_attr: sel,
                 ..Default::default()

@@ -9,9 +9,9 @@ use cajade_graph::Apt;
 use crate::stats::STATS_SAMPLE_CAP;
 
 /// Computes per-field threshold candidates: `num_frags` quantile
-/// boundaries of the non-null **finite** values of `field` over the APT
-/// rows in `rows` (or all rows when `rows` is `None`). Boundaries are
-/// deduplicated; constant columns yield a single boundary.
+/// boundaries of the non-null **finite** values of `field` over the APT's
+/// rows. Boundaries are deduplicated; constant columns yield a single
+/// boundary.
 ///
 /// Large inputs are strided down to at most [`STATS_SAMPLE_CAP`]
 /// positions before the quantile sort — the same deterministic
@@ -28,21 +28,11 @@ use crate::stats::STATS_SAMPLE_CAP;
 /// refinement predicate built from it (`x ≤ NaN` matches nothing), and an
 /// infinite one is vacuous; before this filter a single `NaN` cell
 /// panicked the sort.
-pub fn fragment_boundaries(
-    apt: &Apt,
-    field: usize,
-    rows: Option<&[u32]>,
-    num_frags: usize,
-) -> Vec<f64> {
+pub fn fragment_boundaries(apt: &Apt, field: usize, num_frags: usize) -> Vec<f64> {
     // Non-finite routing happens once, in `quantile_boundaries`.
-    let vals: Vec<f64> = match rows {
-        Some(rows) => strided(rows.len())
-            .filter_map(|i| apt.columns[field].f64_at(rows[i] as usize))
-            .collect(),
-        None => strided(apt.num_rows)
-            .filter_map(|r| apt.columns[field].f64_at(r))
-            .collect(),
-    };
+    let vals: Vec<f64> = strided(apt.num_rows)
+        .filter_map(|r| apt.columns[field].f64_at(r))
+        .collect();
     quantile_boundaries(vals, num_frags)
 }
 
@@ -118,7 +108,7 @@ mod tests {
     fn three_frags_give_min_median_max() {
         let (_db, apt) = apt_with_values(&[Some(1), Some(2), Some(3), Some(4), Some(5)]);
         let x = apt.field_index("prov_t_x").unwrap();
-        assert_eq!(fragment_boundaries(&apt, x, None, 3), vec![1.0, 3.0, 5.0]);
+        assert_eq!(fragment_boundaries(&apt, x, 3), vec![1.0, 3.0, 5.0]);
     }
 
     #[test]
@@ -127,7 +117,7 @@ mod tests {
         let (_db, apt) = apt_with_values(&vals);
         let x = apt.field_index("prov_t_x").unwrap();
         assert_eq!(
-            fragment_boundaries(&apt, x, None, 5),
+            fragment_boundaries(&apt, x, 5),
             vec![0.0, 25.0, 50.0, 75.0, 100.0]
         );
     }
@@ -136,25 +126,14 @@ mod tests {
     fn nulls_skipped_and_constants_dedup() {
         let (_db, apt) = apt_with_values(&[Some(7), None, Some(7), Some(7)]);
         let x = apt.field_index("prov_t_x").unwrap();
-        assert_eq!(fragment_boundaries(&apt, x, None, 3), vec![7.0]);
+        assert_eq!(fragment_boundaries(&apt, x, 3), vec![7.0]);
     }
 
     #[test]
     fn all_null_gives_empty() {
         let (_db, apt) = apt_with_values(&[None, None]);
         let x = apt.field_index("prov_t_x").unwrap();
-        assert!(fragment_boundaries(&apt, x, None, 3).is_empty());
-    }
-
-    #[test]
-    fn restricted_rows() {
-        let (_db, apt) = apt_with_values(&[Some(1), Some(100), Some(200), Some(300)]);
-        let x = apt.field_index("prov_t_x").unwrap();
-        // Only rows 0 and 1 in scope.
-        assert_eq!(
-            fragment_boundaries(&apt, x, Some(&[0, 1]), 2),
-            vec![1.0, 100.0]
-        );
+        assert!(fragment_boundaries(&apt, x, 3).is_empty());
     }
 
     fn apt_with_floats(vals: &[Option<f64>]) -> (Database, Apt) {
@@ -195,14 +174,14 @@ mod tests {
             None,
         ]);
         let x = apt.field_index("prov_t_x").unwrap();
-        assert_eq!(fragment_boundaries(&apt, x, None, 3), vec![1.0, 2.0, 3.0]);
+        assert_eq!(fragment_boundaries(&apt, x, 3), vec![1.0, 2.0, 3.0]);
     }
 
     #[test]
     fn all_non_finite_gives_empty() {
         let (_db, apt) = apt_with_floats(&[Some(f64::NAN), Some(f64::INFINITY), None]);
         let x = apt.field_index("prov_t_x").unwrap();
-        assert!(fragment_boundaries(&apt, x, None, 4).is_empty());
+        assert!(fragment_boundaries(&apt, x, 4).is_empty());
     }
 
     #[test]
@@ -232,18 +211,12 @@ mod tests {
             sample.len()
         );
         assert_eq!(
-            fragment_boundaries(&apt, x, None, 5),
-            quantile_boundaries(sample.clone(), 5),
+            fragment_boundaries(&apt, x, 5),
+            quantile_boundaries(sample, 5),
             "boundaries must come from the strided sample alone"
         );
-        // The row-restricted path strides over the scope, not the APT.
-        let scope: Vec<u32> = (0..n as u32).collect();
-        assert_eq!(
-            fragment_boundaries(&apt, x, Some(&scope), 5),
-            quantile_boundaries(sample, 5)
-        );
         // And the sampled quantiles still track the true ones closely.
-        let b = fragment_boundaries(&apt, x, None, 5);
+        let b = fragment_boundaries(&apt, x, 5);
         for (i, q) in [0.0, 0.25, 0.5, 0.75, 1.0].iter().enumerate() {
             let truth = q * (n - 1) as f64;
             assert!(
@@ -258,6 +231,6 @@ mod tests {
     fn single_fragment_is_median() {
         let (_db, apt) = apt_with_values(&[Some(1), Some(2), Some(9)]);
         let x = apt.field_index("prov_t_x").unwrap();
-        assert_eq!(fragment_boundaries(&apt, x, None, 1), vec![2.0]);
+        assert_eq!(fragment_boundaries(&apt, x, 1), vec![2.0]);
     }
 }

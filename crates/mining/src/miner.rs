@@ -15,24 +15,29 @@
 //!
 //! Final selection is diversity-aware top-k (§3.5) followed by exact
 //! re-scoring on the full APT so reported supports are exact.
+//!
+//! The phases are wired once: everything up to the predicate bitmaps in
+//! [`prepare`], ranking, scoring and refinement in `mine_core`.
+//! [`mine_apt`] is the two run back to back in the question's scope; the
+//! fragment-boundary sort of phase 5 happens at preparation and is timed
+//! under [`MiningTimings::prepare`].
 
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
 use cajade_graph::Apt;
-use cajade_ml::sampling::{bernoulli_sample, sample_with_cap};
+use cajade_ml::sampling::bernoulli_sample;
 use cajade_obs::Stage;
 use cajade_query::ProvenanceTable;
 
 use crate::diversity::select_top_k_diverse;
-use crate::engine::{Mask, PredBank, ScoreIndex};
+use crate::engine::{Mask, ScoreIndex};
 use crate::featsel::{
-    all_features, select_features_hist, select_features_hist_global, FeatSelConfig,
-    FeatureSelection, SelAttr,
+    all_features, select_features_hist, FeatSelConfig, FeatureSelection, SelAttr,
 };
-use crate::fragments::fragment_boundaries;
 use crate::lca::lca_candidates;
 use crate::pattern::{PatValue, Pattern, Pred, PredOp};
+use crate::prepared::{mine_prepared, prepare, PreparedApt};
 use crate::score::{PatternMetrics, Question, Scorer};
 use crate::stats::{ColumnStatsProvider, NoSharedStats};
 
@@ -73,9 +78,12 @@ pub struct MiningParams {
     /// parameter combinations; generous relative to real workloads).
     pub max_patterns: usize,
     /// Automatically exclude attributes that functionally determine the
-    /// question's groups on this APT (the paper's §6.2/§8 future-work
-    /// item: patterns like `season_id = 4` merely restate the grouped
-    /// season through an FD). One extra APT scan per attribute.
+    /// output group on this APT (the paper's §6.2/§8 future-work item:
+    /// patterns like `season_id = 4` merely restate the grouped season
+    /// through an FD). Runs at preparation, after feature selection and
+    /// in the preparation's scope: the question's groups for
+    /// [`mine_apt`], all groups for a question-independent
+    /// [`PreparedApt`]. One extra APT scan per attribute.
     pub exclude_fd_attrs: bool,
     /// Attribute-name substrings to exclude from patterns. CaJaDE is an
     /// interactive tool and the paper curates case-study output by hand
@@ -137,8 +145,9 @@ pub struct MiningTimings {
     pub fscore_calc: Duration,
     /// `Refine Patterns` row.
     pub refine_patterns: Duration,
-    /// Column encoding + predicate-bitmap precomputation (the
-    /// `ScoreIndex`/`PredBank` build; zero on warm `PreparedApt` asks).
+    /// Column encoding, fragment boundaries and predicate-bitmap
+    /// precomputation (the `ScoreIndex`/`PredBank` build; zero on warm
+    /// `PreparedApt` asks).
     pub prepare: Duration,
     /// Lattice children skipped by the F-score upper bound before their
     /// mask was built or scored ([`MiningParams::refine_ub_prune`]).
@@ -193,98 +202,34 @@ pub struct MinedExplanation {
     pub sampled_f_score: f64,
 }
 
-/// Output of [`mine_apt`].
+/// Output of [`mine_apt`] and [`mine_prepared`].
 #[derive(Debug, Clone)]
 pub struct MiningOutcome {
     /// Top-k explanations in diversity-selection order.
     pub explanations: Vec<MinedExplanation>,
     /// Phase timings.
     pub timings: MiningTimings,
-    /// The feature selection used (for inspection / the Fig. 7 ablation).
-    pub feature_selection: FeatureSelection,
     /// Number of patterns whose metrics were evaluated.
     pub patterns_evaluated: usize,
 }
 
-/// Runs Algorithm 1 over one APT.
+/// Runs Algorithm 1 over one APT for one question: a preparation in the
+/// question's own scope (per-APT statistics, nothing shared or kept),
+/// mined once.
 pub fn mine_apt(
     apt: &Apt,
     pt: &ProvenanceTable,
     question: &Question,
     params: &MiningParams,
 ) -> MiningOutcome {
-    let mut timings = MiningTimings::default();
-
-    // ---- Phase 3 (done early: the index is needed for ranking and
-    // feature selection reuses its scan order): F1 sample + index.
-    let index = sample_and_index(apt, pt, params, &mut timings);
-
-    // ---- Phase 1: feature selection (filterAttrs). ---------------------
-    // The one-shot path never shares statistics across graphs: it mines
-    // one APT per call, so the pass-through provider keeps its output
-    // bit-identical to the historical per-APT computation.
-    let stage = Stage::detail("feature_selection");
-    let mut fs = run_featsel(apt, pt, params, &index, Some(question), &NoSharedStats);
-    if params.exclude_fd_attrs {
-        let fd = crate::fd::group_determining_fields(apt, pt, question);
-        fs.num_fields.retain(|f| !fd.contains(f));
-        fs.cat_fields.retain(|f| !fd.contains(f));
-    }
-    timings.feature_selection = stage.finish();
-
-    // ---- Phase 2: LCA candidates over the λ_pat-samp sample. -----------
-    let stage = Stage::detail("gen_pat_cand");
-    let scope_rows = question_scope_rows(apt, pt, question);
-    let lca_rows: Vec<u32> = sample_with_cap(
-        scope_rows.len(),
-        params.lambda_pat_samp,
-        params.pat_samp_cap,
-        params.seed.wrapping_add(1),
-    )
-    .into_iter()
-    .map(|i| scope_rows[i])
-    .collect();
-    let candidates = lca_pool(apt, &index, &lca_rows, &fs.cat_fields, params);
-    timings.gen_pat_cand = stage.finish();
-
-    // ---- Fragment boundaries per selected numeric field (once). --------
-    let stage = Stage::detail("fragments");
-    let frag: Vec<(usize, Vec<f64>)> = fs
-        .num_fields
-        .iter()
-        .map(|&f| (f, fragment_boundaries(apt, f, None, params.num_frags)))
-        .collect();
-    let boundaries_time = stage.elapsed();
-    timings.refine_patterns += boundaries_time;
-
-    // Predicate bitmaps for every (field, boundary, ≤/≥) refinement.
-    let bank = PredBank::build(&index, &frag);
-    timings.prepare += stage.finish() - boundaries_time;
-
-    let (explanations, patterns_evaluated) = mine_core(
-        apt,
-        pt,
-        question,
-        params,
-        candidates,
-        &frag,
-        &index,
-        &bank,
-        &mut timings,
-    );
-
-    MiningOutcome {
-        explanations,
-        timings,
-        feature_selection: fs,
-        patterns_evaluated,
-    }
+    let prepared = prepare(apt, pt, params, &NoSharedStats, Some(question));
+    let mut outcome = mine_prepared(&prepared, apt, pt, question, params);
+    outcome.timings.accumulate(&prepared.prep_timings);
+    outcome
 }
 
-/// Phase 3, shared by [`mine_apt`] and
-/// [`prepare_apt_with`](crate::prepared::prepare_apt_with): draws the
-/// λ_F1 row sample (all rows at rate ≥ 1.0) and builds the columnar index
-/// over it.
+/// Phase 3: draws the λ_F1 row sample (all rows at rate ≥ 1.0) and builds
+/// the columnar index over it.
 pub(crate) fn sample_and_index(
     apt: &Apt,
     pt: &ProvenanceTable,
@@ -309,14 +254,11 @@ pub(crate) fn sample_and_index(
     index
 }
 
-/// The feature-selection wiring shared by [`mine_apt`] (question-
-/// specific, `question = Some`) and
-/// [`prepare_apt`](crate::prepared::prepare_apt) (group-global,
-/// `question = None`): maps [`MiningParams`] onto a [`FeatSelConfig`],
-/// trains on the index's `(group, PT row)` scan order — the gathers read
-/// the same typed-array / dictionary representation the index encodes —
-/// and applies the `banned_attrs` filter. One copy, so cold asks and warm
-/// `PreparedApt` asks can never diverge in how selection is wired up.
+/// Phase 1's wiring: maps [`MiningParams`] onto a [`FeatSelConfig`],
+/// trains in the scope of `question` (see [`select_features_hist`]) on
+/// the index's `(group, PT row)` scan order — the gathers read the same
+/// typed-array / dictionary representation the index encodes — and
+/// applies the `banned_attrs` filter.
 pub(crate) fn run_featsel(
     apt: &Apt,
     pt: &ProvenanceTable,
@@ -332,13 +274,10 @@ pub(crate) fn run_featsel(
         seed: params.seed,
         ..FeatSelConfig::default()
     };
-    let mut fs = if !params.feature_selection {
-        all_features(apt)
+    let mut fs = if params.feature_selection {
+        select_features_hist(apt, pt, index.order(), question, &featsel_cfg, stats)
     } else {
-        match question {
-            Some(q) => select_features_hist(apt, pt, index.order(), q, &featsel_cfg, stats),
-            None => select_features_hist_global(apt, pt, index.order(), &featsel_cfg, stats),
-        }
+        all_features(apt)
     };
     if !params.banned_attrs.is_empty() {
         let banned = |f: &usize| {
@@ -382,47 +321,40 @@ pub(crate) fn lca_pool(
 }
 
 /// Candidate ranking + refinement BFS + diversity top-k + exact
-/// re-scoring — the shared back half of Algorithm 1, used by both
-/// [`mine_apt`] (per-question preparation) and
-/// [`mine_prepared`](crate::prepared::mine_prepared) (cached
-/// question-independent preparation).
-///
-/// `candidates` are the unranked categorical seeds with their match
-/// bitmaps over `index`; `bank` holds the refinement masks, aligned with
-/// `frag`.
-#[allow(clippy::too_many_arguments)]
+/// re-scoring — the per-question half of Algorithm 1, over a preparation
+/// in either scope: the pool's unranked categorical seeds with their
+/// match bitmaps over the index, and the refinement masks of the bank,
+/// aligned with the fragment list.
 pub(crate) fn mine_core(
+    prepared: &PreparedApt,
     apt: &Apt,
     pt: &ProvenanceTable,
     question: &Question,
     params: &MiningParams,
-    candidates: Vec<(Pattern, Mask)>,
-    frag: &[(usize, Vec<f64>)],
-    index: &ScoreIndex,
-    bank: &PredBank,
     timings: &mut MiningTimings,
 ) -> (Vec<MinedExplanation>, usize) {
     cajade_obs::faults::failpoint_infallible("mine.refine");
+    let (index, frag, bank) = (&prepared.index, &prepared.frag, &prepared.bank);
     let directions = question.directions();
-    let mut patterns_evaluated = 0usize;
+    let mut patterns_evaluated = prepared.pool.len();
 
     // ---- Rank categorical candidates by recall, keep top k_cat. --------
     let stage = Stage::detail("rank_candidates");
-    let mut ranked: Vec<(Pattern, Mask, f64)> = candidates
-        .into_iter()
-        .map(|(p, mask)| {
-            patterns_evaluated += 1;
+    let mut ranked: Vec<(&(Pattern, Mask), f64)> = prepared
+        .pool
+        .iter()
+        .map(|candidate| {
             let best_recall = directions
                 .iter()
-                .map(|&(t, s)| index.score_mask(&mask, t, s).recall)
+                .map(|&(t, s)| index.score_mask(&candidate.1, t, s).recall)
                 .fold(0.0, f64::max);
-            (p, mask, best_recall)
+            (candidate, best_recall)
         })
         .collect();
     // `total_cmp`: under a NaN recall (degenerate metrics) `partial_cmp`
     // fell back to Equal, which made the top-k_cat cut depend on the
     // incoming candidate order — a silent nondeterminism.
-    ranked.sort_by(|a, b| b.2.total_cmp(&a.2));
+    ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
     ranked.truncate(params.k_cat_patterns);
     timings.fscore_calc += stage.finish();
     // Scoring and refinement interleave below, so the BFS gets one span;
@@ -503,13 +435,12 @@ pub(crate) fn mine_core(
         next_fi: 0,
         numeric_preds: 0,
     });
-    for (p, mask, _) in ranked {
-        let numeric_preds = p.num_numeric_preds(apt);
+    for ((p, mask), _) in ranked {
         todo.push_back(TodoItem {
-            pat: p,
-            mask,
+            pat: p.clone(),
+            mask: mask.clone(),
             next_fi: 0,
-            numeric_preds,
+            numeric_preds: p.num_numeric_preds(apt),
         });
     }
 
@@ -656,44 +587,6 @@ pub(crate) fn mine_core(
         .collect();
 
     (explanations, patterns_evaluated)
-}
-
-/// APT rows relevant to the question (both groups for two-point; all rows
-/// for single-point).
-///
-/// The two-point scope is built from `pt.rows_of_group` — the two groups'
-/// PT rows become a per-PT-row membership bitmap, and the APT scan is one
-/// bit test per row instead of a `group_of` gather + two group compares.
-pub(crate) fn question_scope_rows(
-    apt: &Apt,
-    pt: &ProvenanceTable,
-    question: &Question,
-) -> Vec<u32> {
-    match question {
-        Question::TwoPoint { t1, t2 } => {
-            let mut member = vec![0u64; pt.num_rows.div_ceil(64)];
-            for t in [*t1, *t2] {
-                if let Some(rows) = pt.rows_of_group.get(t) {
-                    for &r in rows {
-                        member[r as usize / 64] |= 1 << (r % 64);
-                    }
-                }
-            }
-            let in_scope: usize = member.iter().map(|w| w.count_ones() as usize).sum();
-            if in_scope == pt.num_rows {
-                // Both groups cover the whole PT — every APT row is in scope.
-                return (0..apt.num_rows as u32).collect();
-            }
-            let mut out = Vec::new();
-            for (r, &p) in apt.pt_row.iter().enumerate() {
-                if member[p as usize / 64] & (1 << (p % 64)) != 0 {
-                    out.push(r as u32);
-                }
-            }
-            out
-        }
-        Question::SinglePoint { .. } => (0..apt.num_rows as u32).collect(),
-    }
 }
 
 /// Thresholds are stored as floats; whole values print as integers.
@@ -870,9 +763,14 @@ mod tests {
     fn feature_selection_off_keeps_all_attrs() {
         let mut p = default_test_params();
         p.feature_selection = false;
-        let (out, apt, _db, _, _) = mine(&p);
-        let n = out.feature_selection.num_fields.len() + out.feature_selection.cat_fields.len();
-        assert_eq!(n, apt.pattern_fields().len());
+        let (db, q) = fixture();
+        let pt = ProvenanceTable::compute(&db, &q).unwrap();
+        let apt = Apt::materialize(&db, &pt, &JoinGraph::pt_only()).unwrap();
+        let fs = crate::prepared::prepare_apt(&apt, &pt, &p).fs;
+        assert_eq!(
+            fs.num_fields.len() + fs.cat_fields.len(),
+            apt.pattern_fields().len()
+        );
     }
 
     /// Proposition 3.1 as a property: refinement never increases recall.

@@ -1,34 +1,28 @@
-//! Question-independent APT preparation (§2.4 interactive usage).
+//! Algorithm 1's preparation — everything that happens before a question
+//! is scored — and the per-question half that runs on it.
 //!
-//! In an interactive session the user asks a *sequence* of questions over
-//! one query. Most of Algorithm 1's work per APT does not actually depend
-//! on the question:
+//! [`prepare`] is the one implementation of the preparation phases:
 //!
 //! * the λ_F1 row sample and its columnar [`ScoreIndex`] (seeded RNG),
-//! * numeric fragment boundaries (computed over all APT rows),
-//! * the `|num_fields| × λ#frag × 2` refinement predicate bitmaps,
+//! * `filterAttrs` (+ the ban list and, when enabled, FD exclusion),
 //! * the LCA candidate pool and each candidate's match bitmap,
-//! * feature selection — once it is formulated group-globally
-//!   ([`select_features_hist_global`](crate::featsel::select_features_hist_global))
-//!   instead of per `(t1, t2)` pair.
+//! * numeric fragment boundaries (computed over all APT rows),
+//! * the `|num_fields| × λ#frag × 2` refinement predicate bitmaps.
 //!
-//! [`prepare_apt`] hoists all of that into a [`PreparedApt`] that the
-//! service caches next to the materialized APT, so a **new** question on a
-//! warm APT skips the feature-selection / candidate-generation / fragment
-//! phases entirely and goes straight to recall ranking + the refinement
-//! BFS — both running on the bitmap kernel. Only the per-question scoring
-//! runs per ask, and [`MiningTimings`] reports the skipped phases as zero.
-//!
-//! Deliberate deviations from the per-question
-//! [`mine_apt`](crate::miner::mine_apt) flow make
-//! this possible (all deterministic, all documented here because they
-//! can change which explanations are mined relative to the one-shot
-//! path): feature selection is group-global, and the LCA pool is sampled
-//! from **all** APT rows rather than the two-point question's scope —
-//! out-of-scope candidates simply rank last on recall and fall out of the
-//! top-k_cat cut.
-
-use std::time::Instant;
+//! It runs in one of two scopes. With `Some(question)` — what
+//! [`mine_apt`](crate::miner::mine_apt), and so the library's one-shot
+//! `explain`, passes — feature selection, FD exclusion and the λ_pat
+//! sample see the questioned tuples' provenance only, as in the paper's
+//! §3.1. With `None` ([`prepare_apt`] / [`prepare_apt_with`], the
+//! service) they see every output group, so the [`PreparedApt`] depends
+//! only on the APT and the parameters: the service caches it next to the
+//! materialized APT (§2.4 interactive usage) and a **new** question on a
+//! warm APT goes straight to [`mine_prepared`] — recall ranking + the
+//! refinement BFS on the bitmap kernel — with [`MiningTimings`] reporting
+//! the skipped phases as zero. The scopes mine different explanations;
+//! `docs/ARCHITECTURE.md` ("Two scopes, one body") has the measured gap,
+//! `paper scope` regenerates it, and
+//! `crates/bench/tests/explain_golden.rs` pins both.
 
 use cajade_graph::Apt;
 use cajade_ml::sampling::sample_with_cap;
@@ -36,6 +30,7 @@ use cajade_obs::Stage;
 use cajade_query::ProvenanceTable;
 
 use crate::engine::{Mask, PredBank, ScoreIndex};
+use crate::fd::group_determining_fields;
 use crate::featsel::FeatureSelection;
 use crate::fragments::fragment_boundaries;
 use crate::miner::{
@@ -45,12 +40,14 @@ use crate::pattern::Pattern;
 use crate::score::Question;
 use crate::stats::{source_column, ColumnStatsProvider, NoSharedStats};
 
-/// Everything about one `(APT, MiningParams)` pair that is independent of
+/// What [`prepare`] leaves for [`mine_prepared`]: with no question given,
+/// everything about one `(APT, MiningParams)` pair that is independent of
 /// the user question. Owns its data (no borrows of the APT), so it can be
 /// cached behind `Arc` alongside the materialized APT.
 #[derive(Debug, Clone)]
 pub struct PreparedApt {
-    /// Group-global feature selection (ban list already applied).
+    /// Feature selection in the preparation's scope (ban list and FD
+    /// exclusion already applied).
     pub fs: FeatureSelection,
     /// Columnar index over the λ_F1 sample (exact when sampling is off).
     pub index: ScoreIndex,
@@ -121,6 +118,20 @@ pub fn prepare_apt_with(
     params: &MiningParams,
     stats: &dyn ColumnStatsProvider,
 ) -> PreparedApt {
+    prepare(apt, pt, params, stats, None)
+}
+
+/// The preparation phases of Algorithm 1 for one APT, in the scope of
+/// `question` (module docs): `Some` restricts feature selection, FD
+/// exclusion and the λ_pat sample to the question's rows, `None` prepares
+/// for every question at once.
+pub fn prepare(
+    apt: &Apt,
+    pt: &ProvenanceTable,
+    params: &MiningParams,
+    stats: &dyn ColumnStatsProvider,
+    question: Option<&Question>,
+) -> PreparedApt {
     cajade_obs::faults::failpoint_infallible("mine.prepare");
     let mut timings = MiningTimings::default();
     // Budget checks sit at the phase boundaries below: a phase either
@@ -141,33 +152,42 @@ pub fn prepare_apt_with(
     // `(group, PT row)` scan order.
     let index = sample_and_index(apt, pt, params, &mut timings);
 
-    // ---- Feature selection (group-global, cacheable). ------------------
+    // ---- Feature selection, then FD exclusion in the same scope. -------
     let stage = Stage::detail("feature_selection");
     let fs = if stop_before_phase(&mut timings, &mut truncated) {
-        FeatureSelection {
-            num_fields: Vec::new(),
-            cat_fields: Vec::new(),
-            clusters: Vec::new(),
-            relevance: vec![0.0; apt.fields.len()],
-        }
+        FeatureSelection::empty(apt)
     } else {
-        run_featsel(apt, pt, params, &index, None, stats)
+        let mut fs = run_featsel(apt, pt, params, &index, question, stats);
+        if params.exclude_fd_attrs {
+            let fd = group_determining_fields(apt, pt, question);
+            fs.num_fields.retain(|f| !fd.contains(f));
+            fs.cat_fields.retain(|f| !fd.contains(f));
+        }
+        fs
     };
     timings.feature_selection = stage.finish();
 
-    // ---- LCA pool over an all-rows λ_pat sample, with match bitmaps. ----
+    // ---- LCA pool over a λ_pat sample of the scope's rows. -------------
+    // Out-of-scope candidates of a question-independent pool simply rank
+    // last on recall and fall out of the top-k_cat cut.
     let stage = Stage::detail("gen_pat_cand");
     let pool: Vec<(Pattern, Mask)> = if stop_before_phase(&mut timings, &mut truncated) {
         Vec::new()
     } else {
+        // `None`: every row, addressed by position — nothing materialized.
+        let scope_rows: Option<Vec<u32>> = question.map(|q| {
+            let group_of = |r: &u32| pt.group_of[apt.pt_row[*r as usize] as usize] as usize;
+            let rows = (0..apt.num_rows as u32).filter(|r| q.in_scope(group_of(r)));
+            rows.collect()
+        });
         let lca_rows: Vec<u32> = sample_with_cap(
-            apt.num_rows,
+            scope_rows.as_ref().map_or(apt.num_rows, Vec::len),
             params.lambda_pat_samp,
             params.pat_samp_cap,
             params.seed.wrapping_add(1),
         )
         .into_iter()
-        .map(|i| i as u32)
+        .map(|i| scope_rows.as_ref().map_or(i as u32, |rows| rows[i]))
         .collect();
         lca_pool(apt, &index, &lca_rows, &fs.cat_fields, params)
     };
@@ -187,7 +207,7 @@ pub fn prepare_apt_with(
                 let shared = source_column(apt, f).and_then(|(t, c)| stats.column_stats(t, c));
                 let boundaries = match shared {
                     Some(st) => st.fragments.clone(),
-                    None => fragment_boundaries(apt, f, None, params.num_frags),
+                    None => fragment_boundaries(apt, f, params.num_frags),
                 };
                 (f, boundaries)
             })
@@ -229,71 +249,11 @@ pub fn mine_prepared(
     params: &MiningParams,
 ) -> MiningOutcome {
     let mut timings = MiningTimings::default();
-
-    // FD exclusion is inherently question-specific (which attributes
-    // restate *these* groups); when enabled it runs per ask against the
-    // prepared selection.
-    /// Fragment list + bitmap bank rebuilt without FD-excluded fields.
-    type FragOverride = (Vec<(usize, Vec<f64>)>, PredBank);
-    let mut fs = prepared.fs.clone();
-    let mut frag_override: Option<FragOverride> = None;
-    if params.exclude_fd_attrs {
-        // Question-specific, off by default, and no stage of its own (a
-        // warm ask's trace has no preparation spans): lint:allow(single-clock)
-        let t0 = Instant::now();
-        let fd = crate::fd::group_determining_fields(apt, pt, question);
-        fs.num_fields.retain(|f| !fd.contains(f));
-        fs.cat_fields.retain(|f| !fd.contains(f));
-        if fs.num_fields.len() != prepared.frag.len() {
-            // Rebuild the fragment list + bank without the excluded
-            // numeric fields (rare path — FD exclusion is off by default).
-            let frag: Vec<(usize, Vec<f64>)> = prepared
-                .frag
-                .iter()
-                .filter(|(f, _)| fs.num_fields.contains(f))
-                .cloned()
-                .collect();
-            let bank = PredBank::build(&prepared.index, &frag);
-            frag_override = Some((frag, bank));
-        }
-        timings.feature_selection += t0.elapsed();
-    }
-
-    // Candidate seeds: the pooled patterns, minus any touching an
-    // FD-excluded categorical field.
-    let candidates: Vec<(Pattern, Mask)> = prepared
-        .pool
-        .iter()
-        .filter(|(p, _)| {
-            !params.exclude_fd_attrs
-                || p.preds()
-                    .iter()
-                    .all(|(f, _)| fs.cat_fields.contains(f) || fs.num_fields.contains(f))
-        })
-        .cloned()
-        .collect();
-
-    let (frag, bank): (&[(usize, Vec<f64>)], &PredBank) = match &frag_override {
-        Some((f, b)) => (f, b),
-        None => (&prepared.frag, &prepared.bank),
-    };
-
-    let (explanations, patterns_evaluated) = mine_core(
-        apt,
-        pt,
-        question,
-        params,
-        candidates,
-        frag,
-        &prepared.index,
-        bank,
-        &mut timings,
-    );
-
+    let (explanations, patterns_evaluated) =
+        mine_core(prepared, apt, pt, question, params, &mut timings);
     MiningOutcome {
         explanations,
         timings,
-        feature_selection: fs,
         patterns_evaluated,
     }
 }

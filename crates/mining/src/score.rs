@@ -45,6 +45,16 @@ impl Question {
             Question::SinglePoint { t } => vec![(*t, None)],
         }
     }
+
+    /// Whether output group `g`'s provenance is what the question is
+    /// about: `t1` and `t2` for a two-point question, every group for a
+    /// single-point one (`t` against all the rest).
+    pub fn in_scope(&self, g: usize) -> bool {
+        match self {
+            Question::TwoPoint { t1, t2 } => g == *t1 || g == *t2,
+            Question::SinglePoint { .. } => true,
+        }
+    }
 }
 
 /// Definition-7 metrics of one explanation `(Ω, Φ)` for a primary output.

@@ -6,7 +6,7 @@
 //! ranking somewhere harder to see.
 
 use cajade_graph::{Apt, JgEdge, JgNode, JoinCond, JoinGraph, NodeLabel};
-use cajade_mining::featsel::{select_features_hist, select_features_hist_global, FeatSelConfig};
+use cajade_mining::featsel::{select_features_hist, FeatSelConfig};
 use cajade_mining::{
     BaseTableStats, ColumnStatsConfig, FeatureSelection, MiningParams, NoSharedStats, Question,
     ScoreIndex,
@@ -193,9 +193,16 @@ fn family_noise_fixture_reproduces_the_recorded_bits() {
     let index = ScoreIndex::exact(&apt, &pt);
     let cfg = FeatSelConfig::default();
     let question = Question::TwoPoint { t1: 0, t2: 1 };
-    let fs = select_features_hist(&apt, &pt, index.order(), &question, &cfg, &NoSharedStats);
+    let fs = select_features_hist(
+        &apt,
+        &pt,
+        index.order(),
+        Some(&question),
+        &cfg,
+        &NoSharedStats,
+    );
     assert_eq!(rendered(&fs), FAMILY_NOISE_QUESTION);
-    let fs = select_features_hist_global(&apt, &pt, index.order(), &cfg, &NoSharedStats);
+    let fs = select_features_hist(&apt, &pt, index.order(), None, &cfg, &NoSharedStats);
     assert_eq!(rendered(&fs), FAMILY_NOISE_GLOBAL);
 }
 
@@ -210,8 +217,8 @@ fn multi_group_apt_with_shared_stats_reproduces_the_recorded_bits() {
         &db,
         ColumnStatsConfig::from_params(&MiningParams::default()),
     );
-    let fs = select_features_hist_global(&apt, &pt, index.order(), &cfg, &shared);
+    let fs = select_features_hist(&apt, &pt, index.order(), None, &cfg, &shared);
     assert_eq!(rendered(&fs), BOX_SCORES_SHARED);
-    let fs = select_features_hist_global(&apt, &pt, index.order(), &cfg, &NoSharedStats);
+    let fs = select_features_hist(&apt, &pt, index.order(), None, &cfg, &NoSharedStats);
     assert_eq!(rendered(&fs), BOX_SCORES_UNSHARED);
 }

@@ -11,7 +11,7 @@
 //! reference trainer; the file keeps its historical name.)
 
 use cajade_graph::{Apt, JoinGraph};
-use cajade_mining::featsel::{select_features_hist, select_features_hist_global, FeatSelConfig};
+use cajade_mining::featsel::{select_features_hist, FeatSelConfig};
 use cajade_mining::{FeatureSelection, NoSharedStats, Question, ScoreIndex};
 use cajade_query::{parse_sql, ProvenanceTable};
 use cajade_storage::{AttrKind, DataType, Database, SchemaBuilder, Value};
@@ -109,7 +109,7 @@ fn question_selection_finds_the_planted_signal() {
         &apt,
         &pt,
         index.order(),
-        &Question::TwoPoint { t1: 0, t2: 1 },
+        Some(&Question::TwoPoint { t1: 0, t2: 1 }),
         &FeatSelConfig::default(),
         &NoSharedStats,
     );
@@ -121,7 +121,7 @@ fn global_selection_finds_the_planted_signal() {
     let (_db, _q, pt, apt) = setup();
     let index = ScoreIndex::exact(&apt, &pt);
     let cfg = FeatSelConfig::default();
-    let fs = select_features_hist_global(&apt, &pt, index.order(), &cfg, &NoSharedStats);
+    let fs = select_features_hist(&apt, &pt, index.order(), None, &cfg, &NoSharedStats);
     assert_planted_signal_found(&fs, &apt);
 }
 
@@ -172,11 +172,11 @@ fn restricted_assoc_never_coselects_redundant_tail_features() {
             &apt,
             &pt,
             order,
-            &Question::TwoPoint { t1: 0, t2: 1 },
+            Some(&Question::TwoPoint { t1: 0, t2: 1 }),
             &cfg,
             &NoSharedStats,
         ),
-        select_features_hist_global(&apt, &pt, order, &cfg, &NoSharedStats),
+        select_features_hist(&apt, &pt, order, None, &cfg, &NoSharedStats),
     ] {
         let selected: Vec<usize> = fs
             .num_fields

@@ -8,9 +8,11 @@
 //! code with the miner; it reuses the steps the engines never forked on:
 //! LCA candidates, fragment boundaries and diversity-aware top-k.
 //!
-//! With feature selection off and both sample rates at 1.0, `mine_apt`
-//! and `prepare_apt` + `mine_prepared` must return the oracle's
-//! explanations: same patterns, same order, same supports, same F.
+//! With feature selection off and both sample rates at 1.0, the one
+//! Algorithm-1 body must return the oracle's explanations in both of its
+//! scopes — `mine_apt` (the question's rows) and `prepare_apt` +
+//! `mine_prepared` (every row): same patterns, same order, same supports,
+//! same F.
 
 use std::collections::{HashSet, VecDeque};
 
@@ -19,8 +21,8 @@ use proptest::prelude::*;
 use cajade_graph::Apt;
 use cajade_mining::fragments::fragment_boundaries;
 use cajade_mining::{
-    lca_candidates, mine_apt, mine_prepared, prepare_apt, select_top_k_diverse, MiningParams,
-    PatValue, Pattern, Pred, PredOp, Question,
+    group_determining_fields, lca_candidates, mine_apt, mine_prepared, prepare_apt,
+    select_top_k_diverse, MiningOutcome, MiningParams, PatValue, Pattern, Pred, PredOp, Question,
 };
 use cajade_query::ProvenanceTable;
 use cajade_storage::{AttrKind, Database, Value};
@@ -117,7 +119,7 @@ fn oracle(
     // numeric attribute; the empty pattern seeds the numeric-only ones.
     let thresholds: Vec<(usize, Vec<f64>)> = numeric
         .iter()
-        .map(|&f| (f, fragment_boundaries(apt, f, None, params.num_frags)))
+        .map(|&f| (f, fragment_boundaries(apt, f, params.num_frags)))
         .collect();
     let seeds = seeds.into_iter().map(|(_, p)| p);
     let mut todo: VecDeque<Pattern> = [Pattern::empty()].into_iter().chain(seeds).collect();
@@ -159,8 +161,8 @@ fn oracle(
         .collect()
 }
 
-/// Both production miners against the oracle; returns how many
-/// explanations were compared.
+/// Both scopes of the production miner against the oracle; returns how
+/// many explanations were compared.
 fn check(
     data: (&Database, &Apt, &ProvenanceTable),
     question: &Question,
@@ -238,4 +240,58 @@ fn miners_match_the_oracle_on_nan_and_infinite_cells() {
             assert!(check((&db, &apt, &pt), &question, top_k).unwrap() > 0);
         }
     }
+}
+
+/// FD exclusion happens at preparation, in the preparation's scope: no
+/// reported pattern uses a field that determines the group there — the
+/// question's two groups for `mine_apt`, all groups for one `PreparedApt`
+/// serving every question. `cat` tells `g0` from `g1` exactly but recurs
+/// in `g2`, so it is an FD for that question only.
+#[test]
+fn fd_exclusion_follows_the_scope_of_the_preparation() {
+    let rows: Vec<Row> = (0..36u8)
+        .map(|i| {
+            let (g, c) = [(0, 0), (1, 1), (2, i / 3 % 2)][i as usize % 3];
+            (g, c, Some(i as i64 % 7), Some(i as i64 % 5))
+        })
+        .collect();
+    let (_db, apt, pt, groups) = build_apt(&rows, &[]);
+    let cat = apt.field_index("prov_t_cat").unwrap();
+    let params = MiningParams {
+        feature_selection: false,
+        lambda_pat_samp: 1.0,
+        lambda_f1_samp: 1.0,
+        exclude_fd_attrs: true,
+        ..Default::default()
+    };
+    let uses = |out: &MiningOutcome, fields: &[usize]| {
+        let mut patterns = out.explanations.iter().map(|e| &e.pattern);
+        patterns.any(|p| fields.iter().any(|&f| !p.is_free(f)))
+    };
+    let mut questions: Vec<Question> = (0..groups).map(|t| Question::SinglePoint { t }).collect();
+    for (t1, t2) in (0..groups).flat_map(|a| (0..groups).map(move |b| (a, b))) {
+        questions.extend((t1 != t2).then_some(Question::TwoPoint { t1, t2 }));
+    }
+
+    let every_group = group_determining_fields(&apt, &pt, None);
+    assert!(!every_group.is_empty() && !every_group.contains(&cat));
+    let prepared = prepare_apt(&apt, &pt, &params);
+    for question in &questions {
+        let asked = group_determining_fields(&apt, &pt, Some(question));
+        let one_shot = mine_apt(&apt, &pt, question, &params);
+        assert!(!one_shot.explanations.is_empty() && !uses(&one_shot, &asked));
+        let warm = mine_prepared(&prepared, &apt, &pt, question, &params);
+        assert!(!warm.explanations.is_empty() && !uses(&warm, &every_group));
+    }
+
+    // The two scopes differ where the dependency is local to the question.
+    let question = Question::TwoPoint { t1: 0, t2: 1 };
+    assert!(group_determining_fields(&apt, &pt, Some(&question)).contains(&cat));
+    let warm = mine_prepared(&prepared, &apt, &pt, &question, &params);
+    assert!(uses(&warm, &[cat]), "`cat` is no FD over all groups");
+    let unfiltered = MiningParams {
+        exclude_fd_attrs: false,
+        ..params
+    };
+    assert!(uses(&mine_apt(&apt, &pt, &question, &unfiltered), &[cat]));
 }

@@ -122,7 +122,7 @@ fn shared_stats_replace_per_apt_fragments_for_context_columns() {
     let x = apt.field_index("prov_main_x").unwrap();
 
     // Pass-through == historical per-APT computation.
-    let apt_y = fragment_boundaries(&apt, y, None, params.num_frags);
+    let apt_y = fragment_boundaries(&apt, y, params.num_frags);
     let pt_frag = |prep: &cajade_mining::PreparedApt, f: usize| {
         prep.frag
             .iter()

@@ -329,7 +329,7 @@ impl SessionHandle {
                 // entry; account it under "cache.apt" alongside the
                 // gather it decorates.
                 let _mem = cajade_obs::AllocScope::enter("cache.apt");
-                pipeline::prepare_mining(&entry.apt, &prepared.pt, &self.params, &col_stats)
+                pipeline::prepare_mining(&entry.apt, &prepared.pt, &self.params, &col_stats, None)
             })
         };
         // `(preparation, prepared-cache hit)` per ready row.
