@@ -101,7 +101,7 @@ fn bench_mining_throughput(c: &mut Criterion) {
         })
     });
     group.bench_function("vectorized_index", |b| {
-        let index = ScoreIndex::exact(&apt, &pt);
+        let index = ScoreIndex::exact(&apt, &pt).encode(&apt, &apt.pattern_fields());
         b.iter(|| {
             let mut acc = 0usize;
             for p in &patterns {
@@ -115,7 +115,7 @@ fn bench_mining_throughput(c: &mut Criterion) {
     // The refinement-BFS shape: one mask build per pattern, then
     // incremental AND + popcount per direction.
     group.bench_function("vectorized_masks", |b| {
-        let index = ScoreIndex::exact(&apt, &pt);
+        let index = ScoreIndex::exact(&apt, &pt).encode(&apt, &apt.pattern_fields());
         let masks: Vec<_> = patterns.iter().map(|p| index.pattern_mask(p)).collect();
         b.iter(|| {
             let mut acc = 0usize;

@@ -243,7 +243,7 @@ fn scoring_throughput(gen: &GeneratedDb) -> (f64, f64, usize, usize) {
 
     let reps = 20;
     let mut acc = 0usize;
-    let index = ScoreIndex::exact(&apt, &pt);
+    let index = ScoreIndex::exact(&apt, &pt).encode(&apt, &apt.pattern_fields());
     let t0 = Instant::now();
     for _ in 0..reps {
         for p in &patterns {

@@ -5,27 +5,31 @@
 //! Algorithm 1 generates — thousands of scans per question. This module
 //! replaces that with set-at-a-time evaluation:
 //!
-//! * a [`ScoreIndex`] is built **once** per `(APT, λ_F1 sample)`: the
-//!   sample rows are sorted by `(output group, PT row)` and the pattern
-//!   fields are gathered into dense typed arrays (`i64`/`f64` values,
-//!   interned `u32` string codes — the global [`cajade_storage::StringPool`]
-//!   already dictionary-encodes categoricals) with side null bitmaps;
+//! * a [`ScoreIndex`] is built **once** per `(APT, scan)` — the λ_F1
+//!   sample, or every row for the exact re-score of the winners — in two
+//!   steps. The constructors fix the *scan order*: rows by `(output
+//!   group, PT row)`. [`ScoreIndex::encode`] then copies the fields a
+//!   pattern may name — the ≤ λ#sel-attr `filterAttrs` kept, chosen on
+//!   that order — into dense typed arrays (`i64`/`f64` values, interned
+//!   `u32` string codes — the global [`cajade_storage::StringPool`]
+//!   already dictionary-encodes categoricals) with side null bitmaps.
+//!   Evaluating a predicate on a field that was not encoded is a bug in
+//!   the caller and panics with the field's name;
 //! * evaluating one predicate produces a [`Mask`] — a 64-bit-word bitmap
-//!   over the sorted sample — and a pattern's matches are the AND of its
+//!   over the sorted scan — and a pattern's matches are the AND of its
 //!   predicate masks;
 //! * Definition-7 TP/FP counting becomes segmented popcounts: each output
 //!   group owns a contiguous position range, and distinct covered PT rows
-//!   are counted by popcount (one APT row per PT row in the sample) or a
+//!   are counted by popcount (one APT row per PT row in the scan) or a
 //!   segment-deduplicated bit walk (join fan-out duplicated PT rows).
 //!
-//! The refinement BFS in [`mine_apt`](crate::miner::mine_apt) carries each
-//! pattern's mask and scores a refined child as
-//! `parent_mask AND predicate_mask` + popcount, with the
-//! `|num_fields| × λ#frag × 2` threshold predicate masks precomputed in a
-//! [`PredBank`]. The engine returns metrics **bit-identical** to the
-//! scalar [`Scorer`](crate::score::Scorer) — its pattern-level reference
-//! (`prop_vectorized_metrics_bit_identical_to_scalar`) and the miner's
-//! exact re-score of the selected top-k.
+//! The refinement BFS in `mine_core` carries each pattern's mask and
+//! scores a refined child as `parent_mask AND predicate_mask` + popcount,
+//! with the `|num_fields| × λ#frag × 2` threshold predicate masks
+//! precomputed in a [`PredBank`]; the winners are re-scored the same way
+//! on the all-rows index. The engine returns metrics **bit-identical** to
+//! the scalar [`Scorer`](crate::score::Scorer), its pattern-level test
+//! reference (`crates/mining/tests/engine_equivalence.rs`).
 
 use cajade_graph::Apt;
 use cajade_query::ProvenanceTable;
@@ -192,23 +196,28 @@ struct EncCol {
     nulls: Option<Mask>,
 }
 
-/// A columnar scoring index over one APT and one (optional) λ_F1 row
-/// sample. Owns copies of the encoded columns, so it stays valid (and
-/// cacheable) independently of the APT it was built from.
+/// A columnar scoring index over one APT and one scan of its rows (a
+/// λ_F1 sample, or all of them). Owns copies of the encoded columns, so it
+/// stays valid (and cacheable) independently of the APT it was built from.
 #[derive(Debug, Clone)]
 pub struct ScoreIndex {
     /// Scan positions → APT row, sorted by `(group, pt_row)`.
     order: Vec<u32>,
     /// Scan position → dense segment id (one segment per distinct PT row
-    /// present in the scan; ids ascend along positions).
+    /// present in the scan; ids ascend along positions). Empty when
+    /// `unit_segments`: counting never reads it then.
     seg_of: Vec<u32>,
     /// Per output group: `[start, end)` position range.
     group_ranges: Vec<(u32, u32)>,
     /// Fast path: every segment holds exactly one position (no join
-    /// fan-out inside the sample), so counting = popcount.
+    /// fan-out inside the scan), so counting = popcount.
     unit_segments: bool,
-    /// Encoded columns, parallel to the APT's fields.
-    cols: Vec<EncCol>,
+    /// The encoded columns by APT field, ascending: the fields handed to
+    /// [`encode`](Self::encode) and no others.
+    cols: Vec<(usize, EncCol)>,
+    /// The APT's field names: what asking for a field outside `cols`
+    /// panics with.
+    field_names: Vec<Box<str>>,
     /// Full `|PT(t)|` per group (Definition 7 denominators — never
     /// shrunk by sampling or lossy joins).
     group_pt_counts: Vec<usize>,
@@ -217,79 +226,100 @@ pub struct ScoreIndex {
 }
 
 impl ScoreIndex {
-    /// Builds an index over all APT rows (exact metrics).
+    /// The scan order over all APT rows (exact metrics); no field encoded
+    /// yet.
     pub fn exact(apt: &Apt, pt: &ProvenanceTable) -> ScoreIndex {
-        Self::build(apt, pt, None)
+        Self::build(apt, pt, (0..apt.num_rows as u32).collect())
     }
 
-    /// Builds an index over a fixed APT row sample (λ_F1-samp).
+    /// The scan order over a fixed APT row sample (λ_F1-samp); no field
+    /// encoded yet.
     pub fn sampled(apt: &Apt, pt: &ProvenanceTable, sample: &[u32]) -> ScoreIndex {
-        Self::build(apt, pt, Some(sample))
+        Self::build(apt, pt, sample.to_vec())
     }
 
-    fn build(apt: &Apt, pt: &ProvenanceTable, sample: Option<&[u32]>) -> ScoreIndex {
-        let scan: Vec<u32> = match sample {
-            Some(s) => s.to_vec(),
-            None => (0..apt.num_rows as u32).collect(),
-        };
-        // Sort scan rows by (group, pt_row) so each group is a contiguous
-        // position range and each distinct PT row a contiguous segment.
-        let mut keyed: Vec<(u32, u32, u32)> = scan
-            .iter()
-            .map(|&r| {
-                let p = apt.pt_row[r as usize];
-                (pt.group_of[p as usize], p, r)
-            })
-            .collect();
-        keyed.sort_by_key(|&(g, p, _)| (g, p));
-
-        let n = keyed.len();
+    fn build(apt: &Apt, pt: &ProvenanceTable, mut scan: Vec<u32>) -> ScoreIndex {
+        let pt_of = |r: u32| apt.pt_row[r as usize];
+        let group_of = |r: u32| pt.group_of[pt_of(r) as usize] as usize;
+        // APT rows ascend in PT row ([`Apt::pt_row`]), so an ascending
+        // scan — all rows, a Bernoulli sample — already is in PT-row
+        // order; only a sample a caller listed in some other order needs
+        // the sort.
+        if !scan.windows(2).all(|w| pt_of(w[0]) <= pt_of(w[1])) {
+            scan.sort_by_key(|&r| pt_of(r));
+        }
+        // One stable bucket pass over the groups then yields `(group, PT
+        // row)` order: each group a contiguous position range, each
+        // distinct PT row a contiguous segment within it.
+        let n = scan.len();
         let num_groups = pt.rows_of_group.len();
-        let mut order = Vec::with_capacity(n);
+        let mut starts = vec![0u32; num_groups + 1];
+        for &r in &scan {
+            starts[group_of(r) + 1] += 1;
+        }
+        for g in 0..num_groups {
+            starts[g + 1] += starts[g];
+        }
+        let group_ranges = starts.windows(2).map(|w| (w[0], w[1])).collect();
+        let mut order = vec![0u32; n];
+        for &r in &scan {
+            let next = &mut starts[group_of(r)];
+            order[*next as usize] = r;
+            *next += 1;
+        }
+
+        // A group is a function of the PT row, so a segment ends exactly
+        // where the PT row changes.
         let mut seg_of = Vec::with_capacity(n);
-        let mut group_ranges = vec![(0u32, 0u32); num_groups];
         let mut segs = 0u32;
-        let mut cur_group = u32::MAX;
-        let mut cur_pt = u32::MAX;
-        for (i, &(g, p, r)) in keyed.iter().enumerate() {
-            if i == 0 || p != cur_pt || g != cur_group {
-                if i > 0 {
-                    segs += 1;
-                }
-                cur_pt = p;
+        for (i, &r) in order.iter().enumerate() {
+            if i > 0 && pt_of(r) != pt_of(order[i - 1]) {
+                segs += 1;
             }
-            if g != cur_group {
-                if cur_group != u32::MAX {
-                    group_ranges[cur_group as usize].1 = i as u32;
-                }
-                if (g as usize) < num_groups {
-                    group_ranges[g as usize].0 = i as u32;
-                }
-                cur_group = g;
-            }
-            order.push(r);
             seg_of.push(segs);
         }
-        if cur_group != u32::MAX && (cur_group as usize) < num_groups {
-            group_ranges[cur_group as usize].1 = n as u32;
+        let unit_segments = n == 0 || segs as usize + 1 == n;
+        if unit_segments {
+            seg_of = Vec::new();
         }
-        let num_segs = if n == 0 { 0 } else { segs as usize + 1 };
-        let unit_segments = num_segs == n;
-
-        let cols = apt
-            .columns
-            .iter()
-            .map(|c| encode_column(c, &order))
-            .collect();
 
         ScoreIndex {
             order,
             seg_of,
             group_ranges,
             unit_segments,
-            cols,
+            cols: Vec::new(),
+            field_names: apt.fields.iter().map(|f| f.name.as_str().into()).collect(),
             group_pt_counts: pt.rows_of_group.iter().map(Vec::len).collect(),
             total_pt: pt.num_rows,
+        }
+    }
+
+    /// Encodes `fields` of `apt` — the APT this index was built over — in
+    /// scan order, next to the ones already encoded. These are the fields
+    /// a pattern scored on this index may name.
+    pub fn encode(mut self, apt: &Apt, fields: &[usize]) -> ScoreIndex {
+        for &f in fields {
+            if let Err(at) = self.cols.binary_search_by_key(&f, |(g, _)| *g) {
+                let col = encode_column(&apt.columns[f], &self.order);
+                self.cols.insert(at, (f, col));
+            }
+        }
+        self
+    }
+
+    /// The encoded column of `field`; panics for a field [`encode`] was not
+    /// given — an all-false mask there would silently score a pattern 0.
+    ///
+    /// [`encode`]: Self::encode
+    fn col(&self, field: usize) -> &EncCol {
+        match self.cols.binary_search_by_key(&field, |(f, _)| *f) {
+            Ok(i) => &self.cols[i].1,
+            Err(_) => panic!(
+                "ScoreIndex: field {field} (`{}`) is not encoded; encoded: {:?}",
+                self.field_names.get(field).map_or("?", |n| n),
+                self.cols.iter().map(|(f, _)| *f).collect::<Vec<_>>(),
+            ),
         }
     }
 
@@ -335,7 +365,7 @@ impl ScoreIndex {
     /// compare by interned id, cross-kind is false), `≤`/`≥` compare the
     /// numeric view and are false for strings.
     pub fn eval_pred(&self, field: usize, pred: &Pred) -> Mask {
-        let col = &self.cols[field];
+        let col = self.col(field);
         let n = self.order.len();
         let mut out = Mask::empty(n);
         match (&col.data, pred.op) {
@@ -456,19 +486,28 @@ impl ScoreIndex {
 
     /// Approximate heap bytes (cache accounting).
     pub fn approx_bytes(&self) -> usize {
-        let n = self.order.len();
         let cols: usize = self
             .cols
             .iter()
-            .map(|c| {
+            .map(|(_, c)| {
                 (match &c.data {
                     EncData::Int(v) => v.len() * 8,
                     EncData::Float(v) => v.len() * 8,
                     EncData::Str(v) => v.len() * 4,
                 }) + c.nulls.as_ref().map_or(0, Mask::approx_bytes)
+                    + std::mem::size_of::<(usize, EncCol)>()
             })
             .sum();
-        n * (4 + 4) + self.group_ranges.len() * 8 + self.group_pt_counts.len() * 8 + cols
+        let names: usize = self
+            .field_names
+            .iter()
+            .map(|n| n.len() + std::mem::size_of::<Box<str>>())
+            .sum();
+        (self.order.len() + self.seg_of.len()) * 4
+            + self.group_ranges.len() * 8
+            + self.group_pt_counts.len() * 8
+            + cols
+            + names
     }
 }
 

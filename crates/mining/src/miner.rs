@@ -14,7 +14,8 @@
 //!    predicates per pattern.
 //!
 //! Final selection is diversity-aware top-k (§3.5) followed by exact
-//! re-scoring on the full APT so reported supports are exact.
+//! re-scoring over every APT row — on the preparation's all-rows
+//! [`ScoreIndex`] — so reported supports are exact.
 //!
 //! The phases are wired once: everything up to the predicate bitmaps in
 //! [`prepare`], ranking, scoring and refinement in `mine_core`.
@@ -38,7 +39,7 @@ use crate::featsel::{
 use crate::lca::lca_candidates;
 use crate::pattern::{PatValue, Pattern, Pred, PredOp};
 use crate::prepared::{mine_prepared, prepare, PreparedApt};
-use crate::score::{PatternMetrics, Question, Scorer};
+use crate::score::{PatternMetrics, Question};
 use crate::stats::{ColumnStatsProvider, NoSharedStats};
 
 /// All tuning knobs of Algorithm 1 (defaults follow Table 1 where the
@@ -228,9 +229,10 @@ pub fn mine_apt(
     outcome
 }
 
-/// Phase 3: draws the λ_F1 row sample (all rows at rate ≥ 1.0) and builds
-/// the columnar index over it.
-pub(crate) fn sample_and_index(
+/// Phase 3: draws the λ_F1 row sample (all rows at rate ≥ 1.0) and fixes
+/// the scan order of the index over it. No column is encoded yet: which
+/// ones is `filterAttrs`' call, and it trains on this order.
+pub(crate) fn sample_and_scan(
     apt: &Apt,
     pt: &ProvenanceTable,
     params: &MiningParams,
@@ -328,7 +330,6 @@ pub(crate) fn lca_pool(
 pub(crate) fn mine_core(
     prepared: &PreparedApt,
     apt: &Apt,
-    pt: &ProvenanceTable,
     question: &Question,
     params: &MiningParams,
     timings: &mut MiningTimings,
@@ -563,16 +564,14 @@ pub(crate) fn mine_core(
         .collect();
     let selected = select_top_k_diverse(&items, params.top_k);
 
-    // When the scan already covered every APT row (λ_F1 ≥ 1.0), the
-    // "sampled" metrics *are* the exact metrics — re-scoring would
-    // recompute bit-identical numbers row by row.
-    let scan_was_exact = index.scan_size() == apt.num_rows;
-    let exact = (!scan_was_exact).then(|| Scorer::exact(apt, pt));
+    // Without an all-rows index the scan already covered every APT row
+    // (λ_F1 ≥ 1.0): the "sampled" metrics *are* the exact metrics.
+    let _rescore = Stage::detail("exact_rescore");
     let explanations: Vec<MinedExplanation> = selected
         .into_iter()
         .map(|i| {
             let (pat, primary, secondary, sampled) = &kept[i];
-            let metrics = match &exact {
+            let metrics = match &prepared.exact {
                 Some(exact) => exact.score(pat, *primary, *secondary),
                 None => *sampled,
             };
@@ -776,6 +775,7 @@ mod tests {
     /// Proposition 3.1 as a property: refinement never increases recall.
     #[test]
     fn prop_recall_antimonotone_under_refinement() {
+        use crate::score::Scorer;
         use proptest::prelude::*;
         let (db, q) = fixture();
         let pt = ProvenanceTable::compute(&db, &q).unwrap();

@@ -3,8 +3,13 @@
 //!
 //! [`prepare`] is the one implementation of the preparation phases:
 //!
-//! * the λ_F1 row sample and its columnar [`ScoreIndex`] (seeded RNG),
-//! * `filterAttrs` (+ the ban list and, when enabled, FD exclusion),
+//! * the λ_F1 row sample (seeded RNG) and the scan order of the
+//!   [`ScoreIndex`] over it,
+//! * `filterAttrs` on that order (+ the ban list and, when enabled, FD
+//!   exclusion),
+//! * the index's columns — the selected fields only, the ones a pattern
+//!   can name — over the sample and, for the exact re-score of the
+//!   winners, over all rows,
 //! * the LCA candidate pool and each candidate's match bitmap,
 //! * numeric fragment boundaries (computed over all APT rows),
 //! * the `|num_fields| × λ#frag × 2` refinement predicate bitmaps.
@@ -34,7 +39,7 @@ use crate::fd::group_determining_fields;
 use crate::featsel::FeatureSelection;
 use crate::fragments::fragment_boundaries;
 use crate::miner::{
-    lca_pool, mine_core, run_featsel, sample_and_index, MiningOutcome, MiningParams, MiningTimings,
+    lca_pool, mine_core, run_featsel, sample_and_scan, MiningOutcome, MiningParams, MiningTimings,
 };
 use crate::pattern::Pattern;
 use crate::score::Question;
@@ -49,8 +54,12 @@ pub struct PreparedApt {
     /// Feature selection in the preparation's scope (ban list and FD
     /// exclusion already applied).
     pub fs: FeatureSelection,
-    /// Columnar index over the λ_F1 sample (exact when sampling is off).
+    /// Columnar index over the λ_F1 sample (every row when sampling is
+    /// off), encoding the fields of `fs`.
     pub index: ScoreIndex,
+    /// The same fields over all APT rows, for the exact re-score of the
+    /// selected top-k; `None` when `index` already scans every row.
+    pub exact: Option<ScoreIndex>,
     /// LCA candidate pool with each candidate's precomputed match bitmap
     /// (unranked; ranking is per-question).
     pub pool: Vec<(Pattern, Mask)>,
@@ -72,6 +81,7 @@ impl PreparedApt {
     /// Approximate heap footprint for cache byte budgeting.
     pub fn approx_bytes(&self) -> usize {
         self.index.approx_bytes()
+            + self.exact.as_ref().map_or(0, ScoreIndex::approx_bytes)
             + self.bank.approx_bytes()
             + self
                 .pool
@@ -147,10 +157,10 @@ pub fn prepare(
         *truncated
     };
 
-    // ---- λ_F1 sample + columnar index. ---------------------------------
-    // Built *before* feature selection, which trains on the index's
+    // ---- λ_F1 sample + scan order. ---------------------------------------
+    // Fixed *before* feature selection, which trains on the index's
     // `(group, PT row)` scan order.
-    let index = sample_and_index(apt, pt, params, &mut timings);
+    let index = sample_and_scan(apt, pt, params, &mut timings);
 
     // ---- Feature selection, then FD exclusion in the same scope. -------
     let stage = Stage::detail("feature_selection");
@@ -166,6 +176,23 @@ pub fn prepare(
         fs
     };
     timings.feature_selection = stage.finish();
+
+    // ---- Encode the selected fields. ------------------------------------
+    // LCA candidates constrain `cat_fields`, refinements `num_fields`: no
+    // pattern names any other, so no other column is copied — once in the
+    // sample's scan order and, unless that is every row already, once over
+    // all rows for the exact re-score.
+    let stage = Stage::detail("score_index");
+    let selected: Vec<usize> = fs
+        .num_fields
+        .iter()
+        .chain(&fs.cat_fields)
+        .copied()
+        .collect();
+    let exact = (index.scan_size() != apt.num_rows)
+        .then(|| ScoreIndex::exact(apt, pt).encode(apt, &selected));
+    let index = index.encode(apt, &selected);
+    timings.prepare += stage.finish();
 
     // ---- LCA pool over a λ_pat sample of the scope's rows. -------------
     // Out-of-scope candidates of a question-independent pool simply rank
@@ -226,6 +253,7 @@ pub fn prepare(
     PreparedApt {
         fs,
         index,
+        exact,
         pool,
         frag,
         bank,
@@ -248,9 +276,15 @@ pub fn mine_prepared(
     question: &Question,
     params: &MiningParams,
 ) -> MiningOutcome {
+    debug_assert!(
+        question.directions().iter().all(|&(g, _)| {
+            prepared.index.group_size(g) == pt.rows_of_group.get(g).map_or(0, Vec::len)
+        }),
+        "the preparation was made over another provenance table"
+    );
     let mut timings = MiningTimings::default();
     let (explanations, patterns_evaluated) =
-        mine_core(prepared, apt, pt, question, params, &mut timings);
+        mine_core(prepared, apt, question, params, &mut timings);
     MiningOutcome {
         explanations,
         timings,
