@@ -1,17 +1,25 @@
 //! Criterion micro-benchmarks for the substrate kernels: hash join,
 //! group-by aggregation, pattern matching, LCA candidate generation,
 //! random-forest training (the float reference and the histogram trainer
-//! feature selection runs), and Cramér's V.
+//! feature selection runs), Cramér's V, APT materialization of a whole
+//! enumeration, and the exact re-score of one pattern.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use cajade_datagen::nba::{self, NbaConfig};
-use cajade_graph::{Apt, JoinGraph};
-use cajade_mining::{lca_candidates, PatValue, Pattern, Pred, PredOp, Scorer};
+use cajade_datagen::{synth, GeneratedDb};
+use cajade_graph::{enumerate_join_graphs, Apt, AptBuilder, EnumConfig, JoinGraph};
+use cajade_mining::{lca_candidates, PatValue, Pattern, Pred, PredOp, ScoreIndex, Scorer};
 use cajade_ml::{
     cramers_v, BinnedColumn, FeatureColumn, HistForest, RandomForest, RandomForestConfig,
 };
 use cajade_query::{execute, parse_sql, ProvenanceTable};
+
+/// The paper's running example: GSW's wins per season.
+const GSW_WINS_SQL: &str = "SELECT COUNT(*) AS win, s.season_name \
+     FROM team t, game g, season s \
+     WHERE t.team_id = g.winner_id AND g.season_id = s.season_id AND t.team = 'GSW' \
+     GROUP BY s.season_name";
 
 fn bench_join_and_aggregate(c: &mut Criterion) {
     let gen = nba::generate(NbaConfig {
@@ -42,13 +50,7 @@ fn bench_provenance(c: &mut Criterion) {
         rich_stats: false,
         seed: 1,
     });
-    let q = parse_sql(
-        "SELECT COUNT(*) AS win, s.season_name \
-         FROM team t, game g, season s \
-         WHERE t.team_id = g.winner_id AND g.season_id = s.season_id AND t.team = 'GSW' \
-         GROUP BY s.season_name",
-    )
-    .unwrap();
+    let q = parse_sql(GSW_WINS_SQL).unwrap();
     c.bench_function("provenance_capture", |b| {
         b.iter(|| ProvenanceTable::compute(black_box(&gen.db), black_box(&q)).unwrap())
     });
@@ -62,13 +64,7 @@ fn pattern_fixture() -> (cajade_datagen::GeneratedDb, ProvenanceTable, Apt) {
         rich_stats: false,
         seed: 1,
     });
-    let q = parse_sql(
-        "SELECT COUNT(*) AS win, s.season_name \
-         FROM team t, game g, season s \
-         WHERE t.team_id = g.winner_id AND g.season_id = s.season_id AND t.team = 'GSW' \
-         GROUP BY s.season_name",
-    )
-    .unwrap();
+    let q = parse_sql(GSW_WINS_SQL).unwrap();
     let pt = ProvenanceTable::compute(&gen.db, &q).unwrap();
     let apt = Apt::materialize(&gen.db, &pt, &JoinGraph::pt_only()).unwrap();
     (gen, pt, apt)
@@ -183,6 +179,97 @@ fn bench_cramers_v(c: &mut Criterion) {
     group.finish();
 }
 
+/// The `synth_wide` corpus of `e2e_bench`: 20 000 fact rows, 4 dimension
+/// tables of 6 numeric columns; every join is N:1 and finds its row.
+fn star_20000x4() -> GeneratedDb {
+    synth::generate(
+        &synth::SynthConfig::small()
+            .with_rows(20_000)
+            .with_width(4, 6),
+    )
+}
+
+/// Stage 3 for a whole ask: every valid join graph of one enumeration
+/// through one `AptBuilder` — 35 graphs of row-preserving joins on the
+/// star, 202 graphs with per-game and per-player fan-out on NBA 0.05.
+fn bench_apt_materialize(c: &mut Criterion) {
+    let nba = nba::generate(NbaConfig {
+        rich_stats: true,
+        seed: 42,
+        ..NbaConfig::scaled(0.05)
+    });
+    let mut group = c.benchmark_group("apt_materialize");
+    for (name, gen, sql) in [
+        ("star_20000x4", star_20000x4(), synth::SYNTH_SQL),
+        ("nba_fanout", nba, GSW_WINS_SQL),
+    ] {
+        let query = parse_sql(sql).unwrap();
+        let pt = ProvenanceTable::compute(&gen.db, &query).unwrap();
+        let cfg = EnumConfig::default();
+        let graphs =
+            enumerate_join_graphs(&gen.schema_graph, &gen.db, &query, pt.num_rows, &cfg).unwrap();
+        let valid: Vec<usize> = (0..graphs.len()).filter(|&gi| graphs[gi].valid).collect();
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let builder = AptBuilder::new(&gen.db, &pt, &graphs);
+                let apts: Vec<Apt> = valid
+                    .iter()
+                    .map(|&gi| builder.materialize(gi).unwrap())
+                    .collect();
+                black_box(apts)
+            })
+        });
+    }
+    group.finish();
+}
+
+/// The exact re-score of one selected pattern — two numeric predicates —
+/// over the 20 000 rows of a star APT: the row-at-a-time `Scorer` that
+/// did it, and the all-rows bitmap index that does.
+fn bench_exact_rescore(c: &mut Criterion) {
+    let gen = star_20000x4();
+    let query = parse_sql(synth::SYNTH_SQL).unwrap();
+    let pt = ProvenanceTable::compute(&gen.db, &query).unwrap();
+    let cfg = EnumConfig::default();
+    let graphs =
+        enumerate_join_graphs(&gen.schema_graph, &gen.db, &query, pt.num_rows, &cfg).unwrap();
+    let widest = graphs
+        .iter()
+        .filter(|g| g.valid)
+        .max_by_key(|g| g.graph.edges.len())
+        .unwrap();
+    let apt = Apt::materialize(&gen.db, &pt, &widest.graph).unwrap();
+    let numeric: Vec<usize> = apt
+        .pattern_fields()
+        .into_iter()
+        .filter(|&f| apt.fields[f].kind == cajade_storage::AttrKind::Numeric)
+        .collect();
+    let (lo, hi) = (numeric[0], numeric[numeric.len() - 1]);
+    let threshold = |op| Pred {
+        op,
+        value: PatValue::Float(0.5f64.to_bits()),
+    };
+    let pattern = Pattern::from_preds(vec![
+        (lo, threshold(PredOp::Ge)),
+        (hi, threshold(PredOp::Le)),
+    ]);
+
+    let scorer = Scorer::exact(&apt, &pt);
+    let index = ScoreIndex::exact(&apt, &pt).encode(&apt, &[lo, hi]);
+    assert_eq!(
+        scorer.score(&pattern, 0, Some(1)),
+        index.score(&pattern, 0, Some(1))
+    );
+    let mut group = c.benchmark_group("exact_rescore/20000x2preds");
+    group.bench_function("scorer", |b| {
+        b.iter(|| scorer.score(black_box(&pattern), 0, Some(1)))
+    });
+    group.bench_function("bitmap", |b| {
+        b.iter(|| index.score(black_box(&pattern), 0, Some(1)))
+    });
+    group.finish();
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
@@ -192,6 +279,8 @@ criterion_group!(
         bench_lca,
         bench_forest,
         bench_hist_tree_fit,
-        bench_cramers_v
+        bench_cramers_v,
+        bench_apt_materialize,
+        bench_exact_rescore
 );
 criterion_main!(benches);

@@ -12,7 +12,7 @@
 //! removed: a context node's attributes that the joining edge equates to
 //! an already-present attribute are dropped.
 //!
-//! # Plan → extend → gather
+//! # Plan → extend → view
 //!
 //! There is one join kernel, in three parts:
 //!
@@ -22,12 +22,20 @@
 //!   plus one pushed edge, all the way down to Ω₀) that order is index
 //!   order.
 //! * **extend** (`Kernel::extend`): applies one edge to a row-id matrix
-//!   (`Combos`). An edge reaching a fresh node is a hash join through an
-//!   index over the node's `(relation, key columns)`, built at most once
-//!   per kernel; an edge between two joined nodes (closing or parallel) is
-//!   a filter. The columns a step reads are resolved once per step.
-//! * **gather** (`gather`): turns the final row-id matrix into the wide
-//!   columns of an [`Apt`].
+//!   (`Combos`: one shared [`RowIds`] vector per joined node). An edge
+//!   reaching a fresh node is a hash join through an index over the
+//!   node's `(relation, key columns)`, built at most once per kernel; an
+//!   edge between two joined nodes (closing or parallel) is a filter. The
+//!   columns a step reads are resolved once per step. A step that keeps
+//!   every input combination exactly once — an N:1 join whose every key
+//!   finds its row, a filter nothing fails — shares its input's vectors
+//!   and allocates at most the new node's; any other step re-emits them.
+//! * **view** (`view`): wraps the final matrix as an [`Apt`]. No cell is
+//!   copied: a column of the APT is a handle on the base-table (or PT)
+//!   column plus its node's row-id vector ([`AptColumn`]), and whoever
+//!   reads the APT — `filterAttrs`' training gather, the scoring index's
+//!   encode of the selected fields, the LCA sample — pays for the cells
+//!   it reads.
 //!
 //! [`Apt::materialize`] folds `extend` over one graph's plan.
 //! [`AptBuilder`] serves a whole enumeration: it memoizes the row-id matrix
@@ -41,13 +49,14 @@
 //! same order.
 
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use bytes::BytesMut;
 use cajade_query::ProvenanceTable;
 use cajade_storage::rowkey::encode_value;
-use cajade_storage::{AttrKind, Column, DataType, Database, Value};
+use cajade_storage::{AttrKind, Column, DataType, Database, StrId, Value};
 
 use crate::enumerate::EnumeratedGraph;
 use crate::join_graph::{JgEdge, JoinGraph, NodeLabel};
@@ -69,7 +78,7 @@ pub struct AptField {
     pub from_pt: bool,
     /// Join-graph node index the field belongs to.
     pub node: usize,
-    /// Name of the base-table column this field gathers (without any
+    /// Name of the base-table column this field reads (without any
     /// `prov_`/alias decoration). Together with
     /// [`JoinGraph::rel_of`](crate::JoinGraph::rel_of) on `node` this
     /// identifies the shared source column of a context field — the key
@@ -77,17 +86,176 @@ pub struct AptField {
     pub base_column: String,
 }
 
-/// A materialized augmented provenance table.
+/// A shared vector of row ids: per APT row, the row of one joined node's
+/// table (of the PT, for the PT node) that the APT row extends. Graphs
+/// along one enumeration-tree path hold the same vector wherever a step
+/// left the rows unchanged; reads as a `[u32]`.
+#[derive(Clone, PartialEq, Eq)]
+pub struct RowIds(Arc<Vec<u32>>);
+
+impl RowIds {
+    fn new(ids: Vec<u32>) -> Self {
+        RowIds(Arc::new(ids))
+    }
+
+    /// True iff `a` and `b` are one vector — shared, not merely equal.
+    pub fn ptr_eq(a: &RowIds, b: &RowIds) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+}
+
+impl Deref for RowIds {
+    type Target = [u32];
+
+    #[inline]
+    fn deref(&self) -> &[u32] {
+        &self.0
+    }
+}
+
+impl<'a> IntoIterator for &'a RowIds {
+    type Item = &'a u32;
+    type IntoIter = std::slice::Iter<'a, u32>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+impl std::fmt::Debug for RowIds {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
+/// One column of an APT: a base-table (or PT) column read through the
+/// row-id vector of the node it belongs to. Cell `r` is the base column's
+/// cell at `rows[r]`; nothing is copied until a reader asks.
+#[derive(Debug, Clone)]
+pub struct AptColumn {
+    base: Arc<Column>,
+    rows: RowIds,
+}
+
+/// What one [`AptColumn::read`] returns: the cells by physical type, and
+/// where the NULLs are.
+#[derive(Debug, Clone)]
+pub struct Cells {
+    /// One entry per row read; a NULL cell holds the storage placeholder
+    /// (`0`, `0.0`, string id 0).
+    pub data: CellData,
+    /// Positions — into the rows read, ascending — of the NULL cells.
+    pub nulls: Vec<u32>,
+}
+
+/// Typed cell payloads of a [`Cells`].
+#[derive(Debug, Clone)]
+pub enum CellData {
+    /// 64-bit integers.
+    Int(Vec<i64>),
+    /// 64-bit floats.
+    Float(Vec<f64>),
+    /// Interned string ids (the pool is the dictionary).
+    Str(Vec<u32>),
+}
+
+impl AptColumn {
+    /// The base column's row behind APT row `r`.
+    #[inline]
+    fn base_row(&self, r: usize) -> usize {
+        self.rows[r] as usize
+    }
+
+    /// The column's data type.
+    pub fn dtype(&self) -> DataType {
+        self.base.dtype()
+    }
+
+    /// Reads row `r` as a [`Value`].
+    #[inline]
+    pub fn value(&self, r: usize) -> Value {
+        self.base.value(self.base_row(r))
+    }
+
+    /// Numeric view of row `r` (ints widen; strings/nulls are `None`).
+    #[inline]
+    pub fn f64_at(&self, r: usize) -> Option<f64> {
+        self.base.f64_at(self.base_row(r))
+    }
+
+    /// String-id view of row `r`.
+    #[inline]
+    pub fn str_at(&self, r: usize) -> Option<StrId> {
+        self.base.str_at(self.base_row(r))
+    }
+
+    /// True iff row `r` is NULL.
+    #[inline]
+    pub fn is_null(&self, r: usize) -> bool {
+        self.base.is_null(self.base_row(r))
+    }
+
+    /// The base column this column reads.
+    pub fn base(&self) -> &Arc<Column> {
+        &self.base
+    }
+
+    /// The row-id vector it reads it through: its node's.
+    pub fn rows(&self) -> &RowIds {
+        &self.rows
+    }
+
+    /// Bulk typed read of the cells at APT rows `rows`, in that order: the
+    /// type is matched once per read, not once per cell, and a column
+    /// without NULLs is not asked about them.
+    pub fn read(&self, rows: &[u32]) -> Cells {
+        let ids = &*self.rows;
+        let base_rows = || rows.iter().map(|&r| ids[r as usize] as usize);
+        let (data, null_mask) = match &*self.base {
+            Column::Int { data, nulls } => {
+                (CellData::Int(base_rows().map(|b| data[b]).collect()), nulls)
+            }
+            Column::Float { data, nulls } => (
+                CellData::Float(base_rows().map(|b| data[b]).collect()),
+                nulls,
+            ),
+            Column::Str { data, nulls } => (
+                CellData::Str(base_rows().map(|b| data[b].0).collect()),
+                nulls,
+            ),
+        };
+        let nulls = if null_mask.any_null() {
+            let at = base_rows().enumerate();
+            at.filter(|&(_, b)| null_mask.is_null(b))
+                .map(|(i, _)| i as u32)
+                .collect()
+        } else {
+            Vec::new()
+        };
+        Cells { data, nulls }
+    }
+}
+
+/// An augmented provenance table: a view over the base tables and the
+/// provenance table it joins, not a copy of them.
 #[derive(Debug, Clone)]
 pub struct Apt {
     /// Wide schema.
     pub fields: Vec<AptField>,
-    /// Wide columns, parallel to `fields`.
-    pub columns: Vec<Column>,
+    /// Wide columns, parallel to `fields`: base-column handles read
+    /// through their node's row-id vector.
+    pub columns: Vec<AptColumn>,
     /// Number of APT rows.
     pub num_rows: usize,
-    /// APT row → originating PT row.
-    pub pt_row: Vec<u32>,
+    /// APT row → originating PT row: the PT node's row-id vector.
+    ///
+    /// **Non-decreasing.** The PT itself is rows `0..n`, a join emits
+    /// each input combination's matches in input order and a filter only
+    /// drops combinations, so every extension of PT row `p` precedes
+    /// every extension of `p + 1`. The scoring index's scan order relies
+    /// on this (`cajade_mining::ScoreIndex`);
+    /// `crates/graph/tests/apt_view.rs` checks it on whole enumerations.
+    pub pt_row: RowIds,
     /// The join graph this APT materializes.
     pub graph: JoinGraph,
 }
@@ -97,7 +265,7 @@ impl Apt {
     /// graph.
     pub fn materialize(db: &Database, pt: &ProvenanceTable, graph: &JoinGraph) -> Result<Apt> {
         let combos = Kernel::new(db, pt).fold(graph)?;
-        gather(db, pt, graph, &combos)
+        view(db, pt, graph, &combos)
     }
 
     /// Cell accessor.
@@ -119,16 +287,43 @@ impl Apt {
             .collect()
     }
 
-    /// Approximate heap footprint in bytes: wide columns, the row → PT-row
-    /// map, and field metadata. Drives the service cache's byte budget.
+    /// Approximate heap footprint of the view itself, in bytes: the row-id
+    /// vector of each joined node, the column handles, field metadata and
+    /// the join graph — what [`Apt::materialize`] allocates.
+    ///
+    /// A row-id vector shared with other graphs' APTs is counted in full by
+    /// every APT holding it: conservative. The columns read through the
+    /// vectors are **not** counted, though the handles keep them alive: a
+    /// base table's are the database's, and the provenance table's are
+    /// reported by [`pinned_pt_bytes`](Apt::pinned_pt_bytes) — a holder
+    /// that may outlive the provenance table (a cache entry) charges both.
     pub fn approx_bytes(&self) -> usize {
-        self.columns.iter().map(|c| c.approx_bytes()).sum::<usize>()
-            + self.pt_row.len() * std::mem::size_of::<u32>()
+        let mut vectors = vec![&self.pt_row];
+        for c in &self.columns {
+            if !vectors.iter().any(|v| RowIds::ptr_eq(v, &c.rows)) {
+                vectors.push(&c.rows);
+            }
+        }
+        vectors.len() * self.num_rows * std::mem::size_of::<u32>()
+            + self.columns.len() * std::mem::size_of::<AptColumn>()
             + self
                 .fields
                 .iter()
-                .map(|f| f.name.len() + std::mem::size_of::<AptField>())
+                .map(|f| f.name.len() + f.base_column.len() + std::mem::size_of::<AptField>())
                 .sum::<usize>()
+            + self.graph.approx_bytes()
+    }
+
+    /// Bytes of the provenance-table columns this view reads, which stay
+    /// allocated for as long as it does even after the
+    /// [`ProvenanceTable`] is dropped. Every APT over one provenance table
+    /// reports the same columns in full.
+    pub fn pinned_pt_bytes(&self) -> usize {
+        let pt_columns = self.fields.iter().zip(&self.columns);
+        pt_columns
+            .filter(|(f, _)| f.from_pt)
+            .map(|(_, c)| c.base.approx_bytes())
+            .sum()
     }
 }
 
@@ -141,15 +336,14 @@ struct Slot {
     via: Option<usize>,
 }
 
-/// The row-id matrix of a partial join: one row per surviving
-/// combination, one base-table (or PT) row id per joined node.
+/// The row-id matrix of a partial join, one column per joined node: row
+/// `i` of every vector together is the `i`-th surviving combination.
 #[derive(Debug)]
 struct Combos {
-    /// Joined nodes in join order; slot 0 is the PT node. The stride of
-    /// `rows`.
+    /// Joined nodes in join order; slot 0 is the PT node.
     slots: Vec<Slot>,
-    /// Flattened row ids, `slots.len()` per combination.
-    rows: Vec<u32>,
+    /// Per slot, the node's row id in each combination.
+    ids: Vec<RowIds>,
 }
 
 impl Combos {
@@ -157,30 +351,72 @@ impl Combos {
     fn pt(pt_rows: usize) -> Combos {
         Combos {
             slots: vec![Slot { node: 0, via: None }],
-            rows: (0..pt_rows as u32).collect(),
+            ids: vec![RowIds::new((0..pt_rows as u32).collect())],
         }
+    }
+
+    /// Number of combinations.
+    fn len(&self) -> usize {
+        self.ids[0].len()
     }
 
     fn slot_of(&self, node: usize) -> Option<usize> {
         self.slots.iter().position(|s| s.node == node)
     }
 
-    fn iter(&self) -> std::slice::ChunksExact<'_, u32> {
-        self.rows.chunks_exact(self.slots.len())
+    /// The vectors of the combinations a step emitted: the input's own
+    /// when it emitted every combination exactly once, re-emitted ones
+    /// otherwise.
+    fn emit(&self, emitted: Emitted) -> Vec<RowIds> {
+        match emitted.picks {
+            None => self.ids.clone(),
+            Some(picks) => self
+                .ids
+                .iter()
+                .map(|ids| RowIds::new(picks.iter().map(|&i| ids[i as usize]).collect()))
+                .collect(),
+        }
+    }
+}
+
+/// The input combinations a step emits, in emission order. A step visits
+/// its input in order, so as long as each combination came out exactly
+/// once the list is the identity and is not written down.
+#[derive(Default)]
+struct Emitted {
+    /// Combinations emitted while the list was still the identity.
+    once_each: u32,
+    /// The list, from the first combination dropped or repeated on.
+    picks: Option<Vec<u32>>,
+}
+
+impl Emitted {
+    /// Input combination `i` — the next one — comes out `times` times.
+    fn push(&mut self, i: usize, times: usize) {
+        match &mut self.picks {
+            None if times == 1 => self.once_each += 1,
+            None => {
+                let mut picks: Vec<u32> = (0..self.once_each).collect();
+                picks.resize(picks.len() + times, i as u32);
+                self.picks = Some(picks);
+            }
+            Some(picks) => picks.resize(picks.len() + times, i as u32),
+        }
     }
 }
 
 /// A resolved `(node, attribute)` of a step: the column to read and the
-/// combination slot holding the row id to read it at.
+/// row ids of its node to read it at.
 struct Side<'a> {
     col: &'a Column,
-    slot: usize,
+    ids: &'a [u32],
 }
 
 impl Side<'_> {
+    /// The attribute's value in combination `i`.
     #[inline]
-    fn value(&self, combo: &[u32]) -> Value {
-        self.col.value(combo[self.slot] as usize)
+    fn value(&self, i: usize) -> Value {
+        self.col.value(self.ids[i] as usize)
     }
 }
 
@@ -291,24 +527,26 @@ impl<'a> Kernel<'a> {
             index
         });
 
-        let mut rows =
-            Vec::with_capacity(combos.rows.len() + combos.rows.len() / combos.slots.len());
+        let n = combos.len();
+        let mut new_ids = Vec::with_capacity(n);
+        let mut emitted = Emitted::default();
         let mut scratch = BytesMut::new();
-        for combo in combos.iter() {
-            let key = encode_key(&mut scratch, anchor_sides.iter().map(|s| s.value(combo)));
-            if let Some(matches) = key.and_then(|k| index.get(k)) {
-                for &r in matches {
-                    rows.extend_from_slice(combo);
-                    rows.push(r);
-                }
-            }
+        for i in 0..n {
+            let key = encode_key(&mut scratch, anchor_sides.iter().map(|s| s.value(i)));
+            let matches = key
+                .and_then(|k| index.get(k))
+                .map_or(&[][..], Vec::as_slice);
+            new_ids.extend_from_slice(matches);
+            emitted.push(i, matches.len());
         }
+        let mut ids = combos.emit(emitted);
+        ids.push(RowIds::new(new_ids));
         let mut slots = combos.slots.clone();
         slots.push(Slot {
             node: new_node,
             via: Some(ei),
         });
-        Ok(Combos { slots, rows })
+        Ok(Combos { slots, ids })
     }
 
     /// Keeps the combinations satisfying the condition of `e`, an edge
@@ -321,34 +559,30 @@ impl<'a> Kernel<'a> {
                 self.side(graph, combos, e.to, &p.right, e.pt_from_idx)?,
             ));
         }
-        let mut rows = Vec::with_capacity(combos.rows.len());
-        for combo in combos.iter() {
-            if sides
-                .iter()
-                .all(|(a, b)| a.value(combo).sql_eq(&b.value(combo)))
-            {
-                rows.extend_from_slice(combo);
-            }
+        let mut emitted = Emitted::default();
+        for i in 0..combos.len() {
+            let passes = sides.iter().all(|(a, b)| a.value(i).sql_eq(&b.value(i)));
+            emitted.push(i, passes as usize);
         }
         Ok(Combos {
             slots: combos.slots.clone(),
-            rows,
+            ids: combos.emit(emitted),
         })
     }
 
     /// Resolves attribute `attr` of joined node `node` to its column.
-    fn side(
-        &self,
+    fn side<'c>(
+        &'c self,
         graph: &JoinGraph,
-        combos: &Combos,
+        combos: &'c Combos,
         node: usize,
         attr: &str,
         pt_from_idx: Option<usize>,
-    ) -> Result<Side<'a>> {
+    ) -> Result<Side<'c>> {
         let slot = combos
             .slot_of(node)
             .ok_or_else(|| GraphError::Malformed(format!("node {node} is not joined yet")))?;
-        let col = match &graph.nodes[node].label {
+        let col: &Column = match &graph.nodes[node].label {
             NodeLabel::Pt => &self.pt.columns[pt_field_for(self.pt, pt_from_idx, attr)?],
             NodeLabel::Rel(rel) => {
                 let t = self.db.table(rel)?;
@@ -358,7 +592,10 @@ impl<'a> Kernel<'a> {
                 t.column(ci)
             }
         };
-        Ok(Side { col, slot })
+        Ok(Side {
+            col,
+            ids: &combos.ids[slot],
+        })
     }
 }
 
@@ -409,15 +646,11 @@ fn edge_order(graph: &JoinGraph) -> Result<Vec<usize>> {
     Ok(order)
 }
 
-/// Gathers the wide columns of `graph`'s APT from its full row-id matrix.
-fn gather(db: &Database, pt: &ProvenanceTable, graph: &JoinGraph, combos: &Combos) -> Result<Apt> {
-    let stride = combos.slots.len();
-    let num_rows = combos.rows.len() / stride;
-    let slot_rows =
-        |slot: usize| -> Vec<usize> { combos.iter().map(|combo| combo[slot] as usize).collect() };
+/// Wraps `graph`'s full row-id matrix as its APT: per joined node, handles
+/// on its columns (minus the join columns Definition 4 calls duplicates)
+/// over the node's row-id vector.
+fn view(db: &Database, pt: &ProvenanceTable, graph: &JoinGraph, combos: &Combos) -> Result<Apt> {
     let aliases = graph.display_aliases();
-
-    let pt_rows = slot_rows(0);
     let mut fields = Vec::new();
     let mut columns = Vec::new();
     for (fi, f) in pt.fields.iter().enumerate() {
@@ -430,10 +663,13 @@ fn gather(db: &Database, pt: &ProvenanceTable, graph: &JoinGraph, combos: &Combo
             node: 0,
             base_column: f.attr.clone(),
         });
-        columns.push(pt.columns[fi].gather(&pt_rows));
+        columns.push(AptColumn {
+            base: Arc::clone(&pt.columns[fi]),
+            rows: combos.ids[0].clone(),
+        });
     }
 
-    for (slot, s) in combos.slots.iter().enumerate().skip(1) {
+    for (s, rows) in combos.slots.iter().zip(&combos.ids).skip(1) {
         let node = s.node;
         let (Some(rel), Some(via)) = (graph.rel_of(node), s.via) else {
             return Err(GraphError::Malformed(format!(
@@ -450,7 +686,6 @@ fn gather(db: &Database, pt: &ProvenanceTable, graph: &JoinGraph, combos: &Combo
             e.cond.left_attrs()
         };
 
-        let rows = slot_rows(slot);
         for (ci, f) in table.schema().fields.iter().enumerate() {
             if dup_attrs.contains(&f.name.as_str()) {
                 continue;
@@ -464,15 +699,18 @@ fn gather(db: &Database, pt: &ProvenanceTable, graph: &JoinGraph, combos: &Combo
                 node,
                 base_column: f.name.clone(),
             });
-            columns.push(table.column(ci).gather(&rows));
+            columns.push(AptColumn {
+                base: table.column_handle(ci),
+                rows: rows.clone(),
+            });
         }
     }
 
     Ok(Apt {
         fields,
         columns,
-        num_rows,
-        pt_row: pt_rows.iter().map(|&r| r as u32).collect(),
+        num_rows: combos.len(),
+        pt_row: combos.ids[0].clone(),
         graph: graph.clone(),
     })
 }
@@ -488,9 +726,10 @@ fn gather(db: &Database, pt: &ProvenanceTable, graph: &JoinGraph, combos: &Combo
 /// [`materialize`](AptBuilder::materialize) returns exactly what
 /// [`Apt::materialize`] returns for the same graph.
 ///
-/// A builder is meant to live for one ask: the retained matrices are
-/// `4 × joined nodes` bytes per intermediate row and are freed when it
-/// drops.
+/// A builder is meant to live for one ask. The retained matrices are at
+/// most `4 × joined nodes` bytes per intermediate row — less where a
+/// graph shares its parent's vectors — and a vector is freed when the
+/// builder and every [`Apt`] viewing it are gone.
 pub struct AptBuilder<'a> {
     kernel: Kernel<'a>,
     graphs: &'a [EnumeratedGraph],
@@ -525,7 +764,7 @@ impl<'a> AptBuilder<'a> {
             .graphs
             .get(gi)
             .ok_or_else(|| GraphError::Malformed(format!("no enumerated graph with index {gi}")))?;
-        gather(self.kernel.db, self.kernel.pt, &g.graph, &*self.combos(gi)?)
+        view(self.kernel.db, self.kernel.pt, &g.graph, &*self.combos(gi)?)
     }
 
     /// `extend` steps run so far (hash joins and closing-edge filters).
@@ -688,7 +927,7 @@ mod tests {
         let apt = Apt::materialize(&db, &pt, &JoinGraph::pt_only()).unwrap();
         assert_eq!(apt.num_rows, pt.num_rows);
         assert_eq!(apt.fields.len(), pt.fields.len());
-        assert_eq!(apt.pt_row, (0..pt.num_rows as u32).collect::<Vec<_>>());
+        assert_eq!(*apt.pt_row, (0..pt.num_rows as u32).collect::<Vec<_>>());
     }
 
     #[test]

@@ -87,6 +87,27 @@ impl JoinGraph {
         }
     }
 
+    /// Approximate heap footprint in bytes (cache accounting for whoever
+    /// keeps a copy, e.g. an [`Apt`](crate::Apt)).
+    pub fn approx_bytes(&self) -> usize {
+        let nodes = self.nodes.iter().map(|n| {
+            std::mem::size_of::<JgNode>()
+                + match &n.label {
+                    NodeLabel::Pt => 0,
+                    NodeLabel::Rel(rel) => rel.len(),
+                }
+        });
+        let edges = self.edges.iter().map(|e| {
+            let pairs = e
+                .cond
+                .pairs
+                .iter()
+                .map(|p| std::mem::size_of::<crate::AttrPair>() + p.left.len() + p.right.len());
+            std::mem::size_of::<JgEdge>() + pairs.sum::<usize>()
+        });
+        nodes.sum::<usize>() + edges.sum::<usize>()
+    }
+
     /// Index of the PT node (always 0 by construction).
     pub fn pt_node(&self) -> usize {
         0

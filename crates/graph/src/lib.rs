@@ -29,7 +29,7 @@ mod error;
 pub mod join_graph;
 pub mod schema_graph;
 
-pub use apt::{Apt, AptBuilder, AptField};
+pub use apt::{Apt, AptBuilder, AptColumn, AptField, CellData, Cells, RowIds};
 pub use cost::CostEstimator;
 pub use discovery::{
     discover_joins, discovered_schema_graph, extend_schema_graph, DiscoveredGraph, DiscoveryConfig,

@@ -31,9 +31,8 @@
 //! the scalar [`Scorer`](crate::score::Scorer), its pattern-level test
 //! reference (`crates/mining/tests/engine_equivalence.rs`).
 
-use cajade_graph::Apt;
+use cajade_graph::{Apt, AptColumn, CellData};
 use cajade_query::ProvenanceTable;
-use cajade_storage::Column;
 
 use crate::pattern::{PatValue, Pattern, Pred, PredOp};
 use crate::score::PatternMetrics;
@@ -180,18 +179,11 @@ impl Mask {
     }
 }
 
-/// One dictionary/typed-array encoded APT column, gathered in scan order.
-#[derive(Debug, Clone)]
-enum EncData {
-    Int(Vec<i64>),
-    Float(Vec<f64>),
-    /// Interned string ids (the pool is the dictionary).
-    Str(Vec<u32>),
-}
-
+/// One APT column read in scan order: typed arrays (interned string ids
+/// for strings — the pool is the dictionary) and a NULL bitmap.
 #[derive(Debug, Clone)]
 struct EncCol {
-    data: EncData,
+    data: CellData,
     /// Bit set ⇒ position is NULL. `None` when the column has no nulls.
     nulls: Option<Mask>,
 }
@@ -215,9 +207,9 @@ pub struct ScoreIndex {
     /// The encoded columns by APT field, ascending: the fields handed to
     /// [`encode`](Self::encode) and no others.
     cols: Vec<(usize, EncCol)>,
-    /// The APT's field names: what asking for a field outside `cols`
-    /// panics with.
-    field_names: Vec<Box<str>>,
+    /// The APT's field names, NUL-separated in one allocation: what asking
+    /// for a field outside `cols` panics with.
+    field_names: String,
     /// Full `|PT(t)|` per group (Definition 7 denominators — never
     /// shrunk by sampling or lossy joins).
     group_pt_counts: Vec<usize>,
@@ -289,7 +281,9 @@ impl ScoreIndex {
             group_ranges,
             unit_segments,
             cols: Vec::new(),
-            field_names: apt.fields.iter().map(|f| f.name.as_str().into()).collect(),
+            field_names: (apt.fields.iter().map(|f| f.name.as_str()))
+                .collect::<Vec<_>>()
+                .join("\0"),
             group_pt_counts: pt.rows_of_group.iter().map(Vec::len).collect(),
             total_pt: pt.num_rows,
         }
@@ -317,7 +311,7 @@ impl ScoreIndex {
             Ok(i) => &self.cols[i].1,
             Err(_) => panic!(
                 "ScoreIndex: field {field} (`{}`) is not encoded; encoded: {:?}",
-                self.field_names.get(field).map_or("?", |n| n),
+                self.field_names.split('\0').nth(field).unwrap_or("?"),
                 self.cols.iter().map(|(f, _)| *f).collect::<Vec<_>>(),
             ),
         }
@@ -369,7 +363,7 @@ impl ScoreIndex {
         let n = self.order.len();
         let mut out = Mask::empty(n);
         match (&col.data, pred.op) {
-            (EncData::Int(vals), PredOp::Eq) => match pred.value {
+            (CellData::Int(vals), PredOp::Eq) => match pred.value {
                 PatValue::Int(c) => fill(&mut out, vals, |&v| v == c),
                 PatValue::Float(bits) => {
                     let t = f64::from_bits(bits);
@@ -377,7 +371,7 @@ impl ScoreIndex {
                 }
                 PatValue::Str(_) => {}
             },
-            (EncData::Float(vals), PredOp::Eq) => match pred.value {
+            (CellData::Float(vals), PredOp::Eq) => match pred.value {
                 PatValue::Int(c) => fill(&mut out, vals, |&v| v == c as f64),
                 PatValue::Float(bits) => {
                     let t = f64::from_bits(bits);
@@ -385,13 +379,13 @@ impl ScoreIndex {
                 }
                 PatValue::Str(_) => {}
             },
-            (EncData::Str(vals), PredOp::Eq) => {
+            (CellData::Str(vals), PredOp::Eq) => {
                 if let PatValue::Str(id) = pred.value {
                     fill(&mut out, vals, |&v| v == id)
                 }
             }
-            (EncData::Str(_), PredOp::Le | PredOp::Ge) => {}
-            (EncData::Int(vals), op) => {
+            (CellData::Str(_), PredOp::Le | PredOp::Ge) => {}
+            (CellData::Int(vals), op) => {
                 if let Some(t) = pred.value.as_f64() {
                     match op {
                         PredOp::Le => fill(&mut out, vals, |&v| (v as f64) <= t),
@@ -399,7 +393,7 @@ impl ScoreIndex {
                     }
                 }
             }
-            (EncData::Float(vals), op) => {
+            (CellData::Float(vals), op) => {
                 if let Some(t) = pred.value.as_f64() {
                     match op {
                         PredOp::Le => fill(&mut out, vals, |&v| v <= t),
@@ -491,95 +485,47 @@ impl ScoreIndex {
             .iter()
             .map(|(_, c)| {
                 (match &c.data {
-                    EncData::Int(v) => v.len() * 8,
-                    EncData::Float(v) => v.len() * 8,
-                    EncData::Str(v) => v.len() * 4,
+                    CellData::Int(v) => v.len() * 8,
+                    CellData::Float(v) => v.len() * 8,
+                    CellData::Str(v) => v.len() * 4,
                 }) + c.nulls.as_ref().map_or(0, Mask::approx_bytes)
                     + std::mem::size_of::<(usize, EncCol)>()
             })
-            .sum();
-        let names: usize = self
-            .field_names
-            .iter()
-            .map(|n| n.len() + std::mem::size_of::<Box<str>>())
             .sum();
         (self.order.len() + self.seg_of.len()) * 4
             + self.group_ranges.len() * 8
             + self.group_pt_counts.len() * 8
             + cols
-            + names
+            + self.field_names.len()
     }
 }
 
+/// Sets bit `i` of `out` iff `pred(vals[i])`: a word at a time, without a
+/// branch per cell.
 #[inline]
 fn fill<T>(out: &mut Mask, vals: &[T], pred: impl Fn(&T) -> bool) {
-    for (i, v) in vals.iter().enumerate() {
-        if pred(v) {
-            out.set(i);
-        }
+    debug_assert_eq!(out.len, vals.len());
+    for (word, chunk) in out.words.iter_mut().zip(vals.chunks(64)) {
+        *word = chunk
+            .iter()
+            .enumerate()
+            .fold(0, |w, (bit, v)| w | (pred(v) as u64) << bit);
     }
 }
 
-fn encode_column(col: &Column, order: &[u32]) -> EncCol {
-    let mut nulls = None;
-    let mut any = false;
-    let data = match col {
-        Column::Int { data, nulls: nm } => {
-            let mut mask = Mask::empty(order.len());
-            let gathered = order
-                .iter()
-                .enumerate()
-                .map(|(i, &r)| {
-                    if nm.is_null(r as usize) {
-                        mask.set(i);
-                        any = true;
-                    }
-                    data[r as usize]
-                })
-                .collect();
-            if any {
-                nulls = Some(mask);
-            }
-            EncData::Int(gathered)
+fn encode_column(col: &AptColumn, order: &[u32]) -> EncCol {
+    let cells = col.read(order);
+    let nulls = (!cells.nulls.is_empty()).then(|| {
+        let mut mask = Mask::empty(order.len());
+        for &i in &cells.nulls {
+            mask.set(i as usize);
         }
-        Column::Float { data, nulls: nm } => {
-            let mut mask = Mask::empty(order.len());
-            let gathered = order
-                .iter()
-                .enumerate()
-                .map(|(i, &r)| {
-                    if nm.is_null(r as usize) {
-                        mask.set(i);
-                        any = true;
-                    }
-                    data[r as usize]
-                })
-                .collect();
-            if any {
-                nulls = Some(mask);
-            }
-            EncData::Float(gathered)
-        }
-        Column::Str { data, nulls: nm } => {
-            let mut mask = Mask::empty(order.len());
-            let gathered = order
-                .iter()
-                .enumerate()
-                .map(|(i, &r)| {
-                    if nm.is_null(r as usize) {
-                        mask.set(i);
-                        any = true;
-                    }
-                    data[r as usize].0
-                })
-                .collect();
-            if any {
-                nulls = Some(mask);
-            }
-            EncData::Str(gathered)
-        }
-    };
-    EncCol { data, nulls }
+        mask
+    });
+    EncCol {
+        data: cells.data,
+        nulls,
+    }
 }
 
 /// Precomputed refinement predicate masks: for every selected numeric

@@ -9,9 +9,10 @@
 //!    the member with the highest relevance.
 //! 3. Keep the λ#sel-attr most relevant representatives.
 //!
-//! Step 1 gathers the candidate columns straight from the typed arrays /
-//! interned string ids (no `Value` boxing) in the scoring index's
-//! `(group, PT row)` scan order ([`ScoreIndex::order`]), quantile-bins
+//! Step 1 reads the candidate columns through the APT view with one bulk
+//! typed read each (`AptColumn::read`: typed arrays / interned string
+//! ids, no `Value` boxing) in the scoring index's `(group, PT row)` scan
+//! order ([`ScoreIndex::order`]), quantile-bins
 //! each numeric column **once**, and trains [`HistForest`]s whose
 //! per-node split search reads class histograms instead of re-scanning
 //! rows. It therefore trains on the λ_F1 sample (the rows the index
@@ -22,7 +23,7 @@
 //!
 //! [`ScoreIndex::order`]: crate::engine::ScoreIndex::order
 
-use cajade_graph::Apt;
+use cajade_graph::{Apt, CellData, Cells};
 use cajade_ml::cluster::{cluster_attributes, cluster_representatives};
 use cajade_ml::correlation::assoc_matrix;
 use cajade_ml::forest::{HistForest, RandomForestConfig};
@@ -33,7 +34,7 @@ use cajade_query::ProvenanceTable;
 use cajade_storage::AttrKind;
 
 use crate::score::Question;
-use crate::stats::{column_cat_key, source_column, ColumnStatsProvider};
+use crate::stats::{source_column, ColumnStatsProvider};
 
 /// λ#sel-attr: how many attributes feature selection keeps.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -173,28 +174,44 @@ fn one_vs_rest_plan(
 // Histogram-forest `filterAttrs` on encoded columns.
 // ---------------------------------------------------------------------
 
-/// Gathers one APT field over `rows` straight from the typed column
-/// arrays (no `Value` boxing): numeric values as-is, categorical cells as
-/// first-appearance dense codes.
+/// Gathers one APT field over `rows` with one bulk typed read (no `Value`
+/// boxing, no per-cell type match): numeric values as-is, categorical
+/// cells as first-appearance dense codes.
 ///
 /// For categorical fields the second return value maps each dense code
 /// back to the raw dictionary key it stands for (empty for numeric
 /// fields) — what [`cajade_ml::BinSpec::encode_dense_keys`] needs to bin
 /// the gather through a *shared* spec without re-reading the column.
 fn fast_feature_column(apt: &Apt, field: usize, rows: &[u32]) -> (FeatureColumn, Vec<u64>) {
+    let Cells { data, nulls } = apt.columns[field].read(rows);
     match apt.fields[field].kind {
-        AttrKind::Numeric => (
-            FeatureColumn::Numeric(
-                rows.iter()
-                    .map(|&r| apt.columns[field].f64_at(r as usize).unwrap_or(f64::NAN))
-                    .collect(),
-            ),
-            Vec::new(),
-        ),
+        AttrKind::Numeric => {
+            let mut vals: Vec<f64> = match data {
+                CellData::Int(v) => v.into_iter().map(|x| x as f64).collect(),
+                CellData::Float(v) => v,
+                CellData::Str(v) => vec![f64::NAN; v.len()],
+            };
+            for &i in &nulls {
+                vals[i as usize] = f64::NAN;
+            }
+            (FeatureColumn::Numeric(vals), Vec::new())
+        }
         AttrKind::Categorical => {
-            let col = &apt.columns[field];
-            let (codes, key_of_code) =
-                dense_codes(rows.iter().map(|&r| column_cat_key(col, r as usize)));
+            // The dictionary keys `stats::column_cat_key` gives the same
+            // cells: raw integer, float bits, interned string id.
+            let mut nulls = nulls.iter().peekable();
+            let mut key = |i: usize, k: u64| nulls.next_if_eq(&&(i as u32)).is_none().then_some(k);
+            let (codes, key_of_code) = match &data {
+                CellData::Int(v) => {
+                    dense_codes(v.iter().enumerate().map(|(i, &x)| key(i, x as u64)))
+                }
+                CellData::Float(v) => {
+                    dense_codes(v.iter().enumerate().map(|(i, &x)| key(i, x.to_bits())))
+                }
+                CellData::Str(v) => {
+                    dense_codes(v.iter().enumerate().map(|(i, &x)| key(i, x as u64)))
+                }
+            };
             (FeatureColumn::Categorical(codes), key_of_code)
         }
     }

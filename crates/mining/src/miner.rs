@@ -140,7 +140,8 @@ pub struct MiningTimings {
     pub feature_selection: Duration,
     /// `Gen. Pat. Cand.` row.
     pub gen_pat_cand: Duration,
-    /// `Sampling for F1` row.
+    /// `Sampling for F1` row: the sample draw and its `(group, PT row)`
+    /// scan order.
     pub sampling_for_f1: Duration,
     /// `F-score Calc.` row.
     pub fscore_calc: Duration,
@@ -230,8 +231,9 @@ pub fn mine_apt(
 }
 
 /// Phase 3: draws the λ_F1 row sample (all rows at rate ≥ 1.0) and fixes
-/// the scan order of the index over it. No column is encoded yet: which
-/// ones is `filterAttrs`' call, and it trains on this order.
+/// the scan order of the index over it, both under `sampling_for_f1`. No
+/// column is encoded yet: which ones is `filterAttrs`' call, and it trains
+/// on this order.
 pub(crate) fn sample_and_scan(
     apt: &Apt,
     pt: &ProvenanceTable,
@@ -245,22 +247,18 @@ pub(crate) fn sample_and_scan(
             .map(|i| i as u32)
             .collect()
     });
-    timings.sampling_for_f1 = stage.finish();
-
-    let stage = Stage::detail("score_index");
     let index = match &sample {
         Some(rows) => ScoreIndex::sampled(apt, pt, rows),
         None => ScoreIndex::exact(apt, pt),
     };
-    timings.prepare += stage.finish();
+    timings.sampling_for_f1 = stage.finish();
     index
 }
 
 /// Phase 1's wiring: maps [`MiningParams`] onto a [`FeatSelConfig`],
 /// trains in the scope of `question` (see [`select_features_hist`]) on
-/// the index's `(group, PT row)` scan order — the gathers read the same
-/// typed-array / dictionary representation the index encodes — and
-/// applies the `banned_attrs` filter.
+/// the index's `(group, PT row)` scan order, and applies the
+/// `banned_attrs` filter.
 pub(crate) fn run_featsel(
     apt: &Apt,
     pt: &ProvenanceTable,

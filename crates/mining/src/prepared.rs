@@ -110,13 +110,13 @@ pub fn prepare_apt(apt: &Apt, pt: &ProvenanceTable, params: &MiningParams) -> Pr
 /// consulting `stats` for shareable per-column statistics.
 ///
 /// Two phases ask the provider, keyed by the base `(table, column)` a
-/// context field gathers (PT fields never share — see
+/// context field reads (PT fields never share — see
 /// [`source_column`]):
 ///
 /// * histogram feature selection encodes candidate columns through the
 ///   provider's pre-fitted bin specs instead of re-fitting per APT;
 /// * the fragment stage takes the provider's λ#frag boundaries instead
-///   of re-sorting the column's APT gather.
+///   of re-sorting the column's APT rows.
 ///
 /// With a caching provider (the service's database-scoped column-stats
 /// cache) the same context column is analyzed **once per database epoch**

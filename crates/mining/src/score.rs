@@ -111,7 +111,11 @@ impl PatternMetrics {
 
 /// A prepared scorer for one APT: owns the (optional) F-score sample and
 /// the per-group PT-row bookkeeping so that scoring a pattern is a single
-/// scan.
+/// scan, one [`Pattern::matches`] per row.
+///
+/// Definition 7 read literally, kept as the reference the bitmap kernel
+/// ([`ScoreIndex`](crate::engine::ScoreIndex)) is property-tested against;
+/// no mining run goes through it.
 pub struct Scorer<'a> {
     apt: &'a Apt,
     /// APT rows to scan (`None` ⇒ all rows).

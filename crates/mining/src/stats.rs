@@ -125,7 +125,7 @@ impl ColumnStatsProvider for NoSharedStats {
     }
 }
 
-/// Resolves an APT field to the base `(table, column)` it gathers, when
+/// Resolves an APT field to the base `(table, column)` it reads, when
 /// that column is shareable. PT fields are not: the provenance table is a
 /// σ-filtered projection of the query's FROM tables, so statistics over
 /// the full base column would describe rows the PT excludes.
@@ -196,9 +196,10 @@ pub fn compute_column_stats(col: &Column, kind: AttrKind, cfg: &ColumnStatsConfi
     }
 }
 
-/// The dictionary key of one categorical cell, matching the encoding the
-/// featsel gathers use: interned string id, raw integer, or float bits.
-pub(crate) fn column_cat_key(col: &Column, r: usize) -> Option<u64> {
+/// The dictionary key of one categorical cell, matching the encoding
+/// featsel's column reads use: interned string id, raw integer, or float
+/// bits.
+fn column_cat_key(col: &Column, r: usize) -> Option<u64> {
     match col {
         Column::Int { data, nulls } => (!nulls.is_null(r)).then(|| data[r] as u64),
         Column::Float { data, nulls } => (!nulls.is_null(r)).then(|| data[r].to_bits()),

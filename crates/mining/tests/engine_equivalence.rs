@@ -30,7 +30,13 @@ use cajade_query::{parse_sql, ProvenanceTable};
 use cajade_storage::{AttrKind, DataType, Database, SchemaBuilder, Value};
 
 mod common;
-use common::{build_apt, rendered};
+use common::{build_apt, rendered, Row};
+
+/// 2–39 random [`build_apt`] rows: group, category, nullable `x` and `y`.
+fn rows_strategy() -> impl Strategy<Value = Vec<Row>> {
+    let cell = || (proptest::bool::ANY, -5i64..15).prop_map(|(has, v)| has.then_some(v));
+    proptest::collection::vec((0u8..4, 0u8..3, cell(), cell()), 2..40)
+}
 
 /// A pattern over `fields` (a non-empty subset of the APT's pattern
 /// fields) from a random spec.
@@ -69,15 +75,7 @@ fn pattern_from_spec(fields: &[usize], db: &Database, spec: &[(u8, u8, i64)]) ->
 fn prop_vectorized_metrics_bit_identical_to_scalar() {
     let mut runner = proptest::test_runner::TestRunner::deterministic();
     let strategy = (
-        proptest::collection::vec(
-            (
-                0u8..4,
-                0u8..3,
-                (proptest::bool::ANY, -5i64..15),
-                (proptest::bool::ANY, -5i64..15),
-            ),
-            2..40,
-        ),
+        rows_strategy(),
         proptest::collection::vec(0u8..4, 0..6),
         proptest::collection::vec((0u8..8, 0u8..4, -6i64..16), 0..4),
         proptest::collection::vec(proptest::bool::ANY, 0..40),
@@ -88,12 +86,6 @@ fn prop_vectorized_metrics_bit_identical_to_scalar() {
         .run(
             &strategy,
             |(rows, fanout, pat_spec, sample_bits, qsel, single_point)| {
-                let rows: Vec<(u8, u8, Option<i64>, Option<i64>)> = rows
-                    .into_iter()
-                    .map(|(g, c, (has_x, x), (has_y, y))| {
-                        (g, c, has_x.then_some(x), has_y.then_some(y))
-                    })
-                    .collect();
                 let (db, apt, pt, groups) = build_apt(&rows, &fanout);
                 let fields = apt.pattern_fields();
                 let pattern = pattern_from_spec(&fields, &db, &pat_spec);
@@ -164,15 +156,7 @@ fn stable_group_pt_sort(apt: &Apt, pt: &ProvenanceTable, scan: &[u32]) -> Vec<u3
 fn prop_field_restricted_index_matches_scalar() {
     let mut runner = proptest::test_runner::TestRunner::deterministic();
     let strategy = (
-        proptest::collection::vec(
-            (
-                0u8..4,
-                0u8..3,
-                (proptest::bool::ANY, -5i64..15),
-                (proptest::bool::ANY, -5i64..15),
-            ),
-            2..40,
-        ),
+        rows_strategy(),
         proptest::collection::vec(0u8..4, 0..6),
         proptest::collection::vec((0u8..8, 0u8..4, -6i64..16), 0..4),
         proptest::collection::vec(proptest::bool::ANY, 1..40),
@@ -183,12 +167,6 @@ fn prop_field_restricted_index_matches_scalar() {
         .run(
             &strategy,
             |(rows, fanout, pat_spec, sample_bits, field_bits, qsel)| {
-                let rows: Vec<(u8, u8, Option<i64>, Option<i64>)> = rows
-                    .into_iter()
-                    .map(|(g, c, (has_x, x), (has_y, y))| {
-                        (g, c, has_x.then_some(x), has_y.then_some(y))
-                    })
-                    .collect();
                 let (db, apt, pt, groups) = build_apt(&rows, &fanout);
                 let all = apt.pattern_fields();
                 let mut subset: Vec<usize> = all

@@ -11,6 +11,8 @@
 //! This mirrors what the paper obtains from GProM/Perm, and it is the `PT`
 //! node that every join graph hangs off (paper §2.2).
 
+use std::sync::Arc;
+
 use cajade_storage::{AttrKind, Column, DataType, Database, Value};
 
 use crate::ast::Query;
@@ -89,8 +91,9 @@ pub struct PtField {
 pub struct ProvenanceTable {
     /// Wide schema.
     pub fields: Vec<PtField>,
-    /// Wide columns, parallel to `fields`.
-    pub columns: Vec<Column>,
+    /// Wide columns, parallel to `fields`; shared handles, so an APT can
+    /// view them without copying.
+    pub columns: Vec<Arc<Column>>,
     /// Number of provenance rows.
     pub num_rows: usize,
     /// Provenance row → output-tuple (group) index.
@@ -166,7 +169,7 @@ impl ProvenanceTable {
                     kind: f.kind,
                     is_group_by: gb_cols.contains(&(k, ci)),
                 });
-                columns.push(table.column(ci).gather(&per_entry_rows[k]));
+                columns.push(Arc::new(table.column(ci).gather(&per_entry_rows[k])));
             }
         }
 

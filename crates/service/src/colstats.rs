@@ -5,7 +5,7 @@
 //! context-table column (say `scoring.pts`) appears in many of them.
 //! Before this cache each [`cajade_mining::prepare_apt_with`] re-derived
 //! that column's quantile bins and fragment boundaries from its own APT
-//! gather; now the **first** preparation to touch a column computes its
+//! rows; now the **first** preparation to touch a column computes its
 //! [`ColumnStats`] from the base table — single-flighted, so concurrent
 //! per-graph preparations of one ask never duplicate the work — and every
 //! later graph (and every later ask, session, or parameter-compatible

@@ -83,9 +83,19 @@ impl AptEntry {
         self.prepared.lock().clear();
     }
 
-    /// Approximate heap footprint: APT + every prepared variant.
+    /// Approximate heap footprint: the APT view, the provenance-table
+    /// columns it pins, and every prepared variant.
+    ///
+    /// The provenance cache charges those columns too, and so does every
+    /// other entry of the same query, but the two caches evict
+    /// independently: an entry that outlives its provenance entry (evicted,
+    /// or recomputed under other enumeration parameters) is then the only
+    /// thing keeping the old columns allocated. Charging them here keeps
+    /// the cache from holding more than it believes; while the provenance
+    /// entry lives it believes more than it holds.
     pub fn approx_bytes(&self) -> usize {
         self.apt.approx_bytes()
+            + self.apt.pinned_pt_bytes()
             + self
                 .prepared
                 .lock()

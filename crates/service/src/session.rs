@@ -327,7 +327,7 @@ impl SessionHandle {
             entry.prepared_for(self.mining_fingerprint, || {
                 // The prepared state is retained by the APT cache
                 // entry; account it under "cache.apt" alongside the
-                // gather it decorates.
+                // view it decorates.
                 let _mem = cajade_obs::AllocScope::enter("cache.apt");
                 pipeline::prepare_mining(&entry.apt, &prepared.pt, &self.params, &col_stats, None)
             })

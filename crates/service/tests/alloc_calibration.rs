@@ -7,7 +7,11 @@
 //! could hold 300 MB of real heap. These tests build each cached
 //! artifact (provenance table, APT, column statistics) inside a
 //! dedicated allocation scope and require the estimate to land within
-//! 2× of the tracked net heap growth, in both directions.
+//! 2× of the tracked net heap growth, in both directions. An APT-cache
+//! entry is charged for three things, and all are checked: the `Apt`
+//! view, the provenance-table columns the view keeps alive once the
+//! provenance cache has let go of them, and the `PreparedApt` mined from
+//! it.
 //!
 //! The 2× band is deliberate: estimators ignore allocator slack and Vec
 //! over-capacity, and the tracker ignores nothing — exact equality is
@@ -15,7 +19,7 @@
 
 use cajade_datagen::nba;
 use cajade_graph::{Apt, JoinGraph};
-use cajade_mining::{base_column_stats, ColumnStatsConfig};
+use cajade_mining::{base_column_stats, prepare_apt, ColumnStatsConfig};
 use cajade_query::{parse_sql, ProvenanceTable};
 
 // Real heap numbers require the tracking allocator in this test binary,
@@ -79,6 +83,54 @@ fn apt_estimate_matches_tracked_bytes() {
         Apt::materialize(&gen.db, &pt, &JoinGraph::pt_only()).unwrap()
     });
     assert_calibrated("Apt", apt.approx_bytes(), actual);
+}
+
+/// What an APT-cache entry holds once nothing else holds its provenance
+/// table (the provenance cache evicted or recomputed it): the view plus
+/// the PT columns it reads.
+#[test]
+fn apt_entry_outliving_its_pt_estimate_matches_tracked_bytes() {
+    let gen = nba::generate(nba::NbaConfig::tiny());
+    let q = parse_sql(GSW_SQL).unwrap();
+    let (entry, actual) = tracked_build("calib.apt_orphan", || {
+        let pt = ProvenanceTable::compute(&gen.db, &q).unwrap();
+        let apt = Apt::materialize(&gen.db, &pt, &JoinGraph::pt_only()).unwrap();
+        cajade_service::AptEntry::new(std::sync::Arc::new(apt))
+    });
+    assert!(
+        entry.apt.pinned_pt_bytes() > entry.apt.approx_bytes(),
+        "the pinned columns are the larger share here"
+    );
+    assert_calibrated("AptEntry without its PT", entry.approx_bytes(), actual);
+}
+
+/// The prepared half of an APT-cache charge, on a joined APT (a fan-out
+/// context table, so the all-rows index keeps its segment ids) with the
+/// service's parameters: λ_F1 < 1, so both indexes are built.
+#[test]
+fn prepared_apt_estimate_matches_tracked_bytes() {
+    let gen = nba::generate(nba::NbaConfig::tiny());
+    let q = parse_sql(GSW_SQL).unwrap();
+    let pt = ProvenanceTable::compute(&gen.db, &q).unwrap();
+    let graphs = cajade_graph::enumerate_join_graphs(
+        &gen.schema_graph,
+        &gen.db,
+        &q,
+        pt.num_rows,
+        &cajade_graph::EnumConfig::default(),
+    )
+    .unwrap();
+    let widest = graphs
+        .iter()
+        .filter(|g| g.valid)
+        .map(|g| Apt::materialize(&gen.db, &pt, &g.graph).unwrap())
+        .max_by_key(|apt| apt.num_rows)
+        .expect("a valid join graph");
+    assert!(widest.num_rows > pt.num_rows, "a fan-out join");
+    let params = cajade_core::Params::paper().mining;
+    let (prep, actual) = tracked_build("calib.prepared", || prepare_apt(&widest, &pt, &params));
+    assert!(prep.exact.is_some(), "λ_F1 < 1 keeps an all-rows index");
+    assert_calibrated("PreparedApt", prep.approx_bytes(), actual);
 }
 
 #[test]

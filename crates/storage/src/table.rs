@@ -1,20 +1,31 @@
+use std::sync::Arc;
+
 use crate::column::Column;
 use crate::schema::Schema;
 use crate::value::Value;
 use crate::{Result, StorageError};
 
 /// A materialized relation: schema plus typed columns.
+///
+/// Each column sits behind an [`Arc`] so a reader that outlives the
+/// borrow of the table — an APT is a view over base columns — can hold
+/// it ([`Table::column_handle`]). Appending to a column someone else
+/// holds copies it first, so a handle is a snapshot.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: Schema,
-    columns: Vec<Column>,
+    columns: Vec<Arc<Column>>,
     num_rows: usize,
 }
 
 impl Table {
     /// Creates an empty table for `schema`.
     pub fn new(schema: Schema) -> Self {
-        let columns = schema.fields.iter().map(|f| Column::new(f.dtype)).collect();
+        let columns = schema
+            .fields
+            .iter()
+            .map(|f| Arc::new(Column::new(f.dtype)))
+            .collect();
         Self {
             schema,
             columns,
@@ -27,7 +38,7 @@ impl Table {
         let columns = schema
             .fields
             .iter()
-            .map(|f| Column::with_capacity(f.dtype, rows))
+            .map(|f| Arc::new(Column::with_capacity(f.dtype, rows)))
             .collect();
         Self {
             schema,
@@ -64,6 +75,12 @@ impl Table {
     #[inline]
     pub fn column(&self, idx: usize) -> &Column {
         &self.columns[idx]
+    }
+
+    /// A shared handle to the column at `idx`.
+    #[inline]
+    pub fn column_handle(&self, idx: usize) -> Arc<Column> {
+        Arc::clone(&self.columns[idx])
     }
 
     /// Column by name.
@@ -123,7 +140,7 @@ impl Table {
             });
         }
         for ((col, field), v) in self.columns.iter_mut().zip(&self.schema.fields).zip(row) {
-            col.push(v, &field.name)?;
+            Arc::make_mut(col).push(v, &field.name)?;
         }
         self.num_rows += 1;
         Ok(())
@@ -132,7 +149,11 @@ impl Table {
     /// Materializes the subset of rows at `indices` (order preserved,
     /// duplicates allowed) into a new table with the same schema.
     pub fn gather(&self, indices: &[usize]) -> Table {
-        let columns: Vec<Column> = self.columns.iter().map(|c| c.gather(indices)).collect();
+        let columns = self
+            .columns
+            .iter()
+            .map(|c| Arc::new(c.gather(indices)))
+            .collect();
         Table {
             schema: self.schema.clone(),
             columns,
