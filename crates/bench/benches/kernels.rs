@@ -1,15 +1,24 @@
 //! Criterion micro-benchmarks for the substrate kernels: hash join,
 //! group-by aggregation, pattern matching, LCA candidate generation,
 //! random-forest training (the float reference and the histogram trainer
-//! feature selection runs), Cramér's V, APT materialization of a whole
-//! enumeration, and the exact re-score of one pattern.
+//! feature selection runs), Cramér's V, APT materialization and mining
+//! preparation of a whole enumeration — with and without what its graphs
+//! share — and the exact re-score of one pattern.
+
+use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use cajade_datagen::nba::{self, NbaConfig};
 use cajade_datagen::{synth, GeneratedDb};
-use cajade_graph::{enumerate_join_graphs, Apt, AptBuilder, EnumConfig, JoinGraph};
-use cajade_mining::{lca_candidates, PatValue, Pattern, Pred, PredOp, ScoreIndex, Scorer};
+use cajade_graph::{
+    enumerate_join_graphs, Apt, AptBuilder, EnumConfig, EnumeratedGraph, JoinGraph,
+};
+use cajade_mining::{
+    lca_candidates, prepare_apt_with, BaseTableStats, ColumnStats, ColumnStatsConfig,
+    ColumnStatsProvider, MiningParams, PatValue, Pattern, Pred, PredOp, PreparedApt, ReadShare,
+    ScoreIndex, Scorer,
+};
 use cajade_ml::{
     cramers_v, BinnedColumn, FeatureColumn, HistForest, RandomForest, RandomForestConfig,
 };
@@ -189,37 +198,102 @@ fn star_20000x4() -> GeneratedDb {
     )
 }
 
-/// Stage 3 for a whole ask: every valid join graph of one enumeration
-/// through one `AptBuilder` — 35 graphs of row-preserving joins on the
-/// star, 202 graphs with per-game and per-player fan-out on NBA 0.05.
-fn bench_apt_materialize(c: &mut Criterion) {
+/// One enumeration, ready to materialize: the provenance table, every
+/// enumerated graph and the indices of the valid ones.
+struct Enumeration {
+    gen: GeneratedDb,
+    pt: ProvenanceTable,
+    graphs: Vec<EnumeratedGraph>,
+    valid: Vec<usize>,
+}
+
+fn enumeration(gen: GeneratedDb, sql: &str) -> Enumeration {
+    let query = parse_sql(sql).unwrap();
+    let pt = ProvenanceTable::compute(&gen.db, &query).unwrap();
+    let cfg = EnumConfig::default();
+    let graphs =
+        enumerate_join_graphs(&gen.schema_graph, &gen.db, &query, pt.num_rows, &cfg).unwrap();
+    let valid = (0..graphs.len()).filter(|&gi| graphs[gi].valid).collect();
+    Enumeration {
+        gen,
+        pt,
+        graphs,
+        valid,
+    }
+}
+
+impl Enumeration {
+    /// Every valid graph's APT out of one `AptBuilder`.
+    fn apts(&self) -> Vec<Apt> {
+        let builder = AptBuilder::new(&self.gen.db, &self.pt, &self.graphs);
+        let one = |&gi: &usize| builder.materialize(gi).unwrap();
+        self.valid.iter().map(one).collect()
+    }
+}
+
+/// Stage 3 for a whole ask — every valid join graph of one enumeration:
+/// 35 graphs of row-preserving joins on the star, 202 graphs with
+/// per-game and per-player fan-out on NBA 0.05. `one_builder` is what an
+/// ask does: a step is applied to the parent's matrix and computed only if
+/// no graph read the same inputs before (4 of 34 on the star, 166 of 283
+/// on NBA). `fold_each` gives every graph a kernel of its own, so graphs
+/// share nothing (84 and 502 steps).
+fn bench_apt_enumeration(c: &mut Criterion) {
     let nba = nba::generate(NbaConfig {
         rich_stats: true,
         seed: 42,
         ..NbaConfig::scaled(0.05)
     });
-    let mut group = c.benchmark_group("apt_materialize");
     for (name, gen, sql) in [
         ("star_20000x4", star_20000x4(), synth::SYNTH_SQL),
         ("nba_fanout", nba, GSW_WINS_SQL),
     ] {
-        let query = parse_sql(sql).unwrap();
-        let pt = ProvenanceTable::compute(&gen.db, &query).unwrap();
-        let cfg = EnumConfig::default();
-        let graphs =
-            enumerate_join_graphs(&gen.schema_graph, &gen.db, &query, pt.num_rows, &cfg).unwrap();
-        let valid: Vec<usize> = (0..graphs.len()).filter(|&gi| graphs[gi].valid).collect();
-        group.bench_function(name, |b| {
+        let e = enumeration(gen, sql);
+        let mut group = c.benchmark_group(format!("apt_enumeration/{name}"));
+        group.bench_function("one_builder", |b| b.iter(|| black_box(e.apts())));
+        group.bench_function("fold_each", |b| {
             b.iter(|| {
-                let builder = AptBuilder::new(&gen.db, &pt, &graphs);
-                let apts: Vec<Apt> = valid
-                    .iter()
-                    .map(|&gi| builder.materialize(gi).unwrap())
-                    .collect();
+                let one = |&gi: &usize| Apt::materialize(&e.gen.db, &e.pt, &e.graphs[gi].graph);
+                let apts: Vec<Apt> = e.valid.iter().map(|gi| one(gi).unwrap()).collect();
                 black_box(apts)
             })
         });
+        group.finish();
     }
+}
+
+/// Stage 3.5 for a whole ask on the star: the question-independent
+/// `prepare` of all 35 APTs of one builder, service parameters and
+/// base-table column statistics. `shared` plans one `ReadShare` over them,
+/// as an ask does — 34 of the 798 candidate columns are gathered and
+/// binned, and the scan orders and training rows are found once per
+/// `pt_row` vector; `unshared` prepares each APT on its own.
+fn bench_prepare_enumeration(c: &mut Criterion) {
+    /// Base-table statistics next to an optional share.
+    struct Provider<'a>(BaseTableStats<'a>, Option<ReadShare>);
+    impl ColumnStatsProvider for Provider<'_> {
+        fn column_stats(&self, table: &str, column: &str) -> Option<Arc<ColumnStats>> {
+            self.0.column_stats(table, column)
+        }
+        fn read_share(&self) -> Option<&ReadShare> {
+            self.1.as_ref()
+        }
+    }
+
+    let e = enumeration(star_20000x4(), synth::SYNTH_SQL);
+    let apts = e.apts();
+    let params = MiningParams::default();
+    let prepare_all = |share: Option<ReadShare>| {
+        let stats = BaseTableStats::new(&e.gen.db, ColumnStatsConfig::from_params(&params));
+        let provider = Provider(stats, share);
+        let one = |apt| prepare_apt_with(apt, &e.pt, &params, &provider);
+        apts.iter().map(one).collect::<Vec<PreparedApt>>()
+    };
+    let mut group = c.benchmark_group("prepare_enumeration/star_20000x4");
+    group.bench_function("shared", |b| {
+        b.iter(|| black_box(prepare_all(Some(ReadShare::plan(&apts)))))
+    });
+    group.bench_function("unshared", |b| b.iter(|| black_box(prepare_all(None))));
     group.finish();
 }
 
@@ -227,12 +301,9 @@ fn bench_apt_materialize(c: &mut Criterion) {
 /// over the 20 000 rows of a star APT: the row-at-a-time `Scorer` that
 /// did it, and the all-rows bitmap index that does.
 fn bench_exact_rescore(c: &mut Criterion) {
-    let gen = star_20000x4();
-    let query = parse_sql(synth::SYNTH_SQL).unwrap();
-    let pt = ProvenanceTable::compute(&gen.db, &query).unwrap();
-    let cfg = EnumConfig::default();
-    let graphs =
-        enumerate_join_graphs(&gen.schema_graph, &gen.db, &query, pt.num_rows, &cfg).unwrap();
+    let Enumeration {
+        gen, pt, graphs, ..
+    } = enumeration(star_20000x4(), synth::SYNTH_SQL);
     let widest = graphs
         .iter()
         .filter(|g| g.valid)
@@ -280,7 +351,8 @@ criterion_group!(
         bench_forest,
         bench_hist_tree_fit,
         bench_cramers_v,
-        bench_apt_materialize,
+        bench_apt_enumeration,
+        bench_prepare_enumeration,
         bench_exact_rescore
 );
 criterion_main!(benches);

@@ -8,8 +8,9 @@
 //! * warm repeat ask (answer cache),
 //! * refinement-BFS upper-bound pruning counters,
 //! * the shared column-statistics cache: hit/miss counts of one cold
-//!   multi-graph ask (asserted ≥ graphs − 1 hits; `column_stats_hits`
-//!   in the JSON is schema-checked in CI) and a controlled
+//!   multi-graph ask (asserted: some hits, no more misses than distinct
+//!   context columns; `column_stats_hits` in the JSON is schema-checked
+//!   in CI) and a controlled
 //!   shared-vs-per-APT timing of the cross-graph preparation,
 //! * raw pattern-scoring throughput (patterns/sec: one mask build +
 //!   score per pattern, and the BFS's incremental-mask shape),
@@ -396,14 +397,19 @@ fn main() {
     println!("# mining-bench — NBA scale {scale}, GSW wins query\n");
 
     let (cold, cold_dist) = cold_ask(&gen);
-    // The multi-graph cold ask must actually share column statistics:
-    // every graph after the first (and the fragment stage after feature
-    // selection) reuses the per-column entries, so hits must at least
-    // reach graphs − 1. CI schema-checks the emitted field, so a silent
+    // The multi-graph cold ask must actually share column statistics.
+    // The ask's `ReadShare` answers first — a column another graph already
+    // binned through the same row-id vector is not asked for again — so
+    // what reaches the cache is the first binning of a column per vector
+    // and every graph's fragment stage; how many requests that is depends
+    // on which fields get selected, and there is no floor in the graph
+    // count any more (218 hits over 28 graphs before the share, 193 with
+    // it). What must hold: there are hits at all, and (below) no column
+    // misses twice. CI schema-checks the emitted field, so a silent
     // regression of the cache fails loudly.
     assert!(
-        cold.column_stats_hits >= cold.graphs_mined.saturating_sub(1) as u64,
-        "cold multi-graph ask shared too few column statistics: hits {} misses {} graphs {}",
+        cold.column_stats_hits > 0,
+        "cold multi-graph ask shared no column statistics: hits {} misses {} graphs {}",
         cold.column_stats_hits,
         cold.column_stats_misses,
         cold.graphs_mined
@@ -413,7 +419,7 @@ fn main() {
         prepare_shared_vs_unshared(&gen);
     // A correctly cross-graph-keyed cache misses at most once per
     // distinct base column; a per-graph/per-APT key regression would
-    // blow way past this (and could still satisfy the hits floor below
+    // blow way past this (and could still satisfy the hits check above
     // through intra-graph featsel→fragment reuse alone).
     assert!(
         cold.column_stats_misses <= distinct_columns as u64,

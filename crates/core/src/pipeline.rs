@@ -161,10 +161,14 @@ pub fn begin_materialize<'a>(
 /// Ends an ask's stage 3: drops the builder under the `materialize` scope
 /// it and its shared joins were allocated under — a scope's net is what
 /// was allocated minus what was freed *under it* — and returns its
-/// `(join steps, index builds)`.
-pub fn finish_materialize(builder: AptBuilder<'_>) -> (u64, u64) {
+/// `(join steps applied, join steps computed, index builds)`.
+pub fn finish_materialize(builder: AptBuilder<'_>) -> (u64, u64, u64) {
     let _mem = cajade_obs::AllocScope::enter("materialize");
-    let work = (builder.join_steps(), builder.index_builds());
+    let work = (
+        builder.join_steps(),
+        builder.join_steps_computed(),
+        builder.index_builds(),
+    );
     drop(builder);
     work
 }

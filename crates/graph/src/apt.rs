@@ -37,10 +37,40 @@
 //!   encode of the selected fields, the LCA sample — pays for the cells
 //!   it reads.
 //!
-//! [`Apt::materialize`] folds `extend` over one graph's plan.
-//! [`AptBuilder`] serves a whole enumeration: it memoizes the row-id matrix
-//! of every graph that has children, so a graph costs its parent's matrix
-//! plus one `extend`, and it shares the key indexes across graphs.
+//! # A step is keyed by what it reads
+//!
+//! What a step computes — which input combinations come out, how often,
+//! and the new node's row ids — is a function of the cells it reads: the
+//! key columns through the row-id vectors of the nodes they belong to,
+//! and the target's key index. It does not depend on the graph that asked
+//! or on the matrix's other vectors. The kernel therefore memoizes a step
+//! by the *identity* of those inputs — per side `(column address, vector
+//! address)`, plus the index for a join — and a re-emission by `(vector,
+//! emission list)`; a memo entry pins every vector whose address is in
+//! its key, so an address means one vector for as long as the kernel
+//! lives. Nothing is compared by content: a miss only repeats work, and a
+//! hit is the very vector an earlier step produced. So across one kernel
+//!
+//! * every graph that joins `dim1` to a PT vector no earlier step changed
+//!   holds *one* `dim1` vector — the star corpus's 34 joins of 20 000
+//!   probes are 4 probe loops — and a relation joined twice to the same
+//!   anchor holds one vector inside one APT;
+//! * graphs that put the same fan-out or lossy step on top of a shared
+//!   vector share the re-emitted vector too.
+//!
+//! Shared vectors are what lets the mining layer recognise "the same
+//! column over the same rows" in two APTs by comparing two pointers
+//! (`cajade_mining::ReadShare`).
+//!
+//! [`Apt::materialize`] folds `extend` over one graph's plan, in a kernel
+//! of its own. [`AptBuilder`] serves a whole enumeration with one kernel:
+//! besides the step memo and the key indexes it keeps the row-id matrix of
+//! every graph that has children, so a graph *applies* one step — its
+//! parent's matrix plus one `extend`, not a re-walk of its prefix — and
+//! that step is *computed* only if no graph before it read the same
+//! inputs ([`AptBuilder::join_steps`] /
+//! [`AptBuilder::join_steps_computed`]: 34 / 4 on the star corpus, 283 /
+//! 166 for NBA's 202 graphs).
 //!
 //! Row order does not depend on which of the two ran: a join emits, for
 //! each input combination in order, its matches in base-table order, and
@@ -101,6 +131,14 @@ impl RowIds {
     /// True iff `a` and `b` are one vector — shared, not merely equal.
     pub fn ptr_eq(a: &RowIds, b: &RowIds) -> bool {
         Arc::ptr_eq(&a.0, &b.0)
+    }
+
+    /// The vector's address: equal for two handles iff they are
+    /// [`ptr_eq`](RowIds::ptr_eq), and no other vector's for as long as
+    /// some handle on this one is held. What an identity-keyed memo keys
+    /// on — next to a handle it keeps.
+    pub fn addr(&self) -> usize {
+        Arc::as_ptr(&self.0) as usize
     }
 }
 
@@ -291,8 +329,10 @@ impl Apt {
     /// vector of each joined node, the column handles, field metadata and
     /// the join graph — what [`Apt::materialize`] allocates.
     ///
-    /// A row-id vector shared with other graphs' APTs is counted in full by
-    /// every APT holding it: conservative. The columns read through the
+    /// A vector shared *within* this APT — a relation joined twice to the
+    /// same anchor holds one — is counted once; one shared with other
+    /// graphs' APTs is counted in full by every APT holding it:
+    /// conservative. The columns read through the
     /// vectors are **not** counted, though the handles keep them alive: a
     /// base table's are the database's, and the provenance table's are
     /// reported by [`pinned_pt_bytes`](Apt::pinned_pt_bytes) — a holder
@@ -347,11 +387,12 @@ struct Combos {
 }
 
 impl Combos {
-    /// The provenance table itself: every PT row, no context joined.
-    fn pt(pt_rows: usize) -> Combos {
+    /// The provenance table itself — `pt_ids` is `0..n` — with no context
+    /// joined.
+    fn pt(pt_ids: RowIds) -> Combos {
         Combos {
             slots: vec![Slot { node: 0, via: None }],
-            ids: vec![RowIds::new((0..pt_rows as u32).collect())],
+            ids: vec![pt_ids],
         }
     }
 
@@ -362,20 +403,6 @@ impl Combos {
 
     fn slot_of(&self, node: usize) -> Option<usize> {
         self.slots.iter().position(|s| s.node == node)
-    }
-
-    /// The vectors of the combinations a step emitted: the input's own
-    /// when it emitted every combination exactly once, re-emitted ones
-    /// otherwise.
-    fn emit(&self, emitted: Emitted) -> Vec<RowIds> {
-        match emitted.picks {
-            None => self.ids.clone(),
-            Some(picks) => self
-                .ids
-                .iter()
-                .map(|ids| RowIds::new(picks.iter().map(|&i| ids[i as usize]).collect()))
-                .collect(),
-        }
     }
 }
 
@@ -405,11 +432,38 @@ impl Emitted {
     }
 }
 
+/// What one step computed from the cells it read.
+#[derive(Clone)]
+struct Step {
+    /// The emission list ([`Emitted::picks`]); `None` when every input
+    /// combination came out exactly once, so the output shares the
+    /// input's vectors. Behind an `Arc` because re-emissions are memoized
+    /// by its address.
+    picks: Option<Arc<Vec<u32>>>,
+    /// The joined node's row id per emitted combination (`None` for a
+    /// filter).
+    new_ids: Option<RowIds>,
+}
+
+/// Identity of one input of a step: the column read and the row-id vector
+/// it is read through, both by address.
+type SideKey = (usize, usize);
+
+/// Identity of everything a step reads.
+#[derive(PartialEq, Eq, Hash)]
+enum StepKey {
+    /// A hash join: the anchor sides and the target's key index (the
+    /// address of its cell in [`Kernel::indexes`]).
+    Join(Vec<SideKey>, usize),
+    /// A filter: both sides of every attribute pair.
+    Filter(Vec<(SideKey, SideKey)>),
+}
+
 /// A resolved `(node, attribute)` of a step: the column to read and the
 /// row ids of its node to read it at.
 struct Side<'a> {
     col: &'a Column,
-    ids: &'a [u32],
+    ids: &'a RowIds,
 }
 
 impl Side<'_> {
@@ -418,25 +472,53 @@ impl Side<'_> {
     fn value(&self, i: usize) -> Value {
         self.col.value(self.ids[i] as usize)
     }
+
+    /// The identity of what this side reads. The column outlives the
+    /// kernel (it borrows the database and the provenance table); the
+    /// vector is pinned by the memo entry the key goes into.
+    fn key(&self) -> SideKey {
+        (self.col as *const Column as usize, self.ids.addr())
+    }
 }
 
 /// Base-table row ids by encoded key (`rowkey` encoding: a NULL key
 /// component keeps the row out, `Int(2)` and `Float(2.0)` share a key).
 type KeyIndex = HashMap<Vec<u8>, Vec<u32>>;
 
-/// `(relation, key column indices)` → the cell its index is built in.
-type IndexCells = HashMap<(String, Vec<usize>), Arc<OnceLock<KeyIndex>>>;
+/// A memo of values computed at most once per key. The map lock is held
+/// only to find the key's cell; the computation runs in the cell, so
+/// distinct keys compute concurrently, one key computes once, and a
+/// computation that panics leaves its cell empty for the next caller.
+type Memo<K, V> = Mutex<HashMap<K, Arc<OnceLock<V>>>>;
+
+/// A memoized value next to the vectors whose addresses are in its key,
+/// kept alive with it: no other vector can be allocated at an address the
+/// memo knows.
+type Pinned<V> = (V, Vec<RowIds>);
+
+fn cell_of<K: std::hash::Hash + Eq, V>(memo: &Memo<K, V>, key: K) -> Arc<OnceLock<V>> {
+    // The map is only ever inserted into: valid at every step.
+    let mut cells = memo.lock().unwrap_or_else(PoisonError::into_inner);
+    Arc::clone(cells.entry(key).or_default())
+}
 
 /// The join kernel over one `(database, provenance table)` pair, with the
-/// key indexes built so far.
+/// key indexes built and the steps computed so far.
 struct Kernel<'a> {
     db: &'a Database,
     pt: &'a ProvenanceTable,
-    /// The map lock is held only to find the cell; the build runs in the
-    /// cell, so distinct indexes build concurrently and one index is built
-    /// once.
-    indexes: Mutex<IndexCells>,
+    /// The PT node's vector before any step: `0..pt.num_rows`, one for
+    /// the kernel, so every fold starts from the same identity.
+    pt_ids: RowIds,
+    /// One index per `(relation, key column indices)`.
+    indexes: Memo<(String, Vec<usize>), KeyIndex>,
+    /// Steps by the identity of what they read (module docs).
+    steps: Memo<StepKey, Pinned<Step>>,
+    /// Re-emitted vectors by `(vector address, emission-list address)`;
+    /// the list is pinned by its step's entry.
+    reemitted: Memo<(usize, usize), Pinned<RowIds>>,
     join_steps: AtomicU64,
+    join_steps_computed: AtomicU64,
     index_builds: AtomicU64,
 }
 
@@ -445,15 +527,19 @@ impl<'a> Kernel<'a> {
         Kernel {
             db,
             pt,
-            indexes: Mutex::new(HashMap::new()),
+            pt_ids: RowIds::new((0..pt.num_rows as u32).collect()),
+            indexes: Mutex::default(),
+            steps: Mutex::default(),
+            reemitted: Mutex::default(),
             join_steps: AtomicU64::new(0),
+            join_steps_computed: AtomicU64::new(0),
             index_builds: AtomicU64::new(0),
         }
     }
 
     /// The graph's full join: `extend` folded over its plan, from the PT.
     fn fold(&self, graph: &JoinGraph) -> Result<Combos> {
-        let mut combos = Combos::pt(self.pt.num_rows);
+        let mut combos = Combos::pt(self.pt_ids.clone());
         for ei in edge_order(graph)? {
             combos = self.extend(graph, &combos, ei)?;
         }
@@ -473,6 +559,36 @@ impl<'a> Kernel<'a> {
                 "join graph is not connected to PT".into(),
             )),
         }
+    }
+
+    /// The step reading `key`'s inputs — `read` are the vectors among them
+    /// — from the memo, or `compute`d now: by this caller or by the one it
+    /// waits for.
+    fn step(&self, key: StepKey, read: Vec<RowIds>, compute: impl FnOnce() -> Step) -> Step {
+        let cell = cell_of(&self.steps, key);
+        let (step, _pins) = cell.get_or_init(|| {
+            self.join_steps_computed.fetch_add(1, Ordering::Relaxed);
+            (compute(), read)
+        });
+        step.clone()
+    }
+
+    /// The vectors of the combinations a step emitted: the input's own
+    /// when it emitted every combination exactly once, re-emitted ones —
+    /// one per `(vector, list)`, whichever graph asks — otherwise.
+    fn emit(&self, combos: &Combos, picks: &Option<Arc<Vec<u32>>>) -> Vec<RowIds> {
+        let Some(picks) = picks else {
+            return combos.ids.clone();
+        };
+        let reemit = |ids: &RowIds| {
+            let cell = cell_of(&self.reemitted, (ids.addr(), Arc::as_ptr(picks) as usize));
+            let (out, _pins) = cell.get_or_init(|| {
+                let out = picks.iter().map(|&i| ids[i as usize]).collect();
+                (RowIds::new(out), vec![ids.clone()])
+            });
+            out.clone()
+        };
+        combos.ids.iter().map(reemit).collect()
     }
 
     /// Hash join of `combos` with the relation of `new_node` along edge
@@ -506,41 +622,46 @@ impl<'a> Kernel<'a> {
             anchor_sides.push(self.side(graph, combos, anchor, anchor_attr, e.pt_from_idx)?);
         }
 
-        let cell = Arc::clone(
-            self.indexes
-                .lock()
-                // The map is only ever inserted into: valid at every step.
-                .unwrap_or_else(PoisonError::into_inner)
-                .entry((rel.to_string(), new_cols.clone()))
-                .or_default(),
+        let index_cell = cell_of(&self.indexes, (rel.to_string(), new_cols.clone()));
+        let key = StepKey::Join(
+            anchor_sides.iter().map(Side::key).collect(),
+            Arc::as_ptr(&index_cell) as usize,
         );
-        let index = cell.get_or_init(|| {
-            self.index_builds.fetch_add(1, Ordering::Relaxed);
-            let cols: Vec<&Column> = new_cols.iter().map(|&c| table.column(c)).collect();
-            let mut index = KeyIndex::new();
-            let mut scratch = BytesMut::new();
-            for r in 0..table.num_rows() {
-                if let Some(key) = encode_key(&mut scratch, cols.iter().map(|c| c.value(r))) {
-                    index.entry(key.to_vec()).or_default().push(r as u32);
+        let read = anchor_sides.iter().map(|s| s.ids.clone()).collect();
+        let step = self.step(key, read, || {
+            let index = index_cell.get_or_init(|| {
+                self.index_builds.fetch_add(1, Ordering::Relaxed);
+                let cols: Vec<&Column> = new_cols.iter().map(|&c| table.column(c)).collect();
+                let mut index = KeyIndex::new();
+                let mut scratch = BytesMut::new();
+                for r in 0..table.num_rows() {
+                    if let Some(key) = encode_key(&mut scratch, cols.iter().map(|c| c.value(r))) {
+                        index.entry(key.to_vec()).or_default().push(r as u32);
+                    }
                 }
-            }
-            index
-        });
+                index
+            });
 
-        let n = combos.len();
-        let mut new_ids = Vec::with_capacity(n);
-        let mut emitted = Emitted::default();
-        let mut scratch = BytesMut::new();
-        for i in 0..n {
-            let key = encode_key(&mut scratch, anchor_sides.iter().map(|s| s.value(i)));
-            let matches = key
-                .and_then(|k| index.get(k))
-                .map_or(&[][..], Vec::as_slice);
-            new_ids.extend_from_slice(matches);
-            emitted.push(i, matches.len());
-        }
-        let mut ids = combos.emit(emitted);
-        ids.push(RowIds::new(new_ids));
+            let n = combos.len();
+            let mut new_ids = Vec::with_capacity(n);
+            let mut emitted = Emitted::default();
+            let mut scratch = BytesMut::new();
+            for i in 0..n {
+                let key = encode_key(&mut scratch, anchor_sides.iter().map(|s| s.value(i)));
+                let matches = key
+                    .and_then(|k| index.get(k))
+                    .map_or(&[][..], Vec::as_slice);
+                new_ids.extend_from_slice(matches);
+                emitted.push(i, matches.len());
+            }
+            Step {
+                picks: emitted.picks.map(Arc::new),
+                new_ids: Some(RowIds::new(new_ids)),
+            }
+        });
+        let mut ids = self.emit(combos, &step.picks);
+        // `Some`: the entry of a `StepKey::Join` was computed right here.
+        ids.extend(step.new_ids);
         let mut slots = combos.slots.clone();
         slots.push(Slot {
             node: new_node,
@@ -559,14 +680,24 @@ impl<'a> Kernel<'a> {
                 self.side(graph, combos, e.to, &p.right, e.pt_from_idx)?,
             ));
         }
-        let mut emitted = Emitted::default();
-        for i in 0..combos.len() {
-            let passes = sides.iter().all(|(a, b)| a.value(i).sql_eq(&b.value(i)));
-            emitted.push(i, passes as usize);
-        }
+        let key = StepKey::Filter(sides.iter().map(|(a, b)| (a.key(), b.key())).collect());
+        let both = sides
+            .iter()
+            .flat_map(|(a, b)| [a.ids.clone(), b.ids.clone()]);
+        let step = self.step(key, both.collect(), || {
+            let mut emitted = Emitted::default();
+            for i in 0..combos.len() {
+                let passes = sides.iter().all(|(a, b)| a.value(i).sql_eq(&b.value(i)));
+                emitted.push(i, passes as usize);
+            }
+            Step {
+                picks: emitted.picks.map(Arc::new),
+                new_ids: None,
+            }
+        });
         Ok(Combos {
             slots: combos.slots.clone(),
-            ids: combos.emit(emitted),
+            ids: self.emit(combos, &step.picks),
         })
     }
 
@@ -715,16 +846,27 @@ fn view(db: &Database, pt: &ProvenanceTable, graph: &JoinGraph, combos: &Combos)
     })
 }
 
-/// Materializes the APTs of one enumeration, sharing work along the
-/// enumeration tree.
+/// Materializes the APTs of one enumeration through one kernel, sharing
+/// work along the enumeration tree and across it.
 ///
 /// An enumerated graph is its parent plus one edge, so its row-id matrix
 /// is its parent's matrix put through one `extend`. The builder keeps
 /// the matrix of every graph that has children, each computed at most
 /// once (whichever caller needs it first computes it; concurrent callers
-/// wait for that one), and one key index per `(relation, key columns)`.
+/// wait for that one), and the kernel keeps one key index per `(relation,
+/// key columns)` and one result per step *by what the step reads* (module
+/// docs) — so the one `extend` a graph applies is a look-up whenever a
+/// sibling, a cousin or the graph itself, asked again, already read the
+/// same key columns through the same vectors.
 /// [`materialize`](AptBuilder::materialize) returns exactly what
 /// [`Apt::materialize`] returns for the same graph.
+///
+/// The per-graph matrices are not what makes steps shared — folding every
+/// graph from the PT would find each prefix step in the kernel's memo —
+/// they are what keeps a graph at one step *applied*
+/// ([`join_steps`](AptBuilder::join_steps), which tests and the service's
+/// `apt_join_steps_total` pin per corpus) and what hands every dependent of
+/// a malformed graph the error its ancestor hit.
 ///
 /// A builder is meant to live for one ask. The retained matrices are at
 /// most `4 × joined nodes` bytes per intermediate row — less where a
@@ -767,9 +909,17 @@ impl<'a> AptBuilder<'a> {
         view(self.kernel.db, self.kernel.pt, &g.graph, &*self.combos(gi)?)
     }
 
-    /// `extend` steps run so far (hash joins and closing-edge filters).
+    /// `extend` steps applied so far (hash joins and closing-edge
+    /// filters): one per graph materialized or memoized.
     pub fn join_steps(&self) -> u64 {
         self.kernel.join_steps.load(Ordering::Relaxed)
+    }
+
+    /// The steps among [`join_steps`](AptBuilder::join_steps) that ran
+    /// their probe or filter loop; the others read inputs — the same key
+    /// columns through the same row-id vectors — an earlier step had read.
+    pub fn join_steps_computed(&self) -> u64 {
+        self.kernel.join_steps_computed.load(Ordering::Relaxed)
     }
 
     /// Key indexes built so far.

@@ -135,20 +135,37 @@ const ARENA: usize = 1;
 const ARENA_CITY: usize = 2;
 const ARENA_BOX: usize = 3;
 const TEAM: usize = 4;
+const ARENA_BOX_CITY: usize = 5;
+const ARENA_TWICE: usize = 6;
+const ARENA_TWICE_CITY: usize = 7;
+const BOX: usize = 8;
+const TEAM_ARENA: usize = 9;
 
-/// The tree `PT → {arena → {city, box}, team}`.
+/// The tree `PT → {arena → {city, box → city, arena → city}, team →
+/// arena, box}`.
 fn tree() -> Vec<EnumeratedGraph> {
     let pt_only = JoinGraph::pt_only();
     let arena = extended(&pt_only, 0, "arena", ("arena_id", "arena_id"));
     let arena_city = extended(&arena, 1, "city", ("city_id", "city_id"));
     let arena_box = extended(&arena, 0, "box", ("gid", "gid"));
     let team = extended(&pt_only, 0, "team", ("home_tid", "tid"));
+    let arena_box_city = extended(&arena_box, 1, "city", ("city_id", "city_id"));
+    // `arena` a second time, and `city` off the second one (node 2).
+    let arena_twice = extended(&arena, 0, "arena", ("arena_id", "arena_id"));
+    let arena_twice_city = extended(&arena_twice, 2, "city", ("city_id", "city_id"));
+    let box_ = extended(&pt_only, 0, "box", ("gid", "gid"));
+    let team_arena = extended(&team, 0, "arena", ("arena_id", "arena_id"));
     vec![
         listed(pt_only, None),
         listed(arena, Some(PT_ONLY)),
         listed(arena_city, Some(ARENA)),
         listed(arena_box, Some(ARENA)),
         listed(team, Some(PT_ONLY)),
+        listed(arena_box_city, Some(ARENA_BOX)),
+        listed(arena_twice, Some(ARENA)),
+        listed(arena_twice_city, Some(ARENA_TWICE)),
+        listed(box_, Some(PT_ONLY)),
+        listed(team_arena, Some(TEAM)),
     ]
 }
 
@@ -241,25 +258,32 @@ fn fan_out_and_lossy_children_share_nothing() {
 
 /// A row-preserving child costs its own node's row-id vector and the
 /// schema: 4 B a row and a few hundred bytes a field. The eager gather
-/// this replaced copied ≥ 8 B × rows × fields for the same graph.
+/// this replaced copied ≥ 8 B × rows × fields for the same graph. Asked
+/// for again, the graph costs the schema alone: its step reads what it
+/// read the first time.
 #[test]
 fn materializing_a_row_preserving_child_allocates_one_vector() {
     let (db, pt) = corpus();
     let graphs = tree();
     let builder = AptBuilder::new(&db, &pt, &graphs);
-    // A leaf, so its matrix is not memoized; the first call builds the
-    // parent's matrix and `city`'s key index, the second is the steady
-    // state of a sibling: one `extend` and the view.
-    let first = builder.materialize(ARENA_CITY).unwrap();
-    let guard = AllocScope::enter("test.apt_view.child");
-    let again = builder.materialize(ARENA_CITY).unwrap();
-    drop(guard);
-    let allocated = scope_snapshot("test.apt_view.child")
-        .expect("scope was entered")
-        .allocated_bytes as usize;
+    // `city`'s key index and the parent's matrix exist; the child's step
+    // — `city` through `arena`'s vector as `box`'s fan-out re-emitted it —
+    // has not been computed by anyone.
+    builder.materialize(ARENA_CITY).unwrap();
+    builder.materialize(ARENA_BOX).unwrap();
+    let allocated_by = |scope: &'static str| {
+        let guard = AllocScope::enter(scope);
+        let apt = builder.materialize(ARENA_BOX_CITY).unwrap();
+        drop(guard);
+        let snapshot = scope_snapshot(scope).expect("scope was entered");
+        (apt, snapshot.allocated_bytes as usize)
+    };
+    let (first, allocated) = allocated_by("test.apt_view.child");
+    let (again, allocated_again) = allocated_by("test.apt_view.child_again");
 
-    let (rows, fields) = (again.num_rows, again.fields.len());
-    assert_eq!((rows, fields), (GAMES as usize, first.fields.len()));
+    let (rows, fields) = (first.num_rows, first.fields.len());
+    assert_eq!(rows, db.table("box").unwrap().num_rows());
+    assert_eq!((again.num_rows, again.fields.len()), (rows, fields));
     assert!(
         allocated >= 4 * rows,
         "{allocated} B: the new node's vector at least"
@@ -268,6 +292,93 @@ fn materializing_a_row_preserving_child_allocates_one_vector() {
         allocated < 8 * rows + 512 * fields,
         "{allocated} B for {rows} rows × {fields} fields"
     );
+    assert!(
+        allocated_again < 512 * fields,
+        "{allocated_again} B for {fields} fields, no vector"
+    );
+    assert!(RowIds::ptr_eq(
+        rows_of(&first, "city.altitude"),
+        rows_of(&again, "city.altitude")
+    ));
+    assert_eq!(
+        (builder.join_steps(), builder.join_steps_computed()),
+        (5, 4)
+    );
+}
+
+/// A step is a function of what it reads: graphs that are neither parent
+/// nor child of each other hold one vector wherever they joined the same
+/// table through the same key column over the same, unchanged vector.
+#[test]
+fn steps_reading_the_same_inputs_share_their_vectors() {
+    let (db, pt) = corpus();
+    let graphs = tree();
+    let builder = AptBuilder::new(&db, &pt, &graphs);
+    let apts: Vec<Apt> = (0..graphs.len())
+        .map(|gi| builder.materialize(gi).unwrap())
+        .collect();
+
+    // A relation joined twice to the same anchor: one vector in one APT,
+    // which `approx_bytes` counts once — the second `arena` costs its
+    // fields, not its rows.
+    let twice = &apts[ARENA_TWICE];
+    assert!(RowIds::ptr_eq(
+        rows_of(twice, "arena1.capacity"),
+        rows_of(twice, "arena2.capacity")
+    ));
+    assert!(twice.approx_bytes() - apts[ARENA].approx_bytes() < 4 * twice.num_rows);
+
+    // Cousins: `city` joined to the one `arena` vector, in the subtree of
+    // `arena` and in the subtree of `arena ⋈ arena`.
+    assert!(RowIds::ptr_eq(
+        rows_of(&apts[ARENA_CITY], "city.altitude"),
+        rows_of(&apts[ARENA_TWICE_CITY], "city.altitude")
+    ));
+
+    // The same fan-out over the same PT vector, under `PT` and under
+    // `arena`: one emission list, so one re-emitted PT vector and one `box`
+    // vector; `arena`'s vector is re-emitted for the graph that has it,
+    // and that graph's child shares all three.
+    let (plain, under_arena) = (&apts[BOX], &apts[ARENA_BOX]);
+    assert!(RowIds::ptr_eq(&plain.pt_row, &under_arena.pt_row));
+    assert!(RowIds::ptr_eq(
+        rows_of(plain, "box.pts"),
+        rows_of(under_arena, "box.pts")
+    ));
+    for field in ["prov_game_margin", "arena.capacity", "box.pts"] {
+        assert!(
+            RowIds::ptr_eq(
+                rows_of(under_arena, field),
+                rows_of(&apts[ARENA_BOX_CITY], field)
+            ),
+            "{field}"
+        );
+    }
+
+    // Not the same inputs: `arena` through the PT vector the lossy `team`
+    // join re-emitted is a probe of its own.
+    assert!(!RowIds::ptr_eq(
+        rows_of(&apts[TEAM_ARENA], "arena.capacity"),
+        rows_of(&apts[ARENA], "arena.capacity")
+    ));
+
+    // 9 steps applied, 3 of them look-ups: the second `arena`, `city` off
+    // it, and `box` under `arena`.
+    assert_eq!(
+        (builder.join_steps(), builder.join_steps_computed()),
+        (9, 6)
+    );
+    for (gi, apt) in apts.iter().enumerate() {
+        let alone = Apt::materialize(&db, &pt, &graphs[gi].graph).unwrap();
+        assert_same_cells(apt, &alone, &format!("graph {gi}"));
+        // A fold of one graph shares within the graph all the same.
+        if gi == ARENA_TWICE {
+            assert!(RowIds::ptr_eq(
+                rows_of(&alone, "arena1.capacity"),
+                rows_of(&alone, "arena2.capacity")
+            ));
+        }
+    }
 }
 
 /// `Apt::pt_row` is non-decreasing — the invariant the scoring index's

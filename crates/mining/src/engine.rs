@@ -281,11 +281,22 @@ impl ScoreIndex {
             group_ranges,
             unit_segments,
             cols: Vec::new(),
-            field_names: (apt.fields.iter().map(|f| f.name.as_str()))
-                .collect::<Vec<_>>()
-                .join("\0"),
+            field_names: field_names(apt),
             group_pt_counts: pt.rows_of_group.iter().map(Vec::len).collect(),
             total_pt: pt.num_rows,
+        }
+    }
+
+    /// This index's scan — rows, order, groups and segments; none of its
+    /// columns — as the index of `apt`, an APT whose `pt_row` is the vector
+    /// of the APT this index was built over: what `build` returns for
+    /// `apt` and the same rows, for a copy of the order instead of the
+    /// passes that found it.
+    pub(crate) fn scan_of(&self, apt: &Apt) -> ScoreIndex {
+        ScoreIndex {
+            cols: Vec::new(),
+            field_names: field_names(apt),
+            ..self.clone()
         }
     }
 
@@ -498,6 +509,13 @@ impl ScoreIndex {
             + cols
             + self.field_names.len()
     }
+}
+
+/// The APT's field names, NUL-separated ([`ScoreIndex::field_names`]).
+fn field_names(apt: &Apt) -> String {
+    (apt.fields.iter().map(|f| f.name.as_str()))
+        .collect::<Vec<_>>()
+        .join("\0")
 }
 
 /// Sets bit `i` of `out` iff `pred(vals[i])`: a word at a time, without a

@@ -23,6 +23,8 @@
 //!
 //! [`ScoreIndex::order`]: crate::engine::ScoreIndex::order
 
+use std::sync::{Arc, OnceLock};
+
 use cajade_graph::{Apt, CellData, Cells};
 use cajade_ml::cluster::{cluster_attributes, cluster_representatives};
 use cajade_ml::correlation::assoc_matrix;
@@ -34,6 +36,7 @@ use cajade_query::ProvenanceTable;
 use cajade_storage::AttrKind;
 
 use crate::score::Question;
+use crate::share::Reader;
 use crate::stats::{source_column, ColumnStatsProvider};
 
 /// λ#sel-attr: how many attributes feature selection keeps.
@@ -174,17 +177,38 @@ fn one_vs_rest_plan(
 // Histogram-forest `filterAttrs` on encoded columns.
 // ---------------------------------------------------------------------
 
+/// What `filterAttrs` derives from one candidate column over the training
+/// rows — and what an ask's share keeps per `(base column, row-id
+/// vector)` for the other graphs that train on it.
+pub(crate) struct TrainColumn {
+    /// The gather: numeric values, or dense first-appearance codes.
+    pub feature: FeatureColumn,
+    /// Categorical gathers: the raw dictionary key behind each dense code.
+    pub key_of_code: Vec<u64>,
+    /// The gather binned for the histogram trainer, by the first
+    /// `featsel_encode` stage that needs it.
+    pub binned: OnceLock<BinnedColumn>,
+}
+
+/// The training set in one scope: the rows trained on and one `(labels,
+/// importance weight, forest config)` per task. A function of the APT's
+/// `pt_row` vector, which is what an ask's share keeps it by.
+pub(crate) struct Training {
+    pub rows: Vec<u32>,
+    pub tasks: Vec<(Vec<bool>, f64, RandomForestConfig)>,
+}
+
 /// Gathers one APT field over `rows` with one bulk typed read (no `Value`
 /// boxing, no per-cell type match): numeric values as-is, categorical
 /// cells as first-appearance dense codes.
 ///
-/// For categorical fields the second return value maps each dense code
-/// back to the raw dictionary key it stands for (empty for numeric
-/// fields) — what [`cajade_ml::BinSpec::encode_dense_keys`] needs to bin
-/// the gather through a *shared* spec without re-reading the column.
-fn fast_feature_column(apt: &Apt, field: usize, rows: &[u32]) -> (FeatureColumn, Vec<u64>) {
+/// For categorical fields `key_of_code` maps each dense code back to the
+/// raw dictionary key it stands for (empty for numeric fields) — what
+/// [`cajade_ml::BinSpec::encode_dense_keys`] needs to bin the gather
+/// through a *shared* spec without re-reading the column.
+fn fast_feature_column(apt: &Apt, field: usize, rows: &[u32]) -> TrainColumn {
     let Cells { data, nulls } = apt.columns[field].read(rows);
-    match apt.fields[field].kind {
+    let (feature, key_of_code) = match apt.fields[field].kind {
         AttrKind::Numeric => {
             let mut vals: Vec<f64> = match data {
                 CellData::Int(v) => v.into_iter().map(|x| x as f64).collect(),
@@ -214,6 +238,11 @@ fn fast_feature_column(apt: &Apt, field: usize, rows: &[u32]) -> (FeatureColumn,
             };
             (FeatureColumn::Categorical(codes), key_of_code)
         }
+    };
+    TrainColumn {
+        feature,
+        key_of_code,
+        binned: OnceLock::new(),
     }
 }
 
@@ -222,47 +251,57 @@ fn fast_feature_column(apt: &Apt, field: usize, rows: &[u32]) -> (FeatureColumn,
 /// importances, and cluster on the same gathered view (the association
 /// matrix is computed over full values/codes, not bins).
 ///
+/// A column's gather and its bins are what an ask's [`ReadShare`] keeps
+/// per `(base column, row-id vector)`: a column another graph of the ask
+/// already trained on comes from there, through `reader`, and only the
+/// others are read.
+///
 /// Binning consults the injected [`ColumnStatsProvider`] first: a context
 /// column with shared statistics encodes its gather through the provider's
 /// pre-fitted [`cajade_ml::BinSpec`] (a linear pass — no per-APT quantile
 /// sort or dictionary build); columns without shared stats (PT fields,
 /// pass-through provider) fit per-APT exactly as before.
+///
+/// [`ReadShare`]: crate::share::ReadShare
 fn hist_selection(
     apt: &Apt,
     candidates: &[usize],
-    rows: &[u32],
-    tasks: &[(Vec<bool>, f64, RandomForestConfig)],
+    training: &Training,
     cfg: &FeatSelConfig,
     stats: &dyn ColumnStatsProvider,
+    reader: &Reader,
 ) -> FeatureSelection {
+    let Training { rows, tasks } = training;
     let stage = Stage::detail("featsel_gather");
-    let (features, key_maps): (Vec<FeatureColumn>, Vec<Vec<u64>>) = candidates
+    let gathered: Vec<Arc<TrainColumn>> = candidates
         .iter()
-        .map(|&f| fast_feature_column(apt, f, rows))
-        .unzip();
+        .map(|&f| reader.column(&apt.columns[f], || fast_feature_column(apt, f, rows)))
+        .collect();
+    let features: Vec<&FeatureColumn> = gathered.iter().map(|c| &c.feature).collect();
     drop(stage);
 
     let stage = Stage::detail("featsel_encode");
-    let cols: Vec<BinnedColumn> = candidates
-        .iter()
-        .zip(features.iter().zip(&key_maps))
-        .map(|(&f, (fc, key_of_code))| {
-            let shared = source_column(apt, f).and_then(|(t, c)| stats.column_stats(t, c));
-            match (fc, shared) {
-                (FeatureColumn::Numeric(v), Some(st)) => st.bins.encode_f64(v),
-                (FeatureColumn::Numeric(v), None) => BinnedColumn::from_f64(v, cfg.hist_bins),
-                // The shared dictionary maps raw keys; the gather is
-                // already dense-coded, so binning it is one remap lookup
-                // per distinct value + an array index per row.
-                (FeatureColumn::Categorical(codes), Some(st)) => {
-                    st.bins.encode_dense_keys(codes, key_of_code)
-                }
-                // Per-APT fit: the gather is its own dictionary.
-                (FeatureColumn::Categorical(codes), None) => {
-                    BinnedColumn::from_dense_codes(codes, key_of_code.len(), cfg.hist_bins)
-                }
+    let bin = |f: usize, col: &TrainColumn| {
+        let shared = source_column(apt, f).and_then(|(t, c)| stats.column_stats(t, c));
+        match (&col.feature, shared) {
+            (FeatureColumn::Numeric(v), Some(st)) => st.bins.encode_f64(v),
+            (FeatureColumn::Numeric(v), None) => BinnedColumn::from_f64(v, cfg.hist_bins),
+            // The shared dictionary maps raw keys; the gather is
+            // already dense-coded, so binning it is one remap lookup
+            // per distinct value + an array index per row.
+            (FeatureColumn::Categorical(codes), Some(st)) => {
+                st.bins.encode_dense_keys(codes, &col.key_of_code)
             }
-        })
+            // Per-APT fit: the gather is its own dictionary.
+            (FeatureColumn::Categorical(codes), None) => {
+                BinnedColumn::from_dense_codes(codes, col.key_of_code.len(), cfg.hist_bins)
+            }
+        }
+    };
+    let cols: Vec<&BinnedColumn> = candidates
+        .iter()
+        .zip(&gathered)
+        .map(|(&f, col)| col.binned.get_or_init(|| bin(f, col)))
         .collect();
     drop(stage);
 
@@ -326,7 +365,7 @@ fn hist_selection(
         } else {
             let views: Vec<FeatureColumn> = measured
                 .iter()
-                .map(|&i| match &features[i] {
+                .map(|&i| match features[i] {
                     FeatureColumn::Numeric(v) => {
                         FeatureColumn::Numeric(v.iter().step_by(step).copied().collect())
                     }
@@ -384,11 +423,40 @@ pub fn select_features_hist(
     cfg: &FeatSelConfig,
     stats: &dyn ColumnStatsProvider,
 ) -> FeatureSelection {
+    let alone = Reader::new(None, apt);
+    select_features(apt, pt, scan_order, question, cfg, stats, &alone)
+}
+
+/// [`select_features_hist`], as one `reader` of an ask's share: the
+/// training set comes from the reader's `pt_row` scope and the candidate
+/// columns from beneath it, wherever an earlier preparation left them.
+pub(crate) fn select_features(
+    apt: &Apt,
+    pt: &ProvenanceTable,
+    scan_order: &[u32],
+    question: Option<&Question>,
+    cfg: &FeatSelConfig,
+    stats: &dyn ColumnStatsProvider,
+    reader: &Reader,
+) -> FeatureSelection {
     let candidates = apt.pattern_fields();
     if candidates.is_empty() {
         return FeatureSelection::empty(apt);
     }
+    let training = reader.training(|| training_set(apt, pt, scan_order, question, cfg));
+    hist_selection(apt, &candidates, &training, cfg, stats, reader)
+}
 
+/// The rows `filterAttrs` trains on and their labels per task, in the
+/// scope of `question`. Reads `apt` for its `pt_row` only: APTs over one
+/// `pt_row` vector (and one scan order) train on the same set.
+fn training_set(
+    apt: &Apt,
+    pt: &ProvenanceTable,
+    scan_order: &[u32],
+    question: Option<&Question>,
+    cfg: &FeatSelConfig,
+) -> Training {
     let group_of = |r: u32| pt.group_of[apt.pt_row[r as usize] as usize] as usize;
     let mut rows: Vec<u32> = match question {
         Some(q) => {
@@ -418,8 +486,7 @@ pub fn select_features_hist(
             .map(|(g, weight, forest_cfg)| (one_vs_rest(g), weight, forest_cfg))
             .collect(),
     };
-
-    hist_selection(apt, &candidates, &rows, &tasks, cfg, stats)
+    Training { rows, tasks }
 }
 
 /// Shared tail of `filterAttrs`: correlation clustering, representative

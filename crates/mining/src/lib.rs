@@ -39,6 +39,7 @@ pub mod miner;
 pub mod pattern;
 pub mod prepared;
 pub mod score;
+pub mod share;
 pub mod stats;
 
 pub use diversity::{diversity_score, match_score, select_top_k_diverse};
@@ -50,6 +51,7 @@ pub use miner::{mine_apt, MinedExplanation, MiningOutcome, MiningParams, MiningT
 pub use pattern::{PatValue, Pattern, Pred, PredOp};
 pub use prepared::{mine_prepared, prepare_apt, prepare_apt_with, PreparedApt};
 pub use score::{PatternMetrics, Question, Scorer};
+pub use share::ReadShare;
 pub use stats::{
     base_column_stats, compute_column_stats, source_column, BaseTableStats, ColumnStats,
     ColumnStatsConfig, ColumnStatsProvider, NoSharedStats,

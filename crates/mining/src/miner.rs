@@ -33,13 +33,12 @@ use cajade_query::ProvenanceTable;
 
 use crate::diversity::select_top_k_diverse;
 use crate::engine::{Mask, ScoreIndex};
-use crate::featsel::{
-    all_features, select_features_hist, FeatSelConfig, FeatureSelection, SelAttr,
-};
+use crate::featsel::{all_features, select_features, FeatSelConfig, FeatureSelection, SelAttr};
 use crate::lca::lca_candidates;
 use crate::pattern::{PatValue, Pattern, Pred, PredOp};
 use crate::prepared::{mine_prepared, prepare, PreparedApt};
 use crate::score::{PatternMetrics, Question};
+use crate::share::Reader;
 use crate::stats::{ColumnStatsProvider, NoSharedStats};
 
 /// All tuning knobs of Algorithm 1 (defaults follow Table 1 where the
@@ -239,18 +238,27 @@ pub(crate) fn sample_and_scan(
     pt: &ProvenanceTable,
     params: &MiningParams,
     timings: &mut MiningTimings,
+    reader: &Reader,
 ) -> ScoreIndex {
     let stage = Stage::detail("sampling_for_f1");
-    let sample: Option<Vec<u32>> = (params.lambda_f1_samp < 1.0).then(|| {
-        bernoulli_sample(apt.num_rows, params.lambda_f1_samp, params.seed)
-            .into_iter()
-            .map(|i| i as u32)
-            .collect()
-    });
-    let index = match &sample {
-        Some(rows) => ScoreIndex::sampled(apt, pt, rows),
-        None => ScoreIndex::exact(apt, pt),
-    };
+    // The draw reads the APT's row count and the order its `pt_row`: the
+    // APTs of an ask over one `pt_row` vector draw and sort once.
+    let index = reader.scan(
+        apt,
+        |scope| &scope.sample_scan,
+        || {
+            let sample: Option<Vec<u32>> = (params.lambda_f1_samp < 1.0).then(|| {
+                bernoulli_sample(apt.num_rows, params.lambda_f1_samp, params.seed)
+                    .into_iter()
+                    .map(|i| i as u32)
+                    .collect()
+            });
+            match &sample {
+                Some(rows) => ScoreIndex::sampled(apt, pt, rows),
+                None => ScoreIndex::exact(apt, pt),
+            }
+        },
+    );
     timings.sampling_for_f1 = stage.finish();
     index
 }
@@ -266,6 +274,7 @@ pub(crate) fn run_featsel(
     index: &ScoreIndex,
     question: Option<&Question>,
     stats: &dyn ColumnStatsProvider,
+    reader: &Reader,
 ) -> FeatureSelection {
     let featsel_cfg = FeatSelConfig {
         sel_attr: params.sel_attr,
@@ -275,7 +284,8 @@ pub(crate) fn run_featsel(
         ..FeatSelConfig::default()
     };
     let mut fs = if params.feature_selection {
-        select_features_hist(apt, pt, index.order(), question, &featsel_cfg, stats)
+        let order = index.order();
+        select_features(apt, pt, order, question, &featsel_cfg, stats, reader)
     } else {
         all_features(apt)
     };

@@ -43,6 +43,7 @@ use crate::miner::{
 };
 use crate::pattern::Pattern;
 use crate::score::Question;
+use crate::share::Reader;
 use crate::stats::{source_column, ColumnStatsProvider, NoSharedStats};
 
 /// What [`prepare`] leaves for [`mine_prepared`]: with no question given,
@@ -157,17 +158,23 @@ pub fn prepare(
         *truncated
     };
 
+    // This preparation as a reader of its ask's share, if the provider has
+    // one: what depends on `apt.pt_row` alone — the scans here, the
+    // training set in `filterAttrs` — and the candidate columns' training
+    // gathers, another graph of the ask may have left there.
+    let reader = Reader::new(stats.read_share(), apt);
+
     // ---- λ_F1 sample + scan order. ---------------------------------------
     // Fixed *before* feature selection, which trains on the index's
     // `(group, PT row)` scan order.
-    let index = sample_and_scan(apt, pt, params, &mut timings);
+    let index = sample_and_scan(apt, pt, params, &mut timings, &reader);
 
     // ---- Feature selection, then FD exclusion in the same scope. -------
     let stage = Stage::detail("feature_selection");
     let fs = if stop_before_phase(&mut timings, &mut truncated) {
         FeatureSelection::empty(apt)
     } else {
-        let mut fs = run_featsel(apt, pt, params, &index, question, stats);
+        let mut fs = run_featsel(apt, pt, params, &index, question, stats, &reader);
         if params.exclude_fd_attrs {
             let fd = group_determining_fields(apt, pt, question);
             fs.num_fields.retain(|f| !fd.contains(f));
@@ -189,8 +196,10 @@ pub fn prepare(
         .chain(&fs.cat_fields)
         .copied()
         .collect();
-    let exact = (index.scan_size() != apt.num_rows)
-        .then(|| ScoreIndex::exact(apt, pt).encode(apt, &selected));
+    let exact = (index.scan_size() != apt.num_rows).then(|| {
+        let all_rows = reader.scan(apt, |s| &s.exact_scan, || ScoreIndex::exact(apt, pt));
+        all_rows.encode(apt, &selected)
+    });
     let index = index.encode(apt, &selected);
     timings.prepare += stage.finish();
 

@@ -40,6 +40,7 @@ use cajade_storage::{AttrKind, Column};
 use crate::featsel::FeatSelConfig;
 use crate::fragments::quantile_boundaries;
 use crate::miner::MiningParams;
+use crate::share::ReadShare;
 
 /// Graph- and question-independent statistics of one base-table column.
 #[derive(Debug, Clone)]
@@ -111,6 +112,18 @@ pub trait ColumnStatsProvider: Sync {
     /// Shared statistics of base column `table.column`, or `None` to
     /// compute per-APT.
     fn column_stats(&self, table: &str, column: &str) -> Option<Arc<ColumnStats>>;
+
+    /// The share of reads of the ask this provider serves, if it prepares
+    /// several APTs of one query and planned one ([`ReadShare::plan`]):
+    /// preparations then read a column another of them already read from
+    /// there — and ask [`column_stats`](Self::column_stats) only for the
+    /// columns they bin themselves. Whatever this returns must have been
+    /// planned for the provenance table, the parameters and the question
+    /// scope of every preparation the provider is handed to. The default
+    /// shares nothing: every preparation reads for itself.
+    fn read_share(&self) -> Option<&ReadShare> {
+        None
+    }
 }
 
 /// The pass-through provider: never shares, so every preparation computes

@@ -7,6 +7,7 @@
 //! * categorical–categorical: Cramér's V,
 //! * categorical–numeric: correlation ratio η.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 use crate::dataset::{FeatureColumn, MISSING_CAT};
@@ -240,14 +241,15 @@ pub fn correlation_ratio(cats: &[u32], nums: &[f64]) -> f64 {
     (between / total_var).sqrt().min(1.0)
 }
 
-/// Symmetric association matrix over mixed-type columns, diagonal = 1.
-pub fn assoc_matrix(cols: &[FeatureColumn]) -> Vec<Vec<f64>> {
+/// Symmetric association matrix over mixed-type columns, owned or
+/// borrowed, diagonal = 1.
+pub fn assoc_matrix<C: Borrow<FeatureColumn>>(cols: &[C]) -> Vec<Vec<f64>> {
     let p = cols.len();
     let mut m = vec![vec![0.0; p]; p];
     for i in 0..p {
         m[i][i] = 1.0;
         for j in (i + 1)..p {
-            let a = match (&cols[i], &cols[j]) {
+            let a = match (cols[i].borrow(), cols[j].borrow()) {
                 (FeatureColumn::Numeric(x), FeatureColumn::Numeric(y)) => pearson(x, y).abs(),
                 (FeatureColumn::Categorical(x), FeatureColumn::Categorical(y)) => cramers_v(x, y),
                 (FeatureColumn::Categorical(c), FeatureColumn::Numeric(n))

@@ -15,6 +15,8 @@
 //! `max_thresholds` distinct values, which the histogram trainer never
 //! does) — the condition the equivalence tests arrange.
 
+use std::borrow::Borrow;
+
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -167,11 +169,19 @@ pub struct HistForest {
 }
 
 impl HistForest {
-    /// Fits a histogram forest on all rows of `cols` / `labels`.
-    pub fn fit(cols: &[BinnedColumn], labels: &[bool], config: &RandomForestConfig) -> HistForest {
+    /// Fits a histogram forest on all rows of `cols` / `labels`. The
+    /// columns may be owned or borrowed (see [`HistTree::fit`]).
+    pub fn fit<C: Borrow<BinnedColumn>>(
+        cols: &[C],
+        labels: &[bool],
+        config: &RandomForestConfig,
+    ) -> HistForest {
         assert!(!cols.is_empty(), "need at least one feature");
         let n = labels.len();
-        assert!(cols.iter().all(|c| c.len() == n), "ragged features");
+        assert!(
+            cols.iter().all(|c| c.borrow().len() == n),
+            "ragged features"
+        );
 
         let (trees, importances) = fit_bagged(
             cols.len(),

@@ -12,6 +12,8 @@
 //!   feature the node sampled (⌈√p⌉ of them in a forest) and reads every
 //!   candidate split of that feature off the histogram.
 
+use std::borrow::Borrow;
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
@@ -408,8 +410,8 @@ pub struct HistTree {
 }
 
 /// What one [`HistTree::fit`] reads and reuses at every node.
-struct HistFit<'a> {
-    cols: &'a [BinnedColumn],
+struct HistFit<'a, C> {
+    cols: &'a [C],
     labels: &'a [bool],
     config: &'a TreeConfig,
     n_total: f64,
@@ -426,9 +428,11 @@ struct HistFit<'a> {
 }
 
 impl HistTree {
-    /// Fits a tree on the rows listed in `rows`.
-    pub fn fit(
-        cols: &[BinnedColumn],
+    /// Fits a tree on the rows listed in `rows`. The columns may be owned
+    /// or borrowed (`&[BinnedColumn]`, `&[&BinnedColumn]`, …): a caller
+    /// whose columns live in different places does not copy them together.
+    pub fn fit<C: Borrow<BinnedColumn>>(
+        cols: &[C],
         labels: &[bool],
         rows: &[u32],
         config: &TreeConfig,
@@ -438,7 +442,8 @@ impl HistTree {
             nodes: Vec::new(),
             importances: vec![0.0; cols.len()],
         };
-        let widest = cols.iter().map(|c| c.num_bins() as usize + 1).max();
+        let widest = cols.iter().map(|c| c.borrow().num_bins() as usize + 1);
+        let widest = widest.max();
         let mut fit = HistFit {
             cols,
             labels,
@@ -459,9 +464,9 @@ impl HistTree {
     }
 
     /// Grows the subtree over `fit.rows[lo..hi]`; returns its root.
-    fn build(
+    fn build<C: Borrow<BinnedColumn>>(
         &mut self,
-        fit: &mut HistFit,
+        fit: &mut HistFit<C>,
         rng: &mut StdRng,
         lo: usize,
         hi: usize,
@@ -490,7 +495,7 @@ impl HistTree {
 
         let mut best: Option<(f64, HSplit)> = None;
         for &f in &fit.feat_idx {
-            let col = &cols[f];
+            let col: &BinnedColumn = cols[f].borrow();
             let hist = &mut fit.hist[..col.num_bins() as usize + 1];
             hist.fill([0; 2]);
             for &r in node_rows {
@@ -512,14 +517,16 @@ impl HistTree {
 
         let node_rows = &mut fit.rows[lo..hi];
         let (feature, left_len) = match split {
-            HSplit::Num { feature, bin } => (
-                feature,
-                partition_in_place(node_rows, |r| cols[feature].code(r as usize) <= bin),
-            ),
-            HSplit::Cat { feature, code } => (
-                feature,
-                partition_in_place(node_rows, |r| cols[feature].code(r as usize) == code),
-            ),
+            HSplit::Num { feature, bin } => {
+                let col: &BinnedColumn = cols[feature].borrow();
+                let left = partition_in_place(node_rows, |r| col.code(r as usize) <= bin);
+                (feature, left)
+            }
+            HSplit::Cat { feature, code } => {
+                let col: &BinnedColumn = cols[feature].borrow();
+                let left = partition_in_place(node_rows, |r| col.code(r as usize) == code);
+                (feature, left)
+            }
         };
         if left_len == 0 || left_len == node_rows.len() {
             return self.leaf(pos, total);

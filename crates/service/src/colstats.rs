@@ -19,19 +19,25 @@
 
 use std::sync::Arc;
 
-use cajade_mining::{base_column_stats, ColumnStats, ColumnStatsConfig, ColumnStatsProvider};
+use cajade_mining::{
+    base_column_stats, ColumnStats, ColumnStatsConfig, ColumnStatsProvider, ReadShare,
+};
 
 use crate::keys::ColStatsKey;
 use crate::service::{RegisteredDb, ServiceInner};
 
 /// One ask's view of the service column-statistics cache: resolves
 /// `(table, column)` against the pinned database snapshot and serves
-/// hits/misses through the epoch-keyed LRU.
+/// hits/misses through the epoch-keyed LRU. It also carries the ask's
+/// [`ReadShare`], when the ask prepares more than one APT: what one
+/// graph's preparation read, the next takes from there before this
+/// provider is asked for the column's statistics at all.
 pub(crate) struct DbColumnStats<'a> {
     pub(crate) inner: &'a ServiceInner,
     pub(crate) reg: &'a RegisteredDb,
     pub(crate) cfg: ColumnStatsConfig,
     pub(crate) fingerprint: u64,
+    pub(crate) share: Option<ReadShare>,
 }
 
 impl<'a> DbColumnStats<'a> {
@@ -39,6 +45,7 @@ impl<'a> DbColumnStats<'a> {
         inner: &'a ServiceInner,
         reg: &'a RegisteredDb,
         params: &cajade_core::Params,
+        share: Option<ReadShare>,
     ) -> Self {
         let cfg = ColumnStatsConfig::from_params(&params.mining);
         DbColumnStats {
@@ -46,11 +53,16 @@ impl<'a> DbColumnStats<'a> {
             reg,
             fingerprint: cfg.fingerprint(),
             cfg,
+            share,
         }
     }
 }
 
 impl ColumnStatsProvider for DbColumnStats<'_> {
+    fn read_share(&self) -> Option<&ReadShare> {
+        self.share.as_ref()
+    }
+
     fn column_stats(&self, table: &str, column: &str) -> Option<Arc<ColumnStats>> {
         // Existence check up front so unresolvable columns never occupy a
         // cache key; the computation itself goes through the one shared

@@ -25,10 +25,19 @@ pub(crate) struct ServiceObs {
     pub prepared_apt_hits_total: Arc<Counter>,
     pub prepared_apt_misses_total: Arc<Counter>,
     /// Work the asks' `AptBuilder`s did for APT cache misses: `extend`
-    /// steps (hash joins and closing-edge filters) and key-index builds.
-    /// Deterministic for a given corpus, query and cache state.
+    /// steps applied (hash joins and closing-edge filters), the ones among
+    /// them whose inputs no earlier step of the ask had read — which ran
+    /// their loop — and key-index builds. Deterministic for a given
+    /// corpus, query and cache state.
     pub apt_join_steps_total: Arc<Counter>,
+    pub apt_join_steps_computed_total: Arc<Counter>,
     pub apt_index_builds_total: Arc<Counter>,
+    /// Candidate columns the asks' preparations read for `filterAttrs`,
+    /// and the reads among them that gathered the column rather than take
+    /// the gather another graph of the ask had left in its `ReadShare`.
+    /// Deterministic like the join work.
+    pub prepare_column_reads_total: Arc<Counter>,
+    pub prepare_column_reads_computed_total: Arc<Counter>,
 
     // ---- Robustness counters. ------------------------------------------
     /// Asks whose request budget (deadline or cancellation) expired
@@ -76,7 +85,10 @@ impl ServiceObs {
             prepared_apt_hits_total: r.counter("prepared_apt_hits_total"),
             prepared_apt_misses_total: r.counter("prepared_apt_misses_total"),
             apt_join_steps_total: r.counter("apt_join_steps_total"),
+            apt_join_steps_computed_total: r.counter("apt_join_steps_computed_total"),
             apt_index_builds_total: r.counter("apt_index_builds_total"),
+            prepare_column_reads_total: r.counter("prepare_column_reads_total"),
+            prepare_column_reads_computed_total: r.counter("prepare_column_reads_computed_total"),
             ask_deadline_exceeded_total: r.counter("ask_deadline_exceeded_total"),
             ask_degraded_total: r.counter("ask_degraded_total"),
             requests_panicked_total: r.counter("requests_panicked_total"),

@@ -78,6 +78,14 @@ impl AptEntry {
         (p, false)
     }
 
+    /// Whether an ask with mining parameters `fingerprint` will find its
+    /// prepared state here rather than build it. Never waits: an entry
+    /// another ask is preparing right now reads as not prepared yet.
+    pub fn has_prepared(&self, fingerprint: u64) -> bool {
+        let variants = self.prepared.try_lock();
+        variants.is_some_and(|v| v.iter().any(|(fp, _)| *fp == fingerprint))
+    }
+
     /// Drops all prepared variants (byte-budget pressure).
     pub fn clear_prepared(&self) {
         self.prepared.lock().clear();

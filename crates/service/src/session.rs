@@ -13,8 +13,8 @@ use std::time::Duration;
 
 use cajade_core::pipeline::{self, GraphOutcome, PreparedQuery};
 use cajade_core::{Params, SessionResult, UserQuestion};
-use cajade_graph::AptBuilder;
-use cajade_mining::PreparedApt;
+use cajade_graph::{Apt, AptBuilder};
+use cajade_mining::{PreparedApt, ReadShare};
 use cajade_obs::{span, Collector, SpanRecord, Stage};
 use cajade_query::Query;
 
@@ -303,8 +303,9 @@ impl SessionHandle {
         if let Some(builder) = builder.into_inner() {
             // Freed where the misses allocated it: under `cache.apt`.
             let _mem = cajade_obs::AllocScope::enter("cache.apt");
-            let (join_steps, index_builds) = pipeline::finish_materialize(builder);
-            inner.obs.apt_join_steps_total.add(join_steps);
+            let (applied, computed, index_builds) = pipeline::finish_materialize(builder);
+            inner.obs.apt_join_steps_total.add(applied);
+            inner.obs.apt_join_steps_computed_total.add(computed);
             inner.obs.apt_index_builds_total.add(index_builds);
         }
         let ready: Vec<ReadyRow> = ready?.into_iter().flatten().collect();
@@ -321,8 +322,26 @@ impl SessionHandle {
         // column-stats cache hands every graph after the first — and
         // every later preparation touching the same context column — the
         // entry computed once per database epoch.
-        let col_stats = DbColumnStats::new(&inner, &reg, &self.params);
+        //
+        // What the graphs of *this* ask read in common — the same base
+        // column through the same row-id vector, the scan order over the
+        // same `pt_row` vector — goes through the ask's `ReadShare`,
+        // planned here over the entries that still need preparing and
+        // dropped with this stage. A warm ask plans nothing.
         let prep_span = span("prepare");
+        let unprepared =
+            |(_, _, entry, _, _): &&ReadyRow| !entry.has_prepared(self.mining_fingerprint);
+        let to_prepare: Vec<&Apt> = (ready.iter().filter(unprepared))
+            .map(|(_, _, entry, _, _)| &*entry.apt)
+            .collect();
+        let share = (!to_prepare.is_empty()).then(|| {
+            // Like the prepared state it serves: under "cache.apt", in the
+            // stage's own scope.
+            let _mem = cajade_obs::AllocScope::enter("cache.apt");
+            let _stage = cajade_obs::AllocScope::enter("prepare");
+            ReadShare::plan(to_prepare)
+        });
+        let col_stats = DbColumnStats::new(&inner, &reg, &self.params, share);
         let prepare_one = |(_, _, entry, _, _): &ReadyRow| {
             entry.prepared_for(self.mining_fingerprint, || {
                 // The prepared state is retained by the APT cache
@@ -357,6 +376,16 @@ impl SessionHandle {
                 // memory in a shared entry.
                 entry.clear_prepared();
             }
+        }
+        if let Some(share) = col_stats.share {
+            let (reads, computed) = share.column_reads();
+            inner.obs.prepare_column_reads_total.add(reads);
+            inner.obs.prepare_column_reads_computed_total.add(computed);
+            // Whatever a reader that never came left in it is freed where
+            // the preparations allocated it.
+            let _mem = cajade_obs::AllocScope::enter("cache.apt");
+            let _stage = cajade_obs::AllocScope::enter("prepare");
+            drop(share);
         }
         drop(prep_span);
 

@@ -8,6 +8,7 @@ use std::time::Duration;
 use cajade_core::{Params, UserQuestion};
 use cajade_datagen::mimic::{self, MimicConfig};
 use cajade_datagen::nba::{self, NbaConfig};
+use cajade_datagen::synth::{self, SynthConfig};
 use cajade_service::{ExplanationService, ServiceConfig};
 
 const GSW_SQL: &str = "SELECT COUNT(*) AS win, s.season_name \
@@ -465,4 +466,52 @@ fn cold_ask_join_work_is_exact_and_a_warm_ask_does_none() {
     assert!(!warm.answer_cache_hit);
     assert_eq!((warm.apt_cache_hits, warm.apt_cache_misses), (202, 0));
     assert_eq!(work(), (283, 20), "warm ask adds (0, 0)");
+}
+
+#[test]
+fn cold_ask_shared_work_is_exact_with_and_without_worker_threads() {
+    // What the graphs of one ask have in common, as counts, on the
+    // synthetic star (3 dimension tables × 4 columns, 2 000 fact rows, 20
+    // valid graphs). Every join keeps each fact row exactly once, so the
+    // PT's row-id vector reaches every graph unchanged: 19 `extend` steps
+    // are applied and 3 computed, one probe loop per dimension table; and
+    // of the 325 candidate columns the 20 preparations train on, 20 are
+    // gathered — the provenance table's 5 and each dimension's 5, once
+    // per ask. Workers wait for the one that computes, so the counts do
+    // not depend on `parallel`.
+    let gen = synth::generate(&SynthConfig::small());
+    for parallel in [true, false] {
+        let mut params = Params::paper();
+        params.parallel = parallel;
+        let service = ExplanationService::new(ServiceConfig {
+            params,
+            ..ServiceConfig::default()
+        });
+        service.register_database("synth", gen.db.clone(), gen.schema_graph.clone());
+        let session = service.open_session("synth", synth::SYNTH_SQL).unwrap();
+        let work = || {
+            let counters = service.metrics_snapshot().counters;
+            [
+                "apt_join_steps_total",
+                "apt_join_steps_computed_total",
+                "prepare_column_reads_total",
+                "prepare_column_reads_computed_total",
+            ]
+            .map(|name| counters.iter().find(|(k, _)| k == name).map_or(0, |c| c.1))
+        };
+        let ask = |t1: &str, t2: &str| {
+            session
+                .ask(&UserQuestion::two_point(&[("grp", t1)], &[("grp", t2)]))
+                .unwrap()
+        };
+
+        let cold = ask("g0", "g1");
+        assert_eq!((cold.apt_cache_hits, cold.apt_cache_misses), (0, 20));
+        assert_eq!(work(), [19, 3, 325, 20], "cold ask, parallel {parallel}");
+
+        // A new question: every preparation is cached, nothing is planned.
+        let warm = ask("g2", "g1");
+        assert!(!warm.answer_cache_hit);
+        assert_eq!(work(), [19, 3, 325, 20], "warm ask adds nothing");
+    }
 }
