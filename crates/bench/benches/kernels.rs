@@ -1,9 +1,10 @@
 //! Criterion micro-benchmarks for the substrate kernels: hash join,
 //! group-by aggregation, pattern matching, LCA candidate generation,
 //! random-forest training (the float reference and the histogram trainer
-//! feature selection runs), Cramér's V, APT materialization and mining
-//! preparation of a whole enumeration — with and without what its graphs
-//! share — and the exact re-score of one pattern.
+//! feature selection runs), Cramér's V, join-graph enumeration, APT
+//! materialization and mining preparation of a whole enumeration — with
+//! and without what its graphs share — and the exact re-score of one
+//! pattern.
 
 use std::sync::Arc;
 
@@ -188,6 +189,38 @@ fn bench_cramers_v(c: &mut Criterion) {
     group.finish();
 }
 
+/// The `nba_cold` corpus of `e2e_bench`.
+fn nba_005() -> GeneratedDb {
+    nba::generate(NbaConfig {
+        rich_stats: true,
+        seed: 42,
+        ..NbaConfig::scaled(0.05)
+    })
+}
+
+/// Stage 2 as a `query` op pays it — `CostEstimator::new`'s NDV pass and
+/// Algorithm 2. The `GSW` query over the NBA schema graph visits 8 221
+/// extensions, decides 7 473 of them on their description and lists 438
+/// graphs for 202 valid ones; the 4×6 star 120 / 56 / 39 / 35.
+fn bench_enumerate(c: &mut Criterion) {
+    let star = synth::generate(&synth::SynthConfig::small().with_width(4, 6));
+    let mut group = c.benchmark_group("enumerate");
+    for (name, gen, sql) in [
+        ("nba_gsw", nba_005(), GSW_WINS_SQL),
+        ("star_4x6", star, synth::SYNTH_SQL),
+    ] {
+        let query = parse_sql(sql).unwrap();
+        let pt_rows = ProvenanceTable::compute(&gen.db, &query).unwrap().num_rows;
+        let cfg = EnumConfig::default();
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                enumerate_join_graphs(&gen.schema_graph, &gen.db, &query, pt_rows, &cfg).unwrap()
+            })
+        });
+    }
+    group.finish();
+}
+
 /// The `synth_wide` corpus of `e2e_bench`: 20 000 fact rows, 4 dimension
 /// tables of 6 numeric columns; every join is N:1 and finds its row.
 fn star_20000x4() -> GeneratedDb {
@@ -239,14 +272,9 @@ impl Enumeration {
 /// on NBA). `fold_each` gives every graph a kernel of its own, so graphs
 /// share nothing (84 and 502 steps).
 fn bench_apt_enumeration(c: &mut Criterion) {
-    let nba = nba::generate(NbaConfig {
-        rich_stats: true,
-        seed: 42,
-        ..NbaConfig::scaled(0.05)
-    });
     for (name, gen, sql) in [
         ("star_20000x4", star_20000x4(), synth::SYNTH_SQL),
-        ("nba_fanout", nba, GSW_WINS_SQL),
+        ("nba_fanout", nba_005(), GSW_WINS_SQL),
     ] {
         let e = enumeration(gen, sql);
         let mut group = c.benchmark_group(format!("apt_enumeration/{name}"));
@@ -351,6 +379,7 @@ criterion_group!(
         bench_forest,
         bench_hist_tree_fit,
         bench_cramers_v,
+        bench_enumerate,
         bench_apt_enumeration,
         bench_prepare_enumeration,
         bench_exact_rescore

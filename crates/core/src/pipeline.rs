@@ -16,9 +16,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use cajade_graph::{
-    enumerate_join_graphs, Apt, AptBuilder, EnumConfig, EnumeratedGraph, SchemaGraph,
-};
+use cajade_graph::{Apt, AptBuilder, EnumConfig, EnumeratedGraph, Enumeration, SchemaGraph};
 use cajade_mining::{mine_prepared, MiningTimings, PreparedApt, Question};
 pub use cajade_mining::{ColumnStatsProvider, NoSharedStats};
 use cajade_obs::{Ctx, Stage};
@@ -41,8 +39,16 @@ pub struct PreparedQuery {
     pub result: QueryResult,
     /// The why-provenance table `PT(Q, D)`.
     pub pt: Arc<ProvenanceTable>,
-    /// All enumerated join graphs (valid and invalid).
+    /// The join graphs enumeration lists: every valid one, and every
+    /// invalid one a later round could still extend or that only its
+    /// estimated cost rules out.
     pub graphs: Arc<Vec<EnumeratedGraph>>,
+    /// One-edge extensions enumeration visited to list them
+    /// ([`Enumeration::extensions_visited`]).
+    pub extensions_visited: u64,
+    /// Of those, last-round extensions dropped unkeyed on their PK deficit
+    /// ([`Enumeration::extensions_rejected`]).
+    pub extensions_rejected: u64,
     /// Wall-clock spent computing provenance.
     pub provenance_time: Duration,
     /// Wall-clock spent enumerating join graphs.
@@ -81,13 +87,15 @@ pub fn prepare(
         check_pk_coverage: params.check_pk_coverage,
         include_pt_only: params.include_pt_only,
     };
-    let graphs = enumerate_join_graphs(schema_graph, db, query, pt.num_rows, &enum_cfg)?;
+    let enumeration = Enumeration::of(schema_graph, db, query, pt.num_rows, &enum_cfg)?;
     let jg_enum_time = stage.finish();
 
     Ok(PreparedQuery {
         result,
         pt: Arc::new(pt),
-        graphs: Arc::new(graphs),
+        graphs: Arc::new(enumeration.graphs),
+        extensions_visited: enumeration.extensions_visited,
+        extensions_rejected: enumeration.extensions_rejected,
         provenance_time,
         jg_enum_time,
     })

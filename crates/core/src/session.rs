@@ -83,7 +83,8 @@ pub struct SessionResult {
     pub explanations: Vec<Explanation>,
     /// Per-phase timings.
     pub timings: SessionTimings,
-    /// Join graphs enumerated (valid + invalid).
+    /// Join graphs enumeration listed: the valid ones, and the invalid
+    /// ones a later round could still extend or only λ_qcost rules out.
     pub num_graphs_enumerated: usize,
     /// Join graphs that passed `isValid` and were mined.
     pub num_graphs_mined: usize,

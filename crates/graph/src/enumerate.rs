@@ -7,14 +7,27 @@
 //! coverage or estimated cost > λ_qcost) are excluded from mining but —
 //! exactly as in the pseudo-code — still extended in later iterations.
 //!
-//! One deviation from the letter of the pseudo-code, following the paper's
-//! evaluation: the PT-only graph Ω₀ is also reported (the case-study
-//! tables contain provenance-only patterns such as the `A_1` rows of the
-//! appendix), and structurally identical graphs reached along different
-//! extension paths are deduplicated via [`JoinGraph::key`]. Every
-//! reported graph carries that key and the index of the graph it was grown
-//! from, so later stages reuse both instead of deriving them again: the
-//! key is the service's APT cache key, and the parent link lets
+//! Two deviations from the letter of the pseudo-code. Following the
+//! paper's evaluation, the PT-only graph Ω₀ is also reported (the
+//! case-study tables contain provenance-only patterns such as the `A_1`
+//! rows of the appendix), and structurally identical graphs reached along
+//! different extension paths are deduplicated via [`JoinGraph::key`].
+//! And, leaving the returned valid graphs as they are: an invalid graph is
+//! kept only because a later round may complete it, which a graph of the
+//! last round cannot be — so a last-round extension is *decided, not
+//! built*. Each listed graph carries its PK deficit (the key attributes no
+//! edge covers yet), a child's deficit follows from its parent's and the
+//! one new edge, and in the round `size == λ#edges` an extension whose
+//! deficit is not empty is counted and dropped before it is keyed, built
+//! or costed. The listing is therefore every graph whose keys are covered
+//! — valid, or `valid: false` on λ_qcost alone — and every graph below the
+//! last size; on the NBA `GSW` query that is 438 graphs for 8 221
+//! extensions visited, where building every graph of the last round gave
+//! 3 906, and the same 202 valid ones in the same order.
+//!
+//! Every reported graph carries its key and the index of the graph it was
+//! grown from, so later stages reuse both instead of deriving them again:
+//! the key is the service's APT cache key, and the parent link lets
 //! [`AptBuilder`](crate::AptBuilder) materialize a graph as its parent's
 //! join result plus one edge.
 
@@ -25,7 +38,7 @@ use cajade_storage::Database;
 
 use crate::cost::CostEstimator;
 use crate::join_graph::{JgEdge, JgEdgeIds, JgNode, JoinGraph, JoinGraphKey, NodeLabel};
-use crate::schema_graph::{JoinCond, SchemaGraph};
+use crate::schema_graph::{AttrPair, JoinCond, SchemaGraph};
 use crate::Result;
 
 /// Enumeration parameters (the λ's of paper §4).
@@ -70,7 +83,22 @@ pub struct EnumeratedGraph {
     pub parent: Option<usize>,
 }
 
-/// Algorithm 2's main entry point.
+/// An enumeration's listing with the two counts of the work behind it
+/// (deterministic: a function of the schema graph, the query and `cfg`).
+#[derive(Debug, Clone)]
+pub struct Enumeration {
+    /// In enumeration order: every valid graph, every graph a later round
+    /// could still extend, and the last-round graphs only λ_qcost rules
+    /// out (costing one takes building it, so it is listed like before).
+    pub graphs: Vec<EnumeratedGraph>,
+    /// One-edge extensions `ExtendJG` visited, over all rounds.
+    pub extensions_visited: u64,
+    /// Of those, the last-round extensions dropped on their PK deficit:
+    /// never keyed, built, costed or listed.
+    pub extensions_rejected: u64,
+}
+
+/// Algorithm 2's main entry point: [`Enumeration::of`]'s listing.
 pub fn enumerate_join_graphs(
     schema: &SchemaGraph,
     db: &Database,
@@ -78,18 +106,83 @@ pub fn enumerate_join_graphs(
     pt_rows: usize,
     cfg: &EnumConfig,
 ) -> Result<Vec<EnumeratedGraph>> {
+    Enumeration::of(schema, db, query, pt_rows, cfg).map(|e| e.graphs)
+}
+
+impl Enumeration {
+    /// Runs Algorithm 2 for `query` over `schema`, `pt_rows` being the
+    /// size of the query's provenance table.
+    pub fn of(
+        schema: &SchemaGraph,
+        db: &Database,
+        query: &Query,
+        pt_rows: usize,
+        cfg: &EnumConfig,
+    ) -> Result<Self> {
+        enumerate(schema, db, query, pt_rows, cfg).map(|(e, _)| e)
+    }
+}
+
+/// A graph's *PK deficit*: the `(node, primary-key attribute)` pairs no
+/// incident edge's condition references on that node's side. PK coverage
+/// (§4) is an empty deficit — otherwise the APT blows up with redundant
+/// rows (the `PlayerGameScoring` example of §4).
+type Deficit<'s> = Vec<(usize, &'s str)>;
+
+/// Primary-key attributes per relation; empty when
+/// [`EnumConfig::check_pk_coverage`] is off, so that no node ever has a
+/// key to cover.
+type Keys<'s> = HashMap<&'s str, Vec<&'s str>>;
+
+/// The PK deficit of `ext`'s graph, derived from its parent's: the new
+/// edge's `from` node loses the condition's left attributes, its `to` node
+/// the right ones, and a fresh node starts from its relation's key.
+fn deficit_after<'a, 's: 'a>(
+    parent: &'a [(usize, &'s str)],
+    ext: &'a Extension<'_>,
+    keys: &'a Keys<'s>,
+) -> impl Iterator<Item = (usize, &'s str)> + 'a {
+    let JgEdgeIds { from, to, .. } = ext.ids;
+    let fresh: &[&str] = match to == ext.omega.nodes.len() {
+        true => keys.get(ext.end_rel).map_or(&[], Vec::as_slice),
+        false => &[],
+    };
+    let owed = parent.iter().copied();
+    owed.chain(fresh.iter().map(move |&attr| (to, attr)))
+        .filter(move |&(node, attr)| {
+            let covers =
+                |p: &AttrPair| (node == from && p.left == attr) || (node == to && p.right == attr);
+            !ext.cond.pairs.iter().any(covers)
+        })
+}
+
+/// The body: the listing, and beside each listed graph its deficit.
+fn enumerate<'s>(
+    schema: &'s SchemaGraph,
+    db: &'s Database,
+    query: &Query,
+    pt_rows: usize,
+    cfg: &EnumConfig,
+) -> Result<(Enumeration, Vec<Deficit<'s>>)> {
     let estimator = CostEstimator::new(db, schema)?;
     // `SchemaGraph::adjacent` clones every condition it returns, and the
     // loop below asks about the same few relations once per node of every
-    // graph it extends: answer each relation once.
-    let adjacency: Adjacency<'_> = schema
-        .edges()
-        .iter()
-        .flat_map(|e| [e.a.as_str(), e.b.as_str()])
-        .map(|rel| (rel, schema.adjacent(rel)))
-        .collect();
+    // graph it extends: answer each relation once. Likewise its key.
+    let mut adjacency: Adjacency<'s> = HashMap::new();
+    let mut keys: Keys<'s> = HashMap::new();
+    for rel in schema.edges().iter().flat_map(|e| [&e.a, &e.b]) {
+        if adjacency.contains_key(rel.as_str()) {
+            continue;
+        }
+        adjacency.insert(rel, schema.adjacent(rel));
+        if cfg.check_pk_coverage {
+            keys.insert(rel, db.table(rel)?.schema().primary_key());
+        }
+    }
     let mut seen: HashSet<JoinGraphKey> = HashSet::new();
     let mut out: Vec<EnumeratedGraph> = Vec::new();
+    let mut deficits: Vec<Deficit<'s>> = Vec::new();
+    let (mut visited, mut rejected) = (0u64, 0u64);
 
     let omega0 = JoinGraph::pt_only();
     let key0 = omega0.key();
@@ -102,43 +195,60 @@ pub fn enumerate_join_graphs(
             key: key0,
             parent: None,
         });
+        deficits.push(Vec::new());
     }
 
     // The graphs of the previous size, as indices into `out`; `None` is
     // Ω₀ when it is not reported.
     let mut prev: Vec<Option<usize>> = vec![cfg.include_pt_only.then_some(0)];
-    for _size in 1..=cfg.max_edges {
-        let mut new_graphs: Vec<(JoinGraph, JoinGraphKey, Option<usize>)> = Vec::new();
+    for size in 1..=cfg.max_edges {
+        let mut new_graphs: Vec<(JoinGraph, JoinGraphKey, Option<usize>, Deficit<'s>)> = Vec::new();
         for &parent in &prev {
-            let omega = parent.map_or(&omega0, |i| &out[i].graph);
+            let (omega, parent_deficit) = match parent {
+                Some(i) => (&out[i].graph, deficits[i].as_slice()),
+                None => (&omega0, [].as_slice()),
+            };
             extend_jg(&adjacency, query, omega, &mut |ext| {
+                visited += 1;
+                let mut deficit = deficit_after(parent_deficit, &ext, &keys).peekable();
+                // No round is left to complete a graph of the last size: one
+                // that cannot be valid is decided here, on its description.
+                if size == cfg.max_edges && deficit.peek().is_some() {
+                    rejected += 1;
+                    return;
+                }
                 // Most extensions were reached along another path already:
                 // key first, build only what is new.
                 let key = ext.key();
                 if !seen.contains(&key) {
                     seen.insert(key.clone());
-                    new_graphs.push((ext.build(), key, parent));
+                    new_graphs.push((ext.build(), key, parent, deficit.collect()));
                 }
             });
         }
         prev.clear();
-        for (graph, key, parent) in new_graphs {
+        for (graph, key, parent, deficit) in new_graphs {
             let est_rows = estimator.estimate_apt_rows(pt_rows, &graph, query);
-            let valid = is_valid(db, &graph, est_rows, cfg)?;
             prev.push(Some(out.len()));
             out.push(EnumeratedGraph {
                 graph,
-                valid,
+                valid: deficit.is_empty() && est_rows <= cfg.max_cost,
                 est_rows,
                 key,
                 parent,
             });
+            deficits.push(deficit);
         }
         if prev.is_empty() {
             break;
         }
     }
-    Ok(out)
+    let enumeration = Enumeration {
+        graphs: out,
+        extensions_visited: visited,
+        extensions_rejected: rejected,
+    };
+    Ok((enumeration, deficits))
 }
 
 /// A one-edge extension of `omega`, described but not built.
@@ -263,34 +373,6 @@ fn add_edge<'a>(
     }
 }
 
-/// Algorithm 2's `isValid`: primary-key coverage + cost threshold.
-///
-/// PK coverage (§4): for every non-PT node, each primary-key attribute of
-/// its relation must be referenced by at least one incident edge's
-/// condition on that node's side — otherwise the APT blows up with
-/// redundant rows (the `PlayerGameScoring` example of §4).
-fn is_valid(db: &Database, g: &JoinGraph, est_rows: f64, cfg: &EnumConfig) -> Result<bool> {
-    if cfg.check_pk_coverage {
-        for (idx, node) in g.nodes.iter().enumerate() {
-            let NodeLabel::Rel(rel) = &node.label else {
-                continue;
-            };
-            let table = db.table(rel)?;
-            for pk_attr in table.schema().primary_key() {
-                let covered = g.edges.iter().any(|e| {
-                    e.cond.pairs.iter().any(|p| {
-                        (e.from == idx && p.left == pk_attr) || (e.to == idx && p.right == pk_attr)
-                    })
-                });
-                if !covered {
-                    return Ok(false);
-                }
-            }
-        }
-    }
-    Ok(est_rows <= cfg.max_cost)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,18 +448,61 @@ mod tests {
     #[test]
     fn pk_coverage_invalidates_partial_key_join() {
         let (db, schema, query) = setup();
+        let at = |max_edges| {
+            let cfg = EnumConfig {
+                max_edges,
+                ..Default::default()
+            };
+            enumerate_join_graphs(&schema, &db, &query, 20, &cfg).unwrap()
+        };
+        let find = |graphs: &[EnumeratedGraph], structure: &str| {
+            graphs
+                .iter()
+                .position(|g| g.graph.structure_string() == structure)
+        };
+        // PT - stats joins only on game_id but stats' PK is (game_id,
+        // player). At depth 1 nothing can complete it: not listed.
+        assert_eq!(find(&at(1), "PT - stats"), None);
+        // At depth 2 a later round can: listed, invalid, and extended.
+        let graphs = at(2);
+        let pt_stats = find(&graphs, "PT - stats").expect("PT - stats enumerated");
+        assert!(
+            !graphs[pt_stats].valid,
+            "partial-key join must fail PK coverage"
+        );
+        let completed = find(&graphs, "PT - stats - player").expect("extended");
+        assert_eq!(graphs[completed].parent, Some(pt_stats));
+        assert!(graphs[completed].valid);
+    }
+
+    /// What is carried beside each listed graph, and the two counts.
+    #[test]
+    fn deficit_follows_the_edges() {
+        let (db, schema, query) = setup();
         let cfg = EnumConfig {
-            max_edges: 1,
+            max_edges: 2,
             ..Default::default()
         };
-        let graphs = enumerate_join_graphs(&schema, &db, &query, 20, &cfg).unwrap();
-        // PT - stats joins only on game_id but stats' PK is (game_id,
-        // player): invalid at depth 1.
-        let pt_stats = graphs
+        let (e, deficits) = enumerate(&schema, &db, &query, 20, &cfg).unwrap();
+        let listed: Vec<(String, &[(usize, &str)])> = e
+            .graphs
             .iter()
-            .find(|g| g.graph.structure_string() == "PT - stats")
-            .expect("PT - stats enumerated");
-        assert!(!pt_stats.valid, "partial-key join must fail PK coverage");
+            .zip(&deficits)
+            .map(|(g, d)| (g.graph.structure_string(), d.as_slice()))
+            .collect();
+        // Round 1 lists PT - stats owing its `player`. Round 2 visits its
+        // three extensions: a second `stats` off PT and a `game` off
+        // `stats` leave the debt unpaid and are dropped; `player` pays it
+        // and brings a key the same edge covers.
+        assert_eq!(
+            listed,
+            [
+                ("PT".to_string(), &[][..]),
+                ("PT - stats".to_string(), &[(1, "player")][..]),
+                ("PT - stats - player".to_string(), &[][..]),
+            ]
+        );
+        assert_eq!((e.extensions_visited, e.extensions_rejected), (1 + 3, 2));
     }
 
     #[test]

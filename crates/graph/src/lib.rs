@@ -35,7 +35,7 @@ pub use discovery::{
     discover_joins, discovered_schema_graph, extend_schema_graph, DiscoveredGraph, DiscoveryConfig,
     JoinCandidate,
 };
-pub use enumerate::{enumerate_join_graphs, EnumConfig, EnumeratedGraph};
+pub use enumerate::{enumerate_join_graphs, EnumConfig, EnumeratedGraph, Enumeration};
 pub use error::GraphError;
 pub use join_graph::{JgEdge, JgNode, JoinGraph, JoinGraphKey, NodeLabel};
 pub use schema_graph::{AttrPair, JoinCond, SchemaEdge, SchemaGraph};

@@ -1,13 +1,16 @@
 //! The enumeration tree as the unit of sharing: structural keys, parent
 //! links, and `AptBuilder` against `Apt::materialize`, a nested-loop
 //! oracle, and digests recorded at the commit before the tree was shared.
+//! The listing itself is checked against Algorithm 2 written out in full
+//! ([`reference_enumeration`]): every extension built, every graph's
+//! validity decided by a scan of the finished graph.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use cajade_datagen::{mimic, nba, synth, GeneratedDb};
 use cajade_graph::{
-    enumerate_join_graphs, Apt, AptBuilder, EnumConfig, EnumeratedGraph, GraphError, JgEdge,
-    JgNode, JoinCond, JoinGraph, NodeLabel, SchemaGraph,
+    enumerate_join_graphs, Apt, AptBuilder, CostEstimator, EnumConfig, EnumeratedGraph,
+    Enumeration, GraphError, JgEdge, JgNode, JoinCond, JoinGraph, NodeLabel, SchemaGraph,
 };
 use cajade_query::{parse_sql, ProvenanceTable, Query};
 use cajade_storage::{AttrKind, DataType, Database, SchemaBuilder, Value};
@@ -111,12 +114,225 @@ fn assert_apt_eq(a: &Apt, b: &Apt, what: &str) {
     assert_eq!(ha.0, hb.0, "{what}: cells");
 }
 
+// ---- Algorithm 2 in full: the reference enumerator ----------------------------
+
+/// PK coverage (§4) from scratch: the `(node, primary-key attribute)`
+/// pairs of `g` that no incident edge's condition references on that
+/// node's side.
+fn scanned_deficit<'d>(db: &'d Database, g: &JoinGraph) -> Vec<(usize, &'d str)> {
+    let mut owed = Vec::new();
+    for idx in 1..g.nodes.len() {
+        let table = db.table(g.rel_of(idx).unwrap()).unwrap();
+        for pk_attr in table.schema().primary_key() {
+            let covered = g.edges.iter().any(|e| {
+                e.cond.pairs.iter().any(|p| {
+                    (e.from == idx && p.left == pk_attr) || (e.to == idx && p.right == pk_attr)
+                })
+            });
+            if !covered {
+                owed.push((idx, pk_attr));
+            }
+        }
+    }
+    owed
+}
+
+/// Algorithm 2's `isValid`: primary-key coverage + cost threshold.
+fn is_valid(db: &Database, g: &JoinGraph, est_rows: f64, cfg: &EnumConfig) -> bool {
+    (!cfg.check_pk_coverage || scanned_deficit(db, g).is_empty()) && est_rows <= cfg.max_cost
+}
+
+/// Algorithm 2's `ExtendJG` + `AddEdge`: every one-edge extension of
+/// `omega`, built — from each node, along each condition of its relation
+/// (for PT: of each FROM entry), to a fresh node and to every existing
+/// node of the right label the same condition does not already connect.
+fn one_edge_extensions(schema: &SchemaGraph, query: &Query, omega: &JoinGraph) -> Vec<JoinGraph> {
+    let mut out = Vec::new();
+    for v in 0..omega.nodes.len() {
+        let rels: Vec<(&str, Option<usize>)> = match omega.rel_of(v) {
+            None => query
+                .from
+                .iter()
+                .enumerate()
+                .map(|(i, t)| (t.table.as_str(), Some(i)))
+                .collect(),
+            Some(r) => vec![(r, None)],
+        };
+        for (rel, pt_from_idx) in rels {
+            for (schema_edge, cond_idx, end_rel, cond) in schema.adjacent(rel) {
+                let edge_to = |to: usize| JgEdge {
+                    from: v,
+                    to,
+                    cond: cond.clone(),
+                    schema_edge,
+                    cond_idx,
+                    pt_from_idx,
+                };
+                let mut fresh = omega.clone();
+                fresh.nodes.push(node(end_rel));
+                fresh.edges.push(edge_to(omega.nodes.len()));
+                out.push(fresh);
+                for v2 in 0..omega.nodes.len() {
+                    if v2 == v || omega.rel_of(v2) != Some(end_rel) {
+                        continue;
+                    }
+                    let duplicate = omega.edges.iter().any(|e| {
+                        ((e.from == v && e.to == v2) || (e.from == v2 && e.to == v))
+                            && (e.schema_edge, e.cond_idx, e.pt_from_idx)
+                                == (schema_edge, cond_idx, pt_from_idx)
+                    });
+                    if !duplicate {
+                        let mut closed = omega.clone();
+                        closed.edges.push(edge_to(v2));
+                        out.push(closed);
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+struct Reference {
+    /// Every graph of every round, valid or not.
+    graphs: Vec<EnumeratedGraph>,
+    /// Extensions built over all rounds.
+    visited: u64,
+    /// Of those, the last round's that fail PK coverage.
+    dead: u64,
+}
+
+/// Algorithm 2 as `enumerate_join_graphs` ran it before a last-round graph
+/// was decided on its description: every extension is built and keyed,
+/// every new graph costed, validated by [`is_valid`] and listed.
+fn reference_enumeration(
+    schema: &SchemaGraph,
+    db: &Database,
+    query: &Query,
+    pt_rows: usize,
+    cfg: &EnumConfig,
+) -> Reference {
+    let estimator = CostEstimator::new(db, schema).unwrap();
+    let omega0 = JoinGraph::pt_only();
+    let mut seen = HashSet::from([omega0.key()]);
+    let mut graphs = Vec::new();
+    if cfg.include_pt_only {
+        graphs.push(EnumeratedGraph {
+            key: omega0.key(),
+            graph: omega0.clone(),
+            valid: true,
+            est_rows: pt_rows as f64,
+            parent: None,
+        });
+    }
+    let (mut visited, mut dead) = (0, 0);
+    let mut prev = vec![(omega0, cfg.include_pt_only.then_some(0))];
+    for size in 1..=cfg.max_edges {
+        let mut new_graphs = Vec::new();
+        for (omega, parent) in &prev {
+            for graph in one_edge_extensions(schema, query, omega) {
+                visited += 1;
+                let last = size == cfg.max_edges && cfg.check_pk_coverage;
+                dead += u64::from(last && !scanned_deficit(db, &graph).is_empty());
+                let key = graph.key();
+                if seen.insert(key.clone()) {
+                    new_graphs.push((graph, key, *parent));
+                }
+            }
+        }
+        prev.clear();
+        for (graph, key, parent) in new_graphs {
+            let est_rows = estimator.estimate_apt_rows(pt_rows, &graph, query);
+            prev.push((graph.clone(), Some(graphs.len())));
+            graphs.push(EnumeratedGraph {
+                valid: is_valid(db, &graph, est_rows, cfg),
+                graph,
+                est_rows,
+                key,
+                parent,
+            });
+        }
+    }
+    Reference {
+        graphs,
+        visited,
+        dead,
+    }
+}
+
+/// Runs both enumerators. The listing is the reference minus its dead
+/// leaves — the graphs of the last size that fail PK coverage, which no
+/// round is left to complete — in the same order, with the same `key`,
+/// `valid` and `est_rows` bits and the parent links re-indexed; the
+/// deficit carried beside a listed graph is empty exactly when the scanned
+/// one is; and the two counts are the reference's.
+fn checked_enumeration(
+    schema: &SchemaGraph,
+    db: &Database,
+    query: &Query,
+    pt_rows: usize,
+    cfg: &EnumConfig,
+    what: &str,
+) -> (Enumeration, Reference) {
+    let reference = reference_enumeration(schema, db, query, pt_rows, cfg);
+    let listing = Enumeration::of(schema, db, query, pt_rows, cfg).unwrap();
+    let mut new_index = vec![None; reference.graphs.len()];
+    let mut listed = listing.graphs.iter();
+    for (ri, want) in reference.graphs.iter().enumerate() {
+        let covered = !cfg.check_pk_coverage || scanned_deficit(db, &want.graph).is_empty();
+        if want.graph.edges.len() == cfg.max_edges && !covered {
+            assert!(!want.valid);
+            continue;
+        }
+        new_index[ri] = Some(listing.graphs.len() - listed.len());
+        let got = listed
+            .next()
+            .unwrap_or_else(|| panic!("{what}: reference graph {ri} ({}) not listed", want.key));
+        assert_eq!(got.graph, want.graph, "{what}: graph {ri}");
+        assert_eq!(got.key, want.key, "{what}: key of graph {ri}");
+        assert_eq!(got.valid, want.valid, "{what}: valid of {}", want.key);
+        // (Ω₀ is mineable whatever λ_qcost says.)
+        assert_eq!(
+            got.valid,
+            covered && (got.est_rows <= cfg.max_cost || got.graph.edges.is_empty()),
+            "{what}: carried vs scanned deficit of {}",
+            want.key
+        );
+        assert_eq!(
+            got.est_rows.to_bits(),
+            want.est_rows.to_bits(),
+            "{what}: est_rows of {}",
+            want.key
+        );
+        assert_eq!(
+            got.parent,
+            want.parent
+                .map(|p| new_index[p].expect("a parent is never a leaf")),
+            "{what}: parent of {}",
+            want.key
+        );
+    }
+    assert_eq!(
+        listed.len(),
+        0,
+        "{what}: graphs the reference does not have"
+    );
+    assert_eq!(
+        (listing.extensions_visited, listing.extensions_rejected),
+        (reference.visited, reference.dead),
+        "{what}: (visited, rejected)"
+    );
+    (listing, reference)
+}
+
 // ---- Corpora ------------------------------------------------------------
 
 const NBA_SQL: &str = "SELECT COUNT(*) AS win, s.season_name FROM team t, game g, season s \
     WHERE t.team_id = g.winner_id AND g.season_id = s.season_id AND t.team = 'GSW' \
     GROUP BY s.season_name";
 const MIMIC_SQL: &str = "SELECT COUNT(*) AS cnt, los_group FROM icustays GROUP BY los_group";
+const MIMIC2_SQL: &str = "SELECT insurance, 1.0*SUM(hospital_expire_flag)/COUNT(*) AS death_rate \
+    FROM admissions GROUP BY insurance";
 
 fn nba_corpus() -> GeneratedDb {
     nba::generate(nba::NbaConfig {
@@ -126,18 +342,36 @@ fn nba_corpus() -> GeneratedDb {
     })
 }
 
+fn mimic_corpus() -> GeneratedDb {
+    mimic::generate(mimic::MimicConfig {
+        seed: 42,
+        ..mimic::MimicConfig::scaled(0.1)
+    })
+}
+
 struct Prepared {
     gen: GeneratedDb,
     pt: ProvenanceTable,
+    /// The listing, checked against `reference`.
     graphs: Vec<EnumeratedGraph>,
+    visited: u64,
+    rejected: u64,
+    reference: Vec<EnumeratedGraph>,
 }
 
 fn prepare(gen: GeneratedDb, sql: &str, cfg: &EnumConfig) -> Prepared {
     let query: Query = parse_sql(sql).unwrap();
     let pt = ProvenanceTable::compute(&gen.db, &query).unwrap();
-    let graphs =
-        enumerate_join_graphs(&gen.schema_graph, &gen.db, &query, pt.num_rows, cfg).unwrap();
-    Prepared { gen, pt, graphs }
+    let (listing, reference) =
+        checked_enumeration(&gen.schema_graph, &gen.db, &query, pt.num_rows, cfg, sql);
+    Prepared {
+        gen,
+        pt,
+        graphs: listing.graphs,
+        visited: listing.extensions_visited,
+        rejected: listing.extensions_rejected,
+        reference: reference.graphs,
+    }
 }
 
 /// Every enumerated child is its parent plus one pushed edge, and the key
@@ -182,12 +416,18 @@ fn assert_builder_matches(
 }
 
 /// The three benchmark corpora: enumeration output and every valid APT are
-/// what the commit before this change produced (digests recorded there
-/// with this file's `enum_digest` / `apt_digest` over `Apt::materialize`).
+/// what the commit before the tree was shared produced (digests recorded
+/// there with this file's `enum_digest` / `apt_digest` over
+/// `Apt::materialize`). `enumerated` and `enum_digest` were recorded when
+/// every graph of the last round was listed, and are the reference's;
+/// `listed`, `visited` and `rejected` describe what is listed now.
 #[test]
 fn enumeration_and_apts_match_the_recorded_goldens() {
     struct Golden {
         enumerated: usize,
+        listed: usize,
+        visited: u64,
+        rejected: u64,
         valid: usize,
         enum_digest: u64,
         apt_digest: u64,
@@ -202,6 +442,9 @@ fn enumeration_and_apts_match_the_recorded_goldens() {
             prepare(nba_corpus(), NBA_SQL, &EnumConfig::default()),
             Golden {
                 enumerated: 3906,
+                listed: 438,
+                visited: 8221,
+                rejected: 7473,
                 valid: 202,
                 enum_digest: 0xd5a6_26e4_a420_5f5a,
                 apt_digest: 0x231d_a104_0b69_317d,
@@ -211,16 +454,12 @@ fn enumeration_and_apts_match_the_recorded_goldens() {
         ),
         (
             "mimic",
-            prepare(
-                mimic::generate(mimic::MimicConfig {
-                    seed: 42,
-                    ..mimic::MimicConfig::scaled(0.1)
-                }),
-                MIMIC_SQL,
-                &EnumConfig::default(),
-            ),
+            prepare(mimic_corpus(), MIMIC_SQL, &EnumConfig::default()),
             Golden {
                 enumerated: 98,
+                listed: 27,
+                visited: 152,
+                rejected: 118,
                 valid: 18,
                 enum_digest: 0xe95d_81a2_c466_3d2e,
                 apt_digest: 0xab10_8e78_dbcf_3be9,
@@ -237,6 +476,9 @@ fn enumeration_and_apts_match_the_recorded_goldens() {
             ),
             Golden {
                 enumerated: 75,
+                listed: 39,
+                visited: 120,
+                rejected: 56,
                 valid: 35,
                 enum_digest: 0x7d0b_cfd8_3723_3492,
                 apt_digest: 0xf75c_f01e_2a02_4bc6,
@@ -246,14 +488,34 @@ fn enumeration_and_apts_match_the_recorded_goldens() {
         ),
     ];
     for (name, p, want) in cases {
-        assert_eq!(p.graphs.len(), want.enumerated, "{name}: enumerated");
-        let valid = p.graphs.iter().filter(|g| g.valid).count();
-        assert_eq!(valid, want.valid, "{name}: valid");
+        assert_eq!(p.reference.len(), want.enumerated, "{name}: enumerated");
         assert_eq!(
-            enum_digest(&p.graphs),
+            enum_digest(&p.reference),
             want.enum_digest,
             "{name}: enum digest"
         );
+        assert_eq!(p.graphs.len(), want.listed, "{name}: listed");
+        assert_eq!(
+            (p.visited, p.rejected),
+            (want.visited, want.rejected),
+            "{name}: (visited, rejected)"
+        );
+        let valid = p.graphs.iter().filter(|g| g.valid).count();
+        assert_eq!(valid, want.valid, "{name}: valid");
+        // ROADMAP 5(b), closed: an edge covers keys of at most its two
+        // endpoints, so a graph with more deficient nodes than twice the
+        // edges it may still gain has no valid descendant — and at
+        // λ#edges = 3 that bound cuts none of the graphs below the last
+        // size (264 / 16 / 19 of them).
+        let max_edges = EnumConfig::default().max_edges;
+        let hopeless = p.graphs.iter().filter(|g| {
+            let owing: HashSet<usize> = scanned_deficit(&p.gen.db, &g.graph)
+                .iter()
+                .map(|&(v, _)| v)
+                .collect();
+            owing.len() > 2 * (max_edges - g.graph.edges.len())
+        });
+        assert_eq!(hopeless.count(), 0, "{name}: reachability cut");
         assert_tree_shape(&p.graphs);
         let (digest, steps, builds) = assert_builder_matches(&p, |g| g.valid);
         assert_eq!(digest, want.apt_digest, "{name}: APT digest");
@@ -359,7 +621,7 @@ fn structural_key_partitions_like_the_legacy_string() {
     let p = prepare(nba_corpus(), NBA_SQL, &EnumConfig::default());
     let mut by_key: HashMap<_, usize> = HashMap::new();
     let mut by_legacy: HashMap<String, usize> = HashMap::new();
-    for (gi, g) in p.graphs.iter().enumerate() {
+    for (gi, g) in p.reference.iter().enumerate() {
         for by in 0..3 {
             let g = rewritten(&g.graph, by);
             let key = g.key();
@@ -372,7 +634,7 @@ fn structural_key_partitions_like_the_legacy_string() {
             assert_eq!(k, gi, "graph {gi}: enumeration emitted a duplicate");
         }
     }
-    assert_eq!(by_key.len(), p.graphs.len());
+    assert_eq!(by_key.len(), p.reference.len());
 }
 
 // ---- A hand-built corpus with every awkward join ----------------------------
@@ -579,6 +841,38 @@ fn awkward_joins_match_the_nested_loop_oracle() {
     assert!(builder.join_steps() < graphs.iter().map(|g| g.graph.edges.len() as u64).sum());
 }
 
+/// The corpora the goldens above do not reach: the second MIMIC query,
+/// and the awkward corpus (a relation bound twice in FROM, three
+/// alternative conditions on one schema edge, a composite key) with the
+/// coverage check on and off and at every size.
+#[test]
+fn the_listing_is_the_reference_minus_its_dead_leaves() {
+    let p = prepare(mimic_corpus(), MIMIC2_SQL, &EnumConfig::default());
+    assert!(p.graphs.len() < p.reference.len());
+
+    let (db, schema) = awkward_corpus();
+    let query = parse_sql(AWKWARD_SQL).unwrap();
+    for max_edges in 0..=3 {
+        for check_pk_coverage in [true, false] {
+            let cfg = EnumConfig {
+                max_edges,
+                check_pk_coverage,
+                ..EnumConfig::default()
+            };
+            let what = format!("awkward, λ#edges {max_edges}, pk {check_pk_coverage}");
+            let (listing, reference) = checked_enumeration(&schema, &db, &query, 9, &cfg, &what);
+            // With nothing to check nothing is dropped; with the check on
+            // the last round is where the listing shrinks.
+            assert_eq!(
+                listing.graphs.len() < reference.graphs.len(),
+                check_pk_coverage && max_edges > 0,
+                "{what}"
+            );
+            assert_tree_shape(&listing.graphs);
+        }
+    }
+}
+
 fn node(rel: &str) -> JgNode {
     JgNode {
         label: NodeLabel::Rel(rel.into()),
@@ -734,6 +1028,101 @@ fn a_parent_error_reaches_every_child_unchanged() {
 }
 
 // ---- Random small corpora -----------------------------------------------------
+
+/// `(a, b, attribute pairs)`: a condition between relations `a` and `b`.
+type RandomCond = (usize, usize, Vec<(usize, usize)>);
+
+/// A database of `keys.len()` relations `r0, r1, …` over the attributes
+/// `a0, a1, a2`, relation `i`'s primary key being the attributes in the
+/// bit set `keys[i]` (none, one, or composite), and one schema-graph
+/// condition per `(a, b, pairs)` — `a == b` is a self-join edge, several
+/// entries on one pair of relations are alternative conditions, and a
+/// pair list is a multi-attribute condition.
+fn random_schema(keys: &[u8], conds: &[RandomCond]) -> (Database, SchemaGraph) {
+    let mut db = Database::new("random");
+    for (r, &key) in keys.iter().enumerate() {
+        let mut schema = SchemaBuilder::new(format!("r{r}"));
+        for a in 0..3 {
+            let name = format!("a{a}");
+            schema = if key & (1 << a) != 0 {
+                schema.column_pk(name, DataType::Int, AttrKind::Categorical)
+            } else {
+                schema.column(name, DataType::Int, AttrKind::Categorical)
+            };
+        }
+        db.create_table(schema.build()).unwrap();
+        // Different cardinalities and NDVs per relation and attribute, so
+        // that estimates differ between graphs.
+        for row in 0..(3 + 2 * r as i64) {
+            let cells = (0..3).map(|a| Value::Int(row % (a + 2 + r as i64)));
+            db.table_mut(&format!("r{r}"))
+                .unwrap()
+                .push_row(cells.collect())
+                .unwrap();
+        }
+    }
+    let mut schema = SchemaGraph::new();
+    for (a, b, pairs) in conds {
+        let (a, b) = (a % keys.len(), b % keys.len());
+        let names: Vec<(String, String)> = pairs
+            .iter()
+            .map(|(l, r)| (format!("a{l}"), format!("a{r}")))
+            .collect();
+        let pairs: Vec<(&str, &str)> = names
+            .iter()
+            .map(|(l, r)| (l.as_str(), r.as_str()))
+            .collect();
+        schema.add_condition(&format!("r{a}"), &format!("r{b}"), JoinCond::on(&pairs));
+    }
+    (db, schema)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// On random small schema graphs — composite and missing keys,
+    /// self-join edges, alternative and multi-attribute conditions, `r0`
+    /// bound twice in FROM — at every size, with each check on and off
+    /// and under a λ_qcost nothing passes, the listing is the reference
+    /// minus its dead leaves.
+    #[test]
+    fn listing_matches_reference_on_random_schema_graphs(
+        keys in proptest::collection::vec(0u8..8, 2..5),
+        conds in proptest::collection::vec(
+            (0usize..4, 0usize..4, proptest::collection::vec((0usize..3, 0usize..3), 1..3)),
+            1..6,
+        ),
+        second_binding in 0usize..4,
+        max_edges in 0usize..=3,
+        (check_pk_coverage, include_pt_only, nothing_affordable) in
+            (any::<bool>(), any::<bool>(), any::<bool>()),
+    ) {
+        let (db, schema) = random_schema(&keys, &conds);
+        let second = second_binding % keys.len();
+        let query = parse_sql(&format!(
+            "SELECT COUNT(*) AS c, x.a0 FROM r0 x, r{second} y WHERE x.a1 = y.a1 GROUP BY x.a0"
+        ))
+        .unwrap();
+        let cfg = EnumConfig {
+            max_edges,
+            max_cost: if nothing_affordable { -1.0 } else { 5_000_000.0 },
+            check_pk_coverage,
+            include_pt_only,
+        };
+        let (listing, reference) = checked_enumeration(&schema, &db, &query, 7, &cfg, "random");
+        assert_tree_shape(&listing.graphs);
+        // `enumerate_join_graphs` is the listing and nothing else.
+        let graphs = enumerate_join_graphs(&schema, &db, &query, 7, &cfg).unwrap();
+        prop_assert_eq!(graphs.len(), listing.graphs.len());
+        if nothing_affordable {
+            prop_assert!(listing.graphs.iter().all(|g| !g.valid || g.graph.edges.is_empty()));
+        }
+        if !check_pk_coverage {
+            prop_assert_eq!(listing.graphs.len(), reference.graphs.len());
+            prop_assert_eq!(listing.extensions_rejected, 0);
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]

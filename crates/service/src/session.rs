@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use cajade_core::pipeline::{self, GraphOutcome, PreparedQuery};
 use cajade_core::{Params, SessionResult, UserQuestion};
-use cajade_graph::{Apt, AptBuilder};
+use cajade_graph::{Apt, AptBuilder, EnumeratedGraph};
 use cajade_mining::{PreparedApt, ReadShare};
 use cajade_obs::{span, Collector, SpanRecord, Stage};
 use cajade_query::Query;
@@ -488,6 +488,9 @@ impl SessionHandle {
                 &self.query,
                 &self.params,
             )?);
+            let obs = &inner.obs;
+            obs.jg_extensions_visited_total.add(p.extensions_visited);
+            obs.jg_extensions_rejected_total.add(p.extensions_rejected);
             // Skip caching if the database was re-registered mid-compute:
             // a stale-epoch key would hold budget nothing can look up.
             let bytes = inner
@@ -540,7 +543,9 @@ fn prepared_bytes(p: &PreparedQuery) -> usize {
     let graphs = p
         .graphs
         .iter()
-        .map(|g| 64 + g.graph.nodes.len() * 32 + g.graph.edges.len() * 96 + g.key.approx_bytes())
+        .map(|g| {
+            std::mem::size_of::<EnumeratedGraph>() + g.graph.approx_bytes() + g.key.approx_bytes()
+        })
         .sum::<usize>();
     p.pt.approx_bytes() + graphs + 256
 }

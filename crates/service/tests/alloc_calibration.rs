@@ -74,6 +74,24 @@ fn provenance_table_estimate_matches_tracked_bytes() {
     assert_calibrated("ProvenanceTable", pt.approx_bytes(), actual);
 }
 
+/// A whole provenance-cache entry — the provenance table and, beside it,
+/// the enumeration's listing (graphs, keys, records). The service opens
+/// the `cache.provenance` scope itself; no other test of this binary
+/// computes a prepared query.
+#[test]
+fn provenance_cache_charge_matches_tracked_bytes() {
+    let gen = nba::generate(nba::NbaConfig::tiny());
+    let service = cajade_service::ExplanationService::new(Default::default());
+    service.register_database("nba", gen.db, gen.schema_graph);
+    let session = service.open_session("nba", GSW_SQL).unwrap();
+    session.preview().unwrap();
+    let charged = service.stats().provenance_cache.bytes;
+    let held = cajade_obs::alloc::scope_snapshot("cache.provenance")
+        .expect("scope recorded")
+        .net_bytes;
+    assert_calibrated("provenance-cache entry", charged, held.max(0) as u64);
+}
+
 #[test]
 fn apt_estimate_matches_tracked_bytes() {
     let gen = nba::generate(nba::NbaConfig::tiny());

@@ -468,6 +468,12 @@ fn cold_ask_join_work_is_exact_and_a_warm_ask_does_none() {
     assert_eq!(work(), (283, 20), "warm ask adds (0, 0)");
 }
 
+/// The named counters of `service`'s registry (0 for one never bumped).
+fn counters<const N: usize>(service: &ExplanationService, names: [&str; N]) -> [u64; N] {
+    let counters = service.metrics_snapshot().counters;
+    names.map(|name| counters.iter().find(|(k, _)| k == name).map_or(0, |c| c.1))
+}
+
 #[test]
 fn cold_ask_shared_work_is_exact_with_and_without_worker_threads() {
     // What the graphs of one ask have in common, as counts, on the
@@ -490,14 +496,15 @@ fn cold_ask_shared_work_is_exact_with_and_without_worker_threads() {
         service.register_database("synth", gen.db.clone(), gen.schema_graph.clone());
         let session = service.open_session("synth", synth::SYNTH_SQL).unwrap();
         let work = || {
-            let counters = service.metrics_snapshot().counters;
-            [
-                "apt_join_steps_total",
-                "apt_join_steps_computed_total",
-                "prepare_column_reads_total",
-                "prepare_column_reads_computed_total",
-            ]
-            .map(|name| counters.iter().find(|(k, _)| k == name).map_or(0, |c| c.1))
+            counters(
+                &service,
+                [
+                    "apt_join_steps_total",
+                    "apt_join_steps_computed_total",
+                    "prepare_column_reads_total",
+                    "prepare_column_reads_computed_total",
+                ],
+            )
         };
         let ask = |t1: &str, t2: &str| {
             session
@@ -508,6 +515,27 @@ fn cold_ask_shared_work_is_exact_with_and_without_worker_threads() {
         let cold = ask("g0", "g1");
         assert_eq!((cold.apt_cache_hits, cold.apt_cache_misses), (0, 20));
         assert_eq!(work(), [19, 3, 325, 20], "cold ask, parallel {parallel}");
+        // What enumeration went through to get those 20: 66 one-edge
+        // extensions visited, 33 of them last-round graphs whose keys
+        // nothing can cover any more and so never keyed; 23 graphs listed
+        // — the 20 valid ones and 3 invalid ones the last round extended.
+        let [visited, rejected] = counters(
+            &service,
+            [
+                "jg_extensions_visited_total",
+                "jg_extensions_rejected_total",
+            ],
+        );
+        assert_eq!(
+            (
+                cold.result.num_graphs_enumerated,
+                cold.result.num_graphs_mined,
+                visited,
+                rejected,
+            ),
+            (23, 20, 66, 33),
+            "(listed, valid, visited, rejected), parallel {parallel}"
+        );
 
         // A new question: every preparation is cached, nothing is planned.
         let warm = ask("g2", "g1");

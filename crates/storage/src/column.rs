@@ -240,35 +240,20 @@ impl Column {
     /// Number of distinct non-null values (used by the join-graph cost
     /// estimator, paper §4 "estimateCost").
     pub fn distinct_count(&self) -> usize {
-        use std::collections::HashSet;
+        /// Distinct `key`s among the non-null rows, by sort + dedup.
+        fn count<T, K: Ord>(data: &[T], nulls: &NullMask, key: impl Fn(&T) -> K) -> usize {
+            let present = data.iter().enumerate().filter(|&(i, _)| !nulls.is_null(i));
+            let mut keys: Vec<K> = present.map(|(_, v)| key(v)).collect();
+            keys.sort_unstable();
+            keys.dedup();
+            keys.len()
+        }
         match self {
-            Column::Int { data, nulls } => {
-                let mut set = HashSet::with_capacity(data.len().min(1024));
-                for (i, v) in data.iter().enumerate() {
-                    if !nulls.is_null(i) {
-                        set.insert(*v);
-                    }
-                }
-                set.len()
-            }
-            Column::Float { data, nulls } => {
-                let mut set = HashSet::with_capacity(data.len().min(1024));
-                for (i, v) in data.iter().enumerate() {
-                    if !nulls.is_null(i) {
-                        set.insert(v.to_bits());
-                    }
-                }
-                set.len()
-            }
-            Column::Str { data, nulls } => {
-                let mut set = HashSet::with_capacity(data.len().min(1024));
-                for (i, v) in data.iter().enumerate() {
-                    if !nulls.is_null(i) {
-                        set.insert(*v);
-                    }
-                }
-                set.len()
-            }
+            Column::Int { data, nulls } => count(data, nulls, |&v| v),
+            // Floats by bit pattern: `-0.0` and `0.0`, and NaNs of
+            // different payloads, are different values.
+            Column::Float { data, nulls } => count(data, nulls, |v| v.to_bits()),
+            Column::Str { data, nulls } => count(data, nulls, |&v| v),
         }
     }
 
@@ -387,6 +372,35 @@ mod tests {
         }
         c.push(Value::Null, "x").unwrap();
         assert_eq!(c.distinct_count(), 3);
+    }
+
+    #[test]
+    fn distinct_count_is_by_bits_over_the_non_null_rows() {
+        let mut c = Column::new(DataType::Float);
+        let nan_payload = f64::from_bits(f64::NAN.to_bits() ^ 1);
+        for v in [0.0, -0.0, 0.0, f64::NAN, nan_payload, f64::NAN, 1.5] {
+            c.push(Value::Float(v), "x").unwrap();
+        }
+        c.push(Value::Null, "x").unwrap();
+        // 0.0, -0.0, two NaNs, 1.5; the null's placeholder 0.0 is not a
+        // sixth.
+        assert_eq!(c.distinct_count(), 5);
+
+        let mut c = Column::new(DataType::Str);
+        for v in [Value::Null, Value::Str(StrId(7)), Value::Str(StrId(7))] {
+            c.push(v, "x").unwrap();
+        }
+        // StrId(0) under the null is not StrId(7)'s neighbour.
+        assert_eq!(c.distinct_count(), 1);
+
+        for dtype in [DataType::Int, DataType::Float, DataType::Str] {
+            let mut c = Column::new(dtype);
+            assert_eq!(c.distinct_count(), 0);
+            for _ in 0..70 {
+                c.push(Value::Null, "x").unwrap();
+            }
+            assert_eq!(c.distinct_count(), 0, "all-null {dtype:?}");
+        }
     }
 
     #[test]
