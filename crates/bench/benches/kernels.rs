@@ -267,10 +267,10 @@ impl Enumeration {
 /// Stage 3 for a whole ask — every valid join graph of one enumeration:
 /// 35 graphs of row-preserving joins on the star, 202 graphs with
 /// per-game and per-player fan-out on NBA 0.05. `one_builder` is what an
-/// ask does: a step is applied to the parent's matrix and computed only if
-/// no graph read the same inputs before (4 of 34 on the star, 166 of 283
-/// on NBA). `fold_each` gives every graph a kernel of its own, so graphs
-/// share nothing (84 and 502 steps).
+/// ask does: every graph is folded through one kernel, and a step is
+/// computed only if no graph read the same inputs before (4 of 84 on the
+/// star, 166 of 572 on NBA). `fold_each` gives every graph a kernel of
+/// its own, so graphs share nothing (84 and 572 steps computed).
 fn bench_apt_enumeration(c: &mut Criterion) {
     for (name, gen, sql) in [
         ("star_20000x4", star_20000x4(), synth::SYNTH_SQL),

@@ -52,7 +52,7 @@
 //! hit is the very vector an earlier step produced. So across one kernel
 //!
 //! * every graph that joins `dim1` to a PT vector no earlier step changed
-//!   holds *one* `dim1` vector — the star corpus's 34 joins of 20 000
+//!   holds *one* `dim1` vector — the star corpus's 84 joins of 20 000
 //!   probes are 4 probe loops — and a relation joined twice to the same
 //!   anchor holds one vector inside one APT;
 //! * graphs that put the same fan-out or lossy step on top of a shared
@@ -63,14 +63,12 @@
 //! (`cajade_mining::ReadShare`).
 //!
 //! [`Apt::materialize`] folds `extend` over one graph's plan, in a kernel
-//! of its own. [`AptBuilder`] serves a whole enumeration with one kernel:
-//! besides the step memo and the key indexes it keeps the row-id matrix of
-//! every graph that has children, so a graph *applies* one step — its
-//! parent's matrix plus one `extend`, not a re-walk of its prefix — and
-//! that step is *computed* only if no graph before it read the same
-//! inputs ([`AptBuilder::join_steps`] /
-//! [`AptBuilder::join_steps_computed`]: 34 / 4 on the star corpus, 283 /
-//! 166 for NBA's 202 graphs).
+//! of its own. [`AptBuilder`] folds every graph of an enumeration through
+//! one kernel: a graph *applies* one step per edge, and a step is
+//! *computed* only if no graph before it read the same inputs — which, for
+//! a graph the enumerator grew from a parent, is at most its last
+//! ([`AptBuilder::join_steps`] / [`AptBuilder::join_steps_computed`]: 84 /
+//! 4 on the star corpus, 572 / 166 for NBA's 202 graphs).
 //!
 //! Row order does not depend on which of the two ran: a join emits, for
 //! each input combination in order, its matches in base-table order, and
@@ -388,12 +386,15 @@ struct Combos {
 
 impl Combos {
     /// The provenance table itself — `pt_ids` is `0..n` — with no context
-    /// joined.
-    fn pt(pt_ids: RowIds) -> Combos {
-        Combos {
-            slots: vec![Slot { node: 0, via: None }],
-            ids: vec![pt_ids],
-        }
+    /// joined yet, and room for `nodes` joined nodes.
+    fn pt(pt_ids: RowIds, nodes: usize) -> Combos {
+        let mut combos = Combos {
+            slots: Vec::with_capacity(nodes),
+            ids: Vec::with_capacity(nodes),
+        };
+        combos.slots.push(Slot { node: 0, via: None });
+        combos.ids.push(pt_ids);
+        combos
     }
 
     /// Number of combinations.
@@ -539,16 +540,16 @@ impl<'a> Kernel<'a> {
 
     /// The graph's full join: `extend` folded over its plan, from the PT.
     fn fold(&self, graph: &JoinGraph) -> Result<Combos> {
-        let mut combos = Combos::pt(self.pt_ids.clone());
+        let mut combos = Combos::pt(self.pt_ids.clone(), graph.nodes.len());
         for ei in edge_order(graph)? {
-            combos = self.extend(graph, &combos, ei)?;
+            self.extend(graph, &mut combos, ei)?;
         }
         Ok(combos)
     }
 
     /// Applies edge `ei` of `graph` to `combos`: a hash join when the edge
     /// reaches a node not joined yet, a filter when both endpoints are.
-    fn extend(&self, graph: &JoinGraph, combos: &Combos, ei: usize) -> Result<Combos> {
+    fn extend(&self, graph: &JoinGraph, combos: &mut Combos, ei: usize) -> Result<()> {
         let e = &graph.edges[ei];
         self.join_steps.fetch_add(1, Ordering::Relaxed);
         match (combos.slot_of(e.from), combos.slot_of(e.to)) {
@@ -573,22 +574,22 @@ impl<'a> Kernel<'a> {
         step.clone()
     }
 
-    /// The vectors of the combinations a step emitted: the input's own
-    /// when it emitted every combination exactly once, re-emitted ones —
-    /// one per `(vector, list)`, whichever graph asks — otherwise.
-    fn emit(&self, combos: &Combos, picks: &Option<Arc<Vec<u32>>>) -> Vec<RowIds> {
+    /// Leaves in `combos` the vectors of the combinations a step emitted:
+    /// its own when the step emitted every combination exactly once,
+    /// re-emitted ones — one per `(vector, list)`, whichever graph asks —
+    /// otherwise.
+    fn emit(&self, combos: &mut Combos, picks: &Option<Arc<Vec<u32>>>) {
         let Some(picks) = picks else {
-            return combos.ids.clone();
+            return;
         };
-        let reemit = |ids: &RowIds| {
+        for ids in &mut combos.ids {
             let cell = cell_of(&self.reemitted, (ids.addr(), Arc::as_ptr(picks) as usize));
             let (out, _pins) = cell.get_or_init(|| {
                 let out = picks.iter().map(|&i| ids[i as usize]).collect();
                 (RowIds::new(out), vec![ids.clone()])
             });
-            out.clone()
-        };
-        combos.ids.iter().map(reemit).collect()
+            *ids = out.clone();
+        }
     }
 
     /// Hash join of `combos` with the relation of `new_node` along edge
@@ -596,11 +597,11 @@ impl<'a> Kernel<'a> {
     fn join(
         &self,
         graph: &JoinGraph,
-        combos: &Combos,
+        combos: &mut Combos,
         ei: usize,
         anchor: usize,
         new_node: usize,
-    ) -> Result<Combos> {
+    ) -> Result<()> {
         let e = &graph.edges[ei];
         let rel = graph
             .rel_of(new_node)
@@ -659,20 +660,19 @@ impl<'a> Kernel<'a> {
                 new_ids: Some(RowIds::new(new_ids)),
             }
         });
-        let mut ids = self.emit(combos, &step.picks);
+        self.emit(combos, &step.picks);
         // `Some`: the entry of a `StepKey::Join` was computed right here.
-        ids.extend(step.new_ids);
-        let mut slots = combos.slots.clone();
-        slots.push(Slot {
+        combos.ids.extend(step.new_ids);
+        combos.slots.push(Slot {
             node: new_node,
             via: Some(ei),
         });
-        Ok(Combos { slots, ids })
+        Ok(())
     }
 
     /// Keeps the combinations satisfying the condition of `e`, an edge
     /// between two joined nodes (a cycle-closing or parallel edge).
-    fn filter(&self, graph: &JoinGraph, combos: &Combos, e: &JgEdge) -> Result<Combos> {
+    fn filter(&self, graph: &JoinGraph, combos: &mut Combos, e: &JgEdge) -> Result<()> {
         let mut sides = Vec::with_capacity(e.cond.pairs.len());
         for p in &e.cond.pairs {
             sides.push((
@@ -695,10 +695,8 @@ impl<'a> Kernel<'a> {
                 new_ids: None,
             }
         });
-        Ok(Combos {
-            slots: combos.slots.clone(),
-            ids: self.emit(combos, &step.picks),
-        })
+        self.emit(combos, &step.picks);
+        Ok(())
     }
 
     /// Resolves attribute `attr` of joined node `node` to its column.
@@ -846,39 +844,29 @@ fn view(db: &Database, pt: &ProvenanceTable, graph: &JoinGraph, combos: &Combos)
     })
 }
 
-/// Materializes the APTs of one enumeration through one kernel, sharing
-/// work along the enumeration tree and across it.
+/// Materializes the APTs of one enumeration through one kernel.
 ///
-/// An enumerated graph is its parent plus one edge, so its row-id matrix
-/// is its parent's matrix put through one `extend`. The builder keeps
-/// the matrix of every graph that has children, each computed at most
-/// once (whichever caller needs it first computes it; concurrent callers
-/// wait for that one), and the kernel keeps one key index per `(relation,
-/// key columns)` and one result per step *by what the step reads* (module
-/// docs) — so the one `extend` a graph applies is a look-up whenever a
-/// sibling, a cousin or the graph itself, asked again, already read the
-/// same key columns through the same vectors.
-/// [`materialize`](AptBuilder::materialize) returns exactly what
-/// [`Apt::materialize`] returns for the same graph.
+/// [`materialize`](AptBuilder::materialize) folds the graph from the PT,
+/// as [`Apt::materialize`] does, and returns exactly what that returns —
+/// but through a kernel that lives as long as the builder, so there is one
+/// key index per `(relation, key columns)` and one result per step *by
+/// what the step reads* (module docs). An enumerated graph is its parent
+/// plus one edge: every step of its prefix was computed for the parent, or
+/// for whichever sibling or cousin first read the same key columns through
+/// the same vectors, and is a look-up; concurrent callers of one step wait
+/// for the one that computes it. That memo is the builder's only sharing
+/// mechanism — it keeps no matrix per graph and does not read
+/// [`EnumeratedGraph::parent`].
 ///
-/// The per-graph matrices are not what makes steps shared — folding every
-/// graph from the PT would find each prefix step in the kernel's memo —
-/// they are what keeps a graph at one step *applied*
-/// ([`join_steps`](AptBuilder::join_steps), which tests and the service's
-/// `apt_join_steps_total` pin per corpus) and what hands every dependent of
-/// a malformed graph the error its ancestor hit.
+/// A malformed step is not memoized: every graph whose fold reaches it
+/// reports the error it raises, the same one on every call.
 ///
-/// A builder is meant to live for one ask. The retained matrices are at
-/// most `4 × joined nodes` bytes per intermediate row — less where a
-/// graph shares its parent's vectors — and a vector is freed when the
-/// builder and every [`Apt`] viewing it are gone.
+/// A builder is meant to live for one ask. The memo pins each vector a
+/// step read or produced; a vector is freed when the builder and every
+/// [`Apt`] viewing it are gone.
 pub struct AptBuilder<'a> {
     kernel: Kernel<'a>,
     graphs: &'a [EnumeratedGraph],
-    /// One cell per graph that some other graph names as its parent. An
-    /// error is retained like a matrix, so every dependent graph reports
-    /// the error its ancestor hit.
-    memo: Vec<Option<OnceLock<Result<Arc<Combos>>>>>,
 }
 
 impl<'a> AptBuilder<'a> {
@@ -886,17 +874,9 @@ impl<'a> AptBuilder<'a> {
     /// [`enumerate_join_graphs`](crate::enumerate_join_graphs) for the
     /// query `pt` is the provenance of.
     pub fn new(db: &'a Database, pt: &'a ProvenanceTable, graphs: &'a [EnumeratedGraph]) -> Self {
-        let mut memo: Vec<Option<OnceLock<_>>> = Vec::new();
-        memo.resize_with(graphs.len(), || None);
-        for g in graphs {
-            if let Some(cell) = g.parent.and_then(|p| memo.get_mut(p)) {
-                cell.get_or_insert_with(OnceLock::new);
-            }
-        }
         AptBuilder {
             kernel: Kernel::new(db, pt),
             graphs,
-            memo,
         }
     }
 
@@ -906,11 +886,13 @@ impl<'a> AptBuilder<'a> {
             .graphs
             .get(gi)
             .ok_or_else(|| GraphError::Malformed(format!("no enumerated graph with index {gi}")))?;
-        view(self.kernel.db, self.kernel.pt, &g.graph, &*self.combos(gi)?)
+        let combos = self.kernel.fold(&g.graph)?;
+        view(self.kernel.db, self.kernel.pt, &g.graph, &combos)
     }
 
     /// `extend` steps applied so far (hash joins and closing-edge
-    /// filters): one per graph materialized or memoized.
+    /// filters): one per edge of every graph materialized, whether the
+    /// step ran or was looked up.
     pub fn join_steps(&self) -> u64 {
         self.kernel.join_steps.load(Ordering::Relaxed)
     }
@@ -925,41 +907,6 @@ impl<'a> AptBuilder<'a> {
     /// Key indexes built so far.
     pub fn index_builds(&self) -> u64 {
         self.kernel.index_builds.load(Ordering::Relaxed)
-    }
-
-    /// The full row-id matrix of `graphs[gi]`, from the memo when the
-    /// graph has children.
-    fn combos(&self, gi: usize) -> Result<Arc<Combos>> {
-        let compute = || -> Result<Arc<Combos>> {
-            let graph = &self.graphs[gi].graph;
-            let combos = match self.tree_parent(gi) {
-                Some(p) => self
-                    .kernel
-                    .extend(graph, &*self.combos(p)?, graph.edges.len() - 1)?,
-                None => self.kernel.fold(graph)?,
-            };
-            Ok(Arc::new(combos))
-        };
-        match &self.memo[gi] {
-            Some(cell) => cell.get_or_init(compute).clone(),
-            None => compute(),
-        }
-    }
-
-    /// The parent of `graphs[gi]`, if extending the parent's matrix by the
-    /// graph's last edge is the graph's own fold: the parent precedes it
-    /// (so look-ups terminate), it is the parent plus one pushed edge, and
-    /// its plan is index order. True of everything the enumerator emits;
-    /// anything else is folded from the PT.
-    fn tree_parent(&self, gi: usize) -> Option<usize> {
-        let child = &self.graphs[gi].graph;
-        let p = self.graphs[gi].parent.filter(|&p| p < gi)?;
-        let parent = &self.graphs[p].graph;
-        let (_, prefix) = child.edges.split_last()?;
-        let grown = prefix == parent.edges
-            && child.nodes.starts_with(&parent.nodes)
-            && edge_order(child).is_ok_and(|order| order.iter().copied().eq(0..child.edges.len()));
-        grown.then_some(p)
     }
 }
 

@@ -266,9 +266,9 @@ fn materializing_a_row_preserving_child_allocates_one_vector() {
     let (db, pt) = corpus();
     let graphs = tree();
     let builder = AptBuilder::new(&db, &pt, &graphs);
-    // `city`'s key index and the parent's matrix exist; the child's step
-    // — `city` through `arena`'s vector as `box`'s fan-out re-emitted it —
-    // has not been computed by anyone.
+    // `city`'s key index and every step of the parent exist; the child's
+    // last step — `city` through `arena`'s vector as `box`'s fan-out
+    // re-emitted it — has not been computed by anyone.
     builder.materialize(ARENA_CITY).unwrap();
     builder.materialize(ARENA_BOX).unwrap();
     let allocated_by = |scope: &'static str| {
@@ -300,9 +300,11 @@ fn materializing_a_row_preserving_child_allocates_one_vector() {
         rows_of(&first, "city.altitude"),
         rows_of(&again, "city.altitude")
     ));
+    // Four materializations of 2 + 2 + 3 + 3 edges; the second ask of the
+    // child computed nothing.
     assert_eq!(
         (builder.join_steps(), builder.join_steps_computed()),
-        (5, 4)
+        (10, 4)
     );
 }
 
@@ -362,11 +364,16 @@ fn steps_reading_the_same_inputs_share_their_vectors() {
         rows_of(&apts[ARENA], "arena.capacity")
     ));
 
-    // 9 steps applied, 3 of them look-ups: the second `arena`, `city` off
-    // it, and `box` under `arena`.
+    // One step applied per edge of every graph, 17; 6 computed. Of each
+    // graph's last step 3 are look-ups — the second `arena`, `city` off
+    // it, and `box` under `arena` — and so is every prefix step.
+    assert_eq!(
+        builder.join_steps(),
+        graphs.iter().map(|g| g.graph.edges.len() as u64).sum()
+    );
     assert_eq!(
         (builder.join_steps(), builder.join_steps_computed()),
-        (9, 6)
+        (17, 6)
     );
     for (gi, apt) in apts.iter().enumerate() {
         let alone = Apt::materialize(&db, &pt, &graphs[gi].graph).unwrap();

@@ -399,20 +399,21 @@ fn assert_tree_shape(graphs: &[EnumeratedGraph]) {
 }
 
 /// `AptBuilder::materialize(gi)` == `Apt::materialize` for the graphs
-/// `pick` selects; returns the digest over the builder's APTs.
-fn assert_builder_matches(
-    p: &Prepared,
-    pick: impl Fn(&EnumeratedGraph) -> bool,
-) -> (u64, u64, u64) {
+/// `pick` selects, and the builder applied one step per edge of each;
+/// returns the digest over the builder's APTs and its index builds.
+fn assert_builder_matches(p: &Prepared, pick: impl Fn(&EnumeratedGraph) -> bool) -> (u64, u64) {
     let builder = AptBuilder::new(&p.gen.db, &p.pt, &p.graphs);
     let mut h = Fnv::new();
+    let mut edges = 0;
     for (gi, g) in p.graphs.iter().enumerate().filter(|(_, g)| pick(g)) {
         let shared = builder.materialize(gi).unwrap();
         let alone = Apt::materialize(&p.gen.db, &p.pt, &g.graph).unwrap();
         assert_apt_eq(&shared, &alone, &format!("graph {gi} ({})", g.key));
         apt_digest(&mut h, &shared);
+        edges += g.graph.edges.len() as u64;
     }
-    (h.0, builder.join_steps(), builder.index_builds())
+    assert_eq!(builder.join_steps(), edges, "one step applied per edge");
+    (h.0, builder.index_builds())
 }
 
 /// The three benchmark corpora: enumeration output and every valid APT are
@@ -431,9 +432,8 @@ fn enumeration_and_apts_match_the_recorded_goldens() {
         valid: usize,
         enum_digest: u64,
         apt_digest: u64,
-        /// Work the builder does for all valid graphs, vs the fold's
-        /// one step and one index build per edge.
-        join_steps: u64,
+        /// Key indexes the builder builds for all valid graphs, vs one
+        /// per edge when each graph is folded in a kernel of its own.
         index_builds: u64,
     }
     let cases = [
@@ -448,7 +448,6 @@ fn enumeration_and_apts_match_the_recorded_goldens() {
                 valid: 202,
                 enum_digest: 0xd5a6_26e4_a420_5f5a,
                 apt_digest: 0x231d_a104_0b69_317d,
-                join_steps: 283,
                 index_builds: 20,
             },
         ),
@@ -463,7 +462,6 @@ fn enumeration_and_apts_match_the_recorded_goldens() {
                 valid: 18,
                 enum_digest: 0xe95d_81a2_c466_3d2e,
                 apt_digest: 0xab10_8e78_dbcf_3be9,
-                join_steps: 19,
                 index_builds: 4,
             },
         ),
@@ -482,7 +480,6 @@ fn enumeration_and_apts_match_the_recorded_goldens() {
                 valid: 35,
                 enum_digest: 0x7d0b_cfd8_3723_3492,
                 apt_digest: 0xf75c_f01e_2a02_4bc6,
-                join_steps: 34,
                 index_builds: 4,
             },
         ),
@@ -517,13 +514,9 @@ fn enumeration_and_apts_match_the_recorded_goldens() {
         });
         assert_eq!(hopeless.count(), 0, "{name}: reachability cut");
         assert_tree_shape(&p.graphs);
-        let (digest, steps, builds) = assert_builder_matches(&p, |g| g.valid);
+        let (digest, builds) = assert_builder_matches(&p, |g| g.valid);
         assert_eq!(digest, want.apt_digest, "{name}: APT digest");
-        assert_eq!(
-            (steps, builds),
-            (want.join_steps, want.index_builds),
-            "{name}: (join steps, index builds)"
-        );
+        assert_eq!(builds, want.index_builds, "{name}: index builds");
     }
 }
 
@@ -838,7 +831,13 @@ fn awkward_joins_match_the_nested_loop_oracle() {
     assert!(closing > 10, "closing/parallel edges: {closing}");
     assert!(second_binding > 10, "second FROM binding: {second_binding}");
     assert!(nonempty > 10, "non-empty APTs: {nonempty}");
-    assert!(builder.join_steps() < graphs.iter().map(|g| g.graph.edges.len() as u64).sum());
+    // Every edge is a step applied; the enumeration's shared prefixes are
+    // why fewer are computed.
+    assert_eq!(
+        builder.join_steps(),
+        graphs.iter().map(|g| g.graph.edges.len() as u64).sum()
+    );
+    assert!(builder.join_steps_computed() < builder.join_steps());
 }
 
 /// The corpora the goldens above do not reach: the second MIMIC query,
@@ -1004,12 +1003,14 @@ fn a_parent_error_reaches_every_child_unchanged() {
     assert!(matches!(want, GraphError::BadCondition(_)), "{want}");
 
     let builder = AptBuilder::new(&db, &pt, &graphs);
-    // Children first, concurrently: whoever gets there first computes the
-    // failing parent step; everyone sees its error.
+    // Children first, concurrently: each dependent's fold reaches the
+    // failing step — its first — and reports that step's error.
+    const THREADS: u64 = 4;
+    let failing = [3, 2, 1, 3];
     std::thread::scope(|s| {
-        for _ in 0..4 {
+        for _ in 0..THREADS {
             s.spawn(|| {
-                for gi in [3, 2, 1, 3] {
+                for gi in failing {
                     assert_eq!(builder.materialize(gi).unwrap_err(), want, "graph {gi}");
                 }
             });
@@ -1023,8 +1024,14 @@ fn a_parent_error_reaches_every_child_unchanged() {
             &format!("graph {gi}"),
         );
     }
-    // The failing step ran once, not once per dependent.
-    assert_eq!(builder.join_steps(), 1 + 2);
+    // One step applied per edge of the two graphs materialized, and the
+    // failing step once per fold that stopped at it; it computed nothing.
+    let edges: u64 = [4, 5]
+        .iter()
+        .map(|&gi| graphs[gi].graph.edges.len() as u64)
+        .sum();
+    assert_eq!(builder.join_steps(), edges + THREADS * failing.len() as u64);
+    assert_eq!(builder.join_steps_computed(), 2);
 }
 
 // ---- Random small corpora -----------------------------------------------------

@@ -1,10 +1,19 @@
 //! Keyed LRU cache with byte-budget accounting.
 //!
-//! The service keeps two of these: provenance/enumeration results keyed
-//! by `(db, epoch, sql)` and materialized APTs keyed by
-//! `(db, epoch, sql, join-graph key)`. Values travel behind `Arc`, so a
-//! hit is a pointer clone and eviction never frees memory still in use by
-//! an in-flight question.
+//! The service keeps four of these, each under its own byte budget:
+//!
+//! * provenance — a query's result, provenance table and enumerated join
+//!   graphs, keyed by `(db, epoch, sql, enumeration parameters)`;
+//! * APT — one join graph's view and its question-independent mining
+//!   preparation, keyed by `(db, epoch, sql, join-graph key, mining
+//!   parameters)`;
+//! * answer — a question's ranked explanations, keyed by `(db, epoch, sql,
+//!   parameters, question)`;
+//! * column statistics — one base column's bins and fragment boundaries,
+//!   keyed by `(db, epoch, table, column, statistics parameters)`.
+//!
+//! Values travel behind `Arc`, so a hit is a pointer clone and eviction
+//! never frees memory still in use by an in-flight question.
 //!
 //! Eviction is least-recently-used by a logical tick, scanned linearly —
 //! entry counts are small (tens to hundreds of heavyweight tables), so a
@@ -68,7 +77,7 @@ pub struct CacheStats {
     /// Inserts rejected because a single value exceeded the whole budget.
     pub rejected: u64,
     /// Misses that waited on another thread's in-flight computation of the
-    /// same key instead of recomputing ([`LruCache::get_or_try_compute`]).
+    /// same key instead of recomputing ([`LruCache::compute_if_absent`]).
     pub coalesced: u64,
 }
 
@@ -88,7 +97,7 @@ struct Inner<K, V> {
 pub struct LruCache<K, V> {
     inner: Mutex<Inner<K, V>>,
     /// Per-key in-flight latches backing the single-flight
-    /// [`get_or_try_compute`](LruCache::get_or_try_compute): concurrent
+    /// [`compute_if_absent`](LruCache::compute_if_absent): concurrent
     /// misses on the same key serialize here, and all but the first get
     /// the winner's value instead of recomputing.
     inflight: Mutex<HashMap<K, std::sync::Arc<Mutex<()>>>>,
@@ -134,25 +143,38 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
         })
     }
 
-    /// Single-flight get-or-compute: a hit returns immediately; on a miss,
+    /// Single-flight get-or-compute: a counted [`get`](LruCache::get),
+    /// and on a miss [`compute_if_absent`](LruCache::compute_if_absent).
+    /// Returns `(value, hit)` where `hit` is true when no computation ran
+    /// for this caller.
+    pub fn get_or_try_compute<E>(
+        &self,
+        key: &K,
+        compute: impl FnOnce() -> Result<(V, Option<usize>), E>,
+    ) -> Result<(V, bool), E> {
+        match self.get(key) {
+            Some(v) => Ok((v, true)),
+            None => self.compute_if_absent(key, compute),
+        }
+    }
+
+    /// The single-flight half, for a caller whose miss is already counted:
     /// exactly one caller runs `compute` while concurrent callers for the
     /// same key block on a per-key latch and then receive the winner's
-    /// cached value (`coalesced` counts them). Returns `(value, hit)`
-    /// where `hit` is true when no computation ran for this caller.
+    /// cached value (`coalesced` counts them; neither a hit nor a second
+    /// miss is). Returns `(value, found)` where `found` is true when no
+    /// computation ran for this caller.
     ///
     /// `compute` returns the value plus `Some(bytes)` to cache it, or
     /// `None` to hand the value back without retaining it (e.g. when the
     /// owning database was re-registered mid-computation). If `compute`
     /// fails, waiters find no cached value and compute in turn —
     /// serialized by the stale latch, so an erroring key never stampedes.
-    pub fn get_or_try_compute<E>(
+    pub fn compute_if_absent<E>(
         &self,
         key: &K,
         compute: impl FnOnce() -> Result<(V, Option<usize>), E>,
     ) -> Result<(V, bool), E> {
-        if let Some(v) = self.get(key) {
-            return Ok((v, true));
-        }
         let latch = std::sync::Arc::clone(
             self.inflight
                 .lock()
@@ -383,6 +405,41 @@ mod tests {
         let s = c.stats();
         assert_eq!(s.inserts, 1);
         assert!(s.coalesced + s.hits >= 3, "{s:?}");
+    }
+
+    #[test]
+    fn compute_if_absent_counts_no_second_miss_and_coalesces() {
+        use std::sync::Arc;
+        let c: Arc<LruCache<u32, u32>> = Arc::new(LruCache::new(1024));
+        // The caller's own counted miss, then the compute half.
+        assert_eq!(c.get(&7), None);
+        let (v, found) = c.compute_if_absent::<()>(&7, || Ok((42, Some(8)))).unwrap();
+        assert_eq!((v, found), (42, false));
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.inserts, s.coalesced), (0, 1, 1, 0));
+
+        // Two callers that both missed key 9: one computes, the other
+        // waits on the latch and takes its value.
+        assert_eq!((c.get(&9), c.get(&9)), (None, None));
+        let outcomes: Vec<(u32, bool)> = std::thread::scope(|scope| {
+            let callers: Vec<_> = (0..2)
+                .map(|_| {
+                    let c = Arc::clone(&c);
+                    scope.spawn(move || {
+                        c.compute_if_absent::<()>(&9, || {
+                            std::thread::sleep(std::time::Duration::from_millis(100));
+                            Ok((3, Some(8)))
+                        })
+                        .unwrap()
+                    })
+                })
+                .collect();
+            callers.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        assert!(outcomes.iter().all(|&(v, _)| v == 3));
+        assert_eq!(outcomes.iter().filter(|&&(_, found)| found).count(), 1);
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.inserts, s.coalesced), (0, 3, 2, 1));
     }
 
     #[test]

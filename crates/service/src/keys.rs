@@ -52,7 +52,8 @@ impl ColStatsKey {
     }
 }
 
-/// Key of a cached materialized APT.
+/// Key of a cached join graph: its APT view and the mining preparation
+/// made from it ([`crate::PreparedGraph`]).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AptKey {
     /// Registered database name.
@@ -63,6 +64,10 @@ pub struct AptKey {
     pub sql: String,
     /// Canonical join-graph key.
     pub graph: JoinGraphKey,
+    /// Fingerprint of the mining parameters the preparation was made
+    /// with: sessions that mine differently share the provenance entry,
+    /// not the prepared graphs.
+    pub mining_fingerprint: u64,
 }
 
 /// Key of a cached fully-answered question. Besides the database/query
@@ -106,19 +111,6 @@ impl AnswerKey {
     }
 }
 
-impl ProvKey {
-    /// Approximate key footprint for cache accounting.
-    pub fn approx_bytes(&self) -> usize {
-        self.db.len() + self.sql.len() + 16
-    }
-}
-
-impl AptKey {
-    /// Approximate key footprint for cache accounting.
-    pub fn approx_bytes(&self) -> usize {
-        self.db.len() + self.sql.len() + self.graph.approx_bytes() + 8
-    }
-}
 #[cfg(test)]
 mod tests {
     use super::AnswerKey;

@@ -12,18 +12,19 @@
 //!
 //! * [`ExplanationService`] — thread-safe catalog of registered databases
 //!   (with content fingerprints and registration epochs), a session
-//!   registry, and the two caches;
+//!   registry, and the caches;
 //! * provenance/enumeration cache keyed by `(db, epoch, canonical SQL)`;
 //! * APT cache keyed by `(db, epoch, canonical SQL, canonical join-graph
-//!   key)` with LRU eviction under a byte budget;
+//!   key, mining parameters)` — one [`PreparedGraph`] per key, the view
+//!   and its mining preparation — with LRU eviction under a byte budget;
 //! * answer cache keyed by `(db, epoch, canonical SQL, params, canonical
 //!   question)` — a repeated question returns its fully-ranked
 //!   explanations without running any pipeline stage (this reproduction's
 //!   mining stage dominates the runtime profile, so skipping only
 //!   preparation is not enough for interactive-grade warm latency);
 //! * [`SessionHandle::ask`] — answers a [`cajade_core::UserQuestion`],
-//!   materializing only cache-missed APTs (in parallel) and always
-//!   re-mining, because mining is question-specific;
+//!   materializing and preparing only cache-missed join graphs (in
+//!   parallel) and always re-mining, because mining is question-specific;
 //! * re-registering a database with different content advances its epoch
 //!   and sweeps every stale cache entry.
 //!
@@ -55,7 +56,9 @@ mod stats;
 pub use cache::{CacheObs, CacheStats};
 pub use error::{ServiceError, ERROR_CODES};
 pub use keys::{AnswerKey, AptKey, ColStatsKey, ProvKey};
-pub use service::{AptEntry, ExplanationService, RegisterOutcome, RegisteredDb, ServiceConfig};
+pub use service::{
+    ExplanationService, PreparedGraph, RegisterOutcome, RegisteredDb, ServiceConfig,
+};
 pub use session::{AskOptions, AskResult, SessionHandle};
 pub use stats::{IngestStats, ServiceStats};
 

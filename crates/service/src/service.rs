@@ -1,6 +1,8 @@
 //! The thread-safe explanation service: a catalog of registered
-//! databases, a registry of open sessions, and the shared
-//! provenance/APT caches that make repeated questions cheap.
+//! databases, a registry of open sessions, and the shared caches that make
+//! repeated questions cheap — provenance + enumeration per query, one
+//! immutable [`PreparedGraph`] per `(query, join graph, mining
+//! parameters)`, ranked answers per question, and per-column statistics.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,73 +28,24 @@ use crate::{Result, ServiceError};
 /// oldest session id.
 const MAX_OPEN_SESSIONS: usize = 4096;
 
-/// Prepared-state variants kept per cached APT (one per distinct mining
-/// parameter fingerprint — sessions rarely use more than one or two).
-const MAX_PREPARED_VARIANTS: usize = 4;
-
-/// One APT-cache entry: the materialized APT plus its question-independent
-/// mining preparation(s), keyed by mining-parameter fingerprint. A *new*
-/// question on a warm entry reuses both and skips straight to scoring.
+/// One APT-cache value: a join graph's APT view and the
+/// question-independent mining preparation made from it, computed
+/// together, inserted once and never changed. A *new* question on a cached
+/// graph reuses both and skips straight to scoring.
 #[derive(Debug)]
-pub struct AptEntry {
-    /// The materialized APT.
+pub struct PreparedGraph {
+    /// The APT view — behind an `Arc` of its own because the ask derives
+    /// every missing view first, plans what their preparations will read
+    /// in common, and only then prepares each.
     pub apt: Arc<Apt>,
-    /// `(mining params fingerprint, prepared state)` pairs, newest last.
-    prepared: Mutex<Vec<(u64, Arc<PreparedApt>)>>,
+    /// Its mining preparation, under the parameters in the entry's
+    /// [`AptKey::mining_fingerprint`](crate::AptKey::mining_fingerprint).
+    pub prep: PreparedApt,
 }
 
-impl AptEntry {
-    /// Wraps a freshly materialized APT with no prepared state yet.
-    pub fn new(apt: Arc<Apt>) -> Arc<AptEntry> {
-        Arc::new(AptEntry {
-            apt,
-            prepared: Mutex::new(Vec::new()),
-        })
-    }
-
-    /// Returns the prepared state for `fingerprint`, building it via
-    /// `build` on first use. The per-entry lock is held across the build,
-    /// so concurrent asks on the same APT prepare it exactly once.
-    /// Returns `(prepared, hit)`.
-    ///
-    /// A build truncated by an expired request budget
-    /// ([`PreparedApt::truncated`]) is handed back to its own request but
-    /// **not** retained: an unbudgeted ask must never inherit a partial
-    /// preparation computed under someone else's deadline.
-    pub fn prepared_for(
-        &self,
-        fingerprint: u64,
-        build: impl FnOnce() -> PreparedApt,
-    ) -> (Arc<PreparedApt>, bool) {
-        let mut variants = self.prepared.lock();
-        if let Some((_, p)) = variants.iter().find(|(fp, _)| *fp == fingerprint) {
-            return (Arc::clone(p), true);
-        }
-        let p = Arc::new(build());
-        if !p.truncated {
-            variants.push((fingerprint, Arc::clone(&p)));
-            if variants.len() > MAX_PREPARED_VARIANTS {
-                variants.remove(0);
-            }
-        }
-        (p, false)
-    }
-
-    /// Whether an ask with mining parameters `fingerprint` will find its
-    /// prepared state here rather than build it. Never waits: an entry
-    /// another ask is preparing right now reads as not prepared yet.
-    pub fn has_prepared(&self, fingerprint: u64) -> bool {
-        let variants = self.prepared.try_lock();
-        variants.is_some_and(|v| v.iter().any(|(fp, _)| *fp == fingerprint))
-    }
-
-    /// Drops all prepared variants (byte-budget pressure).
-    pub fn clear_prepared(&self) {
-        self.prepared.lock().clear();
-    }
-
+impl PreparedGraph {
     /// Approximate heap footprint: the APT view, the provenance-table
-    /// columns it pins, and every prepared variant.
+    /// columns it pins, and the preparation.
     ///
     /// The provenance cache charges those columns too, and so does every
     /// other entry of the same query, but the two caches evict
@@ -102,14 +55,7 @@ impl AptEntry {
     /// the cache from holding more than it believes; while the provenance
     /// entry lives it believes more than it holds.
     pub fn approx_bytes(&self) -> usize {
-        self.apt.approx_bytes()
-            + self.apt.pinned_pt_bytes()
-            + self
-                .prepared
-                .lock()
-                .iter()
-                .map(|(_, p)| p.approx_bytes())
-                .sum::<usize>()
+        self.apt.approx_bytes() + self.apt.pinned_pt_bytes() + self.prep.approx_bytes()
     }
 }
 
@@ -231,7 +177,7 @@ pub(crate) struct ServiceInner {
     /// freshly-registered content.
     pub(crate) next_epoch: AtomicU64,
     pub(crate) prov_cache: LruCache<ProvKey, Arc<PreparedQuery>>,
-    pub(crate) apt_cache: LruCache<AptKey, Arc<AptEntry>>,
+    pub(crate) apt_cache: LruCache<AptKey, Arc<PreparedGraph>>,
     pub(crate) answer_cache: LruCache<AnswerKey, Arc<cajade_core::SessionResult>>,
     pub(crate) column_stats: LruCache<ColStatsKey, Arc<cajade_mining::ColumnStats>>,
     pub(crate) ingest_stats: Mutex<IngestStats>,

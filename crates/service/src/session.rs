@@ -2,11 +2,20 @@
 //!
 //! A [`SessionHandle`] pins one `(database, query)` pair and answers
 //! repeated [`ask`](SessionHandle::ask) calls. The first question pays
-//! for provenance, join-graph enumeration, and APT materialization; the
-//! service caches all three keyed by database epoch, canonical SQL, and
-//! canonical join-graph key, so later questions — from this handle or any
-//! other session on the same query — skip straight to mining (§2.4's
+//! for provenance, join-graph enumeration, APT materialization and the
+//! question-independent half of mining; the service caches them keyed by
+//! database epoch and canonical SQL — provenance and enumeration per
+//! query, one immutable [`PreparedGraph`] per `(join graph, mining
+//! parameters)` — so later questions, from this handle or any other
+//! session on the same query, skip straight to scoring (§2.4's
 //! interactive usage pattern).
+//!
+//! An ask that finds some graphs missing makes one lookup per valid graph,
+//! derives the missing graphs' views through one [`AptBuilder`], plans one
+//! [`ReadShare`] over exactly those views, and prepares each under the APT
+//! cache's per-key latch — the expensive half, which concurrent cold asks
+//! therefore do once; the view, which needs the ask's builder, they may
+//! both derive. Then every graph is mined in enumeration order.
 
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
@@ -14,13 +23,13 @@ use std::time::Duration;
 use cajade_core::pipeline::{self, GraphOutcome, PreparedQuery};
 use cajade_core::{Params, SessionResult, UserQuestion};
 use cajade_graph::{Apt, AptBuilder, EnumeratedGraph};
-use cajade_mining::{PreparedApt, ReadShare};
+use cajade_mining::ReadShare;
 use cajade_obs::{span, Collector, SpanRecord, Stage};
 use cajade_query::Query;
 
 use crate::colstats::DbColumnStats;
 use crate::keys::{AnswerKey, AptKey, ProvKey};
-use crate::service::{AptEntry, RegisteredDb, ServiceInner};
+use crate::service::{PreparedGraph, RegisteredDb, ServiceInner};
 use crate::{Result, ServiceError};
 
 /// Per-ask knobs beyond the question itself.
@@ -49,9 +58,9 @@ pub struct AskResult {
     pub answer_cache_hit: bool,
     /// Whether provenance + enumeration came from cache.
     pub provenance_cache_hit: bool,
-    /// Join graphs whose APT came from cache.
+    /// Join graphs whose APT and mining preparation came from cache.
     pub apt_cache_hits: usize,
-    /// Join graphs whose APT had to be materialized.
+    /// Join graphs this ask had to materialize and prepare.
     pub apt_cache_misses: usize,
     /// End-to-end wall clock of this ask.
     pub wall: Duration,
@@ -74,10 +83,19 @@ pub struct SessionHandle {
     params: Params,
     params_fingerprint: u64,
     prep_fingerprint: u64,
-    /// Fingerprint of the mining parameters: which prepared variant of a
-    /// cached APT entry this session's asks use.
+    /// Fingerprint of the mining parameters: part of the key of every
+    /// cached graph this session's asks use.
     mining_fingerprint: u64,
     service: Weak<ServiceInner>,
+}
+
+/// What stage 3 of an ask found for one join graph.
+enum Resolved {
+    /// The cached graph.
+    Hit(Arc<PreparedGraph>),
+    /// The view of a graph the cache does not hold, and what it took to
+    /// derive.
+    Miss(Arc<Apt>, Duration),
 }
 
 impl SessionHandle {
@@ -154,8 +172,9 @@ impl SessionHandle {
     ///
     /// Stage reuse: provenance + enumeration are fetched from (or
     /// inserted into) the provenance cache; each valid join graph's APT
-    /// is fetched from (or materialized into) the APT cache; mining and
-    /// ranking always run because they depend on the question.
+    /// and mining preparation are fetched from (or computed into) the APT
+    /// cache; scoring and ranking always run because they depend on the
+    /// question.
     pub fn ask(&self, question: &UserQuestion) -> Result<AskResult> {
         self.ask_traced(question, false)
     }
@@ -241,25 +260,22 @@ impl SessionHandle {
             pipeline::resolve_question(&reg.db, &self.query, &prepared.pt, question)?;
         drop(resolve_span);
 
-        // ---- Stage 3: APTs, cached per canonical join-graph key. --------
-        // Each APT is resolved through the cache's single-flight latch, so
-        // two concurrent cold asks on the same query share one `AptEntry`
-        // per graph: one thread materializes, the other coalesces — and
-        // because the entry object is shared, the (more expensive) mining
-        // preparation below is deduplicated by the entry's own lock too.
-        //
+        // ---- Stage 3: one cache lookup per valid graph; a view per miss. --
         // The three stages from here on go through `pipeline::fan_out`, so
         // their workers run under this thread's `Ctx`: stage span as
         // parent, the request's budget, its alloc scopes.
         //
         // Misses are materialized through one `AptBuilder`, made by the
-        // first miss and dropped with this stage: graphs share their
-        // ancestors' joins, and an ask served from the cache builds none.
+        // first miss and dropped with this stage: graphs share the joins
+        // of their common prefixes, and an ask served from the cache
+        // builds none. A view is not latched — two racing cold asks may
+        // both derive a graph's view (16 ms of NBA's cold ask for all
+        // 202); the latch is on the preparation below (48 ms).
         let valid = prepared.valid_graph_indices();
         let mat_span = span("materialize");
         let builder: OnceLock<AptBuilder<'_>> = OnceLock::new();
-        type ReadyRow = (usize, AptKey, Arc<AptEntry>, bool, Duration);
-        let resolve_one = |&gi: &usize| -> Result<Option<ReadyRow>> {
+        type Graph = (usize, AptKey, Resolved);
+        let resolve_one = |&gi: &usize| -> Result<Option<Graph>> {
             // Budget check at the per-graph boundary: an expired
             // deadline skips the remaining graphs entirely — the ones
             // already materialized still get mined, so the answer
@@ -272,33 +288,21 @@ impl SessionHandle {
                 epoch: reg.epoch,
                 sql: self.sql.clone(),
                 graph: prepared.graphs[gi].key.clone(),
+                mining_fingerprint: self.mining_fingerprint,
             };
-            let mut mat = Duration::ZERO;
-            let (entry, hit) = inner.apt_cache.get_or_try_compute(
-                &key,
-                || -> Result<(Arc<AptEntry>, Option<usize>)> {
-                    cajade_obs::faults::failpoint_infallible("cache.apt_compute");
-                    // Attribute the retained APT to the cache that
-                    // will hold it (inclusive with "materialize").
-                    let _mem = cajade_obs::AllocScope::enter("cache.apt");
-                    let builder = builder.get_or_init(|| {
-                        pipeline::begin_materialize(&reg.db, &prepared.pt, &prepared.graphs)
-                    });
-                    let (apt, wall) = pipeline::materialize(builder, gi)?;
-                    mat = wall;
-                    let entry = AptEntry::new(Arc::new(apt));
-                    // Skip caching if the database was re-registered
-                    // mid-ask: keys of a stale epoch would be unreachable
-                    // yet hold cache budget.
-                    let bytes = inner
-                        .epoch_is_current(&self.db_name, reg.epoch)
-                        .then(|| entry.approx_bytes());
-                    Ok((entry, bytes))
-                },
-            )?;
-            Ok(Some((gi, key, entry, hit, mat)))
+            if let Some(hit) = inner.apt_cache.get(&key) {
+                return Ok(Some((gi, key, Resolved::Hit(hit))));
+            }
+            // Attribute the retained view to the cache that will hold
+            // it (inclusive with "materialize").
+            let _mem = cajade_obs::AllocScope::enter("cache.apt");
+            let builder = builder.get_or_init(|| {
+                pipeline::begin_materialize(&reg.db, &prepared.pt, &prepared.graphs)
+            });
+            let (apt, wall) = pipeline::materialize(builder, gi)?;
+            Ok(Some((gi, key, Resolved::Miss(Arc::new(apt), wall))))
         };
-        let ready: Result<Vec<Option<ReadyRow>>> =
+        let resolved: Result<Vec<Option<Graph>>> =
             pipeline::fan_out(&self.params, &valid, resolve_one);
         if let Some(builder) = builder.into_inner() {
             // Freed where the misses allocated it: under `cache.apt`.
@@ -308,75 +312,91 @@ impl SessionHandle {
             inner.obs.apt_join_steps_computed_total.add(computed);
             inner.obs.apt_index_builds_total.add(index_builds);
         }
-        let ready: Vec<ReadyRow> = ready?.into_iter().flatten().collect();
+        let resolved: Vec<Graph> = resolved?.into_iter().flatten().collect();
         drop(mat_span);
-        let apt_cache_hits = ready.iter().filter(|(_, _, _, hit, _)| *hit).count();
-        let apt_cache_misses = ready.len() - apt_cache_hits;
 
         // ---- Stage 3.5: question-independent mining preparation. --------
         // Feature selection, the LCA candidate pool, fragment boundaries,
         // and the scoring index/bitmaps depend only on (APT, mining
-        // params); they are computed once per cached entry and reused by
-        // every later question. Per-column statistics (bin specs,
-        // fragment boundaries) are shared even further: the service's
-        // column-stats cache hands every graph after the first — and
-        // every later preparation touching the same context column — the
-        // entry computed once per database epoch.
+        // params); they are computed once per cached graph, under the
+        // cache's per-key latch — concurrent cold asks prepare a graph
+        // once — and reused by every later question. Per-column
+        // statistics (bin specs, fragment boundaries) are shared even
+        // further: the service's column-stats cache hands every graph
+        // after the first — and every later preparation touching the same
+        // context column — the entry computed once per database epoch.
         //
         // What the graphs of *this* ask read in common — the same base
         // column through the same row-id vector, the scan order over the
         // same `pt_row` vector — goes through the ask's `ReadShare`,
-        // planned here over the entries that still need preparing and
-        // dropped with this stage. A warm ask plans nothing.
+        // planned here over the views of the misses and dropped with this
+        // stage. A warm ask plans nothing.
         let prep_span = span("prepare");
-        let unprepared =
-            |(_, _, entry, _, _): &&ReadyRow| !entry.has_prepared(self.mining_fingerprint);
-        let to_prepare: Vec<&Apt> = (ready.iter().filter(unprepared))
-            .map(|(_, _, entry, _, _)| &*entry.apt)
-            .collect();
-        let share = (!to_prepare.is_empty()).then(|| {
+        let mut views = (resolved.iter())
+            .filter_map(|(_, _, r)| match r {
+                Resolved::Miss(view, _) => Some(view.as_ref()),
+                Resolved::Hit(_) => None,
+            })
+            .peekable();
+        let share = views.peek().is_some().then(|| {
             // Like the prepared state it serves: under "cache.apt", in the
             // stage's own scope.
             let _mem = cajade_obs::AllocScope::enter("cache.apt");
             let _stage = cajade_obs::AllocScope::enter("prepare");
-            ReadShare::plan(to_prepare)
+            ReadShare::plan(views)
         });
         let col_stats = DbColumnStats::new(&inner, &reg, &self.params, share);
-        let prepare_one = |(_, _, entry, _, _): &ReadyRow| {
-            entry.prepared_for(self.mining_fingerprint, || {
-                // The prepared state is retained by the APT cache
-                // entry; account it under "cache.apt" alongside the
-                // view it decorates.
+        // `(graph, materialization wall, whether this ask prepared it)`.
+        type Ready = (usize, Arc<PreparedGraph>, Duration, bool);
+        let prepare_miss = |key: &AptKey, apt: &Arc<Apt>| {
+            let compute = || -> std::result::Result<_, std::convert::Infallible> {
+                cajade_obs::faults::failpoint_infallible("cache.apt_compute");
+                // The cache retains view and preparation alike.
                 let _mem = cajade_obs::AllocScope::enter("cache.apt");
-                pipeline::prepare_mining(&entry.apt, &prepared.pt, &self.params, &col_stats, None)
-            })
+                let prep =
+                    pipeline::prepare_mining(apt, &prepared.pt, &self.params, &col_stats, None);
+                let graph = Arc::new(PreparedGraph {
+                    apt: Arc::clone(apt),
+                    prep,
+                });
+                // Not retained: a preparation truncated by this request's
+                // budget — an unbudgeted ask must never inherit a partial
+                // preparation computed under someone else's deadline —
+                // and anything computed against a database re-registered
+                // mid-ask, whose stale-epoch keys would be unreachable yet
+                // hold cache budget.
+                let retain =
+                    !graph.prep.truncated && inner.epoch_is_current(&self.db_name, reg.epoch);
+                let bytes = retain.then(|| graph.approx_bytes());
+                Ok((graph, bytes))
+            };
+            // `found`: another ask prepared the graph while this one
+            // derived its view.
+            match inner.apt_cache.compute_if_absent(key, compute) {
+                Ok((graph, found)) => (graph, !found),
+                Err(infallible) => match infallible {},
+            }
         };
-        // `(preparation, prepared-cache hit)` per ready row.
-        let preps: Vec<(Arc<PreparedApt>, bool)> =
-            pipeline::fan_out(&self.params, &ready, prepare_one);
-        type PreppedRow<'a> = (&'a ReadyRow, &'a (Arc<PreparedApt>, bool));
-        let prepped: Vec<PreppedRow> = ready.iter().zip(&preps).collect();
-        // (Re-)insert entries so the cache accounts the APT *and* its
-        // prepared state; skip if the database was re-registered mid-ask —
-        // keys of a stale epoch would be unreachable yet hold budget.
-        let epoch_current = inner.epoch_is_current(&self.db_name, reg.epoch);
-        for ((_, key, entry, _, _), (_, hit)) in &prepped {
-            if *hit {
+        let prepare_one = |(gi, key, resolved): &Graph| -> Ready {
+            let (graph, mat, computed) = match resolved {
+                Resolved::Hit(graph) => (Arc::clone(graph), Duration::ZERO, false),
+                Resolved::Miss(view, mat) => {
+                    let (graph, computed) = prepare_miss(key, view);
+                    (graph, *mat, computed)
+                }
+            };
+            if computed {
+                inner.obs.prepared_apt_misses_total.inc();
+            } else {
                 inner.obs.prepared_apt_hits_total.inc();
-                continue;
             }
-            inner.obs.prepared_apt_misses_total.inc();
-            if epoch_current
-                && !inner
-                    .apt_cache
-                    .insert(key.clone(), Arc::clone(entry), entry.approx_bytes())
-            {
-                // Too big for the budget with prepared state attached:
-                // drop the prepared variants rather than hold unaccounted
-                // memory in a shared entry.
-                entry.clear_prepared();
-            }
-        }
+            (*gi, graph, mat, computed)
+        };
+        let ready: Vec<Ready> = pipeline::fan_out(&self.params, &resolved, prepare_one);
+        // The keys, and the views of graphs another ask prepared first.
+        drop(resolved);
+        let apt_cache_misses = ready.iter().filter(|(_, _, _, computed)| *computed).count();
+        let apt_cache_hits = ready.len() - apt_cache_misses;
         if let Some(share) = col_stats.share {
             let (reads, computed) = share.column_reads();
             inner.obs.prepare_column_reads_total.add(reads);
@@ -391,21 +411,21 @@ impl SessionHandle {
 
         // ---- Stage 4: mining (only the question-specific half). ---------
         let mine_span = span("mine");
-        let mine_one = |((gi, _, entry, _, mat), (prep, hit)): &PreppedRow| -> GraphOutcome {
+        let mine_one = |(gi, graph, mat, computed): &Ready| -> GraphOutcome {
             pipeline::mine_one_prepared(
                 &reg.db,
                 &self.query,
                 &prepared.pt,
-                &entry.apt,
-                prep,
+                &graph.apt,
+                &graph.prep,
                 &mining_question,
                 &self.params,
                 *gi,
                 *mat,
-                !*hit,
+                *computed,
             )
         };
-        let outcomes: Vec<GraphOutcome> = pipeline::fan_out(&self.params, &prepped, mine_one);
+        let outcomes: Vec<GraphOutcome> = pipeline::fan_out(&self.params, &ready, mine_one);
         drop(mine_span);
 
         // ---- Stage 5: assemble + rank. ----------------------------------

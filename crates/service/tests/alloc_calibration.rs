@@ -104,22 +104,25 @@ fn apt_estimate_matches_tracked_bytes() {
 }
 
 /// What an APT-cache entry holds once nothing else holds its provenance
-/// table (the provenance cache evicted or recomputed it): the view plus
-/// the PT columns it reads.
+/// table (the provenance cache evicted or recomputed it): the view, the PT
+/// columns it reads, and the preparation.
 #[test]
-fn apt_entry_outliving_its_pt_estimate_matches_tracked_bytes() {
+fn prepared_graph_outliving_its_pt_estimate_matches_tracked_bytes() {
     let gen = nba::generate(nba::NbaConfig::tiny());
     let q = parse_sql(GSW_SQL).unwrap();
+    let params = cajade_core::Params::paper().mining;
     let (entry, actual) = tracked_build("calib.apt_orphan", || {
         let pt = ProvenanceTable::compute(&gen.db, &q).unwrap();
         let apt = Apt::materialize(&gen.db, &pt, &JoinGraph::pt_only()).unwrap();
-        cajade_service::AptEntry::new(std::sync::Arc::new(apt))
+        let prep = prepare_apt(&apt, &pt, &params);
+        let apt = std::sync::Arc::new(apt);
+        cajade_service::PreparedGraph { apt, prep }
     });
     assert!(
         entry.apt.pinned_pt_bytes() > entry.apt.approx_bytes(),
-        "the pinned columns are the larger share here"
+        "the pinned columns outweigh the view here"
     );
-    assert_calibrated("AptEntry without its PT", entry.approx_bytes(), actual);
+    assert_calibrated("PreparedGraph without its PT", entry.approx_bytes(), actual);
 }
 
 /// The prepared half of an APT-cache charge, on a joined APT (a fan-out

@@ -165,48 +165,101 @@ fn concurrent_cold_asks_single_flight_provenance() {
     let service = tiny_service(config);
     let question = q("2015-16", "2012-13");
 
-    let (r1, r2) = std::thread::scope(|scope| {
+    let ((r1, r1_graphs), (r2, r2_graphs)) = std::thread::scope(|scope| {
         let svc_a = service.clone();
         let svc_b = service.clone();
         let qa = &question;
         let qb = &question;
-        let a = scope.spawn(move || {
-            let session = svc_a.open_session("nba", GSW_SQL).unwrap();
-            rendered(&session.ask(qa).unwrap().result.explanations)
-        });
-        let b = scope.spawn(move || {
-            let session = svc_b.open_session("nba", GSW_SQL).unwrap();
-            rendered(&session.ask(qb).unwrap().result.explanations)
-        });
+        let ask = |service: ExplanationService, question| {
+            let session = service.open_session("nba", GSW_SQL).unwrap();
+            let answer = session.ask(question).unwrap().result;
+            (rendered(&answer.explanations), answer.num_graphs_mined)
+        };
+        let a = scope.spawn(move || ask(svc_a, qa));
+        let b = scope.spawn(move || ask(svc_b, qb));
         (a.join().expect("ask 1"), b.join().expect("ask 2"))
     });
 
     assert!(!r1.is_empty());
     assert_eq!(r1, r2, "both asks see the same answer");
+    assert_eq!(r1_graphs, r2_graphs);
     let stats = service.stats();
     let prov = stats.provenance_cache;
     assert_eq!(
         prov.inserts, 1,
         "single-flight: provenance computed once, not per thread: {prov:?}"
     );
-    // APT materialization and mining preparation are deduplicated too:
-    // both asks resolve shared `AptEntry`s, so every graph is prepared
-    // exactly once (the second ask's lookups are all hits) whether or not
-    // the threads overlapped.
+    // Mining preparation — the expensive half of a cold graph — is
+    // deduplicated too, by the APT cache's per-graph latch: across both
+    // asks every graph is prepared once and retained once, and the other
+    // ask's lookup is a hit or coalesces, whether or not the threads
+    // overlapped.
     assert_eq!(
         stats.prepared_apt_hits, stats.prepared_apt_misses,
-        "each APT prepared once across both asks: {stats:?}"
+        "each graph prepared once across both asks: {stats:?}"
     );
-    // Each ask materializes its misses through its own `AptBuilder`, but
-    // the cache's per-graph latch still decides who computes: a lookup
-    // that missed either computed or coalesced, so across both asks every
-    // graph was materialized exactly once, by whichever ask got there first.
     let apt = stats.apt_cache;
     assert_eq!(
-        apt.misses - apt.coalesced,
-        stats.prepared_apt_misses,
-        "one materialization per graph across both asks: {apt:?}"
+        apt.inserts, r1_graphs as u64,
+        "one insert per graph mined: {apt:?}"
     );
+    // Not asserted: one *view* per graph. The view is derived before the
+    // latch is taken — it is the cheap half and needs the ask's one
+    // builder — so two asks that both missed a graph both derive it, and
+    // the loser of the latch drops its copy.
+}
+
+#[test]
+fn mining_parameters_are_part_of_the_apt_key() {
+    // Five sessions on one query, each mining with its own parameters:
+    // every (graph, mining parameters) pair is a cache entry of its own,
+    // so none displaces another — re-asking under the first set finds all
+    // of its graphs — and none is served another's preparation.
+    let variants: Vec<Params> = (2..=6)
+        .map(|num_frags| {
+            let mut p = Params::fast();
+            p.mining.num_frags = num_frags;
+            p
+        })
+        .collect();
+    let service = tiny_service(fast_config());
+    let question = q("2015-16", "2012-13");
+    for (i, params) in variants.iter().enumerate() {
+        let session = service
+            .open_session_with_params("nba", GSW_SQL, params.clone())
+            .unwrap();
+        let a = session.ask(&question).unwrap();
+        assert_eq!(a.apt_cache_hits, 0, "variant {i} prepares its own graphs");
+        assert!(a.apt_cache_misses > 0);
+        let fresh = tiny_service(ServiceConfig {
+            params: params.clone(),
+            ..ServiceConfig::default()
+        });
+        let cold = fresh
+            .open_session("nba", GSW_SQL)
+            .unwrap()
+            .ask(&question)
+            .unwrap();
+        assert_eq!(
+            rendered(&a.result.explanations),
+            rendered(&cold.result.explanations),
+            "variant {i}"
+        );
+    }
+    // A different question, so the answer cache cannot serve it.
+    let session = service
+        .open_session_with_params("nba", GSW_SQL, variants[0].clone())
+        .unwrap();
+    let again = session.ask(&q("2016-17", "2012-13")).unwrap();
+    assert!(!again.answer_cache_hit);
+    assert_eq!(
+        again.apt_cache_misses, 0,
+        "the first variant is still cached"
+    );
+    assert!(again.apt_cache_hits > 0);
+    let stats = service.stats();
+    assert_eq!(stats.apt_cache.evictions, 0);
+    assert_eq!(stats.prepared_apt_hits, again.apt_cache_hits as u64);
 }
 
 #[test]
@@ -429,10 +482,10 @@ fn cold_ask_join_work_is_exact_and_a_warm_ask_does_none() {
     // The deterministic work counters behind the shared-join
     // materialization, at shipped defaults on the benchmark's NBA corpus:
     // a cold ask materializes all 202 valid graphs through one
-    // `AptBuilder`, which runs 283 `extend` steps over 20 key indexes
-    // (folding each graph from the PT would be 502 and 502). Values
-    // recorded when the builder landed; `crates/graph/tests/
-    // enumeration_tree.rs` pins the same pair below the service.
+    // `AptBuilder`, which applies one `extend` step per edge — 572 — over
+    // 20 key indexes (a kernel per graph would build 572).
+    // `crates/graph/tests/enumeration_tree.rs` pins the same identity and
+    // the same index builds below the service.
     let service = ExplanationService::new(ServiceConfig::default());
     let gen = nba::generate(NbaConfig {
         rich_stats: true,
@@ -458,14 +511,14 @@ fn cold_ask_join_work_is_exact_and_a_warm_ask_does_none() {
 
     let cold = session.ask(&q("2015-16", "2012-13")).unwrap();
     assert_eq!((cold.apt_cache_hits, cold.apt_cache_misses), (0, 202));
-    assert_eq!(work(), (283, 20), "cold ask (join steps, index builds)");
+    assert_eq!(work(), (572, 20), "cold ask (join steps, index builds)");
 
     // A new question on the same query: every APT is a cache hit, so no
     // builder is made and no join runs.
     let warm = session.ask(&q("2014-15", "2012-13")).unwrap();
     assert!(!warm.answer_cache_hit);
     assert_eq!((warm.apt_cache_hits, warm.apt_cache_misses), (202, 0));
-    assert_eq!(work(), (283, 20), "warm ask adds (0, 0)");
+    assert_eq!(work(), (572, 20), "warm ask adds (0, 0)");
 }
 
 /// The named counters of `service`'s registry (0 for one never bumped).
@@ -479,8 +532,9 @@ fn cold_ask_shared_work_is_exact_with_and_without_worker_threads() {
     // What the graphs of one ask have in common, as counts, on the
     // synthetic star (3 dimension tables × 4 columns, 2 000 fact rows, 20
     // valid graphs). Every join keeps each fact row exactly once, so the
-    // PT's row-id vector reaches every graph unchanged: 19 `extend` steps
-    // are applied and 3 computed, one probe loop per dimension table; and
+    // PT's row-id vector reaches every graph unchanged: 45 `extend` steps
+    // are applied — one per edge of the 20 graphs — and 3 computed, one
+    // probe loop per dimension table; and
     // of the 325 candidate columns the 20 preparations train on, 20 are
     // gathered — the provenance table's 5 and each dimension's 5, once
     // per ask. Workers wait for the one that computes, so the counts do
@@ -514,7 +568,7 @@ fn cold_ask_shared_work_is_exact_with_and_without_worker_threads() {
 
         let cold = ask("g0", "g1");
         assert_eq!((cold.apt_cache_hits, cold.apt_cache_misses), (0, 20));
-        assert_eq!(work(), [19, 3, 325, 20], "cold ask, parallel {parallel}");
+        assert_eq!(work(), [45, 3, 325, 20], "cold ask, parallel {parallel}");
         // What enumeration went through to get those 20: 66 one-edge
         // extensions visited, 33 of them last-round graphs whose keys
         // nothing can cover any more and so never keyed; 23 graphs listed
@@ -540,6 +594,6 @@ fn cold_ask_shared_work_is_exact_with_and_without_worker_threads() {
         // A new question: every preparation is cached, nothing is planned.
         let warm = ask("g2", "g1");
         assert!(!warm.answer_cache_hit);
-        assert_eq!(work(), [19, 3, 325, 20], "warm ask adds nothing");
+        assert_eq!(work(), [45, 3, 325, 20], "warm ask adds nothing");
     }
 }
