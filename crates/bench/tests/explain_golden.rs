@@ -138,8 +138,6 @@ fn composed(gen: &GeneratedDb, case: &Case, params: &Params) -> Vec<Explanation>
 /// Runs every case through both scopes and returns one golden line per
 /// case plus the `(library, service)` digests.
 fn run(gen: &GeneratedDb, cases: &[Case]) -> (String, Vec<(u64, u64)>) {
-    let service = ExplanationService::new(ServiceConfig::default());
-    service.register_database("db", gen.db.clone(), gen.schema_graph.clone());
     let mut lines = String::new();
     let mut digests = Vec::new();
     for case in cases {
@@ -157,8 +155,14 @@ fn run(gen: &GeneratedDb, cases: &[Case]) -> (String, Vec<(u64, u64)>) {
             "{}: explain is not mine_apt composed per graph",
             case.name
         );
+        // The case's parameters are its service's.
+        let service = ExplanationService::new(ServiceConfig {
+            params,
+            ..ServiceConfig::default()
+        });
+        service.register_database("db", gen.db.clone(), gen.schema_graph.clone());
         let served = service
-            .open_session_with_params("db", case.sql, params)
+            .open_session("db", case.sql)
             .unwrap()
             .ask(&case.question)
             .unwrap()

@@ -15,7 +15,7 @@
 //! APT's row multiset. This module defines the seam that lets a caller
 //! share them: [`ColumnStatsProvider`] is injected into
 //! [`prepare_apt_with`](crate::prepared::prepare_apt_with), the service
-//! backs it with a database-scoped, epoch-invalidated LRU cache, and the
+//! backs it with one table of statistics per registered database, and the
 //! one-shot pipeline wires the [`NoSharedStats`] pass-through (per-APT
 //! computation, bit-identical to the historical behaviour).
 //!
@@ -61,9 +61,10 @@ impl ColumnStats {
     }
 }
 
-/// The [`MiningParams`] knobs column statistics depend on. Callers that
-/// cache [`ColumnStats`] must key entries by (a fingerprint of) this
-/// config — two sessions with different λ#frag must not share boundaries.
+/// The [`MiningParams`] knobs column statistics depend on. Statistics
+/// computed under one config must not serve a preparation under another —
+/// a different λ#frag means different boundaries — so a provider that
+/// keeps them holds one config for its lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ColumnStatsConfig {
     /// Bin budget of the histogram trainer
@@ -84,19 +85,6 @@ impl ColumnStatsConfig {
             num_frags: params.num_frags,
         }
     }
-
-    /// Stable cache-key fingerprint of this config.
-    pub fn fingerprint(&self) -> u64 {
-        // FNV-1a over the two knobs; enough to separate cache keys.
-        let mut h = 0xCBF2_9CE4_8422_2325u64;
-        for v in [self.hist_bins as u64, self.num_frags as u64] {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1_0000_0000_01B3);
-            }
-        }
-        h
-    }
 }
 
 /// Source of shared per-column statistics, injected into
@@ -104,10 +92,11 @@ impl ColumnStatsConfig {
 ///
 /// `column_stats` is consulted once per `(table, column)` a preparation
 /// touches; returning `None` makes that column fall back to per-APT
-/// computation. Implementations are expected to be cheap on the hit path
-/// (the service backs this with an LRU cache) and must be consistent for
-/// the lifetime of one preparation — the same key must not answer with
-/// different statistics mid-run.
+/// computation. Implementations are expected to be cheap once a column
+/// has been analysed (the service's is an index into the registration's
+/// table and a pointer clone) and must be consistent for the lifetime of
+/// one preparation — the same column must not answer with different
+/// statistics mid-run.
 pub trait ColumnStatsProvider: Sync {
     /// Shared statistics of base column `table.column`, or `None` to
     /// compute per-APT.
@@ -157,13 +146,13 @@ pub fn source_column(apt: &Apt, field: usize) -> Option<(&str, &str)> {
 /// feeding thresholded decisions, so ~512 evenly spaced rows (16 values
 /// per bin at the default 32-bin budget, matching
 /// [`cajade_ml::BinSpec::fit_f64`]'s own sampling rule) estimate them as
-/// well as millions — and a cache **miss** stays O(cap) instead of
-/// O(table), which is what keeps the first graph of a cold ask from
+/// well as millions — and a column's first request stays O(cap) instead
+/// of O(table), which is what keeps the first graph of a cold ask from
 /// paying more than the per-APT computation it replaces.
 pub const STATS_SAMPLE_CAP: usize = 512;
 
-/// Computes the shared statistics of one base-table column (the cache
-/// miss path of a caching [`ColumnStatsProvider`]).
+/// Computes the shared statistics of one base-table column (what a
+/// [`ColumnStatsProvider`] that keeps them runs once per column).
 ///
 /// Numeric-kind columns get quantile bin thresholds and fragment
 /// boundaries over their non-null finite values; categorical-kind columns
@@ -223,9 +212,9 @@ fn column_cat_key(col: &Column, r: usize) -> Option<u64> {
 /// Resolves `table.column` in `db` and computes its shared statistics;
 /// `None` when the table or column does not exist. The one resolution +
 /// computation path shared by every provider over a base
-/// [`Database`](cajade_storage::Database) (the service's caching
-/// provider, [`BaseTableStats`], benches, tests) — so they can never
-/// drift apart in how a column maps to stats.
+/// [`Database`](cajade_storage::Database) (the service's
+/// per-registration table, [`BaseTableStats`], benches, tests) — so they
+/// can never drift apart in how a column maps to stats.
 pub fn base_column_stats(
     db: &cajade_storage::Database,
     table: &str,
@@ -248,8 +237,8 @@ type StatsMemo = std::collections::HashMap<(String, String), Option<Arc<ColumnSt
 /// A memoizing [`ColumnStatsProvider`] over one base [`Database`]: each
 /// requested column is analyzed once ([`base_column_stats`]) and served
 /// from an internal map afterwards. This is the provider for direct API
-/// users, benches, and tests; the service wires its own epoch-keyed,
-/// byte-budgeted variant instead.
+/// users, benches, and tests; the service keeps the same statistics in
+/// the registration of the database they describe.
 ///
 /// [`Database`]: cajade_storage::Database
 pub struct BaseTableStats<'a> {
@@ -394,19 +383,5 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "second request served from the memo");
         assert!(provider.column_stats("t", "nope").is_none());
         assert!(provider.column_stats("nope", "x").is_none());
-    }
-
-    #[test]
-    fn config_fingerprint_separates_knobs() {
-        let a = ColumnStatsConfig {
-            hist_bins: 32,
-            num_frags: 6,
-        };
-        let b = ColumnStatsConfig {
-            hist_bins: 32,
-            num_frags: 7,
-        };
-        assert_ne!(a.fingerprint(), b.fingerprint());
-        assert_eq!(a.fingerprint(), a.fingerprint());
     }
 }

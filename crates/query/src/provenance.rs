@@ -104,9 +104,6 @@ pub struct ProvenanceTable {
     pub rows_of_group: Vec<Vec<u32>>,
     /// `(table, alias)` of each FROM entry (wide column provenance).
     pub from_entries: Vec<(String, String)>,
-    /// Raw base-table row ids per provenance row (stride =
-    /// `from_entries.len()`), kept for tests and debugging.
-    pub base_rows: Vec<u32>,
 }
 
 impl ProvenanceTable {
@@ -191,7 +188,6 @@ impl ProvenanceTable {
                 .iter()
                 .map(|t| (t.table.clone(), t.alias.clone()))
                 .collect(),
-            base_rows: joined.data.clone(),
         })
     }
 
@@ -216,7 +212,6 @@ impl ProvenanceTable {
         let u32sz = std::mem::size_of::<u32>();
         self.columns.iter().map(|c| c.approx_bytes()).sum::<usize>()
             + self.group_of.len() * u32sz
-            + self.base_rows.len() * u32sz
             + self
                 .rows_of_group
                 .iter()
@@ -422,17 +417,6 @@ mod tests {
             );
             assert_eq!(format!("{result:?}"), format!("{:?}", separate.0));
             assert_eq!(format!("{pt:?}"), format!("{:?}", separate.1));
-        }
-    }
-
-    #[test]
-    fn base_rows_recorded() {
-        let db = example1_db();
-        let pt = ProvenanceTable::compute(&db, &q1()).unwrap();
-        assert_eq!(pt.base_rows.len(), pt.num_rows * pt.from_entries.len());
-        // All base rows point at GSW wins (indices 1..=4 in insertion order).
-        for &r in &pt.base_rows {
-            assert!((1..=4).contains(&r));
         }
     }
 }

@@ -1,16 +1,13 @@
 //! Keyed LRU cache with byte-budget accounting.
 //!
-//! The service keeps four of these, each under its own byte budget:
+//! The service keeps three of these, each under its own byte budget:
 //!
 //! * provenance — a query's result, provenance table and enumerated join
-//!   graphs, keyed by `(db, epoch, sql, enumeration parameters)`;
+//!   graphs, keyed by `(epoch, sql)`;
 //! * APT — one join graph's view and its question-independent mining
-//!   preparation, keyed by `(db, epoch, sql, join-graph key, mining
-//!   parameters)`;
-//! * answer — a question's ranked explanations, keyed by `(db, epoch, sql,
-//!   parameters, question)`;
-//! * column statistics — one base column's bins and fragment boundaries,
-//!   keyed by `(db, epoch, table, column, statistics parameters)`.
+//!   preparation, keyed by `(epoch, sql, join-graph key)`;
+//! * answer — a question's ranked explanations, keyed by `(epoch, sql,
+//!   question)`.
 //!
 //! Values travel behind `Arc`, so a hit is a pointer clone and eviction
 //! never frees memory still in use by an in-flight question.

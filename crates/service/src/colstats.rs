@@ -1,42 +1,57 @@
-//! The service-backed [`ColumnStatsProvider`]: cross-graph shared column
-//! statistics.
+//! Column statistics of a registered database, and the
+//! [`ColumnStatsProvider`] an ask hands its preparations.
 //!
 //! A question over `k` join graphs prepares `k` APTs, and the same
-//! context-table column (say `scoring.pts`) appears in many of them.
-//! Before this cache each [`cajade_mining::prepare_apt_with`] re-derived
-//! that column's quantile bins and fragment boundaries from its own APT
-//! rows; now the **first** preparation to touch a column computes its
-//! [`ColumnStats`] from the base table — single-flighted, so concurrent
-//! per-graph preparations of one ask never duplicate the work — and every
-//! later graph (and every later ask, session, or parameter-compatible
-//! client) reuses the entry with a pointer clone.
+//! context-table column (say `scoring.pts`) appears in many of them. Its
+//! quantile bins and fragment boundaries ([`ColumnStats`]) are a function
+//! of the base column and the service's one statistics configuration, so
+//! they hang off the registration they describe: a [`ColumnStatsTable`]
+//! holds one once-initialised cell per base column, the **first**
+//! preparation to touch a column fills its cell from the base table —
+//! concurrent requesters of one column wait for the one computing it — and
+//! every later graph, ask and session takes a pointer clone.
 //!
-//! Entries are keyed by `(db, epoch, table, column, stats fingerprint)`
-//! and live in an LRU cache under their own byte budget
-//! ([`crate::ServiceConfig::column_stats_cache_bytes`]). Re-registering a
-//! database with different content advances its epoch and sweeps the
-//! stale entries, exactly like the provenance/APT/answer caches.
+//! Nothing sweeps the table: it is dropped with the
+//! [`RegisteredDb`] that owns it, so an ask still running on replaced
+//! content reads and fills the statistics of the content it pinned, and
+//! the new registration starts from empty cells.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use cajade_mining::{
     base_column_stats, ColumnStats, ColumnStatsConfig, ColumnStatsProvider, ReadShare,
 };
+use cajade_storage::Database;
 
-use crate::keys::ColStatsKey;
 use crate::service::{RegisteredDb, ServiceInner};
 
-/// One ask's view of the service column-statistics cache: resolves
-/// `(table, column)` against the pinned database snapshot and serves
-/// hits/misses through the epoch-keyed LRU. It also carries the ask's
-/// [`ReadShare`], when the ask prepares more than one APT: what one
-/// graph's preparation read, the next takes from there before this
-/// provider is asked for the column's statistics at all.
+/// One cell per base column of a database, `[table][column]` in catalog
+/// order, empty until a preparation first asks for the column.
+#[derive(Debug)]
+pub(crate) struct ColumnStatsTable(Vec<Vec<OnceLock<Arc<ColumnStats>>>>);
+
+impl ColumnStatsTable {
+    pub(crate) fn new(db: &Database) -> Self {
+        let empty = |t: &cajade_storage::Table| (0..t.num_columns()).map(|_| OnceLock::new());
+        ColumnStatsTable(db.tables().iter().map(|t| empty(t).collect()).collect())
+    }
+
+    /// Columns analysed so far.
+    pub(crate) fn filled(&self) -> usize {
+        let cells = self.0.iter().flatten();
+        cells.filter(|cell| cell.get().is_some()).count()
+    }
+}
+
+/// One ask's [`ColumnStatsProvider`]: the pinned registration's
+/// [`ColumnStatsTable`], plus the ask's [`ReadShare`] when it prepares
+/// more than one APT — what one graph's preparation read, the next takes
+/// from there before this provider is asked for the column's statistics
+/// at all.
 pub(crate) struct DbColumnStats<'a> {
-    pub(crate) inner: &'a ServiceInner,
-    pub(crate) reg: &'a RegisteredDb,
-    pub(crate) cfg: ColumnStatsConfig,
-    pub(crate) fingerprint: u64,
+    inner: &'a ServiceInner,
+    reg: &'a RegisteredDb,
+    cfg: ColumnStatsConfig,
     pub(crate) share: Option<ReadShare>,
 }
 
@@ -44,15 +59,12 @@ impl<'a> DbColumnStats<'a> {
     pub(crate) fn new(
         inner: &'a ServiceInner,
         reg: &'a RegisteredDb,
-        params: &cajade_core::Params,
         share: Option<ReadShare>,
     ) -> Self {
-        let cfg = ColumnStatsConfig::from_params(&params.mining);
         DbColumnStats {
             inner,
             reg,
-            fingerprint: cfg.fingerprint(),
-            cfg,
+            cfg: ColumnStatsConfig::from_params(&inner.params.mining),
             share,
         }
     }
@@ -64,41 +76,16 @@ impl ColumnStatsProvider for DbColumnStats<'_> {
     }
 
     fn column_stats(&self, table: &str, column: &str) -> Option<Arc<ColumnStats>> {
-        // Existence check up front so unresolvable columns never occupy a
-        // cache key; the computation itself goes through the one shared
-        // resolution path (`base_column_stats`).
-        let t = self.reg.db.table(table).ok()?;
-        t.schema().field_index(column)?;
-        let key = ColStatsKey {
-            db: self.reg.name.clone(),
-            epoch: self.reg.epoch,
-            table: table.to_string(),
-            column: column.to_string(),
-            stats_fingerprint: self.fingerprint,
-        };
-        let result = self
-            .inner
-            .column_stats
-            .get_or_try_compute::<std::convert::Infallible>(&key, || {
-                // Attribute the retained statistics to the cache that
-                // holds them (heap-attribution scope taxonomy).
-                let _mem = cajade_obs::AllocScope::enter("cache.column_stats");
-                let stats = Arc::new(
-                    base_column_stats(&self.reg.db, table, column, &self.cfg)
-                        .expect("column existence checked above"),
-                );
-                // Skip retention if the database was re-registered
-                // mid-compute — a stale-epoch key would hold budget
-                // nothing can look up (same rule as the other caches).
-                let bytes = self
-                    .inner
-                    .epoch_is_current(&self.reg.name, self.reg.epoch)
-                    .then(|| stats.approx_bytes() + key.approx_bytes());
-                Ok((stats, bytes))
-            });
-        match result {
-            Ok((stats, _hit)) => Some(stats),
-            Err(infallible) => match infallible {},
-        }
+        let db = &self.reg.db;
+        let ti = db.table_index(table)?;
+        let ci = db.tables()[ti].schema().field_index(column)?;
+        let stats = self.reg.column_stats.0[ti][ci].get_or_init(|| {
+            // The registration retains them.
+            let _mem = cajade_obs::AllocScope::enter("db.column_stats");
+            self.inner.obs.column_stats_computed_total.inc();
+            // The one resolution + computation path every provider shares.
+            Arc::new(base_column_stats(db, table, column, &self.cfg).expect("resolved above"))
+        });
+        Some(Arc::clone(stats))
     }
 }

@@ -1,89 +1,45 @@
 //! Cache keys.
 //!
-//! Every key embeds the owning database's registration *epoch*: when a
-//! database is re-registered with different content, its epoch advances
-//! and all previously-cached entries become unreachable (and are swept
-//! eagerly by [`crate::ExplanationService::register_database`]). Queries
-//! are keyed by their canonical SQL rendering, join graphs by their
-//! canonical isomorphism key.
+//! A key is what identifies its value and nothing else: the owning
+//! database's registration *epoch* — never reused, so it stands for one
+//! name with one content — the query's canonical SQL rendering
+//! (`Query::to_sql`), and, below that, a join graph's canonical isomorphism
+//! key or a canonicalized question. Parameters are the service's
+//! ([`crate::ServiceConfig::params`]), one set for every entry it holds.
+//! When a database is re-registered with different content its epoch
+//! advances and the entries of the stale one are swept
+//! ([`crate::ExplanationService::register_database`]).
 
 use cajade_graph::JoinGraphKey;
 
 /// Key of a cached provenance + enumeration result.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ProvKey {
-    /// Registered database name.
-    pub db: String,
     /// Database registration epoch.
     pub epoch: u64,
     /// Canonical SQL (`Query::to_sql`).
     pub sql: String,
-    /// Fingerprint of the enumeration-relevant parameters (λ#edges,
-    /// λ_qcost, validity checks). Sessions with different enumeration
-    /// settings must not share a prepared result — the cached join-graph
-    /// list depends on them.
-    pub prep_fingerprint: u64,
-}
-
-/// Key of a shared column-statistics entry (quantile bin spec + fragment
-/// boundaries of one base-table column — see
-/// [`cajade_mining::ColumnStats`]). Scoped to the database epoch like
-/// every other cache key, plus a fingerprint of the stats-relevant mining
-/// knobs ([`cajade_mining::ColumnStatsConfig`]): sessions with different
-/// λ#frag or bin budgets must not share boundaries.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ColStatsKey {
-    /// Registered database name.
-    pub db: String,
-    /// Database registration epoch.
-    pub epoch: u64,
-    /// Base table name.
-    pub table: String,
-    /// Base column name.
-    pub column: String,
-    /// Fingerprint of the stats-relevant mining parameters.
-    pub stats_fingerprint: u64,
-}
-
-impl ColStatsKey {
-    /// Approximate key footprint for cache accounting.
-    pub fn approx_bytes(&self) -> usize {
-        self.db.len() + self.table.len() + self.column.len() + 24
-    }
 }
 
 /// Key of a cached join graph: its APT view and the mining preparation
 /// made from it ([`crate::PreparedGraph`]).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AptKey {
-    /// Registered database name.
-    pub db: String,
     /// Database registration epoch.
     pub epoch: u64,
     /// Canonical SQL (`Query::to_sql`).
     pub sql: String,
     /// Canonical join-graph key.
     pub graph: JoinGraphKey,
-    /// Fingerprint of the mining parameters the preparation was made
-    /// with: sessions that mine differently share the provenance entry,
-    /// not the prepared graphs.
-    pub mining_fingerprint: u64,
 }
 
-/// Key of a cached fully-answered question. Besides the database/query
-/// coordinates this embeds the canonicalized question and a fingerprint
-/// of the session's parameters, so sessions with different λ settings
-/// never share answers.
+/// Key of a cached fully-answered question.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AnswerKey {
-    /// Registered database name.
-    pub db: String,
     /// Database registration epoch.
     pub epoch: u64,
     /// Canonical SQL (`Query::to_sql`).
     pub sql: String,
-    /// Fingerprint of the session parameters.
-    pub params_fingerprint: u64,
     /// Canonicalized user question (see [`AnswerKey::canonical_question`]).
     pub question: String,
 }

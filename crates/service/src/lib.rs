@@ -11,13 +11,14 @@
 //! questions skip straight to mining:
 //!
 //! * [`ExplanationService`] — thread-safe catalog of registered databases
-//!   (with content fingerprints and registration epochs), a session
-//!   registry, and the caches;
-//! * provenance/enumeration cache keyed by `(db, epoch, canonical SQL)`;
-//! * APT cache keyed by `(db, epoch, canonical SQL, canonical join-graph
-//!   key, mining parameters)` — one [`PreparedGraph`] per key, the view
-//!   and its mining preparation — with LRU eviction under a byte budget;
-//! * answer cache keyed by `(db, epoch, canonical SQL, params, canonical
+//!   (with content fingerprints, registration epochs and the statistics
+//!   of their base columns), a session registry, and the three caches,
+//!   all under the one parameter set of [`ServiceConfig::params`];
+//! * provenance/enumeration cache keyed by `(epoch, canonical SQL)`;
+//! * APT cache keyed by `(epoch, canonical SQL, canonical join-graph
+//!   key)` — one [`PreparedGraph`] per key, the view and its mining
+//!   preparation — with LRU eviction under a byte budget;
+//! * answer cache keyed by `(epoch, canonical SQL, canonical
 //!   question)` — a repeated question returns its fully-ranked
 //!   explanations without running any pipeline stage (this reproduction's
 //!   mining stage dominates the runtime profile, so skipping only
@@ -26,7 +27,8 @@
 //!   materializing and preparing only cache-missed join graphs (in
 //!   parallel) and always re-mining, because mining is question-specific;
 //! * re-registering a database with different content advances its epoch
-//!   and sweeps every stale cache entry.
+//!   and sweeps every stale cache entry; the replaced registration's
+//!   column statistics are dropped with it.
 //!
 //! The `cajade-serve` binary (this crate's `src/bin/serve.rs`) exposes
 //! the service over a JSON-lines stdin/stdout protocol
@@ -55,7 +57,7 @@ mod stats;
 
 pub use cache::{CacheObs, CacheStats};
 pub use error::{ServiceError, ERROR_CODES};
-pub use keys::{AnswerKey, AptKey, ColStatsKey, ProvKey};
+pub use keys::{AnswerKey, AptKey, ProvKey};
 pub use service::{
     ExplanationService, PreparedGraph, RegisterOutcome, RegisteredDb, ServiceConfig,
 };

@@ -38,6 +38,9 @@ pub(crate) struct ServiceObs {
     /// Deterministic like the join work.
     pub prepare_column_reads_total: Arc<Counter>,
     pub prepare_column_reads_computed_total: Arc<Counter>,
+    /// Base columns whose statistics a registration computed: one per
+    /// cell of its table filled, however many preparations asked.
+    pub column_stats_computed_total: Arc<Counter>,
     /// One-edge extensions Algorithm 2 visited for provenance-cache
     /// misses, and the last-round ones among them dropped unkeyed because
     /// their primary keys cannot be covered any more. Deterministic for a
@@ -95,6 +98,7 @@ impl ServiceObs {
             apt_index_builds_total: r.counter("apt_index_builds_total"),
             prepare_column_reads_total: r.counter("prepare_column_reads_total"),
             prepare_column_reads_computed_total: r.counter("prepare_column_reads_computed_total"),
+            column_stats_computed_total: r.counter("column_stats_computed_total"),
             jg_extensions_visited_total: r.counter("jg_extensions_visited_total"),
             jg_extensions_rejected_total: r.counter("jg_extensions_rejected_total"),
             ask_deadline_exceeded_total: r.counter("ask_deadline_exceeded_total"),

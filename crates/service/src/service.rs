@@ -1,8 +1,9 @@
 //! The thread-safe explanation service: a catalog of registered
 //! databases, a registry of open sessions, and the shared caches that make
 //! repeated questions cheap — provenance + enumeration per query, one
-//! immutable [`PreparedGraph`] per `(query, join graph, mining
-//! parameters)`, ranked answers per question, and per-column statistics.
+//! immutable [`PreparedGraph`] per `(query, join graph)`, ranked answers
+//! per question — all under the service's one [`Params`]; each
+//! registration also keeps the statistics of its base columns.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -18,7 +19,8 @@ use cajade_storage::Database;
 use parking_lot::{Mutex, RwLock};
 
 use crate::cache::LruCache;
-use crate::keys::{AnswerKey, AptKey, ColStatsKey, ProvKey};
+use crate::colstats::ColumnStatsTable;
+use crate::keys::{AnswerKey, AptKey, ProvKey};
 use crate::obs::ServiceObs;
 use crate::session::SessionHandle;
 use crate::stats::{IngestStats, ServiceStats};
@@ -38,8 +40,7 @@ pub struct PreparedGraph {
     /// every missing view first, plans what their preparations will read
     /// in common, and only then prepares each.
     pub apt: Arc<Apt>,
-    /// Its mining preparation, under the parameters in the entry's
-    /// [`AptKey::mining_fingerprint`](crate::AptKey::mining_fingerprint).
+    /// Its mining preparation.
     pub prep: PreparedApt,
 }
 
@@ -50,10 +51,10 @@ impl PreparedGraph {
     /// The provenance cache charges those columns too, and so does every
     /// other entry of the same query, but the two caches evict
     /// independently: an entry that outlives its provenance entry (evicted,
-    /// or recomputed under other enumeration parameters) is then the only
-    /// thing keeping the old columns allocated. Charging them here keeps
-    /// the cache from holding more than it believes; while the provenance
-    /// entry lives it believes more than it holds.
+    /// then recomputed) is then the only thing keeping the old columns
+    /// allocated. Charging them here keeps the cache from holding more
+    /// than it believes; while the provenance entry lives it believes more
+    /// than it holds.
     pub fn approx_bytes(&self) -> usize {
         self.apt.approx_bytes() + self.apt.pinned_pt_bytes() + self.prep.approx_bytes()
     }
@@ -68,14 +69,9 @@ pub struct ServiceConfig {
     pub apt_cache_bytes: usize,
     /// Byte budget of the answered-question cache.
     pub answer_cache_bytes: usize,
-    /// Byte budget of the shared column-statistics cache: per-base-column
-    /// bin specs + fragment boundaries
-    /// ([`cajade_mining::ColumnStats`]) reused across join graphs, keyed
-    /// by [`crate::ColStatsKey`]. Entries are small (a few hundred bytes
-    /// per column), so the default budget effectively never evicts.
-    pub column_stats_cache_bytes: usize,
-    /// Default pipeline parameters for sessions that don't override them.
-    /// `parallel` defaults to **on** here (unlike the one-shot API, whose
+    /// The pipeline parameters of every session this service opens; a
+    /// caller that wants others constructs another service. `parallel`
+    /// defaults to **on** here (unlike the one-shot API, whose
     /// single-threaded default mirrors the paper's runtime breakdowns).
     pub params: Params,
     /// The metrics registry this service records into. Defaults to a
@@ -92,7 +88,6 @@ impl Default for ServiceConfig {
             prov_cache_bytes: 256 * 1024 * 1024,
             apt_cache_bytes: 512 * 1024 * 1024,
             answer_cache_bytes: 64 * 1024 * 1024,
-            column_stats_cache_bytes: 32 * 1024 * 1024,
             params,
             registry: Arc::new(cajade_obs::Registry::new()),
         }
@@ -123,7 +118,6 @@ impl ServiceConfig {
             prov_cache_bytes: scale(base.prov_cache_bytes),
             apt_cache_bytes: scale(base.apt_cache_bytes),
             answer_cache_bytes: scale(base.answer_cache_bytes),
-            column_stats_cache_bytes: scale(base.column_stats_cache_bytes),
             ..base
         }
     }
@@ -151,6 +145,10 @@ pub struct RegisteredDb {
     pub db: Database,
     /// Its schema graph.
     pub schema_graph: SchemaGraph,
+    /// The statistics of its base columns, each analysed when a
+    /// preparation first asks for it. Shared with the registration an
+    /// identical re-registration replaced, dropped with the last one.
+    pub(crate) column_stats: Arc<ColumnStatsTable>,
 }
 
 /// What [`ExplanationService::register_database`] did.
@@ -163,7 +161,9 @@ pub struct RegisterOutcome {
     /// True when this call replaced different content (epoch advanced and
     /// cache entries were invalidated).
     pub replaced: bool,
-    /// Cache entries dropped by the invalidation sweep.
+    /// What the replaced content had retained and this call dropped: the
+    /// entries the sweep took out of the three caches, plus the base
+    /// columns whose statistics the replaced registration held.
     pub invalidated_entries: usize,
 }
 
@@ -179,7 +179,6 @@ pub(crate) struct ServiceInner {
     pub(crate) prov_cache: LruCache<ProvKey, Arc<PreparedQuery>>,
     pub(crate) apt_cache: LruCache<AptKey, Arc<PreparedGraph>>,
     pub(crate) answer_cache: LruCache<AnswerKey, Arc<cajade_core::SessionResult>>,
-    pub(crate) column_stats: LruCache<ColStatsKey, Arc<cajade_mining::ColumnStats>>,
     pub(crate) ingest_stats: Mutex<IngestStats>,
     pub(crate) params: Params,
     /// Pre-resolved registry instrument handles.
@@ -201,6 +200,16 @@ impl ServiceInner {
     /// will ever look up again.
     pub(crate) fn epoch_is_current(&self, name: &str, epoch: u64) -> bool {
         self.dbs.read().get(name).is_some_and(|r| r.epoch == epoch)
+    }
+
+    /// Drops every cache entry of a registration that is no longer in the
+    /// catalog and returns what it had retained: those entries, plus the
+    /// base columns whose statistics go with the registration itself.
+    fn sweep(&self, stale: &RegisteredDb) -> usize {
+        self.prov_cache.retain(|k| k.epoch != stale.epoch)
+            + self.apt_cache.retain(|k| k.epoch != stale.epoch)
+            + self.answer_cache.retain(|k| k.epoch != stale.epoch)
+            + stale.column_stats.filled()
     }
 }
 
@@ -268,11 +277,6 @@ impl ExplanationService {
                 prov_cache: LruCache::with_obs(config.prov_cache_bytes, registry, "provenance"),
                 apt_cache: LruCache::with_obs(config.apt_cache_bytes, registry, "apt"),
                 answer_cache: LruCache::with_obs(config.answer_cache_bytes, registry, "answer"),
-                column_stats: LruCache::with_obs(
-                    config.column_stats_cache_bytes,
-                    registry,
-                    "column_stats",
-                ),
                 ingest_stats: Mutex::new(IngestStats::default()),
                 params: config.params,
                 obs: ServiceObs::new(Arc::clone(&config.registry)),
@@ -296,46 +300,29 @@ impl ExplanationService {
         let name = name.into();
         let fingerprint = db.fingerprint();
         let mut dbs = self.inner.dbs.write();
-        let (epoch, replaced) = match dbs.get(&name) {
-            Some(existing) if existing.fingerprint == fingerprint => (existing.epoch, false),
-            Some(_) => (self.inner.next_epoch.fetch_add(1, Ordering::Relaxed), true),
-            None => (self.inner.next_epoch.fetch_add(1, Ordering::Relaxed), false),
+        let same = (dbs.get(&name)).filter(|existing| existing.fingerprint == fingerprint);
+        let (epoch, column_stats) = match same {
+            Some(existing) => (existing.epoch, Arc::clone(&existing.column_stats)),
+            None => (
+                self.inner.next_epoch.fetch_add(1, Ordering::Relaxed),
+                Arc::new(ColumnStatsTable::new(&db)),
+            ),
         };
-        dbs.insert(
-            name.clone(),
-            Arc::new(RegisteredDb {
-                name: name.clone(),
-                epoch,
-                fingerprint,
-                db,
-                schema_graph,
-            }),
-        );
+        let registered = RegisteredDb {
+            name: name.clone(),
+            epoch,
+            fingerprint,
+            db,
+            schema_graph,
+            column_stats,
+        };
+        let stale = (dbs.insert(name, Arc::new(registered))).filter(|old| old.epoch != epoch);
         drop(dbs);
-        let invalidated_entries = if replaced {
-            self.inner
-                .prov_cache
-                .retain(|k| k.db != name || k.epoch == epoch)
-                + self
-                    .inner
-                    .apt_cache
-                    .retain(|k| k.db != name || k.epoch == epoch)
-                + self
-                    .inner
-                    .answer_cache
-                    .retain(|k| k.db != name || k.epoch == epoch)
-                + self
-                    .inner
-                    .column_stats
-                    .retain(|k| k.db != name || k.epoch == epoch)
-        } else {
-            0
-        };
         RegisterOutcome {
             epoch,
             fingerprint,
-            replaced,
-            invalidated_entries,
+            replaced: stale.is_some(),
+            invalidated_entries: stale.map_or(0, |old| self.inner.sweep(&old)),
         }
     }
 
@@ -370,14 +357,11 @@ impl ExplanationService {
     /// Removes a database and sweeps its cache entries. Open sessions on
     /// it fail their next `ask` with [`ServiceError::UnknownDatabase`].
     pub fn unregister_database(&self, name: &str) -> bool {
-        let removed = self.inner.dbs.write().remove(name).is_some();
-        if removed {
-            self.inner.prov_cache.retain(|k| k.db != name);
-            self.inner.apt_cache.retain(|k| k.db != name);
-            self.inner.answer_cache.retain(|k| k.db != name);
-            self.inner.column_stats.retain(|k| k.db != name);
+        let removed = self.inner.dbs.write().remove(name);
+        if let Some(old) = &removed {
+            self.inner.sweep(old);
         }
-        removed
+        removed.is_some()
     }
 
     /// Snapshot of a registered database.
@@ -392,53 +376,35 @@ impl ExplanationService {
         names
     }
 
-    /// Opens an interactive session over `(db, sql)` with the service's
-    /// default parameters.
+    /// Opens an interactive session over `(db, sql)`.
     pub fn open_session(&self, db: &str, sql: &str) -> Result<Arc<SessionHandle>> {
-        let params = self.inner.params.clone();
-        self.open_session_with_params(db, sql, params)
+        // Validate eagerly: the database must exist and the SQL must parse.
+        self.inner.registered(db)?;
+        Ok(self.open(db, parse_sql(sql)?))
     }
 
     /// Like [`open_session`](Self::open_session), but returns an existing
-    /// open session on the same `(db, canonical SQL)` with the service's
-    /// default parameters when one exists. The serve protocol's `query`
-    /// op uses this so a client issuing the same query repeatedly does
-    /// not grow the session registry.
+    /// open session on the same `(db, canonical SQL)` when one exists. The
+    /// serve protocol's `query` op uses this so a client issuing the same
+    /// query repeatedly does not grow the session registry.
     pub fn open_or_reuse_session(&self, db: &str, sql: &str) -> Result<Arc<SessionHandle>> {
         self.inner.registered(db)?;
-        let canonical = parse_sql(sql)?.to_sql();
-        let default_fp = SessionHandle::params_fingerprint_of(&self.inner.params);
-        let existing = self
-            .inner
-            .sessions
-            .read()
-            .values()
-            .find(|h| {
-                h.db_name() == db && h.sql() == canonical && h.params_fingerprint() == default_fp
-            })
+        let query = parse_sql(sql)?;
+        let canonical = query.to_sql();
+        let existing = (self.inner.sessions.read().values())
+            .find(|h| h.db_name() == db && h.sql() == canonical)
             .cloned();
-        match existing {
-            Some(h) => Ok(h),
-            None => self.open_session(db, sql),
-        }
+        Ok(existing.unwrap_or_else(|| self.open(db, query)))
     }
 
-    /// Opens a session with explicit parameters.
-    pub fn open_session_with_params(
-        &self,
-        db: &str,
-        sql: &str,
-        params: Params,
-    ) -> Result<Arc<SessionHandle>> {
-        // Validate eagerly: the database must exist and the SQL must parse.
-        self.inner.registered(db)?;
-        let query = parse_sql(sql)?;
+    /// The one session constructor: registers a handle on a database the
+    /// caller has resolved and a query it has parsed.
+    fn open(&self, db: &str, query: cajade_query::Query) -> Arc<SessionHandle> {
         let id = self.inner.next_session.fetch_add(1, Ordering::Relaxed);
         let handle = Arc::new(SessionHandle::new(
             id,
             db.to_string(),
             query,
-            params,
             Arc::downgrade(&self.inner),
         ));
         {
@@ -455,7 +421,7 @@ impl ExplanationService {
             }
         }
         self.inner.obs.sessions_opened_total.inc();
-        Ok(handle)
+        handle
     }
 
     /// Looks up an open session by id.
@@ -487,7 +453,6 @@ impl ExplanationService {
             provenance_cache: self.inner.prov_cache.stats(),
             apt_cache: self.inner.apt_cache.stats(),
             answer_cache: self.inner.answer_cache.stats(),
-            column_stats_cache: self.inner.column_stats.stats(),
         }
     }
 
@@ -519,7 +484,6 @@ impl ExplanationService {
             ("provenance", self.inner.prov_cache.stats()),
             ("apt", self.inner.apt_cache.stats()),
             ("answer", self.inner.answer_cache.stats()),
-            ("column_stats", self.inner.column_stats.stats()),
         ] {
             r.gauge(&format!("cache_{name}_entries"))
                 .set(cache_stats.entries as u64);
@@ -542,7 +506,6 @@ mod tests {
             assert_eq!(c.prov_cache_bytes, base.prov_cache_bytes, "rows {rows}");
             assert_eq!(c.apt_cache_bytes, base.apt_cache_bytes);
             assert_eq!(c.answer_cache_bytes, base.answer_cache_bytes);
-            assert_eq!(c.column_stats_cache_bytes, base.column_stats_cache_bytes);
         }
     }
 
@@ -551,10 +514,6 @@ mod tests {
         let base = ServiceConfig::default();
         let x20 = ServiceConfig::scaled_for_rows(BUDGET_BASELINE_ROWS * 20);
         assert_eq!(x20.apt_cache_bytes, base.apt_cache_bytes * 20);
-        assert_eq!(
-            x20.column_stats_cache_bytes,
-            base.column_stats_cache_bytes * 20
-        );
         let mut last = 0;
         for rows in [10_000, 34_000, 100_000, 340_000, 1_700_000] {
             let c = ServiceConfig::scaled_for_rows(rows);
@@ -564,17 +523,14 @@ mod tests {
     }
 
     #[test]
-    fn open_or_reuse_matches_on_db_sql_and_default_params() {
+    fn open_or_reuse_matches_on_db_and_sql() {
         let gen = cajade_datagen::nba::generate(cajade_datagen::nba::NbaConfig::tiny());
         let service = ExplanationService::new(ServiceConfig::default());
         service.register_database("nba", gen.db, gen.schema_graph);
         let sql = "SELECT count(*) AS games, season_name FROM season GROUP BY season_name";
-        // A session opened with other parameters is not the `query` op's
-        // to reuse; one at the defaults is, whatever the SQL's spelling.
-        let other = Params::default().with_feature_selection(false);
-        let custom = service.open_session_with_params("nba", sql, other).unwrap();
+        // An open session on the query is reused, whatever the SQL's
+        // spelling.
         let first = service.open_or_reuse_session("nba", sql).unwrap();
-        assert_ne!(first.id(), custom.id());
         let again = service
             .open_or_reuse_session("nba", &sql.to_lowercase())
             .unwrap();

@@ -5,10 +5,10 @@
 //! for provenance, join-graph enumeration, APT materialization and the
 //! question-independent half of mining; the service caches them keyed by
 //! database epoch and canonical SQL — provenance and enumeration per
-//! query, one immutable [`PreparedGraph`] per `(join graph, mining
-//! parameters)` — so later questions, from this handle or any other
-//! session on the same query, skip straight to scoring (§2.4's
-//! interactive usage pattern).
+//! query, one immutable [`PreparedGraph`] per join graph — so later
+//! questions, from this handle or any other session on the same query,
+//! skip straight to scoring (§2.4's interactive usage pattern). Every
+//! stage runs under the service's one [`Params`](cajade_core::Params).
 //!
 //! An ask that finds some graphs missing makes one lookup per valid graph,
 //! derives the missing graphs' views through one [`AptBuilder`], plans one
@@ -21,7 +21,7 @@ use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
 use cajade_core::pipeline::{self, GraphOutcome, PreparedQuery};
-use cajade_core::{Params, SessionResult, UserQuestion};
+use cajade_core::{SessionResult, UserQuestion};
 use cajade_graph::{Apt, AptBuilder, EnumeratedGraph};
 use cajade_mining::ReadShare;
 use cajade_obs::{span, Collector, SpanRecord, Stage};
@@ -53,8 +53,8 @@ pub struct AskResult {
     /// caller observed.
     pub result: SessionResult,
     /// Whether the fully-ranked answer came straight from the answer
-    /// cache (same db epoch, query, parameters, and question). When true,
-    /// no pipeline stage ran at all.
+    /// cache (same db epoch, query, and question). When true, no pipeline
+    /// stage ran at all.
     pub answer_cache_hit: bool,
     /// Whether provenance + enumeration came from cache.
     pub provenance_cache_hit: bool,
@@ -80,12 +80,6 @@ pub struct SessionHandle {
     db_name: String,
     query: Query,
     sql: String,
-    params: Params,
-    params_fingerprint: u64,
-    prep_fingerprint: u64,
-    /// Fingerprint of the mining parameters: part of the key of every
-    /// cached graph this session's asks use.
-    mining_fingerprint: u64,
     service: Weak<ServiceInner>,
 }
 
@@ -99,53 +93,14 @@ enum Resolved {
 }
 
 impl SessionHandle {
-    pub(crate) fn new(
-        id: u64,
-        db_name: String,
-        query: Query,
-        params: Params,
-        service: Weak<ServiceInner>,
-    ) -> Self {
-        let sql = query.to_sql();
-        let params_fingerprint = SessionHandle::params_fingerprint_of(&params);
-        // Only the enumeration-relevant knobs key the prepared-query
-        // cache: two sessions differing purely in mining parameters can
-        // safely share one prepared result.
-        let prep_fingerprint = fnv1a(
-            format!(
-                "{}|{}|{}|{}",
-                params.max_edges,
-                params.max_cost.to_bits(),
-                params.check_pk_coverage,
-                params.include_pt_only
-            )
-            .as_bytes(),
-        );
-        let mining_fingerprint = fnv1a(format!("{:?}", params.mining).as_bytes());
+    pub(crate) fn new(id: u64, db_name: String, query: Query, service: Weak<ServiceInner>) -> Self {
         SessionHandle {
             id,
             db_name,
+            sql: query.to_sql(),
             query,
-            sql,
-            params,
-            params_fingerprint,
-            prep_fingerprint,
-            mining_fingerprint,
             service,
         }
-    }
-
-    /// The cache fingerprint of a parameter set. The Debug rendering
-    /// covers every λ; hashing it is a pragmatic fingerprint without a
-    /// bespoke Hash impl across crates.
-    pub(crate) fn params_fingerprint_of(params: &Params) -> u64 {
-        fnv1a(format!("{params:?}").as_bytes())
-    }
-
-    /// [`params_fingerprint_of`](Self::params_fingerprint_of) this
-    /// session's parameters, computed once at construction.
-    pub(crate) fn params_fingerprint(&self) -> u64 {
-        self.params_fingerprint
     }
 
     /// Session id (stable for the lifetime of the service).
@@ -161,11 +116,6 @@ impl SessionHandle {
     /// Canonical SQL of the session's query.
     pub fn sql(&self) -> &str {
         &self.sql
-    }
-
-    /// The session's pipeline parameters.
-    pub fn params(&self) -> &Params {
-        &self.params
     }
 
     /// Answers one user question.
@@ -228,10 +178,8 @@ impl SessionHandle {
 
         // ---- Stage 0: the fully-ranked answer may already be cached. ----
         let answer_key = AnswerKey {
-            db: self.db_name.clone(),
             epoch: reg.epoch,
             sql: self.sql.clone(),
-            params_fingerprint: self.params_fingerprint,
             question: AnswerKey::canonical_question(question),
         };
         if let Some(cached) = inner.answer_cache.get(&answer_key) {
@@ -284,11 +232,9 @@ impl SessionHandle {
                 return Ok(None);
             }
             let key = AptKey {
-                db: self.db_name.clone(),
                 epoch: reg.epoch,
                 sql: self.sql.clone(),
                 graph: prepared.graphs[gi].key.clone(),
-                mining_fingerprint: self.mining_fingerprint,
             };
             if let Some(hit) = inner.apt_cache.get(&key) {
                 return Ok(Some((gi, key, Resolved::Hit(hit))));
@@ -303,7 +249,7 @@ impl SessionHandle {
             Ok(Some((gi, key, Resolved::Miss(Arc::new(apt), wall))))
         };
         let resolved: Result<Vec<Option<Graph>>> =
-            pipeline::fan_out(&self.params, &valid, resolve_one);
+            pipeline::fan_out(&inner.params, &valid, resolve_one);
         if let Some(builder) = builder.into_inner() {
             // Freed where the misses allocated it: under `cache.apt`.
             let _mem = cajade_obs::AllocScope::enter("cache.apt");
@@ -317,14 +263,14 @@ impl SessionHandle {
 
         // ---- Stage 3.5: question-independent mining preparation. --------
         // Feature selection, the LCA candidate pool, fragment boundaries,
-        // and the scoring index/bitmaps depend only on (APT, mining
-        // params); they are computed once per cached graph, under the
-        // cache's per-key latch — concurrent cold asks prepare a graph
-        // once — and reused by every later question. Per-column
+        // and the scoring index/bitmaps depend only on the APT (and the
+        // service's parameters); they are computed once per cached graph,
+        // under the cache's per-key latch — concurrent cold asks prepare
+        // a graph once — and reused by every later question. Per-column
         // statistics (bin specs, fragment boundaries) are shared even
-        // further: the service's column-stats cache hands every graph
-        // after the first — and every later preparation touching the same
-        // context column — the entry computed once per database epoch.
+        // further: the registration hands every graph after the first —
+        // and every later preparation touching the same context column —
+        // what it computed once for that base column.
         //
         // What the graphs of *this* ask read in common — the same base
         // column through the same row-id vector, the scan order over the
@@ -345,7 +291,7 @@ impl SessionHandle {
             let _stage = cajade_obs::AllocScope::enter("prepare");
             ReadShare::plan(views)
         });
-        let col_stats = DbColumnStats::new(&inner, &reg, &self.params, share);
+        let col_stats = DbColumnStats::new(&inner, &reg, share);
         // `(graph, materialization wall, whether this ask prepared it)`.
         type Ready = (usize, Arc<PreparedGraph>, Duration, bool);
         let prepare_miss = |key: &AptKey, apt: &Arc<Apt>| {
@@ -354,7 +300,7 @@ impl SessionHandle {
                 // The cache retains view and preparation alike.
                 let _mem = cajade_obs::AllocScope::enter("cache.apt");
                 let prep =
-                    pipeline::prepare_mining(apt, &prepared.pt, &self.params, &col_stats, None);
+                    pipeline::prepare_mining(apt, &prepared.pt, &inner.params, &col_stats, None);
                 let graph = Arc::new(PreparedGraph {
                     apt: Arc::clone(apt),
                     prep,
@@ -392,7 +338,7 @@ impl SessionHandle {
             }
             (*gi, graph, mat, computed)
         };
-        let ready: Vec<Ready> = pipeline::fan_out(&self.params, &resolved, prepare_one);
+        let ready: Vec<Ready> = pipeline::fan_out(&inner.params, &resolved, prepare_one);
         // The keys, and the views of graphs another ask prepared first.
         drop(resolved);
         let apt_cache_misses = ready.iter().filter(|(_, _, _, computed)| *computed).count();
@@ -419,17 +365,17 @@ impl SessionHandle {
                 &graph.apt,
                 &graph.prep,
                 &mining_question,
-                &self.params,
+                &inner.params,
                 *gi,
                 *mat,
                 *computed,
             )
         };
-        let outcomes: Vec<GraphOutcome> = pipeline::fan_out(&self.params, &ready, mine_one);
+        let outcomes: Vec<GraphOutcome> = pipeline::fan_out(&inner.params, &ready, mine_one);
         drop(mine_span);
 
         // ---- Stage 5: assemble + rank. ----------------------------------
-        let mut result = pipeline::assemble(&prepared, outcomes, &self.params);
+        let mut result = pipeline::assemble(&prepared, outcomes, &inner.params);
         if provenance_cache_hit {
             // Those phases were skipped; report the latency actually paid.
             result.timings.provenance = Duration::ZERO;
@@ -479,8 +425,8 @@ impl SessionHandle {
         Ok(prepared.result.clone())
     }
 
-    /// Provenance-cache get-or-compute for this session's `(db, query,
-    /// enumeration params)` coordinates.
+    /// Provenance-cache get-or-compute for this session's `(db, query)`
+    /// coordinates.
     ///
     /// Computation is **single-flighted**: two concurrent cold asks on the
     /// same coordinates serialize on a per-key latch, one computes
@@ -492,10 +438,8 @@ impl SessionHandle {
         reg: &RegisteredDb,
     ) -> Result<(Arc<PreparedQuery>, bool)> {
         let prov_key = ProvKey {
-            db: self.db_name.clone(),
             epoch: reg.epoch,
             sql: self.sql.clone(),
-            prep_fingerprint: self.prep_fingerprint,
         };
         inner.prov_cache.get_or_try_compute(&prov_key, || {
             cajade_obs::faults::failpoint_infallible("cache.provenance_compute");
@@ -506,7 +450,7 @@ impl SessionHandle {
                 &reg.db,
                 &reg.schema_graph,
                 &self.query,
-                &self.params,
+                &inner.params,
             )?);
             let obs = &inner.obs;
             obs.jg_extensions_visited_total.add(p.extensions_visited);
@@ -519,15 +463,6 @@ impl SessionHandle {
             Ok((p, bytes))
         })
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1_0000_0000_01B3);
-    }
-    h
 }
 
 /// Cache accounting for an answered question: the ranked explanation list

@@ -65,8 +65,7 @@ pub struct ServiceStats {
     /// Per-APT mining preparations reused from a warm cache entry (the
     /// ask skipped feature selection, LCA candidates, and fragments).
     pub prepared_apt_hits: u64,
-    /// Per-APT mining preparations computed (cold entry or new mining
-    /// parameter fingerprint).
+    /// Per-APT mining preparations computed (cold entry).
     pub prepared_apt_misses: u64,
     /// CSV-directory ingestion counters.
     pub ingest: IngestStats,
@@ -76,10 +75,6 @@ pub struct ServiceStats {
     pub apt_cache: CacheStats,
     /// Answered-question cache counters.
     pub answer_cache: CacheStats,
-    /// Shared column-statistics cache counters (per-base-column bin specs
-    /// and fragment boundaries reused across join graphs; a hit means a
-    /// preparation skipped one column's quantile/dictionary pass).
-    pub column_stats_cache: CacheStats,
 }
 
 impl ServiceStats {

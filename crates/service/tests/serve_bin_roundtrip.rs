@@ -87,7 +87,7 @@ fn serve_binary_ingests_csv_dir_and_explains() {
         assert_eq!(a.get("ok").and_then(Json::as_bool), Some(true), "{a:?}");
     }
 
-    // Full `stats` schema: top-level counters, all four cache blocks,
+    // Full `stats` schema: top-level counters, all three cache blocks,
     // and the ingest block.
     let s = exchange(r#"{"op":"stats"}"#.to_string());
     assert_eq!(s.get("ok").and_then(Json::as_bool), Some(true), "{s:?}");
@@ -101,12 +101,7 @@ fn serve_binary_ingests_csv_dir_and_explains() {
             "stats.{field}"
         );
     }
-    for cache in [
-        "provenance_cache",
-        "apt_cache",
-        "answer_cache",
-        "column_stats_cache",
-    ] {
+    for cache in ["provenance_cache", "apt_cache", "answer_cache"] {
         let c = s
             .get(cache)
             .unwrap_or_else(|| panic!("stats.{cache} missing"));

@@ -210,59 +210,6 @@ fn concurrent_cold_asks_single_flight_provenance() {
 }
 
 #[test]
-fn mining_parameters_are_part_of_the_apt_key() {
-    // Five sessions on one query, each mining with its own parameters:
-    // every (graph, mining parameters) pair is a cache entry of its own,
-    // so none displaces another — re-asking under the first set finds all
-    // of its graphs — and none is served another's preparation.
-    let variants: Vec<Params> = (2..=6)
-        .map(|num_frags| {
-            let mut p = Params::fast();
-            p.mining.num_frags = num_frags;
-            p
-        })
-        .collect();
-    let service = tiny_service(fast_config());
-    let question = q("2015-16", "2012-13");
-    for (i, params) in variants.iter().enumerate() {
-        let session = service
-            .open_session_with_params("nba", GSW_SQL, params.clone())
-            .unwrap();
-        let a = session.ask(&question).unwrap();
-        assert_eq!(a.apt_cache_hits, 0, "variant {i} prepares its own graphs");
-        assert!(a.apt_cache_misses > 0);
-        let fresh = tiny_service(ServiceConfig {
-            params: params.clone(),
-            ..ServiceConfig::default()
-        });
-        let cold = fresh
-            .open_session("nba", GSW_SQL)
-            .unwrap()
-            .ask(&question)
-            .unwrap();
-        assert_eq!(
-            rendered(&a.result.explanations),
-            rendered(&cold.result.explanations),
-            "variant {i}"
-        );
-    }
-    // A different question, so the answer cache cannot serve it.
-    let session = service
-        .open_session_with_params("nba", GSW_SQL, variants[0].clone())
-        .unwrap();
-    let again = session.ask(&q("2016-17", "2012-13")).unwrap();
-    assert!(!again.answer_cache_hit);
-    assert_eq!(
-        again.apt_cache_misses, 0,
-        "the first variant is still cached"
-    );
-    assert!(again.apt_cache_hits > 0);
-    let stats = service.stats();
-    assert_eq!(stats.apt_cache.evictions, 0);
-    assert_eq!(stats.prepared_apt_hits, again.apt_cache_hits as u64);
-}
-
-#[test]
 fn sessions_share_caches_for_the_same_query() {
     let service = tiny_service(fast_config());
     let s1 = service.open_session("nba", GSW_SQL).unwrap();

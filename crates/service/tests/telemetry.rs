@@ -361,7 +361,7 @@ fn metrics_memory_block_attributes_stage_scopes() {
         "mine",
         "cache.provenance",
         "cache.apt",
-        "cache.column_stats",
+        "db.column_stats",
     ] {
         assert!(allocated(stage) > 0, "scope `{stage}` attributed no bytes");
     }

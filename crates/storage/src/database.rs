@@ -106,11 +106,15 @@ impl Database {
         Ok(())
     }
 
+    /// Position of the table named `name` in [`tables`](Self::tables).
+    pub fn table_index(&self, name: &str) -> Option<usize> {
+        self.by_name.get(name).copied()
+    }
+
     /// Table by name.
     pub fn table(&self, name: &str) -> Result<&Table> {
-        self.by_name
-            .get(name)
-            .map(|&i| &self.tables[i])
+        self.table_index(name)
+            .map(|i| &self.tables[i])
             .ok_or_else(|| StorageError::NoSuchTable(name.to_string()))
     }
 

@@ -27,16 +27,17 @@ fn question() -> UserQuestion {
 /// One full register → ask pass; returns the comparable rendering of the
 /// ranked explanations.
 fn register_and_ask() -> Vec<String> {
-    let service = ExplanationService::new(ServiceConfig::default());
+    let service = ExplanationService::new(ServiceConfig {
+        params: Params::paper(),
+        ..ServiceConfig::default()
+    });
     let (outcome, report) = service
         .register_csv_dir("nangames", fixture_dir(), &IngestOptions::default())
         .expect("ingest the NaN fixture");
     assert!(!outcome.replaced);
     assert_eq!(report.tables.len(), 2);
 
-    let session = service
-        .open_session_with_params("nangames", SQL, Params::paper())
-        .unwrap();
+    let session = service.open_session("nangames", SQL).unwrap();
     let answer = session.ask(&question()).expect("ask must not panic");
     assert!(
         !answer.result.explanations.is_empty(),
