@@ -333,8 +333,8 @@ impl Apt {
     /// conservative. The columns read through the
     /// vectors are **not** counted, though the handles keep them alive: a
     /// base table's are the database's, and the provenance table's are
-    /// reported by [`pinned_pt_bytes`](Apt::pinned_pt_bytes) — a holder
-    /// that may outlive the provenance table (a cache entry) charges both.
+    /// counted by whoever holds the [`ProvenanceTable`] — the service keeps
+    /// a query's APTs in the cache entry that owns its provenance table.
     pub fn approx_bytes(&self) -> usize {
         let mut vectors = vec![&self.pt_row];
         for c in &self.columns {
@@ -350,18 +350,6 @@ impl Apt {
                 .map(|f| f.name.len() + f.base_column.len() + std::mem::size_of::<AptField>())
                 .sum::<usize>()
             + self.graph.approx_bytes()
-    }
-
-    /// Bytes of the provenance-table columns this view reads, which stay
-    /// allocated for as long as it does even after the
-    /// [`ProvenanceTable`] is dropped. Every APT over one provenance table
-    /// reports the same columns in full.
-    pub fn pinned_pt_bytes(&self) -> usize {
-        let pt_columns = self.fields.iter().zip(&self.columns);
-        pt_columns
-            .filter(|(f, _)| f.from_pt)
-            .map(|(_, c)| c.base.approx_bytes())
-            .sum()
     }
 }
 

@@ -1,9 +1,14 @@
 //! `cajade-lint`: a zero-dependency project-invariant lint pass.
 //!
-//! Clippy and `syn` are unavailable in this offline build environment,
-//! so — the same way `crates/compat` vendors its dependency stand-ins —
-//! the workspace's cross-PR invariants are enforced by an in-tree
-//! checker. It is not a Rust parser: it is a token-level scanner (a
+//! CI runs `cargo clippy --workspace --all-targets -- -D warnings` for
+//! what clippy knows about Rust; this checker enforces what it cannot
+//! know about this workspace: that the metric, failpoint, error-code and
+//! alloc-scope tables in `docs/` list exactly the names the code
+//! registers, that pattern and graph loops stay interruptible at a
+//! budget checkpoint, that the allocator hooks touch thread-local state
+//! only, and the other cross-PR invariants below. `syn` is not among the
+//! offline stand-ins under `crates/compat`, so it is not a Rust parser:
+//! it is a token-level scanner (a
 //! small lexer that correctly skips comments, string/char/raw-string
 //! literals, and tracks `#[cfg(test)]` / `mod tests` regions) feeding a
 //! rule engine with per-line `// lint:allow(rule)` suppressions, human

@@ -1,11 +1,11 @@
 //! Keyed LRU cache with byte-budget accounting.
 //!
-//! The service keeps three of these, each under its own byte budget:
+//! The service keeps two of these, each under its own byte budget:
 //!
-//! * provenance — a query's result, provenance table and enumerated join
-//!   graphs, keyed by `(epoch, sql)`;
-//! * APT — one join graph's view and its question-independent mining
-//!   preparation, keyed by `(epoch, sql, join-graph key)`;
+//! * provenance — one [`QueryEntry`](crate::QueryEntry) per query: its
+//!   result, provenance table, enumerated join graphs and, as asks fill
+//!   them, each graph's APT view and mining preparation — keyed by
+//!   `(epoch, sql)`;
 //! * answer — a question's ranked explanations, keyed by `(epoch, sql,
 //!   question)`.
 //!
@@ -31,12 +31,12 @@ use parking_lot::Mutex;
 /// they are instantaneous values, not counters.
 #[derive(Default)]
 pub struct CacheObs {
-    hits: std::sync::Arc<Counter>,
-    misses: std::sync::Arc<Counter>,
-    evictions: std::sync::Arc<Counter>,
-    inserts: std::sync::Arc<Counter>,
+    pub(crate) hits: std::sync::Arc<Counter>,
+    pub(crate) misses: std::sync::Arc<Counter>,
+    pub(crate) evictions: std::sync::Arc<Counter>,
+    pub(crate) inserts: std::sync::Arc<Counter>,
     rejected: std::sync::Arc<Counter>,
-    coalesced: std::sync::Arc<Counter>,
+    pub(crate) coalesced: std::sync::Arc<Counter>,
 }
 
 impl CacheObs {
@@ -50,6 +50,21 @@ impl CacheObs {
             inserts: c("inserts"),
             rejected: c("rejected"),
             coalesced: c("coalesced"),
+        }
+    }
+
+    /// The counters read now, beside what their owner holds.
+    pub(crate) fn stats(&self, entries: usize, bytes: usize, budget_bytes: usize) -> CacheStats {
+        CacheStats {
+            entries,
+            bytes,
+            budget_bytes,
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            evictions: self.evictions.get(),
+            inserts: self.inserts.get(),
+            rejected: self.rejected.get(),
+            coalesced: self.coalesced.get(),
         }
     }
 }
@@ -74,7 +89,8 @@ pub struct CacheStats {
     /// Inserts rejected because a single value exceeded the whole budget.
     pub rejected: u64,
     /// Misses that waited on another thread's in-flight computation of the
-    /// same key instead of recomputing ([`LruCache::compute_if_absent`]).
+    /// same key instead of recomputing
+    /// ([`LruCache::get_or_try_compute`]).
     pub coalesced: u64,
 }
 
@@ -90,16 +106,22 @@ struct Inner<K, V> {
     tick: u64,
 }
 
+/// What [`LruCache::on_evict`] registers.
+type EvictHook<V> = Box<dyn Fn(&V) + Send + Sync>;
+
 /// A thread-safe LRU cache with a byte budget.
 pub struct LruCache<K, V> {
     inner: Mutex<Inner<K, V>>,
     /// Per-key in-flight latches backing the single-flight
-    /// [`compute_if_absent`](LruCache::compute_if_absent): concurrent
+    /// [`get_or_try_compute`](LruCache::get_or_try_compute): concurrent
     /// misses on the same key serialize here, and all but the first get
     /// the winner's value instead of recomputing.
     inflight: Mutex<HashMap<K, std::sync::Arc<Mutex<()>>>>,
     budget_bytes: usize,
     counters: CacheObs,
+    /// Told each value the budget pushes out (never one a
+    /// [`retain`](LruCache::retain) sweep drops).
+    on_evict: Option<EvictHook<V>>,
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
@@ -115,6 +137,7 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
             inflight: Mutex::new(HashMap::new()),
             budget_bytes,
             counters: CacheObs::default(),
+            on_evict: None,
         }
     }
 
@@ -125,6 +148,13 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
             counters: CacheObs::new(registry, prefix),
             ..Self::new(budget_bytes)
         }
+    }
+
+    /// Calls `f` on every value the byte budget evicts, while it is still
+    /// whole — for a value that holds countable things of its own.
+    pub fn on_evict(mut self, f: impl Fn(&V) + Send + Sync + 'static) -> Self {
+        self.on_evict = Some(Box::new(f));
+        self
     }
 
     /// Uncounted lookup (refreshes recency, touches no hit/miss counter).
@@ -141,37 +171,25 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
     }
 
     /// Single-flight get-or-compute: a counted [`get`](LruCache::get),
-    /// and on a miss [`compute_if_absent`](LruCache::compute_if_absent).
-    /// Returns `(value, hit)` where `hit` is true when no computation ran
-    /// for this caller.
-    pub fn get_or_try_compute<E>(
-        &self,
-        key: &K,
-        compute: impl FnOnce() -> Result<(V, Option<usize>), E>,
-    ) -> Result<(V, bool), E> {
-        match self.get(key) {
-            Some(v) => Ok((v, true)),
-            None => self.compute_if_absent(key, compute),
-        }
-    }
-
-    /// The single-flight half, for a caller whose miss is already counted:
-    /// exactly one caller runs `compute` while concurrent callers for the
-    /// same key block on a per-key latch and then receive the winner's
-    /// cached value (`coalesced` counts them; neither a hit nor a second
-    /// miss is). Returns `(value, found)` where `found` is true when no
-    /// computation ran for this caller.
+    /// and on a miss exactly one caller runs `compute` while concurrent
+    /// callers for the same key block on a per-key latch and then receive
+    /// the winner's cached value (`coalesced` counts them; neither a hit
+    /// nor a second miss is). Returns `(value, hit)` where `hit` is true
+    /// when no computation ran for this caller.
     ///
     /// `compute` returns the value plus `Some(bytes)` to cache it, or
     /// `None` to hand the value back without retaining it (e.g. when the
     /// owning database was re-registered mid-computation). If `compute`
     /// fails, waiters find no cached value and compute in turn —
     /// serialized by the stale latch, so an erroring key never stampedes.
-    pub fn compute_if_absent<E>(
+    pub fn get_or_try_compute<E>(
         &self,
         key: &K,
         compute: impl FnOnce() -> Result<(V, Option<usize>), E>,
     ) -> Result<(V, bool), E> {
+        if let Some(v) = self.get(key) {
+            return Ok((v, true));
+        }
         let latch = std::sync::Arc::clone(
             self.inflight
                 .lock()
@@ -229,46 +247,62 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
         }
         let mut inner = self.inner.lock();
         inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(old) = inner.map.remove(&key) {
+        let entry = Entry {
+            value,
+            bytes,
+            last_used: inner.tick,
+        };
+        if let Some(old) = inner.map.insert(key.clone(), entry) {
             inner.bytes -= old.bytes;
         }
-        while inner.bytes + bytes > self.budget_bytes {
-            let lru = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone());
-            match lru {
-                Some(k) => {
-                    let e = inner.map.remove(&k).expect("lru key present");
-                    inner.bytes -= e.bytes;
-                    self.counters.evictions.inc();
-                }
-                None => break,
-            }
-        }
         inner.bytes += bytes;
-        inner.map.insert(
-            key,
-            Entry {
-                value,
-                bytes,
-                last_used: tick,
-            },
-        );
+        self.trim(&mut inner, &key);
         self.counters.inserts.inc();
         true
     }
 
-    /// Removes every entry whose key fails `keep`, returning how many were
+    /// Weighs the resident value of `key` again — it grew since it was
+    /// inserted — and makes the budget hold as [`insert`](LruCache::insert)
+    /// does: by evicting least-recently-used others, or, when the value
+    /// alone now exceeds the whole budget, the value itself. Counts no
+    /// insert and refreshes no recency; a key not resident is left alone.
+    pub fn reweigh(&self, key: &K, weigh: impl FnOnce(&V) -> usize) {
+        let mut inner = self.inner.lock();
+        let Some(entry) = inner.map.get_mut(key) else {
+            return;
+        };
+        let now = weigh(&entry.value);
+        let was = std::mem::replace(&mut entry.bytes, now);
+        inner.bytes = inner.bytes - was + now;
+        self.trim(&mut inner, key);
+    }
+
+    /// Evicts until the budget holds: the least-recently-used entry other
+    /// than `spare`'s, and `spare`'s own only once it is the last.
+    fn trim(&self, inner: &mut Inner<K, V>, spare: &K) {
+        while inner.bytes > self.budget_bytes {
+            let others = inner.map.iter().filter(|(k, _)| *k != spare);
+            let lru = others.min_by_key(|(_, e)| e.last_used);
+            let lru = lru.map_or_else(|| spare.clone(), |(k, _)| k.clone());
+            let Some(e) = inner.map.remove(&lru) else {
+                break;
+            };
+            inner.bytes -= e.bytes;
+            self.counters.evictions.inc();
+            if let Some(f) = &self.on_evict {
+                f(&e.value);
+            }
+        }
+    }
+
+    /// Removes every entry that fails `keep`, returning how many were
     /// dropped. Used to sweep a database's stale epochs on re-registration.
-    pub fn retain(&self, keep: impl Fn(&K) -> bool) -> usize {
+    pub fn retain(&self, mut keep: impl FnMut(&K, &V) -> bool) -> usize {
         let mut inner = self.inner.lock();
         let before = inner.map.len();
         let mut freed = 0usize;
         inner.map.retain(|k, e| {
-            if keep(k) {
+            if keep(k, &e.value) {
                 true
             } else {
                 freed += e.bytes;
@@ -279,27 +313,17 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
         before - inner.map.len()
     }
 
-    /// Drops everything.
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        inner.map.clear();
-        inner.bytes = 0;
+    /// Calls `f` on every resident value, in no particular order.
+    pub fn for_each(&self, mut f: impl FnMut(&V)) {
+        let inner = self.inner.lock();
+        inner.map.values().for_each(|e| f(&e.value));
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
         let inner = self.inner.lock();
-        CacheStats {
-            entries: inner.map.len(),
-            bytes: inner.bytes,
-            budget_bytes: self.budget_bytes,
-            hits: self.counters.hits.get(),
-            misses: self.counters.misses.get(),
-            evictions: self.counters.evictions.get(),
-            inserts: self.counters.inserts.get(),
-            rejected: self.counters.rejected.get(),
-            coalesced: self.counters.coalesced.get(),
-        }
+        self.counters
+            .stats(inner.map.len(), inner.bytes, self.budget_bytes)
     }
 }
 
@@ -364,7 +388,7 @@ mod tests {
         c.insert((1, 0), 1, 10);
         c.insert((1, 1), 2, 10);
         c.insert((2, 0), 3, 10);
-        let dropped = c.retain(|k| k.0 != 1);
+        let dropped = c.retain(|k, _| k.0 != 1);
         assert_eq!(dropped, 2);
         assert_eq!(c.get(&(2, 0)), Some(3));
         assert_eq!(c.stats().bytes, 10);
@@ -405,38 +429,28 @@ mod tests {
     }
 
     #[test]
-    fn compute_if_absent_counts_no_second_miss_and_coalesces() {
+    fn reweigh_evicts_others_then_the_grown_entry_itself() {
+        use std::sync::atomic::{AtomicU32, Ordering};
         use std::sync::Arc;
-        let c: Arc<LruCache<u32, u32>> = Arc::new(LruCache::new(1024));
-        // The caller's own counted miss, then the compute half.
-        assert_eq!(c.get(&7), None);
-        let (v, found) = c.compute_if_absent::<()>(&7, || Ok((42, Some(8)))).unwrap();
-        assert_eq!((v, found), (42, false));
-        let s = c.stats();
-        assert_eq!((s.hits, s.misses, s.inserts, s.coalesced), (0, 1, 1, 0));
-
-        // Two callers that both missed key 9: one computes, the other
-        // waits on the latch and takes its value.
-        assert_eq!((c.get(&9), c.get(&9)), (None, None));
-        let outcomes: Vec<(u32, bool)> = std::thread::scope(|scope| {
-            let callers: Vec<_> = (0..2)
-                .map(|_| {
-                    let c = Arc::clone(&c);
-                    scope.spawn(move || {
-                        c.compute_if_absent::<()>(&9, || {
-                            std::thread::sleep(std::time::Duration::from_millis(100));
-                            Ok((3, Some(8)))
-                        })
-                        .unwrap()
-                    })
-                })
-                .collect();
-            callers.into_iter().map(|t| t.join().unwrap()).collect()
+        let pushed_out = Arc::new(AtomicU32::new(0));
+        let sum = Arc::clone(&pushed_out);
+        let c: LruCache<u32, u32> = LruCache::new(100).on_evict(move |v| {
+            sum.fetch_add(*v, Ordering::Relaxed);
         });
-        assert!(outcomes.iter().all(|&(v, _)| v == 3));
-        assert_eq!(outcomes.iter().filter(|&&(_, found)| found).count(), 1);
+        c.insert(1, 10, 40);
+        c.insert(2, 20, 40);
+        // 2 grows to 70: 1 has to go, though 2 is the more recent.
+        c.reweigh(&2, |_| 70);
         let s = c.stats();
-        assert_eq!((s.hits, s.misses, s.inserts, s.coalesced), (0, 3, 2, 1));
+        assert_eq!((s.entries, s.bytes, s.evictions, s.inserts), (1, 70, 1, 2));
+        assert_eq!(c.get(&2), Some(20));
+        // Alone over the whole budget: dropped, like a value too large to
+        // insert; a key not resident is left alone.
+        c.reweigh(&2, |_| 101);
+        c.reweigh(&3, |_| unreachable!("not resident"));
+        let s = c.stats();
+        assert_eq!((s.entries, s.bytes, s.evictions, s.inserts), (0, 0, 2, 2));
+        assert_eq!(pushed_out.load(Ordering::Relaxed), 10 + 20);
     }
 
     #[test]

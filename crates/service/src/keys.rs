@@ -2,17 +2,16 @@
 //!
 //! A key is what identifies its value and nothing else: the owning
 //! database's registration *epoch* — never reused, so it stands for one
-//! name with one content — the query's canonical SQL rendering
-//! (`Query::to_sql`), and, below that, a join graph's canonical isomorphism
-//! key or a canonicalized question. Parameters are the service's
+//! name with one content and one schema graph — the query's canonical SQL
+//! rendering (`Query::to_sql`), and, below that, a canonicalized question.
+//! A query's join graphs have no key of their own: they are slots of its
+//! [`crate::QueryEntry`], by enumeration index. Parameters are the service's
 //! ([`crate::ServiceConfig::params`]), one set for every entry it holds.
-//! When a database is re-registered with different content its epoch
-//! advances and the entries of the stale one are swept
+//! When a database is re-registered with different content or a different
+//! schema graph its epoch advances and the entries of the stale one are swept
 //! ([`crate::ExplanationService::register_database`]).
 
-use cajade_graph::JoinGraphKey;
-
-/// Key of a cached provenance + enumeration result.
+/// Key of a cached query: provenance, enumeration and prepared graphs.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ProvKey {
     /// Database registration epoch.
@@ -21,25 +20,11 @@ pub struct ProvKey {
     pub sql: String,
 }
 
-/// Key of a cached join graph: its APT view and the mining preparation
-/// made from it ([`crate::PreparedGraph`]).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct AptKey {
-    /// Database registration epoch.
-    pub epoch: u64,
-    /// Canonical SQL (`Query::to_sql`).
-    pub sql: String,
-    /// Canonical join-graph key.
-    pub graph: JoinGraphKey,
-}
-
 /// Key of a cached fully-answered question.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AnswerKey {
-    /// Database registration epoch.
-    pub epoch: u64,
-    /// Canonical SQL (`Query::to_sql`).
-    pub sql: String,
+    /// The query it was asked of.
+    pub query: ProvKey,
     /// Canonicalized user question (see [`AnswerKey::canonical_question`]).
     pub question: String,
 }

@@ -12,12 +12,12 @@
 //!
 //! * [`ExplanationService`] — thread-safe catalog of registered databases
 //!   (with content fingerprints, registration epochs and the statistics
-//!   of their base columns), a session registry, and the three caches,
+//!   of their base columns), a session registry, and the two caches,
 //!   all under the one parameter set of [`ServiceConfig::params`];
-//! * provenance/enumeration cache keyed by `(epoch, canonical SQL)`;
-//! * APT cache keyed by `(epoch, canonical SQL, canonical join-graph
-//!   key)` — one [`PreparedGraph`] per key, the view and its mining
-//!   preparation — with LRU eviction under a byte budget;
+//! * provenance cache keyed by `(epoch, canonical SQL)` — one
+//!   [`QueryEntry`] per query: provenance, enumeration and, per join
+//!   graph an ask has prepared, one [`PreparedGraph`] (the view and its
+//!   mining preparation) — with LRU eviction under a byte budget;
 //! * answer cache keyed by `(epoch, canonical SQL, canonical
 //!   question)` — a repeated question returns its fully-ranked
 //!   explanations without running any pipeline stage (this reproduction's
@@ -26,8 +26,8 @@
 //! * [`SessionHandle::ask`] — answers a [`cajade_core::UserQuestion`],
 //!   materializing and preparing only cache-missed join graphs (in
 //!   parallel) and always re-mining, because mining is question-specific;
-//! * re-registering a database with different content advances its epoch
-//!   and sweeps every stale cache entry; the replaced registration's
+//! * re-registering a database with different content or a different
+//!   schema graph advances its epoch and sweeps every stale cache entry; the replaced registration's
 //!   column statistics are dropped with it.
 //!
 //! The `cajade-serve` binary (this crate's `src/bin/serve.rs`) exposes
@@ -57,9 +57,9 @@ mod stats;
 
 pub use cache::{CacheObs, CacheStats};
 pub use error::{ServiceError, ERROR_CODES};
-pub use keys::{AnswerKey, AptKey, ProvKey};
+pub use keys::{AnswerKey, ProvKey};
 pub use service::{
-    ExplanationService, PreparedGraph, RegisterOutcome, RegisteredDb, ServiceConfig,
+    ExplanationService, PreparedGraph, QueryEntry, RegisterOutcome, RegisteredDb, ServiceConfig,
 };
 pub use session::{AskOptions, AskResult, SessionHandle};
 pub use stats::{IngestStats, ServiceStats};

@@ -22,9 +22,8 @@ pub(crate) struct ServiceObs {
     // ---- Request counters. ---------------------------------------------
     pub asks_total: Arc<Counter>,
     pub sessions_opened_total: Arc<Counter>,
-    pub prepared_apt_hits_total: Arc<Counter>,
-    pub prepared_apt_misses_total: Arc<Counter>,
-    /// Work the asks' `AptBuilder`s did for APT cache misses: `extend`
+    /// Work the asks' `AptBuilder`s did for join graphs their query entry
+    /// did not hold: `extend`
     /// steps applied (hash joins and closing-edge filters), the ones among
     /// them whose inputs no earlier step of the ask had read — which ran
     /// their loop — and key-index builds. Deterministic for a given
@@ -91,8 +90,6 @@ impl ServiceObs {
         ServiceObs {
             asks_total: r.counter("asks_total"),
             sessions_opened_total: r.counter("sessions_opened_total"),
-            prepared_apt_hits_total: r.counter("prepared_apt_hits_total"),
-            prepared_apt_misses_total: r.counter("prepared_apt_misses_total"),
             apt_join_steps_total: r.counter("apt_join_steps_total"),
             apt_join_steps_computed_total: r.counter("apt_join_steps_computed_total"),
             apt_index_builds_total: r.counter("apt_index_builds_total"),

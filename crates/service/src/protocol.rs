@@ -11,7 +11,7 @@
 //! | `register` | `db`, plus either `dataset` (`nba`\|`mimic`) with `scale`? (synthetic source) or `source:"csv_dir"` with `path`, `strict`?, `max_joins`? | `epoch`, `fingerprint`, `replaced`, `tables`, `rows`; csv_dir adds an `ingest` report (per-stage timings, per-table stats, join provenance, warnings) |
 //! | `query` | `db`, `sql`, `preview`? (default `true`) | `session`, `columns`, `rows` (≤ `max_rows`, default 50); with `preview: true` warms the provenance cache; reuses an existing session on the same `(db, sql)` |
 //! | `ask` | `session`, `t1`+`t2` or `t` (objects of col→value), `trace`? (default `false`), `timeout_ms`? (request budget) | `explanations`, `cache`, `timings`; with `trace: true` adds a `trace` span-tree array; a budget-truncated answer adds `degraded: true` plus the `truncated` site list |
-//! | `stats` | — | service counters + the three caches + cumulative ingest stats |
+//! | `stats` | — | service counters + the two caches and the prepared graphs the provenance cache holds + cumulative ingest stats |
 //! | `metrics` | `format`? (`"json"` default, or `"prometheus"`) | registry snapshot: `counters`, `gauges`, `histograms` (count/sum/max/mean + p50/p90/p99/p999), or `{"text": ...}` in the Prometheus exposition format |
 //! | `close` | `session` | `closed` |
 //!
@@ -679,10 +679,10 @@ fn handle_stats(service: &ExplanationService) -> Json {
         ("open_sessions", Json::num(s.open_sessions as f64)),
         ("sessions_opened", Json::num(s.sessions_opened as f64)),
         ("questions_answered", Json::num(s.questions_answered as f64)),
-        ("prepared_apt_hits", Json::num(s.prepared_apt_hits as f64)),
+        ("prepared_apt_hits", Json::num(s.prepared_apt_hits() as f64)),
         (
             "prepared_apt_misses",
-            Json::num(s.prepared_apt_misses as f64),
+            Json::num(s.prepared_apt_misses() as f64),
         ),
         ("hit_rate", Json::num(s.hit_rate())),
         ("provenance_cache", cache_json(&s.provenance_cache)),

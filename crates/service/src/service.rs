@@ -1,9 +1,10 @@
 //! The thread-safe explanation service: a catalog of registered
 //! databases, a registry of open sessions, and the shared caches that make
-//! repeated questions cheap — provenance + enumeration per query, one
-//! immutable [`PreparedGraph`] per `(query, join graph)`, ranked answers
-//! per question — all under the service's one [`Params`]; each
-//! registration also keeps the statistics of its base columns.
+//! repeated questions cheap — one [`QueryEntry`] per query (provenance,
+//! enumeration, and one immutable [`PreparedGraph`] per join graph an ask
+//! has prepared), ranked answers per question — all under the service's
+//! one [`Params`]; each registration also keeps the statistics of its base
+//! columns.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -11,16 +12,17 @@ use std::sync::Arc;
 
 use cajade_core::pipeline::PreparedQuery;
 use cajade_core::Params;
-use cajade_graph::{Apt, SchemaGraph};
+use cajade_graph::{Apt, EnumeratedGraph, SchemaGraph};
 use cajade_ingest::{IngestOptions, IngestReport};
 use cajade_mining::PreparedApt;
+use cajade_obs::Counter;
 use cajade_query::parse_sql;
 use cajade_storage::Database;
 use parking_lot::{Mutex, RwLock};
 
-use crate::cache::LruCache;
+use crate::cache::{CacheObs, CacheStats, LruCache};
 use crate::colstats::ColumnStatsTable;
-use crate::keys::{AnswerKey, AptKey, ProvKey};
+use crate::keys::{AnswerKey, ProvKey};
 use crate::obs::ServiceObs;
 use crate::session::SessionHandle;
 use crate::stats::{IngestStats, ServiceStats};
@@ -30,10 +32,10 @@ use crate::{Result, ServiceError};
 /// oldest session id.
 const MAX_OPEN_SESSIONS: usize = 4096;
 
-/// One APT-cache value: a join graph's APT view and the
-/// question-independent mining preparation made from it, computed
-/// together, inserted once and never changed. A *new* question on a cached
-/// graph reuses both and skips straight to scoring.
+/// One prepared join graph: its APT view and the question-independent
+/// mining preparation made from it, computed together, stored once in its
+/// query's [`QueryEntry`] and never changed. A *new* question on a
+/// prepared graph reuses both and skips straight to scoring.
 #[derive(Debug)]
 pub struct PreparedGraph {
     /// The APT view — behind an `Arc` of its own because the ask derives
@@ -45,28 +47,104 @@ pub struct PreparedGraph {
 }
 
 impl PreparedGraph {
-    /// Approximate heap footprint: the APT view, the provenance-table
-    /// columns it pins, and the preparation.
-    ///
-    /// The provenance cache charges those columns too, and so does every
-    /// other entry of the same query, but the two caches evict
-    /// independently: an entry that outlives its provenance entry (evicted,
-    /// then recomputed) is then the only thing keeping the old columns
-    /// allocated. Charging them here keeps the cache from holding more
-    /// than it believes; while the provenance entry lives it believes more
-    /// than it holds.
+    /// Approximate heap footprint: the APT view and the preparation. The
+    /// provenance-table columns the view reads are the [`QueryEntry`]'s,
+    /// counted there once for all of its graphs.
     pub fn approx_bytes(&self) -> usize {
-        self.apt.approx_bytes() + self.apt.pinned_pt_bytes() + self.prep.approx_bytes()
+        self.apt.approx_bytes() + self.prep.approx_bytes()
+    }
+}
+
+/// One provenance-cache value — everything the service keeps of a query:
+/// its provenance and enumeration, and, in one slot per enumerated graph,
+/// what asks have prepared of them. A query's graphs are looked up by
+/// enumeration index, and evicted, swept and recomputed with the entry.
+pub struct QueryEntry {
+    /// The query's result, provenance table and enumerated join graphs.
+    pub query: PreparedQuery,
+    /// Per enumerated graph, its [`PreparedGraph`] once an ask has made
+    /// it. A slot's lock is its graph's latch: it is filled once, under
+    /// the lock, so concurrent cold asks prepare a graph once.
+    slots: Vec<Mutex<Option<Arc<PreparedGraph>>>>,
+    /// Slots filled, and the bytes of what they hold: the entry weighs
+    /// itself, and `stats` counts it, without waiting on a latch.
+    held: Counter,
+    held_bytes: Counter,
+}
+
+impl QueryEntry {
+    pub(crate) fn new(query: PreparedQuery) -> Self {
+        QueryEntry {
+            slots: query.graphs.iter().map(|_| Mutex::new(None)).collect(),
+            query,
+            held: Counter::default(),
+            held_bytes: Counter::default(),
+        }
+    }
+
+    /// Counted lookup of graph `gi`; waits for an ask that is preparing
+    /// it right now.
+    pub(crate) fn graph(&self, gi: usize, obs: &CacheObs) -> Option<Arc<PreparedGraph>> {
+        let found = self.slots[gi].lock().clone();
+        match found {
+            Some(_) => obs.hits.inc(),
+            None => obs.misses.inc(),
+        }
+        found
+    }
+
+    /// The fill half, for a caller whose lookup missed: under the slot's
+    /// lock, the graph another ask stored meanwhile (`coalesced` counts
+    /// it), else what `prepare` makes, stored unless its preparation was
+    /// truncated by the caller's budget — an unbudgeted ask must never
+    /// inherit a partial preparation computed under someone else's
+    /// deadline. Returns `(graph, prepared)`, `prepared` true when
+    /// `prepare` ran; if it panics the slot stays empty for the next
+    /// reader.
+    pub(crate) fn graph_or_prepare(
+        &self,
+        gi: usize,
+        obs: &CacheObs,
+        prepare: impl FnOnce() -> PreparedGraph,
+    ) -> (Arc<PreparedGraph>, bool) {
+        let mut slot = self.slots[gi].lock();
+        if let Some(graph) = &*slot {
+            obs.coalesced.inc();
+            return (Arc::clone(graph), false);
+        }
+        let graph = Arc::new(prepare());
+        if !graph.prep.truncated {
+            self.held.inc();
+            self.held_bytes.add(graph.approx_bytes() as u64);
+            *slot = Some(Arc::clone(&graph));
+            obs.inserts.inc();
+        }
+        (graph, true)
+    }
+
+    /// Cache accounting for the whole entry: the provenance table
+    /// dominates a fresh one, the prepared graphs a filled one;
+    /// enumeration output, the query result and the slots are small but
+    /// counted.
+    pub(crate) fn approx_bytes(&self) -> usize {
+        let graphs = (self.query.graphs.iter())
+            .map(|g| {
+                std::mem::size_of::<EnumeratedGraph>()
+                    + g.graph.approx_bytes()
+                    + g.key.approx_bytes()
+                    + std::mem::size_of::<Mutex<Option<Arc<PreparedGraph>>>>()
+            })
+            .sum::<usize>();
+        self.query.pt.approx_bytes() + graphs + 256 + self.held_bytes.get() as usize
     }
 }
 
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Byte budget of the provenance/enumeration cache.
+    /// Byte budget of the provenance cache: every query's provenance,
+    /// enumeration and prepared join graphs.
     pub prov_cache_bytes: usize,
-    /// Byte budget of the materialized-APT cache.
-    pub apt_cache_bytes: usize,
     /// Byte budget of the answered-question cache.
     pub answer_cache_bytes: usize,
     /// The pipeline parameters of every session this service opens; a
@@ -85,8 +163,7 @@ impl Default for ServiceConfig {
         let mut params = Params::paper();
         params.parallel = true;
         ServiceConfig {
-            prov_cache_bytes: 256 * 1024 * 1024,
-            apt_cache_bytes: 512 * 1024 * 1024,
+            prov_cache_bytes: 768 * 1024 * 1024,
             answer_cache_bytes: 64 * 1024 * 1024,
             params,
             registry: Arc::new(cajade_obs::Registry::new()),
@@ -116,7 +193,6 @@ impl ServiceConfig {
         };
         ServiceConfig {
             prov_cache_bytes: scale(base.prov_cache_bytes),
-            apt_cache_bytes: scale(base.apt_cache_bytes),
             answer_cache_bytes: scale(base.answer_cache_bytes),
             ..base
         }
@@ -137,7 +213,8 @@ impl ServiceConfig {
 pub struct RegisteredDb {
     /// Registration name.
     pub name: String,
-    /// Registration epoch — advances when re-registration changes content.
+    /// Registration epoch — advances when re-registration changes content
+    /// or schema graph.
     pub epoch: u64,
     /// Content fingerprint ([`Database::fingerprint`]).
     pub fingerprint: u64,
@@ -158,12 +235,13 @@ pub struct RegisterOutcome {
     pub epoch: u64,
     /// The database's content fingerprint.
     pub fingerprint: u64,
-    /// True when this call replaced different content (epoch advanced and
-    /// cache entries were invalidated).
+    /// True when this call replaced different content or a different
+    /// schema graph (epoch advanced and cache entries were invalidated).
     pub replaced: bool,
-    /// What the replaced content had retained and this call dropped: the
-    /// entries the sweep took out of the three caches, plus the base
-    /// columns whose statistics the replaced registration held.
+    /// What the replaced registration had retained and this call dropped:
+    /// the entries the sweep took out of the two caches, the prepared
+    /// graphs the swept query entries held, plus the base columns whose
+    /// statistics the replaced registration held.
     pub invalidated_entries: usize,
 }
 
@@ -176,8 +254,11 @@ pub(crate) struct ServiceInner {
     /// a removed database's snapshot can never collide with the keys of
     /// freshly-registered content.
     pub(crate) next_epoch: AtomicU64,
-    pub(crate) prov_cache: LruCache<ProvKey, Arc<PreparedQuery>>,
-    pub(crate) apt_cache: LruCache<AptKey, Arc<PreparedGraph>>,
+    pub(crate) prov_cache: LruCache<ProvKey, Arc<QueryEntry>>,
+    /// Counters of the prepared graphs the query entries hold
+    /// (`cache_apt_…_total`): lookups, fills, and what went out with an
+    /// evicted entry.
+    pub(crate) apt_obs: CacheObs,
     pub(crate) answer_cache: LruCache<AnswerKey, Arc<cajade_core::SessionResult>>,
     pub(crate) ingest_stats: Mutex<IngestStats>,
     pub(crate) params: Params,
@@ -197,7 +278,8 @@ impl ServiceInner {
     /// True while `epoch` is still the registered epoch for `name`. Asks
     /// check this before cache inserts so work computed against a
     /// just-replaced database snapshot is not retained under keys nothing
-    /// will ever look up again.
+    /// will ever look up again. (A graph prepared into a query entry the
+    /// sweep already dropped needs no check: it dies with the ask.)
     pub(crate) fn epoch_is_current(&self, name: &str, epoch: u64) -> bool {
         self.dbs.read().get(name).is_some_and(|r| r.epoch == epoch)
     }
@@ -206,10 +288,30 @@ impl ServiceInner {
     /// catalog and returns what it had retained: those entries, plus the
     /// base columns whose statistics go with the registration itself.
     fn sweep(&self, stale: &RegisteredDb) -> usize {
-        self.prov_cache.retain(|k| k.epoch != stale.epoch)
-            + self.apt_cache.retain(|k| k.epoch != stale.epoch)
-            + self.answer_cache.retain(|k| k.epoch != stale.epoch)
+        let mut graphs = 0;
+        let queries = self.prov_cache.retain(|k, entry| {
+            let keep = k.epoch != stale.epoch;
+            if !keep {
+                graphs += entry.held.get();
+            }
+            keep
+        });
+        queries
+            + graphs as usize
+            + (self.answer_cache).retain(|k, _| k.query.epoch != stale.epoch)
             + stale.column_stats.filled()
+    }
+
+    /// The prepared graphs resident query entries hold, as the `stats`
+    /// op's `apt_cache` block: they live under the provenance budget.
+    fn apt_stats(&self) -> CacheStats {
+        let (mut graphs, mut bytes) = (0, 0);
+        self.prov_cache.for_each(|entry| {
+            graphs += entry.held.get();
+            bytes += entry.held_bytes.get();
+        });
+        let budget = self.prov_cache.stats().budget_bytes;
+        (self.apt_obs).stats(graphs as usize, bytes as usize, budget)
     }
 }
 
@@ -268,14 +370,17 @@ impl ExplanationService {
     /// Creates a service with the given configuration.
     pub fn new(config: ServiceConfig) -> Self {
         let registry = &config.registry;
+        let apt_obs = CacheObs::new(registry, "apt");
+        let apt_evictions = Arc::clone(&apt_obs.evictions);
         ExplanationService {
             inner: Arc::new(ServiceInner {
                 dbs: RwLock::new(HashMap::new()),
                 sessions: RwLock::new(HashMap::new()),
                 next_session: AtomicU64::new(1),
                 next_epoch: AtomicU64::new(0),
-                prov_cache: LruCache::with_obs(config.prov_cache_bytes, registry, "provenance"),
-                apt_cache: LruCache::with_obs(config.apt_cache_bytes, registry, "apt"),
+                prov_cache: LruCache::with_obs(config.prov_cache_bytes, registry, "provenance")
+                    .on_evict(move |entry: &Arc<QueryEntry>| apt_evictions.add(entry.held.get())),
+                apt_obs,
                 answer_cache: LruCache::with_obs(config.answer_cache_bytes, registry, "answer"),
                 ingest_stats: Mutex::new(IngestStats::default()),
                 params: config.params,
@@ -287,10 +392,13 @@ impl ExplanationService {
     /// Registers (or re-registers) a database under `name`.
     ///
     /// Re-registering identical content (same [`Database::fingerprint`])
-    /// keeps the epoch — cached provenance and APTs stay valid. Different
-    /// content advances the epoch and eagerly sweeps every cache entry of
-    /// the stale epochs, so no session can observe explanations computed
-    /// against the replaced data.
+    /// with an identical schema graph keeps the epoch — cached provenance
+    /// and APTs stay valid. Different content, or other permissible joins
+    /// over the same content (a CSV directory re-ingested with a higher
+    /// `max_joins`), advances the epoch and eagerly sweeps every cache
+    /// entry of the stale one, so no session can observe explanations
+    /// computed against the replaced data or enumerated over the replaced
+    /// joins.
     pub fn register_database(
         &self,
         name: impl Into<String>,
@@ -300,7 +408,10 @@ impl ExplanationService {
         let name = name.into();
         let fingerprint = db.fingerprint();
         let mut dbs = self.inner.dbs.write();
-        let same = (dbs.get(&name)).filter(|existing| existing.fingerprint == fingerprint);
+        let same = (dbs.get(&name)).filter(|existing| {
+            existing.fingerprint == fingerprint
+                && existing.schema_graph.edges() == schema_graph.edges()
+        });
         let (epoch, column_stats) = match same {
             Some(existing) => (existing.epoch, Arc::clone(&existing.column_stats)),
             None => (
@@ -447,11 +558,9 @@ impl ExplanationService {
             open_sessions: self.inner.sessions.read().len(),
             sessions_opened: obs.sessions_opened_total.get(),
             questions_answered: obs.asks_total.get(),
-            prepared_apt_hits: obs.prepared_apt_hits_total.get(),
-            prepared_apt_misses: obs.prepared_apt_misses_total.get(),
             ingest: *self.inner.ingest_stats.lock(),
             provenance_cache: self.inner.prov_cache.stats(),
-            apt_cache: self.inner.apt_cache.stats(),
+            apt_cache: self.inner.apt_stats(),
             answer_cache: self.inner.answer_cache.stats(),
         }
     }
@@ -482,7 +591,7 @@ impl ExplanationService {
             .set(self.inner.sessions.read().len() as u64);
         for (name, cache_stats) in [
             ("provenance", self.inner.prov_cache.stats()),
-            ("apt", self.inner.apt_cache.stats()),
+            ("apt", self.inner.apt_stats()),
             ("answer", self.inner.answer_cache.stats()),
         ] {
             r.gauge(&format!("cache_{name}_entries"))
@@ -504,7 +613,6 @@ mod tests {
         for rows in [0, 1, 17_000, BUDGET_BASELINE_ROWS - 1] {
             let c = ServiceConfig::scaled_for_rows(rows);
             assert_eq!(c.prov_cache_bytes, base.prov_cache_bytes, "rows {rows}");
-            assert_eq!(c.apt_cache_bytes, base.apt_cache_bytes);
             assert_eq!(c.answer_cache_bytes, base.answer_cache_bytes);
         }
     }
@@ -513,12 +621,12 @@ mod tests {
     fn scaled_budgets_grow_linearly_and_monotonically() {
         let base = ServiceConfig::default();
         let x20 = ServiceConfig::scaled_for_rows(BUDGET_BASELINE_ROWS * 20);
-        assert_eq!(x20.apt_cache_bytes, base.apt_cache_bytes * 20);
+        assert_eq!(x20.prov_cache_bytes, base.prov_cache_bytes * 20);
         let mut last = 0;
         for rows in [10_000, 34_000, 100_000, 340_000, 1_700_000] {
             let c = ServiceConfig::scaled_for_rows(rows);
-            assert!(c.apt_cache_bytes >= last, "not monotone at {rows}");
-            last = c.apt_cache_bytes;
+            assert!(c.prov_cache_bytes >= last, "not monotone at {rows}");
+            last = c.prov_cache_bytes;
         }
     }
 
@@ -556,8 +664,8 @@ mod tests {
         }
         let c = ServiceConfig::scaled_for_db(&db);
         assert_eq!(
-            c.apt_cache_bytes,
-            ServiceConfig::default().apt_cache_bytes * 20
+            c.prov_cache_bytes,
+            ServiceConfig::default().prov_cache_bytes * 20
         );
     }
 }

@@ -3,33 +3,34 @@
 //! A [`SessionHandle`] pins one `(database, query)` pair and answers
 //! repeated [`ask`](SessionHandle::ask) calls. The first question pays
 //! for provenance, join-graph enumeration, APT materialization and the
-//! question-independent half of mining; the service caches them keyed by
-//! database epoch and canonical SQL — provenance and enumeration per
-//! query, one immutable [`PreparedGraph`] per join graph — so later
-//! questions, from this handle or any other session on the same query,
-//! skip straight to scoring (§2.4's interactive usage pattern). Every
-//! stage runs under the service's one [`Params`](cajade_core::Params).
+//! question-independent half of mining; the service caches them in one
+//! [`QueryEntry`] keyed by database epoch and canonical SQL — provenance
+//! and enumeration, and one immutable [`PreparedGraph`] per join graph —
+//! so later questions, from this handle or any other session on the same
+//! query, skip straight to scoring (§2.4's interactive usage pattern).
+//! Every stage runs under the service's one
+//! [`Params`](cajade_core::Params).
 //!
 //! An ask that finds some graphs missing makes one lookup per valid graph,
 //! derives the missing graphs' views through one [`AptBuilder`], plans one
-//! [`ReadShare`] over exactly those views, and prepares each under the APT
-//! cache's per-key latch — the expensive half, which concurrent cold asks
-//! therefore do once; the view, which needs the ask's builder, they may
-//! both derive. Then every graph is mined in enumeration order.
+//! [`ReadShare`] over exactly those views, and prepares each under its
+//! slot's lock — the expensive half, which concurrent cold asks therefore
+//! do once; the view, which needs the ask's builder, they may both derive.
+//! Then every graph is mined in enumeration order.
 
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
-use cajade_core::pipeline::{self, GraphOutcome, PreparedQuery};
+use cajade_core::pipeline::{self, GraphOutcome};
 use cajade_core::{SessionResult, UserQuestion};
-use cajade_graph::{Apt, AptBuilder, EnumeratedGraph};
+use cajade_graph::{Apt, AptBuilder};
 use cajade_mining::ReadShare;
 use cajade_obs::{span, Collector, SpanRecord, Stage};
 use cajade_query::Query;
 
 use crate::colstats::DbColumnStats;
-use crate::keys::{AnswerKey, AptKey, ProvKey};
-use crate::service::{PreparedGraph, RegisteredDb, ServiceInner};
+use crate::keys::{AnswerKey, ProvKey};
+use crate::service::{PreparedGraph, QueryEntry, RegisteredDb, ServiceInner};
 use crate::{Result, ServiceError};
 
 /// Per-ask knobs beyond the question itself.
@@ -58,7 +59,8 @@ pub struct AskResult {
     pub answer_cache_hit: bool,
     /// Whether provenance + enumeration came from cache.
     pub provenance_cache_hit: bool,
-    /// Join graphs whose APT and mining preparation came from cache.
+    /// Join graphs whose APT and mining preparation the query's cache
+    /// entry held.
     pub apt_cache_hits: usize,
     /// Join graphs this ask had to materialize and prepare.
     pub apt_cache_misses: usize,
@@ -85,9 +87,9 @@ pub struct SessionHandle {
 
 /// What stage 3 of an ask found for one join graph.
 enum Resolved {
-    /// The cached graph.
+    /// The prepared graph its query entry holds.
     Hit(Arc<PreparedGraph>),
-    /// The view of a graph the cache does not hold, and what it took to
+    /// The view of a graph the entry does not hold, and what it took to
     /// derive.
     Miss(Arc<Apt>, Duration),
 }
@@ -122,9 +124,9 @@ impl SessionHandle {
     ///
     /// Stage reuse: provenance + enumeration are fetched from (or
     /// inserted into) the provenance cache; each valid join graph's APT
-    /// and mining preparation are fetched from (or computed into) the APT
-    /// cache; scoring and ranking always run because they depend on the
-    /// question.
+    /// and mining preparation are fetched from (or computed into) its
+    /// slot of that entry; scoring and ranking always run because they
+    /// depend on the question.
     pub fn ask(&self, question: &UserQuestion) -> Result<AskResult> {
         self.ask_traced(question, false)
     }
@@ -178,10 +180,10 @@ impl SessionHandle {
 
         // ---- Stage 0: the fully-ranked answer may already be cached. ----
         let answer_key = AnswerKey {
-            epoch: reg.epoch,
-            sql: self.sql.clone(),
+            query: self.prov_key(&reg),
             question: AnswerKey::canonical_question(question),
         };
+        let prov_key = &answer_key.query;
         if let Some(cached) = inner.answer_cache.get(&answer_key) {
             let mut result = (*cached).clone();
             // No pipeline stage ran; the cold run's stage timings would
@@ -202,13 +204,14 @@ impl SessionHandle {
 
         // ---- Stage 1+2: provenance + enumeration, cached. ---------------
         let resolve_span = span("resolve_query");
-        let (prepared, provenance_cache_hit) = self.prepare_cached(&inner, &reg)?;
+        let (entry, provenance_cache_hit) = self.prepare_cached(&inner, &reg, prov_key)?;
+        let prepared = &entry.query;
 
         let mining_question =
             pipeline::resolve_question(&reg.db, &self.query, &prepared.pt, question)?;
         drop(resolve_span);
 
-        // ---- Stage 3: one cache lookup per valid graph; a view per miss. --
+        // ---- Stage 3: one slot lookup per valid graph; a view per miss. ---
         // The three stages from here on go through `pipeline::fan_out`, so
         // their workers run under this thread's `Ctx`: stage span as
         // parent, the request's budget, its alloc scopes.
@@ -222,7 +225,7 @@ impl SessionHandle {
         let valid = prepared.valid_graph_indices();
         let mat_span = span("materialize");
         let builder: OnceLock<AptBuilder<'_>> = OnceLock::new();
-        type Graph = (usize, AptKey, Resolved);
+        type Graph = (usize, Resolved);
         let resolve_one = |&gi: &usize| -> Result<Option<Graph>> {
             // Budget check at the per-graph boundary: an expired
             // deadline skips the remaining graphs entirely — the ones
@@ -231,13 +234,8 @@ impl SessionHandle {
             if cajade_obs::budget::stop("materialize") {
                 return Ok(None);
             }
-            let key = AptKey {
-                epoch: reg.epoch,
-                sql: self.sql.clone(),
-                graph: prepared.graphs[gi].key.clone(),
-            };
-            if let Some(hit) = inner.apt_cache.get(&key) {
-                return Ok(Some((gi, key, Resolved::Hit(hit))));
+            if let Some(hit) = entry.graph(gi, &inner.apt_obs) {
+                return Ok(Some((gi, Resolved::Hit(hit))));
             }
             // Attribute the retained view to the cache that will hold
             // it (inclusive with "materialize").
@@ -246,7 +244,7 @@ impl SessionHandle {
                 pipeline::begin_materialize(&reg.db, &prepared.pt, &prepared.graphs)
             });
             let (apt, wall) = pipeline::materialize(builder, gi)?;
-            Ok(Some((gi, key, Resolved::Miss(Arc::new(apt), wall))))
+            Ok(Some((gi, Resolved::Miss(Arc::new(apt), wall))))
         };
         let resolved: Result<Vec<Option<Graph>>> =
             pipeline::fan_out(&inner.params, &valid, resolve_one);
@@ -264,9 +262,9 @@ impl SessionHandle {
         // ---- Stage 3.5: question-independent mining preparation. --------
         // Feature selection, the LCA candidate pool, fragment boundaries,
         // and the scoring index/bitmaps depend only on the APT (and the
-        // service's parameters); they are computed once per cached graph,
-        // under the cache's per-key latch — concurrent cold asks prepare
-        // a graph once — and reused by every later question. Per-column
+        // service's parameters); they are computed once per graph, under
+        // its slot's lock — concurrent cold asks prepare a graph once —
+        // and reused by every later question. Per-column
         // statistics (bin specs, fragment boundaries) are shared even
         // further: the registration hands every graph after the first —
         // and every later preparation touching the same context column —
@@ -279,12 +277,13 @@ impl SessionHandle {
         // stage. A warm ask plans nothing.
         let prep_span = span("prepare");
         let mut views = (resolved.iter())
-            .filter_map(|(_, _, r)| match r {
+            .filter_map(|(_, r)| match r {
                 Resolved::Miss(view, _) => Some(view.as_ref()),
                 Resolved::Hit(_) => None,
             })
             .peekable();
-        let share = views.peek().is_some().then(|| {
+        let any_missing = views.peek().is_some();
+        let share = any_missing.then(|| {
             // Like the prepared state it serves: under "cache.apt", in the
             // stage's own scope.
             let _mem = cajade_obs::AllocScope::enter("cache.apt");
@@ -294,52 +293,35 @@ impl SessionHandle {
         let col_stats = DbColumnStats::new(&inner, &reg, share);
         // `(graph, materialization wall, whether this ask prepared it)`.
         type Ready = (usize, Arc<PreparedGraph>, Duration, bool);
-        let prepare_miss = |key: &AptKey, apt: &Arc<Apt>| {
-            let compute = || -> std::result::Result<_, std::convert::Infallible> {
+        let prepare_one = |(gi, resolved): &Graph| -> Ready {
+            let (apt, mat) = match resolved {
+                Resolved::Hit(graph) => return (*gi, Arc::clone(graph), Duration::ZERO, false),
+                Resolved::Miss(view, mat) => (view, *mat),
+            };
+            // `prepared` false: another ask stored the graph while this
+            // one derived its view.
+            let (graph, prepared) = entry.graph_or_prepare(*gi, &inner.apt_obs, || {
                 cajade_obs::faults::failpoint_infallible("cache.apt_compute");
-                // The cache retains view and preparation alike.
+                // The entry retains view and preparation alike.
                 let _mem = cajade_obs::AllocScope::enter("cache.apt");
                 let prep =
                     pipeline::prepare_mining(apt, &prepared.pt, &inner.params, &col_stats, None);
-                let graph = Arc::new(PreparedGraph {
-                    apt: Arc::clone(apt),
-                    prep,
-                });
-                // Not retained: a preparation truncated by this request's
-                // budget — an unbudgeted ask must never inherit a partial
-                // preparation computed under someone else's deadline —
-                // and anything computed against a database re-registered
-                // mid-ask, whose stale-epoch keys would be unreachable yet
-                // hold cache budget.
-                let retain =
-                    !graph.prep.truncated && inner.epoch_is_current(&self.db_name, reg.epoch);
-                let bytes = retain.then(|| graph.approx_bytes());
-                Ok((graph, bytes))
-            };
-            // `found`: another ask prepared the graph while this one
-            // derived its view.
-            match inner.apt_cache.compute_if_absent(key, compute) {
-                Ok((graph, found)) => (graph, !found),
-                Err(infallible) => match infallible {},
-            }
+                let apt = Arc::clone(apt);
+                PreparedGraph { apt, prep }
+            });
+            (*gi, graph, mat, prepared)
         };
-        let prepare_one = |(gi, key, resolved): &Graph| -> Ready {
-            let (graph, mat, computed) = match resolved {
-                Resolved::Hit(graph) => (Arc::clone(graph), Duration::ZERO, false),
-                Resolved::Miss(view, mat) => {
-                    let (graph, computed) = prepare_miss(key, view);
-                    (graph, *mat, computed)
-                }
-            };
-            if computed {
-                inner.obs.prepared_apt_misses_total.inc();
-            } else {
-                inner.obs.prepared_apt_hits_total.inc();
-            }
-            (*gi, graph, mat, computed)
-        };
-        let ready: Vec<Ready> = pipeline::fan_out(&inner.params, &resolved, prepare_one);
-        // The keys, and the views of graphs another ask prepared first.
+        let ready = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pipeline::fan_out::<_, _, Vec<Ready>>(&inner.params, &resolved, prepare_one)
+        }));
+        if any_missing {
+            // The one place the entry is weighed again: it grew by what
+            // this ask stored in it — also when a worker panicked past the
+            // graphs its siblings stored.
+            inner.prov_cache.reweigh(prov_key, |e| e.approx_bytes());
+        }
+        let ready = ready.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        // The views of graphs another ask prepared first.
         drop(resolved);
         let apt_cache_misses = ready.iter().filter(|(_, _, _, computed)| *computed).count();
         let apt_cache_hits = ready.len() - apt_cache_misses;
@@ -375,7 +357,7 @@ impl SessionHandle {
         drop(mine_span);
 
         // ---- Stage 5: assemble + rank. ----------------------------------
-        let mut result = pipeline::assemble(&prepared, outcomes, &inner.params);
+        let mut result = pipeline::assemble(prepared, outcomes, &inner.params);
         if provenance_cache_hit {
             // Those phases were skipped; report the latency actually paid.
             result.timings.provenance = Duration::ZERO;
@@ -421,8 +403,15 @@ impl SessionHandle {
     pub fn preview(&self) -> Result<cajade_query::QueryResult> {
         let inner = self.service.upgrade().ok_or(ServiceError::ServiceDropped)?;
         let reg = inner.registered(&self.db_name)?;
-        let (prepared, _) = self.prepare_cached(&inner, &reg)?;
-        Ok(prepared.result.clone())
+        let (entry, _) = self.prepare_cached(&inner, &reg, &self.prov_key(&reg))?;
+        Ok(entry.query.result.clone())
+    }
+
+    fn prov_key(&self, reg: &RegisteredDb) -> ProvKey {
+        ProvKey {
+            epoch: reg.epoch,
+            sql: self.sql.clone(),
+        }
     }
 
     /// Provenance-cache get-or-compute for this session's `(db, query)`
@@ -436,31 +425,24 @@ impl SessionHandle {
         &self,
         inner: &ServiceInner,
         reg: &RegisteredDb,
-    ) -> Result<(Arc<PreparedQuery>, bool)> {
-        let prov_key = ProvKey {
-            epoch: reg.epoch,
-            sql: self.sql.clone(),
-        };
-        inner.prov_cache.get_or_try_compute(&prov_key, || {
+        prov_key: &ProvKey,
+    ) -> Result<(Arc<QueryEntry>, bool)> {
+        inner.prov_cache.get_or_try_compute(prov_key, || {
             cajade_obs::faults::failpoint_infallible("cache.provenance_compute");
             // Attribute the retained prepared query (provenance table +
             // enumeration) to the cache holding it.
             let _mem = cajade_obs::AllocScope::enter("cache.provenance");
-            let p = Arc::new(pipeline::prepare(
-                &reg.db,
-                &reg.schema_graph,
-                &self.query,
-                &inner.params,
-            )?);
+            let p = pipeline::prepare(&reg.db, &reg.schema_graph, &self.query, &inner.params)?;
             let obs = &inner.obs;
             obs.jg_extensions_visited_total.add(p.extensions_visited);
             obs.jg_extensions_rejected_total.add(p.extensions_rejected);
+            let entry = Arc::new(QueryEntry::new(p));
             // Skip caching if the database was re-registered mid-compute:
             // a stale-epoch key would hold budget nothing can look up.
             let bytes = inner
                 .epoch_is_current(&self.db_name, reg.epoch)
-                .then(|| prepared_bytes(&p));
-            Ok((p, bytes))
+                .then(|| entry.approx_bytes());
+            Ok((entry, bytes))
         })
     }
 }
@@ -490,17 +472,4 @@ fn answer_bytes(r: &SessionResult) -> usize {
             .map(|c| r.result.table.column(c).approx_bytes())
             .sum::<usize>()
         + 512
-}
-
-/// Cache accounting for a prepared query: the provenance table dominates;
-/// enumeration output and the query result are small but counted.
-fn prepared_bytes(p: &PreparedQuery) -> usize {
-    let graphs = p
-        .graphs
-        .iter()
-        .map(|g| {
-            std::mem::size_of::<EnumeratedGraph>() + g.graph.approx_bytes() + g.key.approx_bytes()
-        })
-        .sum::<usize>();
-    p.pt.approx_bytes() + graphs + 256
 }

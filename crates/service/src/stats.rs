@@ -62,24 +62,36 @@ pub struct ServiceStats {
     pub sessions_opened: u64,
     /// Questions answered since construction.
     pub questions_answered: u64,
-    /// Per-APT mining preparations reused from a warm cache entry (the
-    /// ask skipped feature selection, LCA candidates, and fragments).
-    pub prepared_apt_hits: u64,
-    /// Per-APT mining preparations computed (cold entry).
-    pub prepared_apt_misses: u64,
     /// CSV-directory ingestion counters.
     pub ingest: IngestStats,
-    /// Provenance/enumeration cache counters.
+    /// Provenance cache counters: one entry per query, weighing its
+    /// provenance, enumeration and prepared join graphs.
     pub provenance_cache: CacheStats,
-    /// Materialized-APT cache counters.
+    /// Counters of the prepared join graphs the provenance cache's
+    /// entries hold (`entries`, `bytes`: of the resident ones;
+    /// `budget_bytes`: the provenance budget they live under).
     pub apt_cache: CacheStats,
     /// Answered-question cache counters.
     pub answer_cache: CacheStats,
 }
 
 impl ServiceStats {
-    /// Overall cache hit rate across all three caches (0.0 when no
-    /// lookups).
+    /// Join graphs an ask mined through a preparation it found (the ask
+    /// skipped feature selection, LCA candidates, and fragments): its
+    /// lookup hit, or another ask stored the graph while this one derived
+    /// the view.
+    pub fn prepared_apt_hits(&self) -> u64 {
+        self.apt_cache.hits + self.apt_cache.coalesced
+    }
+
+    /// Join graphs an ask found unprepared and prepared itself.
+    /// (Saturating: the counters of a snapshot are read one by one.)
+    pub fn prepared_apt_misses(&self) -> u64 {
+        (self.apt_cache.misses).saturating_sub(self.apt_cache.coalesced)
+    }
+
+    /// Overall hit rate across the provenance, prepared-graph and answer
+    /// lookups (0.0 when no lookups).
     pub fn hit_rate(&self) -> f64 {
         let hits = self.provenance_cache.hits + self.apt_cache.hits + self.answer_cache.hits;
         let total =

@@ -7,11 +7,11 @@
 //! could hold 300 MB of real heap. These tests build each cached
 //! artifact (provenance table, APT, column statistics) inside a
 //! dedicated allocation scope and require the estimate to land within
-//! 2× of the tracked net heap growth, in both directions. An APT-cache
-//! entry is charged for three things, and all are checked: the `Apt`
-//! view, the provenance-table columns the view keeps alive once the
-//! provenance cache has let go of them, and the `PreparedApt` mined from
-//! it.
+//! 2× of the tracked net heap growth, in both directions. A query's
+//! cache entry is charged for its provenance table and enumeration once
+//! and, per prepared join graph, for the `Apt` view and the `PreparedApt`
+//! mined from it; each part is checked, and so is a whole entry with
+//! every graph prepared.
 //!
 //! The 2× band is deliberate: estimators ignore allocator slack and Vec
 //! over-capacity, and the tracker ignores nothing — exact equality is
@@ -74,22 +74,45 @@ fn provenance_table_estimate_matches_tracked_bytes() {
     assert_calibrated("ProvenanceTable", pt.approx_bytes(), actual);
 }
 
-/// A whole provenance-cache entry — the provenance table and, beside it,
-/// the enumeration's listing (graphs, keys, records). The service opens
-/// the `cache.provenance` scope itself; no other test of this binary
-/// computes a prepared query.
+/// A whole provenance-cache entry — fresh: the provenance table and,
+/// beside it, the enumeration's listing (graphs, keys, records); then with
+/// every slot filled by one cold ask: the same plus each graph's view and
+/// preparation, the provenance table still counted once. The service
+/// opens the `cache.provenance`, `cache.apt` and `db.column_stats` scopes
+/// itself; no other test of this binary goes through a service.
 #[test]
 fn provenance_cache_charge_matches_tracked_bytes() {
+    let held = |scope: &str| {
+        let snapshot = cajade_obs::alloc::scope_snapshot(scope).expect("scope recorded");
+        snapshot.net_bytes.max(0) as u64
+    };
     let gen = nba::generate(nba::NbaConfig::tiny());
     let service = cajade_service::ExplanationService::new(Default::default());
     service.register_database("nba", gen.db, gen.schema_graph);
     let session = service.open_session("nba", GSW_SQL).unwrap();
     session.preview().unwrap();
-    let charged = service.stats().provenance_cache.bytes;
-    let held = cajade_obs::alloc::scope_snapshot("cache.provenance")
-        .expect("scope recorded")
-        .net_bytes;
-    assert_calibrated("provenance-cache entry", charged, held.max(0) as u64);
+    let fresh = service.stats().provenance_cache.bytes;
+    assert_calibrated("fresh query entry", fresh, held("cache.provenance"));
+
+    let asked = session
+        .ask_between(&[("season_name", "2015-16")], &[("season_name", "2012-13")])
+        .unwrap();
+    let stats = service.stats();
+    assert_eq!(stats.apt_cache.entries, asked.apt_cache_misses);
+    assert_eq!(
+        stats.provenance_cache.bytes,
+        fresh + stats.apt_cache.bytes,
+        "the provenance table is charged once, not per graph"
+    );
+    // `cache.apt` saw the column statistics filled under it; those are
+    // the registration's, not the entry's.
+    let graphs = held("cache.apt") - held("db.column_stats");
+    assert!(stats.apt_cache.bytes > fresh, "the graphs dominate");
+    assert_calibrated(
+        "filled query entry",
+        stats.provenance_cache.bytes,
+        held("cache.provenance") + graphs,
+    );
 }
 
 #[test]
@@ -103,29 +126,7 @@ fn apt_estimate_matches_tracked_bytes() {
     assert_calibrated("Apt", apt.approx_bytes(), actual);
 }
 
-/// What an APT-cache entry holds once nothing else holds its provenance
-/// table (the provenance cache evicted or recomputed it): the view, the PT
-/// columns it reads, and the preparation.
-#[test]
-fn prepared_graph_outliving_its_pt_estimate_matches_tracked_bytes() {
-    let gen = nba::generate(nba::NbaConfig::tiny());
-    let q = parse_sql(GSW_SQL).unwrap();
-    let params = cajade_core::Params::paper().mining;
-    let (entry, actual) = tracked_build("calib.apt_orphan", || {
-        let pt = ProvenanceTable::compute(&gen.db, &q).unwrap();
-        let apt = Apt::materialize(&gen.db, &pt, &JoinGraph::pt_only()).unwrap();
-        let prep = prepare_apt(&apt, &pt, &params);
-        let apt = std::sync::Arc::new(apt);
-        cajade_service::PreparedGraph { apt, prep }
-    });
-    assert!(
-        entry.apt.pinned_pt_bytes() > entry.apt.approx_bytes(),
-        "the pinned columns outweigh the view here"
-    );
-    assert_calibrated("PreparedGraph without its PT", entry.approx_bytes(), actual);
-}
-
-/// The prepared half of an APT-cache charge, on a joined APT (a fan-out
+/// The prepared half of a prepared graph's charge, on a joined APT (a fan-out
 /// context table, so the all-rows index keeps its segment ids) with the
 /// service's parameters: λ_F1 < 1, so both indexes are built.
 #[test]

@@ -19,8 +19,21 @@ fn q(t1_season: &str, t2_season: &str) -> UserQuestion {
 }
 
 fn tiny_service() -> ExplanationService {
+    service_with(Params::fast())
+}
+
+/// [`tiny_service`] with worker threads: a panicking preparation has
+/// sibling workers inside the same ask's `AptBuilder` and `ReadShare`.
+fn parallel_service() -> ExplanationService {
+    service_with(Params {
+        parallel: true,
+        ..Params::fast()
+    })
+}
+
+fn service_with(params: Params) -> ExplanationService {
     let service = ExplanationService::new(ServiceConfig {
-        params: Params::fast(),
+        params,
         ..ServiceConfig::default()
     });
     let gen = nba::generate(NbaConfig::tiny());
@@ -280,19 +293,7 @@ fn apt_compute_panic_mid_fanout_leaves_no_waiter_hung_and_the_next_answer_unchan
     // Parallel, so the panicking materialization has sibling workers that
     // are inside the same ask's `AptBuilder` — computing, or waiting on,
     // the parent joins the panicking graph shares with them.
-    let parallel = || {
-        let service = ExplanationService::new(ServiceConfig {
-            params: Params {
-                parallel: true,
-                ..Params::fast()
-            },
-            ..ServiceConfig::default()
-        });
-        let gen = nba::generate(NbaConfig::tiny());
-        service.register_database("nba", gen.db, gen.schema_graph);
-        service
-    };
-    let service = parallel();
+    let service = parallel_service();
     let session = service.open_session("nba", GSW_SQL).unwrap();
     let sid = session.id();
     let ask = format!(
@@ -332,7 +333,7 @@ fn apt_compute_panic_mid_fanout_leaves_no_waiter_hung_and_the_next_answer_unchan
     // never saw the fault. (`answer_cache_hit` may be true: the surviving
     // request's answer is a legitimate one.)
     let after = session.ask(&q("2015-16", "2012-13")).unwrap();
-    let control = parallel();
+    let control = parallel_service();
     let cold = control
         .open_session("nba", GSW_SQL)
         .unwrap()
@@ -356,5 +357,83 @@ fn apt_compute_panic_mid_fanout_leaves_no_waiter_hung_and_the_next_answer_unchan
     assert_eq!(
         rendered(&other.result.explanations),
         rendered(&other_cold.result.explanations)
+    );
+}
+
+/// `fault_cache_apt_compute_fired_total`, which the fault harness keeps in
+/// the global registry.
+fn apt_compute_fires() -> u64 {
+    cajade_obs::global()
+        .counter("fault_cache_apt_compute_fired_total")
+        .get()
+}
+
+#[test]
+fn reregistration_between_lookup_and_fill_retains_nothing_of_the_stale_epoch() {
+    let _guard = cajade_obs::faults::test_guard();
+    let service = tiny_service();
+    let session = service.open_session("nba", GSW_SQL).unwrap();
+
+    // The gate: the ask is sequential, so once its first preparation
+    // stalls on the failpoint — under the graph's slot lock — it has
+    // looked every graph up and stored none. The main thread replaces the
+    // database then, and only then lets the preparations through.
+    let fired = apt_compute_fires();
+    cajade_obs::faults::set_plan("cache.apt_compute=sleep:200").unwrap();
+    let stale = std::thread::scope(|scope| {
+        let ask = scope.spawn(|| session.ask(&q("2015-16", "2012-13")));
+        while apt_compute_fires() == fired && !ask.is_finished() {
+            std::thread::yield_now();
+        }
+        let mut changed = NbaConfig::tiny();
+        changed.seed = 99;
+        let changed = nba::generate(changed);
+        let outcome = service.register_database("nba", changed.db, changed.schema_graph);
+        cajade_obs::faults::clear();
+        // The query entry went; it held no graph yet.
+        assert_eq!((outcome.replaced, outcome.invalidated_entries), (true, 1));
+        ask.join().unwrap().unwrap()
+    });
+    assert!(stale.apt_cache_misses > 0 && !stale.result.explanations.is_empty());
+
+    // Every graph the ask went on to store, it stored into the entry the
+    // sweep had dropped: nothing of the old epoch is resident or charged.
+    let stats = service.stats();
+    for cache in [stats.provenance_cache, stats.apt_cache, stats.answer_cache] {
+        assert_eq!((cache.entries, cache.bytes), (0, 0), "{stats:?}");
+    }
+    // The new epoch's ask is cold throughout, and what is resident after
+    // it is its own.
+    let current = session.ask(&q("2015-16", "2012-13")).unwrap();
+    assert!(!current.answer_cache_hit && !current.provenance_cache_hit);
+    assert_eq!(current.apt_cache_hits, 0);
+    let stats = service.stats();
+    assert_eq!(stats.provenance_cache.entries, 1);
+    assert_eq!(stats.apt_cache.entries, current.apt_cache_misses);
+    assert!(stats.provenance_cache.bytes > stats.apt_cache.bytes);
+}
+
+#[test]
+fn apt_compute_panic_still_weighs_what_the_sibling_workers_stored() {
+    let _guard = cajade_obs::faults::test_guard();
+    let service = parallel_service();
+    let session = service.open_session("nba", GSW_SQL).unwrap();
+    session.preview().unwrap();
+    let fresh = service.stats().provenance_cache.bytes;
+
+    cajade_obs::faults::set_plan("cache.apt_compute=panic@1").unwrap();
+    let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        session.ask(&q("2015-16", "2012-13"))
+    }));
+    cajade_obs::faults::clear();
+    assert!(panicked.is_err());
+
+    // The ask never got past its fan-out, but the graphs its other
+    // workers stored are resident, and the entry is charged for them.
+    let stats = service.stats();
+    assert_eq!(
+        stats.provenance_cache.bytes,
+        fresh + stats.apt_cache.bytes,
+        "{stats:?}"
     );
 }

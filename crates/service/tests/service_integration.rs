@@ -1,6 +1,6 @@
 //! End-to-end tests of the interactive explanation service: cross-question
-//! stage reuse, cache-vs-cold result identity, LRU eviction under a small
-//! byte budget, invalidation on database re-registration, warm-vs-cold
+//! stage reuse, cache-vs-cold result identity, whole-query eviction under
+//! a small byte budget, invalidation on database re-registration, warm-vs-cold
 //! latency, and concurrent sessions on different databases.
 
 use std::time::Duration;
@@ -127,8 +127,8 @@ fn warm_prepared_apt_skips_question_independent_phases() {
 
     let a1 = session.ask(&q("2015-16", "2012-13")).unwrap();
     let s1 = service.stats();
-    assert_eq!(s1.prepared_apt_hits, 0);
-    assert!(s1.prepared_apt_misses > 0, "cold ask prepares every APT");
+    assert_eq!(s1.prepared_apt_hits(), 0);
+    assert!(s1.prepared_apt_misses() > 0, "cold ask prepares every APT");
     // The cold ask reports the preparation it paid for.
     assert!(a1.result.timings.mining.feature_selection > Duration::ZERO);
 
@@ -137,10 +137,11 @@ fn warm_prepared_apt_skips_question_independent_phases() {
     assert!(!a2.answer_cache_hit && a2.provenance_cache_hit);
     assert_eq!(a2.apt_cache_misses, 0);
     assert_eq!(
-        s2.prepared_apt_hits, s1.prepared_apt_misses,
+        s2.prepared_apt_hits(),
+        s1.prepared_apt_misses(),
         "every prepared APT is reused"
     );
-    assert_eq!(s2.prepared_apt_misses, s1.prepared_apt_misses);
+    assert_eq!(s2.prepared_apt_misses(), s1.prepared_apt_misses());
     // Question-independent phases report zero on the warm ask; only
     // scoring and refinement ran.
     let m = a2.result.timings.mining;
@@ -190,18 +191,20 @@ fn concurrent_cold_asks_single_flight_provenance() {
         "single-flight: provenance computed once, not per thread: {prov:?}"
     );
     // Mining preparation — the expensive half of a cold graph — is
-    // deduplicated too, by the APT cache's per-graph latch: across both
-    // asks every graph is prepared once and retained once, and the other
-    // ask's lookup is a hit or coalesces, whether or not the threads
-    // overlapped.
+    // deduplicated too, by the lock of the graph's slot in the one query
+    // entry: across both asks every graph is prepared once and retained
+    // once, and the other ask's lookup is a hit or coalesces, whether or
+    // not the threads overlapped.
     assert_eq!(
-        stats.prepared_apt_hits, stats.prepared_apt_misses,
+        stats.prepared_apt_hits(),
+        stats.prepared_apt_misses(),
         "each graph prepared once across both asks: {stats:?}"
     );
     let apt = stats.apt_cache;
     assert_eq!(
-        apt.inserts, r1_graphs as u64,
-        "one insert per graph mined: {apt:?}"
+        (apt.inserts, apt.entries),
+        (r1_graphs as u64, r1_graphs),
+        "one stored graph per graph mined: {apt:?}"
     );
     // Not asserted: one *view* per graph. The view is derived before the
     // latch is taken — it is the cheap half and needs the ask's one
@@ -226,35 +229,54 @@ fn sessions_share_caches_for_the_same_query() {
 }
 
 #[test]
-fn lru_eviction_under_a_small_apt_budget_stays_correct() {
-    // Budget fits only a few APTs, so the first ask itself evicts.
+fn query_over_the_provenance_budget_is_dropped_whole_and_recomputed() {
+    // The eviction unit is the query: its provenance fits the budget, its
+    // provenance plus every prepared graph does not.
+    let (fresh, prepared) = {
+        let probe = tiny_service(fast_config());
+        let session = probe.open_session("nba", GSW_SQL).unwrap();
+        session.preview().unwrap();
+        let fresh = probe.stats().provenance_cache.bytes;
+        session.ask(&q("2015-16", "2012-13")).unwrap();
+        (fresh, probe.stats().provenance_cache.bytes)
+    };
+    assert!(prepared > 2 * fresh, "graphs outweigh provenance here");
+
     let config = ServiceConfig {
-        apt_cache_bytes: 256 * 1024,
+        prov_cache_bytes: prepared / 2,
         ..fast_config()
     };
     let service = tiny_service(config);
+    let within_budget = |at: &str| {
+        let prov = service.stats().provenance_cache;
+        assert!(prov.bytes <= prov.budget_bytes, "{at}: {prov:?}");
+        prov
+    };
     let session = service.open_session("nba", GSW_SQL).unwrap();
+    session.preview().unwrap();
+    assert_eq!(within_budget("previewed").entries, 1);
 
     let a1 = session.ask(&q("2015-16", "2012-13")).unwrap();
+    assert!(a1.provenance_cache_hit && a1.apt_cache_misses > 0);
+    let prov = within_budget("asked");
     let apt = service.stats().apt_cache;
-    assert!(
-        apt.evictions > 0 || apt.rejected > 0,
-        "small budget must evict or reject: {apt:?}"
-    );
-    assert!(
-        apt.bytes <= apt.budget_bytes,
-        "byte accounting stays within budget: {apt:?}"
+    assert_eq!((prov.entries, prov.evictions), (0, 1), "{prov:?}");
+    assert_eq!(
+        (apt.entries, apt.bytes, apt.evictions),
+        (0, 0, a1.apt_cache_misses as u64),
+        "its graphs went with it: {apt:?}"
     );
 
-    // A different question now partially misses on APTs — and still
+    // A different question recomputes from provenance — and still
     // produces exactly the answer a fresh cold service computes.
     let q2 = q("2016-17", "2012-13");
     let a2 = session.ask(&q2).unwrap();
-    assert!(
-        a2.apt_cache_misses > 0,
-        "evicted APTs must re-materialize: {:?}",
-        service.stats().apt_cache
+    assert!(!a2.provenance_cache_hit);
+    assert_eq!(
+        (a2.apt_cache_hits, a2.apt_cache_misses),
+        (0, a1.apt_cache_misses)
     );
+    within_budget("asked again");
     let cold = tiny_service(fast_config())
         .open_session("nba", GSW_SQL)
         .unwrap()

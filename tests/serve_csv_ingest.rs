@@ -126,6 +126,65 @@ fn register_csv_dir_query_ask_round_trip() {
     );
 }
 
+/// `register` (at `max_joins`) → `query` → `ask` on `service`; returns the
+/// register response and the ask response.
+fn register_and_ask(service: &ExplanationService, max_joins: u64) -> (Json, Json) {
+    let register = format!(
+        r#"{{"op":"register","db":"retail","source":"csv_dir","path":"{}","max_joins":{max_joins}}}"#,
+        fixture_dir()
+    );
+    let r = protocol::handle_line(service, &register);
+    assert!(ok(&r), "{r:?}");
+    let q = protocol::handle_line(
+        service,
+        r#"{"op":"query","db":"retail","sql":"SELECT AVG(amount) AS avg_amount, channel FROM sales GROUP BY channel"}"#,
+    );
+    let session = q.get("session").and_then(Json::as_u64).unwrap();
+    let a = protocol::handle_line(
+        service,
+        &format!(
+            r#"{{"op":"ask","session":{session},"t1":{{"channel":"online"}},"t2":{{"channel":"in_person"}}}}"#
+        ),
+    );
+    assert!(ok(&a), "{a:?}");
+    (r, a)
+}
+
+#[test]
+fn reregistering_with_more_joins_replaces_the_cached_enumeration() {
+    // What `ingest`'s "rerun with a higher max_joins" warning tells the
+    // user to do: the rows are the same, the permissible joins are not, so
+    // nothing enumerated over the old schema graph may answer.
+    let pipeline = |ask: &Json, field: &str| {
+        let pipeline = ask.get("pipeline").expect("pipeline counts");
+        pipeline.get(field).and_then(Json::as_u64).unwrap()
+    };
+    let service = ExplanationService::default();
+    let (_, capped) = register_and_ask(&service, 0);
+    assert_eq!(pipeline(&capped, "graphs_enumerated"), 1);
+
+    let (r, a) = register_and_ask(&service, 4);
+    assert_eq!(r.get("replaced").and_then(Json::as_bool), Some(true));
+    let answer_cache = a.get("cache").and_then(|c| c.get("answer"));
+    assert_eq!(answer_cache.and_then(Json::as_str), Some("miss"));
+
+    let (_, fresh) = register_and_ask(&ExplanationService::default(), 4);
+    for field in ["graphs_enumerated", "graphs_mined"] {
+        assert_eq!(pipeline(&a, field), pipeline(&fresh, field), "{field}");
+    }
+    assert_eq!(
+        (
+            pipeline(&fresh, "graphs_enumerated"),
+            pipeline(&fresh, "graphs_mined")
+        ),
+        (5, 4)
+    );
+    assert_eq!(
+        a.get("explanations").map(Json::render),
+        fresh.get("explanations").map(Json::render)
+    );
+}
+
 #[test]
 fn register_csv_dir_bad_path_and_bad_source() {
     let service = ExplanationService::default();
