@@ -140,6 +140,32 @@ fn mix(i: usize, salt: usize, m: usize) -> usize {
     (i.wrapping_mul(2_654_435_761) ^ salt.wrapping_mul(40_503)).wrapping_mul(2_246_822_519) % m
 }
 
+/// `features` binned columns over `rows` rows; those `categorical` picks
+/// are keyed (cardinality `5 + 9f`, past the 32-bin budget from column 5
+/// on), the others quantile-binned.
+fn binned_fixture(
+    rows: usize,
+    features: usize,
+    categorical: impl Fn(usize) -> bool,
+) -> Vec<BinnedColumn> {
+    (0..features)
+        .map(|f| {
+            if categorical(f) {
+                let keys = (0..rows).map(|i| Some(mix(i, f, 5 + 9 * f) as u64));
+                BinnedColumn::from_keys(keys.collect::<Vec<_>>(), 32)
+            } else {
+                let vals: Vec<f64> = (0..rows).map(|i| mix(i, f, 10_000) as f64).collect();
+                BinnedColumn::from_f64(&vals, 32)
+            }
+        })
+        .collect()
+}
+
+/// Row `i`'s group of four, carried weakly by columns 0 and 1.
+fn group_of(i: usize) -> usize {
+    (mix(i, 0, 10_000) / 2_500 + usize::from(mix(i, 1, 10_000) > 5_000)) % 4
+}
+
 /// One feature-selection task at the shapes the `e2e_bench` workloads
 /// train on — bootstrap rows × candidate columns of a one-vs-rest task
 /// on `nba_cold`, `mimic_churn` and `synth_wide`: 5 trees of depth 8,
@@ -147,17 +173,7 @@ fn mix(i: usize, salt: usize, m: usize) -> usize {
 fn bench_hist_tree_fit(c: &mut Criterion) {
     let mut group = c.benchmark_group("hist_tree_fit");
     for (rows, features) in [(58usize, 35usize), (160, 24), (1250, 23)] {
-        let cols: Vec<BinnedColumn> = (0..features)
-            .map(|f| {
-                if f % 3 == 2 {
-                    let keys = (0..rows).map(|i| Some(mix(i, f, 5 + 9 * f) as u64));
-                    BinnedColumn::from_keys(keys.collect::<Vec<_>>(), 32)
-                } else {
-                    let vals: Vec<f64> = (0..rows).map(|i| mix(i, f, 10_000) as f64).collect();
-                    BinnedColumn::from_f64(&vals, 32)
-                }
-            })
-            .collect();
+        let cols = binned_fixture(rows, features, |f| f % 3 == 2);
         // One group against the rest, carried weakly by two columns.
         let labels: Vec<bool> = (0..rows)
             .map(|i| mix(i, 0, 10_000) + mix(i, 1, 10_000) / 2 + mix(i, 999, 6_000) > 11_000)
@@ -171,6 +187,43 @@ fn bench_hist_tree_fit(c: &mut Criterion) {
             b.iter(|| HistForest::fit(black_box(cols), black_box(&labels), &cfg))
         });
     }
+    group.finish();
+}
+
+/// Whole forests at the two largest shapes the service and the harness
+/// fit: `20000x7` is `e2e_bench`'s `ml_micro` (the largest `synth_wide`
+/// APT's 7 numeric columns, 20 trees over full-size bootstraps);
+/// `5000x23x4tasks` is one group-global `filterAttrs` on the star —
+/// `max_train_rows` rows, four one-vs-rest tasks of 5 trees on
+/// quarter-size bootstraps.
+fn bench_hist_forest_fit(c: &mut Criterion) {
+    let mut group = c.benchmark_group("hist_forest_fit");
+    let cols = binned_fixture(20_000, 7, |_| false);
+    let labels: Vec<bool> = (0..20_000).map(|i| group_of(i) == 0).collect();
+    group.bench_function("20000x7", |b| {
+        let cfg = RandomForestConfig::default();
+        b.iter(|| HistForest::fit(black_box(&cols), black_box(&labels), &cfg))
+    });
+    let cols = binned_fixture(5_000, 23, |f| f % 3 == 2);
+    let tasks: Vec<(Vec<bool>, RandomForestConfig)> = (0..4)
+        .map(|task| {
+            let labels = (0..5_000).map(|i| group_of(i) == task).collect();
+            let cfg = RandomForestConfig {
+                num_trees: 5,
+                bootstrap_fraction: 0.25,
+                seed: 0xFEA7 + task as u64,
+                ..Default::default()
+            };
+            (labels, cfg)
+        })
+        .collect();
+    group.bench_function("5000x23x4tasks", |b| {
+        b.iter(|| {
+            for (labels, cfg) in &tasks {
+                black_box(HistForest::fit(black_box(&cols), labels, cfg));
+            }
+        })
+    });
     group.finish();
 }
 
@@ -378,6 +431,7 @@ criterion_group!(
         bench_lca,
         bench_forest,
         bench_hist_tree_fit,
+        bench_hist_forest_fit,
         bench_cramers_v,
         bench_enumerate,
         bench_apt_enumeration,

@@ -106,7 +106,7 @@ pub struct FeatSelConfig {
     /// thresholded clustering decision, so a few hundred rows estimate it
     /// as well as thousands. At this cap the pairwise measures are a
     /// third of the phase on NBA's few-hundred-row APTs and 6 % on
-    /// 20 000-row ones (the `featsel_assoc` span; ROADMAP item 4 has the
+    /// 20 000-row ones (the `featsel_assoc` span; ROADMAP item 3 has the
     /// measured split).
     pub max_assoc_rows: usize,
     /// Seed for forest + sampling.

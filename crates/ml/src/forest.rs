@@ -335,4 +335,115 @@ mod tests {
         assert_eq!(float.importances, hist.importances);
         assert_eq!(float.ranked_features(), hist.ranked_features());
     }
+
+    /// A deterministic stand-in for a hash: spreads `i` over `0..m`.
+    fn mix(i: usize, salt: usize, m: usize) -> usize {
+        (i.wrapping_mul(2_654_435_761) ^ salt.wrapping_mul(40_503)).wrapping_mul(2_246_822_519) % m
+    }
+
+    /// `filterAttrs`' group-global shape over `n` rows × `p` columns: every
+    /// third column categorical (from column 5 on, past the 32-bin budget,
+    /// so its rare tail shares an "other" bin), the rest quantile-binned
+    /// with missing cells; four one-vs-rest tasks of 5 trees, each on a
+    /// quarter-size bootstrap, √p features per node. Returns the bits of
+    /// the importances summed over the four tasks, and each task's node
+    /// count.
+    fn production_shape(n: usize, p: usize) -> (Vec<u64>, Vec<usize>) {
+        let cols: Vec<BinnedColumn> = (0..p)
+            .map(|f| {
+                if f % 3 == 2 {
+                    let keys = (0..n).map(|i| (i % 19 != 0).then(|| mix(i, f, 5 + 9 * f) as u64));
+                    BinnedColumn::from_keys(keys.collect::<Vec<_>>(), 32)
+                } else {
+                    let vals: Vec<f64> = (0..n)
+                        .map(|i| match mix(i, f + 100, 13) {
+                            0 => f64::NAN,
+                            _ => mix(i, f, 10_000) as f64,
+                        })
+                        .collect();
+                    BinnedColumn::from_f64(&vals, 32)
+                }
+            })
+            .collect();
+        let group = |i: usize| {
+            (mix(i, 0, 10_000) / 2_500
+                + usize::from(mix(i, 1, 10_000) > 5_000)
+                + usize::from(mix(i, 999, 10) == 0))
+                % 4
+        };
+        let mut importances = vec![0.0; p];
+        let mut nodes = Vec::new();
+        for task in 0..4 {
+            let labels: Vec<bool> = (0..n).map(|i| group(i) == task).collect();
+            let cfg = RandomForestConfig {
+                num_trees: 5,
+                bootstrap_fraction: 0.25,
+                seed: 0xFEA7 + task as u64,
+                ..Default::default()
+            };
+            let forest = HistForest::fit(&cols, &labels, &cfg);
+            for (sum, imp) in importances.iter_mut().zip(&forest.importances) {
+                *sum += imp;
+            }
+            nodes.push(forest.trees.iter().map(HistTree::num_nodes).sum());
+        }
+        (importances.iter().map(|x| x.to_bits()).collect(), nodes)
+    }
+
+    /// The production shape, pinned as bit patterns recorded on the
+    /// per-feature counting kernel before the one-sweep node loop
+    /// replaced it: √p sampling shuffles, bootstrap rows repeat, bins are
+    /// lossy — nothing here has a float reference.
+    #[test]
+    fn hist_forest_production_shape_1250x23_matches_recorded_bits() {
+        let (bits, nodes) = production_shape(1_250, 23);
+        assert_eq!(
+            bits,
+            [
+                0x3febf65ec75444cf,
+                0x3fd2a88390787e97,
+                0x3fc7691713514363,
+                0x3fc3eb1b1c76ae10,
+                0x3fc0813b70f24b4a,
+                0x3fc8aa9cfde9c45b,
+                0x3fc12d28e8b07842,
+                0x3fbcdf25dd195d76,
+                0x3fbfb3aefd5051a3,
+                0x3fc0d5253d57ab10,
+                0x3fd03176fcda7f4a,
+                0x3fbea9021541d7d7,
+                0x3fc34efeb4fd2ea1,
+                0x3fb9fc7fba92051a,
+                0x3fc390a58087b6df,
+                0x3fc80d4ede2fbca9,
+                0x3fb6f6101ca3d075,
+                0x3fc0ded9031e8dfd,
+                0x3fbce7b19817190e,
+                0x3fc32f1b53b61dd0,
+                0x3fa34897533ff30f,
+                0x3fb3d6fe09ae336b,
+                0x3fbb593d1f605acc,
+            ]
+        );
+        assert_eq!(nodes, [291, 385, 199, 321]);
+    }
+
+    /// As above, at the `e2e_bench` `ml_micro` shape's 20 000 × 7.
+    #[test]
+    fn hist_forest_production_shape_20000x7_matches_recorded_bits() {
+        let (bits, nodes) = production_shape(20_000, 7);
+        assert_eq!(
+            bits,
+            [
+                0x4002e18c433cf5f6,
+                0x3ff256710ae430aa,
+                0x3fb9a3cd76fdbfaf,
+                0x3fb6c05dd1aff8b5,
+                0x3fb310247f3753d5,
+                0x3fc25e130a5038fe,
+                0x3fb636f10d98b87e,
+            ]
+        );
+        assert_eq!(nodes, [1025, 941, 953, 943]);
+    }
 }

@@ -11,7 +11,8 @@
 //!   exist: the float-matrix reference and a histogram trainer
 //!   ([`HistForest`]) over pre-binned [`BinnedColumn`]s whose per-node
 //!   split search reads a class histogram of each feature the node
-//!   sampled instead of re-scanning rows.
+//!   sampled — all of them counted in one sweep of the node's rows —
+//!   instead of re-scanning rows per candidate threshold.
 //! * [`cluster`] — attribute clustering by mutual association. The paper
 //!   uses VARCLUS; per its own remark ("any technique that can cluster
 //!   correlated attributes would be applicable") we use agglomerative

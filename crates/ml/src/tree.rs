@@ -8,9 +8,9 @@
 //! * [`DecisionTree`] — the float-matrix reference: per node it re-scans
 //!   and re-sorts the node's rows for every candidate threshold;
 //! * [`HistTree`] — the histogram trainer on pre-binned
-//!   [`BinnedColumn`]s: per node it counts one class histogram for each
-//!   feature the node sampled (⌈√p⌉ of them in a forest) and reads every
-//!   candidate split of that feature off the histogram.
+//!   [`BinnedColumn`]s: per node one sweep of its rows counts a class
+//!   histogram for each feature the node sampled (⌈√p⌉ of them in a
+//!   forest), and every candidate split is read off those histograms.
 
 use std::borrow::Borrow;
 
@@ -394,13 +394,14 @@ enum HNode {
 ///
 /// Split search walks each candidate feature's bin histogram once
 /// (`O(bins)` per feature) rather than re-scanning and re-sorting the
-/// node's rows per candidate threshold. A node counts a histogram only
-/// for the features it sampled — one pass over its rows each, into one
-/// buffer the fit owns — and its rows are a range of one index buffer,
-/// partitioned in place, so a fit allocates a fixed handful of blocks
-/// whatever the number of features or nodes. On bins that losslessly
-/// cover the value domain the chosen splits — and therefore the
-/// mean-decrease-impurity importances — are identical to
+/// node's rows per candidate threshold. A node costs one sweep of its
+/// rows: each row carries its label in its low bit, and the sweep counts
+/// the row into the histogram of every feature the node sampled — blocks
+/// of one buffer the fit owns. Its rows are a range of one index buffer,
+/// partitioned in place without a branch, so a fit allocates a fixed
+/// handful of blocks whatever the number of features or nodes. On bins
+/// that losslessly cover the value domain the chosen splits — and
+/// therefore the mean-decrease-impurity importances — are identical to
 /// [`DecisionTree`]'s (see the equivalence tests).
 #[derive(Debug, Clone)]
 pub struct HistTree {
@@ -412,25 +413,29 @@ pub struct HistTree {
 /// What one [`HistTree::fit`] reads and reuses at every node.
 struct HistFit<'a, C> {
     cols: &'a [C],
-    labels: &'a [bool],
     config: &'a TreeConfig,
     n_total: f64,
-    /// The bootstrap rows; a node owns a contiguous range of them and
-    /// splits it in place into its children's ranges.
+    /// The bootstrap rows, packed `row << 1 | label`; a node owns a
+    /// contiguous range of them and splits it in place into its
+    /// children's ranges.
     rows: Vec<u32>,
-    /// Candidate features, refilled `0..p` before every shuffle so each
-    /// node draws from the RNG exactly as a fresh `(0..p).collect()` did.
-    feat_idx: Vec<usize>,
-    /// `[neg, pos]` counts of the feature under consideration, as wide as
-    /// the widest column (`num_bins + 1`: the trailing slot is the
-    /// missing bin).
+    /// Candidate features with their bin codes, refilled `0..p` before
+    /// every shuffle so each node draws from the RNG exactly as a fresh
+    /// `(0..p).collect()` did (a shuffle's draws depend on its length only).
+    feat_idx: Vec<(usize, &'a [u16])>,
+    /// `[neg, pos]` counts of the node's sampled features, the `j`-th one's
+    /// in block `j`; a block is `stride` slots, the widest column's
+    /// `num_bins + 1` (a column's slot `num_bins` is its missing bin).
     hist: Vec<[u32; 2]>,
+    stride: usize,
 }
 
 impl HistTree {
     /// Fits a tree on the rows listed in `rows`. The columns may be owned
     /// or borrowed (`&[BinnedColumn]`, `&[&BinnedColumn]`, …): a caller
     /// whose columns live in different places does not copy them together.
+    /// Row ids share a `u32` with their label, so `labels` must be shorter
+    /// than 2³¹ (feature selection trains on at most `max_train_rows`).
     pub fn fit<C: Borrow<BinnedColumn>>(
         cols: &[C],
         labels: &[bool],
@@ -438,22 +443,26 @@ impl HistTree {
         config: &TreeConfig,
         rng: &mut StdRng,
     ) -> Self {
+        assert!(labels.len() < 1 << 31, "row ids carry a label bit");
         let mut tree = HistTree {
             nodes: Vec::new(),
             importances: vec![0.0; cols.len()],
         };
-        let widest = cols.iter().map(|c| c.borrow().num_bins() as usize + 1);
-        let widest = widest.max();
+        let stride = cols.iter().map(|c| c.borrow().num_bins() as usize + 1);
+        let stride = stride.max().unwrap_or(0);
+        let sampled = config.features_per_node.map_or(cols.len(), |k| k.max(1));
+        let packed = |&r: &u32| r << 1 | u32::from(labels[r as usize]);
         let mut fit = HistFit {
             cols,
-            labels,
             config,
             n_total: rows.len().max(1) as f64,
-            rows: rows.to_vec(),
+            rows: rows.iter().map(packed).collect(),
             feat_idx: Vec::with_capacity(cols.len()),
-            hist: vec![[0; 2]; widest.unwrap_or(0)],
+            hist: vec![[0; 2]; stride * sampled.min(cols.len())],
+            stride,
         };
-        tree.build(&mut fit, rng, 0, rows.len(), 0);
+        let pos = fit.rows.iter().map(|&r| (r & 1) as usize).sum::<usize>() as f64;
+        tree.build(&mut fit, rng, (0, rows.len()), pos, 0);
         tree
     }
 
@@ -463,18 +472,17 @@ impl HistTree {
         self.nodes.len() - 1
     }
 
-    /// Grows the subtree over `fit.rows[lo..hi]`; returns its root.
+    /// Grows the subtree over `fit.rows[lo..hi]` (`pos` positive); returns its root.
     fn build<C: Borrow<BinnedColumn>>(
         &mut self,
         fit: &mut HistFit<C>,
         rng: &mut StdRng,
-        lo: usize,
-        hi: usize,
+        (lo, hi): (usize, usize),
+        pos: f64,
         depth: usize,
     ) -> usize {
-        let (cols, labels, config) = (fit.cols, fit.labels, fit.config);
+        let (cols, config, stride) = (fit.cols, fit.config, fit.stride);
         let node_rows = &fit.rows[lo..hi];
-        let pos = node_rows.iter().filter(|&&r| labels[r as usize]).count() as f64;
         let total = node_rows.len() as f64;
         let node_gini = gini(pos, total);
 
@@ -487,57 +495,64 @@ impl HistTree {
 
         // Candidate feature subset (same policy as the float trainer).
         fit.feat_idx.clear();
-        fit.feat_idx.extend(0..cols.len());
+        let codes = cols.iter().map(|c| c.borrow().codes());
+        fit.feat_idx.extend(codes.enumerate());
         if let Some(k) = config.features_per_node {
             fit.feat_idx.shuffle(rng);
             fit.feat_idx.truncate(k.max(1));
         }
 
-        let mut best: Option<(f64, HSplit)> = None;
-        for &f in &fit.feat_idx {
-            let col: &BinnedColumn = cols[f].borrow();
-            let hist = &mut fit.hist[..col.num_bins() as usize + 1];
-            hist.fill([0; 2]);
-            for &r in node_rows {
-                hist[col.code(r as usize) as usize][labels[r as usize] as usize] += 1;
+        // One sweep of the node's rows counts every sampled feature, two
+        // rows per pass over the features so that their increments overlap.
+        let hist = &mut fit.hist[..fit.feat_idx.len() * stride];
+        hist.fill([0; 2]);
+        let unpack = |r: u32| ((r >> 1) as usize, (r & 1) as usize);
+        let mut pairs = node_rows.chunks_exact(2);
+        for pair in &mut pairs {
+            let ((a, la), (b, lb)) = (unpack(pair[0]), unpack(pair[1]));
+            for (block, (_, codes)) in hist.chunks_exact_mut(stride).zip(&fit.feat_idx) {
+                block[codes[a] as usize][la] += 1;
+                block[codes[b] as usize][lb] += 1;
             }
-            if let Some((gain, split)) = best_hist_split(col, hist, f, node_gini, pos, total) {
-                if best.as_ref().is_none_or(|(bg, _)| gain > *bg) {
-                    best = Some((gain, split));
-                }
+        }
+        for (row, label) in pairs.remainder().iter().map(|&r| unpack(r)) {
+            for (block, (_, codes)) in hist.chunks_exact_mut(stride).zip(&fit.feat_idx) {
+                block[codes[row] as usize][label] += 1;
             }
         }
 
-        let Some((gain, split)) = best else {
+        // The first candidate of the largest gain, if that is above 1e-12.
+        let mut best = (1e-12, None);
+        for (block, &(f, _)) in hist.chunks_exact(stride).zip(&fit.feat_idx) {
+            let col: &BinnedColumn = cols[f].borrow();
+            let block = &block[..col.num_bins() as usize + 1];
+            best_hist_split(col, block, f, node_gini, pos, total, &mut best);
+        }
+        let (gain, Some((split, left_pos))) = best else {
             return self.leaf(pos, total);
         };
-        if gain <= 1e-12 {
-            return self.leaf(pos, total);
-        }
 
         let node_rows = &mut fit.rows[lo..hi];
         let (feature, left_len) = match split {
             HSplit::Num { feature, bin } => {
-                let col: &BinnedColumn = cols[feature].borrow();
-                let left = partition_in_place(node_rows, |r| col.code(r as usize) <= bin);
+                let codes = cols[feature].borrow().codes();
+                let left = partition_in_place(node_rows, |r| codes[(r >> 1) as usize] <= bin);
                 (feature, left)
             }
             HSplit::Cat { feature, code } => {
-                let col: &BinnedColumn = cols[feature].borrow();
-                let left = partition_in_place(node_rows, |r| col.code(r as usize) == code);
+                let codes = cols[feature].borrow().codes();
+                let left = partition_in_place(node_rows, |r| codes[(r >> 1) as usize] == code);
                 (feature, left)
             }
         };
-        if left_len == 0 || left_len == node_rows.len() {
-            return self.leaf(pos, total);
-        }
+        debug_assert!(0 < left_len && left_len < node_rows.len());
         self.importances[feature] += gain * (total / fit.n_total);
 
         let placeholder = self.nodes.len();
         self.nodes.push(HNode::Leaf { prob: 0.5 }); // replaced below
         let mid = lo + left_len;
-        let left = self.build(fit, rng, lo, mid, depth + 1);
-        let right = self.build(fit, rng, mid, hi, depth + 1);
+        let left = self.build(fit, rng, (lo, mid), left_pos, depth + 1);
+        let right = self.build(fit, rng, (mid, hi), pos - left_pos, depth + 1);
         self.nodes[placeholder] = match split {
             HSplit::Num { feature, bin } => HNode::SplitNum {
                 feature,
@@ -602,24 +617,31 @@ enum HSplit {
 }
 
 /// Moves the rows `goes_left` accepts to the front of `rows` and returns
-/// how many there are. Order within a side is not kept: every reader of
-/// a node's rows only counts them.
+/// how many there are. Branch-free: every row is swapped to the front of
+/// the rejected ones, and the boundary advances past it by the
+/// predicate's value (a split sends about half the rows each way, so a
+/// branch on it would mispredict). Order within a side is not kept:
+/// every reader of a node's rows only counts them.
 fn partition_in_place(rows: &mut [u32], goes_left: impl Fn(u32) -> bool) -> usize {
     let mut left = 0;
     for i in 0..rows.len() {
-        if goes_left(rows[i]) {
-            rows.swap(left, i);
-            left += 1;
-        }
+        let r = rows[i];
+        rows.swap(left, i);
+        left += usize::from(goes_left(r));
     }
     left
 }
 
-/// Best split of one feature, read off its node histogram: numeric bins
-/// are scanned as a prefix sum (split candidates are the bin upper
-/// edges), categorical bins as one-vs-rest equality splits. Missing rows
-/// (trailing histogram slot) always stay on the right side, matching the
-/// float trainer's NaN routing.
+/// Offers one feature's candidate splits, read off its node histogram,
+/// to the node's running `best` (a gain, and the split with the positive
+/// count on its left): numeric bins are scanned
+/// as a prefix sum (split candidates are the bin upper edges), categorical
+/// bins as one-vs-rest equality splits. Missing rows (trailing histogram
+/// slot) always stay on the right side, matching the float trainer's NaN
+/// routing. Only a strictly larger gain replaces `best`, so the first of
+/// equal candidates wins; the numeric scan therefore skips empty bins (one
+/// repeats the previous candidate's gain bit for bit) and stops once every
+/// valued row is on the left (each later candidate's right side is empty).
 fn best_hist_split(
     col: &BinnedColumn,
     hist: &[[u32; 2]],
@@ -627,51 +649,49 @@ fn best_hist_split(
     parent_gini: f64,
     pos_total: f64,
     total: f64,
-) -> Option<(f64, HSplit)> {
-    let mut best: Option<(f64, HSplit)> = None;
-    let mut consider = |gain: f64, split: HSplit| {
-        if best.as_ref().is_none_or(|(bg, _)| gain > *bg) {
-            best = Some((gain, split));
+    best: &mut (f64, Option<(HSplit, f64)>),
+) {
+    let mut consider = |lp: f64, lt: f64, split: HSplit| {
+        let (rp, rt) = (pos_total - lp, total - lt);
+        // The child impurity is exactly 2(lp·ln·rt + rp·rn·lt) / (lt·rt·total).
+        // Where that leaves the gain 1e-12 or more short of `best` — a
+        // thousand times what either form rounds by — the candidate cannot
+        // win, and its four divisions are skipped.
+        let impurity = 2.0 * (lp * (lt - lp) * rt + rp * (rt - rp) * lt);
+        if impurity >= (parent_gini - best.0 + 1e-12) * (lt * rt * total) {
+            return;
+        }
+        let gain = parent_gini - ((lt / total) * gini(lp, lt) + (rt / total) * gini(rp, rt));
+        if gain > best.0 {
+            *best = (gain, Some((split, lp)));
         }
     };
     match col.kind() {
         BinKind::Numeric { thresholds } => {
-            let (mut lp, mut ln) = (0.0f64, 0.0f64);
-            for (b, cell) in hist.iter().take(thresholds.len()).enumerate() {
-                lp += cell[1] as f64;
-                ln += cell[0] as f64;
-                let lt = lp + ln;
-                let rt = total - lt;
-                if lt == 0.0 || rt == 0.0 {
+            let (mut lp, mut lt) = (0.0f64, 0.0f64);
+            for (b, &[neg, pos]) in hist.iter().take(thresholds.len()).enumerate() {
+                if neg + pos == 0 {
                     continue;
                 }
-                let rp = pos_total - lp;
-                let child = (lt / total) * gini(lp, lt) + (rt / total) * gini(rp, rt);
-                consider(
-                    parent_gini - child,
-                    HSplit::Num {
-                        feature,
-                        bin: b as u16,
-                    },
-                );
+                lp += pos as f64;
+                lt += (neg + pos) as f64;
+                if lt == total {
+                    break;
+                }
+                let bin = b as u16;
+                consider(lp, lt, HSplit::Num { feature, bin });
             }
         }
         BinKind::Categorical { split_values } => {
-            for v in 0..*split_values {
-                let [ln, lp] = hist[v as usize];
-                let (lp, ln) = (lp as f64, ln as f64);
-                let lt = lp + ln;
-                let rt = total - lt;
-                if lt == 0.0 || rt == 0.0 {
-                    continue;
+            for code in 0..*split_values {
+                let [neg, pos] = hist[code as usize];
+                let lt = (neg + pos) as f64;
+                if lt > 0.0 && lt < total {
+                    consider(pos as f64, lt, HSplit::Cat { feature, code });
                 }
-                let rp = pos_total - lp;
-                let child = (lt / total) * gini(lp, lt) + (rt / total) * gini(rp, rt);
-                consider(parent_gini - child, HSplit::Cat { feature, code: v });
             }
         }
     }
-    best
 }
 
 /// Deterministic rng helper for tests.
@@ -910,5 +930,106 @@ mod tests {
             [0x3fa04df0ea71f833, 0x3f87404cd80addb8, 0x3fb420a0c97eee34]
         );
         assert_eq!(tree.num_nodes(), 35);
+    }
+
+    /// One random lossless problem: `p` columns over `n` rows, each
+    /// numeric (≤ 16 distinct values, some missing) or categorical (≤ 16
+    /// categories, some missing), as the float trainer's features and as
+    /// the histogram trainer's bins; labels follow column 0, with noise.
+    fn lossless_problem(
+        rng: &mut StdRng,
+        n: usize,
+        p: usize,
+    ) -> (Vec<FeatureColumn>, Vec<BinnedColumn>, Vec<bool>) {
+        use rand::Rng;
+        let mut features = Vec::new();
+        let mut cols = Vec::new();
+        for _ in 0..p {
+            let distinct = rng.gen_range(1..=16u64);
+            let cells: Vec<Option<u64>> = (0..n)
+                .map(|_| (!rng.gen_bool(0.1)).then(|| rng.gen_range(0..distinct)))
+                .collect();
+            if rng.gen_bool(0.5) {
+                let vals: Vec<f64> = cells
+                    .iter()
+                    .map(|c| c.map_or(f64::NAN, |k| k as f64 * 1.5))
+                    .collect();
+                cols.push(BinnedColumn::from_f64(&vals, 16));
+                features.push(FeatureColumn::Numeric(vals));
+            } else {
+                // The float trainer's codes are the bins, so both walk
+                // the categories in one order.
+                let col = BinnedColumn::from_keys(cells, 16);
+                let codes = (0..n)
+                    .map(|i| match col.is_missing(i) {
+                        true => u32::MAX,
+                        false => u32::from(col.code(i)),
+                    })
+                    .collect();
+                features.push(FeatureColumn::Categorical(codes));
+                cols.push(col);
+            }
+        }
+        let labels = (0..n)
+            .map(|i| cols[0].code(i).is_multiple_of(3) ^ rng.gen_bool(0.2))
+            .collect();
+        (features, cols, labels)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// With √p-style sampling (`Some(k)`), repeated rows and missing
+        /// cells, the histogram tree draws the float tree's RNG stream and
+        /// picks its splits: identical importance bits and node counts.
+        /// Categorical domains stay within `max_thresholds`, where the
+        /// float trainer draws nothing extra; `n` stays within the
+        /// binning's exact-quantile sample.
+        #[test]
+        fn prop_hist_tree_matches_float_tree_with_feature_sampling(
+            seed in 0u64..u64::MAX,
+            n in 2usize..=256,
+            p in 1usize..8,
+            k in 1usize..8,
+            max_depth in 1usize..10,
+        ) {
+            use rand::Rng;
+            let mut rng = test_rng(seed);
+            let (features, cols, labels) = lossless_problem(&mut rng, n, p);
+            let rows: Vec<u32> = (0..rng.gen_range(1..=2 * n))
+                .map(|_| rng.gen_range(0..n as u32))
+                .collect();
+            let rows_f: Vec<usize> = rows.iter().map(|&r| r as usize).collect();
+            let cfg = TreeConfig {
+                max_depth,
+                min_samples_split: 2,
+                features_per_node: Some(k),
+                max_thresholds: 16,
+            };
+            let float_tree = DecisionTree::fit(&features, &labels, &rows_f, &cfg, &mut test_rng(seed));
+            let hist_tree = HistTree::fit(&cols, &labels, &rows, &cfg, &mut test_rng(seed));
+            let bits = |imp: &[f64]| imp.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(&float_tree.importances), bits(&hist_tree.importances));
+            proptest::prop_assert_eq!(float_tree.num_nodes(), hist_tree.num_nodes());
+        }
+
+        /// The partition counts exactly the rows the predicate accepts,
+        /// puts them — and only them — in front, and loses no row.
+        #[test]
+        fn prop_partition_in_place_splits_the_multiset(
+            rows in proptest::collection::vec(0u32..64, 0..200),
+            modulus in 1u32..8,
+        ) {
+            let goes_left = |r: u32| r.is_multiple_of(modulus);
+            let mut parted = rows.clone();
+            let left = partition_in_place(&mut parted, goes_left);
+            proptest::prop_assert_eq!(left, rows.iter().filter(|&&r| goes_left(r)).count());
+            proptest::prop_assert!(parted[..left].iter().all(|&r| goes_left(r)));
+            proptest::prop_assert!(!parted[left..].iter().any(|&r| goes_left(r)));
+            let (mut before, mut after) = (rows, parted);
+            before.sort_unstable();
+            after.sort_unstable();
+            proptest::prop_assert_eq!(before, after);
+        }
     }
 }

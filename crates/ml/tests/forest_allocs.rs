@@ -1,6 +1,7 @@
 //! Deterministic work of the histogram trainer, counted by the tracking
 //! allocator: a tree fit reuses one row buffer, one candidate buffer and
-//! one histogram, so a forest fit allocates a fixed handful of blocks
+//! one histogram buffer (a block per sampled feature, filled in one sweep
+//! of a node's rows), so a forest fit allocates a fixed handful of blocks
 //! per tree — not a histogram per feature per node, which is what the
 //! all-features kernel did (≈ 2·p blocks at every node).
 //!
