@@ -12,10 +12,11 @@ use std::collections::BTreeMap;
 
 use crate::dataset::{FeatureColumn, MISSING_CAT};
 
-/// Pearson correlation coefficient of paired samples (missing = NaN pairs
-/// skipped). Returns 0.0 when either side is constant. Two fused passes,
-/// no intermediate allocation — this runs once per numeric attribute pair
-/// of every APT's clustering step.
+/// Pearson correlation coefficient of paired samples (pairs with a
+/// missing = NaN or an infinite cell skipped). Returns 0.0 when either
+/// side is constant or the moments overflow. One fused pass, no
+/// intermediate allocation — this runs once per numeric attribute pair of
+/// every APT's clustering step.
 pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     assert_eq!(xs.len(), ys.len());
     // Single fused pass over raw moments; centering happens algebraically
@@ -29,7 +30,7 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     let mut syy = 0.0;
     let mut sxy = 0.0;
     for (x, y) in xs.iter().zip(ys) {
-        if !x.is_nan() && !y.is_nan() {
+        if x.is_finite() && y.is_finite() {
             n += 1.0;
             sx += x;
             sy += y;
@@ -44,10 +45,12 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     let cov = sxy - sx * sy / n;
     let vx = sxx - sx * sx / n;
     let vy = syy - sy * sy / n;
-    if vx <= 0.0 || vy <= 0.0 {
+    let r = cov / (vx.sqrt() * vy.sqrt());
+    // Moments that overflowed leave `r` NaN, which `clamp` would keep.
+    if vx <= 0.0 || vy <= 0.0 || r.is_nan() {
         return 0.0;
     }
-    (cov / (vx.sqrt() * vy.sqrt())).clamp(-1.0, 1.0)
+    r.clamp(-1.0, 1.0)
 }
 
 /// Codes below this index dense count arrays directly; feature codes are
@@ -184,7 +187,8 @@ fn finish_chi2(partial: f64, n: f64, rows_used: usize, cols_used: usize) -> f64 
 
 /// Correlation ratio η between a categorical and a numeric column, in
 /// `[0, 1]`: the fraction of the numeric variance explained by the
-/// category, square-rooted.
+/// category, square-rooted. Pairs with a missing code or a non-finite
+/// value are skipped; moments that overflow give 0.0.
 pub fn correlation_ratio(cats: &[u32], nums: &[f64]) -> f64 {
     assert_eq!(cats.len(), nums.len());
     // Dense per-group accumulators when codes are small (the common case
@@ -201,7 +205,7 @@ pub fn correlation_ratio(cats: &[u32], nums: &[f64]) -> f64 {
     let mut total_sq = 0.0;
     let mut total_n = 0.0;
     for (&c, &x) in cats.iter().zip(nums) {
-        if c == MISSING_CAT || x.is_nan() {
+        if c == MISSING_CAT || !x.is_finite() {
             continue;
         }
         let e = if use_dense {
@@ -235,7 +239,8 @@ pub fn correlation_ratio(cats: &[u32], nums: &[f64]) -> f64 {
     }
     between -= total_n * grand_mean * grand_mean;
     let total_var = total_sq - total_n * grand_mean * grand_mean;
-    if total_var <= 0.0 || between <= 0.0 {
+    // Overflowed moments are NaN or infinite, and `NaN.min(1.0)` is 1.0.
+    if !(total_var.is_finite() && between.is_finite()) || total_var <= 0.0 || between <= 0.0 {
         return 0.0;
     }
     (between / total_var).sqrt().min(1.0)
@@ -290,6 +295,30 @@ mod tests {
         let xs = vec![1.0, 2.0, f64::NAN, 4.0];
         let ys = vec![2.0, 4.0, 100.0, 8.0];
         assert!((pearson(&xs, &ys) - 1.0).abs() < 1e-12);
+    }
+
+    /// An infinite cell is skipped like a NaN one. It used to make η 1.0
+    /// against every categorical column (NaN moments pass both `<= 0.0`
+    /// guards, and `NaN.min(1.0)` is 1.0) and `pearson` NaN.
+    #[test]
+    fn infinite_cells_are_skipped() {
+        let cats: Vec<u32> = (0..60).map(|i| (i % 3) as u32).collect();
+        let mut xs: Vec<f64> = (0..60).map(|i| ((i * 7919) % 60) as f64).collect();
+        let ys: Vec<f64> = (0..60).map(|i| ((i * 31) % 17) as f64).collect();
+        let eta = correlation_ratio(&cats[1..], &xs[1..]);
+        let r = pearson(&xs[1..], &ys[1..]);
+        assert!(eta < 0.5);
+        for inf in [f64::INFINITY, f64::NEG_INFINITY] {
+            xs[0] = inf;
+            assert_eq!(correlation_ratio(&cats, &xs).to_bits(), eta.to_bits());
+            assert_eq!(pearson(&xs, &ys).to_bits(), r.to_bits());
+        }
+        // Finite cells whose squares overflow: no estimate, no association.
+        let huge: Vec<f64> = (0..60)
+            .map(|i| if i % 2 == 0 { 1e300 } else { -1e300 })
+            .collect();
+        assert_eq!(correlation_ratio(&cats, &huge), 0.0);
+        assert_eq!(pearson(&huge, &huge), 0.0);
     }
 
     #[test]
@@ -418,6 +447,24 @@ mod tests {
             prop_assert_eq!(counted.to_bits(), cramers_v(&sx, &ys).to_bits());
             prop_assert_eq!(counted.to_bits(), cramers_v(&xs, &sy).to_bits());
             prop_assert_eq!(counted.to_bits(), cramers_v(&sx, &sy).to_bits());
+        }
+
+        /// Every measure is a number in `[0, 1]` (|r| for Pearson)
+        /// whatever the cells hold: NaN, ±inf, random bit patterns,
+        /// values whose squares overflow, missing codes.
+        #[test]
+        fn prop_measures_stay_in_the_unit_interval(
+            cells in proptest::collection::vec((any::<f64>(), any::<f64>(), 0u32..5, 0u32..5), 0..40),
+        ) {
+            let code = |c: u32| if c == 4 { MISSING_CAT } else { c };
+            let xs: Vec<f64> = cells.iter().map(|c| c.0).collect();
+            let ys: Vec<f64> = cells.iter().map(|c| c.1).collect();
+            let cx: Vec<u32> = cells.iter().map(|c| code(c.2)).collect();
+            let cy: Vec<u32> = cells.iter().map(|c| code(c.3)).collect();
+            let unit = 0.0..=1.0;
+            prop_assert!(unit.contains(&pearson(&xs, &ys).abs()));
+            prop_assert!(unit.contains(&correlation_ratio(&cx, &xs)));
+            prop_assert!(unit.contains(&cramers_v(&cx, &cy)));
         }
 
         /// |r| ≤ 1 always.
