@@ -400,6 +400,74 @@ mod tests {
         assert!((m[0][1] - 1.0).abs() < 1e-9);
     }
 
+    /// A column of shape `kind` over `rows` cells, drawn from `salt`:
+    /// every shape `assoc_matrix` may read differently from a pair.
+    fn shaped_column(kind: u8, salt: u32, rows: usize) -> FeatureColumn {
+        let h = |i: usize, m: u32| {
+            let x = (i as u32 ^ salt).wrapping_mul(0x9E37_79B9).rotate_left(13);
+            x.wrapping_mul(0x85EB_CA6B) % m
+        };
+        let num = |f: &dyn Fn(usize) -> f64| FeatureColumn::Numeric((0..rows).map(f).collect());
+        let cat = |f: &dyn Fn(usize) -> u32| FeatureColumn::Categorical((0..rows).map(f).collect());
+        match kind {
+            // Finite values, a third of them repeated.
+            0 => num(&|i| f64::from(h(i, 1000)) / 7.0 - 50.0),
+            // NaN and infinite cells among finite ones.
+            1 => num(&|i| match h(i, 9) {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                v => f64::from(v),
+            }),
+            2 => num(&|_| 4.25),
+            // Few codes, none missing: the one-table path.
+            3 => cat(&|i| h(i, 3)),
+            // Missing codes.
+            4 => cat(&|i| match h(i, 5) {
+                4 => MISSING_CAT,
+                c => c,
+            }),
+            // Constant: single-cell tables against each other.
+            5 => cat(&|_| 2),
+            // Codes of 2¹⁶ and above: the sorted-key fallback.
+            6 => cat(&|i| h(i, 4) * 70_001 + DENSE_CODE_LIMIT),
+            // As many codes as rows: tables wider than the 4·n bound.
+            _ => cat(&|i| h(i, rows as u32 * 3 + 1)),
+        }
+    }
+
+    proptest! {
+        /// `assoc_matrix` is the public per-pair measures, to the bit,
+        /// whatever it reads once per column and whichever buffers it
+        /// reuses across pairs.
+        #[test]
+        fn prop_assoc_matrix_is_the_pairwise_measures(
+            rows in 0usize..70,
+            shapes in proptest::collection::vec((0u8..8, any::<u32>()), 1..10),
+        ) {
+            let cols: Vec<FeatureColumn> =
+                shapes.iter().map(|&(kind, salt)| shaped_column(kind, salt, rows)).collect();
+            let m = assoc_matrix(&cols);
+            for (i, a) in cols.iter().enumerate() {
+                prop_assert_eq!(m[i][i], 1.0);
+                for (j, b) in cols.iter().enumerate().skip(i + 1) {
+                    let want = match (a, b) {
+                        (FeatureColumn::Numeric(x), FeatureColumn::Numeric(y)) => pearson(x, y).abs(),
+                        (FeatureColumn::Categorical(x), FeatureColumn::Categorical(y)) => cramers_v(x, y),
+                        (FeatureColumn::Categorical(c), FeatureColumn::Numeric(x))
+                        | (FeatureColumn::Numeric(x), FeatureColumn::Categorical(c)) => {
+                            correlation_ratio(c, x)
+                        }
+                    };
+                    let (got, back) = (m[i][j].to_bits(), m[j][i].to_bits());
+                    prop_assert!(
+                        got == want.to_bits() && back == got,
+                        "pair ({i}, {j}): {} / {} vs {want}", m[i][j], m[j][i]
+                    );
+                }
+            }
+        }
+    }
+
     proptest! {
         #[test]
         fn prop_cramers_v_matches_the_dense_table(
