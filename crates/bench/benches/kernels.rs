@@ -1,10 +1,10 @@
 //! Criterion micro-benchmarks for the substrate kernels: hash join,
 //! group-by aggregation, pattern matching, LCA candidate generation,
 //! random-forest training (the float reference and the histogram trainer
-//! feature selection runs), Cramér's V, join-graph enumeration, APT
-//! materialization and mining preparation of a whole enumeration — with
-//! and without what its graphs share — and the exact re-score of one
-//! pattern.
+//! feature selection runs), Cramér's V and the association matrix,
+//! join-graph enumeration, APT materialization and mining preparation of
+//! a whole enumeration — with and without what its graphs share — and the
+//! exact re-score of one pattern.
 
 use std::sync::Arc;
 
@@ -21,7 +21,8 @@ use cajade_mining::{
     ScoreIndex, Scorer,
 };
 use cajade_ml::{
-    cramers_v, BinnedColumn, FeatureColumn, HistForest, RandomForest, RandomForestConfig,
+    assoc_matrix, cramers_v, BinnedColumn, FeatureColumn, HistForest, RandomForest,
+    RandomForestConfig,
 };
 use cajade_query::{execute, parse_sql, ProvenanceTable};
 
@@ -242,6 +243,30 @@ fn bench_cramers_v(c: &mut Criterion) {
     group.finish();
 }
 
+/// One graph's association matrix in `filterAttrs`: the 16 measured
+/// candidates, six numeric and ten categorical of at most 6 codes (NBA's
+/// mix of pairs: a sixth numeric, a third categorical, half mixed), over
+/// an NBA APT's 168 rows and over `max_assoc_rows`.
+fn bench_assoc_matrix(c: &mut Criterion) {
+    let mut group = c.benchmark_group("assoc_matrix");
+    for rows in [168usize, 512] {
+        let cols: Vec<FeatureColumn> = (0..16)
+            .map(|f| match f % 8 {
+                0 | 3 | 6 => {
+                    FeatureColumn::Numeric((0..rows).map(|i| mix(i, f, 500) as f64).collect())
+                }
+                k => FeatureColumn::Categorical(
+                    (0..rows).map(|i| mix(i, f, 2 + k % 5) as u32).collect(),
+                ),
+            })
+            .collect();
+        group.bench_function(format!("16x{rows}_mixed"), |b| {
+            b.iter(|| assoc_matrix(black_box(&cols)))
+        });
+    }
+    group.finish();
+}
+
 /// The `nba_cold` corpus of `e2e_bench`.
 fn nba_005() -> GeneratedDb {
     nba::generate(NbaConfig {
@@ -433,6 +458,7 @@ criterion_group!(
         bench_hist_tree_fit,
         bench_hist_forest_fit,
         bench_cramers_v,
+        bench_assoc_matrix,
         bench_enumerate,
         bench_apt_enumeration,
         bench_prepare_enumeration,

@@ -23,6 +23,7 @@
 //!
 //! [`ScoreIndex::order`]: crate::engine::ScoreIndex::order
 
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
 use cajade_graph::{Apt, CellData, Cells};
@@ -338,11 +339,12 @@ fn hist_selection(
     // * columns — only the `max(16, 4·λ#sel-attr)` most important
     //   candidates are clustered to start with (a low-relevance feature
     //   can never *represent* a cluster past a higher member, so the
-    //   unmeasured tail stays as 0-association singletons); if the
+    //   unmeasured tail stays as singletons, see `cluster_block`); if the
     //   selection nevertheless reaches into that tail — the measured top
-    //   collapsed into fewer clusters than λ#sel-attr — the matrix is
-    //   recomputed over *all* candidates, so redundant tail features can
-    //   never be co-selected just because their pairs went unmeasured;
+    //   collapsed into fewer clusters than λ#sel-attr — every pair is
+    //   measured, so redundant tail features can never be co-selected just
+    //   because their pairs went unmeasured. A threshold ≤ 0 would merge
+    //   the tail too, so it measures every pair from the start;
     // * rows — a strided subsample (rows are group-sorted, so a fixed
     //   stride samples every output group proportionally): the matrix
     //   feeds a thresholded merge decision, not a precise estimate.
@@ -357,36 +359,19 @@ fn hist_selection(
     // make the ranking order nondeterministic.
     by_importance.sort_by(|&a, &b| importances[b].total_cmp(&importances[a]).then(a.cmp(&b)));
     let mut m = (4 * lambda).max(16).min(candidates.len());
+    if cfg.cluster_threshold <= 0.0 {
+        m = candidates.len();
+    }
     loop {
         let mut measured: Vec<usize> = by_importance[..m].to_vec();
         measured.sort_unstable();
-        let assoc = if step == 1 && m == candidates.len() {
-            assoc_matrix(&features)
-        } else {
-            let views: Vec<FeatureColumn> = measured
-                .iter()
-                .map(|&i| match features[i] {
-                    FeatureColumn::Numeric(v) => {
-                        FeatureColumn::Numeric(v.iter().step_by(step).copied().collect())
-                    }
-                    FeatureColumn::Categorical(v) => {
-                        FeatureColumn::Categorical(v.iter().step_by(step).copied().collect())
-                    }
-                })
-                .collect();
-            let small = assoc_matrix(&views);
-            let mut full = vec![vec![0.0; candidates.len()]; candidates.len()];
-            for (i, row) in full.iter_mut().enumerate() {
-                row[i] = 1.0;
-            }
-            for (si, &i) in measured.iter().enumerate() {
-                for (sj, &j) in measured.iter().enumerate() {
-                    full[i][j] = small[si][sj];
-                }
-            }
-            full
-        };
-        let fs = finish_selection(apt, candidates, importances.clone(), assoc, cfg);
+        let views: Vec<_> = measured
+            .iter()
+            .map(|&i| strided(features[i], step))
+            .collect();
+        let assoc = assoc_matrix(&views);
+        let clusters = cluster_block(&assoc, &measured, candidates.len(), cfg.cluster_threshold);
+        let fs = finish_selection(apt, candidates, importances.clone(), clusters, cfg);
         let all_selected_measured = m == candidates.len() || {
             let measured_fields: Vec<usize> = measured.iter().map(|&i| candidates[i]).collect();
             fs.num_fields
@@ -401,6 +386,37 @@ fn hist_selection(
         // representatives — measure every pair and redo.
         m = candidates.len();
     }
+}
+
+/// Every `step`-th row of `col`; `col` itself when that is every row.
+fn strided(col: &FeatureColumn, step: usize) -> Cow<'_, FeatureColumn> {
+    match col {
+        _ if step == 1 => Cow::Borrowed(col),
+        FeatureColumn::Numeric(v) => Cow::Owned(FeatureColumn::Numeric(
+            v.iter().step_by(step).copied().collect(),
+        )),
+        FeatureColumn::Categorical(v) => Cow::Owned(FeatureColumn::Categorical(
+            v.iter().step_by(step).copied().collect(),
+        )),
+    }
+}
+
+/// Average-linkage clusters of `p` candidates from the associations of
+/// the `measured` ones (ascending) alone: the block is clustered, every
+/// other candidate is a singleton. That is clustering the `p × p` matrix
+/// with zeros off the block whenever the threshold `t` is > 0 and no
+/// association is NaN: a 0-association singleton can neither reach `t`
+/// nor win the scan for the best pair, and the measured clusters keep
+/// their relative scan order.
+fn cluster_block(assoc: &[Vec<f64>], measured: &[usize], p: usize, t: f64) -> Vec<Vec<usize>> {
+    let mut clusters = cluster_attributes(assoc, t);
+    for member in clusters.iter_mut().flatten() {
+        *member = measured[*member];
+    }
+    let tail = (0..p).filter(|i| measured.binary_search(i).is_err());
+    clusters.extend(tail.map(|i| vec![i]));
+    clusters.sort_unstable_by_key(|c| c[0]);
+    clusters
 }
 
 /// `filterAttrs` over the index's scan-order rows, in one of two scopes.
@@ -489,16 +505,16 @@ fn training_set(
     Training { rows, tasks }
 }
 
-/// Shared tail of `filterAttrs`: correlation clustering, representative
-/// picking, and λ#sel-attr ranking over forest importances. `assoc` is
-/// the candidate-pairwise association matrix, computed over full
-/// values/codes (never over bins); the caller chooses which pairs and
-/// rows it measures.
+/// Shared tail of `filterAttrs`: representative picking and λ#sel-attr
+/// ranking over forest importances. `clusters_local` are the candidates'
+/// (indices into `candidates`) correlation clusters, from associations
+/// over full values/codes (never over bins); the caller chooses which
+/// pairs and rows it measures.
 fn finish_selection(
     apt: &Apt,
     candidates: &[usize],
     importances: Vec<f64>,
-    assoc: Vec<Vec<f64>>,
+    clusters_local: Vec<Vec<usize>>,
     cfg: &FeatSelConfig,
 ) -> FeatureSelection {
     let mut relevance = vec![0.0; apt.fields.len()];
@@ -506,8 +522,7 @@ fn finish_selection(
         relevance[f] = imp;
     }
 
-    // Cluster correlated attributes, keep one representative each.
-    let clusters_local = cluster_attributes(&assoc, cfg.cluster_threshold);
+    // Keep one representative per cluster of correlated attributes.
     let reps_local = cluster_representatives(&clusters_local, &importances);
 
     // Rank representatives by relevance, keep λ#sel-attr of them.
@@ -674,6 +689,41 @@ mod tests {
         }
         for &f in &fs.cat_fields {
             assert_eq!(apt.fields[f].kind, AttrKind::Categorical);
+        }
+    }
+
+    proptest::proptest! {
+        /// Clustering the measured block and appending the rest as
+        /// singletons is clustering the whole zero-padded matrix — what
+        /// `hist_selection` did before it stopped building that matrix —
+        /// for every threshold in `(−0.1, 1.1]`, with associations drawn
+        /// from a few values so that averages tie. A threshold ≤ 0
+        /// measures every candidate, as `hist_selection` does.
+        #[test]
+        fn prop_block_clustering_is_the_padded_matrix(
+            p in 1usize..14,
+            levels in proptest::collection::vec(0usize..6, 196..197),
+            picked in proptest::collection::vec(proptest::bool::ANY, 14..15),
+            t in 0usize..9,
+        ) {
+            let value = [0.0, 0.25, 0.5, 0.9, 0.95, 1.0];
+            let threshold = [-0.05, 0.0, 0.25, 0.5, 0.7, 0.9, 0.95, 1.0, 1.1][t];
+            let assoc = |i: usize, j: usize| {
+                if i == j { 1.0 } else { value[levels[i.min(j) * 14 + i.max(j)]] }
+            };
+            let measured: Vec<usize> = (0..p).filter(|&i| picked[i] || threshold <= 0.0).collect();
+            let block: Vec<Vec<f64>> =
+                measured.iter().map(|&i| measured.iter().map(|&j| assoc(i, j)).collect()).collect();
+            let padded: Vec<Vec<f64>> = (0..p)
+                .map(|i| {
+                    let in_block = |j: usize| i == j || measured.contains(&i) && measured.contains(&j);
+                    (0..p).map(|j| if in_block(j) { assoc(i, j) } else { 0.0 }).collect()
+                })
+                .collect();
+            proptest::prop_assert_eq!(
+                cluster_block(&block, &measured, p, threshold),
+                cluster_attributes(&padded, threshold)
+            );
         }
     }
 

@@ -23,22 +23,25 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     // (`Σ(x−x̄)(y−ȳ) = Σxy − n·x̄·ȳ`). The lost numerical stability is
     // irrelevant at clustering precision, and the pass count is what this
     // costs per attribute pair of every APT.
-    let mut n = 0.0f64;
-    let mut sx = 0.0;
-    let mut sy = 0.0;
-    let mut sxx = 0.0;
-    let mut syy = 0.0;
-    let mut sxy = 0.0;
-    for (x, y) in xs.iter().zip(ys) {
+    let (mut mx, mut my, mut sxy) = ([0.0; 3], [0.0; 3], 0.0);
+    for (&x, &y) in xs.iter().zip(ys) {
         if x.is_finite() && y.is_finite() {
-            n += 1.0;
-            sx += x;
-            sy += y;
-            sxx += x * x;
-            syy += y * y;
+            mx = moments(mx, x);
+            my = moments(my, y);
             sxy += x * y;
         }
     }
+    pearson_from(mx, my, sxy)
+}
+
+/// `[n, Σx, Σx²]` with `x` added.
+fn moments([n, s, q]: [f64; 3], x: f64) -> [f64; 3] {
+    [n + 1.0, s + x, q + x * x]
+}
+
+/// Pearson's `r` from both sides' `[n, Σ, Σ²]` over the same rows and
+/// their `Σxy`.
+fn pearson_from([n, sx, sxx]: [f64; 3], [_, sy, syy]: [f64; 3], sxy: f64) -> f64 {
     if n < 2.0 {
         return 0.0;
     }
@@ -72,62 +75,96 @@ fn max_code(codes: &[u32]) -> u32 {
 /// `(x, y)` order, which keeps the float accumulation deterministic.
 ///
 /// Dense codes (the case feature selection produces: a few hundred rows
-/// of first-appearance codes) are counted, not sorted: rows are bucketed
-/// by `x` with a counting sort, each bucket's `y`s are sorted, and both
-/// marginals are read from count arrays — `O(n + codes)` plus the small
-/// per-bucket sorts. Codes of 2¹⁶ and above (raw ids, dates) fall back
-/// to runs of the sorted `(x, y)` keys, `O(n log n)` whatever the codes'
-/// range. Both visit the same cells in the same order, so they agree to
-/// the bit.
+/// of first-appearance codes) are counted, not sorted: a table of at most
+/// four cells per row is counted whole and scanned row-major; a wider one
+/// buckets the rows by `x` with a counting sort and sorts each bucket's
+/// `y`s — `O(n + codes)` plus the small per-bucket sorts. Codes of 2¹⁶
+/// and above (raw ids, dates) fall back to runs of the sorted `(x, y)`
+/// keys, `O(n log n)` whatever the codes' range. All three visit the same
+/// cells in the same order, so they agree to the bit.
 pub fn cramers_v(xs: &[u32], ys: &[u32]) -> f64 {
     assert_eq!(xs.len(), ys.len());
     let (max_x, max_y) = (max_code(xs), max_code(ys));
     if max_x < DENSE_CODE_LIMIT && max_y < DENSE_CODE_LIMIT {
-        cramers_v_counted(xs, ys, max_x as usize + 1, max_y as usize + 1)
+        let (kx, ky) = (max_x as usize + 1, max_y as usize + 1);
+        cramers_v_counted(xs, ys, kx, ky, &mut Scratch::default())
     } else {
         cramers_v_sorted(xs, ys)
     }
 }
 
-/// Three allocations, sized up front: this runs once per categorical
-/// pair of every APT's clustering step.
-fn cramers_v_counted(xs: &[u32], ys: &[u32], x_codes: usize, y_codes: usize) -> f64 {
+/// The count buffers of the dense measures — per-`x` and per-`y` counts,
+/// the contingency table or the `y`s bucketed by `x`, η's per-code `(Σx,
+/// count)`. [`assoc_matrix`] sizes one set for its widest pair up front.
+#[derive(Default)]
+struct Scratch {
+    row_n: Vec<u32>,
+    col_n: Vec<u32>,
+    cells: Vec<u32>,
+    groups: Vec<(f64, f64)>,
+}
+
+/// `buf` as `len` zeros, within the capacity it has when that suffices.
+fn zeroed<T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
+    buf.clear();
+    buf.resize(len, T::default());
+    buf
+}
+
+/// One observed cell's `o²/e`.
+fn cell_chi2(obs: usize, row_n: usize, col_n: usize, n: f64) -> f64 {
+    let obs = obs as f64;
+    obs * obs / (row_n as f64 * col_n as f64 / n)
+}
+
+/// `kx` × `ky` codes: a table of at most four cells per row is counted
+/// whole; a wider one is left empty and its cells to the buckets.
+fn cramers_v_counted(xs: &[u32], ys: &[u32], kx: usize, ky: usize, s: &mut Scratch) -> f64 {
     let present = |&(&x, &y): &(&u32, &u32)| x != MISSING_CAT && y != MISSING_CAT;
-    // `row_end[x]` counts row `x`, then (prefix-summed) is where its
-    // bucket ends, then — the scatter fills buckets back to front —
-    // where it starts.
-    let mut row_end = vec![0u32; x_codes];
-    let mut col_n = vec![0u32; y_codes];
+    let (row_n, col_n) = (zeroed(&mut s.row_n, kx), zeroed(&mut s.col_n, ky));
+    let table = zeroed(&mut s.cells, kx * ky * usize::from(kx * ky <= 4 * xs.len()));
     for (&x, &y) in xs.iter().zip(ys).filter(present) {
-        row_end[x as usize] += 1;
+        row_n[x as usize] += 1;
         col_n[y as usize] += 1;
+        if let Some(cell) = table.get_mut(x as usize * ky + y as usize) {
+            *cell += 1;
+        }
     }
-    let rows_used = row_end.iter().filter(|&&c| c > 0).count();
+    let rows_used = row_n.iter().filter(|&&c| c > 0).count();
     let cols_used = col_n.iter().filter(|&&c| c > 0).count();
-    let mut total = 0u32;
-    for end in &mut row_end {
-        total += *end;
-        *end = total;
-    }
+    let total: u32 = row_n.iter().sum();
     let n = total as f64;
     if let Some(v) = degenerate_table(n, rows_used, cols_used) {
         return v;
     }
-    let mut bucketed = vec![0u32; total as usize];
-    for (&x, &y) in xs.iter().zip(ys).filter(present) {
-        row_end[x as usize] -= 1;
-        bucketed[row_end[x as usize] as usize] = y;
-    }
     let mut chi2 = 0.0;
-    let bucket_ends = row_end[1..].iter().copied().chain([total]);
-    for (&start, end) in row_end.iter().zip(bucket_ends) {
+    if !table.is_empty() {
+        for (row, &rn) in table.chunks_exact(ky).zip(&*row_n) {
+            for (&obs, &cn) in row.iter().zip(&*col_n).filter(|(&obs, _)| obs > 0) {
+                chi2 += cell_chi2(obs as usize, rn as usize, cn as usize, n);
+            }
+        }
+        return finish_chi2(chi2, n, rows_used, cols_used);
+    }
+    // `row_n[x]` becomes where `x`'s bucket ends, then — the scatter fills
+    // buckets back to front — where it starts.
+    let mut end = 0;
+    for count in row_n.iter_mut() {
+        end += *count;
+        *count = end;
+    }
+    let bucketed = zeroed(&mut s.cells, total as usize);
+    for (&x, &y) in xs.iter().zip(ys).filter(present) {
+        row_n[x as usize] -= 1;
+        bucketed[row_n[x as usize] as usize] = y;
+    }
+    let bucket_ends = row_n[1..].iter().copied().chain([total]);
+    for (&start, end) in row_n.iter().zip(bucket_ends) {
         let row = &mut bucketed[start as usize..end as usize];
         row.sort_unstable();
-        let row_n = row.len() as f64;
         for cell in row.chunk_by(|a, b| a == b) {
-            let obs = cell.len() as f64;
-            let exp = row_n * col_n[cell[0] as usize] as f64 / n;
-            chi2 += obs * obs / exp;
+            let cn = col_n[cell[0] as usize] as usize;
+            chi2 += cell_chi2(cell.len(), row.len(), cn, n);
         }
     }
     finish_chi2(chi2, n, rows_used, cols_used)
@@ -155,14 +192,11 @@ fn cramers_v_sorted(xs: &[u32], ys: &[u32]) -> f64 {
     }
     let mut chi2 = 0.0;
     for row in cells.chunk_by(same_row) {
-        let row_n = row.len() as f64;
         for cell in row.chunk_by(|a, b| a == b) {
             let y = cell[0] as u32;
             let col_n =
                 col_keys.partition_point(|&k| k <= y) - col_keys.partition_point(|&k| k < y);
-            let obs = cell.len() as f64;
-            let exp = row_n * col_n as f64 / n;
-            chi2 += obs * obs / exp;
+            chi2 += cell_chi2(cell.len(), row.len(), col_n, n);
         }
     }
     finish_chi2(chi2, n, rows_used, cols_used)
@@ -191,52 +225,50 @@ fn finish_chi2(partial: f64, n: f64, rows_used: usize, cols_used: usize) -> f64 
 /// value are skipped; moments that overflow give 0.0.
 pub fn correlation_ratio(cats: &[u32], nums: &[f64]) -> f64 {
     assert_eq!(cats.len(), nums.len());
-    // Dense per-group accumulators when codes are small (the common case
-    // — feature codes are dense); iteration in index order matches the
-    // previous sorted-map order, so the float sums are unchanged.
-    let max_code = max_code(cats);
-    let mut dense: Vec<(f64, f64)> = Vec::new(); // (sum, count)
+    let max = max_code(cats);
+    let codes = (max < DENSE_CODE_LIMIT).then_some(max as usize + 1);
+    eta(cats, nums, codes, None, &mut Vec::new())
+}
+
+/// η with per-code `(Σx, count)` accumulators, summed in code order:
+/// `codes` of them in `groups` when dense (feature codes are), a sorted
+/// map otherwise. `totals` is the pair's `[n, Σx, Σx²]` when the caller
+/// has it, no row of the pair being skipped.
+fn eta(
+    cats: &[u32],
+    nums: &[f64],
+    codes: Option<usize>,
+    totals: Option<[f64; 3]>,
+    groups: &mut Vec<(f64, f64)>,
+) -> f64 {
+    let dense = zeroed(groups, codes.unwrap_or(0));
     let mut sparse: BTreeMap<u32, (f64, f64)> = BTreeMap::new();
-    let use_dense = max_code < DENSE_CODE_LIMIT;
-    if use_dense {
-        dense = vec![(0.0, 0.0); max_code as usize + 1];
-    }
-    let mut total_sum = 0.0;
-    let mut total_sq = 0.0;
-    let mut total_n = 0.0;
+    let mut summed = [0.0; 3];
     for (&c, &x) in cats.iter().zip(nums) {
         if c == MISSING_CAT || !x.is_finite() {
             continue;
         }
-        let e = if use_dense {
-            &mut dense[c as usize]
-        } else {
-            sparse.entry(c).or_default()
-        };
-        e.0 += x;
-        e.1 += 1.0;
-        total_sum += x;
-        total_sq += x * x;
-        total_n += 1.0;
+        let group = dense
+            .get_mut(c as usize)
+            .unwrap_or_else(|| sparse.entry(c).or_default());
+        group.0 += x;
+        group.1 += 1.0;
+        if totals.is_none() {
+            summed = moments(summed, x);
+        }
     }
-    let group_values: Vec<(f64, f64)> = if use_dense {
-        dense
-            .into_iter()
-            .filter(|&(_, count)| count > 0.0)
-            .collect()
-    } else {
-        sparse.into_values().collect()
-    };
-    if total_n < 2.0 || group_values.len() < 2 {
-        return 0.0;
-    }
+    let [total_n, total_sum, total_sq] = totals.unwrap_or(summed);
     // One pass of raw moments: `Σ(x−x̄)² = Σx² − n·x̄²` and
     // `Σ n_g (x̄_g − x̄)² = Σ s_g²/n_g − n·x̄²` — no second data scan.
-    let grand_mean = total_sum / total_n;
-    let mut between = 0.0;
-    for (sum, count) in &group_values {
+    let (mut between, mut used) = (0.0, 0);
+    for (sum, count) in dense.iter().filter(|g| g.1 > 0.0).chain(sparse.values()) {
         between += sum * sum / count;
+        used += 1;
     }
+    if total_n < 2.0 || used < 2 {
+        return 0.0;
+    }
+    let grand_mean = total_sum / total_n;
     between -= total_n * grand_mean * grand_mean;
     let total_var = total_sq - total_n * grand_mean * grand_mean;
     // Overflowed moments are NaN or infinite, and `NaN.min(1.0)` is 1.0.
@@ -246,20 +278,67 @@ pub fn correlation_ratio(cats: &[u32], nums: &[f64]) -> f64 {
     (between / total_var).sqrt().min(1.0)
 }
 
+/// What [`assoc_matrix`] reads off a column once, for all of its pairs.
+enum Summary<'a> {
+    /// Values and, when every one is finite, their `[n, Σx, Σx²]`.
+    Num(&'a [f64], Option<[f64; 3]>),
+    /// Codes, their range when dense, and whether none is missing.
+    Cat(&'a [u32], Option<usize>, bool),
+}
+
+fn summary(col: &FeatureColumn) -> Summary<'_> {
+    match col {
+        FeatureColumn::Numeric(v) => {
+            let finite = v.iter().all(|x| x.is_finite());
+            let sums = finite.then(|| v.iter().fold([0.0; 3], |m, &x| moments(m, x)));
+            Summary::Num(v, sums)
+        }
+        FeatureColumn::Categorical(c) => {
+            let max = max_code(c);
+            let codes = (max < DENSE_CODE_LIMIT).then_some(max as usize + 1);
+            Summary::Cat(c, codes, !c.contains(&MISSING_CAT))
+        }
+    }
+}
+
 /// Symmetric association matrix over mixed-type columns, owned or
-/// borrowed, diagonal = 1.
+/// borrowed, diagonal = 1, each cell the pair's public measure to the bit.
+///
+/// Per-column work runs once: with every cell finite, a numeric pair
+/// sums only `Σxy` and η takes the numeric column's totals (over the same
+/// rows in the same order pairwise deletion would use). Dense pairs count
+/// into one set of buffers, so the matrix allocates a fixed handful of
+/// blocks beyond its rows.
 pub fn assoc_matrix<C: Borrow<FeatureColumn>>(cols: &[C]) -> Vec<Vec<f64>> {
+    use Summary::{Cat, Num};
     let p = cols.len();
+    let rows = cols.first().map_or(0, |c| c.borrow().len());
+    assert!(cols.iter().all(|c| c.borrow().len() == rows));
+    let cols: Vec<Summary> = cols.iter().map(|c| summary(c.borrow())).collect();
+    let cat_codes = |c: &Summary| if let Cat(_, k, _) = c { *k } else { None };
+    let codes = cols.iter().filter_map(cat_codes).max().unwrap_or(0);
+    let mut scratch = Scratch {
+        row_n: Vec::with_capacity(codes),
+        col_n: Vec::with_capacity(codes),
+        cells: Vec::with_capacity(4 * rows),
+        groups: Vec::with_capacity(codes),
+    };
     let mut m = vec![vec![0.0; p]; p];
     for i in 0..p {
         m[i][i] = 1.0;
         for j in (i + 1)..p {
-            let a = match (cols[i].borrow(), cols[j].borrow()) {
-                (FeatureColumn::Numeric(x), FeatureColumn::Numeric(y)) => pearson(x, y).abs(),
-                (FeatureColumn::Categorical(x), FeatureColumn::Categorical(y)) => cramers_v(x, y),
-                (FeatureColumn::Categorical(c), FeatureColumn::Numeric(n))
-                | (FeatureColumn::Numeric(n), FeatureColumn::Categorical(c)) => {
-                    correlation_ratio(c, n)
+            let a = match (&cols[i], &cols[j]) {
+                (Num(x, Some(mx)), Num(y, Some(my))) => {
+                    let sxy = x.iter().zip(*y).fold(0.0, |sxy, (a, b)| sxy + a * b);
+                    pearson_from(*mx, *my, sxy).abs()
+                }
+                (Num(x, _), Num(y, _)) => pearson(x, y).abs(),
+                (Cat(x, Some(kx), _), Cat(y, Some(ky), _)) => {
+                    cramers_v_counted(x, y, *kx, *ky, &mut scratch)
+                }
+                (Cat(x, ..), Cat(y, ..)) => cramers_v_sorted(x, y),
+                (Cat(c, codes, whole), Num(x, mx)) | (Num(x, mx), Cat(c, codes, whole)) => {
+                    eta(c, x, *codes, mx.filter(|_| *whole), &mut scratch.groups)
                 }
             };
             m[i][j] = a;
@@ -485,11 +564,12 @@ mod tests {
             prop_assert!((0.0..=1.0).contains(&v));
         }
 
-        /// The counting path and the sorted-key fallback are one
-        /// function: same bits on dense codes, and on the same table
-        /// re-coded sparsely (order kept) so that `cramers_v` itself
-        /// takes the fallback. `x_codes`/`y_codes` of 1 give constant
-        /// columns and the single observed cell.
+        /// The one-table path, the bucket path and the sorted-key
+        /// fallback are one function: same bits on dense codes (a `y`
+        /// range padded past four cells per row forces the buckets), and
+        /// on the same table re-coded sparsely (order kept) so that
+        /// `cramers_v` itself takes the fallback. `x_codes`/`y_codes` of 1
+        /// give constant columns and the single observed cell.
         #[test]
         fn prop_cramers_v_counted_and_sorted_agree_to_the_bit(
             (x_codes, y_codes) in (1u32..30, 1u32..400),
@@ -503,7 +583,12 @@ mod tests {
                     *slot = MISSING_CAT;
                 }
             }
-            let counted = cramers_v_counted(&xs, &ys, x_codes as usize, y_codes as usize);
+            let (x_codes, y_codes) = (x_codes as usize, y_codes as usize);
+            let mut scratch = Scratch::default();
+            let counted = cramers_v_counted(&xs, &ys, x_codes, y_codes, &mut scratch);
+            let wide = y_codes + 4 * xs.len();
+            let bucketed = cramers_v_counted(&xs, &ys, x_codes, wide, &mut scratch);
+            prop_assert_eq!(counted.to_bits(), bucketed.to_bits());
             prop_assert_eq!(counted.to_bits(), cramers_v(&xs, &ys).to_bits());
             prop_assert_eq!(counted.to_bits(), cramers_v_sorted(&xs, &ys).to_bits());
             let spread = |c: &u32| match *c {
