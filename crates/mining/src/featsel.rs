@@ -105,10 +105,11 @@ pub struct FeatSelConfig {
     /// Row cap for the association-matrix estimate (strided subsample
     /// over the group-sorted training rows). The matrix only feeds a
     /// thresholded clustering decision, so a few hundred rows estimate it
-    /// as well as thousands. At this cap the pairwise measures are a
-    /// third of the phase on NBA's few-hundred-row APTs and 6 % on
-    /// 20 000-row ones (the `featsel_assoc` span; ROADMAP item 3 has the
-    /// measured split).
+    /// as well as thousands. At this cap the `featsel_assoc` span — the
+    /// pairwise measures, then the clustering — is a quarter of the phase
+    /// on NBA's few-hundred-row APTs (the measures a fifth) and an eighth
+    /// on 20 000-row ones (the measures a tenth); ROADMAP item 3 has the
+    /// measured split.
     pub max_assoc_rows: usize,
     /// Seed for forest + sampling.
     pub seed: u64,
