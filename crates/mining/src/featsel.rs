@@ -695,9 +695,8 @@ mod tests {
 
     proptest::proptest! {
         /// Clustering the measured block and appending the rest as
-        /// singletons is clustering the whole zero-padded matrix — what
-        /// `hist_selection` did before it stopped building that matrix —
-        /// for every threshold in `(−0.1, 1.1]`, with associations drawn
+        /// singletons is clustering the whole zero-padded candidates ×
+        /// candidates matrix, for every threshold in `(−0.1, 1.1]`, with associations drawn
         /// from a few values so that averages tie. A threshold ≤ 0
         /// measures every candidate, as `hist_selection` does.
         #[test]
