@@ -46,11 +46,14 @@ fn main() {
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
-    for line in stdin.lock().lines() {
-        let line = match line {
-            Ok(l) => l,
+    for bytes in stdin.lock().split(b'\n') {
+        let bytes = match bytes {
+            Ok(b) => b,
             Err(_) => break, // stdin closed
         };
+        // A line that is not UTF-8 is still one request: its bad bytes
+        // read as U+FFFD and it is answered, not taken for end of input.
+        let line = String::from_utf8_lossy(&bytes);
         if line.trim().is_empty() {
             continue;
         }

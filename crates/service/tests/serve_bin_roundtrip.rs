@@ -239,3 +239,27 @@ fn serve_binary_ingests_csv_dir_and_explains() {
     let status = child.wait().expect("serve exit");
     assert!(status.success(), "{status:?}");
 }
+
+#[test]
+fn a_line_that_is_not_utf8_is_answered_and_the_loop_goes_on() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cajade-serve"))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn cajade-serve");
+    let mut stdin = child.stdin.take().unwrap();
+    stdin
+        .write_all(b"{\"op\":\"st\xffats\"}\n{\"op\":\"stats\"}\n")
+        .unwrap();
+    drop(stdin);
+    let responses: Vec<Json> = BufReader::new(child.stdout.take().unwrap())
+        .lines()
+        .map(|line| Json::parse(&line.unwrap()).unwrap())
+        .collect();
+    assert!(child.wait().expect("serve exit").success());
+    assert_eq!(responses.len(), 2, "{responses:?}");
+    let code = responses[0].get("error").and_then(|e| e.get("code"));
+    assert_eq!(code.and_then(Json::as_str), Some("bad_request"));
+    assert_eq!(responses[1].get("ok"), Some(&Json::Bool(true)));
+}
