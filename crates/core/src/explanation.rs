@@ -4,6 +4,8 @@
 //! several join graphs … we removed duplicates and explanations that only
 //! differ slightly in terms of constants").
 
+use std::collections::HashSet;
+
 use cajade_graph::Apt;
 use cajade_mining::{MinedExplanation, PatternMetrics};
 use cajade_storage::StringPool;
@@ -66,13 +68,8 @@ impl Explanation {
     /// explanations with the same key differ only in constants or join
     /// path — the §6 near-duplicate criterion.
     pub fn near_duplicate_key(&self) -> String {
-        let mut parts: Vec<String> = self
-            .preds
-            .iter()
-            .map(|(a, op, _)| format!("{a}{op}"))
-            .collect();
-        parts.sort();
-        format!("{}|{}", self.primary, parts.join(","))
+        let preds = self.preds.iter().map(|(a, op, _)| (&a[..], &op[..]));
+        near_duplicate_key(&self.primary, preds)
     }
 
     /// One-line rendering in the Table-4 style.
@@ -119,26 +116,61 @@ impl Explanation {
     }
 }
 
+/// The §6 collapse key, `primary|` and the sorted, comma-joined
+/// attribute+operator strings: one definition for rendered and mined.
+pub(crate) fn near_duplicate_key<'a>(
+    primary: &str,
+    preds: impl Iterator<Item = (&'a str, &'a str)>,
+) -> String {
+    let mut parts: Vec<String> = preds.map(|(a, op)| format!("{a}{op}")).collect();
+    parts.sort();
+    format!("{primary}|{}", parts.join(","))
+}
+
 /// Sorts by exact F-score (descending) and drops near-duplicates, keeping
 /// the best-scoring representative of each key. Returns at most `k`.
-pub fn rank_and_collapse(mut all: Vec<Explanation>, k: usize, collapse: bool) -> Vec<Explanation> {
-    all.sort_by(|a, b| {
-        // `total_cmp`: a NaN F-score (degenerate metrics) compared Equal
-        // to everything under `partial_cmp(..).unwrap_or(Equal)`, letting
-        // the global ranking depend on per-graph arrival order.
-        b.metrics
-            .f_score
-            .total_cmp(&a.metrics.f_score)
-            // Deterministic tiebreak: simpler pattern, then lexicographic.
-            .then(a.preds.len().cmp(&b.preds.len()))
-            .then(a.pattern_desc.cmp(&b.pattern_desc))
-    });
-    if collapse {
-        let mut seen = std::collections::HashSet::new();
-        all.retain(|e| seen.insert(e.near_duplicate_key()));
+pub fn rank_and_collapse(all: Vec<Explanation>, k: usize, collapse: bool) -> Vec<Explanation> {
+    let score = |e: &Explanation| (e.metrics.f_score, e.preds.len());
+    let text = |e: &Explanation| e.pattern_desc.clone();
+    let key = Explanation::near_duplicate_key;
+    rank_walk(all, k, collapse, score, text, key)
+}
+
+/// The global ranking of anything with a `(F, predicate count)` score, a
+/// pattern text and a collapse key: one stable sort on all three, then
+/// collapse and truncate — but `text` runs only in the runs of equal
+/// score the walk reaches, and `key` only for the items it walks.
+pub(crate) fn rank_walk<T>(
+    mut items: Vec<T>,
+    k: usize,
+    collapse: bool,
+    score: impl Fn(&T) -> (f64, usize),
+    text: impl Fn(&T) -> String,
+    key: impl Fn(&T) -> String,
+) -> Vec<T> {
+    // `total_cmp`: a NaN F-score (degenerate metrics) compared Equal to
+    // everything under `partial_cmp(..).unwrap_or(Equal)`, letting the
+    // global ranking depend on per-graph arrival order.
+    let by_score = |a: &T, b: &T| {
+        let ((fa, na), (fb, nb)) = (score(a), score(b));
+        fb.total_cmp(&fa).then(na.cmp(&nb))
+    };
+    items.sort_by(by_score);
+    let mut items = items.into_iter().peekable();
+    let (mut seen, mut kept) = (HashSet::new(), Vec::new());
+    while let Some(first) = items.next().filter(|_| kept.len() < k) {
+        let mut run = vec![first];
+        while let Some(tied) = items.next_if(|x| by_score(x, &run[0]).is_eq()) {
+            run.push(tied);
+        }
+        run.sort_by_cached_key(&text);
+        for item in run {
+            if kept.len() < k && (!collapse || seen.insert(key(&item))) {
+                kept.push(item);
+            }
+        }
     }
-    all.truncate(k);
-    all
+    kept
 }
 
 #[cfg(test)]
@@ -221,6 +253,79 @@ mod tests {
         // collapse keeps 1. Without collapse, k bounds the list.
         assert_eq!(rank_and_collapse(many.clone(), 5, false).len(), 5);
         assert_eq!(rank_and_collapse(many, 5, true).len(), 1);
+    }
+
+    /// The walk's oracle: sort everything on all three keys, then
+    /// collapse, then truncate.
+    fn sort_collapse_truncate(
+        mut all: Vec<Explanation>,
+        k: usize,
+        collapse: bool,
+    ) -> Vec<Explanation> {
+        all.sort_by(|a, b| {
+            b.metrics
+                .f_score
+                .total_cmp(&a.metrics.f_score)
+                .then(a.preds.len().cmp(&b.preds.len()))
+                .then(a.pattern_desc.cmp(&b.pattern_desc))
+        });
+        if collapse {
+            let mut seen = HashSet::new();
+            all.retain(|e| seen.insert(e.near_duplicate_key()));
+        }
+        all.truncate(k);
+        all
+    }
+
+    /// The walk keeps the oracle's items in the oracle's order, over many
+    /// ties: F from a few levels (both NaNs and both zeros among them), 0–3
+    /// predicates on three attributes and two operators, four pattern
+    /// texts, two primaries, collapse on and off, and every `k` from 0 to
+    /// n + 1. Items are told apart by `graph_index`, their arrival order.
+    #[test]
+    fn the_walk_equals_sorting_collapsing_and_truncating() {
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+        use proptest::test_runner::TestRunner;
+
+        const F: [f64; 7] = [1.0, 0.75, 0.5, 0.0, -0.0, f64::NAN, -f64::NAN];
+        const ATTRS: [&str; 3] = ["a0", "a1", "a2"];
+        let item = (
+            0..F.len(),
+            vec((0..ATTRS.len(), any::<bool>()), 0..4),
+            0..4usize,
+            any::<bool>(),
+        );
+        let case = (vec(item, 0..24), 0..26usize, any::<bool>());
+        let mut straddles = 0;
+        TestRunner::new(ProptestConfig::with_cases(2000))
+            .run(&case, |(items, k, collapse)| {
+                let all: Vec<Explanation> = (items.iter().enumerate())
+                    .map(|(i, (f, preds, text, t2))| {
+                        let preds: Vec<_> = (preds.iter())
+                            .map(|&(a, le)| (ATTRS[a], if le { "≤" } else { "=" }, "1"))
+                            .collect();
+                        let primary = if *t2 { "t2" } else { "t1" };
+                        let mut e = mk(&format!("p{text}"), &preds, F[*f], primary);
+                        e.graph_index = i;
+                        e
+                    })
+                    .collect();
+                let k = k % (all.len() + 2);
+                let ids = |r: &[Explanation]| r.iter().map(|e| e.graph_index).collect::<Vec<_>>();
+                let full = sort_collapse_truncate(all.clone(), usize::MAX, collapse);
+                let at_cut = |e: &Explanation| (e.metrics.f_score.to_bits(), e.preds.len());
+                if 0 < k && k < full.len() && at_cut(&full[k - 1]) == at_cut(&full[k]) {
+                    straddles += 1;
+                }
+                let want = sort_collapse_truncate(all.clone(), k, collapse);
+                prop_assert_eq!(ids(&rank_and_collapse(all, k, collapse)), ids(&want));
+                Ok(())
+            })
+            .unwrap();
+        // A tied run straddling the k-th kept item is the case the walk
+        // stops inside of; it must have come up.
+        assert!(straddles > 100, "{straddles} cases straddle the cut");
     }
 
     #[test]

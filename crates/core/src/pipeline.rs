@@ -13,18 +13,19 @@
 //! produce ([`ProvenanceTable`], [`Apt`]) travel behind `Arc` so a cache
 //! can hand the same materialization to many concurrent sessions.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use cajade_graph::{Apt, AptBuilder, EnumConfig, EnumeratedGraph, Enumeration, SchemaGraph};
-use cajade_mining::{mine_prepared, MiningTimings, PreparedApt, Question};
+use cajade_mining::{mine_prepared, MinedExplanation, MiningTimings, PreparedApt, Question};
 pub use cajade_mining::{ColumnStatsProvider, NoSharedStats};
 use cajade_obs::{Ctx, Stage};
 use cajade_query::{execute_with_provenance, ProvenanceTable, Query, QueryResult};
 use cajade_storage::Database;
 use rayon::prelude::*;
 
-use crate::explanation::{rank_and_collapse, Explanation};
+use crate::explanation::{near_duplicate_key, rank_and_collapse, rank_walk, Explanation};
 use crate::params::Params;
 use crate::session::{SessionResult, UserQuestion};
 use crate::timing::SessionTimings;
@@ -204,8 +205,13 @@ pub fn prepare_mining(
 /// Everything one mined join graph contributes to the session result.
 #[derive(Debug)]
 pub struct GraphOutcome {
-    /// Rendered explanations from this graph.
-    pub explanations: Vec<Explanation>,
+    /// This graph's top-k, unrendered: [`assemble`] renders the ones the
+    /// global ranking keeps.
+    pub mined: Vec<MinedExplanation>,
+    /// The APT they were mined from, which rendering reads.
+    pub apt: Arc<Apt>,
+    /// Index of the join graph within the session's enumeration.
+    pub graph_index: usize,
     /// `(structure, APT rows, APT attributes)` — the Fig. 10a statistics.
     pub apt_stat: (String, usize, usize),
     /// Wall-clock spent materializing this graph's APT (zero on a cache
@@ -218,22 +224,20 @@ pub struct GraphOutcome {
 }
 
 /// Stage 4: mines one APT through its preparation
-/// ([`prepare_mining`]) and renders its explanations, all inside the
-/// graph's `mine_apt` stage. `graph_index` is the graph's index within
-/// the session's enumeration; `materialize_time` is attributed to this
-/// outcome for the Fig. 10 style breakdown. When `prep_computed` is set,
-/// the preparation ran as part of this ask and its phase timings are
-/// attributed to the outcome; on a warm [`PreparedApt`] the
-/// feature-selection / candidate-generation / sampling / prepare phases
-/// report zero — the ask skipped them.
+/// ([`prepare_mining`]) inside the graph's `mine_apt` stage, rendering
+/// nothing: rendering is stage 5's, for the explanations it keeps.
+/// `graph_index` is the graph's index within the session's enumeration;
+/// `materialize_time` is attributed to this outcome for the Fig. 10
+/// style breakdown. When `prep_computed` is set, the preparation ran as
+/// part of this ask and its phase timings are attributed to the outcome;
+/// on a warm [`PreparedApt`] the feature-selection / candidate-generation
+/// / sampling / prepare phases report zero — the ask skipped them.
 // The argument list mirrors the stage's actual data dependencies; a
 // context struct would only relocate the same names.
 #[allow(clippy::too_many_arguments)]
 pub fn mine_one_prepared(
-    db: &Database,
-    query: &Query,
     pt: &ProvenanceTable,
-    apt: &Apt,
+    apt: &Arc<Apt>,
     prep: &PreparedApt,
     question: &Question,
     params: &Params,
@@ -246,21 +250,10 @@ pub fn mine_one_prepared(
     if prep_computed {
         outcome.timings.accumulate(&prep.prep_timings);
     }
-    let explanations = outcome
-        .explanations
-        .iter()
-        .map(|m| {
-            Explanation::from_mined(
-                m,
-                apt,
-                db.pool(),
-                group_label(db, query, pt, m.primary_group),
-                graph_index,
-            )
-        })
-        .collect();
     GraphOutcome {
-        explanations,
+        mined: outcome.explanations,
+        apt: Arc::clone(apt),
+        graph_index,
         apt_stat: (apt.graph.structure_string(), apt.num_rows, apt.fields.len()),
         materialize: materialize_time,
         mining: outcome.timings,
@@ -292,12 +285,12 @@ where
 /// Stages 3–4 over all valid graphs, one graph at a time through the
 /// stage functions the service chains around its caches — [`materialize`]
 /// → [`prepare_mining`] in the question's scope → [`mine_one_prepared`] —
-/// keeping neither APT nor preparation; on worker threads when
-/// `params.parallel` is set. Outcomes come back in graph order, so
-/// parallel and sequential runs produce identical results.
+/// keeping no preparation, and each APT view only until [`assemble`] has
+/// rendered what it keeps; on worker threads when `params.parallel` is
+/// set. Outcomes come back in graph order, so parallel and sequential
+/// runs produce identical results.
 pub fn materialize_and_mine(
     db: &Database,
-    query: &Query,
     prepared: &PreparedQuery,
     question: &Question,
     params: &Params,
@@ -315,10 +308,9 @@ pub fn materialize_and_mine(
             return Ok(None);
         }
         let (apt, materialize_time) = materialize(&builder, graph_index)?;
+        let apt = Arc::new(apt);
         let prep = prepare_mining(&apt, pt, params, &NoSharedStats, Some(question));
         Ok(Some(mine_one_prepared(
-            db,
-            query,
             pt,
             &apt,
             &prep,
@@ -341,19 +333,52 @@ pub fn rank(all: Vec<Explanation>, params: &Params) -> Vec<Explanation> {
 }
 
 /// Assembles per-graph outcomes into a [`SessionResult`], accumulating
-/// timings and applying the ranking stage.
+/// timings and applying the ranking stage: [`rank`]'s walk over every
+/// graph's mined explanations, reading pattern text and collapse keys off
+/// the graphs' APTs, then [`Explanation::from_mined`] for the ones it
+/// keeps. Each primary group is labelled once.
 pub fn assemble(
+    db: &Database,
+    query: &Query,
     prepared: &PreparedQuery,
     outcomes: Vec<GraphOutcome>,
     params: &Params,
 ) -> SessionResult {
+    let rank = Stage::open("rank");
+    let mined: Vec<_> = (outcomes.iter())
+        .flat_map(|o| o.mined.iter().map(move |m| (o, m)))
+        .collect();
+    let mut labels = BTreeMap::new();
+    for (_, m) in &mined {
+        let label = || group_label(db, query, &prepared.pt, m.primary_group);
+        labels.entry(m.primary_group).or_insert_with(label);
+    }
+    let pool = db.pool();
+    let kept = rank_walk(
+        mined,
+        params.top_k_global,
+        params.collapse_near_duplicates,
+        |(_, m)| (m.metrics.f_score, m.pattern.len()),
+        |(o, m)| m.pattern.render(&o.apt, pool),
+        |(o, m)| {
+            let preds = m.pattern.preds().iter();
+            let preds = preds.map(|(f, p)| (o.apt.fields[*f].name.as_str(), p.op.symbol()));
+            near_duplicate_key(&labels[&m.primary_group], preds)
+        },
+    );
+    let explanations = (kept.into_iter())
+        .map(|(o, m)| {
+            let primary = labels[&m.primary_group].clone();
+            Explanation::from_mined(m, &o.apt, pool, primary, o.graph_index)
+        })
+        .collect();
+    drop(rank);
     let mut timings = SessionTimings {
         provenance: prepared.provenance_time,
         jg_enum: prepared.jg_enum_time,
         ..Default::default()
     };
     let num_graphs_mined = outcomes.len();
-    let mut all = Vec::new();
     let mut apt_stats = Vec::new();
     let mut patterns_evaluated = 0usize;
     for o in outcomes {
@@ -361,7 +386,6 @@ pub fn assemble(
         timings.mining.accumulate(&o.mining);
         apt_stats.push(o.apt_stat);
         patterns_evaluated += o.patterns;
-        all.extend(o.explanations);
     }
     // When a budget is installed (and still is at assembly — the service
     // calls `assemble` inside the budget scope), surface what truncated.
@@ -369,7 +393,7 @@ pub fn assemble(
         .map(|b| b.truncated().into_iter().map(str::to_string).collect())
         .unwrap_or_default();
     SessionResult {
-        explanations: rank(all, params),
+        explanations,
         timings,
         num_graphs_enumerated: prepared.graphs.len(),
         num_graphs_mined,

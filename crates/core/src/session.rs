@@ -143,14 +143,15 @@ impl<'a> ExplanationSession<'a> {
     pub fn explain(&self, query: &Query, question: &UserQuestion) -> Result<SessionResult> {
         let prepared = pipeline::prepare(self.db, self.schema_graph, query, &self.params)?;
         let mining_question = pipeline::resolve_question(self.db, query, &prepared.pt, question)?;
-        let outcomes = pipeline::materialize_and_mine(
+        let outcomes =
+            pipeline::materialize_and_mine(self.db, &prepared, &mining_question, &self.params)?;
+        Ok(pipeline::assemble(
             self.db,
             query,
             &prepared,
-            &mining_question,
+            outcomes,
             &self.params,
-        )?;
-        Ok(pipeline::assemble(&prepared, outcomes, &self.params))
+        ))
     }
 }
 

@@ -341,8 +341,6 @@ impl SessionHandle {
         let mine_span = span("mine");
         let mine_one = |(gi, graph, mat, computed): &Ready| -> GraphOutcome {
             pipeline::mine_one_prepared(
-                &reg.db,
-                &self.query,
                 &prepared.pt,
                 &graph.apt,
                 &graph.prep,
@@ -357,7 +355,8 @@ impl SessionHandle {
         drop(mine_span);
 
         // ---- Stage 5: assemble + rank. ----------------------------------
-        let mut result = pipeline::assemble(prepared, outcomes, &inner.params);
+        let mut result =
+            pipeline::assemble(&reg.db, &self.query, prepared, outcomes, &inner.params);
         if provenance_cache_hit {
             // Those phases were skipped; report the latency actually paid.
             result.timings.provenance = Duration::ZERO;

@@ -1,0 +1,54 @@
+//! What the tail of a warm ask allocates, counted by the tracking
+//! allocator: the blocks allocated under the `mine` and `rank` scopes of
+//! one warm NBA 0.05 ask, sequential. Every graph's miner returns its
+//! top-k as numbers; ranking walks them and renders only the explanations
+//! it returns, so no string is built for the ~1 500 mined explanations
+//! that collapse and the global cut discard.
+//!
+//! One `#[test]`: the scope ledgers are process-wide, and a sibling test
+//! asking on another thread would count into them.
+
+use cajade_core::{Params, UserQuestion};
+use cajade_datagen::nba::{self, NbaConfig};
+use cajade_obs::alloc::scope_snapshot;
+use cajade_service::{ExplanationService, ServiceConfig};
+
+#[global_allocator]
+static ALLOC: cajade_obs::TrackingAlloc = cajade_obs::TrackingAlloc;
+
+const GSW_SQL: &str = "SELECT COUNT(*) AS win, s.season_name \
+     FROM team t, game g, season s \
+     WHERE t.team_id = g.winner_id AND g.season_id = s.season_id AND t.team = 'GSW' \
+     GROUP BY s.season_name";
+
+fn blocks(scope: &str) -> u64 {
+    scope_snapshot(scope).map_or(0, |s| s.allocated_blocks)
+}
+
+#[test]
+fn a_warm_ask_renders_what_it_returns_not_what_it_mined() {
+    let service = ExplanationService::new(ServiceConfig {
+        params: Params::paper(),
+        ..ServiceConfig::default()
+    });
+    let gen = nba::generate(NbaConfig::scaled(0.05));
+    service.register_database("nba", gen.db, gen.schema_graph);
+    let session = service.open_session("nba", GSW_SQL).unwrap();
+    let ask = |t1: &str, t2: &str| {
+        let question = UserQuestion::two_point(&[("season_name", t1)], &[("season_name", t2)]);
+        session.ask(&question).unwrap()
+    };
+    let cold = ask("2015-16", "2012-13");
+    assert!(cold.apt_cache_misses > 0);
+
+    let before = (blocks("mine"), blocks("rank"));
+    let warm = ask("2016-17", "2013-14");
+    let (mine, rank) = (blocks("mine") - before.0, blocks("rank") - before.1);
+    assert_eq!((warm.apt_cache_misses, warm.answer_cache_hit), (0, false));
+    assert_eq!(warm.result.num_graphs_mined, 202);
+    assert_eq!(warm.result.explanations.len(), 20);
+    println!("warm ask: mine {mine} blocks, rank {rank} blocks");
+    // Rendering every mined explanation (~1 500 of them) is ~60 000 blocks
+    // on its own; mining and ranking without it come to ~42 500.
+    assert!(mine + rank < 50_000, "mine {mine} + rank {rank} blocks");
+}
