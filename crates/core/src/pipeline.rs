@@ -1,26 +1,26 @@
-//! Composable pipeline stages.
-//!
-//! The CaJaDE pipeline decomposes into five stages:
+//! Composable pipeline stages:
 //!
 //! ```text
-//! provenance ──► enumerate ──► materialize ──► mine ──► rank
+//! provenance ──► enumerate ──► materialize ──► prepare ──► mine ──► rank
 //! ```
 //!
-//! [`ExplanationSession::explain`](crate::ExplanationSession::explain)
-//! chains them for the one-shot API; the `cajade-service` crate chains the
-//! same stages around its provenance/APT caches so repeated questions on a
-//! query skip straight to mining. Stage outputs that are expensive to
-//! produce ([`ProvenanceTable`], [`Apt`]) travel behind `Arc` so a cache
-//! can hand the same materialization to many concurrent sessions.
+//! [`prepare`] runs the first two, [`materialize_and_mine`] — the one
+//! per-graph loop, which the one-shot
+//! [`ExplanationSession::explain`](crate::ExplanationSession::explain) and
+//! the `cajade-service` ask both run — the next three, [`assemble`] the
+//! last. Expensive outputs ([`ProvenanceTable`], [`Apt`], [`PreparedGraph`])
+//! travel behind `Arc` so a cache can hand one to many sessions.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use cajade_graph::{Apt, AptBuilder, EnumConfig, EnumeratedGraph, Enumeration, SchemaGraph};
-use cajade_mining::{mine_prepared, MinedExplanation, MiningTimings, PreparedApt, Question};
+use cajade_mining::{
+    mine_prepared, ColumnStats, MinedExplanation, MiningTimings, PreparedApt, Question, ReadShare,
+};
 pub use cajade_mining::{ColumnStatsProvider, NoSharedStats};
-use cajade_obs::{Ctx, Stage};
+use cajade_obs::{span, AllocScope, Ctx, Stage};
 use cajade_query::{execute_with_provenance, ProvenanceTable, Query, QueryResult};
 use cajade_storage::Database;
 use rayon::prelude::*;
@@ -155,51 +155,64 @@ pub fn materialize(builder: &AptBuilder<'_>, graph_index: usize) -> Result<(Apt,
     Ok((apt, stage.finish()))
 }
 
-/// Begins an ask's stage 3: the [`AptBuilder`] its misses are
-/// [`materialize`]d through, made — like everything it will hold — under
-/// the `materialize` alloc scope.
-pub fn begin_materialize<'a>(
-    db: &'a Database,
-    pt: &'a ProvenanceTable,
-    graphs: &'a [EnumeratedGraph],
-) -> AptBuilder<'a> {
-    let _mem = cajade_obs::AllocScope::enter("materialize");
-    AptBuilder::new(db, pt, graphs)
+/// One prepared join graph: its APT view and the mining preparation made
+/// from it, computed together and never changed.
+#[derive(Debug)]
+pub struct PreparedGraph {
+    /// The APT view — behind an `Arc` of its own because
+    /// [`materialize_and_mine`] derives every missing view first and plans
+    /// what their preparations read in common before preparing any.
+    pub apt: Arc<Apt>,
+    /// Its mining preparation.
+    pub prep: PreparedApt,
 }
 
-/// Ends an ask's stage 3: drops the builder under the `materialize` scope
-/// it and its shared joins were allocated under — a scope's net is what
-/// was allocated minus what was freed *under it* — and returns its
-/// `(join steps applied, join steps computed, index builds)`.
-pub fn finish_materialize(builder: AptBuilder<'_>) -> (u64, u64, u64) {
-    let _mem = cajade_obs::AllocScope::enter("materialize");
-    let work = (
-        builder.join_steps(),
-        builder.join_steps_computed(),
-        builder.index_builds(),
-    );
-    drop(builder);
-    work
+impl PreparedGraph {
+    /// Approximate heap footprint: the APT view and the preparation, not
+    /// the provenance-table columns the view reads (the query's).
+    pub fn approx_bytes(&self) -> usize {
+        self.apt.approx_bytes() + self.prep.approx_bytes()
+    }
 }
 
-/// Stage 3.5: the mining preparation of one APT (feature selection, LCA
-/// candidate pool, fragment boundaries, scoring index and predicate
-/// bitmaps — see [`cajade_mining::prepared::prepare`]).
-///
-/// The service passes `question = None` — the preparation then serves
-/// every question and is worth caching — and its database-scoped
-/// column-stats cache as `stats`, so a question over many join graphs
-/// analyzes each context column once. The one-shot path prepares in the
-/// scope of its one question, with [`NoSharedStats`], and keeps nothing.
-pub fn prepare_mining(
-    apt: &Apt,
-    pt: &ProvenanceTable,
-    params: &Params,
-    stats: &dyn ColumnStatsProvider,
-    question: Option<&Question>,
-) -> PreparedApt {
-    let _stage = Stage::open_as("prepare_apt", "prepare");
-    cajade_mining::prepared::prepare(apt, pt, &params.mining, stats, question)
+/// Where [`materialize_and_mine`] finds and keeps each join graph's
+/// [`PreparedGraph`].
+pub trait GraphStore: Sync {
+    /// Graph `gi`, if the store holds it.
+    fn graph(&self, gi: usize) -> Option<Arc<PreparedGraph>>;
+
+    /// Under graph `gi`'s latch: the graph another caller stored
+    /// meanwhile, else what `prepare` makes. `(graph, whether prepare ran)`.
+    fn graph_or_prepare(
+        &self,
+        gi: usize,
+        prepare: impl FnOnce() -> PreparedGraph,
+    ) -> (Arc<PreparedGraph>, bool);
+
+    /// The alloc scope of what the store retains, if any.
+    fn retain(&self) -> Option<AllocScope>;
+}
+
+/// The one-shot [`GraphStore`]: holds nothing and enters no scope.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct KeepNothing;
+
+impl GraphStore for KeepNothing {
+    fn graph(&self, _gi: usize) -> Option<Arc<PreparedGraph>> {
+        None
+    }
+
+    fn graph_or_prepare(
+        &self,
+        _gi: usize,
+        prepare: impl FnOnce() -> PreparedGraph,
+    ) -> (Arc<PreparedGraph>, bool) {
+        (Arc::new(prepare()), true)
+    }
+
+    fn retain(&self) -> Option<AllocScope> {
+        None
+    }
 }
 
 /// Everything one mined join graph contributes to the session result.
@@ -223,22 +236,18 @@ pub struct GraphOutcome {
     pub patterns: usize,
 }
 
-/// Stage 4: mines one APT through its preparation
-/// ([`prepare_mining`]) inside the graph's `mine_apt` stage, rendering
-/// nothing: rendering is stage 5's, for the explanations it keeps.
-/// `graph_index` is the graph's index within the session's enumeration;
-/// `materialize_time` is attributed to this outcome for the Fig. 10
-/// style breakdown. When `prep_computed` is set, the preparation ran as
-/// part of this ask and its phase timings are attributed to the outcome;
-/// on a warm [`PreparedApt`] the feature-selection / candidate-generation
-/// / sampling / prepare phases report zero — the ask skipped them.
-// The argument list mirrors the stage's actual data dependencies; a
-// context struct would only relocate the same names.
-#[allow(clippy::too_many_arguments)]
+/// Stage 4: mines one prepared graph inside its `mine_apt` stage,
+/// rendering nothing: rendering is stage 5's, for the explanations it
+/// keeps. `graph_index` is the graph's index within the session's
+/// enumeration; `materialize_time` is attributed to this outcome for the
+/// Fig. 10 style breakdown. When `prep_computed` is set, the preparation
+/// ran as part of this ask and its phase timings are attributed to the
+/// outcome; on a warm [`PreparedApt`] the feature-selection /
+/// candidate-generation / sampling / prepare phases report zero — the ask
+/// skipped them.
 pub fn mine_one_prepared(
     pt: &ProvenanceTable,
-    apt: &Arc<Apt>,
-    prep: &PreparedApt,
+    graph: &PreparedGraph,
     question: &Question,
     params: &Params,
     graph_index: usize,
@@ -246,6 +255,7 @@ pub fn mine_one_prepared(
     prep_computed: bool,
 ) -> GraphOutcome {
     let _stage = Stage::open_as("mine_apt", "mine");
+    let (apt, prep) = (&graph.apt, &graph.prep);
     let mut outcome = mine_prepared(prep, apt, pt, question, &params.mining);
     if prep_computed {
         outcome.timings.accumulate(&prep.prep_timings);
@@ -282,48 +292,159 @@ where
     items.par_iter().map(|item| ctx.enter(|| f(item))).collect()
 }
 
-/// Stages 3–4 over all valid graphs, one graph at a time through the
-/// stage functions the service chains around its caches — [`materialize`]
-/// → [`prepare_mining`] in the question's scope → [`mine_one_prepared`] —
-/// keeping no preparation, and each APT view only until [`assemble`] has
-/// rendered what it keeps; on worker threads when `params.parallel` is
-/// set. Outcomes come back in graph order, so parallel and sequential
-/// runs produce identical results.
+/// What [`materialize_and_mine`] computed — zero for what a store already
+/// held.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct GraphWork {
+    /// Join steps the missing graphs' folds applied, one per edge.
+    pub join_steps: u64,
+    /// Of those, steps the builder computed rather than took from its memo.
+    pub join_steps_computed: u64,
+    /// Hash indexes the builder built.
+    pub index_builds: u64,
+    /// Candidate columns the preparations read through the call's
+    /// [`ReadShare`].
+    pub column_reads: u64,
+    /// Of those, reads that gathered the column.
+    pub column_reads_computed: u64,
+    /// Graphs this call prepared.
+    pub graphs_prepared: usize,
+}
+
+/// What the materialize stage found for one join graph.
+enum Found {
+    /// The prepared graph the store holds.
+    Held(Arc<PreparedGraph>),
+    /// The view of a graph the store does not hold, and what it took to
+    /// derive.
+    View(Arc<Apt>, Duration),
+}
+
+/// The caller's statistics provider, plus the call's share of reads.
+struct WithShare<'a> {
+    stats: &'a dyn ColumnStatsProvider,
+    share: Option<ReadShare>,
+}
+
+impl ColumnStatsProvider for WithShare<'_> {
+    fn column_stats(&self, table: &str, column: &str) -> Option<Arc<ColumnStats>> {
+        self.stats.column_stats(table, column)
+    }
+
+    fn read_share(&self) -> Option<&ReadShare> {
+        self.share.as_ref()
+    }
+}
+
+/// Stages 3–4 over every valid join graph — the pipeline's one per-graph
+/// loop: three [`fan_out`]s, each under its stage span, outcomes in graph
+/// order.
+///
+/// * **materialize** — one `store` lookup per graph; the misses' views
+///   come from one [`AptBuilder`], made by the first miss and dropped with
+///   the stage. A single materialization is not truncatable, so the
+///   budget boundary sits in front of each graph: past the deadline the
+///   remaining graphs are skipped and the answer covers fewer of them.
+/// * **prepare** — one [`ReadShare`] planned over the misses' views and
+///   handed to `prepare` with `stats`; each miss is prepared in `scope`
+///   under its store latch. Racing callers may both derive a view; only
+///   one prepares it.
+/// * **mine** — [`mine_one_prepared`] per graph, for `question`.
+///
+/// The [`GraphWork`] comes back also when a materialization fails.
 pub fn materialize_and_mine(
     db: &Database,
     prepared: &PreparedQuery,
     question: &Question,
+    scope: Option<&Question>,
     params: &Params,
-) -> Result<Vec<GraphOutcome>> {
-    let valid = prepared.valid_graph_indices();
+    stats: &dyn ColumnStatsProvider,
+    store: &impl GraphStore,
+) -> (Result<Vec<GraphOutcome>>, GraphWork) {
     let pt = &prepared.pt;
-    // One builder for the ask; its memoized parent joins go when it does.
-    let builder = begin_materialize(db, pt, &prepared.graphs);
-    // A single APT's materialization is not truncatable, so the budget
-    // boundary sits between graphs: once the deadline passes, remaining
-    // whole graphs are skipped and the ask answers from the graphs mined
-    // so far. `Ok(None)` marks a skipped graph.
-    let run_one = |&graph_index: &usize| -> Result<Option<GraphOutcome>> {
+    let mut work = GraphWork::default();
+
+    let materialize_span = span("materialize");
+    let builder: OnceLock<AptBuilder<'_>> = OnceLock::new();
+    let find = |&gi: &usize| -> Result<Option<(usize, Found)>> {
         if cajade_obs::budget::stop("materialize") {
             return Ok(None);
         }
-        let (apt, materialize_time) = materialize(&builder, graph_index)?;
-        let apt = Arc::new(apt);
-        let prep = prepare_mining(&apt, pt, params, &NoSharedStats, Some(question));
-        Ok(Some(mine_one_prepared(
-            pt,
-            &apt,
-            &prep,
-            question,
-            params,
-            graph_index,
-            materialize_time,
-            true,
-        )))
+        if let Some(held) = store.graph(gi) {
+            return Ok(Some((gi, Found::Held(held))));
+        }
+        let _mem = store.retain();
+        let builder = builder.get_or_init(|| {
+            let _mem = AllocScope::enter("materialize");
+            AptBuilder::new(db, pt, &prepared.graphs)
+        });
+        let (apt, wall) = materialize(builder, gi)?;
+        Ok(Some((gi, Found::View(Arc::new(apt), wall))))
     };
-    let outcomes: Result<Vec<Option<GraphOutcome>>> = fan_out(params, &valid, run_one);
-    finish_materialize(builder);
-    Ok(outcomes?.into_iter().flatten().collect())
+    let found: Result<Vec<_>> = fan_out(params, &prepared.valid_graph_indices(), find);
+    if let Some(builder) = builder.into_inner() {
+        work.join_steps = builder.join_steps();
+        work.join_steps_computed = builder.join_steps_computed();
+        work.index_builds = builder.index_builds();
+        // Freed where it and its shared joins were allocated: a scope's
+        // net is what was allocated minus what was freed under it.
+        let _mem = store.retain();
+        let _stage = AllocScope::enter("materialize");
+        drop(builder);
+    }
+    drop(materialize_span);
+    let found: Vec<(usize, Found)> = match found {
+        Ok(found) => found.into_iter().flatten().collect(),
+        Err(e) => return (Err(e), work),
+    };
+
+    let prepare_span = span("prepare");
+    let mut views = (found.iter())
+        .filter_map(|(_, f)| match f {
+            Found::View(view, _) => Some(view.as_ref()),
+            Found::Held(_) => None,
+        })
+        .peekable();
+    let share = views.peek().is_some().then(|| {
+        let _mem = store.retain();
+        let _stage = AllocScope::enter("prepare");
+        ReadShare::plan(views)
+    });
+    let stats = WithShare { stats, share };
+    // `(graph, materialization wall, whether this call prepared it)`.
+    let prepare_one = |(gi, found): &(usize, Found)| {
+        let (apt, wall) = match found {
+            Found::Held(graph) => return (*gi, Arc::clone(graph), Duration::ZERO, false),
+            Found::View(view, wall) => (view, *wall),
+        };
+        let (graph, prepared) = store.graph_or_prepare(*gi, || {
+            let _mem = store.retain();
+            let _stage = Stage::open_as("prepare_apt", "prepare");
+            let prep = cajade_mining::prepared::prepare(apt, pt, &params.mining, &stats, scope);
+            let apt = Arc::clone(apt);
+            PreparedGraph { apt, prep }
+        });
+        (*gi, graph, wall, prepared)
+    };
+    let ready: Vec<_> = fan_out(params, &found, prepare_one);
+    // The views of graphs another caller prepared first.
+    drop(found);
+    work.graphs_prepared = ready.iter().filter(|(_, _, _, prepared)| *prepared).count();
+    if let Some(share) = stats.share {
+        (work.column_reads, work.column_reads_computed) = share.column_reads();
+        // Whatever a reader that never came left in it is freed where the
+        // preparations allocated it.
+        let _mem = store.retain();
+        let _stage = AllocScope::enter("prepare");
+        drop(share);
+    }
+    drop(prepare_span);
+
+    let _mine_span = span("mine");
+    let mine_one = |(gi, graph, wall, prepared): &(usize, Arc<PreparedGraph>, Duration, bool)| {
+        mine_one_prepared(pt, graph, question, params, *gi, *wall, *prepared)
+    };
+    (Ok(fan_out(params, &ready, mine_one)), work)
 }
 
 /// Stage 5: global F-score ranking + near-duplicate collapse (§6).

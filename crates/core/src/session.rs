@@ -3,8 +3,8 @@
 //!
 //! The heavy lifting lives in [`crate::pipeline`] as composable stages;
 //! this module is the one-shot convenience API over them. The
-//! `cajade-service` crate chains the same stages around caches for
-//! interactive multi-question sessions.
+//! `cajade-service` crate runs the same per-graph loop over its query
+//! cache for interactive multi-question sessions.
 
 use cajade_graph::SchemaGraph;
 use cajade_query::{Query, QueryResult};
@@ -139,12 +139,22 @@ impl<'a> ExplanationSession<'a> {
 
     /// Runs the full pipeline for `query` and `question` by chaining the
     /// [`crate::pipeline`] stages: provenance → enumerate → materialize →
-    /// mine → rank.
+    /// prepare → mine → rank. Every graph is prepared in the question's
+    /// scope and kept ([`KeepNothing`](pipeline::KeepNothing)) only until
+    /// the call's mine stage.
     pub fn explain(&self, query: &Query, question: &UserQuestion) -> Result<SessionResult> {
         let prepared = pipeline::prepare(self.db, self.schema_graph, query, &self.params)?;
         let mining_question = pipeline::resolve_question(self.db, query, &prepared.pt, question)?;
-        let outcomes =
-            pipeline::materialize_and_mine(self.db, &prepared, &mining_question, &self.params)?;
+        let outcomes = pipeline::materialize_and_mine(
+            self.db,
+            &prepared,
+            &mining_question,
+            Some(&mining_question),
+            &self.params,
+            &pipeline::NoSharedStats,
+            &pipeline::KeepNothing,
+        )
+        .0?;
         Ok(pipeline::assemble(
             self.db,
             query,
@@ -270,17 +280,23 @@ mod tests {
                 &[("season_name", "2012-13")],
             )
             .unwrap();
-        let a: Vec<&str> = seq
-            .explanations
-            .iter()
-            .map(|e| e.pattern_desc.as_str())
-            .collect();
-        let b: Vec<&str> = par
-            .explanations
-            .iter()
-            .map(|e| e.pattern_desc.as_str())
-            .collect();
-        assert_eq!(a, b, "parallel mining must not change results");
+        // Parallel and sequential runs share the three-stage loop; the
+        // whole answer must agree, not only its pattern text.
+        let answer = |r: &SessionResult| -> Vec<_> {
+            (r.explanations.iter())
+                .map(|e| {
+                    let f = e.metrics.f_score.to_bits();
+                    (f, e.graph_index, e.pattern_desc.clone(), e.preds.clone())
+                })
+                .collect()
+        };
+        assert_eq!(
+            answer(&seq),
+            answer(&par),
+            "parallel mining must not change results"
+        );
+        assert_eq!(seq.apt_stats, par.apt_stats);
+        assert_eq!(seq.patterns_evaluated, par.patterns_evaluated);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The one-shot pipeline's parallel fan-out runs its workers under the
 //! caller's `Ctx`, so a collector installed around `explain` sees every
-//! worker span.
+//! worker span — in the three-stage shape of a service ask: one
+//! `materialize`, `prepare` and `mine` span, each the parent of its
+//! per-graph spans.
 
 use cajade_core::{ExplanationSession, Params, UserQuestion};
 use cajade_datagen::nba::{self, NbaConfig};
@@ -30,9 +32,19 @@ fn collector_around_parallel_explain_sees_every_worker_span() {
     let spans = collector.finish();
 
     assert!(result.num_graphs_mined > 1, "the fan-out must be parallel");
-    for name in ["materialize_apt", "mine_apt"] {
-        let n = spans.iter().filter(|r| r.name == name).count();
-        assert_eq!(n, result.num_graphs_mined, "{name} records");
+    for (name, stage) in [
+        ("materialize_apt", "materialize"),
+        ("prepare_apt", "prepare"),
+        ("mine_apt", "mine"),
+    ] {
+        let stages: Vec<_> = spans.iter().filter(|r| r.name == stage).collect();
+        assert_eq!(stages.len(), 1, "{stage} stage spans");
+        let per_graph: Vec<_> = spans.iter().filter(|r| r.name == name).collect();
+        assert_eq!(per_graph.len(), result.num_graphs_mined, "{name} records");
+        assert!(
+            per_graph.iter().all(|r| r.parent == Some(stages[0].id)),
+            "every {name} hangs under the {stage} span"
+        );
     }
     assert!(spans.iter().all(|r| r.trace == collector.trace_id()));
 }

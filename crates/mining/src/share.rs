@@ -39,9 +39,11 @@
 //! drop, which is the end of the ask's preparation stage.
 //!
 //! A share serves **one** provenance table, one [`MiningParams`] and one
-//! question scope: everything it holds was derived under them. The service
-//! makes one per ask, next to the column-statistics provider that hands it
-//! to `prepare` ([`ColumnStatsProvider::read_share`]).
+//! question scope: everything it holds was derived under them. The
+//! pipeline's per-graph loop (`cajade_core::pipeline::materialize_and_mine`,
+//! a library `explain` and a service ask alike) makes one per call and
+//! hands it to `prepare` inside the column-statistics provider
+//! ([`ColumnStatsProvider::read_share`]).
 //!
 //! A value is computed inside its entry's cell by the first reader to
 //! need it; readers of the same entry wait for that reader, others proceed.

@@ -18,9 +18,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use cajade_mining::{
-    base_column_stats, ColumnStats, ColumnStatsConfig, ColumnStatsProvider, ReadShare,
-};
+use cajade_mining::{base_column_stats, ColumnStats, ColumnStatsConfig, ColumnStatsProvider};
 use cajade_storage::Database;
 
 use crate::service::{RegisteredDb, ServiceInner};
@@ -44,37 +42,24 @@ impl ColumnStatsTable {
 }
 
 /// One ask's [`ColumnStatsProvider`]: the pinned registration's
-/// [`ColumnStatsTable`], plus the ask's [`ReadShare`] when it prepares
-/// more than one APT — what one graph's preparation read, the next takes
-/// from there before this provider is asked for the column's statistics
-/// at all.
+/// [`ColumnStatsTable`]. (The pipeline adds the ask's `ReadShare`.)
 pub(crate) struct DbColumnStats<'a> {
     inner: &'a ServiceInner,
     reg: &'a RegisteredDb,
     cfg: ColumnStatsConfig,
-    pub(crate) share: Option<ReadShare>,
 }
 
 impl<'a> DbColumnStats<'a> {
-    pub(crate) fn new(
-        inner: &'a ServiceInner,
-        reg: &'a RegisteredDb,
-        share: Option<ReadShare>,
-    ) -> Self {
+    pub(crate) fn new(inner: &'a ServiceInner, reg: &'a RegisteredDb) -> Self {
         DbColumnStats {
             inner,
             reg,
             cfg: ColumnStatsConfig::from_params(&inner.params.mining),
-            share,
         }
     }
 }
 
 impl ColumnStatsProvider for DbColumnStats<'_> {
-    fn read_share(&self) -> Option<&ReadShare> {
-        self.share.as_ref()
-    }
-
     fn column_stats(&self, table: &str, column: &str) -> Option<Arc<ColumnStats>> {
         let db = &self.reg.db;
         let ti = db.table_index(table)?;

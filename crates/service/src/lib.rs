@@ -56,11 +56,10 @@ mod session;
 mod stats;
 
 pub use cache::{CacheObs, CacheStats};
+pub use cajade_core::pipeline::PreparedGraph;
 pub use error::{ServiceError, ERROR_CODES};
 pub use keys::{AnswerKey, ProvKey};
-pub use service::{
-    ExplanationService, PreparedGraph, QueryEntry, RegisterOutcome, RegisteredDb, ServiceConfig,
-};
+pub use service::{ExplanationService, QueryEntry, RegisterOutcome, RegisteredDb, ServiceConfig};
 pub use session::{AskOptions, AskResult, SessionHandle};
 pub use stats::{IngestStats, ServiceStats};
 

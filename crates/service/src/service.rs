@@ -10,12 +10,11 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use cajade_core::pipeline::PreparedQuery;
+use cajade_core::pipeline::{GraphStore, PreparedGraph, PreparedQuery};
 use cajade_core::Params;
-use cajade_graph::{Apt, EnumeratedGraph, SchemaGraph};
+use cajade_graph::{EnumeratedGraph, SchemaGraph};
 use cajade_ingest::{IngestOptions, IngestReport};
-use cajade_mining::PreparedApt;
-use cajade_obs::Counter;
+use cajade_obs::{AllocScope, Counter};
 use cajade_query::parse_sql;
 use cajade_storage::Database;
 use parking_lot::{Mutex, RwLock};
@@ -31,29 +30,6 @@ use crate::{Result, ServiceError};
 /// Hard cap on concurrently-open sessions; opening beyond it evicts the
 /// oldest session id.
 const MAX_OPEN_SESSIONS: usize = 4096;
-
-/// One prepared join graph: its APT view and the question-independent
-/// mining preparation made from it, computed together, stored once in its
-/// query's [`QueryEntry`] and never changed. A *new* question on a
-/// prepared graph reuses both and skips straight to scoring.
-#[derive(Debug)]
-pub struct PreparedGraph {
-    /// The APT view — behind an `Arc` of its own because the ask derives
-    /// every missing view first, plans what their preparations will read
-    /// in common, and only then prepares each.
-    pub apt: Arc<Apt>,
-    /// Its mining preparation.
-    pub prep: PreparedApt,
-}
-
-impl PreparedGraph {
-    /// Approximate heap footprint: the APT view and the preparation. The
-    /// provenance-table columns the view reads are the [`QueryEntry`]'s,
-    /// counted there once for all of its graphs.
-    pub fn approx_bytes(&self) -> usize {
-        self.apt.approx_bytes() + self.prep.approx_bytes()
-    }
-}
 
 /// One provenance-cache value — everything the service keeps of a query:
 /// its provenance and enumeration, and, in one slot per enumerated graph,
@@ -82,44 +58,9 @@ impl QueryEntry {
         }
     }
 
-    /// Counted lookup of graph `gi`; waits for an ask that is preparing
-    /// it right now.
-    pub(crate) fn graph(&self, gi: usize, obs: &CacheObs) -> Option<Arc<PreparedGraph>> {
-        let found = self.slots[gi].lock().clone();
-        match found {
-            Some(_) => obs.hits.inc(),
-            None => obs.misses.inc(),
-        }
-        found
-    }
-
-    /// The fill half, for a caller whose lookup missed: under the slot's
-    /// lock, the graph another ask stored meanwhile (`coalesced` counts
-    /// it), else what `prepare` makes, stored unless its preparation was
-    /// truncated by the caller's budget — an unbudgeted ask must never
-    /// inherit a partial preparation computed under someone else's
-    /// deadline. Returns `(graph, prepared)`, `prepared` true when
-    /// `prepare` ran; if it panics the slot stays empty for the next
-    /// reader.
-    pub(crate) fn graph_or_prepare(
-        &self,
-        gi: usize,
-        obs: &CacheObs,
-        prepare: impl FnOnce() -> PreparedGraph,
-    ) -> (Arc<PreparedGraph>, bool) {
-        let mut slot = self.slots[gi].lock();
-        if let Some(graph) = &*slot {
-            obs.coalesced.inc();
-            return (Arc::clone(graph), false);
-        }
-        let graph = Arc::new(prepare());
-        if !graph.prep.truncated {
-            self.held.inc();
-            self.held_bytes.add(graph.approx_bytes() as u64);
-            *slot = Some(Arc::clone(&graph));
-            obs.inserts.inc();
-        }
-        (graph, true)
+    /// Slots filled so far.
+    pub(crate) fn filled(&self) -> u64 {
+        self.held.get()
     }
 
     /// Cache accounting for the whole entry: the provenance table
@@ -136,6 +77,57 @@ impl QueryEntry {
             })
             .sum::<usize>();
         self.query.pt.approx_bytes() + graphs + 256 + self.held_bytes.get() as usize
+    }
+}
+
+/// A query entry's slots as the pipeline's [`GraphStore`], counted in the
+/// service's `cache_apt_*` counters.
+pub(crate) struct EntrySlots<'a> {
+    pub(crate) entry: &'a QueryEntry,
+    pub(crate) obs: &'a CacheObs,
+}
+
+impl GraphStore for EntrySlots<'_> {
+    /// Counted lookup of graph `gi`.
+    fn graph(&self, gi: usize) -> Option<Arc<PreparedGraph>> {
+        let found = self.entry.slots[gi].lock().clone();
+        match found {
+            Some(_) => self.obs.hits.inc(),
+            None => self.obs.misses.inc(),
+        }
+        found
+    }
+
+    /// Under the slot's lock: the graph another ask stored meanwhile
+    /// (`coalesced` counts it), else what `prepare` makes, stored unless
+    /// its preparation was truncated by the caller's budget — an
+    /// unbudgeted ask must never inherit a partial preparation computed
+    /// under someone else's deadline. If `prepare` panics the slot stays
+    /// empty for the next reader.
+    fn graph_or_prepare(
+        &self,
+        gi: usize,
+        prepare: impl FnOnce() -> PreparedGraph,
+    ) -> (Arc<PreparedGraph>, bool) {
+        let mut slot = self.entry.slots[gi].lock();
+        if let Some(graph) = &*slot {
+            self.obs.coalesced.inc();
+            return (Arc::clone(graph), false);
+        }
+        cajade_obs::faults::failpoint_infallible("cache.apt_compute");
+        let graph = Arc::new(prepare());
+        if !graph.prep.truncated {
+            self.entry.held.inc();
+            self.entry.held_bytes.add(graph.approx_bytes() as u64);
+            *slot = Some(Arc::clone(&graph));
+            self.obs.inserts.inc();
+        }
+        (graph, true)
+    }
+
+    /// The entry retains views and preparations alike.
+    fn retain(&self) -> Option<AllocScope> {
+        Some(AllocScope::enter("cache.apt"))
     }
 }
 

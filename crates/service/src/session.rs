@@ -5,32 +5,34 @@
 //! for provenance, join-graph enumeration, APT materialization and the
 //! question-independent half of mining; the service caches them in one
 //! [`QueryEntry`] keyed by database epoch and canonical SQL — provenance
-//! and enumeration, and one immutable [`PreparedGraph`] per join graph —
+//! and enumeration, and one immutable
+//! [`PreparedGraph`](cajade_core::pipeline::PreparedGraph) per join graph —
 //! so later questions, from this handle or any other session on the same
 //! query, skip straight to scoring (§2.4's interactive usage pattern).
 //! Every stage runs under the service's one
 //! [`Params`](cajade_core::Params).
 //!
-//! An ask that finds some graphs missing makes one lookup per valid graph,
-//! derives the missing graphs' views through one [`AptBuilder`], plans one
-//! [`ReadShare`] over exactly those views, and prepares each under its
-//! slot's lock — the expensive half, which concurrent cold asks therefore
-//! do once; the view, which needs the ask's builder, they may both derive.
-//! Then every graph is mined in enumeration order.
+//! Stages 3–4 are the library's one per-graph loop,
+//! [`pipeline::materialize_and_mine`], run over the entry's slots
+//! (`EntrySlots`) in the scope of every question, with the registration's
+//! column statistics: one lookup per valid graph, the missing graphs'
+//! views derived through one builder, one read share planned over exactly
+//! those views, each prepared under its slot's lock — the expensive half,
+//! which concurrent cold asks therefore do once; the view they may both
+//! derive — then every graph mined in enumeration order. This module adds
+//! the answer cache, the entry's re-weighing and the service's counters.
 
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
-use cajade_core::pipeline::{self, GraphOutcome};
+use cajade_core::pipeline;
 use cajade_core::{SessionResult, UserQuestion};
-use cajade_graph::{Apt, AptBuilder};
-use cajade_mining::ReadShare;
 use cajade_obs::{span, Collector, SpanRecord, Stage};
 use cajade_query::Query;
 
 use crate::colstats::DbColumnStats;
 use crate::keys::{AnswerKey, ProvKey};
-use crate::service::{PreparedGraph, QueryEntry, RegisteredDb, ServiceInner};
+use crate::service::{EntrySlots, QueryEntry, RegisteredDb, ServiceInner};
 use crate::{Result, ServiceError};
 
 /// Per-ask knobs beyond the question itself.
@@ -83,15 +85,6 @@ pub struct SessionHandle {
     query: Query,
     sql: String,
     service: Weak<ServiceInner>,
-}
-
-/// What stage 3 of an ask found for one join graph.
-enum Resolved {
-    /// The prepared graph its query entry holds.
-    Hit(Arc<PreparedGraph>),
-    /// The view of a graph the entry does not hold, and what it took to
-    /// derive.
-    Miss(Arc<Apt>, Duration),
 }
 
 impl SessionHandle {
@@ -211,148 +204,44 @@ impl SessionHandle {
             pipeline::resolve_question(&reg.db, &self.query, &prepared.pt, question)?;
         drop(resolve_span);
 
-        // ---- Stage 3: one slot lookup per valid graph; a view per miss. ---
-        // The three stages from here on go through `pipeline::fan_out`, so
-        // their workers run under this thread's `Ctx`: stage span as
-        // parent, the request's budget, its alloc scopes.
-        //
-        // Misses are materialized through one `AptBuilder`, made by the
-        // first miss and dropped with this stage: graphs share the joins
-        // of their common prefixes, and an ask served from the cache
-        // builds none. A view is not latched — two racing cold asks may
-        // both derive a graph's view (16 ms of NBA's cold ask for all
-        // 202); the latch is on the preparation below (48 ms).
-        let valid = prepared.valid_graph_indices();
-        let mat_span = span("materialize");
-        let builder: OnceLock<AptBuilder<'_>> = OnceLock::new();
-        type Graph = (usize, Resolved);
-        let resolve_one = |&gi: &usize| -> Result<Option<Graph>> {
-            // Budget check at the per-graph boundary: an expired
-            // deadline skips the remaining graphs entirely — the ones
-            // already materialized still get mined, so the answer
-            // covers fewer join graphs rather than failing.
-            if cajade_obs::budget::stop("materialize") {
-                return Ok(None);
-            }
-            if let Some(hit) = entry.graph(gi, &inner.apt_obs) {
-                return Ok(Some((gi, Resolved::Hit(hit))));
-            }
-            // Attribute the retained view to the cache that will hold
-            // it (inclusive with "materialize").
-            let _mem = cajade_obs::AllocScope::enter("cache.apt");
-            let builder = builder.get_or_init(|| {
-                pipeline::begin_materialize(&reg.db, &prepared.pt, &prepared.graphs)
-            });
-            let (apt, wall) = pipeline::materialize(builder, gi)?;
-            Ok(Some((gi, Resolved::Miss(Arc::new(apt), wall))))
+        // ---- Stages 3–4: the pipeline's per-graph loop over the entry. -----
+        // Misses are prepared for every question (scope `None`), with the
+        // statistics the registration computed once per base column.
+        let slots = EntrySlots {
+            entry: &entry,
+            obs: &inner.apt_obs,
         };
-        let resolved: Result<Vec<Option<Graph>>> =
-            pipeline::fan_out(&inner.params, &valid, resolve_one);
-        if let Some(builder) = builder.into_inner() {
-            // Freed where the misses allocated it: under `cache.apt`.
-            let _mem = cajade_obs::AllocScope::enter("cache.apt");
-            let (applied, computed, index_builds) = pipeline::finish_materialize(builder);
-            inner.obs.apt_join_steps_total.add(applied);
-            inner.obs.apt_join_steps_computed_total.add(computed);
-            inner.obs.apt_index_builds_total.add(index_builds);
-        }
-        let resolved: Vec<Graph> = resolved?.into_iter().flatten().collect();
-        drop(mat_span);
-
-        // ---- Stage 3.5: question-independent mining preparation. --------
-        // Feature selection, the LCA candidate pool, fragment boundaries,
-        // and the scoring index/bitmaps depend only on the APT (and the
-        // service's parameters); they are computed once per graph, under
-        // its slot's lock — concurrent cold asks prepare a graph once —
-        // and reused by every later question. Per-column
-        // statistics (bin specs, fragment boundaries) are shared even
-        // further: the registration hands every graph after the first —
-        // and every later preparation touching the same context column —
-        // what it computed once for that base column.
-        //
-        // What the graphs of *this* ask read in common — the same base
-        // column through the same row-id vector, the scan order over the
-        // same `pt_row` vector — goes through the ask's `ReadShare`,
-        // planned here over the views of the misses and dropped with this
-        // stage. A warm ask plans nothing.
-        let prep_span = span("prepare");
-        let mut views = (resolved.iter())
-            .filter_map(|(_, r)| match r {
-                Resolved::Miss(view, _) => Some(view.as_ref()),
-                Resolved::Hit(_) => None,
-            })
-            .peekable();
-        let any_missing = views.peek().is_some();
-        let share = any_missing.then(|| {
-            // Like the prepared state it serves: under "cache.apt", in the
-            // stage's own scope.
-            let _mem = cajade_obs::AllocScope::enter("cache.apt");
-            let _stage = cajade_obs::AllocScope::enter("prepare");
-            ReadShare::plan(views)
-        });
-        let col_stats = DbColumnStats::new(&inner, &reg, share);
-        // `(graph, materialization wall, whether this ask prepared it)`.
-        type Ready = (usize, Arc<PreparedGraph>, Duration, bool);
-        let prepare_one = |(gi, resolved): &Graph| -> Ready {
-            let (apt, mat) = match resolved {
-                Resolved::Hit(graph) => return (*gi, Arc::clone(graph), Duration::ZERO, false),
-                Resolved::Miss(view, mat) => (view, *mat),
-            };
-            // `prepared` false: another ask stored the graph while this
-            // one derived its view.
-            let (graph, prepared) = entry.graph_or_prepare(*gi, &inner.apt_obs, || {
-                cajade_obs::faults::failpoint_infallible("cache.apt_compute");
-                // The entry retains view and preparation alike.
-                let _mem = cajade_obs::AllocScope::enter("cache.apt");
-                let prep =
-                    pipeline::prepare_mining(apt, &prepared.pt, &inner.params, &col_stats, None);
-                let apt = Arc::clone(apt);
-                PreparedGraph { apt, prep }
-            });
-            (*gi, graph, mat, prepared)
-        };
-        let ready = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pipeline::fan_out::<_, _, Vec<Ready>>(&inner.params, &resolved, prepare_one)
+        let col_stats = DbColumnStats::new(&inner, &reg);
+        let filled = entry.filled();
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pipeline::materialize_and_mine(
+                &reg.db,
+                prepared,
+                &mining_question,
+                None,
+                &inner.params,
+                &col_stats,
+                &slots,
+            )
         }));
-        if any_missing {
+        if entry.filled() != filled {
             // The one place the entry is weighed again: it grew by what
             // this ask stored in it — also when a worker panicked past the
             // graphs its siblings stored.
             inner.prov_cache.reweigh(prov_key, |e| e.approx_bytes());
         }
-        let ready = ready.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-        // The views of graphs another ask prepared first.
-        drop(resolved);
-        let apt_cache_misses = ready.iter().filter(|(_, _, _, computed)| *computed).count();
-        let apt_cache_hits = ready.len() - apt_cache_misses;
-        if let Some(share) = col_stats.share {
-            let (reads, computed) = share.column_reads();
-            inner.obs.prepare_column_reads_total.add(reads);
-            inner.obs.prepare_column_reads_computed_total.add(computed);
-            // Whatever a reader that never came left in it is freed where
-            // the preparations allocated it.
-            let _mem = cajade_obs::AllocScope::enter("cache.apt");
-            let _stage = cajade_obs::AllocScope::enter("prepare");
-            drop(share);
-        }
-        drop(prep_span);
-
-        // ---- Stage 4: mining (only the question-specific half). ---------
-        let mine_span = span("mine");
-        let mine_one = |(gi, graph, mat, computed): &Ready| -> GraphOutcome {
-            pipeline::mine_one_prepared(
-                &prepared.pt,
-                &graph.apt,
-                &graph.prep,
-                &mining_question,
-                &inner.params,
-                *gi,
-                *mat,
-                *computed,
-            )
-        };
-        let outcomes: Vec<GraphOutcome> = pipeline::fan_out(&inner.params, &ready, mine_one);
-        drop(mine_span);
+        let (outcomes, work) = run.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        let obs = &inner.obs;
+        obs.apt_join_steps_total.add(work.join_steps);
+        obs.apt_join_steps_computed_total
+            .add(work.join_steps_computed);
+        obs.apt_index_builds_total.add(work.index_builds);
+        obs.prepare_column_reads_total.add(work.column_reads);
+        obs.prepare_column_reads_computed_total
+            .add(work.column_reads_computed);
+        let outcomes = outcomes?;
+        let apt_cache_misses = work.graphs_prepared;
+        let apt_cache_hits = outcomes.len() - apt_cache_misses;
 
         // ---- Stage 5: assemble + rank. ----------------------------------
         let mut result =

@@ -10,6 +10,7 @@ use std::collections::BTreeSet;
 use cajade_core::{pipeline, Params, UserQuestion};
 use cajade_datagen::nba::{self, NbaConfig};
 use cajade_datagen::GeneratedDb;
+use cajade_graph::AptBuilder;
 use cajade_mining::source_column;
 use cajade_obs::faults;
 use cajade_query::parse_sql;
@@ -74,7 +75,7 @@ fn computed(service: &ExplanationService) -> usize {
 fn context_columns(gen: &GeneratedDb, sql: &str) -> BTreeSet<(String, String)> {
     let query = parse_sql(sql).unwrap();
     let prepared = pipeline::prepare(&gen.db, &gen.schema_graph, &query, &params()).unwrap();
-    let builder = pipeline::begin_materialize(&gen.db, &prepared.pt, &prepared.graphs);
+    let builder = AptBuilder::new(&gen.db, &prepared.pt, &prepared.graphs);
     let mut columns = BTreeSet::new();
     for gi in prepared.valid_graph_indices() {
         let (apt, _) = pipeline::materialize(&builder, gi).unwrap();
