@@ -1,7 +1,8 @@
-//! Column type, kind, and key inference over streamed CSV rows.
+//! Column type, kind, and key inference over tokenized CSV records.
 //!
-//! Pass 1 of the two-pass load: every record flows through a
-//! [`TableProfile`] that accumulates, per column,
+//! Pass 1 of the two-pass load: every record of a file flows, as the
+//! tokenizer's one reused [`Record`], through a [`TableProfile`] that
+//! accumulates, per column,
 //!
 //! * a **type lattice** position (`Int ⊑ Float ⊑ Str`): a cell that
 //!   fails integer parsing promotes the column to `Float`, a cell that
@@ -13,6 +14,10 @@
 //! * a capped **distinct-value sketch** driving key detection and the
 //!   categorical/numeric kind heuristic.
 //!
+//! A cell is classified only as far as its column's lattice position
+//! needs: a `Str` column only asks whether the cell is empty, a `Float`
+//! column whether it parses as `f64`.
+//!
 //! [`TableProfile::into_schema`] then synthesizes a [`Schema`]:
 //! single-column unique keys are marked primary, integer columns with
 //! id-like names or key status stay categorical (equality-only in the
@@ -20,7 +25,9 @@
 //! overrides the inference.
 
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 
+use cajade_storage::csv::Record;
 use cajade_storage::{AttrKind, DataType, Field, Schema};
 
 use crate::manifest::Manifest;
@@ -53,28 +60,14 @@ impl Default for InferConfig {
     }
 }
 
-/// What a cell's text parses as (cheapest check first).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CellClass {
-    Empty,
-    Int,
-    Float,
-    Str,
-}
-
-fn classify(raw: &str) -> CellClass {
-    let t = raw.trim();
-    if t.is_empty() {
-        // Whitespace-only cells are as empty as empty ones; a space-padded
-        // gap must not demote a numeric column to Str.
-        return CellClass::Empty;
-    }
+/// The type of a trimmed, non-empty cell (cheapest check first).
+fn cell_type(t: &str) -> DataType {
     if t.parse::<i64>().is_ok() {
-        CellClass::Int
+        DataType::Int
     } else if t.parse::<f64>().is_ok() {
-        CellClass::Float
+        DataType::Float
     } else {
-        CellClass::Str
+        DataType::Str
     }
 }
 
@@ -92,7 +85,7 @@ pub struct ColumnProfile {
     /// Non-empty cells seen.
     pub non_nulls: usize,
     /// Capped distinct sketch (FNV-hashed cell text).
-    distinct: HashSet<u64>,
+    distinct: HashSet<u64, BuildHasherDefault<PassThrough>>,
     /// True once the sketch hit its cap.
     pub distinct_truncated: bool,
 }
@@ -105,7 +98,7 @@ impl ColumnProfile {
             untyped: true,
             nulls: 0,
             non_nulls: 0,
-            distinct: HashSet::new(),
+            distinct: HashSet::default(),
             distinct_truncated: false,
         }
     }
@@ -129,31 +122,41 @@ impl ColumnProfile {
         self.dtype
     }
 
-    fn observe(&mut self, raw: &str, in_sample: bool, cfg: &InferConfig) {
-        let class = classify(raw);
-        if class == CellClass::Empty {
+    fn observe(&mut self, raw: &str, in_sample: bool, max_distinct: usize) {
+        let t = raw.trim();
+        if t.is_empty() {
+            // Whitespace-only cells are as empty as empty ones; a
+            // space-padded gap must not demote a numeric column to Str.
             self.nulls += 1;
             return;
         }
         self.non_nulls += 1;
         if in_sample {
-            let cell_type = match class {
-                CellClass::Int => DataType::Int,
-                CellClass::Float => DataType::Float,
-                CellClass::Str | CellClass::Empty => DataType::Str,
-            };
-            self.dtype = if self.untyped {
-                self.untyped = false;
-                cell_type
-            } else {
-                promote(self.dtype, cell_type)
-            };
+            self.refine(t);
         }
-        if self.distinct.len() < cfg.max_distinct {
-            self.distinct.insert(fnv1a(raw.trim().as_bytes()));
-        } else if !self.distinct.contains(&fnv1a(raw.trim().as_bytes())) {
+        let key = fnv1a(t.as_bytes());
+        if self.distinct.len() < max_distinct {
+            self.distinct.insert(key);
+        } else if !self.distinct.contains(&key) {
             self.distinct_truncated = true;
         }
+    }
+
+    /// Joins the lattice position with a non-empty cell's type, parsing
+    /// the cell only as far as the join can still move.
+    fn refine(&mut self, t: &str) {
+        if self.untyped {
+            self.untyped = false;
+            self.dtype = cell_type(t);
+            return;
+        }
+        self.dtype = match self.dtype {
+            DataType::Str => DataType::Str,
+            // Every `i64` text parses as `f64`, and Int ⊔ Float = Float.
+            DataType::Float if t.parse::<f64>().is_ok() => DataType::Float,
+            DataType::Float => DataType::Str,
+            DataType::Int => promote(DataType::Int, cell_type(t)),
+        };
     }
 }
 
@@ -176,7 +179,27 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Streaming profile of one CSV table (pass 1 of the two-pass load).
+/// Hashes the sketch's keys, already FNV hashes, as themselves.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0 << 8 | u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+}
+
+/// Profile of one CSV table (pass 1 of the two-pass load).
 #[derive(Debug)]
 pub struct TableProfile {
     /// Table name (file stem).
@@ -208,15 +231,14 @@ impl TableProfile {
     /// Feeds one record. Short records count missing fields as nulls;
     /// long records' extra fields are ignored; both are tallied as
     /// ragged.
-    pub fn observe_row(&mut self, fields: &[String]) {
+    pub fn observe_row(&mut self, fields: &Record) {
         if fields.len() != self.columns.len() {
             self.ragged_rows += 1;
         }
         let in_sample = self.rows < self.cfg.sample_rows;
-        let cfg = self.cfg.clone();
         for (i, col) in self.columns.iter_mut().enumerate() {
-            let raw = fields.get(i).map(String::as_str).unwrap_or("");
-            col.observe(raw, in_sample, &cfg);
+            let raw = fields.get(i).unwrap_or("");
+            col.observe(raw, in_sample, self.cfg.max_distinct);
         }
         self.rows += 1;
     }
@@ -314,8 +336,7 @@ mod tests {
         let header: Vec<String> = header.iter().map(|s| s.to_string()).collect();
         let mut p = TableProfile::new("t", &header, InferConfig::default());
         for r in rows {
-            let fields: Vec<String> = r.iter().map(|s| s.to_string()).collect();
-            p.observe_row(&fields);
+            p.observe_row(&r.iter().copied().collect());
         }
         p
     }
@@ -418,9 +439,10 @@ mod tests {
                 ..InferConfig::default()
             },
         );
-        p.observe_row(&["1".into()]);
-        p.observe_row(&["2".into()]);
-        p.observe_row(&["not a number".into()]); // beyond the window
+        for cell in ["1", "2", "not a number"] {
+            // The third row is beyond the window.
+            p.observe_row(&[cell].into_iter().collect());
+        }
         assert_eq!(p.columns[0].dtype(), DataType::Int);
         assert_eq!(p.rows, 3);
     }

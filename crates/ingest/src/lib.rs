@@ -10,15 +10,21 @@
 //!
 //! 1. **scan** — list `*.csv` files, parse an optional `dataset.toml`
 //!    [`Manifest`] (pinned kinds/keys/joins beat everything inferred);
-//! 2. **infer** — stream every file through a sampling type-inference
-//!    pass ([`infer`]): `Int ⊑ Float ⊑ Str` lattice with null detection,
-//!    capped distinct sketches, single-column key detection, and the
-//!    categorical/numeric kind heuristic of Definition 5;
-//! 3. **load** — second streaming pass parses cells under the inferred
-//!    schema into columnar [`cajade_storage::Table`]s (lenient by
-//!    default: post-sample type contradictions coerce to NULL and are
+//! 2. **infer** — read each file whole and walk its records through a
+//!    sampling type-inference pass ([`infer`]): `Int ⊑ Float ⊑ Str`
+//!    lattice with null detection, capped distinct sketches,
+//!    single-column key detection, and the categorical/numeric kind
+//!    heuristic of Definition 5;
+//! 3. **load** — read each file again and parse its cells under the
+//!    inferred schema into columnar [`cajade_storage::Table`]s (lenient
+//!    by default: post-sample type contradictions coerce to NULL and are
 //!    counted; [`IngestOptions::strict_types`] turns them into errors),
-//!    then certifies composite keys the single-column pass missed;
+//!    then certify composite keys the single-column pass missed;
+//!
+//! Both passes run on [`cajade_storage::csv::CsvTokenizer`]: one read
+//! and one UTF-8 check per file and pass, and one reused
+//! [`cajade_storage::csv::Record`], so neither allocates per line or per
+//! cell. A file's bytes are dropped before the next file is read.
 //! 4. **discover** — containment-based join discovery
 //!    ([`cajade_graph::extend_schema_graph`]) extends the manifest's
 //!    pinned joins into a full [`cajade_graph::SchemaGraph`], with
@@ -39,16 +45,13 @@ pub mod report;
 
 use std::collections::HashSet;
 use std::fmt;
-use std::fs::File;
-use std::io::BufReader;
 use std::path::{Path, PathBuf};
 
 use cajade_graph::{extend_schema_graph, DiscoveryConfig, SchemaGraph};
 use cajade_graph::{GraphError, JoinCond};
 use cajade_obs::Stage;
-use cajade_storage::{
-    parse_typed_cell, rowkey, CsvReader, DataType, Database, Schema, StorageError, Table,
-};
+use cajade_storage::csv::{CsvTokenizer, Record};
+use cajade_storage::{parse_typed_cell, rowkey, DataType, Database, Schema, StorageError, Table};
 
 pub use export::{export_csv_dir, ExportOptions};
 pub use infer::{InferConfig, TableProfile};
@@ -339,13 +342,11 @@ fn file_stem(path: &Path) -> String {
         .unwrap_or_else(|| "table".to_string())
 }
 
-fn open(path: &Path) -> Result<BufReader<File>> {
-    File::open(path)
-        .map(BufReader::new)
-        .map_err(|e| IngestError::Io {
-            path: path.to_path_buf(),
-            msg: e.to_string(),
-        })
+fn read(path: &Path) -> Result<Vec<u8>> {
+    std::fs::read(path).map_err(|e| IngestError::Io {
+        path: path.to_path_buf(),
+        msg: e.to_string(),
+    })
 }
 
 fn storage_err(table: &str, source: StorageError) -> IngestError {
@@ -357,14 +358,23 @@ fn storage_err(table: &str, source: StorageError) -> IngestError {
 
 /// Pass 1 over one file. Returns `None` for files without a header row.
 fn profile_file(path: &Path, table: &str, cfg: &InferConfig) -> Result<Option<TableProfile>> {
-    let mut rows = CsvReader::new(open(path)?);
-    let Some(header) = rows.next_row().map_err(|e| storage_err(table, e))? else {
+    let bytes = read(path)?;
+    let mut rows = CsvTokenizer::new(&bytes);
+    let mut rec = Record::new();
+    if !rows
+        .next_record(&mut rec)
+        .map_err(|e| storage_err(table, e))?
+    {
         return Ok(None);
-    };
+    }
+    let header: Vec<String> = rec.iter().map(str::to_string).collect();
     check_header(table, &header)?;
     let mut profile = TableProfile::new(table, &header, cfg.clone());
-    while let Some(row) = rows.next_row().map_err(|e| storage_err(table, e))? {
-        profile.observe_row(&row);
+    while rows
+        .next_record(&mut rec)
+        .map_err(|e| storage_err(table, e))?
+    {
+        profile.observe_row(&rec);
     }
     Ok(Some(profile))
 }
@@ -468,17 +478,23 @@ fn load_file(
     let arity = schema.arity();
     let dtypes: Vec<DataType> = schema.fields.iter().map(|f| f.dtype).collect();
     let mut table = Table::with_capacity(schema, profile.rows);
-    let mut rows = CsvReader::new(open(path)?);
-    rows.next_row().map_err(|e| storage_err(&table_name, e))?; // header
+    let bytes = read(path)?;
+    let mut rows = CsvTokenizer::new(&bytes);
+    let mut rec = Record::new();
+    rows.next_record(&mut rec)
+        .map_err(|e| storage_err(&table_name, e))?; // header
     let mut coerced_nulls = 0usize;
     let mut ragged_rows = 0usize;
-    while let Some(row) = rows.next_row().map_err(|e| storage_err(&table_name, e))? {
-        if row.len() != arity {
+    while rows
+        .next_record(&mut rec)
+        .map_err(|e| storage_err(&table_name, e))?
+    {
+        if rec.len() != arity {
             ragged_rows += 1;
         }
         let mut values = Vec::with_capacity(arity);
         for (i, &dtype) in dtypes.iter().enumerate() {
-            let raw = row.get(i).map(String::as_str).unwrap_or("");
+            let raw = rec.get(i).unwrap_or("");
             match parse_typed_cell(raw, dtype, db.pool_mut()) {
                 Some(v) => values.push(v),
                 None if options.strict_types => {
@@ -489,7 +505,7 @@ fn load_file(
                             msg: format!(
                                 "line {}: `{raw}` does not parse as {} (inferred from the \
                                  first {} rows)",
-                                rows.record_line(),
+                                rec.line(),
                                 dtype.name(),
                                 options.infer.sample_rows
                             ),

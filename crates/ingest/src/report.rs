@@ -10,9 +10,10 @@ use cajade_graph::JoinCandidate;
 pub struct IngestTimings {
     /// Directory scan + manifest parse.
     pub scan: Duration,
-    /// Pass 1: streaming type/key inference over every file.
+    /// Pass 1: type/key inference, each file read whole and tokenized.
     pub infer: Duration,
-    /// Pass 2: typed load into columnar tables (+ composite-key check).
+    /// Pass 2: each file read and tokenized again, cells parsed into
+    /// columnar tables (+ composite-key check).
     pub load: Duration,
     /// Containment-based join discovery + schema-graph assembly.
     pub discover: Duration,

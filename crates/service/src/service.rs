@@ -430,9 +430,10 @@ impl ExplanationService {
     }
 
     /// Registers a directory of CSV files under `name`: runs the full
-    /// ingestion pipeline (`cajade_ingest::ingest_dir` — streaming
-    /// type/key inference, manifest-honouring load, containment-based
-    /// join discovery) and registers the result like
+    /// ingestion pipeline (`cajade_ingest::ingest_dir` — type/key
+    /// inference and a manifest-honouring load, each pass tokenizing every
+    /// file read whole, then containment-based join discovery) and
+    /// registers the result like
     /// [`register_database`](Self::register_database). The ingested
     /// database is named `name`, so re-registering an unchanged
     /// directory keeps the epoch and every warm cache entry.

@@ -7,9 +7,12 @@
 //! optional UTF-8 BOM. Empty fields parse as NULL for numeric columns
 //! and as the empty string for string columns.
 //!
-//! [`CsvReader`] is the streaming record reader shared by the one-shot
-//! [`read_csv`] (schema known up front) and the ingestion subsystem's
-//! two-pass load (first pass infers the schema, second pass loads).
+//! [`CsvTokenizer`] is the one record reader. It walks a whole file's
+//! bytes, held in memory and checked as UTF-8 once, and refills one
+//! reusable [`Record`], so reading allocates nothing per line or per
+//! cell. The one-shot [`read_csv`] (schema known up front) and both
+//! passes of the ingestion subsystem's load (infer, then typed load)
+//! run on it.
 
 use std::io::{BufRead, Write};
 
@@ -43,20 +46,29 @@ pub fn write_csv<W: Write>(table: &Table, pool: &StringPool, out: &mut W) -> std
 
 /// Reads CSV into a new [`Table`] with the given schema. Columns are
 /// matched by header name (order-independent); missing columns error.
-pub fn read_csv<R: BufRead>(schema: Schema, pool: &mut StringPool, input: R) -> Result<Table> {
-    let mut rows = CsvReader::new(input);
-    let header = rows.next_row()?.ok_or_else(|| StorageError::Csv {
-        line: 0,
-        msg: "empty input (no header row)".into(),
-    })?;
+pub fn read_csv<R: BufRead>(schema: Schema, pool: &mut StringPool, mut input: R) -> Result<Table> {
+    let mut bytes = Vec::new();
+    input
+        .read_to_end(&mut bytes)
+        .map_err(|e| StorageError::Csv {
+            line: 1 + newlines(&bytes),
+            msg: e.to_string(),
+        })?;
+    let mut rows = CsvTokenizer::new(&bytes);
+    let mut rec = Record::new();
+    if !rows.next_record(&mut rec)? {
+        return Err(StorageError::Csv {
+            line: 0,
+            msg: "empty input (no header row)".into(),
+        });
+    }
 
     // Map schema field → header position.
     let mut positions = Vec::with_capacity(schema.arity());
     for f in &schema.fields {
         let pos =
-            header
-                .iter()
-                .position(|h| h == &f.name)
+            rec.iter()
+                .position(|h| h == f.name)
                 .ok_or_else(|| StorageError::NoSuchColumn {
                     table: schema.name.clone(),
                     column: f.name.clone(),
@@ -65,10 +77,10 @@ pub fn read_csv<R: BufRead>(schema: Schema, pool: &mut StringPool, input: R) -> 
     }
 
     let mut table = Table::new(schema);
-    while let Some(row) = rows.next_row()? {
+    while rows.next_record(&mut rec)? {
         let mut values = Vec::with_capacity(positions.len());
         for (fi, &pos) in positions.iter().enumerate() {
-            let raw = row.get(pos).map(String::as_str).unwrap_or("");
+            let raw = rec.get(pos).unwrap_or("");
             let field = &table.schema().fields[fi];
             let v = parse_typed_cell(raw, field.dtype, pool).ok_or_else(|| {
                 StorageError::TypeMismatch {
@@ -119,110 +131,191 @@ fn quote(s: &str) -> String {
     }
 }
 
-/// Streaming CSV record reader supporting quoted fields with embedded
-/// commas, quotes, and newlines, plus CRLF line ends and a UTF-8 BOM.
+/// The error an invalid UTF-8 byte gives, as `std::io` words it.
+const INVALID_UTF8: &str = "stream did not contain valid UTF-8";
+
+/// One CSV record: its unescaped fields back to back in one buffer, plus
+/// each field's end offset. [`CsvTokenizer::next_record`] refills it, so
+/// one `Record` serves a whole file and allocates only while a record
+/// outgrows every earlier one.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Record {
+    text: String,
+    ends: Vec<usize>,
+    line: u64,
+}
+
+impl Record {
+    /// An empty record, ready to be filled.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of fields.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True iff the record has no field (only before the first fill).
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The `i`-th field, unescaped.
+    pub fn get(&self, i: usize) -> Option<&str> {
+        let end = *self.ends.get(i)?;
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        Some(&self.text[start..end])
+    }
+
+    /// The fields in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        (0..self.len()).map(|i| self.get(i).unwrap_or_default())
+    }
+
+    /// 1-based physical line where the record starts (0 for a record
+    /// built from fields).
+    pub fn line(&self) -> u64 {
+        self.line
+    }
+}
+
+impl<'a> FromIterator<&'a str> for Record {
+    fn from_iter<I: IntoIterator<Item = &'a str>>(fields: I) -> Self {
+        let mut rec = Record::new();
+        for field in fields {
+            rec.text.push_str(field);
+            rec.ends.push(rec.text.len());
+        }
+        rec
+    }
+}
+
+/// Tokenizes a CSV file's bytes, held in memory, into [`Record`]s.
 ///
-/// Tracks physical line numbers so parse failures can be reported
-/// against the source file ([`StorageError::Csv`]). Blank lines between
-/// records are skipped.
-pub struct CsvReader<R: BufRead> {
-    input: R,
-    /// Physical lines consumed so far.
-    lines_read: u64,
-    /// Line where the most recently returned record started.
-    record_line: u64,
-    first: bool,
+/// Quoted fields may embed commas, `""`-escaped quotes and newlines: a
+/// `\n` ends a record only outside quotes. Trailing `\r`/`\n` are trimmed
+/// off each record, blank records are skipped, and a UTF-8 byte-order
+/// mark at the head of the file is dropped.
+///
+/// The bytes are checked as UTF-8 once, up front. A file with an invalid
+/// byte still yields every record before the line that holds it; the
+/// record that reaches that line is a [`StorageError::Csv`] naming it.
+#[derive(Debug, Clone)]
+pub struct CsvTokenizer<'a> {
+    /// The valid text: the whole file, or the lines before the first
+    /// invalid byte.
+    text: &'a str,
+    /// Byte offset of the next record.
+    pos: usize,
+    /// 1-based physical line at `pos`.
+    line: u64,
+    /// The line holding the first invalid byte, if any.
+    bad_line: Option<u64>,
 }
 
-impl<R: BufRead> CsvReader<R> {
-    /// Wraps a buffered reader.
-    pub fn new(input: R) -> Self {
+impl<'a> CsvTokenizer<'a> {
+    /// Checks `bytes` as UTF-8 and strips a leading byte-order mark.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        let (text, bad_line) = match std::str::from_utf8(bytes) {
+            Ok(text) => (text, None),
+            Err(e) => {
+                let valid = &bytes[..e.valid_up_to()];
+                let line_start = valid.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+                let text = std::str::from_utf8(&valid[..line_start])
+                    .expect("a valid prefix cut after a newline is valid");
+                (text, Some(1 + newlines(valid)))
+            }
+        };
         Self {
-            input,
-            lines_read: 0,
-            record_line: 0,
-            first: true,
+            text: text.strip_prefix('\u{feff}').unwrap_or(text),
+            pos: 0,
+            line: 1,
+            bad_line,
         }
     }
 
-    /// 1-based physical line where the last record returned by
-    /// [`next_row`](Self::next_row) started (0 before the first record).
-    pub fn record_line(&self) -> u64 {
-        self.record_line
+    /// Fills `rec` with the next record. Returns `Ok(false)` at the end
+    /// of the file.
+    pub fn next_record(&mut self, rec: &mut Record) -> Result<bool> {
+        let text = self.text;
+        let bytes = text.as_bytes();
+        loop {
+            if self.pos == bytes.len() {
+                return self.end_of_text().map(|()| false);
+            }
+            rec.text.clear();
+            rec.ends.clear();
+            rec.line = self.line;
+            let mut i = self.pos;
+            let mut in_quotes = false;
+            let mut quoted = false;
+            // Trailing `\r`/`\n` are trimmed back to here at most: the
+            // last quote or comma.
+            let mut keep = 0;
+            loop {
+                let start = i;
+                if in_quotes {
+                    while i < bytes.len() && bytes[i] != b'"' {
+                        self.line += u64::from(bytes[i] == b'\n');
+                        i += 1;
+                    }
+                } else {
+                    while i < bytes.len() && !matches!(bytes[i], b',' | b'"' | b'\n') {
+                        i += 1;
+                    }
+                }
+                rec.text.push_str(&text[start..i]);
+                if i == bytes.len() {
+                    self.end_of_text()?;
+                    break;
+                }
+                match bytes[i] {
+                    b'"' if in_quotes && bytes.get(i + 1) == Some(&b'"') => {
+                        rec.text.push('"');
+                        i += 1;
+                    }
+                    b'"' => {
+                        in_quotes = !in_quotes;
+                        quoted = true;
+                    }
+                    b',' => rec.ends.push(rec.text.len()),
+                    _ => {
+                        self.line += 1;
+                        i += 1;
+                        break;
+                    }
+                }
+                i += 1;
+                keep = rec.text.len();
+            }
+            self.pos = i;
+            while rec.text.len() > keep && rec.text.ends_with(['\r', '\n']) {
+                rec.text.pop();
+            }
+            if rec.ends.is_empty() && !quoted && rec.text.is_empty() {
+                continue; // a blank line
+            }
+            rec.ends.push(rec.text.len());
+            return Ok(true);
+        }
     }
 
-    /// Reads the next logical record (which may span multiple physical
-    /// lines when a quoted field embeds newlines). Returns `Ok(None)` at
-    /// end of input.
-    pub fn next_row(&mut self) -> Result<Option<Vec<String>>> {
-        loop {
-            let mut raw = String::new();
-            let start_line = self.lines_read + 1;
-            // Accumulate physical lines until quotes balance (embedded \n).
-            loop {
-                let mut line = String::new();
-                let n = self
-                    .input
-                    .read_line(&mut line)
-                    .map_err(|e| StorageError::Csv {
-                        line: self.lines_read + 1,
-                        msg: e.to_string(),
-                    })?;
-                if n == 0 {
-                    if raw.is_empty() {
-                        return Ok(None);
-                    }
-                    break;
-                }
-                self.lines_read += 1;
-                if self.first {
-                    // Strip a UTF-8 byte-order mark from the head of the file.
-                    if let Some(rest) = line.strip_prefix('\u{feff}') {
-                        line = rest.to_string();
-                    }
-                    self.first = false;
-                }
-                raw.push_str(&line);
-                if raw.matches('"').count().is_multiple_of(2) {
-                    break;
-                }
-            }
-            let raw = raw.trim_end_matches(['\n', '\r']);
-            if raw.is_empty() {
-                // Skip blank lines between records.
-                continue;
-            }
-            self.record_line = start_line;
-            return Ok(Some(split_record(raw)));
+    /// The end of the valid text: the end of the file, or the line with
+    /// the invalid byte.
+    fn end_of_text(&self) -> Result<()> {
+        match self.bad_line {
+            None => Ok(()),
+            Some(line) => Err(StorageError::Csv {
+                line,
+                msg: INVALID_UTF8.into(),
+            }),
         }
     }
 }
 
-/// Splits one logical record into fields, honouring quoting.
-fn split_record(raw: &str) -> Vec<String> {
-    let mut fields = Vec::new();
-    let mut cur = String::new();
-    let mut chars = raw.chars().peekable();
-    let mut in_quotes = false;
-    while let Some(c) = chars.next() {
-        match c {
-            '"' if in_quotes => {
-                if chars.peek() == Some(&'"') {
-                    chars.next();
-                    cur.push('"');
-                } else {
-                    in_quotes = false;
-                }
-            }
-            '"' => in_quotes = true,
-            ',' if !in_quotes => {
-                fields.push(std::mem::take(&mut cur));
-            }
-            c => cur.push(c),
-        }
-    }
-    fields.push(cur);
-    fields
+fn newlines(bytes: &[u8]) -> u64 {
+    bytes.iter().filter(|&&b| b == b'\n').count() as u64
 }
 
 #[cfg(test)]
@@ -311,26 +404,77 @@ mod tests {
         assert!(matches!(err, StorageError::Csv { line: 0, .. }));
     }
 
+    /// Every record of `csv` as `(line, fields)`.
+    fn records(csv: &str) -> Vec<(u64, Vec<String>)> {
+        let mut rows = CsvTokenizer::new(csv.as_bytes());
+        let mut rec = Record::new();
+        let mut out = Vec::new();
+        while rows.next_record(&mut rec).unwrap() {
+            out.push((rec.line(), rec.iter().map(str::to_string).collect()));
+        }
+        out
+    }
+
     #[test]
-    fn reader_tracks_record_lines_across_embedded_newlines() {
+    fn tokenizer_tracks_record_lines_across_embedded_newlines() {
         let csv = "id,name\n1,\"a\nb\"\n2,c\n";
-        let mut r = CsvReader::new(csv.as_bytes());
-        r.next_row().unwrap().unwrap(); // header
-        assert_eq!(r.record_line(), 1);
-        let row = r.next_row().unwrap().unwrap();
-        assert_eq!(row, vec!["1", "a\nb"]);
-        assert_eq!(r.record_line(), 2);
-        let row = r.next_row().unwrap().unwrap();
-        assert_eq!(row, vec!["2", "c"]);
-        assert_eq!(r.record_line(), 4, "quoted field consumed two lines");
-        assert!(r.next_row().unwrap().is_none());
+        assert_eq!(
+            records(csv),
+            vec![
+                (1, vec!["id".to_string(), "name".to_string()]),
+                (2, vec!["1".to_string(), "a\nb".to_string()]),
+                (4, vec!["2".to_string(), "c".to_string()]),
+            ],
+            "the quoted field consumed two lines"
+        );
     }
 
     #[test]
     fn bom_and_crlf_are_transparent() {
         let csv = "\u{feff}id,name\r\n1,x\r\n";
-        let mut r = CsvReader::new(csv.as_bytes());
-        assert_eq!(r.next_row().unwrap().unwrap(), vec!["id", "name"]);
-        assert_eq!(r.next_row().unwrap().unwrap(), vec!["1", "x"]);
+        let fields: Vec<Vec<String>> = records(csv).into_iter().map(|(_, f)| f).collect();
+        assert_eq!(fields, vec![vec!["id", "name"], vec!["1", "x"]]);
+    }
+
+    #[test]
+    fn trailing_line_ends_are_trimmed_outside_the_last_quote_only() {
+        let fields =
+            |csv: &str| -> Vec<Vec<String>> { records(csv).into_iter().map(|(_, f)| f).collect() };
+        assert_eq!(fields("a,\"b\r\"\r\r\n"), vec![vec!["a", "b\r"]]);
+        // An unterminated quote runs to the end of the file, which is
+        // trimmed like any record's end.
+        assert_eq!(fields("a,\"b\nc\n\n"), vec![vec!["a", "b\nc"]]);
+        // A line of `\r`s is blank; a line holding only `""` is not.
+        assert_eq!(fields("\r\n\"\"\n"), vec![vec![""]]);
+    }
+
+    #[test]
+    fn invalid_utf8_fails_at_its_line_after_the_records_before_it() {
+        let mut bytes = b"id,name\n1,\"a\nb\"\n2,".to_vec();
+        bytes.push(0xff);
+        bytes.extend_from_slice(b"\n3,c\n");
+        let mut rows = CsvTokenizer::new(&bytes);
+        let mut rec = Record::new();
+        assert!(rows.next_record(&mut rec).unwrap());
+        assert!(rows.next_record(&mut rec).unwrap());
+        assert_eq!(rec.get(1), Some("a\nb"));
+        let err = rows.next_record(&mut rec).unwrap_err();
+        assert_eq!(
+            err,
+            StorageError::Csv {
+                line: 4,
+                msg: INVALID_UTF8.into()
+            }
+        );
+    }
+
+    #[test]
+    fn quoted_field_spanning_many_lines_is_linear() {
+        let lines = 200_000;
+        let csv = format!("id,notes\n1,\"{}\"\n2,x\n", "line\n".repeat(lines));
+        let got = records(&csv);
+        assert_eq!(got.len(), 3);
+        assert_eq!(got[1].1[1].len(), 5 * lines);
+        assert_eq!(got[2].0, 3 + lines as u64);
     }
 }

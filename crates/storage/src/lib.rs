@@ -48,7 +48,7 @@ mod table;
 mod value;
 
 pub use column::{Column, NullMask};
-pub use csv::{parse_typed_cell, read_csv, write_csv, CsvReader};
+pub use csv::{parse_typed_cell, read_csv, write_csv};
 pub use database::{Database, ForeignKey};
 pub use error::StorageError;
 pub use pool::{StrId, StringPool};
