@@ -172,54 +172,21 @@ pub fn discover_joins(db: &Database, cfg: &DiscoveryConfig) -> Vec<JoinCandidate
     }
 
     let mut out = Vec::new();
-    for a in &cols {
-        for b in &cols {
-            if a.table == b.table {
+    for (i, a) in cols.iter().enumerate() {
+        for b in &cols[i + 1..] {
+            if a.table == b.table || a.dtype != b.dtype {
                 continue;
             }
-            if a.dtype != b.dtype {
-                continue;
-            }
-            // Directional: a ⊆ b with b near-unique.
+            // One intersection serves both directions.
             let inter = a.values.intersection(&b.values).count();
-            let containment = inter as f64 / a.values.len() as f64;
-            if containment < cfg.min_containment {
-                continue;
-            }
-            let to_uniqueness = if b.rows == 0 || b.truncated {
-                0.0
-            } else {
-                b.values.len() as f64 / b.rows as f64
-            };
-            if to_uniqueness < cfg.min_to_uniqueness {
-                continue;
-            }
-            let to_coverage = inter as f64 / b.values.len().max(1) as f64;
-            if to_coverage < cfg.min_to_coverage {
-                continue;
-            }
-            let name_bonus = if a.col == b.col {
-                0.1
-            } else if a.col.contains(&b.col) || b.col.contains(&a.col) {
-                0.05
-            } else {
-                0.0
-            };
-            out.push(JoinCandidate {
-                from_table: a.table.clone(),
-                from_col: a.col.clone(),
-                to_table: b.table.clone(),
-                to_col: b.col.clone(),
-                containment,
-                to_uniqueness,
-                to_coverage,
-                score: containment * to_uniqueness + name_bonus,
-            });
+            out.extend(candidate(a, b, inter, cfg));
+            out.extend(candidate(b, a, inter, cfg));
         }
     }
     // Strongest first: score, then target coverage (breaks the dense-
     // surrogate-key ties in favour of the fully-referenced key), then a
-    // lexicographic tail for determinism.
+    // lexicographic tail for determinism. The order is total, so the
+    // order candidates were found in does not matter.
     out.sort_by(|x, y| {
         y.score
             .total_cmp(&x.score)
@@ -240,6 +207,49 @@ pub fn discover_joins(db: &Database, cfg: &DiscoveryConfig) -> Vec<JoinCandidate
             })
     });
     out
+}
+
+/// The directional candidate `a ⊆ b` with `b` near-unique, given the two
+/// value sets' intersection size, if it passes the thresholds.
+fn candidate(
+    a: &ColumnSet,
+    b: &ColumnSet,
+    inter: usize,
+    cfg: &DiscoveryConfig,
+) -> Option<JoinCandidate> {
+    let containment = inter as f64 / a.values.len() as f64;
+    if containment < cfg.min_containment {
+        return None;
+    }
+    let to_uniqueness = if b.rows == 0 || b.truncated {
+        0.0
+    } else {
+        b.values.len() as f64 / b.rows as f64
+    };
+    if to_uniqueness < cfg.min_to_uniqueness {
+        return None;
+    }
+    let to_coverage = inter as f64 / b.values.len().max(1) as f64;
+    if to_coverage < cfg.min_to_coverage {
+        return None;
+    }
+    let name_bonus = if a.col == b.col {
+        0.1
+    } else if a.col.contains(&b.col) || b.col.contains(&a.col) {
+        0.05
+    } else {
+        0.0
+    };
+    Some(JoinCandidate {
+        from_table: a.table.clone(),
+        from_col: a.col.clone(),
+        to_table: b.table.clone(),
+        to_col: b.col.clone(),
+        containment,
+        to_uniqueness,
+        to_coverage,
+        score: containment * to_uniqueness + name_bonus,
+    })
 }
 
 /// Builds a schema graph from discovered joins (top `max_edges` candidates
