@@ -157,10 +157,12 @@ impl Manifest {
             }
             Section::Discovery => match key {
                 "enabled" => self.discovery_enabled = Some(value.into_bool(lineno)?),
-                "min_containment" => self.min_containment = Some(value.into_f64(lineno)?),
-                "min_to_uniqueness" => self.min_to_uniqueness = Some(value.into_f64(lineno)?),
-                "min_to_coverage" => self.min_to_coverage = Some(value.into_f64(lineno)?),
-                "max_joins" => self.max_joins = Some(value.into_f64(lineno)? as usize),
+                "min_containment" => self.min_containment = Some(value.into_share(key, lineno)?),
+                "min_to_uniqueness" => {
+                    self.min_to_uniqueness = Some(value.into_share(key, lineno)?)
+                }
+                "min_to_coverage" => self.min_to_coverage = Some(value.into_share(key, lineno)?),
+                "max_joins" => self.max_joins = Some(value.into_count(key, lineno)?),
                 _ => {}
             },
             Section::Table(table) => {
@@ -374,6 +376,29 @@ impl Value {
         }
     }
 
+    /// A threshold: a finite number in [0, 1]. `nan` would switch its
+    /// filter off (every comparison with it is false).
+    fn into_share(self, key: &str, lineno: usize) -> Result<f64> {
+        match self.into_f64(lineno)? {
+            n if (0.0..=1.0).contains(&n) => Ok(n),
+            n => err(
+                lineno,
+                &format!("{key} must be a number in [0, 1], not {n:?}"),
+            ),
+        }
+    }
+
+    /// A count: a non-negative integer that `usize` holds exactly.
+    fn into_count(self, key: &str, lineno: usize) -> Result<usize> {
+        match self.into_f64(lineno)? {
+            n if n >= 0.0 && n.fract() == 0.0 && n < usize::MAX as f64 => Ok(n as usize),
+            n => err(
+                lineno,
+                &format!("{key} must be a non-negative integer, not {n:?}"),
+            ),
+        }
+    }
+
     fn into_bool(self, lineno: usize) -> Result<bool> {
         match self {
             Value::Bool(b) => Ok(b),
@@ -482,6 +507,78 @@ to_columns = ["game_date", "home_id"]
     fn discovery_coverage_override_parses() {
         let m = Manifest::parse("[discovery]\nmin_to_coverage = 0.2\n").unwrap();
         assert_eq!(m.min_to_coverage, Some(0.2));
+    }
+
+    /// Every `[discovery]` threshold `value` is rejected at line 2.
+    fn assert_thresholds_rejected(value: &str) {
+        for key in ["min_containment", "min_to_uniqueness", "min_to_coverage"] {
+            let text = format!("[discovery]\n{key} = {value}\n");
+            match Manifest::parse(&text) {
+                Err(IngestError::Manifest { line: 2, msg }) => {
+                    assert!(msg.contains(key), "{text:?}: {msg}")
+                }
+                other => panic!("{text:?} → {other:?}"),
+            }
+        }
+    }
+
+    /// `max_joins = value` is rejected at line 2.
+    fn assert_max_joins_rejected(value: &str) {
+        let text = format!("[discovery]\nmax_joins = {value}\n");
+        match Manifest::parse(&text) {
+            Err(IngestError::Manifest { line: 2, msg }) => {
+                assert!(msg.contains("max_joins"), "{text:?}: {msg}")
+            }
+            other => panic!("{text:?} → {other:?}"),
+        }
+    }
+
+    #[test]
+    fn nan_threshold_is_rejected() {
+        assert_thresholds_rejected("nan");
+        assert_thresholds_rejected("NaN");
+    }
+
+    #[test]
+    fn infinite_threshold_is_rejected() {
+        assert_thresholds_rejected("inf");
+        assert_thresholds_rejected("-infinity");
+    }
+
+    #[test]
+    fn threshold_outside_the_unit_interval_is_rejected() {
+        assert_thresholds_rejected("-0.1");
+        assert_thresholds_rejected("1.5");
+    }
+
+    #[test]
+    fn thresholds_at_the_unit_interval_bounds_parse() {
+        let m = Manifest::parse("[discovery]\nmin_containment = 0\nmin_to_coverage = 1\n").unwrap();
+        assert_eq!(m.min_containment, Some(0.0));
+        assert_eq!(m.min_to_coverage, Some(1.0));
+    }
+
+    #[test]
+    fn negative_max_joins_is_rejected() {
+        assert_max_joins_rejected("-3");
+    }
+
+    #[test]
+    fn fractional_max_joins_is_rejected() {
+        assert_max_joins_rejected("2.5");
+    }
+
+    #[test]
+    fn infinite_or_nan_max_joins_is_rejected() {
+        assert_max_joins_rejected("inf");
+        assert_max_joins_rejected("nan");
+        assert_max_joins_rejected("1e300");
+    }
+
+    #[test]
+    fn zero_max_joins_parses() {
+        let m = Manifest::parse("[discovery]\nmax_joins = 0\n").unwrap();
+        assert_eq!(m.max_joins, Some(0));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!
 //! | op | request fields | response fields |
 //! |---|---|---|
-//! | `register` | `db`, plus either `dataset` (`nba`\|`mimic`) with `scale`? (synthetic source) or `source:"csv_dir"` with `path`, `strict`?, `max_joins`? | `epoch`, `fingerprint`, `replaced`, `tables`, `rows`; csv_dir adds an `ingest` report (per-stage timings, per-table stats, join provenance, warnings) |
+//! | `register` | `db`, plus either `dataset` (`nba`\|`mimic`) with `scale`? (synthetic source) or `source:"csv_dir"` with `path`, `strict`? (bool), `max_joins`? (non-negative integer; either one malformed is a `bad_request`) | `epoch`, `fingerprint`, `replaced`, `tables`, `rows`; csv_dir adds an `ingest` report (per-stage timings, per-table stats, join provenance, warnings) |
 //! | `query` | `db`, `sql`, `preview`? (default `true`) | `session`, `columns`, `rows` (≤ `max_rows`, default 50); with `preview: true` warms the provenance cache; reuses an existing session on the same `(db, sql)` |
 //! | `ask` | `session`, `t1`+`t2` or `t` (objects of col→value), `trace`? (default `false`), `timeout_ms`? (request budget) | `explanations`, `cache`, `timings`; with `trace: true` adds a `trace` span-tree array; a budget-truncated answer adds `degraded: true` plus the `truncated` site list |
 //! | `stats` | — | service counters + the two caches and the prepared graphs the provenance cache holds + cumulative ingest stats |
@@ -171,11 +171,22 @@ fn handle_register_csv_dir(service: &ExplanationService, req: &Json, db_name: &s
         Err(e) => return e,
     };
     let mut options = cajade_ingest::IngestOptions::default();
-    if let Some(strict) = req.get("strict").and_then(Json::as_bool) {
-        options.strict_types = strict;
+    if let Some(strict) = req.get("strict") {
+        match strict.as_bool() {
+            Some(strict) => options.strict_types = strict,
+            None => return err("bad_request", "\"strict\" must be true or false"),
+        }
     }
-    if let Some(max_joins) = req.get("max_joins").and_then(Json::as_u64) {
-        options.max_discovered_joins = Some(max_joins as usize);
+    if let Some(max_joins) = req.get("max_joins") {
+        match max_joins.as_u64().and_then(|n| usize::try_from(n).ok()) {
+            Some(n) => options.max_discovered_joins = Some(n),
+            None => {
+                return err(
+                    "bad_request",
+                    "\"max_joins\" must be a non-negative integer",
+                )
+            }
+        }
     }
     let (outcome, report) = match service.register_csv_dir(db_name, path, &options) {
         Ok(r) => r,
@@ -851,6 +862,71 @@ mod tests {
                     .and_then(Json::as_str),
                 Some("bad_request"),
                 "timeout_ms={timeout}: {resp:?}"
+            );
+        }
+    }
+
+    /// A csv_dir `register`'s `max_joins` and `strict` are outside input
+    /// too: anything but a non-negative integer or a bool is a
+    /// `bad_request`, never a silent fall-back to the default.
+    #[test]
+    fn register_options_are_validated_never_trusted() {
+        let register = |option: &str| {
+            let service = ExplanationService::default();
+            let resp = handle_line(
+                &service,
+                &format!(
+                    r#"{{"op":"register","db":"retail","source":"csv_dir","path":"{}/../../tests/data/retail_csv"{option}}}"#,
+                    env!("CARGO_MANIFEST_DIR")
+                ),
+            );
+            assert_eq!(service.obs().requests_panicked_total.get(), 0, "{resp:?}");
+            resp
+        };
+        let discovered = |resp: &Json| {
+            let joins = resp.get("ingest").and_then(|i| i.get("joins"));
+            let joins = joins.and_then(Json::as_array).expect("joins");
+            joins
+                .iter()
+                .filter(|j| j.get("origin").and_then(Json::as_str) == Some("discovered"))
+                .count()
+        };
+        assert_eq!(discovered(&register("")), 1);
+        for (option, accepted) in [
+            (r#","max_joins":0"#, true),
+            (r#","max_joins":8"#, true),
+            (r#","max_joins":-1"#, false),
+            (r#","max_joins":2.5"#, false),
+            (r#","max_joins":"8""#, false),
+            (r#","max_joins":null"#, false),
+            (r#","max_joins":1e300"#, false),
+            (r#","strict":true"#, true),
+            (r#","strict":false"#, true),
+            (r#","strict":1"#, false),
+            (r#","strict":"true""#, false),
+            (r#","strict":null"#, false),
+        ] {
+            let resp = register(option);
+            if accepted {
+                assert_eq!(
+                    resp.get("ok"),
+                    Some(&Json::Bool(true)),
+                    "{option}: {resp:?}"
+                );
+                let want = if option.contains("max_joins\":0") {
+                    0
+                } else {
+                    1
+                };
+                assert_eq!(discovered(&resp), want, "{option}");
+                continue;
+            }
+            assert_eq!(
+                resp.get("error")
+                    .and_then(|e| e.get("code"))
+                    .and_then(Json::as_str),
+                Some("bad_request"),
+                "{option}: {resp:?}"
             );
         }
     }
