@@ -11,8 +11,8 @@
 //!   count nulls/distincts but no longer refine the type (the paper-\
 //!   scale corpora are far too large for full-scan inference),
 //! * **null statistics** (empty cells are NULL for numeric columns),
-//! * a capped **distinct-value sketch** driving key detection and the
-//!   categorical/numeric kind heuristic.
+//! * a capped **distinct-value sketch** (FNV hashes of the cell text)
+//!   driving key detection and the categorical/numeric kind heuristic.
 //!
 //! A cell is classified only as far as its column's lattice position
 //! needs: a `Str` column only asks whether the cell is empty, a `Float`
@@ -25,7 +25,7 @@
 //! overrides the inference.
 
 use std::collections::HashSet;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasher, Hasher, RandomState};
 
 use cajade_storage::csv::Record;
 use cajade_storage::{AttrKind, DataType, Field, Schema};
@@ -85,7 +85,7 @@ pub struct ColumnProfile {
     /// Non-empty cells seen.
     pub non_nulls: usize,
     /// Capped distinct sketch (FNV-hashed cell text).
-    distinct: HashSet<u64, BuildHasherDefault<PassThrough>>,
+    distinct: HashSet<u64, SketchKey>,
     /// True once the sketch hit its cap.
     pub distinct_truncated: bool,
 }
@@ -179,23 +179,52 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Hashes the sketch's keys, already FNV hashes, as themselves.
-#[derive(Default)]
-struct PassThrough(u64);
+/// Builds [`SketchHasher`]s under one random key per sketch.
+///
+/// The sketch's keys are already FNV hashes, so SipHash over them buys
+/// only its key: a file's cells can be chosen to make FNV values collide
+/// in whatever bits a table indexes by. One multiply under a random key
+/// keeps that protection at a fraction of SipHash's cost.
+#[derive(Debug, Clone)]
+struct SketchKey(u64);
 
-impl Hasher for PassThrough {
+impl Default for SketchKey {
+    fn default() -> Self {
+        SketchKey(RandomState::new().hash_one(0u64))
+    }
+}
+
+impl BuildHasher for SketchKey {
+    type Hasher = SketchHasher;
+
+    fn build_hasher(&self) -> SketchHasher {
+        SketchHasher {
+            key: self.0,
+            hash: 0,
+        }
+    }
+}
+
+/// Folded multiply of a `u64` key under [`SketchKey`]'s random key.
+struct SketchHasher {
+    key: u64,
+    hash: u64,
+}
+
+impl Hasher for SketchHasher {
     fn finish(&self) -> u64 {
-        self.0
+        self.hash
     }
 
     fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            self.0 = self.0 << 8 | u64::from(b);
+            self.write_u64(self.hash ^ u64::from(b));
         }
     }
 
-    fn write_u64(&mut self, key: u64) {
-        self.0 = key;
+    fn write_u64(&mut self, n: u64) {
+        let m = u128::from(n ^ self.key) * 0x9E37_79B9_7F4A_7C15;
+        self.hash = m as u64 ^ (m >> 64) as u64;
     }
 }
 
