@@ -19,16 +19,18 @@
 //!    inferred schema into columnar [`cajade_storage::Table`]s (lenient
 //!    by default: post-sample type contradictions coerce to NULL and are
 //!    counted; [`IngestOptions::strict_types`] turns them into errors),
-//!    then certify composite keys the single-column pass missed;
-//!
-//! Both passes run on [`cajade_storage::csv::CsvTokenizer`]: one read
-//! and one UTF-8 check per file and pass, and one reused
-//! [`cajade_storage::csv::Record`], so neither allocates per line or per
-//! cell. A file's bytes are dropped before the next file is read.
+//!    then certifies composite keys the single-column pass missed;
 //! 4. **discover** — containment-based join discovery
 //!    ([`cajade_graph::extend_schema_graph`]) extends the manifest's
 //!    pinned joins into a full [`cajade_graph::SchemaGraph`], with
 //!    per-join provenance in the report.
+//!
+//! Both passes over the files run on
+//! [`cajade_storage::csv::CsvTokenizer`]: one read and one UTF-8 check
+//! per file and pass, and one reused [`cajade_storage::csv::Record`], so
+//! neither allocates per line or per cell (the load hands
+//! [`Table::push_row`] one `Vec` per row). A file's bytes are dropped
+//! before the next file is read.
 //!
 //! The result plugs straight into
 //! `ExplanationService::register_database` (the service's
