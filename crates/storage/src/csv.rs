@@ -138,7 +138,7 @@ const INVALID_UTF8: &str = "stream did not contain valid UTF-8";
 /// each field's end offset. [`CsvTokenizer::next_record`] refills it, so
 /// one `Record` serves a whole file and allocates only while a record
 /// outgrows every earlier one.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct Record {
     text: String,
     ends: Vec<usize>,
