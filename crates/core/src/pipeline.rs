@@ -17,7 +17,8 @@ use std::time::Duration;
 
 use cajade_graph::{Apt, AptBuilder, EnumConfig, EnumeratedGraph, Enumeration, SchemaGraph};
 use cajade_mining::{
-    mine_prepared, ColumnStats, MinedExplanation, MiningTimings, PreparedApt, Question, ReadShare,
+    mine_prepared, ColumnStats, ExactMaskWork, MinedExplanation, MiningTimings, PreparedApt,
+    Question, ReadShare,
 };
 pub use cajade_mining::{ColumnStatsProvider, NoSharedStats};
 use cajade_obs::{span, AllocScope, Ctx, Stage};
@@ -234,6 +235,9 @@ pub struct GraphOutcome {
     pub mining: MiningTimings,
     /// Patterns evaluated while mining this APT.
     pub patterns: usize,
+    /// What the exact re-score read and filled of the graph's
+    /// preparation's all-rows masks.
+    pub exact_masks: ExactMaskWork,
 }
 
 /// Stage 4: mines one prepared graph inside its `mine_apt` stage,
@@ -268,6 +272,7 @@ pub fn mine_one_prepared(
         materialize: materialize_time,
         mining: outcome.timings,
         patterns: outcome.patterns_evaluated,
+        exact_masks: outcome.exact_masks,
     }
 }
 
@@ -309,6 +314,14 @@ pub struct GraphWork {
     pub column_reads_computed: u64,
     /// Graphs this call prepared.
     pub graphs_prepared: usize,
+    /// All-rows predicate masks the exact re-scores read, one per
+    /// predicate of every winner ([`ExactMaskWork::reads`]).
+    pub exact_masks: u64,
+    /// Of those, the masks this call filled.
+    pub exact_masks_computed: u64,
+    /// Bytes of the masks this call filled into preparations a store may
+    /// keep — not truncated ones, which no store keeps.
+    pub exact_mask_bytes: u64,
 }
 
 /// What the materialize stage found for one join graph.
@@ -349,7 +362,9 @@ impl ColumnStatsProvider for WithShare<'_> {
 ///   handed to `prepare` with `stats`; each miss is prepared in `scope`
 ///   under its store latch. Racing callers may both derive a view; only
 ///   one prepares it.
-/// * **mine** — [`mine_one_prepared`] per graph, for `question`.
+/// * **mine** — [`mine_one_prepared`] per graph, for `question`; the
+///   exact re-scores' mask reads and fills are summed into the
+///   [`GraphWork`].
 ///
 /// The [`GraphWork`] comes back also when a materialization fails.
 pub fn materialize_and_mine(
@@ -444,7 +459,16 @@ pub fn materialize_and_mine(
     let mine_one = |(gi, graph, wall, prepared): &(usize, Arc<PreparedGraph>, Duration, bool)| {
         mine_one_prepared(pt, graph, question, params, *gi, *wall, *prepared)
     };
-    (Ok(fan_out(params, &ready, mine_one)), work)
+    let outcomes: Vec<GraphOutcome> = fan_out(params, &ready, mine_one);
+    for ((_, graph, _, _), outcome) in ready.iter().zip(&outcomes) {
+        let masks = outcome.exact_masks;
+        work.exact_masks += masks.reads;
+        work.exact_masks_computed += masks.computed;
+        if !graph.prep.truncated {
+            work.exact_mask_bytes += masks.bytes;
+        }
+    }
+    (Ok(outcomes), work)
 }
 
 /// Stage 5: global F-score ranking + near-duplicate collapse (§6).

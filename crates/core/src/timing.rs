@@ -5,7 +5,9 @@ use std::time::Duration;
 
 use cajade_mining::MiningTimings;
 
-/// Wall-clock breakdown of one explanation session.
+/// Where one explanation session's time went: the wall clock of the
+/// provenance and enumeration stages, and per-graph sums of materialization
+/// and mining.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SessionTimings {
     /// Provenance-table computation (the paper folds this into query
@@ -13,9 +15,13 @@ pub struct SessionTimings {
     pub provenance: Duration,
     /// `JG Enum.` row: join-graph enumeration (Algorithm 2).
     pub jg_enum: Duration,
-    /// `Materialize APTs` row.
+    /// `Materialize APTs` row: every graph's materialization, summed over
+    /// the join graphs. With worker threads the graphs run side by side,
+    /// so the sum can exceed the stage's (and the ask's) wall clock.
     pub materialize_apts: Duration,
-    /// Per-APT mining phases, accumulated over all join graphs.
+    /// Per-APT mining phases, summed over the join graphs — like
+    /// `materialize_apts`, not a wall clock: with worker threads the sum
+    /// can exceed the ask's.
     pub mining: MiningTimings,
 }
 

@@ -27,7 +27,10 @@
 //! scores a refined child as `parent_mask AND predicate_mask` + popcount,
 //! with the `|num_fields| × λ#frag × 2` threshold predicate masks
 //! precomputed in a [`PredBank`]; the winners are re-scored the same way
-//! on the all-rows index. The engine returns metrics **bit-identical** to
+//! on the all-rows index, ANDing masks the preparation keeps once made
+//! ([`ExactMasks`](crate::prepared::ExactMasks)). Predicates are evaluated
+//! 64 cells into a byte array at a time, each 8 bytes folded into 8 bits
+//! with one multiply. The engine returns metrics **bit-identical** to
 //! the scalar [`Scorer`](crate::score::Scorer), its pattern-level test
 //! reference (`crates/mining/tests/engine_equivalence.rs`).
 
@@ -322,10 +325,15 @@ impl ScoreIndex {
             Ok(i) => &self.cols[i].1,
             Err(_) => panic!(
                 "ScoreIndex: field {field} (`{}`) is not encoded; encoded: {:?}",
-                self.field_names.split('\0').nth(field).unwrap_or("?"),
+                self.field_name(field),
                 self.cols.iter().map(|(f, _)| *f).collect::<Vec<_>>(),
             ),
         }
+    }
+
+    /// The name of APT field `field`, for messages.
+    pub(crate) fn field_name(&self, field: usize) -> &str {
+        self.field_names.split('\0').nth(field).unwrap_or("?")
     }
 
     /// Number of scan positions (bitmap width).
@@ -419,7 +427,11 @@ impl ScoreIndex {
         out
     }
 
-    /// The match mask of a whole pattern (AND of its predicate masks).
+    /// The match mask of a whole pattern (AND of its predicate masks),
+    /// each predicate's mask built afresh. The miner never calls it: the
+    /// exact re-score ANDs the preparation's write-once masks
+    /// ([`ExactMasks`](crate::prepared::ExactMasks)). This is the
+    /// reference the tests hold those to, and what the kernel benches time.
     pub fn pattern_mask(&self, pattern: &Pattern) -> Mask {
         let mut mask = self.full_mask();
         for (field, pred) in pattern.preds() {
@@ -479,7 +491,9 @@ impl ScoreIndex {
         PatternMetrics::from_counts(tp, a1, fp, a2)
     }
 
-    /// Convenience: mask + score in one call.
+    /// [`pattern_mask`](Self::pattern_mask) + [`score_mask`](Self::score_mask)
+    /// in one call: like `pattern_mask`, the tests' reference for the
+    /// miner's exact re-score, never called by the miner itself.
     pub fn score(
         &self,
         pattern: &Pattern,
@@ -518,17 +532,40 @@ fn field_names(apt: &Apt) -> String {
         .join("\0")
 }
 
-/// Sets bit `i` of `out` iff `pred(vals[i])`: a word at a time, without a
-/// branch per cell.
+/// Sets bit `i` of `out` iff `pred(vals[i])`, without a branch per cell.
+/// A full word evaluates its 64 cells into a byte array first — a loop
+/// the compiler vectorizes — and [`pack_bytes`] folds the bytes into bits;
+/// the tail word is packed a cell at a time. Every bit is `pred`'s either
+/// way, so the mask is the same.
 #[inline]
 fn fill<T>(out: &mut Mask, vals: &[T], pred: impl Fn(&T) -> bool) {
     debug_assert_eq!(out.len, vals.len());
-    for (word, chunk) in out.words.iter_mut().zip(vals.chunks(64)) {
-        *word = chunk
-            .iter()
-            .enumerate()
+    let full = vals.len() / 64;
+    for (word, chunk) in out.words[..full].iter_mut().zip(vals.chunks_exact(64)) {
+        let mut bytes = [0u8; 64];
+        for (b, v) in bytes.iter_mut().zip(chunk) {
+            *b = pred(v) as u8;
+        }
+        *word = pack_bytes(&bytes);
+    }
+    if let Some(word) = out.words.get_mut(full) {
+        *word = (vals[full * 64..].iter().enumerate())
             .fold(0, |w, (bit, v)| w | (pred(v) as u64) << bit);
     }
+}
+
+/// 64 bytes, each 0 or 1, as one word: byte `i` is bit `i`. Eight bytes
+/// fold into eight bits with one multiply — the constant has bit `7k + 7`
+/// set for `k` in `0..8`, so byte `j`'s bit lands on bit `56 + j` and on
+/// no other bit of the top byte, and the partial products never overlap,
+/// so nothing carries.
+#[inline]
+fn pack_bytes(bytes: &[u8; 64]) -> u64 {
+    const GATHER: u64 = 0x0102_0408_1020_4080;
+    (bytes.chunks_exact(8).enumerate()).fold(0, |w, (i, eight)| {
+        let eight = u64::from_le_bytes(eight.try_into().expect("chunks of 8"));
+        w | (eight.wrapping_mul(GATHER) >> 56) << (8 * i)
+    })
 }
 
 fn encode_column(col: &AptColumn, order: &[u32]) -> EncCol {
@@ -607,6 +644,110 @@ impl PredBank {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cajade_storage::{StrId, Value};
+
+    /// What [`Pattern::matches`] decides for one cell and one predicate.
+    fn cell_matches(data: &CellData, i: usize, null: bool, pred: &Pred) -> bool {
+        let cell = match data {
+            CellData::Int(v) => Value::Int(v[i]),
+            CellData::Float(v) => Value::Float(v[i]),
+            CellData::Str(v) => Value::Str(StrId(v[i])),
+        };
+        !null
+            && match (pred.op, cell.as_f64(), pred.value.as_f64()) {
+                (PredOp::Eq, _, _) => cell.sql_eq(&pred.value.to_value()),
+                (PredOp::Le, Some(x), Some(t)) => x <= t,
+                (PredOp::Ge, Some(x), Some(t)) => x >= t,
+                _ => false,
+            }
+    }
+
+    /// The NULL positions of [`one_column`]'s column.
+    fn is_null(i: usize) -> bool {
+        i % 5 == 3
+    }
+
+    /// A one-group, one-column index over `data`, NULL where [`is_null`].
+    fn one_column(data: CellData, n: usize) -> ScoreIndex {
+        let mut nulls = Mask::empty(n);
+        (0..n).filter(|&i| is_null(i)).for_each(|i| nulls.set(i));
+        ScoreIndex {
+            order: (0..n as u32).collect(),
+            seg_of: Vec::new(),
+            group_ranges: vec![(0, n as u32)],
+            unit_segments: true,
+            cols: vec![(
+                0,
+                EncCol {
+                    data,
+                    nulls: Some(nulls),
+                },
+            )],
+            field_names: "f".to_string(),
+            group_pt_counts: vec![n],
+            total_pt: n,
+        }
+    }
+
+    /// Every `eval_pred` arm — column type × operator × constant type —
+    /// against the per-cell decision, at lengths around the word size:
+    /// empty, a tail only, one word ± 1, and whole words with and without
+    /// a tail. The cells include NULL, NaN, ±∞, -0.0 and integers above
+    /// 2⁵³, where widening to `f64` rounds.
+    #[test]
+    fn eval_pred_matches_per_cell_evaluation_on_every_arm() {
+        let big = (1i64 << 53) + 1;
+        let ints = [0, 1, -1, 7, big, big - 1, 1 << 53, i64::MAX, i64::MIN];
+        let floats = [
+            0.0,
+            -0.0,
+            1.5,
+            7.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            (1u64 << 53) as f64,
+            -1.0,
+        ];
+        let consts = [
+            PatValue::Int(0),
+            PatValue::Int(7),
+            PatValue::Int(big),
+            PatValue::Int(i64::MIN),
+            PatValue::Float(7.0f64.to_bits()),
+            PatValue::Float(1.5f64.to_bits()),
+            PatValue::Float(((1u64 << 53) as f64).to_bits()),
+            PatValue::Float(f64::NAN.to_bits()),
+            PatValue::Float(f64::INFINITY.to_bits()),
+            PatValue::Float(f64::NEG_INFINITY.to_bits()),
+            PatValue::Str(1),
+            PatValue::Str(3),
+        ];
+        for n in [0, 1, 63, 64, 65, 128, 130] {
+            // A pattern that is not periodic in 64 cells.
+            let pick = |i: usize, len: usize| (i * 7 + i / 3) % len;
+            let columns = [
+                CellData::Int((0..n).map(|i| ints[pick(i, ints.len())]).collect()),
+                CellData::Float((0..n).map(|i| floats[pick(i, floats.len())]).collect()),
+                CellData::Str((0..n).map(|i| pick(i, 4) as u32).collect()),
+            ];
+            for data in columns {
+                let index = one_column(data.clone(), n);
+                for op in [PredOp::Eq, PredOp::Le, PredOp::Ge] {
+                    for value in consts {
+                        let pred = Pred { op, value };
+                        let mask = index.eval_pred(0, &pred);
+                        for i in 0..n {
+                            let want = cell_matches(&data, i, is_null(i), &pred);
+                            assert_eq!(mask.get(i), want, "n {n}, cell {i}, {data:?}, {pred:?}");
+                        }
+                        let set = (0..n).filter(|&i| mask.get(i)).count();
+                        assert_eq!(mask.count_ones(), set, "bits past {n}: {pred:?}");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn mask_full_is_tail_masked() {

@@ -49,7 +49,9 @@ pub use featsel::{FeatureSelection, SelAttr};
 pub use lca::lca_candidates;
 pub use miner::{mine_apt, MinedExplanation, MiningOutcome, MiningParams, MiningTimings};
 pub use pattern::{PatValue, Pattern, Pred, PredOp};
-pub use prepared::{mine_prepared, prepare_apt, prepare_apt_with, PreparedApt};
+pub use prepared::{
+    mine_prepared, prepare_apt, prepare_apt_with, ExactMaskWork, ExactMasks, PreparedApt,
+};
 pub use score::{PatternMetrics, Question, Scorer};
 pub use share::ReadShare;
 pub use stats::{

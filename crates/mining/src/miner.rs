@@ -14,8 +14,9 @@
 //!    predicates per pattern.
 //!
 //! Final selection is diversity-aware top-k (§3.5) followed by exact
-//! re-scoring over every APT row — on the preparation's all-rows
-//! [`ScoreIndex`] — so reported supports are exact.
+//! re-scoring over every APT row — ANDs of the preparation's write-once
+//! all-rows predicate masks ([`ExactMasks`](crate::prepared::ExactMasks))
+//! — so reported supports are exact.
 //!
 //! The phases are wired once: everything up to the predicate bitmaps in
 //! [`prepare`], ranking, scoring and refinement in `mine_core`.
@@ -36,7 +37,7 @@ use crate::engine::{Mask, ScoreIndex};
 use crate::featsel::{all_features, select_features, FeatSelConfig, FeatureSelection, SelAttr};
 use crate::lca::lca_candidates;
 use crate::pattern::{PatValue, Pattern, Pred, PredOp};
-use crate::prepared::{mine_prepared, prepare, PreparedApt};
+use crate::prepared::{mine_prepared, prepare, ExactMaskWork, PreparedApt};
 use crate::score::{PatternMetrics, Question};
 use crate::share::Reader;
 use crate::stats::{ColumnStatsProvider, NoSharedStats};
@@ -212,6 +213,9 @@ pub struct MiningOutcome {
     pub timings: MiningTimings,
     /// Number of patterns whose metrics were evaluated.
     pub patterns_evaluated: usize,
+    /// What the exact re-score read and filled of the preparation's
+    /// [`ExactMasks`](crate::prepared::ExactMasks).
+    pub exact_masks: ExactMaskWork,
 }
 
 /// Runs Algorithm 1 over one APT for one question: a preparation in the
@@ -302,20 +306,24 @@ pub(crate) fn run_featsel(
     fs
 }
 
+/// A field and a predicate on it, as a [`Pattern`] holds them.
+pub(crate) type FieldPred = (usize, Pred);
+
 /// The LCA candidates over `lca_rows` with at most `max_cat_attrs`
 /// predicates, each with its match bitmap (one `eval_pred` per distinct
-/// equality predicate). Unranked: ranking is per question.
+/// equality predicate), and those distinct predicates, in no order.
+/// Unranked: ranking is per question.
 pub(crate) fn lca_pool(
     apt: &Apt,
     index: &ScoreIndex,
     lca_rows: &[u32],
     cat_fields: &[usize],
     params: &MiningParams,
-) -> Vec<(Pattern, Mask)> {
+) -> (Vec<(Pattern, Mask)>, Vec<FieldPred>) {
     let mut cat_pats = lca_candidates(apt, lca_rows, cat_fields);
     cat_pats.retain(|p| p.len() <= params.max_cat_attrs);
-    let mut eq_memo: HashMap<(usize, Pred), Mask> = HashMap::new();
-    cat_pats
+    let mut eq_memo: HashMap<FieldPred, Mask> = HashMap::new();
+    let pool = cat_pats
         .into_iter()
         .map(|p| {
             let mut m = index.full_mask();
@@ -327,7 +335,8 @@ pub(crate) fn lca_pool(
             }
             (p, m)
         })
-        .collect()
+        .collect();
+    (pool, eq_memo.into_keys().collect())
 }
 
 /// Candidate ranking + refinement BFS + diversity top-k + exact
@@ -341,6 +350,7 @@ pub(crate) fn mine_core(
     question: &Question,
     params: &MiningParams,
     timings: &mut MiningTimings,
+    exact_masks: &mut ExactMaskWork,
 ) -> (Vec<MinedExplanation>, usize) {
     cajade_obs::faults::failpoint_infallible("mine.refine");
     let (index, frag, bank) = (&prepared.index, &prepared.frag, &prepared.bank);
@@ -572,15 +582,23 @@ pub(crate) fn mine_core(
         .collect();
     let selected = select_top_k_diverse(&items, params.top_k);
 
-    // Without an all-rows index the scan already covered every APT row
-    // (λ_F1 ≥ 1.0): the "sampled" metrics *are* the exact metrics.
+    // The winners' masks over every row are ANDs of the preparation's
+    // write-once all-rows predicate masks. Without an all-rows index the
+    // scan already covered every APT row (λ_F1 ≥ 1.0): the "sampled"
+    // metrics *are* the exact metrics.
     let _rescore = Stage::detail("exact_rescore");
     let explanations: Vec<MinedExplanation> = selected
         .into_iter()
         .map(|i| {
             let (pat, primary, secondary, sampled) = &kept[i];
             let metrics = match &prepared.exact {
-                Some(exact) => exact.score(pat, *primary, *secondary),
+                Some(exact) => prepared.exact_masks.rescore(
+                    exact,
+                    frag,
+                    pat,
+                    (*primary, *secondary),
+                    exact_masks,
+                ),
                 None => *sampled,
             };
             MinedExplanation {
@@ -778,6 +796,34 @@ mod tests {
             fs.num_fields.len() + fs.cat_fields.len(),
             apt.pattern_fields().len()
         );
+    }
+
+    /// A pattern holding a predicate the preparation made no all-rows mask
+    /// slot for is a bug upstream: the exact re-score panics with the
+    /// field's name.
+    #[test]
+    #[should_panic(expected = "prov_t_noise")]
+    fn exact_rescore_of_a_foreign_predicate_panics_with_the_field_name() {
+        let (db, q) = fixture();
+        let pt = ProvenanceTable::compute(&db, &q).unwrap();
+        let apt = Apt::materialize(&db, &pt, &JoinGraph::pt_only()).unwrap();
+        let params = MiningParams {
+            lambda_f1_samp: 0.5,
+            ..default_test_params()
+        };
+        let prep = crate::prepared::prepare_apt(&apt, &pt, &params);
+        let exact = prep.exact.as_ref().expect("an all-rows index");
+        let noise = apt.field_index("prov_t_noise").unwrap();
+        let foreign = Pattern::from_preds(vec![(
+            noise,
+            Pred {
+                op: PredOp::Eq,
+                value: PatValue::Int(-1),
+            },
+        )]);
+        let mut work = ExactMaskWork::default();
+        let frag = &prep.frag;
+        (prep.exact_masks).rescore(exact, frag, &foreign, (0, Some(1)), &mut work);
     }
 
     /// Proposition 3.1 as a property: refinement never increases recall.

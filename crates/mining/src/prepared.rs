@@ -12,7 +12,9 @@
 //!   winners, over all rows,
 //! * the LCA candidate pool and each candidate's match bitmap,
 //! * numeric fragment boundaries (computed over all APT rows),
-//! * the `|num_fields| × λ#frag × 2` refinement predicate bitmaps.
+//! * the `|num_fields| × λ#frag × 2` refinement predicate bitmaps,
+//! * and, empty, their all-rows twins ([`ExactMasks`]): the exact
+//!   re-score of the winners fills them as it needs them.
 //!
 //! It runs in one of two scopes. With `Some(question)` — what
 //! [`mine_apt`](crate::miner::mine_apt), and so the library's one-shot
@@ -29,9 +31,12 @@
 //! `paper scope` regenerates it, and
 //! `crates/bench/tests/explain_golden.rs` pins both.
 
+use std::fmt;
+use std::sync::OnceLock;
+
 use cajade_graph::Apt;
 use cajade_ml::sampling::sample_with_cap;
-use cajade_obs::Stage;
+use cajade_obs::{ScopeHandle, Stage};
 use cajade_query::ProvenanceTable;
 
 use crate::engine::{Mask, PredBank, ScoreIndex};
@@ -39,10 +44,11 @@ use crate::fd::group_determining_fields;
 use crate::featsel::FeatureSelection;
 use crate::fragments::fragment_boundaries;
 use crate::miner::{
-    lca_pool, mine_core, run_featsel, sample_and_scan, MiningOutcome, MiningParams, MiningTimings,
+    lca_pool, mine_core, run_featsel, sample_and_scan, FieldPred, MiningOutcome, MiningParams,
+    MiningTimings,
 };
-use crate::pattern::Pattern;
-use crate::score::Question;
+use crate::pattern::{PatValue, Pattern, Pred, PredOp};
+use crate::score::{PatternMetrics, Question};
 use crate::share::Reader;
 use crate::stats::{source_column, ColumnStatsProvider, NoSharedStats};
 
@@ -68,6 +74,9 @@ pub struct PreparedApt {
     pub frag: Vec<(usize, Vec<f64>)>,
     /// Refinement predicate bitmaps aligned with `frag`.
     pub bank: PredBank,
+    /// The all-rows twins of the pool's and the bank's predicate masks,
+    /// over `exact`, each filled by the first re-score that reads it.
+    pub exact_masks: ExactMasks,
     /// Wall-clock of the preparation phases (attributed to the ask that
     /// computed them; cache hits report zero).
     pub prep_timings: MiningTimings,
@@ -79,11 +88,14 @@ pub struct PreparedApt {
 }
 
 impl PreparedApt {
-    /// Approximate heap footprint for cache byte budgeting.
+    /// Approximate heap footprint for cache byte budgeting, with the
+    /// [`ExactMasks`] filled so far: the footprint when the preparation was
+    /// made, plus [`ExactMaskWork::bytes`] of every fill since.
     pub fn approx_bytes(&self) -> usize {
         self.index.approx_bytes()
             + self.exact.as_ref().map_or(0, ScoreIndex::approx_bytes)
             + self.bank.approx_bytes()
+            + self.exact_masks.approx_bytes()
             + self
                 .pool
                 .iter()
@@ -207,8 +219,8 @@ pub fn prepare(
     // Out-of-scope candidates of a question-independent pool simply rank
     // last on recall and fall out of the top-k_cat cut.
     let stage = Stage::detail("gen_pat_cand");
-    let pool: Vec<(Pattern, Mask)> = if stop_before_phase(&mut timings, &mut truncated) {
-        Vec::new()
+    let (pool, eq_preds) = if stop_before_phase(&mut timings, &mut truncated) {
+        (Vec::new(), Vec::new())
     } else {
         // `None`: every row, addressed by position — nothing materialized.
         let scope_rows: Option<Vec<u32>> = question.map(|q| {
@@ -250,6 +262,10 @@ pub fn prepare(
             .collect()
     };
     let bank = PredBank::build(&index, &frag);
+    let exact_masks = match exact {
+        Some(_) => ExactMasks::new(eq_preds, &frag),
+        None => ExactMasks::default(),
+    };
     timings.prepare += stage.finish();
 
     // Conservative cache guard: if the budget expired at *any* point
@@ -266,8 +282,154 @@ pub fn prepare(
         pool,
         frag,
         bank,
+        exact_masks,
         prep_timings: timings,
         truncated,
+    }
+}
+
+/// The all-rows twin of the masks a preparation keeps for the sample: one
+/// write-once slot per predicate a pattern mined on it can hold — `≤` and
+/// `≥` per fragment boundary, aligned with [`PreparedApt::frag`] as the
+/// [`PredBank`] is, and one per distinct equality predicate of the pool.
+/// The exact re-score of the winners ANDs slot masks; the first re-score
+/// that reads an empty slot fills it with what [`ScoreIndex::eval_pred`]
+/// gives on [`PreparedApt::exact`]. That is a pure function of the
+/// preparation, which never changes, so whoever reads a slot reads the
+/// same mask, and a preparation answers a question the same before and
+/// after its slots are filled. Empty when `exact` is `None`: the sample's
+/// metrics are exact then.
+#[derive(Clone, Default)]
+pub struct ExactMasks {
+    /// `[≤, ≥]` per boundary of `frag`, field after field.
+    thresholds: Vec<[OnceLock<Mask>; 2]>,
+    /// The pool's distinct equality predicates, sorted, each with its slot.
+    eq: Vec<(FieldPred, OnceLock<Mask>)>,
+    /// The allocation scopes the preparation was made under: what holds
+    /// the preparation holds the fills too, and the heap ledger counts
+    /// them there.
+    scope: ScopeHandle,
+}
+
+/// What the exact re-score of one mining call did with the [`ExactMasks`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ExactMaskWork {
+    /// Slots read: one per predicate of every re-scored winner.
+    pub reads: u64,
+    /// Of those, the slots this call filled.
+    pub computed: u64,
+    /// Heap bytes of the masks this call filled — counted by the fill
+    /// itself, so two calls racing on a slot never both count it.
+    pub bytes: u64,
+}
+
+impl ExactMasks {
+    /// Empty slots for `eq_preds` — the pool's distinct equality
+    /// predicates — and `frag`'s thresholds.
+    fn new(eq_preds: Vec<FieldPred>, frag: &[(usize, Vec<f64>)]) -> ExactMasks {
+        let mut eq: Vec<_> = (eq_preds.into_iter())
+            .map(|key| (key, OnceLock::new()))
+            .collect();
+        eq.sort_unstable_by_key(|(key, _)| *key);
+        let boundaries = frag.iter().map(|(_, b)| b.len()).sum();
+        ExactMasks {
+            thresholds: (0..boundaries).map(|_| Default::default()).collect(),
+            eq,
+            scope: cajade_obs::alloc::current_scope(),
+        }
+    }
+
+    /// Definition-7 metrics of `pattern` over every row of `exact`: the AND
+    /// of its predicates' slot masks, filling the empty ones. A slot is
+    /// filled on the calling thread; a fill that panics leaves its slot
+    /// empty for the next reader.
+    pub(crate) fn rescore(
+        &self,
+        exact: &ScoreIndex,
+        frag: &[(usize, Vec<f64>)],
+        pattern: &Pattern,
+        (primary, secondary): (usize, Option<usize>),
+        work: &mut ExactMaskWork,
+    ) -> PatternMetrics {
+        let mut mask = exact.full_mask();
+        for (field, pred) in pattern.preds() {
+            work.reads += 1;
+            let slot = self.slot(exact, frag, *field, pred).get_or_init(|| {
+                let filled = self.scope.install(|| exact.eval_pred(*field, pred));
+                work.computed += 1;
+                work.bytes += filled.approx_bytes() as u64;
+                filled
+            });
+            mask.and_assign(slot);
+        }
+        exact.score_mask(&mask, primary, secondary)
+    }
+
+    /// The slot of `pred` on `field`. A predicate without one is not one a
+    /// pattern mined on this preparation can hold: a bug upstream, which
+    /// panics with the field's name.
+    fn slot(
+        &self,
+        exact: &ScoreIndex,
+        frag: &[(usize, Vec<f64>)],
+        field: usize,
+        pred: &Pred,
+    ) -> &OnceLock<Mask> {
+        let slot = match pred.op {
+            PredOp::Eq => (self
+                .eq
+                .binary_search_by_key(&(field, *pred), |(key, _)| *key))
+            .ok()
+            .map(|i| &self.eq[i].1),
+            PredOp::Le | PredOp::Ge => {
+                // Where `field`'s boundaries start among the thresholds.
+                let mut first = 0;
+                frag.iter().find_map(|(f, boundaries)| {
+                    if *f != field {
+                        first += boundaries.len();
+                        return None;
+                    }
+                    let value = |c: &f64| PatValue::Float(c.to_bits()) == pred.value;
+                    let b = boundaries.iter().position(value)?;
+                    Some(&self.thresholds[first + b][usize::from(pred.op == PredOp::Ge)])
+                })
+            }
+        };
+        slot.unwrap_or_else(|| {
+            panic!(
+                "ExactMasks: no slot for {pred:?} on field {field} (`{}`)",
+                exact.field_name(field)
+            )
+        })
+    }
+
+    fn slots(&self) -> impl Iterator<Item = &OnceLock<Mask>> {
+        (self.thresholds.iter().flatten()).chain(self.eq.iter().map(|(_, slot)| slot))
+    }
+
+    /// Heap bytes of the masks filled so far.
+    pub fn filled_bytes(&self) -> usize {
+        self.slots()
+            .filter_map(OnceLock::get)
+            .map(Mask::approx_bytes)
+            .sum()
+    }
+
+    /// Approximate heap bytes: the slots and the masks filled so far.
+    pub(crate) fn approx_bytes(&self) -> usize {
+        self.thresholds.len() * std::mem::size_of::<[OnceLock<Mask>; 2]>()
+            + self.eq.len() * std::mem::size_of::<(FieldPred, OnceLock<Mask>)>()
+            + self.filled_bytes()
+    }
+}
+
+/// The scope chain is left out: it names ledgers, not contents.
+impl fmt::Debug for ExactMasks {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ExactMasks")
+            .field("thresholds", &self.thresholds)
+            .field("eq", &self.eq)
+            .finish_non_exhaustive()
     }
 }
 
@@ -292,11 +454,19 @@ pub fn mine_prepared(
         "the preparation was made over another provenance table"
     );
     let mut timings = MiningTimings::default();
-    let (explanations, patterns_evaluated) =
-        mine_core(prepared, apt, question, params, &mut timings);
+    let mut exact_masks = ExactMaskWork::default();
+    let (explanations, patterns_evaluated) = mine_core(
+        prepared,
+        apt,
+        question,
+        params,
+        &mut timings,
+        &mut exact_masks,
+    );
     MiningOutcome {
         explanations,
         timings,
         patterns_evaluated,
+        exact_masks,
     }
 }

@@ -32,10 +32,12 @@ use cajade_storage::{AttrKind, DataType, Database, SchemaBuilder, Value};
 mod common;
 use common::{build_apt, rendered, Row};
 
-/// 2–39 random [`build_apt`] rows: group, category, nullable `x` and `y`.
+/// 2–299 random [`build_apt`] rows: group, category, nullable `x` and
+/// `y`. Enough for scans of several 64-bit words, ending on a word
+/// boundary and off it, so the kernel's whole-word path is compared too.
 fn rows_strategy() -> impl Strategy<Value = Vec<Row>> {
     let cell = || (proptest::bool::ANY, -5i64..15).prop_map(|(has, v)| has.then_some(v));
-    proptest::collection::vec((0u8..4, 0u8..3, cell(), cell()), 2..40)
+    proptest::collection::vec((0u8..4, 0u8..3, cell(), cell()), 2..300)
 }
 
 /// A pattern over `fields` (a non-empty subset of the APT's pattern

@@ -37,6 +37,12 @@ pub(crate) struct ServiceObs {
     /// Deterministic like the join work.
     pub prepare_column_reads_total: Arc<Counter>,
     pub prepare_column_reads_computed_total: Arc<Counter>,
+    /// All-rows predicate masks the asks' exact re-scores read (one per
+    /// predicate of every winner), and the reads among them that filled
+    /// the mask's slot in its prepared graph rather than find it filled.
+    /// Deterministic like the join work.
+    pub mine_exact_masks_total: Arc<Counter>,
+    pub mine_exact_masks_computed_total: Arc<Counter>,
     /// Base columns whose statistics a registration computed: one per
     /// cell of its table filled, however many preparations asked.
     pub column_stats_computed_total: Arc<Counter>,
@@ -95,6 +101,8 @@ impl ServiceObs {
             apt_index_builds_total: r.counter("apt_index_builds_total"),
             prepare_column_reads_total: r.counter("prepare_column_reads_total"),
             prepare_column_reads_computed_total: r.counter("prepare_column_reads_computed_total"),
+            mine_exact_masks_total: r.counter("mine_exact_masks_total"),
+            mine_exact_masks_computed_total: r.counter("mine_exact_masks_computed_total"),
             column_stats_computed_total: r.counter("column_stats_computed_total"),
             jg_extensions_visited_total: r.counter("jg_extensions_visited_total"),
             jg_extensions_rejected_total: r.counter("jg_extensions_rejected_total"),

@@ -63,6 +63,15 @@ impl QueryEntry {
         self.held.get()
     }
 
+    /// Charges `bytes` of all-rows masks an ask's exact re-scores filled
+    /// into the held graphs' preparations
+    /// ([`GraphWork::exact_mask_bytes`](cajade_core::pipeline::GraphWork::exact_mask_bytes)).
+    /// Each mask is counted once, by the fill that made it, so `held_bytes`
+    /// stays the sum of what the held graphs weigh now.
+    pub(crate) fn hold_exact_masks(&self, bytes: u64) {
+        self.held_bytes.add(bytes);
+    }
+
     /// Cache accounting for the whole entry: the provenance table
     /// dominates a fresh one, the prepared graphs a filled one;
     /// enumeration output, the query result and the slots are small but
@@ -636,6 +645,66 @@ mod tests {
             .open_or_reuse_session("nba", &sql.to_lowercase())
             .unwrap();
         assert_eq!(again.id(), first.id());
+    }
+
+    /// What a query entry is charged stays what its prepared graphs weigh
+    /// now: each warm ask's exact re-scores fill all-rows masks into them,
+    /// and `apt_cache.bytes` grows by exactly those masks' bytes; an
+    /// answer-cache hit fills nothing and leaves it unchanged.
+    #[test]
+    fn apt_cache_bytes_grow_by_exactly_the_filled_exact_masks() {
+        let gen = cajade_datagen::nba::generate(cajade_datagen::nba::NbaConfig::tiny());
+        let service = ExplanationService::new(ServiceConfig::default());
+        service.register_database("nba", gen.db, gen.schema_graph);
+        let sql = "SELECT COUNT(*) AS win, s.season_name FROM team t, game g, season s \
+            WHERE t.team_id = g.winner_id AND g.season_id = s.season_id AND t.team = 'GSW' \
+            GROUP BY s.season_name";
+        let session = service.open_session("nba", sql).unwrap();
+        let ask = |t1: &str, t2: &str| {
+            let question = cajade_core::UserQuestion::two_point(
+                &[("season_name", t1)],
+                &[("season_name", t2)],
+            );
+            session.ask(&question).unwrap()
+        };
+        // (charged, what the held graphs weigh, their filled masks' bytes)
+        let weigh = || {
+            let (mut weight, mut masks) = (0, 0);
+            service.inner.prov_cache.for_each(|entry| {
+                for slot in &entry.slots {
+                    if let Some(graph) = &*slot.lock() {
+                        weight += graph.approx_bytes();
+                        masks += graph.prep.exact_masks.filled_bytes();
+                    }
+                }
+            });
+            (service.stats().apt_cache.bytes, weight, masks)
+        };
+
+        assert_eq!(ask("2015-16", "2012-13").apt_cache_hits, 0);
+        let (charged, weight, masks) = weigh();
+        assert_eq!(charged, weight, "cold ask");
+        assert!(masks > 0, "the cold ask re-scored its winners");
+        let mut last = (charged, masks);
+        for (t1, t2) in [
+            ("2016-17", "2013-14"),
+            ("2014-15", "2012-13"),
+            ("2015-16", "2010-11"),
+            ("2011-12", "2014-15"),
+            ("2013-14", "2016-17"),
+        ] {
+            let warm = ask(t1, t2);
+            assert_eq!((warm.answer_cache_hit, warm.apt_cache_misses), (false, 0));
+            let (charged, weight, masks) = weigh();
+            assert_eq!(charged, weight, "warm ask {t1} vs {t2}");
+            assert_eq!(charged - last.0, masks - last.1, "warm ask {t1} vs {t2}");
+            last = (charged, masks);
+        }
+        assert!(last.1 > masks, "no warm ask filled a mask");
+
+        let repeat = ask("2013-14", "2016-17");
+        assert!(repeat.answer_cache_hit);
+        assert_eq!((weigh().0, weigh().2), last, "an answer-cache hit");
     }
 
     #[test]

@@ -224,7 +224,11 @@ impl SessionHandle {
                 &slots,
             )
         }));
-        if entry.filled() != filled {
+        // The all-rows masks this ask's re-scores filled into the entry's
+        // graphs are the entry's too.
+        let mask_bytes = run.as_ref().map_or(0, |(_, work)| work.exact_mask_bytes);
+        entry.hold_exact_masks(mask_bytes);
+        if entry.filled() != filled || mask_bytes > 0 {
             // The one place the entry is weighed again: it grew by what
             // this ask stored in it — also when a worker panicked past the
             // graphs its siblings stored.
@@ -239,6 +243,9 @@ impl SessionHandle {
         obs.prepare_column_reads_total.add(work.column_reads);
         obs.prepare_column_reads_computed_total
             .add(work.column_reads_computed);
+        obs.mine_exact_masks_total.add(work.exact_masks);
+        obs.mine_exact_masks_computed_total
+            .add(work.exact_masks_computed);
         let outcomes = outcomes?;
         let apt_cache_misses = work.graphs_prepared;
         let apt_cache_hits = outcomes.len() - apt_cache_misses;

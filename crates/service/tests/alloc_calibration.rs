@@ -77,7 +77,8 @@ fn provenance_table_estimate_matches_tracked_bytes() {
 /// A whole provenance-cache entry — fresh: the provenance table and,
 /// beside it, the enumeration's listing (graphs, keys, records); then with
 /// every slot filled by one cold ask: the same plus each graph's view and
-/// preparation, the provenance table still counted once. The service
+/// preparation, the provenance table still counted once; then after five
+/// warm asks, with the all-rows masks their re-scores filled. The service
 /// opens the `cache.provenance`, `cache.apt` and `db.column_stats` scopes
 /// itself; no other test of this binary goes through a service.
 #[test]
@@ -111,6 +112,40 @@ fn provenance_cache_charge_matches_tracked_bytes() {
     assert_calibrated(
         "filled query entry",
         stats.provenance_cache.bytes,
+        held("cache.provenance") + graphs,
+    );
+
+    // Warm asks fill the graphs' all-rows masks: the entry is charged for
+    // them, and they are allocated under the scopes the graphs were
+    // prepared under — nothing else of a warm ask is — so the charge grows
+    // by exactly what the tracker counts.
+    let before = (stats.apt_cache.bytes, graphs);
+    for (t1, t2) in [
+        ("2016-17", "2013-14"),
+        ("2014-15", "2012-13"),
+        ("2015-16", "2010-11"),
+        ("2011-12", "2014-15"),
+        ("2013-14", "2016-17"),
+    ] {
+        let warm = session
+            .ask_between(&[("season_name", t1)], &[("season_name", t2)])
+            .unwrap();
+        assert_eq!((warm.answer_cache_hit, warm.apt_cache_misses), (false, 0));
+    }
+    let warm = service.stats();
+    assert!(
+        warm.apt_cache.bytes > stats.apt_cache.bytes,
+        "masks were filled"
+    );
+    let graphs = held("cache.apt") - held("db.column_stats");
+    assert_eq!(
+        warm.apt_cache.bytes - before.0,
+        (graphs - before.1) as usize,
+        "the masks' charge against their tracked bytes"
+    );
+    assert_calibrated(
+        "filled query entry after five warm asks",
+        warm.provenance_cache.bytes,
         held("cache.provenance") + graphs,
     );
 }

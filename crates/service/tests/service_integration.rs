@@ -566,3 +566,104 @@ fn cold_ask_shared_work_is_exact_with_and_without_worker_threads() {
         assert_eq!(work(), [45, 3, 325, 20], "warm ask adds nothing");
     }
 }
+
+#[test]
+fn exact_masks_are_filled_once_per_graph_and_predicate() {
+    // The winners' exact re-scores read one all-rows mask per predicate,
+    // and fill the ones no earlier read filled. On the synthetic star (20
+    // valid graphs), the cold ask reads 202 masks and fills 166 — a
+    // predicate can sit in several winners of one graph; a second
+    // question reads 203 and fills only 5 — most of its winners'
+    // predicates were the first one's — and a repeat, an answer-cache
+    // hit, reads none. A mask is filled once whichever worker reads it
+    // first, so the counts do not depend on `parallel`.
+    let gen = synth::generate(&SynthConfig::small());
+    for parallel in [true, false] {
+        let mut params = Params::paper();
+        params.parallel = parallel;
+        let service = ExplanationService::new(ServiceConfig {
+            params,
+            ..ServiceConfig::default()
+        });
+        service.register_database("synth", gen.db.clone(), gen.schema_graph.clone());
+        let session = service.open_session("synth", synth::SYNTH_SQL).unwrap();
+        let masks = || {
+            counters(
+                &service,
+                ["mine_exact_masks_total", "mine_exact_masks_computed_total"],
+            )
+        };
+        let ask = |t1: &str, t2: &str| {
+            session
+                .ask(&UserQuestion::two_point(&[("grp", t1)], &[("grp", t2)]))
+                .unwrap()
+        };
+
+        ask("g0", "g1");
+        assert_eq!(masks(), [202, 166], "cold ask, parallel {parallel}");
+        ask("g2", "g1");
+        assert_eq!(masks(), [405, 171], "second question, parallel {parallel}");
+        assert!(ask("g2", "g1").answer_cache_hit);
+        assert_eq!(masks(), [405, 171], "a repeat adds 0, parallel {parallel}");
+    }
+}
+
+#[test]
+fn concurrent_warm_asks_fill_masks_to_the_sequential_answers() {
+    // Two threads ask disjoint questions against one warm query entry,
+    // filling the graphs' all-rows masks concurrently, workers and all;
+    // every answer is the one a sequential run on a fresh service gives.
+    let parallel = || {
+        let mut params = Params::paper();
+        params.parallel = true;
+        tiny_service(ServiceConfig {
+            params,
+            ..ServiceConfig::default()
+        })
+    };
+    let lists: [Vec<UserQuestion>; 2] = [
+        vec![
+            q("2016-17", "2013-14"),
+            q("2014-15", "2012-13"),
+            q("2011-12", "2014-15"),
+        ],
+        vec![
+            q("2015-16", "2010-11"),
+            q("2013-14", "2016-17"),
+            q("2012-13", "2015-16"),
+        ],
+    ];
+    let answer = |session: &cajade_service::SessionHandle, question: &UserQuestion| {
+        let asked = session.ask(question).unwrap();
+        assert!(!asked.answer_cache_hit);
+        format!("{:?}", asked.result.explanations)
+    };
+
+    let fresh = parallel();
+    let session = fresh.open_session("nba", GSW_SQL).unwrap();
+    let sequential: Vec<Vec<String>> = (lists.iter())
+        .map(|list| {
+            list.iter()
+                .map(|question| answer(&session, question))
+                .collect()
+        })
+        .collect();
+
+    let warm = parallel();
+    let session = warm.open_session("nba", GSW_SQL).unwrap();
+    session.ask(&q("2015-16", "2012-13")).unwrap();
+    let concurrent: Vec<Vec<String>> = std::thread::scope(|scope| {
+        let threads: Vec<_> = (lists.iter())
+            .map(|list| {
+                let session = &session;
+                scope.spawn(move || {
+                    list.iter()
+                        .map(|question| answer(session, question))
+                        .collect()
+                })
+            })
+            .collect();
+        threads.into_iter().map(|t| t.join().unwrap()).collect()
+    });
+    assert_eq!(concurrent, sequential);
+}
