@@ -7,6 +7,8 @@
 //! `−0.3` if present with a different constant, `−2` if present with the
 //! same constant.
 
+use std::borrow::Borrow;
+
 use crate::pattern::Pattern;
 
 /// Per-attribute match score between two patterns for an attribute
@@ -35,9 +37,9 @@ pub fn diversity_score(phi: &Pattern, other: &Pattern) -> f64 {
 }
 
 /// Selects up to `k` items by repeated `wscore` maximization. Each item is
-/// `(pattern, f_score)`; returns indices into the input slice in selection
-/// order.
-pub fn select_top_k_diverse(items: &[(Pattern, f64)], k: usize) -> Vec<usize> {
+/// `(pattern, f_score)`, the pattern owned or borrowed; returns indices
+/// into the input slice in selection order.
+pub fn select_top_k_diverse<P: Borrow<Pattern>>(items: &[(P, f64)], k: usize) -> Vec<usize> {
     if items.is_empty() || k == 0 {
         return Vec::new();
     }
@@ -63,7 +65,7 @@ pub fn select_top_k_diverse(items: &[(Pattern, f64)], k: usize) -> Vec<usize> {
     // (including tie-breaks) is unchanged.
     let mut min_div: Vec<f64> = items
         .iter()
-        .map(|(pat, _)| diversity_score(pat, &items[first].0))
+        .map(|(pat, _)| diversity_score(pat.borrow(), items[first].0.borrow()))
         .collect();
 
     while selected.len() < k && !remaining.is_empty() {
@@ -78,7 +80,8 @@ pub fn select_top_k_diverse(items: &[(Pattern, f64)], k: usize) -> Vec<usize> {
         selected.push(best);
         remaining.retain(|&i| i != best);
         for &i in &remaining {
-            min_div[i] = min_div[i].min(diversity_score(&items[i].0, &items[best].0));
+            let d = diversity_score(items[i].0.borrow(), items[best].0.borrow());
+            min_div[i] = min_div[i].min(d);
         }
     }
     selected
@@ -159,6 +162,6 @@ mod tests {
         let items = vec![(pat(&[(0, 1)]), 0.5)];
         let sel = select_top_k_diverse(&items, 10);
         assert_eq!(sel, vec![0]);
-        assert!(select_top_k_diverse(&[], 3).is_empty());
+        assert!(select_top_k_diverse::<Pattern>(&[], 3).is_empty());
     }
 }

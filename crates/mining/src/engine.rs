@@ -95,18 +95,14 @@ impl Mask {
         self.words[i / 64] & (1 << (i % 64)) != 0
     }
 
-    /// `self ∧ other` as a new mask.
-    pub fn and(&self, other: &Mask) -> Mask {
+    /// `out = self ∧ other`, in `out`'s buffer: no allocation when it
+    /// already holds as many words.
+    pub fn and_into(&self, other: &Mask, out: &mut Mask) {
         debug_assert_eq!(self.len, other.len);
-        Mask {
-            words: self
-                .words
-                .iter()
-                .zip(&other.words)
-                .map(|(a, b)| a & b)
-                .collect(),
-            len: self.len,
-        }
+        out.words.clear();
+        out.words
+            .extend(self.words.iter().zip(&other.words).map(|(a, b)| a & b));
+        out.len = self.len;
     }
 
     /// `self ∧= other` in place.

@@ -24,6 +24,7 @@
 //! fragment-boundary sort of phase 5 happens at preparation and is timed
 //! under [`MiningTimings::prepare`].
 
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
@@ -365,7 +366,10 @@ pub(crate) fn mine_core(
         .map(|candidate| {
             let best_recall = directions
                 .iter()
-                .map(|&(t, s)| index.score_mask(&candidate.1, t, s).recall)
+                .map(|&(t, _)| {
+                    let tp = index.tp_of(&candidate.1, t);
+                    PatternMetrics::recall_of(tp, index.group_size(t))
+                })
                 .fold(0.0, f64::max);
             (candidate, best_recall)
         })
@@ -437,34 +441,40 @@ pub(crate) fn mine_core(
     // assumes the `max_patterns` safety cap does not bind: a binding cap
     // truncates the enumeration at a — deterministic — prefix that
     // differs from the dedup-based order.)
-    struct TodoItem {
+    //
+    // A child's mask is built in the buffer of an item already refined
+    // (`spare`); a seed's is the pool's own.
+    struct TodoItem<'p> {
         pat: Pattern,
-        mask: Mask,
+        mask: Cow<'p, Mask>,
         /// First fragment-field index this pattern may refine.
         next_fi: usize,
         /// Numeric predicates already on the pattern (λ_attrNum budget).
         numeric_preds: usize,
     }
     let mut todo: VecDeque<TodoItem> = VecDeque::with_capacity(256);
+    let mut spare: Vec<Mask> = Vec::new();
     // The empty pattern seeds numeric-only refinements (pure-context
     // explanations like `salary < 15330435`, Table 4).
     todo.push_back(TodoItem {
         pat: Pattern::empty(),
-        mask: index.full_mask(),
+        mask: Cow::Owned(index.full_mask()),
         next_fi: 0,
         numeric_preds: 0,
     });
     for ((p, mask), _) in ranked {
         todo.push_back(TodoItem {
             pat: p.clone(),
-            mask: mask.clone(),
+            mask: Cow::Borrowed(mask),
             next_fi: 0,
             numeric_preds: p.num_numeric_preds(apt),
         });
     }
 
-    // Candidates: (pattern, primary, secondary, sampled metrics).
-    let mut kept: Vec<(Pattern, usize, Option<usize>, PatternMetrics)> = Vec::new();
+    // Every pattern kept in some direction, once; `kept` indexes it:
+    // (pattern, primary, secondary, sampled metrics).
+    let mut store: Vec<Pattern> = Vec::new();
+    let mut kept: Vec<(usize, usize, Option<usize>, PatternMetrics)> = Vec::new();
 
     while let Some(item) = todo.pop_front() {
         if patterns_evaluated >= params.max_patterns {
@@ -492,93 +502,101 @@ pub(crate) fn mine_core(
         let t_score = Instant::now();
         let mut best_recall = 0.0f64;
         let mut item_tps = [0usize; 2];
+        let at = store.len();
         for (d, &(primary, secondary)) in directions.iter().enumerate() {
             let m = index.score_mask(&mask, primary, secondary);
             best_recall = best_recall.max(m.recall);
             item_tps[d] = m.tp;
             if !pat.is_empty() && m.recall > params.lambda_recall {
                 kept_f_floor = kept_f_floor.max(m.f_score);
-                kept.push((pat.clone(), primary, secondary, m));
+                kept.push((at, primary, secondary, m));
             }
         }
+        let pat = if kept.last().is_some_and(|k| k.0 == at) {
+            store.push(pat);
+            &store[at]
+        } else {
+            &pat
+        };
         // Second reading of the same split: lint:allow(single-clock)
         let t_mid = Instant::now();
         timings.fscore_calc += t_mid - t_score;
 
-        // Prune refinements when recall already fell below λ_recall
-        // (Proposition 3.1: refinement can only lower recall). The empty
-        // pattern always has recall 1 and is always refined.
-        if best_recall <= params.lambda_recall && !pat.is_empty() {
-            timings.recall_pruned_subtrees += 1;
-            continue;
-        }
-        if numeric_preds >= params.lambda_attr_num {
-            continue;
-        }
-
-        for (fi, (field, boundaries)) in frag.iter().enumerate().skip(next_fi) {
-            if !pat.is_free(*field) {
-                continue;
+        'refine: {
+            // Prune refinements when recall already fell below λ_recall
+            // (Proposition 3.1: refinement can only lower recall). The
+            // empty pattern always has recall 1 and is always refined.
+            if best_recall <= params.lambda_recall && !pat.is_empty() {
+                timings.recall_pruned_subtrees += 1;
+                break 'refine;
             }
-            for (bi, &c) in boundaries.iter().enumerate() {
-                for op in [PredOp::Le, PredOp::Ge] {
-                    // F-score upper bound: discard the child subtree when
-                    // `min(tp_parent, tp_pred)` proves it can never be
-                    // kept (nor, for top_k = 1, beat the kept-F floor).
-                    if let Some((a1s, pred_tp)) = &ub_state {
-                        let slot = match op {
-                            PredOp::Le => 0,
-                            _ => 1,
-                        };
-                        let tps = &pred_tp[fi][bi][slot];
-                        let viable = a1s.iter().enumerate().any(|(d, &a1)| {
-                            let tp_ub = item_tps[d].min(tps[d]);
-                            let recall_ub = if a1 == 0 {
-                                0.0
-                            } else {
-                                tp_ub as f64 / a1 as f64
+            if numeric_preds >= params.lambda_attr_num {
+                break 'refine;
+            }
+            for (fi, (field, boundaries)) in frag.iter().enumerate().skip(next_fi) {
+                if !pat.is_free(*field) {
+                    continue;
+                }
+                for (bi, &c) in boundaries.iter().enumerate() {
+                    for op in [PredOp::Le, PredOp::Ge] {
+                        // F-score upper bound: discard the child subtree
+                        // when `min(tp_parent, tp_pred)` proves it can
+                        // never be kept (nor, for top_k = 1, beat the
+                        // kept-F floor).
+                        if let Some((a1s, pred_tp)) = &ub_state {
+                            let slot = match op {
+                                PredOp::Le => 0,
+                                _ => 1,
                             };
-                            if recall_ub <= params.lambda_recall {
-                                return false;
+                            let tps = &pred_tp[fi][bi][slot];
+                            let viable = a1s.iter().enumerate().any(|(d, &a1)| {
+                                let tp_ub = item_tps[d].min(tps[d]);
+                                if PatternMetrics::recall_of(tp_ub, a1) <= params.lambda_recall {
+                                    return false;
+                                }
+                                if params.top_k == 1 {
+                                    let f_ub = 2.0 * tp_ub as f64 / (tp_ub + a1) as f64;
+                                    return f_ub > kept_f_floor;
+                                }
+                                true
+                            });
+                            if !viable {
+                                timings.ub_pruned_children += 1;
+                                continue;
                             }
-                            if params.top_k == 1 {
-                                let f_ub = 2.0 * tp_ub as f64 / (tp_ub + a1) as f64;
-                                return f_ub > kept_f_floor;
-                            }
-                            true
-                        });
-                        if !viable {
-                            timings.ub_pruned_children += 1;
-                            continue;
                         }
+                        let refined = pat.refine(
+                            *field,
+                            Pred {
+                                op,
+                                value: float_const(c),
+                            },
+                        );
+                        // Incremental refinement: the child's matches are
+                        // the parent's AND the threshold's bitmap.
+                        let mut child = spare.pop().unwrap_or_else(|| Mask::empty(0));
+                        mask.and_into(bank.mask(fi, bi, op), &mut child);
+                        todo.push_back(TodoItem {
+                            pat: refined,
+                            mask: Cow::Owned(child),
+                            next_fi: fi + 1,
+                            numeric_preds: numeric_preds + 1,
+                        });
                     }
-                    let refined = pat.refine(
-                        *field,
-                        Pred {
-                            op,
-                            value: float_const(c),
-                        },
-                    );
-                    // Incremental refinement: the child's matches are the
-                    // parent's AND the threshold's bitmap.
-                    todo.push_back(TodoItem {
-                        pat: refined,
-                        mask: mask.and(bank.mask(fi, bi, op)),
-                        next_fi: fi + 1,
-                        numeric_preds: numeric_preds + 1,
-                    });
                 }
             }
+            timings.refine_patterns += t_mid.elapsed();
         }
-        timings.refine_patterns += t_mid.elapsed();
+        if let Cow::Owned(buffer) = mask {
+            spare.push(buffer);
+        }
     }
     drop(bfs_stage);
 
     // ---- Top-k with diversity, then exact re-scoring. -------------------
     let _stage = Stage::detail("select_top_k");
-    let items: Vec<(Pattern, f64)> = kept
-        .iter()
-        .map(|(p, _, _, m)| (p.clone(), m.f_score))
+    let items: Vec<(&Pattern, f64)> = (kept.iter())
+        .map(|&(at, _, _, m)| (&store[at], m.f_score))
         .collect();
     let selected = select_top_k_diverse(&items, params.top_k);
 
@@ -590,21 +608,22 @@ pub(crate) fn mine_core(
     let explanations: Vec<MinedExplanation> = selected
         .into_iter()
         .map(|i| {
-            let (pat, primary, secondary, sampled) = &kept[i];
+            let (at, primary, secondary, sampled) = kept[i];
+            let pat = &store[at];
             let metrics = match &prepared.exact {
                 Some(exact) => prepared.exact_masks.rescore(
                     exact,
                     frag,
                     pat,
-                    (*primary, *secondary),
+                    (primary, secondary),
                     exact_masks,
                 ),
-                None => *sampled,
+                None => sampled,
             };
             MinedExplanation {
                 pattern: pat.clone(),
-                primary_group: *primary,
-                secondary_group: *secondary,
+                primary_group: primary,
+                secondary_group: secondary,
                 metrics,
                 sampled_f_score: sampled.f_score,
             }

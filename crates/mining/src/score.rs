@@ -86,7 +86,7 @@ impl PatternMetrics {
         } else {
             tp as f64 / (tp + fp) as f64
         };
-        let recall = if a1 == 0 { 0.0 } else { tp as f64 / a1 as f64 };
+        let recall = Self::recall_of(tp, a1);
         let f_score = if precision + recall == 0.0 {
             0.0
         } else {
@@ -100,6 +100,17 @@ impl PatternMetrics {
             precision,
             recall,
             f_score,
+        }
+    }
+
+    /// The recall of `tp` covered rows out of a group of `a1`: what
+    /// [`from_counts`](Self::from_counts) computes, for callers that need
+    /// no other metric.
+    pub(crate) fn recall_of(tp: usize, a1: usize) -> f64 {
+        if a1 == 0 {
+            0.0
+        } else {
+            tp as f64 / a1 as f64
         }
     }
 

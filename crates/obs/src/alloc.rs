@@ -35,12 +35,16 @@
 //! ([`heap_stats`], [`scope_snapshots`], the resets), and when it
 //! exits. An [`AllocScope`] guard dropping (a [`ScopeHandle::install`]
 //! returning is its guards dropping) folds that scope, and the pending
-//! events too when it was the thread's last open guard. So:
+//! events too when it was the thread's last open guard; an `install` on
+//! a thread with no guard open folds them even when its chain is empty.
+//! So:
 //!
 //! * **totals are exact at quiescence** — every count of every thread
 //!   that has no guard open and has not allocated since its last fold
 //!   is in the shared ledgers, which is the state every reader in this
-//!   workspace reads in (the request thread, after its workers joined);
+//!   workspace reads in (the request thread, after its fan-outs
+//!   returned: a fan-out's resident workers fold each item as its
+//!   `install` returns);
 //! * **peaks are within a bound** — a thread's own nesting is exact,
 //!   and what other threads have not yet folded is at most
 //!   [`FLUSH_BYTES`] each, so a shared watermark is within
@@ -551,6 +555,10 @@ mod ledger {
             LEDGER.with(|t| {
                 while t.depth.get() > self.base {
                     t.pop(t.depth.get() - 1);
+                }
+                // An empty chain pushed no guard to fold the events.
+                if self.base == 0 {
+                    GLOBAL.absorb(&t.pending.take());
                 }
             });
         }

@@ -39,16 +39,19 @@ impl Ctx {
     /// `CAJADE_TRACE` sink alike), budget checks see the captured budget,
     /// allocations are attributed up the captured scope chain. The
     /// thread's previous state is restored on exit, unwinding included.
+    /// The scope chain is installed outermost, so that what entering and
+    /// leaving the trace and budget allocate is folded with `f`'s events
+    /// when `enter` returns.
     pub fn enter<R>(&self, f: impl FnOnce() -> R) -> R {
-        let scoped = || self.scope.install(f);
         let traced = || match &self.trace {
-            Some(t) => t.enter(scoped),
-            None => scoped(),
+            Some(t) => t.enter(f),
+            None => f(),
         };
-        match &self.budget {
+        let budgeted = || match &self.budget {
             Some(b) => b.install(traced),
             None => traced(),
-        }
+        };
+        self.scope.install(budgeted)
     }
 }
 
