@@ -391,6 +391,22 @@ mod tests {
         }
     }
 
+    #[test]
+    fn collect_result_short_circuits_in_order() {
+        let v: Vec<i32> = (0..100).collect();
+        let r: Result<Vec<i32>, String> = v
+            .into_par_iter()
+            .map(|x| {
+                if x >= 40 {
+                    Err(format!("bad {x}"))
+                } else {
+                    Ok(x)
+                }
+            })
+            .collect();
+        assert_eq!(r.unwrap_err(), "bad 40");
+    }
+
     /// What the panicking items of `panics_unwind_one_item_and_resume_on_the_caller` throw.
     #[derive(Debug, PartialEq)]
     struct Thrown(usize);

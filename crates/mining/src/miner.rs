@@ -522,71 +522,73 @@ pub(crate) fn mine_core(
         let t_mid = Instant::now();
         timings.fscore_calc += t_mid - t_score;
 
-        'refine: {
-            // Prune refinements when recall already fell below λ_recall
-            // (Proposition 3.1: refinement can only lower recall). The
-            // empty pattern always has recall 1 and is always refined.
-            if best_recall <= params.lambda_recall && !pat.is_empty() {
+        // Prune refinements when recall already fell below λ_recall
+        // (Proposition 3.1: refinement can only lower recall), or when the
+        // numeric budget is spent. The empty pattern always has recall 1
+        // and is always refined.
+        let pruned_by_recall = best_recall <= params.lambda_recall && !pat.is_empty();
+        if pruned_by_recall || numeric_preds >= params.lambda_attr_num {
+            if pruned_by_recall {
                 timings.recall_pruned_subtrees += 1;
-                break 'refine;
             }
-            if numeric_preds >= params.lambda_attr_num {
-                break 'refine;
+            if let Cow::Owned(buffer) = mask {
+                spare.push(buffer);
             }
-            for (fi, (field, boundaries)) in frag.iter().enumerate().skip(next_fi) {
-                if !pat.is_free(*field) {
-                    continue;
-                }
-                for (bi, &c) in boundaries.iter().enumerate() {
-                    for op in [PredOp::Le, PredOp::Ge] {
-                        // F-score upper bound: discard the child subtree
-                        // when `min(tp_parent, tp_pred)` proves it can
-                        // never be kept (nor, for top_k = 1, beat the
-                        // kept-F floor).
-                        if let Some((a1s, pred_tp)) = &ub_state {
-                            let slot = match op {
-                                PredOp::Le => 0,
-                                _ => 1,
-                            };
-                            let tps = &pred_tp[fi][bi][slot];
-                            let viable = a1s.iter().enumerate().any(|(d, &a1)| {
-                                let tp_ub = item_tps[d].min(tps[d]);
-                                if PatternMetrics::recall_of(tp_ub, a1) <= params.lambda_recall {
-                                    return false;
-                                }
-                                if params.top_k == 1 {
-                                    let f_ub = 2.0 * tp_ub as f64 / (tp_ub + a1) as f64;
-                                    return f_ub > kept_f_floor;
-                                }
-                                true
-                            });
-                            if !viable {
-                                timings.ub_pruned_children += 1;
-                                continue;
-                            }
-                        }
-                        let refined = pat.refine(
-                            *field,
-                            Pred {
-                                op,
-                                value: float_const(c),
-                            },
-                        );
-                        // Incremental refinement: the child's matches are
-                        // the parent's AND the threshold's bitmap.
-                        let mut child = spare.pop().unwrap_or_else(|| Mask::empty(0));
-                        mask.and_into(bank.mask(fi, bi, op), &mut child);
-                        todo.push_back(TodoItem {
-                            pat: refined,
-                            mask: Cow::Owned(child),
-                            next_fi: fi + 1,
-                            numeric_preds: numeric_preds + 1,
-                        });
-                    }
-                }
-            }
-            timings.refine_patterns += t_mid.elapsed();
+            continue;
         }
+
+        for (fi, (field, boundaries)) in frag.iter().enumerate().skip(next_fi) {
+            if !pat.is_free(*field) {
+                continue;
+            }
+            for (bi, &c) in boundaries.iter().enumerate() {
+                for op in [PredOp::Le, PredOp::Ge] {
+                    // F-score upper bound: discard the child subtree when
+                    // `min(tp_parent, tp_pred)` proves it can never be
+                    // kept (nor, for top_k = 1, beat the kept-F floor).
+                    if let Some((a1s, pred_tp)) = &ub_state {
+                        let slot = match op {
+                            PredOp::Le => 0,
+                            _ => 1,
+                        };
+                        let tps = &pred_tp[fi][bi][slot];
+                        let viable = a1s.iter().enumerate().any(|(d, &a1)| {
+                            let tp_ub = item_tps[d].min(tps[d]);
+                            if PatternMetrics::recall_of(tp_ub, a1) <= params.lambda_recall {
+                                return false;
+                            }
+                            if params.top_k == 1 {
+                                let f_ub = 2.0 * tp_ub as f64 / (tp_ub + a1) as f64;
+                                return f_ub > kept_f_floor;
+                            }
+                            true
+                        });
+                        if !viable {
+                            timings.ub_pruned_children += 1;
+                            continue;
+                        }
+                    }
+                    let refined = pat.refine(
+                        *field,
+                        Pred {
+                            op,
+                            value: float_const(c),
+                        },
+                    );
+                    // Incremental refinement: the child's matches are the
+                    // parent's AND the threshold's bitmap.
+                    let mut child = spare.pop().unwrap_or_else(|| Mask::empty(0));
+                    mask.and_into(bank.mask(fi, bi, op), &mut child);
+                    todo.push_back(TodoItem {
+                        pat: refined,
+                        mask: Cow::Owned(child),
+                        next_fi: fi + 1,
+                        numeric_preds: numeric_preds + 1,
+                    });
+                }
+            }
+        }
+        timings.refine_patterns += t_mid.elapsed();
         if let Cow::Owned(buffer) = mask {
             spare.push(buffer);
         }

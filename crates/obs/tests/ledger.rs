@@ -1,7 +1,8 @@
 //! The heap ledger's read contract, checked against oracles: totals are
 //! exact once the threads that allocated have folded, the process peak
-//! is within `threads × FLUSH_BYTES` of the true one, and a block freed
-//! on another thread outside the scope leaves the scope's net alone.
+//! is within `threads × FLUSH_BYTES` of the true one, a block freed on
+//! another thread outside the scope leaves the scope's net alone, and a
+//! thread that stays alive has folded each `Ctx::enter` by its return.
 //!
 //! One `#[test]`, because the process-wide ledger is what is under
 //! test: a second test running beside it (or the harness printing its
@@ -15,7 +16,7 @@ use std::sync::Barrier;
 use cajade_obs::alloc::{
     current_scope, heap_stats, reset_peak, scope_snapshot, HeapStats, ScopeSnapshot, FLUSH_BYTES,
 };
-use cajade_obs::AllocScope;
+use cajade_obs::{AllocScope, Collector, Ctx};
 
 #[global_allocator]
 static ALLOC: cajade_obs::TrackingAlloc = cajade_obs::TrackingAlloc;
@@ -28,6 +29,7 @@ fn ledger_contract() {
     process_peak_is_within_the_flush_bound();
     cross_thread_free_leaves_scope_net_alone();
     exiting_thread_folds_what_it_held();
+    parked_thread_folds_each_enter();
 }
 
 fn scope(name: &str) -> ScopeSnapshot {
@@ -225,4 +227,61 @@ fn exiting_thread_folds_what_it_held() {
             - (before.allocated_blocks - before.freed_blocks),
         1
     );
+}
+
+/// A resident fan-out worker never exits, so what it allocates inside
+/// `Ctx::enter` must be in the process ledger once `enter` returned —
+/// with no scope captured (an empty chain still folds), and with a
+/// trace (whose own hop allocates: the chain is installed outermost, so
+/// the hop's free is folded too). The worker parks on a barrier while
+/// this thread reads.
+fn parked_thread_folds_each_enter() {
+    const LEAKED: usize = 12_345;
+    let plain = Ctx::capture();
+    let traced = Collector::new().with(Some(1), Ctx::capture);
+    let step = Barrier::new(2);
+    let deltas = std::thread::scope(|s| {
+        let worker = s.spawn(|| {
+            // Touch every thread-local the hops use, then fold, so the
+            // windows below hold the hop and the leak and nothing else.
+            plain.enter(|| ());
+            traced.enter(|| ());
+            drop(AllocScope::enter("ledger.parked"));
+            for ctx in [&plain, &traced] {
+                step.wait();
+                step.wait();
+                ctx.enter(|| std::mem::forget(block(LEAKED)));
+                step.wait();
+            }
+            step.wait();
+        });
+        let deltas = [(); 2].map(|()| {
+            step.wait();
+            let before = heap();
+            step.wait();
+            step.wait();
+            let after = heap();
+            (before, after)
+        });
+        step.wait();
+        worker.join().expect("worker panicked");
+        deltas
+    });
+    for (ctx, (before, after)) in ["plain", "traced"].iter().zip(deltas) {
+        assert!(
+            after.allocated_bytes - before.allocated_bytes >= LEAKED as u64,
+            "{ctx}: the leak is not folded"
+        );
+        assert_eq!(
+            after.live_bytes - before.live_bytes,
+            LEAKED as i64,
+            "{ctx}: live bytes"
+        );
+        assert_eq!(
+            (after.allocated_blocks - after.freed_blocks)
+                - (before.allocated_blocks - before.freed_blocks),
+            1,
+            "{ctx}: live blocks"
+        );
+    }
 }

@@ -3,15 +3,14 @@
 //! one warm NBA 0.05 ask, sequential. Every graph's miner returns its
 //! top-k as numbers; ranking walks them and renders only the explanations
 //! it returns, so no string is built for the ~1 500 mined explanations
-//! that collapse and the global cut discard. Then, that a parallel ask
-//! leaves nothing for the process ledger to fold after it returned.
+//! that collapse and the global cut discard.
 //!
-//! One `#[test]`: the ledgers are process-wide, and a sibling test
+//! One `#[test]`: the scope ledgers are process-wide, and a sibling test
 //! asking on another thread would count into them.
 
 use cajade_core::{Params, UserQuestion};
 use cajade_datagen::nba::{self, NbaConfig};
-use cajade_obs::alloc::{heap_stats, scope_snapshot};
+use cajade_obs::alloc::scope_snapshot;
 use cajade_service::{ExplanationService, ServiceConfig};
 
 #[global_allocator]
@@ -26,25 +25,19 @@ fn blocks(scope: &str) -> u64 {
     scope_snapshot(scope).map_or(0, |s| s.allocated_blocks)
 }
 
-fn nba_service(config: ServiceConfig) -> ExplanationService {
-    let service = ExplanationService::new(config);
-    let gen = nba::generate(NbaConfig::scaled(0.05));
-    service.register_database("nba", gen.db, gen.schema_graph);
-    service
-}
-
-fn question(t1: &str, t2: &str) -> UserQuestion {
-    UserQuestion::two_point(&[("season_name", t1)], &[("season_name", t2)])
-}
-
 #[test]
 fn a_warm_ask_renders_what_it_returns_not_what_it_mined() {
-    let service = nba_service(ServiceConfig {
+    let service = ExplanationService::new(ServiceConfig {
         params: Params::paper(),
         ..ServiceConfig::default()
     });
+    let gen = nba::generate(NbaConfig::scaled(0.05));
+    service.register_database("nba", gen.db, gen.schema_graph);
     let session = service.open_session("nba", GSW_SQL).unwrap();
-    let ask = |t1: &str, t2: &str| session.ask(&question(t1, t2)).unwrap();
+    let ask = |t1: &str, t2: &str| {
+        let question = UserQuestion::two_point(&[("season_name", t1)], &[("season_name", t2)]);
+        session.ask(&question).unwrap()
+    };
     let cold = ask("2015-16", "2012-13");
     assert!(cold.apt_cache_misses > 0);
 
@@ -60,15 +53,7 @@ fn a_warm_ask_renders_what_it_returns_not_what_it_mined() {
     // while the refinement BFS allocated a mask per child and cloned a
     // pattern per kept direction and again for the diversity selection;
     // since children reuse refined items' buffers and each kept pattern
-    // is stored once, 23 571 + 3 543. The bound is that plus 10 %.
+    // is stored once, 23 571 + 3 543 (23 773 + 3 543 in a debug build).
+    // The bound is the release figure plus 10 %.
     assert!(mine + rank < 29_800, "mine {mine} + rank {rank} blocks");
-
-    // The service's default fans out. Its workers are resident and fold
-    // what they allocated before an item's result reaches the caller, so
-    // nothing lands in the process ledger after the ask returned.
-    let parallel = nba_service(ServiceConfig::default());
-    let session = parallel.open_session("nba", GSW_SQL).unwrap();
-    assert!(session.ask(&question("2015-16", "2012-13")).is_ok());
-    let first = heap_stats().expect("tracking allocator installed");
-    assert_eq!(heap_stats(), Some(first));
 }
