@@ -9,36 +9,17 @@
 //! Two conventions keep the docs readable without defeating the check:
 //!
 //! * **Brace families** — a doc row may write
-//!   `mine_{feature_selection,prepare}_us` for a family of names; the
+//!   `heap_{live,freed}_bytes` for a family of names; the
 //!   extractor expands the braces into every member.
 //! * **Templates** — names containing `<`, `*`, or whitespace (e.g.
 //!   `cache_<name>_hits_total`) are patterns, not declarations, and are
 //!   skipped.
-
-use std::collections::BTreeSet;
 
 /// A name found in a doc, with the 1-based line it came from.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct DocName {
     pub name: String,
     pub line: u32,
-}
-
-/// Every concrete backticked name anywhere in `markdown`, brace
-/// families expanded, templates skipped. Used for one-directional
-/// code → doc presence checks (metric names).
-pub fn doc_names(markdown: &str) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    for line in markdown.lines() {
-        for raw in backticked(line) {
-            for name in expand_braces(&raw) {
-                if is_concrete(&name) {
-                    out.insert(name);
-                }
-            }
-        }
-    }
-    out
 }
 
 /// Names declared in the *first column* of the table that follows the
@@ -144,10 +125,13 @@ mod tests {
 
     #[test]
     fn templates_are_skipped() {
-        let doc = "| `cache_<name>_hits_total` | family |\n| `asks_total` | real |";
-        let names = doc_names(doc);
-        assert!(names.contains("asks_total"));
-        assert!(!names.iter().any(|n| n.contains("cache_")));
+        let doc = "## Names\n| `cache_<name>_{hits,misses}_total` | family |\n\
+                   | `fault_*` | family |\n| `asks_total` | real |";
+        let names: Vec<String> = table_first_column(doc, "names")
+            .into_iter()
+            .map(|d| d.name)
+            .collect();
+        assert_eq!(names, vec!["asks_total"]);
     }
 
     #[test]

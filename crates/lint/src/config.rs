@@ -32,8 +32,6 @@ pub struct LintConfig {
     /// Directory components whose files are test code end to end
     /// (integration tests, benches): production-code rules skip them.
     pub test_dir_components: Vec<String>,
-    /// Modules covered by `no-panic-request-path`.
-    pub request_path_files: Vec<String>,
     /// Modules that must contain a request-budget check
     /// (`budget-checkpoint`).
     pub budget_files: Vec<String>,
@@ -78,11 +76,6 @@ impl LintConfig {
                 "crates/lint/tests/fixtures",
             ]),
             test_dir_components: s(&["tests", "benches"]),
-            request_path_files: s(&[
-                "crates/service/src/protocol.rs",
-                "crates/service/src/session.rs",
-                "crates/service/src/service.rs",
-            ]),
             budget_files: s(&[
                 // The refinement BFS and question-independent
                 // preparation (PR 7's cooperative-cancellation sites).

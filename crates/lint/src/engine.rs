@@ -140,14 +140,11 @@ fn budget_checkpoint(cfg: &LintConfig, seen: &[(String, bool)], report: &mut Lin
 // doc-catalog-drift (cross-file)
 // ---------------------------------------------------------------------------
 
-/// Cross-checks code-declared names against the doc tables.
-///
-/// * metrics — one-directional (code → doc): every literal metric name
-///   must appear in `docs/OBSERVABILITY.md` (the doc also documents
-///   templated families like `cache_<name>_hits_total` that no literal
-///   matches, so doc → code is not meaningful here);
-/// * failpoints, error codes, alloc scopes — bidirectional against
-///   their tables (the tables are fully literal).
+/// Cross-checks code-declared names against the doc tables, in both
+/// directions: metrics against the "Metric names" tables, alloc scopes
+/// against the scope taxonomy, failpoints and error codes against
+/// their catalogs. Templated rows (`cache_<name>_hits_total`) document
+/// names no literal registers and are skipped.
 fn doc_catalog_drift(
     cfg: &LintConfig,
     uses: &[CatalogUse],
@@ -160,22 +157,15 @@ fn doc_catalog_drift(
     if let Some(obs_path) = &cfg.docs.observability {
         let doc = read(obs_path)?;
         let doc_rel = rel_path(&cfg.root, obs_path);
-        // Metrics: code → doc.
-        let names = catalog::doc_names(&doc);
-        for u in uses.iter().filter(|u| u.kind == CatalogKind::Metric) {
-            if !names.contains(&u.name) {
-                report.findings.push(Finding {
-                    rule: DOC_CATALOG_DRIFT,
-                    file: u.file.clone(),
-                    line: u.line,
-                    message: format!(
-                        "metric `{}` is not documented in {doc_rel} (metric-name tables)",
-                        u.name
-                    ),
-                });
-            }
-        }
-        // Alloc scopes: bidirectional against the scope taxonomy table.
+        bidirectional(
+            "metric",
+            "metric names",
+            &doc,
+            &doc_rel,
+            uses,
+            CatalogKind::Metric,
+            report,
+        );
         bidirectional(
             "alloc scope",
             "scope taxonomy",
@@ -216,7 +206,7 @@ fn doc_catalog_drift(
 }
 
 /// Diffs the code-declared set of `kind` names against the first
-/// column of the doc table under `section`, reporting drift in both
+/// column of the doc tables under `section`, reporting drift in both
 /// directions.
 #[allow(clippy::too_many_arguments)]
 fn bidirectional(

@@ -11,14 +11,12 @@
 //! type checker.
 //!
 //! Comment *text* is not discarded: it is collected per line, because
-//! two rules read it — `safety-comment` looks for `// SAFETY:` above an
-//! `unsafe` site, and the suppression machinery looks for
-//! `// lint:allow(rule)`.
+//! the suppression machinery looks for `// lint:allow(rule)` in it.
 
 /// What a token is. Only the distinctions the rules consume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokKind {
-    /// Identifier or keyword (`sort_by`, `unsafe`, `fn`, …).
+    /// Identifier or keyword (`sort_by`, `fn`, …).
     Ident,
     /// String literal (plain, raw, or byte); `text` is the inner
     /// contents without quotes/hashes, escapes unprocessed.
@@ -69,14 +67,6 @@ pub struct LexedFile {
 }
 
 impl LexedFile {
-    /// Comment text covering 1-based `line`, or `""`.
-    pub fn comment_on(&self, line: u32) -> &str {
-        self.comments
-            .get(line as usize - 1)
-            .map(String::as_str)
-            .unwrap_or("")
-    }
-
     /// Trimmed source of 1-based `line`, or `""`.
     pub fn line_text(&self, line: u32) -> &str {
         self.lines
@@ -533,8 +523,8 @@ fn real() { a.partial_cmp(b) }
             .collect();
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert_eq!(hits[0].line, 8);
-        assert!(file.comment_on(2).contains("partial_cmp"));
-        assert!(file.comment_on(3).contains("nested"));
+        assert!(file.comments[1].contains("partial_cmp"));
+        assert!(file.comments[2].contains("nested"));
     }
 
     #[test]

@@ -20,8 +20,6 @@
 //! | Rule | Invariant |
 //! |---|---|
 //! | `float-total-order` | rankings tie-break under `f64::total_cmp`, never `partial_cmp` |
-//! | `safety-comment` | every `unsafe` site carries a `// SAFETY:` justification |
-//! | `no-panic-request-path` | the serve request path degrades, never panics |
 //! | `doc-catalog-drift` | metric/failpoint/error-code/alloc-scope doc tables match the code |
 //! | `budget-checkpoint` | pattern/graph loops stay deadline-interruptible |
 //! | `alloc-hook-local` | the allocator hooks touch thread-local state only |

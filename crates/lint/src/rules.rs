@@ -14,8 +14,6 @@ use crate::lexer::{LexedFile, TokKind, Token};
 
 /// Rule identifiers, as used in findings and `lint:allow(…)`.
 pub const FLOAT_TOTAL_ORDER: &str = "float-total-order";
-pub const SAFETY_COMMENT: &str = "safety-comment";
-pub const NO_PANIC_REQUEST_PATH: &str = "no-panic-request-path";
 pub const DOC_CATALOG_DRIFT: &str = "doc-catalog-drift";
 pub const BUDGET_CHECKPOINT: &str = "budget-checkpoint";
 pub const ALLOC_HOOK_LOCAL: &str = "alloc-hook-local";
@@ -27,14 +25,6 @@ pub const RULES: &[(&str, &str)] = &[
     (
         FLOAT_TOTAL_ORDER,
         "no partial_cmp in comparator positions or followed by .unwrap(); rankings must use f64::total_cmp",
-    ),
-    (
-        SAFETY_COMMENT,
-        "every unsafe block/fn/impl must be preceded by a // SAFETY: comment",
-    ),
-    (
-        NO_PANIC_REQUEST_PATH,
-        "no .unwrap()/.expect(/panic! in serve request-path modules (degrade, don't die)",
     ),
     (
         DOC_CATALOG_DRIFT,
@@ -105,10 +95,6 @@ pub fn scan_file(rel: &str, file: &LexedFile, cfg: &LintConfig) -> FileScan {
         ..FileScan::default()
     };
     float_total_order(rel, file, &mut scan);
-    safety_comment(rel, file, &mut scan);
-    if cfg.request_path_files.iter().any(|f| f == rel) {
-        no_panic_request_path(rel, file, &mut scan);
-    }
     if cfg.alloc_hook_files.iter().any(|f| f == rel) {
         alloc_hook_local(rel, file, &mut scan);
     }
@@ -238,100 +224,6 @@ fn chained_into_unwrap(toks: &[Token], i: usize) -> bool {
     toks.get(j + 1).is_some_and(|t| t.is_punct('.'))
         && toks.get(j + 2).is_some_and(|t| t.is_ident("unwrap"))
         && toks.get(j + 3).is_some_and(|t| t.is_punct('('))
-}
-
-// ---------------------------------------------------------------------------
-// safety-comment
-// ---------------------------------------------------------------------------
-
-/// Every `unsafe` keyword in production code must have a `// SAFETY:`
-/// comment on its own line or in the comment block immediately above
-/// (attribute lines in between are allowed).
-fn safety_comment(rel: &str, file: &LexedFile, scan: &mut FileScan) {
-    for t in &file.tokens {
-        if !t.is_ident("unsafe") || t.in_test {
-            continue;
-        }
-        if has_safety_comment(file, t.line) {
-            continue;
-        }
-        scan.findings.push(Finding {
-            rule: SAFETY_COMMENT,
-            file: rel.to_string(),
-            line: t.line,
-            message: "`unsafe` without a `// SAFETY:` comment explaining why the \
-                      invariants hold"
-                .to_string(),
-        });
-    }
-}
-
-fn has_safety_comment(file: &LexedFile, line: u32) -> bool {
-    if file.comment_on(line).contains("SAFETY:") {
-        return true;
-    }
-    // Walk upward through the contiguous run of comment-only /
-    // attribute / empty lines directly above.
-    let mut l = line.saturating_sub(1);
-    while l >= 1 {
-        if file.comment_on(l).contains("SAFETY:") {
-            return true;
-        }
-        let text = file.line_text(l);
-        let skippable = text.is_empty()
-            || text.starts_with("//")
-            || text.starts_with("/*")
-            || text.starts_with('*')
-            || text.starts_with("#[");
-        if !skippable {
-            return false;
-        }
-        l -= 1;
-    }
-    false
-}
-
-// ---------------------------------------------------------------------------
-// no-panic-request-path
-// ---------------------------------------------------------------------------
-
-/// PR 7's degrade-don't-die guarantee: the serve request path isolates
-/// panics at the boundary, so nothing inside it may introduce one.
-fn no_panic_request_path(rel: &str, file: &LexedFile, scan: &mut FileScan) {
-    let toks = &file.tokens;
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        if t.in_test || t.kind != TokKind::Ident {
-            continue;
-        }
-        let prev_dot = i > 0 && toks[i - 1].is_punct('.');
-        let hit = match t.text.as_str() {
-            "unwrap" => {
-                prev_dot
-                    && toks.get(i + 1).is_some_and(|n| n.is_punct('('))
-                    && toks.get(i + 2).is_some_and(|n| n.is_punct(')'))
-            }
-            "expect" => prev_dot && toks.get(i + 1).is_some_and(|n| n.is_punct('(')),
-            "panic" => toks.get(i + 1).is_some_and(|n| n.is_punct('!')),
-            _ => false,
-        };
-        if hit {
-            scan.findings.push(Finding {
-                rule: NO_PANIC_REQUEST_PATH,
-                file: rel.to_string(),
-                line: t.line,
-                message: format!(
-                    "`{}` in a serve request-path module: the request path must \
-                     degrade, not die (return a ServiceError; see docs/ROBUSTNESS.md)",
-                    if t.text == "panic" {
-                        "panic!".to_string()
-                    } else {
-                        format!(".{}(", t.text)
-                    }
-                ),
-            });
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -59,9 +59,7 @@
 //! The allocator's hooks never allocate, never lock, and run no atomic
 //! read-modify-write (`cajade-lint`'s `alloc-hook-local` rule keeps it
 //! so); entering a scope is lock-free and allocation-free once its name
-//! is interned. Building `cajade-obs` with `--no-default-features`
-//! (dropping the `alloc-track` feature) compiles the whole module down
-//! to a pass-through to the system allocator.
+//! is interned.
 
 use crate::registry::Registry;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -71,8 +69,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 // ---------------------------------------------------------------------------
 
 /// A [`GlobalAlloc`] forwarding to [`System`] while maintaining the
-/// thread / process / scoped ledgers. With the `alloc-track` feature
-/// disabled it is a pure pass-through.
+/// thread / process / scoped ledgers.
 pub struct TrackingAlloc;
 
 // SAFETY: every hook delegates the actual memory operation to `System`
@@ -81,48 +78,44 @@ pub struct TrackingAlloc;
 // never allocate, never lock, and never dereference the managed
 // pointers.
 unsafe impl GlobalAlloc for TrackingAlloc {
-    // SAFETY: forwards `layout` unchanged to `System.alloc` under the
-    // caller's `GlobalAlloc::alloc` contract; bookkeeping runs only on
-    // success and does not touch the returned block.
     #[inline]
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        #[cfg(feature = "alloc-track")]
+        // SAFETY: forwards `layout` unchanged to `System.alloc` under the
+        // caller's `GlobalAlloc::alloc` contract; bookkeeping runs only on
+        // success and does not touch the returned block.
+        let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
             ledger::on_alloc(layout.size());
         }
         p
     }
 
-    // SAFETY: same delegation as `alloc`, via `System.alloc_zeroed`.
     #[inline]
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
-        #[cfg(feature = "alloc-track")]
+        // SAFETY: same delegation as `alloc`, via `System.alloc_zeroed`.
+        let p = unsafe { System.alloc_zeroed(layout) };
         if !p.is_null() {
             ledger::on_alloc(layout.size());
         }
         p
     }
 
-    // SAFETY: the caller guarantees `ptr`/`layout` describe a block
-    // previously returned by this allocator; both are passed straight
-    // through to `System.dealloc`.
     #[inline]
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        #[cfg(feature = "alloc-track")]
+        // SAFETY: the caller guarantees `ptr`/`layout` describe a block
+        // previously returned by this allocator; both are passed straight
+        // through to `System.dealloc`.
+        unsafe { System.dealloc(ptr, layout) };
         ledger::on_dealloc(layout.size());
     }
 
-    // SAFETY: `ptr`/`layout`/`new_size` are forwarded unchanged to
-    // `System.realloc` under the caller's contract; on success the old
-    // size is retired and the new size recorded, without dereferencing
-    // either block.
     #[inline]
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = System.realloc(ptr, layout, new_size);
-        #[cfg(feature = "alloc-track")]
+        // SAFETY: `ptr`/`layout`/`new_size` are forwarded unchanged to
+        // `System.realloc` under the caller's contract; on success the old
+        // size is retired and the new size recorded, without dereferencing
+        // either block.
+        let p = unsafe { System.realloc(ptr, layout, new_size) };
         if !p.is_null() {
             ledger::on_dealloc(layout.size());
             ledger::on_alloc(new_size);
@@ -139,10 +132,9 @@ unsafe impl GlobalAlloc for TrackingAlloc {
 pub const FLUSH_BYTES: u64 = 1 << 20;
 
 // ---------------------------------------------------------------------------
-// Ledgers (feature-gated internals)
+// Ledgers
 // ---------------------------------------------------------------------------
 
-#[cfg(feature = "alloc-track")]
 mod ledger {
     use super::{HeapStats, ScopeSnapshot, FLUSH_BYTES};
     use std::cell::Cell;
@@ -615,7 +607,6 @@ mod ledger {
 pub struct AllocScope {
     /// The guard's place on the thread's chain; `None` when the chain
     /// was full and the enclosing scope keeps the attribution.
-    #[cfg(feature = "alloc-track")]
     slot: Option<usize>,
     _not_send: std::marker::PhantomData<*const ()>,
 }
@@ -624,10 +615,7 @@ impl AllocScope {
     /// Enters scope `name` on the current thread.
     #[inline]
     pub fn enter(name: &'static str) -> AllocScope {
-        #[cfg(not(feature = "alloc-track"))]
-        let _ = name;
         AllocScope {
-            #[cfg(feature = "alloc-track")]
             slot: ledger::enter(name),
             _not_send: std::marker::PhantomData,
         }
@@ -636,7 +624,6 @@ impl AllocScope {
 
 impl Drop for AllocScope {
     fn drop(&mut self) {
-        #[cfg(feature = "alloc-track")]
         if let Some(slot) = self.slot {
             ledger::exit(slot);
         }
@@ -648,7 +635,6 @@ impl Drop for AllocScope {
 /// handle (no scope active) installs nothing.
 #[derive(Clone, Default)]
 pub struct ScopeHandle {
-    #[cfg(feature = "alloc-track")]
     chain: ledger::Chain,
 }
 
@@ -656,7 +642,6 @@ pub struct ScopeHandle {
 /// [`ScopeHandle::install`] on each worker of a parallel stage.
 pub fn current_scope() -> ScopeHandle {
     ScopeHandle {
-        #[cfg(feature = "alloc-track")]
         chain: ledger::current_chain(),
     }
 }
@@ -666,7 +651,6 @@ impl ScopeHandle {
     /// restoring the previous chain on exit (including unwind). What
     /// `f` allocated is folded into the shared ledgers by then.
     pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
-        #[cfg(feature = "alloc-track")]
         let _installed = ledger::Installed::push(&self.chain);
         f()
     }
@@ -677,13 +661,10 @@ impl ScopeHandle {
 // ---------------------------------------------------------------------------
 
 /// Thread-memory sample taken when a span opens.
-#[derive(Clone, Copy, Default)]
+#[derive(Clone, Copy)]
 pub(crate) struct SpanMem {
-    #[cfg(feature = "alloc-track")]
     allocated0: u64,
-    #[cfg(feature = "alloc-track")]
     live0: i64,
-    #[cfg(feature = "alloc-track")]
     saved_peak: i64,
 }
 
@@ -691,18 +672,13 @@ pub(crate) struct SpanMem {
 /// so the span sees its own high-water mark.
 #[inline]
 pub(crate) fn span_mem_enter() -> SpanMem {
-    #[cfg(feature = "alloc-track")]
-    {
-        let (allocated0, live0, saved_peak) = ledger::span_sample();
-        ledger::set_span_peak(live0);
-        SpanMem {
-            allocated0,
-            live0,
-            saved_peak,
-        }
+    let (allocated0, live0, saved_peak) = ledger::span_sample();
+    ledger::set_span_peak(live0);
+    SpanMem {
+        allocated0,
+        live0,
+        saved_peak,
     }
-    #[cfg(not(feature = "alloc-track"))]
-    SpanMem::default()
 }
 
 /// Closes a span's memory window: returns `(alloc_bytes, peak_bytes)` —
@@ -711,20 +687,12 @@ pub(crate) fn span_mem_enter() -> SpanMem {
 /// enclosing span's peak watermark.
 #[inline]
 pub(crate) fn span_mem_exit(s: SpanMem) -> (u64, u64) {
-    #[cfg(feature = "alloc-track")]
-    {
-        let (allocated, _, peak) = ledger::span_sample();
-        ledger::set_span_peak(peak.max(s.saved_peak));
-        (
-            allocated.saturating_sub(s.allocated0),
-            (peak - s.live0).max(0) as u64,
-        )
-    }
-    #[cfg(not(feature = "alloc-track"))]
-    {
-        let _ = s;
-        (0, 0)
-    }
+    let (allocated, _, peak) = ledger::span_sample();
+    ledger::set_span_peak(peak.max(s.saved_peak));
+    (
+        allocated.saturating_sub(s.allocated0),
+        (peak - s.live0).max(0) as u64,
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -769,41 +737,29 @@ pub struct ScopeSnapshot {
 }
 
 /// `true` once [`TrackingAlloc`] has observed at least one allocation —
-/// i.e. the binary actually installed it and the `alloc-track` feature
-/// is on. All byte surfaces report "tracking disabled" otherwise.
+/// i.e. the binary actually installed it. All byte surfaces report
+/// "tracking disabled" otherwise.
 pub fn tracking_active() -> bool {
-    #[cfg(feature = "alloc-track")]
-    {
-        ledger::tracking_active()
-    }
-    #[cfg(not(feature = "alloc-track"))]
-    false
+    ledger::tracking_active()
 }
 
 /// The process heap ledger, or `None` when tracking is not active.
 /// Folds the calling thread's ledger first, so the caller's own events
 /// are always included.
 pub fn heap_stats() -> Option<HeapStats> {
-    #[cfg(feature = "alloc-track")]
-    {
-        let stats = ledger::heap_stats();
-        tracking_active().then_some(stats)
-    }
-    #[cfg(not(feature = "alloc-track"))]
-    None
+    let stats = ledger::heap_stats();
+    tracking_active().then_some(stats)
 }
 
 /// Rebases the global peak-live watermark to the current live level
 /// (sweep harnesses call this between scale points, mirroring
 /// [`reset_peak_rss`](crate::reset_peak_rss)).
 pub fn reset_peak() {
-    #[cfg(feature = "alloc-track")]
     ledger::reset_peak();
 }
 
 /// Rebases every scope's peak-net watermark to its current net level.
 pub fn reset_scope_peaks() {
-    #[cfg(feature = "alloc-track")]
     ledger::reset_scope_peaks();
 }
 
@@ -811,14 +767,9 @@ pub fn reset_scope_peaks() {
 /// calling thread's open scopes first, so a scope reads correctly from
 /// inside its own guard.
 pub fn scope_snapshots() -> Vec<ScopeSnapshot> {
-    #[cfg(feature = "alloc-track")]
-    {
-        let mut out = ledger::scope_snapshots();
-        out.sort_by_key(|s| s.name);
-        out
-    }
-    #[cfg(not(feature = "alloc-track"))]
-    Vec::new()
+    let mut out = ledger::scope_snapshots();
+    out.sort_by_key(|s| s.name);
+    out
 }
 
 /// Snapshot of one scope by name, if it has ever been entered.
@@ -876,7 +827,7 @@ fn sanitize(name: &str) -> String {
         .collect()
 }
 
-#[cfg(all(test, feature = "alloc-track"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

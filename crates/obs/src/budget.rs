@@ -1,6 +1,5 @@
-//! Request budgets: a deadline plus a cancellation flag, installed
-//! per-request and checked cooperatively at phase boundaries and inside
-//! the mining loops.
+//! Request budgets: a deadline installed per-request and checked
+//! cooperatively at phase boundaries and inside the mining loops.
 //!
 //! The design mirrors [`crate::trace`]: the disabled path — no budget
 //! installed — is a single thread-local `Cell<bool>` load (~ns), so the
@@ -8,13 +7,13 @@
 //! when no `timeout_ms` was requested. A unit test pins the disabled
 //! path the same way `disabled_span_overhead_is_negligible` pins spans.
 //!
-//! A [`Budget`] wraps a shared [`BudgetState`] (`Arc`), so a
+//! A [`Budget`] wraps shared state (`Arc`), so a
 //! [`Ctx`](crate::Ctx) can carry it from the request thread onto worker
 //! threads (the mining executor's `rayon` pool spawns real OS threads —
 //! same problem, same fix as trace collectors). Expiry is *monotone*: once a
-//! deadline has passed or [`Budget::cancel`] has been called, every
-//! subsequent check reports expired, and the first check that observes
-//! it caches the verdict so later checks skip the clock read.
+//! deadline has passed, every subsequent check reports expired, and the
+//! first check that observes it caches the verdict so later checks skip
+//! the clock read.
 //!
 //! Work that notices expiry calls [`stop`] with a static site name; the
 //! site is recorded (deduplicated) in the budget's truncation list,
@@ -28,9 +27,8 @@ use std::time::{Duration, Instant};
 /// Shared per-request budget state. Cheap to check, clone-free on the
 /// hot path (threads hold an `Arc` in TLS).
 #[derive(Debug)]
-pub struct BudgetState {
+struct BudgetState {
     deadline: Option<Instant>,
-    cancelled: AtomicBool,
     /// Set by the first check that observes expiry; later checks skip
     /// the `Instant::now()` call. Sound because expiry is monotone.
     expired_seen: AtomicBool,
@@ -42,8 +40,7 @@ impl BudgetState {
         if self.expired_seen.load(Ordering::Relaxed) {
             return true;
         }
-        let hit = self.cancelled.load(Ordering::Relaxed)
-            || self.deadline.is_some_and(|d| Instant::now() >= d);
+        let hit = self.deadline.is_some_and(|d| Instant::now() >= d);
         if hit {
             self.expired_seen.store(true, Ordering::Relaxed);
         }
@@ -58,8 +55,7 @@ impl BudgetState {
     }
 }
 
-/// A per-request budget: an optional deadline plus a cancellation
-/// flag. Create one per `ask`, [`install`](Budget::install) it around
+/// A per-request budget: an optional deadline. Create one per `ask`, [`install`](Budget::install) it around
 /// the pipeline, and inspect [`truncated`](Budget::truncated)
 /// afterwards to learn whether (and where) work was cut short.
 #[derive(Debug, Clone)]
@@ -71,47 +67,13 @@ impl Budget {
     /// A budget expiring `timeout` from now. A deadline too far away
     /// for the clock to represent is no deadline.
     pub fn with_timeout(timeout: Duration) -> Budget {
-        Budget::build(Instant::now().checked_add(timeout))
-    }
-
-    /// A budget with no deadline. It never expires on its own but can
-    /// still be [`cancel`](Budget::cancel)led.
-    pub fn unlimited() -> Budget {
-        Budget::build(None)
-    }
-
-    fn build(deadline: Option<Instant>) -> Budget {
         Budget {
             state: Arc::new(BudgetState {
-                deadline,
-                cancelled: AtomicBool::new(false),
+                deadline: Instant::now().checked_add(timeout),
                 expired_seen: AtomicBool::new(false),
                 truncated: Mutex::new(Vec::new()),
             }),
         }
-    }
-
-    /// Flags the budget as expired immediately (caller-driven
-    /// cancellation — e.g. a disconnected client).
-    pub fn cancel(&self) {
-        self.state.cancelled.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether the deadline has passed or [`cancel`](Budget::cancel)
-    /// was called.
-    pub fn is_expired(&self) -> bool {
-        self.state.expired()
-    }
-
-    /// Whether any work site truncated under this budget — the
-    /// `degraded` marker of the response.
-    pub fn degraded(&self) -> bool {
-        !self
-            .state
-            .truncated
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .is_empty()
     }
 
     /// The sites (in first-truncation order, deduplicated) that cut
@@ -152,11 +114,6 @@ thread_local! {
     /// Fast gate: `true` iff a budget is installed on this thread.
     static ACTIVE: Cell<bool> = const { Cell::new(false) };
     static CURRENT: RefCell<Option<Arc<BudgetState>>> = const { RefCell::new(None) };
-}
-
-/// Whether a budget is installed on this thread. One TLS load.
-pub fn active() -> bool {
-    ACTIVE.with(Cell::get)
 }
 
 /// Whether the current budget (if any) has expired. Without an
@@ -206,7 +163,7 @@ mod tests {
 
     #[test]
     fn no_budget_means_never_expired() {
-        assert!(!active());
+        assert!(current().is_none());
         assert!(!expired());
         assert!(!stop("tests.anywhere"));
         assert!(current().is_none());
@@ -216,7 +173,7 @@ mod tests {
     fn deadline_expiry_is_observed_and_recorded() {
         let b = Budget::with_timeout(Duration::from_millis(1));
         b.install(|| {
-            assert!(active());
+            assert!(current().is_some());
             while !expired() {
                 std::thread::sleep(Duration::from_millis(1));
             }
@@ -224,30 +181,23 @@ mod tests {
             assert!(stop("tests.phase_a"), "stop keeps returning true");
             assert!(stop("tests.phase_b"));
         });
-        assert!(b.is_expired());
-        assert!(b.degraded());
         assert_eq!(b.truncated(), vec!["tests.phase_a", "tests.phase_b"]);
     }
 
     #[test]
-    fn unlimited_budget_expires_only_on_cancel() {
-        let b = Budget::unlimited();
+    fn unrepresentable_deadline_never_expires() {
+        let b = Budget::with_timeout(Duration::MAX);
         b.install(|| {
+            assert!(current().is_some());
             assert!(!expired());
             assert!(!stop("tests.never"));
         });
-        assert!(!b.degraded());
-        b.cancel();
-        b.install(|| {
-            assert!(expired());
-            assert!(stop("tests.cancelled"));
-        });
-        assert_eq!(b.truncated(), vec!["tests.cancelled"]);
+        assert!(b.truncated().is_empty());
     }
 
     #[test]
     fn install_restores_previous_budget_even_on_panic() {
-        let outer = Budget::unlimited();
+        let outer = Budget::with_timeout(Duration::MAX);
         outer.install(|| {
             let inner = Budget::with_timeout(Duration::ZERO);
             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -258,10 +208,10 @@ mod tests {
             }));
             assert!(r.is_err());
             // Back on the outer (never-expiring) budget.
-            assert!(active());
+            assert!(current().is_some());
             assert!(!expired());
         });
-        assert!(!active());
+        assert!(current().is_none());
     }
 
     /// The free-when-disabled pin, modeled on the span-overhead test in

@@ -72,8 +72,8 @@ impl Stage {
         Stage::new(name, Level::Spans, Some(name))
     }
 
-    /// A per-phase span ([`span_detail`](crate::span_detail)) and the
-    /// alloc scope of the same name.
+    /// A per-phase span (emitted to the sink at [`Level::Detail`] only)
+    /// and the alloc scope of the same name.
     pub fn detail(name: &'static str) -> Stage {
         Stage::new(name, Level::Detail, Some(name))
     }
@@ -99,13 +99,8 @@ impl Stage {
         }
     }
 
-    /// Wall time since the stage opened.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
     /// Closes the stage and returns its wall time.
     pub fn finish(self) -> Duration {
-        self.elapsed()
+        self.start.elapsed()
     }
 }

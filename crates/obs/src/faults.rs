@@ -34,7 +34,7 @@ use std::time::Duration;
 
 /// What an armed site does when reached.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FaultAction {
+enum FaultAction {
     /// `panic!` at the site.
     Panic,
     /// Return an error from the site (escalated to a panic at sites

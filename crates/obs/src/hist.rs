@@ -7,12 +7,10 @@
 //! sub-bucket width: **≤ 1/32 (3.125%)** — pinned by a unit test.
 //!
 //! Recording is lock-free (one `fetch_add` on an atomic bucket plus the
-//! count/sum accumulators), so histograms can be shared across the
+//! sum and max accumulators), so histograms can be shared across the
 //! worker threads of a parallel stage without contention games.
-//! [`HistSnapshot`]s are plain data: sparse (bucket index, count) pairs
-//! that merge cheaply — the bench harness merges per-round snapshots
-//! into one distribution, and the registry snapshots live histograms
-//! without stopping writers.
+//! [`HistSnapshot`]s are plain data: sparse (bucket index, count) pairs,
+//! so the registry snapshots live histograms without stopping writers.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -54,7 +52,6 @@ fn bucket_mid(idx: usize) -> u64 {
 /// A concurrent log-bucketed histogram of `u64` samples (typically µs).
 pub struct Histogram {
     buckets: Box<[AtomicU64]>,
-    count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
@@ -71,7 +68,6 @@ impl Histogram {
         let buckets = (0..NUM_BUCKETS).map(|_| AtomicU64::new(0)).collect();
         Histogram {
             buckets,
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
@@ -80,7 +76,6 @@ impl Histogram {
     /// Records one sample. Lock-free; callable from any thread.
     pub fn record(&self, v: u64) {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
     }
@@ -90,30 +85,9 @@ impl Histogram {
         self.record(u64::try_from(d.as_micros()).unwrap_or(u64::MAX));
     }
 
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Folds another histogram's state into this one.
-    pub fn merge_from(&self, other: &Histogram) {
-        for (i, b) in other.buckets.iter().enumerate() {
-            let n = b.load(Ordering::Relaxed);
-            if n > 0 {
-                self.buckets[i].fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max
-            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
     /// A point-in-time copy of the distribution. Concurrent writers may
-    /// land between bucket reads; counts stay self-consistent enough for
-    /// reporting (count is re-derived from the bucket sum).
+    /// land between bucket reads; the count is the bucket sum, so it
+    /// always agrees with the buckets.
     pub fn snapshot(&self) -> HistSnapshot {
         let mut buckets = Vec::new();
         let mut count = 0u64;
@@ -131,11 +105,6 @@ impl Histogram {
             max: self.max.load(Ordering::Relaxed),
         }
     }
-
-    /// Shorthand: `quantile(q)` over a fresh snapshot.
-    pub fn quantile(&self, q: f64) -> u64 {
-        self.snapshot().quantile(q)
-    }
 }
 
 /// Plain-data snapshot of a [`Histogram`]: sparse `(bucket, count)`
@@ -150,7 +119,6 @@ pub struct HistSnapshot {
     pub sum: u64,
     /// Largest recorded sample (exact, not bucketed).
     pub max: u64,
-    // NOTE: keep fields in sync with `merge` below.
 }
 
 impl HistSnapshot {
@@ -182,45 +150,6 @@ impl HistSnapshot {
         } else {
             self.sum as f64 / self.count as f64
         }
-    }
-
-    /// Folds `other` into `self`.
-    pub fn merge(&mut self, other: &HistSnapshot) {
-        let mut merged = Vec::with_capacity(self.buckets.len() + other.buckets.len());
-        let (mut a, mut b) = (
-            self.buckets.iter().peekable(),
-            other.buckets.iter().peekable(),
-        );
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(&&(ia, na)), Some(&&(ib, nb))) => {
-                    if ia == ib {
-                        merged.push((ia, na + nb));
-                        a.next();
-                        b.next();
-                    } else if ia < ib {
-                        merged.push((ia, na));
-                        a.next();
-                    } else {
-                        merged.push((ib, nb));
-                        b.next();
-                    }
-                }
-                (Some(&&x), None) => {
-                    merged.push(x);
-                    a.next();
-                }
-                (None, Some(&&x)) => {
-                    merged.push(x);
-                    b.next();
-                }
-                (None, None) => break,
-            }
-        }
-        self.buckets = merged;
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -290,38 +219,8 @@ mod tests {
     #[test]
     fn empty_histogram_quantiles_are_zero() {
         let h = Histogram::new();
-        assert_eq!(h.quantile(0.5), 0);
+        assert_eq!(h.snapshot().quantile(0.5), 0);
         assert_eq!(h.snapshot().mean(), 0.0);
-    }
-
-    #[test]
-    fn merge_equals_combined_recording() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        let both = Histogram::new();
-        for v in [1u64, 5, 17, 300, 4096, 100_000] {
-            a.record(v);
-            both.record(v);
-        }
-        for v in [2u64, 17, 999, 1_000_000] {
-            b.record(v);
-            both.record(v);
-        }
-        // Histogram-level merge…
-        a.merge_from(&b);
-        assert_eq!(a.snapshot(), both.snapshot());
-        // …and snapshot-level merge agree.
-        let a2 = Histogram::new();
-        let b2 = Histogram::new();
-        for v in [1u64, 5, 17, 300, 4096, 100_000] {
-            a2.record(v);
-        }
-        for v in [2u64, 17, 999, 1_000_000] {
-            b2.record(v);
-        }
-        let mut s = a2.snapshot();
-        s.merge(&b2.snapshot());
-        assert_eq!(s, both.snapshot());
     }
 
     #[test]
@@ -337,7 +236,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(h.count(), 40_000);
+        assert_eq!(h.snapshot().count, 40_000);
         assert_eq!(
             h.snapshot().buckets.iter().map(|&(_, n)| n).sum::<u64>(),
             40_000

@@ -20,13 +20,13 @@
 //!   [`trace::TraceSink`] emits JSON-lines events, gated by the
 //!   `CAJADE_TRACE` env var ([`init_from_env`]).
 //! * [`hist`] — HDR-style log-bucketed [`hist::Histogram`]s: lock-free
-//!   recording, mergeable bucket state, p50/p90/p99/p999 estimation with
+//!   recording, p50/p90/p99/p999 estimation with
 //!   a bounded relative error (≤ 1/32, pinned by a unit test).
 //! * [`registry`] — a [`registry::Registry`] of named counters, gauges,
 //!   and histograms with a JSON-friendly snapshot and a Prometheus-style
 //!   text exposition renderer. [`global`] returns the process-wide
 //!   instance; services may also carry their own (test isolation).
-//! * [`budget`] — per-request deadlines with cooperative cancellation:
+//! * [`budget`] — per-request deadlines, checked cooperatively:
 //!   a [`budget::Budget`] installed around a request makes
 //!   [`budget::stop`] checks inside the pipeline's loops report expiry
 //!   and record which phases truncated. Disabled path: one TLS load.
@@ -41,7 +41,6 @@
 //!   byte ledgers. [`alloc::AllocScope::enter`] guards attribute bytes
 //!   to pipeline stages, mining phases, ingest stages, and caches;
 //!   traced spans carry per-span `alloc_bytes`/`peak_bytes` deltas.
-//!   Compiled to a pass-through without the `alloc-track` feature.
 //! * [`ctx`] — what a pipeline stage uses of all of the above: [`Ctx`]
 //!   carries a request's tracing position, budget and alloc-scope chain
 //!   onto worker threads in one hop; [`Stage`] opens a stage's span and
@@ -68,7 +67,7 @@ pub use ctx::{Ctx, Stage};
 pub use hist::{HistSnapshot, Histogram};
 pub use registry::{Counter, Gauge, Registry, RegistrySnapshot};
 pub use rss::{current_rss_bytes, peak_rss_bytes, record_rss, reset_peak_rss};
-pub use trace::{span, span_detail, Collector, Level, SpanGuard, SpanRecord, TraceSink};
+pub use trace::{span, Collector, Level, SpanGuard, SpanRecord, TraceSink};
 
 use std::sync::{Arc, OnceLock};
 
@@ -99,19 +98,60 @@ pub fn global() -> &'static Arc<Registry> {
 ///
 /// | value | effect |
 /// |---|---|
-/// | unset, `0`, `off` | tracing disabled (the default; span guards are inert) |
+/// | unset, empty, `0`, `off` | tracing disabled (the default; span guards are inert) |
 /// | `1`, `spans` | coarse request/stage spans emitted as JSON lines on stderr |
 /// | `2`, `detail`, `all` | adds per-phase spans (mining phases, ingest stages) |
+///
+/// Any other value aborts startup loudly rather than silently tracing
+/// nothing.
 pub fn init_from_env() {
     static ONCE: OnceLock<()> = OnceLock::new();
     ONCE.get_or_init(|| {
-        let level = match std::env::var("CAJADE_TRACE").ok().as_deref() {
-            Some("1") | Some("spans") => Level::Spans,
-            Some("2") | Some("detail") | Some("all") => Level::Detail,
-            _ => Level::Off,
+        let value = std::env::var_os("CAJADE_TRACE").unwrap_or_default();
+        let level = match parse_trace_level(&value.to_string_lossy()) {
+            Ok(level) => level,
+            Err(e) => panic!("invalid CAJADE_TRACE: {e}"),
         };
         if level != Level::Off {
             trace::set_sink(Arc::new(trace::JsonLinesSink::stderr()), level);
         }
     });
+}
+
+/// Parses a `CAJADE_TRACE` value (unset reads as empty); anything
+/// [`init_from_env`] does not list is an error naming the accepted values.
+fn parse_trace_level(value: &str) -> Result<Level, String> {
+    match value {
+        "" | "0" | "off" => Ok(Level::Off),
+        "1" | "spans" => Ok(Level::Spans),
+        "2" | "detail" | "all" => Ok(Level::Detail),
+        other => Err(format!(
+            "{other:?} (expected one of 0, off, 1, spans, 2, detail, all)"
+        )),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn trace_levels_parse_and_unknown_values_are_rejected() {
+        for (value, level) in [
+            ("", Level::Off),
+            ("0", Level::Off),
+            ("off", Level::Off),
+            ("1", Level::Spans),
+            ("spans", Level::Spans),
+            ("2", Level::Detail),
+            ("detail", Level::Detail),
+            ("all", Level::Detail),
+        ] {
+            assert_eq!(parse_trace_level(value), Ok(level), "{value:?}");
+        }
+        for value in ["true", "3", "on", "SPANS", " 1"] {
+            let err = parse_trace_level(value).unwrap_err();
+            assert!(err.contains(&format!("{value:?}")), "{err}");
+        }
+    }
 }

@@ -208,7 +208,7 @@ mod tests {
         r.gauge("open_sessions").set(4);
         assert_eq!(r.gauge("open_sessions").get(), 4);
         r.histogram("ask_total_us").record(100);
-        assert_eq!(r.histogram("ask_total_us").count(), 1);
+        assert_eq!(r.histogram("ask_total_us").snapshot().count, 1);
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub enum Level {
     Off = 0,
     /// Request- and stage-level spans ([`span`]).
     Spans = 1,
-    /// Adds per-phase spans ([`span_detail`]) and events.
+    /// Adds per-phase spans ([`Stage::detail`](crate::Stage::detail)).
     Detail = 2,
 }
 
@@ -184,14 +184,7 @@ pub fn span(name: &'static str) -> SpanGuard {
     open(name, Level::Spans, Instant::now)
 }
 
-/// Opens a per-phase span, emitted to the sink only at [`Level::Detail`]
-/// (collectors always capture it).
-#[inline]
-pub fn span_detail(name: &'static str) -> SpanGuard {
-    open(name, Level::Detail, Instant::now)
-}
-
-/// [`span`] / [`span_detail`] by level. `start` is only called — the
+/// [`span`], or a [`Stage`](crate::Stage)'s span, by level. `start` is only called — the
 /// clock only read — when something is listening.
 #[inline]
 pub(crate) fn open(name: &'static str, level: Level, start: impl FnOnce() -> Instant) -> SpanGuard {
@@ -202,15 +195,6 @@ pub(crate) fn open(name: &'static str, level: Level, start: impl FnOnce() -> Ins
         };
     }
     begin(name, level, start())
-}
-
-/// Records an instantaneous (zero-duration) event at the current stack
-/// position. Same gating as [`span_detail`].
-pub fn event(name: &'static str) {
-    if !enabled(Level::Detail) {
-        return;
-    }
-    drop(begin(name, Level::Detail, Instant::now()));
 }
 
 fn begin(name: &'static str, level: Level, start: Instant) -> SpanGuard {
@@ -452,7 +436,7 @@ mod tests {
             let root = span("root");
             let root_id = root.id().unwrap();
             {
-                let child = span_detail("child");
+                let child = open("child", Level::Detail, Instant::now);
                 assert_eq!(
                     TLS.with(|t| t.borrow().stack.clone()),
                     vec![root_id, child.id().unwrap()]
@@ -541,7 +525,6 @@ mod tests {
 
     /// With the tracking allocator installed (see lib.rs), collected
     /// spans carry their thread's allocation delta.
-    #[cfg(feature = "alloc-track")]
     #[test]
     fn collected_spans_carry_alloc_deltas() {
         let c = Collector::new();
@@ -557,18 +540,5 @@ mod tests {
             "span alloc delta missing: {probe:?}"
         );
         assert!(probe.peak_bytes >= 1 << 16, "span peak missing: {probe:?}");
-    }
-
-    #[test]
-    fn event_records_zero_wall_span() {
-        let c = Collector::new();
-        c.with(None, || {
-            let _root = span("root");
-            event("tick");
-        });
-        let spans = c.finish();
-        let tick = spans.iter().find(|r| r.name == "tick").unwrap();
-        assert!(tick.parent.is_some());
-        assert!(tick.wall_us < 1_000);
     }
 }

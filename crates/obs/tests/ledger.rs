@@ -9,8 +9,6 @@
 //! result) would allocate inside the measured windows. Inside a window
 //! the measuring thread only waits on barriers, which do not allocate.
 
-#![cfg(feature = "alloc-track")]
-
 use std::sync::Barrier;
 
 use cajade_obs::alloc::{

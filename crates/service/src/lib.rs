@@ -36,8 +36,8 @@
 //!
 //! Telemetry: every service records into a `cajade-obs`
 //! [`Registry`](cajade_obs::Registry) ([`ServiceConfig::registry`]) —
-//! ask/stage/mining-phase latency histograms, per-cache counters, and
-//! ingest stage timings — exported via
+//! the whole-ask latency histogram, per-cache counters and the
+//! deterministic work counters — exported via
 //! [`ExplanationService::metrics_snapshot`] and the protocol's `metrics`
 //! op. [`SessionHandle::ask_traced`] additionally captures a per-request
 //! span tree. Names and taxonomy: `docs/OBSERVABILITY.md`.

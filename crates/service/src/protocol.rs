@@ -28,6 +28,8 @@
 //! ← {"ok":true,"explanations":[...],"cache":{"provenance":"miss","apt_hits":0,"apt_misses":9},...}
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use cajade_core::UserQuestion;
 use cajade_datagen::{mimic, nba};
 use cajade_storage::Database;
@@ -731,6 +733,7 @@ fn handle_close(service: &ExplanationService, req: &Json) -> Json {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::ServiceConfig;

@@ -6,6 +6,8 @@
 //! one [`Params`]; each registration also keeps the statistics of its base
 //! columns.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -463,7 +465,6 @@ impl ExplanationService {
         let ingested = cajade_ingest::ingest_dir(dir, &options)?;
         let outcome = self.register_database(name, ingested.db, ingested.schema_graph);
         self.inner.ingest_stats.lock().record(&ingested.report);
-        self.inner.obs.record_ingest(&ingested.report.timings);
         Ok((outcome, ingested.report))
     }
 
@@ -606,6 +607,7 @@ impl ExplanationService {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
 

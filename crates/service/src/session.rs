@@ -22,6 +22,8 @@
 //! derive — then every graph mined in enumeration order. This module adds
 //! the answer cache, the entry's re-weighing and the service's counters.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 

@@ -9,6 +9,8 @@ use cajade_core::{Params, UserQuestion};
 use cajade_datagen::mimic::{self, MimicConfig};
 use cajade_datagen::nba::{self, NbaConfig};
 use cajade_datagen::synth::{self, SynthConfig};
+use cajade_service::json::Json;
+use cajade_service::protocol::handle_line;
 use cajade_service::{ExplanationService, ServiceConfig};
 
 const GSW_SQL: &str = "SELECT COUNT(*) AS win, s.season_name \
@@ -576,7 +578,11 @@ fn exact_masks_are_filled_once_per_graph_and_predicate() {
     // question reads 203 and fills only 5 — most of its winners'
     // predicates were the first one's — and a repeat, an answer-cache
     // hit, reads none. A mask is filled once whichever worker reads it
-    // first, so the counts do not depend on `parallel`.
+    // first, so the counts do not depend on `parallel`. The refinement
+    // BFS's two pruning counters ride along: 202 children cut by the
+    // F-score upper bound and 577 subtrees by the recall bound on the
+    // cold ask, 225 and 574 more on the second question, none on the
+    // repeat — each graph's BFS is sequential, so they are exact too.
     let gen = synth::generate(&SynthConfig::small());
     for parallel in [true, false] {
         let mut params = Params::paper();
@@ -590,7 +596,12 @@ fn exact_masks_are_filled_once_per_graph_and_predicate() {
         let masks = || {
             counters(
                 &service,
-                ["mine_exact_masks_total", "mine_exact_masks_computed_total"],
+                [
+                    "mine_exact_masks_total",
+                    "mine_exact_masks_computed_total",
+                    "mine_ub_pruned_children_total",
+                    "mine_recall_pruned_subtrees_total",
+                ],
             )
         };
         let ask = |t1: &str, t2: &str| {
@@ -600,12 +611,67 @@ fn exact_masks_are_filled_once_per_graph_and_predicate() {
         };
 
         ask("g0", "g1");
-        assert_eq!(masks(), [202, 166], "cold ask, parallel {parallel}");
+        assert_eq!(
+            masks(),
+            [202, 166, 202, 577],
+            "cold ask, parallel {parallel}"
+        );
         ask("g2", "g1");
-        assert_eq!(masks(), [405, 171], "second question, parallel {parallel}");
+        assert_eq!(
+            masks(),
+            [405, 171, 427, 1151],
+            "second question, parallel {parallel}"
+        );
         assert!(ask("g2", "g1").answer_cache_hit);
-        assert_eq!(masks(), [405, 171], "a repeat adds 0, parallel {parallel}");
+        assert_eq!(
+            masks(),
+            [405, 171, 427, 1151],
+            "a repeat adds 0, parallel {parallel}"
+        );
     }
+}
+
+#[test]
+fn without_the_tracking_allocator_heap_surfaces_read_disabled() {
+    // This binary does not install `TrackingAlloc`: the heap surfaces say
+    // "tracking disabled" instead of reporting zeros as measurements —
+    // except a span's byte deltas, which read 0 — and RSS, read from the
+    // kernel, is still there.
+    let service = tiny_service(fast_config());
+    let query = format!(r#"{{"op":"query","db":"nba","sql":"{GSW_SQL}","preview":false}}"#);
+    let session = handle_line(&service, &query)
+        .get("session")
+        .and_then(Json::as_u64)
+        .unwrap();
+    let ask = handle_line(
+        &service,
+        &format!(
+            r#"{{"op":"ask","session":{session},"trace":true,"t1":{{"season_name":"2015-16"}},"t2":{{"season_name":"2012-13"}}}}"#
+        ),
+    );
+    let spans = ask.get("trace").and_then(Json::as_array).unwrap();
+    assert!(spans.len() > 5, "{ask:?}");
+    for span in spans {
+        for field in ["alloc_bytes", "peak_bytes"] {
+            assert_eq!(span.get(field).and_then(Json::as_u64), Some(0), "{span:?}");
+        }
+    }
+
+    let metrics = handle_line(&service, r#"{"op":"metrics"}"#);
+    let memory = metrics.get("memory").unwrap();
+    assert_eq!(memory.get("tracking").and_then(Json::as_bool), Some(false));
+    assert!(memory.get("heap").is_none(), "{memory:?}");
+    assert!(memory.get("scopes").is_none(), "{memory:?}");
+    let rss = memory.get("rss").and_then(Json::as_object).unwrap();
+    assert!(rss.contains_key("peak_bytes") && rss.contains_key("current_bytes"));
+    let gauges = metrics.get("gauges").and_then(Json::as_object).unwrap();
+    assert!(gauges.contains_key("open_sessions"), "{gauges:?}");
+    assert!(
+        !gauges
+            .keys()
+            .any(|g| g.starts_with("heap_") || g.starts_with("mem_scope_")),
+        "{gauges:?}"
+    );
 }
 
 #[test]

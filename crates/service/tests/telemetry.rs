@@ -200,20 +200,12 @@ fn traced_cold_ask_covers_all_stages_and_metrics_percentiles_populate() {
     let p99 = ask_hist.get("p99").and_then(Json::as_u64).unwrap();
     assert!(p50 > 0, "{ask_hist:?}");
     assert!(p99 >= p50, "{ask_hist:?}");
-    // Stage histograms and service counters ride along.
+    // Service counters and gauges ride along.
     assert_eq!(
         m.get("counters")
             .and_then(|c| c.get("asks_total"))
             .and_then(Json::as_u64),
         Some(21)
-    );
-    assert!(
-        m.get("histograms")
-            .and_then(|h| h.get("ask_mine_us"))
-            .and_then(|h| h.get("count"))
-            .and_then(Json::as_u64)
-            .unwrap()
-            > 0
     );
     assert!(
         m.get("gauges")
