@@ -14,6 +14,7 @@
 //!   the "provenance-based explanations" arm of the user study (Table 7).
 
 #![warn(missing_docs)]
+#![deny(clippy::disallowed_methods)]
 
 pub mod cape;
 pub mod explanation_tables;

@@ -5,6 +5,8 @@
 //! criterion benches cover the hot kernels. See EXPERIMENTS.md at the
 //! workspace root for the experiment ↔ paper mapping and measured results.
 
+#![deny(clippy::disallowed_methods)]
+
 pub mod ingest_workload;
 pub mod tablefmt;
 pub mod user_study;

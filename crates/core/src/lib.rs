@@ -21,6 +21,7 @@
 //! tables.
 
 #![warn(missing_docs)]
+#![deny(clippy::disallowed_methods)]
 
 mod error;
 mod explanation;

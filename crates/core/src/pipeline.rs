@@ -280,6 +280,9 @@ pub fn mine_one_prepared(
 /// order — on the calling thread, or, with `params.parallel` and more
 /// than one item, on worker threads that each run under the caller's
 /// [`Ctx`] (trace position, budget, alloc-scope chain).
+// The one sanctioned fan-out site (`docs/LINTS.md`): every worker runs
+// under the caller's `Ctx`.
+#[allow(clippy::disallowed_methods)]
 pub fn fan_out<'a, T, R, C>(
     params: &Params,
     items: &'a [T],

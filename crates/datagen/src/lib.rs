@@ -30,6 +30,7 @@
 //! e.g. the `home = winner` variant and the lineup self-join).
 
 #![warn(missing_docs)]
+#![deny(clippy::disallowed_methods)]
 
 pub mod mimic;
 pub mod names;

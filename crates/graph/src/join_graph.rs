@@ -359,7 +359,7 @@ type EdgeTuple = [usize; 6];
 /// graph ([`EnumeratedGraph::key`](crate::EnumeratedGraph::key)); it is the
 /// cache key the service layer uses to share one materialized APT between
 /// all sessions asking about the same join-graph structure.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct JoinGraphKey {
     /// Non-PT node labels in canonical position order, each followed by
     /// [`LABEL_END`] — one allocation per key, not one per node: a query's

@@ -20,6 +20,7 @@
 //!   Definition-7 coverage semantics needs.
 
 #![warn(missing_docs)]
+#![deny(clippy::disallowed_methods)]
 
 pub mod apt;
 pub mod cost;

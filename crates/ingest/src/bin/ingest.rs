@@ -12,6 +12,8 @@
 //! Flags: `--strict` (error on post-sample type contradictions instead
 //! of coercing to NULL), `--max-joins <n>`, `--name <db>`, `--top <k>`.
 
+#![deny(clippy::disallowed_methods)]
+
 use std::process::ExitCode;
 
 use cajade_core::{ExplanationSession, Params, UserQuestion};

@@ -39,6 +39,7 @@
 //! the command-line wrapper.
 
 #![warn(missing_docs)]
+#![deny(clippy::disallowed_methods)]
 
 pub mod export;
 pub mod infer;
@@ -51,6 +52,7 @@ use std::path::{Path, PathBuf};
 
 use cajade_graph::{extend_schema_graph, DiscoveryConfig, SchemaGraph};
 use cajade_graph::{GraphError, JoinCond};
+use cajade_obs::faults::{self, Site};
 use cajade_obs::Stage;
 use cajade_storage::csv::{CsvTokenizer, Record};
 use cajade_storage::{parse_typed_cell, rowkey, DataType, Database, Schema, StorageError, Table};
@@ -207,7 +209,7 @@ pub fn ingest_dir(dir: impl AsRef<Path>, options: &IngestOptions) -> Result<Inge
     let mut profiles: Vec<(PathBuf, TableProfile)> = Vec::with_capacity(csv_files.len());
     for path in &csv_files {
         let table = file_stem(path);
-        let profiled = cajade_obs::faults::failpoint("ingest.profile")
+        let profiled = faults::failpoint(Site::IngestProfile)
             .map_err(|msg| IngestError::Io {
                 path: path.clone(),
                 msg,
@@ -237,7 +239,7 @@ pub fn ingest_dir(dir: impl AsRef<Path>, options: &IngestOptions) -> Result<Inge
         warn_all_null_columns(profile, &schema, &mut warnings);
         // `load_file` only inserts the table into `db` once the whole file
         // parsed, so a lenient skip here leaves no partial table behind.
-        let loaded = cajade_obs::faults::failpoint("ingest.load")
+        let loaded = faults::failpoint(Site::IngestLoad)
             .map_err(|msg| IngestError::Io {
                 path: path.clone(),
                 msg,

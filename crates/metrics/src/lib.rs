@@ -11,6 +11,7 @@
 //! * small summary-statistics helpers for the harness tables.
 
 #![warn(missing_docs)]
+#![deny(clippy::disallowed_methods)]
 
 pub mod ndcg;
 pub mod rank;

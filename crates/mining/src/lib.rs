@@ -28,6 +28,7 @@
 //!    diversity-aware top-k selection with the paper's `wscore` (§3.5).
 
 #![warn(missing_docs)]
+#![deny(clippy::disallowed_methods)]
 
 pub mod diversity;
 pub mod engine;

@@ -30,6 +30,7 @@ use std::time::{Duration, Instant};
 
 use cajade_graph::Apt;
 use cajade_ml::sampling::bernoulli_sample;
+use cajade_obs::faults::{self, Site};
 use cajade_obs::Stage;
 use cajade_query::ProvenanceTable;
 
@@ -353,7 +354,7 @@ pub(crate) fn mine_core(
     timings: &mut MiningTimings,
     exact_masks: &mut ExactMaskWork,
 ) -> (Vec<MinedExplanation>, usize) {
-    cajade_obs::faults::failpoint_infallible("mine.refine");
+    faults::failpoint_infallible(Site::MineRefine);
     let (index, frag, bank) = (&prepared.index, &prepared.frag, &prepared.bank);
     let directions = question.directions();
     let mut patterns_evaluated = prepared.pool.len();
@@ -498,7 +499,9 @@ pub(crate) fn mine_core(
 
         // Score in both directions (Algorithm 1 line 11).
         // The per-pattern fscore_calc / refine_patterns split runs inside
-        // the one `refine_bfs` stage: lint:allow(single-clock)
+        // the one `refine_bfs` stage: a guard per pattern would be a span
+        // per pattern.
+        #[allow(clippy::disallowed_methods)]
         let t_score = Instant::now();
         let mut best_recall = 0.0f64;
         let mut item_tps = [0usize; 2];
@@ -518,7 +521,8 @@ pub(crate) fn mine_core(
         } else {
             &pat
         };
-        // Second reading of the same split: lint:allow(single-clock)
+        // Second reading of the same split.
+        #[allow(clippy::disallowed_methods)]
         let t_mid = Instant::now();
         timings.fscore_calc += t_mid - t_score;
 

@@ -11,6 +11,8 @@ use cajade_graph::Apt;
 use cajade_storage::{StringPool, Value};
 
 /// Comparison operator of a pattern predicate.
+// Ordered as part of `Pred` (see there).
+#[allow(clippy::disallowed_methods)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PredOp {
     /// Equality (the only operator allowed on categorical attributes).
@@ -34,6 +36,8 @@ impl PredOp {
 
 /// A hashable pattern constant (float stored as ordered bits so patterns
 /// can live in hash sets — the `done` set of Algorithm 1).
+// Ordered as part of `Pred` (see there).
+#[allow(clippy::disallowed_methods)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PatValue {
     /// Integer constant.
@@ -75,6 +79,10 @@ impl PatValue {
 }
 
 /// One predicate: operator + constant.
+// Ordered only to key `ExactMasks`' sorted equality predicates; the
+// derived `PartialOrd` compares integers (a float constant is its
+// bits), never a float.
+#[allow(clippy::disallowed_methods)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Pred {
     /// Comparison operator.

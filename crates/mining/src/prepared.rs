@@ -36,6 +36,7 @@ use std::sync::OnceLock;
 
 use cajade_graph::Apt;
 use cajade_ml::sampling::sample_with_cap;
+use cajade_obs::faults::{self, Site};
 use cajade_obs::{ScopeHandle, Stage};
 use cajade_query::ProvenanceTable;
 
@@ -155,7 +156,7 @@ pub fn prepare(
     stats: &dyn ColumnStatsProvider,
     question: Option<&Question>,
 ) -> PreparedApt {
-    cajade_obs::faults::failpoint_infallible("mine.prepare");
+    faults::failpoint_infallible(Site::MinePrepare);
     let mut timings = MiningTimings::default();
     // Budget checks sit at the phase boundaries below: a phase either
     // runs to completion or is skipped whole (empty feature selection /

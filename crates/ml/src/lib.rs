@@ -25,6 +25,7 @@
 //!   cap-at-1000-rows rule of §5.4.
 
 #![warn(missing_docs)]
+#![deny(clippy::disallowed_methods)]
 
 pub mod cluster;
 pub mod correlation;

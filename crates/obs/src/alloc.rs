@@ -57,9 +57,8 @@
 //! [`ScopeHandle::install`]s it on each worker.
 //!
 //! The allocator's hooks never allocate, never lock, and run no atomic
-//! read-modify-write (`cajade-lint`'s `alloc-hook-local` rule keeps it
-//! so); entering a scope is lock-free and allocation-free once its name
-//! is interned.
+//! read-modify-write (`tests/alloc_hook_local.rs` keeps it so); entering
+//! a scope is lock-free and allocation-free once its name is interned.
 
 use crate::registry::Registry;
 use std::alloc::{GlobalAlloc, Layout, System};

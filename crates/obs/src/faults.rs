@@ -1,9 +1,9 @@
 //! Deterministic fault injection for robustness tests.
 //!
 //! A *failpoint* is a named site in production code (`cache.
-//! provenance_compute`, `ingest.load`, `mine.refine`, …) that normally
-//! does nothing: with no plan armed, [`failpoint`] is one relaxed
-//! atomic load. Arming a plan — from the `CAJADE_FAULTS` environment
+//! provenance_compute`, `ingest.load`, `mine.refine`, … — the closed
+//! list is [`Site`]) that normally does nothing: with no plan armed,
+//! [`failpoint`] is one relaxed atomic load. Arming a plan — from the `CAJADE_FAULTS` environment
 //! variable at binary startup ([`init_from_env`]) or programmatically
 //! from tests ([`set_plan`]) — makes named sites misbehave on purpose:
 //!
@@ -16,6 +16,9 @@
 //!           sleep:<ms>       block <ms> milliseconds, then continue
 //! @count:   fire at most <count> times, then the site goes quiet
 //! ```
+//!
+//! A plan naming a site that is not a [`Site`], an empty site or the
+//! same site twice is refused: it would arm nothing and test nothing.
 //!
 //! Example: `CAJADE_FAULTS=cache.provenance_compute=panic@1` panics the
 //! first cached provenance computation and leaves every later request
@@ -44,9 +47,55 @@ enum FaultAction {
     Sleep(Duration),
 }
 
+/// Every failpoint in the workspace. A call site names one of these, so
+/// the list of sites a plan can arm is the compiler's, not a convention.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Site {
+    /// Top of every protocol request.
+    ServeRequest,
+    /// Inside the single-flighted provenance computation.
+    CacheProvenanceCompute,
+    /// Inside the computation of one prepared join graph.
+    CacheAptCompute,
+    /// Before profiling one CSV file.
+    IngestProfile,
+    /// Before loading one CSV file.
+    IngestLoad,
+    /// Top of mining preparation.
+    MinePrepare,
+    /// Top of the refinement BFS.
+    MineRefine,
+}
+
+impl Site {
+    /// Every site, in `docs/ROBUSTNESS.md`'s catalog order.
+    pub const ALL: [Site; 7] = [
+        Site::ServeRequest,
+        Site::CacheProvenanceCompute,
+        Site::CacheAptCompute,
+        Site::IngestProfile,
+        Site::IngestLoad,
+        Site::MinePrepare,
+        Site::MineRefine,
+    ];
+
+    /// The name a `CAJADE_FAULTS` plan arms the site by.
+    pub fn name(self) -> &'static str {
+        match self {
+            Site::ServeRequest => "serve.request",
+            Site::CacheProvenanceCompute => "cache.provenance_compute",
+            Site::CacheAptCompute => "cache.apt_compute",
+            Site::IngestProfile => "ingest.profile",
+            Site::IngestLoad => "ingest.load",
+            Site::MinePrepare => "mine.prepare",
+            Site::MineRefine => "mine.refine",
+        }
+    }
+}
+
 #[derive(Debug)]
 struct ArmedSite {
-    site: String,
+    site: Site,
     action: FaultAction,
     /// Remaining fires; `u64::MAX` means unlimited.
     remaining: AtomicU64,
@@ -84,8 +133,16 @@ fn parse(spec: &str) -> Result<Vec<ArmedSite>, String> {
             None if action_part == "error" => FaultAction::Error,
             _ => return Err(format!("unknown fault action in `{entry}`")),
         };
+        let site = site.trim();
+        let site = Site::ALL
+            .into_iter()
+            .find(|s| s.name() == site)
+            .ok_or_else(|| format!("unknown fault site `{site}` in `{entry}`"))?;
+        if out.iter().any(|a: &ArmedSite| a.site == site) {
+            return Err(format!("fault site `{}` armed twice", site.name()));
+        }
         out.push(ArmedSite {
-            site: site.trim().to_string(),
+            site,
             action,
             remaining: AtomicU64::new(count),
         });
@@ -94,7 +151,8 @@ fn parse(spec: &str) -> Result<Vec<ArmedSite>, String> {
 }
 
 /// Arms a fault plan from a `CAJADE_FAULTS`-grammar spec, replacing
-/// any previous plan. An empty spec disarms everything.
+/// any previous plan. An empty spec disarms everything; an unknown,
+/// empty or repeated site refuses the plan and leaves the armed one.
 pub fn set_plan(spec: &str) -> Result<(), String> {
     let sites = parse(spec)?;
     let enabled = !sites.is_empty();
@@ -131,7 +189,7 @@ pub fn test_guard() -> MutexGuard<'static, ()> {
 
 /// Looks up `site` in the armed plan and consumes one fire if it
 /// matches. Returns the action to perform, if any.
-fn fire(site: &str) -> Option<FaultAction> {
+fn fire(site: Site) -> Option<FaultAction> {
     let plan = plan().read().unwrap_or_else(|e| e.into_inner());
     let armed = plan.iter().find(|s| s.site == site)?;
     // Consume one fire; a site at 0 stays quiet (enables "@1 then the
@@ -155,7 +213,7 @@ fn fire(site: &str) -> Option<FaultAction> {
     crate::global()
         .counter(&format!(
             "fault_{}_fired_total",
-            armed.site.replace('.', "_")
+            site.name().replace('.', "_")
         ))
         .inc();
     Some(armed.action.clone())
@@ -164,7 +222,7 @@ fn fire(site: &str) -> Option<FaultAction> {
 /// The failpoint for sites with an error path. Disarmed: one relaxed
 /// atomic load, `Ok`. Armed `panic` panics; `error` returns `Err`
 /// with a recognizable message; `sleep` blocks then returns `Ok`.
-pub fn failpoint(site: &str) -> Result<(), String> {
+pub fn failpoint(site: Site) -> Result<(), String> {
     if !ENABLED.load(Ordering::Acquire) {
         return Ok(());
     }
@@ -174,15 +232,15 @@ pub fn failpoint(site: &str) -> Result<(), String> {
             std::thread::sleep(d);
             Ok(())
         }
-        Some(FaultAction::Error) => Err(format!("injected fault at {site}")),
-        Some(FaultAction::Panic) => panic!("injected panic at {site}"),
+        Some(FaultAction::Error) => Err(format!("injected fault at {}", site.name())),
+        Some(FaultAction::Panic) => panic!("injected panic at {}", site.name()),
     }
 }
 
 /// The failpoint for infallible sites (mining phases): `error`
 /// escalates to a panic because there is no error path to return
 /// through. Disarmed: one relaxed atomic load.
-pub fn failpoint_infallible(site: &str) {
+pub fn failpoint_infallible(site: Site) {
     if !ENABLED.load(Ordering::Acquire) {
         return;
     }
@@ -190,7 +248,7 @@ pub fn failpoint_infallible(site: &str) {
         None => {}
         Some(FaultAction::Sleep(d)) => std::thread::sleep(d),
         Some(FaultAction::Error) | Some(FaultAction::Panic) => {
-            panic!("injected panic at {site}")
+            panic!("injected panic at {}", site.name())
         }
     }
 }
@@ -203,18 +261,19 @@ mod tests {
     fn disarmed_failpoints_are_inert() {
         let _g = test_guard();
         clear();
-        assert_eq!(failpoint("tests.nowhere"), Ok(()));
-        failpoint_infallible("tests.nowhere");
+        assert_eq!(failpoint(Site::IngestLoad), Ok(()));
+        failpoint_infallible(Site::MineRefine);
     }
 
     #[test]
     fn parse_rejects_garbage_and_accepts_the_grammar() {
         assert!(parse("no_equals").is_err());
-        assert!(parse("a=explode").is_err());
-        assert!(parse("a=sleep:abc").is_err());
-        assert!(parse("a=panic@x").is_err());
-        let sites = parse("a.b=panic@1, c=error ,d=sleep:25").unwrap();
+        assert!(parse("mine.refine=explode").is_err());
+        assert!(parse("mine.refine=sleep:abc").is_err());
+        assert!(parse("mine.refine=panic@x").is_err());
+        let sites = parse("ingest.load=panic@1, mine.prepare=error ,mine.refine=sleep:25").unwrap();
         assert_eq!(sites.len(), 3);
+        assert_eq!(sites[0].site, Site::IngestLoad);
         assert_eq!(sites[0].action, FaultAction::Panic);
         assert_eq!(sites[0].remaining.load(Ordering::Relaxed), 1);
         assert_eq!(sites[1].action, FaultAction::Error);
@@ -226,29 +285,48 @@ mod tests {
     }
 
     #[test]
+    fn plans_naming_no_site_are_refused_and_leave_the_armed_plan() {
+        let _g = test_guard();
+        set_plan("ingest.profile=error").unwrap();
+        for spec in [
+            "cache.provnance_compute=panic",
+            "=panic",
+            " =error@1",
+            "mine.refine=panic,mine.refine=error",
+        ] {
+            assert!(set_plan(spec).is_err(), "`{spec}` was accepted");
+        }
+        assert!(failpoint(Site::IngestProfile).is_err(), "plan kept");
+        clear();
+        for site in Site::ALL {
+            assert!(parse(&format!("{}=error", site.name())).is_ok());
+        }
+    }
+
+    #[test]
     fn error_action_fires_counts_down_and_goes_quiet() {
         let _g = test_guard();
-        set_plan("tests.err_site=error@2").unwrap();
-        assert!(failpoint("tests.err_site").is_err());
-        assert!(failpoint("tests.other_site").is_ok(), "unarmed site");
-        assert!(failpoint("tests.err_site").is_err());
-        assert!(failpoint("tests.err_site").is_ok(), "count exhausted");
+        set_plan("ingest.load=error@2").unwrap();
+        assert!(failpoint(Site::IngestLoad).is_err());
+        assert!(failpoint(Site::IngestProfile).is_ok(), "unarmed site");
+        assert!(failpoint(Site::IngestLoad).is_err());
+        assert!(failpoint(Site::IngestLoad).is_ok(), "count exhausted");
         let fired = crate::global()
-            .counter("fault_tests_err_site_fired_total")
+            .counter("fault_ingest_load_fired_total")
             .get();
         assert!(fired >= 2, "fire counter recorded: {fired}");
         clear();
-        assert!(failpoint("tests.err_site").is_ok());
+        assert!(failpoint(Site::IngestLoad).is_ok());
     }
 
     #[test]
     fn panic_action_panics_at_fallible_and_infallible_sites() {
         let _g = test_guard();
-        set_plan("tests.panic_site=panic,tests.esc_site=error").unwrap();
-        let r = std::panic::catch_unwind(|| failpoint("tests.panic_site"));
+        set_plan("ingest.profile=panic,mine.refine=error").unwrap();
+        let r = std::panic::catch_unwind(|| failpoint(Site::IngestProfile));
         assert!(r.is_err());
         // `error` at an infallible site escalates to a panic.
-        let r = std::panic::catch_unwind(|| failpoint_infallible("tests.esc_site"));
+        let r = std::panic::catch_unwind(|| failpoint_infallible(Site::MineRefine));
         assert!(r.is_err());
         clear();
     }
@@ -256,9 +334,9 @@ mod tests {
     #[test]
     fn sleep_action_delays_then_continues() {
         let _g = test_guard();
-        set_plan("tests.sleep_site=sleep:30@1").unwrap();
+        set_plan("mine.prepare=sleep:30@1").unwrap();
         let start = std::time::Instant::now();
-        assert!(failpoint("tests.sleep_site").is_ok());
+        assert!(failpoint(Site::MinePrepare).is_ok());
         assert!(start.elapsed() >= Duration::from_millis(30));
         clear();
     }

@@ -20,6 +20,7 @@
 //! * [`execute_with_provenance`] — both of the above from one join.
 
 #![warn(missing_docs)]
+#![deny(clippy::disallowed_methods)]
 
 pub mod ast;
 mod error;

@@ -20,6 +20,8 @@
 //! span records to stderr as JSON lines; `{"op":"metrics"}` exports the
 //! process-wide registry (see `docs/OBSERVABILITY.md`).
 
+#![deny(clippy::disallowed_methods)]
+
 use std::io::{BufRead, Write};
 
 use cajade_service::{protocol, ExplanationService, ServiceConfig};

@@ -328,6 +328,8 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
 }
 
 #[cfg(test)]
+// The concurrency tests start their racing threads themselves.
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
 

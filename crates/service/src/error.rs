@@ -29,8 +29,8 @@ pub enum ServiceError {
 /// `bad_request` and `internal_panic` are minted at the protocol
 /// boundary (see `protocol.rs`), and `timeout` is reserved — a deadline
 /// alone never produces it, budgeted asks degrade with `ok: true`
-/// instead. `cajade-lint`'s doc-catalog-drift rule cross-checks this
-/// list against the doc table.
+/// instead. `crates/service/tests/doc_catalogs.rs` checks this list
+/// against the doc table.
 pub const ERROR_CODES: &[&str] = &[
     "bad_request",
     "unknown_database",

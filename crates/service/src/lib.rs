@@ -43,6 +43,7 @@
 //! span tree. Names and taxonomy: `docs/OBSERVABILITY.md`.
 
 #![warn(missing_docs)]
+#![deny(clippy::disallowed_methods)]
 
 pub mod cache;
 mod colstats;

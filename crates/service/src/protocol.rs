@@ -32,6 +32,7 @@
 
 use cajade_core::UserQuestion;
 use cajade_datagen::{mimic, nba};
+use cajade_obs::faults::{self, Site};
 use cajade_storage::Database;
 
 use crate::cache::CacheStats;
@@ -68,7 +69,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 }
 
 fn handle_line_inner(service: &ExplanationService, line: &str) -> Json {
-    cajade_obs::faults::failpoint_infallible("serve.request");
+    faults::failpoint_infallible(Site::ServeRequest);
     let line = line.trim();
     if line.is_empty() {
         return err("bad_request", "empty request");

@@ -16,6 +16,7 @@ use cajade_core::pipeline::{GraphStore, PreparedGraph, PreparedQuery};
 use cajade_core::Params;
 use cajade_graph::{EnumeratedGraph, SchemaGraph};
 use cajade_ingest::{IngestOptions, IngestReport};
+use cajade_obs::faults::{self, Site};
 use cajade_obs::{AllocScope, Counter};
 use cajade_query::parse_sql;
 use cajade_storage::Database;
@@ -125,7 +126,7 @@ impl GraphStore for EntrySlots<'_> {
             self.obs.coalesced.inc();
             return (Arc::clone(graph), false);
         }
-        cajade_obs::faults::failpoint_infallible("cache.apt_compute");
+        faults::failpoint_infallible(Site::CacheAptCompute);
         let graph = Arc::new(prepare());
         if !graph.prep.truncated {
             self.entry.held.inc();

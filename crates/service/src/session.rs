@@ -29,6 +29,7 @@ use std::time::Duration;
 
 use cajade_core::pipeline;
 use cajade_core::{SessionResult, UserQuestion};
+use cajade_obs::faults::{self, Site};
 use cajade_obs::{span, Collector, SpanRecord, Stage};
 use cajade_query::Query;
 
@@ -325,7 +326,7 @@ impl SessionHandle {
         prov_key: &ProvKey,
     ) -> Result<(Arc<QueryEntry>, bool)> {
         inner.prov_cache.get_or_try_compute(prov_key, || {
-            cajade_obs::faults::failpoint_infallible("cache.provenance_compute");
+            faults::failpoint_infallible(Site::CacheProvenanceCompute);
             // Attribute the retained prepared query (provenance table +
             // enumeration) to the cache holding it.
             let _mem = cajade_obs::AllocScope::enter("cache.provenance");

@@ -1,6 +1,7 @@
 //! Robustness end-to-end tests: deadline-bounded anytime asks (request
 //! budgets), degraded-answer cache hygiene, free-when-disabled identity,
-//! and fault-injected panic isolation across the serve protocol.
+//! and fault-injected panic isolation across the serve protocol — at
+//! every failpoint, with `panic` and with `error`.
 
 use std::time::Duration;
 
@@ -436,4 +437,102 @@ fn apt_compute_panic_still_weighs_what_the_sibling_workers_stored() {
         fresh + stats.apt_cache.bytes,
         "{stats:?}"
     );
+}
+
+/// Answers `lines` on `service`, each from a thread of its own and all at
+/// once; fails if some request has not answered within a minute — a
+/// waiter left hung on a latch a faulted request never released.
+fn answer_concurrently(service: &ExplanationService, lines: &[String]) -> Vec<Json> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let workers: Vec<_> = (lines.iter().enumerate())
+        .map(|(i, line)| {
+            let (service, line, tx) = (service.clone(), line.clone(), tx.clone());
+            std::thread::spawn(move || tx.send((i, protocol::handle_line(&service, &line))))
+        })
+        .collect();
+    let mut out: Vec<Option<Json>> = vec![None; lines.len()];
+    for _ in lines {
+        let (i, r) = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a request is still waiting after a minute");
+        out[i] = Some(r);
+    }
+    for worker in workers {
+        let sent = worker.join().expect("a request thread panicked");
+        sent.expect("the receiver outlives the requests");
+    }
+    out.into_iter().flatten().collect()
+}
+
+/// `ok: true`, or an error object with a listed code and a message.
+fn assert_well_formed(r: &Json, what: &str) {
+    if r.get("ok").and_then(Json::as_bool) == Some(true) {
+        return;
+    }
+    let error = r.get("error");
+    let code = error.and_then(|e| e.get("code")).and_then(Json::as_str);
+    assert!(
+        code.is_some_and(|c| cajade_service::ERROR_CODES.contains(&c))
+            && error
+                .and_then(|e| e.get("message"))
+                .and_then(Json::as_str)
+                .is_some(),
+        "{what}: {r:?}"
+    );
+}
+
+/// A CSV registration, a query and two concurrent asks of one question,
+/// which take every failpoint, under the fault `plan` (`""` for none);
+/// then, disarmed, the explanations of that question on a new session.
+fn drive_every_site(service: &ExplanationService, plan: &str) -> (Vec<Json>, String) {
+    cajade_obs::faults::set_plan(plan).unwrap();
+    let csv = format!("{}/../../tests/data/retail_csv", env!("CARGO_MANIFEST_DIR"));
+    let query = format!(r#"{{"op":"query","db":"nba","sql":"{GSW_SQL}"}}"#);
+    let ask = |session: u64| {
+        format!(
+            r#"{{"op":"ask","session":{session},"t1":{{"season_name":"2015-16"}},"t2":{{"season_name":"2012-13"}}}}"#
+        )
+    };
+    let session = |r: &Json| r.get("session").and_then(Json::as_u64);
+    let mut responses = answer_concurrently(
+        service,
+        &[format!(
+            r#"{{"op":"register","db":"retail","source":"csv_dir","path":"{csv}"}}"#
+        )],
+    );
+    responses.extend(answer_concurrently(service, std::slice::from_ref(&query)));
+    if let Some(sid) = responses.last().and_then(session) {
+        responses.extend(answer_concurrently(service, &[ask(sid), ask(sid)]));
+    }
+    cajade_obs::faults::clear();
+    let sid = session(&protocol::handle_line(service, &query)).unwrap();
+    let after = protocol::handle_line(service, &ask(sid));
+    let explanations = after.get("explanations").map(Json::render);
+    (
+        responses,
+        explanations.unwrap_or_else(|| panic!("{after:?}")),
+    )
+}
+
+#[test]
+fn every_failpoint_panicking_or_failing_leaves_well_formed_answers_and_the_next_ask_unchanged() {
+    let _guard = cajade_obs::faults::test_guard();
+    let (_, control) = drive_every_site(&tiny_service(), "");
+    for site in cajade_obs::faults::Site::ALL {
+        for action in ["panic", "error"] {
+            let case = format!("{}={action}@1", site.name());
+            let fired = format!("fault_{}_fired_total", site.name().replace('.', "_"));
+            let before = cajade_obs::global().counter(&fired).get();
+            let (responses, after) = drive_every_site(&tiny_service(), &case);
+            assert_eq!(
+                cajade_obs::global().counter(&fired).get(),
+                before + 1,
+                "{case}: the driven path never reached the site"
+            );
+            for r in &responses {
+                assert_well_formed(r, &case);
+            }
+            assert_eq!(after, control, "{case}: the next ask's answer moved");
+        }
+    }
 }

@@ -36,6 +36,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(clippy::disallowed_methods)]
 
 mod column;
 pub mod csv;

@@ -6,6 +6,9 @@ use std::sync::Arc;
 /// Categorical column data is stored as `StrId`s, so the pattern-matching
 /// hot loops (Definition 5 / Definition 7 of the paper) compare 4-byte ids
 /// instead of string contents.
+// Ordered by pool index (sorted categorical columns, `Value`'s order);
+// the derived `PartialOrd` calls `partial_cmp` on a `u32`, not a float.
+#[allow(clippy::disallowed_methods)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StrId(pub u32);
 

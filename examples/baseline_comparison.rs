@@ -3,6 +3,8 @@
 //!
 //! Run with: `cargo run --release --example baseline_comparison`
 
+#![deny(clippy::disallowed_methods)]
+
 use cajade::baselines::{
     explain_outlier, provenance_only_explanations, CapeQuestion, Direction, EtConfig,
     ExplanationTables,

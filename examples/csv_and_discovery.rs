@@ -8,6 +8,8 @@
 //!
 //! Run with: `cargo run --release --example csv_and_discovery`
 
+#![deny(clippy::disallowed_methods)]
+
 use cajade::core::ExplanationSession;
 use cajade::prelude::*;
 

@@ -4,6 +4,8 @@
 //!
 //! Run with: `cargo run --release --example mimic_insurance`
 
+#![deny(clippy::disallowed_methods)]
+
 use cajade::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -4,6 +4,8 @@
 //!
 //! Run with: `cargo run --release --example nba_season_deep_dive`
 
+#![deny(clippy::disallowed_methods)]
+
 use cajade::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

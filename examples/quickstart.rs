@@ -6,6 +6,8 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+#![deny(clippy::disallowed_methods)]
+
 use cajade::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

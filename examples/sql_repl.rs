@@ -12,6 +12,8 @@
 //!
 //! Commands: `\tables`, `\schema <table>`, `\quit`.
 
+#![deny(clippy::disallowed_methods)]
+
 use std::io::{BufRead, Write};
 
 use cajade::prelude::*;

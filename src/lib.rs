@@ -41,6 +41,8 @@
 //! assert!(!result.explanations.is_empty());
 //! ```
 
+#![deny(clippy::disallowed_methods)]
+
 pub use cajade_baselines as baselines;
 pub use cajade_core as core;
 pub use cajade_datagen as datagen;
