@@ -3,20 +3,9 @@
 
 use std::path::{Path, PathBuf};
 
-use cajade_ingest::{IngestError, IngestOptions, IngestedDataset};
+use cajade_ingest::{ingest_dir, IngestError, IngestOptions};
+use cajade_obs::faults::Plan;
 use cajade_storage::{AttrKind, DataType, StorageError, Value};
-
-/// [`cajade_ingest::ingest_dir`] under the fault plan's test guard. The
-/// plan is process-global and tests run on parallel threads: an unguarded
-/// call can consume the `ingest.load` fire that
-/// `lenient_mode_skips_files_that_fail_mid_load` armed for its own.
-fn ingest_dir(
-    dir: impl AsRef<Path>,
-    options: &IngestOptions,
-) -> Result<IngestedDataset, IngestError> {
-    let _guard = cajade_obs::faults::test_guard();
-    cajade_ingest::ingest_dir(dir, options)
-}
 
 /// Self-cleaning fixture directory.
 struct Fixture(PathBuf);
@@ -362,20 +351,15 @@ fn lenient_mode_skips_corrupt_file_and_keeps_the_rest() {
 fn lenient_mode_skips_files_that_fail_mid_load() {
     // A mid-file I/O failure (simulated via the fault-injection harness)
     // hits `a.csv` during the typed load; lenient mode skips the table and
-    // leaves no partial load behind, strict mode aborts. The guard is
-    // held across arm → ingest → clear, so the calls go to the crate's
-    // function, not the guarded wrapper.
-    let _guard = cajade_obs::faults::test_guard();
-    use cajade_ingest::ingest_dir;
+    // leaves no partial load behind, strict mode aborts.
     let files = [
         ("a.csv", "id,v\n1,10\n2,20\n"),
         ("b.csv", "id,v\n1,10\n2,20\n"),
     ];
 
     let fx = Fixture::new("faultload_lenient", &files);
-    cajade_obs::faults::set_plan("ingest.load=error@1").unwrap();
-    let out = ingest_dir(fx.path(), &IngestOptions::default());
-    cajade_obs::faults::clear();
+    let plan = Plan::parse("ingest.load=error@1").unwrap();
+    let out = plan.install(|| ingest_dir(fx.path(), &IngestOptions::default()));
     let out = out.unwrap();
     assert_eq!(out.report.tables.len(), 1);
     assert_eq!(out.report.tables[0].name, "b");
@@ -389,14 +373,11 @@ fn lenient_mode_skips_files_that_fail_mid_load() {
     );
 
     let fx = Fixture::new("faultload_strict", &files);
-    cajade_obs::faults::set_plan("ingest.load=error@1").unwrap();
-    let err = ingest_dir(
-        fx.path(),
-        &IngestOptions {
-            strict_types: true,
-            ..Default::default()
-        },
-    );
-    cajade_obs::faults::clear();
+    let strict = IngestOptions {
+        strict_types: true,
+        ..Default::default()
+    };
+    let plan = Plan::parse("ingest.load=error@1").unwrap();
+    let err = plan.install(|| ingest_dir(fx.path(), &strict));
     assert!(matches!(err.unwrap_err(), IngestError::Io { .. }));
 }

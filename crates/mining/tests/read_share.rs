@@ -215,8 +215,6 @@ fn a_shared_column_is_not_asked_statistics_for_again() {
 
 #[test]
 fn a_panicking_reader_leaves_its_keys_to_the_next() {
-    // The failpoint plan is process-wide.
-    let _guard = cajade_obs::faults::test_guard();
     let params = MiningParams::default();
     let [_, c] = corpora();
     let want = unshared(&c, &params, None);
@@ -233,9 +231,8 @@ fn a_panicking_reader_leaves_its_keys_to_the_next() {
 
     // A reader dies before it read anything (the failpoint at the top of
     // `prepare`): its planned reads never come, nothing waits for them.
-    cajade_obs::faults::set_plan("mine.prepare=panic@1").unwrap();
-    let died = quietly(&|| prepare(&c.apts[0], &c.pt, &params, &provider, None));
-    cajade_obs::faults::clear();
+    let plan = cajade_obs::faults::Plan::parse("mine.prepare=panic@1").unwrap();
+    let died = plan.install(|| quietly(&|| prepare(&c.apts[0], &c.pt, &params, &provider, None)));
     assert!(died.is_err());
     assert_eq!(provider.share.as_ref().unwrap().column_reads(), (0, 0));
 

@@ -24,6 +24,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use crate::local::Slot;
+
 /// Shared per-request budget state. Cheap to check, clone-free on the
 /// hot path (threads hold an `Arc` in TLS).
 #[derive(Debug)]
@@ -92,38 +94,21 @@ impl Budget {
     /// panic, so an unwinding request never leaves a stale budget on a
     /// pooled worker thread.
     pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
-        struct Restore {
-            prev: Option<Arc<BudgetState>>,
-            prev_flag: bool,
-        }
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                CURRENT.with(|c| *c.borrow_mut() = self.prev.take());
-                ACTIVE.with(|a| a.set(self.prev_flag));
-            }
-        }
-        let _restore = Restore {
-            prev: CURRENT.with(|c| c.borrow_mut().replace(Arc::clone(&self.state))),
-            prev_flag: ACTIVE.with(|a| a.replace(true)),
-        };
-        f()
+        SLOT.install(Some(Arc::clone(&self.state)), f)
     }
 }
 
 thread_local! {
-    /// Fast gate: `true` iff a budget is installed on this thread.
     static ACTIVE: Cell<bool> = const { Cell::new(false) };
     static CURRENT: RefCell<Option<Arc<BudgetState>>> = const { RefCell::new(None) };
 }
+static SLOT: Slot<BudgetState> = Slot(&ACTIVE, &CURRENT);
 
 /// Whether the current budget (if any) has expired. Without an
 /// installed budget this is a single TLS load returning `false` — the
 /// free-when-disabled path.
 pub fn expired() -> bool {
-    if !ACTIVE.with(Cell::get) {
-        return false;
-    }
-    CURRENT.with(|c| c.borrow().as_ref().is_some_and(|s| s.expired()))
+    SLOT.with(|s| s.expired()) == Some(true)
 }
 
 /// The cooperative check used inside loops and at phase boundaries: if
@@ -131,30 +116,14 @@ pub fn expired() -> bool {
 /// list and returns `true` ("stop here, return best-so-far").
 /// Without an installed budget: one TLS load, `false`.
 pub fn stop(site: &'static str) -> bool {
-    if !ACTIVE.with(Cell::get) {
-        return false;
-    }
-    CURRENT.with(|c| {
-        let b = c.borrow();
-        match b.as_ref() {
-            Some(s) if s.expired() => {
-                s.record_truncation(site);
-                true
-            }
-            _ => false,
-        }
-    })
+    let stopped = SLOT.with(|s| s.expired().then(|| s.record_truncation(site)));
+    stopped.flatten().is_some()
 }
 
 /// The budget currently installed on this thread, if any
 /// ([`Ctx::capture`](crate::Ctx::capture) takes it along to workers).
 pub fn current() -> Option<Budget> {
-    if !ACTIVE.with(Cell::get) {
-        return None;
-    }
-    CURRENT
-        .with(|c| c.borrow().clone())
-        .map(|state| Budget { state })
+    SLOT.with(Arc::clone).map(|state| Budget { state })
 }
 
 #[cfg(test)]

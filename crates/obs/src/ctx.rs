@@ -1,9 +1,9 @@
 //! The request context and the stage guard: what a pipeline stage uses
 //! of this crate.
 //!
-//! Tracing position, request budget and alloc-scope chain are
-//! thread-local, so none follows work onto another thread by itself.
-//! [`Ctx`] carries all three: capture it on the request thread before a
+//! Tracing position, request budget, fault plan and alloc-scope chain
+//! are thread-local, so none follows work onto another thread by itself.
+//! [`Ctx`] carries all four: capture it on the request thread before a
 //! fan-out, enter it around each item on the worker. [`Stage`] opens a
 //! stage's span and alloc scope off one clock reading and hands the wall
 //! time back, so the timing structs are filled from the span's own clock.
@@ -12,14 +12,17 @@ use std::time::{Duration, Instant};
 
 use crate::alloc::{current_scope, AllocScope, ScopeHandle};
 use crate::budget::{self, Budget};
+use crate::faults::{self, Plan};
 use crate::trace::{self, Level, SpanGuard, TraceCtx};
 
 /// A request thread's thread-local context — where it is in its trace
-/// (collector, trace id, innermost open span), its [`Budget`], and its
-/// alloc-scope chain — captured for worker threads to run under.
+/// (collector, trace id, innermost open span), its [`Budget`], its fault
+/// [`Plan`] and its alloc-scope chain — captured for worker threads to
+/// run under.
 pub struct Ctx {
     trace: Option<TraceCtx>,
     budget: Option<Budget>,
+    plan: Option<Plan>,
     scope: ScopeHandle,
 }
 
@@ -29,6 +32,7 @@ impl Ctx {
         Ctx {
             trace: TraceCtx::capture(),
             budget: budget::current(),
+            plan: faults::current(),
             scope: current_scope(),
         }
     }
@@ -37,19 +41,23 @@ impl Ctx {
     /// thread's own: spans opened inside are children of the captured
     /// span in the captured trace (for a collector and for the
     /// `CAJADE_TRACE` sink alike), budget checks see the captured budget,
-    /// allocations are attributed up the captured scope chain. The
-    /// thread's previous state is restored on exit, unwinding included.
-    /// The scope chain is installed outermost, so that what entering and
-    /// leaving the trace and budget allocate is folded with `f`'s events
-    /// when `enter` returns.
+    /// failpoints the captured plan, allocations are attributed up the
+    /// captured scope chain. The thread's previous state is restored on
+    /// exit, unwinding included. The scope chain is installed outermost,
+    /// so that what entering and leaving the rest allocates is folded
+    /// with `f`'s events when `enter` returns.
     pub fn enter<R>(&self, f: impl FnOnce() -> R) -> R {
         let traced = || match &self.trace {
             Some(t) => t.enter(f),
             None => f(),
         };
-        let budgeted = || match &self.budget {
-            Some(b) => b.install(traced),
+        let planned = || match &self.plan {
+            Some(p) => p.install(traced),
             None => traced(),
+        };
+        let budgeted = || match &self.budget {
+            Some(b) => b.install(planned),
+            None => planned(),
         };
         self.scope.install(budgeted)
     }

@@ -10,7 +10,7 @@
 //! `crates/compat` policy: nothing here can pull the build onto the
 //! network.
 //!
-//! Three pieces:
+//! The modules:
 //!
 //! * [`trace`] — RAII span guards ([`trace::span`]) over
 //!   thread-local span stacks with monotonically
@@ -30,8 +30,9 @@
 //!   a [`budget::Budget`] installed around a request makes
 //!   [`budget::stop`] checks inside the pipeline's loops report expiry
 //!   and record which phases truncated. Disabled path: one TLS load.
-//! * [`faults`] — `CAJADE_FAULTS`-gated deterministic fault injection
-//!   (panic/error/sleep at named failpoints) for robustness tests.
+//! * [`faults`] — fault injection: a [`faults::Plan`] installed around
+//!   a request panics, fails or stalls it at named failpoints, for
+//!   robustness tests. Disabled path: one TLS load.
 //! * [`rss`] — process-memory watermarks (current/peak RSS from
 //!   `/proc/self/status` on Linux), mirrored into the registry as
 //!   gauges so every metrics snapshot carries the memory high-water
@@ -42,9 +43,10 @@
 //!   to pipeline stages, mining phases, ingest stages, and caches;
 //!   traced spans carry per-span `alloc_bytes`/`peak_bytes` deltas.
 //! * [`ctx`] — what a pipeline stage uses of all of the above: [`Ctx`]
-//!   carries a request's tracing position, budget and alloc-scope chain
-//!   onto worker threads in one hop; [`Stage`] opens a stage's span and
-//!   alloc scope off one clock reading and returns its wall time.
+//!   carries a request's tracing position, budget, fault plan and
+//!   alloc-scope chain onto worker threads in one hop; [`Stage`] opens a
+//!   stage's span and alloc scope off one clock reading and returns its
+//!   wall time.
 //!
 //! The span taxonomy and metric names used across the workspace are
 //! documented in `docs/OBSERVABILITY.md`; budget/degradation semantics
@@ -57,6 +59,7 @@ pub mod budget;
 pub mod ctx;
 pub mod faults;
 pub mod hist;
+mod local;
 pub mod registry;
 pub mod rss;
 pub mod trace;

@@ -1,10 +1,11 @@
-//! `Ctx` carries a request thread's tracing position, budget and
-//! alloc-scope chain onto worker threads. Its own binary, because the
+//! `Ctx` carries a request thread's tracing position, budget, fault plan
+//! and alloc-scope chain onto worker threads. Its own binary, because the
 //! first test installs the process-global trace sink.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use cajade_obs::faults::{self, Plan, Site};
 use cajade_obs::trace::{clear_sink, set_sink};
 use cajade_obs::{budget, span, AllocScope, Budget, Ctx, Level, SpanRecord, TraceSink};
 
@@ -83,6 +84,20 @@ fn worker_sees_the_callers_budget_and_alloc_scope() {
         after >= before + (2 << 20),
         "worker bytes not folded: {before} -> {after}"
     );
+}
+
+/// A fault plan is the request's: a worker fires it inside `ctx.enter`,
+/// not after, and a thread that never entered the context never does.
+#[test]
+fn a_plan_follows_the_ctx_and_nothing_else() {
+    let plan = Plan::parse("ingest.load=error").unwrap();
+    let ctx = plan.install(Ctx::capture);
+    let load = || faults::failpoint(Site::IngestLoad);
+    std::thread::scope(|s| {
+        s.spawn(|| assert!(ctx.enter(load).is_err() && load().is_ok()));
+        s.spawn(|| assert!(load().is_ok()));
+    });
+    assert_eq!(plan.fired(Site::IngestLoad), 1);
 }
 
 fn fanout_allocated() -> u64 {

@@ -37,10 +37,10 @@ fn main() {
     // CAJADE_TRACE=1|spans / 2|detail streams span records to stderr as
     // JSON lines; unset or 0 keeps tracing at its ~ns disabled path.
     cajade_obs::init_from_env();
-    // CAJADE_FAULTS arms the fault-injection harness (test/CI only); see
-    // docs/ROBUSTNESS.md for the site=action grammar. Unset means every
-    // failpoint is a single relaxed atomic load.
-    cajade_obs::faults::init_from_env();
+    // CAJADE_FAULTS arms the fault-injection harness (test/CI only) around
+    // every request; see docs/ROBUSTNESS.md for the site=action grammar.
+    // Unset means every failpoint is a single thread-local load.
+    let faults = cajade_obs::faults::init_from_env();
     let service = ExplanationService::new(ServiceConfig {
         registry: cajade_obs::global().clone(),
         ..ServiceConfig::default()
@@ -59,7 +59,7 @@ fn main() {
         if line.trim().is_empty() {
             continue;
         }
-        let response = protocol::handle_line(&service, &line);
+        let response = faults.install(|| protocol::handle_line(&service, &line));
         if writeln!(out, "{}", response.render())
             .and_then(|()| out.flush())
             .is_err()

@@ -937,7 +937,6 @@ mod tests {
 
     #[test]
     fn panicking_request_is_isolated_and_coded() {
-        let _guard = cajade_obs::faults::test_guard();
         let service = service_with_tiny_nba();
         let query_line = Json::obj([
             ("op", Json::str("query")),
@@ -951,9 +950,8 @@ mod tests {
             r#"{{"op":"ask","session":{session},"t1":{{"season_name":"2015-16"}},"t2":{{"season_name":"2012-13"}}}}"#
         );
 
-        cajade_obs::faults::set_plan("serve.request=panic@1").unwrap();
-        let resp = handle_line(&service, &ask);
-        cajade_obs::faults::clear();
+        let plan = cajade_obs::faults::Plan::parse("serve.request=panic@1").unwrap();
+        let resp = plan.install(|| handle_line(&service, &ask));
         assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
         assert_eq!(
             resp.get("error")

@@ -1,12 +1,14 @@
 //! Robustness end-to-end tests: deadline-bounded anytime asks (request
 //! budgets), degraded-answer cache hygiene, free-when-disabled identity,
 //! and fault-injected panic isolation across the serve protocol — at
-//! every failpoint, with `panic` and with `error`.
+//! every failpoint, with `panic`, `error` and `sleep` — under fault plans
+//! that reach only the requests they are installed around.
 
 use std::time::Duration;
 
 use cajade_core::{Params, UserQuestion};
 use cajade_datagen::nba::{self, NbaConfig};
+use cajade_obs::faults::{Plan, Site};
 use cajade_service::json::Json;
 use cajade_service::{protocol, AskOptions, ExplanationService, ServiceConfig};
 
@@ -65,10 +67,20 @@ fn counter(service: &ExplanationService, name: &str) -> u64 {
         .unwrap_or(0)
 }
 
+/// The protocol line asking `session` about 2015-16 vs 2012-13.
+fn ask_line(session: u64) -> String {
+    format!(
+        r#"{{"op":"ask","session":{session},"t1":{{"season_name":"2015-16"}},"t2":{{"season_name":"2012-13"}}}}"#
+    )
+}
+
+/// The error code of a failed response.
+fn error_code(r: &Json) -> Option<&str> {
+    r.get("error")?.get("code")?.as_str()
+}
+
 #[test]
 fn tight_budget_degrades_instead_of_failing() {
-    // The fault plan is process-global: stay out of the armed tests' way.
-    let _guard = cajade_obs::faults::test_guard();
     let service = tiny_service();
     let session = service.open_session("nba", GSW_SQL).unwrap();
 
@@ -124,8 +136,6 @@ fn tight_budget_degrades_instead_of_failing() {
 
 #[test]
 fn generous_budget_is_identical_to_no_budget() {
-    // The fault plan is process-global: stay out of the armed tests' way.
-    let _guard = cajade_obs::faults::test_guard();
     let unbudgeted = tiny_service();
     let s1 = unbudgeted.open_session("nba", GSW_SQL).unwrap();
     let a1 = s1.ask(&q("2015-16", "2012-13")).unwrap();
@@ -160,8 +170,6 @@ fn generous_budget_is_identical_to_no_budget() {
 
 #[test]
 fn budgeted_ask_over_the_protocol_reports_degraded() {
-    // The fault plan is process-global: stay out of the armed tests' way.
-    let _guard = cajade_obs::faults::test_guard();
     let service = tiny_service();
     let query = Json::obj([
         ("op", Json::str("query")),
@@ -202,12 +210,7 @@ fn budgeted_ask_over_the_protocol_reports_degraded() {
 
     // An unbudgeted ask omits both fields entirely (free when disabled:
     // the wire shape is unchanged from a build without budgets).
-    let resp = protocol::handle_line(
-        &service,
-        &format!(
-            r#"{{"op":"ask","session":{session},"t1":{{"season_name":"2015-16"}},"t2":{{"season_name":"2012-13"}}}}"#
-        ),
-    );
+    let resp = protocol::handle_line(&service, &ask_line(session));
     assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));
     assert!(resp.get("degraded").is_none(), "{resp:?}");
     assert!(resp.get("truncated").is_none());
@@ -215,35 +218,18 @@ fn budgeted_ask_over_the_protocol_reports_degraded() {
 
 #[test]
 fn provenance_compute_panic_leaves_service_answering_and_waiters_unblocked() {
-    let _guard = cajade_obs::faults::test_guard();
     let service = tiny_service();
-    let query = Json::obj([
-        ("op", Json::str("query")),
-        ("db", Json::str("nba")),
-        ("sql", Json::str(GSW_SQL)),
-        ("preview", Json::Bool(false)),
-    ])
-    .render();
-    let session = protocol::handle_line(&service, &query)
-        .get("session")
-        .and_then(Json::as_u64)
-        .unwrap();
-    let ask = format!(
-        r#"{{"op":"ask","session":{session},"t1":{{"season_name":"2015-16"}},"t2":{{"season_name":"2012-13"}}}}"#
-    );
+    let ask = ask_line(service.open_session("nba", GSW_SQL).unwrap().id());
 
     // One panic armed inside the single-flighted provenance computation.
     // Two concurrent asks race for the latch: the winner's request
     // panics (isolated to an `internal_panic` response), and the waiter
     // must wake, find the latch cleaned up, and compute successfully —
     // never hang on a latch the panicking winner forgot to remove.
-    cajade_obs::faults::set_plan("cache.provenance_compute=panic@1").unwrap();
-    let (r1, r2) = std::thread::scope(|s| {
-        let t1 = s.spawn(|| protocol::handle_line(&service, &ask));
-        let t2 = s.spawn(|| protocol::handle_line(&service, &ask));
-        (t1.join().unwrap(), t2.join().unwrap())
-    });
-    cajade_obs::faults::clear();
+    let plan = Plan::parse("cache.provenance_compute=panic@1").unwrap();
+    let [r1, r2] = answer_concurrently(&service, &plan, &[ask.clone(), ask.clone()])
+        .try_into()
+        .unwrap();
 
     let oks: Vec<bool> = [&r1, &r2]
         .iter()
@@ -255,13 +241,7 @@ fn provenance_compute_panic_leaves_service_answering_and_waiters_unblocked() {
     );
     for r in [&r1, &r2] {
         if r.get("ok").and_then(Json::as_bool) == Some(false) {
-            assert_eq!(
-                r.get("error")
-                    .and_then(|e| e.get("code"))
-                    .and_then(Json::as_str),
-                Some("internal_panic"),
-                "{r:?}"
-            );
+            assert_eq!(error_code(r), Some("internal_panic"), "{r:?}");
         } else {
             assert!(!r
                 .get("explanations")
@@ -290,28 +270,21 @@ fn provenance_compute_panic_leaves_service_answering_and_waiters_unblocked() {
 
 #[test]
 fn apt_compute_panic_mid_fanout_leaves_no_waiter_hung_and_the_next_answer_unchanged() {
-    let _guard = cajade_obs::faults::test_guard();
     // Parallel, so the panicking materialization has sibling workers that
     // are inside the same ask's `AptBuilder` — computing, or waiting on,
     // the parent joins the panicking graph shares with them.
     let service = parallel_service();
     let session = service.open_session("nba", GSW_SQL).unwrap();
-    let sid = session.id();
-    let ask = format!(
-        r#"{{"op":"ask","session":{sid},"t1":{{"season_name":"2015-16"}},"t2":{{"season_name":"2012-13"}}}}"#
-    );
+    let ask = ask_line(session.id());
 
     // One panic armed inside the single-flighted APT computation, two
     // concurrent cold asks: the request whose worker hits it fails alone;
     // its sibling workers run to the end of the fan-out, and the other
     // request — waiting on the same per-graph latches — completes.
-    cajade_obs::faults::set_plan("cache.apt_compute=panic@1").unwrap();
-    let (r1, r2) = std::thread::scope(|s| {
-        let t1 = s.spawn(|| protocol::handle_line(&service, &ask));
-        let t2 = s.spawn(|| protocol::handle_line(&service, &ask));
-        (t1.join().unwrap(), t2.join().unwrap())
-    });
-    cajade_obs::faults::clear();
+    let plan = Plan::parse("cache.apt_compute=panic@1").unwrap();
+    let [r1, r2] = answer_concurrently(&service, &plan, &[ask.clone(), ask.clone()])
+        .try_into()
+        .unwrap();
 
     let ok = |r: &Json| r.get("ok").and_then(Json::as_bool).unwrap();
     let (failed, passed) = if ok(&r1) { (&r2, &r1) } else { (&r1, &r2) };
@@ -319,14 +292,7 @@ fn apt_compute_panic_mid_fanout_leaves_no_waiter_hung_and_the_next_answer_unchan
         ok(passed) && !ok(failed),
         "exactly one request fails: {r1:?} {r2:?}"
     );
-    assert_eq!(
-        failed
-            .get("error")
-            .and_then(|e| e.get("code"))
-            .and_then(Json::as_str),
-        Some("internal_panic"),
-        "{failed:?}"
-    );
+    assert_eq!(error_code(failed), Some("internal_panic"), "{failed:?}");
     assert_eq!(counter(&service, "requests_panicked_total"), 1);
 
     // The next ask — served partly from what the two requests cached,
@@ -361,17 +327,8 @@ fn apt_compute_panic_mid_fanout_leaves_no_waiter_hung_and_the_next_answer_unchan
     );
 }
 
-/// `fault_cache_apt_compute_fired_total`, which the fault harness keeps in
-/// the global registry.
-fn apt_compute_fires() -> u64 {
-    cajade_obs::global()
-        .counter("fault_cache_apt_compute_fired_total")
-        .get()
-}
-
 #[test]
 fn reregistration_between_lookup_and_fill_retains_nothing_of_the_stale_epoch() {
-    let _guard = cajade_obs::faults::test_guard();
     let service = tiny_service();
     let session = service.open_session("nba", GSW_SQL).unwrap();
 
@@ -379,18 +336,17 @@ fn reregistration_between_lookup_and_fill_retains_nothing_of_the_stale_epoch() {
     // stalls on the failpoint — under the graph's slot lock — it has
     // looked every graph up and stored none. The main thread replaces the
     // database then, and only then lets the preparations through.
-    let fired = apt_compute_fires();
-    cajade_obs::faults::set_plan("cache.apt_compute=sleep:200").unwrap();
+    let plan = Plan::parse("cache.apt_compute=sleep:200").unwrap();
     let stale = std::thread::scope(|scope| {
-        let ask = scope.spawn(|| session.ask(&q("2015-16", "2012-13")));
-        while apt_compute_fires() == fired && !ask.is_finished() {
+        let ask = scope.spawn(|| plan.install(|| session.ask(&q("2015-16", "2012-13"))));
+        while plan.fired(Site::CacheAptCompute) == 0 && !ask.is_finished() {
             std::thread::yield_now();
         }
         let mut changed = NbaConfig::tiny();
         changed.seed = 99;
         let changed = nba::generate(changed);
         let outcome = service.register_database("nba", changed.db, changed.schema_graph);
-        cajade_obs::faults::clear();
+        plan.disarm();
         // The query entry went; it held no graph yet.
         assert_eq!((outcome.replaced, outcome.invalidated_entries), (true, 1));
         ask.join().unwrap().unwrap()
@@ -416,17 +372,15 @@ fn reregistration_between_lookup_and_fill_retains_nothing_of_the_stale_epoch() {
 
 #[test]
 fn apt_compute_panic_still_weighs_what_the_sibling_workers_stored() {
-    let _guard = cajade_obs::faults::test_guard();
     let service = parallel_service();
     let session = service.open_session("nba", GSW_SQL).unwrap();
     session.preview().unwrap();
     let fresh = service.stats().provenance_cache.bytes;
 
-    cajade_obs::faults::set_plan("cache.apt_compute=panic@1").unwrap();
+    let plan = Plan::parse("cache.apt_compute=panic@1").unwrap();
     let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        session.ask(&q("2015-16", "2012-13"))
+        plan.install(|| session.ask(&q("2015-16", "2012-13")))
     }));
-    cajade_obs::faults::clear();
     assert!(panicked.is_err());
 
     // The ask never got past its fan-out, but the graphs its other
@@ -439,15 +393,51 @@ fn apt_compute_panic_still_weighs_what_the_sibling_workers_stored() {
     );
 }
 
-/// Answers `lines` on `service`, each from a thread of its own and all at
-/// once; fails if some request has not answered within a minute — a
-/// waiter left hung on a latch a faulted request never released.
-fn answer_concurrently(service: &ExplanationService, lines: &[String]) -> Vec<Json> {
+#[test]
+fn a_plan_faults_only_the_request_it_is_installed_around() {
+    // The unarmed ask gets a query of its own, so that no graph it needs is
+    // one the armed ask computes.
+    let games_sql = "SELECT COUNT(*) AS games, s.season_name FROM game g, season s \
+         WHERE g.season_id = s.season_id GROUP BY s.season_name";
+    let open = |service: &ExplanationService, sql| {
+        ask_line(service.open_session("nba", sql).unwrap().id())
+    };
+    let service = parallel_service();
+    let (armed_ask, free_ask) = (open(&service, GSW_SQL), open(&service, games_sql));
+
+    // The unarmed ask starts first; once it has stored a graph, it has been
+    // through the site a process-wide plan would have fired at. Then the
+    // armed ask runs beside it, its graphs on the same resident pool.
+    let plan = Plan::parse("cache.apt_compute=panic@1").unwrap();
+    let (armed, free) = std::thread::scope(|s| {
+        let free = s.spawn(|| protocol::handle_line(&service, &free_ask));
+        while service.stats().apt_cache.inserts == 0 && !free.is_finished() {
+            std::thread::yield_now();
+        }
+        let armed = plan.install(|| protocol::handle_line(&service, &armed_ask));
+        (armed, free.join().unwrap())
+    });
+    assert_eq!(error_code(&armed), Some("internal_panic"), "{armed:?}");
+    assert_eq!(plan.fired(Site::CacheAptCompute), 1);
+    let control = parallel_service();
+    let control = protocol::handle_line(&control, &open(&control, games_sql));
+    let explanations = |r: &Json| r.get("explanations").map(Json::render);
+    assert!(explanations(&control).is_some(), "{control:?}");
+    assert_eq!(explanations(&free), explanations(&control), "{free:?}");
+}
+
+/// Answers `lines` on `service` under `plan`, each from a thread of its
+/// own and all at once; fails if some request has not answered within a
+/// minute — a waiter left hung on a latch a faulted request never released.
+fn answer_concurrently(service: &ExplanationService, plan: &Plan, lines: &[String]) -> Vec<Json> {
     let (tx, rx) = std::sync::mpsc::channel();
     let workers: Vec<_> = (lines.iter().enumerate())
         .map(|(i, line)| {
-            let (service, line, tx) = (service.clone(), line.clone(), tx.clone());
-            std::thread::spawn(move || tx.send((i, protocol::handle_line(&service, &line))))
+            let (service, plan, line, tx) =
+                (service.clone(), plan.clone(), line.clone(), tx.clone());
+            std::thread::spawn(move || {
+                tx.send((i, plan.install(|| protocol::handle_line(&service, &line))))
+            })
         })
         .collect();
     let mut out: Vec<Option<Json>> = vec![None; lines.len()];
@@ -482,31 +472,22 @@ fn assert_well_formed(r: &Json, what: &str) {
 }
 
 /// A CSV registration, a query and two concurrent asks of one question,
-/// which take every failpoint, under the fault `plan` (`""` for none);
-/// then, disarmed, the explanations of that question on a new session.
-fn drive_every_site(service: &ExplanationService, plan: &str) -> (Vec<Json>, String) {
-    cajade_obs::faults::set_plan(plan).unwrap();
+/// which take every failpoint, under the fault `plan`; then, with no
+/// plan, the explanations of that question on a new session.
+fn drive_every_site(service: &ExplanationService, plan: &Plan) -> (Vec<Json>, String) {
     let csv = format!("{}/../../tests/data/retail_csv", env!("CARGO_MANIFEST_DIR"));
     let query = format!(r#"{{"op":"query","db":"nba","sql":"{GSW_SQL}"}}"#);
-    let ask = |session: u64| {
-        format!(
-            r#"{{"op":"ask","session":{session},"t1":{{"season_name":"2015-16"}},"t2":{{"season_name":"2012-13"}}}}"#
-        )
-    };
     let session = |r: &Json| r.get("session").and_then(Json::as_u64);
-    let mut responses = answer_concurrently(
-        service,
-        &[format!(
-            r#"{{"op":"register","db":"retail","source":"csv_dir","path":"{csv}"}}"#
-        )],
-    );
-    responses.extend(answer_concurrently(service, std::slice::from_ref(&query)));
+    let answer = |lines: &[String]| answer_concurrently(service, plan, lines);
+    let mut responses = answer(&[format!(
+        r#"{{"op":"register","db":"retail","source":"csv_dir","path":"{csv}"}}"#
+    )]);
+    responses.extend(answer(std::slice::from_ref(&query)));
     if let Some(sid) = responses.last().and_then(session) {
-        responses.extend(answer_concurrently(service, &[ask(sid), ask(sid)]));
+        responses.extend(answer(&[ask_line(sid), ask_line(sid)]));
     }
-    cajade_obs::faults::clear();
     let sid = session(&protocol::handle_line(service, &query)).unwrap();
-    let after = protocol::handle_line(service, &ask(sid));
+    let after = protocol::handle_line(service, &ask_line(sid));
     let explanations = after.get("explanations").map(Json::render);
     (
         responses,
@@ -516,21 +497,22 @@ fn drive_every_site(service: &ExplanationService, plan: &str) -> (Vec<Json>, Str
 
 #[test]
 fn every_failpoint_panicking_or_failing_leaves_well_formed_answers_and_the_next_ask_unchanged() {
-    let _guard = cajade_obs::faults::test_guard();
-    let (_, control) = drive_every_site(&tiny_service(), "");
-    for site in cajade_obs::faults::Site::ALL {
-        for action in ["panic", "error"] {
+    let (_, control) = drive_every_site(&tiny_service(), &Plan::parse("").unwrap());
+    for site in Site::ALL {
+        for action in ["panic", "error", "sleep:1"] {
             let case = format!("{}={action}@1", site.name());
-            let fired = format!("fault_{}_fired_total", site.name().replace('.', "_"));
-            let before = cajade_obs::global().counter(&fired).get();
-            let (responses, after) = drive_every_site(&tiny_service(), &case);
+            let plan = Plan::parse(&case).unwrap();
+            let (responses, after) = drive_every_site(&tiny_service(), &plan);
             assert_eq!(
-                cajade_obs::global().counter(&fired).get(),
-                before + 1,
+                plan.fired(site),
+                1,
                 "{case}: the driven path never reached the site"
             );
             for r in &responses {
                 assert_well_formed(r, &case);
+                // A stall fails nothing.
+                let ok = r.get("ok").and_then(Json::as_bool) == Some(true);
+                assert!(ok || !action.starts_with("sleep"), "{case}: {r:?}");
             }
             assert_eq!(after, control, "{case}: the next ask's answer moved");
         }

@@ -181,25 +181,24 @@ fn the_table_follows_the_content_it_describes() {
 
 #[test]
 fn an_ask_on_replaced_content_keeps_that_contents_statistics() {
-    let _serial = faults::test_guard();
     let (old, new) = (tiny(), changed());
     let service = service_over(&old, false);
     let session = service.open_session("nba", GSW_SQL).unwrap();
 
     // The gate: each of the ask's 28 preparations stalls on the failpoint
-    // before it requests a column, until the plan is cleared — which the
+    // before it requests a column, until the plan is disarmed — which the
     // main thread does once it has replaced the database under the ask.
     // By then the ask has pinned the old registration (it has computed
     // provenance) and has most, usually all, of its columns still to
     // analyse.
-    faults::set_plan("cache.apt_compute=sleep:200").unwrap();
+    let plan = faults::Plan::parse("cache.apt_compute=sleep:200").unwrap();
     let stale = std::thread::scope(|scope| {
-        let ask = scope.spawn(|| session.ask(&question()));
+        let ask = scope.spawn(|| plan.install(|| session.ask(&question())));
         while service.stats().provenance_cache.inserts == 0 && !ask.is_finished() {
             std::thread::yield_now();
         }
         let outcome = service.register_database("nba", new.db.clone(), new.schema_graph.clone());
-        faults::clear();
+        plan.disarm();
         assert!(outcome.replaced);
         ask.join().unwrap().unwrap()
     });

@@ -163,21 +163,17 @@ fn ok(response: &Json) -> &Json {
 
 #[test]
 fn doc_catalogs_match_the_names_the_running_system_uses() {
-    // Arms a plan below; the plan is process-global.
-    let _guard = faults::test_guard();
     let service = ExplanationService::new(ServiceConfig::default());
     let gen = nba::generate(nba::NbaConfig::tiny());
     service.register_database("nba", gen.db, gen.schema_graph);
 
     // A CSV registration runs the ingest stages; a fault plan that fires
     // once (and sleeps 0 ms) mints a `fault_<site>_fired_total` counter.
-    faults::set_plan("ingest.profile=sleep:0@1").unwrap();
     let csv = format!("{}/../../tests/data/retail_csv", env!("CARGO_MANIFEST_DIR"));
-    ok(&handle_line(
-        &service,
-        &format!(r#"{{"op":"register","db":"retail","source":"csv_dir","path":"{csv}"}}"#),
-    ));
-    faults::clear();
+    let register =
+        format!(r#"{{"op":"register","db":"retail","source":"csv_dir","path":"{csv}"}}"#);
+    let plan = faults::Plan::parse("ingest.profile=sleep:0@1").unwrap();
+    ok(&plan.install(|| handle_line(&service, &register)));
 
     // A cold ask, then the same ask again (an answer-cache hit).
     let query = handle_line(
