@@ -1,14 +1,18 @@
-//! Criterion micro-benchmarks for the substrate kernels: hash join,
+//! Micro-benchmarks for the substrate kernels: hash join,
 //! group-by aggregation, pattern matching, LCA candidate generation,
 //! random-forest training (the float reference and the histogram trainer
 //! feature selection runs), Cramér's V and the association matrix,
 //! join-graph enumeration, APT materialization and mining preparation of
 //! a whole enumeration — with and without what its graphs share — and the
 //! exact re-score of one pattern.
+//!
+//! `cargo bench` passes `--bench`, which measures each body and prints
+//! its mean time; `cargo test` runs the same binary without it, and each
+//! body runs once as a smoke test.
 
+use std::hint::black_box;
 use std::sync::Arc;
-
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::time::{Duration, Instant};
 
 use cajade_datagen::nba::{self, NbaConfig};
 use cajade_datagen::{synth, GeneratedDb};
@@ -26,13 +30,54 @@ use cajade_ml::{
 };
 use cajade_query::{execute, parse_sql, ProvenanceTable};
 
+/// Samples a measured body is timed over.
+const SAMPLES: u32 = 20;
+
+/// Runs `body` under `name`. With `--bench`: calibrates for ~50 ms, then
+/// times ~1 s of calls over [`SAMPLES`] samples and prints the mean time
+/// per call. Without: runs it once.
+fn bench<R>(name: &str, mut body: impl FnMut() -> R) {
+    if !std::env::args().any(|a| a == "--bench") {
+        black_box(body());
+        println!("Testing {name} ... ok");
+        return;
+    }
+    let calibration = Instant::now();
+    let mut calls = 0u32;
+    while calibration.elapsed() < Duration::from_millis(50) {
+        black_box(body());
+        calls += 1;
+    }
+    let per_call = calibration.elapsed() / calls;
+    let per_sample = (Duration::from_secs(1).as_nanos() / per_call.as_nanos().max(1))
+        .clamp(SAMPLES.into(), 1_000_000) as u32
+        / SAMPLES;
+    let total: Duration = (0..SAMPLES)
+        .map(|_| {
+            let sample = Instant::now();
+            for _ in 0..per_sample {
+                black_box(body());
+            }
+            sample.elapsed()
+        })
+        .sum();
+    let ns = total.as_nanos() as f64 / f64::from(SAMPLES * per_sample);
+    let time = match ns {
+        ns if ns < 1e3 => format!("{ns:.1} ns"),
+        ns if ns < 1e6 => format!("{:.2} µs", ns / 1e3),
+        ns if ns < 1e9 => format!("{:.2} ms", ns / 1e6),
+        ns => format!("{:.3} s", ns / 1e9),
+    };
+    println!("{name:<50} time: {time}");
+}
+
 /// The paper's running example: GSW's wins per season.
 const GSW_WINS_SQL: &str = "SELECT COUNT(*) AS win, s.season_name \
      FROM team t, game g, season s \
      WHERE t.team_id = g.winner_id AND g.season_id = s.season_id AND t.team = 'GSW' \
      GROUP BY s.season_name";
 
-fn bench_join_and_aggregate(c: &mut Criterion) {
+fn bench_join_and_aggregate() {
     let gen = nba::generate(NbaConfig {
         seasons: 10,
         games_per_team: 20,
@@ -48,12 +93,12 @@ fn bench_join_and_aggregate(c: &mut Criterion) {
          GROUP BY s.season_name",
     )
     .unwrap();
-    c.bench_function("hash_join_3way_group_by", |b| {
-        b.iter(|| execute(black_box(&gen.db), black_box(&q)).unwrap())
+    bench("hash_join_3way_group_by", || {
+        execute(black_box(&gen.db), black_box(&q)).unwrap()
     });
 }
 
-fn bench_provenance(c: &mut Criterion) {
+fn bench_provenance() {
     let gen = nba::generate(NbaConfig {
         seasons: 10,
         games_per_team: 20,
@@ -62,8 +107,8 @@ fn bench_provenance(c: &mut Criterion) {
         seed: 1,
     });
     let q = parse_sql(GSW_WINS_SQL).unwrap();
-    c.bench_function("provenance_capture", |b| {
-        b.iter(|| ProvenanceTable::compute(black_box(&gen.db), black_box(&q)).unwrap())
+    bench("provenance_capture", || {
+        ProvenanceTable::compute(black_box(&gen.db), black_box(&q)).unwrap()
     });
 }
 
@@ -81,7 +126,7 @@ fn pattern_fixture() -> (cajade_datagen::GeneratedDb, ProvenanceTable, Apt) {
     (gen, pt, apt)
 }
 
-fn bench_pattern_scoring(c: &mut Criterion) {
+fn bench_pattern_scoring() {
     let (_gen, pt, apt) = pattern_fixture();
     let pts_field = apt.field_index("prov_game_home__points").unwrap();
     let pattern = Pattern::from_preds(vec![(
@@ -92,29 +137,27 @@ fn bench_pattern_scoring(c: &mut Criterion) {
         },
     )]);
     let scorer = Scorer::exact(&apt, &pt);
-    c.bench_function("pattern_score_definition7", |b| {
-        b.iter(|| scorer.score(black_box(&pattern), 0, Some(1)))
+    bench("pattern_score_definition7", || {
+        scorer.score(black_box(&pattern), 0, Some(1))
     });
 }
 
-fn bench_lca(c: &mut Criterion) {
+fn bench_lca() {
     let (_gen, _pt, apt) = pattern_fixture();
     let cats: Vec<usize> = apt
         .pattern_fields()
         .into_iter()
         .filter(|&f| apt.fields[f].kind == cajade_storage::AttrKind::Categorical)
         .collect();
-    let mut group = c.benchmark_group("lca_candidates");
     for n in [64usize, 128, 256] {
         let rows: Vec<u32> = (0..apt.num_rows.min(n) as u32).collect();
-        group.bench_with_input(BenchmarkId::from_parameter(n), &rows, |b, rows| {
-            b.iter(|| lca_candidates(black_box(&apt), black_box(rows), black_box(&cats)))
+        bench(&format!("lca_candidates/{n}"), || {
+            lca_candidates(black_box(&apt), black_box(&rows), black_box(&cats))
         });
     }
-    group.finish();
 }
 
-fn bench_forest(c: &mut Criterion) {
+fn bench_forest() {
     let n = 2000;
     let features = vec![
         FeatureColumn::Numeric((0..n).map(|i| (i % 97) as f64).collect()),
@@ -122,17 +165,15 @@ fn bench_forest(c: &mut Criterion) {
         FeatureColumn::Categorical((0..n).map(|i| (i % 7) as u32).collect()),
     ];
     let labels: Vec<bool> = (0..n).map(|i| (i % 97) > 48).collect();
-    c.bench_function("random_forest_fit_2k_rows", |b| {
-        b.iter(|| {
-            RandomForest::fit(
-                black_box(&features),
-                black_box(&labels),
-                &RandomForestConfig {
-                    num_trees: 10,
-                    ..Default::default()
-                },
-            )
-        })
+    bench("random_forest_fit_2k_rows", || {
+        RandomForest::fit(
+            black_box(&features),
+            black_box(&labels),
+            &RandomForestConfig {
+                num_trees: 10,
+                ..Default::default()
+            },
+        )
     });
 }
 
@@ -171,8 +212,7 @@ fn group_of(i: usize) -> usize {
 /// train on — bootstrap rows × candidate columns of a one-vs-rest task
 /// on `nba_cold`, `mimic_churn` and `synth_wide`: 5 trees of depth 8,
 /// ⌈√p⌉ features per node, two columns in three quantile-binned.
-fn bench_hist_tree_fit(c: &mut Criterion) {
-    let mut group = c.benchmark_group("hist_tree_fit");
+fn bench_hist_tree_fit() {
     for (rows, features) in [(58usize, 35usize), (160, 24), (1250, 23)] {
         let cols = binned_fixture(rows, features, |f| f % 3 == 2);
         // One group against the rest, carried weakly by two columns.
@@ -183,12 +223,10 @@ fn bench_hist_tree_fit(c: &mut Criterion) {
             num_trees: 5,
             ..Default::default()
         };
-        let id = BenchmarkId::from_parameter(format!("{rows}x{features}"));
-        group.bench_with_input(id, &cols, |b, cols| {
-            b.iter(|| HistForest::fit(black_box(cols), black_box(&labels), &cfg))
+        bench(&format!("hist_tree_fit/{rows}x{features}"), || {
+            HistForest::fit(black_box(&cols), black_box(&labels), &cfg)
         });
     }
-    group.finish();
 }
 
 /// Whole forests at the two largest shapes the service and the harness
@@ -197,13 +235,12 @@ fn bench_hist_tree_fit(c: &mut Criterion) {
 /// `5000x23x4tasks` is one group-global `filterAttrs` on the star —
 /// `max_train_rows` rows, four one-vs-rest tasks of 5 trees on
 /// quarter-size bootstraps.
-fn bench_hist_forest_fit(c: &mut Criterion) {
-    let mut group = c.benchmark_group("hist_forest_fit");
+fn bench_hist_forest_fit() {
     let cols = binned_fixture(20_000, 7, |_| false);
     let labels: Vec<bool> = (0..20_000).map(|i| group_of(i) == 0).collect();
-    group.bench_function("20000x7", |b| {
-        let cfg = RandomForestConfig::default();
-        b.iter(|| HistForest::fit(black_box(&cols), black_box(&labels), &cfg))
+    let cfg = RandomForestConfig::default();
+    bench("hist_forest_fit/20000x7", || {
+        HistForest::fit(black_box(&cols), black_box(&labels), &cfg)
     });
     let cols = binned_fixture(5_000, 23, |f| f % 3 == 2);
     let tasks: Vec<(Vec<bool>, RandomForestConfig)> = (0..4)
@@ -218,37 +255,31 @@ fn bench_hist_forest_fit(c: &mut Criterion) {
             (labels, cfg)
         })
         .collect();
-    group.bench_function("5000x23x4tasks", |b| {
-        b.iter(|| {
-            for (labels, cfg) in &tasks {
-                black_box(HistForest::fit(black_box(&cols), labels, cfg));
-            }
-        })
+    bench("hist_forest_fit/5000x23x4tasks", || {
+        for (labels, cfg) in &tasks {
+            black_box(HistForest::fit(black_box(&cols), labels, cfg));
+        }
     });
-    group.finish();
 }
 
 /// One categorical pair of the association matrix: `max_assoc_rows`
 /// rows, a low-cardinality column against another one and against an
 /// id-like one (dense first-appearance codes of a 5 000-row gather).
-fn bench_cramers_v(c: &mut Criterion) {
+fn bench_cramers_v() {
     let xs: Vec<u32> = (0..512).map(|i| mix(i, 1, 30) as u32).collect();
-    let mut group = c.benchmark_group("cramers_v_512_rows");
     for distinct in [30usize, 3000] {
         let ys: Vec<u32> = (0..512).map(|i| mix(i, 2, distinct) as u32).collect();
-        group.bench_with_input(BenchmarkId::from_parameter(distinct), &ys, |b, ys| {
-            b.iter(|| cramers_v(black_box(&xs), black_box(ys)))
+        bench(&format!("cramers_v_512_rows/{distinct}"), || {
+            cramers_v(black_box(&xs), black_box(&ys))
         });
     }
-    group.finish();
 }
 
 /// One graph's association matrix in `filterAttrs`: the 16 measured
 /// candidates, six numeric and ten categorical of at most 6 codes (NBA's
 /// mix of pairs: a sixth numeric, a third categorical, half mixed), over
 /// an NBA APT's 168 rows and over `max_assoc_rows`.
-fn bench_assoc_matrix(c: &mut Criterion) {
-    let mut group = c.benchmark_group("assoc_matrix");
+fn bench_assoc_matrix() {
     for rows in [168usize, 512] {
         let cols: Vec<FeatureColumn> = (0..16)
             .map(|f| match f % 8 {
@@ -260,11 +291,10 @@ fn bench_assoc_matrix(c: &mut Criterion) {
                 ),
             })
             .collect();
-        group.bench_function(format!("16x{rows}_mixed"), |b| {
-            b.iter(|| assoc_matrix(black_box(&cols)))
+        bench(&format!("assoc_matrix/16x{rows}_mixed"), || {
+            assoc_matrix(black_box(&cols))
         });
     }
-    group.finish();
 }
 
 /// The `nba_cold` corpus of `e2e_bench`.
@@ -280,9 +310,8 @@ fn nba_005() -> GeneratedDb {
 /// Algorithm 2. The `GSW` query over the NBA schema graph visits 8 221
 /// extensions, decides 7 473 of them on their description and lists 438
 /// graphs for 202 valid ones; the 4×6 star 120 / 56 / 39 / 35.
-fn bench_enumerate(c: &mut Criterion) {
+fn bench_enumerate() {
     let star = synth::generate(&synth::SynthConfig::small().with_width(4, 6));
-    let mut group = c.benchmark_group("enumerate");
     for (name, gen, sql) in [
         ("nba_gsw", nba_005(), GSW_WINS_SQL),
         ("star_4x6", star, synth::SYNTH_SQL),
@@ -290,13 +319,10 @@ fn bench_enumerate(c: &mut Criterion) {
         let query = parse_sql(sql).unwrap();
         let pt_rows = ProvenanceTable::compute(&gen.db, &query).unwrap().num_rows;
         let cfg = EnumConfig::default();
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                enumerate_join_graphs(&gen.schema_graph, &gen.db, &query, pt_rows, &cfg).unwrap()
-            })
+        bench(&format!("enumerate/{name}"), || {
+            enumerate_join_graphs(&gen.schema_graph, &gen.db, &query, pt_rows, &cfg).unwrap()
         });
     }
-    group.finish();
 }
 
 /// The `synth_wide` corpus of `e2e_bench`: 20 000 fact rows, 4 dimension
@@ -349,22 +375,20 @@ impl Enumeration {
 /// computed only if no graph read the same inputs before (4 of 84 on the
 /// star, 166 of 572 on NBA). `fold_each` gives every graph a kernel of
 /// its own, so graphs share nothing (84 and 572 steps computed).
-fn bench_apt_enumeration(c: &mut Criterion) {
+fn bench_apt_enumeration() {
     for (name, gen, sql) in [
         ("star_20000x4", star_20000x4(), synth::SYNTH_SQL),
         ("nba_fanout", nba_005(), GSW_WINS_SQL),
     ] {
         let e = enumeration(gen, sql);
-        let mut group = c.benchmark_group(format!("apt_enumeration/{name}"));
-        group.bench_function("one_builder", |b| b.iter(|| black_box(e.apts())));
-        group.bench_function("fold_each", |b| {
-            b.iter(|| {
-                let one = |&gi: &usize| Apt::materialize(&e.gen.db, &e.pt, &e.graphs[gi].graph);
-                let apts: Vec<Apt> = e.valid.iter().map(|gi| one(gi).unwrap()).collect();
-                black_box(apts)
-            })
+        bench(&format!("apt_enumeration/{name}/one_builder"), || e.apts());
+        bench(&format!("apt_enumeration/{name}/fold_each"), || {
+            let one = |&gi: &usize| Apt::materialize(&e.gen.db, &e.pt, &e.graphs[gi].graph);
+            e.valid
+                .iter()
+                .map(|gi| one(gi).unwrap())
+                .collect::<Vec<Apt>>()
         });
-        group.finish();
     }
 }
 
@@ -374,7 +398,7 @@ fn bench_apt_enumeration(c: &mut Criterion) {
 /// as an ask does — 34 of the 798 candidate columns are gathered and
 /// binned, and the scan orders and training rows are found once per
 /// `pt_row` vector; `unshared` prepares each APT on its own.
-fn bench_prepare_enumeration(c: &mut Criterion) {
+fn bench_prepare_enumeration() {
     /// Base-table statistics next to an optional share.
     struct Provider<'a>(BaseTableStats<'a>, Option<ReadShare>);
     impl ColumnStatsProvider for Provider<'_> {
@@ -395,18 +419,18 @@ fn bench_prepare_enumeration(c: &mut Criterion) {
         let one = |apt| prepare_apt_with(apt, &e.pt, &params, &provider);
         apts.iter().map(one).collect::<Vec<PreparedApt>>()
     };
-    let mut group = c.benchmark_group("prepare_enumeration/star_20000x4");
-    group.bench_function("shared", |b| {
-        b.iter(|| black_box(prepare_all(Some(ReadShare::plan(&apts)))))
+    bench("prepare_enumeration/star_20000x4/shared", || {
+        prepare_all(Some(ReadShare::plan(&apts)))
     });
-    group.bench_function("unshared", |b| b.iter(|| black_box(prepare_all(None))));
-    group.finish();
+    bench("prepare_enumeration/star_20000x4/unshared", || {
+        prepare_all(None)
+    });
 }
 
 /// The exact re-score of one selected pattern — two numeric predicates —
 /// over the 20 000 rows of a star APT: the row-at-a-time `Scorer` that
 /// did it, and the all-rows bitmap index that does.
-fn bench_exact_rescore(c: &mut Criterion) {
+fn bench_exact_rescore() {
     let Enumeration {
         gen, pt, graphs, ..
     } = enumeration(star_20000x4(), synth::SYNTH_SQL);
@@ -437,31 +461,26 @@ fn bench_exact_rescore(c: &mut Criterion) {
         scorer.score(&pattern, 0, Some(1)),
         index.score(&pattern, 0, Some(1))
     );
-    let mut group = c.benchmark_group("exact_rescore/20000x2preds");
-    group.bench_function("scorer", |b| {
-        b.iter(|| scorer.score(black_box(&pattern), 0, Some(1)))
+    bench("exact_rescore/20000x2preds/scorer", || {
+        scorer.score(black_box(&pattern), 0, Some(1))
     });
-    group.bench_function("bitmap", |b| {
-        b.iter(|| index.score(black_box(&pattern), 0, Some(1)))
+    bench("exact_rescore/20000x2preds/bitmap", || {
+        index.score(black_box(&pattern), 0, Some(1))
     });
-    group.finish();
 }
 
-criterion_group!(
-    name = benches;
-    config = Criterion::default().sample_size(20);
-    targets = bench_join_and_aggregate,
-        bench_provenance,
-        bench_pattern_scoring,
-        bench_lca,
-        bench_forest,
-        bench_hist_tree_fit,
-        bench_hist_forest_fit,
-        bench_cramers_v,
-        bench_assoc_matrix,
-        bench_enumerate,
-        bench_apt_enumeration,
-        bench_prepare_enumeration,
-        bench_exact_rescore
-);
-criterion_main!(benches);
+fn main() {
+    bench_join_and_aggregate();
+    bench_provenance();
+    bench_pattern_scoring();
+    bench_lca();
+    bench_forest();
+    bench_hist_tree_fit();
+    bench_hist_forest_fit();
+    bench_cramers_v();
+    bench_assoc_matrix();
+    bench_enumerate();
+    bench_apt_enumeration();
+    bench_prepare_enumeration();
+    bench_exact_rescore();
+}

@@ -2,7 +2,7 @@
 //!
 //! Shared harness for regenerating every table and figure of the paper's
 //! evaluation (§5, §6). The `paper` binary drives the experiments; the
-//! criterion benches cover the hot kernels. See EXPERIMENTS.md at the
+//! `kernels` bench times the hot kernels. See EXPERIMENTS.md at the
 //! workspace root for the experiment ↔ paper mapping and measured results.
 
 #![deny(clippy::disallowed_methods)]

@@ -1,24 +1,22 @@
-//! Offline stand-in for `rayon`: the parallel-iterator subset the CaJaDE
-//! pipeline uses (`par_iter().map(..).collect()`, `into_par_iter`,
-//! `for_each`), executed on a resident pool of worker threads, started
-//! once on first use, with an atomic work queue the calling thread takes
-//! items from too. Results preserve input order, matching rayon's indexed
-//! `collect` semantics, so parallel and sequential runs are
+//! Offline stand-in for `rayon`, reduced to the one fan-out the CaJaDE
+//! pipeline makes: [`map_ordered`] maps a function over a slice on a
+//! resident pool of worker threads, started once on first use, with an
+//! atomic work queue the calling thread takes items from too. Outputs
+//! come back in item order, so parallel and sequential runs are
 //! bit-identical. A panicking item unwinds only itself: every other item
 //! still runs, and the first panic in item order resumes on the caller
-//! once the fan-out is done.
+//! once the fan-out is done. `cajade_core::pipeline::fan_out` is its only
+//! caller.
+//!
+//! The crate keeps upstream's name and a `1.x` version although it no
+//! longer mirrors upstream's API: renaming it, or dropping the unused
+//! edge `cajade-service` has to it, would rewrite `e2e_bench/Cargo.lock`,
+//! which changes only together with the end-to-end benchmark.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
-
-/// One-stop imports mirroring `rayon::prelude`.
-pub mod prelude {
-    pub use crate::{
-        FromParallelIterator, IntoParallelIterator, IntoParallelRefIterator, ParallelIterator,
-    };
-}
 
 /// One fan-out, as the pool's workers see it.
 trait Job: Sync {
@@ -198,213 +196,29 @@ where
     out
 }
 
-/// A parallel iterator: a deferred `map` pipeline over an owned item list.
-pub trait ParallelIterator: Sized + Send {
-    /// Item type.
-    type Item: Send;
-
-    /// Drains the pipeline, returning items in order.
-    fn drain_ordered(self) -> Vec<Self::Item>;
-
-    /// Maps each item through `f` on worker threads.
-    fn map<R, F>(self, f: F) -> Map<Self, F>
-    where
-        R: Send,
-        F: Fn(Self::Item) -> R + Sync + Send,
-    {
-        Map { base: self, f }
-    }
-
-    /// Runs `f` on every item.
-    fn for_each<F>(self, f: F)
-    where
-        F: Fn(Self::Item) + Sync + Send,
-    {
-        let _ = self.map(f).drain_ordered();
-    }
-
-    /// Collects into `C` (Vec, or `Result<Vec<_>, E>` short-circuiting on
-    /// the first error in item order, as rayon does).
-    fn collect<C>(self) -> C
-    where
-        C: FromParallelIterator<Self::Item>,
-    {
-        C::from_ordered_vec(self.drain_ordered())
-    }
-
-    /// Sums the items.
-    fn sum<S>(self) -> S
-    where
-        S: std::iter::Sum<Self::Item>,
-    {
-        self.drain_ordered().into_iter().sum()
-    }
-
-    /// Item count.
-    fn count(self) -> usize {
-        self.drain_ordered().len()
-    }
-}
-
-/// Collection targets for [`ParallelIterator::collect`].
-pub trait FromParallelIterator<T> {
-    /// Builds the collection from items in input order.
-    fn from_ordered_vec(items: Vec<T>) -> Self;
-}
-
-impl<T> FromParallelIterator<T> for Vec<T> {
-    fn from_ordered_vec(items: Vec<T>) -> Self {
-        items
-    }
-}
-
-impl<T, E> FromParallelIterator<Result<T, E>> for Result<Vec<T>, E> {
-    fn from_ordered_vec(items: Vec<Result<T, E>>) -> Self {
-        items.into_iter().collect()
-    }
-}
-
-/// Root pipeline stage: owned items, evaluated lazily on drain.
-pub struct IterRoot<T> {
-    items: Vec<T>,
-}
-
-impl<T: Send> ParallelIterator for IterRoot<T> {
-    type Item = T;
-
-    fn drain_ordered(self) -> Vec<T> {
-        self.items
-    }
-}
-
-/// A `map` stage. The closure runs on worker threads at drain time.
-pub struct Map<B, F> {
-    base: B,
-    f: F,
-}
-
-impl<B, R, F> ParallelIterator for Map<B, F>
-where
-    B: ParallelIterator,
-    R: Send,
-    F: Fn(B::Item) -> R + Sync + Send,
-{
-    type Item = R;
-
-    fn drain_ordered(self) -> Vec<R> {
-        let items = self.base.drain_ordered();
-        let n = items.len();
-        // Move items into Option slots so worker threads can take each
-        // exactly once by index.
-        let slots: Vec<Mutex<Option<B::Item>>> =
-            items.into_iter().map(|v| Mutex::new(Some(v))).collect();
-        let f = &self.f;
-        run_indexed(n, move |i| {
-            let item = slots[i]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .take()
-                .expect("item taken twice");
-            f(item)
-        })
-    }
-}
-
-/// Conversion into an owning parallel iterator.
-pub trait IntoParallelIterator {
-    /// Item type.
-    type Item: Send;
-    /// Iterator type.
-    type Iter: ParallelIterator<Item = Self::Item>;
-
-    /// Converts `self`.
-    fn into_par_iter(self) -> Self::Iter;
-}
-
-impl<T: Send> IntoParallelIterator for Vec<T> {
-    type Item = T;
-    type Iter = IterRoot<T>;
-
-    fn into_par_iter(self) -> IterRoot<T> {
-        IterRoot { items: self }
-    }
-}
-
-impl IntoParallelIterator for std::ops::Range<usize> {
-    type Item = usize;
-    type Iter = IterRoot<usize>;
-
-    fn into_par_iter(self) -> IterRoot<usize> {
-        IterRoot {
-            items: self.collect(),
-        }
-    }
-}
-
-/// `par_iter()` over a borrowed slice/Vec (yields `&T`).
-pub trait IntoParallelRefIterator<'a> {
-    /// Item type.
-    type Item: Send + 'a;
-    /// Iterator type.
-    type Iter: ParallelIterator<Item = Self::Item>;
-
-    /// Borrowing conversion.
-    fn par_iter(&'a self) -> Self::Iter;
-}
-
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for [T] {
-    type Item = &'a T;
-    type Iter = IterRoot<&'a T>;
-
-    fn par_iter(&'a self) -> IterRoot<&'a T> {
-        IterRoot {
-            items: self.iter().collect(),
-        }
-    }
-}
-
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
-    type Item = &'a T;
-    type Iter = IterRoot<&'a T>;
-
-    fn par_iter(&'a self) -> IterRoot<&'a T> {
-        IterRoot {
-            items: self.iter().collect(),
-        }
-    }
+/// `f(item)` for every item of `items` — on the calling thread and the
+/// pool's workers — with the outputs in item order. A panicking item
+/// unwinds only itself; once every item has run, the first panic in item
+/// order resumes on the caller.
+pub fn map_ordered<'a, T: Sync, R: Send>(items: &'a [T], f: impl Fn(&'a T) -> R + Sync) -> Vec<R> {
+    run_indexed(items.len(), |i| f(&items[i]))
 }
 
 #[cfg(test)]
 mod tests {
-    use super::prelude::*;
+    use super::map_ordered;
 
     #[test]
-    fn map_collect_preserves_order() {
+    fn outputs_come_back_in_item_order() {
         for n in [0, 1, 2, 3, 64, 1000] {
             let v: Vec<usize> = (0..n).collect();
-            let doubled: Vec<usize> = v.par_iter().map(|&x| x * 2).collect();
+            let doubled = map_ordered(&v, |&x| x * 2);
             assert_eq!(
                 doubled,
                 (0..n).map(|x| x * 2).collect::<Vec<_>>(),
                 "n = {n}"
             );
         }
-    }
-
-    #[test]
-    fn collect_result_short_circuits_in_order() {
-        let v: Vec<i32> = (0..100).collect();
-        let r: Result<Vec<i32>, String> = v
-            .into_par_iter()
-            .map(|x| {
-                if x >= 40 {
-                    Err(format!("bad {x}"))
-                } else {
-                    Ok(x)
-                }
-            })
-            .collect();
-        assert_eq!(r.unwrap_err(), "bad 40");
     }
 
     /// What the panicking items of `panics_unwind_one_item_and_resume_on_the_caller` throw.
@@ -415,8 +229,9 @@ mod tests {
     fn panics_unwind_one_item_and_resume_on_the_caller() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let ran = AtomicUsize::new(0);
+        let items: Vec<usize> = (0..64).collect();
         let caught = std::panic::catch_unwind(|| {
-            (0..64usize).into_par_iter().for_each(|i| {
+            map_ordered(&items, |&i| {
                 if i == 5 || i == 40 {
                     std::panic::panic_any(Thrown(i));
                 }
@@ -428,16 +243,19 @@ mod tests {
         assert_eq!(payload.downcast_ref::<Thrown>(), Some(&Thrown(5)));
         assert_eq!(ran.load(Ordering::Relaxed), 62, "every other item ran");
         // The pool survives it.
-        let after: Vec<usize> = (0..100usize).into_par_iter().map(|i| i + 1).collect();
-        assert_eq!(after, (1..=100).collect::<Vec<_>>());
+        let items: Vec<usize> = (0..100).collect();
+        assert_eq!(
+            map_ordered(&items, |i| i + 1),
+            (1..=100).collect::<Vec<_>>()
+        );
     }
 
     #[test]
     fn a_fan_out_inside_an_item_completes() {
-        let sums: Vec<usize> = (0..8usize)
-            .into_par_iter()
-            .map(|i| (0..100usize).into_par_iter().map(|j| i * j).sum())
-            .collect();
+        let (outer, inner): (Vec<usize>, Vec<usize>) = ((0..8).collect(), (0..100).collect());
+        let sums = map_ordered(&outer, |&i| {
+            map_ordered(&inner, |&j| i * j).into_iter().sum::<usize>()
+        });
         assert_eq!(sums, (0..8).map(|i| i * 4950).collect::<Vec<_>>());
     }
 
@@ -450,15 +268,13 @@ mod tests {
         let fan_out = |k: usize| {
             let met = std::sync::Arc::clone(&met);
             std::thread::spawn(move || {
-                (0..1000usize)
-                    .into_par_iter()
-                    .map(|i| {
-                        if i == 0 {
-                            met.wait();
-                        }
-                        i * k
-                    })
-                    .collect::<Vec<usize>>()
+                let items: Vec<usize> = (0..1000).collect();
+                map_ordered(&items, |&i| {
+                    if i == 0 {
+                        met.wait();
+                    }
+                    i * k
+                })
             })
         };
         let (a, b) = (fan_out(3), fan_out(7));
@@ -477,7 +293,8 @@ mod tests {
         use std::collections::HashSet;
         use std::sync::Mutex;
         let seen: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
-        (0..64usize).into_par_iter().for_each(|_| {
+        let items: Vec<usize> = (0..64).collect();
+        map_ordered(&items, |_| {
             seen.lock().unwrap().insert(std::thread::current().id());
             std::thread::sleep(std::time::Duration::from_millis(1));
         });
@@ -489,12 +306,5 @@ mod tests {
         {
             assert!(threads > 1, "expected multiple workers, saw {threads}");
         }
-    }
-
-    #[test]
-    fn sum_and_count() {
-        let v: Vec<u64> = (1..=10).collect();
-        assert_eq!(v.par_iter().map(|&x| x).sum::<u64>(), 55);
-        assert_eq!((0..17usize).into_par_iter().count(), 17);
     }
 }

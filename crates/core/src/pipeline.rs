@@ -24,7 +24,6 @@ pub use cajade_mining::{ColumnStatsProvider, NoSharedStats};
 use cajade_obs::{span, AllocScope, Ctx, Stage};
 use cajade_query::{execute_with_provenance, ProvenanceTable, Query, QueryResult};
 use cajade_storage::Database;
-use rayon::prelude::*;
 
 use crate::explanation::{near_duplicate_key, rank_and_collapse, rank_walk, Explanation};
 use crate::params::Params;
@@ -278,26 +277,26 @@ pub fn mine_one_prepared(
 
 /// The pipeline's one fan-out: maps `f` over `items`, results in input
 /// order — on the calling thread, or, with `params.parallel` and more
-/// than one item, on worker threads that each run under the caller's
-/// [`Ctx`] (trace position, budget, alloc-scope chain).
+/// than one item, on the compat `rayon`'s resident pool, each item under
+/// the caller's [`Ctx`] (trace position, budget, alloc-scope chain). A
+/// panicking item unwinds only itself; once every item has run, the
+/// first panic in item order resumes on the caller.
 // The one sanctioned fan-out site (`docs/LINTS.md`): every worker runs
 // under the caller's `Ctx`.
 #[allow(clippy::disallowed_methods)]
-pub fn fan_out<'a, T, R, C>(
-    params: &Params,
-    items: &'a [T],
-    f: impl Fn(&'a T) -> R + Sync + Send,
-) -> C
+pub fn fan_out<'a, T, R, C>(params: &Params, items: &'a [T], f: impl Fn(&'a T) -> R + Sync) -> C
 where
     T: Sync,
     R: Send,
-    C: FromIterator<R> + FromParallelIterator<R>,
+    C: FromIterator<R>,
 {
     if !params.parallel || items.len() <= 1 {
         return items.iter().map(f).collect();
     }
     let ctx = Ctx::capture();
-    items.par_iter().map(|item| ctx.enter(|| f(item))).collect()
+    rayon::map_ordered(items, |item| ctx.enter(|| f(item)))
+        .into_iter()
+        .collect()
 }
 
 /// What [`materialize_and_mine`] computed — zero for what a store already
@@ -551,5 +550,57 @@ pub fn assemble(
         patterns_evaluated,
         degraded: !truncated.is_empty(),
         truncated,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    use super::*;
+
+    /// What the panicking items of `fan_out_keeps_item_order_errors_and_panics` throw.
+    #[derive(Debug, PartialEq)]
+    struct Thrown(usize);
+
+    #[test]
+    fn fan_out_keeps_item_order_errors_and_panics() {
+        let params = Params {
+            parallel: true,
+            ..Params::paper()
+        };
+        let items: Vec<usize> = (0..100).collect();
+
+        let doubled: Vec<usize> = fan_out(&params, &items, |&i| i * 2);
+        assert_eq!(doubled, (0..100).map(|i| i * 2).collect::<Vec<_>>());
+
+        let ran = AtomicUsize::new(0);
+        let found: std::result::Result<Vec<usize>, String> = fan_out(&params, &items, |&i| {
+            ran.fetch_add(1, Ordering::Relaxed);
+            if i % 30 == 29 {
+                Err(format!("bad {i}"))
+            } else {
+                Ok(i)
+            }
+        });
+        assert_eq!(
+            found.unwrap_err(),
+            "bad 29",
+            "the first error in item order"
+        );
+        assert_eq!(ran.load(Ordering::Relaxed), 100, "every item ran");
+
+        let ran = AtomicUsize::new(0);
+        let caught = std::panic::catch_unwind(|| {
+            fan_out::<_, _, Vec<()>>(&params, &items, |&i| {
+                if i == 7 || i == 70 {
+                    std::panic::panic_any(Thrown(i));
+                }
+                ran.fetch_add(1, Ordering::Relaxed);
+            })
+        });
+        let payload = caught.expect_err("the panic resumes on the caller");
+        assert_eq!(payload.downcast_ref::<Thrown>(), Some(&Thrown(7)));
+        assert_eq!(ran.load(Ordering::Relaxed), 98, "every other item ran");
     }
 }

@@ -156,6 +156,35 @@ fn warm_prepared_apt_skips_question_independent_phases() {
 }
 
 #[test]
+fn a_zero_byte_answer_cache_re_mines_every_repeat_to_the_same_answer() {
+    let service = tiny_service(ServiceConfig {
+        answer_cache_bytes: 0,
+        ..ServiceConfig::default()
+    });
+    let session = service.open_session("nba", GSW_SQL).unwrap();
+    let question = q("2015-16", "2012-13");
+    let first = session.ask(&question).unwrap();
+    assert_eq!(service.stats().answer_cache.rejected, 1);
+
+    // The repeat misses the answer cache and mines against the cached
+    // provenance and prepared graphs.
+    let repeat = session.ask(&question).unwrap();
+    assert!(!repeat.answer_cache_hit && repeat.provenance_cache_hit);
+    assert_eq!(repeat.apt_cache_misses, 0);
+    assert_eq!(service.stats().answer_cache.rejected, 2);
+
+    let reference = tiny_service(ServiceConfig::default())
+        .open_session("nba", GSW_SQL)
+        .unwrap()
+        .ask(&question)
+        .unwrap();
+    assert!(!reference.result.explanations.is_empty());
+    let fields = |a: &cajade_service::AskResult| format!("{:#?}", a.result.explanations);
+    assert_eq!(fields(&first), fields(&reference));
+    assert_eq!(fields(&repeat), fields(&reference));
+}
+
+#[test]
 fn concurrent_cold_asks_single_flight_provenance() {
     // Satellite: two concurrent cold asks on the same (db, query) must
     // not both compute provenance. With the per-key in-flight latch, the
