@@ -34,7 +34,8 @@
 //!
 //! Absolute runtimes will differ from the paper's hardware; the *shape*
 //! (which phase dominates, scaling slopes, who wins by how much) is the
-//! reproduction target. See EXPERIMENTS.md.
+//! reproduction target. README § "Paper experiment harness" has the
+//! breakdown rows' caveats.
 
 use std::time::Instant;
 

@@ -2,8 +2,8 @@
 //!
 //! Shared harness for regenerating every table and figure of the paper's
 //! evaluation (§5, §6). The `paper` binary drives the experiments; the
-//! `kernels` bench times the hot kernels. See EXPERIMENTS.md at the
-//! workspace root for the experiment ↔ paper mapping and measured results.
+//! `kernels` bench times the hot kernels. README § "Paper experiment
+//! harness" and `paper --help` map the experiments to the paper.
 
 #![deny(clippy::disallowed_methods)]
 

@@ -11,8 +11,9 @@
 //! rater model: a noisy affine function of the explanation's precision and
 //! recall (the paper found user preference correlates with precision /
 //! F-score), plus a domain-knowledge bonus for raters flagged as NBA fans
-//! on player-related explanations, plus per-rater noise. EXPERIMENTS.md
-//! marks every number derived from these ratings as simulated.
+//! on player-related explanations, plus per-rater noise. Every number
+//! derived from these ratings is simulated (README § "Paper experiment
+//! harness").
 
 use cajade_core::{Explanation, ExplanationSession, Params, UserQuestion};
 use cajade_datagen::GeneratedDb;

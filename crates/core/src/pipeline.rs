@@ -248,7 +248,7 @@ pub struct GraphOutcome {
 /// outcome; on a warm [`PreparedApt`] the feature-selection /
 /// candidate-generation / sampling / prepare phases report zero — the ask
 /// skipped them.
-pub fn mine_one_prepared(
+fn mine_one_prepared(
     pt: &ProvenanceTable,
     graph: &PreparedGraph,
     question: &Question,
@@ -364,7 +364,7 @@ impl ColumnStatsProvider for WithShare<'_> {
 ///   handed to `prepare` with `stats`; each miss is prepared in `scope`
 ///   under its store latch. Racing callers may both derive a view; only
 ///   one prepares it.
-/// * **mine** — [`mine_one_prepared`] per graph, for `question`; the
+/// * **mine** — `mine_one_prepared` per graph, for `question`; the
 ///   exact re-scores' mask reads and fills are summed into the
 ///   [`GraphWork`].
 ///

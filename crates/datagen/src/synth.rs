@@ -91,15 +91,6 @@ impl SynthConfig {
             ..self
         }
     }
-
-    /// Total cells across all tables — the corpus-size proxy the
-    /// scale-aware cache budgets key on.
-    pub fn approx_cells(&self) -> usize {
-        let dim_rows = (self.rows / self.fanout).max(1);
-        let fact_cells = self.rows * (3 + self.tables);
-        let dim_cells = self.tables * dim_rows * (2 + self.columns);
-        fact_cells + dim_cells
-    }
 }
 
 /// Generates the synthetic star corpus for `cfg`. Deterministic: the

@@ -108,11 +108,6 @@ impl JoinGraph {
         nodes.sum::<usize>() + edges.sum::<usize>()
     }
 
-    /// Index of the PT node (always 0 by construction).
-    pub fn pt_node(&self) -> usize {
-        0
-    }
-
     /// Number of edges.
     pub fn num_edges(&self) -> usize {
         self.edges.len()
@@ -124,16 +119,6 @@ impl JoinGraph {
             NodeLabel::Pt => None,
             NodeLabel::Rel(r) => Some(r),
         }
-    }
-
-    /// Edge indices incident to `node`.
-    pub fn incident_edges(&self, node: usize) -> Vec<usize> {
-        self.edges
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.from == node || e.to == node)
-            .map(|(i, _)| i)
-            .collect()
     }
 
     /// Display aliases per node: `PT` for the PT node; a relation appearing

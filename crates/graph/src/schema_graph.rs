@@ -174,12 +174,6 @@ impl SchemaGraph {
         &self.edges
     }
 
-    /// Total number of (edge, condition) combinations — the branching
-    /// factor of join-graph enumeration.
-    pub fn num_conditions(&self) -> usize {
-        self.edges.iter().map(|e| e.conds.len()).sum()
-    }
-
     /// Iterates over `(edge_index, cond_index, other_relation, condition
     /// oriented from `rel`)` for every way relation `rel` can join out.
     /// Self-loop edges yield a single traversal (the condition is symmetric
@@ -245,7 +239,6 @@ mod tests {
         let g = SchemaGraph::from_foreign_keys(&db);
         assert_eq!(g.edges().len(), 1);
         assert_eq!(g.edges()[0].conds.len(), 2);
-        assert_eq!(g.num_conditions(), 2);
         g.validate(&db).unwrap();
     }
 

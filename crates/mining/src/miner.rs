@@ -1,22 +1,23 @@
 //! `MineAPT` — paper Algorithm 1, end to end for one join graph's APT.
 //!
-//! Phases (each timed; the names match the paper's runtime-breakdown
-//! tables, Fig. 7/9):
+//! Phases (each timed by its stages; the names match the paper's
+//! runtime-breakdown tables, Fig. 7/9):
 //!
 //! 1. *Feature Selection* — `filterAttrs` (random forest + clustering).
 //! 2. *Gen. Pat. Cand.* — LCA over a λ_pat-samp sample (cap 1000 rows,
-//!    §5.4), candidates ranked by recall, top k_cat kept.
+//!    §5.4).
 //! 3. *Sampling for F1* — draw the λ_F1-samp APT row sample.
-//! 4. *F-score Calc.* — Definition-7 metrics over the sample.
-//! 5. *Refine Patterns* — numeric refinements from λ#frag fragment
-//!    boundaries, pruning refinements of patterns whose recall is below
-//!    λ_recall (sound by Proposition 3.1), with at most λ_attrNum numeric
-//!    predicates per pattern.
-//!
-//! Final selection is diversity-aware top-k (§3.5) followed by exact
-//! re-scoring over every APT row — ANDs of the preparation's write-once
-//! all-rows predicate masks ([`ExactMasks`](crate::prepared::ExactMasks))
-//! — so reported supports are exact.
+//! 4. *F-score Calc.* — Definition-7 metrics outside the lattice walk:
+//!    candidates ranked by recall over the sample, top k_cat kept; then
+//!    diversity-aware top-k (§3.5) and exact re-scoring of the winners
+//!    over every APT row — ANDs of the preparation's write-once all-rows
+//!    predicate masks ([`ExactMasks`](crate::prepared::ExactMasks)) — so
+//!    reported supports are exact.
+//! 5. *Refine Patterns* — the refinement BFS: each pattern scored over
+//!    the sample, then refined with numeric predicates from λ#frag
+//!    fragment boundaries, pruning refinements of patterns whose recall
+//!    is below λ_recall (sound by Proposition 3.1), with at most
+//!    λ_attrNum numeric predicates per pattern.
 //!
 //! The phases are wired once: everything up to the predicate bitmaps in
 //! [`prepare`], ranking, scoring and refinement in `mine_core`.
@@ -26,7 +27,7 @@
 
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use cajade_graph::Apt;
 use cajade_ml::sampling::bernoulli_sample;
@@ -145,9 +146,11 @@ pub struct MiningTimings {
     /// `Sampling for F1` row: the sample draw and its `(group, PT row)`
     /// scan order.
     pub sampling_for_f1: Duration,
-    /// `F-score Calc.` row.
+    /// `F-score Calc.` row: the `rank_candidates` and `select_top_k`
+    /// stages (recall ranking, diversity top-k, exact re-score).
     pub fscore_calc: Duration,
-    /// `Refine Patterns` row.
+    /// `Refine Patterns` row: the `refine_bfs` stage, which scores every
+    /// pattern it refines.
     pub refine_patterns: Duration,
     /// Column encoding, fragment boundaries and predicate-bitmap
     /// precomputation (the `ScoreIndex`/`PredBank` build; zero on warm
@@ -381,8 +384,8 @@ pub(crate) fn mine_core(
     ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
     ranked.truncate(params.k_cat_patterns);
     timings.fscore_calc += stage.finish();
-    // Scoring and refinement interleave below, so the BFS gets one span;
-    // the fscore_calc / refine_patterns split stays in `MiningTimings`.
+    // Scoring and refinement interleave below, so the BFS is one stage:
+    // the `Refine Patterns` row.
     let bfs_stage = Stage::detail("refine_bfs");
 
     // ---- Refinement BFS with recall pruning. ---------------------------
@@ -498,11 +501,6 @@ pub(crate) fn mine_core(
         } = item;
 
         // Score in both directions (Algorithm 1 line 11).
-        // The per-pattern fscore_calc / refine_patterns split runs inside
-        // the one `refine_bfs` stage: a guard per pattern would be a span
-        // per pattern.
-        #[allow(clippy::disallowed_methods)]
-        let t_score = Instant::now();
         let mut best_recall = 0.0f64;
         let mut item_tps = [0usize; 2];
         let at = store.len();
@@ -521,10 +519,6 @@ pub(crate) fn mine_core(
         } else {
             &pat
         };
-        // Second reading of the same split.
-        #[allow(clippy::disallowed_methods)]
-        let t_mid = Instant::now();
-        timings.fscore_calc += t_mid - t_score;
 
         // Prune refinements when recall already fell below λ_recall
         // (Proposition 3.1: refinement can only lower recall), or when the
@@ -592,15 +586,15 @@ pub(crate) fn mine_core(
                 }
             }
         }
-        timings.refine_patterns += t_mid.elapsed();
         if let Cow::Owned(buffer) = mask {
             spare.push(buffer);
         }
     }
-    drop(bfs_stage);
+    timings.refine_patterns = bfs_stage.finish();
 
     // ---- Top-k with diversity, then exact re-scoring. -------------------
-    let _stage = Stage::detail("select_top_k");
+    // Both are F-score calculations: the stage adds to that row.
+    let stage = Stage::detail("select_top_k");
     let items: Vec<(&Pattern, f64)> = (kept.iter())
         .map(|&(at, _, _, m)| (&store[at], m.f_score))
         .collect();
@@ -610,7 +604,7 @@ pub(crate) fn mine_core(
     // write-once all-rows predicate masks. Without an all-rows index the
     // scan already covered every APT row (λ_F1 ≥ 1.0): the "sampled"
     // metrics *are* the exact metrics.
-    let _rescore = Stage::detail("exact_rescore");
+    let rescore = Stage::detail("exact_rescore");
     let explanations: Vec<MinedExplanation> = selected
         .into_iter()
         .map(|i| {
@@ -635,6 +629,8 @@ pub(crate) fn mine_core(
             }
         })
         .collect();
+    drop(rescore);
+    timings.fscore_calc += stage.finish();
 
     (explanations, patterns_evaluated)
 }

@@ -5,8 +5,9 @@
 //! are thread-local, so none follows work onto another thread by itself.
 //! [`Ctx`] carries all four: capture it on the request thread before a
 //! fan-out, enter it around each item on the worker. [`Stage`] opens a
-//! stage's span and alloc scope off one clock reading and hands the wall
-//! time back, so the timing structs are filled from the span's own clock.
+//! stage's span and alloc scope off one clock reading, closes the span
+//! off another and hands the wall time between the two back, so the
+//! timing structs are filled from the span's own clock.
 
 use std::time::{Duration, Instant};
 
@@ -65,12 +66,12 @@ impl Ctx {
 
 /// RAII guard for one pipeline stage: an open span, an open alloc scope,
 /// and the clock reading both started at. Dropping it closes both;
-/// [`finish`](Stage::finish) also returns the stage's wall time. Must
-/// stay on the thread that opened it.
+/// [`finish`](Stage::finish) also returns the stage's wall time, the one
+/// its span records. Must stay on the thread that opened it.
 pub struct Stage {
     start: Instant,
-    _span: SpanGuard,
-    _mem: Option<AllocScope>,
+    span: SpanGuard,
+    mem: Option<AllocScope>,
 }
 
 impl Stage {
@@ -102,13 +103,49 @@ impl Stage {
         let start = Instant::now();
         Stage {
             start,
-            _span: trace::open(span, level, || start),
-            _mem: scope.map(AllocScope::enter),
+            span: trace::open(span, level, || start),
+            mem: scope.map(AllocScope::enter),
         }
     }
 
-    /// Closes the stage and returns its wall time.
+    /// Closes the stage and returns its wall time: one clock reading
+    /// ends both the span and the returned duration, so a timing row
+    /// filled from `finish()` is exactly its spans' `wall_us`, to the µs.
     pub fn finish(self) -> Duration {
-        self.start.elapsed()
+        let Stage { start, span, mem } = self;
+        let end = Instant::now();
+        span.close_at(end);
+        drop(mem);
+        end.saturating_duration_since(start)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::trace::Collector;
+
+    #[test]
+    fn a_finished_stage_records_the_wall_it_returns() {
+        let c = Collector::new();
+        let wall = c.with(None, || {
+            let stage = Stage::detail("finished");
+            std::thread::sleep(Duration::from_millis(2));
+            let wall = stage.finish();
+            drop(Stage::open("dropped"));
+            wall
+        });
+        let spans = c.finish();
+        let by_name = |n: &str| spans.iter().find(|r| r.name == n).expect(n);
+        assert_eq!(
+            by_name("finished").wall_us,
+            u64::try_from(wall.as_micros()).unwrap()
+        );
+        assert_eq!(
+            spans.len(),
+            2,
+            "an unfinished stage records its span on drop"
+        );
+        assert_eq!(by_name("dropped").parent, None);
     }
 }

@@ -250,12 +250,17 @@ impl SpanGuard {
     pub fn id(&self) -> Option<u64> {
         self.active.as_ref().map(|a| a.id)
     }
-}
 
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
+    /// Closes the span at `end`, the clock reading its owner already
+    /// took, instead of reading the clock again.
+    pub(crate) fn close_at(mut self, end: Instant) {
+        self.close(|| end);
+    }
+
+    /// Records the span (if active) as ending at `end()`.
+    fn close(&mut self, end: impl FnOnce() -> Instant) {
         let Some(a) = self.active.take() else { return };
-        let wall_us = saturating_us(a.start.elapsed());
+        let wall_us = saturating_us(end().saturating_duration_since(a.start));
         let (alloc_bytes, peak_bytes) = crate::alloc::span_mem_exit(a.mem);
         let collector = TLS.with(|tls| {
             let mut tls = tls.borrow_mut();
@@ -295,6 +300,12 @@ impl Drop for SpanGuard {
                 });
             }
         }
+    }
+}
+
+impl Drop for SpanGuard {
+    fn drop(&mut self) {
+        self.close(Instant::now);
     }
 }
 

@@ -190,23 +190,6 @@ pub struct Query {
 }
 
 impl Query {
-    /// Names of the relations the query accesses (`rels_Q(D)`), deduplicated
-    /// but in FROM order.
-    pub fn accessed_relations(&self) -> Vec<&str> {
-        let mut out: Vec<&str> = Vec::new();
-        for t in &self.from {
-            if !out.contains(&t.table.as_str()) {
-                out.push(&t.table);
-            }
-        }
-        out
-    }
-
-    /// Finds the FROM entry for `alias`.
-    pub fn from_entry(&self, alias: &str) -> Option<&TableRef> {
-        self.from.iter().find(|t| t.alias == alias)
-    }
-
     /// Renders the query back to SQL text. The output re-parses to an
     /// equal AST (`parse_sql(q.to_sql()) == q`), which makes queries
     /// loggable and serializable without a second representation.
@@ -375,20 +358,5 @@ mod tests {
                 Ok(())
             })
             .unwrap();
-    }
-
-    #[test]
-    fn accessed_relations_dedups_preserving_order() {
-        let q = Query {
-            from: vec![
-                TableRef::aliased("lineup_player", "l1"),
-                TableRef::aliased("lineup_player", "l2"),
-                TableRef::named("game"),
-            ],
-            predicates: vec![],
-            group_by: vec![],
-            aggregates: vec![],
-        };
-        assert_eq!(q.accessed_relations(), vec!["lineup_player", "game"]);
     }
 }

@@ -160,11 +160,6 @@ impl Table {
             num_rows: indices.len(),
         }
     }
-
-    /// Iterates over row indices.
-    pub fn row_indices(&self) -> impl Iterator<Item = usize> {
-        0..self.num_rows
-    }
 }
 
 /// Incremental row-at-a-time builder (kept separate from [`Table`] so

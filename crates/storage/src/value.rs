@@ -56,15 +56,6 @@ impl Value {
         }
     }
 
-    /// Interned-string view.
-    #[inline]
-    pub fn as_str_id(&self) -> Option<StrId> {
-        match self {
-            Value::Str(id) => Some(*id),
-            _ => None,
-        }
-    }
-
     /// Total order over values.
     ///
     /// `Null` sorts first; ints and floats compare numerically (cross-type,
