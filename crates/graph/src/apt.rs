@@ -81,9 +81,8 @@ use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-use bytes::BytesMut;
 use cajade_query::ProvenanceTable;
-use cajade_storage::rowkey::encode_value;
+use cajade_storage::rowkey::KeyIndex;
 use cajade_storage::{AttrKind, Column, DataType, Database, StrId, Value};
 
 use crate::enumerate::EnumeratedGraph;
@@ -470,10 +469,6 @@ impl Side<'_> {
     }
 }
 
-/// Base-table row ids by encoded key (`rowkey` encoding: a NULL key
-/// component keeps the row out, `Int(2)` and `Float(2.0)` share a key).
-type KeyIndex = HashMap<Vec<u8>, Vec<u32>>;
-
 /// A memo of values computed at most once per key. The map lock is held
 /// only to find the key's cell; the computation runs in the cell, so
 /// distinct keys compute concurrently, one key computes once, and a
@@ -621,25 +616,14 @@ impl<'a> Kernel<'a> {
             let index = index_cell.get_or_init(|| {
                 self.index_builds.fetch_add(1, Ordering::Relaxed);
                 let cols: Vec<&Column> = new_cols.iter().map(|&c| table.column(c)).collect();
-                let mut index = KeyIndex::new();
-                let mut scratch = BytesMut::new();
-                for r in 0..table.num_rows() {
-                    if let Some(key) = encode_key(&mut scratch, cols.iter().map(|c| c.value(r))) {
-                        index.entry(key.to_vec()).or_default().push(r as u32);
-                    }
-                }
-                index
+                KeyIndex::build(&cols, 0..table.num_rows() as u32)
             });
 
             let n = combos.len();
             let mut new_ids = Vec::with_capacity(n);
             let mut emitted = Emitted::default();
-            let mut scratch = BytesMut::new();
             for i in 0..n {
-                let key = encode_key(&mut scratch, anchor_sides.iter().map(|s| s.value(i)));
-                let matches = key
-                    .and_then(|k| index.get(k))
-                    .map_or(&[][..], Vec::as_slice);
+                let matches = index.probe(anchor_sides.iter().map(|s| s.value(i)));
                 new_ids.extend_from_slice(matches);
                 emitted.push(i, matches.len());
             }
@@ -714,15 +698,6 @@ impl<'a> Kernel<'a> {
             ids: &combos.ids[slot],
         })
     }
-}
-
-/// Encodes a composite join key into `scratch`; `None` if a component is
-/// NULL (the row joins nothing).
-fn encode_key(scratch: &mut BytesMut, mut values: impl Iterator<Item = Value>) -> Option<&[u8]> {
-    scratch.clear();
-    values
-        .all(|v| encode_value(scratch, &v))
-        .then_some(&scratch[..])
 }
 
 /// The plan: the order in which the graph's edges are applied —

@@ -31,12 +31,14 @@ pub struct DiscoveryConfig {
     /// merely contains another id column's values is referenced only
     /// partially and gets rejected here.
     pub min_to_coverage: f64,
-    /// Cap on distinct values collected per column (memory guard).
-    pub max_distinct: usize,
-    /// Require non-trivial value sets (columns with fewer distinct values
-    /// than this are skipped — booleans/flags join everything).
-    pub min_distinct: usize,
 }
+
+/// Cap on distinct values collected per column (memory guard).
+const MAX_DISTINCT: usize = 100_000;
+
+/// Columns with fewer distinct values than this are skipped: booleans and
+/// flags join everything.
+const MIN_DISTINCT: usize = 3;
 
 impl Default for DiscoveryConfig {
     fn default() -> Self {
@@ -44,8 +46,6 @@ impl Default for DiscoveryConfig {
             min_containment: 0.95,
             min_to_uniqueness: 0.9,
             min_to_coverage: 0.5,
-            max_distinct: 100_000,
-            min_distinct: 3,
         }
     }
 }
@@ -156,8 +156,8 @@ pub fn discover_joins(db: &Database, cfg: &DiscoveryConfig) -> Vec<JoinCandidate
             if f.kind != AttrKind::Categorical {
                 continue;
             }
-            let (values, truncated) = fingerprint(t.column(ci), t.num_rows(), cfg.max_distinct);
-            if values.len() < cfg.min_distinct {
+            let (values, truncated) = fingerprint(t.column(ci), t.num_rows(), MAX_DISTINCT);
+            if values.len() < MIN_DISTINCT {
                 continue;
             }
             cols.push(ColumnSet {

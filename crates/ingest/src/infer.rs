@@ -38,27 +38,26 @@ pub struct InferConfig {
     /// Rows examined for *type* decisions; rows beyond the window update
     /// null/distinct statistics only.
     pub sample_rows: usize,
-    /// Cap on tracked distinct values per column (memory guard). A
-    /// column that overflows the cap is treated as "many distinct" —
-    /// fine for keys, which is what the sketch is for.
-    pub max_distinct: usize,
-    /// Integer columns with at most this many distinct values are
-    /// treated as categorical codes (flags, enumerations) rather than
-    /// measures.
-    pub small_int_domain: usize,
 }
 
 impl Default for InferConfig {
     fn default() -> Self {
         Self {
             sample_rows: 100_000,
-            // ~8 MB/column worst case; key detection degrades (with a
-            // warning) rather than erring on tables beyond this.
-            max_distinct: 1 << 20,
-            small_int_domain: 12,
         }
     }
 }
+
+/// Cap on tracked distinct values per column (memory guard, ~8 MB per
+/// column worst case). A column that overflows the cap is treated as
+/// "many distinct" — fine for keys, which is what the sketch is for; key
+/// detection degrades (with a warning) rather than erring on tables
+/// beyond this.
+pub(crate) const MAX_DISTINCT: usize = 1 << 20;
+
+/// Integer columns with at most this many distinct values are treated as
+/// categorical codes (flags, enumerations) rather than measures.
+const SMALL_INT_DOMAIN: usize = 12;
 
 /// The type of a trimmed, non-empty cell (cheapest check first).
 fn cell_type(t: &str) -> DataType {
@@ -122,7 +121,7 @@ impl ColumnProfile {
         self.dtype
     }
 
-    fn observe(&mut self, raw: &str, in_sample: bool, max_distinct: usize) {
+    fn observe(&mut self, raw: &str, in_sample: bool) {
         let t = raw.trim();
         if t.is_empty() {
             // Whitespace-only cells are as empty as empty ones; a
@@ -135,7 +134,7 @@ impl ColumnProfile {
             self.refine(t);
         }
         let key = fnv1a(t.as_bytes());
-        if self.distinct.len() < max_distinct {
+        if self.distinct.len() < MAX_DISTINCT {
             self.distinct.insert(key);
         } else if !self.distinct.contains(&key) {
             self.distinct_truncated = true;
@@ -267,7 +266,7 @@ impl TableProfile {
         let in_sample = self.rows < self.cfg.sample_rows;
         for (i, col) in self.columns.iter_mut().enumerate() {
             let raw = fields.get(i).unwrap_or("");
-            col.observe(raw, in_sample, self.cfg.max_distinct);
+            col.observe(raw, in_sample);
         }
         self.rows += 1;
     }
@@ -298,7 +297,7 @@ impl TableProfile {
                 };
                 let kind = manifest
                     .pinned_kind(&self.table, &c.name)
-                    .unwrap_or_else(|| infer_kind(c, is_pk, &self.cfg));
+                    .unwrap_or_else(|| infer_kind(c, is_pk));
                 Field {
                     name: c.name.clone(),
                     dtype: c.dtype(),
@@ -325,7 +324,7 @@ fn position(cols: &[ColumnProfile], name: &str) -> usize {
 /// * integers are categorical when they behave like identifiers — an
 ///   id-like name, key status, or a tiny domain (flags/codes) — and
 ///   numeric otherwise (measures like points or amounts).
-fn infer_kind(col: &ColumnProfile, is_pk: bool, cfg: &InferConfig) -> AttrKind {
+fn infer_kind(col: &ColumnProfile, is_pk: bool) -> AttrKind {
     match col.dtype() {
         DataType::Str => AttrKind::Categorical,
         DataType::Float => AttrKind::Numeric,
@@ -333,7 +332,7 @@ fn infer_kind(col: &ColumnProfile, is_pk: bool, cfg: &InferConfig) -> AttrKind {
             if is_pk
                 || id_like(&col.name)
                 || col.is_unique_key()
-                || (!col.distinct_truncated && col.distinct_count() <= cfg.small_int_domain)
+                || (!col.distinct_truncated && col.distinct_count() <= SMALL_INT_DOMAIN)
             {
                 AttrKind::Categorical
             } else {
@@ -460,14 +459,7 @@ mod tests {
     #[test]
     fn sampling_window_freezes_the_type() {
         let header = vec!["x".to_string()];
-        let mut p = TableProfile::new(
-            "t",
-            &header,
-            InferConfig {
-                sample_rows: 2,
-                ..InferConfig::default()
-            },
-        );
+        let mut p = TableProfile::new("t", &header, InferConfig { sample_rows: 2 });
         for cell in ["1", "2", "not a number"] {
             // The third row is beyond the window.
             p.observe_row(&[cell].into_iter().collect());

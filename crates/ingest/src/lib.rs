@@ -127,7 +127,7 @@ impl From<GraphError> for IngestError {
 }
 
 /// Ingestion tuning knobs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct IngestOptions {
     /// Database name override (else `dataset.toml`, else the directory
     /// stem).
@@ -141,34 +141,16 @@ pub struct IngestOptions {
     /// [`IngestReport::warnings`]; in strict mode it aborts the whole
     /// ingestion.
     pub strict_types: bool,
-    /// Containment-discovery thresholds (manifest `[discovery]` keys
-    /// override individual fields).
-    pub discovery: DiscoveryConfig,
     /// Cap on accepted discovered joins. `Some` is an *explicit* request
     /// (CLI flag, protocol field) and beats the manifest; `None` falls
     /// back to the manifest's `max_joins`, then
     /// [`DEFAULT_MAX_DISCOVERED_JOINS`].
     pub max_discovered_joins: Option<usize>,
-    /// Widest composite primary key the post-load check certifies.
-    pub max_pk_width: usize,
 }
 
 /// Discovered-join budget when neither the caller nor the manifest
 /// picks one.
 pub const DEFAULT_MAX_DISCOVERED_JOINS: usize = 24;
-
-impl Default for IngestOptions {
-    fn default() -> Self {
-        Self {
-            name: None,
-            infer: InferConfig::default(),
-            strict_types: false,
-            discovery: DiscoveryConfig::default(),
-            max_discovered_joins: None,
-            max_pk_width: 3,
-        }
-    }
-}
 
 /// An ingested dataset: ready to register or explain against.
 #[derive(Debug, Clone)]
@@ -271,7 +253,7 @@ pub fn ingest_dir(dir: impl AsRef<Path>, options: &IngestOptions) -> Result<Inge
                 "table `{}`: distinct tracking capped at {} values, so key inference may \
                  have missed a unique column — pin a key in dataset.toml if [{}] is wrong",
                 report.name,
-                options.infer.max_distinct,
+                infer::MAX_DISTINCT,
                 report.key.join(", ")
             ));
         }
@@ -528,7 +510,7 @@ fn load_file(
     }
 
     if table.schema().primary_key().is_empty() && !key_pinned {
-        if let Some(key) = composite_key(&table, options.max_pk_width) {
+        if let Some(key) = composite_key(&table) {
             table
                 .set_primary_key(&key)
                 .map_err(|e| storage_err(&table_name, e))?;
@@ -553,16 +535,19 @@ fn load_file(
     Ok(report)
 }
 
-/// Certifies the shortest leading column prefix (≤ `max_width`, no
+/// Widest composite primary key the post-load check certifies.
+const MAX_PK_WIDTH: usize = 3;
+
+/// Certifies the shortest leading column prefix (≤ [`MAX_PK_WIDTH`], no
 /// floats, no NULLs) whose value combinations are row-unique. Leading
 /// prefixes only: real-world CSVs overwhelmingly put key columns first,
 /// and the full subset lattice is exponential.
-fn composite_key(table: &Table, max_width: usize) -> Option<Vec<String>> {
+fn composite_key(table: &Table) -> Option<Vec<String>> {
     let arity = table.num_columns();
     if table.num_rows() == 0 || arity < 2 {
         return None;
     }
-    'width: for width in 2..=max_width.min(arity) {
+    'width: for width in 2..=MAX_PK_WIDTH.min(arity) {
         let fields = &table.schema().fields[..width];
         if fields.iter().any(|f| f.dtype == DataType::Float) {
             return None; // float keys are asking for trouble
@@ -616,7 +601,7 @@ fn assemble_graph(
     if !enabled {
         return Ok((base, joins));
     }
-    let mut cfg = options.discovery.clone();
+    let mut cfg = DiscoveryConfig::default();
     if let Some(v) = manifest.min_containment {
         cfg.min_containment = v;
     }
@@ -674,7 +659,7 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(
-            composite_key(&t, 3),
+            composite_key(&t),
             Some(vec!["date".to_string(), "home".to_string()])
         );
         // Width 1 is the single-column pass's job; width 2 here suffices,
@@ -692,10 +677,10 @@ mod tests {
         for (a, b) in [(1, 1), (1, 1)] {
             dup.push_row(vec![Value::Int(a), Value::Int(b)]).unwrap();
         }
-        assert_eq!(composite_key(&dup, 3), None);
+        assert_eq!(composite_key(&dup), None);
 
         let mut nullish = Table::new(schema);
         nullish.push_row(vec![Value::Int(1), Value::Null]).unwrap();
-        assert_eq!(composite_key(&nullish, 3), None);
+        assert_eq!(composite_key(&nullish), None);
     }
 }

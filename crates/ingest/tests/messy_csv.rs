@@ -170,10 +170,7 @@ fn post_sample_type_clash_lenient_vs_strict() {
     csv.push_str("5,oops\n");
     let options = |strict: bool| IngestOptions {
         strict_types: strict,
-        infer: cajade_ingest::InferConfig {
-            sample_rows: 5,
-            ..Default::default()
-        },
+        infer: cajade_ingest::InferConfig { sample_rows: 5 },
         ..Default::default()
     };
 

@@ -36,6 +36,7 @@
 
 use cajade_graph::{Apt, AptColumn, CellData};
 use cajade_query::ProvenanceTable;
+use cajade_storage::Value;
 
 use crate::pattern::{PatValue, Pattern, Pred, PredOp};
 use crate::score::PatternMetrics;
@@ -370,9 +371,10 @@ impl ScoreIndex {
 
     /// Evaluates one predicate into a fresh mask over the scan positions.
     /// Semantics mirror [`Pattern::matches`] exactly: NULL never matches,
-    /// `=` follows SQL equality (ints widen against floats, strings
-    /// compare by interned id, cross-kind is false), `≤`/`≥` compare the
-    /// numeric view and are false for strings.
+    /// `=` follows SQL equality ([`Value::sql_eq`]: an int equals a float
+    /// that is exactly that integer, strings compare by interned id,
+    /// cross-kind is false), `≤`/`≥` compare the numeric view and are
+    /// false for strings.
     pub fn eval_pred(&self, field: usize, pred: &Pred) -> Mask {
         let col = self.col(field);
         let n = self.order.len();
@@ -381,13 +383,20 @@ impl ScoreIndex {
             (CellData::Int(vals), PredOp::Eq) => match pred.value {
                 PatValue::Int(c) => fill(&mut out, vals, |&v| v == c),
                 PatValue::Float(bits) => {
-                    let t = f64::from_bits(bits);
-                    fill(&mut out, vals, |&v| (v as f64) == t)
+                    if let Some(c) = Value::Float(f64::from_bits(bits)).as_exact_int() {
+                        fill(&mut out, vals, |&v| v == c)
+                    }
                 }
                 PatValue::Str(_) => {}
             },
             (CellData::Float(vals), PredOp::Eq) => match pred.value {
-                PatValue::Int(c) => fill(&mut out, vals, |&v| v == c as f64),
+                PatValue::Int(c) => {
+                    // No float is exactly an int that `as f64` rounds.
+                    let t = c as f64;
+                    if Value::Float(t).as_exact_int() == Some(c) {
+                        fill(&mut out, vals, |&v| v == t)
+                    }
+                }
                 PatValue::Float(bits) => {
                     let t = f64::from_bits(bits);
                     fill(&mut out, vals, |&v| v == t)

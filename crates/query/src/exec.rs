@@ -9,9 +9,8 @@
 
 use std::collections::HashMap;
 
-use bytes::BytesMut;
-use cajade_storage::rowkey::{encode_group_key, encode_key_into};
-use cajade_storage::{AttrKind, DataType, Database, Table, Value};
+use cajade_storage::rowkey::{encode_group_key, KeyIndex};
+use cajade_storage::{AttrKind, Column, DataType, Database, Table, Value};
 
 use crate::ast::*;
 use crate::{QueryError, Result};
@@ -224,7 +223,6 @@ pub(crate) fn join_rows(binder: &Binder<'_>) -> Result<Joined> {
         data: candidates[0].clone(),
     };
 
-    let mut scratch = BytesMut::new();
     #[allow(clippy::needless_range_loop)] // k indexes tables, candidates, and combos in lockstep
     for k in 1..n {
         let table_k = binder.tables[k];
@@ -254,40 +252,22 @@ pub(crate) fn join_rows(binder: &Binder<'_>) -> Result<Joined> {
                 }
             }
         } else {
-            // Build hash table on entry k side.
-            let mut build: HashMap<Vec<u8>, Vec<u32>> = HashMap::with_capacity(candidates[k].len());
-            let key_cols_k: Vec<usize> = conds.iter().map(|(_, b)| b.col_idx).collect();
-            let mut key_vals = Vec::with_capacity(key_cols_k.len());
-            for &r in &candidates[k] {
-                key_vals.clear();
-                for &c in &key_cols_k {
-                    key_vals.push(table_k.column(c).value(r as usize));
-                }
-                if let Some(key) = encode_key_into(&mut scratch, &key_vals) {
-                    build.entry(key.to_vec()).or_default().push(r);
-                }
-            }
-            // Probe with earlier combinations.
-            let probe_cols: Vec<BoundCol> = conds.iter().map(|(a, _)| *a).collect();
+            // Index entry k's candidates, probe with earlier combinations.
+            let key_cols: Vec<&Column> = conds
+                .iter()
+                .map(|(_, b)| table_k.column(b.col_idx))
+                .collect();
+            let index = KeyIndex::build(&key_cols, candidates[k].iter().copied());
             for i in 0..joined.num_rows() {
                 let row = joined.row(i);
-                key_vals.clear();
-                for bc in &probe_cols {
-                    let base_row = row[bc.from_idx] as usize;
-                    key_vals.push(
-                        binder.tables[bc.from_idx]
-                            .column(bc.col_idx)
-                            .value(base_row),
-                    );
-                }
-                let Some(key) = encode_key_into(&mut scratch, &key_vals) else {
-                    continue;
-                };
-                if let Some(matches) = build.get(key) {
-                    for &r in matches {
-                        next.extend_from_slice(row);
-                        next.push(r);
-                    }
+                let key = conds.iter().map(|(a, _)| {
+                    binder.tables[a.from_idx]
+                        .column(a.col_idx)
+                        .value(row[a.from_idx] as usize)
+                });
+                for &r in index.probe(key) {
+                    next.extend_from_slice(row);
+                    next.push(r);
                 }
             }
         }

@@ -10,14 +10,13 @@
 //! [`CsvTokenizer`] is the one record reader. It walks a whole file's
 //! bytes, held in memory and checked as UTF-8 once, and refills one
 //! reusable [`Record`], so reading allocates nothing per line or per
-//! cell. The one-shot [`read_csv`] (schema known up front) and both
-//! passes of the ingestion subsystem's load (infer, then typed load)
-//! run on it.
+//! cell. Both passes of the ingestion subsystem's load (infer, then
+//! typed load) run on it.
 
-use std::io::{BufRead, Write};
+use std::io::Write;
 
 use crate::pool::StringPool;
-use crate::schema::{DataType, Schema};
+use crate::schema::DataType;
 use crate::table::Table;
 use crate::value::Value;
 use crate::{Result, StorageError};
@@ -44,63 +43,11 @@ pub fn write_csv<W: Write>(table: &Table, pool: &StringPool, out: &mut W) -> std
     Ok(())
 }
 
-/// Reads CSV into a new [`Table`] with the given schema. Columns are
-/// matched by header name (order-independent); missing columns error.
-pub fn read_csv<R: BufRead>(schema: Schema, pool: &mut StringPool, mut input: R) -> Result<Table> {
-    let mut bytes = Vec::new();
-    input
-        .read_to_end(&mut bytes)
-        .map_err(|e| StorageError::Csv {
-            line: 1 + newlines(&bytes),
-            msg: e.to_string(),
-        })?;
-    let mut rows = CsvTokenizer::new(&bytes);
-    let mut rec = Record::new();
-    if !rows.next_record(&mut rec)? {
-        return Err(StorageError::Csv {
-            line: 0,
-            msg: "empty input (no header row)".into(),
-        });
-    }
-
-    // Map schema field → header position.
-    let mut positions = Vec::with_capacity(schema.arity());
-    for f in &schema.fields {
-        let pos =
-            rec.iter()
-                .position(|h| h == f.name)
-                .ok_or_else(|| StorageError::NoSuchColumn {
-                    table: schema.name.clone(),
-                    column: f.name.clone(),
-                })?;
-        positions.push(pos);
-    }
-
-    let mut table = Table::new(schema);
-    while rows.next_record(&mut rec)? {
-        let mut values = Vec::with_capacity(positions.len());
-        for (fi, &pos) in positions.iter().enumerate() {
-            let raw = rec.get(pos).unwrap_or("");
-            let field = &table.schema().fields[fi];
-            let v = parse_typed_cell(raw, field.dtype, pool).ok_or_else(|| {
-                StorageError::TypeMismatch {
-                    column: field.name.clone(),
-                    expected: field.dtype.name(),
-                    got: "unparseable text",
-                }
-            })?;
-            values.push(v);
-        }
-        table.push_row(values)?;
-    }
-    Ok(table)
-}
-
 /// Parses one CSV cell under a known [`DataType`]. Empty cells become
 /// NULL for numeric columns and the empty string for string columns.
 /// Returns `None` when the text does not parse as the requested type —
-/// callers decide whether that is an error ([`read_csv`]) or a coercion
-/// to NULL (the ingestion subsystem's lenient mode).
+/// callers decide whether that is an error (the ingestion subsystem's
+/// strict mode) or a coercion to NULL (its lenient mode).
 pub fn parse_typed_cell(raw: &str, dtype: DataType, pool: &mut StringPool) -> Option<Value> {
     match dtype {
         DataType::Str => Some(Value::Str(pool.intern(raw))),
@@ -321,7 +268,7 @@ fn newlines(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{AttrKind, SchemaBuilder};
+    use crate::schema::{AttrKind, Schema, SchemaBuilder};
 
     fn schema() -> Schema {
         SchemaBuilder::new("t")
@@ -337,9 +284,12 @@ mod tests {
         let mut t = Table::new(schema());
         let a = pool.intern("plain");
         let b = pool.intern("with, comma and \"quotes\"");
+        let c = pool.intern("line1\nline2");
         t.push_row(vec![Value::Int(1), Value::Str(a), Value::Float(0.5)])
             .unwrap();
         t.push_row(vec![Value::Int(2), Value::Str(b), Value::Null])
+            .unwrap();
+        t.push_row(vec![Value::Null, Value::Str(c), Value::Float(-3.0)])
             .unwrap();
 
         let mut buf = Vec::new();
@@ -348,60 +298,22 @@ mod tests {
         assert!(text.starts_with("id,name,score\n"));
         assert!(text.contains("\"with, comma and \"\"quotes\"\"\""));
 
-        let back = read_csv(schema(), &mut pool, &buf[..]).unwrap();
-        assert_eq!(back.num_rows(), 2);
-        assert_eq!(back.value(0, 0), Value::Int(1));
-        assert_eq!(back.value(1, 2), Value::Null);
-        match back.value(1, 1) {
-            Value::Str(id) => assert_eq!(pool.resolve(id), "with, comma and \"quotes\""),
-            other => panic!("{other:?}"),
+        let mut rows = CsvTokenizer::new(&buf);
+        let mut rec = Record::new();
+        assert!(rows.next_record(&mut rec).unwrap());
+        assert_eq!(rec.iter().collect::<Vec<_>>(), ["id", "name", "score"]);
+        let dtypes: Vec<DataType> = t.schema().fields.iter().map(|f| f.dtype).collect();
+        let mut back = Vec::new();
+        while rows.next_record(&mut rec).unwrap() {
+            let row: Vec<Value> = (0..dtypes.len())
+                .map(|c| parse_typed_cell(rec.get(c).unwrap(), dtypes[c], &mut pool).unwrap())
+                .collect();
+            back.push(row);
         }
-    }
-
-    #[test]
-    fn header_order_independent() {
-        let csv = "score,id,name\n1.5,7,x\n";
-        let mut pool = StringPool::new();
-        let t = read_csv(schema(), &mut pool, csv.as_bytes()).unwrap();
-        assert_eq!(t.value(0, 0), Value::Int(7));
-        assert_eq!(t.value(0, 2), Value::Float(1.5));
-    }
-
-    #[test]
-    fn missing_column_is_an_error() {
-        let csv = "id,name\n1,x\n";
-        let mut pool = StringPool::new();
-        let err = read_csv(schema(), &mut pool, csv.as_bytes()).unwrap_err();
-        assert!(matches!(err, StorageError::NoSuchColumn { .. }));
-    }
-
-    #[test]
-    fn bad_number_is_a_type_error() {
-        let csv = "id,name,score\nnot_a_number,x,1.0\n";
-        let mut pool = StringPool::new();
-        let err = read_csv(schema(), &mut pool, csv.as_bytes()).unwrap_err();
-        assert!(matches!(err, StorageError::TypeMismatch { .. }));
-    }
-
-    #[test]
-    fn embedded_newline_in_quotes() {
-        let csv = "id,name,score\n1,\"line1\nline2\",2.0\n";
-        let mut pool = StringPool::new();
-        let t = read_csv(schema(), &mut pool, csv.as_bytes()).unwrap();
-        match t.value(0, 1) {
-            Value::Str(id) => assert_eq!(pool.resolve(id), "line1\nline2"),
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn blank_lines_skipped_and_empty_file_errors() {
-        let csv = "id,name,score\n\n1,x,1.0\n\n";
-        let mut pool = StringPool::new();
-        let t = read_csv(schema(), &mut pool, csv.as_bytes()).unwrap();
-        assert_eq!(t.num_rows(), 1);
-        let err = read_csv(schema(), &mut pool, "".as_bytes()).unwrap_err();
-        assert!(matches!(err, StorageError::Csv { line: 0, .. }));
+        let want: Vec<Vec<Value>> = (0..t.num_rows())
+            .map(|r| (0..t.num_columns()).map(|c| t.value(r, c)).collect())
+            .collect();
+        assert_eq!(back, want);
     }
 
     /// Every record of `csv` as `(line, fields)`.

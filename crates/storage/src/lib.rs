@@ -49,7 +49,7 @@ mod table;
 mod value;
 
 pub use column::{Column, NullMask};
-pub use csv::{parse_typed_cell, read_csv, write_csv};
+pub use csv::{parse_typed_cell, write_csv};
 pub use database::{Database, ForeignKey};
 pub use error::StorageError;
 pub use pool::{StrId, StringPool};

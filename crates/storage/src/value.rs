@@ -56,6 +56,21 @@ impl Value {
         }
     }
 
+    /// The integer the value is exactly: an int, or a float with no
+    /// fraction inside `i64`'s range. [`Value::sql_eq`] compares ints
+    /// with floats through it.
+    pub fn as_exact_int(&self) -> Option<i64> {
+        // 2^63, the first whole float past `i64::MAX`; -2^63 is `i64::MIN`.
+        const BOUND: f64 = 9_223_372_036_854_775_808.0;
+        match *self {
+            Value::Int(i) => Some(i),
+            Value::Float(f) => {
+                (f.fract() == 0.0 && (-BOUND..BOUND).contains(&f)).then_some(f as i64)
+            }
+            _ => None,
+        }
+    }
+
     /// Total order over values.
     ///
     /// `Null` sorts first; ints and floats compare numerically (cross-type,
@@ -89,8 +104,8 @@ impl Value {
         }
     }
 
-    /// SQL-style equality: NULL equals nothing (not even NULL); ints and
-    /// floats compare numerically.
+    /// SQL-style equality: NULL equals nothing (not even NULL), nor does
+    /// NaN; an int equals a float that is exactly that integer.
     pub fn sql_eq(&self, other: &Value) -> bool {
         use Value::*;
         match (self, other) {
@@ -98,7 +113,8 @@ impl Value {
             (Int(a), Int(b)) => a == b,
             (Str(a), Str(b)) => a == b,
             (Float(a), Float(b)) => a == b,
-            (Int(a), Float(b)) | (Float(b), Int(a)) => (*a as f64) == *b,
+            (Int(a), Float(_)) => other.as_exact_int() == Some(*a),
+            (Float(_), Int(b)) => self.as_exact_int() == Some(*b),
             _ => false,
         }
     }
@@ -174,6 +190,11 @@ mod tests {
         assert_eq!(Value::Float(3.0).total_cmp(&Value::Int(3)), Ordering::Equal);
         assert!(Value::Int(2).sql_eq(&Value::Float(2.0)));
         assert!(!Value::Int(2).sql_eq(&Value::Float(2.1)));
+        // Exact, not through a rounding `as f64`.
+        let two_53 = 1i64 << 53;
+        assert!(!Value::Int(two_53 + 1).sql_eq(&Value::Float(two_53 as f64)));
+        assert!(!Value::Int(i64::MAX).sql_eq(&Value::Float(i64::MAX as f64)));
+        assert!(Value::Int(i64::MIN).sql_eq(&Value::Float(i64::MIN as f64)));
     }
 
     #[test]
