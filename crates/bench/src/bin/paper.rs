@@ -55,7 +55,7 @@ use cajade_core::{
 use cajade_datagen::synth::{self, SynthConfig, SYNTH_SQL};
 use cajade_datagen::{scale::duplicate_scale, GeneratedDb};
 use cajade_graph::Apt;
-use cajade_metrics::{mean, ndcg, top_k_overlap};
+use cajade_metrics::{dcg, mean, top_k_overlap};
 use cajade_mining::{
     lca_candidates, mine_apt, mine_prepared, prepare_apt, Question, Scorer, SelAttr,
 };
@@ -504,25 +504,38 @@ fn fig10fg(args: &Args) {
                 let mut p = harness_params(args).with_f1_sample_rate(rate);
                 p.max_edges = edges;
                 let predicted = key_list(&run_case(&gen, &cq, p));
-                let gains: Vec<f64> = predicted
-                    .iter()
-                    .map(|k| {
-                        truth
-                            .iter()
-                            .position(|t| t == k)
-                            .map(|pos| (10 - pos) as f64)
-                            .unwrap_or(0.0)
-                    })
-                    .collect();
                 t.row(vec![
                     rate.to_string(),
-                    format!("{:.3}", ndcg(&gains)),
+                    format!("{:.3}", ndcg_against(&truth, &predicted)),
                     format!("{:.2}", top_k_overlap(&truth, &predicted, 10) as f64 / 10.0),
                 ]);
             }
             println!("### {name}, λ#edges={edges}\n{}", t.render());
         }
     }
+}
+
+/// NDCG of a sampled top-k against the full-data top-k: a pattern at
+/// position `pos` of `truth` is worth `k − pos`, one outside it 0, and
+/// the ideal is `truth` itself, so a list sharing nothing with the
+/// truth (or an empty one) scores 0 and the truth scores 1. An empty
+/// truth scores 1.
+fn ndcg_against(truth: &[String], predicted: &[String]) -> f64 {
+    let k = truth.len();
+    let worth = |pos: usize| (k - pos) as f64;
+    let ideal = dcg(&(0..k).map(worth).collect::<Vec<_>>());
+    if ideal <= 0.0 {
+        return 1.0;
+    }
+    let gains: Vec<f64> = predicted
+        .iter()
+        .map(|p| truth.iter().position(|t| t == p).map_or(0.0, worth))
+        .collect();
+    let found = dcg(&gains);
+    if found <= 0.0 {
+        return 0.0;
+    }
+    (found / ideal).min(1.0)
 }
 
 /// Fig. 11 + App. A.1: Explanation Tables comparison.
@@ -983,4 +996,31 @@ fn scope(args: &Args) {
         compare(name, &gen, SYNTH_SQL, UserQuestion::single_point(&g0), &[]);
     }
     println!("{}", t.render());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::ndcg_against;
+
+    fn keys(ks: &[&str]) -> Vec<String> {
+        ks.iter().map(|k| k.to_string()).collect()
+    }
+
+    #[test]
+    fn ndcg_is_normalized_by_the_truth_list() {
+        let truth = keys(&["a", "b", "c", "d", "e", "f", "g", "h", "i", "j"]);
+        assert_eq!(ndcg_against(&truth, &truth), 1.0);
+        let disjoint = keys(&["k", "l", "m", "n", "o", "p", "q", "r", "s", "t"]);
+        assert_eq!(ndcg_against(&truth, &disjoint), 0.0);
+        assert_eq!(
+            ndcg_against(&truth, &[]).to_string(),
+            "0",
+            "no negative zero"
+        );
+        // The truth's tail alone is worth little, not a perfect 1.
+        let tail = keys(&["j", "i"]);
+        let partial = ndcg_against(&truth, &tail);
+        assert!(partial > 0.0 && partial < 0.1, "{partial}");
+        assert_eq!(ndcg_against(&[], &disjoint), 1.0);
+    }
 }

@@ -276,21 +276,24 @@ fn mine_one_prepared(
 }
 
 /// The pipeline's one fan-out: maps `f` over `items`, results in input
-/// order — on the calling thread, or, with `params.parallel` and more
-/// than one item, on the compat `rayon`'s resident pool, each item under
-/// the caller's [`Ctx`] (trace position, budget, alloc-scope chain). A
-/// panicking item unwinds only itself; once every item has run, the
-/// first panic in item order resumes on the caller.
+/// order — on the calling thread, or, with `parallel` and more than one
+/// item, on the compat `rayon`'s resident pool, items handed out in
+/// input order, each under the caller's [`Ctx`] (trace position,
+/// budget, alloc-scope chain). A panicking item unwinds only itself;
+/// once every item has run, the first panic in item order resumes on
+/// the caller. Its callers are the per-graph loop
+/// ([`materialize_and_mine`], `parallel` from [`Params::parallel`]) and
+/// ingestion's infer and load stages (always parallel).
 // The one sanctioned fan-out site (`docs/LINTS.md`): every worker runs
 // under the caller's `Ctx`.
 #[allow(clippy::disallowed_methods)]
-pub fn fan_out<'a, T, R, C>(params: &Params, items: &'a [T], f: impl Fn(&'a T) -> R + Sync) -> C
+pub fn fan_out<'a, T, R, C>(parallel: bool, items: &'a [T], f: impl Fn(&'a T) -> R + Sync) -> C
 where
     T: Sync,
     R: Send,
     C: FromIterator<R>,
 {
-    if !params.parallel || items.len() <= 1 {
+    if !parallel || items.len() <= 1 {
         return items.iter().map(f).collect();
     }
     let ctx = Ctx::capture();
@@ -398,7 +401,7 @@ pub fn materialize_and_mine(
         let (apt, wall) = materialize(builder, gi)?;
         Ok(Some((gi, Found::View(Arc::new(apt), wall))))
     };
-    let found: Result<Vec<_>> = fan_out(params, &prepared.valid_graph_indices(), find);
+    let found: Result<Vec<_>> = fan_out(params.parallel, &prepared.valid_graph_indices(), find);
     if let Some(builder) = builder.into_inner() {
         work.join_steps = builder.join_steps();
         work.join_steps_computed = builder.join_steps_computed();
@@ -443,7 +446,7 @@ pub fn materialize_and_mine(
         });
         (*gi, graph, wall, prepared)
     };
-    let ready: Vec<_> = fan_out(params, &found, prepare_one);
+    let ready: Vec<_> = fan_out(params.parallel, &found, prepare_one);
     // The views of graphs another caller prepared first.
     drop(found);
     work.graphs_prepared = ready.iter().filter(|(_, _, _, prepared)| *prepared).count();
@@ -461,7 +464,7 @@ pub fn materialize_and_mine(
     let mine_one = |(gi, graph, wall, prepared): &(usize, Arc<PreparedGraph>, Duration, bool)| {
         mine_one_prepared(pt, graph, question, params, *gi, *wall, *prepared)
     };
-    let outcomes: Vec<GraphOutcome> = fan_out(params, &ready, mine_one);
+    let outcomes: Vec<GraphOutcome> = fan_out(params.parallel, &ready, mine_one);
     for ((_, graph, _, _), outcome) in ready.iter().zip(&outcomes) {
         let masks = outcome.exact_masks;
         work.exact_masks += masks.reads;
@@ -565,17 +568,13 @@ mod tests {
 
     #[test]
     fn fan_out_keeps_item_order_errors_and_panics() {
-        let params = Params {
-            parallel: true,
-            ..Params::paper()
-        };
         let items: Vec<usize> = (0..100).collect();
 
-        let doubled: Vec<usize> = fan_out(&params, &items, |&i| i * 2);
+        let doubled: Vec<usize> = fan_out(true, &items, |&i| i * 2);
         assert_eq!(doubled, (0..100).map(|i| i * 2).collect::<Vec<_>>());
 
         let ran = AtomicUsize::new(0);
-        let found: std::result::Result<Vec<usize>, String> = fan_out(&params, &items, |&i| {
+        let found: std::result::Result<Vec<usize>, String> = fan_out(true, &items, |&i| {
             ran.fetch_add(1, Ordering::Relaxed);
             if i % 30 == 29 {
                 Err(format!("bad {i}"))
@@ -592,7 +591,7 @@ mod tests {
 
         let ran = AtomicUsize::new(0);
         let caught = std::panic::catch_unwind(|| {
-            fan_out::<_, _, Vec<()>>(&params, &items, |&i| {
+            fan_out::<_, _, Vec<()>>(true, &items, |&i| {
                 if i == 7 || i == 70 {
                     std::panic::panic_any(Thrown(i));
                 }

@@ -1,6 +1,8 @@
 //! Column type, kind, and key inference over tokenized CSV records.
 //!
-//! Pass 1 of the two-pass load: every record of a file flows, as the
+//! The infer stage, one file per item of its fan-out (the load stage
+//! reads each file again, merged into the database in file-name order;
+//! see the crate docs): every record of a file flows, as the
 //! tokenizer's one reused [`Record`], through a [`TableProfile`] that
 //! accumulates, per column,
 //!

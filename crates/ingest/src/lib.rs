@@ -16,21 +16,34 @@
 //!    single-column key detection, and the categorical/numeric kind
 //!    heuristic of Definition 5;
 //! 3. **load** — read each file again and parse its cells under the
-//!    inferred schema into columnar [`cajade_storage::Table`]s (lenient
-//!    by default: post-sample type contradictions coerce to NULL and are
-//!    counted; [`IngestOptions::strict_types`] turns them into errors),
-//!    then certifies composite keys the single-column pass missed;
+//!    inferred schema into a columnar [`cajade_storage::Table`] whose
+//!    strings are ids in a pool of the file's own (lenient by default:
+//!    post-sample type contradictions coerce to NULL and are counted;
+//!    [`IngestOptions::strict_types`] turns them into errors), then
+//!    certify composite keys the single-column pass missed;
 //! 4. **discover** — containment-based join discovery
 //!    ([`cajade_graph::extend_schema_graph`]) extends the manifest's
 //!    pinned joins into a full [`cajade_graph::SchemaGraph`], with
 //!    per-join provenance in the report.
 //!
-//! Both passes over the files run on
-//! [`cajade_storage::csv::CsvTokenizer`]: one read and one UTF-8 check
-//! per file and pass, and one reused [`cajade_storage::csv::Record`], so
-//! neither allocates per line or per cell (the load hands
-//! [`Table::push_row`] one `Vec` per row). A file's bytes are dropped
-//! before the next file is read.
+//! Infer and load each read the directory's files side by side: one
+//! [`fan_out`] per stage, one item per file, the largest file handed
+//! out first. Everything that depends on order happens on the caller in
+//! file-name order: the `ingest.profile` / `ingest.load` failpoints
+//! (evaluated per file before the fan-out), warnings, lenient skips, the
+//! first strict error, and the merge that ends the load. The merge
+//! interns each file's pool, in id order, into the database's, rewrites
+//! the file's `Str` cells through the resulting ids and inserts the
+//! table — a file whose table is skipped after it was read still
+//! contributes its strings — so every `StrId`, and with them the pool,
+//! [`Database::fingerprint`] and the report, is the one a sequential
+//! load in name order gives.
+//!
+//! Both passes run on [`cajade_storage::csv::CsvTokenizer`]: one read
+//! and one UTF-8 check per file and pass, and one reused
+//! [`cajade_storage::csv::Record`], so neither allocates per line or per
+//! cell (the load hands [`Table::push_row`] one `Vec` per row). A file's
+//! bytes are dropped when its item ends.
 //!
 //! The result plugs straight into
 //! `ExplanationService::register_database` (the service's
@@ -46,16 +59,21 @@ pub mod infer;
 pub mod manifest;
 pub mod report;
 
+use std::cmp::Reverse;
 use std::collections::HashSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
+use cajade_core::pipeline::fan_out;
 use cajade_graph::{extend_schema_graph, DiscoveryConfig, SchemaGraph};
 use cajade_graph::{GraphError, JoinCond};
 use cajade_obs::faults::{self, Site};
 use cajade_obs::Stage;
 use cajade_storage::csv::{CsvTokenizer, Record};
-use cajade_storage::{parse_typed_cell, rowkey, DataType, Database, Schema, StorageError, Table};
+use cajade_storage::{
+    parse_typed_cell, rowkey, DataType, Database, Schema, StorageError, StrId, StringPool, Table,
+};
 
 pub use export::{export_csv_dir, ExportOptions};
 pub use infer::{InferConfig, TableProfile};
@@ -164,9 +182,9 @@ pub struct IngestedDataset {
 }
 
 /// Ingests a directory of CSV files (see the crate docs for the stage
-/// pipeline). Files are loaded in name order so ingestion is
-/// deterministic; non-CSV files other than `dataset.toml` are skipped
-/// with a warning.
+/// pipeline). Files are read side by side and merged in name order, so
+/// ingestion is deterministic; non-CSV files other than `dataset.toml`
+/// are skipped with a warning.
 pub fn ingest_dir(dir: impl AsRef<Path>, options: &IngestOptions) -> Result<IngestedDataset> {
     let dir = dir.as_ref();
     let mut warnings = Vec::new();
@@ -188,17 +206,23 @@ pub fn ingest_dir(dir: impl AsRef<Path>, options: &IngestOptions) -> Result<Inge
 
     // ---- Stage 2: infer ------------------------------------------------
     let stage = Stage::detail("ingest_infer");
-    let mut profiles: Vec<(PathBuf, TableProfile)> = Vec::with_capacity(csv_files.len());
-    for path in &csv_files {
-        let table = file_stem(path);
-        let profiled = faults::failpoint(Site::IngestProfile)
-            .map_err(|msg| IngestError::Io {
-                path: path.clone(),
-                msg,
-            })
-            .and_then(|()| profile_file(path, &table, &options.infer));
+    let gated = gate_files(
+        Site::IngestProfile,
+        csv_files.iter().map(PathBuf::as_path),
+        options.strict_types,
+    );
+    let profiled = largest_first(
+        &gated,
+        |(path, _)| path,
+        |(path, gate)| {
+            gate.clone()
+                .and_then(|()| profile_file(path, &file_stem(path), &options.infer))
+        },
+    );
+    let mut profiles: Vec<(PathBuf, TableProfile)> = Vec::with_capacity(profiled.len());
+    for ((path, _), profiled) in gated.iter().zip(profiled) {
         match profiled {
-            Ok(Some(profile)) => profiles.push((path.clone(), profile)),
+            Ok(Some(profile)) => profiles.push((path.to_path_buf(), profile)),
             Ok(None) => warnings.push(format!("{}: empty file, skipped", path.display())),
             Err(e) if !options.strict_types => {
                 warnings.push(format!("{}: file skipped ({e})", path.display()));
@@ -214,23 +238,43 @@ pub fn ingest_dir(dir: impl AsRef<Path>, options: &IngestOptions) -> Result<Inge
 
     // ---- Stage 3: load -------------------------------------------------
     let stage = Stage::detail("ingest_load");
+    let paths = profiles.iter().map(|(path, _)| path.as_path());
+    let items: Vec<LoadItem> = gate_files(Site::IngestLoad, paths, options.strict_types)
+        .into_iter()
+        .zip(&profiles)
+        .map(|((path, gate), (_, profile))| LoadItem {
+            path,
+            profile,
+            schema: profile.into_schema(&manifest),
+            gate,
+        })
+        .collect();
+    let loaded = largest_first(
+        &items,
+        |item| item.path,
+        |item| load_file(item, options, &manifest),
+    );
+    // The in-order merge: each file's pool joins the database's in
+    // file-name order, its strings in first-appearance order, so every
+    // id is the one a sequential load would have given it.
     let mut db = Database::new(dataset_name.clone());
-    let mut tables = Vec::with_capacity(profiles.len());
-    for (path, profile) in &profiles {
-        let schema = profile.into_schema(&manifest);
-        warn_all_null_columns(profile, &schema, &mut warnings);
-        // `load_file` only inserts the table into `db` once the whole file
-        // parsed, so a lenient skip here leaves no partial table behind.
-        let loaded = faults::failpoint(Site::IngestLoad)
-            .map_err(|msg| IngestError::Io {
-                path: path.clone(),
-                msg,
-            })
-            .and_then(|()| load_file(path, profile, schema, &mut db, options, &manifest));
-        let report = match loaded {
+    let mut tables = Vec::with_capacity(items.len());
+    for (item, (strings, loaded)) in items.iter().zip(loaded) {
+        warn_all_null_columns(item.profile, &item.schema, &mut warnings);
+        // A file that failed after reading strings keeps them in the
+        // pool, as a sequential load would have; its table is dropped
+        // whole, so a lenient skip leaves no partial table behind.
+        let ids: Vec<StrId> = strings.into_iter().map(|s| db.intern_shared(s)).collect();
+        let inserted = loaded.and_then(|(mut table, report)| {
+            table.remap_strs(&ids);
+            db.insert_table(table)
+                .map_err(|e| storage_err(&report.name, e))?;
+            Ok(report)
+        });
+        let report = match inserted {
             Ok(report) => report,
             Err(e) if !options.strict_types => {
-                warnings.push(format!("{}: table skipped ({e})", path.display()));
+                warnings.push(format!("{}: table skipped ({e})", item.path.display()));
                 continue;
             }
             Err(e) => return Err(e),
@@ -248,7 +292,7 @@ pub fn ingest_dir(dir: impl AsRef<Path>, options: &IngestOptions) -> Result<Inge
                 report.name, report.coerced_nulls
             ));
         }
-        if !report.key_pinned && profile.columns.iter().any(|c| c.distinct_truncated) {
+        if !report.key_pinned && item.profile.columns.iter().any(|c| c.distinct_truncated) {
             warnings.push(format!(
                 "table `{}`: distinct tracking capped at {} values, so key inference may \
                  have missed a unique column — pin a key in dataset.toml if [{}] is wrong",
@@ -446,16 +490,84 @@ fn warn_all_null_columns(profile: &TableProfile, schema: &Schema, warnings: &mut
     }
 }
 
-/// Pass 2 over one file: typed load under the synthesized schema, then
-/// composite-key certification when single-column detection came up dry.
-fn load_file(
-    path: &Path,
-    profile: &TableProfile,
+/// One file of the load stage.
+struct LoadItem<'a> {
+    path: &'a Path,
+    profile: &'a TableProfile,
     schema: Schema,
-    db: &mut Database,
+    /// The file's load failpoint, evaluated on the caller.
+    gate: Result<()>,
+}
+
+/// Evaluates `site`'s failpoint once per file, on the caller and in
+/// file-name order, so which file an armed fault hits does not depend on
+/// which file a worker reads first. In strict mode the first hit ends
+/// the list: the stage fails there, and later files are not read.
+fn gate_files<'a>(
+    site: Site,
+    paths: impl Iterator<Item = &'a Path>,
+    strict: bool,
+) -> Vec<(&'a Path, Result<()>)> {
+    let mut gated = Vec::new();
+    for path in paths {
+        let gate = faults::failpoint(site).map_err(|msg| IngestError::Io {
+            path: path.to_path_buf(),
+            msg,
+        });
+        let hit = gate.is_err();
+        gated.push((path, gate));
+        if hit && strict {
+            break;
+        }
+    }
+    gated
+}
+
+/// Maps `f` over `items` on [`fan_out`] — the largest file (by byte
+/// length) handed out first, so the longest read does not start last —
+/// and returns the results in item order, which is file-name order. A
+/// directory of one file runs on the caller.
+fn largest_first<T: Sync, R: Send>(
+    items: &[T],
+    path: impl Fn(&T) -> &Path,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let mut order: Vec<usize> = (0..items.len()).collect();
+    // A file that cannot be stat'ed goes last; its read reports the error.
+    order.sort_by_cached_key(|&i| {
+        Reverse(std::fs::metadata(path(&items[i])).map_or(0, |m| m.len()))
+    });
+    let mut done: Vec<(usize, R)> = fan_out(true, &order, |&i| (i, f(&items[i])));
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
+}
+
+/// Pass 2 over one file, against a pool of the file's own. Its strings
+/// come back in id order even when the load fails: the strings read
+/// before the failure belong in the database's pool all the same. The
+/// pool's index is dropped here, on the item's thread.
+fn load_file(
+    item: &LoadItem,
     options: &IngestOptions,
     manifest: &Manifest,
-) -> Result<TableReport> {
+) -> (Vec<Arc<str>>, Result<(Table, TableReport)>) {
+    let mut pool = StringPool::new();
+    let loaded = item
+        .gate
+        .clone()
+        .and_then(|()| load_table(item, &mut pool, options, manifest));
+    (pool.into_strings(), loaded)
+}
+
+/// Typed load under the synthesized schema, then composite-key
+/// certification when single-column detection came up dry.
+fn load_table(
+    item: &LoadItem,
+    pool: &mut StringPool,
+    options: &IngestOptions,
+    manifest: &Manifest,
+) -> Result<(Table, TableReport)> {
+    let schema = item.schema.clone();
     let table_name = schema.name.clone();
     let key_pinned = manifest
         .tables
@@ -463,8 +575,8 @@ fn load_file(
         .is_some_and(|t| t.key.is_some());
     let arity = schema.arity();
     let dtypes: Vec<DataType> = schema.fields.iter().map(|f| f.dtype).collect();
-    let mut table = Table::with_capacity(schema, profile.rows);
-    let bytes = read(path)?;
+    let mut table = Table::with_capacity(schema, item.profile.rows);
+    let bytes = read(item.path)?;
     let mut rows = CsvTokenizer::new(&bytes);
     let mut rec = Record::new();
     rows.next_record(&mut rec)
@@ -481,7 +593,7 @@ fn load_file(
         let mut values = Vec::with_capacity(arity);
         for (i, &dtype) in dtypes.iter().enumerate() {
             let raw = rec.get(i).unwrap_or("");
-            match parse_typed_cell(raw, dtype, db.pool_mut()) {
+            match parse_typed_cell(raw, dtype, pool) {
                 Some(v) => values.push(v),
                 None if options.strict_types => {
                     return Err(storage_err(
@@ -517,7 +629,7 @@ fn load_file(
         }
     }
     let report = TableReport {
-        name: table_name.clone(),
+        name: table_name,
         rows: table.num_rows(),
         columns: table.num_columns(),
         key: table
@@ -530,9 +642,7 @@ fn load_file(
         ragged_rows,
         coerced_nulls,
     };
-    db.insert_table(table)
-        .map_err(|e| storage_err(&table_name, e))?;
-    Ok(report)
+    Ok((table, report))
 }
 
 /// Widest composite primary key the post-load check certifies.

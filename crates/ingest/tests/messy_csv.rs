@@ -378,3 +378,38 @@ fn lenient_mode_skips_files_that_fail_mid_load() {
     let err = plan.install(|| ingest_dir(fx.path(), &strict));
     assert!(matches!(err.unwrap_err(), IngestError::Io { .. }));
 }
+
+#[test]
+fn fault_hits_follow_file_name_order_not_file_size() {
+    // Files are read side by side, the largest first; the failpoints
+    // still fire per file in name order, so the first hit lands on the
+    // small `a.csv`, not on the large `z.csv` read before it.
+    let big: String = (0..2000).map(|i| format!("{i},{}\n", i % 7)).collect();
+    let files = [
+        ("a.csv", "id,v\n1,10\n2,20\n".to_string()),
+        ("z.csv", format!("id,v\n{big}")),
+    ];
+    for spec in ["ingest.load=error@1", "ingest.profile=error@1"] {
+        let files: Vec<(&str, &str)> = files.iter().map(|(f, c)| (*f, c.as_str())).collect();
+        let fx = Fixture::new("fault_order", &files);
+        let plan = Plan::parse(spec).unwrap();
+        let out = plan
+            .install(|| ingest_dir(fx.path(), &IngestOptions::default()))
+            .unwrap();
+        let kept: Vec<(&str, usize)> = out
+            .report
+            .tables
+            .iter()
+            .map(|t| (t.name.as_str(), t.rows))
+            .collect();
+        assert_eq!(kept, [("z", 2000)], "{spec}");
+        assert!(
+            out.report
+                .warnings
+                .iter()
+                .any(|w| w.contains("a.csv") && w.contains("injected fault")),
+            "{spec}: {:?}",
+            out.report.warnings
+        );
+    }
+}

@@ -1,4 +1,5 @@
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::pool::{StrId, StringPool};
 use crate::schema::Schema;
@@ -48,6 +49,13 @@ impl Database {
     #[inline]
     pub fn intern(&mut self, s: &str) -> StrId {
         self.pool.intern(s)
+    }
+
+    /// Interns a string already shared, without copying it
+    /// ([`StringPool::intern_shared`]).
+    #[inline]
+    pub fn intern_shared(&mut self, s: Arc<str>) -> StrId {
+        self.pool.intern_shared(s)
     }
 
     /// Looks up an interned string without inserting.

@@ -37,14 +37,32 @@ impl StringPool {
 
     /// Interns `s`, returning its stable id. Idempotent.
     pub fn intern(&mut self, s: &str) -> StrId {
-        if let Some(&id) = self.index.get(s) {
-            return id;
+        match self.index.get(s) {
+            Some(&id) => id,
+            None => self.push(Arc::from(s)),
         }
-        let arc: Arc<str> = Arc::from(s);
+    }
+
+    /// [`intern`](Self::intern) for a string already shared: a new one
+    /// joins the pool without a copy. Ingestion moves each file's strings
+    /// into the database's pool this way.
+    pub fn intern_shared(&mut self, s: Arc<str>) -> StrId {
+        match self.index.get(&*s) {
+            Some(&id) => id,
+            None => self.push(s),
+        }
+    }
+
+    fn push(&mut self, s: Arc<str>) -> StrId {
         let id = StrId(self.strings.len() as u32);
-        self.strings.push(Arc::clone(&arc));
-        self.index.insert(arc, id);
+        self.strings.push(Arc::clone(&s));
+        self.index.insert(s, id);
         id
+    }
+
+    /// The interned strings in id order; the lookup index is dropped.
+    pub fn into_strings(self) -> Vec<Arc<str>> {
+        self.strings
     }
 
     /// Looks up an already-interned string without inserting.
@@ -108,6 +126,29 @@ mod tests {
         p.intern("x");
         assert!(p.get("x").is_some());
         assert_eq!(p.len(), 1);
+    }
+
+    #[test]
+    fn shared_strings_join_in_order_without_a_copy() {
+        let mut file = StringPool::new();
+        for s in ["b", "a", "b", "c"] {
+            file.intern(s);
+        }
+        let strings = file.into_strings();
+        assert_eq!(
+            strings.iter().map(|s| &**s).collect::<Vec<_>>(),
+            ["b", "a", "c"]
+        );
+        let mut db = StringPool::new();
+        db.intern("a");
+        let c = Arc::clone(&strings[2]);
+        let ids: Vec<StrId> = strings.into_iter().map(|s| db.intern_shared(s)).collect();
+        assert_eq!(ids, [StrId(1), StrId(0), StrId(2)]);
+        assert!(
+            Arc::ptr_eq(&db.strings[2], &c),
+            "a new string is moved, not copied"
+        );
+        assert_eq!(db.intern("c"), StrId(2));
     }
 
     #[test]

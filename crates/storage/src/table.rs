@@ -1,7 +1,8 @@
 use std::sync::Arc;
 
 use crate::column::Column;
-use crate::schema::Schema;
+use crate::pool::StrId;
+use crate::schema::{DataType, Schema};
 use crate::value::Value;
 use crate::{Result, StorageError};
 
@@ -131,6 +132,26 @@ impl Table {
         Ok(())
     }
 
+    /// Rewrites every non-NULL `Str` cell's id `i` to `ids[i]` — how
+    /// ingestion moves a table built against its own file's pool onto
+    /// the database's. NULL cells keep their placeholder. Panics on an id
+    /// `ids` does not cover.
+    pub fn remap_strs(&mut self, ids: &[StrId]) {
+        let str_columns = self
+            .columns
+            .iter_mut()
+            .filter(|c| c.dtype() == DataType::Str);
+        for col in str_columns {
+            if let Column::Str { data, nulls } = Arc::make_mut(col) {
+                for (row, id) in data.iter_mut().enumerate() {
+                    if !nulls.is_null(row) {
+                        *id = ids[id.index()];
+                    }
+                }
+            }
+        }
+    }
+
     /// Appends a row, type-checking each value.
     pub fn push_row(&mut self, row: Vec<Value>) -> Result<()> {
         if row.len() != self.columns.len() {
@@ -198,7 +219,7 @@ impl TableBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{AttrKind, DataType, SchemaBuilder};
+    use crate::schema::{AttrKind, SchemaBuilder};
 
     fn schema() -> Schema {
         SchemaBuilder::new("t")
@@ -223,6 +244,34 @@ mod tests {
         let err = t.push_row(vec![Value::Int(1)]).unwrap_err();
         assert!(matches!(err, StorageError::ArityMismatch { .. }));
         assert_eq!(t.num_rows(), 0);
+    }
+
+    #[test]
+    fn remap_strs_rewrites_str_cells_and_keeps_nulls() {
+        let mut t = Table::new(
+            SchemaBuilder::new("s")
+                .column("n", DataType::Int, AttrKind::Numeric)
+                .column("s", DataType::Str, AttrKind::Categorical)
+                .build(),
+        );
+        for (n, s) in [
+            (0, Value::Str(StrId(1))),
+            (1, Value::Null),
+            (2, Value::Str(StrId(0))),
+        ] {
+            t.push_row(vec![Value::Int(n), s]).unwrap();
+        }
+        let before = t.clone();
+        t.remap_strs(&[StrId(7), StrId(3)]);
+        assert_eq!(t.value(0, 1), Value::Str(StrId(3)));
+        assert_eq!(t.value(1, 1), Value::Null);
+        assert_eq!(t.value(2, 1), Value::Str(StrId(7)));
+        assert_eq!(t.value(2, 0), Value::Int(2));
+        assert_eq!(
+            before.value(0, 1),
+            Value::Str(StrId(1)),
+            "a clone is a snapshot"
+        );
     }
 
     #[test]
