@@ -12,6 +12,7 @@
 
 use std::collections::HashSet;
 
+use cajade_storage::rowkey::{KeyedSet, KeyedState};
 use cajade_storage::{AttrKind, Column, DataType, Database};
 
 use crate::schema_graph::{JoinCond, SchemaGraph};
@@ -121,13 +122,14 @@ struct ColumnSet {
     table: String,
     col: String,
     dtype: DataType,
-    values: HashSet<u64>,
+    values: KeyedSet<u64>,
     rows: usize,
     truncated: bool,
 }
 
-fn fingerprint(col: &Column, rows: usize, cap: usize) -> (HashSet<u64>, bool) {
-    let mut set = HashSet::with_capacity(rows.min(cap).min(4096));
+fn fingerprint(col: &Column, rows: usize, cap: usize) -> (KeyedSet<u64>, bool) {
+    let mut set =
+        KeyedSet::with_capacity_and_hasher(rows.min(cap).min(4096), KeyedState::default());
     let mut truncated = false;
     for r in 0..rows {
         let h = match col.value(r) {

@@ -15,6 +15,11 @@
 //! * **null statistics** (empty cells are NULL for numeric columns),
 //! * a capped **distinct-value sketch** (FNV hashes of the cell text)
 //!   driving key detection and the categorical/numeric kind heuristic.
+//!   The FNV values are the set's keys, and the set hashes them again
+//!   under [`cajade_storage::rowkey::KeyedState`], the one hasher of
+//!   every per-row table over user data: one multiply under a key drawn
+//!   per set, so a file's cells cannot be chosen to make FNV values
+//!   collide in whatever bits the set indexes by.
 //!
 //! A cell is classified only as far as its column's lattice position
 //! needs: a `Str` column only asks whether the cell is empty, a `Float`
@@ -26,10 +31,8 @@
 //! pattern language), and everything a `dataset.toml` manifest pins
 //! overrides the inference.
 
-use std::collections::HashSet;
-use std::hash::{BuildHasher, Hasher, RandomState};
-
 use cajade_storage::csv::Record;
+use cajade_storage::rowkey::KeyedSet;
 use cajade_storage::{AttrKind, DataType, Field, Schema};
 
 use crate::manifest::Manifest;
@@ -86,7 +89,7 @@ pub struct ColumnProfile {
     /// Non-empty cells seen.
     pub non_nulls: usize,
     /// Capped distinct sketch (FNV-hashed cell text).
-    distinct: HashSet<u64, SketchKey>,
+    distinct: KeyedSet<u64>,
     /// True once the sketch hit its cap.
     pub distinct_truncated: bool,
 }
@@ -99,7 +102,7 @@ impl ColumnProfile {
             untyped: true,
             nulls: 0,
             non_nulls: 0,
-            distinct: HashSet::default(),
+            distinct: KeyedSet::default(),
             distinct_truncated: false,
         }
     }
@@ -180,56 +183,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Builds [`SketchHasher`]s under one random key per sketch.
-///
-/// The sketch's keys are already FNV hashes, so SipHash over them buys
-/// only its key: a file's cells can be chosen to make FNV values collide
-/// in whatever bits a table indexes by. One multiply under a random key
-/// keeps that protection at a fraction of SipHash's cost.
-#[derive(Debug, Clone)]
-struct SketchKey(u64);
-
-impl Default for SketchKey {
-    fn default() -> Self {
-        SketchKey(RandomState::new().hash_one(0u64))
-    }
-}
-
-impl BuildHasher for SketchKey {
-    type Hasher = SketchHasher;
-
-    fn build_hasher(&self) -> SketchHasher {
-        SketchHasher {
-            key: self.0,
-            hash: 0,
-        }
-    }
-}
-
-/// Folded multiply of a `u64` key under [`SketchKey`]'s random key.
-struct SketchHasher {
-    key: u64,
-    hash: u64,
-}
-
-impl Hasher for SketchHasher {
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(self.hash ^ u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        let m = u128::from(n ^ self.key) * 0x9E37_79B9_7F4A_7C15;
-        self.hash = m as u64 ^ (m >> 64) as u64;
-    }
-}
-
-/// Profile of one CSV table (pass 1 of the two-pass load).
+/// Profile of one CSV table: the infer stage's result for one file.
 #[derive(Debug)]
 pub struct TableProfile {
     /// Table name (file stem).

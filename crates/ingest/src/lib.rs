@@ -71,8 +71,9 @@ use cajade_graph::{GraphError, JoinCond};
 use cajade_obs::faults::{self, Site};
 use cajade_obs::Stage;
 use cajade_storage::csv::{CsvTokenizer, Record};
+use cajade_storage::rowkey::{KeyedSet, KeyedState};
 use cajade_storage::{
-    parse_typed_cell, rowkey, DataType, Database, Schema, StorageError, StrId, StringPool, Table,
+    parse_typed_cell, DataType, Database, Schema, StorageError, StrId, StringPool, Table, Value,
 };
 
 pub use export::{export_csv_dir, ExportOptions};
@@ -612,7 +613,7 @@ fn load_table(
                 }
                 None => {
                     coerced_nulls += 1;
-                    values.push(cajade_storage::Value::Null);
+                    values.push(Value::Null);
                 }
             }
         }
@@ -662,17 +663,22 @@ fn composite_key(table: &Table) -> Option<Vec<String>> {
         if fields.iter().any(|f| f.dtype == DataType::Float) {
             return None; // float keys are asking for trouble
         }
-        let mut seen: HashSet<Vec<u8>> = HashSet::with_capacity(table.num_rows());
+        // Within a prefix each column keeps one type, so a key is its
+        // cells' `i64`s and string ids, with no tag and no buffer.
+        let mut seen: KeyedSet<[u64; MAX_PK_WIDTH]> =
+            KeyedSet::with_capacity_and_hasher(table.num_rows(), KeyedState::default());
         for r in 0..table.num_rows() {
-            let values: Vec<cajade_storage::Value> =
-                (0..width).map(|c| table.value(r, c)).collect();
-            match rowkey::encode_key(&values) {
-                Some(key) => {
-                    if !seen.insert(key) {
-                        continue 'width; // duplicate — try a wider prefix
-                    }
-                }
-                None => return None, // NULL in a key column
+            let mut key = [0; MAX_PK_WIDTH];
+            for (c, k) in key[..width].iter_mut().enumerate() {
+                *k = match table.value(r, c) {
+                    Value::Int(i) => i as u64,
+                    Value::Str(s) => u64::from(s.0),
+                    // NULL in a key column; floats were refused above.
+                    Value::Null | Value::Float(_) => return None,
+                };
+            }
+            if !seen.insert(key) {
+                continue 'width; // duplicate — try a wider prefix
             }
         }
         return Some(fields.iter().map(|f| f.name.clone()).collect());

@@ -7,9 +7,7 @@
 //! evaluation, so the provenance is by construction exactly the
 //! why-provenance of the aggregation (Definition 1).
 
-use std::collections::HashMap;
-
-use cajade_storage::rowkey::{encode_group_key, KeyIndex};
+use cajade_storage::rowkey::{GroupIds, KeyIndex};
 use cajade_storage::{AttrKind, Column, DataType, Database, Table, Value};
 
 use crate::ast::*;
@@ -317,26 +315,20 @@ pub(crate) fn group(binder: &Binder<'_>, joined: &Joined) -> Result<Grouping> {
         .map(|c| binder.bind(c))
         .collect::<Result<_>>()?;
 
-    let mut by_key: HashMap<Vec<u8>, u32> = HashMap::new();
+    let mut ids = GroupIds::default();
     let mut keys: Vec<Vec<Value>> = Vec::new();
     let mut group_of = Vec::with_capacity(joined.num_rows());
-
-    let mut key_vals = Vec::with_capacity(bound_keys.len());
     for i in 0..joined.num_rows() {
         let row = joined.row(i);
-        key_vals.clear();
-        for bc in &bound_keys {
-            key_vals.push(
-                binder.tables[bc.from_idx]
-                    .column(bc.col_idx)
-                    .value(row[bc.from_idx] as usize),
-            );
-        }
-        let key = encode_group_key(&key_vals);
-        let g = *by_key.entry(key).or_insert_with(|| {
-            keys.push(key_vals.clone());
-            (keys.len() - 1) as u32
+        let key = bound_keys.iter().map(|bc| {
+            binder.tables[bc.from_idx]
+                .column(bc.col_idx)
+                .value(row[bc.from_idx] as usize)
         });
+        let (g, new) = ids.id(key.clone());
+        if new {
+            keys.push(key.collect());
+        }
         group_of.push(g);
     }
     Ok(Grouping { group_of, keys })

@@ -11,7 +11,9 @@
 //!   compared as `u32` ids in the hot pattern-matching loops,
 //! * a catalog ([`Database`]) with primary-key and foreign-key metadata —
 //!   foreign keys seed the default schema graph (paper §2.2),
-//! * composite-key encoding ([`rowkey`]) used by hash joins and group-by.
+//! * per-row keys ([`rowkey`]): the one keyed hasher of every per-row
+//!   hash table over user data, the equi-join index and the GROUP BY
+//!   grouping.
 //!
 //! Attributes carry an [`AttrKind`] (categorical vs. numeric) because the
 //! pattern language of Definition 5 treats them differently: categorical
