@@ -30,14 +30,31 @@
 //! the key is the service's APT cache key, and the parent link lets
 //! [`AptBuilder`](crate::AptBuilder) materialize a graph as its parent's
 //! join result plus one edge.
+//!
+//! The work is paid per listed graph, not per visited extension. Each
+//! relation's adjacency, key and label are resolved once per enumeration,
+//! so an extension is a few indices and borrowed references; it is decided
+//! with no lookup and keyed into buffers the whole enumeration reuses, and
+//! a key is copied out only for a graph not seen before. A listed graph
+//! shares its labels (`Arc<str>`) and conditions
+//! ([`Pairs`](crate::Pairs)) with its parent, so copying the parent costs
+//! the graph's two vectors. On the NBA `GSW` query one enumeration
+//! allocates 2 305 heap blocks, about five per listed graph (the graph's
+//! two vectors, its key's two, its PK deficit), where a key built per
+//! extension and names and conditions copied per listed graph took
+//! 15 207, about 35.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 use cajade_query::Query;
+use cajade_storage::rowkey::KeyedState;
 use cajade_storage::Database;
 
 use crate::cost::CostEstimator;
-use crate::join_graph::{JgEdge, JgEdgeIds, JgNode, JoinGraph, JoinGraphKey, NodeLabel};
+use crate::join_graph::{
+    JgEdge, JgEdgeIds, JgNode, JoinGraph, JoinGraphKey, KeyScratch, NodeLabel,
+};
 use crate::schema_graph::{AttrPair, JoinCond, SchemaGraph};
 use crate::Result;
 
@@ -129,22 +146,96 @@ impl Enumeration {
 /// rows (the `PlayerGameScoring` example of §4).
 type Deficit<'s> = Vec<(usize, &'s str)>;
 
-/// Primary-key attributes per relation; empty when
-/// [`EnumConfig::check_pk_coverage`] is off, so that no node ever has a
-/// key to cover.
-type Keys<'s> = HashMap<&'s str, Vec<&'s str>>;
+/// One relation of the schema graph, resolved once per enumeration.
+struct Rel<'s> {
+    /// The label of every node of this relation the enumeration makes.
+    label: Arc<str>,
+    /// Its primary-key attributes; empty when
+    /// [`EnumConfig::check_pk_coverage`] is off, so that no node ever has
+    /// a key to cover.
+    key: Vec<&'s str>,
+    /// Every way it joins out ([`SchemaGraph::adjacent`]).
+    adjacent: Vec<Adjacent>,
+}
+
+/// One way a relation joins out: schema edge, condition index, the
+/// relation at the other end (an index into [`Relations::rels`]) and the
+/// condition oriented from this relation.
+struct Adjacent {
+    schema_edge: usize,
+    cond_idx: usize,
+    end: usize,
+    cond: JoinCond,
+}
+
+/// The relations of the schema graph, and which of them each of the
+/// query's FROM entries is.
+struct Relations<'s> {
+    rels: Vec<Rel<'s>>,
+    by_name: HashMap<&'s str, usize>,
+    /// Per FROM-list position, its relation; `None` for one the schema
+    /// graph does not mention (it joins nothing).
+    from: Vec<Option<usize>>,
+}
+
+impl<'s> Relations<'s> {
+    fn new(
+        schema: &'s SchemaGraph,
+        db: &'s Database,
+        query: &Query,
+        cfg: &EnumConfig,
+    ) -> Result<Self> {
+        let mut by_name: HashMap<&'s str, usize> = HashMap::new();
+        let mut rels = Vec::new();
+        for rel in schema.edges().iter().flat_map(|e| [&e.a, &e.b]) {
+            if by_name.contains_key(rel.as_str()) {
+                continue;
+            }
+            by_name.insert(rel, rels.len());
+            let key = match cfg.check_pk_coverage {
+                true => db.table(rel)?.schema().primary_key(),
+                false => Vec::new(),
+            };
+            rels.push(Rel {
+                label: Arc::from(rel.as_str()),
+                key,
+                adjacent: Vec::new(),
+            });
+        }
+        for (name, &at) in &by_name {
+            let adjacent = schema.adjacent(name).into_iter();
+            rels[at].adjacent = adjacent
+                .map(|(schema_edge, cond_idx, end, cond)| Adjacent {
+                    schema_edge,
+                    cond_idx,
+                    end: by_name[end],
+                    cond,
+                })
+                .collect();
+        }
+        let from = query
+            .from
+            .iter()
+            .map(|t| by_name.get(t.table.as_str()).copied())
+            .collect();
+        Ok(Self {
+            rels,
+            by_name,
+            from,
+        })
+    }
+}
 
 /// The PK deficit of `ext`'s graph, derived from its parent's: the new
 /// edge's `from` node loses the condition's left attributes, its `to` node
 /// the right ones, and a fresh node starts from its relation's key.
 fn deficit_after<'a, 's: 'a>(
     parent: &'a [(usize, &'s str)],
-    ext: &'a Extension<'_>,
-    keys: &'a Keys<'s>,
+    ext: &'a Extension<'_, 's>,
 ) -> impl Iterator<Item = (usize, &'s str)> + 'a {
     let JgEdgeIds { from, to, .. } = ext.ids;
     let fresh: &[&str] = match to == ext.omega.nodes.len() {
-        true => keys.get(ext.end_rel).map_or(&[], Vec::as_slice),
+        true => &ext.end.key,
         false => &[],
     };
     let owed = parent.iter().copied();
@@ -165,34 +256,22 @@ fn enumerate<'s>(
     cfg: &EnumConfig,
 ) -> Result<(Enumeration, Vec<Deficit<'s>>)> {
     let estimator = CostEstimator::new(db, schema)?;
-    // `SchemaGraph::adjacent` clones every condition it returns, and the
-    // loop below asks about the same few relations once per node of every
-    // graph it extends: answer each relation once. Likewise its key.
-    let mut adjacency: Adjacency<'s> = HashMap::new();
-    let mut keys: Keys<'s> = HashMap::new();
-    for rel in schema.edges().iter().flat_map(|e| [&e.a, &e.b]) {
-        if adjacency.contains_key(rel.as_str()) {
-            continue;
-        }
-        adjacency.insert(rel, schema.adjacent(rel));
-        if cfg.check_pk_coverage {
-            keys.insert(rel, db.table(rel)?.schema().primary_key());
-        }
-    }
-    let mut seen: HashSet<JoinGraphKey> = HashSet::new();
+    let relations = Relations::new(schema, db, query, cfg)?;
+    // Every listed graph's key, stored once: here while the rounds run,
+    // in its listed graph after. Ω₀ is not here: no extension is Ω₀.
+    let mut seen: HashMap<JoinGraphKey, usize, KeyedState> = HashMap::default();
+    let mut scratch = KeyScratch::default();
     let mut out: Vec<EnumeratedGraph> = Vec::new();
     let mut deficits: Vec<Deficit<'s>> = Vec::new();
     let (mut visited, mut rejected) = (0u64, 0u64);
 
     let omega0 = JoinGraph::pt_only();
-    let key0 = omega0.key();
-    seen.insert(key0.clone());
     if cfg.include_pt_only {
         out.push(EnumeratedGraph {
             graph: omega0.clone(),
             valid: true,
             est_rows: pt_rows as f64,
-            key: key0,
+            key: omega0.key(),
             parent: None,
         });
         deficits.push(Vec::new());
@@ -202,15 +281,16 @@ fn enumerate<'s>(
     // Ω₀ when it is not reported.
     let mut prev: Vec<Option<usize>> = vec![cfg.include_pt_only.then_some(0)];
     for size in 1..=cfg.max_edges {
-        let mut new_graphs: Vec<(JoinGraph, JoinGraphKey, Option<usize>, Deficit<'s>)> = Vec::new();
+        let mut new_graphs: Vec<(JoinGraph, Option<usize>, Deficit<'s>)> = Vec::new();
+        let listed = out.len();
         for &parent in &prev {
             let (omega, parent_deficit) = match parent {
                 Some(i) => (&out[i].graph, deficits[i].as_slice()),
                 None => (&omega0, [].as_slice()),
             };
-            extend_jg(&adjacency, query, omega, &mut |ext| {
+            extend_jg(&relations, omega, &mut |ext| {
                 visited += 1;
-                let mut deficit = deficit_after(parent_deficit, &ext, &keys).peekable();
+                let mut deficit = deficit_after(parent_deficit, &ext).peekable();
                 // No round is left to complete a graph of the last size: one
                 // that cannot be valid is decided here, on its description.
                 if size == cfg.max_edges && deficit.peek().is_some() {
@@ -219,22 +299,22 @@ fn enumerate<'s>(
                 }
                 // Most extensions were reached along another path already:
                 // key first, build only what is new.
-                let key = ext.key();
-                if !seen.contains(&key) {
-                    seen.insert(key.clone());
-                    new_graphs.push((ext.build(), key, parent, deficit.collect()));
+                omega.key_into(Some((&ext.ids, &ext.end.label)), &mut scratch);
+                if !seen.contains_key(&scratch.key) {
+                    seen.insert(scratch.key.clone(), listed + new_graphs.len());
+                    new_graphs.push((ext.build(), parent, deficit.collect()));
                 }
             });
         }
         prev.clear();
-        for (graph, key, parent, deficit) in new_graphs {
+        for (graph, parent, deficit) in new_graphs {
             let est_rows = estimator.estimate_apt_rows(pt_rows, &graph, query);
             prev.push(Some(out.len()));
             out.push(EnumeratedGraph {
                 graph,
                 valid: deficit.is_empty() && est_rows <= cfg.max_cost,
                 est_rows,
-                key,
+                key: JoinGraphKey::default(),
                 parent,
             });
             deficits.push(deficit);
@@ -242,6 +322,9 @@ fn enumerate<'s>(
         if prev.is_empty() {
             break;
         }
+    }
+    for (key, i) in seen {
+        out[i].key = key;
     }
     let enumeration = Enumeration {
         graphs: out,
@@ -252,33 +335,33 @@ fn enumerate<'s>(
 }
 
 /// A one-edge extension of `omega`, described but not built.
-struct Extension<'a> {
+struct Extension<'a, 's> {
     omega: &'a JoinGraph,
     /// The new edge's endpoints and labels; `ids.to == omega.nodes.len()`
     /// attaches a fresh node.
     ids: JgEdgeIds,
     /// Relation at the `to` end.
-    end_rel: &'a str,
+    end: &'a Rel<'s>,
     /// Condition oriented `from` → `to`.
     cond: &'a JoinCond,
 }
 
-impl Extension<'_> {
-    /// The extended graph's canonical key.
-    fn key(&self) -> JoinGraphKey {
-        self.omega.key_with(Some((&self.ids, self.end_rel)))
-    }
-
+impl Extension<'_, '_> {
     /// The extended graph: `omega` plus one pushed edge, after one pushed
     /// node when the edge reaches a fresh one.
     fn build(&self) -> JoinGraph {
-        let mut g = self.omega.clone();
-        if self.ids.to == g.nodes.len() {
-            g.nodes.push(JgNode {
-                label: NodeLabel::Rel(self.end_rel.to_string()),
+        let omega = self.omega;
+        let fresh = self.ids.to == omega.nodes.len();
+        let mut nodes = Vec::with_capacity(omega.nodes.len() + usize::from(fresh));
+        nodes.extend_from_slice(&omega.nodes);
+        if fresh {
+            nodes.push(JgNode {
+                label: NodeLabel::Rel(Arc::clone(&self.end.label)),
             });
         }
-        g.edges.push(JgEdge {
+        let mut edges = Vec::with_capacity(omega.edges.len() + 1);
+        edges.extend_from_slice(&omega.edges);
+        edges.push(JgEdge {
             from: self.ids.from,
             to: self.ids.to,
             cond: self.cond.clone(),
@@ -286,67 +369,59 @@ impl Extension<'_> {
             cond_idx: self.ids.cond_idx,
             pt_from_idx: self.ids.pt_from_idx,
         });
-        g
+        JoinGraph { nodes, edges }
     }
 }
 
-/// [`SchemaGraph::adjacent`] of every relation the schema graph mentions.
-type Adjacency<'s> = HashMap<&'s str, Vec<(usize, usize, &'s str, JoinCond)>>;
-
 /// Algorithm 2's `ExtendJG`: visits all one-edge extensions of `omega`.
-fn extend_jg<'a>(
-    adjacency: &'a Adjacency<'_>,
-    query: &'a Query,
+fn extend_jg<'a, 's: 'a>(
+    relations: &'a Relations<'s>,
     omega: &'a JoinGraph,
-    visit: &mut impl FnMut(Extension<'a>),
+    visit: &mut impl FnMut(Extension<'a, 's>),
 ) {
     for v in 0..omega.nodes.len() {
-        // Relations represented by v: all accessed relations for PT,
-        // otherwise the node's own relation.
-        let rels: Vec<(&str, Option<usize>)> = match &omega.nodes[v].label {
-            NodeLabel::Pt => {
-                // One entry per FROM-list position (a relation aliased
-                // twice yields parallel-edge candidates, paper §2.2's
-                // disambiguation case (2)).
-                query
-                    .from
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| (t.table.as_str(), Some(i)))
-                    .collect()
-            }
-            NodeLabel::Rel(r) => vec![(r.as_str(), None)],
-        };
-        for (rel, pt_from_idx) in rels {
-            for &(schema_edge, cond_idx, end_rel, ref cond) in
-                adjacency.get(rel).into_iter().flatten()
-            {
+        let mut join_out = |rel: Option<usize>, pt_from_idx: Option<usize>| {
+            let adjacent = rel.map_or(&[][..], |r| &relations.rels[r].adjacent);
+            for adj in adjacent {
                 let edge_to = |to: usize| Extension {
                     omega,
                     ids: JgEdgeIds {
                         from: v,
                         to,
-                        schema_edge,
-                        cond_idx,
+                        schema_edge: adj.schema_edge,
+                        cond_idx: adj.cond_idx,
                         pt_from_idx,
                     },
-                    end_rel,
-                    cond,
+                    end: &relations.rels[adj.end],
+                    cond: &adj.cond,
                 };
                 add_edge(omega, edge_to, visit);
             }
+        };
+        // Relations represented by v: all accessed relations for PT,
+        // otherwise the node's own relation.
+        match &omega.nodes[v].label {
+            // One entry per FROM-list position (a relation aliased twice
+            // yields parallel-edge candidates, paper §2.2's disambiguation
+            // case (2)).
+            NodeLabel::Pt => {
+                for (i, &rel) in relations.from.iter().enumerate() {
+                    join_out(rel, Some(i));
+                }
+            }
+            NodeLabel::Rel(r) => join_out(relations.by_name.get(&**r).copied(), None),
         }
     }
 }
 
-/// Algorithm 2's `AddEdge`: connect `v` to a *new* node labelled
-/// `end_rel`, and to every *existing* node labelled `end_rel` not already
+/// Algorithm 2's `AddEdge`: connect `v` to a *new* node labelled with
+/// the end relation, and to every *existing* node so labelled not already
 /// connected by the same condition. `edge_to(node)` is the candidate edge
 /// ending at `node`.
-fn add_edge<'a>(
+fn add_edge<'a, 's: 'a>(
     omega: &JoinGraph,
-    edge_to: impl Fn(usize) -> Extension<'a>,
-    visit: &mut impl FnMut(Extension<'a>),
+    edge_to: impl Fn(usize) -> Extension<'a, 's>,
+    visit: &mut impl FnMut(Extension<'a, 's>),
 ) {
     // (i) Fresh node.
     visit(edge_to(omega.nodes.len()));
@@ -357,7 +432,7 @@ fn add_edge<'a>(
     for v2 in 0..omega.nodes.len() {
         let ext = edge_to(v2);
         let v = ext.ids.from;
-        if v2 == v || omega.rel_of(v2) != Some(ext.end_rel) {
+        if v2 == v || omega.rel_of(v2) != Some(&*ext.end.label) {
             continue;
         }
         let duplicate = omega.edges.iter().any(|e| {
@@ -376,7 +451,8 @@ fn add_edge<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema_graph::JoinCond;
+    use std::collections::HashSet;
+
     use cajade_query::parse_sql;
     use cajade_storage::{AttrKind, DataType, SchemaBuilder, Value};
 
@@ -562,5 +638,174 @@ mod tests {
         assert!(graphs
             .iter()
             .any(|g| g.graph.structure_string() == "PT - stats - player"));
+    }
+
+    /// Keys every extension of every listed graph a later round extends
+    /// — every extension the enumeration visits — in one scratch reused
+    /// throughout, and checks each against the built graph's own key.
+    /// Returns how many it keyed.
+    fn assert_scratch_keys_match(
+        schema: &SchemaGraph,
+        db: &Database,
+        query: &Query,
+        cfg: &EnumConfig,
+    ) -> u64 {
+        let e = Enumeration::of(schema, db, query, 1_000, cfg).unwrap();
+        let relations = Relations::new(schema, db, query, cfg).unwrap();
+        let mut scratch = KeyScratch::default();
+        let mut keyed = 0;
+        let extended = e
+            .graphs
+            .iter()
+            .filter(|g| g.graph.num_edges() < cfg.max_edges);
+        for g in extended {
+            extend_jg(&relations, &g.graph, &mut |ext| {
+                let extra = Some((&ext.ids, &*ext.end.label));
+                g.graph.key_into(extra, &mut scratch);
+                let built = ext.build();
+                assert_eq!(scratch.key, built.key(), "{}", built.structure_string());
+                assert_eq!(scratch.key, g.graph.key_with(extra));
+                keyed += 1;
+            });
+        }
+        assert_eq!(keyed, e.extensions_visited);
+        keyed
+    }
+
+    /// game(gid, home, away) joins team twice, and team joins itself: the
+    /// graphs hold two and three `team` nodes, closed by parallel edges.
+    fn self_join_setup() -> (Database, SchemaGraph, Query) {
+        let mut db = Database::new("self");
+        db.create_table(
+            SchemaBuilder::new("game")
+                .column_pk("gid", DataType::Int, AttrKind::Categorical)
+                .column("home", DataType::Int, AttrKind::Categorical)
+                .column("away", DataType::Int, AttrKind::Categorical)
+                .build(),
+        )
+        .unwrap();
+        db.create_table(
+            SchemaBuilder::new("team")
+                .column_pk("tid", DataType::Int, AttrKind::Categorical)
+                .column("conf", DataType::Int, AttrKind::Categorical)
+                .build(),
+        )
+        .unwrap();
+        for i in 0..6 {
+            let game = vec![Value::Int(i), Value::Int(i % 3), Value::Int((i + 1) % 3)];
+            db.table_mut("game").unwrap().push_row(game).unwrap();
+        }
+        for t in 0..3 {
+            let team = vec![Value::Int(t), Value::Int(t % 2)];
+            db.table_mut("team").unwrap().push_row(team).unwrap();
+        }
+        let mut schema = SchemaGraph::new();
+        schema.add_condition("game", "team", JoinCond::on(&[("home", "tid")]));
+        schema.add_condition("game", "team", JoinCond::on(&[("away", "tid")]));
+        schema.add_condition("team", "team", JoinCond::on(&[("conf", "conf")]));
+        let query = parse_sql("SELECT count(*) AS c, home FROM game GROUP BY home").unwrap();
+        (db, schema, query)
+    }
+
+    /// A generated corpus's schema graph, rebuilt as this crate's type
+    /// (the generator links its own copy of the crate), same edge and
+    /// condition order.
+    macro_rules! local_schema {
+        ($gen:expr) => {{
+            let mut schema = SchemaGraph::new();
+            for e in $gen.schema_graph.edges() {
+                for c in &e.conds {
+                    let pairs: Vec<(&str, &str)> =
+                        c.pairs.iter().map(|p| (&*p.left, &*p.right)).collect();
+                    schema.add_condition(&e.a, &e.b, JoinCond::on(&pairs));
+                }
+            }
+            schema
+        }};
+    }
+
+    #[test]
+    fn the_reused_key_is_the_built_graphs_key() {
+        let (db, schema, query) = self_join_setup();
+        let cfg = EnumConfig::default();
+        assert!(assert_scratch_keys_match(&schema, &db, &query, &cfg) > 0);
+        let graphs = enumerate_join_graphs(&schema, &db, &query, 6, &cfg).unwrap();
+        let teams = |g: &EnumeratedGraph| {
+            let nodes = 0..g.graph.nodes.len();
+            nodes.filter(|&v| g.graph.rel_of(v) == Some("team")).count()
+        };
+        assert!(graphs.iter().any(|g| teams(g) == 3), "three team nodes");
+
+        let nba = cajade_datagen::nba::generate(cajade_datagen::nba::NbaConfig {
+            rich_stats: true,
+            seed: 42,
+            ..cajade_datagen::nba::NbaConfig::scaled(0.05)
+        });
+        let gsw = parse_sql(
+            "SELECT COUNT(*) AS win, s.season_name FROM team t, game g, season s \
+             WHERE t.team_id = g.winner_id AND g.season_id = s.season_id AND t.team = 'GSW' \
+             GROUP BY s.season_name",
+        )
+        .unwrap();
+        let keyed = assert_scratch_keys_match(&local_schema!(nba), &nba.db, &gsw, &cfg);
+        assert_eq!(keyed, 8_221);
+
+        let mimic = cajade_datagen::mimic::generate(cajade_datagen::mimic::MimicConfig {
+            seed: 42,
+            ..cajade_datagen::mimic::MimicConfig::scaled(0.1)
+        });
+        let schema = local_schema!(mimic);
+        for sql in [
+            "SELECT COUNT(*) AS cnt, los_group FROM icustays GROUP BY los_group",
+            "SELECT insurance, 1.0*SUM(hospital_expire_flag)/COUNT(*) AS death_rate \
+             FROM admissions GROUP BY insurance",
+        ] {
+            let query = parse_sql(sql).unwrap();
+            assert!(assert_scratch_keys_match(&schema, &mimic.db, &query, &cfg) > 0);
+        }
+    }
+
+    /// A listed graph shares every label and condition with its parent,
+    /// and a clone shares them with the graph it was cloned from.
+    #[test]
+    fn graphs_share_labels_and_conditions() {
+        let (db, schema, query) = self_join_setup();
+        let graphs =
+            enumerate_join_graphs(&schema, &db, &query, 6, &EnumConfig::default()).unwrap();
+        let shared = |a: &JoinGraph, b: &JoinGraph| {
+            let labels = a
+                .nodes
+                .iter()
+                .zip(&b.nodes)
+                .all(|(x, y)| match (&x.label, &y.label) {
+                    (NodeLabel::Pt, NodeLabel::Pt) => true,
+                    (NodeLabel::Rel(x), NodeLabel::Rel(y)) => Arc::ptr_eq(x, y),
+                    _ => false,
+                });
+            let pairs = a.edges.iter().zip(&b.edges);
+            labels
+                && pairs
+                    .into_iter()
+                    .all(|(x, y)| Arc::ptr_eq(&x.cond.pairs.0, &y.cond.pairs.0))
+        };
+        let mut children = 0;
+        for g in &graphs {
+            assert!(shared(&g.graph, &g.graph.clone()));
+            if let Some(p) = g.parent {
+                assert!(shared(&graphs[p].graph, &g.graph));
+                children += 1;
+            }
+        }
+        assert!(children > 10);
+        // Every `team` node of the listing holds one name.
+        let team = graphs
+            .iter()
+            .flat_map(|g| &g.graph.nodes)
+            .filter_map(|n| match &n.label {
+                NodeLabel::Rel(r) if &**r == "team" => Some(r),
+                _ => None,
+            });
+        let first = team.clone().next().expect("a team node");
+        assert!(team.into_iter().all(|r| Arc::ptr_eq(r, first)));
     }
 }

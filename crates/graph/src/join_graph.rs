@@ -2,6 +2,7 @@
 //! provenance table with context relations.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::schema_graph::JoinCond;
 
@@ -10,8 +11,9 @@ use crate::schema_graph::JoinCond;
 pub enum NodeLabel {
     /// The distinguished provenance-table node (exactly one per graph).
     Pt,
-    /// A context relation.
-    Rel(String),
+    /// A context relation. Shared: the graphs of one enumeration hold one
+    /// copy of each relation's name.
+    Rel(Arc<str>),
 }
 
 /// A join-graph node.
@@ -117,7 +119,7 @@ impl JoinGraph {
     pub fn rel_of(&self, node: usize) -> Option<&str> {
         match &self.nodes[node].label {
             NodeLabel::Pt => None,
-            NodeLabel::Rel(r) => Some(r),
+            NodeLabel::Rel(r) => Some(&**r),
         }
     }
 
@@ -128,7 +130,7 @@ impl JoinGraph {
         let mut counts: HashMap<&str, usize> = HashMap::new();
         for n in &self.nodes {
             if let NodeLabel::Rel(r) = &n.label {
-                *counts.entry(r.as_str()).or_default() += 1;
+                *counts.entry(&**r).or_default() += 1;
             }
         }
         let mut seen: HashMap<&str, usize> = HashMap::new();
@@ -137,10 +139,10 @@ impl JoinGraph {
             .map(|n| match &n.label {
                 NodeLabel::Pt => "PT".to_string(),
                 NodeLabel::Rel(r) => {
-                    if counts[r.as_str()] == 1 {
-                        r.clone()
+                    if counts[&**r] == 1 {
+                        r.to_string()
                     } else {
-                        let k = seen.entry(r.as_str()).or_default();
+                        let k = seen.entry(&**r).or_default();
                         *k += 1;
                         format!("{r}{k}")
                     }
@@ -194,9 +196,18 @@ impl JoinGraph {
 
     /// The key of this graph plus one more edge — to an existing node, or,
     /// with `to == self.nodes.len()`, to a fresh node labelled `rel` —
-    /// without building that graph. Enumeration tests an extension against
-    /// the graphs seen so far before paying for its clone.
+    /// without building that graph.
     pub(crate) fn key_with(&self, extra: Option<(&JgEdgeIds, &str)>) -> JoinGraphKey {
+        let mut scratch = KeyScratch::default();
+        self.key_into(extra, &mut scratch);
+        scratch.key
+    }
+
+    /// [`key_with`](Self::key_with) into `scratch.key`, in `scratch`'s
+    /// buffers: once they have grown to the largest graph's size, a key
+    /// allocates nothing. Enumeration tests every extension against the
+    /// graphs seen so far this way and copies a key out only for a new one.
+    pub(crate) fn key_into(&self, extra: Option<(&JgEdgeIds, &str)>, scratch: &mut KeyScratch) {
         let fresh = extra.filter(|(e, _)| e.from.max(e.to) == self.nodes.len());
         let n = self.nodes.len() + usize::from(fresh.is_some());
         let label = |node: usize| match fresh {
@@ -208,28 +219,40 @@ impl JoinGraph {
             .iter()
             .map(JgEdge::ids)
             .chain(extra.map(|(e, _)| *e));
-        let mut order: Vec<usize> = (1..n).collect();
+        let KeyScratch {
+            key,
+            order,
+            mapping,
+            tuples,
+            heap,
+        } = scratch;
+        order.clear();
+        order.extend(1..n);
         order.sort_by(|&a, &b| label(a).cmp(label(b)));
-        let mut labels = String::new();
-        for &v in &order {
-            labels.push_str(label(v));
-            labels.push(LABEL_END);
+        key.labels.clear();
+        for &v in order.iter() {
+            key.labels.push_str(label(v));
+            key.labels.push(LABEL_END);
         }
 
-        let mut mapping = vec![0usize; n];
-        let mut scratch: Vec<EdgeTuple> = Vec::with_capacity(self.edges.len() + 1);
-        let mut best: Option<Vec<EdgeTuple>> = None;
-        permute(&order, &mut |perm| {
+        mapping.clear();
+        mapping.resize(n, 0);
+        let mut found = false;
+        heap.permute(order, &mut |perm| {
             // `perm[i]` takes position `i + 1`; PT stays 0. A permutation
             // that moves a node across a label boundary cannot be minimal.
-            if perm.iter().zip(&order).any(|(&v, &o)| label(v) != label(o)) {
+            if perm
+                .iter()
+                .zip(order.iter())
+                .any(|(&v, &o)| label(v) != label(o))
+            {
                 return;
             }
             for (new_pos, &old) in perm.iter().enumerate() {
                 mapping[old] = new_pos + 1;
             }
-            scratch.clear();
-            scratch.extend(ids.clone().map(|e| {
+            tuples.clear();
+            tuples.extend(ids.clone().map(|e| {
                 let (f, t) = (mapping[e.from], mapping[e.to]);
                 // Undirected comparison: the smaller endpoint first, with
                 // the condition's orientation kept as a flag.
@@ -242,17 +265,12 @@ impl JoinGraph {
                     e.pt_from_idx.map_or(0, |i| i + 1),
                 ]
             }));
-            scratch.sort_unstable();
-            match &mut best {
-                Some(b) if *b <= scratch => {}
-                Some(b) => b.clone_from(&scratch),
-                None => best = Some(scratch.clone()),
+            tuples.sort_unstable();
+            if !found || *tuples < key.edges {
+                key.edges.clone_from(tuples);
+                found = true;
             }
         });
-        JoinGraphKey {
-            labels,
-            edges: best.unwrap_or_default(),
-        }
     }
 
     /// The canonical key rendered as a string (`PT,a,b|0>1:…;1>2:…`),
@@ -291,7 +309,7 @@ impl JoinGraph {
                 .join("&")
         };
 
-        permute(&non_pt, &mut |perm| {
+        HeapPerms::default().permute(&non_pt, &mut |perm| {
             let mut mapping = vec![0usize; n];
             for (new_pos, &old) in perm.iter().enumerate() {
                 mapping[old] = new_pos + 1;
@@ -301,7 +319,7 @@ impl JoinGraph {
             for &old in perm {
                 labels[mapping[old]] = match &self.nodes[old].label {
                     NodeLabel::Pt => unreachable!("only node 0 is PT"),
-                    NodeLabel::Rel(r) => r.clone(),
+                    NodeLabel::Rel(r) => r.to_string(),
                 };
             }
             let mut edge_keys: Vec<String> = self
@@ -343,8 +361,9 @@ type EdgeTuple = [usize; 6];
 /// permutation (see [`JoinGraph::key`]). Enumeration computes it once per
 /// graph ([`EnumeratedGraph::key`](crate::EnumeratedGraph::key)); it is the
 /// cache key the service layer uses to share one materialized APT between
-/// all sessions asking about the same join-graph structure.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// all sessions asking about the same join-graph structure. The default
+/// key is Ω₀'s.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct JoinGraphKey {
     /// Non-PT node labels in canonical position order, each followed by
     /// [`LABEL_END`] — one allocation per key, not one per node: a query's
@@ -384,30 +403,52 @@ impl std::fmt::Display for JoinGraphKey {
     }
 }
 
-/// Heap's algorithm over a small index set.
-fn permute(items: &[usize], f: &mut impl FnMut(&[usize])) {
-    let mut v = items.to_vec();
-    let n = v.len();
-    if n == 0 {
-        f(&v);
-        return;
-    }
-    let mut c = vec![0usize; n];
-    f(&v);
-    let mut i = 0;
-    while i < n {
-        if c[i] < i {
-            if i % 2 == 0 {
-                v.swap(0, i);
+/// The buffers [`JoinGraph::key_into`] computes a key in.
+#[derive(Debug, Default)]
+pub(crate) struct KeyScratch {
+    /// The last key computed.
+    pub key: JoinGraphKey,
+    /// Non-PT nodes in label order.
+    order: Vec<usize>,
+    /// Node → canonical position under the permutation being tried.
+    mapping: Vec<usize>,
+    /// The edges under that permutation, sorted.
+    tuples: Vec<EdgeTuple>,
+    heap: HeapPerms,
+}
+
+/// Heap's algorithm over a small index set, in buffers reused from call
+/// to call.
+#[derive(Debug, Default)]
+struct HeapPerms {
+    v: Vec<usize>,
+    c: Vec<usize>,
+}
+
+impl HeapPerms {
+    fn permute(&mut self, items: &[usize], f: &mut impl FnMut(&[usize])) {
+        let HeapPerms { v, c } = self;
+        v.clear();
+        v.extend_from_slice(items);
+        let n = v.len();
+        c.clear();
+        c.resize(n, 0);
+        f(v);
+        let mut i = 0;
+        while i < n {
+            if c[i] < i {
+                if i % 2 == 0 {
+                    v.swap(0, i);
+                } else {
+                    v.swap(c[i], i);
+                }
+                f(v);
+                c[i] += 1;
+                i = 0;
             } else {
-                v.swap(c[i], i);
+                c[i] = 0;
+                i += 1;
             }
-            f(&v);
-            c[i] += 1;
-            i = 0;
-        } else {
-            c[i] = 0;
-            i += 1;
         }
     }
 }

@@ -39,7 +39,7 @@ pub use discovery::{
 pub use enumerate::{enumerate_join_graphs, EnumConfig, EnumeratedGraph, Enumeration};
 pub use error::GraphError;
 pub use join_graph::{JgEdge, JgNode, JoinGraph, JoinGraphKey, NodeLabel};
-pub use schema_graph::{AttrPair, JoinCond, SchemaEdge, SchemaGraph};
+pub use schema_graph::{AttrPair, JoinCond, Pairs, SchemaEdge, SchemaGraph};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, GraphError>;

@@ -1,5 +1,8 @@
 //! Schema graphs (paper Definition 2): which joins are permissible.
 
+use std::ops::Deref;
+use std::sync::Arc;
+
 use cajade_storage::Database;
 
 use crate::{GraphError, Result};
@@ -25,12 +28,47 @@ impl AttrPair {
     }
 }
 
+/// The attribute equalities of a [`JoinCond`]: an immutable shared slice,
+/// so that a join graph copied from its parent shares its conditions
+/// instead of copying their attribute names.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct Pairs(pub(crate) Arc<[AttrPair]>);
+
+impl Deref for Pairs {
+    type Target = [AttrPair];
+
+    fn deref(&self) -> &[AttrPair] {
+        &self.0
+    }
+}
+
+impl<'a> IntoIterator for &'a Pairs {
+    type Item = &'a AttrPair;
+    type IntoIter = std::slice::Iter<'a, AttrPair>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+impl FromIterator<AttrPair> for Pairs {
+    fn from_iter<I: IntoIterator<Item = AttrPair>>(iter: I) -> Self {
+        Pairs(iter.into_iter().collect())
+    }
+}
+
+impl std::fmt::Debug for Pairs {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
 /// A join condition: a conjunction of attribute equalities (only equi-joins
-/// are allowed per Definition 2's `Cond`).
+/// are allowed per Definition 2's `Cond`). Cloning one copies a pointer.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct JoinCond {
     /// Conjunction of attribute equalities.
-    pub pairs: Vec<AttrPair>,
+    pub pairs: Pairs,
 }
 
 impl JoinCond {
@@ -106,7 +144,7 @@ impl SchemaGraph {
     pub fn from_foreign_keys(db: &Database) -> Self {
         let mut g = SchemaGraph::new();
         for fk in db.foreign_keys() {
-            let pairs: Vec<AttrPair> = fk
+            let pairs: Pairs = fk
                 .from_cols
                 .iter()
                 .zip(&fk.to_cols)

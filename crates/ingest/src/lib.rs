@@ -73,7 +73,8 @@ use cajade_obs::Stage;
 use cajade_storage::csv::{CsvTokenizer, Record};
 use cajade_storage::rowkey::{KeyedSet, KeyedState};
 use cajade_storage::{
-    parse_typed_cell, DataType, Database, Schema, StorageError, StrId, StringPool, Table, Value,
+    parse_typed_cell, Column, DataType, Database, Schema, StorageError, StrId, StringPool, Table,
+    Value,
 };
 
 pub use export::{export_csv_dir, ExportOptions};
@@ -575,8 +576,12 @@ fn load_table(
         .get(&table_name)
         .is_some_and(|t| t.key.is_some());
     let arity = schema.arity();
-    let dtypes: Vec<DataType> = schema.fields.iter().map(|f| f.dtype).collect();
-    let mut table = Table::with_capacity(schema, item.profile.rows);
+    // Each parsed cell goes straight to its column: no row is built.
+    let mut columns: Vec<Column> = schema
+        .fields
+        .iter()
+        .map(|f| Column::with_capacity(f.dtype, item.profile.rows))
+        .collect();
     let bytes = read(item.path)?;
     let mut rows = CsvTokenizer::new(&bytes);
     let mut rec = Record::new();
@@ -591,21 +596,20 @@ fn load_table(
         if rec.len() != arity {
             ragged_rows += 1;
         }
-        let mut values = Vec::with_capacity(arity);
-        for (i, &dtype) in dtypes.iter().enumerate() {
+        for (i, (column, field)) in columns.iter_mut().zip(&schema.fields).enumerate() {
             let raw = rec.get(i).unwrap_or("");
-            match parse_typed_cell(raw, dtype, pool) {
-                Some(v) => values.push(v),
+            let value = match parse_typed_cell(raw, field.dtype, pool) {
+                Some(v) => v,
                 None if options.strict_types => {
                     return Err(storage_err(
                         &table_name,
                         StorageError::TypeInference {
-                            column: table.schema().fields[i].name.clone(),
+                            column: field.name.clone(),
                             msg: format!(
                                 "line {}: `{raw}` does not parse as {} (inferred from the \
                                  first {} rows)",
                                 rec.line(),
-                                dtype.name(),
+                                field.dtype.name(),
                                 options.infer.sample_rows
                             ),
                         },
@@ -613,14 +617,16 @@ fn load_table(
                 }
                 None => {
                     coerced_nulls += 1;
-                    values.push(Value::Null);
+                    Value::Null
                 }
-            }
+            };
+            column
+                .push(value, &field.name)
+                .map_err(|e| storage_err(&table_name, e))?;
         }
-        table
-            .push_row(values)
-            .map_err(|e| storage_err(&table_name, e))?;
     }
+    let mut table =
+        Table::from_columns(schema, columns).map_err(|e| storage_err(&table_name, e))?;
 
     if table.schema().primary_key().is_empty() && !key_pinned {
         if let Some(key) = composite_key(&table) {

@@ -48,6 +48,42 @@ impl Table {
         }
     }
 
+    /// A table of `columns`, the `i`-th holding field `i` of `schema` —
+    /// for a loader that appends each cell to its column as it parses it.
+    /// Refused with `ArityMismatch` for a column count other than the
+    /// schema's, `TypeMismatch` for a column of another type than its
+    /// field, and `RowOutOfBounds` (`row` the column's length, `len` the
+    /// first column's) for columns of unequal lengths.
+    pub fn from_columns(schema: Schema, columns: Vec<Column>) -> Result<Self> {
+        if columns.len() != schema.fields.len() {
+            return Err(StorageError::ArityMismatch {
+                expected: schema.fields.len(),
+                got: columns.len(),
+            });
+        }
+        let num_rows = columns.first().map_or(0, Column::len);
+        for (col, field) in columns.iter().zip(&schema.fields) {
+            if col.dtype() != field.dtype {
+                return Err(StorageError::TypeMismatch {
+                    column: field.name.clone(),
+                    expected: field.dtype.name(),
+                    got: col.dtype().name(),
+                });
+            }
+            if col.len() != num_rows {
+                return Err(StorageError::RowOutOfBounds {
+                    row: col.len(),
+                    len: num_rows,
+                });
+            }
+        }
+        Ok(Self {
+            schema,
+            columns: columns.into_iter().map(Arc::new).collect(),
+            num_rows,
+        })
+    }
+
     /// The table's schema.
     #[inline]
     pub fn schema(&self) -> &Schema {
@@ -272,6 +308,33 @@ mod tests {
             Value::Str(StrId(1)),
             "a clone is a snapshot"
         );
+    }
+
+    #[test]
+    fn from_columns_is_the_rows_pushed_and_refuses_misfits() {
+        let (mut id, mut x) = (Column::new(DataType::Int), Column::new(DataType::Float));
+        let mut pushed = Table::new(schema());
+        for (i, v) in [(1, Value::Float(0.5)), (2, Value::Null)] {
+            id.push(Value::Int(i), "id").unwrap();
+            x.push(v, "x").unwrap();
+            pushed.push_row(vec![Value::Int(i), v]).unwrap();
+        }
+        let t = Table::from_columns(schema(), vec![id.clone(), x.clone()]).unwrap();
+        assert_eq!(t.num_rows(), 2);
+        for r in 0..2 {
+            assert_eq!(t.row(r).unwrap(), pushed.row(r).unwrap());
+        }
+
+        let err = Table::from_columns(schema(), vec![id.clone()]).unwrap_err();
+        assert!(matches!(err, StorageError::ArityMismatch { .. }));
+        let err = Table::from_columns(schema(), vec![x.clone(), id.clone()]).unwrap_err();
+        assert!(matches!(err, StorageError::TypeMismatch { .. }));
+        x.push(Value::Float(1.0), "x").unwrap();
+        let err = Table::from_columns(schema(), vec![id, x]).unwrap_err();
+        assert!(matches!(
+            err,
+            StorageError::RowOutOfBounds { row: 3, len: 2 }
+        ));
     }
 
     #[test]
