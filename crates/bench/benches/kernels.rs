@@ -306,14 +306,16 @@ fn nba_005() -> GeneratedDb {
     })
 }
 
-/// Stage 2 as a `query` op pays it — `CostEstimator::new`'s NDV pass and
-/// Algorithm 2. The `GSW` query over the NBA schema graph visits 8 221
-/// extensions, decides 7 473 of them on their description and lists 438
-/// graphs for 202 valid ones; the 4×6 star 120 / 56 / 39 / 35. The work
-/// is per listed graph (an extension is keyed in reused buffers, a listed
-/// graph shares its parent's labels and conditions): `nba_gsw` ~2.2 ms,
-/// `star_4x6` ~180 µs on a 2-vCPU box, where a key built per extension
-/// and names copied per graph read ~3.6 ms and ~330 µs.
+/// Stage 2 as a `query` op pays it — Algorithm 2, and nothing else: λ_qcost
+/// is counted in the join step, not estimated here. The `GSW` query over
+/// the NBA schema graph visits 8 221 extensions, decides 7 473 of them on
+/// their description and lists 438 graphs for 202 valid ones; the 4×6
+/// star 120 / 56 / 39 / 35. The work is per listed graph (an extension is
+/// keyed in reused buffers, a listed graph shares its parent's labels and
+/// conditions): `nba_gsw` ~1.1 ms, `star_4x6` ~75 µs on a 2-vCPU box
+/// (pinned to one CPU, medians of 4), where the distinct-count pass that
+/// fed the cost estimate made them ~1.8 ms and ~175 µs, and a key built
+/// per extension and names copied per graph ~3.6 ms and ~330 µs.
 fn bench_enumerate() {
     let star = synth::generate(&synth::SynthConfig::small().with_width(4, 6));
     for (name, gen, sql) in [
@@ -366,8 +368,8 @@ fn enumeration(gen: GeneratedDb, sql: &str) -> Enumeration {
 impl Enumeration {
     /// Every valid graph's APT out of one `AptBuilder`.
     fn apts(&self) -> Vec<Apt> {
-        let builder = AptBuilder::new(&self.gen.db, &self.pt, &self.graphs);
-        let one = |&gi: &usize| builder.materialize(gi).unwrap();
+        let builder = AptBuilder::new(&self.gen.db, &self.pt, &self.graphs, f64::INFINITY);
+        let one = |&gi: &usize| builder.materialize(gi).unwrap().unwrap();
         self.valid.iter().map(one).collect()
     }
 }

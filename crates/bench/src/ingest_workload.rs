@@ -15,7 +15,7 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 use cajade_datagen::GeneratedDb;
-use cajade_graph::{enumerate_join_graphs, EnumConfig, SchemaGraph};
+use cajade_graph::{EnumConfig, Enumeration, SchemaGraph};
 use cajade_ingest::{export_csv_dir, ingest_dir, ExportOptions, IngestOptions, IngestedDataset};
 use cajade_query::parse_sql;
 use cajade_storage::Database;
@@ -57,8 +57,7 @@ pub fn nba_round_trip(scale: f64) -> (RoundTrip, TempDir) {
 
 /// Canonical keys of the *valid* join graphs `schema_graph` enumerates
 /// for the workload query — the equivalence class the round-trip is
-/// judged on. The provenance-table row count only feeds cost estimates,
-/// so a nominal constant keeps this independent of query execution.
+/// judged on. Enumeration does not execute the query.
 pub fn enumerated_keys(
     db: &Database,
     schema_graph: &SchemaGraph,
@@ -80,8 +79,9 @@ pub fn enumerated_keys_for(
         max_edges,
         ..EnumConfig::default()
     };
-    enumerate_join_graphs(schema_graph, db, &query, 100, &cfg)
+    Enumeration::of(schema_graph, db, &query, &cfg)
         .expect("enumerate")
+        .graphs
         .into_iter()
         .filter(|g| g.valid)
         .map(|g| g.graph.semantic_key())

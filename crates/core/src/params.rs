@@ -12,12 +12,16 @@ use cajade_mining::{MiningParams, SelAttr};
 /// | λ_attrNum | `mining.lambda_attr_num` | 3 |
 /// | λ_pat-samp | `mining.lambda_pat_samp` | 0.1 (cap 1000) |
 /// | λ_F1-samp | `mining.lambda_f1_samp` | 0.3 |
-/// | λ_qcost | `max_cost` | (not listed; see below) |
+/// | λ_qcost | `max_cost` | (not listed; 5 000 000 rows here) |
 #[derive(Debug, Clone)]
 pub struct Params {
     /// λ#edges: maximum join-graph edges.
     pub max_edges: usize,
-    /// λ_qcost: skip graphs whose estimated APT exceeds this row count.
+    /// λ_qcost: skip a join graph once one of its joins would output more
+    /// than this many rows. The APT kernel counts each join's output as it
+    /// probes and stops at the probe that passes the bound, so a skipped
+    /// graph costs at most this many row ids per join; a skip is counted,
+    /// never an error. Filters and the PT-only graph are not bounded.
     pub max_cost: f64,
     /// §4's primary-key-coverage validity check.
     pub check_pk_coverage: bool,

@@ -41,8 +41,7 @@ pub struct PreparedQuery {
     /// The why-provenance table `PT(Q, D)`.
     pub pt: Arc<ProvenanceTable>,
     /// The join graphs enumeration lists: every valid one, and every
-    /// invalid one a later round could still extend or that only its
-    /// estimated cost rules out.
+    /// invalid one a later round could still extend.
     pub graphs: Arc<Vec<EnumeratedGraph>>,
     /// One-edge extensions enumeration visited to list them
     /// ([`Enumeration::extensions_visited`]).
@@ -84,11 +83,11 @@ pub fn prepare(
     let stage = Stage::open("jg_enum");
     let enum_cfg = EnumConfig {
         max_edges: params.max_edges,
-        max_cost: params.max_cost,
         check_pk_coverage: params.check_pk_coverage,
         include_pt_only: params.include_pt_only,
+        ..EnumConfig::default()
     };
-    let enumeration = Enumeration::of(schema_graph, db, query, pt.num_rows, &enum_cfg)?;
+    let enumeration = Enumeration::of(schema_graph, db, query, &enum_cfg)?;
     let jg_enum_time = stage.finish();
 
     Ok(PreparedQuery {
@@ -143,16 +142,25 @@ pub fn group_label(db: &Database, query: &Query, pt: &ProvenanceTable, group: us
 }
 
 /// Stage 3: materializes `APT(Q, D, Ω)` for enumerated graph
-/// `graph_index` (Definition 4) and reports the wall time it took.
+/// `graph_index` (Definition 4) and reports the wall time it took;
+/// `None` when one of the graph's joins is over λ_qcost, which leaves an
+/// `apt_over_cost` span after the graph's `materialize_apt` span.
 ///
 /// `builder` is the ask's [`AptBuilder`]: it shares join work along the
 /// enumeration tree, so the time reported here includes any ancestor's
 /// join that this call was the first to need and excludes the ones
 /// another graph already paid for.
-pub fn materialize(builder: &AptBuilder<'_>, graph_index: usize) -> Result<(Apt, Duration)> {
+pub fn materialize(
+    builder: &AptBuilder<'_>,
+    graph_index: usize,
+) -> Result<Option<(Apt, Duration)>> {
     let stage = Stage::open_as("materialize_apt", "materialize");
     let apt = builder.materialize(graph_index)?;
-    Ok((apt, stage.finish()))
+    let wall = stage.finish();
+    if apt.is_none() {
+        drop(span("apt_over_cost"));
+    }
+    Ok(apt.map(|apt| (apt, wall)))
 }
 
 /// One prepared join graph: its APT view and the mining preparation made
@@ -312,6 +320,8 @@ pub struct GraphWork {
     pub join_steps_computed: u64,
     /// Hash indexes the builder built.
     pub index_builds: u64,
+    /// Graphs the builder skipped because a join was over λ_qcost.
+    pub graphs_over_cost: u64,
     /// Candidate columns the preparations read through the call's
     /// [`ReadShare`].
     pub column_reads: u64,
@@ -359,10 +369,12 @@ impl ColumnStatsProvider for WithShare<'_> {
 /// order.
 ///
 /// * **materialize** — one `store` lookup per graph; the misses' views
-///   come from one [`AptBuilder`], made by the first miss and dropped with
-///   the stage. A single materialization is not truncatable, so the
-///   budget boundary sits in front of each graph: past the deadline the
-///   remaining graphs are skipped and the answer covers fewer of them.
+///   come from one [`AptBuilder`] bounded by [`Params::max_cost`], made by
+///   the first miss and dropped with the stage. A single materialization
+///   is not truncatable, so the budget boundary sits in front of each
+///   graph: past the deadline the remaining graphs are skipped and the
+///   answer covers fewer of them. A graph over λ_qcost is skipped too,
+///   whatever the deadline ([`GraphWork::graphs_over_cost`]).
 /// * **prepare** — one [`ReadShare`] planned over the misses' views and
 ///   handed to `prepare` with `stats`; each miss is prepared in `scope`
 ///   under its store latch. Racing callers may both derive a view; only
@@ -396,16 +408,17 @@ pub fn materialize_and_mine(
         let _mem = store.retain();
         let builder = builder.get_or_init(|| {
             let _mem = AllocScope::enter("materialize");
-            AptBuilder::new(db, pt, &prepared.graphs)
+            AptBuilder::new(db, pt, &prepared.graphs, params.max_cost)
         });
-        let (apt, wall) = materialize(builder, gi)?;
-        Ok(Some((gi, Found::View(Arc::new(apt), wall))))
+        let view = materialize(builder, gi)?;
+        Ok(view.map(|(apt, wall)| (gi, Found::View(Arc::new(apt), wall))))
     };
     let found: Result<Vec<_>> = fan_out(params.parallel, &prepared.valid_graph_indices(), find);
     if let Some(builder) = builder.into_inner() {
         work.join_steps = builder.join_steps();
         work.join_steps_computed = builder.join_steps_computed();
         work.index_builds = builder.index_builds();
+        work.graphs_over_cost = builder.graphs_over_cost();
         // Freed where it and its shared joins were allocated: a scope's
         // net is what was allocated minus what was freed under it.
         let _mem = store.retain();

@@ -75,6 +75,20 @@
 //! a filter only drops combinations — so applying a closing edge's filter
 //! at its position instead of after all joins yields the same rows in the
 //! same order.
+//!
+//! # λ_qcost is counted, not estimated
+//!
+//! Paper §4 skips a join graph whose query costs more than λ_qcost. Here
+//! a join step counts its output as it probes and stops at the probe that
+//! would take it past `max_cost` rows, so its vectors never grow past the
+//! bound (each may double once past it), whatever the key skew. The
+//! "over" result is memoized like any other: every graph whose fold
+//! reaches the step is skipped ([`AptBuilder::materialize`] returns
+//! `None`) without probing again. Filters only drop rows and Ω₀ has no
+//! join: neither is bounded. [`Apt::materialize`] folds with no bound.
+//! The memo lives for one ask, so the next ask that misses a skipped
+//! graph re-runs the over-bound step's probe loop up to that probe: at
+//! most the step's input combinations probed and λ_qcost row ids copied.
 
 use std::collections::HashMap;
 use std::ops::Deref;
@@ -299,8 +313,10 @@ impl Apt {
     /// Materializes `APT(Q, D, Ω)` for the given provenance table and join
     /// graph.
     pub fn materialize(db: &Database, pt: &ProvenanceTable, graph: &JoinGraph) -> Result<Apt> {
-        let combos = Kernel::new(db, pt).fold(graph)?;
-        view(db, pt, graph, &combos)
+        match Kernel::new(db, pt, f64::INFINITY).fold(graph)? {
+            Some(combos) => view(db, pt, graph, &combos),
+            None => unreachable!("no join output passes an infinite bound"),
+        }
     }
 
     /// Cell accessor.
@@ -491,13 +507,17 @@ fn cell_of<K: std::hash::Hash + Eq, V>(memo: &Memo<K, V>, key: K) -> Arc<OnceLoc
 struct Kernel<'a> {
     db: &'a Database,
     pt: &'a ProvenanceTable,
+    /// λ_qcost: a join step whose output would pass this many rows is over
+    /// the bound (module docs).
+    max_cost: f64,
     /// The PT node's vector before any step: `0..pt.num_rows`, one for
     /// the kernel, so every fold starts from the same identity.
     pt_ids: RowIds,
     /// One index per `(relation, key column indices)`.
     indexes: Memo<(String, Vec<usize>), KeyIndex>,
-    /// Steps by the identity of what they read (module docs).
-    steps: Memo<StepKey, Pinned<Step>>,
+    /// Steps by the identity of what they read (module docs); `None` for
+    /// a join over λ_qcost.
+    steps: Memo<StepKey, Pinned<Option<Step>>>,
     /// Re-emitted vectors by `(vector address, emission-list address)`;
     /// the list is pinned by its step's entry.
     reemitted: Memo<(usize, usize), Pinned<RowIds>>,
@@ -507,10 +527,11 @@ struct Kernel<'a> {
 }
 
 impl<'a> Kernel<'a> {
-    fn new(db: &'a Database, pt: &'a ProvenanceTable) -> Self {
+    fn new(db: &'a Database, pt: &'a ProvenanceTable, max_cost: f64) -> Self {
         Kernel {
             db,
             pt,
+            max_cost,
             pt_ids: RowIds::new((0..pt.num_rows as u32).collect()),
             indexes: Mutex::default(),
             steps: Mutex::default(),
@@ -521,22 +542,26 @@ impl<'a> Kernel<'a> {
         }
     }
 
-    /// The graph's full join: `extend` folded over its plan, from the PT.
-    fn fold(&self, graph: &JoinGraph) -> Result<Combos> {
+    /// The graph's full join: `extend` folded over its plan, from the PT;
+    /// `None` once a join step is over λ_qcost.
+    fn fold(&self, graph: &JoinGraph) -> Result<Option<Combos>> {
         let mut combos = Combos::pt(self.pt_ids.clone(), graph.nodes.len());
         for ei in edge_order(graph)? {
-            self.extend(graph, &mut combos, ei)?;
+            if !self.extend(graph, &mut combos, ei)? {
+                return Ok(None);
+            }
         }
-        Ok(combos)
+        Ok(Some(combos))
     }
 
     /// Applies edge `ei` of `graph` to `combos`: a hash join when the edge
     /// reaches a node not joined yet, a filter when both endpoints are.
-    fn extend(&self, graph: &JoinGraph, combos: &mut Combos, ei: usize) -> Result<()> {
+    /// `false`, with `combos` as it was, when the join is over λ_qcost.
+    fn extend(&self, graph: &JoinGraph, combos: &mut Combos, ei: usize) -> Result<bool> {
         let e = &graph.edges[ei];
         self.join_steps.fetch_add(1, Ordering::Relaxed);
         match (combos.slot_of(e.from), combos.slot_of(e.to)) {
-            (Some(_), Some(_)) => self.filter(graph, combos, e),
+            (Some(_), Some(_)) => self.filter(graph, combos, e).map(|()| true),
             (Some(_), None) => self.join(graph, combos, ei, e.from, e.to),
             (None, Some(_)) => self.join(graph, combos, ei, e.to, e.from),
             (None, None) => Err(GraphError::Malformed(
@@ -548,7 +573,12 @@ impl<'a> Kernel<'a> {
     /// The step reading `key`'s inputs — `read` are the vectors among them
     /// — from the memo, or `compute`d now: by this caller or by the one it
     /// waits for.
-    fn step(&self, key: StepKey, read: Vec<RowIds>, compute: impl FnOnce() -> Step) -> Step {
+    fn step(
+        &self,
+        key: StepKey,
+        read: Vec<RowIds>,
+        compute: impl FnOnce() -> Option<Step>,
+    ) -> Option<Step> {
         let cell = cell_of(&self.steps, key);
         let (step, _pins) = cell.get_or_init(|| {
             self.join_steps_computed.fetch_add(1, Ordering::Relaxed);
@@ -576,7 +606,8 @@ impl<'a> Kernel<'a> {
     }
 
     /// Hash join of `combos` with the relation of `new_node` along edge
-    /// `ei`, whose `anchor` endpoint is already joined.
+    /// `ei`, whose `anchor` endpoint is already joined; `false`, with
+    /// `combos` as it was, when its output would pass λ_qcost rows.
     fn join(
         &self,
         graph: &JoinGraph,
@@ -584,7 +615,7 @@ impl<'a> Kernel<'a> {
         ei: usize,
         anchor: usize,
         new_node: usize,
-    ) -> Result<()> {
+    ) -> Result<bool> {
         let e = &graph.edges[ei];
         let rel = graph
             .rel_of(new_node)
@@ -613,6 +644,9 @@ impl<'a> Kernel<'a> {
         );
         let read = anchor_sides.iter().map(|s| s.ids.clone()).collect();
         let step = self.step(key, read, || {
+            // The most rows the join may output (the bound's floor); a
+            // negative or NaN bound lets no join through.
+            let cap = (self.max_cost >= 0.0).then_some(self.max_cost as usize)?;
             let index = index_cell.get_or_init(|| {
                 self.index_builds.fetch_add(1, Ordering::Relaxed);
                 let cols: Vec<&Column> = new_cols.iter().map(|&c| table.column(c)).collect();
@@ -620,18 +654,26 @@ impl<'a> Kernel<'a> {
             });
 
             let n = combos.len();
-            let mut new_ids = Vec::with_capacity(n);
+            // Never more room than the bound: the vector may double past
+            // it, not start there.
+            let mut new_ids = Vec::with_capacity(n.min(cap));
             let mut emitted = Emitted::default();
             for i in 0..n {
                 let matches = index.probe(anchor_sides.iter().map(|s| s.value(i)));
+                if new_ids.len() + matches.len() > cap {
+                    return None;
+                }
                 new_ids.extend_from_slice(matches);
                 emitted.push(i, matches.len());
             }
-            Step {
+            Some(Step {
                 picks: emitted.picks.map(Arc::new),
                 new_ids: Some(RowIds::new(new_ids)),
-            }
+            })
         });
+        let Some(step) = step else {
+            return Ok(false);
+        };
         self.emit(combos, &step.picks);
         // `Some`: the entry of a `StepKey::Join` was computed right here.
         combos.ids.extend(step.new_ids);
@@ -639,7 +681,7 @@ impl<'a> Kernel<'a> {
             node: new_node,
             via: Some(ei),
         });
-        Ok(())
+        Ok(true)
     }
 
     /// Keeps the combinations satisfying the condition of `e`, an edge
@@ -662,12 +704,15 @@ impl<'a> Kernel<'a> {
                 let passes = sides.iter().all(|(a, b)| a.value(i).sql_eq(&b.value(i)));
                 emitted.push(i, passes as usize);
             }
-            Step {
+            Some(Step {
                 picks: emitted.picks.map(Arc::new),
                 new_ids: None,
-            }
+            })
         });
-        self.emit(combos, &step.picks);
+        // `Some`: a filter is never over the bound.
+        if let Some(step) = step {
+            self.emit(combos, &step.picks);
+        }
         Ok(())
     }
 
@@ -822,7 +867,9 @@ fn view(db: &Database, pt: &ProvenanceTable, graph: &JoinGraph, combos: &Combos)
 /// [`EnumeratedGraph::parent`].
 ///
 /// A malformed step is not memoized: every graph whose fold reaches it
-/// reports the error it raises, the same one on every call.
+/// reports the error it raises, the same one on every call. A join over
+/// λ_qcost is memoized: every graph whose fold reaches it is skipped
+/// (module docs).
 ///
 /// A builder is meant to live for one ask. The memo pins each vector a
 /// step read or produced; a vector is freed when the builder and every
@@ -830,27 +877,39 @@ fn view(db: &Database, pt: &ProvenanceTable, graph: &JoinGraph, combos: &Combos)
 pub struct AptBuilder<'a> {
     kernel: Kernel<'a>,
     graphs: &'a [EnumeratedGraph],
+    graphs_over_cost: AtomicU64,
 }
 
 impl<'a> AptBuilder<'a> {
     /// A builder over `graphs`, the output of
     /// [`enumerate_join_graphs`](crate::enumerate_join_graphs) for the
-    /// query `pt` is the provenance of.
-    pub fn new(db: &'a Database, pt: &'a ProvenanceTable, graphs: &'a [EnumeratedGraph]) -> Self {
+    /// query `pt` is the provenance of, that skips a graph once one of its
+    /// joins would output more than `max_cost` rows (λ_qcost).
+    pub fn new(
+        db: &'a Database,
+        pt: &'a ProvenanceTable,
+        graphs: &'a [EnumeratedGraph],
+        max_cost: f64,
+    ) -> Self {
         AptBuilder {
-            kernel: Kernel::new(db, pt),
+            kernel: Kernel::new(db, pt, max_cost),
             graphs,
+            graphs_over_cost: AtomicU64::new(0),
         }
     }
 
-    /// Materializes the APT of `graphs[gi]`.
-    pub fn materialize(&self, gi: usize) -> Result<Apt> {
+    /// Materializes the APT of `graphs[gi]`; `None` when one of its joins
+    /// is over λ_qcost — a skip, never an error.
+    pub fn materialize(&self, gi: usize) -> Result<Option<Apt>> {
         let g = self
             .graphs
             .get(gi)
             .ok_or_else(|| GraphError::Malformed(format!("no enumerated graph with index {gi}")))?;
-        let combos = self.kernel.fold(&g.graph)?;
-        view(self.kernel.db, self.kernel.pt, &g.graph, &combos)
+        let Some(combos) = self.kernel.fold(&g.graph)? else {
+            self.graphs_over_cost.fetch_add(1, Ordering::Relaxed);
+            return Ok(None);
+        };
+        view(self.kernel.db, self.kernel.pt, &g.graph, &combos).map(Some)
     }
 
     /// `extend` steps applied so far (hash joins and closing-edge
@@ -870,6 +929,12 @@ impl<'a> AptBuilder<'a> {
     /// Key indexes built so far.
     pub fn index_builds(&self) -> u64 {
         self.kernel.index_builds.load(Ordering::Relaxed)
+    }
+
+    /// [`materialize`](AptBuilder::materialize) calls that skipped their
+    /// graph over λ_qcost.
+    pub fn graphs_over_cost(&self) -> u64 {
+        self.graphs_over_cost.load(Ordering::Relaxed)
     }
 }
 
@@ -1014,6 +1079,32 @@ mod tests {
             .map(|r| apt.value(r, pts_f).as_i64().unwrap())
             .sum();
         assert_eq!(total, 101);
+    }
+
+    /// λ_qcost bounds each join's output exactly — the 5-row scoring join
+    /// passes at 5 and is over at 4 — and at −1 every graph with an edge
+    /// is skipped; Ω₀ never is.
+    #[test]
+    fn cost_threshold_skips_graphs_whose_join_passes_it() {
+        let (db, pt, _q) = setup();
+        let listed = |graph: JoinGraph, parent| EnumeratedGraph {
+            key: graph.key(),
+            graph,
+            valid: true,
+            parent,
+        };
+        let graphs = [
+            listed(JoinGraph::pt_only(), None),
+            listed(scoring_graph(), Some(0)),
+        ];
+        for (max_cost, skipped) in [(5.0, false), (4.0, true), (-1.0, true)] {
+            let builder = AptBuilder::new(&db, &pt, &graphs, max_cost);
+            let apt = builder.materialize(1).unwrap();
+            assert_eq!(apt.is_none(), skipped, "λ_qcost {max_cost}");
+            assert_eq!(builder.graphs_over_cost(), u64::from(skipped));
+            let pt_only = builder.materialize(0).unwrap().expect("Ω₀ has no join");
+            assert_eq!(pt_only.num_rows, pt.num_rows);
+        }
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! `EnumerateJoinGraphs` grows join graphs by one edge per iteration up to
 //! λ#edges, using two extension types per `AddEdge`: (i) attach a *new*
 //! node via a schema-graph condition, (ii) add a parallel/closing edge
-//! between *existing* nodes. Graphs failing `isValid` (primary-key
-//! coverage or estimated cost > λ_qcost) are excluded from mining but —
-//! exactly as in the pseudo-code — still extended in later iterations.
+//! between *existing* nodes. Graphs failing `isValid` are excluded from
+//! mining but — exactly as in the pseudo-code — still extended in later
+//! iterations. `isValid` here is primary-key coverage; the paper's other
+//! half, query cost ≤ λ_qcost, is counted in the join step when a graph
+//! is materialized ([`AptBuilder`](crate::AptBuilder)), not estimated.
 //!
 //! Two deviations from the letter of the pseudo-code. Following the
 //! paper's evaluation, the PT-only graph Ω₀ is also reported (the
@@ -18,10 +20,9 @@
 //! built*. Each listed graph carries its PK deficit (the key attributes no
 //! edge covers yet), a child's deficit follows from its parent's and the
 //! one new edge, and in the round `size == λ#edges` an extension whose
-//! deficit is not empty is counted and dropped before it is keyed, built
-//! or costed. The listing is therefore every graph whose keys are covered
-//! — valid, or `valid: false` on λ_qcost alone — and every graph below the
-//! last size; on the NBA `GSW` query that is 438 graphs for 8 221
+//! deficit is not empty is counted and dropped before it is keyed or
+//! built. The listing is therefore every valid graph and every graph below
+//! the last size; on the NBA `GSW` query that is 438 graphs for 8 221
 //! extensions visited, where building every graph of the last round gave
 //! 3 906, and the same 202 valid ones in the same order.
 //!
@@ -39,7 +40,7 @@
 //! shares its labels (`Arc<str>`) and conditions
 //! ([`Pairs`](crate::Pairs)) with its parent, so copying the parent costs
 //! the graph's two vectors. On the NBA `GSW` query one enumeration
-//! allocates 2 305 heap blocks, about five per listed graph (the graph's
+//! allocates 2 172 heap blocks, about five per listed graph (the graph's
 //! two vectors, its key's two, its PK deficit), where a key built per
 //! extension and names and conditions copied per listed graph took
 //! 15 207, about 35.
@@ -51,7 +52,6 @@ use cajade_query::Query;
 use cajade_storage::rowkey::KeyedState;
 use cajade_storage::Database;
 
-use crate::cost::CostEstimator;
 use crate::join_graph::{
     JgEdge, JgEdgeIds, JgNode, JoinGraph, JoinGraphKey, KeyScratch, NodeLabel,
 };
@@ -63,7 +63,10 @@ use crate::Result;
 pub struct EnumConfig {
     /// λ#edges: maximum number of join-graph edges (Table 1 default: 3).
     pub max_edges: usize,
-    /// λ_qcost: maximum estimated APT row count before a graph is skipped.
+    /// Unread: λ_qcost is counted in the join step, and
+    /// [`AptBuilder::new`](crate::AptBuilder::new) takes it. ROADMAP item
+    /// 15 removes the field with the benchmark code that builds this
+    /// struct by hand.
     pub max_cost: f64,
     /// Enable the primary-key-coverage validity check (§4).
     pub check_pk_coverage: bool,
@@ -87,10 +90,9 @@ impl Default for EnumConfig {
 pub struct EnumeratedGraph {
     /// The graph.
     pub graph: JoinGraph,
-    /// True iff the graph passed `isValid` and should be mined.
+    /// True iff the graph passed `isValid` (primary-key coverage) and
+    /// should be mined.
     pub valid: bool,
-    /// Estimated APT cardinality.
-    pub est_rows: f64,
     /// The graph's canonical key ([`JoinGraph::key`]), computed once here.
     pub key: JoinGraphKey,
     /// Index (into the enumeration output) of the graph this one extends
@@ -104,39 +106,38 @@ pub struct EnumeratedGraph {
 /// (deterministic: a function of the schema graph, the query and `cfg`).
 #[derive(Debug, Clone)]
 pub struct Enumeration {
-    /// In enumeration order: every valid graph, every graph a later round
-    /// could still extend, and the last-round graphs only λ_qcost rules
-    /// out (costing one takes building it, so it is listed like before).
+    /// In enumeration order: every valid graph and every graph a later
+    /// round could still extend.
     pub graphs: Vec<EnumeratedGraph>,
     /// One-edge extensions `ExtendJG` visited, over all rounds.
     pub extensions_visited: u64,
     /// Of those, the last-round extensions dropped on their PK deficit:
-    /// never keyed, built, costed or listed.
+    /// never keyed, built or listed.
     pub extensions_rejected: u64,
 }
 
 /// Algorithm 2's main entry point: [`Enumeration::of`]'s listing.
+/// `_pt_rows`, the size of the query's provenance table, is unread, like
+/// [`EnumConfig::max_cost`], and goes with it.
 pub fn enumerate_join_graphs(
     schema: &SchemaGraph,
     db: &Database,
     query: &Query,
-    pt_rows: usize,
+    _pt_rows: usize,
     cfg: &EnumConfig,
 ) -> Result<Vec<EnumeratedGraph>> {
-    Enumeration::of(schema, db, query, pt_rows, cfg).map(|e| e.graphs)
+    Enumeration::of(schema, db, query, cfg).map(|e| e.graphs)
 }
 
 impl Enumeration {
-    /// Runs Algorithm 2 for `query` over `schema`, `pt_rows` being the
-    /// size of the query's provenance table.
+    /// Runs Algorithm 2 for `query` over `schema`.
     pub fn of(
         schema: &SchemaGraph,
         db: &Database,
         query: &Query,
-        pt_rows: usize,
         cfg: &EnumConfig,
     ) -> Result<Self> {
-        enumerate(schema, db, query, pt_rows, cfg).map(|(e, _)| e)
+        enumerate(schema, db, query, cfg).map(|(e, _)| e)
     }
 }
 
@@ -252,10 +253,8 @@ fn enumerate<'s>(
     schema: &'s SchemaGraph,
     db: &'s Database,
     query: &Query,
-    pt_rows: usize,
     cfg: &EnumConfig,
 ) -> Result<(Enumeration, Vec<Deficit<'s>>)> {
-    let estimator = CostEstimator::new(db, schema)?;
     let relations = Relations::new(schema, db, query, cfg)?;
     // Every listed graph's key, stored once: here while the rounds run,
     // in its listed graph after. Ω₀ is not here: no extension is Ω₀.
@@ -270,7 +269,6 @@ fn enumerate<'s>(
         out.push(EnumeratedGraph {
             graph: omega0.clone(),
             valid: true,
-            est_rows: pt_rows as f64,
             key: omega0.key(),
             parent: None,
         });
@@ -308,12 +306,10 @@ fn enumerate<'s>(
         }
         prev.clear();
         for (graph, parent, deficit) in new_graphs {
-            let est_rows = estimator.estimate_apt_rows(pt_rows, &graph, query);
             prev.push(Some(out.len()));
             out.push(EnumeratedGraph {
                 graph,
-                valid: deficit.is_empty() && est_rows <= cfg.max_cost,
-                est_rows,
+                valid: deficit.is_empty(),
                 key: JoinGraphKey::default(),
                 parent,
             });
@@ -559,7 +555,7 @@ mod tests {
             max_edges: 2,
             ..Default::default()
         };
-        let (e, deficits) = enumerate(&schema, &db, &query, 20, &cfg).unwrap();
+        let (e, deficits) = enumerate(&schema, &db, &query, &cfg).unwrap();
         let listed: Vec<(String, &[(usize, &str)])> = e
             .graphs
             .iter()
@@ -600,19 +596,6 @@ mod tests {
     }
 
     #[test]
-    fn cost_threshold_invalidates_expensive_graphs() {
-        let (db, schema, query) = setup();
-        let cfg = EnumConfig {
-            max_edges: 1,
-            max_cost: 0.5, // everything is too expensive
-            check_pk_coverage: false,
-            include_pt_only: true,
-        };
-        let graphs = enumerate_join_graphs(&schema, &db, &query, 20, &cfg).unwrap();
-        assert!(graphs.iter().skip(1).all(|g| !g.valid));
-    }
-
-    #[test]
     fn dedup_keeps_enumeration_small() {
         let (db, schema, query) = setup();
         let cfg = EnumConfig {
@@ -650,7 +633,7 @@ mod tests {
         query: &Query,
         cfg: &EnumConfig,
     ) -> u64 {
-        let e = Enumeration::of(schema, db, query, 1_000, cfg).unwrap();
+        let e = Enumeration::of(schema, db, query, cfg).unwrap();
         let relations = Relations::new(schema, db, query, cfg).unwrap();
         let mut scratch = KeyScratch::default();
         let mut keyed = 0;

@@ -125,7 +125,6 @@ fn listed(graph: JoinGraph, parent: Option<usize>) -> EnumeratedGraph {
         key: graph.key(),
         graph,
         valid: true,
-        est_rows: 0.0,
         parent,
     }
 }
@@ -191,10 +190,10 @@ fn assert_same_cells(a: &Apt, b: &Apt, what: &str) {
 fn row_preserving_children_share_their_parents_vectors() {
     let (db, pt) = corpus();
     let graphs = tree();
-    let builder = AptBuilder::new(&db, &pt, &graphs);
-    let pt_only = builder.materialize(PT_ONLY).unwrap();
-    let arena = builder.materialize(ARENA).unwrap();
-    let arena_city = builder.materialize(ARENA_CITY).unwrap();
+    let builder = AptBuilder::new(&db, &pt, &graphs, f64::INFINITY);
+    let pt_only = builder.materialize(PT_ONLY).unwrap().unwrap();
+    let arena = builder.materialize(ARENA).unwrap().unwrap();
+    let arena_city = builder.materialize(ARENA_CITY).unwrap().unwrap();
 
     // Every game has its arena and every arena its city: both joins keep
     // each input row exactly once, so the PT's vector goes all the way down
@@ -222,7 +221,7 @@ fn row_preserving_children_share_their_parents_vectors() {
 
     for gi in [PT_ONLY, ARENA, ARENA_CITY] {
         let alone = Apt::materialize(&db, &pt, &graphs[gi].graph).unwrap();
-        assert_same_cells(&builder.materialize(gi).unwrap(), &alone, "graph");
+        assert_same_cells(&builder.materialize(gi).unwrap().unwrap(), &alone, "graph");
     }
 }
 
@@ -230,12 +229,12 @@ fn row_preserving_children_share_their_parents_vectors() {
 fn fan_out_and_lossy_children_share_nothing() {
     let (db, pt) = corpus();
     let graphs = tree();
-    let builder = AptBuilder::new(&db, &pt, &graphs);
-    let pt_only = builder.materialize(PT_ONLY).unwrap();
-    let arena = builder.materialize(ARENA).unwrap();
+    let builder = AptBuilder::new(&db, &pt, &graphs, f64::INFINITY);
+    let pt_only = builder.materialize(PT_ONLY).unwrap().unwrap();
+    let arena = builder.materialize(ARENA).unwrap().unwrap();
 
     // `game ⋈ box`: 0–3 rows per game.
-    let arena_box = builder.materialize(ARENA_BOX).unwrap();
+    let arena_box = builder.materialize(ARENA_BOX).unwrap().unwrap();
     let box_rows = db.table("box").unwrap().num_rows();
     assert_eq!(arena_box.num_rows, box_rows);
     assert!(box_rows > GAMES as usize);
@@ -246,7 +245,7 @@ fn fan_out_and_lossy_children_share_nothing() {
     ));
 
     // `game ⋈ team`: one team per game where there is one.
-    let team = builder.materialize(TEAM).unwrap();
+    let team = builder.materialize(TEAM).unwrap().unwrap();
     assert!(team.num_rows < GAMES as usize && team.num_rows > GAMES as usize / 2);
     assert!(!RowIds::ptr_eq(&team.pt_row, &pt_only.pt_row));
 
@@ -265,15 +264,15 @@ fn fan_out_and_lossy_children_share_nothing() {
 fn materializing_a_row_preserving_child_allocates_one_vector() {
     let (db, pt) = corpus();
     let graphs = tree();
-    let builder = AptBuilder::new(&db, &pt, &graphs);
+    let builder = AptBuilder::new(&db, &pt, &graphs, f64::INFINITY);
     // `city`'s key index and every step of the parent exist; the child's
     // last step — `city` through `arena`'s vector as `box`'s fan-out
     // re-emitted it — has not been computed by anyone.
-    builder.materialize(ARENA_CITY).unwrap();
-    builder.materialize(ARENA_BOX).unwrap();
+    builder.materialize(ARENA_CITY).unwrap().unwrap();
+    builder.materialize(ARENA_BOX).unwrap().unwrap();
     let allocated_by = |scope: &'static str| {
         let guard = AllocScope::enter(scope);
-        let apt = builder.materialize(ARENA_BOX_CITY).unwrap();
+        let apt = builder.materialize(ARENA_BOX_CITY).unwrap().unwrap();
         drop(guard);
         let snapshot = scope_snapshot(scope).expect("scope was entered");
         (apt, snapshot.allocated_bytes as usize)
@@ -315,9 +314,9 @@ fn materializing_a_row_preserving_child_allocates_one_vector() {
 fn steps_reading_the_same_inputs_share_their_vectors() {
     let (db, pt) = corpus();
     let graphs = tree();
-    let builder = AptBuilder::new(&db, &pt, &graphs);
+    let builder = AptBuilder::new(&db, &pt, &graphs, f64::INFINITY);
     let apts: Vec<Apt> = (0..graphs.len())
-        .map(|gi| builder.materialize(gi).unwrap())
+        .map(|gi| builder.materialize(gi).unwrap().unwrap())
         .collect();
 
     // A relation joined twice to the same anchor: one vector in one APT,
@@ -416,9 +415,9 @@ fn pt_row_is_non_decreasing_on_whole_enumerations() {
             &EnumConfig::default(),
         )
         .unwrap();
-        let builder = AptBuilder::new(&gen.db, &pt, &graphs);
+        let builder = AptBuilder::new(&gen.db, &pt, &graphs, f64::INFINITY);
         for gi in (0..graphs.len()).filter(|&gi| graphs[gi].valid) {
-            let apt = builder.materialize(gi).unwrap();
+            let apt = builder.materialize(gi).unwrap().unwrap();
             assert_eq!(apt.pt_row.len(), apt.num_rows);
             assert!(
                 apt.pt_row.windows(2).all(|w| w[0] <= w[1]),

@@ -13,7 +13,7 @@ use cajade_datagen::nba;
 use cajade_graph::{EnumConfig, Enumeration};
 use cajade_obs::alloc::scope_snapshot;
 use cajade_obs::AllocScope;
-use cajade_query::{parse_sql, ProvenanceTable};
+use cajade_query::parse_sql;
 
 #[global_allocator]
 static ALLOC: cajade_obs::TrackingAlloc = cajade_obs::TrackingAlloc;
@@ -30,11 +30,10 @@ fn nba_gsw_enumeration_allocates_per_listed_graph() {
         ..nba::NbaConfig::scaled(0.05)
     });
     let query = parse_sql(GSW_SQL).unwrap();
-    let pt_rows = ProvenanceTable::compute(&gen.db, &query).unwrap().num_rows;
     let cfg = EnumConfig::default();
 
     let guard = AllocScope::enter("test.enumerate_nba_gsw");
-    let e = Enumeration::of(&gen.schema_graph, &gen.db, &query, pt_rows, &cfg).unwrap();
+    let e = Enumeration::of(&gen.schema_graph, &gen.db, &query, &cfg).unwrap();
     drop(guard);
     let blocks = scope_snapshot("test.enumerate_nba_gsw")
         .expect("scope was entered")
@@ -47,9 +46,9 @@ fn nba_gsw_enumeration_allocates_per_listed_graph() {
         (8_221, 7_473),
         "extensions visited / rejected"
     );
-    // Measured: 2 305. Per listed graph its two vectors, its key's two and
-    // its PK deficit; the rest is the NDV pass, the per-relation tables
-    // and the doublings of the listing and the seen set. A key built per
-    // extension and names copied per listed graph took 15 207.
-    assert!(blocks <= 2_500, "{blocks} blocks for one enumeration");
+    // Measured: 2 172. Per listed graph its two vectors, its key's two and
+    // its PK deficit; the rest is the per-relation tables and the
+    // doublings of the listing and the seen set. A key built per extension
+    // and names copied per listed graph took 15 207.
+    assert!(blocks <= 2_350, "{blocks} blocks for one enumeration");
 }

@@ -9,8 +9,8 @@ use std::collections::{HashMap, HashSet};
 
 use cajade_datagen::{mimic, nba, synth, GeneratedDb};
 use cajade_graph::{
-    enumerate_join_graphs, Apt, AptBuilder, CostEstimator, EnumConfig, EnumeratedGraph,
-    Enumeration, GraphError, JgEdge, JgNode, JoinCond, JoinGraph, NodeLabel, SchemaGraph,
+    enumerate_join_graphs, Apt, AptBuilder, EnumConfig, EnumeratedGraph, Enumeration, GraphError,
+    JgEdge, JgNode, JoinCond, JoinGraph, NodeLabel, SchemaGraph,
 };
 use cajade_query::{parse_sql, ProvenanceTable, Query};
 use cajade_storage::{AttrKind, DataType, Database, SchemaBuilder, Value};
@@ -39,7 +39,7 @@ impl Fnv {
     }
 }
 
-/// Graph order, structure, `valid` and `est_rows` of an enumeration.
+/// Graph order, structure and `valid` of an enumeration.
 fn enum_digest(graphs: &[EnumeratedGraph]) -> u64 {
     let mut h = Fnv::new();
     for g in graphs {
@@ -60,7 +60,6 @@ fn enum_digest(graphs: &[EnumeratedGraph]) -> u64 {
             }
         }
         h.u64(g.valid as u64);
-        h.u64(g.est_rows.to_bits());
     }
     h.0
 }
@@ -137,9 +136,10 @@ fn scanned_deficit<'d>(db: &'d Database, g: &JoinGraph) -> Vec<(usize, &'d str)>
     owed
 }
 
-/// Algorithm 2's `isValid`: primary-key coverage + cost threshold.
-fn is_valid(db: &Database, g: &JoinGraph, est_rows: f64, cfg: &EnumConfig) -> bool {
-    (!cfg.check_pk_coverage || scanned_deficit(db, g).is_empty()) && est_rows <= cfg.max_cost
+/// Algorithm 2's `isValid`: primary-key coverage (λ_qcost is the
+/// builder's, [`assert_builder_matches`]).
+fn is_valid(db: &Database, g: &JoinGraph, cfg: &EnumConfig) -> bool {
+    !cfg.check_pk_coverage || scanned_deficit(db, g).is_empty()
 }
 
 /// Algorithm 2's `ExtendJG` + `AddEdge`: every one-edge extension of
@@ -204,15 +204,13 @@ struct Reference {
 
 /// Algorithm 2 as `enumerate_join_graphs` ran it before a last-round graph
 /// was decided on its description: every extension is built and keyed,
-/// every new graph costed, validated by [`is_valid`] and listed.
+/// every new graph validated by [`is_valid`] and listed.
 fn reference_enumeration(
     schema: &SchemaGraph,
     db: &Database,
     query: &Query,
-    pt_rows: usize,
     cfg: &EnumConfig,
 ) -> Reference {
-    let estimator = CostEstimator::new(db, schema).unwrap();
     let omega0 = JoinGraph::pt_only();
     let mut seen = HashSet::from([omega0.key()]);
     let mut graphs = Vec::new();
@@ -221,7 +219,6 @@ fn reference_enumeration(
             key: omega0.key(),
             graph: omega0.clone(),
             valid: true,
-            est_rows: pt_rows as f64,
             parent: None,
         });
     }
@@ -242,12 +239,10 @@ fn reference_enumeration(
         }
         prev.clear();
         for (graph, key, parent) in new_graphs {
-            let est_rows = estimator.estimate_apt_rows(pt_rows, &graph, query);
             prev.push((graph.clone(), Some(graphs.len())));
             graphs.push(EnumeratedGraph {
-                valid: is_valid(db, &graph, est_rows, cfg),
+                valid: is_valid(db, &graph, cfg),
                 graph,
-                est_rows,
                 key,
                 parent,
             });
@@ -262,20 +257,19 @@ fn reference_enumeration(
 
 /// Runs both enumerators. The listing is the reference minus its dead
 /// leaves — the graphs of the last size that fail PK coverage, which no
-/// round is left to complete — in the same order, with the same `key`,
-/// `valid` and `est_rows` bits and the parent links re-indexed; the
-/// deficit carried beside a listed graph is empty exactly when the scanned
-/// one is; and the two counts are the reference's.
+/// round is left to complete — in the same order, with the same `key` and
+/// `valid` and the parent links re-indexed; the deficit carried beside a
+/// listed graph is empty exactly when the scanned one is; and the two
+/// counts are the reference's.
 fn checked_enumeration(
     schema: &SchemaGraph,
     db: &Database,
     query: &Query,
-    pt_rows: usize,
     cfg: &EnumConfig,
     what: &str,
 ) -> (Enumeration, Reference) {
-    let reference = reference_enumeration(schema, db, query, pt_rows, cfg);
-    let listing = Enumeration::of(schema, db, query, pt_rows, cfg).unwrap();
+    let reference = reference_enumeration(schema, db, query, cfg);
+    let listing = Enumeration::of(schema, db, query, cfg).unwrap();
     let mut new_index = vec![None; reference.graphs.len()];
     let mut listed = listing.graphs.iter();
     for (ri, want) in reference.graphs.iter().enumerate() {
@@ -291,17 +285,9 @@ fn checked_enumeration(
         assert_eq!(got.graph, want.graph, "{what}: graph {ri}");
         assert_eq!(got.key, want.key, "{what}: key of graph {ri}");
         assert_eq!(got.valid, want.valid, "{what}: valid of {}", want.key);
-        // (Ω₀ is mineable whatever λ_qcost says.)
         assert_eq!(
-            got.valid,
-            covered && (got.est_rows <= cfg.max_cost || got.graph.edges.is_empty()),
+            got.valid, covered,
             "{what}: carried vs scanned deficit of {}",
-            want.key
-        );
-        assert_eq!(
-            got.est_rows.to_bits(),
-            want.est_rows.to_bits(),
-            "{what}: est_rows of {}",
             want.key
         );
         assert_eq!(
@@ -362,8 +348,7 @@ struct Prepared {
 fn prepare(gen: GeneratedDb, sql: &str, cfg: &EnumConfig) -> Prepared {
     let query: Query = parse_sql(sql).unwrap();
     let pt = ProvenanceTable::compute(&gen.db, &query).unwrap();
-    let (listing, reference) =
-        checked_enumeration(&gen.schema_graph, &gen.db, &query, pt.num_rows, cfg, sql);
+    let (listing, reference) = checked_enumeration(&gen.schema_graph, &gen.db, &query, cfg, sql);
     Prepared {
         gen,
         pt,
@@ -398,22 +383,57 @@ fn assert_tree_shape(graphs: &[EnumeratedGraph]) {
     }
 }
 
-/// `AptBuilder::materialize(gi)` == `Apt::materialize` for the graphs
-/// `pick` selects, and the builder applied one step per edge of each;
-/// returns the digest over the builder's APTs and its index builds.
-fn assert_builder_matches(p: &Prepared, pick: impl Fn(&EnumeratedGraph) -> bool) -> (u64, u64) {
-    let builder = AptBuilder::new(&p.gen.db, &p.pt, &p.graphs);
+/// λ_qcost of the service's default parameters.
+const MAX_COST: f64 = 5_000_000.0;
+
+/// `AptBuilder::materialize(gi)` under λ_qcost `max_cost`, for the graphs
+/// `pick` selects, against an oracle: the graph is skipped iff a graph
+/// with an edge on its `parent` chain (itself included) has an unbounded
+/// `Apt::materialize` of more than `max_cost` rows — a join's output is
+/// the APT of the ancestor that ends with it — and is otherwise that
+/// APT. The builder applied one step per edge of each materialized
+/// graph, and of a skipped one the steps up to the first such ancestor's
+/// last edge. Returns the digest over the builder's APTs, its index
+/// builds and the graphs it skipped.
+fn assert_builder_matches(
+    p: &Prepared,
+    max_cost: f64,
+    pick: impl Fn(&EnumeratedGraph) -> bool,
+) -> (u64, u64, u64) {
+    let builder = AptBuilder::new(&p.gen.db, &p.pt, &p.graphs, max_cost);
+    let alone = |gi: usize| Apt::materialize(&p.gen.db, &p.pt, &p.graphs[gi].graph).unwrap();
+    let mut rows: HashMap<usize, usize> = HashMap::new();
     let mut h = Fnv::new();
-    let mut edges = 0;
+    let (mut steps, mut skipped) = (0, 0);
     for (gi, g) in p.graphs.iter().enumerate().filter(|(_, g)| pick(g)) {
-        let shared = builder.materialize(gi).unwrap();
-        let alone = Apt::materialize(&p.gen.db, &p.pt, &g.graph).unwrap();
-        assert_apt_eq(&shared, &alone, &format!("graph {gi} ({})", g.key));
-        apt_digest(&mut h, &shared);
-        edges += g.graph.edges.len() as u64;
+        let what = format!("graph {gi} ({})", g.key);
+        let mut chain = vec![gi];
+        while let Some(parent) = p.graphs[chain[chain.len() - 1]].parent {
+            chain.push(parent);
+        }
+        let over = chain.into_iter().rev().find(|&a| {
+            let edges = p.graphs[a].graph.edges.len();
+            edges > 0 && *rows.entry(a).or_insert_with(|| alone(a).num_rows) as f64 > max_cost
+        });
+        match (builder.materialize(gi).unwrap(), over) {
+            (Some(shared), None) => {
+                assert_apt_eq(&shared, &alone(gi), &what);
+                apt_digest(&mut h, &shared);
+                steps += g.graph.edges.len() as u64;
+            }
+            (None, Some(a)) => {
+                steps += p.graphs[a].graph.edges.len() as u64;
+                skipped += 1;
+            }
+            (shared, over) => panic!(
+                "{what}: materialized {}, first ancestor over λ_qcost {over:?}",
+                shared.is_some()
+            ),
+        }
     }
-    assert_eq!(builder.join_steps(), edges, "one step applied per edge");
-    (h.0, builder.index_builds())
+    assert_eq!(builder.join_steps(), steps, "steps applied");
+    assert_eq!(builder.graphs_over_cost(), skipped, "graphs skipped");
+    (h.0, builder.index_builds(), skipped)
 }
 
 /// The three benchmark corpora: enumeration output and every valid APT are
@@ -421,7 +441,10 @@ fn assert_builder_matches(p: &Prepared, pick: impl Fn(&EnumeratedGraph) -> bool)
 /// there with this file's `enum_digest` / `apt_digest` over
 /// `Apt::materialize`). `enumerated` and `enum_digest` were recorded when
 /// every graph of the last round was listed, and are the reference's;
-/// `listed`, `visited` and `rejected` describe what is listed now.
+/// `enum_digest` was recorded again, with every other field unchanged, when
+/// the estimated row count left the enumerated graph. `listed`, `visited`
+/// and `rejected` describe what is listed now. At the service's λ_qcost
+/// no valid graph is skipped.
 #[test]
 fn enumeration_and_apts_match_the_recorded_goldens() {
     struct Golden {
@@ -446,7 +469,7 @@ fn enumeration_and_apts_match_the_recorded_goldens() {
                 visited: 8221,
                 rejected: 7473,
                 valid: 202,
-                enum_digest: 0xd5a6_26e4_a420_5f5a,
+                enum_digest: 0x2295_4e59_52eb_81d3,
                 apt_digest: 0x231d_a104_0b69_317d,
                 index_builds: 20,
             },
@@ -460,7 +483,7 @@ fn enumeration_and_apts_match_the_recorded_goldens() {
                 visited: 152,
                 rejected: 118,
                 valid: 18,
-                enum_digest: 0xe95d_81a2_c466_3d2e,
+                enum_digest: 0xb2af_b3f6_d0b8_93a8,
                 apt_digest: 0xab10_8e78_dbcf_3be9,
                 index_builds: 4,
             },
@@ -478,7 +501,7 @@ fn enumeration_and_apts_match_the_recorded_goldens() {
                 visited: 120,
                 rejected: 56,
                 valid: 35,
-                enum_digest: 0x7d0b_cfd8_3723_3492,
+                enum_digest: 0x5872_98c8_8e8f_3ea9,
                 apt_digest: 0xf75c_f01e_2a02_4bc6,
                 index_builds: 4,
             },
@@ -514,7 +537,8 @@ fn enumeration_and_apts_match_the_recorded_goldens() {
         });
         assert_eq!(hopeless.count(), 0, "{name}: reachability cut");
         assert_tree_shape(&p.graphs);
-        let (digest, builds) = assert_builder_matches(&p, |g| g.valid);
+        let (digest, builds, skipped) = assert_builder_matches(&p, MAX_COST, |g| g.valid);
+        assert_eq!(skipped, 0, "{name}: graphs over λ_qcost");
         assert_eq!(digest, want.apt_digest, "{name}: APT digest");
         assert_eq!(builds, want.index_builds, "{name}: index builds");
     }
@@ -815,11 +839,11 @@ fn awkward_joins_match_the_nested_loop_oracle() {
     };
     let graphs = enumerate_join_graphs(&schema, &db, &query, pt.num_rows, &cfg).unwrap();
     assert_tree_shape(&graphs);
-    let builder = AptBuilder::new(&db, &pt, &graphs);
+    let builder = AptBuilder::new(&db, &pt, &graphs, f64::INFINITY);
     let (mut closing, mut second_binding, mut nonempty) = (0, 0, 0);
     for (gi, g) in graphs.iter().enumerate() {
         let what = format!("graph {gi} ({})", g.key);
-        let shared = builder.materialize(gi).unwrap();
+        let shared = builder.materialize(gi).unwrap().unwrap();
         let alone = Apt::materialize(&db, &pt, &g.graph).unwrap();
         assert_apt_eq(&shared, &alone, &what);
         assert_matches_oracle(&db, &pt, &shared, &what);
@@ -859,7 +883,7 @@ fn the_listing_is_the_reference_minus_its_dead_leaves() {
                 ..EnumConfig::default()
             };
             let what = format!("awkward, λ#edges {max_edges}, pk {check_pk_coverage}");
-            let (listing, reference) = checked_enumeration(&schema, &db, &query, 9, &cfg, &what);
+            let (listing, reference) = checked_enumeration(&schema, &db, &query, &cfg, &what);
             // With nothing to check nothing is dropped; with the check on
             // the last round is where the listing shrinks.
             assert_eq!(
@@ -883,7 +907,6 @@ fn listed(graph: JoinGraph, parent: Option<usize>) -> EnumeratedGraph {
         key: graph.key(),
         graph,
         valid: true,
-        est_rows: 0.0,
         parent,
     }
 }
@@ -931,10 +954,10 @@ fn hand_built_graphs_fall_back_to_the_fold() {
         listed(chain.clone(), Some(4)),    // … and points back
         listed(reversed.clone(), Some(99)), // parent out of range
     ];
-    let builder = AptBuilder::new(&db, &pt, &graphs);
+    let builder = AptBuilder::new(&db, &pt, &graphs, f64::INFINITY);
     for (gi, g) in graphs.iter().enumerate().rev() {
         let what = format!("graph {gi}");
-        let shared = builder.materialize(gi).unwrap();
+        let shared = builder.materialize(gi).unwrap().unwrap();
         assert_apt_eq(
             &shared,
             &Apt::materialize(&db, &pt, &g.graph).unwrap(),
@@ -942,7 +965,7 @@ fn hand_built_graphs_fall_back_to_the_fold() {
         );
         assert_matches_oracle(&db, &pt, &shared, &what);
     }
-    assert!(builder.materialize(1).unwrap().num_rows > 0);
+    assert!(builder.materialize(1).unwrap().unwrap().num_rows > 0);
     assert!(matches!(
         builder.materialize(graphs.len()),
         Err(GraphError::Malformed(_))
@@ -1002,7 +1025,7 @@ fn a_parent_error_reaches_every_child_unchanged() {
     let want = Apt::materialize(&db, &pt, &bad).unwrap_err();
     assert!(matches!(want, GraphError::BadCondition(_)), "{want}");
 
-    let builder = AptBuilder::new(&db, &pt, &graphs);
+    let builder = AptBuilder::new(&db, &pt, &graphs, f64::INFINITY);
     // Children first, concurrently: each dependent's fold reaches the
     // failing step — its first — and reports that step's error.
     const THREADS: u64 = 4;
@@ -1019,7 +1042,7 @@ fn a_parent_error_reaches_every_child_unchanged() {
     for gi in [4, 5] {
         let alone = Apt::materialize(&db, &pt, &graphs[gi].graph).unwrap();
         assert_apt_eq(
-            &builder.materialize(gi).unwrap(),
+            &builder.materialize(gi).unwrap().unwrap(),
             &alone,
             &format!("graph {gi}"),
         );
@@ -1089,9 +1112,8 @@ proptest! {
 
     /// On random small schema graphs — composite and missing keys,
     /// self-join edges, alternative and multi-attribute conditions, `r0`
-    /// bound twice in FROM — at every size, with each check on and off
-    /// and under a λ_qcost nothing passes, the listing is the reference
-    /// minus its dead leaves.
+    /// bound twice in FROM — at every size, with each check on and off,
+    /// the listing is the reference minus its dead leaves.
     #[test]
     fn listing_matches_reference_on_random_schema_graphs(
         keys in proptest::collection::vec(0u8..8, 2..5),
@@ -1101,8 +1123,7 @@ proptest! {
         ),
         second_binding in 0usize..4,
         max_edges in 0usize..=3,
-        (check_pk_coverage, include_pt_only, nothing_affordable) in
-            (any::<bool>(), any::<bool>(), any::<bool>()),
+        (check_pk_coverage, include_pt_only) in (any::<bool>(), any::<bool>()),
     ) {
         let (db, schema) = random_schema(&keys, &conds);
         let second = second_binding % keys.len();
@@ -1112,18 +1133,15 @@ proptest! {
         .unwrap();
         let cfg = EnumConfig {
             max_edges,
-            max_cost: if nothing_affordable { -1.0 } else { 5_000_000.0 },
             check_pk_coverage,
             include_pt_only,
+            ..EnumConfig::default()
         };
-        let (listing, reference) = checked_enumeration(&schema, &db, &query, 7, &cfg, "random");
+        let (listing, reference) = checked_enumeration(&schema, &db, &query, &cfg, "random");
         assert_tree_shape(&listing.graphs);
         // `enumerate_join_graphs` is the listing and nothing else.
         let graphs = enumerate_join_graphs(&schema, &db, &query, 7, &cfg).unwrap();
         prop_assert_eq!(graphs.len(), listing.graphs.len());
-        if nothing_affordable {
-            prop_assert!(listing.graphs.iter().all(|g| !g.valid || g.graph.edges.is_empty()));
-        }
         if !check_pk_coverage {
             prop_assert_eq!(listing.graphs.len(), reference.graphs.len());
             prop_assert_eq!(listing.extensions_rejected, 0);
@@ -1134,8 +1152,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// On random small star corpora the builder agrees with the fold on
-    /// every enumerated graph, valid or not.
+    /// On random small star corpora, under a random λ_qcost, the builder
+    /// skips a graph iff the oracle of [`assert_builder_matches`] says so
+    /// and otherwise agrees with the fold, on every enumerated graph,
+    /// valid or not. Under a λ_qcost no join meets, every graph with an
+    /// edge is skipped.
     #[test]
     fn builder_matches_fold_on_random_synth_corpora(
         rows in 20usize..160,
@@ -1143,6 +1164,7 @@ proptest! {
         columns in 1usize..3,
         fanout in 1usize..6,
         seed in 0u64..1_000_000,
+        max_cost in prop_oneof![Just(-1.0), 0.0f64..1_000.0, Just(f64::INFINITY)],
     ) {
         let gen = synth::generate(&synth::SynthConfig {
             rows,
@@ -1154,6 +1176,13 @@ proptest! {
         });
         let p = prepare(gen, synth::SYNTH_SQL, &EnumConfig::default());
         assert_tree_shape(&p.graphs);
-        assert_builder_matches(&p, |g| g.est_rows < 50_000.0);
+        let (_, _, skipped) = assert_builder_matches(&p, max_cost, |_| true);
+        let joined = p.graphs.iter().filter(|g| !g.graph.edges.is_empty()).count() as u64;
+        if max_cost < 0.0 {
+            prop_assert_eq!(skipped, joined);
+        }
+        if max_cost == f64::INFINITY {
+            prop_assert_eq!(skipped, 0);
+        }
     }
 }

@@ -107,11 +107,6 @@ impl ColumnProfile {
         }
     }
 
-    /// Distinct values seen (lower bound once truncated).
-    pub fn distinct_count(&self) -> usize {
-        self.distinct.len()
-    }
-
     /// True iff every cell was non-null and distinct — a single-column
     /// unique key over the scanned rows.
     pub fn is_unique_key(&self) -> bool {
@@ -288,7 +283,7 @@ fn infer_kind(col: &ColumnProfile, is_pk: bool) -> AttrKind {
             if is_pk
                 || id_like(&col.name)
                 || col.is_unique_key()
-                || (!col.distinct_truncated && col.distinct_count() <= SMALL_INT_DOMAIN)
+                || (!col.distinct_truncated && col.distinct.len() <= SMALL_INT_DOMAIN)
             {
                 AttrKind::Categorical
             } else {

@@ -34,10 +34,10 @@ fn corpus(gen: &GeneratedDb, sql: &str) -> (ProvenanceTable, Vec<Apt>) {
         &EnumConfig::default(),
     )
     .unwrap();
-    let builder = AptBuilder::new(&gen.db, &pt, &graphs);
+    let builder = AptBuilder::new(&gen.db, &pt, &graphs, f64::INFINITY);
     let apts = (0..graphs.len())
         .filter(|&gi| graphs[gi].valid)
-        .map(|gi| builder.materialize(gi).unwrap())
+        .map(|gi| builder.materialize(gi).unwrap().unwrap())
         .collect();
     (pt, apts)
 }

@@ -30,6 +30,10 @@ pub(crate) struct ServiceObs {
     pub apt_join_steps_total: Arc<Counter>,
     pub apt_join_steps_computed_total: Arc<Counter>,
     pub apt_index_builds_total: Arc<Counter>,
+    /// Join graphs the asks' `AptBuilder`s skipped because one of their
+    /// joins would output more than λ_qcost rows. Deterministic like the
+    /// join work.
+    pub apt_graphs_over_cost_total: Arc<Counter>,
     /// Candidate columns the asks' preparations read for `filterAttrs`,
     /// and the reads among them that gathered the column rather than take
     /// the gather another graph of the ask had left in its `ReadShare`.
@@ -79,6 +83,7 @@ impl ServiceObs {
             apt_join_steps_total: r.counter("apt_join_steps_total"),
             apt_join_steps_computed_total: r.counter("apt_join_steps_computed_total"),
             apt_index_builds_total: r.counter("apt_index_builds_total"),
+            apt_graphs_over_cost_total: r.counter("apt_graphs_over_cost_total"),
             prepare_column_reads_total: r.counter("prepare_column_reads_total"),
             prepare_column_reads_computed_total: r.counter("prepare_column_reads_computed_total"),
             mine_exact_masks_total: r.counter("mine_exact_masks_total"),

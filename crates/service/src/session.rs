@@ -243,6 +243,7 @@ impl SessionHandle {
         obs.apt_join_steps_computed_total
             .add(work.join_steps_computed);
         obs.apt_index_builds_total.add(work.index_builds);
+        obs.apt_graphs_over_cost_total.add(work.graphs_over_cost);
         obs.prepare_column_reads_total.add(work.column_reads);
         obs.prepare_column_reads_computed_total
             .add(work.column_reads_computed);

@@ -75,10 +75,10 @@ fn computed(service: &ExplanationService) -> usize {
 fn context_columns(gen: &GeneratedDb, sql: &str) -> BTreeSet<(String, String)> {
     let query = parse_sql(sql).unwrap();
     let prepared = pipeline::prepare(&gen.db, &gen.schema_graph, &query, &params()).unwrap();
-    let builder = AptBuilder::new(&gen.db, &prepared.pt, &prepared.graphs);
+    let builder = AptBuilder::new(&gen.db, &prepared.pt, &prepared.graphs, f64::INFINITY);
     let mut columns = BTreeSet::new();
     for gi in prepared.valid_graph_indices() {
-        let (apt, _) = pipeline::materialize(&builder, gi).unwrap();
+        let (apt, _) = pipeline::materialize(&builder, gi).unwrap().unwrap();
         for f in apt.pattern_fields() {
             if let Some((table, column)) = source_column(&apt, f) {
                 columns.insert((table.to_string(), column.to_string()));

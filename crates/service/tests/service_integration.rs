@@ -599,6 +599,64 @@ fn cold_ask_shared_work_is_exact_with_and_without_worker_threads() {
 }
 
 #[test]
+fn a_graph_over_lambda_qcost_is_counted_and_skipped_not_refused() {
+    // λ_qcost 5 000 on the tiny NBA corpus, whose 202 valid graphs have
+    // APTs of 0 to 70 500 rows: a graph one of whose joins would pass the
+    // bound is skipped — counted, marked in the trace, not mined — and the
+    // ask still answers.
+    let mut params = Params::paper();
+    params.max_cost = 5_000.0;
+    let service = tiny_service(ServiceConfig {
+        params,
+        ..ServiceConfig::default()
+    });
+    let query = format!(r#"{{"op":"query","db":"nba","sql":"{GSW_SQL}","preview":false}}"#);
+    let session = handle_line(&service, &query)
+        .get("session")
+        .and_then(Json::as_u64)
+        .unwrap();
+    let ask = |t1: &str, t2: &str| {
+        let line = format!(
+            r#"{{"op":"ask","session":{session},"trace":true,"t1":{{"season_name":"{t1}"}},"t2":{{"season_name":"{t2}"}}}}"#
+        );
+        let answer = handle_line(&service, &line);
+        assert_eq!(
+            answer.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "{answer:?}"
+        );
+        let pipeline = answer.get("pipeline").unwrap();
+        let mined = pipeline.get("graphs_mined").and_then(Json::as_u64).unwrap();
+        let spans = answer.get("trace").and_then(Json::as_array).unwrap();
+        let marked = (spans.iter())
+            .filter(|s| s.get("name").and_then(Json::as_str) == Some("apt_over_cost"))
+            .count() as u64;
+        (mined, marked)
+    };
+    let over = || counters(&service, ["apt_graphs_over_cost_total"])[0];
+
+    let (mined, marked) = ask("2015-16", "2012-13");
+    let skipped = over();
+    // 24 graphs whose APT passes the bound, and 15 whose APT does not but
+    // whose fold goes through a join that does.
+    assert_eq!(skipped, 39, "graphs over λ_qcost");
+    assert_eq!(
+        mined,
+        202 - skipped,
+        "graphs mined: the valid ones not skipped"
+    );
+    assert_eq!(
+        marked, skipped,
+        "one `apt_over_cost` span per skipped graph"
+    );
+
+    // Nothing stores a skip: the next question's ask folds the skipped
+    // graphs again and finds them over again; the mined ones are held.
+    assert_eq!(ask("2014-15", "2012-13"), (mined, skipped));
+    assert_eq!(over(), 2 * skipped);
+}
+
+#[test]
 fn exact_masks_are_filled_once_per_graph_and_predicate() {
     // The winners' exact re-scores read one all-rows mask per predicate,
     // and fill the ones no earlier read filled. On the synthetic star (20

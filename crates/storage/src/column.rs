@@ -1,5 +1,4 @@
 use crate::pool::StrId;
-use crate::rowkey::{KeyedSet, KeyedState};
 use crate::schema::DataType;
 use crate::value::Value;
 use crate::StorageError;
@@ -238,25 +237,6 @@ impl Column {
         }
     }
 
-    /// Number of distinct non-null values (used by the join-graph cost
-    /// estimator, paper §4 "estimateCost").
-    pub fn distinct_count(&self) -> usize {
-        /// Distinct `key`s among the non-null rows, in a keyed hash set.
-        fn count<T: Copy>(data: &[T], nulls: &NullMask, key: impl Fn(T) -> u64) -> usize {
-            let mut seen = KeyedSet::with_capacity_and_hasher(data.len(), KeyedState::default());
-            let present = data.iter().enumerate().filter(|&(i, _)| !nulls.is_null(i));
-            seen.extend(present.map(|(_, &v)| key(v)));
-            seen.len()
-        }
-        match self {
-            Column::Int { data, nulls } => count(data, nulls, |v| v as u64),
-            // Floats by bit pattern: `-0.0` and `0.0`, and NaNs of
-            // different payloads, are different values.
-            Column::Float { data, nulls } => count(data, nulls, f64::to_bits),
-            Column::Str { data, nulls } => count(data, nulls, |v| u64::from(v.0)),
-        }
-    }
-
     /// Gathers the rows at `indices` into a new column (projection helper
     /// used by join materialization).
     pub fn gather(&self, indices: &[usize]) -> Column {
@@ -302,65 +282,6 @@ impl Column {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    /// Distinct `key`s among the non-null rows, by sort + dedup: what
-    /// [`Column::distinct_count`] counted before it hashed.
-    fn sorted_distinct_count(col: &Column) -> usize {
-        fn count<T, K: Ord>(data: &[T], nulls: &NullMask, key: impl Fn(&T) -> K) -> usize {
-            let present = data.iter().enumerate().filter(|&(i, _)| !nulls.is_null(i));
-            let mut keys: Vec<K> = present.map(|(_, v)| key(v)).collect();
-            keys.sort_unstable();
-            keys.dedup();
-            keys.len()
-        }
-        match col {
-            Column::Int { data, nulls } => count(data, nulls, |&v| v),
-            Column::Float { data, nulls } => count(data, nulls, |v| v.to_bits()),
-            Column::Str { data, nulls } => count(data, nulls, |&v| v),
-        }
-    }
-
-    /// The cell of `dtype` (0 = Int, 1 = Float, 2 = Str) that `pick`
-    /// (0..10) names: a small, repeating domain with NULLs, and for floats
-    /// NaNs of two payloads, ±0.0 and ±inf.
-    fn cell(dtype: u8, pick: u8) -> Value {
-        let floats = [
-            f64::NAN,
-            f64::from_bits(f64::NAN.to_bits() ^ 1),
-            -0.0,
-            0.0,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            1.5,
-            -2.0,
-            f64::MAX,
-        ];
-        match (dtype, pick) {
-            (_, 0) => Value::Null,
-            (0, 1) => Value::Int(i64::MIN),
-            (0, 2) => Value::Int(i64::MAX),
-            (0, p) => Value::Int(i64::from(p) - 6),
-            (1, p) => Value::Float(floats[usize::from(p) - 1]),
-            (_, p) => Value::Str(StrId(u32::from(p) % 7)),
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(512))]
-        /// The hashed count is the sort + dedup count, on every type.
-        #[test]
-        fn prop_distinct_count_is_sort_and_dedup(
-            dtype in 0u8..3,
-            picks in proptest::collection::vec(0u8..10, 0..150),
-        ) {
-            let mut col = Column::new([DataType::Int, DataType::Float, DataType::Str][usize::from(dtype)]);
-            for p in picks {
-                col.push(cell(dtype, p), "x").unwrap();
-            }
-            prop_assert_eq!(col.distinct_count(), sorted_distinct_count(&col));
-        }
-    }
 
     #[test]
     fn nullmask_roundtrip() {
@@ -408,45 +329,6 @@ mod tests {
         let mut c = Column::new(DataType::Int);
         let err = c.push(Value::Float(1.5), "pts").unwrap_err();
         assert!(matches!(err, StorageError::TypeMismatch { .. }));
-    }
-
-    #[test]
-    fn distinct_count_ignores_nulls() {
-        let mut c = Column::new(DataType::Int);
-        for v in [1, 2, 2, 3] {
-            c.push(Value::Int(v), "x").unwrap();
-        }
-        c.push(Value::Null, "x").unwrap();
-        assert_eq!(c.distinct_count(), 3);
-    }
-
-    #[test]
-    fn distinct_count_is_by_bits_over_the_non_null_rows() {
-        let mut c = Column::new(DataType::Float);
-        let nan_payload = f64::from_bits(f64::NAN.to_bits() ^ 1);
-        for v in [0.0, -0.0, 0.0, f64::NAN, nan_payload, f64::NAN, 1.5] {
-            c.push(Value::Float(v), "x").unwrap();
-        }
-        c.push(Value::Null, "x").unwrap();
-        // 0.0, -0.0, two NaNs, 1.5; the null's placeholder 0.0 is not a
-        // sixth.
-        assert_eq!(c.distinct_count(), 5);
-
-        let mut c = Column::new(DataType::Str);
-        for v in [Value::Null, Value::Str(StrId(7)), Value::Str(StrId(7))] {
-            c.push(v, "x").unwrap();
-        }
-        // StrId(0) under the null is not StrId(7)'s neighbour.
-        assert_eq!(c.distinct_count(), 1);
-
-        for dtype in [DataType::Int, DataType::Float, DataType::Str] {
-            let mut c = Column::new(dtype);
-            assert_eq!(c.distinct_count(), 0);
-            for _ in 0..70 {
-                c.push(Value::Null, "x").unwrap();
-            }
-            assert_eq!(c.distinct_count(), 0, "all-null {dtype:?}");
-        }
     }
 
     #[test]
