@@ -21,8 +21,9 @@
 //!   table9   ranking quality vs ratings (Table 9; SIMULATED ratings)
 //!   ablation design-choice ablations (§3/§4 optimizations)
 //!   all      everything above
-//!   scope    question-scoped vs group-global preparation, side by side
-//!            (docs/ARCHITECTURE.md "Two scopes, one body"; not in `all`)
+//!   scope    the library's question-scoped `explain` vs the server's
+//!            group-global ask, side by side (docs/ARCHITECTURE.md "Two
+//!            scopes, one body"; not in `all`)
 //!
 //! flags:
 //!   --scale <f>   harness scale relative to the paper's scale-1.0
@@ -50,16 +51,15 @@ use cajade_bench::workloads::{
     CaseQuestion, Workload,
 };
 use cajade_core::{
-    pipeline, Explanation, ExplanationSession, Params, SessionResult, SessionTimings, UserQuestion,
+    Explanation, ExplanationSession, Params, SessionResult, SessionTimings, UserQuestion,
 };
 use cajade_datagen::synth::{self, SynthConfig, SYNTH_SQL};
 use cajade_datagen::{scale::duplicate_scale, GeneratedDb};
 use cajade_graph::Apt;
 use cajade_metrics::{dcg, mean, top_k_overlap};
-use cajade_mining::{
-    lca_candidates, mine_apt, mine_prepared, prepare_apt, Question, Scorer, SelAttr,
-};
+use cajade_mining::{lca_candidates, mine_apt, Question, Scorer, SelAttr};
 use cajade_query::{parse_sql, ProvenanceTable};
+use cajade_service::{ExplanationService, ServiceConfig};
 
 #[derive(Debug, Clone)]
 struct Args {
@@ -917,12 +917,14 @@ fn ablation(args: &Args) {
     println!("{}", t.render());
 }
 
-/// Algorithm 1's two preparation scopes on the same questions: per join
-/// graph, `mine_apt` (feature selection and LCA sample on the question's
-/// rows — the library) against `prepare_apt` + `mine_prepared` (on every
-/// output group — the service), each globally ranked. `Params::paper()`
-/// at `--edges`, the case questions with their ban lists plus the
-/// synthetic corpus's planted `g0` story.
+/// Algorithm 1's two preparation scopes on the same questions: the
+/// library's `ExplanationSession::explain` (feature selection and LCA
+/// sample on the question's rows) against a cold ask of an
+/// `ExplanationService` under the same `Params` (each graph prepared once
+/// for every output group, with the registration's base-column
+/// statistics — the server's answer). `Params::paper()` at `--edges`, the
+/// case questions with their ban lists plus the synthetic corpus's
+/// planted `g0` story.
 fn scope(args: &Args) {
     println!("## Scope — question-scoped (q) vs group-global (g) preparation\n");
     let mut t = Table::new(&[
@@ -936,29 +938,15 @@ fn scope(args: &Args) {
     let mut compare = |name: String, gen: &GeneratedDb, sql: &str, asked, banned: &[&str]| {
         let mut params = Params::paper().with_max_edges(args.edges);
         params.mining.banned_attrs = banned.iter().map(|s| s.to_string()).collect();
-        let (db, mining) = (&gen.db, &params.mining);
-        let query = parse_sql(sql).unwrap();
-        let prepared = pipeline::prepare(db, &gen.schema_graph, &query, &params).unwrap();
-        let pt = &prepared.pt;
-        let question = pipeline::resolve_question(db, &query, pt, &asked).unwrap();
-        let mut found: [Vec<Explanation>; 2] = Default::default();
-        let mut evaluated = [0usize; 2];
-        for gi in prepared.valid_graph_indices() {
-            let apt = Apt::materialize(db, pt, &prepared.graphs[gi].graph).unwrap();
-            let global = prepare_apt(&apt, pt, mining);
-            let outcomes = [
-                mine_apt(&apt, pt, &question, mining),
-                mine_prepared(&global, &apt, pt, &question, mining),
-            ];
-            for (side, outcome) in outcomes.iter().enumerate() {
-                evaluated[side] += outcome.patterns_evaluated;
-                found[side].extend(outcome.explanations.iter().map(|m| {
-                    let primary = pipeline::group_label(db, &query, pt, m.primary_group);
-                    Explanation::from_mined(m, &apt, db.pool(), primary, gi)
-                }));
-            }
-        }
-        let [q, g] = found.map(|all| pipeline::rank(all, &params));
+        let library = ExplanationSession::new(&gen.db, &gen.schema_graph, params.clone());
+        let q = library.explain(&parse_sql(sql).unwrap(), &asked).unwrap();
+        let service = ExplanationService::new(ServiceConfig {
+            params,
+            ..ServiceConfig::default()
+        });
+        service.register_database("db", gen.db.clone(), gen.schema_graph.clone());
+        let session = service.open_session("db", sql).unwrap();
+        let g = session.ask(&asked).unwrap().result;
         let keys = |ranked: &[Explanation]| -> Vec<String> {
             let parts = ranked
                 .iter()
@@ -970,13 +958,14 @@ fn scope(args: &Args) {
             let top: Vec<f64> = ranked.iter().take(k).map(|e| e.metrics.f_score).collect();
             format!("{:.3}", mean(&top))
         };
+        let (qe, ge) = (&q.explanations, &g.explanations);
         t.row(vec![
             name,
-            at(&|k| top_k_overlap(&keys(&q), &keys(&g), k).to_string()),
-            at(&|k| mean_f(&q, k)),
-            at(&|k| mean_f(&g, k)),
-            format!("{} / {}", q.len(), g.len()),
-            format!("{} / {}", evaluated[0], evaluated[1]),
+            at(&|k| top_k_overlap(&keys(qe), &keys(ge), k).to_string()),
+            at(&|k| mean_f(qe, k)),
+            at(&|k| mean_f(ge, k)),
+            format!("{} / {}", qe.len(), ge.len()),
+            format!("{} / {}", q.patterns_evaluated, g.patterns_evaluated),
         ]);
     };
 

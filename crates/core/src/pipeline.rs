@@ -12,6 +12,7 @@
 //! travel behind `Arc` so a cache can hand one to many sessions.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -154,13 +155,22 @@ pub fn materialize(
     builder: &AptBuilder<'_>,
     graph_index: usize,
 ) -> Result<Option<(Apt, Duration)>> {
+    let (apt, wall) = materialize_timed(builder, graph_index)?;
+    Ok(apt.map(|apt| (apt, wall)))
+}
+
+/// [`materialize`], with the wall time of a graph over λ_qcost too.
+fn materialize_timed(
+    builder: &AptBuilder<'_>,
+    graph_index: usize,
+) -> Result<(Option<Apt>, Duration)> {
     let stage = Stage::open_as("materialize_apt", "materialize");
     let apt = builder.materialize(graph_index)?;
     let wall = stage.finish();
     if apt.is_none() {
         drop(span("apt_over_cost"));
     }
-    Ok(apt.map(|apt| (apt, wall)))
+    Ok((apt, wall))
 }
 
 /// One prepared join graph: its APT view and the mining preparation made
@@ -322,6 +332,10 @@ pub struct GraphWork {
     pub index_builds: u64,
     /// Graphs the builder skipped because a join was over λ_qcost.
     pub graphs_over_cost: u64,
+    /// Wall time the skipped graphs' `materialize_apt` stages took: the
+    /// partial folds, which [`assemble`] counts in
+    /// [`SessionTimings::materialize_apts`].
+    pub over_cost_wall: Duration,
     /// Candidate columns the preparations read through the call's
     /// [`ReadShare`].
     pub column_reads: u64,
@@ -398,6 +412,7 @@ pub fn materialize_and_mine(
 
     let materialize_span = span("materialize");
     let builder: OnceLock<AptBuilder<'_>> = OnceLock::new();
+    let over_cost_ns = AtomicU64::new(0);
     let find = |&gi: &usize| -> Result<Option<(usize, Found)>> {
         if cajade_obs::budget::stop("materialize") {
             return Ok(None);
@@ -410,10 +425,16 @@ pub fn materialize_and_mine(
             let _mem = AllocScope::enter("materialize");
             AptBuilder::new(db, pt, &prepared.graphs, params.max_cost)
         });
-        let view = materialize(builder, gi)?;
-        Ok(view.map(|(apt, wall)| (gi, Found::View(Arc::new(apt), wall))))
+        match materialize_timed(builder, gi)? {
+            (Some(apt), wall) => Ok(Some((gi, Found::View(Arc::new(apt), wall)))),
+            (None, wall) => {
+                over_cost_ns.fetch_add(wall.as_nanos() as u64, Ordering::Relaxed);
+                Ok(None)
+            }
+        }
     };
     let found: Result<Vec<_>> = fan_out(params.parallel, &prepared.valid_graph_indices(), find);
+    work.over_cost_wall = Duration::from_nanos(over_cost_ns.into_inner());
     if let Some(builder) = builder.into_inner() {
         work.join_steps = builder.join_steps();
         work.join_steps_computed = builder.join_steps_computed();
@@ -496,15 +517,18 @@ pub fn rank(all: Vec<Explanation>, params: &Params) -> Vec<Explanation> {
 }
 
 /// Assembles per-graph outcomes into a [`SessionResult`], accumulating
-/// timings and applying the ranking stage: [`rank`]'s walk over every
-/// graph's mined explanations, reading pattern text and collapse keys off
-/// the graphs' APTs, then [`Explanation::from_mined`] for the ones it
-/// keeps. Each primary group is labelled once.
+/// timings (plus, from the `work` of the call that mined them, the wall
+/// of the graphs it skipped over λ_qcost) and applying the ranking stage:
+/// [`rank`]'s walk over every graph's mined explanations, reading pattern
+/// text and collapse keys off the graphs' APTs, then
+/// [`Explanation::from_mined`] for the ones it keeps. Each primary group
+/// is labelled once.
 pub fn assemble(
     db: &Database,
     query: &Query,
     prepared: &PreparedQuery,
     outcomes: Vec<GraphOutcome>,
+    work: &GraphWork,
     params: &Params,
 ) -> SessionResult {
     let rank = Stage::open("rank");
@@ -539,6 +563,7 @@ pub fn assemble(
     let mut timings = SessionTimings {
         provenance: prepared.provenance_time,
         jg_enum: prepared.jg_enum_time,
+        materialize_apts: work.over_cost_wall,
         ..Default::default()
     };
     let num_graphs_mined = outcomes.len();

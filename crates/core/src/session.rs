@@ -84,7 +84,7 @@ pub struct SessionResult {
     /// Per-phase timings.
     pub timings: SessionTimings,
     /// Join graphs enumeration listed: the valid ones, and the invalid
-    /// ones a later round could still extend or only λ_qcost rules out.
+    /// ones a later round could still extend.
     pub num_graphs_enumerated: usize,
     /// Join graphs that passed `isValid` and were mined.
     pub num_graphs_mined: usize,
@@ -145,7 +145,7 @@ impl<'a> ExplanationSession<'a> {
     pub fn explain(&self, query: &Query, question: &UserQuestion) -> Result<SessionResult> {
         let prepared = pipeline::prepare(self.db, self.schema_graph, query, &self.params)?;
         let mining_question = pipeline::resolve_question(self.db, query, &prepared.pt, question)?;
-        let outcomes = pipeline::materialize_and_mine(
+        let (outcomes, work) = pipeline::materialize_and_mine(
             self.db,
             &prepared,
             &mining_question,
@@ -153,13 +153,13 @@ impl<'a> ExplanationSession<'a> {
             &self.params,
             &pipeline::NoSharedStats,
             &pipeline::KeepNothing,
-        )
-        .0?;
+        );
         Ok(pipeline::assemble(
             self.db,
             query,
             &prepared,
-            outcomes,
+            outcomes?,
+            &work,
             &self.params,
         ))
     }

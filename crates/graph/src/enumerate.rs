@@ -26,9 +26,9 @@
 //! extensions visited, where building every graph of the last round gave
 //! 3 906, and the same 202 valid ones in the same order.
 //!
-//! Every reported graph carries its key and the index of the graph it was
-//! grown from, so later stages reuse both instead of deriving them again:
-//! the key is the service's APT cache key, and the parent link lets
+//! Every reported graph carries its key — the one deduplication compared;
+//! no cache is keyed by it, a query's graphs are looked up by enumeration
+//! index — and the index of the graph it was grown from, which lets
 //! [`AptBuilder`](crate::AptBuilder) materialize a graph as its parent's
 //! join result plus one edge.
 //!

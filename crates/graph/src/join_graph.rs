@@ -181,8 +181,7 @@ impl JoinGraph {
     /// The graph's canonical key: two graphs get equal keys iff they are
     /// isomorphic under a node permutation that fixes the PT node and
     /// preserves labels. Used for deduplication during enumeration —
-    /// `ExtendJG` generates the same graph along many paths — and as the
-    /// service's APT cache key.
+    /// `ExtendJG` generates the same graph along many paths.
     ///
     /// The key is the minimum, over all such permutations, of (non-PT
     /// labels in permuted order, sorted edge tuples). Labels compare
@@ -359,10 +358,9 @@ type EdgeTuple = [usize; 6];
 /// A hashable canonical join-graph key: two graphs get equal keys iff
 /// they are isomorphic under a PT-fixing, label-preserving node
 /// permutation (see [`JoinGraph::key`]). Enumeration computes it once per
-/// graph ([`EnumeratedGraph::key`](crate::EnumeratedGraph::key)); it is the
-/// cache key the service layer uses to share one materialized APT between
-/// all sessions asking about the same join-graph structure. The default
-/// key is Ω₀'s.
+/// graph ([`EnumeratedGraph::key`](crate::EnumeratedGraph::key)), which
+/// keeps it. No cache is keyed by it: a query's graphs are indexed by
+/// their position in its enumeration. The default key is Ω₀'s.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct JoinGraphKey {
     /// Non-PT node labels in canonical position order, each followed by

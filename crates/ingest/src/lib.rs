@@ -42,7 +42,8 @@
 //! Both passes run on [`cajade_storage::csv::CsvTokenizer`]: one read
 //! and one UTF-8 check per file and pass, and one reused
 //! [`cajade_storage::csv::Record`], so neither allocates per line or per
-//! cell (the load hands [`Table::push_row`] one `Vec` per row). A file's
+//! cell (the load appends each cell straight to its column and hands the
+//! columns to [`Table::from_columns`]). A file's
 //! bytes are dropped when its item ends.
 //!
 //! The result plugs straight into

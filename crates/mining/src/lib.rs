@@ -57,5 +57,5 @@ pub use score::{PatternMetrics, Question, Scorer};
 pub use share::ReadShare;
 pub use stats::{
     base_column_stats, compute_column_stats, source_column, BaseTableStats, ColumnStats,
-    ColumnStatsConfig, ColumnStatsProvider, NoSharedStats,
+    ColumnStatsConfig, ColumnStatsProvider, ColumnStatsTable, NoSharedStats,
 };

@@ -14,9 +14,10 @@
 //! [`MiningParams`] knobs — not on the join graph, the question, or the
 //! APT's row multiset. This module defines the seam that lets a caller
 //! share them: [`ColumnStatsProvider`] is injected into
-//! [`prepare_apt_with`](crate::prepared::prepare_apt_with), the service
-//! backs it with one table of statistics per registered database, and the
-//! one-shot pipeline wires the [`NoSharedStats`] pass-through (per-APT
+//! [`prepare_apt_with`](crate::prepared::prepare_apt_with),
+//! [`ColumnStatsTable`] is the one memo of them (the service keeps one per
+//! registered database, [`BaseTableStats`] reads one), and the one-shot
+//! pipeline wires the [`NoSharedStats`] pass-through (per-APT
 //! computation, bit-identical to the historical behaviour).
 //!
 //! **Deliberate deviation** (documented like the others in
@@ -31,11 +32,12 @@
 //! benefit that the same column refines with the same thresholds in every
 //! graph.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use cajade_graph::Apt;
 use cajade_ml::BinSpec;
-use cajade_storage::{AttrKind, Column};
+use cajade_obs::Counter;
+use cajade_storage::{AttrKind, Column, Database};
 
 use crate::featsel::FeatSelConfig;
 use crate::fragments::quantile_boundaries;
@@ -93,8 +95,8 @@ impl ColumnStatsConfig {
 /// `column_stats` is consulted once per `(table, column)` a preparation
 /// touches; returning `None` makes that column fall back to per-APT
 /// computation. Implementations are expected to be cheap once a column
-/// has been analysed (the service's is an index into the registration's
-/// table and a pointer clone) and must be consistent for the lifetime of
+/// has been analysed ([`BaseTableStats`]' is a name lookup and a
+/// pointer clone) and must be consistent for the lifetime of
 /// one preparation — the same column must not answer with different
 /// statistics mid-run.
 pub trait ColumnStatsProvider: Sync {
@@ -209,14 +211,11 @@ fn column_cat_key(col: &Column, r: usize) -> Option<u64> {
     }
 }
 
-/// Resolves `table.column` in `db` and computes its shared statistics;
-/// `None` when the table or column does not exist. The one resolution +
-/// computation path shared by every provider over a base
-/// [`Database`](cajade_storage::Database) (the service's
-/// per-registration table, [`BaseTableStats`], benches, tests) — so they
-/// can never drift apart in how a column maps to stats.
+/// Resolves `table.column` in `db` and computes its shared statistics,
+/// memoizing nothing; `None` when the table or column does not exist.
+/// What a [`ColumnStatsTable`] cell holds once filled.
 pub fn base_column_stats(
-    db: &cajade_storage::Database,
+    db: &Database,
     table: &str,
     column: &str,
     cfg: &ColumnStatsConfig,
@@ -230,43 +229,80 @@ pub fn base_column_stats(
     ))
 }
 
-/// Memo of already-analyzed columns: `(table, column)` → stats (`None`
-/// memoizes unresolvable columns too).
-type StatsMemo = std::collections::HashMap<(String, String), Option<Arc<ColumnStats>>>;
-
-/// A memoizing [`ColumnStatsProvider`] over one base [`Database`]: each
-/// requested column is analyzed once ([`base_column_stats`]) and served
-/// from an internal map afterwards. This is the provider for direct API
-/// users, benches, and tests; the service keeps the same statistics in
-/// the registration of the database they describe.
-///
-/// [`Database`]: cajade_storage::Database
-pub struct BaseTableStats<'a> {
-    db: &'a cajade_storage::Database,
+/// The memo of base-column statistics: one once-initialised cell per
+/// base column of a database, `[table][column]` in catalog order, empty
+/// until a preparation first asks for the column. The first requester
+/// fills a cell from the base table, under the `db.column_stats` alloc
+/// scope, and bumps the table's counter; concurrent requesters of one
+/// column wait for the one computing it, and every later graph, ask and
+/// session takes a pointer clone. The service keeps one per registration
+/// (its counter is `column_stats_computed_total`); [`BaseTableStats`]
+/// reads one.
+#[derive(Debug)]
+pub struct ColumnStatsTable {
+    cells: Vec<Vec<OnceLock<Arc<ColumnStats>>>>,
     cfg: ColumnStatsConfig,
-    memo: std::sync::Mutex<StatsMemo>,
+    computed: Arc<Counter>,
+}
+
+impl ColumnStatsTable {
+    /// Empty cells for every column of `db`, filled under `cfg`; each
+    /// fill adds 1 to `computed`.
+    pub fn new(db: &Database, cfg: ColumnStatsConfig, computed: Arc<Counter>) -> Self {
+        let empty = |t: &cajade_storage::Table| (0..t.num_columns()).map(|_| OnceLock::new());
+        ColumnStatsTable {
+            cells: db.tables().iter().map(|t| empty(t).collect()).collect(),
+            cfg,
+            computed,
+        }
+    }
+
+    /// Columns analysed so far.
+    pub fn filled(&self) -> usize {
+        let cells = self.cells.iter().flatten();
+        cells.filter(|cell| cell.get().is_some()).count()
+    }
+}
+
+/// The [`ColumnStatsProvider`] over one base [`Database`]: a lookup is a
+/// name resolution and a pointer clone of the column's cell in a
+/// [`ColumnStatsTable`], which it fills on the column's first request
+/// ([`compute_column_stats`]). An unresolvable `(table, column)` answers
+/// `None`.
+pub struct BaseTableStats<'a> {
+    db: &'a Database,
+    table: Arc<ColumnStatsTable>,
 }
 
 impl<'a> BaseTableStats<'a> {
-    /// Provider over `db` with the given stats config.
-    pub fn new(db: &'a cajade_storage::Database, cfg: ColumnStatsConfig) -> Self {
-        BaseTableStats {
-            db,
-            cfg,
-            memo: std::sync::Mutex::new(std::collections::HashMap::new()),
-        }
+    /// Provider over `db` with the given stats config, over a fresh
+    /// table of its own.
+    pub fn new(db: &'a Database, cfg: ColumnStatsConfig) -> Self {
+        let table = ColumnStatsTable::new(db, cfg, Arc::default());
+        BaseTableStats::over(db, Arc::new(table))
+    }
+
+    /// Provider over `db` reading `table`, which must have been made
+    /// over `db`'s catalog.
+    pub fn over(db: &'a Database, table: Arc<ColumnStatsTable>) -> Self {
+        BaseTableStats { db, table }
     }
 }
 
 impl ColumnStatsProvider for BaseTableStats<'_> {
     fn column_stats(&self, table: &str, column: &str) -> Option<Arc<ColumnStats>> {
-        let key = (table.to_string(), column.to_string());
-        if let Some(memoized) = self.memo.lock().unwrap().get(&key) {
-            return memoized.clone();
-        }
-        let stats = base_column_stats(self.db, table, column, &self.cfg).map(Arc::new);
-        self.memo.lock().unwrap().insert(key, stats.clone());
-        stats
+        let ti = self.db.table_index(table)?;
+        let t = &self.db.tables()[ti];
+        let ci = t.schema().field_index(column)?;
+        let memo = &self.table;
+        let stats = memo.cells.get(ti)?.get(ci)?.get_or_init(|| {
+            // The table's owner retains them.
+            let _mem = cajade_obs::AllocScope::enter("db.column_stats");
+            memo.computed.inc();
+            let kind = t.schema().fields[ci].kind;
+            Arc::new(compute_column_stats(t.column(ci), kind, &memo.cfg))
+        });
+        Some(Arc::clone(stats))
     }
 }
 

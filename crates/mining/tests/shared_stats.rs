@@ -5,17 +5,25 @@
 //! * an injected provider's base-table statistics replace the per-APT
 //!   computation for context columns (and only for context columns — PT
 //!   fields never consult the provider),
-//! * mining through a shared preparation still returns explanations.
+//! * mining through a shared preparation still returns explanations,
+//! * the one memo, `ColumnStatsTable`: a lookup of an analysed column
+//!   allocates nothing, and readers racing on one column analyse it once.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 
 use cajade_graph::{Apt, JgEdge, JgNode, JoinCond, JoinGraph, NodeLabel};
 use cajade_mining::{
     base_column_stats, fragments::fragment_boundaries, mine_prepared, prepare_apt,
-    prepare_apt_with, ColumnStats, ColumnStatsConfig, ColumnStatsProvider, MiningParams, Question,
+    prepare_apt_with, BaseTableStats, ColumnStats, ColumnStatsConfig, ColumnStatsProvider,
+    ColumnStatsTable, MiningParams, Question,
 };
+use cajade_obs::alloc::scope_snapshot;
+use cajade_obs::{AllocScope, Counter};
 use cajade_query::{parse_sql, ProvenanceTable};
 use cajade_storage::{AttrKind, DataType, Database, SchemaBuilder, Value};
+
+#[global_allocator]
+static ALLOC: cajade_obs::TrackingAlloc = cajade_obs::TrackingAlloc;
 
 /// Provider that serves base-table statistics and logs every request.
 struct LoggingProvider {
@@ -153,4 +161,48 @@ fn shared_stats_replace_per_apt_fragments_for_context_columns() {
     let question = Question::TwoPoint { t1: 0, t2: 1 };
     let outcome = mine_prepared(&shared, &apt, &pt, &question, &params);
     assert!(!outcome.explanations.is_empty());
+}
+
+/// A lookup of an analysed column is a name resolution and a pointer
+/// clone. (A memo keyed by owned `(String, String)` pairs took 2 blocks
+/// per lookup, hits included.)
+#[test]
+fn a_second_lookup_of_an_analysed_column_allocates_nothing() {
+    let (db, _, _) = fixture();
+    let stats = BaseTableStats::new(&db, ColumnStatsConfig::from_params(&params()));
+    let first = stats.column_stats("ctx", "y").unwrap();
+    let guard = AllocScope::enter("test.second_lookup");
+    let second = stats.column_stats("ctx", "y").unwrap();
+    drop(guard);
+    assert!(Arc::ptr_eq(&first, &second));
+    let snapshot = scope_snapshot("test.second_lookup").expect("scope was entered");
+    assert_eq!(snapshot.allocated_blocks, 0);
+    assert!(stats.column_stats("ctx", "nope").is_none());
+    assert!(stats.column_stats("nope", "y").is_none());
+}
+
+/// Eight readers released together on one column all get the one `Arc`
+/// its cell holds, and the table analysed the column once.
+#[test]
+fn readers_racing_on_one_column_analyse_it_once() {
+    let (db, _, _) = fixture();
+    let computed = Arc::new(Counter::default());
+    let cfg = ColumnStatsConfig::from_params(&params());
+    let table = Arc::new(ColumnStatsTable::new(&db, cfg, Arc::clone(&computed)));
+    let start = Barrier::new(8);
+    let got: Vec<Arc<ColumnStats>> = std::thread::scope(|s| {
+        let readers: Vec<_> = (0..8)
+            .map(|_| {
+                s.spawn(|| {
+                    let stats = BaseTableStats::over(&db, Arc::clone(&table));
+                    start.wait();
+                    stats.column_stats("ctx", "y").unwrap()
+                })
+            })
+            .collect();
+        readers.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    assert!(got.iter().all(|stats| Arc::ptr_eq(stats, &got[0])));
+    assert_eq!(computed.get(), 1);
+    assert_eq!(table.filled(), 1);
 }

@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// A monotonically increasing counter.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
 
 impl Counter {

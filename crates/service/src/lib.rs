@@ -46,7 +46,6 @@
 #![deny(clippy::disallowed_methods)]
 
 pub mod cache;
-mod colstats;
 mod error;
 pub mod json;
 mod keys;

@@ -16,6 +16,7 @@ use cajade_core::pipeline::{GraphStore, PreparedGraph, PreparedQuery};
 use cajade_core::Params;
 use cajade_graph::{EnumeratedGraph, SchemaGraph};
 use cajade_ingest::{IngestOptions, IngestReport};
+use cajade_mining::{ColumnStatsConfig, ColumnStatsTable};
 use cajade_obs::faults::{self, Site};
 use cajade_obs::{AllocScope, Counter};
 use cajade_query::parse_sql;
@@ -23,7 +24,6 @@ use cajade_storage::Database;
 use parking_lot::{Mutex, RwLock};
 
 use crate::cache::{CacheObs, CacheStats, LruCache};
-use crate::colstats::ColumnStatsTable;
 use crate::keys::{AnswerKey, ProvKey};
 use crate::obs::ServiceObs;
 use crate::session::SessionHandle;
@@ -228,7 +228,9 @@ pub struct RegisteredDb {
     pub schema_graph: SchemaGraph,
     /// The statistics of its base columns, each analysed when a
     /// preparation first asks for it. Shared with the registration an
-    /// identical re-registration replaced, dropped with the last one.
+    /// identical re-registration replaced, dropped with the last one: an
+    /// ask still running on replaced content reads and fills the table it
+    /// pinned.
     pub(crate) column_stats: Arc<ColumnStatsTable>,
 }
 
@@ -420,7 +422,11 @@ impl ExplanationService {
             Some(existing) => (existing.epoch, Arc::clone(&existing.column_stats)),
             None => (
                 self.inner.next_epoch.fetch_add(1, Ordering::Relaxed),
-                Arc::new(ColumnStatsTable::new(&db)),
+                Arc::new(ColumnStatsTable::new(
+                    &db,
+                    ColumnStatsConfig::from_params(&self.inner.params.mining),
+                    Arc::clone(&self.inner.obs.column_stats_computed_total),
+                )),
             ),
         };
         let registered = RegisteredDb {
@@ -655,7 +661,7 @@ mod tests {
     /// and `apt_cache.bytes` grows by exactly those masks' bytes; an
     /// answer-cache hit fills nothing and leaves it unchanged.
     #[test]
-    fn apt_cache_bytes_grow_by_exactly_the_filled_exact_masks() {
+    fn entry_charge_grows_by_exactly_the_filled_exact_masks() {
         let gen = cajade_datagen::nba::generate(cajade_datagen::nba::NbaConfig::tiny());
         let service = ExplanationService::new(ServiceConfig::default());
         service.register_database("nba", gen.db, gen.schema_graph);

@@ -29,11 +29,11 @@ use std::time::Duration;
 
 use cajade_core::pipeline;
 use cajade_core::{SessionResult, UserQuestion};
+use cajade_mining::BaseTableStats;
 use cajade_obs::faults::{self, Site};
 use cajade_obs::{span, Collector, SpanRecord, Stage};
 use cajade_query::Query;
 
-use crate::colstats::DbColumnStats;
 use crate::keys::{AnswerKey, ProvKey};
 use crate::service::{EntrySlots, QueryEntry, RegisteredDb, ServiceInner};
 use crate::{Result, ServiceError};
@@ -214,7 +214,7 @@ impl SessionHandle {
             entry: &entry,
             obs: &inner.apt_obs,
         };
-        let col_stats = DbColumnStats::new(&inner, &reg);
+        let col_stats = BaseTableStats::over(&reg.db, Arc::clone(&reg.column_stats));
         let filled = entry.filled();
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             pipeline::materialize_and_mine(
@@ -255,8 +255,14 @@ impl SessionHandle {
         let apt_cache_hits = outcomes.len() - apt_cache_misses;
 
         // ---- Stage 5: assemble + rank. ----------------------------------
-        let mut result =
-            pipeline::assemble(&reg.db, &self.query, prepared, outcomes, &inner.params);
+        let mut result = pipeline::assemble(
+            &reg.db,
+            &self.query,
+            prepared,
+            outcomes,
+            &work,
+            &inner.params,
+        );
         if provenance_cache_hit {
             // Those phases were skipped; report the latency actually paid.
             result.timings.provenance = Duration::ZERO;

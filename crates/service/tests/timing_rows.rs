@@ -165,6 +165,37 @@ fn traced_cold_and_warm_asks_time_each_row_by_its_stage_spans() {
     }
 }
 
+/// A graph over λ_qcost leaves its partial fold in a `materialize_apt`
+/// span and in the `materialize_apts` row: at λ_qcost 5 000 on the tiny
+/// NBA corpus a cold ask skips 39 of its 202 valid graphs.
+#[test]
+fn graphs_skipped_over_lambda_qcost_count_in_the_materialize_row() {
+    let mut params = Params::paper();
+    params.max_cost = 5_000.0;
+    let service = ExplanationService::new(ServiceConfig {
+        params,
+        ..ServiceConfig::default()
+    });
+    let gen = nba::generate(nba::NbaConfig::tiny());
+    service.register_database("nba", gen.db, gen.schema_graph);
+    let session = service.open_session("nba", GSW_SQL).unwrap();
+    let traced = AskOptions {
+        trace: true,
+        timeout: None,
+    };
+    let cold = (session.ask_with(
+        &UserQuestion::two_point(&[("season_name", "2015-16")], &[("season_name", "2012-13")]),
+        &traced,
+    ))
+    .unwrap();
+    let spans = cold.trace.expect("traced");
+    assert_eq!(count(&spans, "apt_over_cost"), 39);
+    assert_eq!(count(&spans, "materialize_apt"), 202);
+    assert_eq!(cold.result.num_graphs_mined, 202 - 39);
+    let rows = session_rows(&cold.result.timings);
+    assert_rows_are_spans("cold ask over λ_qcost", &rows, &spans);
+}
+
 #[test]
 fn collected_ingest_times_each_row_by_its_stage_span() {
     let dir = format!("{}/../../tests/data/retail_csv", env!("CARGO_MANIFEST_DIR"));
