@@ -233,7 +233,7 @@ fn bench_hist_tree_fit() {
 /// fit: `20000x7` is `e2e_bench`'s `ml_micro` (the largest `synth_wide`
 /// APT's 7 numeric columns, 20 trees over full-size bootstraps);
 /// `5000x23x4tasks` is one group-global `filterAttrs` on the star —
-/// `max_train_rows` rows, four one-vs-rest tasks of 5 trees on
+/// `featsel::MAX_TRAIN_ROWS` rows, four one-vs-rest tasks of 5 trees on
 /// quarter-size bootstraps.
 fn bench_hist_forest_fit() {
     let cols = binned_fixture(20_000, 7, |_| false);
@@ -262,9 +262,10 @@ fn bench_hist_forest_fit() {
     });
 }
 
-/// One categorical pair of the association matrix: `max_assoc_rows`
-/// rows, a low-cardinality column against another one and against an
-/// id-like one (dense first-appearance codes of a 5 000-row gather).
+/// One categorical pair of the association matrix:
+/// `featsel::MAX_ASSOC_ROWS` rows, a low-cardinality column against
+/// another one and against an id-like one (dense first-appearance codes
+/// of a 5 000-row gather).
 fn bench_cramers_v() {
     let xs: Vec<u32> = (0..512).map(|i| mix(i, 1, 30) as u32).collect();
     for distinct in [30usize, 3000] {
@@ -278,7 +279,7 @@ fn bench_cramers_v() {
 /// One graph's association matrix in `filterAttrs`: the 16 measured
 /// candidates, six numeric and ten categorical of at most 6 codes (NBA's
 /// mix of pairs: a sixth numeric, a third categorical, half mixed), over
-/// an NBA APT's 168 rows and over `max_assoc_rows`.
+/// an NBA APT's 168 rows and over `featsel::MAX_ASSOC_ROWS`.
 fn bench_assoc_matrix() {
     for rows in [168usize, 512] {
         let cols: Vec<FeatureColumn> = (0..16)

@@ -479,7 +479,10 @@ fn fig10be(args: &Args) {
 }
 
 /// Fig. 10f–g: NDCG and top-10 recall of sampled F-score ranking vs the
-/// full-data ranking, per λ#edges.
+/// full-data ranking, per λ#edges, beside the mean exact F of the truth's
+/// top-10 and of each sampled top-10 (every returned explanation's F is
+/// re-scored over all rows): the identity key counts a threshold one
+/// fragment away as a miss, the mean F shows what such a miss costs.
 fn fig10fg(args: &Args) {
     println!("## Figure 10f–g — ranking quality under λ_F1-samp\n");
     for (name, gen, cq) in [
@@ -495,19 +498,39 @@ fn fig10fg(args: &Args) {
                     .take(10)
                     .collect()
             };
+            // An empty top-10 has no mean F: "—", not a 0 it did not score.
+            let mean_f = |r: &SessionResult| -> String {
+                let top: Vec<f64> = (r.explanations.iter().take(10))
+                    .map(|e| e.metrics.f_score)
+                    .collect();
+                match top.len() {
+                    0 => "—".to_string(),
+                    n => format!("{:.3}", top.iter().sum::<f64>() / n as f64),
+                }
+            };
             let mut p = harness_params(args).with_f1_sample_rate(1.0);
             p.max_edges = edges;
-            let truth = key_list(&run_case(&gen, &cq, p));
+            let full = run_case(&gen, &cq, p);
+            let (truth, truth_f) = (key_list(&full), mean_f(&full));
 
-            let mut t = Table::new(&["λF1-samp", "NDCG", "top-10 recall"]);
+            let mut t = Table::new(&[
+                "λF1-samp",
+                "NDCG",
+                "top-10 recall",
+                "truth mean F",
+                "mean F",
+            ]);
             for rate in [0.1, 0.3, 0.5, 0.7] {
                 let mut p = harness_params(args).with_f1_sample_rate(rate);
                 p.max_edges = edges;
-                let predicted = key_list(&run_case(&gen, &cq, p));
+                let sampled = run_case(&gen, &cq, p);
+                let predicted = key_list(&sampled);
                 t.row(vec![
                     rate.to_string(),
                     format!("{:.3}", ndcg_against(&truth, &predicted)),
                     format!("{:.2}", top_k_overlap(&truth, &predicted, 10) as f64 / 10.0),
+                    truth_f.clone(),
+                    mean_f(&sampled),
                 ]);
             }
             println!("### {name}, λ#edges={edges}\n{}", t.render());

@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use cajade_graph::{Apt, AptBuilder, EnumConfig, EnumeratedGraph, Enumeration, SchemaGraph};
 use cajade_mining::{
-    mine_prepared, ColumnStats, ExactMaskWork, MinedExplanation, MiningTimings, PreparedApt,
+    mine_prepared, ColumnStats, MinedExplanation, MiningOutcome, MiningTimings, PreparedApt,
     Question, ReadShare,
 };
 pub use cajade_mining::{ColumnStatsProvider, NoSharedStats};
@@ -143,24 +143,16 @@ pub fn group_label(db: &Database, query: &Query, pt: &ProvenanceTable, group: us
 }
 
 /// Stage 3: materializes `APT(Q, D, Ω)` for enumerated graph
-/// `graph_index` (Definition 4) and reports the wall time it took;
-/// `None` when one of the graph's joins is over λ_qcost, which leaves an
-/// `apt_over_cost` span after the graph's `materialize_apt` span.
+/// `graph_index` (Definition 4) inside its `materialize_apt` stage and
+/// reports the stage's wall time; the APT is `None` when one of the
+/// graph's joins is over λ_qcost, which leaves an `apt_over_cost` span
+/// after the stage.
 ///
 /// `builder` is the ask's [`AptBuilder`]: it shares join work along the
 /// enumeration tree, so the time reported here includes any ancestor's
 /// join that this call was the first to need and excludes the ones
 /// another graph already paid for.
-pub fn materialize(
-    builder: &AptBuilder<'_>,
-    graph_index: usize,
-) -> Result<Option<(Apt, Duration)>> {
-    let (apt, wall) = materialize_timed(builder, graph_index)?;
-    Ok(apt.map(|apt| (apt, wall)))
-}
-
-/// [`materialize`], with the wall time of a graph over λ_qcost too.
-fn materialize_timed(
+fn materialize_apt(
     builder: &AptBuilder<'_>,
     graph_index: usize,
 ) -> Result<(Option<Apt>, Duration)> {
@@ -233,7 +225,8 @@ impl GraphStore for KeepNothing {
     }
 }
 
-/// Everything one mined join graph contributes to the session result.
+/// What one mined join graph contributes to the ranking; the work it
+/// took is summed in the call's [`GraphWork`].
 #[derive(Debug)]
 pub struct GraphOutcome {
     /// This graph's top-k, unrendered: [`assemble`] renders the ones the
@@ -245,52 +238,30 @@ pub struct GraphOutcome {
     pub graph_index: usize,
     /// `(structure, APT rows, APT attributes)` — the Fig. 10a statistics.
     pub apt_stat: (String, usize, usize),
-    /// Wall-clock spent materializing this graph's APT (zero on a cache
-    /// hit in the service path).
-    pub materialize: Duration,
-    /// Mining-phase timings.
-    pub mining: MiningTimings,
-    /// Patterns evaluated while mining this APT.
-    pub patterns: usize,
-    /// What the exact re-score read and filled of the graph's
-    /// preparation's all-rows masks.
-    pub exact_masks: ExactMaskWork,
 }
 
 /// Stage 4: mines one prepared graph inside its `mine_apt` stage,
 /// rendering nothing: rendering is stage 5's, for the explanations it
 /// keeps. `graph_index` is the graph's index within the session's
-/// enumeration; `materialize_time` is attributed to this outcome for the
-/// Fig. 10 style breakdown. When `prep_computed` is set, the preparation
-/// ran as part of this ask and its phase timings are attributed to the
-/// outcome; on a warm [`PreparedApt`] the feature-selection /
-/// candidate-generation / sampling / prepare phases report zero — the ask
-/// skipped them.
+/// enumeration. Returns the graph's [`GraphOutcome`] and what mining it
+/// took — the [`MiningOutcome`], its explanations moved into the former.
 fn mine_one_prepared(
     pt: &ProvenanceTable,
     graph: &PreparedGraph,
     question: &Question,
     params: &Params,
     graph_index: usize,
-    materialize_time: Duration,
-    prep_computed: bool,
-) -> GraphOutcome {
+) -> (GraphOutcome, MiningOutcome) {
     let _stage = Stage::open_as("mine_apt", "mine");
-    let (apt, prep) = (&graph.apt, &graph.prep);
-    let mut outcome = mine_prepared(prep, apt, pt, question, &params.mining);
-    if prep_computed {
-        outcome.timings.accumulate(&prep.prep_timings);
-    }
-    GraphOutcome {
-        mined: outcome.explanations,
+    let apt = &graph.apt;
+    let mut outcome = mine_prepared(&graph.prep, apt, pt, question, &params.mining);
+    let mined = GraphOutcome {
+        mined: std::mem::take(&mut outcome.explanations),
         apt: Arc::clone(apt),
         graph_index,
         apt_stat: (apt.graph.structure_string(), apt.num_rows, apt.fields.len()),
-        materialize: materialize_time,
-        mining: outcome.timings,
-        patterns: outcome.patterns_evaluated,
-        exact_masks: outcome.exact_masks,
-    }
+    };
+    (mined, outcome)
 }
 
 /// The pipeline's one fan-out: maps `f` over `items`, results in input
@@ -321,7 +292,9 @@ where
 }
 
 /// What [`materialize_and_mine`] computed — zero for what a store already
-/// held.
+/// held — and the time it took: one tally per call, each sum made in the
+/// stage that measures it. [`assemble`] reads its timings and pattern
+/// count.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GraphWork {
     /// Join steps the missing graphs' folds applied, one per edge.
@@ -332,10 +305,10 @@ pub struct GraphWork {
     pub index_builds: u64,
     /// Graphs the builder skipped because a join was over λ_qcost.
     pub graphs_over_cost: u64,
-    /// Wall time the skipped graphs' `materialize_apt` stages took: the
-    /// partial folds, which [`assemble`] counts in
-    /// [`SessionTimings::materialize_apts`].
-    pub over_cost_wall: Duration,
+    /// Wall time of every `materialize_apt` stage the call ran, the
+    /// skipped graphs' partial folds included
+    /// ([`SessionTimings::materialize_apts`]).
+    pub materialize: Duration,
     /// Candidate columns the preparations read through the call's
     /// [`ReadShare`].
     pub column_reads: u64,
@@ -343,8 +316,16 @@ pub struct GraphWork {
     pub column_reads_computed: u64,
     /// Graphs this call prepared.
     pub graphs_prepared: usize,
+    /// Mining-phase timings of every mined graph, plus the preparation
+    /// phases of the graphs this call prepared; on a graph the store held
+    /// the feature-selection / candidate-generation / sampling / prepare
+    /// phases add nothing — the call skipped them.
+    pub mining: MiningTimings,
+    /// Patterns evaluated across the mined graphs.
+    pub patterns_evaluated: usize,
     /// All-rows predicate masks the exact re-scores read, one per
-    /// predicate of every winner ([`ExactMaskWork::reads`]).
+    /// predicate of every winner
+    /// ([`ExactMaskWork::reads`](cajade_mining::ExactMaskWork::reads)).
     pub exact_masks: u64,
     /// Of those, the masks this call filled.
     pub exact_masks_computed: u64,
@@ -357,9 +338,8 @@ pub struct GraphWork {
 enum Found {
     /// The prepared graph the store holds.
     Held(Arc<PreparedGraph>),
-    /// The view of a graph the store does not hold, and what it took to
-    /// derive.
-    View(Arc<Apt>, Duration),
+    /// The view of a graph the store does not hold.
+    View(Arc<Apt>),
 }
 
 /// The caller's statistics provider, plus the call's share of reads.
@@ -394,8 +374,8 @@ impl ColumnStatsProvider for WithShare<'_> {
 ///   under its store latch. Racing callers may both derive a view; only
 ///   one prepares it.
 /// * **mine** — `mine_one_prepared` per graph, for `question`; the
-///   exact re-scores' mask reads and fills are summed into the
-///   [`GraphWork`].
+///   mining timings, patterns evaluated and the exact re-scores' mask
+///   reads and fills are summed into the [`GraphWork`].
 ///
 /// The [`GraphWork`] comes back also when a materialization fails.
 pub fn materialize_and_mine(
@@ -412,7 +392,7 @@ pub fn materialize_and_mine(
 
     let materialize_span = span("materialize");
     let builder: OnceLock<AptBuilder<'_>> = OnceLock::new();
-    let over_cost_ns = AtomicU64::new(0);
+    let materialize_ns = AtomicU64::new(0);
     let find = |&gi: &usize| -> Result<Option<(usize, Found)>> {
         if cajade_obs::budget::stop("materialize") {
             return Ok(None);
@@ -425,16 +405,12 @@ pub fn materialize_and_mine(
             let _mem = AllocScope::enter("materialize");
             AptBuilder::new(db, pt, &prepared.graphs, params.max_cost)
         });
-        match materialize_timed(builder, gi)? {
-            (Some(apt), wall) => Ok(Some((gi, Found::View(Arc::new(apt), wall)))),
-            (None, wall) => {
-                over_cost_ns.fetch_add(wall.as_nanos() as u64, Ordering::Relaxed);
-                Ok(None)
-            }
-        }
+        let (apt, wall) = materialize_apt(builder, gi)?;
+        materialize_ns.fetch_add(wall.as_nanos() as u64, Ordering::Relaxed);
+        Ok(apt.map(|apt| (gi, Found::View(Arc::new(apt)))))
     };
     let found: Result<Vec<_>> = fan_out(params.parallel, &prepared.valid_graph_indices(), find);
-    work.over_cost_wall = Duration::from_nanos(over_cost_ns.into_inner());
+    work.materialize = Duration::from_nanos(materialize_ns.into_inner());
     if let Some(builder) = builder.into_inner() {
         work.join_steps = builder.join_steps();
         work.join_steps_computed = builder.join_steps_computed();
@@ -455,7 +431,7 @@ pub fn materialize_and_mine(
     let prepare_span = span("prepare");
     let mut views = (found.iter())
         .filter_map(|(_, f)| match f {
-            Found::View(view, _) => Some(view.as_ref()),
+            Found::View(view) => Some(view.as_ref()),
             Found::Held(_) => None,
         })
         .peekable();
@@ -465,11 +441,11 @@ pub fn materialize_and_mine(
         ReadShare::plan(views)
     });
     let stats = WithShare { stats, share };
-    // `(graph, materialization wall, whether this call prepared it)`.
+    // `(graph, whether this call prepared it)`.
     let prepare_one = |(gi, found): &(usize, Found)| {
-        let (apt, wall) = match found {
-            Found::Held(graph) => return (*gi, Arc::clone(graph), Duration::ZERO, false),
-            Found::View(view, wall) => (view, *wall),
+        let apt = match found {
+            Found::Held(graph) => return (*gi, Arc::clone(graph), false),
+            Found::View(view) => view,
         };
         let (graph, prepared) = store.graph_or_prepare(*gi, || {
             let _mem = store.retain();
@@ -478,12 +454,15 @@ pub fn materialize_and_mine(
             let apt = Arc::clone(apt);
             PreparedGraph { apt, prep }
         });
-        (*gi, graph, wall, prepared)
+        (*gi, graph, prepared)
     };
     let ready: Vec<_> = fan_out(params.parallel, &found, prepare_one);
     // The views of graphs another caller prepared first.
     drop(found);
-    work.graphs_prepared = ready.iter().filter(|(_, _, _, prepared)| *prepared).count();
+    for (_, graph, _) in ready.iter().filter(|(_, _, prepared)| *prepared) {
+        work.graphs_prepared += 1;
+        work.mining.accumulate(&graph.prep.prep_timings);
+    }
     if let Some(share) = stats.share {
         (work.column_reads, work.column_reads_computed) = share.column_reads();
         // Whatever a reader that never came left in it is freed where the
@@ -495,11 +474,13 @@ pub fn materialize_and_mine(
     drop(prepare_span);
 
     let _mine_span = span("mine");
-    let mine_one = |(gi, graph, wall, prepared): &(usize, Arc<PreparedGraph>, Duration, bool)| {
-        mine_one_prepared(pt, graph, question, params, *gi, *wall, *prepared)
+    let mine_one = |(gi, graph, _): &(usize, Arc<PreparedGraph>, bool)| {
+        mine_one_prepared(pt, graph, question, params, *gi)
     };
-    let outcomes: Vec<GraphOutcome> = fan_out(params.parallel, &ready, mine_one);
-    for ((_, graph, _, _), outcome) in ready.iter().zip(&outcomes) {
+    let mined: Vec<(GraphOutcome, MiningOutcome)> = fan_out(params.parallel, &ready, mine_one);
+    for ((_, graph, _), (_, outcome)) in ready.iter().zip(&mined) {
+        work.mining.accumulate(&outcome.timings);
+        work.patterns_evaluated += outcome.patterns_evaluated;
         let masks = outcome.exact_masks;
         work.exact_masks += masks.reads;
         work.exact_masks_computed += masks.computed;
@@ -507,6 +488,7 @@ pub fn materialize_and_mine(
             work.exact_mask_bytes += masks.bytes;
         }
     }
+    let outcomes = mined.into_iter().map(|(outcome, _)| outcome).collect();
     (Ok(outcomes), work)
 }
 
@@ -516,9 +498,9 @@ pub fn rank(all: Vec<Explanation>, params: &Params) -> Vec<Explanation> {
     rank_and_collapse(all, params.top_k_global, params.collapse_near_duplicates)
 }
 
-/// Assembles per-graph outcomes into a [`SessionResult`], accumulating
-/// timings (plus, from the `work` of the call that mined them, the wall
-/// of the graphs it skipped over λ_qcost) and applying the ranking stage:
+/// Assembles per-graph outcomes into a [`SessionResult`], its timings and
+/// pattern count from the `work` of the call that mined them, applying
+/// the ranking stage:
 /// [`rank`]'s walk over every graph's mined explanations, reading pattern
 /// text and collapse keys off the graphs' APTs, then
 /// [`Explanation::from_mined`] for the ones it keeps. Each primary group
@@ -560,21 +542,14 @@ pub fn assemble(
         })
         .collect();
     drop(rank);
-    let mut timings = SessionTimings {
+    let timings = SessionTimings {
         provenance: prepared.provenance_time,
         jg_enum: prepared.jg_enum_time,
-        materialize_apts: work.over_cost_wall,
-        ..Default::default()
+        materialize_apts: work.materialize,
+        mining: work.mining,
     };
     let num_graphs_mined = outcomes.len();
-    let mut apt_stats = Vec::new();
-    let mut patterns_evaluated = 0usize;
-    for o in outcomes {
-        timings.materialize_apts += o.materialize;
-        timings.mining.accumulate(&o.mining);
-        apt_stats.push(o.apt_stat);
-        patterns_evaluated += o.patterns;
-    }
+    let apt_stats = outcomes.into_iter().map(|o| o.apt_stat).collect();
     // When a budget is installed (and still is at assembly — the service
     // calls `assemble` inside the budget scope), surface what truncated.
     let truncated: Vec<String> = cajade_obs::budget::current()
@@ -586,9 +561,8 @@ pub fn assemble(
         num_graphs_enumerated: prepared.graphs.len(),
         num_graphs_mined,
         pt_rows: prepared.pt.num_rows,
-        result: prepared.result.clone(),
         apt_stats,
-        patterns_evaluated,
+        patterns_evaluated: work.patterns_evaluated,
         degraded: !truncated.is_empty(),
         truncated,
     }

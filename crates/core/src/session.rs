@@ -7,7 +7,7 @@
 //! cache for interactive multi-question sessions.
 
 use cajade_graph::SchemaGraph;
-use cajade_query::{Query, QueryResult};
+use cajade_query::Query;
 use cajade_storage::Database;
 
 use crate::explanation::Explanation;
@@ -76,7 +76,9 @@ impl UserQuestion {
     }
 }
 
-/// Everything a session produces.
+/// Everything a session produces for one question. The query's own result
+/// is not in it: it is question-independent, and a caller that shows it
+/// reads [`PreparedQuery::result`](crate::pipeline::PreparedQuery::result).
 #[derive(Debug, Clone)]
 pub struct SessionResult {
     /// Globally-ranked explanations (top `params.top_k_global`).
@@ -90,8 +92,6 @@ pub struct SessionResult {
     pub num_graphs_mined: usize,
     /// Provenance-table size `|PT(Q, D)|`.
     pub pt_rows: usize,
-    /// The query's result (for display).
-    pub result: QueryResult,
     /// Per mined join graph: `(structure, APT rows, APT attributes)` —
     /// the Fig. 10a statistics.
     pub apt_stats: Vec<(String, usize, usize)>,

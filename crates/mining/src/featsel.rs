@@ -16,7 +16,7 @@
 //! each numeric column **once**, and trains [`HistForest`]s whose
 //! per-node split search reads class histograms instead of re-scanning
 //! rows. It therefore trains on the λ_F1 sample (the rows the index
-//! covers) — the `max_train_rows` reservoir cap usually dominates either
+//! covers) — the [`MAX_TRAIN_ROWS`] reservoir cap usually dominates either
 //! way. `cajade_ml`'s row-rescanning float `RandomForest` remains that
 //! crate's reference for the histogram trainer (its
 //! `…_on_lossless_binning` tests); no mining run goes through it.
@@ -87,30 +87,37 @@ impl FeatureSelection {
     }
 }
 
-/// Configuration for feature selection.
+/// Minimum mutual association for clustering two attributes (VARCLUS's
+/// merge threshold).
+pub const CLUSTER_THRESHOLD: f64 = 0.9;
+
+/// Cap on training rows (runtime guard; sampled uniformly above it).
+pub const MAX_TRAIN_ROWS: usize = 5000;
+
+/// Bin budget per column (numeric quantile bins / retained categorical
+/// values). Twice the float reference trainer's per-node threshold cap,
+/// since global bins must serve every node.
+pub const HIST_BINS: usize = 32;
+
+/// Row cap for the association-matrix estimate (strided subsample over
+/// the group-sorted training rows). The matrix only feeds a thresholded
+/// clustering decision, so a few hundred rows estimate it as well as
+/// thousands. At this cap the `featsel_assoc` span — the pairwise
+/// measures, then the clustering — is a quarter of the phase on NBA's
+/// few-hundred-row APTs (the measures a fifth) and an eighth on
+/// 20 000-row ones (the measures a tenth); ROADMAP item 3 has the
+/// measured split.
+pub const MAX_ASSOC_ROWS: usize = 512;
+
+/// What a caller chooses of feature selection; everything else is one of
+/// this module's constants ([`CLUSTER_THRESHOLD`], [`MAX_TRAIN_ROWS`],
+/// [`HIST_BINS`], [`MAX_ASSOC_ROWS`]).
 #[derive(Debug, Clone)]
 pub struct FeatSelConfig {
     /// λ#sel-attr.
     pub sel_attr: SelAttr,
-    /// Minimum mutual association for clustering two attributes.
-    pub cluster_threshold: f64,
     /// Number of forest trees.
     pub forest_trees: usize,
-    /// Cap on training rows (runtime guard; sampled uniformly above it).
-    pub max_train_rows: usize,
-    /// Bin budget per column (numeric quantile bins / retained
-    /// categorical values). Twice the float reference trainer's per-node
-    /// threshold cap, since global bins must serve every node.
-    pub hist_bins: usize,
-    /// Row cap for the association-matrix estimate (strided subsample
-    /// over the group-sorted training rows). The matrix only feeds a
-    /// thresholded clustering decision, so a few hundred rows estimate it
-    /// as well as thousands. At this cap the `featsel_assoc` span — the
-    /// pairwise measures, then the clustering — is a quarter of the phase
-    /// on NBA's few-hundred-row APTs (the measures a fifth) and an eighth
-    /// on 20 000-row ones (the measures a tenth); ROADMAP item 3 has the
-    /// measured split.
-    pub max_assoc_rows: usize,
     /// Seed for forest + sampling.
     pub seed: u64,
 }
@@ -119,11 +126,7 @@ impl Default for FeatSelConfig {
     fn default() -> Self {
         Self {
             sel_attr: SelAttr::Count(3),
-            cluster_threshold: 0.9,
             forest_trees: 20,
-            max_train_rows: 5000,
-            hist_bins: 32,
-            max_assoc_rows: 512,
             seed: 0xFEA7,
         }
     }
@@ -287,7 +290,7 @@ fn hist_selection(
         let shared = source_column(apt, f).and_then(|(t, c)| stats.column_stats(t, c));
         match (&col.feature, shared) {
             (FeatureColumn::Numeric(v), Some(st)) => st.bins.encode_f64(v),
-            (FeatureColumn::Numeric(v), None) => BinnedColumn::from_f64(v, cfg.hist_bins),
+            (FeatureColumn::Numeric(v), None) => BinnedColumn::from_f64(v, HIST_BINS),
             // The shared dictionary maps raw keys; the gather is
             // already dense-coded, so binning it is one remap lookup
             // per distinct value + an array index per row.
@@ -296,7 +299,7 @@ fn hist_selection(
             }
             // Per-APT fit: the gather is its own dictionary.
             (FeatureColumn::Categorical(codes), None) => {
-                BinnedColumn::from_dense_codes(codes, col.key_of_code.len(), cfg.hist_bins)
+                BinnedColumn::from_dense_codes(codes, col.key_of_code.len(), HIST_BINS)
             }
         }
     };
@@ -344,13 +347,12 @@ fn hist_selection(
     //   selection nevertheless reaches into that tail — the measured top
     //   collapsed into fewer clusters than λ#sel-attr — every pair is
     //   measured, so redundant tail features can never be co-selected just
-    //   because their pairs went unmeasured. A threshold ≤ 0 would merge
-    //   the tail too, so it measures every pair from the start;
+    //   because their pairs went unmeasured;
     // * rows — a strided subsample (rows are group-sorted, so a fixed
     //   stride samples every output group proportionally): the matrix
     //   feeds a thresholded merge decision, not a precise estimate.
-    let step = if rows.len() > cfg.max_assoc_rows.max(1) {
-        rows.len().div_ceil(cfg.max_assoc_rows.max(1))
+    let step = if rows.len() > MAX_ASSOC_ROWS {
+        rows.len().div_ceil(MAX_ASSOC_ROWS)
     } else {
         1
     };
@@ -360,9 +362,6 @@ fn hist_selection(
     // make the ranking order nondeterministic.
     by_importance.sort_by(|&a, &b| importances[b].total_cmp(&importances[a]).then(a.cmp(&b)));
     let mut m = (4 * lambda).max(16).min(candidates.len());
-    if cfg.cluster_threshold <= 0.0 {
-        m = candidates.len();
-    }
     loop {
         let mut measured: Vec<usize> = by_importance[..m].to_vec();
         measured.sort_unstable();
@@ -371,7 +370,7 @@ fn hist_selection(
             .map(|&i| strided(features[i], step))
             .collect();
         let assoc = assoc_matrix(&views);
-        let clusters = cluster_block(&assoc, &measured, candidates.len(), cfg.cluster_threshold);
+        let clusters = cluster_block(&assoc, &measured, candidates.len(), CLUSTER_THRESHOLD);
         let fs = finish_selection(apt, candidates, importances.clone(), clusters, cfg);
         let all_selected_measured = m == candidates.len() || {
             let measured_fields: Vec<usize> = measured.iter().map(|&i| candidates[i]).collect();
@@ -482,8 +481,8 @@ fn training_set(
         }
         None => scan_order.to_vec(),
     };
-    if rows.len() > cfg.max_train_rows {
-        let keep = reservoir_sample(rows.len(), cfg.max_train_rows, cfg.seed);
+    if rows.len() > MAX_TRAIN_ROWS {
+        let keep = reservoir_sample(rows.len(), MAX_TRAIN_ROWS, cfg.seed);
         rows = keep.into_iter().map(|i| rows[i]).collect();
     }
     let row_groups: Vec<usize> = rows.iter().map(|&r| group_of(r)).collect();

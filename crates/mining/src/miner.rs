@@ -46,7 +46,9 @@ use crate::share::Reader;
 use crate::stats::{ColumnStatsProvider, NoSharedStats};
 
 /// All tuning knobs of Algorithm 1 (defaults follow Table 1 where the
-/// paper lists a value).
+/// paper lists a value). Feature selection's fixed budgets — the cluster
+/// threshold, the training- and association-row caps and the bin budget —
+/// are constants of [`crate::featsel`], not knobs.
 #[derive(Debug, Clone)]
 pub struct MiningParams {
     /// k: how many explanations to return per join graph.
@@ -74,8 +76,6 @@ pub struct MiningParams {
     /// Enable feature selection (the Fig. 7 "w/o feature sel." column
     /// disables it).
     pub feature_selection: bool,
-    /// Attribute-cluster association threshold.
-    pub cluster_threshold: f64,
     /// Random-forest size for feature selection.
     pub forest_trees: usize,
     /// Safety cap on evaluated patterns per APT (guards pathological
@@ -124,7 +124,6 @@ impl Default for MiningParams {
             num_frags: 6,
             sel_attr: SelAttr::Count(3),
             feature_selection: true,
-            cluster_threshold: 0.9,
             forest_trees: 20,
             max_patterns: 200_000,
             exclude_fd_attrs: false,
@@ -287,10 +286,8 @@ pub(crate) fn run_featsel(
 ) -> FeatureSelection {
     let featsel_cfg = FeatSelConfig {
         sel_attr: params.sel_attr,
-        cluster_threshold: params.cluster_threshold,
         forest_trees: params.forest_trees,
         seed: params.seed,
-        ..FeatSelConfig::default()
     };
     let mut fs = if params.feature_selection {
         let order = index.order();

@@ -39,7 +39,7 @@ use cajade_ml::BinSpec;
 use cajade_obs::Counter;
 use cajade_storage::{AttrKind, Column, Database};
 
-use crate::featsel::FeatSelConfig;
+use crate::featsel::HIST_BINS;
 use crate::fragments::quantile_boundaries;
 use crate::miner::MiningParams;
 use crate::share::ReadShare;
@@ -69,21 +69,19 @@ impl ColumnStats {
 /// keeps them holds one config for its lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ColumnStatsConfig {
-    /// Bin budget of the histogram trainer
-    /// ([`FeatSelConfig::hist_bins`]).
+    /// Bin budget of the histogram trainer ([`HIST_BINS`]).
     pub hist_bins: usize,
     /// λ#frag ([`MiningParams::num_frags`]).
     pub num_frags: usize,
 }
 
 impl ColumnStatsConfig {
-    /// Extracts the stats-relevant knobs from a parameter set, mirroring
-    /// exactly how [`run_featsel`](crate::miner) maps [`MiningParams`]
-    /// onto a [`FeatSelConfig`] (the bin budget is not a mining λ, so it
-    /// always takes the featsel default).
+    /// Extracts the stats-relevant knobs from a parameter set: λ#frag,
+    /// and the bin budget feature selection always uses ([`HIST_BINS`],
+    /// not a mining λ).
     pub fn from_params(params: &MiningParams) -> ColumnStatsConfig {
         ColumnStatsConfig {
-            hist_bins: FeatSelConfig::default().hist_bins,
+            hist_bins: HIST_BINS,
             num_frags: params.num_frags,
         }
     }

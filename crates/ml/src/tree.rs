@@ -435,7 +435,7 @@ impl HistTree {
     /// or borrowed (`&[BinnedColumn]`, `&[&BinnedColumn]`, …): a caller
     /// whose columns live in different places does not copy them together.
     /// Row ids share a `u32` with their label, so `labels` must be shorter
-    /// than 2³¹ (feature selection trains on at most `max_train_rows`).
+    /// than 2³¹ (feature selection trains on at most `MAX_TRAIN_ROWS`).
     pub fn fit<C: Borrow<BinnedColumn>>(
         cols: &[C],
         labels: &[bool],

@@ -100,28 +100,29 @@ pub(crate) struct EntrySlots<'a> {
 }
 
 impl GraphStore for EntrySlots<'_> {
-    /// Counted lookup of graph `gi`.
+    /// Lookup of graph `gi`, counted when it hits: a miss is counted at
+    /// the latch, so a graph the builder skips over λ_qcost is none.
     fn graph(&self, gi: usize) -> Option<Arc<PreparedGraph>> {
         let found = self.entry.slots[gi].lock().clone();
-        match found {
-            Some(_) => self.obs.hits.inc(),
-            None => self.obs.misses.inc(),
+        if found.is_some() {
+            self.obs.hits.inc();
         }
         found
     }
 
-    /// Under the slot's lock: the graph another ask stored meanwhile
-    /// (`coalesced` counts it), else what `prepare` makes, stored unless
-    /// its preparation was truncated by the caller's budget — an
-    /// unbudgeted ask must never inherit a partial preparation computed
-    /// under someone else's deadline. If `prepare` panics the slot stays
-    /// empty for the next reader.
+    /// Under the slot's lock, one counted miss: the graph another ask
+    /// stored meanwhile (`coalesced` counts it), else what `prepare`
+    /// makes, stored unless its preparation was truncated by the caller's
+    /// budget — an unbudgeted ask must never inherit a partial preparation
+    /// computed under someone else's deadline. If `prepare` panics the
+    /// slot stays empty for the next reader.
     fn graph_or_prepare(
         &self,
         gi: usize,
         prepare: impl FnOnce() -> PreparedGraph,
     ) -> (Arc<PreparedGraph>, bool) {
         let mut slot = self.entry.slots[gi].lock();
+        self.obs.misses.inc();
         if let Some(graph) = &*slot {
             self.obs.coalesced.inc();
             return (Arc::clone(graph), false);

@@ -353,7 +353,7 @@ impl SessionHandle {
 }
 
 /// Cache accounting for an answered question: the ranked explanation list
-/// plus the result preview table.
+/// and the per-graph statistics.
 fn answer_bytes(r: &SessionResult) -> usize {
     r.explanations
         .iter()
@@ -372,9 +372,6 @@ fn answer_bytes(r: &SessionResult) -> usize {
         + r.apt_stats
             .iter()
             .map(|(s, _, _)| s.len() + 32)
-            .sum::<usize>()
-        + (0..r.result.table.num_columns())
-            .map(|c| r.result.table.column(c).approx_bytes())
             .sum::<usize>()
         + 512
 }

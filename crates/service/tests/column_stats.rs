@@ -78,7 +78,7 @@ fn context_columns(gen: &GeneratedDb, sql: &str) -> BTreeSet<(String, String)> {
     let builder = AptBuilder::new(&gen.db, &prepared.pt, &prepared.graphs, f64::INFINITY);
     let mut columns = BTreeSet::new();
     for gi in prepared.valid_graph_indices() {
-        let (apt, _) = pipeline::materialize(&builder, gi).unwrap().unwrap();
+        let apt = builder.materialize(gi).unwrap().unwrap();
         for f in apt.pattern_fields() {
             if let Some((table, column)) = source_column(&apt, f) {
                 columns.insert((table.to_string(), column.to_string()));

@@ -602,8 +602,8 @@ fn cold_ask_shared_work_is_exact_with_and_without_worker_threads() {
 fn a_graph_over_lambda_qcost_is_counted_and_skipped_not_refused() {
     // λ_qcost 5 000 on the tiny NBA corpus, whose 202 valid graphs have
     // APTs of 0 to 70 500 rows: a graph one of whose joins would pass the
-    // bound is skipped — counted, marked in the trace, not mined — and the
-    // ask still answers.
+    // bound is skipped — counted, marked in the trace, not mined, not a
+    // prepared-graph miss — and the ask still answers.
     let mut params = Params::paper();
     params.max_cost = 5_000.0;
     let service = tiny_service(ServiceConfig {
@@ -631,11 +631,13 @@ fn a_graph_over_lambda_qcost_is_counted_and_skipped_not_refused() {
         let marked = (spans.iter())
             .filter(|s| s.get("name").and_then(Json::as_str) == Some("apt_over_cost"))
             .count() as u64;
-        (mined, marked)
+        let cache = answer.get("cache").unwrap();
+        let prepared = cache.get("apt_misses").and_then(Json::as_u64).unwrap();
+        (mined, marked, prepared)
     };
     let over = || counters(&service, ["apt_graphs_over_cost_total"])[0];
 
-    let (mined, marked) = ask("2015-16", "2012-13");
+    let (mined, marked, prepared) = ask("2015-16", "2012-13");
     let skipped = over();
     // 24 graphs whose APT passes the bound, and 15 whose APT does not but
     // whose fold goes through a join that does.
@@ -650,10 +652,17 @@ fn a_graph_over_lambda_qcost_is_counted_and_skipped_not_refused() {
         "one `apt_over_cost` span per skipped graph"
     );
 
+    assert_eq!(prepared, mined, "every mined graph prepared cold");
+
     // Nothing stores a skip: the next question's ask folds the skipped
     // graphs again and finds them over again; the mined ones are held.
-    assert_eq!(ask("2014-15", "2012-13"), (mined, skipped));
+    assert_eq!(ask("2014-15", "2012-13"), (mined, skipped, 0));
     assert_eq!(over(), 2 * skipped);
+    // A skipped graph is no prepared-graph miss: the misses are exactly
+    // the graphs the asks prepared.
+    let stats = service.stats();
+    assert_eq!(stats.prepared_apt_misses(), prepared);
+    assert_eq!(stats.prepared_apt_hits(), mined);
 }
 
 #[test]
