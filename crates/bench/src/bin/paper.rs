@@ -51,11 +51,11 @@ use cajade_bench::workloads::{
     CaseQuestion, Workload,
 };
 use cajade_core::{
-    Explanation, ExplanationSession, Params, SessionResult, SessionTimings, UserQuestion,
+    pipeline, Explanation, ExplanationSession, Params, SessionResult, SessionTimings, UserQuestion,
 };
 use cajade_datagen::synth::{self, SynthConfig, SYNTH_SQL};
 use cajade_datagen::{scale::duplicate_scale, GeneratedDb};
-use cajade_graph::Apt;
+use cajade_graph::{Apt, AptBuilder};
 use cajade_metrics::{dcg, mean, top_k_overlap};
 use cajade_mining::{lca_candidates, mine_apt, Question, Scorer, SelAttr};
 use cajade_query::{parse_sql, ProvenanceTable};
@@ -347,21 +347,32 @@ fn build_scaled(dataset: &str, s: f64) -> GeneratedDb {
     }
 }
 
-/// Fig. 10a: APT sizes for representative join graphs.
+/// Fig. 10a: APT sizes for representative join graphs — the first four
+/// valid graphs of each case query's enumeration that λ_qcost admits,
+/// materialized and not mined.
 fn fig10a(args: &Args) {
     println!("## Figure 10a — join-graph APT sizes\n");
     let mut t = Table::new(&["dataset", "join graph", "APT rows", "# attributes"]);
-    for (name, gen, cq) in [
-        ("NBA", nba_db(args.scale), find_case("Q_nba4")),
-        ("MIMIC", mimic_db(args.scale), find_case("Q_mimic4")),
+    let params = harness_params(args);
+    for (name, gen, id) in [
+        ("NBA", nba_db(args.scale), "Q_nba4"),
+        ("MIMIC", mimic_db(args.scale), "Q_mimic4"),
     ] {
-        let r = run_case(&gen, &cq, harness_params(args));
-        for (structure, rows, attrs) in r.apt_stats.iter().take(4) {
+        let query = find_workload(id).query();
+        let prepared = pipeline::prepare(&gen.db, &gen.schema_graph, &query, &params)
+            .unwrap_or_else(|e| panic!("{id}: {e}"));
+        let builder = AptBuilder::new(&gen.db, &prepared.pt, &prepared.graphs, params.max_cost);
+        let apts = (prepared.valid_graph_indices().into_iter()).filter_map(|gi| {
+            builder
+                .materialize(gi)
+                .unwrap_or_else(|e| panic!("{id}: {e}"))
+        });
+        for apt in apts.take(4) {
             t.row(vec![
                 name.to_string(),
-                structure.clone(),
-                rows.to_string(),
-                attrs.to_string(),
+                apt.graph.structure_string(),
+                apt.num_rows.to_string(),
+                apt.fields.len().to_string(),
             ]);
         }
     }

@@ -21,8 +21,8 @@
 //! `peak_rss_bytes` attributes to that point alone. Per-phase wall
 //! clocks (provenance, jg_enum, materialize, prepare, featsel, mine)
 //! come from the session's [`cajade_core::SessionTimings`]. The service
-//! at every point uses [`ServiceConfig::scaled_for_db`], exercising the
-//! scale-aware cache budgets.
+//! at every point runs the cache budgets `cajade-serve` ships
+//! ([`ServiceConfig::default`]).
 //!
 //! ```text
 //! cargo run -p cajade-bench --release --bin scale_bench -- \
@@ -55,9 +55,9 @@ static ALLOC: cajade_obs::TrackingAlloc = cajade_obs::TrackingAlloc;
 
 /// Scope-chain roots that partition the point's work: every other scope
 /// ("provenance" under "cache.provenance", the mining phases under
-/// "mine", …) nests inside one of these, so summing their peak deltas
-/// never double-counts. The attributed fraction divides that sum by the
-/// point's global peak-heap growth.
+/// "mine", "rank" under "cache.answer", …) nests inside one of these, so
+/// summing their peak deltas never double-counts. The attributed fraction
+/// divides that sum by the point's global peak-heap growth.
 const ROOT_SCOPES: &[&str] = &[
     "ingest_scan",
     "ingest_infer",
@@ -66,7 +66,6 @@ const ROOT_SCOPES: &[&str] = &[
     "cache.provenance",
     "cache.apt",
     "mine",
-    "rank",
     "cache.answer",
     "bench.register",
 ];
@@ -190,16 +189,14 @@ fn measure_point(
     }
     drop(dir);
 
-    // Cold lifecycle, best-of-`runs` over fresh services. The config's
-    // cache budgets scale with the corpus (the 17 k-row-tuned defaults
-    // would thrash at factor 20).
+    // Cold lifecycle, best-of-`runs` over fresh services.
     let mut params = Params::fast();
     params.parallel = true;
     let mut best: Option<Point> = None;
     for _ in 0..runs {
         let config = ServiceConfig {
             params: params.clone(),
-            ..ServiceConfig::scaled_for_db(&gen.db)
+            ..ServiceConfig::default()
         };
         let service = ExplanationService::new(config);
         let t0 = Instant::now();

@@ -8,7 +8,8 @@
 //! per-graph loop, which the one-shot
 //! [`ExplanationSession::explain`](crate::ExplanationSession::explain) and
 //! the `cajade-service` ask both run — the next three, [`assemble`] the
-//! last. Expensive outputs ([`ProvenanceTable`], [`Apt`], [`PreparedGraph`])
+//! last. Expensive outputs ([`QueryResult`], [`ProvenanceTable`], [`Apt`],
+//! [`PreparedGraph`], the ranked explanations of a [`SessionResult`])
 //! travel behind `Arc` so a cache can hand one to many sessions.
 
 use std::collections::BTreeMap;
@@ -37,8 +38,9 @@ use crate::{CoreError, Result};
 /// cacheable across an interactive session's successive questions.
 #[derive(Debug, Clone)]
 pub struct PreparedQuery {
-    /// The query's result (for display and question resolution).
-    pub result: QueryResult,
+    /// The query's result, for display: shared, so a cache hands it to
+    /// every preview without copying the table.
+    pub result: Arc<QueryResult>,
     /// The why-provenance table `PT(Q, D)`.
     pub pt: Arc<ProvenanceTable>,
     /// The join graphs enumeration lists: every valid one, and every
@@ -92,7 +94,7 @@ pub fn prepare(
     let jg_enum_time = stage.finish();
 
     Ok(PreparedQuery {
-        result,
+        result: Arc::new(result),
         pt: Arc::new(pt),
         graphs: Arc::new(enumeration.graphs),
         extensions_visited: enumeration.extensions_visited,
@@ -236,8 +238,6 @@ pub struct GraphOutcome {
     pub apt: Arc<Apt>,
     /// Index of the join graph within the session's enumeration.
     pub graph_index: usize,
-    /// `(structure, APT rows, APT attributes)` — the Fig. 10a statistics.
-    pub apt_stat: (String, usize, usize),
 }
 
 /// Stage 4: mines one prepared graph inside its `mine_apt` stage,
@@ -253,13 +253,11 @@ fn mine_one_prepared(
     graph_index: usize,
 ) -> (GraphOutcome, MiningOutcome) {
     let _stage = Stage::open_as("mine_apt", "mine");
-    let apt = &graph.apt;
-    let mut outcome = mine_prepared(&graph.prep, apt, pt, question, &params.mining);
+    let mut outcome = mine_prepared(&graph.prep, &graph.apt, pt, question, &params.mining);
     let mined = GraphOutcome {
         mined: std::mem::take(&mut outcome.explanations),
-        apt: Arc::clone(apt),
+        apt: Arc::clone(&graph.apt),
         graph_index,
-        apt_stat: (apt.graph.structure_string(), apt.num_rows, apt.fields.len()),
     };
     (mined, outcome)
 }
@@ -503,16 +501,20 @@ pub fn rank(all: Vec<Explanation>, params: &Params) -> Vec<Explanation> {
 /// the ranking stage:
 /// [`rank`]'s walk over every graph's mined explanations, reading pattern
 /// text and collapse keys off the graphs' APTs, then
-/// [`Explanation::from_mined`] for the ones it keeps. Each primary group
-/// is labelled once.
+/// [`Explanation::from_mined`] for the ones it keeps, collected once into
+/// the list every clone of the result shares. Each primary group is
+/// labelled once. The outcomes are only read: a caller that lends them
+/// (`&outcomes`) frees them outside whatever alloc scope it assembles
+/// under, as the service does outside the answer cache's.
 pub fn assemble(
     db: &Database,
     query: &Query,
     prepared: &PreparedQuery,
-    outcomes: Vec<GraphOutcome>,
+    outcomes: impl AsRef<[GraphOutcome]>,
     work: &GraphWork,
     params: &Params,
 ) -> SessionResult {
+    let outcomes = outcomes.as_ref();
     let rank = Stage::open("rank");
     let mined: Vec<_> = (outcomes.iter())
         .flat_map(|o| o.mined.iter().map(move |m| (o, m)))
@@ -548,8 +550,6 @@ pub fn assemble(
         materialize_apts: work.materialize,
         mining: work.mining,
     };
-    let num_graphs_mined = outcomes.len();
-    let apt_stats = outcomes.into_iter().map(|o| o.apt_stat).collect();
     // When a budget is installed (and still is at assembly — the service
     // calls `assemble` inside the budget scope), surface what truncated.
     let truncated: Vec<String> = cajade_obs::budget::current()
@@ -559,9 +559,8 @@ pub fn assemble(
         explanations,
         timings,
         num_graphs_enumerated: prepared.graphs.len(),
-        num_graphs_mined,
+        num_graphs_mined: outcomes.len(),
         pt_rows: prepared.pt.num_rows,
-        apt_stats,
         patterns_evaluated: work.patterns_evaluated,
         degraded: !truncated.is_empty(),
         truncated,

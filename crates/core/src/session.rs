@@ -6,6 +6,8 @@
 //! `cajade-service` crate runs the same per-graph loop over its query
 //! cache for interactive multi-question sessions.
 
+use std::sync::Arc;
+
 use cajade_graph::SchemaGraph;
 use cajade_query::Query;
 use cajade_storage::Database;
@@ -79,10 +81,15 @@ impl UserQuestion {
 /// Everything a session produces for one question. The query's own result
 /// is not in it: it is question-independent, and a caller that shows it
 /// reads [`PreparedQuery::result`](crate::pipeline::PreparedQuery::result).
+/// Neither are per-graph APT shapes, which no answer shows: a caller that
+/// wants them materializes the graphs of [`pipeline::prepare`]'s listing.
+/// Cloning one copies the explanation list's pointer, not the list, so a
+/// cache hands one answer to many askers.
 #[derive(Debug, Clone)]
 pub struct SessionResult {
-    /// Globally-ranked explanations (top `params.top_k_global`).
-    pub explanations: Vec<Explanation>,
+    /// Globally-ranked explanations (top `params.top_k_global`), built
+    /// once by [`pipeline::assemble`] and shared by every clone.
+    pub explanations: Arc<[Explanation]>,
     /// Per-phase timings.
     pub timings: SessionTimings,
     /// Join graphs enumeration listed: the valid ones, and the invalid
@@ -92,9 +99,6 @@ pub struct SessionResult {
     pub num_graphs_mined: usize,
     /// Provenance-table size `|PT(Q, D)|`.
     pub pt_rows: usize,
-    /// Per mined join graph: `(structure, APT rows, APT attributes)` —
-    /// the Fig. 10a statistics.
-    pub apt_stats: Vec<(String, usize, usize)>,
     /// Total patterns evaluated across all APTs.
     pub patterns_evaluated: usize,
     /// True when a request budget (`cajade_obs::budget`) expired and some
@@ -202,7 +206,7 @@ mod tests {
         let fs: Vec<f64> = r.explanations.iter().map(|e| e.metrics.f_score).collect();
         assert!(fs.windows(2).all(|w| w[0] >= w[1] - 1e-12), "{fs:?}");
         // Every explanation has a rendered graph + primary label.
-        for e in &r.explanations {
+        for e in r.explanations.iter() {
             assert!(!e.graph_structure.is_empty());
             assert!(e.primary.contains("season_name="));
         }
@@ -295,22 +299,6 @@ mod tests {
             answer(&par),
             "parallel mining must not change results"
         );
-        assert_eq!(seq.apt_stats, par.apt_stats);
         assert_eq!(seq.patterns_evaluated, par.patterns_evaluated);
-    }
-
-    #[test]
-    fn apt_stats_cover_all_mined_graphs() {
-        let gen = nba::generate(NbaConfig::tiny());
-        let session = ExplanationSession::new(&gen.db, &gen.schema_graph, Params::fast());
-        let r = session
-            .explain_between(
-                &gsw_query(),
-                &[("season_name", "2015-16")],
-                &[("season_name", "2012-13")],
-            )
-            .unwrap();
-        assert_eq!(r.apt_stats.len(), r.num_graphs_mined);
-        assert!(r.apt_stats.iter().any(|(s, _, _)| s == "PT"));
     }
 }

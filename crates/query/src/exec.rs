@@ -353,6 +353,14 @@ impl QueryResult {
         self.table.num_rows()
     }
 
+    /// Approximate heap footprint in bytes: the output columns. Drives
+    /// the service cache's byte budget.
+    pub fn approx_bytes(&self) -> usize {
+        (0..self.table.num_columns())
+            .map(|c| self.table.column(c).approx_bytes())
+            .sum()
+    }
+
     /// Finds the output tuple whose listed columns render (via `db`'s pool)
     /// to the given strings. Numeric cells compare numerically.
     pub fn find_row(&self, db: &Database, wanted: &[(&str, &str)]) -> Option<usize> {

@@ -77,8 +77,8 @@ impl QueryEntry {
 
     /// Cache accounting for the whole entry: the provenance table
     /// dominates a fresh one, the prepared graphs a filled one;
-    /// enumeration output, the query result and the slots are small but
-    /// counted.
+    /// enumeration output, the query's result table (once: previews share
+    /// it) and the slots are small but counted.
     pub(crate) fn approx_bytes(&self) -> usize {
         let graphs = (self.query.graphs.iter())
             .map(|g| {
@@ -88,7 +88,8 @@ impl QueryEntry {
                     + std::mem::size_of::<Mutex<Option<Arc<PreparedGraph>>>>()
             })
             .sum::<usize>();
-        self.query.pt.approx_bytes() + graphs + 256 + self.held_bytes.get() as usize
+        let held = self.held_bytes.get() as usize;
+        self.query.pt.approx_bytes() + self.query.result.approx_bytes() + graphs + 256 + held
     }
 }
 
@@ -176,41 +177,6 @@ impl Default for ServiceConfig {
     }
 }
 
-/// The corpus size the default byte budgets were tuned for (NBA scale
-/// 0.05, ≈17 k rows across all tables).
-const BUDGET_BASELINE_ROWS: usize = 17_000;
-
-impl ServiceConfig {
-    /// Budgets sized for a corpus of `total_rows` rows (summed over all
-    /// tables). The defaults were tuned for NBA 0.05 (≈17 k rows); a
-    /// 20× corpus materializes ≈20× the APT bytes, so a fixed budget
-    /// silently turns the caches into thrash. Every budget scales
-    /// linearly with `total_rows / 17 000`, floored at the defaults —
-    /// small corpora keep the tuned values, large ones keep the same
-    /// *relative* headroom the defaults encode.
-    pub fn scaled_for_rows(total_rows: usize) -> Self {
-        let base = ServiceConfig::default();
-        // Integer scaling: budget * rows / baseline, floored at budget.
-        let scale = |bytes: usize| -> usize {
-            let scaled =
-                (bytes as u128 * total_rows as u128 / BUDGET_BASELINE_ROWS as u128) as usize;
-            scaled.max(bytes)
-        };
-        ServiceConfig {
-            prov_cache_bytes: scale(base.prov_cache_bytes),
-            answer_cache_bytes: scale(base.answer_cache_bytes),
-            ..base
-        }
-    }
-
-    /// [`scaled_for_rows`](ServiceConfig::scaled_for_rows) over a
-    /// database that is about to be registered.
-    pub fn scaled_for_db(db: &Database) -> Self {
-        let rows = db.tables().iter().map(|t| t.num_rows()).sum();
-        ServiceConfig::scaled_for_rows(rows)
-    }
-}
-
 /// A registered database: content plus its schema graph, pinned behind
 /// `Arc` so in-flight questions keep a consistent snapshot even while the
 /// name is re-registered.
@@ -266,7 +232,9 @@ pub(crate) struct ServiceInner {
     /// (`cache_apt_…_total`): lookups, fills, and what went out with an
     /// evicted entry.
     pub(crate) apt_obs: CacheObs,
-    pub(crate) answer_cache: LruCache<AnswerKey, Arc<cajade_core::SessionResult>>,
+    /// Ranked answers, each sharing its explanation list with every ask
+    /// it is handed to.
+    pub(crate) answer_cache: LruCache<AnswerKey, cajade_core::SessionResult>,
     pub(crate) ingest_stats: Mutex<IngestStats>,
     pub(crate) params: Params,
     /// Pre-resolved registry instrument handles.
@@ -620,29 +588,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scaled_budgets_floor_at_the_defaults() {
-        let base = ServiceConfig::default();
-        for rows in [0, 1, 17_000, BUDGET_BASELINE_ROWS - 1] {
-            let c = ServiceConfig::scaled_for_rows(rows);
-            assert_eq!(c.prov_cache_bytes, base.prov_cache_bytes, "rows {rows}");
-            assert_eq!(c.answer_cache_bytes, base.answer_cache_bytes);
-        }
-    }
-
-    #[test]
-    fn scaled_budgets_grow_linearly_and_monotonically() {
-        let base = ServiceConfig::default();
-        let x20 = ServiceConfig::scaled_for_rows(BUDGET_BASELINE_ROWS * 20);
-        assert_eq!(x20.prov_cache_bytes, base.prov_cache_bytes * 20);
-        let mut last = 0;
-        for rows in [10_000, 34_000, 100_000, 340_000, 1_700_000] {
-            let c = ServiceConfig::scaled_for_rows(rows);
-            assert!(c.prov_cache_bytes >= last, "not monotone at {rows}");
-            last = c.prov_cache_bytes;
-        }
-    }
-
-    #[test]
     fn open_or_reuse_matches_on_db_and_sql() {
         let gen = cajade_datagen::nba::generate(cajade_datagen::nba::NbaConfig::tiny());
         let service = ExplanationService::new(ServiceConfig::default());
@@ -655,6 +600,37 @@ mod tests {
             .open_or_reuse_session("nba", &sql.to_lowercase())
             .unwrap();
         assert_eq!(again.id(), first.id());
+    }
+
+    /// A query entry is charged for the query's result table: on a query
+    /// with one output tuple per game, an entry whose result is emptied is
+    /// charged exactly the table's bytes less.
+    #[test]
+    fn entry_charge_counts_the_result_table() {
+        let gen = cajade_datagen::nba::generate(cajade_datagen::nba::NbaConfig::tiny());
+        let sql = "SELECT COUNT(*) AS n, g.game_date, g.home_id FROM game g \
+            GROUP BY g.game_date, g.home_id";
+        let query = parse_sql(sql).unwrap();
+        let prepared =
+            cajade_core::pipeline::prepare(&gen.db, &gen.schema_graph, &query, &Params::paper())
+                .unwrap();
+        let result = Arc::clone(&prepared.result);
+        assert!(result.num_rows() > 100, "{} groups", result.num_rows());
+        let charged = |result| {
+            let query = PreparedQuery {
+                result,
+                ..prepared.clone()
+            };
+            QueryEntry::new(query).approx_bytes()
+        };
+        let emptied = cajade_query::QueryResult {
+            table: result.table.gather(&[]),
+            ..(*result).clone()
+        };
+        assert_eq!(emptied.approx_bytes(), 0);
+        let table = result.approx_bytes();
+        assert!(table > 0);
+        assert_eq!(charged(result) - charged(Arc::new(emptied)), table);
     }
 
     /// What a query entry is charged stays what its prepared graphs weigh
@@ -715,29 +691,5 @@ mod tests {
         let repeat = ask("2013-14", "2016-17");
         assert!(repeat.answer_cache_hit);
         assert_eq!((weigh().0, weigh().2), last, "an answer-cache hit");
-    }
-
-    #[test]
-    fn scaled_for_db_sums_rows_across_tables() {
-        use cajade_storage::{AttrKind, DataType, SchemaBuilder, Value};
-        let mut db = Database::new("t");
-        db.create_table(
-            SchemaBuilder::new("a")
-                .column_pk("id", DataType::Int, AttrKind::Categorical)
-                .build(),
-        )
-        .unwrap();
-        // 20× baseline rows in one table → 20× budgets.
-        for i in 0..(BUDGET_BASELINE_ROWS * 20) as i64 {
-            db.table_mut("a")
-                .unwrap()
-                .push_row(vec![Value::Int(i)])
-                .unwrap();
-        }
-        let c = ServiceConfig::scaled_for_db(&db);
-        assert_eq!(
-            c.prov_cache_bytes,
-            ServiceConfig::default().prov_cache_bytes * 20
-        );
     }
 }

@@ -31,7 +31,7 @@ use cajade_core::pipeline;
 use cajade_core::{SessionResult, UserQuestion};
 use cajade_mining::BaseTableStats;
 use cajade_obs::faults::{self, Site};
-use cajade_obs::{span, Collector, SpanRecord, Stage};
+use cajade_obs::{span, AllocScope, Collector, SpanRecord, Stage};
 use cajade_query::Query;
 
 use crate::keys::{AnswerKey, ProvKey};
@@ -180,9 +180,9 @@ impl SessionHandle {
             question: AnswerKey::canonical_question(question),
         };
         let prov_key = &answer_key.query;
-        if let Some(cached) = inner.answer_cache.get(&answer_key) {
-            let mut result = (*cached).clone();
-            // No pipeline stage ran; the cold run's stage timings would
+        if let Some(mut result) = inner.answer_cache.get(&answer_key) {
+            // The cached answer's explanations are shared, not copied. No
+            // pipeline stage ran; the cold run's stage timings would
             // misreport this request's work.
             result.timings = cajade_core::SessionTimings::default();
             let wall = ask.finish();
@@ -255,11 +255,15 @@ impl SessionHandle {
         let apt_cache_hits = outcomes.len() - apt_cache_misses;
 
         // ---- Stage 5: assemble + rank. ----------------------------------
+        // The ranked list is built under the answer cache's scope, which
+        // keeps it: the insert below shares it rather than copying it. The
+        // per-graph outcomes are freed after the scope, not under it.
+        let mem = AllocScope::enter("cache.answer");
         let mut result = pipeline::assemble(
             &reg.db,
             &self.query,
             prepared,
-            outcomes,
+            &outcomes,
             &work,
             &inner.params,
         );
@@ -271,12 +275,11 @@ impl SessionHandle {
         // A degraded (budget-truncated) answer is correct for *this*
         // request but must never serve a future, unbudgeted one.
         if !result.degraded && inner.epoch_is_current(&self.db_name, reg.epoch) {
-            let _mem = cajade_obs::AllocScope::enter("cache.answer");
-            let retained = Arc::new(result.clone());
-            inner
-                .answer_cache
-                .insert(answer_key, retained, answer_bytes(&result));
+            let bytes = answer_bytes(&result);
+            inner.answer_cache.insert(answer_key, result.clone(), bytes);
         }
+        drop(mem);
+        drop(outcomes);
         if result.degraded {
             inner.obs.ask_degraded_total.inc();
         }
@@ -302,14 +305,15 @@ impl SessionHandle {
     }
 
     /// Runs (or fetches) the session's prepared stages and returns the
-    /// query's answer relation. Used by the serve protocol's `query` op:
+    /// query's answer relation — the one the query's cache entry holds,
+    /// shared, not copied. Used by the serve protocol's `query` op:
     /// previewing the output tuples warms the provenance cache, so the
     /// session's first `ask` already skips preparation.
-    pub fn preview(&self) -> Result<cajade_query::QueryResult> {
+    pub fn preview(&self) -> Result<Arc<cajade_query::QueryResult>> {
         let inner = self.service.upgrade().ok_or(ServiceError::ServiceDropped)?;
         let reg = inner.registered(&self.db_name)?;
         let (entry, _) = self.prepare_cached(&inner, &reg, &self.prov_key(&reg))?;
-        Ok(entry.query.result.clone())
+        Ok(Arc::clone(&entry.query.result))
     }
 
     fn prov_key(&self, reg: &RegisteredDb) -> ProvKey {
@@ -352,8 +356,7 @@ impl SessionHandle {
     }
 }
 
-/// Cache accounting for an answered question: the ranked explanation list
-/// and the per-graph statistics.
+/// Cache accounting for an answered question: the ranked explanation list.
 fn answer_bytes(r: &SessionResult) -> usize {
     r.explanations
         .iter()
@@ -369,9 +372,5 @@ fn answer_bytes(r: &SessionResult) -> usize {
                 + 128
         })
         .sum::<usize>()
-        + r.apt_stats
-            .iter()
-            .map(|(s, _, _)| s.len() + 32)
-            .sum::<usize>()
         + 512
 }

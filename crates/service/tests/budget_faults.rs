@@ -103,7 +103,7 @@ fn tight_budget_degrades_instead_of_failing() {
     // Whatever survived is still well-formed, ranked output.
     let fs: Vec<f64> = r.explanations.iter().map(|e| e.metrics.f_score).collect();
     assert!(fs.windows(2).all(|w| w[0] >= w[1] - 1e-12), "{fs:?}");
-    for e in &r.explanations {
+    for e in r.explanations.iter() {
         assert!(!e.pattern_desc.is_empty());
         assert!(!e.primary.is_empty());
     }

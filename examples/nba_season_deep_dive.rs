@@ -6,6 +6,8 @@
 
 #![deny(clippy::disallowed_methods)]
 
+use cajade::core::pipeline;
+use cajade::graph::AptBuilder;
 use cajade::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -69,8 +71,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (i, e) in outcome.explanations.iter().take(10).enumerate() {
         println!("  {:>2}. {}", i + 1, e.render_line());
     }
+    // The APT sizes come from materializing the listed graphs, not from
+    // an answer: a graph over λ_qcost has no APT.
     println!("\njoin graphs and APT sizes (Fig. 10a style):");
-    for (structure, rows, cols) in outcome.apt_stats.iter().take(8) {
+    let params = session.params();
+    let prepared = pipeline::prepare(&nba.db, &nba.schema_graph, &q_lebron, params)?;
+    let builder = AptBuilder::new(&nba.db, &prepared.pt, &prepared.graphs, params.max_cost);
+    let apts = (prepared.valid_graph_indices().into_iter()).map(|gi| builder.materialize(gi));
+    for apt in apts.filter_map(Result::transpose).take(8) {
+        let apt = apt?;
+        let (structure, rows, cols) =
+            (apt.graph.structure_string(), apt.num_rows, apt.fields.len());
         println!("  {structure:<50} {rows:>8} rows  {cols:>3} attrs");
     }
     Ok(())
