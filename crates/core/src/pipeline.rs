@@ -105,7 +105,9 @@ pub fn prepare(
 }
 
 /// Resolves a [`UserQuestion`] (group-by column/value pairs) to the
-/// group-index form the miner consumes.
+/// group-index form the miner consumes. A spec with no pairs selects no
+/// tuple, and a two-point question compares two distinct tuples: either
+/// is a [`CoreError::InvalidQuestion`].
 pub fn resolve_question(
     db: &Database,
     query: &Query,
@@ -113,6 +115,10 @@ pub fn resolve_question(
     question: &UserQuestion,
 ) -> Result<Question> {
     let resolve = |spec: &[(String, String)]| -> Result<usize> {
+        if spec.is_empty() {
+            let msg = "a tuple spec has no (column, value) pairs".into();
+            return Err(CoreError::InvalidQuestion(msg));
+        }
         let pairs: Vec<(&str, &str)> = spec.iter().map(|(c, v)| (c.as_str(), v.as_str())).collect();
         pt.find_group(db, query, &pairs).ok_or_else(|| {
             CoreError::NoSuchOutputTuple(
@@ -125,9 +131,13 @@ pub fn resolve_question(
         })
     };
     Ok(match question {
-        UserQuestion::TwoPoint { t1, t2 } => Question::TwoPoint {
-            t1: resolve(t1)?,
-            t2: resolve(t2)?,
+        UserQuestion::TwoPoint { t1, t2 } => match (resolve(t1)?, resolve(t2)?) {
+            (t1, t2) if t1 == t2 => {
+                let label = group_label(db, query, pt, t1);
+                let msg = format!("t1 and t2 select the same output tuple ({label})");
+                return Err(CoreError::InvalidQuestion(msg));
+            }
+            (t1, t2) => Question::TwoPoint { t1, t2 },
         },
         UserQuestion::SinglePoint { t } => Question::SinglePoint { t: resolve(t)? },
     })
@@ -490,6 +500,18 @@ pub fn materialize_and_mine(
     (Ok(outcomes), work)
 }
 
+/// Frees what [`materialize_and_mine`] returned where it was allocated:
+/// each graph's top-k list under `mine`, which mined it, and the vector
+/// under the caller's scope, which collected it. (The `mine` scope opened
+/// here is not nested in the workers' own: it counts each free once.)
+pub fn drop_outcomes(mut outcomes: Vec<GraphOutcome>) {
+    let mine = AllocScope::enter("mine");
+    outcomes
+        .iter_mut()
+        .for_each(|o| drop(std::mem::take(&mut o.mined)));
+    drop(mine);
+}
+
 /// Stage 5: global F-score ranking + near-duplicate collapse (§6).
 pub fn rank(all: Vec<Explanation>, params: &Params) -> Vec<Explanation> {
     let _stage = Stage::open("rank");
@@ -504,8 +526,8 @@ pub fn rank(all: Vec<Explanation>, params: &Params) -> Vec<Explanation> {
 /// [`Explanation::from_mined`] for the ones it keeps, collected once into
 /// the list every clone of the result shares. Each primary group is
 /// labelled once. The outcomes are only read: a caller that lends them
-/// (`&outcomes`) frees them outside whatever alloc scope it assembles
-/// under, as the service does outside the answer cache's.
+/// (`&outcomes`) frees them with [`drop_outcomes`], outside whatever alloc
+/// scope it assembles under, as the service does outside the answers'.
 pub fn assemble(
     db: &Database,
     query: &Query,

@@ -158,14 +158,10 @@ impl<'a> ExplanationSession<'a> {
             &pipeline::NoSharedStats,
             &pipeline::KeepNothing,
         );
-        Ok(pipeline::assemble(
-            self.db,
-            query,
-            &prepared,
-            outcomes?,
-            &work,
-            &self.params,
-        ))
+        let outcomes = outcomes?;
+        let result = pipeline::assemble(self.db, query, &prepared, &outcomes, &work, &self.params);
+        pipeline::drop_outcomes(outcomes);
+        Ok(result)
     }
 }
 
@@ -247,6 +243,37 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, CoreError::NoSuchOutputTuple(_)));
+    }
+
+    /// An empty spec selects no output tuple, however many the query has,
+    /// and a two-point question whose specs select one tuple compares
+    /// nothing: neither is answered.
+    #[test]
+    fn a_question_not_naming_two_distinct_tuples_is_refused() {
+        let gen = nba::generate(NbaConfig::tiny());
+        let session = ExplanationSession::new(&gen.db, &gen.schema_graph, Params::fast());
+        let season = || vec![("season_name".to_string(), "2015-16".to_string())];
+        for question in [
+            UserQuestion::TwoPoint {
+                t1: vec![],
+                t2: vec![],
+            },
+            UserQuestion::TwoPoint {
+                t1: season(),
+                t2: vec![],
+            },
+            UserQuestion::SinglePoint { t: vec![] },
+            UserQuestion::TwoPoint {
+                t1: season(),
+                t2: season(),
+            },
+        ] {
+            let err = session.explain(&gsw_query(), &question).unwrap_err();
+            assert!(
+                matches!(err, CoreError::InvalidQuestion(_)),
+                "{question:?}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -1,13 +1,10 @@
 //! Keyed LRU cache with byte-budget accounting.
 //!
-//! The service keeps two of these, each under its own byte budget:
-//!
-//! * provenance — one [`QueryEntry`](crate::QueryEntry) per query: its
-//!   result, provenance table, enumerated join graphs and, as asks fill
-//!   them, each graph's APT view and mining preparation — keyed by
-//!   `(epoch, sql)`;
-//! * answer — a question's ranked explanations, keyed by `(epoch, sql,
-//!   question)`.
+//! The service keeps one, the provenance cache: one
+//! [`QueryEntry`](crate::QueryEntry) per query — its result, provenance
+//! table, enumerated join graphs and, as asks fill them, each graph's APT
+//! view and mining preparation and each question's ranked answer — keyed
+//! by `(epoch, sql)`.
 //!
 //! Values travel behind `Arc`, so a hit is a pointer clone and eviction
 //! never frees memory still in use by an in-flight question.
@@ -159,8 +156,9 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
 
     /// Uncounted lookup (refreshes recency, touches no hit/miss counter).
     /// Used by the single-flight double-check so a waiter's satisfied
-    /// lookup is reported as `coalesced` rather than a second miss+hit.
-    fn peek(&self, key: &K) -> Option<V> {
+    /// lookup is reported as `coalesced` rather than a second miss+hit,
+    /// and by an ask looking for its answer in the query's entry.
+    pub(crate) fn peek(&self, key: &K) -> Option<V> {
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
@@ -239,11 +237,11 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
     /// Inserts `value` accounted as `bytes`, evicting least-recently-used
     /// entries until the budget holds. A value larger than the entire
     /// budget is not cached (callers still use it; it is just not
-    /// retained). Returns whether the value was retained.
-    pub fn insert(&self, key: K, value: V, bytes: usize) -> bool {
+    /// retained).
+    pub fn insert(&self, key: K, value: V, bytes: usize) {
         if bytes > self.budget_bytes {
             self.counters.rejected.inc();
-            return false;
+            return;
         }
         let mut inner = self.inner.lock();
         inner.tick += 1;
@@ -258,7 +256,6 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
         inner.bytes += bytes;
         self.trim(&mut inner, &key);
         self.counters.inserts.inc();
-        true
     }
 
     /// Weighs the resident value of `key` again — it grew since it was
@@ -366,7 +363,7 @@ mod tests {
     #[test]
     fn oversized_values_are_rejected_not_cached() {
         let c: LruCache<u32, u32> = LruCache::new(100);
-        assert!(!c.insert(1, 1, 101));
+        c.insert(1, 1, 101);
         assert_eq!(c.get(&1), None);
         let s = c.stats();
         assert_eq!(s.rejected, 1);

@@ -12,17 +12,14 @@
 //!
 //! * [`ExplanationService`] — thread-safe catalog of registered databases
 //!   (with content fingerprints, registration epochs and the statistics
-//!   of their base columns), a session registry, and the two caches,
-//!   all under the one parameter set of [`ServiceConfig::params`];
-//! * provenance cache keyed by `(epoch, canonical SQL)` — one
-//!   [`QueryEntry`] per query: provenance, enumeration and, per join
-//!   graph an ask has prepared, one [`PreparedGraph`] (the view and its
-//!   mining preparation) — with LRU eviction under a byte budget;
-//! * answer cache keyed by `(epoch, canonical SQL, canonical
-//!   question)` — a repeated question returns its fully-ranked
-//!   explanations without running any pipeline stage (this reproduction's
-//!   mining stage dominates the runtime profile, so skipping only
-//!   preparation is not enough for interactive-grade warm latency);
+//!   of their base columns), a session registry, and the one cache, all
+//!   under the one parameter set of [`ServiceConfig::params`];
+//! * the provenance cache keyed by `(epoch, canonical SQL)` — one
+//!   [`QueryEntry`] per query: provenance, enumeration, one
+//!   [`PreparedGraph`] per join graph an ask has prepared, and one ranked
+//!   answer per question asked, which a repeat returns without running
+//!   any pipeline stage — with LRU eviction of whole queries under a byte
+//!   budget;
 //! * [`SessionHandle::ask`] — answers a [`cajade_core::UserQuestion`],
 //!   materializing and preparing only cache-missed join graphs (in
 //!   parallel) and always re-mining, because mining is question-specific;
@@ -58,7 +55,7 @@ mod stats;
 pub use cache::{CacheObs, CacheStats};
 pub use cajade_core::pipeline::PreparedGraph;
 pub use error::{ServiceError, ERROR_CODES};
-pub use keys::{AnswerKey, ProvKey};
+pub use keys::ProvKey;
 pub use service::{ExplanationService, QueryEntry, RegisterOutcome, RegisteredDb, ServiceConfig};
 pub use session::{AskOptions, AskResult, SessionHandle};
 pub use stats::{IngestStats, ServiceStats};

@@ -11,7 +11,7 @@
 //! | `register` | `db`, plus either `dataset` (`nba`\|`mimic`) with `scale`? (synthetic source) or `source:"csv_dir"` with `path`, `strict`? (bool), `max_joins`? (non-negative integer; either one malformed is a `bad_request`) | `epoch`, `fingerprint`, `replaced`, `tables`, `rows`; csv_dir adds an `ingest` report (per-stage timings, per-table stats, join provenance, warnings) |
 //! | `query` | `db`, `sql`, `preview`? (default `true`) | `session`, `columns`, `rows` (≤ `max_rows`, default 50); with `preview: true` warms the provenance cache; reuses an existing session on the same `(db, sql)` |
 //! | `ask` | `session`, `t1`+`t2` or `t` (objects of col→value), `trace`? (default `false`), `timeout_ms`? (request budget) | `explanations`, `cache`, `timings`; with `trace: true` adds a `trace` span-tree array; a budget-truncated answer adds `degraded: true` plus the `truncated` site list |
-//! | `stats` | — | service counters + the two caches and the prepared graphs the provenance cache holds + cumulative ingest stats |
+//! | `stats` | — | service counters + the provenance cache and the prepared graphs and answers its entries hold + cumulative ingest stats |
 //! | `metrics` | `format`? (`"json"` default, or `"prometheus"`) | registry snapshot: `counters`, `gauges`, `histograms` (count/sum/max/mean + p50/p90/p99/p999), or `{"text": ...}` in the Prometheus exposition format |
 //! | `close` | `session` | `closed` |
 //!

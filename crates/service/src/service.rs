@@ -1,10 +1,10 @@
 //! The thread-safe explanation service: a catalog of registered
 //! databases, a registry of open sessions, and the shared caches that make
 //! repeated questions cheap — one [`QueryEntry`] per query (provenance,
-//! enumeration, and one immutable [`PreparedGraph`] per join graph an ask
-//! has prepared), ranked answers per question — all under the service's
-//! one [`Params`]; each registration also keeps the statistics of its base
-//! columns.
+//! enumeration, one immutable [`PreparedGraph`] per join graph an ask has
+//! prepared, and the ranked answer of every question asked of it) — all
+//! under the service's one [`Params`]; each registration also keeps the
+//! statistics of its base columns.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cajade_core::pipeline::{GraphStore, PreparedGraph, PreparedQuery};
-use cajade_core::Params;
+use cajade_core::{Params, SessionResult};
 use cajade_graph::{EnumeratedGraph, SchemaGraph};
 use cajade_ingest::{IngestOptions, IngestReport};
 use cajade_mining::{ColumnStatsConfig, ColumnStatsTable};
@@ -24,7 +24,7 @@ use cajade_storage::Database;
 use parking_lot::{Mutex, RwLock};
 
 use crate::cache::{CacheObs, CacheStats, LruCache};
-use crate::keys::{AnswerKey, ProvKey};
+use crate::keys::ProvKey;
 use crate::obs::ServiceObs;
 use crate::session::SessionHandle;
 use crate::stats::{IngestStats, ServiceStats};
@@ -35,9 +35,9 @@ use crate::{Result, ServiceError};
 const MAX_OPEN_SESSIONS: usize = 4096;
 
 /// One provenance-cache value — everything the service keeps of a query:
-/// its provenance and enumeration, and, in one slot per enumerated graph,
-/// what asks have prepared of them. A query's graphs are looked up by
-/// enumeration index, and evicted, swept and recomputed with the entry.
+/// its provenance and enumeration, in one slot per enumerated graph what
+/// asks have prepared of them, and its answers by canonical question. All
+/// of it is evicted, swept and recomputed with the entry.
 pub struct QueryEntry {
     /// The query's result, provenance table and enumerated join graphs.
     pub query: PreparedQuery,
@@ -49,6 +49,11 @@ pub struct QueryEntry {
     /// itself, and `stats` counts it, without waiting on a latch.
     held: Counter,
     held_bytes: Counter,
+    /// Ranked answers by canonical question, each sharing its explanation
+    /// list with every ask it is handed to; how many, and their bytes.
+    answers: Mutex<HashMap<String, SessionResult>>,
+    answered: Counter,
+    answer_bytes: Counter,
 }
 
 impl QueryEntry {
@@ -58,12 +63,26 @@ impl QueryEntry {
             query,
             held: Counter::default(),
             held_bytes: Counter::default(),
+            answers: Mutex::new(HashMap::new()),
+            answered: Counter::default(),
+            answer_bytes: Counter::default(),
         }
     }
 
-    /// Slots filled so far.
-    pub(crate) fn filled(&self) -> u64 {
-        self.held.get()
+    /// The answer held for the canonical question `question`.
+    pub(crate) fn answer(&self, question: &str) -> Option<SessionResult> {
+        self.answers.lock().get(question).cloned()
+    }
+
+    /// Keeps `result` as the answer of `question`; whether none was held
+    /// for it (a racing ask may have kept one).
+    pub(crate) fn hold_answer(&self, question: String, result: &SessionResult) -> bool {
+        let held = self.answers.lock().insert(question, result.clone());
+        if held.is_none() {
+            self.answered.inc();
+            self.answer_bytes.add(answer_bytes(result) as u64);
+        }
+        held.is_none()
     }
 
     /// Charges `bytes` of all-rows masks an ask's exact re-scores filled
@@ -78,7 +97,7 @@ impl QueryEntry {
     /// Cache accounting for the whole entry: the provenance table
     /// dominates a fresh one, the prepared graphs a filled one;
     /// enumeration output, the query's result table (once: previews share
-    /// it) and the slots are small but counted.
+    /// it), the slots and the answers are small but counted.
     pub(crate) fn approx_bytes(&self) -> usize {
         let graphs = (self.query.graphs.iter())
             .map(|g| {
@@ -88,7 +107,7 @@ impl QueryEntry {
                     + std::mem::size_of::<Mutex<Option<Arc<PreparedGraph>>>>()
             })
             .sum::<usize>();
-        let held = self.held_bytes.get() as usize;
+        let held = (self.held_bytes.get() + self.answer_bytes.get()) as usize;
         self.query.pt.approx_bytes() + self.query.result.approx_bytes() + graphs + 256 + held
     }
 }
@@ -145,14 +164,31 @@ impl GraphStore for EntrySlots<'_> {
     }
 }
 
+/// Cache accounting for an answered question: the ranked explanation list.
+fn answer_bytes(r: &SessionResult) -> usize {
+    r.explanations
+        .iter()
+        .map(|e| {
+            e.pattern_desc.len()
+                + e.primary.len()
+                + e.graph_structure.len()
+                + e.graph_edges.iter().map(String::len).sum::<usize>()
+                + e.preds
+                    .iter()
+                    .map(|(a, b, c)| a.len() + b.len() + c.len())
+                    .sum::<usize>()
+                + 128
+        })
+        .sum::<usize>()
+        + 512
+}
+
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Byte budget of the provenance cache: every query's provenance,
-    /// enumeration and prepared join graphs.
+    /// enumeration, prepared join graphs and answered questions.
     pub prov_cache_bytes: usize,
-    /// Byte budget of the answered-question cache.
-    pub answer_cache_bytes: usize,
     /// The pipeline parameters of every session this service opens; a
     /// caller that wants others constructs another service. `parallel`
     /// defaults to **on** here (unlike the one-shot API, whose
@@ -170,7 +206,6 @@ impl Default for ServiceConfig {
         params.parallel = true;
         ServiceConfig {
             prov_cache_bytes: 768 * 1024 * 1024,
-            answer_cache_bytes: 64 * 1024 * 1024,
             params,
             registry: Arc::new(cajade_obs::Registry::new()),
         }
@@ -212,8 +247,8 @@ pub struct RegisterOutcome {
     /// schema graph (epoch advanced and cache entries were invalidated).
     pub replaced: bool,
     /// What the replaced registration had retained and this call dropped:
-    /// the entries the sweep took out of the two caches, the prepared
-    /// graphs the swept query entries held, plus the base columns whose
+    /// the query entries the sweep took out of the cache, the prepared
+    /// graphs and the answers they held, plus the base columns whose
     /// statistics the replaced registration held.
     pub invalidated_entries: usize,
 }
@@ -232,9 +267,8 @@ pub(crate) struct ServiceInner {
     /// (`cache_apt_…_total`): lookups, fills, and what went out with an
     /// evicted entry.
     pub(crate) apt_obs: CacheObs,
-    /// Ranked answers, each sharing its explanation list with every ask
-    /// it is handed to.
-    pub(crate) answer_cache: LruCache<AnswerKey, cajade_core::SessionResult>,
+    /// The same of the answers they hold (`cache_answer_…_total`).
+    pub(crate) answer_obs: CacheObs,
     pub(crate) ingest_stats: Mutex<IngestStats>,
     pub(crate) params: Params,
     /// Pre-resolved registry instrument handles.
@@ -250,43 +284,34 @@ impl ServiceInner {
             .ok_or_else(|| ServiceError::UnknownDatabase(name.to_string()))
     }
 
-    /// True while `epoch` is still the registered epoch for `name`. Asks
-    /// check this before cache inserts so work computed against a
-    /// just-replaced database snapshot is not retained under keys nothing
-    /// will ever look up again. (A graph prepared into a query entry the
-    /// sweep already dropped needs no check: it dies with the ask.)
-    pub(crate) fn epoch_is_current(&self, name: &str, epoch: u64) -> bool {
-        self.dbs.read().get(name).is_some_and(|r| r.epoch == epoch)
-    }
-
     /// Drops every cache entry of a registration that is no longer in the
     /// catalog and returns what it had retained: those entries, plus the
     /// base columns whose statistics go with the registration itself.
     fn sweep(&self, stale: &RegisteredDb) -> usize {
-        let mut graphs = 0;
+        let mut held = 0;
         let queries = self.prov_cache.retain(|k, entry| {
             let keep = k.epoch != stale.epoch;
             if !keep {
-                graphs += entry.held.get();
+                held += entry.held.get() + entry.answered.get();
             }
             keep
         });
-        queries
-            + graphs as usize
-            + (self.answer_cache).retain(|k, _| k.query.epoch != stale.epoch)
-            + stale.column_stats.filled()
+        queries + held as usize + stale.column_stats.filled()
     }
 
-    /// The prepared graphs resident query entries hold, as the `stats`
-    /// op's `apt_cache` block: they live under the provenance budget.
-    fn apt_stats(&self) -> CacheStats {
-        let (mut graphs, mut bytes) = (0, 0);
-        self.prov_cache.for_each(|entry| {
-            graphs += entry.held.get();
-            bytes += entry.held_bytes.get();
+    /// The prepared graphs and the answers resident query entries hold,
+    /// as the `stats` op's `apt_cache` and `answer_cache` blocks: they
+    /// live under the provenance budget.
+    fn held_stats(&self) -> [CacheStats; 2] {
+        let mut held = [0; 4];
+        self.prov_cache.for_each(|e| {
+            let counters = [&e.held, &e.held_bytes, &e.answered, &e.answer_bytes];
+            (held.iter_mut().zip(counters)).for_each(|(sum, c)| *sum += c.get());
         });
+        let [graphs, graph_bytes, answers, answer_bytes] = held.map(|n| n as usize);
         let budget = self.prov_cache.stats().budget_bytes;
-        (self.apt_obs).stats(graphs as usize, bytes as usize, budget)
+        let apt = self.apt_obs.stats(graphs, graph_bytes, budget);
+        [apt, self.answer_obs.stats(answers, answer_bytes, budget)]
     }
 }
 
@@ -346,7 +371,14 @@ impl ExplanationService {
     pub fn new(config: ServiceConfig) -> Self {
         let registry = &config.registry;
         let apt_obs = CacheObs::new(registry, "apt");
+        let answer_obs = CacheObs::new(registry, "answer");
         let apt_evictions = Arc::clone(&apt_obs.evictions);
+        let answer_evictions = Arc::clone(&answer_obs.evictions);
+        // What an evicted entry held goes out with it.
+        let on_evict = move |entry: &Arc<QueryEntry>| {
+            apt_evictions.add(entry.held.get());
+            answer_evictions.add(entry.answered.get());
+        };
         ExplanationService {
             inner: Arc::new(ServiceInner {
                 dbs: RwLock::new(HashMap::new()),
@@ -354,9 +386,9 @@ impl ExplanationService {
                 next_session: AtomicU64::new(1),
                 next_epoch: AtomicU64::new(0),
                 prov_cache: LruCache::with_obs(config.prov_cache_bytes, registry, "provenance")
-                    .on_evict(move |entry: &Arc<QueryEntry>| apt_evictions.add(entry.held.get())),
+                    .on_evict(on_evict),
                 apt_obs,
-                answer_cache: LruCache::with_obs(config.answer_cache_bytes, registry, "answer"),
+                answer_obs,
                 ingest_stats: Mutex::new(IngestStats::default()),
                 params: config.params,
                 obs: ServiceObs::new(Arc::clone(&config.registry)),
@@ -532,6 +564,7 @@ impl ExplanationService {
     /// Counter + cache snapshot.
     pub fn stats(&self) -> ServiceStats {
         let obs = &self.inner.obs;
+        let [apt_cache, answer_cache] = self.inner.held_stats();
         ServiceStats {
             databases: self.inner.dbs.read().len(),
             open_sessions: self.inner.sessions.read().len(),
@@ -539,8 +572,8 @@ impl ExplanationService {
             questions_answered: obs.asks_total.get(),
             ingest: *self.inner.ingest_stats.lock(),
             provenance_cache: self.inner.prov_cache.stats(),
-            apt_cache: self.inner.apt_stats(),
-            answer_cache: self.inner.answer_cache.stats(),
+            apt_cache,
+            answer_cache,
         }
     }
 
@@ -565,13 +598,13 @@ impl ExplanationService {
         // `cajade_obs::alloc::TrackingAlloc`).
         cajade_obs::rss::record_rss(r);
         cajade_obs::alloc::record_alloc(r);
-        r.gauge("databases").set(self.inner.dbs.read().len() as u64);
-        r.gauge("open_sessions")
-            .set(self.inner.sessions.read().len() as u64);
+        let s = self.stats();
+        r.gauge("databases").set(s.databases as u64);
+        r.gauge("open_sessions").set(s.open_sessions as u64);
         for (name, cache_stats) in [
-            ("provenance", self.inner.prov_cache.stats()),
-            ("apt", self.inner.apt_stats()),
-            ("answer", self.inner.answer_cache.stats()),
+            ("provenance", s.provenance_cache),
+            ("apt", s.apt_cache),
+            ("answer", s.answer_cache),
         ] {
             r.gauge(&format!("cache_{name}_entries"))
                 .set(cache_stats.entries as u64);

@@ -20,7 +20,7 @@
 //! those views, each prepared under its slot's lock — the expensive half,
 //! which concurrent cold asks therefore do once; the view they may both
 //! derive — then every graph mined in enumeration order. This module adds
-//! the answer cache, the entry's re-weighing and the service's counters.
+//! the entry's answers, its re-weighing and the service's counters.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -34,7 +34,7 @@ use cajade_obs::faults::{self, Site};
 use cajade_obs::{span, AllocScope, Collector, SpanRecord, Stage};
 use cajade_query::Query;
 
-use crate::keys::{AnswerKey, ProvKey};
+use crate::keys::{canonical_question, ProvKey};
 use crate::service::{EntrySlots, QueryEntry, RegisteredDb, ServiceInner};
 use crate::{Result, ServiceError};
 
@@ -58,9 +58,9 @@ pub struct AskResult {
     /// actually done (zero on cache hits), mirroring the latency the
     /// caller observed.
     pub result: SessionResult,
-    /// Whether the fully-ranked answer came straight from the answer
-    /// cache (same db epoch, query, and question). When true, no pipeline
-    /// stage ran at all.
+    /// Whether the fully-ranked answer came straight from the query's
+    /// cache entry (same db epoch, query, and question). When true, no
+    /// pipeline stage ran at all.
     pub answer_cache_hit: bool,
     /// Whether provenance + enumeration came from cache.
     pub provenance_cache_hit: bool,
@@ -174,14 +174,15 @@ impl SessionHandle {
         let ask = Stage::span_only("ask");
         let reg: Arc<RegisteredDb> = inner.registered(&self.db_name)?;
 
-        // ---- Stage 0: the fully-ranked answer may already be cached. ----
-        let answer_key = AnswerKey {
-            query: self.prov_key(&reg),
-            question: AnswerKey::canonical_question(question),
-        };
-        let prov_key = &answer_key.query;
-        if let Some(mut result) = inner.answer_cache.get(&answer_key) {
-            // The cached answer's explanations are shared, not copied. No
+        // ---- Stage 0: the query's entry may hold the ranked answer. ------
+        // Looking the entry up here counts nothing: a repeat counts one
+        // answer hit and no provenance lookup.
+        let prov_key = &self.prov_key(&reg);
+        let canonical = canonical_question(question);
+        let held = (inner.prov_cache.peek(prov_key)).and_then(|entry| entry.answer(&canonical));
+        if let Some(mut result) = held {
+            inner.answer_obs.hits.inc();
+            // The held answer's explanations are shared, not copied. No
             // pipeline stage ran; the cold run's stage timings would
             // misreport this request's work.
             result.timings = cajade_core::SessionTimings::default();
@@ -197,6 +198,7 @@ impl SessionHandle {
                 trace: None,
             });
         }
+        inner.answer_obs.misses.inc();
 
         // ---- Stage 1+2: provenance + enumeration, cached. ---------------
         let resolve_span = span("resolve_query");
@@ -207,7 +209,8 @@ impl SessionHandle {
             pipeline::resolve_question(&reg.db, &self.query, &prepared.pt, question)?;
         drop(resolve_span);
 
-        // ---- Stages 3–4: the pipeline's per-graph loop over the entry. -----
+        // ---- Stages 3–5: the pipeline's per-graph loop over the entry, ----
+        // then ranking; the answer is kept in the entry unless degraded.
         // Misses are prepared for every question (scope `None`), with the
         // statistics the registration computed once per base column.
         let slots = EntrySlots {
@@ -215,9 +218,8 @@ impl SessionHandle {
             obs: &inner.apt_obs,
         };
         let col_stats = BaseTableStats::over(&reg.db, Arc::clone(&reg.column_stats));
-        let filled = entry.filled();
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pipeline::materialize_and_mine(
+        let answer = || -> Result<_> {
+            let (outcomes, work) = pipeline::materialize_and_mine(
                 &reg.db,
                 prepared,
                 &mining_question,
@@ -225,61 +227,58 @@ impl SessionHandle {
                 &inner.params,
                 &col_stats,
                 &slots,
-            )
-        }));
-        // The all-rows masks this ask's re-scores filled into the entry's
-        // graphs are the entry's too.
-        let mask_bytes = run.as_ref().map_or(0, |(_, work)| work.exact_mask_bytes);
-        entry.hold_exact_masks(mask_bytes);
-        if entry.filled() != filled || mask_bytes > 0 {
-            // The one place the entry is weighed again: it grew by what
-            // this ask stored in it — also when a worker panicked past the
-            // graphs its siblings stored.
-            inner.prov_cache.reweigh(prov_key, |e| e.approx_bytes());
-        }
-        let (outcomes, work) = run.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-        let obs = &inner.obs;
-        obs.apt_join_steps_total.add(work.join_steps);
-        obs.apt_join_steps_computed_total
-            .add(work.join_steps_computed);
-        obs.apt_index_builds_total.add(work.index_builds);
-        obs.apt_graphs_over_cost_total.add(work.graphs_over_cost);
-        obs.prepare_column_reads_total.add(work.column_reads);
-        obs.prepare_column_reads_computed_total
-            .add(work.column_reads_computed);
-        obs.mine_exact_masks_total.add(work.exact_masks);
-        obs.mine_exact_masks_computed_total
-            .add(work.exact_masks_computed);
-        let outcomes = outcomes?;
-        let apt_cache_misses = work.graphs_prepared;
-        let apt_cache_hits = outcomes.len() - apt_cache_misses;
+            );
+            // The all-rows masks this ask's re-scores filled into the
+            // entry's graphs are the entry's too.
+            entry.hold_exact_masks(work.exact_mask_bytes);
+            let obs = &inner.obs;
+            obs.apt_join_steps_total.add(work.join_steps);
+            obs.apt_join_steps_computed_total
+                .add(work.join_steps_computed);
+            obs.apt_index_builds_total.add(work.index_builds);
+            obs.apt_graphs_over_cost_total.add(work.graphs_over_cost);
+            obs.prepare_column_reads_total.add(work.column_reads);
+            obs.prepare_column_reads_computed_total
+                .add(work.column_reads_computed);
+            obs.mine_exact_masks_total.add(work.exact_masks);
+            obs.mine_exact_masks_computed_total
+                .add(work.exact_masks_computed);
+            let outcomes = outcomes?;
 
-        // ---- Stage 5: assemble + rank. ----------------------------------
-        // The ranked list is built under the answer cache's scope, which
-        // keeps it: the insert below shares it rather than copying it. The
-        // per-graph outcomes are freed after the scope, not under it.
-        let mem = AllocScope::enter("cache.answer");
-        let mut result = pipeline::assemble(
-            &reg.db,
-            &self.query,
-            prepared,
-            &outcomes,
-            &work,
-            &inner.params,
-        );
+            // The ranked list is built under the answers' scope, which
+            // keeps it: the entry shares it rather than copying it. The
+            // per-graph outcomes are freed after the scope, not under it.
+            let mem = AllocScope::enter("cache.answer");
+            let result = pipeline::assemble(
+                &reg.db,
+                &self.query,
+                prepared,
+                &outcomes,
+                &work,
+                &inner.params,
+            );
+            // A degraded (budget-truncated) answer is correct for *this*
+            // request but must never serve a future, unbudgeted one.
+            if !result.degraded && entry.hold_answer(canonical, &result) {
+                inner.answer_obs.inserts.inc();
+            }
+            drop(mem);
+            let found = outcomes.len() - work.graphs_prepared;
+            pipeline::drop_outcomes(outcomes);
+            Ok((result, found, work.graphs_prepared))
+        };
+        let answered = std::panic::catch_unwind(std::panic::AssertUnwindSafe(answer));
+        // The one place the entry is weighed again: it grew by what this
+        // ask stored in it — also when the ask failed, or a worker
+        // panicked past the graphs its siblings stored.
+        inner.prov_cache.reweigh(prov_key, |e| e.approx_bytes());
+        let (mut result, apt_cache_hits, apt_cache_misses) =
+            answered.unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
         if provenance_cache_hit {
             // Those phases were skipped; report the latency actually paid.
             result.timings.provenance = Duration::ZERO;
             result.timings.jg_enum = Duration::ZERO;
         }
-        // A degraded (budget-truncated) answer is correct for *this*
-        // request but must never serve a future, unbudgeted one.
-        if !result.degraded && inner.epoch_is_current(&self.db_name, reg.epoch) {
-            let bytes = answer_bytes(&result);
-            inner.answer_cache.insert(answer_key, result.clone(), bytes);
-        }
-        drop(mem);
-        drop(outcomes);
         if result.degraded {
             inner.obs.ask_degraded_total.inc();
         }
@@ -347,30 +346,11 @@ impl SessionHandle {
             obs.jg_extensions_rejected_total.add(p.extensions_rejected);
             let entry = Arc::new(QueryEntry::new(p));
             // Skip caching if the database was re-registered mid-compute:
-            // a stale-epoch key would hold budget nothing can look up.
-            let bytes = inner
-                .epoch_is_current(&self.db_name, reg.epoch)
-                .then(|| entry.approx_bytes());
+            // a stale-epoch key would hold budget nothing can look up. What
+            // an ask stores in an entry the sweep dropped dies with the ask.
+            let current = (inner.registered(&self.db_name)).is_ok_and(|r| r.epoch == reg.epoch);
+            let bytes = current.then(|| entry.approx_bytes());
             Ok((entry, bytes))
         })
     }
-}
-
-/// Cache accounting for an answered question: the ranked explanation list.
-fn answer_bytes(r: &SessionResult) -> usize {
-    r.explanations
-        .iter()
-        .map(|e| {
-            e.pattern_desc.len()
-                + e.primary.len()
-                + e.graph_structure.len()
-                + e.graph_edges.iter().map(String::len).sum::<usize>()
-                + e.preds
-                    .iter()
-                    .map(|(a, b, c)| a.len() + b.len() + c.len())
-                    .sum::<usize>()
-                + 128
-        })
-        .sum::<usize>()
-        + 512
 }

@@ -71,7 +71,8 @@ pub struct ServiceStats {
     /// entries hold (`entries`, `bytes`: of the resident ones;
     /// `budget_bytes`: the provenance budget they live under).
     pub apt_cache: CacheStats,
-    /// Answered-question cache counters.
+    /// Counters of the answers the provenance cache's entries hold, like
+    /// `apt_cache`.
     pub answer_cache: CacheStats,
 }
 

@@ -100,9 +100,11 @@ fn provenance_cache_charge_matches_tracked_bytes() {
         .unwrap();
     let stats = service.stats();
     assert_eq!(stats.apt_cache.entries, asked.apt_cache_misses);
+    // The entry holds the answer too, charged under the same budget.
+    assert_eq!(stats.answer_cache.entries, 1);
     assert_eq!(
         stats.provenance_cache.bytes,
-        fresh + stats.apt_cache.bytes,
+        fresh + stats.apt_cache.bytes + stats.answer_cache.bytes,
         "the provenance table is charged once, not per graph"
     );
     // `cache.apt` saw the column statistics filled under it; those are
@@ -112,7 +114,7 @@ fn provenance_cache_charge_matches_tracked_bytes() {
     assert_calibrated(
         "filled query entry",
         stats.provenance_cache.bytes,
-        held("cache.provenance") + graphs,
+        held("cache.provenance") + graphs + held("cache.answer"),
     );
 
     // Warm asks fill the graphs' all-rows masks: the entry is charged for
@@ -146,7 +148,7 @@ fn provenance_cache_charge_matches_tracked_bytes() {
     assert_calibrated(
         "filled query entry after five warm asks",
         warm.provenance_cache.bytes,
-        held("cache.provenance") + graphs,
+        held("cache.provenance") + graphs + held("cache.answer"),
     );
 }
 

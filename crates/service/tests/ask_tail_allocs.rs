@@ -4,7 +4,7 @@
 //! top-k as numbers; ranking walks them and renders only the explanations
 //! it returns, so no string is built for the ~1 500 mined explanations
 //! that collapse and the global cut discard. Then what asking it again
-//! allocates: the answer cache hands out the list it keeps, not a copy.
+//! allocates: the query's entry hands out the answer it keeps, not a copy.
 //!
 //! One `#[test]`: the scope ledgers are process-wide, and a sibling test
 //! asking on another thread would count into them.
@@ -63,7 +63,7 @@ fn a_warm_ask_renders_what_it_returns_and_a_repeat_copies_none_of_it() {
     // bound is the release figure plus 10 %.
     assert!(mine + rank < 28_200, "mine {mine} + rank {rank} blocks");
 
-    // Asked again, the answer comes from the answer cache: the ranked list
+    // Asked again, the answer comes from the query's entry: the ranked list
     // the warm ask built, shared by every hit. Copying it cost 460 blocks
     // (~29 KB) per hit; the hit itself allocates 14.
     let again = question("2016-17", "2013-14");

@@ -336,15 +336,17 @@ fn reregistration_between_lookup_and_fill_retains_nothing_of_the_stale_epoch() {
     // stalls on the failpoint — under the graph's slot lock — it has
     // looked every graph up and stored none. The main thread replaces the
     // database then, and only then lets the preparations through.
+    // The replacement is generated beforehand: only registering it falls
+    // inside the 200 ms stall.
+    let mut changed = NbaConfig::tiny();
+    changed.seed = 99;
+    let changed = nba::generate(changed);
     let plan = Plan::parse("cache.apt_compute=sleep:200").unwrap();
     let stale = std::thread::scope(|scope| {
         let ask = scope.spawn(|| plan.install(|| session.ask(&q("2015-16", "2012-13"))));
         while plan.fired(Site::CacheAptCompute) == 0 && !ask.is_finished() {
             std::thread::yield_now();
         }
-        let mut changed = NbaConfig::tiny();
-        changed.seed = 99;
-        let changed = nba::generate(changed);
         let outcome = service.register_database("nba", changed.db, changed.schema_graph);
         plan.disarm();
         // The query entry went; it held no graph yet.

@@ -116,6 +116,26 @@ fn question_2_skips_preparation_and_matches_a_cold_run() {
     assert_eq!(stats.provenance_cache.misses, 1);
     assert_eq!(stats.provenance_cache.hits, 1); // q2 (q1-again hit answers)
     assert_eq!(stats.answer_cache.hits, 1);
+
+    // The two answers live in the query's entry: the entry is charged for
+    // its query as a preview leaves it, its prepared graphs, and them.
+    let answers = stats.answer_cache;
+    assert_eq!(answers.entries, 2);
+    assert!(answers.bytes > 0);
+    assert_eq!(answers.budget_bytes, stats.provenance_cache.budget_bytes);
+    let fresh = {
+        let probe = tiny_service(fast_config());
+        probe
+            .open_session("nba", GSW_SQL)
+            .unwrap()
+            .preview()
+            .unwrap();
+        probe.stats().provenance_cache.bytes
+    };
+    assert_eq!(
+        stats.provenance_cache.bytes,
+        fresh + stats.apt_cache.bytes + answers.bytes
+    );
 }
 
 #[test]
@@ -156,22 +176,46 @@ fn warm_prepared_apt_skips_question_independent_phases() {
 }
 
 #[test]
-fn a_zero_byte_answer_cache_re_mines_every_repeat_to_the_same_answer() {
+fn an_answer_evicted_with_its_query_is_re_mined_to_the_same_answer() {
+    // A budget that holds the query's provenance but not its prepared
+    // graphs: each computed ask's entry, answer included, is evicted by
+    // the ask that filled it.
+    let budget = {
+        let probe = tiny_service(ServiceConfig::default());
+        probe
+            .open_session("nba", GSW_SQL)
+            .unwrap()
+            .preview()
+            .unwrap();
+        let fresh = probe.stats().provenance_cache.bytes;
+        (fresh * 3) / 2
+    };
     let service = tiny_service(ServiceConfig {
-        answer_cache_bytes: 0,
+        prov_cache_bytes: budget,
         ..ServiceConfig::default()
     });
     let session = service.open_session("nba", GSW_SQL).unwrap();
     let question = q("2015-16", "2012-13");
     let first = session.ask(&question).unwrap();
-    assert_eq!(service.stats().answer_cache.rejected, 1);
+    let answers = service.stats().answer_cache;
+    assert_eq!(
+        (answers.inserts, answers.entries, answers.evictions),
+        (1, 0, 1),
+        "the answer left with its query: {answers:?}"
+    );
 
-    // The repeat misses the answer cache and mines against the cached
-    // provenance and prepared graphs.
+    // The repeat misses and mines again, from provenance up.
     let repeat = session.ask(&question).unwrap();
-    assert!(!repeat.answer_cache_hit && repeat.provenance_cache_hit);
-    assert_eq!(repeat.apt_cache_misses, 0);
-    assert_eq!(service.stats().answer_cache.rejected, 2);
+    assert!(!repeat.answer_cache_hit && !repeat.provenance_cache_hit);
+    assert!(repeat.apt_cache_misses > 0);
+    let answers = service.stats().answer_cache;
+    assert_eq!((answers.hits, answers.misses), (0, 2), "{answers:?}");
+    assert_eq!((answers.inserts, answers.evictions), (2, 2), "{answers:?}");
+    let counters = service.metrics_snapshot().counters;
+    let evicted = counters
+        .iter()
+        .find(|(name, _)| name == "cache_answer_evictions_total");
+    assert_eq!(evicted.map(|(_, n)| *n), Some(2));
 
     let reference = tiny_service(ServiceConfig::default())
         .open_session("nba", GSW_SQL)
@@ -185,23 +229,57 @@ fn a_zero_byte_answer_cache_re_mines_every_repeat_to_the_same_answer() {
 }
 
 #[test]
+fn a_question_not_naming_two_distinct_tuples_is_refused_on_the_wire() {
+    let service = tiny_service(fast_config());
+    let query = format!(r#"{{"op":"query","db":"nba","sql":"{GSW_SQL}"}}"#);
+    let session = handle_line(&service, &query)
+        .get("session")
+        .and_then(Json::as_u64)
+        .unwrap();
+    for question in [
+        r#""t1":{},"t2":{}"#,
+        r#""t1":{"season_name":"2015-16"},"t2":{}"#,
+        r#""t":{}"#,
+        r#""t1":{"season_name":"2015-16"},"t2":{"season_name":"2015-16"}"#,
+    ] {
+        let line = format!(r#"{{"op":"ask","session":{session},{question}}}"#);
+        let answer = handle_line(&service, &line);
+        assert_eq!(
+            answer.get("ok").and_then(Json::as_bool),
+            Some(false),
+            "{question}"
+        );
+        let error = answer.get("error").unwrap();
+        assert_eq!(error.get("code").and_then(Json::as_str), Some("pipeline"));
+        let message = error.get("message").and_then(Json::as_str).unwrap();
+        assert!(message.contains("invalid user question"), "{message}");
+    }
+    // Nothing was answered, so nothing was kept.
+    let answers = service.stats().answer_cache;
+    assert_eq!((answers.inserts, answers.entries), (0, 0), "{answers:?}");
+}
+
+#[test]
 fn concurrent_cold_asks_single_flight_provenance() {
     // Satellite: two concurrent cold asks on the same (db, query) must
     // not both compute provenance. With the per-key in-flight latch, the
     // prepared query is computed and inserted exactly once regardless of
     // interleaving; without it, both threads would insert.
-    let config = ServiceConfig {
-        answer_cache_bytes: 0, // force both asks through the pipeline
-        ..fast_config()
-    };
-    let service = tiny_service(config);
-    let question = q("2015-16", "2012-13");
+    let service = tiny_service(fast_config());
+    // One question spelled two ways (a pair repeated): answers are kept
+    // by spelling, so neither ask can take the other's answer and both go
+    // through the pipeline — and must still agree.
+    let q1 = q("2015-16", "2012-13");
+    let q2 = UserQuestion::two_point(
+        &[("season_name", "2015-16"), ("season_name", "2015-16")],
+        &[("season_name", "2012-13")],
+    );
 
     let ((r1, r1_graphs), (r2, r2_graphs)) = std::thread::scope(|scope| {
         let svc_a = service.clone();
         let svc_b = service.clone();
-        let qa = &question;
-        let qb = &question;
+        let qa = &q1;
+        let qb = &q2;
         let ask = |service: ExplanationService, question| {
             let session = service.open_session("nba", GSW_SQL).unwrap();
             let answer = session.ask(question).unwrap().result;
@@ -318,6 +396,19 @@ fn query_over_the_provenance_budget_is_dropped_whole_and_recomputed() {
         rendered(&cold.result.explanations)
     );
     assert!(!a1.result.explanations.is_empty());
+
+    // q1's answer went out with q1's entry: asked again, it is recomputed
+    // from provenance, to the same answer.
+    let a1_again = session.ask(&q("2015-16", "2012-13")).unwrap();
+    assert!(!a1_again.answer_cache_hit && !a1_again.provenance_cache_hit);
+    assert_eq!(a1_again.apt_cache_misses, a1.apt_cache_misses);
+    assert_eq!(
+        rendered(&a1_again.result.explanations),
+        rendered(&a1.result.explanations)
+    );
+    within_budget("asked q1 again");
+    let answers = service.stats().answer_cache;
+    assert_eq!((answers.hits, answers.evictions), (0, 3), "{answers:?}");
 }
 
 #[test]
@@ -342,7 +433,9 @@ fn reregistration_invalidates_only_on_content_change() {
     let changed = nba::generate(changed_cfg);
     let outcome = service.register_database("nba", changed.db, changed.schema_graph);
     assert!(outcome.replaced);
-    assert!(outcome.invalidated_entries > 0, "stale entries swept");
+    // The query's entry, the graphs and the one answer it held, and the
+    // base columns the registration analysed.
+    assert_eq!(outcome.invalidated_entries, 70, "stale entries swept");
     let cold = session.ask(&q1).unwrap();
     assert!(!cold.answer_cache_hit);
     assert!(!cold.provenance_cache_hit);

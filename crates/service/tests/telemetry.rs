@@ -26,13 +26,7 @@ const GSW_SQL: &str = "SELECT COUNT(*) AS win, s.season_name \
        AND t.team = 'GSW' GROUP BY s.season_name";
 
 fn tiny_nba_service() -> ExplanationService {
-    // Answer cache off: every ask re-mines, so each recorded ask wall is
-    // macroscopic and the p50 assertion below cannot flake on a
-    // sub-microsecond cache hit.
-    let service = ExplanationService::new(ServiceConfig {
-        answer_cache_bytes: 0,
-        ..ServiceConfig::default()
-    });
+    let service = ExplanationService::new(ServiceConfig::default());
     let gen = nba::generate(nba::NbaConfig::tiny());
     service.register_database("nba", gen.db, gen.schema_graph);
     service
@@ -166,8 +160,17 @@ fn traced_cold_ask_covers_all_stages_and_metrics_percentiles_populate() {
         );
     }
 
-    // Tracing must not change the answer.
-    let a2 = handle_line(&service, &ask_line(session, "2015-16", "2012-13", false));
+    // Tracing must not change the answer: the same question, untraced,
+    // on a service that has not answered it.
+    let untraced = tiny_nba_service();
+    let sql = format!(r#"{{"op":"query","db":"nba","sql":"{GSW_SQL}","preview":false}}"#);
+    let other = handle_line(&untraced, &sql)
+        .get("session")
+        .and_then(Json::as_u64);
+    let a2 = handle_line(
+        &untraced,
+        &ask_line(other.unwrap(), "2015-16", "2012-13", false),
+    );
     assert!(a2.get("trace").is_none(), "untraced ask leaked a trace");
     assert_eq!(
         a1.get("explanations").unwrap().render(),
@@ -175,16 +178,20 @@ fn traced_cold_ask_covers_all_stages_and_metrics_percentiles_populate() {
         "tracing changed the explanations"
     );
 
-    // 19 more asks (21 total), alternating questions; the answer cache is
-    // off so each one re-mines and records a macroscopic wall.
-    for i in 0..19 {
-        let (t1, t2) = if i % 2 == 0 {
-            ("2016-17", "2012-13")
-        } else {
-            ("2015-16", "2012-13")
-        };
+    // 20 more asks (21 total), each a question not asked before, so each
+    // one mines and records a macroscopic wall: the p50 assertion below
+    // cannot flake on a sub-microsecond answer hit.
+    let seasons = [
+        "2009-10", "2010-11", "2011-12", "2012-13", "2013-14", "2014-15",
+    ];
+    let pairs = seasons
+        .iter()
+        .flat_map(|t1| seasons.iter().map(move |t2| (t1, t2)));
+    for (t1, t2) in pairs.filter(|(t1, t2)| t1 != t2).take(20) {
         let a = handle_line(&service, &ask_line(session, t1, t2, false));
         assert_eq!(a.get("ok").and_then(Json::as_bool), Some(true), "{a:?}");
+        let cache = a.get("cache").and_then(|c| c.get("answer"));
+        assert_eq!(cache.and_then(Json::as_str), Some("miss"), "{t1} vs {t2}");
     }
 
     // The registry's ask histogram has the full population with non-zero
@@ -266,8 +273,10 @@ fn cache_counters_mirror_into_the_registry() {
         &format!(r#"{{"op":"query","db":"nba","sql":"{GSW_SQL}"}}"#),
     );
     let session = q.get("session").and_then(Json::as_u64).unwrap();
+    // Two questions: a repeat would be answered from the query's entry
+    // without a provenance lookup.
     handle_line(&service, &ask_line(session, "2015-16", "2012-13", false));
-    handle_line(&service, &ask_line(session, "2015-16", "2012-13", false));
+    handle_line(&service, &ask_line(session, "2016-17", "2012-13", false));
 
     let m = handle_line(&service, r#"{"op":"metrics"}"#);
     let counters = m.get("counters").unwrap();

@@ -18,7 +18,8 @@
 //! * [`baselines`] — Explanation Tables, CAPE, provenance-only,
 //! * [`core`] — the end-to-end [`core::ExplanationSession`],
 //! * [`service`] — the interactive explanation service: session
-//!   registry, provenance/APT/answer caches, and the `cajade-serve`
+//!   registry, one cache of query entries (provenance, prepared join
+//!   graphs, answers), and the `cajade-serve`
 //!   JSON-lines binary.
 //!
 //! ## Quickstart
