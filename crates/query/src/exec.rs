@@ -7,8 +7,10 @@
 //! evaluation, so the provenance is by construction exactly the
 //! why-provenance of the aggregation (Definition 1).
 
+use std::cmp::Ordering;
+
 use cajade_storage::rowkey::{GroupIds, KeyIndex};
-use cajade_storage::{AttrKind, Column, DataType, Database, Table, Value};
+use cajade_storage::{AttrKind, Column, DataType, Database, StringPool, Table, Value};
 
 use crate::ast::*;
 use crate::{QueryError, Result};
@@ -79,15 +81,54 @@ impl<'a> Binder<'a> {
         }
     }
 
-    /// Interns/resolves a literal into a runtime [`Value`]. Unknown string
-    /// literals resolve to a value that matches nothing (id lookup miss).
-    pub fn literal_value(&self, lit: &Literal) -> Option<Value> {
+    /// A literal as a comparison operand: a string the pool holds by its
+    /// id, one it does not by its text.
+    fn operand(&self, lit: &'a Literal) -> Operand<'a> {
         match lit {
-            Literal::Int(i) => Some(Value::Int(*i)),
-            Literal::Float(f) => Some(Value::Float(*f)),
-            Literal::Str(s) => self.db.lookup_str(s).map(Value::Str),
+            Literal::Int(i) => Operand::Value(Value::Int(*i)),
+            Literal::Float(f) => Operand::Value(Value::Float(*f)),
+            Literal::Str(s) => self
+                .db
+                .lookup_str(s)
+                .map_or(Operand::Text(s), |id| Operand::Value(Value::Str(id))),
         }
     }
+}
+
+/// One side of a filter comparison: a cell's value, or the text of a
+/// string literal no cell holds.
+#[derive(Clone, Copy)]
+enum Operand<'a> {
+    Value(Value),
+    Text(&'a str),
+}
+
+/// Whether `a op b` holds, by SQL rules: never when either side is NULL;
+/// numbers numerically; strings by their text, since intern ids follow
+/// first appearance, not the alphabet; numbers before strings, as in
+/// [`Value::total_cmp`]. Every filter of [`join_rows`] compares through it.
+fn holds(pool: &StringPool, a: Operand<'_>, op: CmpOp, b: Operand<'_>) -> bool {
+    let text = |o| match o {
+        Operand::Value(Value::Str(id)) => Ok(pool.resolve(id)),
+        Operand::Text(s) => Ok(s),
+        Operand::Value(v) => Err(v),
+    };
+    let ord = match (a, b) {
+        (Operand::Value(Value::Null), _) | (_, Operand::Value(Value::Null)) => return false,
+        // The pool holds each text once: equal ids, equal text.
+        (Operand::Value(Value::Str(x)), Operand::Value(Value::Str(y)))
+            if matches!(op, CmpOp::Eq | CmpOp::Ne) =>
+        {
+            x.cmp(&y)
+        }
+        _ => match (text(a), text(b)) {
+            (Ok(x), Ok(y)) => x.cmp(y),
+            (Err(x), Err(y)) => x.total_cmp(&y),
+            (Err(_), Ok(_)) => Ordering::Less,
+            (Ok(_), Err(_)) => Ordering::Greater,
+        },
+    };
+    op.eval(ord)
 }
 
 /// Flattened join result: `data[row * stride + k]` is the row id in FROM
@@ -110,26 +151,22 @@ impl Joined {
 }
 
 /// Classified predicates after binding.
-struct Classified {
+struct Classified<'a> {
     /// Per-FROM-entry single-table predicates (literal comparisons and
     /// intra-table column comparisons) — pushed down before joining.
-    per_entry: Vec<Vec<EntryPred>>,
+    per_entry: Vec<Vec<EntryPred<'a>>>,
     /// Cross-entry equality predicates, used for hash joins.
     equi: Vec<(BoundCol, BoundCol)>,
     /// Cross-entry non-equality predicates — residual filters.
     residual: Vec<(BoundCol, CmpOp, BoundCol)>,
 }
 
-enum EntryPred {
-    Lit(usize, CmpOp, Value),
-    /// Literal string that is not in the pool: matches nothing for Eq,
-    /// everything for Ne (SQL three-valued logic collapsed: unknown strings
-    /// are simply absent from the data).
-    ImpossibleEq,
+enum EntryPred<'a> {
+    Lit(usize, CmpOp, Operand<'a>),
     Cols(usize, CmpOp, usize),
 }
 
-fn classify(binder: &Binder<'_>) -> Result<Classified> {
+fn classify<'a>(binder: &Binder<'a>) -> Result<Classified<'a>> {
     let n = binder.query.from.len();
     let mut per_entry: Vec<Vec<EntryPred>> = (0..n).map(|_| Vec::new()).collect();
     let mut equi = Vec::new();
@@ -139,20 +176,8 @@ fn classify(binder: &Binder<'_>) -> Result<Classified> {
         match p {
             Predicate::ColLit(col, op, lit) => {
                 let b = binder.bind(col)?;
-                match binder.literal_value(lit) {
-                    Some(v) => per_entry[b.from_idx].push(EntryPred::Lit(b.col_idx, *op, v)),
-                    None => {
-                        // Unknown interned string.
-                        if *op == CmpOp::Eq {
-                            per_entry[b.from_idx].push(EntryPred::ImpossibleEq);
-                        }
-                        // For Ne against an unknown string every non-null row
-                        // passes; nulls fail but comparing Null via sql
-                        // semantics already fails, handled below by treating
-                        // the predicate as absent — acceptable for this
-                        // query class.
-                    }
-                }
+                let lit = binder.operand(lit);
+                per_entry[b.from_idx].push(EntryPred::Lit(b.col_idx, *op, lit));
             }
             Predicate::ColCol(a, op, b) => {
                 let ba = binder.bind(a)?;
@@ -179,6 +204,8 @@ fn classify(binder: &Binder<'_>) -> Result<Classified> {
 pub(crate) fn join_rows(binder: &Binder<'_>) -> Result<Joined> {
     let classified = classify(binder)?;
     let n = binder.query.from.len();
+    let pool = binder.db.pool();
+    let cell = |table: &Table, c: usize, r: usize| Operand::Value(table.column(c).value(r));
 
     // Selection pushdown: candidate row ids per FROM entry.
     let mut candidates: Vec<Vec<u32>> = Vec::with_capacity(n);
@@ -187,27 +214,14 @@ pub(crate) fn join_rows(binder: &Binder<'_>) -> Result<Joined> {
         let mut rows = Vec::new();
         'rows: for r in 0..table.num_rows() {
             for p in preds {
-                match p {
-                    EntryPred::ImpossibleEq => continue 'rows,
-                    EntryPred::Lit(c, op, v) => {
-                        let cell = table.column(*c).value(r);
-                        if cell.is_null() {
-                            continue 'rows;
-                        }
-                        if !op.eval(cell.total_cmp(v)) {
-                            continue 'rows;
-                        }
-                    }
+                let pass = match *p {
+                    EntryPred::Lit(c, op, lit) => holds(pool, cell(table, c, r), op, lit),
                     EntryPred::Cols(a, op, b) => {
-                        let va = table.column(*a).value(r);
-                        let vb = table.column(*b).value(r);
-                        if va.is_null() || vb.is_null() {
-                            continue 'rows;
-                        }
-                        if !op.eval(va.total_cmp(&vb)) {
-                            continue 'rows;
-                        }
+                        holds(pool, cell(table, a, r), op, cell(table, b, r))
                     }
+                };
+                if !pass {
+                    continue 'rows;
                 }
             }
             rows.push(r as u32);
@@ -280,14 +294,15 @@ pub(crate) fn join_rows(binder: &Binder<'_>) -> Result<Joined> {
         let mut filtered = Vec::with_capacity(joined.data.len());
         'combo: for i in 0..joined.num_rows() {
             let row = joined.row(i);
-            for (a, op, b) in &classified.residual {
-                let va = binder.tables[a.from_idx]
-                    .column(a.col_idx)
-                    .value(row[a.from_idx] as usize);
-                let vb = binder.tables[b.from_idx]
-                    .column(b.col_idx)
-                    .value(row[b.from_idx] as usize);
-                if va.is_null() || vb.is_null() || !op.eval(va.total_cmp(&vb)) {
+            for &(a, op, b) in &classified.residual {
+                let side = |c: BoundCol| {
+                    cell(
+                        binder.tables[c.from_idx],
+                        c.col_idx,
+                        row[c.from_idx] as usize,
+                    )
+                };
+                if !holds(pool, side(a), op, side(b)) {
                     continue 'combo;
                 }
             }
@@ -736,6 +751,108 @@ pub(crate) mod tests {
         .unwrap();
         let r = execute(&db, &q).unwrap();
         assert_eq!(r.num_rows(), 0);
+    }
+
+    /// `fruit(id, name, other)`: strings interned out of alphabetical
+    /// order (`pear` gets the smallest id, `apple` the next), with NULLs.
+    const FRUIT: [(i64, Option<&str>, Option<&str>); 6] = [
+        (1, Some("pear"), Some("apple")),
+        (2, Some("apple"), Some("zebra")),
+        (3, None, Some("pear")),
+        (4, Some("zebra"), None),
+        (5, Some("mango"), Some("mango")),
+        (6, Some("apple"), Some("pear")),
+    ];
+
+    fn fruit_db() -> Database {
+        let mut db = Database::new("fruit");
+        db.create_table(
+            SchemaBuilder::new("fruit")
+                .column_pk("id", DataType::Int, AttrKind::Categorical)
+                .column("name", DataType::Str, AttrKind::Categorical)
+                .column("other", DataType::Str, AttrKind::Categorical)
+                .build(),
+        )
+        .unwrap();
+        for (id, name, other) in FRUIT {
+            let mut cell = |s: Option<&str>| s.map_or(Value::Null, |s| Value::Str(db.intern(s)));
+            let row = vec![Value::Int(id), cell(name), cell(other)];
+            db.table_mut("fruit").unwrap().push_row(row).unwrap();
+        }
+        db
+    }
+
+    const OPS: [(&str, CmpOp); 6] = [
+        ("=", CmpOp::Eq),
+        ("<>", CmpOp::Ne),
+        ("<", CmpOp::Lt),
+        ("<=", CmpOp::Le),
+        (">", CmpOp::Gt),
+        (">=", CmpOp::Ge),
+    ];
+
+    /// Per output group, `(id, count)`, sorted: the group column comes
+    /// first in the output, the aggregate second.
+    fn counts(db: &Database, sql: &str) -> Vec<(i64, i64)> {
+        let r = execute(db, &parse_sql(sql).unwrap()).unwrap();
+        assert_eq!(r.group_cols, ["id"]);
+        let mut out: Vec<_> = (0..r.num_rows())
+            .map(|row| {
+                let get = |col| r.table.value(row, col).as_i64().unwrap();
+                (get(0), get(1))
+            })
+            .collect();
+        out.sort();
+        out
+    }
+
+    /// `a op b` on text, as SQL has it: NULL on either side fails.
+    fn naive(a: Option<&str>, op: CmpOp, b: Option<&str>) -> bool {
+        a.zip(b).is_some_and(|(a, b)| op.eval(a.cmp(b)))
+    }
+
+    /// String comparisons order text, not intern ids, against literals
+    /// the pool holds and ones it does not, against another column of the
+    /// row, and across FROM entries; NULLs pass no comparison.
+    #[test]
+    fn string_comparisons_order_text_not_intern_ids() {
+        let db = fruit_db();
+        for (symbol, op) in OPS {
+            for lit in [
+                "apple", "mango", "pear", "zebra", "banana", "unseen", "zz", "",
+            ] {
+                let sql = format!(
+                    "SELECT id, count(*) AS c FROM fruit WHERE name {symbol} '{lit}' GROUP BY id"
+                );
+                let want: Vec<_> = (FRUIT.iter())
+                    .filter(|(_, name, _)| naive(*name, op, Some(lit)))
+                    .map(|&(id, ..)| (id, 1))
+                    .collect();
+                assert_eq!(counts(&db, &sql), want, "{sql}");
+            }
+
+            let sql = format!(
+                "SELECT id, count(*) AS c FROM fruit WHERE name {symbol} other GROUP BY id"
+            );
+            let want: Vec<_> = (FRUIT.iter())
+                .filter(|(_, name, other)| naive(*name, op, *other))
+                .map(|&(id, ..)| (id, 1))
+                .collect();
+            assert_eq!(counts(&db, &sql), want, "{sql}");
+
+            let sql = format!(
+                "SELECT a.id, count(*) AS c FROM fruit a, fruit b \
+                 WHERE a.name {symbol} b.other GROUP BY a.id"
+            );
+            let want: Vec<_> = (FRUIT.iter())
+                .map(|&(id, name, _)| {
+                    let pairs = FRUIT.iter().filter(|(_, _, other)| naive(name, op, *other));
+                    (id, pairs.count() as i64)
+                })
+                .filter(|&(_, n)| n > 0)
+                .collect();
+            assert_eq!(counts(&db, &sql), want, "{sql}");
+        }
     }
 
     #[test]

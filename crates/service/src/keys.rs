@@ -1,16 +1,17 @@
 //! Cache keys.
 //!
 //! A key is what identifies its value and nothing else: the owning
-//! database's registration *epoch* — never reused, so it stands for one
-//! name with one content and one schema graph — and the query's canonical
+//! database's registration *epoch* — one per `register` call, never
+//! reused, so it stands for one registration: one name with one content
+//! and one schema graph — and the query's canonical
 //! SQL rendering (`Query::to_sql`). What a query entry holds below that
 //! has no key of its own: a join graph is a slot of its
 //! [`crate::QueryEntry`], by enumeration index, and an answered question
 //! is found in the entry by its [`canonical_question`]. Parameters are the
 //! service's ([`crate::ServiceConfig::params`]), one set for every entry
-//! it holds. When a database is re-registered with different content or a
-//! different schema graph its epoch advances and the entries of the stale
-//! one are swept ([`crate::ExplanationService::register_database`]).
+//! it holds. Every re-registration takes a new epoch, and the entries of
+//! the registration it replaced are swept
+//! ([`crate::ExplanationService::register_database`]).
 
 /// Key of a cached query: everything its [`crate::QueryEntry`] holds.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]

@@ -11,9 +11,9 @@
 //! questions skip straight to mining:
 //!
 //! * [`ExplanationService`] — thread-safe catalog of registered databases
-//!   (with content fingerprints, registration epochs and the statistics
-//!   of their base columns), a session registry, and the one cache, all
-//!   under the one parameter set of [`ServiceConfig::params`];
+//!   (each with its registration epoch and the statistics of its base
+//!   columns), a session registry, and the one cache, all under the one
+//!   parameter set of [`ServiceConfig::params`];
 //! * the provenance cache keyed by `(epoch, canonical SQL)` — one
 //!   [`QueryEntry`] per query: provenance, enumeration, one
 //!   [`PreparedGraph`] per join graph an ask has prepared, and one ranked
@@ -23,9 +23,9 @@
 //! * [`SessionHandle::ask`] — answers a [`cajade_core::UserQuestion`],
 //!   materializing and preparing only cache-missed join graphs (in
 //!   parallel) and always re-mining, because mining is question-specific;
-//! * re-registering a database with different content or a different
-//!   schema graph advances its epoch and sweeps every stale cache entry; the replaced registration's
-//!   column statistics are dropped with it.
+//! * one epoch per `register` call: re-registering a name, whatever its
+//!   content, takes a new epoch and sweeps every cache entry of the
+//!   replaced registration, whose column statistics are dropped with it.
 //!
 //! The `cajade-serve` binary (this crate's `src/bin/serve.rs`) exposes
 //! the service over a JSON-lines stdin/stdout protocol

@@ -8,12 +8,15 @@
 //!
 //! | op | request fields | response fields |
 //! |---|---|---|
-//! | `register` | `db`, plus either `dataset` (`nba`\|`mimic`) with `scale`? (synthetic source) or `source:"csv_dir"` with `path`, `strict`? (bool), `max_joins`? (non-negative integer; either one malformed is a `bad_request`) | `epoch`, `fingerprint`, `replaced`, `tables`, `rows`; csv_dir adds an `ingest` report (per-stage timings, per-table stats, join provenance, warnings) |
-//! | `query` | `db`, `sql`, `preview`? (default `true`) | `session`, `columns`, `rows` (≤ `max_rows`, default 50); with `preview: true` warms the provenance cache; reuses an existing session on the same `(db, sql)` |
-//! | `ask` | `session`, `t1`+`t2` or `t` (objects of col→value), `trace`? (default `false`), `timeout_ms`? (request budget) | `explanations`, `cache`, `timings`; with `trace: true` adds a `trace` span-tree array; a budget-truncated answer adds `degraded: true` plus the `truncated` site list |
+//! | `register` | `db`, plus either `dataset` (`nba`\|`mimic`) with `scale`? (number) (synthetic source) or `source:"csv_dir"` with `path`, `strict`? (bool), `max_joins`? (non-negative integer) | `epoch` (new with every call), `replaced`, `invalidated_entries`, `tables`, `rows`; csv_dir adds an `ingest` report (per-stage timings, per-table stats, join provenance, warnings) |
+//! | `query` | `db`, `sql`, `preview`? (bool, default `true`), `max_rows`? (non-negative integer, default 50) | `session`, `columns`, `rows` (≤ `max_rows`); with `preview: true` warms the provenance cache; reuses an existing session on the same `(db, sql)` |
+//! | `ask` | `session`, `t1`+`t2` or `t` (objects of col→value), `trace`? (bool, default `false`), `timeout_ms`? (positive number: the request budget) | `explanations`, `cache`, `timings`; with `trace: true` adds a `trace` span-tree array; a budget-truncated answer adds `degraded: true` plus the `truncated` site list |
 //! | `stats` | — | service counters + the provenance cache and the prepared graphs and answers its entries hold + cumulative ingest stats |
 //! | `metrics` | `format`? (`"json"` default, or `"prometheus"`) | registry snapshot: `counters`, `gauges`, `histograms` (count/sum/max/mean + p50/p90/p99/p999), or `{"text": ...}` in the Prometheus exposition format |
 //! | `close` | `session` | `closed` |
+//!
+//! An optional field (`?`) that is absent takes its default; one that is
+//! present but malformed is a `bad_request` naming it.
 //!
 //! Example exchange:
 //!
@@ -82,16 +85,21 @@ fn handle_line_inner(service: &ExplanationService, line: &str) -> Json {
         Some(op) => op,
         None => return err("bad_request", "missing \"op\""),
     };
-    match op {
+    let reply = match op {
         "register" => handle_register(service, &req),
         "query" => handle_query(service, &req),
         "ask" => handle_ask(service, &req),
-        "stats" => handle_stats(service),
-        "metrics" => handle_metrics(service, &req),
+        "stats" => Ok(handle_stats(service)),
+        "metrics" => Ok(handle_metrics(service, &req)),
         "close" => handle_close(service, &req),
-        other => err("bad_request", &format!("unknown op `{other}`")),
-    }
+        other => Err(err("bad_request", &format!("unknown op `{other}`"))),
+    };
+    reply.unwrap_or_else(|error| error)
 }
+
+/// A handler's response: `Err` holds the error response, so a handler
+/// answers its first malformed field with `?`.
+type Reply = Result<Json, Json>;
 
 fn err(code: &str, message: &str) -> Json {
     Json::obj([
@@ -103,7 +111,7 @@ fn err(code: &str, message: &str) -> Json {
     ])
 }
 
-fn service_err(e: &ServiceError) -> Json {
+fn service_err(e: ServiceError) -> Json {
     err(e.code(), &e.to_string())
 }
 
@@ -113,51 +121,62 @@ fn str_field<'a>(req: &'a Json, field: &str) -> Result<&'a str, Json> {
         .ok_or_else(|| err("bad_request", &format!("missing string field \"{field}\"")))
 }
 
-fn handle_register(service: &ExplanationService, req: &Json) -> Json {
-    let db_name = match str_field(req, "db") {
-        Ok(v) => v,
-        Err(e) => return e,
-    };
+/// An optional field: absent, `default`; present, what `read` makes of it,
+/// or a `bad_request` saying what the field `must` be — never a silent
+/// fall-back to the default.
+fn optional<T>(
+    req: &Json,
+    field: &str,
+    default: T,
+    must: &str,
+    read: impl FnOnce(&Json) -> Option<T>,
+) -> Result<T, Json> {
+    match req.get(field) {
+        None => Ok(default),
+        Some(v) => {
+            read(v).ok_or_else(|| err("bad_request", &format!("\"{field}\" must be {must}")))
+        }
+    }
+}
+
+const BOOL: &str = "true or false";
+const COUNT: &str = "a non-negative integer";
+
+fn as_usize(v: &Json) -> Option<usize> {
+    v.as_u64().and_then(|n| usize::try_from(n).ok())
+}
+
+fn handle_register(service: &ExplanationService, req: &Json) -> Reply {
+    let db_name = str_field(req, "db")?;
     match req.get("source").and_then(Json::as_str) {
         Some("csv_dir") => return handle_register_csv_dir(service, req, db_name),
         Some("synthetic") | None => {}
         Some(other) => {
-            return err(
+            return Err(err(
                 "bad_request",
                 &format!("unknown source `{other}` (expected \"synthetic\" or \"csv_dir\")"),
-            )
+            ))
         }
     }
-    let dataset = match str_field(req, "dataset") {
-        Ok(v) => v,
-        Err(e) => return e,
-    };
-    let scale = req
-        .get("scale")
-        .and_then(Json::as_f64)
-        .unwrap_or(0.1)
-        .clamp(0.01, 10.0);
+    let dataset = str_field(req, "dataset")?;
+    let scale = optional(req, "scale", 0.1, "a number", Json::as_f64)?.clamp(0.01, 10.0);
     let generated = match dataset {
         "nba" => nba::generate(nba::NbaConfig::scaled(scale)),
         "mimic" => mimic::generate(mimic::MimicConfig::scaled(scale)),
         other => {
-            return err(
+            return Err(err(
                 "bad_request",
                 &format!("unknown dataset `{other}` (expected \"nba\" or \"mimic\")"),
-            )
+            ))
         }
     };
     let tables = generated.db.tables().len();
     let rows = generated.db.total_rows();
     let outcome = service.register_database(db_name, generated.db, generated.schema_graph);
-    Json::obj([
+    Ok(Json::obj([
         ("ok", Json::Bool(true)),
         ("db", Json::str(db_name)),
         ("epoch", Json::num(outcome.epoch as f64)),
-        (
-            "fingerprint",
-            Json::str(format!("{:016x}", outcome.fingerprint)),
-        ),
         ("replaced", Json::Bool(outcome.replaced)),
         (
             "invalidated_entries",
@@ -165,44 +184,29 @@ fn handle_register(service: &ExplanationService, req: &Json) -> Json {
         ),
         ("tables", Json::num(tables as f64)),
         ("rows", Json::num(rows as f64)),
-    ])
+    ]))
 }
 
-fn handle_register_csv_dir(service: &ExplanationService, req: &Json, db_name: &str) -> Json {
-    let path = match str_field(req, "path") {
-        Ok(v) => v,
-        Err(e) => return e,
+fn handle_register_csv_dir(service: &ExplanationService, req: &Json, db_name: &str) -> Reply {
+    let path = str_field(req, "path")?;
+    let defaults = cajade_ingest::IngestOptions::default();
+    let options = cajade_ingest::IngestOptions {
+        strict_types: optional(req, "strict", defaults.strict_types, BOOL, Json::as_bool)?,
+        max_discovered_joins: optional(
+            req,
+            "max_joins",
+            defaults.max_discovered_joins,
+            COUNT,
+            |v| as_usize(v).map(Some),
+        )?,
+        ..defaults
     };
-    let mut options = cajade_ingest::IngestOptions::default();
-    if let Some(strict) = req.get("strict") {
-        match strict.as_bool() {
-            Some(strict) => options.strict_types = strict,
-            None => return err("bad_request", "\"strict\" must be true or false"),
-        }
-    }
-    if let Some(max_joins) = req.get("max_joins") {
-        match max_joins.as_u64().and_then(|n| usize::try_from(n).ok()) {
-            Some(n) => options.max_discovered_joins = Some(n),
-            None => {
-                return err(
-                    "bad_request",
-                    "\"max_joins\" must be a non-negative integer",
-                )
-            }
-        }
-    }
-    let (outcome, report) = match service.register_csv_dir(db_name, path, &options) {
-        Ok(r) => r,
-        Err(e) => return service_err(&e),
-    };
-    Json::obj([
+    let (outcome, report) =
+        (service.register_csv_dir(db_name, path, &options)).map_err(service_err)?;
+    Ok(Json::obj([
         ("ok", Json::Bool(true)),
         ("db", Json::str(db_name)),
         ("epoch", Json::num(outcome.epoch as f64)),
-        (
-            "fingerprint",
-            Json::str(format!("{:016x}", outcome.fingerprint)),
-        ),
         ("replaced", Json::Bool(outcome.replaced)),
         (
             "invalidated_entries",
@@ -211,7 +215,7 @@ fn handle_register_csv_dir(service: &ExplanationService, req: &Json, db_name: &s
         ("tables", Json::num(report.tables.len() as f64)),
         ("rows", Json::num(report.total_rows() as f64)),
         ("ingest", ingest_report_json(&report)),
-    ])
+    ]))
 }
 
 fn ingest_report_json(report: &cajade_ingest::IngestReport) -> Json {
@@ -278,54 +282,36 @@ fn ingest_report_json(report: &cajade_ingest::IngestReport) -> Json {
     ])
 }
 
-fn handle_query(service: &ExplanationService, req: &Json) -> Json {
-    let db_name = match str_field(req, "db") {
-        Ok(v) => v,
-        Err(e) => return e,
-    };
-    let sql = match str_field(req, "sql") {
-        Ok(v) => v,
-        Err(e) => return e,
-    };
-    let max_rows = req.get("max_rows").and_then(Json::as_u64).unwrap_or(50) as usize;
-    let preview = req.get("preview").and_then(Json::as_bool).unwrap_or(true);
-    let handle = match service.open_or_reuse_session(db_name, sql) {
-        Ok(h) => h,
-        Err(e) => return service_err(&e),
-    };
+fn handle_query(service: &ExplanationService, req: &Json) -> Reply {
+    let db_name = str_field(req, "db")?;
+    let sql = str_field(req, "sql")?;
+    let max_rows = optional(req, "max_rows", 50, COUNT, as_usize)?;
+    let preview = optional(req, "preview", true, BOOL, Json::as_bool)?;
+    let handle = service
+        .open_or_reuse_session(db_name, sql)
+        .map_err(service_err)?;
     if !preview {
         // `preview: false` leaves every pipeline stage cold, so a
         // subsequent traced ask shows the full provenance → jg_enum →
         // materialize → prepare → mine span tree.
-        return Json::obj([
+        return Ok(Json::obj([
             ("ok", Json::Bool(true)),
             ("session", Json::num(handle.id() as f64)),
             ("db", Json::str(db_name)),
             ("sql", Json::str(handle.sql())),
             ("preview", Json::Bool(false)),
-        ]);
+        ]));
     }
     // Preview runs the prepared stages through the provenance cache, so
     // the caller sees the output tuples they can ask about AND the
-    // session's first ask skips preparation. If it fails (e.g. unknown
-    // column), close the just-opened session rather than leaking it.
-    let result = match handle.preview() {
-        Ok(r) => r,
-        Err(e) => {
-            service.close_session(handle.id());
-            return service_err(&e);
-        }
-    };
-    let reg = match service.database(db_name) {
-        Some(r) => r,
-        None => {
-            service.close_session(handle.id());
-            return err(
-                "unknown_database",
-                &format!("no database registered as `{db_name}`"),
-            );
-        }
-    };
+    // session's first ask skips preparation; the tuples are rendered
+    // through the registration the preview ran on. If it fails (e.g.
+    // unknown column), close the just-opened session rather than leaking
+    // it.
+    let (reg, result) = handle.preview().map_err(|e| {
+        service.close_session(handle.id());
+        service_err(e)
+    })?;
     let columns: Vec<Json> = result
         .table
         .schema()
@@ -334,7 +320,7 @@ fn handle_query(service: &ExplanationService, req: &Json) -> Json {
         .map(|f| Json::str(f.name.clone()))
         .collect();
     let rows = render_rows(&reg.db, &result.table, max_rows);
-    Json::obj([
+    Ok(Json::obj([
         ("ok", Json::Bool(true)),
         ("session", Json::num(handle.id() as f64)),
         ("db", Json::str(db_name)),
@@ -342,7 +328,7 @@ fn handle_query(service: &ExplanationService, req: &Json) -> Json {
         ("columns", Json::Arr(columns)),
         ("rows", Json::Arr(rows)),
         ("total_rows", Json::num(result.table.num_rows() as f64)),
-    ])
+    ]))
 }
 
 fn render_rows(db: &Database, table: &cajade_storage::Table, max_rows: usize) -> Vec<Json> {
@@ -373,15 +359,8 @@ fn tuple_spec(req: &Json, field: &str) -> Option<Vec<(String, String)>> {
     )
 }
 
-fn handle_ask(service: &ExplanationService, req: &Json) -> Json {
-    let session_id = match req.get("session").and_then(Json::as_u64) {
-        Some(id) => id,
-        None => return err("bad_request", "missing numeric field \"session\""),
-    };
-    let handle = match service.session(session_id) {
-        Ok(h) => h,
-        Err(e) => return service_err(&e),
-    };
+fn handle_ask(service: &ExplanationService, req: &Json) -> Reply {
+    let handle = service.session(session_field(req)?).map_err(service_err)?;
     let question = match (
         tuple_spec(req, "t1"),
         tuple_spec(req, "t2"),
@@ -390,30 +369,21 @@ fn handle_ask(service: &ExplanationService, req: &Json) -> Json {
         (Some(t1), Some(t2), _) => UserQuestion::TwoPoint { t1, t2 },
         (None, None, Some(t)) => UserQuestion::SinglePoint { t },
         _ => {
-            return err(
+            return Err(err(
                 "bad_request",
                 "expected \"t1\"+\"t2\" (two-point) or \"t\" (single-point)",
-            )
+            ))
         }
     };
-    let trace = req.get("trace").and_then(Json::as_bool).unwrap_or(false);
-    let timeout = match req.get("timeout_ms") {
-        None => None,
-        Some(v) => match v.as_f64().filter(|ms| *ms > 0.0 && ms.is_finite()) {
-            // Too far away to represent is no deadline at all.
-            Some(ms) => std::time::Duration::try_from_secs_f64(ms / 1e3).ok(),
-            None => {
-                return err(
-                    "bad_request",
-                    "\"timeout_ms\" must be a positive number of milliseconds",
-                )
-            }
-        },
-    };
-    match handle.ask_with(&question, &AskOptions { trace, timeout }) {
-        Ok(outcome) => ask_response(&outcome),
-        Err(e) => service_err(&e),
-    }
+    let trace = optional(req, "trace", false, BOOL, Json::as_bool)?;
+    let positive = "a positive number of milliseconds";
+    let timeout = optional(req, "timeout_ms", None, positive, |v| {
+        let ms = v.as_f64().filter(|ms| *ms > 0.0 && ms.is_finite())?;
+        // Too far away to represent is no deadline at all.
+        Some(std::time::Duration::try_from_secs_f64(ms / 1e3).ok())
+    })?;
+    let outcome = handle.ask_with(&question, &AskOptions { trace, timeout });
+    Ok(ask_response(&outcome.map_err(service_err)?))
 }
 
 fn ask_response(outcome: &AskResult) -> Json {
@@ -722,15 +692,17 @@ fn handle_stats(service: &ExplanationService) -> Json {
     ])
 }
 
-fn handle_close(service: &ExplanationService, req: &Json) -> Json {
-    let session_id = match req.get("session").and_then(Json::as_u64) {
-        Some(id) => id,
-        None => return err("bad_request", "missing numeric field \"session\""),
-    };
-    Json::obj([
+fn handle_close(service: &ExplanationService, req: &Json) -> Reply {
+    let closed = service.close_session(session_field(req)?);
+    Ok(Json::obj([
         ("ok", Json::Bool(true)),
-        ("closed", Json::Bool(service.close_session(session_id))),
-    ])
+        ("closed", Json::Bool(closed)),
+    ]))
+}
+
+fn session_field(req: &Json) -> Result<u64, Json> {
+    (req.get("session").and_then(Json::as_u64))
+        .ok_or_else(|| err("bad_request", "missing numeric field \"session\""))
 }
 
 #[cfg(test)]
@@ -813,28 +785,38 @@ mod tests {
         }
     }
 
+    /// The code and message of an error response.
+    fn error_of(resp: &Json) -> (Option<&str>, &str) {
+        let error = resp.get("error");
+        let field = |name| error.and_then(|e| e.get(name)).and_then(Json::as_str);
+        (field("code"), field("message").unwrap_or_default())
+    }
+
     /// `timeout_ms` is outside input: not a positive number is a
     /// `bad_request`; too large for `Duration` (`1e300`) or for the clock
-    /// (`1e22`) is no deadline — the unbudgeted answer, not a panic.
+    /// (`1e22`) is no deadline — the unbudgeted answer, not a panic. So
+    /// are the ask's `trace` and the query's `max_rows` and `preview`:
+    /// absent, each takes its default; present with the wrong type, it is
+    /// a `bad_request` that names it, never a silent default.
     #[test]
     fn timeout_ms_is_validated_never_trusted() {
         // One fresh service per ask, so no answer comes from a cache.
-        let ask = |timeout_field: &str| {
+        // `query_field` goes on the query, `ask_field` on the ask; a
+        // refused query is the response.
+        let ask = |query_field: &str, ask_field: &str| {
             let service = service_with_tiny_nba();
             let q = handle_line(
                 &service,
-                &Json::obj([
-                    ("op", Json::str("query")),
-                    ("db", Json::str("nba")),
-                    ("sql", Json::str(GSW_SQL)),
-                ])
-                .render(),
+                &format!(r#"{{"op":"query","db":"nba","sql":"{GSW_SQL}"{query_field}}}"#),
             );
-            let session = q.get("session").and_then(Json::as_u64).unwrap();
+            assert_eq!(service.obs().requests_panicked_total.get(), 0, "{q:?}");
+            let Some(session) = q.get("session").and_then(Json::as_u64) else {
+                return q;
+            };
             let resp = handle_line(
                 &service,
                 &format!(
-                    r#"{{"op":"ask","session":{session},"t1":{{"season_name":"2015-16"}},"t2":{{"season_name":"2012-13"}}{timeout_field}}}"#
+                    r#"{{"op":"ask","session":{session},"t1":{{"season_name":"2015-16"}},"t2":{{"season_name":"2012-13"}}{ask_field}}}"#
                 ),
             );
             assert_eq!(service.obs().requests_panicked_total.get(), 0, "{resp:?}");
@@ -845,34 +827,58 @@ mod tests {
             ["ok", "explanations", "cache", "degraded", "truncated"]
                 .map(|field| resp.get(field).map(Json::render))
         };
-        let unbudgeted = ask("");
+        let unbudgeted = ask("", "");
         assert!(unbudgeted.get("explanations").is_some(), "{unbudgeted:?}");
-        for (timeout, accepted) in [
-            ("0", false),
-            ("-5", false),
-            ("\"fast\"", false),
-            ("null", false),
-            ("1e300", true),
-            ("1e22", true),
+        let on_ask =
+            |field: &'static str, value: &'static str, accepted| (field, "", value, accepted);
+        let on_query =
+            |field: &'static str, value: &'static str, accepted| (field, value, "", accepted);
+        for (field, query_value, ask_value, accepted) in [
+            on_ask("timeout_ms", "0", false),
+            on_ask("timeout_ms", "-5", false),
+            on_ask("timeout_ms", "\"fast\"", false),
+            on_ask("timeout_ms", "null", false),
+            on_ask("timeout_ms", "1e300", true),
+            on_ask("timeout_ms", "1e22", true),
+            on_ask("trace", "false", true),
+            on_ask("trace", "1", false),
+            on_ask("trace", "\"true\"", false),
+            on_ask("trace", "null", false),
+            on_query("max_rows", "5", true),
+            on_query("max_rows", "0", true),
+            on_query("max_rows", "-1", false),
+            on_query("max_rows", "2.5", false),
+            on_query("max_rows", "\"5\"", false),
+            on_query("max_rows", "null", false),
+            on_query("preview", "true", true),
+            on_query("preview", "0", false),
+            on_query("preview", "\"false\"", false),
+            on_query("preview", "null", false),
         ] {
-            let resp = ask(&format!(r#","timeout_ms":{timeout}"#));
+            let with = |value: &str| match value {
+                "" => String::new(),
+                value => format!(r#","{field}":{value}"#),
+            };
+            let resp = ask(&with(query_value), &with(ask_value));
+            let case = format!("{field}={query_value}{ask_value}");
             if accepted {
-                assert_eq!(answer(&resp), answer(&unbudgeted), "timeout_ms={timeout}");
+                assert_eq!(answer(&resp), answer(&unbudgeted), "{case}");
                 continue;
             }
-            assert_eq!(
-                resp.get("error")
-                    .and_then(|e| e.get("code"))
-                    .and_then(Json::as_str),
-                Some("bad_request"),
-                "timeout_ms={timeout}: {resp:?}"
+            let (code, message) = error_of(&resp);
+            assert_eq!(code, Some("bad_request"), "{case}: {resp:?}");
+            assert!(
+                message.contains(&format!("\"{field}\"")),
+                "{case}: {message}"
             );
         }
     }
 
-    /// A csv_dir `register`'s `max_joins` and `strict` are outside input
-    /// too: anything but a non-negative integer or a bool is a
-    /// `bad_request`, never a silent fall-back to the default.
+    /// A `register`'s options are outside input too: a csv_dir's
+    /// `max_joins` and `strict`, anything but a non-negative integer or a
+    /// bool, and a synthetic source's `scale`, anything but a number, are
+    /// a `bad_request` naming the field, never a silent fall-back to the
+    /// default.
     #[test]
     fn register_options_are_validated_never_trusted() {
         let register = |option: &str| {
@@ -925,13 +931,34 @@ mod tests {
                 assert_eq!(discovered(&resp), want, "{option}");
                 continue;
             }
-            assert_eq!(
-                resp.get("error")
-                    .and_then(|e| e.get("code"))
-                    .and_then(Json::as_str),
-                Some("bad_request"),
-                "{option}: {resp:?}"
+            let (code, message) = error_of(&resp);
+            assert_eq!(code, Some("bad_request"), "{option}: {resp:?}");
+            let field = if option.contains("strict") {
+                "strict"
+            } else {
+                "max_joins"
+            };
+            assert!(
+                message.contains(&format!("\"{field}\"")),
+                "{option}: {message}"
             );
+        }
+
+        // The synthetic source's `scale`: an accepted one is read, not the
+        // default (0.1).
+        let rows = |option: &str| {
+            let service = ExplanationService::default();
+            let line = format!(r#"{{"op":"register","db":"nba","dataset":"nba"{option}}}"#);
+            let resp = handle_line(&service, &line);
+            assert_eq!(service.obs().requests_panicked_total.get(), 0, "{resp:?}");
+            resp.get("rows").and_then(Json::as_u64).ok_or(resp)
+        };
+        assert!(rows(r#","scale":0.01"#).unwrap() < rows("").unwrap());
+        for option in [r#","scale":"0.01""#, r#","scale":null"#, r#","scale":true"#] {
+            let resp = rows(option).unwrap_err();
+            let (code, message) = error_of(&resp);
+            assert_eq!(code, Some("bad_request"), "{option}: {resp:?}");
+            assert!(message.contains("\"scale\""), "{option}: {message}");
         }
     }
 

@@ -217,20 +217,15 @@ impl Default for ServiceConfig {
 /// name is re-registered.
 #[derive(Debug)]
 pub struct RegisteredDb {
-    /// Registration name.
-    pub name: String,
-    /// Registration epoch — advances when re-registration changes content
-    /// or schema graph.
+    /// Registration epoch: one per [`ExplanationService::register_database`]
+    /// call, never reused.
     pub epoch: u64,
-    /// Content fingerprint ([`Database::fingerprint`]).
-    pub fingerprint: u64,
     /// The database.
     pub db: Database,
     /// Its schema graph.
     pub schema_graph: SchemaGraph,
     /// The statistics of its base columns, each analysed when a
-    /// preparation first asks for it. Shared with the registration an
-    /// identical re-registration replaced, dropped with the last one: an
+    /// preparation first asks for it, dropped with the registration: an
     /// ask still running on replaced content reads and fills the table it
     /// pinned.
     pub(crate) column_stats: Arc<ColumnStatsTable>,
@@ -239,12 +234,10 @@ pub struct RegisteredDb {
 /// What [`ExplanationService::register_database`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RegisterOutcome {
-    /// The (possibly advanced) epoch now current for this name.
+    /// The registration's epoch, new with this call.
     pub epoch: u64,
-    /// The database's content fingerprint.
-    pub fingerprint: u64,
-    /// True when this call replaced different content or a different
-    /// schema graph (epoch advanced and cache entries were invalidated).
+    /// True when this call replaced a registration of the same name (its
+    /// cache entries were swept), whatever the content of either.
     pub replaced: bool,
     /// What the replaced registration had retained and this call dropped:
     /// the query entries the sweep took out of the cache, the prepared
@@ -398,51 +391,36 @@ impl ExplanationService {
 
     /// Registers (or re-registers) a database under `name`.
     ///
-    /// Re-registering identical content (same [`Database::fingerprint`])
-    /// with an identical schema graph keeps the epoch — cached provenance
-    /// and APTs stay valid. Different content, or other permissible joins
-    /// over the same content (a CSV directory re-ingested with a higher
-    /// `max_joins`), advances the epoch and eagerly sweeps every cache
-    /// entry of the stale one, so no session can observe explanations
-    /// computed against the replaced data or enumerated over the replaced
-    /// joins.
+    /// One epoch per call: the registration takes a fresh epoch and a
+    /// fresh table of column statistics, whatever it holds. A registration
+    /// it replaces is swept eagerly — every cache entry of its epoch goes —
+    /// so no session can observe explanations computed against replaced
+    /// data or enumerated over replaced joins; re-registering identical
+    /// content is a replacement too, and the next ask recomputes the same
+    /// answer.
     pub fn register_database(
         &self,
         name: impl Into<String>,
         db: Database,
         schema_graph: SchemaGraph,
     ) -> RegisterOutcome {
-        let name = name.into();
-        let fingerprint = db.fingerprint();
+        let column_stats = Arc::new(ColumnStatsTable::new(
+            &db,
+            ColumnStatsConfig::from_params(&self.inner.params.mining),
+            Arc::clone(&self.inner.obs.column_stats_computed_total),
+        ));
         let mut dbs = self.inner.dbs.write();
-        let same = (dbs.get(&name)).filter(|existing| {
-            existing.fingerprint == fingerprint
-                && existing.schema_graph.edges() == schema_graph.edges()
-        });
-        let (epoch, column_stats) = match same {
-            Some(existing) => (existing.epoch, Arc::clone(&existing.column_stats)),
-            None => (
-                self.inner.next_epoch.fetch_add(1, Ordering::Relaxed),
-                Arc::new(ColumnStatsTable::new(
-                    &db,
-                    ColumnStatsConfig::from_params(&self.inner.params.mining),
-                    Arc::clone(&self.inner.obs.column_stats_computed_total),
-                )),
-            ),
-        };
+        let epoch = self.inner.next_epoch.fetch_add(1, Ordering::Relaxed);
         let registered = RegisteredDb {
-            name: name.clone(),
             epoch,
-            fingerprint,
             db,
             schema_graph,
             column_stats,
         };
-        let stale = (dbs.insert(name, Arc::new(registered))).filter(|old| old.epoch != epoch);
+        let stale = dbs.insert(name.into(), Arc::new(registered));
         drop(dbs);
         RegisterOutcome {
             epoch,
-            fingerprint,
             replaced: stale.is_some(),
             invalidated_entries: stale.map_or(0, |old| self.inner.sweep(&old)),
         }
@@ -453,9 +431,10 @@ impl ExplanationService {
     /// inference and a manifest-honouring load, each pass tokenizing every
     /// file read whole, then containment-based join discovery) and
     /// registers the result like
-    /// [`register_database`](Self::register_database). The ingested
-    /// database is named `name`, so re-registering an unchanged
-    /// directory keeps the epoch and every warm cache entry.
+    /// [`register_database`](Self::register_database): one epoch per
+    /// call, so re-registering an unchanged directory replaces the
+    /// registration and sweeps its cache entries. The ingested database is
+    /// named `name`, the name it is registered under.
     ///
     /// Per-stage timings and load statistics accumulate in
     /// [`ServiceStats::ingest`]; the per-run [`IngestReport`] is
@@ -484,11 +463,6 @@ impl ExplanationService {
             self.inner.sweep(old);
         }
         removed.is_some()
-    }
-
-    /// Snapshot of a registered database.
-    pub fn database(&self, name: &str) -> Option<Arc<RegisteredDb>> {
-        self.inner.dbs.read().get(name).cloned()
     }
 
     /// Registered database names (sorted).

@@ -304,15 +304,18 @@ impl SessionHandle {
     }
 
     /// Runs (or fetches) the session's prepared stages and returns the
-    /// query's answer relation — the one the query's cache entry holds,
-    /// shared, not copied. Used by the serve protocol's `query` op:
-    /// previewing the output tuples warms the provenance cache, so the
-    /// session's first `ask` already skips preparation.
-    pub fn preview(&self) -> Result<Arc<cajade_query::QueryResult>> {
+    /// registration they ran on with the query's answer relation — the one
+    /// the query's cache entry holds, shared, not copied. The relation's
+    /// strings are ids into that registration's pool: render them through
+    /// it, never through whatever the name holds by then. Used by the
+    /// serve protocol's `query` op: previewing the output tuples warms the
+    /// provenance cache, so the session's first `ask` already skips
+    /// preparation.
+    pub fn preview(&self) -> Result<(Arc<RegisteredDb>, Arc<cajade_query::QueryResult>)> {
         let inner = self.service.upgrade().ok_or(ServiceError::ServiceDropped)?;
         let reg = inner.registered(&self.db_name)?;
         let (entry, _) = self.prepare_cached(&inner, &reg, &self.prov_key(&reg))?;
-        Ok(Arc::clone(&entry.query.result))
+        Ok((reg, Arc::clone(&entry.query.result)))
     }
 
     fn prov_key(&self, reg: &RegisteredDb) -> ProvKey {

@@ -372,6 +372,44 @@ fn reregistration_between_lookup_and_fill_retains_nothing_of_the_stale_epoch() {
     assert!(stats.provenance_cache.bytes > stats.apt_cache.bytes);
 }
 
+/// A `query` op renders its preview with the registration the preview
+/// ran on: re-registering the name with other content while the preview
+/// computes leaves the rows a clean preview of the old content gives,
+/// never the old result's string ids resolved through the new pool.
+#[test]
+fn a_preview_renders_with_the_registration_it_ran_on() {
+    let query = Json::obj([
+        ("op", Json::str("query")),
+        ("db", Json::str("nba")),
+        ("sql", Json::str(GSW_SQL)),
+    ])
+    .render();
+    let rows = |resp: &Json| resp.get("rows").map(Json::render);
+    let clean = protocol::handle_line(&tiny_service(), &query);
+    assert!(
+        rows(&clean).is_some_and(|r| r.contains("2015-16")),
+        "{clean:?}"
+    );
+
+    // The gate: the preview stalls in its provenance compute, having
+    // pinned the NBA registration; the main thread registers MIMIC under
+    // the same name then. The replacement is generated beforehand.
+    let service = tiny_service();
+    let mimic = cajade_datagen::mimic::generate(cajade_datagen::mimic::MimicConfig::tiny());
+    let plan = Plan::parse("cache.provenance_compute=sleep:200@1").unwrap();
+    let raced = std::thread::scope(|scope| {
+        let preview = scope.spawn(|| plan.install(|| protocol::handle_line(&service, &query)));
+        while plan.fired(Site::CacheProvenanceCompute) == 0 && !preview.is_finished() {
+            std::thread::yield_now();
+        }
+        let outcome = service.register_database("nba", mimic.db, mimic.schema_graph);
+        assert!(outcome.replaced);
+        preview.join().unwrap()
+    });
+    assert_eq!(plan.fired(Site::CacheProvenanceCompute), 1);
+    assert_eq!(rows(&raced), rows(&clean), "{raced:?}");
+}
+
 #[test]
 fn apt_compute_panic_still_weighs_what_the_sibling_workers_stored() {
     let service = parallel_service();

@@ -1,9 +1,10 @@
 //! The per-registration table of column statistics, read through
 //! `column_stats_computed_total`: a base column is analysed once per
 //! registered content however many graphs, asks, sessions and queries read
-//! it, the table survives an identical re-registration and is dropped with
-//! replaced content, and an ask still running on replaced content keeps
-//! the statistics of the content it pinned.
+//! it, the table is dropped with the registration that owns it — every
+//! re-registration, identical content included, starts a new one — and an
+//! ask still running on replaced content keeps the statistics of the
+//! content it pinned.
 
 use std::collections::BTreeSet;
 
@@ -152,30 +153,38 @@ fn the_table_follows_the_content_it_describes() {
     session.ask(&question()).unwrap();
     assert_eq!(computed(&service), gsw.len());
 
-    // Same content → same epoch, and the new registration starts from the
-    // cells the old one filled: a query it has not seen yet analyses only
-    // its own columns.
-    let outcome = service.register_database("nba", gen.db.clone(), gen.schema_graph.clone());
-    assert!(!outcome.replaced);
-    assert_eq!(outcome.invalidated_entries, 0);
+    // Same content → a new registration all the same: the statistics go
+    // with the one that owned them, counted with the cache entries the
+    // sweep dropped, and the content is analysed again from scratch — each
+    // query's columns once more.
     let games = service.open_session("nba", GAMES_SQL).unwrap();
     games.ask(&question()).unwrap();
     assert_eq!(computed(&service), both.len());
+    let swept = |service: &ExplanationService| {
+        let stats = service.stats();
+        let cached = [stats.provenance_cache, stats.apt_cache, stats.answer_cache];
+        cached.iter().map(|c| c.entries).sum::<usize>() + both.len()
+    };
+    let held = swept(&service);
+    let outcome = service.register_database("nba", gen.db.clone(), gen.schema_graph.clone());
+    assert!(outcome.replaced);
+    assert_eq!(outcome.invalidated_entries, held);
+    session.ask(&question()).unwrap();
+    assert_eq!(computed(&service), both.len() + gsw.len());
+    games.ask(&question()).unwrap();
+    assert_eq!(computed(&service), 2 * both.len());
 
-    // Different content → the statistics go with the registration that
-    // owned them, counted with the cache entries the sweep dropped, and
-    // the new content is analysed from scratch.
-    let stats = service.stats();
-    let cached = [stats.provenance_cache, stats.apt_cache, stats.answer_cache];
-    let cached: usize = cached.iter().map(|c| c.entries).sum();
+    // Different content → the same: the new content is analysed from
+    // scratch.
+    let held = swept(&service);
     let new = changed();
     let outcome = service.register_database("nba", new.db.clone(), new.schema_graph.clone());
     assert!(outcome.replaced);
-    assert_eq!(outcome.invalidated_entries, cached + both.len());
+    assert_eq!(outcome.invalidated_entries, held);
     session.ask(&question()).unwrap();
     assert_eq!(
         computed(&service),
-        both.len() + context_columns(&new, GSW_SQL).len()
+        2 * both.len() + context_columns(&new, GSW_SQL).len()
     );
 }
 

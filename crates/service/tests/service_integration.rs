@@ -412,35 +412,40 @@ fn query_over_the_provenance_budget_is_dropped_whole_and_recomputed() {
 }
 
 #[test]
-fn reregistration_invalidates_only_on_content_change() {
+fn every_reregistration_is_a_new_epoch() {
     let service = tiny_service(fast_config());
     let session = service.open_session("nba", GSW_SQL).unwrap();
     let q1 = q("2015-16", "2012-13");
     let first = session.ask(&q1).unwrap();
+    assert!(!first.result.explanations.is_empty());
+    // Every field of every explanation, floats to the last bit.
+    let exact = |a: &cajade_service::AskResult| format!("{:?}", a.result.explanations);
 
-    // Same content (deterministic generator, same seed): caches survive.
+    // Same content (deterministic generator, same seed): a new epoch all
+    // the same, every cached stage is swept, and the next ask recomputes
+    // from scratch to the same answer, byte for byte.
     let same = nba::generate(NbaConfig::tiny());
     let outcome = service.register_database("nba", same.db, same.schema_graph);
-    assert!(!outcome.replaced);
-    assert_eq!(outcome.invalidated_entries, 0);
-    let warm = session.ask(&q1).unwrap();
-    assert!(warm.answer_cache_hit, "identical content keeps the caches");
-
-    // Different content: epoch advances, every cached stage is swept, and
-    // the next ask recomputes from scratch.
-    let mut changed_cfg = NbaConfig::tiny();
-    changed_cfg.seed = 99;
-    let changed = nba::generate(changed_cfg);
-    let outcome = service.register_database("nba", changed.db, changed.schema_graph);
     assert!(outcome.replaced);
     // The query's entry, the graphs and the one answer it held, and the
     // base columns the registration analysed.
     assert_eq!(outcome.invalidated_entries, 70, "stale entries swept");
+    let again = session.ask(&q1).unwrap();
+    assert!(!again.answer_cache_hit && !again.provenance_cache_hit);
+    assert_eq!(again.apt_cache_misses, first.apt_cache_misses);
+    assert_eq!(exact(&again), exact(&first));
+
+    // Different content: the same again.
+    let mut changed_cfg = NbaConfig::tiny();
+    changed_cfg.seed = 99;
+    let changed = nba::generate(changed_cfg);
+    let replaced = service.register_database("nba", changed.db, changed.schema_graph);
+    assert!(replaced.replaced && replaced.epoch > outcome.epoch);
+    assert_eq!(replaced.invalidated_entries, 70, "stale entries swept");
     let cold = session.ask(&q1).unwrap();
     assert!(!cold.answer_cache_hit);
     assert!(!cold.provenance_cache_hit);
     assert!(cold.apt_cache_misses > 0);
-    assert!(!first.result.explanations.is_empty());
     assert!(!cold.result.explanations.is_empty());
 
     // Unregistering makes the session's next ask fail cleanly.

@@ -193,7 +193,7 @@ impl Database {
     /// and every cell value (strings hashed by their text, not their
     /// pool id, so logically-equal databases agree regardless of intern
     /// order). Two databases with the same fingerprint hold the same
-    /// data, which is what cache invalidation on re-registration needs.
+    /// data: the ingest goldens use it as a content-identity oracle.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv1a::new();
         h.write_str(&self.name);

@@ -67,14 +67,15 @@ fn register_csv_dir_query_ask_round_trip() {
         );
     }
 
-    // Re-registering the unchanged directory keeps the epoch.
+    // Re-registering the unchanged directory is a new registration: a
+    // new epoch, replacing the first one.
     let r2 = protocol::handle_line(&service, &register);
     assert!(ok(&r2), "{r2:?}");
-    assert_eq!(r2.get("replaced").and_then(Json::as_bool), Some(false));
-    assert_eq!(
-        r.get("epoch").and_then(Json::as_u64),
-        r2.get("epoch").and_then(Json::as_u64)
-    );
+    assert_eq!(r2.get("replaced").and_then(Json::as_bool), Some(true));
+    let epoch = |r: &Json| r.get("epoch").and_then(Json::as_u64).unwrap();
+    assert!(epoch(&r2) > epoch(&r), "{r:?} then {r2:?}");
+    // Neither response carries a content fingerprint.
+    assert!(r.get("fingerprint").is_none() && r2.get("fingerprint").is_none());
 
     // -- query ---------------------------------------------------------
     let q = protocol::handle_line(
