@@ -140,6 +140,46 @@ fn bench_pattern_scoring() {
     bench("pattern_score_definition7", || {
         scorer.score(black_box(&pattern), 0, Some(1))
     });
+
+    // The Definition-7 count alone — TP and FP of one threshold's mask,
+    // two-point and single-point (the whole scan) — on two fan-out
+    // graphs: the one whose join fans the PT rows out the most (segments
+    // of thousands of rows), and the largest whose APT holds at most 8
+    // rows per PT row (segments of a few rows, as most graphs' are).
+    let Enumeration {
+        gen, pt, graphs, ..
+    } = enumeration(pattern_fixture().0, GSW_WINS_SQL);
+    let builder = AptBuilder::new(&gen.db, &pt, &graphs, f64::INFINITY);
+    let materialize = |gi: usize| builder.materialize(gi).unwrap().unwrap();
+    let rows: Vec<(usize, usize)> = (0..graphs.len())
+        .filter(|&gi| graphs[gi].valid)
+        .map(|gi| (materialize(gi).num_rows, gi))
+        .collect();
+    let widest = rows.iter().max().unwrap().1;
+    let short = (rows.iter().filter(|&&(n, _)| n <= 8 * pt.num_rows))
+        .max()
+        .unwrap()
+        .1;
+    for gi in [widest, short] {
+        let apt = materialize(gi);
+        assert!(apt.num_rows >= 2 * pt.num_rows, "{} APT rows", apt.num_rows);
+        let field = *(apt.pattern_fields().iter())
+            .rfind(|&&f| apt.fields[f].kind == cajade_storage::AttrKind::Numeric)
+            .unwrap();
+        let threshold = Pred {
+            op: PredOp::Ge,
+            value: PatValue::from_value(&apt.value(apt.num_rows / 2, field)).unwrap(),
+        };
+        let index = ScoreIndex::exact(&apt, &pt).encode(&apt, &[field]);
+        let mask = index.eval_pred(field, &threshold);
+        let name = format!("pattern_score_definition7/fan_out_{}_rows", apt.num_rows);
+        bench(&format!("{name}/two_point"), || {
+            index.score_mask(black_box(&mask), 0, Some(1))
+        });
+        bench(&format!("{name}/single_point"), || {
+            index.score_mask(black_box(&mask), 0, None)
+        });
+    }
 }
 
 fn bench_lca() {

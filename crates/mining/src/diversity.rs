@@ -8,14 +8,22 @@
 //! same constant.
 
 use std::borrow::Borrow;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
-use crate::pattern::Pattern;
+use crate::pattern::{Pattern, Pred};
 
 /// Per-attribute match score between two patterns for an attribute
 /// constrained in `phi` (paper's `matchscore(Φ, Φ', A)`).
 pub fn match_score(phi: &Pattern, other: &Pattern, field: usize) -> f64 {
     let p = phi.pred_on(field).expect("field constrained in phi");
-    match other.pred_on(field) {
+    match_of(p, other.pred_on(field))
+}
+
+/// `matchscore` of `phi`'s predicate `p` against `other`'s predicate on
+/// the same attribute, if any.
+fn match_of(p: &Pred, q: Option<&Pred>) -> f64 {
+    match q {
         None => 1.0,
         Some(q) if q.value == p.value => -2.0,
         Some(_) => -0.3,
@@ -23,66 +31,104 @@ pub fn match_score(phi: &Pattern, other: &Pattern, field: usize) -> f64 {
 }
 
 /// `D(Φ, Φ')`: average match score over `Φ`'s constrained attributes,
-/// in `[-2, 1]`. The empty pattern scores 0 by convention.
+/// in `[-2, 1]`. The empty pattern scores 0 by convention. Both patterns
+/// hold their predicates sorted by field, so one merge walk finds each of
+/// `Φ`'s attributes in `Φ'`.
 pub fn diversity_score(phi: &Pattern, other: &Pattern) -> f64 {
     if phi.is_empty() {
         return 0.0;
     }
-    let sum: f64 = phi
-        .preds()
-        .iter()
-        .map(|(f, _)| match_score(phi, other, *f))
+    let mut others = other.preds().iter().peekable();
+    let sum: f64 = (phi.preds().iter())
+        .map(|(field, p)| {
+            while others.next_if(|(f, _)| f < field).is_some() {}
+            match_of(p, others.next_if(|(f, _)| f == field).map(|(_, q)| q))
+        })
         .sum();
     sum / phi.len() as f64
 }
 
+/// A candidate of the lazy selection: its `wscore` against the picks it
+/// has seen, or, before it has seen any, `F + 1` (`D ≤ 1`). Either way an
+/// upper bound on its `wscore` now: a minimum over more picks only falls,
+/// and float addition is monotone. Ordered by key (`total_cmp`), then
+/// lower index first, the order the eager selection picks in.
+struct Candidate {
+    key: f64,
+    index: usize,
+}
+
+impl Ord for Candidate {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.key.total_cmp(&other.key)).then(other.index.cmp(&self.index))
+    }
+}
+
+impl PartialOrd for Candidate {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Candidate {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Candidate {}
+
 /// Selects up to `k` items by repeated `wscore` maximization. Each item is
 /// `(pattern, f_score)`, the pattern owned or borrowed; returns indices
 /// into the input slice in selection order.
+///
+/// The first pick is the highest F-score (ties → lowest index;
+/// `total_cmp` keeps a NaN F-score in a total order, so the pick never
+/// depends on scan order). Every later pick maximizes `wscore = F +
+/// min_{Φ'∈R} D(Φ, Φ')`, ties → lowest index. The selection is lazy: the
+/// candidates wait in a max-heap keyed by an upper bound on their
+/// `wscore`, and only the one popped is brought up to date, against the
+/// picks it has not seen. A popped key that is already up to date is at
+/// least every other candidate's bound, so it is the pick that
+/// recomputing every `wscore` would make — the same index, tie-breaks
+/// included — with far fewer `D` evaluations.
 pub fn select_top_k_diverse<P: Borrow<Pattern>>(items: &[(P, f64)], k: usize) -> Vec<usize> {
     if items.is_empty() || k == 0 {
         return Vec::new();
     }
+    let (pattern, f) = (|i: usize| items[i].0.borrow(), |i: usize| items[i].1);
+    let first = (0..items.len())
+        .max_by(|&a, &b| f(a).total_cmp(&f(b)).then(b.cmp(&a)))
+        .expect("items is not empty");
     let mut selected: Vec<usize> = Vec::with_capacity(k.min(items.len()));
-    let mut remaining: Vec<usize> = (0..items.len()).collect();
-
-    // First pick: highest F-score (ties → lowest index, deterministic).
-    // `total_cmp` keeps this a total order even if an F-score is NaN —
-    // with `partial_cmp(..).unwrap_or(Equal)` a NaN compared Equal to
-    // everything, so which pattern won depended on scan order.
-    let first = *remaining
-        .iter()
-        .max_by(|&&a, &&b| items[a].1.total_cmp(&items[b].1).then(b.cmp(&a)))
-        .unwrap();
     selected.push(first);
-    remaining.retain(|&i| i != first);
 
-    // `min_div[i]` caches `min_{Φ'∈R} D(Φ_i, Φ')` incrementally: each new
-    // pick updates every remaining candidate with one diversity
-    // computation, so selection is O(k·n) diversity evaluations instead
-    // of the O(k²·n) of recomputing the minimum from scratch per
-    // comparison. The cached minimum is the same value, so the selection
-    // (including tie-breaks) is unchanged.
-    let mut min_div: Vec<f64> = items
-        .iter()
-        .map(|(pat, _)| diversity_score(pat.borrow(), items[first].0.borrow()))
+    // `min_div[i]`: `min D(Φ_i, Φ')` over the first `seen[i]` picks.
+    let mut min_div = vec![f64::INFINITY; items.len()];
+    let mut seen = vec![0usize; items.len()];
+    let mut heap: BinaryHeap<Candidate> = (0..items.len())
+        .filter(|&i| i != first)
+        .map(|index| Candidate {
+            key: f(index) + 1.0,
+            index,
+        })
         .collect();
-
-    while selected.len() < k && !remaining.is_empty() {
-        let best = *remaining
-            .iter()
-            .max_by(|&&a, &&b| {
-                let wa = items[a].1 + min_div[a];
-                let wb = items[b].1 + min_div[b];
-                wa.total_cmp(&wb).then(b.cmp(&a))
-            })
-            .unwrap();
-        selected.push(best);
-        remaining.retain(|&i| i != best);
-        for &i in &remaining {
-            let d = diversity_score(items[i].0.borrow(), items[best].0.borrow());
-            min_div[i] = min_div[i].min(d);
+    while selected.len() < k {
+        let Some(Candidate { index: i, .. }) = heap.pop() else {
+            break;
+        };
+        if seen[i] == selected.len() {
+            selected.push(i);
+            continue;
         }
+        for &p in &selected[seen[i]..] {
+            min_div[i] = min_div[i].min(diversity_score(pattern(i), pattern(p)));
+        }
+        seen[i] = selected.len();
+        heap.push(Candidate {
+            key: f(i) + min_div[i],
+            index: i,
+        });
     }
     selected
 }
@@ -155,6 +201,91 @@ mod tests {
         // wscore(1) = 0.88 + D(p1, p0) = 0.88 + (−2 + 1)/2 = 0.38
         // wscore(2) = 0.40 + 1.0 = 1.40 → the disjoint pattern wins.
         assert_eq!(sel[1], 2);
+    }
+
+    /// The eager selection the lazy one replaced: after each pick, every
+    /// remaining candidate's `min D` takes the new pick in, and the next
+    /// pick is the maximum `wscore` over all of them.
+    fn select_eager(items: &[(Pattern, f64)], k: usize) -> Vec<usize> {
+        if items.is_empty() || k == 0 {
+            return Vec::new();
+        }
+        let mut remaining: Vec<usize> = (0..items.len()).collect();
+        let first = *(remaining.iter())
+            .max_by(|&&a, &&b| items[a].1.total_cmp(&items[b].1).then(b.cmp(&a)))
+            .unwrap();
+        let mut selected = vec![first];
+        remaining.retain(|&i| i != first);
+        let mut min_div: Vec<f64> = (items.iter())
+            .map(|(pat, _)| diversity_score(pat, &items[first].0))
+            .collect();
+        while selected.len() < k && !remaining.is_empty() {
+            let best = *(remaining.iter())
+                .max_by(|&&a, &&b| {
+                    let wa = items[a].1 + min_div[a];
+                    let wb = items[b].1 + min_div[b];
+                    wa.total_cmp(&wb).then(b.cmp(&a))
+                })
+                .unwrap();
+            selected.push(best);
+            remaining.retain(|&i| i != best);
+            for &i in &remaining {
+                min_div[i] = min_div[i].min(diversity_score(&items[i].0, &items[best].0));
+            }
+        }
+        selected
+    }
+
+    /// `D` by the paper's definition: `match_score` on each of `Φ`'s
+    /// attributes, found in `Φ'` by lookup.
+    fn diversity_by_lookup(phi: &Pattern, other: &Pattern) -> f64 {
+        if phi.is_empty() {
+            return 0.0;
+        }
+        let sum: f64 = (phi.preds().iter())
+            .map(|(f, _)| match_score(phi, other, *f))
+            .sum();
+        sum / phi.len() as f64
+    }
+
+    proptest::proptest! {
+        /// Lazy against eager selection, and the merge-walk `D` against
+        /// the lookup, on patterns over 5 fields × 3 constants (so
+        /// patterns repeat), some items copied outright — a pattern kept
+        /// in both directions — F-scores drawn from a few values (ties),
+        /// NaN of either sign and ±∞ among them, and `k` from 0 past the
+        /// item count.
+        #[test]
+        fn prop_lazy_selection_is_the_eager_one(
+            raw in proptest::collection::vec(
+                (proptest::collection::vec((0usize..5, 0i64..3), 0..4), 0usize..12),
+                0..30,
+            ),
+            copies in proptest::collection::vec(0usize..40, 0..6),
+            k in 0usize..36,
+        ) {
+            let fs = [0.5, 0.5, 0.25, 1.0, 0.0, f64::NAN, -f64::NAN, f64::INFINITY];
+            let mut items: Vec<(Pattern, f64)> = (raw.iter())
+                .map(|(preds, fi)| {
+                    let f = fs.get(*fi).copied().unwrap_or(*fi as f64 / 11.0);
+                    (pat(preds), f)
+                })
+                .collect();
+            for &c in &copies {
+                if !items.is_empty() {
+                    let copy = items[c % items.len()].clone();
+                    items.push(copy);
+                }
+            }
+            for (a, _) in &items {
+                for (b, _) in &items {
+                    let (merged, looked_up) = (diversity_score(a, b), diversity_by_lookup(a, b));
+                    proptest::prop_assert!(merged.to_bits() == looked_up.to_bits());
+                }
+            }
+            let (lazy, eager) = (select_top_k_diverse(&items, k), select_eager(&items, k));
+            proptest::prop_assert!(lazy == eager, "k {k}: lazy {lazy:?}, eager {eager:?}");
+        }
     }
 
     #[test]

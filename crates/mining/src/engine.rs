@@ -18,10 +18,11 @@
 //! * evaluating one predicate produces a [`Mask`] — a 64-bit-word bitmap
 //!   over the sorted scan — and a pattern's matches are the AND of its
 //!   predicate masks;
-//! * Definition-7 TP/FP counting becomes segmented popcounts: each output
-//!   group owns a contiguous position range, and distinct covered PT rows
-//!   are counted by popcount (one APT row per PT row in the scan) or a
-//!   segment-deduplicated bit walk (join fan-out duplicated PT rows).
+//! * Definition-7 TP/FP counting is word-parallel: each output group
+//!   owns a contiguous position range, and distinct covered PT rows are
+//!   counted by popcount (one APT row per PT row in the scan) or, when a
+//!   join fans a PT row out over several positions, by two carry chains
+//!   over three segment bitmaps (`Segments`), a word at a time.
 //!
 //! The refinement BFS in `mine_core` carries each pattern's mask and
 //! scores a refined child as `parent_mask AND predicate_mask` + popcount,
@@ -153,30 +154,6 @@ impl Mask {
     pub fn approx_bytes(&self) -> usize {
         self.words.len() * 8
     }
-
-    /// Calls `f` for each set bit index in `[start, end)`, ascending.
-    #[inline]
-    fn for_each_set_in(&self, start: usize, end: usize, mut f: impl FnMut(usize)) {
-        if start >= end {
-            return;
-        }
-        let sw = start / 64;
-        let ew = (end - 1) / 64;
-        for wi in sw..=ew {
-            let mut w = self.words[wi];
-            if wi == sw && !start.is_multiple_of(64) {
-                w &= u64::MAX << (start % 64);
-            }
-            if wi == ew && !end.is_multiple_of(64) {
-                w &= u64::MAX >> (64 - end % 64);
-            }
-            while w != 0 {
-                let b = w.trailing_zeros() as usize;
-                f(wi * 64 + b);
-                w &= w - 1;
-            }
-        }
-    }
 }
 
 /// One APT column read in scan order: typed arrays (interned string ids
@@ -195,15 +172,13 @@ struct EncCol {
 pub struct ScoreIndex {
     /// Scan positions → APT row, sorted by `(group, pt_row)`.
     order: Vec<u32>,
-    /// Scan position → dense segment id (one segment per distinct PT row
-    /// present in the scan; ids ascend along positions). Empty when
-    /// `unit_segments`: counting never reads it then.
-    seg_of: Vec<u32>,
+    /// The scan's segments — one per distinct PT row present, the run of
+    /// positions that extend it — when some segment holds more than one
+    /// position. `None` when every segment is one position (no join
+    /// fan-out inside the scan): counting is then a popcount.
+    segments: Option<Segments>,
     /// Per output group: `[start, end)` position range.
     group_ranges: Vec<(u32, u32)>,
-    /// Fast path: every segment holds exactly one position (no join
-    /// fan-out inside the scan), so counting = popcount.
-    unit_segments: bool,
     /// The encoded columns by APT field, ascending: the fields handed to
     /// [`encode`](Self::encode) and no others.
     cols: Vec<(usize, EncCol)>,
@@ -262,24 +237,13 @@ impl ScoreIndex {
 
         // A group is a function of the PT row, so a segment ends exactly
         // where the PT row changes.
-        let mut seg_of = Vec::with_capacity(n);
-        let mut segs = 0u32;
-        for (i, &r) in order.iter().enumerate() {
-            if i > 0 && pt_of(r) != pt_of(order[i - 1]) {
-                segs += 1;
-            }
-            seg_of.push(segs);
-        }
-        let unit_segments = n == 0 || segs as usize + 1 == n;
-        if unit_segments {
-            seg_of = Vec::new();
-        }
+        let new_segment = |i: usize| i == 0 || pt_of(order[i]) != pt_of(order[i - 1]);
+        let segments = Segments::build(n, new_segment);
 
         ScoreIndex {
             order,
-            seg_of,
+            segments,
             group_ranges,
-            unit_segments,
             cols: Vec::new(),
             field_names: field_names(apt),
             group_pt_counts: pt.rows_of_group.iter().map(Vec::len).collect(),
@@ -445,21 +409,15 @@ impl ScoreIndex {
         mask
     }
 
-    /// Distinct covered PT rows (segments) among set bits in `[start, end)`.
+    /// Distinct covered PT rows (segments with a set bit) in `[start,
+    /// end)`. The range is always a union of whole segments: an output
+    /// group's range, or `[0, n)` for a single-point question's "all other
+    /// outputs".
     fn count_covered(&self, mask: &Mask, start: usize, end: usize) -> usize {
-        if self.unit_segments {
-            return mask.count_ones_range(start, end);
+        match &self.segments {
+            None => mask.count_ones_range(start, end),
+            Some(segments) => segments.count_covered(mask, start, end),
         }
-        let mut count = 0usize;
-        let mut last = u32::MAX;
-        mask.for_each_set_in(start, end, |p| {
-            let s = self.seg_of[p];
-            if s != last {
-                count += 1;
-                last = s;
-            }
-        });
-        count
     }
 
     /// Definition-7 metrics of a match mask for `primary` vs `secondary`
@@ -522,11 +480,111 @@ impl ScoreIndex {
                     + std::mem::size_of::<(usize, EncCol)>()
             })
             .sum();
-        (self.order.len() + self.seg_of.len()) * 4
+        self.order.len() * 4
+            + self.segments.as_ref().map_or(0, Segments::approx_bytes)
             + self.group_ranges.len() * 8
             + self.group_pt_counts.len() * 8
             + cols
             + self.field_names.len()
+    }
+}
+
+/// The segments of a scan with join fan-out, as three bitmaps over its
+/// positions (3 bits a position). Segments are numbered along the scan;
+/// each is even or odd by its number, so two neighbours never share a
+/// parity.
+#[derive(Debug, Clone)]
+struct Segments {
+    /// `starts[0]`: the first position of every even segment; `starts[1]`:
+    /// of every odd one.
+    starts: [Mask; 2],
+    /// Every position of an even segment.
+    even: Mask,
+}
+
+impl Segments {
+    /// The segments of `n` positions, `new_segment(p)` telling whether a
+    /// segment starts at position `p` (true at 0); `None`, with nothing
+    /// allocated, when every segment is one position.
+    fn build(n: usize, new_segment: impl Fn(usize) -> bool) -> Option<Segments> {
+        if (0..n).all(&new_segment) {
+            return None;
+        }
+        let mut segments = Segments {
+            starts: [Mask::empty(n), Mask::empty(n)],
+            even: Mask::empty(n),
+        };
+        let mut count = 0usize;
+        for p in 0..n {
+            let new = new_segment(p);
+            count += new as usize;
+            // Position `p` lies in segment number `count - 1`.
+            let parity = (count - 1) % 2;
+            if new {
+                segments.starts[parity].set(p);
+            }
+            if parity == 0 {
+                segments.even.set(p);
+            }
+        }
+        Some(segments)
+    }
+
+    /// Segments in `[start, end)` — a union of whole segments — holding a
+    /// set bit of `mask`, in one pass over the range's words with no work
+    /// per bit. Per parity, the uncovered positions of that parity's
+    /// segments plus their start bits are added as one multi-word number.
+    /// In each segment the carry from its start runs up to its first
+    /// covered position and stops there, leaving the one sum bit in the
+    /// segment that is also a covered position; a segment with no covered
+    /// position carries out of its end onto the next position, which
+    /// belongs to the other parity (or lies at or past `end`), so the
+    /// chains of two parities never meet. Covered = those stop bits.
+    fn count_covered(&self, mask: &Mask, start: usize, end: usize) -> usize {
+        if start >= end {
+            return 0;
+        }
+        debug_assert!(
+            self.starts.iter().any(|s| s.get(start)),
+            "{start} starts no segment"
+        );
+        debug_assert!(
+            end == mask.len() || self.starts.iter().any(|s| s.get(end)),
+            "{end} starts no segment"
+        );
+        let words = start / 64..(end - 1) / 64 + 1;
+        let (head, tail) = (u64::MAX << (start % 64), u64::MAX >> ((64 - end % 64) % 64));
+        let last = words.len() - 1;
+        // The four bitmaps sliced to the range once: the loop indexes none.
+        let columns = (mask.words[words.clone()].iter())
+            .zip(&self.even.words[words.clone()])
+            .zip(&self.starts[0].words[words.clone()])
+            .zip(&self.starts[1].words[words]);
+        let (mut carry_even, mut carry_odd) = (false, false);
+        let mut covered = 0usize;
+        for (i, (((&word, &even), &starts_even), &starts_odd)) in columns.enumerate() {
+            let mut range = u64::MAX;
+            if i == 0 {
+                range &= head;
+            }
+            if i == last {
+                range &= tail;
+            }
+            let (set, even) = (word & range, even & range);
+            let (uncovered, odd) = (!set & range, !even & range);
+            let (sum_even, c1) = (uncovered & even).overflowing_add(starts_even & range);
+            let (sum_even, c2) = sum_even.overflowing_add(carry_even as u64);
+            let (sum_odd, c3) = (uncovered & odd).overflowing_add(starts_odd & range);
+            let (sum_odd, c4) = sum_odd.overflowing_add(carry_odd as u64);
+            (carry_even, carry_odd) = (c1 | c2, c3 | c4);
+            covered += (((sum_even & even) | (sum_odd & odd)) & set).count_ones() as usize;
+        }
+        covered
+    }
+
+    /// Heap bytes of the three bitmaps.
+    fn approx_bytes(&self) -> usize {
+        self.starts[0].approx_bytes() + self.starts[1].approx_bytes() + self.even.approx_bytes()
     }
 }
 
@@ -678,9 +736,8 @@ mod tests {
         (0..n).filter(|&i| is_null(i)).for_each(|i| nulls.set(i));
         ScoreIndex {
             order: (0..n as u32).collect(),
-            seg_of: Vec::new(),
+            segments: None,
             group_ranges: vec![(0, n as u32)],
-            unit_segments: true,
             cols: vec![(
                 0,
                 EncCol {
@@ -754,6 +811,108 @@ mod tests {
         }
     }
 
+    /// Calls `f` for each set bit index of `mask` in `[start, end)`,
+    /// ascending.
+    fn for_each_set_in(mask: &Mask, start: usize, end: usize, mut f: impl FnMut(usize)) {
+        if start >= end {
+            return;
+        }
+        let sw = start / 64;
+        let ew = (end - 1) / 64;
+        for wi in sw..=ew {
+            let mut w = mask.words[wi];
+            if wi == sw && !start.is_multiple_of(64) {
+                w &= u64::MAX << (start % 64);
+            }
+            if wi == ew && !end.is_multiple_of(64) {
+                w &= u64::MAX >> (64 - end % 64);
+            }
+            while w != 0 {
+                let b = w.trailing_zeros() as usize;
+                f(wi * 64 + b);
+                w &= w - 1;
+            }
+        }
+    }
+
+    /// The per-bit walk the carry count replaced: every set bit in
+    /// `[start, end)` reads its segment id (`segment_ids`, one a position) and
+    /// counts when it differs from the last one counted.
+    fn count_covered_walk(segment_ids: &[u32], mask: &Mask, start: usize, end: usize) -> usize {
+        let mut count = 0usize;
+        let mut last = u32::MAX;
+        for_each_set_in(mask, start, end, |p| {
+            if segment_ids[p] != last {
+                count += 1;
+                last = segment_ids[p];
+            }
+        });
+        count
+    }
+
+    proptest::proptest! {
+        /// The carry count against the per-bit walk. Segments are mostly
+        /// 1–4 positions, sometimes 65–140 (longer than a word), so they
+        /// cross word boundaries; `pad` stretches the last one to put `n`
+        /// on a multiple of 64. Each segment is left empty, filled, given
+        /// a bit pattern or one bit; every range is a union of whole
+        /// segments — each group (a run of segments) and the whole scan —
+        /// and the empty and full masks are counted too.
+        #[test]
+        fn prop_carry_count_is_the_bit_walk(
+            shape in proptest::collection::vec((1usize..5, 0usize..6, proptest::bool::ANY), 1..40),
+            fill in proptest::collection::vec((0u8..4, 0u64..=u64::MAX), 40..41),
+            pad in proptest::bool::ANY,
+        ) {
+            let mut lens: Vec<usize> = (shape.iter())
+                .map(|&(a, long, _)| if long == 0 { 40 + 25 * a } else { a })
+                .collect();
+            let n: usize = lens.iter().sum();
+            if pad && !n.is_multiple_of(64) {
+                *lens.last_mut().expect("one segment") += 64 - n % 64;
+            }
+            let n: usize = lens.iter().sum();
+            let segment_ids: Vec<u32> = (lens.iter().enumerate())
+                .flat_map(|(s, &len)| std::iter::repeat_n(s as u32, len))
+                .collect();
+            let new_segment = |p: usize| p == 0 || segment_ids[p] != segment_ids[p - 1];
+            let Some(segments) = Segments::build(n, new_segment) else {
+                proptest::prop_assert!(lens.iter().all(|&len| len == 1));
+                return Ok(());
+            };
+            let mut mask = Mask::empty(n);
+            let mut ranges = vec![(0, n)];
+            let (mut at, mut group) = (0, 0);
+            for (s, &len) in lens.iter().enumerate() {
+                if s > 0 && shape[s].2 {
+                    ranges.push((group, at));
+                    group = at;
+                }
+                let (mode, bits) = fill[s];
+                for i in 0..len {
+                    let on = match mode {
+                        0 => false,
+                        1 => true,
+                        2 => bits.rotate_left(i as u32) & 1 == 1,
+                        _ => i == bits as usize % len,
+                    };
+                    if on {
+                        mask.set(at + i);
+                    }
+                }
+                at += len;
+            }
+            ranges.push((group, n));
+            for m in [mask, Mask::empty(n), Mask::full(n)] {
+                for &(start, end) in &ranges {
+                    let got = segments.count_covered(&m, start, end);
+                    let want = count_covered_walk(&segment_ids, &m, start, end);
+                    proptest::prop_assert!(got == want, "[{start}, {end}) of {n}: {got}, walk {want}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn mask_full_is_tail_masked() {
         let m = Mask::full(70);
@@ -782,7 +941,7 @@ mod tests {
             m.set(i);
         }
         let mut seen = Vec::new();
-        m.for_each_set_in(1, 149, |i| seen.push(i));
+        for_each_set_in(&m, 1, 149, |i| seen.push(i));
         assert_eq!(seen, vec![1, 63, 64, 65, 127, 128]);
     }
 

@@ -401,31 +401,31 @@ pub(crate) fn mine_core(
     // when a single pattern is requested. Both rules leave `mine_apt`
     // output bit-identical (property-tested) unless `max_patterns` binds.
     //
-    // `pred_tp[fi][bi][op slot][direction]` — aligned with `frag`.
+    // `pred_tp` is one flat array aligned with `frag`: the TP count of
+    // field `fi`'s boundary `bi` under op slot `slot` (`≤` 0, `≥` 1) in
+    // direction `d` is at `tp_at(fi, bi, slot) + d`, `stride` being the
+    // most boundaries a field has.
+    let stride = frag.iter().map(|(_, b)| b.len()).max().unwrap_or(0);
+    let tp_at =
+        |fi: usize, bi: usize, slot: usize| ((fi * stride + bi) * 2 + slot) * directions.len();
     /// Per-direction `a1` denominators + per-predicate TP counts.
-    type UbState = (Vec<usize>, Vec<Vec<[Vec<usize>; 2]>>);
+    type UbState = (Vec<usize>, Vec<usize>);
     let ub_state: Option<UbState> = params.refine_ub_prune.then(|| {
         let a1s: Vec<usize> = directions
             .iter()
             .map(|&(primary, _)| index.group_size(primary))
             .collect();
-        let pred_tp: Vec<Vec<[Vec<usize>; 2]>> = frag
-            .iter()
-            .enumerate()
-            .map(|(fi, (_, boundaries))| {
-                (0..boundaries.len())
-                    .map(|bi| {
-                        [PredOp::Le, PredOp::Ge].map(|op| {
-                            let mask = bank.mask(fi, bi, op);
-                            directions
-                                .iter()
-                                .map(|&(primary, _)| index.tp_of(mask, primary))
-                                .collect()
-                        })
-                    })
-                    .collect()
-            })
-            .collect();
+        let mut pred_tp = vec![0; tp_at(frag.len(), 0, 0)];
+        for (fi, (_, boundaries)) in frag.iter().enumerate() {
+            for bi in 0..boundaries.len() {
+                for (slot, op) in [PredOp::Le, PredOp::Ge].into_iter().enumerate() {
+                    let mask = bank.mask(fi, bi, op);
+                    for (d, &(primary, _)) in directions.iter().enumerate() {
+                        pred_tp[tp_at(fi, bi, slot) + d] = index.tp_of(mask, primary);
+                    }
+                }
+            }
+        }
         (a1s, pred_tp)
     });
     // The `top_k = 1` F-score floor: highest kept (sampled) F so far.
@@ -546,7 +546,7 @@ pub(crate) fn mine_core(
                             PredOp::Le => 0,
                             _ => 1,
                         };
-                        let tps = &pred_tp[fi][bi][slot];
+                        let tps = &pred_tp[tp_at(fi, bi, slot)..];
                         let viable = a1s.iter().enumerate().any(|(d, &a1)| {
                             let tp_ub = item_tps[d].min(tps[d]);
                             if PatternMetrics::recall_of(tp_ub, a1) <= params.lambda_recall {

@@ -157,9 +157,13 @@ impl Pattern {
     /// replaces one or more `*` slots with comparisons).
     pub fn refine(&self, field: usize, pred: Pred) -> Pattern {
         debug_assert!(self.is_free(field), "refining a constrained field");
-        let mut preds = self.preds.clone();
-        let pos = preds.partition_point(|(f, _)| *f < field);
-        preds.insert(pos, (field, pred));
+        // Built at its final length: one allocation per child, in the
+        // refinement BFS's innermost loop.
+        let pos = self.preds.partition_point(|(f, _)| *f < field);
+        let mut preds = Vec::with_capacity(self.preds.len() + 1);
+        preds.extend_from_slice(&self.preds[..pos]);
+        preds.push((field, pred));
+        preds.extend_from_slice(&self.preds[pos..]);
         Pattern { preds }
     }
 

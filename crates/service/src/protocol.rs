@@ -287,7 +287,7 @@ fn handle_query(service: &ExplanationService, req: &Json) -> Reply {
     let sql = str_field(req, "sql")?;
     let max_rows = optional(req, "max_rows", 50, COUNT, as_usize)?;
     let preview = optional(req, "preview", true, BOOL, Json::as_bool)?;
-    let handle = service
+    let (handle, opened) = service
         .open_or_reuse_session(db_name, sql)
         .map_err(service_err)?;
     if !preview {
@@ -306,10 +306,12 @@ fn handle_query(service: &ExplanationService, req: &Json) -> Reply {
     // the caller sees the output tuples they can ask about AND the
     // session's first ask skips preparation; the tuples are rendered
     // through the registration the preview ran on. If it fails (e.g.
-    // unknown column), close the just-opened session rather than leaking
-    // it.
+    // unknown column), close the session if this request opened it,
+    // rather than leaking it; a reused one is another request's.
     let (reg, result) = handle.preview().map_err(|e| {
-        service.close_session(handle.id());
+        if opened {
+            service.close_session(handle.id());
+        }
         service_err(e)
     })?;
     let columns: Vec<Json> = result
@@ -722,6 +724,42 @@ mod tests {
          FROM team t, game g, season s \
          WHERE t.team_id = g.winner_id AND g.season_id = s.season_id \
            AND t.team = 'GSW' GROUP BY s.season_name";
+
+    /// A failed preview closes only a session its own request opened: a
+    /// `preview:false` query opens session 1 on SQL that does not bind,
+    /// the same query with the preview fails, and session 1 is still
+    /// open for its client.
+    #[test]
+    fn a_failed_preview_leaves_a_reused_session_open() {
+        let service = ExplanationService::default();
+        let register = r#"{"op":"register","db":"nba","dataset":"nba","scale":0.05}"#;
+        let registered = handle_line(&service, register);
+        assert_eq!(registered.get("ok").and_then(Json::as_bool), Some(true));
+        let sql = "SELECT COUNT(*) AS n, s.nope FROM season s GROUP BY s.nope";
+        let query = |preview: bool| {
+            let line = Json::obj([
+                ("op", Json::str("query")),
+                ("db", Json::str("nba")),
+                ("sql", Json::str(sql)),
+                ("preview", Json::Bool(preview)),
+            ]);
+            handle_line(&service, &line.render())
+        };
+        let opened = query(false);
+        assert_eq!(opened.get("ok").and_then(Json::as_bool), Some(true));
+        let session = opened.get("session").and_then(Json::as_u64).unwrap();
+        assert_eq!(session, 1);
+        let failed = query(true);
+        assert_eq!(error_of(&failed).0, Some("pipeline"), "{failed:?}");
+        let close = handle_line(&service, r#"{"op":"close","session":1}"#);
+        assert_eq!(close.get("closed").and_then(Json::as_bool), Some(true));
+
+        // A failed preview on a session of its own closes it.
+        let failed = query(true);
+        assert_eq!(error_of(&failed).0, Some("pipeline"), "{failed:?}");
+        let close = handle_line(&service, r#"{"op":"close","session":2}"#);
+        assert_eq!(close.get("closed").and_then(Json::as_bool), Some(false));
+    }
 
     #[test]
     fn malformed_lines_answer_ok_false() {

@@ -482,15 +482,20 @@ impl ExplanationService {
     /// Like [`open_session`](Self::open_session), but returns an existing
     /// open session on the same `(db, canonical SQL)` when one exists. The
     /// serve protocol's `query` op uses this so a client issuing the same
-    /// query repeatedly does not grow the session registry.
-    pub fn open_or_reuse_session(&self, db: &str, sql: &str) -> Result<Arc<SessionHandle>> {
+    /// query repeatedly does not grow the session registry. The flag is
+    /// true when this call opened the session: only then may the caller
+    /// close it on failure, since a reused one is another request's too.
+    pub fn open_or_reuse_session(&self, db: &str, sql: &str) -> Result<(Arc<SessionHandle>, bool)> {
         self.inner.registered(db)?;
         let query = parse_sql(sql)?;
         let canonical = query.to_sql();
         let existing = (self.inner.sessions.read().values())
             .find(|h| h.db_name() == db && h.sql() == canonical)
             .cloned();
-        Ok(existing.unwrap_or_else(|| self.open(db, query)))
+        Ok(match existing {
+            Some(handle) => (handle, false),
+            None => (self.open(db, query), true),
+        })
     }
 
     /// The one session constructor: registers a handle on a database the
@@ -602,11 +607,12 @@ mod tests {
         let sql = "SELECT count(*) AS games, season_name FROM season GROUP BY season_name";
         // An open session on the query is reused, whatever the SQL's
         // spelling.
-        let first = service.open_or_reuse_session("nba", sql).unwrap();
-        let again = service
+        let (first, opened) = service.open_or_reuse_session("nba", sql).unwrap();
+        let (again, reopened) = service
             .open_or_reuse_session("nba", &sql.to_lowercase())
             .unwrap();
         assert_eq!(again.id(), first.id());
+        assert!(opened && !reopened);
     }
 
     /// A query entry is charged for the query's result table: on a query
