@@ -3,8 +3,9 @@
 //! random-forest training (the float reference and the histogram trainer
 //! feature selection runs), Cramér's V and the association matrix,
 //! join-graph enumeration, APT materialization and mining preparation of
-//! a whole enumeration — with and without what its graphs share — and the
-//! exact re-score of one pattern.
+//! a whole enumeration — with and without what its graphs share — the
+//! exact re-score of one pattern, and one graph's warm mine with its
+//! diverse top-k.
 //!
 //! `cargo bench` passes `--bench`, which measures each body and prints
 //! its mean time; `cargo test` runs the same binary without it, and each
@@ -20,9 +21,9 @@ use cajade_graph::{
     enumerate_join_graphs, Apt, AptBuilder, EnumConfig, EnumeratedGraph, JoinGraph,
 };
 use cajade_mining::{
-    lca_candidates, prepare_apt_with, BaseTableStats, ColumnStats, ColumnStatsConfig,
-    ColumnStatsProvider, MiningParams, PatValue, Pattern, Pred, PredOp, PreparedApt, ReadShare,
-    ScoreIndex, Scorer,
+    lca_candidates, mine_prepared, prepare_apt, prepare_apt_with, select_top_k_diverse,
+    BaseTableStats, ColumnStats, ColumnStatsConfig, ColumnStatsProvider, MiningParams, PatValue,
+    Pattern, Pred, PredOp, PreparedApt, Question, ReadShare, ScoreIndex, Scorer,
 };
 use cajade_ml::{
     assoc_matrix, cramers_v, BinnedColumn, FeatureColumn, HistForest, RandomForest,
@@ -516,6 +517,47 @@ fn bench_exact_rescore() {
     });
 }
 
+/// The per-question half of one graph's mining, warm, on NBA tiny's
+/// `GSW` graph whose two-point mine evaluates the most patterns (1 143,
+/// the graph of `crates/mining/tests/mine_allocs.rs`), service defaults.
+/// `select_top_k_diverse` picks the top 10 out of every pattern that mine
+/// keeps, listed as a `top_k = usize::MAX` mine returns them;
+/// `mine_prepared` is the whole warm mine — recall ranking, refinement
+/// BFS, diverse top-k and the exact re-score of the winners, whose
+/// all-rows masks an earlier mine filled.
+fn bench_warm_mine() {
+    let e = enumeration(nba::generate(NbaConfig::tiny()), GSW_WINS_SQL);
+    let builder = AptBuilder::new(&e.gen.db, &e.pt, &e.graphs, f64::INFINITY);
+    let params = MiningParams::default();
+    let question = Question::TwoPoint { t1: 0, t2: 1 };
+    let (apt, prepared, _) = (e.valid.iter())
+        .map(|&gi| {
+            let apt = builder.materialize(gi).unwrap().unwrap();
+            let prepared = prepare_apt(&apt, &e.pt, &params);
+            let patterns =
+                mine_prepared(&prepared, &apt, &e.pt, &question, &params).patterns_evaluated;
+            (apt, prepared, patterns)
+        })
+        .max_by_key(|(_, _, patterns)| *patterns)
+        .unwrap();
+    let every = MiningParams {
+        top_k: usize::MAX,
+        ..params.clone()
+    };
+    let kept: Vec<(Pattern, f64)> = (mine_prepared(&prepared, &apt, &e.pt, &question, &every))
+        .explanations
+        .into_iter()
+        .map(|m| (m.pattern, m.sampled_f_score))
+        .collect();
+    let name = format!("select_top_k_diverse/nba_tiny_busiest_{}_kept", kept.len());
+    bench(&name, || {
+        select_top_k_diverse(black_box(&kept), params.top_k)
+    });
+    bench("mine_prepared/nba_tiny_busiest_warm", || {
+        mine_prepared(black_box(&prepared), &apt, &e.pt, &question, &params)
+    });
+}
+
 fn main() {
     bench_join_and_aggregate();
     bench_provenance();
@@ -530,4 +572,5 @@ fn main() {
     bench_apt_enumeration();
     bench_prepare_enumeration();
     bench_exact_rescore();
+    bench_warm_mine();
 }

@@ -5,11 +5,11 @@
 //! `wscore(Φ) = Fscore(Φ) + min_{Φ'∈R} D(Φ, Φ')` where `D` averages a
 //! per-attribute match score: `1` if the attribute is absent from `Φ'`,
 //! `−0.3` if present with a different constant, `−2` if present with the
-//! same constant.
+//! same constant. [`select_top_k_diverse`] makes one pass over the
+//! remaining candidates per pick, each bringing its `min D` up to date
+//! with one `D` against the newest pick.
 
 use std::borrow::Borrow;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 use crate::pattern::{Pattern, Pred};
 
@@ -48,36 +48,6 @@ pub fn diversity_score(phi: &Pattern, other: &Pattern) -> f64 {
     sum / phi.len() as f64
 }
 
-/// A candidate of the lazy selection: its `wscore` against the picks it
-/// has seen, or, before it has seen any, `F + 1` (`D ≤ 1`). Either way an
-/// upper bound on its `wscore` now: a minimum over more picks only falls,
-/// and float addition is monotone. Ordered by key (`total_cmp`), then
-/// lower index first, the order the eager selection picks in.
-struct Candidate {
-    key: f64,
-    index: usize,
-}
-
-impl Ord for Candidate {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (self.key.total_cmp(&other.key)).then(other.index.cmp(&self.index))
-    }
-}
-
-impl PartialOrd for Candidate {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for Candidate {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for Candidate {}
-
 /// Selects up to `k` items by repeated `wscore` maximization. Each item is
 /// `(pattern, f_score)`, the pattern owned or borrowed; returns indices
 /// into the input slice in selection order.
@@ -85,13 +55,9 @@ impl Eq for Candidate {}
 /// The first pick is the highest F-score (ties → lowest index;
 /// `total_cmp` keeps a NaN F-score in a total order, so the pick never
 /// depends on scan order). Every later pick maximizes `wscore = F +
-/// min_{Φ'∈R} D(Φ, Φ')`, ties → lowest index. The selection is lazy: the
-/// candidates wait in a max-heap keyed by an upper bound on their
-/// `wscore`, and only the one popped is brought up to date, against the
-/// picks it has not seen. A popped key that is already up to date is at
-/// least every other candidate's bound, so it is the pick that
-/// recomputing every `wscore` would make — the same index, tie-breaks
-/// included — with far fewer `D` evaluations.
+/// min_{Φ'∈R} D(Φ, Φ')`, ties → lowest index. One pass per pick: each
+/// remaining candidate's `min D` takes in the newest pick — one `D` — and
+/// the highest `wscore` is taken from the same pass.
 pub fn select_top_k_diverse<P: Borrow<Pattern>>(items: &[(P, f64)], k: usize) -> Vec<usize> {
     if items.is_empty() || k == 0 {
         return Vec::new();
@@ -103,32 +69,23 @@ pub fn select_top_k_diverse<P: Borrow<Pattern>>(items: &[(P, f64)], k: usize) ->
     let mut selected: Vec<usize> = Vec::with_capacity(k.min(items.len()));
     selected.push(first);
 
-    // `min_div[i]`: `min D(Φ_i, Φ')` over the first `seen[i]` picks.
-    let mut min_div = vec![f64::INFINITY; items.len()];
-    let mut seen = vec![0usize; items.len()];
-    let mut heap: BinaryHeap<Candidate> = (0..items.len())
+    // `(index, min D over the picks so far)`, ascending in index.
+    let mut remaining: Vec<(usize, f64)> = (0..items.len())
         .filter(|&i| i != first)
-        .map(|index| Candidate {
-            key: f(index) + 1.0,
-            index,
-        })
+        .map(|i| (i, f64::INFINITY))
         .collect();
-    while selected.len() < k {
-        let Some(Candidate { index: i, .. }) = heap.pop() else {
-            break;
-        };
-        if seen[i] == selected.len() {
-            selected.push(i);
-            continue;
+    while selected.len() < k && !remaining.is_empty() {
+        let newest = pattern(selected[selected.len() - 1]);
+        let mut best = (0, f64::NEG_INFINITY);
+        for (at, (i, min_div)) in remaining.iter_mut().enumerate() {
+            *min_div = min_div.min(diversity_score(pattern(*i), newest));
+            let wscore = f(*i) + *min_div;
+            // Strictly greater: a tie keeps the lower index.
+            if at == 0 || wscore.total_cmp(&best.1).is_gt() {
+                best = (at, wscore);
+            }
         }
-        for &p in &selected[seen[i]..] {
-            min_div[i] = min_div[i].min(diversity_score(pattern(i), pattern(p)));
-        }
-        seen[i] = selected.len();
-        heap.push(Candidate {
-            key: f(i) + min_div[i],
-            index: i,
-        });
+        selected.push(remaining.remove(best.0).0);
     }
     selected
 }
@@ -203,35 +160,28 @@ mod tests {
         assert_eq!(sel[1], 2);
     }
 
-    /// The eager selection the lazy one replaced: after each pick, every
-    /// remaining candidate's `min D` takes the new pick in, and the next
-    /// pick is the maximum `wscore` over all of them.
-    fn select_eager(items: &[(Pattern, f64)], k: usize) -> Vec<usize> {
-        if items.is_empty() || k == 0 {
-            return Vec::new();
-        }
-        let mut remaining: Vec<usize> = (0..items.len()).collect();
-        let first = *(remaining.iter())
-            .max_by(|&&a, &&b| items[a].1.total_cmp(&items[b].1).then(b.cmp(&a)))
-            .unwrap();
-        let mut selected = vec![first];
-        remaining.retain(|&i| i != first);
-        let mut min_div: Vec<f64> = (items.iter())
-            .map(|(pat, _)| diversity_score(pat, &items[first].0))
-            .collect();
-        while selected.len() < k && !remaining.is_empty() {
-            let best = *(remaining.iter())
-                .max_by(|&&a, &&b| {
-                    let wa = items[a].1 + min_div[a];
-                    let wb = items[b].1 + min_div[b];
-                    wa.total_cmp(&wb).then(b.cmp(&a))
-                })
-                .unwrap();
+    /// §3.5 by its definition: each round, every candidate not yet picked
+    /// gets `wscore = F + min D` over all the picks so far, recomputed from
+    /// scratch (`O(k²n)` `D`s in all), and the highest (`total_cmp`, ties
+    /// to the lower index) is picked; the first pick, with no `D`, is the
+    /// highest `F`.
+    fn select_by_definition(items: &[(Pattern, f64)], k: usize) -> Vec<usize> {
+        let mut selected: Vec<usize> = Vec::new();
+        while selected.len() < k.min(items.len()) {
+            let wscore = |i: usize| {
+                if selected.is_empty() {
+                    return items[i].1;
+                }
+                let min_div = (selected.iter())
+                    .map(|&p| diversity_score(&items[i].0, &items[p].0))
+                    .fold(f64::INFINITY, f64::min);
+                items[i].1 + min_div
+            };
+            let best = (0..items.len())
+                .filter(|i| !selected.contains(i))
+                .max_by(|&a, &b| wscore(a).total_cmp(&wscore(b)).then(b.cmp(&a)))
+                .expect("a candidate is left");
             selected.push(best);
-            remaining.retain(|&i| i != best);
-            for &i in &remaining {
-                min_div[i] = min_div[i].min(diversity_score(&items[i].0, &items[best].0));
-            }
         }
         selected
     }
@@ -249,14 +199,14 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Lazy against eager selection, and the merge-walk `D` against
-        /// the lookup, on patterns over 5 fields × 3 constants (so
+        /// The selection against its definition, and the merge-walk `D`
+        /// against the lookup, on patterns over 5 fields × 3 constants (so
         /// patterns repeat), some items copied outright — a pattern kept
         /// in both directions — F-scores drawn from a few values (ties),
         /// NaN of either sign and ±∞ among them, and `k` from 0 past the
         /// item count.
         #[test]
-        fn prop_lazy_selection_is_the_eager_one(
+        fn prop_selection_is_the_definition(
             raw in proptest::collection::vec(
                 (proptest::collection::vec((0usize..5, 0i64..3), 0..4), 0usize..12),
                 0..30,
@@ -283,8 +233,8 @@ mod tests {
                     proptest::prop_assert!(merged.to_bits() == looked_up.to_bits());
                 }
             }
-            let (lazy, eager) = (select_top_k_diverse(&items, k), select_eager(&items, k));
-            proptest::prop_assert!(lazy == eager, "k {k}: lazy {lazy:?}, eager {eager:?}");
+            let (picked, defined) = (select_top_k_diverse(&items, k), select_by_definition(&items, k));
+            proptest::prop_assert!(picked == defined, "k {k}: {picked:?}, by definition {defined:?}");
         }
     }
 

@@ -24,8 +24,10 @@
 //!   join fans a PT row out over several positions, by two carry chains
 //!   over three segment bitmaps (`Segments`), a word at a time.
 //!
-//! The refinement BFS in `mine_core` carries each pattern's mask and
-//! scores a refined child as `parent_mask AND predicate_mask` + popcount,
+//! The refinement BFS in `mine_core` carries the mask of each pattern it
+//! will refine and scores a child where it generates it, as
+//! `parent_mask AND predicate_mask` counted once per questioned group
+//! for every direction of the question (`ScoreIndex::score_question`),
 //! with the `|num_fields| × λ#frag × 2` threshold predicate masks
 //! precomputed in a [`PredBank`]; the winners are re-scored the same way
 //! on the all-rows index, ANDing masks the preparation keeps once made
@@ -40,7 +42,7 @@ use cajade_query::ProvenanceTable;
 use cajade_storage::Value;
 
 use crate::pattern::{PatValue, Pattern, Pred, PredOp};
-use crate::score::PatternMetrics;
+use crate::score::{PatternMetrics, Question};
 
 /// A fixed-width bitmap over the scan positions of a [`ScoreIndex`].
 ///
@@ -452,6 +454,43 @@ impl ScoreIndex {
             None => (self.count_covered(mask, 0, n) - tp, self.total_pt - a1),
         };
         PatternMetrics::from_counts(tp, a1, fp, a2)
+    }
+
+    /// [`score_mask`](Self::score_mask) in every direction of `question`,
+    /// in [`Question::directions`]' order (a single-point question has one:
+    /// the second slot is `None`), counting each questioned group's range
+    /// once: `t1`'s and `t2`'s, each direction's TP and the other's FP; or
+    /// `t`'s and the whole scan's `[0, n)`. The metrics come from the same
+    /// [`PatternMetrics::from_counts`] arguments `score_mask` passes. The
+    /// refinement BFS scores every pattern with it.
+    pub(crate) fn score_question(
+        &self,
+        mask: &Mask,
+        question: &Question,
+    ) -> [Option<PatternMetrics>; 2] {
+        let covered = |group: usize| {
+            let (s, e) = self
+                .group_ranges
+                .get(group)
+                .map_or((0, 0), |&(s, e)| (s, e));
+            self.count_covered(mask, s as usize, e as usize)
+        };
+        match *question {
+            Question::TwoPoint { t1, t2 } => {
+                let (c1, c2) = (covered(t1), covered(t2));
+                let (a1, a2) = (self.group_size(t1), self.group_size(t2));
+                [
+                    Some(PatternMetrics::from_counts(c1, a1, c2, a2)),
+                    Some(PatternMetrics::from_counts(c2, a2, c1, a1)),
+                ]
+            }
+            Question::SinglePoint { t } => {
+                let (tp, a1) = (covered(t), self.group_size(t));
+                let fp = self.count_covered(mask, 0, self.order.len()) - tp;
+                let metrics = PatternMetrics::from_counts(tp, a1, fp, self.total_pt - a1);
+                [Some(metrics), None]
+            }
+        }
     }
 
     /// [`pattern_mask`](Self::pattern_mask) + [`score_mask`](Self::score_mask)
@@ -909,6 +948,61 @@ mod tests {
                     let want = count_covered_walk(&segment_ids, &m, start, end);
                     proptest::prop_assert!(got == want, "[{start}, {end}) of {n}: {got}, walk {want}");
                 }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// One count per questioned group against `score_mask` per
+        /// direction, on scans with and without fan-out (segments of 1–3
+        /// positions), groups of whole segments with PT rows the scan
+        /// missed, and questions naming a group twice or past the last.
+        #[test]
+        fn prop_score_question_is_score_mask_per_direction(
+            shape in proptest::collection::vec((1usize..4, proptest::bool::ANY), 1..40),
+            words in proptest::collection::vec(0u64..=u64::MAX, 2..3),
+            missed in proptest::collection::vec(0usize..3, 41..42),
+            t1 in 0usize..42,
+            t2 in 0usize..42,
+        ) {
+            let n: usize = shape.iter().map(|&(len, _)| len).sum();
+            let mut segment_starts = Vec::new();
+            let (mut group_ranges, mut group_pt_counts) = (Vec::new(), Vec::new());
+            let (mut at, mut group, mut segments) = (0, 0, 0);
+            for (s, &(len, new_group)) in shape.iter().enumerate() {
+                if s > 0 && new_group {
+                    group_ranges.push((group as u32, at as u32));
+                    group_pt_counts.push(segments + missed[group_ranges.len()]);
+                    (group, segments) = (at, 0);
+                }
+                segment_starts.push(at);
+                (at, segments) = (at + len, segments + 1);
+            }
+            group_ranges.push((group as u32, n as u32));
+            group_pt_counts.push(segments + missed[group_ranges.len()]);
+            let groups = group_ranges.len();
+            let index = ScoreIndex {
+                order: (0..n as u32).collect(),
+                segments: Segments::build(n, |p| segment_starts.contains(&p)),
+                group_ranges,
+                cols: Vec::new(),
+                field_names: String::new(),
+                total_pt: group_pt_counts.iter().sum(),
+                group_pt_counts,
+            };
+            let mut mask = Mask::empty(n);
+            (0..n).filter(|&i| words[i / 64] >> (i % 64) & 1 == 1).for_each(|i| mask.set(i));
+            let (t1, t2) = (t1 % (groups + 1), t2 % (groups + 1));
+            for question in [Question::TwoPoint { t1, t2 }, Question::SinglePoint { t: t1 }] {
+                let counted: Vec<PatternMetrics> =
+                    index.score_question(&mask, &question).into_iter().flatten().collect();
+                let per_direction: Vec<PatternMetrics> = (question.directions().into_iter())
+                    .map(|(primary, secondary)| index.score_mask(&mask, primary, secondary))
+                    .collect();
+                proptest::prop_assert!(
+                    counted == per_direction,
+                    "{question:?}: {counted:?}, per direction {per_direction:?}"
+                );
             }
         }
     }

@@ -14,10 +14,13 @@
 //!    predicate masks ([`ExactMasks`](crate::prepared::ExactMasks)) — so
 //!    reported supports are exact.
 //! 5. *Refine Patterns* — the refinement BFS: each pattern scored over
-//!    the sample, then refined with numeric predicates from λ#frag
-//!    fragment boundaries, pruning refinements of patterns whose recall
-//!    is below λ_recall (sound by Proposition 3.1), with at most
-//!    λ_attrNum numeric predicates per pattern.
+//!    the sample where it is generated, in every direction from one
+//!    coverage count per questioned group, then refined with numeric
+//!    predicates from λ#frag fragment boundaries, pruning refinements of
+//!    patterns whose recall is below λ_recall (sound by Proposition 3.1),
+//!    with at most λ_attrNum numeric predicates per pattern. Only a
+//!    pattern that will be refined is queued with a mask of its own;
+//!    only one that is kept gets a [`Pattern`].
 //!
 //! The phases are wired once: everything up to the predicate bitmaps in
 //! [`prepare`], ranking, scoring and refinement in `mine_core`.
@@ -428,8 +431,6 @@ pub(crate) fn mine_core(
         }
         (a1s, pred_tp)
     });
-    // The `top_k = 1` F-score floor: highest kept (sampled) F so far.
-    let mut kept_f_floor = f64::NEG_INFINITY;
     // The lattice is enumerated **canonically**: a child only refines
     // fragment fields strictly after its parent's last refined one, so
     // every pattern (seed × subset of fragment fields, one threshold
@@ -443,97 +444,108 @@ pub(crate) fn mine_core(
     // truncates the enumeration at a — deterministic — prefix that
     // differs from the dedup-based order.)
     //
-    // A child's mask is built in the buffer of an item already refined
-    // (`spare`); a seed's is the pool's own.
+    // Every pattern is scored where it is generated — the seeds first,
+    // then each queued pattern's children — which is the order a FIFO
+    // queue of every pattern would pop them in. Only a pattern that will
+    // be refined is queued: with its own mask buffer (a seed's is the
+    // pool's own; a child's is taken from `spare`, the buffers of items
+    // already refined), and the TP counts and `top_k = 1` floor its
+    // children's upper bound reads. Every other child — one below
+    // λ_recall or at λ_attrNum, a leaf — is scored in `scratch`, and its
+    // pattern is built only if it is kept.
     struct TodoItem<'p> {
-        pat: Pattern,
+        /// The pattern's index in `store`.
+        at: usize,
         mask: Cow<'p, Mask>,
         /// First fragment-field index this pattern may refine.
         next_fi: usize,
         /// Numeric predicates already on the pattern (λ_attrNum budget).
         numeric_preds: usize,
+        /// Per-direction TP counts: the `tp_parent` of the upper bound.
+        tps: [usize; 2],
+        /// The `top_k = 1` F-score floor when the pattern was scored.
+        floor: f64,
     }
     let mut todo: VecDeque<TodoItem> = VecDeque::with_capacity(256);
     let mut spare: Vec<Mask> = Vec::new();
-    // The empty pattern seeds numeric-only refinements (pure-context
-    // explanations like `salary < 15330435`, Table 4).
-    todo.push_back(TodoItem {
-        pat: Pattern::empty(),
-        mask: Cow::Owned(index.full_mask()),
-        next_fi: 0,
-        numeric_preds: 0,
-    });
-    for ((p, mask), _) in ranked {
-        todo.push_back(TodoItem {
-            pat: p.clone(),
-            mask: Cow::Borrowed(mask),
-            next_fi: 0,
-            numeric_preds: p.num_numeric_preds(apt),
-        });
-    }
+    let mut scratch = Mask::empty(0);
 
-    // Every pattern kept in some direction, once; `kept` indexes it:
-    // (pattern, primary, secondary, sampled metrics).
+    // Every pattern kept in some direction or refined, once; `kept`
+    // indexes it: (pattern, primary, secondary, sampled metrics).
     let mut store: Vec<Pattern> = Vec::new();
     let mut kept: Vec<(usize, usize, Option<usize>, PatternMetrics)> = Vec::new();
+    // The `top_k = 1` F-score floor: highest kept (sampled) F so far.
+    let mut kept_f_floor = f64::NEG_INFINITY;
+    // Scores a match mask in every direction (Algorithm 1 line 11) and
+    // keeps the pattern that is, or is about to be, `store[at]` wherever
+    // its recall passes λ_recall — the empty pattern nowhere. Returns the
+    // per-direction TP counts, whether the pattern's refinements are cut
+    // (Proposition 3.1: refinement can only lower recall; the empty
+    // pattern has recall 1 and never is), whether it was kept, and the
+    // floor after it.
+    let mut score = |mask: &Mask, at: usize, empty: bool| {
+        let (mut tps, mut best_recall, mut is_kept) = ([0usize; 2], 0.0f64, false);
+        let metrics = index.score_question(mask, question).into_iter().flatten();
+        for (d, (&(primary, secondary), m)) in directions.iter().zip(metrics).enumerate() {
+            best_recall = best_recall.max(m.recall);
+            tps[d] = m.tp;
+            if !empty && m.recall > params.lambda_recall {
+                kept_f_floor = kept_f_floor.max(m.f_score);
+                kept.push((at, primary, secondary, m));
+                is_kept = true;
+            }
+        }
+        let recall_pruned = best_recall <= params.lambda_recall && !empty;
+        (tps, recall_pruned, is_kept, kept_f_floor)
+    };
+
+    // Set once the cap or the deadline stops the scoring. The queue is
+    // still walked to its end, scoring nothing: every pattern scored and
+    // queued has each child's upper bound checked, wherever the stop fell.
+    let mut stopped = false;
+    // The empty pattern seeds numeric-only refinements (pure-context
+    // explanations like `salary < 15330435`, Table 4).
+    let root = Pattern::empty();
+    let seeds = std::iter::once((&root, Cow::Owned(index.full_mask()))).chain(
+        ranked
+            .into_iter()
+            .map(|((p, mask), _)| (p, Cow::Borrowed(mask))),
+    );
+    for (pat, mask) in seeds {
+        if !may_score(&mut patterns_evaluated, params, timings) {
+            stopped = true;
+            break;
+        }
+        let (tps, recall_pruned, is_kept, floor) = score(&mask, store.len(), pat.is_empty());
+        timings.recall_pruned_subtrees += recall_pruned as u64;
+        let numeric_preds = pat.num_numeric_preds(apt);
+        let refine = !recall_pruned && numeric_preds < params.lambda_attr_num;
+        if is_kept || refine {
+            store.push(pat.clone());
+        }
+        if refine {
+            todo.push_back(TodoItem {
+                at: store.len() - 1,
+                mask,
+                next_fi: 0,
+                numeric_preds,
+                tps,
+                floor,
+            });
+        }
+    }
 
     while let Some(item) = todo.pop_front() {
-        if patterns_evaluated >= params.max_patterns {
-            break;
-        }
-        // Cooperative deadline check, rate-limited to amortize the clock
-        // read; a break here leaves `kept` as-is, and the diversity
-        // selection + exact re-score below still run, so a budgeted ask
-        // returns a valid (merely less-refined) diverse top-k.
-        if patterns_evaluated.is_multiple_of(64) && cajade_obs::budget::stop("mine.refine") {
-            timings.budget_stopped += 1;
-            break;
-        }
-        patterns_evaluated += 1;
         let TodoItem {
-            pat,
+            at,
             mask,
             next_fi,
             numeric_preds,
+            tps: item_tps,
+            floor,
         } = item;
-
-        // Score in both directions (Algorithm 1 line 11).
-        let mut best_recall = 0.0f64;
-        let mut item_tps = [0usize; 2];
-        let at = store.len();
-        for (d, &(primary, secondary)) in directions.iter().enumerate() {
-            let m = index.score_mask(&mask, primary, secondary);
-            best_recall = best_recall.max(m.recall);
-            item_tps[d] = m.tp;
-            if !pat.is_empty() && m.recall > params.lambda_recall {
-                kept_f_floor = kept_f_floor.max(m.f_score);
-                kept.push((at, primary, secondary, m));
-            }
-        }
-        let pat = if kept.last().is_some_and(|k| k.0 == at) {
-            store.push(pat);
-            &store[at]
-        } else {
-            &pat
-        };
-
-        // Prune refinements when recall already fell below λ_recall
-        // (Proposition 3.1: refinement can only lower recall), or when the
-        // numeric budget is spent. The empty pattern always has recall 1
-        // and is always refined.
-        let pruned_by_recall = best_recall <= params.lambda_recall && !pat.is_empty();
-        if pruned_by_recall || numeric_preds >= params.lambda_attr_num {
-            if pruned_by_recall {
-                timings.recall_pruned_subtrees += 1;
-            }
-            if let Cow::Owned(buffer) = mask {
-                spare.push(buffer);
-            }
-            continue;
-        }
-
         for (fi, (field, boundaries)) in frag.iter().enumerate().skip(next_fi) {
-            if !pat.is_free(*field) {
+            if !store[at].is_free(*field) {
                 continue;
             }
             for (bi, &c) in boundaries.iter().enumerate() {
@@ -554,7 +566,7 @@ pub(crate) fn mine_core(
                             }
                             if params.top_k == 1 {
                                 let f_ub = 2.0 * tp_ub as f64 / (tp_ub + a1) as f64;
-                                return f_ub > kept_f_floor;
+                                return f_ub > floor;
                             }
                             true
                         });
@@ -563,23 +575,32 @@ pub(crate) fn mine_core(
                             continue;
                         }
                     }
-                    let refined = pat.refine(
-                        *field,
-                        Pred {
-                            op,
-                            value: float_const(c),
-                        },
-                    );
-                    // Incremental refinement: the child's matches are the
-                    // parent's AND the threshold's bitmap.
-                    let mut child = spare.pop().unwrap_or_else(|| Mask::empty(0));
-                    mask.and_into(bank.mask(fi, bi, op), &mut child);
-                    todo.push_back(TodoItem {
-                        pat: refined,
-                        mask: Cow::Owned(child),
-                        next_fi: fi + 1,
-                        numeric_preds: numeric_preds + 1,
-                    });
+                    if stopped || !may_score(&mut patterns_evaluated, params, timings) {
+                        stopped = true;
+                        continue;
+                    }
+                    // Incremental refinement: the child's matches are
+                    // the parent's AND the threshold's bitmap.
+                    mask.and_into(bank.mask(fi, bi, op), &mut scratch);
+                    let (tps, recall_pruned, is_kept, floor) = score(&scratch, store.len(), false);
+                    timings.recall_pruned_subtrees += recall_pruned as u64;
+                    let refine = !recall_pruned && numeric_preds + 1 < params.lambda_attr_num;
+                    if is_kept || refine {
+                        let value = float_const(c);
+                        let child = store[at].refine(*field, Pred { op, value });
+                        store.push(child);
+                    }
+                    if refine {
+                        let buffer = spare.pop().unwrap_or_else(|| Mask::empty(0));
+                        todo.push_back(TodoItem {
+                            at: store.len() - 1,
+                            mask: Cow::Owned(std::mem::replace(&mut scratch, buffer)),
+                            next_fi: fi + 1,
+                            numeric_preds: numeric_preds + 1,
+                            tps,
+                            floor,
+                        });
+                    }
                 }
             }
         }
@@ -630,6 +651,23 @@ pub(crate) fn mine_core(
     timings.fscore_calc += stage.finish();
 
     (explanations, patterns_evaluated)
+}
+
+/// Whether the refinement BFS may score one more pattern, counting it if
+/// so: the `max_patterns` cap, then the cooperative deadline, its clock
+/// read every 64 patterns. A stop leaves `kept` as-is, and the diversity
+/// selection + exact re-score still run, so a budgeted ask returns a valid
+/// (merely less-refined) diverse top-k.
+fn may_score(evaluated: &mut usize, params: &MiningParams, timings: &mut MiningTimings) -> bool {
+    if *evaluated >= params.max_patterns {
+        return false;
+    }
+    if evaluated.is_multiple_of(64) && cajade_obs::budget::stop("mine.refine") {
+        timings.budget_stopped += 1;
+        return false;
+    }
+    *evaluated += 1;
+    true
 }
 
 /// Thresholds are stored as floats; whole values print as integers.

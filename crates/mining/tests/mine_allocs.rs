@@ -1,11 +1,15 @@
 //! What one warm `mine_prepared` allocates, counted by the tracking
-//! allocator. The refinement BFS builds each child pattern in one
-//! allocation at its final length, and the upper bound's per-predicate TP
-//! counts sit in one flat array. What is left is a block per child
-//! pattern and a mask buffer per item the queue holds at its widest:
-//! under two blocks per pattern evaluated (on the graph below, 2 149
-//! blocks: 1 142 child patterns, 936 masks). A child cloned and then
-//! grown by an insert adds one more per pattern (3 291).
+//! allocator. The refinement BFS scores each lattice child where it is
+//! generated, in one reused scratch buffer, and the upper bound's
+//! per-predicate TP counts sit in one flat array. What is left is a block
+//! per pattern kept (built once, at its final length) and a mask buffer
+//! per pattern the queue of patterns still to refine holds at its widest,
+//! plus the doublings of a few lists: on the graph below, 1 352 blocks
+//! for 1 143 patterns evaluated (1 015 patterns stored, 273 masks). A
+//! leaf — a child below λ_recall or at λ_attrNum — is never queued, so it
+//! takes no mask, and no pattern unless it is kept. When every child was
+//! queued with its own pattern and mask, the count was 2 148; a child
+//! cloned and then grown by an insert added one more per pattern (3 291).
 //!
 //! One `#[test]`: the count is read off this thread's own scope.
 
@@ -24,7 +28,7 @@ const NBA_SQL: &str = "SELECT COUNT(*) AS win, s.season_name FROM team t, game g
     GROUP BY s.season_name";
 
 #[test]
-fn a_warm_mine_allocates_under_two_blocks_per_pattern() {
+fn a_warm_mine_allocates_a_block_per_kept_pattern_and_queued_mask() {
     let gen = nba::generate(nba::NbaConfig::tiny());
     let query = parse_sql(NBA_SQL).unwrap();
     let pt = ProvenanceTable::compute(&gen.db, &query).unwrap();
@@ -68,9 +72,10 @@ fn a_warm_mine_allocates_under_two_blocks_per_pattern() {
     let blocks = scope_snapshot("test.warm_mine_prepared")
         .expect("scope was entered")
         .allocated_blocks;
-    // A block per child pattern and per mask buffer, the explanations'
-    // patterns, and the queue's, store's and kept list's doublings.
-    let bound = 2 * patterns as u64;
+    // A block per kept pattern and per queued mask buffer, the
+    // explanations' patterns, and the queue's, store's and kept list's
+    // doublings.
+    let bound = (patterns + patterns / 4) as u64;
     assert!(
         blocks <= bound,
         "{blocks} blocks for {patterns} patterns evaluated (bound {bound})"
