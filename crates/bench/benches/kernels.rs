@@ -142,11 +142,12 @@ fn bench_pattern_scoring() {
         scorer.score(black_box(&pattern), 0, Some(1))
     });
 
-    // The Definition-7 count alone — TP and FP of one threshold's mask,
-    // two-point and single-point (the whole scan) — on two fan-out
-    // graphs: the one whose join fans the PT rows out the most (segments
-    // of thousands of rows), and the largest whose APT holds at most 8
-    // rows per PT row (segments of a few rows, as most graphs' are).
+    // The Definition-7 count alone — one threshold's mask scored in every
+    // direction of a two-point question (each questioned group counted
+    // once) and of a single-point one (its group and the whole scan) — on
+    // two fan-out graphs: the one whose join fans the PT rows out the most
+    // (segments of thousands of rows), and the largest whose APT holds at
+    // most 8 rows per PT row (segments of a few rows, as most graphs' are).
     let Enumeration {
         gen, pt, graphs, ..
     } = enumeration(pattern_fixture().0, GSW_WINS_SQL);
@@ -174,11 +175,13 @@ fn bench_pattern_scoring() {
         let index = ScoreIndex::exact(&apt, &pt).encode(&apt, &[field]);
         let mask = index.eval_pred(field, &threshold);
         let name = format!("pattern_score_definition7/fan_out_{}_rows", apt.num_rows);
+        let two_point = Question::TwoPoint { t1: 0, t2: 1 };
         bench(&format!("{name}/two_point"), || {
-            index.score_mask(black_box(&mask), 0, Some(1))
+            index.score_question(black_box(&mask), &two_point)
         });
+        let single_point = Question::SinglePoint { t: 0 };
         bench(&format!("{name}/single_point"), || {
-            index.score_mask(black_box(&mask), 0, None)
+            index.score_question(black_box(&mask), &single_point)
         });
     }
 }

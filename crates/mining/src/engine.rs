@@ -316,18 +316,15 @@ impl ScoreIndex {
         self.group_pt_counts.get(group).copied().unwrap_or(0)
     }
 
-    /// Distinct covered PT rows of `mask` within `primary`'s segment —
-    /// the TP count of [`Self::score_mask`] alone, without the FP side.
-    /// The refinement BFS uses this on the precomputed [`PredBank`] masks
-    /// to bound a child's achievable recall/F-score before materializing
-    /// its mask.
-    pub fn tp_of(&self, mask: &Mask, primary: usize) -> usize {
-        let (ps, pe) = self
-            .group_ranges
-            .get(primary)
-            .map(|&(s, e)| (s as usize, e as usize))
-            .unwrap_or((0, 0));
-        self.count_covered(mask, ps, pe)
+    /// Distinct covered PT rows of `mask` within `group`'s position range:
+    /// one direction's TP count, without the FP side. [`Self::score_question`]
+    /// counts each questioned group with it; the refinement BFS uses it on
+    /// the precomputed [`PredBank`] masks to bound a child's achievable
+    /// recall/F-score before materializing its mask. A group past the last
+    /// has an empty range.
+    pub fn tp_of(&self, mask: &Mask, group: usize) -> usize {
+        let (start, end) = self.group_ranges.get(group).copied().unwrap_or((0, 0));
+        self.count_covered(mask, start as usize, end as usize)
     }
 
     /// All-one mask sized for this index (the empty pattern's matches).
@@ -422,62 +419,19 @@ impl ScoreIndex {
         }
     }
 
-    /// Definition-7 metrics of a match mask for `primary` vs `secondary`
-    /// (`None` ⇒ all other outputs). Bit-identical to
+    /// Definition-7 metrics of a match mask in every direction of
+    /// `question`, in [`Question::directions`]' order (a single-point
+    /// question has one: the second slot is `None`), counting each
+    /// questioned group's range once: `t1`'s and `t2`'s, each direction's
+    /// TP and the other's FP; or `t`'s and the whole scan's `[0, n)`, its
+    /// FP being "all other outputs". Bit-identical to
     /// [`Scorer::score`](crate::score::Scorer::score) on the same sample.
-    pub fn score_mask(
-        &self,
-        mask: &Mask,
-        primary: usize,
-        secondary: Option<usize>,
-    ) -> PatternMetrics {
-        let n = self.order.len();
-        let (ps, pe) = self
-            .group_ranges
-            .get(primary)
-            .map(|&(s, e)| (s as usize, e as usize))
-            .unwrap_or((0, 0));
-        let tp = self.count_covered(mask, ps, pe);
-        let a1 = self.group_pt_counts.get(primary).copied().unwrap_or(0);
-        let (fp, a2) = match secondary {
-            Some(s) => {
-                let (ss, se) = self
-                    .group_ranges
-                    .get(s)
-                    .map(|&(s, e)| (s as usize, e as usize))
-                    .unwrap_or((0, 0));
-                (
-                    self.count_covered(mask, ss, se),
-                    self.group_pt_counts.get(s).copied().unwrap_or(0),
-                )
-            }
-            None => (self.count_covered(mask, 0, n) - tp, self.total_pt - a1),
-        };
-        PatternMetrics::from_counts(tp, a1, fp, a2)
-    }
-
-    /// [`score_mask`](Self::score_mask) in every direction of `question`,
-    /// in [`Question::directions`]' order (a single-point question has one:
-    /// the second slot is `None`), counting each questioned group's range
-    /// once: `t1`'s and `t2`'s, each direction's TP and the other's FP; or
-    /// `t`'s and the whole scan's `[0, n)`. The metrics come from the same
-    /// [`PatternMetrics::from_counts`] arguments `score_mask` passes. The
-    /// refinement BFS scores every pattern with it.
-    pub(crate) fn score_question(
-        &self,
-        mask: &Mask,
-        question: &Question,
-    ) -> [Option<PatternMetrics>; 2] {
-        let covered = |group: usize| {
-            let (s, e) = self
-                .group_ranges
-                .get(group)
-                .map_or((0, 0), |&(s, e)| (s, e));
-            self.count_covered(mask, s as usize, e as usize)
-        };
+    /// The refinement BFS scores every pattern with it, the exact re-score
+    /// every winner.
+    pub fn score_question(&self, mask: &Mask, question: &Question) -> [Option<PatternMetrics>; 2] {
         match *question {
             Question::TwoPoint { t1, t2 } => {
-                let (c1, c2) = (covered(t1), covered(t2));
+                let (c1, c2) = (self.tp_of(mask, t1), self.tp_of(mask, t2));
                 let (a1, a2) = (self.group_size(t1), self.group_size(t2));
                 [
                     Some(PatternMetrics::from_counts(c1, a1, c2, a2)),
@@ -485,7 +439,7 @@ impl ScoreIndex {
                 ]
             }
             Question::SinglePoint { t } => {
-                let (tp, a1) = (covered(t), self.group_size(t));
+                let (tp, a1) = (self.tp_of(mask, t), self.group_size(t));
                 let fp = self.count_covered(mask, 0, self.order.len()) - tp;
                 let metrics = PatternMetrics::from_counts(tp, a1, fp, self.total_pt - a1);
                 [Some(metrics), None]
@@ -493,16 +447,22 @@ impl ScoreIndex {
         }
     }
 
-    /// [`pattern_mask`](Self::pattern_mask) + [`score_mask`](Self::score_mask)
-    /// in one call: like `pattern_mask`, the tests' reference for the
-    /// miner's exact re-score, never called by the miner itself.
+    /// [`pattern_mask`](Self::pattern_mask) + [`score_question`](Self::score_question)
+    /// of the one-direction question `primary` vs `secondary` (`None` ⇒
+    /// all other outputs): like `pattern_mask`, the tests' reference for
+    /// the miner's exact re-score, never called by the miner itself.
     pub fn score(
         &self,
         pattern: &Pattern,
         primary: usize,
         secondary: Option<usize>,
     ) -> PatternMetrics {
-        self.score_mask(&self.pattern_mask(pattern), primary, secondary)
+        let question = match secondary {
+            Some(t2) => Question::TwoPoint { t1: primary, t2 },
+            None => Question::SinglePoint { t: primary },
+        };
+        let [metrics, _] = self.score_question(&self.pattern_mask(pattern), &question);
+        metrics.expect("every question has a first direction")
     }
 
     /// Approximate heap bytes (cache accounting).
@@ -953,12 +913,13 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// One count per questioned group against `score_mask` per
-        /// direction, on scans with and without fan-out (segments of 1–3
-        /// positions), groups of whole segments with PT rows the scan
-        /// missed, and questions naming a group twice or past the last.
+        /// One count per questioned group against Definition 7 per
+        /// direction, each count the per-bit segment walk, on scans with and
+        /// without fan-out (segments of 1–3 positions), groups of whole
+        /// segments with PT rows the scan missed, and questions naming a
+        /// group twice or past the last.
         #[test]
-        fn prop_score_question_is_score_mask_per_direction(
+        fn prop_score_question_is_the_walk_per_direction(
             shape in proptest::collection::vec((1usize..4, proptest::bool::ANY), 1..40),
             words in proptest::collection::vec(0u64..=u64::MAX, 2..3),
             missed in proptest::collection::vec(0usize..3, 41..42),
@@ -966,7 +927,7 @@ mod tests {
             t2 in 0usize..42,
         ) {
             let n: usize = shape.iter().map(|&(len, _)| len).sum();
-            let mut segment_starts = Vec::new();
+            let mut segment_ids = Vec::new();
             let (mut group_ranges, mut group_pt_counts) = (Vec::new(), Vec::new());
             let (mut at, mut group, mut segments) = (0, 0, 0);
             for (s, &(len, new_group)) in shape.iter().enumerate() {
@@ -975,33 +936,48 @@ mod tests {
                     group_pt_counts.push(segments + missed[group_ranges.len()]);
                     (group, segments) = (at, 0);
                 }
-                segment_starts.push(at);
+                segment_ids.extend(std::iter::repeat_n(s as u32, len));
                 (at, segments) = (at + len, segments + 1);
             }
             group_ranges.push((group as u32, n as u32));
             group_pt_counts.push(segments + missed[group_ranges.len()]);
             let groups = group_ranges.len();
+            let new_segment = |p: usize| p == 0 || segment_ids[p] != segment_ids[p - 1];
             let index = ScoreIndex {
                 order: (0..n as u32).collect(),
-                segments: Segments::build(n, |p| segment_starts.contains(&p)),
-                group_ranges,
+                segments: Segments::build(n, new_segment),
+                group_ranges: group_ranges.clone(),
                 cols: Vec::new(),
                 field_names: String::new(),
                 total_pt: group_pt_counts.iter().sum(),
-                group_pt_counts,
+                group_pt_counts: group_pt_counts.clone(),
             };
             let mut mask = Mask::empty(n);
             (0..n).filter(|&i| words[i / 64] >> (i % 64) & 1 == 1).for_each(|i| mask.set(i));
+            // A group's covered PT rows and `|PT|`, zero past the last group.
+            let walk = |group: usize| {
+                let (start, end) = group_ranges.get(group).copied().unwrap_or((0, 0));
+                count_covered_walk(&segment_ids, &mask, start as usize, end as usize)
+            };
+            let size = |group: usize| group_pt_counts.get(group).copied().unwrap_or(0);
+            let (all, total_pt) = (count_covered_walk(&segment_ids, &mask, 0, n), index.total_pt);
             let (t1, t2) = (t1 % (groups + 1), t2 % (groups + 1));
             for question in [Question::TwoPoint { t1, t2 }, Question::SinglePoint { t: t1 }] {
                 let counted: Vec<PatternMetrics> =
                     index.score_question(&mask, &question).into_iter().flatten().collect();
-                let per_direction: Vec<PatternMetrics> = (question.directions().into_iter())
-                    .map(|(primary, secondary)| index.score_mask(&mask, primary, secondary))
+                let walked: Vec<PatternMetrics> = (question.directions().into_iter())
+                    .map(|(primary, secondary)| {
+                        let (tp, a1) = (walk(primary), size(primary));
+                        let (fp, a2) = match secondary {
+                            Some(s) => (walk(s), size(s)),
+                            None => (all - tp, total_pt - a1),
+                        };
+                        PatternMetrics::from_counts(tp, a1, fp, a2)
+                    })
                     .collect();
                 proptest::prop_assert!(
-                    counted == per_direction,
-                    "{question:?}: {counted:?}, per direction {per_direction:?}"
+                    counted == walked,
+                    "{question:?}: {counted:?}, walked {walked:?}"
                 );
             }
         }

@@ -471,9 +471,9 @@ pub(crate) fn mine_core(
     let mut scratch = Mask::empty(0);
 
     // Every pattern kept in some direction or refined, once; `kept`
-    // indexes it: (pattern, primary, secondary, sampled metrics).
+    // indexes it: (pattern, direction, sampled metrics).
     let mut store: Vec<Pattern> = Vec::new();
-    let mut kept: Vec<(usize, usize, Option<usize>, PatternMetrics)> = Vec::new();
+    let mut kept: Vec<(usize, usize, PatternMetrics)> = Vec::new();
     // The `top_k = 1` F-score floor: highest kept (sampled) F so far.
     let mut kept_f_floor = f64::NEG_INFINITY;
     // Scores a match mask in every direction (Algorithm 1 line 11) and
@@ -486,12 +486,12 @@ pub(crate) fn mine_core(
     let mut score = |mask: &Mask, at: usize, empty: bool| {
         let (mut tps, mut best_recall, mut is_kept) = ([0usize; 2], 0.0f64, false);
         let metrics = index.score_question(mask, question).into_iter().flatten();
-        for (d, (&(primary, secondary), m)) in directions.iter().zip(metrics).enumerate() {
+        for (d, m) in metrics.enumerate() {
             best_recall = best_recall.max(m.recall);
             tps[d] = m.tp;
             if !empty && m.recall > params.lambda_recall {
                 kept_f_floor = kept_f_floor.max(m.f_score);
-                kept.push((at, primary, secondary, m));
+                kept.push((at, d, m));
                 is_kept = true;
             }
         }
@@ -614,7 +614,7 @@ pub(crate) fn mine_core(
     // Both are F-score calculations: the stage adds to that row.
     let stage = Stage::detail("select_top_k");
     let items: Vec<(&Pattern, f64)> = (kept.iter())
-        .map(|&(at, _, _, m)| (&store[at], m.f_score))
+        .map(|&(at, _, m)| (&store[at], m.f_score))
         .collect();
     let selected = select_top_k_diverse(&items, params.top_k);
 
@@ -626,16 +626,12 @@ pub(crate) fn mine_core(
     let explanations: Vec<MinedExplanation> = selected
         .into_iter()
         .map(|i| {
-            let (at, primary, secondary, sampled) = kept[i];
-            let pat = &store[at];
+            let (at, d, sampled) = kept[i];
+            let (pat, (primary, secondary)) = (&store[at], directions[d]);
             let metrics = match &prepared.exact {
-                Some(exact) => prepared.exact_masks.rescore(
-                    exact,
-                    frag,
-                    pat,
-                    (primary, secondary),
-                    exact_masks,
-                ),
+                Some(exact) => {
+                    (prepared.exact_masks).rescore(exact, frag, pat, question, d, exact_masks)
+                }
                 None => sampled,
             };
             MinedExplanation {
@@ -879,7 +875,8 @@ mod tests {
         )]);
         let mut work = ExactMaskWork::default();
         let frag = &prep.frag;
-        (prep.exact_masks).rescore(exact, frag, &foreign, (0, Some(1)), &mut work);
+        let question = Question::TwoPoint { t1: 0, t2: 1 };
+        (prep.exact_masks).rescore(exact, frag, &foreign, &question, 0, &mut work);
     }
 
     /// Proposition 3.1 as a property: refinement never increases recall.

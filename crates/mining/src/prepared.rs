@@ -340,16 +340,19 @@ impl ExactMasks {
         }
     }
 
-    /// Definition-7 metrics of `pattern` over every row of `exact`: the AND
-    /// of its predicates' slot masks, filling the empty ones. A slot is
-    /// filled on the calling thread; a fill that panics leaves its slot
-    /// empty for the next reader.
+    /// Definition-7 metrics of `pattern` over every row of `exact`, in
+    /// direction `direction` of `question` (an index into
+    /// [`Question::directions`]): the AND of its predicates' slot masks,
+    /// filling the empty ones, scored by [`ScoreIndex::score_question`]. A
+    /// slot is filled on the calling thread; a fill that panics leaves its
+    /// slot empty for the next reader.
     pub(crate) fn rescore(
         &self,
         exact: &ScoreIndex,
         frag: &[(usize, Vec<f64>)],
         pattern: &Pattern,
-        (primary, secondary): (usize, Option<usize>),
+        question: &Question,
+        direction: usize,
         work: &mut ExactMaskWork,
     ) -> PatternMetrics {
         let mut mask = exact.full_mask();
@@ -363,7 +366,8 @@ impl ExactMasks {
             });
             mask.and_assign(slot);
         }
-        exact.score_mask(&mask, primary, secondary)
+        exact.score_question(&mask, question)[direction]
+            .unwrap_or_else(|| panic!("{question:?} has no direction {direction}"))
     }
 
     /// The slot of `pred` on `field`. A predicate without one is not one a

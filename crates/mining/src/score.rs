@@ -18,8 +18,10 @@ use cajade_query::ProvenanceTable;
 use crate::pattern::Pattern;
 
 /// A user question (paper §2.4): compare two outputs, or one output
-/// against all the rest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// against all the rest. Everything Algorithm 1 computes for a question
+/// depends on these output tuples alone, so they are what an answer is
+/// filed under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Question {
     /// Two-point: summarize what differentiates output `t1` from `t2`.
     TwoPoint {

@@ -166,6 +166,21 @@ pub enum AggFunc {
     RateSumCount(ColRef),
 }
 
+impl AggFunc {
+    /// The aggregated column; `None` for `COUNT(*)`.
+    pub fn arg(&self) -> Option<&ColRef> {
+        match self {
+            AggFunc::CountStar => None,
+            AggFunc::Count(c)
+            | AggFunc::Sum(c)
+            | AggFunc::Avg(c)
+            | AggFunc::Min(c)
+            | AggFunc::Max(c)
+            | AggFunc::RateSumCount(c) => Some(c),
+        }
+    }
+}
+
 /// One aggregate in the SELECT list, with its output alias.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Aggregate {

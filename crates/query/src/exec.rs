@@ -435,6 +435,25 @@ pub fn execute(db: &Database, query: &Query) -> Result<QueryResult> {
     aggregate(&binder, &joined, &grouping)
 }
 
+/// Binds every column reference of `query` against `db` — both sides of
+/// each WHERE comparison, the GROUP BY columns and the aggregates'
+/// arguments, in the order [`execute`] binds them — and executes nothing:
+/// a query that passes names no unknown table, alias or column.
+pub fn check_binds(db: &Database, query: &Query) -> Result<()> {
+    let binder = Binder::new(db, query)?;
+    let compared = (query.predicates.iter())
+        .flat_map(|p| match p {
+            Predicate::ColCol(a, _, b) => [Some(a), Some(b)],
+            Predicate::ColLit(a, _, _) => [Some(a), None],
+        })
+        .flatten();
+    let args = query.aggregates.iter().filter_map(|a| a.func.arg());
+    for col in compared.chain(&query.group_by).chain(args) {
+        binder.bind(col)?;
+    }
+    Ok(())
+}
+
 fn agg_output_type(binder: &Binder<'_>, func: &AggFunc) -> Result<DataType> {
     Ok(match func {
         AggFunc::CountStar | AggFunc::Count(_) => DataType::Int,
@@ -494,19 +513,8 @@ pub(crate) fn aggregate(
         min: f64::INFINITY,
         max: f64::NEG_INFINITY,
     };
-    let bound_args: Vec<Option<BoundCol>> = binder
-        .query
-        .aggregates
-        .iter()
-        .map(|a| match &a.func {
-            AggFunc::CountStar => Ok(None),
-            AggFunc::Count(c)
-            | AggFunc::Sum(c)
-            | AggFunc::Avg(c)
-            | AggFunc::Min(c)
-            | AggFunc::Max(c)
-            | AggFunc::RateSumCount(c) => binder.bind(c).map(Some),
-        })
+    let bound_args: Vec<Option<BoundCol>> = (binder.query.aggregates.iter())
+        .map(|a| a.func.arg().map(|c| binder.bind(c)).transpose())
         .collect::<Result<_>>()?;
 
     let mut accs: Vec<Vec<Acc>> = vec![vec![zero; num_groups]; binder.query.aggregates.len()];
@@ -909,6 +917,29 @@ pub(crate) mod tests {
         let db = mini_db();
         let q = parse_sql("SELECT count(*) AS c FROM game g, team g GROUP BY season").unwrap();
         assert!(matches!(execute(&db, &q), Err(QueryError::Unsupported(_))));
+    }
+
+    /// `check_binds` refuses what `execute` would fail to bind, in any
+    /// clause, with the error `execute` gives, and passes a query that
+    /// binds but fails when executed.
+    #[test]
+    fn check_binds_refuses_what_execute_cannot_bind() {
+        let db = mini_db();
+        for sql in [
+            "SELECT count(*) AS c, g.nope FROM game g GROUP BY g.nope",
+            "SELECT count(*) AS c, season FROM game g WHERE g.nope = 1 GROUP BY season",
+            "SELECT count(*) AS c, season FROM game g WHERE x.season = g.season GROUP BY season",
+            "SELECT sum(g.nope) AS c, season FROM game g GROUP BY season",
+            "SELECT count(*) AS c, season FROM nope GROUP BY season",
+        ] {
+            let q = parse_sql(sql).unwrap();
+            let (checked, executed) = (check_binds(&db, &q), execute(&db, &q));
+            assert!(checked.is_err(), "{sql}");
+            assert_eq!(checked.err(), executed.err(), "{sql}");
+        }
+        let q = parse_sql("SELECT sum(season) AS c, season FROM game GROUP BY season").unwrap();
+        assert_eq!(check_binds(&db, &q), Ok(()));
+        assert!(matches!(execute(&db, &q), Err(QueryError::BadAggregate(_))));
     }
 
     #[test]

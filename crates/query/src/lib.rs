@@ -13,7 +13,8 @@
 //! * [`parse_sql`] — text front end used by the examples and the
 //!   benchmark harness (the paper lists all workload queries as SQL),
 //! * [`execute`] — hash joins + hash aggregation producing a
-//!   [`QueryResult`],
+//!   [`QueryResult`]; [`check_binds`] — the column references it would
+//!   bind, bound without reading a row,
 //! * [`ProvenanceTable`] — Definition 1: the subset of
 //!   `R_{j1} × … × R_{jp}` contributing to the answer, with full-width rows
 //!   renamed `prov_<rel>_<attr>` and a row → output-tuple mapping,
@@ -30,7 +31,7 @@ pub mod provenance;
 
 pub use ast::{AggFunc, Aggregate, CmpOp, ColRef, Literal, Predicate, Query, TableRef};
 pub use error::QueryError;
-pub use exec::{execute, QueryResult};
+pub use exec::{check_binds, execute, QueryResult};
 pub use parser::parse_sql;
 pub use provenance::{execute_with_provenance, prov_attr_name, ProvenanceTable, PtField};
 

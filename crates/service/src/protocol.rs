@@ -305,9 +305,10 @@ fn handle_query(service: &ExplanationService, req: &Json) -> Reply {
     // Preview runs the prepared stages through the provenance cache, so
     // the caller sees the output tuples they can ask about AND the
     // session's first ask skips preparation; the tuples are rendered
-    // through the registration the preview ran on. If it fails (e.g.
-    // unknown column), close the session if this request opened it,
-    // rather than leaking it; a reused one is another request's.
+    // through the registration the preview ran on. If it fails (e.g. a
+    // string column summed; SQL that does not bind opened no session),
+    // close the session if this request opened it, rather than leaking
+    // it; a reused one is another request's.
     let (reg, result) = handle.preview().map_err(|e| {
         if opened {
             service.close_session(handle.id());
@@ -726,16 +727,17 @@ mod tests {
            AND t.team = 'GSW' GROUP BY s.season_name";
 
     /// A failed preview closes only a session its own request opened: a
-    /// `preview:false` query opens session 1 on SQL that does not bind,
-    /// the same query with the preview fails, and session 1 is still
-    /// open for its client.
+    /// `preview:false` query opens session 1 on SQL that binds but fails
+    /// when executed (a string column summed), the same query with the
+    /// preview fails, and session 1 is still open for its client.
     #[test]
     fn a_failed_preview_leaves_a_reused_session_open() {
         let service = ExplanationService::default();
         let register = r#"{"op":"register","db":"nba","dataset":"nba","scale":0.05}"#;
         let registered = handle_line(&service, register);
         assert_eq!(registered.get("ok").and_then(Json::as_bool), Some(true));
-        let sql = "SELECT COUNT(*) AS n, s.nope FROM season s GROUP BY s.nope";
+        let sql = "SELECT SUM(s.season_name) AS n, s.season_name FROM season s \
+                   GROUP BY s.season_name";
         let query = |preview: bool| {
             let line = Json::obj([
                 ("op", Json::str("query")),
@@ -759,6 +761,28 @@ mod tests {
         assert_eq!(error_of(&failed).0, Some("pipeline"), "{failed:?}");
         let close = handle_line(&service, r#"{"op":"close","session":2}"#);
         assert_eq!(close.get("closed").and_then(Json::as_bool), Some(false));
+    }
+
+    /// SQL that does not bind opens no session, previewed or not: each
+    /// `query` answers `parse` and `stats.open_sessions` stays 0.
+    #[test]
+    fn sql_that_does_not_bind_opens_no_session() {
+        let service = service_with_tiny_nba();
+        let sql = "SELECT COUNT(*) AS n, s.nope FROM season s GROUP BY s.nope";
+        for preview in [false, true] {
+            let line = Json::obj([
+                ("op", Json::str("query")),
+                ("db", Json::str("nba")),
+                ("sql", Json::str(sql)),
+                ("preview", Json::Bool(preview)),
+            ]);
+            let refused = handle_line(&service, &line.render());
+            assert_eq!(refused.get("ok").and_then(Json::as_bool), Some(false));
+            assert_eq!(error_of(&refused).0, Some("parse"), "{refused:?}");
+            let stats = handle_line(&service, r#"{"op":"stats"}"#);
+            let open = stats.get("open_sessions").and_then(Json::as_u64);
+            assert_eq!(open, Some(0), "preview {preview}: {stats:?}");
+        }
     }
 
     #[test]

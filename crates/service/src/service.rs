@@ -16,10 +16,10 @@ use cajade_core::pipeline::{GraphStore, PreparedGraph, PreparedQuery};
 use cajade_core::{Params, SessionResult};
 use cajade_graph::{EnumeratedGraph, SchemaGraph};
 use cajade_ingest::{IngestOptions, IngestReport};
-use cajade_mining::{ColumnStatsConfig, ColumnStatsTable};
+use cajade_mining::{ColumnStatsConfig, ColumnStatsTable, Question};
 use cajade_obs::faults::{self, Site};
 use cajade_obs::{AllocScope, Counter};
-use cajade_query::parse_sql;
+use cajade_query::{check_binds, parse_sql};
 use cajade_storage::Database;
 use parking_lot::{Mutex, RwLock};
 
@@ -36,7 +36,7 @@ const MAX_OPEN_SESSIONS: usize = 4096;
 
 /// One provenance-cache value — everything the service keeps of a query:
 /// its provenance and enumeration, in one slot per enumerated graph what
-/// asks have prepared of them, and its answers by canonical question. All
+/// asks have prepared of them, and its answers by resolved question. All
 /// of it is evicted, swept and recomputed with the entry.
 pub struct QueryEntry {
     /// The query's result, provenance table and enumerated join graphs.
@@ -49,9 +49,10 @@ pub struct QueryEntry {
     /// itself, and `stats` counts it, without waiting on a latch.
     held: Counter,
     held_bytes: Counter,
-    /// Ranked answers by canonical question, each sharing its explanation
-    /// list with every ask it is handed to; how many, and their bytes.
-    answers: Mutex<HashMap<String, SessionResult>>,
+    /// Ranked answers by question — its output tuples, resolved against
+    /// this entry's provenance table — each sharing its explanation list
+    /// with every ask it is handed to; how many, and their bytes.
+    answers: Mutex<HashMap<Question, SessionResult>>,
     answered: Counter,
     answer_bytes: Counter,
 }
@@ -69,14 +70,14 @@ impl QueryEntry {
         }
     }
 
-    /// The answer held for the canonical question `question`.
-    pub(crate) fn answer(&self, question: &str) -> Option<SessionResult> {
+    /// The answer held for `question`.
+    pub(crate) fn answer(&self, question: &Question) -> Option<SessionResult> {
         self.answers.lock().get(question).cloned()
     }
 
     /// Keeps `result` as the answer of `question`; whether none was held
     /// for it (a racing ask may have kept one).
-    pub(crate) fn hold_answer(&self, question: String, result: &SessionResult) -> bool {
+    pub(crate) fn hold_answer(&self, question: Question, result: &SessionResult) -> bool {
         let held = self.answers.lock().insert(question, result.clone());
         if held.is_none() {
             self.answered.inc();
@@ -474,9 +475,17 @@ impl ExplanationService {
 
     /// Opens an interactive session over `(db, sql)`.
     pub fn open_session(&self, db: &str, sql: &str) -> Result<Arc<SessionHandle>> {
-        // Validate eagerly: the database must exist and the SQL must parse.
-        self.inner.registered(db)?;
-        Ok(self.open(db, parse_sql(sql)?))
+        Ok(self.open(db, self.parse_bound(db, sql)?))
+    }
+
+    /// Validates eagerly what a session opens on: the database must exist
+    /// ([`ServiceError::UnknownDatabase`]) and the SQL must parse and bind
+    /// against it ([`cajade_query::check_binds`]; [`ServiceError::Parse`]).
+    fn parse_bound(&self, db: &str, sql: &str) -> Result<cajade_query::Query> {
+        let reg = self.inner.registered(db)?;
+        let query = parse_sql(sql)?;
+        check_binds(&reg.db, &query)?;
+        Ok(query)
     }
 
     /// Like [`open_session`](Self::open_session), but returns an existing
@@ -486,8 +495,7 @@ impl ExplanationService {
     /// true when this call opened the session: only then may the caller
     /// close it on failure, since a reused one is another request's too.
     pub fn open_or_reuse_session(&self, db: &str, sql: &str) -> Result<(Arc<SessionHandle>, bool)> {
-        self.inner.registered(db)?;
-        let query = parse_sql(sql)?;
+        let query = self.parse_bound(db, sql)?;
         let canonical = query.to_sql();
         let existing = (self.inner.sessions.read().values())
             .find(|h| h.db_name() == db && h.sql() == canonical)

@@ -32,9 +32,9 @@ use cajade_core::{SessionResult, UserQuestion};
 use cajade_mining::BaseTableStats;
 use cajade_obs::faults::{self, Site};
 use cajade_obs::{span, AllocScope, Collector, SpanRecord, Stage};
-use cajade_query::Query;
+use cajade_query::{ProvenanceTable, Query};
 
-use crate::keys::{canonical_question, ProvKey};
+use crate::keys::ProvKey;
 use crate::service::{EntrySlots, QueryEntry, RegisteredDb, ServiceInner};
 use crate::{Result, ServiceError};
 
@@ -59,8 +59,8 @@ pub struct AskResult {
     /// caller observed.
     pub result: SessionResult,
     /// Whether the fully-ranked answer came straight from the query's
-    /// cache entry (same db epoch, query, and question). When true, no
-    /// pipeline stage ran at all.
+    /// cache entry (same db epoch, query, and output tuples questioned).
+    /// When true, no pipeline stage ran at all.
     pub answer_cache_hit: bool,
     /// Whether provenance + enumeration came from cache.
     pub provenance_cache_hit: bool,
@@ -175,12 +175,21 @@ impl SessionHandle {
         let reg: Arc<RegisteredDb> = inner.registered(&self.db_name)?;
 
         // ---- Stage 0: the query's entry may hold the ranked answer. ------
-        // Looking the entry up here counts nothing: a repeat counts one
-        // answer hit and no provenance lookup.
+        // A question is its output tuples: resolved against the resident
+        // entry's provenance table, it is what the entry files answers
+        // under. Peeking at the entry counts nothing: a repeat counts one
+        // answer hit and no provenance lookup, and a question that does not
+        // resolve one answer miss.
         let prov_key = &self.prov_key(&reg);
-        let canonical = canonical_question(question);
-        let held = (inner.prov_cache.peek(prov_key)).and_then(|entry| entry.answer(&canonical));
-        if let Some(mut result) = held {
+        let resolve =
+            |pt: &ProvenanceTable| pipeline::resolve_question(&reg.db, &self.query, pt, question);
+        let peeked = inner.prov_cache.peek(prov_key).map(|entry| {
+            let resolved = resolve(&entry.query.pt);
+            let held = resolved.as_ref().ok().and_then(|q| entry.answer(q));
+            (resolved, held)
+        });
+        let (resolved, held) = peeked.unzip();
+        if let Some(mut result) = held.flatten() {
             inner.answer_obs.hits.inc();
             // The held answer's explanations are shared, not copied. No
             // pipeline stage ran; the cold run's stage timings would
@@ -199,14 +208,18 @@ impl SessionHandle {
             });
         }
         inner.answer_obs.misses.inc();
+        let resolved = resolved.transpose()?;
 
         // ---- Stage 1+2: provenance + enumeration, cached. ---------------
         let resolve_span = span("resolve_query");
         let (entry, provenance_cache_hit) = self.prepare_cached(&inner, &reg, prov_key)?;
         let prepared = &entry.query;
-
-        let mining_question =
-            pipeline::resolve_question(&reg.db, &self.query, &prepared.pt, question)?;
+        // Every entry under one key holds the same provenance table: a
+        // question resolved against the peeked entry is this one's too.
+        let mining_question = match resolved {
+            Some(question) => question,
+            None => resolve(&prepared.pt)?,
+        };
         drop(resolve_span);
 
         // ---- Stages 3–5: the pipeline's per-graph loop over the entry, ----
@@ -259,7 +272,7 @@ impl SessionHandle {
             );
             // A degraded (budget-truncated) answer is correct for *this*
             // request but must never serve a future, unbudgeted one.
-            if !result.degraded && entry.hold_answer(canonical, &result) {
+            if !result.degraded && entry.hold_answer(mining_question, &result) {
                 inner.answer_obs.inserts.inc();
             }
             drop(mem);

@@ -259,6 +259,38 @@ fn a_question_not_naming_two_distinct_tuples_is_refused_on_the_wire() {
     assert_eq!((answers.inserts, answers.entries), (0, 0), "{answers:?}");
 }
 
+/// A question is its output tuples: the same tuples spelled another way
+/// are answered from the query's entry, the tuples swapped are another
+/// question. A question that does not resolve against the resident entry
+/// counts one answer miss and no provenance lookup.
+#[test]
+fn an_answer_is_filed_under_the_output_tuples_its_question_names() {
+    let service = tiny_service(ServiceConfig::default());
+    let session = service.open_session("nba", GSW_SQL).unwrap();
+    let first = session.ask(&q("2015-16", "2012-13")).unwrap();
+    assert!(!first.answer_cache_hit);
+
+    let t1_twice = [("season_name", "2015-16"), ("season_name", "2015-16")];
+    let twice = UserQuestion::two_point(&t1_twice, &[("season_name", "2012-13")]);
+    let again = session.ask(&twice).unwrap();
+    assert!(again.answer_cache_hit, "t1's pair written twice missed");
+    let fields = |a: &cajade_service::AskResult| format!("{:#?}", a.result.explanations);
+    assert!(!first.result.explanations.is_empty());
+    assert_eq!(fields(&again), fields(&first));
+
+    let swapped = session.ask(&q("2012-13", "2015-16")).unwrap();
+    assert!(!swapped.answer_cache_hit, "t1 and t2 swapped hit");
+    let answers = service.stats().answer_cache;
+    assert_eq!((answers.hits, answers.misses), (1, 2), "{answers:?}");
+
+    let provenance_hits = service.stats().provenance_cache.hits;
+    assert!(session.ask(&q("1999-00", "2012-13")).is_err());
+    let stats = service.stats();
+    let answers = stats.answer_cache;
+    assert_eq!((answers.hits, answers.misses), (1, 3), "{answers:?}");
+    assert_eq!(stats.provenance_cache.hits, provenance_hits);
+}
+
 #[test]
 fn concurrent_cold_asks_single_flight_provenance() {
     // Satellite: two concurrent cold asks on the same (db, query) must
