@@ -335,11 +335,9 @@ pub struct GraphWork {
     /// predicate of every winner
     /// ([`ExactMaskWork::reads`](cajade_mining::ExactMaskWork::reads)).
     pub exact_masks: u64,
-    /// Of those, the masks this call filled.
+    /// Of those, the masks this call filled (a store weighs them off the
+    /// preparations: [`cajade_mining::ExactMasks::filled_bytes`]).
     pub exact_masks_computed: u64,
-    /// Bytes of the masks this call filled into preparations a store may
-    /// keep — not truncated ones, which no store keeps.
-    pub exact_mask_bytes: u64,
 }
 
 /// What the materialize stage found for one join graph.
@@ -486,15 +484,11 @@ pub fn materialize_and_mine(
         mine_one_prepared(pt, graph, question, params, *gi)
     };
     let mined: Vec<(GraphOutcome, MiningOutcome)> = fan_out(params.parallel, &ready, mine_one);
-    for ((_, graph, _), (_, outcome)) in ready.iter().zip(&mined) {
+    for (_, outcome) in &mined {
         work.mining.accumulate(&outcome.timings);
         work.patterns_evaluated += outcome.patterns_evaluated;
-        let masks = outcome.exact_masks;
-        work.exact_masks += masks.reads;
-        work.exact_masks_computed += masks.computed;
-        if !graph.prep.truncated {
-            work.exact_mask_bytes += masks.bytes;
-        }
+        work.exact_masks += outcome.exact_masks.reads;
+        work.exact_masks_computed += outcome.exact_masks.computed;
     }
     let outcomes = mined.into_iter().map(|(outcome, _)| outcome).collect();
     (Ok(outcomes), work)

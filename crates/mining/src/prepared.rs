@@ -91,7 +91,8 @@ pub struct PreparedApt {
 impl PreparedApt {
     /// Approximate heap footprint for cache byte budgeting, with the
     /// [`ExactMasks`] filled so far: the footprint when the preparation was
-    /// made, plus [`ExactMaskWork::bytes`] of every fill since.
+    /// made, plus [`ExactMasks::filled_bytes`], which grows with every
+    /// fill since.
     pub fn approx_bytes(&self) -> usize {
         self.index.approx_bytes()
             + self.exact.as_ref().map_or(0, ScoreIndex::approx_bytes)
@@ -317,11 +318,9 @@ pub struct ExactMasks {
 pub struct ExactMaskWork {
     /// Slots read: one per predicate of every re-scored winner.
     pub reads: u64,
-    /// Of those, the slots this call filled.
+    /// Of those, the slots this call filled; [`ExactMasks::filled_bytes`]
+    /// is what the filled slots weigh.
     pub computed: u64,
-    /// Heap bytes of the masks this call filled — counted by the fill
-    /// itself, so two calls racing on a slot never both count it.
-    pub bytes: u64,
 }
 
 impl ExactMasks {
@@ -361,7 +360,6 @@ impl ExactMasks {
             let slot = self.slot(exact, frag, *field, pred).get_or_init(|| {
                 let filled = self.scope.install(|| exact.eval_pred(*field, pred));
                 work.computed += 1;
-                work.bytes += filled.approx_bytes() as u64;
                 filled
             });
             mask.and_assign(slot);

@@ -7,12 +7,13 @@
 //!
 //! * every explanation's exact metrics equal [`ScoreIndex::score`] of its
 //!   pattern on the all-rows index;
-//! * a slot is filled once: asking a question again fills nothing, and the
-//!   bytes the mining calls report filling are the bytes the slots hold.
+//! * a slot is filled once: the questions fill masks into the
+//!   preparation, and asking one of them again fills nothing and leaves
+//!   what the filled slots weigh unchanged.
 
 use cajade_datagen::{mimic, nba, synth, GeneratedDb};
 use cajade_graph::{enumerate_join_graphs, Apt, AptBuilder, EnumConfig};
-use cajade_mining::{mine_prepared, prepare_apt, ExactMaskWork, MiningParams, Question};
+use cajade_mining::{mine_prepared, prepare_apt, MiningParams, Question};
 use cajade_query::{parse_sql, ProvenanceTable};
 
 const NBA_SQL: &str = "SELECT COUNT(*) AS win, s.season_name FROM team t, game g, season s \
@@ -77,7 +78,7 @@ fn exact_masks_rescore_as_the_all_rows_index_scores() {
             let Some(exact) = &prep.exact else {
                 continue; // a sample of every row: nothing is re-scored
             };
-            let mut work = ExactMaskWork::default();
+            let mut computed = 0;
             for question in &questions {
                 let outcome = mine_prepared(&prep, apt, &pt, question, &params);
                 for e in &outcome.explanations {
@@ -87,16 +88,20 @@ fn exact_masks_rescore_as_the_all_rows_index_scores() {
                 explanations += outcome.explanations.len();
                 let asked = outcome.exact_masks;
                 assert!(asked.computed <= asked.reads, "{asked:?}");
-                work.reads += asked.reads;
-                work.computed += asked.computed;
-                work.bytes += asked.bytes;
+                computed += asked.computed;
             }
+            // The preparation holds masks exactly when the questions filled some.
+            let bytes = prep.exact_masks.filled_bytes();
+            assert_eq!(
+                bytes > 0,
+                computed > 0,
+                "{sql}: {computed} fills, {bytes} bytes"
+            );
             // The cold question again: every mask it reads is filled.
             let again = mine_prepared(&prep, apt, &pt, &questions[0], &params).exact_masks;
             assert_eq!(again.computed, 0, "{sql}: {again:?}");
-            assert_eq!(again.bytes, 0, "{sql}: {again:?}");
-            assert_eq!(work.bytes, prep.exact_masks.filled_bytes() as u64, "{sql}");
-            filled += work.computed;
+            assert_eq!(prep.exact_masks.filled_bytes(), bytes, "{sql}");
+            filled += bytes;
         }
         assert!(
             explanations > 0 && filled > 0,

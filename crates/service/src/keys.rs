@@ -14,11 +14,14 @@
 //! registration it replaced are swept
 //! ([`crate::ExplanationService::register_database`]).
 
+use std::sync::Arc;
+
 /// Key of a cached query: everything its [`crate::QueryEntry`] holds.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ProvKey {
     /// Database registration epoch.
     pub epoch: u64,
-    /// Canonical SQL (`Query::to_sql`).
-    pub sql: String,
+    /// Canonical SQL (`Query::to_sql`), shared with the session that
+    /// made the key.
+    pub sql: Arc<str>,
 }

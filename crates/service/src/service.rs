@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use cajade_core::pipeline::{GraphStore, PreparedGraph, PreparedQuery};
 use cajade_core::{Params, SessionResult};
@@ -18,7 +18,7 @@ use cajade_graph::{EnumeratedGraph, SchemaGraph};
 use cajade_ingest::{IngestOptions, IngestReport};
 use cajade_mining::{ColumnStatsConfig, ColumnStatsTable, Question};
 use cajade_obs::faults::{self, Site};
-use cajade_obs::{AllocScope, Counter};
+use cajade_obs::AllocScope;
 use cajade_query::{check_binds, parse_sql};
 use cajade_storage::Database;
 use parking_lot::{Mutex, RwLock};
@@ -37,62 +37,69 @@ const MAX_OPEN_SESSIONS: usize = 4096;
 /// One provenance-cache value — everything the service keeps of a query:
 /// its provenance and enumeration, in one slot per enumerated graph what
 /// asks have prepared of them, and its answers by resolved question. All
-/// of it is evicted, swept and recomputed with the entry.
+/// of it is evicted, swept and recomputed with the entry, and what the
+/// entry weighs is read off what it holds.
 pub struct QueryEntry {
     /// The query's result, provenance table and enumerated join graphs.
     pub query: PreparedQuery,
-    /// Per enumerated graph, its [`PreparedGraph`] once an ask has made
-    /// it. A slot's lock is its graph's latch: it is filled once, under
-    /// the lock, so concurrent cold asks prepare a graph once.
-    slots: Vec<Mutex<Option<Arc<PreparedGraph>>>>,
-    /// Slots filled, and the bytes of what they hold: the entry weighs
-    /// itself, and `stats` counts it, without waiting on a latch.
-    held: Counter,
-    held_bytes: Counter,
+    /// What `query` and the empty slots weigh: fixed with the entry.
+    query_bytes: usize,
+    /// Per enumerated graph, its [`PreparedGraph`] once an ask has made it.
+    slots: Vec<Slot>,
     /// Ranked answers by question — its output tuples, resolved against
     /// this entry's provenance table — each sharing its explanation list
-    /// with every ask it is handed to; how many, and their bytes.
-    answers: Mutex<HashMap<Question, SessionResult>>,
-    answered: Counter,
-    answer_bytes: Counter,
+    /// with every ask it is handed to, beside what it weighs.
+    answers: Mutex<HashMap<Question, (SessionResult, usize)>>,
+}
+
+/// One enumerated graph's place in a [`QueryEntry`]: its prepared graph,
+/// written once and read without waiting, beside what it weighed when
+/// stored (all but the all-rows masks filled into it since), and the latch
+/// held while it is prepared, so concurrent cold asks prepare it once.
+#[derive(Default)]
+struct Slot {
+    graph: OnceLock<(Arc<PreparedGraph>, usize)>,
+    latch: Mutex<()>,
 }
 
 impl QueryEntry {
     pub(crate) fn new(query: PreparedQuery) -> Self {
+        let each = std::mem::size_of::<EnumeratedGraph>() + std::mem::size_of::<Slot>();
+        let graph = |g: &EnumeratedGraph| each + g.graph.approx_bytes() + g.key.approx_bytes();
+        let graphs = query.graphs.iter().map(graph).sum::<usize>();
         QueryEntry {
-            slots: query.graphs.iter().map(|_| Mutex::new(None)).collect(),
+            query_bytes: query.pt.approx_bytes() + query.result.approx_bytes() + graphs + 256,
+            slots: query.graphs.iter().map(|_| Slot::default()).collect(),
             query,
-            held: Counter::default(),
-            held_bytes: Counter::default(),
             answers: Mutex::new(HashMap::new()),
-            answered: Counter::default(),
-            answer_bytes: Counter::default(),
         }
     }
 
     /// The answer held for `question`.
     pub(crate) fn answer(&self, question: &Question) -> Option<SessionResult> {
-        self.answers.lock().get(question).cloned()
+        (self.answers.lock().get(question)).map(|(result, _)| result.clone())
     }
 
     /// Keeps `result` as the answer of `question`; whether none was held
     /// for it (a racing ask may have kept one).
     pub(crate) fn hold_answer(&self, question: Question, result: &SessionResult) -> bool {
-        let held = self.answers.lock().insert(question, result.clone());
-        if held.is_none() {
-            self.answered.inc();
-            self.answer_bytes.add(answer_bytes(result) as u64);
-        }
-        held.is_none()
+        let weighed = (result.clone(), answer_bytes(result));
+        self.answers.lock().insert(question, weighed).is_none()
     }
 
-    /// Charges `bytes` of all-rows masks an ask's exact re-scores filled
-    /// into the held graphs' preparations
-    /// ([`GraphWork::exact_mask_bytes`](cajade_core::pipeline::GraphWork::exact_mask_bytes)).
-    /// Each mask is counted once, by the fill that made it, so `held_bytes`
-    /// stays the sum of what the held graphs weigh now.
-    pub(crate) fn hold_exact_masks(&self, bytes: u64) {
-        self.held_bytes.add(bytes);
+    /// What the entry holds beside its query, read off its slots and its
+    /// answers now: `[graphs, their bytes, answers, their bytes]`. A graph
+    /// weighs what it weighed when stored plus the all-rows masks filled
+    /// into it since.
+    fn held(&self) -> [usize; 4] {
+        let (mut graphs, mut graph_bytes) = (0, 0);
+        for (graph, stored) in self.slots.iter().filter_map(|slot| slot.graph.get()) {
+            graphs += 1;
+            graph_bytes += stored + graph.prep.exact_masks.filled_bytes();
+        }
+        let answers = self.answers.lock();
+        let answer_bytes = answers.values().map(|(_, bytes)| bytes).sum();
+        [graphs, graph_bytes, answers.len(), answer_bytes]
     }
 
     /// Cache accounting for the whole entry: the provenance table
@@ -100,16 +107,8 @@ impl QueryEntry {
     /// enumeration output, the query's result table (once: previews share
     /// it), the slots and the answers are small but counted.
     pub(crate) fn approx_bytes(&self) -> usize {
-        let graphs = (self.query.graphs.iter())
-            .map(|g| {
-                std::mem::size_of::<EnumeratedGraph>()
-                    + g.graph.approx_bytes()
-                    + g.key.approx_bytes()
-                    + std::mem::size_of::<Mutex<Option<Arc<PreparedGraph>>>>()
-            })
-            .sum::<usize>();
-        let held = (self.held_bytes.get() + self.answer_bytes.get()) as usize;
-        self.query.pt.approx_bytes() + self.query.result.approx_bytes() + graphs + 256 + held
+        let [_, graph_bytes, _, answer_bytes] = self.held();
+        self.query_bytes + graph_bytes + answer_bytes
     }
 }
 
@@ -124,14 +123,14 @@ impl GraphStore for EntrySlots<'_> {
     /// Lookup of graph `gi`, counted when it hits: a miss is counted at
     /// the latch, so a graph the builder skips over λ_qcost is none.
     fn graph(&self, gi: usize) -> Option<Arc<PreparedGraph>> {
-        let found = self.entry.slots[gi].lock().clone();
+        let found = self.entry.slots[gi].graph.get().map(|(g, _)| Arc::clone(g));
         if found.is_some() {
             self.obs.hits.inc();
         }
         found
     }
 
-    /// Under the slot's lock, one counted miss: the graph another ask
+    /// Under the slot's latch, one counted miss: the graph another ask
     /// stored meanwhile (`coalesced` counts it), else what `prepare`
     /// makes, stored unless its preparation was truncated by the caller's
     /// budget — an unbudgeted ask must never inherit a partial preparation
@@ -142,18 +141,20 @@ impl GraphStore for EntrySlots<'_> {
         gi: usize,
         prepare: impl FnOnce() -> PreparedGraph,
     ) -> (Arc<PreparedGraph>, bool) {
-        let mut slot = self.entry.slots[gi].lock();
+        let slot = &self.entry.slots[gi];
+        let _latch = slot.latch.lock();
         self.obs.misses.inc();
-        if let Some(graph) = &*slot {
+        if let Some((graph, _)) = slot.graph.get() {
             self.obs.coalesced.inc();
             return (Arc::clone(graph), false);
         }
         faults::failpoint_infallible(Site::CacheAptCompute);
         let graph = Arc::new(prepare());
         if !graph.prep.truncated {
-            self.entry.held.inc();
-            self.entry.held_bytes.add(graph.approx_bytes() as u64);
-            *slot = Some(Arc::clone(&graph));
+            // Weighed without its all-rows masks: `held` adds them as
+            // they are filled (none yet, as no ask has mined the graph).
+            let stored = graph.approx_bytes() - graph.prep.exact_masks.filled_bytes();
+            slot.graph.get_or_init(|| (Arc::clone(&graph), stored));
             self.obs.inserts.inc();
         }
         (graph, true)
@@ -286,11 +287,12 @@ impl ServiceInner {
         let queries = self.prov_cache.retain(|k, entry| {
             let keep = k.epoch != stale.epoch;
             if !keep {
-                held += entry.held.get() + entry.answered.get();
+                let [graphs, _, answers, _] = entry.held();
+                held += graphs + answers;
             }
             keep
         });
-        queries + held as usize + stale.column_stats.filled()
+        queries + held + stale.column_stats.filled()
     }
 
     /// The prepared graphs and the answers resident query entries hold,
@@ -299,10 +301,9 @@ impl ServiceInner {
     fn held_stats(&self) -> [CacheStats; 2] {
         let mut held = [0; 4];
         self.prov_cache.for_each(|e| {
-            let counters = [&e.held, &e.held_bytes, &e.answered, &e.answer_bytes];
-            (held.iter_mut().zip(counters)).for_each(|(sum, c)| *sum += c.get());
+            (held.iter_mut().zip(e.held())).for_each(|(sum, n)| *sum += n);
         });
-        let [graphs, graph_bytes, answers, answer_bytes] = held.map(|n| n as usize);
+        let [graphs, graph_bytes, answers, answer_bytes] = held;
         let budget = self.prov_cache.stats().budget_bytes;
         let apt = self.apt_obs.stats(graphs, graph_bytes, budget);
         [apt, self.answer_obs.stats(answers, answer_bytes, budget)]
@@ -370,8 +371,9 @@ impl ExplanationService {
         let answer_evictions = Arc::clone(&answer_obs.evictions);
         // What an evicted entry held goes out with it.
         let on_evict = move |entry: &Arc<QueryEntry>| {
-            apt_evictions.add(entry.held.get());
-            answer_evictions.add(entry.answered.get());
+            let [graphs, _, answers, _] = entry.held();
+            apt_evictions.add(graphs as u64);
+            answer_evictions.add(answers as u64);
         };
         ExplanationService {
             inner: Arc::new(ServiceInner {
@@ -676,15 +678,7 @@ mod tests {
         };
         // (charged, what the held graphs weigh, their filled masks' bytes)
         let weigh = || {
-            let (mut weight, mut masks) = (0, 0);
-            service.inner.prov_cache.for_each(|entry| {
-                for slot in &entry.slots {
-                    if let Some(graph) = &*slot.lock() {
-                        weight += graph.approx_bytes();
-                        masks += graph.prep.exact_masks.filled_bytes();
-                    }
-                }
-            });
+            let (weight, masks) = held_graphs(&service);
             (service.stats().apt_cache.bytes, weight, masks)
         };
 
@@ -712,5 +706,68 @@ mod tests {
         let repeat = ask("2013-14", "2016-17");
         assert!(repeat.answer_cache_hit);
         assert_eq!((weigh().0, weigh().2), last, "an answer-cache hit");
+    }
+
+    /// A mining worker that panics unwinds its ask, but the all-rows
+    /// masks its sibling workers filled stay in the held graphs, and the
+    /// entry is charged for them: what the cache charged stays what the
+    /// entry weighs, and the next ask answers as a clean service does.
+    #[test]
+    fn a_mining_panic_leaves_the_entry_charged_for_its_siblings_masks() {
+        use cajade_obs::faults::Plan;
+        let sql = "SELECT COUNT(*) AS win, s.season_name FROM team t, game g, season s \
+            WHERE t.team_id = g.winner_id AND g.season_id = s.season_id AND t.team = 'GSW' \
+            GROUP BY s.season_name";
+        let open = || {
+            let gen = cajade_datagen::nba::generate(cajade_datagen::nba::NbaConfig::tiny());
+            let service = ExplanationService::new(ServiceConfig::default());
+            service.register_database("nba", gen.db, gen.schema_graph);
+            let session = service.open_session("nba", sql).unwrap();
+            (service, session)
+        };
+        let question = |t1: &str, t2: &str| {
+            cajade_core::UserQuestion::two_point(&[("season_name", t1)], &[("season_name", t2)])
+        };
+        let (service, session) = open();
+        session.ask(&question("2015-16", "2012-13")).unwrap();
+        let (_, masks_before) = held_graphs(&service);
+
+        let warm = question("2016-17", "2013-14");
+        let plan = Plan::parse("mine.refine=panic@1").unwrap();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            plan.install(|| session.ask(&warm))
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(plan.fired(Site::MineRefine), 1);
+
+        let (weight, masks) = held_graphs(&service);
+        assert!(masks > masks_before, "no sibling worker filled a mask");
+        let stats = service.stats();
+        assert_eq!(stats.apt_cache.bytes, weight, "{stats:?}");
+        let mut entries = 0;
+        service
+            .inner
+            .prov_cache
+            .for_each(|entry| entries += entry.approx_bytes());
+        assert_eq!(stats.provenance_cache.bytes, entries, "{stats:?}");
+
+        let answer = |session: &SessionHandle| {
+            let result = session.ask(&warm).unwrap().result;
+            format!("{:?}", result.explanations)
+        };
+        assert_eq!(answer(&session), answer(&open().1));
+    }
+
+    /// (What the prepared graphs `service` holds weigh, their filled
+    /// all-rows masks' bytes), each walked graph by graph.
+    fn held_graphs(service: &ExplanationService) -> (usize, usize) {
+        let (mut weight, mut masks) = (0, 0);
+        service.inner.prov_cache.for_each(|entry| {
+            for (graph, _) in entry.slots.iter().filter_map(|s| s.graph.get()) {
+                weight += graph.approx_bytes();
+                masks += graph.prep.exact_masks.filled_bytes();
+            }
+        });
+        (weight, masks)
     }
 }

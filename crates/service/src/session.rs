@@ -17,7 +17,7 @@
 //! (`EntrySlots`) in the scope of every question, with the registration's
 //! column statistics: one lookup per valid graph, the missing graphs'
 //! views derived through one builder, one read share planned over exactly
-//! those views, each prepared under its slot's lock — the expensive half,
+//! those views, each prepared under its slot's latch — the expensive half,
 //! which concurrent cold asks therefore do once; the view they may both
 //! derive — then every graph mined in enumeration order. This module adds
 //! the entry's answers, its re-weighing and the service's counters.
@@ -86,7 +86,8 @@ pub struct SessionHandle {
     id: u64,
     db_name: String,
     query: Query,
-    sql: String,
+    /// Canonical SQL, shared with every [`ProvKey`] the session makes.
+    sql: Arc<str>,
     service: Weak<ServiceInner>,
 }
 
@@ -95,7 +96,7 @@ impl SessionHandle {
         SessionHandle {
             id,
             db_name,
-            sql: query.to_sql(),
+            sql: query.to_sql().into(),
             query,
             service,
         }
@@ -241,9 +242,6 @@ impl SessionHandle {
                 &col_stats,
                 &slots,
             );
-            // The all-rows masks this ask's re-scores filled into the
-            // entry's graphs are the entry's too.
-            entry.hold_exact_masks(work.exact_mask_bytes);
             let obs = &inner.obs;
             obs.apt_join_steps_total.add(work.join_steps);
             obs.apt_join_steps_computed_total
@@ -282,8 +280,9 @@ impl SessionHandle {
         };
         let answered = std::panic::catch_unwind(std::panic::AssertUnwindSafe(answer));
         // The one place the entry is weighed again: it grew by what this
-        // ask stored in it — also when the ask failed, or a worker
-        // panicked past the graphs its siblings stored.
+        // ask stored in it — graphs, the all-rows masks its re-scores
+        // filled into them, its answer — also when the ask failed, or a
+        // worker panicked past what its siblings stored.
         inner.prov_cache.reweigh(prov_key, |e| e.approx_bytes());
         let (mut result, apt_cache_hits, apt_cache_misses) =
             answered.unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
@@ -334,7 +333,7 @@ impl SessionHandle {
     fn prov_key(&self, reg: &RegisteredDb) -> ProvKey {
         ProvKey {
             epoch: reg.epoch,
-            sql: self.sql.clone(),
+            sql: Arc::clone(&self.sql),
         }
     }
 
