@@ -13,6 +13,7 @@
 //! travel behind `Arc` so a cache can hand one to many sessions.
 
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -23,7 +24,7 @@ use cajade_mining::{
     Question, ReadShare,
 };
 pub use cajade_mining::{ColumnStatsProvider, NoSharedStats};
-use cajade_obs::{span, AllocScope, Ctx, Stage};
+use cajade_obs::{span, AllocScope, Counter, Ctx, Stage};
 use cajade_query::{execute_with_provenance, ProvenanceTable, Query, QueryResult};
 use cajade_storage::Database;
 
@@ -237,8 +238,8 @@ impl GraphStore for KeepNothing {
     }
 }
 
-/// What one mined join graph contributes to the ranking; the work it
-/// took is summed in the call's [`GraphWork`].
+/// What one mined join graph contributes to the ranking; what it took
+/// goes to the call's [`GraphWork`] and [`WorkCounters`].
 #[derive(Debug)]
 pub struct GraphOutcome {
     /// This graph's top-k, unrendered: [`assemble`] renders the ones the
@@ -253,17 +254,29 @@ pub struct GraphOutcome {
 /// Stage 4: mines one prepared graph inside its `mine_apt` stage,
 /// rendering nothing: rendering is stage 5's, for the explanations it
 /// keeps. `graph_index` is the graph's index within the session's
-/// enumeration. Returns the graph's [`GraphOutcome`] and what mining it
-/// took — the [`MiningOutcome`], its explanations moved into the former.
+/// enumeration. Its counts go to `counters` as soon as it is mined.
+/// Returns the graph's [`GraphOutcome`] and what mining it took — the
+/// [`MiningOutcome`], its explanations moved into the former.
 fn mine_one_prepared(
     pt: &ProvenanceTable,
     graph: &PreparedGraph,
     question: &Question,
     params: &Params,
     graph_index: usize,
+    counters: &WorkCounters,
 ) -> (GraphOutcome, MiningOutcome) {
     let _stage = Stage::open_as("mine_apt", "mine");
     let mut outcome = mine_prepared(&graph.prep, &graph.apt, pt, question, &params.mining);
+    let (c, masks, timings) = (counters, &outcome.exact_masks, &outcome.timings);
+    add([
+        (&c.mine_exact_masks, masks.reads),
+        (&c.mine_exact_masks_computed, masks.computed),
+        (&c.mine_ub_pruned_children, timings.ub_pruned_children),
+        (
+            &c.mine_recall_pruned_subtrees,
+            timings.recall_pruned_subtrees,
+        ),
+    ]);
     let mined = GraphOutcome {
         mined: std::mem::take(&mut outcome.explanations),
         apt: Arc::clone(&graph.apt),
@@ -299,29 +312,15 @@ where
         .collect()
 }
 
-/// What [`materialize_and_mine`] computed — zero for what a store already
-/// held — and the time it took: one tally per call, each sum made in the
-/// stage that measures it. [`assemble`] reads its timings and pattern
-/// count.
+/// What [`materialize_and_mine`] took and mined, for [`assemble`]: one
+/// tally per call, each sum made in the stage that measures it. The work
+/// it counts goes to the call's [`WorkCounters`] instead.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GraphWork {
-    /// Join steps the missing graphs' folds applied, one per edge.
-    pub join_steps: u64,
-    /// Of those, steps the builder computed rather than took from its memo.
-    pub join_steps_computed: u64,
-    /// Hash indexes the builder built.
-    pub index_builds: u64,
-    /// Graphs the builder skipped because a join was over λ_qcost.
-    pub graphs_over_cost: u64,
     /// Wall time of every `materialize_apt` stage the call ran, the
     /// skipped graphs' partial folds included
     /// ([`SessionTimings::materialize_apts`]).
     pub materialize: Duration,
-    /// Candidate columns the preparations read through the call's
-    /// [`ReadShare`].
-    pub column_reads: u64,
-    /// Of those, reads that gathered the column.
-    pub column_reads_computed: u64,
     /// Graphs this call prepared.
     pub graphs_prepared: usize,
     /// Mining-phase timings of every mined graph, plus the preparation
@@ -331,13 +330,49 @@ pub struct GraphWork {
     pub mining: MiningTimings,
     /// Patterns evaluated across the mined graphs.
     pub patterns_evaluated: usize,
-    /// All-rows predicate masks the exact re-scores read, one per
-    /// predicate of every winner
-    /// ([`ExactMaskWork::reads`](cajade_mining::ExactMaskWork::reads)).
-    pub exact_masks: u64,
-    /// Of those, the masks this call filled (a store weighs them off the
-    /// preparations: [`cajade_mining::ExactMasks::filled_bytes`]).
-    pub exact_masks_computed: u64,
+}
+
+/// The counters [`materialize_and_mine`] adds its work to — zero for what
+/// a store already held — each stage's as that stage ends, also when it
+/// unwinds, so a panic loses no count of finished work. [`Default`] makes
+/// free-standing counters; the service's are its `metrics` counters.
+#[derive(Debug, Clone, Default)]
+pub struct WorkCounters {
+    /// Join steps the [`AptBuilder`] applied, one per edge.
+    pub apt_join_steps: Arc<Counter>,
+    /// Of those, steps it computed rather than took from its memo.
+    pub apt_join_steps_computed: Arc<Counter>,
+    /// Hash indexes it built.
+    pub apt_index_builds: Arc<Counter>,
+    /// Graphs it skipped because a join was over λ_qcost.
+    pub apt_graphs_over_cost: Arc<Counter>,
+    /// Candidate columns the preparations read through the [`ReadShare`].
+    pub prepare_column_reads: Arc<Counter>,
+    /// Of those, reads that gathered the column.
+    pub prepare_column_reads_computed: Arc<Counter>,
+    /// All-rows masks the exact re-scores read ([`cajade_mining::ExactMaskWork`]).
+    pub mine_exact_masks: Arc<Counter>,
+    /// Of those, the masks they filled.
+    pub mine_exact_masks_computed: Arc<Counter>,
+    /// [`MiningTimings::ub_pruned_children`] of every mined graph.
+    pub mine_ub_pruned_children: Arc<Counter>,
+    /// [`MiningTimings::recall_pruned_subtrees`] of every mined graph.
+    pub mine_recall_pruned_subtrees: Arc<Counter>,
+}
+
+/// Adds each count to its counter, skipping zeros.
+fn add<const N: usize>(counts: [(&Arc<Counter>, u64); N]) {
+    for (counter, n) in counts.into_iter().filter(|(_, n)| *n > 0) {
+        counter.add(n);
+    }
+}
+
+/// Runs `body`, then `after` — also when `body` unwinds, before the
+/// unwind resumes.
+pub fn finally<R>(body: impl FnOnce() -> R, after: impl FnOnce()) -> R {
+    let ran = catch_unwind(AssertUnwindSafe(body));
+    after();
+    ran.unwrap_or_else(|panic| resume_unwind(panic))
 }
 
 /// What the materialize stage found for one join graph.
@@ -366,24 +401,24 @@ impl ColumnStatsProvider for WithShare<'_> {
 
 /// Stages 3–4 over every valid join graph — the pipeline's one per-graph
 /// loop: three [`fan_out`]s, each under its stage span, outcomes in graph
-/// order.
+/// order. Each stage adds its counts to `counters` as it ends, also when
+/// it unwinds; the [`GraphWork`] carries what [`assemble`] reads.
 ///
 /// * **materialize** — one `store` lookup per graph; the misses' views
 ///   come from one [`AptBuilder`] bounded by [`Params::max_cost`], made by
-///   the first miss and dropped with the stage. A single materialization
+///   the first miss and counted and dropped with the stage. A single materialization
 ///   is not truncatable, so the budget boundary sits in front of each
 ///   graph: past the deadline the remaining graphs are skipped and the
 ///   answer covers fewer of them. A graph over λ_qcost is skipped too,
-///   whatever the deadline ([`GraphWork::graphs_over_cost`]).
+///   whatever the deadline ([`WorkCounters::apt_graphs_over_cost`]).
 /// * **prepare** — one [`ReadShare`] planned over the misses' views and
 ///   handed to `prepare` with `stats`; each miss is prepared in `scope`
 ///   under its store latch. Racing callers may both derive a view; only
-///   one prepares it.
-/// * **mine** — `mine_one_prepared` per graph, for `question`; the
-///   mining timings, patterns evaluated and the exact re-scores' mask
-///   reads and fills are summed into the [`GraphWork`].
-///
-/// The [`GraphWork`] comes back also when a materialization fails.
+///   one prepares it. The share is counted and dropped with the stage.
+/// * **mine** — `mine_one_prepared` per graph, for `question`, each
+///   graph counted by its worker; the mining timings and patterns
+///   evaluated are summed into the [`GraphWork`].
+#[allow(clippy::too_many_arguments)]
 pub fn materialize_and_mine(
     db: &Database,
     prepared: &PreparedQuery,
@@ -392,7 +427,8 @@ pub fn materialize_and_mine(
     params: &Params,
     stats: &dyn ColumnStatsProvider,
     store: &impl GraphStore,
-) -> (Result<Vec<GraphOutcome>>, GraphWork) {
+    counters: &WorkCounters,
+) -> Result<(Vec<GraphOutcome>, GraphWork)> {
     let pt = &prepared.pt;
     let mut work = GraphWork::default();
 
@@ -415,13 +451,22 @@ pub fn materialize_and_mine(
         materialize_ns.fetch_add(wall.as_nanos() as u64, Ordering::Relaxed);
         Ok(apt.map(|apt| (gi, Found::View(Arc::new(apt)))))
     };
-    let found: Result<Vec<_>> = fan_out(params.parallel, &prepared.valid_graph_indices(), find);
+    let found: Result<Vec<_>> = finally(
+        || fan_out(params.parallel, &prepared.valid_graph_indices(), find),
+        || {
+            let (c, Some(b)) = (counters, builder.get()) else {
+                return;
+            };
+            add([
+                (&c.apt_join_steps, b.join_steps()),
+                (&c.apt_join_steps_computed, b.join_steps_computed()),
+                (&c.apt_index_builds, b.index_builds()),
+                (&c.apt_graphs_over_cost, b.graphs_over_cost()),
+            ]);
+        },
+    );
     work.materialize = Duration::from_nanos(materialize_ns.into_inner());
     if let Some(builder) = builder.into_inner() {
-        work.join_steps = builder.join_steps();
-        work.join_steps_computed = builder.join_steps_computed();
-        work.index_builds = builder.index_builds();
-        work.graphs_over_cost = builder.graphs_over_cost();
         // Freed where it and its shared joins were allocated: a scope's
         // net is what was allocated minus what was freed under it.
         let _mem = store.retain();
@@ -429,10 +474,7 @@ pub fn materialize_and_mine(
         drop(builder);
     }
     drop(materialize_span);
-    let found: Vec<(usize, Found)> = match found {
-        Ok(found) => found.into_iter().flatten().collect(),
-        Err(e) => return (Err(e), work),
-    };
+    let found: Vec<(usize, Found)> = found?.into_iter().flatten().collect();
 
     let prepare_span = span("prepare");
     let mut views = (found.iter())
@@ -462,7 +504,18 @@ pub fn materialize_and_mine(
         });
         (*gi, graph, prepared)
     };
-    let ready: Vec<_> = fan_out(params.parallel, &found, prepare_one);
+    let ready: Vec<_> = finally(
+        || fan_out(params.parallel, &found, prepare_one),
+        || {
+            let share = stats.share.as_ref();
+            let (reads, computed) = share.map_or((0, 0), ReadShare::column_reads);
+            let c = counters;
+            add([
+                (&c.prepare_column_reads, reads),
+                (&c.prepare_column_reads_computed, computed),
+            ]);
+        },
+    );
     // The views of graphs another caller prepared first.
     drop(found);
     for (_, graph, _) in ready.iter().filter(|(_, _, prepared)| *prepared) {
@@ -470,7 +523,6 @@ pub fn materialize_and_mine(
         work.mining.accumulate(&graph.prep.prep_timings);
     }
     if let Some(share) = stats.share {
-        (work.column_reads, work.column_reads_computed) = share.column_reads();
         // Whatever a reader that never came left in it is freed where the
         // preparations allocated it.
         let _mem = store.retain();
@@ -481,17 +533,15 @@ pub fn materialize_and_mine(
 
     let _mine_span = span("mine");
     let mine_one = |(gi, graph, _): &(usize, Arc<PreparedGraph>, bool)| {
-        mine_one_prepared(pt, graph, question, params, *gi)
+        mine_one_prepared(pt, graph, question, params, *gi, counters)
     };
     let mined: Vec<(GraphOutcome, MiningOutcome)> = fan_out(params.parallel, &ready, mine_one);
     for (_, outcome) in &mined {
         work.mining.accumulate(&outcome.timings);
         work.patterns_evaluated += outcome.patterns_evaluated;
-        work.exact_masks += outcome.exact_masks.reads;
-        work.exact_masks_computed += outcome.exact_masks.computed;
     }
     let outcomes = mined.into_iter().map(|(outcome, _)| outcome).collect();
-    (Ok(outcomes), work)
+    Ok((outcomes, work))
 }
 
 /// Frees what [`materialize_and_mine`] returned where it was allocated:

@@ -157,8 +157,8 @@ impl<'a> ExplanationSession<'a> {
             &self.params,
             &pipeline::NoSharedStats,
             &pipeline::KeepNothing,
-        );
-        let outcomes = outcomes?;
+            &pipeline::WorkCounters::default(),
+        )?;
         let result = pipeline::assemble(self.db, query, &prepared, &outcomes, &work, &self.params);
         pipeline::drop_outcomes(outcomes);
         Ok(result)

@@ -200,28 +200,26 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
             return Ok((v, true));
         }
         // Compute and insert while still holding the latch, so a waiter
-        // can only wake after the value is resident. `compute` is run
-        // under `catch_unwind` so a panicking computation still cleans up
-        // its in-flight latch below — otherwise the registry entry would
-        // leak and the key's future misses would serialize on a dead latch
-        // forever.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(compute)).map(|r| {
-            r.map(|(value, bytes)| {
+        // can only wake after the value is resident. A panicking
+        // computation still cleans up its in-flight latch — otherwise the
+        // registry entry would leak and the key's future misses would
+        // serialize on a dead latch forever.
+        let compute = || {
+            compute().map(|(value, bytes)| {
                 if let Some(bytes) = bytes {
                     self.insert(key.clone(), value.clone(), bytes);
                 }
                 (value, false)
             })
-        });
+        };
         // Drop the latch from the registry before releasing it; late
         // waiters holding the stale Arc still serialize on it and then
         // re-check the cache.
-        self.inflight.lock().remove(key);
-        drop(guard);
-        match result {
-            Ok(r) => r,
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
+        let release = || {
+            self.inflight.lock().remove(key);
+            drop(guard);
+        };
+        cajade_core::pipeline::finally(compute, release)
     }
 
     /// Looks up `key`, refreshing its recency on a hit.

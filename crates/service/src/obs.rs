@@ -10,7 +10,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use cajade_core::SessionTimings;
+use cajade_core::pipeline::WorkCounters;
 use cajade_obs::{Counter, Histogram, Registry};
 
 /// Pre-resolved instrument handles for the service's recording sites.
@@ -21,31 +21,11 @@ pub(crate) struct ServiceObs {
     // ---- Request counters. ---------------------------------------------
     pub asks_total: Arc<Counter>,
     pub sessions_opened_total: Arc<Counter>,
-    /// Work the asks' `AptBuilder`s did for join graphs their query entry
-    /// did not hold: `extend`
-    /// steps applied (hash joins and closing-edge filters), the ones among
-    /// them whose inputs no earlier step of the ask had read — which ran
-    /// their loop — and key-index builds. Deterministic for a given
-    /// corpus, query and cache state.
-    pub apt_join_steps_total: Arc<Counter>,
-    pub apt_join_steps_computed_total: Arc<Counter>,
-    pub apt_index_builds_total: Arc<Counter>,
-    /// Join graphs the asks' `AptBuilder`s skipped because one of their
-    /// joins would output more than λ_qcost rows. Deterministic like the
-    /// join work.
-    pub apt_graphs_over_cost_total: Arc<Counter>,
-    /// Candidate columns the asks' preparations read for `filterAttrs`,
-    /// and the reads among them that gathered the column rather than take
-    /// the gather another graph of the ask had left in its `ReadShare`.
-    /// Deterministic like the join work.
-    pub prepare_column_reads_total: Arc<Counter>,
-    pub prepare_column_reads_computed_total: Arc<Counter>,
-    /// All-rows predicate masks the asks' exact re-scores read (one per
-    /// predicate of every winner), and the reads among them that filled
-    /// the mask's slot in its prepared graph rather than find it filled.
-    /// Deterministic like the join work.
-    pub mine_exact_masks_total: Arc<Counter>,
-    pub mine_exact_masks_computed_total: Arc<Counter>,
+    /// The asks' per-graph work (the `apt_*`, `prepare_column_reads*` and
+    /// `mine_*` counters), which `materialize_and_mine` adds to as each
+    /// stage ends, also when the ask later panics. Deterministic for a
+    /// given corpus, query and cache state.
+    pub work: WorkCounters,
     /// Base columns whose statistics a registration computed: one per
     /// cell of its table filled, however many preparations asked.
     pub column_stats_computed_total: Arc<Counter>,
@@ -68,10 +48,8 @@ pub(crate) struct ServiceObs {
     /// response; the process keeps serving).
     pub requests_panicked_total: Arc<Counter>,
 
-    // ---- Ask latency histogram (µs) + mining pruning counters. ---------
+    // ---- Ask latency histogram (µs). -----------------------------------
     pub ask_total_us: Arc<Histogram>,
-    pub mine_ub_pruned_children_total: Arc<Counter>,
-    pub mine_recall_pruned_subtrees_total: Arc<Counter>,
 }
 
 impl ServiceObs {
@@ -80,14 +58,18 @@ impl ServiceObs {
         ServiceObs {
             asks_total: r.counter("asks_total"),
             sessions_opened_total: r.counter("sessions_opened_total"),
-            apt_join_steps_total: r.counter("apt_join_steps_total"),
-            apt_join_steps_computed_total: r.counter("apt_join_steps_computed_total"),
-            apt_index_builds_total: r.counter("apt_index_builds_total"),
-            apt_graphs_over_cost_total: r.counter("apt_graphs_over_cost_total"),
-            prepare_column_reads_total: r.counter("prepare_column_reads_total"),
-            prepare_column_reads_computed_total: r.counter("prepare_column_reads_computed_total"),
-            mine_exact_masks_total: r.counter("mine_exact_masks_total"),
-            mine_exact_masks_computed_total: r.counter("mine_exact_masks_computed_total"),
+            work: WorkCounters {
+                apt_join_steps: r.counter("apt_join_steps_total"),
+                apt_join_steps_computed: r.counter("apt_join_steps_computed_total"),
+                apt_index_builds: r.counter("apt_index_builds_total"),
+                apt_graphs_over_cost: r.counter("apt_graphs_over_cost_total"),
+                prepare_column_reads: r.counter("prepare_column_reads_total"),
+                prepare_column_reads_computed: r.counter("prepare_column_reads_computed_total"),
+                mine_exact_masks: r.counter("mine_exact_masks_total"),
+                mine_exact_masks_computed: r.counter("mine_exact_masks_computed_total"),
+                mine_ub_pruned_children: r.counter("mine_ub_pruned_children_total"),
+                mine_recall_pruned_subtrees: r.counter("mine_recall_pruned_subtrees_total"),
+            },
             column_stats_computed_total: r.counter("column_stats_computed_total"),
             jg_extensions_visited_total: r.counter("jg_extensions_visited_total"),
             jg_extensions_rejected_total: r.counter("jg_extensions_rejected_total"),
@@ -95,21 +77,14 @@ impl ServiceObs {
             ask_degraded_total: r.counter("ask_degraded_total"),
             requests_panicked_total: r.counter("requests_panicked_total"),
             ask_total_us: r.histogram("ask_total_us"),
-            mine_ub_pruned_children_total: r.counter("mine_ub_pruned_children_total"),
-            mine_recall_pruned_subtrees_total: r.counter("mine_recall_pruned_subtrees_total"),
             registry,
         }
     }
 
-    /// Records one completed ask: end-to-end wall plus the mining
-    /// pruning counts. Answer-cache hits pass the default (all-zero)
-    /// timings, so they add to `ask_total_us` and nothing else.
-    pub(crate) fn record_ask(&self, wall: Duration, timings: &SessionTimings) {
+    /// Records one completed ask, an answer-cache hit included: one more
+    /// ask, and its end-to-end wall.
+    pub(crate) fn record_ask(&self, wall: Duration) {
         self.asks_total.inc();
         self.ask_total_us.record_duration(wall);
-        let m = &timings.mining;
-        self.mine_ub_pruned_children_total.add(m.ub_pruned_children);
-        self.mine_recall_pruned_subtrees_total
-            .add(m.recall_pruned_subtrees);
     }
 }

@@ -10,9 +10,9 @@
 //! |---|---|---|
 //! | `register` | `db`, plus either `dataset` (`nba`\|`mimic`) with `scale`? (number) (synthetic source) or `source:"csv_dir"` with `path`, `strict`? (bool), `max_joins`? (non-negative integer) | `epoch` (new with every call), `replaced`, `invalidated_entries`, `tables`, `rows`; csv_dir adds an `ingest` report (per-stage timings, per-table stats, join provenance, warnings) |
 //! | `query` | `db`, `sql`, `preview`? (bool, default `true`), `max_rows`? (non-negative integer, default 50) | `session`, `columns`, `rows` (≤ `max_rows`); with `preview: true` warms the provenance cache; reuses an existing session on the same `(db, sql)` |
-//! | `ask` | `session`, `t1`+`t2` or `t` (objects of col→value), `trace`? (bool, default `false`), `timeout_ms`? (positive number: the request budget) | `explanations`, `cache`, `timings`; with `trace: true` adds a `trace` span-tree array; a budget-truncated answer adds `degraded: true` plus the `truncated` site list |
+//! | `ask` | `session`, exactly one of `t1`+`t2` or `t` (objects of col→value), `trace`? (bool, default `false`), `timeout_ms`? (positive number: the request budget) | `explanations`, `cache`, `timings`; with `trace: true` adds a `trace` span-tree array; a budget-truncated answer adds `degraded: true` plus the `truncated` site list |
 //! | `stats` | — | service counters + the provenance cache and the prepared graphs and answers its entries hold + cumulative ingest stats |
-//! | `metrics` | `format`? (`"json"` default, or `"prometheus"`) | registry snapshot: `counters`, `gauges`, `histograms` (count/sum/max/mean + p50/p90/p99/p999), or `{"text": ...}` in the Prometheus exposition format |
+//! | `metrics` | `format`? (`"json"` default, or `"prometheus"`; any other value is a `bad_request`) | registry snapshot: `counters`, `gauges`, `histograms` (count/sum/max/mean + p50/p90/p99/p999), or `{"text": ...}` in the Prometheus exposition format |
 //! | `close` | `session` | `closed` |
 //!
 //! An optional field (`?`) that is absent takes its default; one that is
@@ -90,7 +90,7 @@ fn handle_line_inner(service: &ExplanationService, line: &str) -> Json {
         "query" => handle_query(service, &req),
         "ask" => handle_ask(service, &req),
         "stats" => Ok(handle_stats(service)),
-        "metrics" => Ok(handle_metrics(service, &req)),
+        "metrics" => handle_metrics(service, &req),
         "close" => handle_close(service, &req),
         other => Err(err("bad_request", &format!("unknown op `{other}`"))),
     };
@@ -124,12 +124,12 @@ fn str_field<'a>(req: &'a Json, field: &str) -> Result<&'a str, Json> {
 /// An optional field: absent, `default`; present, what `read` makes of it,
 /// or a `bad_request` saying what the field `must` be — never a silent
 /// fall-back to the default.
-fn optional<T>(
-    req: &Json,
+fn optional<'a, T>(
+    req: &'a Json,
     field: &str,
     default: T,
     must: &str,
-    read: impl FnOnce(&Json) -> Option<T>,
+    read: impl FnOnce(&'a Json) -> Option<T>,
 ) -> Result<T, Json> {
     match req.get(field) {
         None => Ok(default),
@@ -347,34 +347,27 @@ fn render_rows(db: &Database, table: &cajade_storage::Table, max_rows: usize) ->
 }
 
 /// Reads a `{"col": "value", ...}` object into question pairs.
-fn tuple_spec(req: &Json, field: &str) -> Option<Vec<(String, String)>> {
-    let obj = req.get(field)?.as_object()?;
+fn tuple_spec(spec: &Json) -> Option<Vec<(String, String)>> {
+    let value = |v: &Json| v.as_str().map_or_else(|| v.render(), str::to_string);
     Some(
-        obj.iter()
-            .map(|(k, v)| {
-                let rendered = match v {
-                    Json::Str(s) => s.clone(),
-                    other => other.render(),
-                };
-                (k.clone(), rendered)
-            })
+        spec.as_object()?
+            .iter()
+            .map(|(k, v)| (k.clone(), value(v)))
             .collect(),
     )
 }
 
 fn handle_ask(service: &ExplanationService, req: &Json) -> Reply {
     let handle = service.session(session_field(req)?).map_err(service_err)?;
-    let question = match (
-        tuple_spec(req, "t1"),
-        tuple_spec(req, "t2"),
-        tuple_spec(req, "t"),
-    ) {
-        (Some(t1), Some(t2), _) => UserQuestion::TwoPoint { t1, t2 },
-        (None, None, Some(t)) => UserQuestion::SinglePoint { t },
+    // Each field absent, or present and read: `t` beside `t1`/`t2` is
+    // refused, not answered as either form.
+    let question = match ["t1", "t2", "t"].map(|field| req.get(field).map(tuple_spec)) {
+        [Some(Some(t1)), Some(Some(t2)), None] => UserQuestion::TwoPoint { t1, t2 },
+        [None, None, Some(Some(t))] => UserQuestion::SinglePoint { t },
         _ => {
             return Err(err(
                 "bad_request",
-                "expected \"t1\"+\"t2\" (two-point) or \"t\" (single-point)",
+                "expected exactly one of \"t1\"+\"t2\" (two-point) or \"t\" (single-point)",
             ))
         }
     };
@@ -520,34 +513,20 @@ fn ask_response(outcome: &AskResult) -> Json {
     Json::obj(fields)
 }
 
-fn handle_metrics(service: &ExplanationService, req: &Json) -> Json {
+fn handle_metrics(service: &ExplanationService, req: &Json) -> Reply {
+    let formats = "\"json\" or \"prometheus\"";
+    let format = optional(req, "format", "json", formats, Json::as_str)?;
     let snap = service.metrics_snapshot();
-    match req.get("format").and_then(Json::as_str) {
-        Some("prometheus") => Json::obj([
+    Ok(match format {
+        "prometheus" => Json::obj([
             ("ok", Json::Bool(true)),
             ("format", Json::str("prometheus")),
             ("text", Json::str(snap.render_prometheus())),
         ]),
-        Some("json") | None => Json::obj([
+        "json" => Json::obj([
             ("ok", Json::Bool(true)),
-            (
-                "counters",
-                Json::Obj(
-                    snap.counters
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::num(*v as f64)))
-                        .collect(),
-                ),
-            ),
-            (
-                "gauges",
-                Json::Obj(
-                    snap.gauges
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::num(*v as f64)))
-                        .collect(),
-                ),
-            ),
+            ("counters", numbers(&snap.counters)),
+            ("gauges", numbers(&snap.gauges)),
             (
                 "histograms",
                 Json::Obj(
@@ -578,11 +557,21 @@ fn handle_metrics(service: &ExplanationService, req: &Json) -> Json {
             ),
             ("memory", memory_json()),
         ]),
-        Some(other) => err(
-            "bad_request",
-            &format!("unknown format `{other}` (expected \"json\" or \"prometheus\")"),
-        ),
-    }
+        other => {
+            let msg = format!("unknown format `{other}` (expected {formats})");
+            return Err(err("bad_request", &msg));
+        }
+    })
+}
+
+/// A snapshot's named counts as a JSON object.
+fn numbers(named: &[(String, u64)]) -> Json {
+    Json::Obj(
+        named
+            .iter()
+            .map(|(k, v)| (k.clone(), Json::num(*v as f64)))
+            .collect(),
+    )
 }
 
 /// The `metrics` op's `memory` block: process RSS watermarks (Linux,
@@ -845,6 +834,55 @@ mod tests {
                 "{line}: {resp:?}"
             );
         }
+    }
+
+    /// `metrics`' `format` and `ask`'s question forms are read, not
+    /// defaulted: a present `format` that is not `"json"` or
+    /// `"prometheus"` — a number, `null` — is a `bad_request` naming the
+    /// field, and `t` beside `t1`/`t2` is a `bad_request` naming both
+    /// forms, not a two-point answer.
+    #[test]
+    fn metrics_format_and_question_forms_are_refused_not_defaulted() {
+        let service = service_with_tiny_nba();
+        for format in ["5", "null", "true", "{}"] {
+            let line = format!(r#"{{"op":"metrics","format":{format}}}"#);
+            let resp = handle_line(&service, &line);
+            let (code, message) = error_of(&resp);
+            assert_eq!(code, Some("bad_request"), "{line}: {resp:?}");
+            assert!(message.contains("\"format\""), "{line}: {message}");
+        }
+        let json = handle_line(&service, r#"{"op":"metrics","format":"json"}"#);
+        assert!(json.get("counters").is_some(), "{json:?}");
+
+        let q = format!(r#"{{"op":"query","db":"nba","sql":"{GSW_SQL}","preview":false}}"#);
+        let session = handle_line(&service, &q)
+            .get("session")
+            .and_then(Json::as_u64);
+        let session = session.expect("a session");
+        let t1 = r#""t1":{"season_name":"2015-16"}"#;
+        let t2 = r#""t2":{"season_name":"2012-13"}"#;
+        let t = r#""t":{"season_name":"2015-16"}"#;
+        for fields in [
+            format!("{t1},{t2},{t}"),
+            format!(r#"{t1},{t2},"t":null"#),
+            format!("{t1},{t}"),
+            format!("{t2},{t}"),
+            r#""t":5"#.to_string(),
+        ] {
+            let line = format!(r#"{{"op":"ask","session":{session},{fields}}}"#);
+            let resp = handle_line(&service, &line);
+            let (code, message) = error_of(&resp);
+            assert_eq!(code, Some("bad_request"), "{line}: {resp:?}");
+            assert!(
+                message.contains("\"t1\"+\"t2\"") && message.contains("\"t\""),
+                "{line}: {message}"
+            );
+        }
+        assert_eq!(
+            service.obs().asks_total.get(),
+            0,
+            "no refused question was asked"
+        );
     }
 
     /// The code and message of an error response.

@@ -197,7 +197,7 @@ impl SessionHandle {
             // misreport this request's work.
             result.timings = cajade_core::SessionTimings::default();
             let wall = ask.finish();
-            inner.obs.record_ask(wall, &result.timings);
+            inner.obs.record_ask(wall);
             return Ok(AskResult {
                 result,
                 answer_cache_hit: true,
@@ -241,20 +241,8 @@ impl SessionHandle {
                 &inner.params,
                 &col_stats,
                 &slots,
-            );
-            let obs = &inner.obs;
-            obs.apt_join_steps_total.add(work.join_steps);
-            obs.apt_join_steps_computed_total
-                .add(work.join_steps_computed);
-            obs.apt_index_builds_total.add(work.index_builds);
-            obs.apt_graphs_over_cost_total.add(work.graphs_over_cost);
-            obs.prepare_column_reads_total.add(work.column_reads);
-            obs.prepare_column_reads_computed_total
-                .add(work.column_reads_computed);
-            obs.mine_exact_masks_total.add(work.exact_masks);
-            obs.mine_exact_masks_computed_total
-                .add(work.exact_masks_computed);
-            let outcomes = outcomes?;
+                &inner.obs.work,
+            )?;
 
             // The ranked list is built under the answers' scope, which
             // keeps it: the entry shares it rather than copying it. The
@@ -278,14 +266,12 @@ impl SessionHandle {
             pipeline::drop_outcomes(outcomes);
             Ok((result, found, work.graphs_prepared))
         };
-        let answered = std::panic::catch_unwind(std::panic::AssertUnwindSafe(answer));
         // The one place the entry is weighed again: it grew by what this
         // ask stored in it — graphs, the all-rows masks its re-scores
         // filled into them, its answer — also when the ask failed, or a
         // worker panicked past what its siblings stored.
-        inner.prov_cache.reweigh(prov_key, |e| e.approx_bytes());
-        let (mut result, apt_cache_hits, apt_cache_misses) =
-            answered.unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
+        let reweigh = || inner.prov_cache.reweigh(prov_key, |e| e.approx_bytes());
+        let (mut result, apt_cache_hits, apt_cache_misses) = pipeline::finally(answer, reweigh)?;
         if provenance_cache_hit {
             // Those phases were skipped; report the latency actually paid.
             result.timings.provenance = Duration::ZERO;
@@ -298,7 +284,7 @@ impl SessionHandle {
             inner.obs.ask_deadline_exceeded_total.inc();
         }
         let wall = ask.finish();
-        inner.obs.record_ask(wall, &result.timings);
+        inner.obs.record_ask(wall);
         Ok(AskResult {
             result,
             answer_cache_hit: false,

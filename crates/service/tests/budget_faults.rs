@@ -4,13 +4,14 @@
 //! every failpoint, with `panic`, `error` and `sleep` — under fault plans
 //! that reach only the requests they are installed around.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use cajade_core::{Params, UserQuestion};
 use cajade_datagen::nba::{self, NbaConfig};
 use cajade_obs::faults::{Plan, Site};
 use cajade_service::json::Json;
-use cajade_service::{protocol, AskOptions, ExplanationService, ServiceConfig};
+use cajade_service::{protocol, AskOptions, ExplanationService, ServiceConfig, SessionHandle};
 
 const GSW_SQL: &str = "SELECT COUNT(*) AS win, s.season_name \
      FROM team t, game g, season s \
@@ -431,6 +432,72 @@ fn apt_compute_panic_still_weighs_what_the_sibling_workers_stored() {
         fresh + stats.apt_cache.bytes,
         "{stats:?}"
     );
+}
+
+/// A default service (the paper's parameters, worker threads) over the
+/// tiny NBA corpus, and a session on the `GSW` query.
+fn default_session() -> (ExplanationService, Arc<SessionHandle>) {
+    let service = service_with(ServiceConfig::default().params);
+    let session = service.open_session("nba", GSW_SQL).unwrap();
+    (service, session)
+}
+
+/// Asks `question` under `spec`, which must panic the ask.
+fn ask_panicking(session: &SessionHandle, question: &UserQuestion, spec: &str) {
+    let plan = Plan::parse(spec).unwrap();
+    let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        plan.install(|| session.ask(question))
+    }));
+    assert!(panicked.is_err(), "{spec}");
+}
+
+/// A mining worker that panics loses no count of the work its siblings
+/// finished: after a cold ask, a warm one that panics in one graph's
+/// refinement and its retry, `metrics` counts the all-rows masks filled
+/// as a clean service's two asks do (1 554), not only the retry's fills.
+#[test]
+fn a_mining_panic_still_counts_the_masks_its_siblings_filled() {
+    let (cold, warm) = (q("2015-16", "2012-13"), q("2016-17", "2013-14"));
+    let (clean, session) = default_session();
+    session.ask(&cold).unwrap();
+    session.ask(&warm).unwrap();
+
+    let (service, session) = default_session();
+    session.ask(&cold).unwrap();
+    ask_panicking(&session, &warm, "mine.refine=panic@1");
+    let retried = session.ask(&warm).unwrap();
+    assert!(!retried.answer_cache_hit);
+
+    let name = "mine_exact_masks_computed_total";
+    assert!(counter(&clean, name) > 0);
+    assert_eq!(counter(&service, name), counter(&clean, name));
+}
+
+/// A cold ask that panics while preparing its graphs — in the store's
+/// latch or in a preparation — still counts what its materialize stage
+/// did, which ended before the panic, and the candidate-column reads
+/// its other preparations made.
+#[test]
+fn a_preparation_panic_still_counts_the_joins_and_reads_before_it() {
+    let cold = q("2015-16", "2012-13");
+    let (clean, session) = default_session();
+    session.ask(&cold).unwrap();
+    let joins = ["apt_join_steps_total", "apt_index_builds_total"];
+    assert!(joins.iter().all(|name| counter(&clean, name) > 0));
+
+    for spec in ["cache.apt_compute=panic@1", "mine.prepare=panic@1"] {
+        let (service, session) = default_session();
+        ask_panicking(&session, &cold, spec);
+        for name in joins {
+            assert_eq!(
+                counter(&service, name),
+                counter(&clean, name),
+                "{spec}: {name}"
+            );
+        }
+        let reads = counter(&service, "prepare_column_reads_total");
+        assert!(reads > 0, "{spec}: no column read counted");
+    }
 }
 
 #[test]

@@ -34,8 +34,10 @@ fn library(gen: &GeneratedDb, sql: &str, question: &UserQuestion, params: &Param
         params,
         &stats,
         &pipeline::KeepNothing,
-    );
-    let result = pipeline::assemble(&gen.db, &query, &prepared, outcomes.unwrap(), &work, params);
+        &pipeline::WorkCounters::default(),
+    )
+    .unwrap();
+    let result = pipeline::assemble(&gen.db, &query, &prepared, outcomes, &work, params);
     lines(&result.explanations)
 }
 

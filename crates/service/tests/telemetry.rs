@@ -232,8 +232,22 @@ fn traced_cold_ask_covers_all_stages_and_metrics_percentiles_populate() {
     assert!(text.contains("ask_total_us{quantile=\"0.5\"} "));
     assert!(text.contains("ask_total_us_count 21\n"));
 
-    let bad = handle_line(&service, r#"{"op":"metrics","format":"xml"}"#);
-    assert_eq!(bad.get("ok").and_then(Json::as_bool), Some(false));
+    // A format that is not one of the two, a string or not, is refused:
+    // never answered as JSON.
+    for format in [r#""xml""#, "5", "null"] {
+        let bad = handle_line(
+            &service,
+            &format!(r#"{{"op":"metrics","format":{format}}}"#),
+        );
+        assert_eq!(
+            bad.get("ok").and_then(Json::as_bool),
+            Some(false),
+            "{format}"
+        );
+        let code = bad.get("error").and_then(|e| e.get("code"));
+        assert_eq!(code.and_then(Json::as_str), Some("bad_request"), "{format}");
+        assert!(bad.get("counters").is_none(), "{format}");
+    }
 }
 
 /// The `metrics` op carries the process-memory watermarks: the peak-RSS
